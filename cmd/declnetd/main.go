@@ -16,7 +16,8 @@
 //	POST /v1/permit        {tenant, target, entries, groups}  set_permit_list
 //	POST /v1/qos           {tenant, provider, region, bandwidth_bps}  set_qos
 //	POST /v1/potato        {tenant, provider, policy}
-//	POST /v1/groups        {tenant, provider, name, members}
+//	POST /v1/groups        {tenant, name, members}
+//	POST /v1/names         {tenant, name, target}
 //	POST /v1/batch         {tenant, ops}      many mutations, one epoch bump
 //	POST /v1/transfer      {tenant, src, dst, bytes}
 //	POST /v1/fail          {kind, target, advance_ms}
@@ -34,15 +35,21 @@
 //	POST /v1/reconcile/sweep               force one reconciliation sweep
 //	POST /v1/snapshot                      compact the durable intent store
 //
+// A POST body is limited to 1 MiB; a larger one is answered 413. A body
+// that does not decode (unknown fields included) or an operand that does
+// not parse is a 400; a mutation the control plane refuses is a 409.
+//
 // With -data-dir set, every accepted mutation is journaled to an
 // append-only log before the verb returns (fsync policy via -fsync /
 // -fsync-every), snapshots compact the journal every -compact-every
 // records, and on boot the daemon replays snapshot + journal tail to
 // recover the pre-crash control-plane state. The -seed and -hosts flags
 // must match the world the store was created with; the daemon refuses
-// to replay a foreign world's journal. A reconciler goroutine per
-// (provider, region) then keeps the dataplane converged to the declared
-// state (period -reconcile-interval, 0 disables).
+// to replay a foreign world's journal. The reconciler then keeps the
+// dataplane converged to the declared state: one incremental loop
+// (dirty sets plus a rotating 1/K anti-entropy slice, -anti-entropy-k,
+// default 8) every -reconcile-interval (0 disables); -anti-entropy-k 0
+// selects the legacy full walk, one goroutine per (provider, region).
 //
 // With -debug-addr set, a second listener serves net/http/pprof under
 // /debug/pprof/ and the expvar JSON dump under /debug/vars (the metrics

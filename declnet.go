@@ -267,129 +267,81 @@ type Tenant struct {
 // Name returns the tenant account name.
 func (t *Tenant) Name() string { return t.name }
 
-func (t *Tenant) provider(name string) (*core.Provider, error) {
-	p, ok := t.world.Cloud.Provider(name)
-	if !ok {
-		return nil, fmt.Errorf("declnet: unknown provider %q", name)
-	}
-	return p, nil
+// apply runs one mutation through the cloud's single verb path.
+func (t *Tenant) apply(op intent.Op) (IP, error) { return t.world.Cloud.Apply(t.name, op) }
+
+// do is apply for the verbs that return no address.
+func (t *Tenant) do(op intent.Op) error {
+	_, err := t.apply(op)
+	return err
 }
 
 // RequestEIP grants an endpoint IP for a VM (Table 2: request_eip). The
 // provider is inferred from the VM's position in the world.
 func (t *Tenant) RequestEIP(vm NodeID) (EIP, error) {
-	n, ok := t.world.Cloud.G.Node(vm)
-	if !ok {
-		return 0, fmt.Errorf("declnet: unknown VM %q", vm)
-	}
-	p, err := t.provider(n.Provider)
-	if err != nil {
-		return 0, err
-	}
-	return p.RequestEIP(t.name, vm)
+	return t.apply(intent.Op{Verb: intent.OpRequestEIP, VM: string(vm)})
 }
 
 // ReleaseEIP returns an endpoint IP and tears down its bindings and
 // permit state.
 func (t *Tenant) ReleaseEIP(eip EIP) error {
-	p, err := t.providerOf(eip)
-	if err != nil {
-		return err
-	}
-	return p.ReleaseEIP(t.name, eip)
+	return t.do(intent.Op{Verb: intent.OpReleaseEIP, Addr: eip})
 }
 
 // RequestSIP grants a service IP at the named provider (Table 2:
 // request_sip).
 func (t *Tenant) RequestSIP(providerName string) (SIP, error) {
-	p, err := t.provider(providerName)
-	if err != nil {
-		return 0, err
-	}
-	return p.RequestSIP(t.name)
+	return t.apply(intent.Op{Verb: intent.OpRequestSIP, Provider: providerName})
 }
 
 // Bind associates an EIP with a SIP with an optional weight (Table 2:
 // bind). weight <= 0 means 1.
 func (t *Tenant) Bind(eip EIP, sip SIP, weight int) error {
-	p, err := t.providerOf(sip)
-	if err != nil {
-		return err
-	}
-	return p.Bind(t.name, eip, sip, weight)
+	return t.do(intent.Op{Verb: intent.OpBind, EIP: eip, SIP: sip, Weight: weight})
 }
 
 // Unbind removes an EIP from a SIP with connection draining.
 func (t *Tenant) Unbind(eip EIP, sip SIP) error {
-	p, err := t.providerOf(sip)
-	if err != nil {
-		return err
-	}
-	return p.Unbind(t.name, eip, sip)
+	return t.do(intent.Op{Verb: intent.OpUnbind, EIP: eip, SIP: sip})
 }
 
 // SetPermitList replaces the permit list guarding an EIP or SIP (Table 2:
 // set_permit_list). Group names expand to their membership.
 func (t *Tenant) SetPermitList(target IP, entries []Prefix, groups ...string) error {
-	p, err := t.providerOf(target)
-	if err != nil {
-		return err
-	}
-	return p.SetPermitList(t.name, target, entries, groups...)
+	return t.do(intent.Op{Verb: intent.OpSetPermit, Target: target, Entries: entries, Groups: groups})
 }
 
 // Permit adds one entry to a target's permit list.
 func (t *Tenant) Permit(target IP, entry Prefix) error {
-	p, err := t.providerOf(target)
-	if err != nil {
-		return err
-	}
-	return p.Permit(t.name, target, entry)
+	return t.do(intent.Op{Verb: intent.OpPermit, Target: target, Entries: []Prefix{entry}})
 }
 
 // Revoke removes one entry from a target's permit list.
 func (t *Tenant) Revoke(target IP, entry Prefix) error {
-	p, err := t.providerOf(target)
-	if err != nil {
-		return err
-	}
-	return p.Revoke(t.name, target, entry)
+	return t.do(intent.Op{Verb: intent.OpRevoke, Target: target, Entries: []Prefix{entry}})
 }
 
 // SetQoS grants regional egress bandwidth in bits/s (Table 2: set_qos).
 func (t *Tenant) SetQoS(providerName, region string, bandwidth float64) error {
-	p, err := t.provider(providerName)
-	if err != nil {
-		return err
-	}
-	return p.SetQoS(t.name, region, bandwidth)
+	return t.do(intent.Op{Verb: intent.OpSetQoS, Provider: providerName, Region: region, Bps: bandwidth})
 }
 
 // SetVMEgressCap overrides one endpoint's egress bandwidth guarantee in
 // bits/s — today's standard per-VM offering, adopted unchanged (§4 QoS).
 func (t *Tenant) SetVMEgressCap(eip EIP, bps float64) error {
-	p, err := t.providerOf(eip)
-	if err != nil {
-		return err
-	}
-	return p.SetVMEgressCap(t.name, eip, bps)
+	return t.do(intent.Op{Verb: intent.OpSetVMEgress, EIP: eip, Bps: bps})
 }
 
 // SetPotato selects the tenant's transit profile at a provider
 // (extension; §4 QoS).
 func (t *Tenant) SetPotato(providerName string, policy qos.PotatoPolicy) error {
-	p, err := t.provider(providerName)
-	if err != nil {
-		return err
-	}
-	p.SetPotato(t.name, policy)
-	return nil
+	return t.do(intent.Op{Verb: intent.OpSetPotato, Provider: providerName, Policy: policy.String()})
 }
 
 // CreateGroup defines a named endpoint group usable in SetPermitList at
 // any provider; members may span clouds (extension; §4 Connectivity).
 func (t *Tenant) CreateGroup(group string, members ...EIP) error {
-	return t.world.Cloud.CreateGroup(t.name, group, members...)
+	return t.do(intent.Op{Verb: intent.OpCreateGroup, Name: group, Members: members})
 }
 
 // ConnectOpts tunes Connect; see core.ConnectOpts.
@@ -445,7 +397,7 @@ func (t *Tenant) Explain(src EIP, dst IP) (*Explanation, error) {
 // Register binds a tenant-scoped name to one of the tenant's addresses —
 // the §6 extension that abstracts above IP addresses entirely.
 func (t *Tenant) Register(name string, target IP) error {
-	return t.world.Cloud.RegisterName(t.name, name, target)
+	return t.do(intent.Op{Verb: intent.OpRegisterName, Name: name, Addr: target})
 }
 
 // Resolve returns the address behind one of the tenant's names.
@@ -455,20 +407,12 @@ func (t *Tenant) Resolve(name string) (IP, bool) {
 
 // Unregister removes a name binding.
 func (t *Tenant) Unregister(name string) bool {
-	return t.world.Cloud.UnregisterName(t.name, name)
+	return t.do(intent.Op{Verb: intent.OpUnregisterName, Name: name}) == nil
 }
 
 // ConnectName is Connect with the destination given by name.
 func (t *Tenant) ConnectName(src EIP, name string, opts ConnectOpts) (*Conn, error) {
 	return t.world.Cloud.ConnectName(t.name, src, name, opts)
-}
-
-func (t *Tenant) providerOf(ip IP) (*core.Provider, error) {
-	p, ok := t.world.Cloud.ProviderOf(ip)
-	if !ok {
-		return nil, fmt.Errorf("declnet: %s is not a granted address", ip)
-	}
-	return p, nil
 }
 
 // Entry builds a permit entry from a CIDR string, panicking on bad input;

@@ -11,10 +11,9 @@
 package api
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"strings"
@@ -22,7 +21,9 @@ import (
 	"time"
 
 	"declnet"
+	"declnet/internal/addr"
 	"declnet/internal/core"
+	"declnet/internal/intent"
 	"declnet/internal/metrics"
 	"declnet/internal/obs"
 	"declnet/internal/qos"
@@ -98,16 +99,17 @@ func NewServerWith(w *declnet.World, opts Options) *Server {
 		mErrors:   opts.Registry.Counter("declnet_http_errors_total", "HTTP API error responses."),
 		mLatency:  opts.Registry.Histogram("declnet_http_request_seconds", "HTTP API request latency."),
 	}
-	s.mux.HandleFunc("POST /v1/eips", s.requestEIP)
-	s.mux.HandleFunc("POST /v1/eips/release", s.releaseEIP)
-	s.mux.HandleFunc("POST /v1/sips", s.requestSIP)
-	s.mux.HandleFunc("POST /v1/bind", s.bind)
-	s.mux.HandleFunc("POST /v1/unbind", s.unbind)
-	s.mux.HandleFunc("POST /v1/permit", s.setPermitList)
-	s.mux.HandleFunc("POST /v1/qos", s.setQoS)
-	s.mux.HandleFunc("POST /v1/potato", s.setPotato)
-	s.mux.HandleFunc("POST /v1/groups", s.createGroup)
-	s.mux.HandleFunc("POST /v1/names", s.registerName)
+	// The single-verb mutation routes: wire struct -> typed op -> Apply.
+	s.mux.HandleFunc("POST /v1/eips", mutate(s, EIPRequest.op, replyEIP))
+	s.mux.HandleFunc("POST /v1/eips/release", mutate(s, ReleaseRequest.op, replyEmpty))
+	s.mux.HandleFunc("POST /v1/sips", mutate(s, SIPRequest.op, replySIP))
+	s.mux.HandleFunc("POST /v1/bind", mutate(s, BindRequest.bind, replyEmpty))
+	s.mux.HandleFunc("POST /v1/unbind", mutate(s, BindRequest.unbind, replyEmpty))
+	s.mux.HandleFunc("POST /v1/permit", mutate(s, PermitRequest.op, replyEmpty))
+	s.mux.HandleFunc("POST /v1/qos", mutate(s, QoSRequest.op, replyEmpty))
+	s.mux.HandleFunc("POST /v1/potato", mutate(s, PotatoRequest.op, replyEmpty))
+	s.mux.HandleFunc("POST /v1/groups", mutate(s, GroupRequest.op, replyEmpty))
+	s.mux.HandleFunc("POST /v1/names", mutate(s, NameRequest.op, replyEmpty))
 	s.mux.HandleFunc("POST /v1/batch", s.batch)
 	s.mux.HandleFunc("POST /v1/transfer", s.transfer)
 	s.mux.HandleFunc("POST /v1/fail", s.fail)
@@ -150,10 +152,20 @@ func (s *Server) WorldGate() func() func() {
 	return func() func() { s.mu.RLock(); return s.mu.RUnlock }
 }
 
-// statusRecorder captures the response code for logging and metrics.
+// statusRecorder captures the response code, and the tenant a handler
+// decoded from its body, for logging and metrics.
 type statusRecorder struct {
 	http.ResponseWriter
-	code int
+	code   int
+	tenant string
+}
+
+// logTenant hands ServeHTTP's log line the tenant a POST carried in its
+// body; a ?tenant= query parameter wins.
+func logTenant(w http.ResponseWriter, tenant string) {
+	if sr, ok := w.(*statusRecorder); ok && sr.tenant == "" {
+		sr.tenant = tenant
+	}
 }
 
 func (sr *statusRecorder) WriteHeader(code int) {
@@ -165,22 +177,7 @@ func (sr *statusRecorder) WriteHeader(code int) {
 // request and feeding the API rate/latency instruments.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	tenant := r.URL.Query().Get("tenant")
-	if tenant == "" && r.Method == http.MethodPost && r.Body != nil {
-		// The tenant rides in the JSON body on POSTs; peek it for the log
-		// line and hand the handler a replayable body.
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err == nil {
-			r.Body = io.NopCloser(bytes.NewReader(body))
-			var t struct {
-				Tenant string `json:"tenant"`
-			}
-			if json.Unmarshal(body, &t) == nil {
-				tenant = t.Tenant
-			}
-		}
-	}
-	rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
+	rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK, tenant: r.URL.Query().Get("tenant")}
 	s.mux.ServeHTTP(rec, r)
 	elapsed := time.Since(start)
 	s.mRequests.Inc()
@@ -193,7 +190,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.log.LogAttrs(r.Context(), level, "request",
 		slog.String("method", r.Method),
 		slog.String("path", r.URL.Path),
-		slog.String("tenant", tenant),
+		slog.String("tenant", rec.tenant),
 		slog.Int("status", rec.code),
 		slog.Duration("latency", elapsed),
 	)
@@ -214,14 +211,67 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, Error{Error: err.Error()})
 }
 
-func decode[T any](r *http.Request) (T, error) {
-	var v T
-	dec := json.NewDecoder(r.Body)
+// maxBody bounds every POST body.
+const maxBody = 1 << 20
+
+// decode reads a POST's JSON body. When it reports false the error
+// response is already written: 413 for a body over maxBody, 400 for one
+// that does not decode (unknown fields included).
+func decode[T any](w http.ResponseWriter, r *http.Request) (v T, ok bool) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&v); err != nil {
-		return v, fmt.Errorf("api: bad request body: %w", err)
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, code, fmt.Errorf("api: bad request body: %w", err))
+		return v, false
 	}
-	return v, nil
+	return v, true
+}
+
+// mutate serves one single-verb mutation route: decode the wire struct
+// once, convert it to the typed op (a conversion error is a 400), run it
+// through the cloud's verb path (a failure there is a 409), and encode
+// the reply built from the op's address.
+func mutate[T any](s *Server, toOp func(T) (tenant string, op intent.Op, err error), reply func(addr.IP) any) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		req, ok := decode[T](w, r)
+		if !ok {
+			return
+		}
+		tenant, op, err := toOp(req)
+		logTenant(w, tenant)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
+		s.mu.RLock()
+		a, err := s.world.Cloud.Apply(tenant, op)
+		s.mu.RUnlock()
+		if err != nil {
+			writeErr(w, http.StatusConflict, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, reply(a))
+	}
+}
+
+func replyEIP(a addr.IP) any { return EIPResponse{EIP: a.String()} }
+func replySIP(a addr.IP) any { return SIPResponse{SIP: a.String()} }
+func replyEmpty(addr.IP) any { return struct{}{} }
+
+// ips parses a request's address operands, keeping the first error.
+type ips struct{ err error }
+
+func (p *ips) parse(s string) addr.IP {
+	a, err := addr.ParseIP(s)
+	if p.err == nil {
+		p.err = err
+	}
+	return a
 }
 
 // EIPRequest asks for an endpoint IP (Table 2: request_eip(vm_id)).
@@ -235,20 +285,8 @@ type EIPResponse struct {
 	EIP string `json:"eip"`
 }
 
-func (s *Server) requestEIP(w http.ResponseWriter, r *http.Request) {
-	req, err := decode[EIPRequest](r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	eip, err := s.world.Tenant(req.Tenant).RequestEIP(declnet.NodeID(req.VM))
-	if err != nil {
-		writeErr(w, http.StatusConflict, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, EIPResponse{EIP: eip.String()})
+func (r EIPRequest) op() (string, intent.Op, error) {
+	return r.Tenant, intent.Op{Verb: intent.OpRequestEIP, VM: r.VM}, nil
 }
 
 // ReleaseRequest returns an endpoint IP.
@@ -257,24 +295,9 @@ type ReleaseRequest struct {
 	EIP    string `json:"eip"`
 }
 
-func (s *Server) releaseEIP(w http.ResponseWriter, r *http.Request) {
-	req, err := decode[ReleaseRequest](r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	ip, err := declnet.ParseIP(req.EIP)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if err := s.world.Tenant(req.Tenant).ReleaseEIP(ip); err != nil {
-		writeErr(w, http.StatusConflict, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, struct{}{})
+func (r ReleaseRequest) op() (string, intent.Op, error) {
+	var p ips
+	return r.Tenant, intent.Op{Verb: intent.OpReleaseEIP, Addr: p.parse(r.EIP)}, p.err
 }
 
 // SIPRequest asks for a service IP (Table 2: request_sip()).
@@ -288,20 +311,8 @@ type SIPResponse struct {
 	SIP string `json:"sip"`
 }
 
-func (s *Server) requestSIP(w http.ResponseWriter, r *http.Request) {
-	req, err := decode[SIPRequest](r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	sip, err := s.world.Tenant(req.Tenant).RequestSIP(req.Provider)
-	if err != nil {
-		writeErr(w, http.StatusConflict, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, SIPResponse{SIP: sip.String()})
+func (r SIPRequest) op() (string, intent.Op, error) {
+	return r.Tenant, intent.Op{Verb: intent.OpRequestSIP, Provider: r.Provider}, nil
 }
 
 // BindRequest associates an EIP with a SIP (Table 2: bind(eip, sip)).
@@ -312,41 +323,12 @@ type BindRequest struct {
 	Weight int    `json:"weight,omitempty"`
 }
 
-func (s *Server) bind(w http.ResponseWriter, r *http.Request) {
-	s.bindish(w, r, func(t *declnet.Tenant, eip, sip declnet.IP, weight int) error {
-		return t.Bind(eip, sip, weight)
-	})
-}
+func (r BindRequest) bind() (string, intent.Op, error)   { return r.op(intent.OpBind, r.Weight) }
+func (r BindRequest) unbind() (string, intent.Op, error) { return r.op(intent.OpUnbind, 0) }
 
-func (s *Server) unbind(w http.ResponseWriter, r *http.Request) {
-	s.bindish(w, r, func(t *declnet.Tenant, eip, sip declnet.IP, _ int) error {
-		return t.Unbind(eip, sip)
-	})
-}
-
-func (s *Server) bindish(w http.ResponseWriter, r *http.Request, fn func(*declnet.Tenant, declnet.IP, declnet.IP, int) error) {
-	req, err := decode[BindRequest](r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	eip, err := declnet.ParseIP(req.EIP)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	sip, err := declnet.ParseIP(req.SIP)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if err := fn(s.world.Tenant(req.Tenant), eip, sip, req.Weight); err != nil {
-		writeErr(w, http.StatusConflict, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, struct{}{})
+func (r BindRequest) op(verb string, weight int) (string, intent.Op, error) {
+	var p ips
+	return r.Tenant, intent.Op{Verb: verb, EIP: p.parse(r.EIP), SIP: p.parse(r.SIP), Weight: weight}, p.err
 }
 
 // PermitRequest replaces a target's permit list (Table 2:
@@ -359,33 +341,13 @@ type PermitRequest struct {
 	Groups  []string `json:"groups,omitempty"`
 }
 
-func (s *Server) setPermitList(w http.ResponseWriter, r *http.Request) {
-	req, err := decode[PermitRequest](r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+func (r PermitRequest) op() (string, intent.Op, error) {
+	var p ips
+	op := intent.Op{Verb: intent.OpSetPermit, Target: p.parse(r.Target), Groups: r.Groups}
+	if p.err == nil {
+		op.Entries, p.err = parsePermitEntries(r.Entries)
 	}
-	target, err := declnet.ParseIP(req.Target)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	entries := make([]declnet.Prefix, 0, len(req.Entries))
-	for _, e := range req.Entries {
-		p, err := ParsePermitEntry(e)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		entries = append(entries, p)
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if err := s.world.Tenant(req.Tenant).SetPermitList(target, entries, req.Groups...); err != nil {
-		writeErr(w, http.StatusConflict, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, struct{}{})
+	return r.Tenant, op, p.err
 }
 
 // ParsePermitEntry parses one wire-format permit entry: a CIDR, or a
@@ -397,6 +359,18 @@ func ParsePermitEntry(e string) (declnet.Prefix, error) {
 	return declnet.ParsePrefix(e)
 }
 
+func parsePermitEntries(es []string) ([]addr.Prefix, error) {
+	out := make([]addr.Prefix, 0, len(es))
+	for _, e := range es {
+		p, err := ParsePermitEntry(e)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, p)
+	}
+	return out, nil
+}
+
 // QoSRequest grants regional egress bandwidth (Table 2:
 // set_qos(region, bandwidth)).
 type QoSRequest struct {
@@ -406,19 +380,8 @@ type QoSRequest struct {
 	Bandwidth float64 `json:"bandwidth_bps"`
 }
 
-func (s *Server) setQoS(w http.ResponseWriter, r *http.Request) {
-	req, err := decode[QoSRequest](r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if err := s.world.Tenant(req.Tenant).SetQoS(req.Provider, req.Region, req.Bandwidth); err != nil {
-		writeErr(w, http.StatusConflict, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, struct{}{})
+func (r QoSRequest) op() (string, intent.Op, error) {
+	return r.Tenant, intent.Op{Verb: intent.OpSetQoS, Provider: r.Provider, Region: r.Region, Bps: r.Bandwidth}, nil
 }
 
 // PotatoRequest selects a transit profile ("hot", "cold", "dedicated").
@@ -428,31 +391,12 @@ type PotatoRequest struct {
 	Policy   string `json:"policy"`
 }
 
-func (s *Server) setPotato(w http.ResponseWriter, r *http.Request) {
-	req, err := decode[PotatoRequest](r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+func (r PotatoRequest) op() (string, intent.Op, error) {
+	op := intent.Op{Verb: intent.OpSetPotato, Provider: r.Provider, Policy: r.Policy}
+	if _, err := qos.ParsePotatoPolicy(r.Policy); err != nil {
+		return r.Tenant, op, fmt.Errorf("api: unknown policy %q", r.Policy)
 	}
-	var policy qos.PotatoPolicy
-	switch req.Policy {
-	case "hot":
-		policy = qos.HotPotato
-	case "cold":
-		policy = qos.ColdPotato
-	case "dedicated":
-		policy = qos.Dedicated
-	default:
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("api: unknown policy %q", req.Policy))
-		return
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if err := s.world.Tenant(req.Tenant).SetPotato(req.Provider, policy); err != nil {
-		writeErr(w, http.StatusConflict, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, struct{}{})
+	return r.Tenant, op, nil
 }
 
 // GroupRequest defines an endpoint group (members may span providers).
@@ -462,28 +406,13 @@ type GroupRequest struct {
 	Members []string `json:"members"`
 }
 
-func (s *Server) createGroup(w http.ResponseWriter, r *http.Request) {
-	req, err := decode[GroupRequest](r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+func (r GroupRequest) op() (string, intent.Op, error) {
+	var p ips
+	op := intent.Op{Verb: intent.OpCreateGroup, Name: r.Name}
+	for _, m := range r.Members {
+		op.Members = append(op.Members, p.parse(m))
 	}
-	members := make([]declnet.EIP, 0, len(req.Members))
-	for _, m := range req.Members {
-		ip, err := declnet.ParseIP(m)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		members = append(members, ip)
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if err := s.world.Tenant(req.Tenant).CreateGroup(req.Name, members...); err != nil {
-		writeErr(w, http.StatusConflict, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, struct{}{})
+	return r.Tenant, op, p.err
 }
 
 // NameRequest binds a tenant-scoped name to one of the tenant's
@@ -494,24 +423,9 @@ type NameRequest struct {
 	Target string `json:"target"`
 }
 
-func (s *Server) registerName(w http.ResponseWriter, r *http.Request) {
-	req, err := decode[NameRequest](r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	target, err := declnet.ParseIP(req.Target)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if err := s.world.Tenant(req.Tenant).Register(req.Name, target); err != nil {
-		writeErr(w, http.StatusConflict, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, struct{}{})
+func (r NameRequest) op() (string, intent.Op, error) {
+	var p ips
+	return r.Tenant, intent.Op{Verb: intent.OpRegisterName, Name: r.Name, Addr: p.parse(r.Target)}, p.err
 }
 
 // resolveDst interprets a destination string as an IP, falling back to
@@ -540,11 +454,11 @@ type TransferResponse struct {
 }
 
 func (s *Server) transfer(w http.ResponseWriter, r *http.Request) {
-	req, err := decode[TransferRequest](r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	req, ok := decode[TransferRequest](w, r)
+	if !ok {
 		return
 	}
+	logTenant(w, req.Tenant)
 	src, err := declnet.ParseIP(req.Src)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
@@ -595,9 +509,8 @@ func (s *Server) fail(w http.ResponseWriter, r *http.Request) { s.faultish(w, r,
 func (s *Server) heal(w http.ResponseWriter, r *http.Request) { s.faultish(w, r, false) }
 
 func (s *Server) faultish(w http.ResponseWriter, r *http.Request, fail bool) {
-	req, err := decode[FaultRequest](r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	req, ok := decode[FaultRequest](w, r)
+	if !ok {
 		return
 	}
 	s.mu.Lock()

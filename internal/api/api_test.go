@@ -169,6 +169,32 @@ func TestUnknownFieldRejected(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyIs413: a POST body over maxBody is refused whole with
+// 413 — not truncated into a 400 parse error — whether or not the
+// tenant rides in the query string.
+func TestOversizedBodyIs413(t *testing.T) {
+	ts, _ := newTestServer(t)
+	op := BatchOpRequest{Op: "request_eip", VM: "cloudA/a-east/az1/host1"}
+	req := BatchRequest{Tenant: "acme", Ops: make([]BatchOpRequest, maxBody/32)}
+	for i := range req.Ops {
+		req.Ops[i] = op
+	}
+	for _, path := range []string{"/v1/batch", "/v1/batch?tenant=acme"} {
+		if code := post(t, ts, path, req, nil); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversized body status %d, want 413", path, code)
+		}
+	}
+	var st StatusResponse
+	get(t, ts, "/v1/status", &st)
+	if n := st.Tenants["acme"].EIPs; n != 0 {
+		t.Errorf("a refused batch granted %d EIPs", n)
+	}
+	req.Ops = req.Ops[:8]
+	if code := post(t, ts, "/v1/batch?tenant=acme", req, nil); code != 200 {
+		t.Errorf("in-limit batch status %d", code)
+	}
+}
+
 func TestNamesEndToEnd(t *testing.T) {
 	ts, w := newTestServer(t)
 	f := w.Fig1

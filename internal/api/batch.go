@@ -18,6 +18,7 @@ import (
 
 	"declnet"
 	"declnet/internal/core"
+	"declnet/internal/intent"
 	"declnet/internal/qos"
 )
 
@@ -67,11 +68,11 @@ type BatchResponse struct {
 }
 
 func (s *Server) batch(w http.ResponseWriter, r *http.Request) {
-	req, err := decode[BatchRequest](r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	req, ok := decode[BatchRequest](w, r)
+	if !ok {
 		return
 	}
+	logTenant(w, req.Tenant)
 	if len(req.Ops) == 0 {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("api: empty batch"))
 		return
@@ -121,22 +122,12 @@ func parseBatchOps(ops []BatchOpRequest) ([]core.BatchOp, error) {
 			Name:      o.Name,
 			Members:   o.Members,
 		}
-		for _, e := range o.Entries {
-			p, err := ParsePermitEntry(e)
-			if err != nil {
-				return nil, fmt.Errorf("api: batch op %d (%s): %w", i, o.Op, err)
-			}
-			op.Entries = append(op.Entries, p)
+		var err error
+		if op.Entries, err = parsePermitEntries(o.Entries); err != nil {
+			return nil, fmt.Errorf("api: batch op %d (%s): %w", i, o.Op, err)
 		}
-		if o.Op == "set_potato" {
-			switch o.Policy {
-			case "hot":
-				op.Policy = qos.HotPotato
-			case "cold":
-				op.Policy = qos.ColdPotato
-			case "dedicated":
-				op.Policy = qos.Dedicated
-			default:
+		if o.Op == intent.OpSetPotato {
+			if op.Policy, err = qos.ParsePotatoPolicy(o.Policy); err != nil {
 				return nil, fmt.Errorf("api: batch op %d: unknown policy %q", i, o.Policy)
 			}
 		}

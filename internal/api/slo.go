@@ -24,11 +24,11 @@ type SLOSetRequest struct {
 }
 
 func (s *Server) sloSet(w http.ResponseWriter, r *http.Request) {
-	req, err := decode[SLOSetRequest](r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	req, ok := decode[SLOSetRequest](w, r)
+	if !ok {
 		return
 	}
+	logTenant(w, req.Tenant)
 	if req.Tenant == "" {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("api: missing tenant"))
 		return

@@ -1,0 +1,159 @@
+// The verb path. Every Table-2 mutation — from the Go facades, a
+// single-verb HTTP route, or one op of a /v1/batch — is an intent.Op,
+// and Cloud.apply is the one place an op is routed to its owning
+// provider and shard, timed, locked, applied and journaled. A verb is
+// defined by its case in that switch (plus its dirty marks in
+// Cloud.noteRecorded); DESIGN.md "Mutation plane" carries the table.
+package core
+
+import (
+	"fmt"
+
+	"declnet/internal/addr"
+	"declnet/internal/intent"
+	"declnet/internal/qos"
+	"declnet/internal/slo"
+	"declnet/internal/topo"
+)
+
+// Apply runs one mutation for the tenant: it resolves the owning
+// provider and (tenant, region) shard, takes that shard's write lock,
+// applies the verb, and — under the same lock, so journal order equals
+// apply order within a shard — records the op in the intent store. It
+// returns the op's Addr: the granted address for request_eip and
+// request_sip.
+//
+// The caller fills the verb's operands; Apply completes what the
+// provider derives (request_eip's Provider and Region, set_permit's
+// Provider, the granted Addr), so the applied op is the journal op.
+func (c *Cloud) Apply(tenant string, op intent.Op) (addr.IP, error) {
+	err := c.apply(tenant, &op, false)
+	return op.Addr, err
+}
+
+// named routes a provider-addressed verb: the provider by name and the
+// tenant's shard for region there ("" = the provider-wide shard).
+func (c *Cloud) named(tenant, provider, region string) (*Provider, ShardKey, error) {
+	p, ok := c.Provider(provider)
+	if !ok {
+		return nil, ShardKey{}, fmt.Errorf("core: unknown provider %q", provider)
+	}
+	return p, p.regionShardKey(tenant, region), nil
+}
+
+// owner routes an address-targeted verb: the provider that granted a
+// and the tenant's shard a falls in.
+func (c *Cloud) owner(tenant string, a addr.IP) (*Provider, ShardKey, error) {
+	p, ok := c.providerOfAddr(a)
+	if !ok {
+		return nil, ShardKey{}, fmt.Errorf("core: %s is not a granted address", a)
+	}
+	return p, p.shardKeyFor(tenant, a), nil
+}
+
+// apply is Apply on a caller-owned op. With gated set the caller holds
+// the shard set's global gate and times and journals the op itself
+// (ApplyBatch): taking a shard lock under the gate would self-deadlock.
+func (c *Cloud) apply(tenant string, op *intent.Op, gated bool) error {
+	var (
+		p    *Provider
+		k    = ShardKey{Tenant: tenant} // cloud-level verbs: the tenant's region-less shard
+		verb slo.Verb
+		run  func() error
+		err  error
+	)
+	switch op.Verb {
+	case intent.OpRequestEIP:
+		n, ok := c.G.Node(topo.NodeID(op.VM))
+		if !ok {
+			return fmt.Errorf("core: unknown VM %q", op.VM)
+		}
+		if op.Provider == "" {
+			op.Provider = n.Provider
+		}
+		op.Region = n.Region
+		p, k, err = c.named(tenant, op.Provider, n.Region)
+		verb, run = slo.VerbGrant, func() (err error) {
+			op.Addr, err = p.requestEIP(tenant, topo.NodeID(op.VM))
+			return err
+		}
+	case intent.OpReleaseEIP:
+		p, k, err = c.owner(tenant, op.Addr)
+		verb, run = slo.VerbGrant, func() error { return p.releaseEIP(tenant, op.Addr) }
+	case intent.OpRequestSIP:
+		p, k, err = c.named(tenant, op.Provider, "")
+		verb, run = slo.VerbGrant, func() (err error) {
+			op.Addr, err = p.requestSIP(tenant)
+			return err
+		}
+	case intent.OpReleaseSIP:
+		p, k, err = c.owner(tenant, op.Addr)
+		verb, run = slo.VerbGrant, func() error { return p.releaseSIP(tenant, op.Addr) }
+	case intent.OpBind:
+		p, k, err = c.owner(tenant, op.SIP)
+		verb, run = slo.VerbBind, func() error { return p.bind(tenant, op.EIP, op.SIP, op.Weight) }
+	case intent.OpUnbind:
+		p, k, err = c.owner(tenant, op.SIP)
+		verb, run = slo.VerbBind, func() error { return p.unbind(tenant, op.EIP, op.SIP) }
+	case intent.OpSetPermit:
+		p, k, err = c.owner(tenant, op.Target)
+		verb, run = slo.VerbPermit, func() error {
+			op.Provider = p.Name
+			return p.setPermitList(tenant, op.Target, op.Entries, op.Groups...)
+		}
+	case intent.OpPermit, intent.OpRevoke:
+		p, k, err = c.owner(tenant, op.Target)
+		verb, run = slo.VerbPermit, func() error {
+			return p.permitEntries(tenant, op.Target, op.Entries, op.Verb == intent.OpPermit)
+		}
+	case intent.OpSetQoS:
+		p, k, err = c.named(tenant, op.Provider, op.Region)
+		verb, run = slo.VerbQoS, func() error { return p.setQoS(tenant, op.Region, op.Bps) }
+	case intent.OpSetPotato:
+		p, k, err = c.named(tenant, op.Provider, "")
+		verb, run = slo.VerbQoS, func() error {
+			policy, err := qos.ParsePotatoPolicy(op.Policy)
+			if err == nil {
+				p.setPotato(tenant, policy)
+			}
+			return err
+		}
+	case intent.OpSetVMEgress:
+		p, k, err = c.owner(tenant, op.EIP)
+		verb, run = slo.VerbQoS, func() error { return p.setVMEgressCap(tenant, op.EIP, op.Bps) }
+	case intent.OpCreateGroup:
+		verb = slo.VerbBind
+		if op.Provider == "" { // the cloud's cross-provider group table
+			run = func() error { return c.createGroup(tenant, op.Name, op.Members) }
+		} else { // that provider's own
+			p, k, err = c.named(tenant, op.Provider, "")
+			run = func() error { return p.createGroup(tenant, op.Name, op.Members) }
+		}
+	case intent.OpRegisterName:
+		verb, run = slo.VerbBind, func() error { return c.registerName(tenant, op.Name, op.Addr) }
+	case intent.OpUnregisterName:
+		verb, run = slo.VerbBind, func() error { return c.unregisterName(tenant, op.Name) }
+	default:
+		return fmt.Errorf("core: unknown verb %q", op.Verb)
+	}
+	if err != nil {
+		return err
+	}
+	if gated {
+		return run()
+	}
+	sop := c.slo.Begin(verb, tenant, k.Region)
+	defer c.shards.lockShard(k)()
+	err = run()
+	if err == nil && c.rec != nil {
+		c.rec.Record(tenant, *op)
+	}
+	sop.End(err)
+	if op.Verb == intent.OpReleaseEIP || op.Verb == intent.OpReleaseSIP {
+		// End records into the tenant's SLO shard after the release may
+		// have evicted it (last address gone); a zero-delta notify
+		// re-sweeps so a churned tenant leaves no orphan shard behind.
+		c.tenantDelta(tenant, 0)
+	}
+	return err
+}

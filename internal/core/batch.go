@@ -23,6 +23,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -162,320 +163,152 @@ func (c *Cloud) Batch(fn func() error) error {
 // [0, i) and a *BatchError with Index i; those ops stay applied. On
 // success it returns one result per op.
 //
-// A batch runs under the shard set's global gate — it mutates epoch
-// state (graph, permit engines, address epoch) that spans every shard —
-// so the op bodies below are the unlocked verb variants: taking a
-// shard's lock while holding the gate would self-deadlock.
+// The static pass runs before any lock is taken. The apply loop runs
+// under the shard set's global gate — it mutates epoch state (graph,
+// permit engines, address epoch) that spans every shard — resolving
+// each wire op into its typed form and handing it to the same apply
+// switch single verbs use, with the shard lock elided. The applied ops
+// are the journal ops: one frame for the whole batch (the applied
+// prefix when an op failed), so replay applies it atomically.
 func (c *Cloud) ApplyBatch(tenant string, ops []BatchOp) ([]BatchResult, error) {
 	sop := c.slo.Begin(slo.VerbBatch, tenant, "")
-	defer c.shards.lockGlobal()()
-	if err := c.validateBatch(ops); err != nil {
-		sop.End(err)
-		return nil, err
+	for i := range ops {
+		if _, err := c.typed(ops, i, nil); err != nil {
+			err = &BatchError{Index: i, Op: ops[i].Op, Err: err}
+			sop.End(err)
+			return nil, err
+		}
 	}
-	results := make([]BatchResult, 0, len(ops))
-	var iops []intent.Op
+	defer c.shards.lockGlobal()()
 	c.beginBatch()
 	defer c.endBatch()
+	results := make([]BatchResult, 0, len(ops))
+	var applied []intent.Op
+	var berr error
 	for i := range ops {
-		res, err := c.applyOp(tenant, &ops[i], results)
-		if err != nil {
-			berr := &BatchError{Index: i, Op: ops[i].Op, Err: err}
-			// The ops before Index stay applied, so they are journaled —
-			// still as one atomic frame for this batch.
-			if c.rec != nil && len(iops) > 0 {
-				c.rec.Record(tenant, iops...)
-			}
-			sop.End(berr)
-			c.tenantDelta(tenant, 0)
-			return results, berr
+		op, err := c.typed(ops, i, results)
+		if err == nil {
+			err = c.apply(tenant, &op, true)
 		}
-		if c.rec != nil {
-			if iop, ok := c.intentOp(&ops[i], res, results); ok {
-				iops = append(iops, iop)
-			}
+		if err != nil {
+			berr = &BatchError{Index: i, Op: ops[i].Op, Err: err}
+			break
+		}
+		res := BatchResult{Op: op.Verb}
+		if grants(op.Verb) {
+			res.Addr = op.Addr
 		}
 		results = append(results, res)
+		if c.rec != nil {
+			applied = append(applied, op)
+		}
 	}
-	if c.rec != nil && len(iops) > 0 {
-		// One frame for the whole batch: replay applies it atomically.
-		c.rec.Record(tenant, iops...)
-	}
-	sop.End(nil)
+	c.rec.Record(tenant, applied...)
+	sop.End(berr)
 	// A batch may have released the tenant's last address; End just
 	// recorded into its SLO shard, so re-sweep (zero-delta) to keep the
 	// fully-released eviction airtight.
 	c.tenantDelta(tenant, 0)
-	return results, nil
+	return results, berr
 }
 
-// validateBatch is the static all-or-nothing pass: verb and operand
-// shape, address syntax, back-reference targets, and provider names are
-// checked before anything is applied.
-func (c *Cloud) validateBatch(ops []BatchOp) error {
-	for i := range ops {
-		op := &ops[i]
-		fail := func(format string, args ...any) error {
-			return &BatchError{Index: i, Op: op.Op, Err: fmt.Errorf(format, args...)}
-		}
-		checkAddr := func(field, s string) error {
-			if s == "" {
-				return fail("missing %s", field)
-			}
-			if strings.HasPrefix(s, "$") {
-				j, err := strconv.Atoi(s[1:])
-				if err != nil || j < 0 || j >= i {
-					return fail("%s: back-reference %q must name an earlier op", field, s)
-				}
-				if ops[j].Op != "request_eip" && ops[j].Op != "request_sip" {
-					return fail("%s: back-reference %q targets %q, not an address grant", field, s, ops[j].Op)
-				}
-				return nil
-			}
-			if _, err := addr.ParseIP(s); err != nil {
-				return fail("%s: %v", field, err)
-			}
-			return nil
-		}
-		checkProvider := func() error {
-			if op.Provider == "" {
-				return fail("missing provider")
-			}
-			if _, ok := c.providers[op.Provider]; !ok {
-				return fail("unknown provider %q", op.Provider)
-			}
-			return nil
-		}
-		var err error
-		switch op.Op {
-		case "request_eip":
-			if op.VM == "" {
-				err = fail("missing vm")
-			}
-		case "release_eip":
-			err = checkAddr("eip", op.EIP)
-		case "request_sip":
-			err = checkProvider()
-		case "release_sip":
-			err = checkAddr("sip", op.SIP)
-		case "bind", "unbind":
-			if err = checkAddr("eip", op.EIP); err == nil {
-				err = checkAddr("sip", op.SIP)
-			}
-		case "set_permit":
-			err = checkAddr("target", op.Target)
-		case "permit", "revoke":
-			if err = checkAddr("target", op.Target); err == nil && len(op.Entries) == 0 {
-				err = fail("missing entries")
-			}
-		case "set_qos":
-			if err = checkProvider(); err == nil && op.Region == "" {
-				err = fail("missing region")
-			}
-		case "set_potato":
-			err = checkProvider()
-		case "create_group":
-			if op.Name == "" {
-				err = fail("missing name")
-			} else {
-				for _, m := range op.Members {
-					if err = checkAddr("members", m); err != nil {
-						break
-					}
-				}
-			}
-		case "register_name":
-			if op.Name == "" {
-				err = fail("missing name")
-			} else {
-				err = checkAddr("target", op.Target)
-			}
-		default:
-			err = fail("unknown op")
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+// grants reports whether a verb's result is a granted address — what a
+// "$i" back-reference may name and a BatchResult carries.
+func grants(verb string) bool {
+	return verb == intent.OpRequestEIP || verb == intent.OpRequestSIP
 }
 
-// batchAddr resolves an address operand: a "$i" back-reference to an
-// earlier grant's result, or a literal address (already syntax-checked
-// by validateBatch).
-func batchAddr(s string, prior []BatchResult) (addr.IP, error) {
-	if strings.HasPrefix(s, "$") {
-		j, err := strconv.Atoi(s[1:])
-		if err != nil || j < 0 || j >= len(prior) {
-			return 0, fmt.Errorf("bad back-reference %q", s)
+// typed resolves wire op i into the typed op Apply takes, checking verb
+// and operand shape, address syntax, back-reference targets and provider
+// names on the way. With prior == nil it is the static all-or-nothing
+// pass and address operands come back zero; once the batch is running,
+// prior holds the results of ops [0, i) and "$j" operands resolve to the
+// addresses those ops were granted. Only the operands named for a verb
+// are read (see BatchOp), so the typed op carries exactly the fields
+// the journal records.
+func (c *Cloud) typed(ops []BatchOp, i int, prior []BatchResult) (intent.Op, error) {
+	b := &ops[i]
+	op := intent.Op{Verb: b.Op}
+	var err error // the first operand error wins
+	ref := func(field, s string) (a addr.IP) {
+		if err == nil {
+			a, err = batchAddr(ops, i, prior, field, s)
 		}
-		return prior[j].Addr, nil
-	}
-	return addr.ParseIP(s)
-}
-
-// grantedAddr resolves an operand and finds the provider that granted
-// it. Mid-batch this is exact: providerOfAddr reads the live striped
-// address tables through the block index, not a cache.
-func (c *Cloud) grantedAddr(s string, prior []BatchResult) (addr.IP, *Provider, error) {
-	ip, err := batchAddr(s, prior)
-	if err != nil {
-		return 0, nil, err
-	}
-	p, ok := c.providerOfAddr(ip)
-	if !ok {
-		return 0, nil, fmt.Errorf("%s is not a granted address", ip)
-	}
-	return ip, p, nil
-}
-
-// applyOp applies one already-validated op, mirroring the per-verb
-// provider resolution of the declnet.Tenant facade.
-func (c *Cloud) applyOp(tenant string, op *BatchOp, prior []BatchResult) (BatchResult, error) {
-	res := BatchResult{Op: op.Op}
-	switch op.Op {
-	case "request_eip":
-		n, ok := c.G.Node(op.VM)
-		if !ok {
-			return res, fmt.Errorf("unknown VM %q", op.VM)
-		}
-		p, ok := c.providers[n.Provider]
-		if !ok {
-			return res, fmt.Errorf("no provider %q serves VM %q", n.Provider, op.VM)
-		}
-		eip, err := p.requestEIP(tenant, op.VM)
-		if err != nil {
-			return res, err
-		}
-		res.Addr = eip
-	case "release_eip":
-		ip, p, err := c.grantedAddr(op.EIP, prior)
-		if err != nil {
-			return res, err
-		}
-		return res, p.releaseEIP(tenant, ip)
-	case "request_sip":
-		sip, err := c.providers[op.Provider].requestSIP(tenant)
-		if err != nil {
-			return res, err
-		}
-		res.Addr = sip
-	case "release_sip":
-		ip, p, err := c.grantedAddr(op.SIP, prior)
-		if err != nil {
-			return res, err
-		}
-		return res, p.releaseSIP(tenant, ip)
-	case "bind", "unbind":
-		eip, err := batchAddr(op.EIP, prior)
-		if err != nil {
-			return res, err
-		}
-		sip, p, err := c.grantedAddr(op.SIP, prior)
-		if err != nil {
-			return res, err
-		}
-		if op.Op == "bind" {
-			return res, p.bind(tenant, eip, sip, op.Weight)
-		}
-		return res, p.unbind(tenant, eip, sip)
-	case "set_permit":
-		ip, p, err := c.grantedAddr(op.Target, prior)
-		if err != nil {
-			return res, err
-		}
-		return res, p.setPermitList(tenant, ip, op.Entries, op.Groups...)
-	case "permit", "revoke":
-		ip, p, err := c.grantedAddr(op.Target, prior)
-		if err != nil {
-			return res, err
-		}
-		for _, e := range op.Entries {
-			if op.Op == "permit" {
-				err = p.permitEntry(tenant, ip, e)
-			} else {
-				err = p.revokeEntry(tenant, ip, e)
-			}
-			if err != nil {
-				return res, err
-			}
-		}
-	case "set_qos":
-		return res, c.providers[op.Provider].setQoS(tenant, op.Region, op.Bandwidth)
-	case "set_potato":
-		c.providers[op.Provider].setPotato(tenant, op.Policy)
-	case "create_group":
-		members := make([]EIP, 0, len(op.Members))
-		for _, m := range op.Members {
-			ip, err := batchAddr(m, prior)
-			if err != nil {
-				return res, err
-			}
-			members = append(members, ip)
-		}
-		return res, c.createGroup(tenant, op.Name, members...)
-	case "register_name":
-		ip, err := batchAddr(op.Target, prior)
-		if err != nil {
-			return res, err
-		}
-		return res, c.registerName(tenant, op.Name, ip)
-	}
-	return res, nil
-}
-
-// intentOp translates one successfully applied batch op into its journal
-// record, resolving "$i" back-references against the results before it.
-// The verb wrappers record their own ops; this is the batch path's
-// equivalent, producing the same wire shapes so replay cannot tell the
-// two apart.
-func (c *Cloud) intentOp(op *BatchOp, res BatchResult, prior []BatchResult) (intent.Op, bool) {
-	ip := func(s string) addr.IP {
-		a, _ := batchAddr(s, prior) // already resolved once by applyOp
 		return a
 	}
-	switch op.Op {
-	case "request_eip":
-		n, ok := c.G.Node(op.VM)
-		if !ok {
-			return intent.Op{}, false
+	need := func(field, s string) string {
+		if err == nil && s == "" {
+			err = fmt.Errorf("missing %s", field)
 		}
-		return intent.Op{Verb: intent.OpRequestEIP, VM: string(op.VM), Provider: n.Provider, Region: n.Region, Addr: res.Addr}, true
-	case "release_eip":
-		return intent.Op{Verb: intent.OpReleaseEIP, Addr: ip(op.EIP)}, true
-	case "request_sip":
-		return intent.Op{Verb: intent.OpRequestSIP, Provider: op.Provider, Addr: res.Addr}, true
-	case "release_sip":
-		return intent.Op{Verb: intent.OpReleaseSIP, Addr: ip(op.SIP)}, true
-	case "bind":
-		return intent.Op{Verb: intent.OpBind, EIP: ip(op.EIP), SIP: ip(op.SIP), Weight: op.Weight}, true
-	case "unbind":
-		return intent.Op{Verb: intent.OpUnbind, EIP: ip(op.EIP), SIP: ip(op.SIP)}, true
-	case "set_permit":
-		target := ip(op.Target)
-		prov := ""
-		if p, ok := c.blockOwner(target); ok {
-			prov = p.Name
-		}
-		return intent.Op{Verb: intent.OpSetPermit, Provider: prov, Target: target, Entries: append([]permit.Entry(nil), op.Entries...), Groups: op.Groups}, true
-	case "permit":
-		return intent.Op{Verb: intent.OpPermit, Target: ip(op.Target), Entries: append([]permit.Entry(nil), op.Entries...)}, true
-	case "revoke":
-		return intent.Op{Verb: intent.OpRevoke, Target: ip(op.Target), Entries: append([]permit.Entry(nil), op.Entries...)}, true
-	case "set_qos":
-		return intent.Op{Verb: intent.OpSetQoS, Provider: op.Provider, Region: op.Region, Bps: op.Bandwidth}, true
-	case "set_potato":
-		return intent.Op{Verb: intent.OpSetPotato, Provider: op.Provider, Policy: op.Policy.String()}, true
-	case "create_group":
-		members := make([]addr.IP, 0, len(op.Members))
-		for _, m := range op.Members {
-			members = append(members, ip(m))
-		}
-		// Batch create_group targets the cloud-level (cross-provider)
-		// group namespace, so Provider stays empty.
-		return intent.Op{Verb: intent.OpCreateGroup, Name: op.Name, Members: members}, true
-	case "register_name":
-		return intent.Op{Verb: intent.OpRegisterName, Name: op.Name, Addr: ip(op.Target)}, true
+		return s
 	}
-	return intent.Op{}, false
+	provider := func() string {
+		if _, ok := c.Provider(need("provider", b.Provider)); !ok && err == nil {
+			err = fmt.Errorf("unknown provider %q", b.Provider)
+		}
+		return b.Provider
+	}
+	switch b.Op {
+	case intent.OpRequestEIP:
+		op.VM = need("vm", string(b.VM))
+	case intent.OpReleaseEIP:
+		op.Addr = ref("eip", b.EIP)
+	case intent.OpRequestSIP:
+		op.Provider = provider()
+	case intent.OpReleaseSIP:
+		op.Addr = ref("sip", b.SIP)
+	case intent.OpBind:
+		op.EIP, op.SIP, op.Weight = ref("eip", b.EIP), ref("sip", b.SIP), b.Weight
+	case intent.OpUnbind:
+		op.EIP, op.SIP = ref("eip", b.EIP), ref("sip", b.SIP)
+	case intent.OpSetPermit:
+		op.Target, op.Entries, op.Groups = ref("target", b.Target), b.Entries, b.Groups
+	case intent.OpPermit, intent.OpRevoke:
+		op.Target, op.Entries = ref("target", b.Target), b.Entries
+		if err == nil && len(b.Entries) == 0 {
+			err = errors.New("missing entries")
+		}
+	case intent.OpSetQoS:
+		op.Provider, op.Region, op.Bps = provider(), need("region", b.Region), b.Bandwidth
+	case intent.OpSetPotato:
+		op.Provider, op.Policy = provider(), b.Policy.String()
+	case intent.OpCreateGroup:
+		// The cloud-level (cross-provider) group namespace: no Provider.
+		op.Name = need("name", b.Name)
+		for _, m := range b.Members {
+			op.Members = append(op.Members, ref("members", m))
+		}
+	case intent.OpRegisterName:
+		op.Name, op.Addr = need("name", b.Name), ref("target", b.Target)
+	default:
+		err = errors.New("unknown op")
+	}
+	return op, err
+}
+
+// batchAddr checks and resolves one address operand of op i: a literal
+// address, or a "$j" back-reference to the grant made by an earlier op
+// (zero during the static pass, when prior is nil).
+func batchAddr(ops []BatchOp, i int, prior []BatchResult, field, s string) (addr.IP, error) {
+	if s == "" {
+		return 0, fmt.Errorf("missing %s", field)
+	}
+	if !strings.HasPrefix(s, "$") {
+		a, err := addr.ParseIP(s)
+		if err != nil {
+			return 0, fmt.Errorf("%s: %v", field, err)
+		}
+		return a, nil
+	}
+	j, err := strconv.Atoi(s[1:])
+	if err != nil || j < 0 || j >= i {
+		return 0, fmt.Errorf("%s: back-reference %q must name an earlier op", field, s)
+	}
+	if !grants(ops[j].Op) {
+		return 0, fmt.Errorf("%s: back-reference %q targets %q, not an address grant", field, s, ops[j].Op)
+	}
+	if prior == nil {
+		return 0, nil
+	}
+	return prior[j].Addr, nil
 }

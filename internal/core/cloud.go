@@ -219,25 +219,15 @@ func (c *Cloud) AddProvider(name string, cfg Config) (*Provider, error) {
 	if _, ok := c.providers[name]; ok {
 		return nil, fmt.Errorf("core: duplicate provider %q", name)
 	}
-	p, err := NewProvider(name, c.Eng, c.G, c.Net, cfg)
+	p, err := newProvider(name, c.Eng, c.G, c.Net, cfg)
 	if err != nil {
 		return nil, err
 	}
-	p.shards = c.shards
-	p.resolve = func(tenant, group string) ([]EIP, bool) {
-		c.nmMu.RLock()
-		members, ok := c.groups[tenant][group]
-		c.nmMu.RUnlock()
-		return members, ok
-	}
+	p.cloud = c
 	p.faults = c.monitor
 	if c.trace != nil {
 		p.trace = c.traceEvent
 	}
-	p.addrsChanged = c.noteAddrsChanged
-	p.tenantChanged = c.tenantDelta
-	p.slo = c.slo
-	p.rec = c.rec
 	c.providers[name] = p
 	c.rebuildIndex()
 	c.noteAddrsChanged()
@@ -294,14 +284,11 @@ func (c *Cloud) shardKeyOf(tenant string, ip addr.IP) ShardKey {
 // CreateGroup defines a tenant-scoped endpoint group whose members may
 // span providers; any provider resolves it in set_permit_list.
 func (c *Cloud) CreateGroup(tenant, name string, members ...EIP) error {
-	err := c.createGroup(tenant, name, members...)
-	if err == nil && c.rec != nil {
-		c.rec.Record(tenant, intent.Op{Verb: intent.OpCreateGroup, Name: name, Members: append([]EIP(nil), members...)})
-	}
+	_, err := c.Apply(tenant, intent.Op{Verb: intent.OpCreateGroup, Name: name, Members: members})
 	return err
 }
 
-func (c *Cloud) createGroup(tenant, name string, members ...EIP) error {
+func (c *Cloud) createGroup(tenant, name string, members []EIP) error {
 	for _, m := range members {
 		p, ok := c.providerOfAddr(m)
 		if !ok {
@@ -318,6 +305,14 @@ func (c *Cloud) createGroup(tenant, name string, members ...EIP) error {
 	c.groups[tenant][name] = append([]EIP(nil), members...)
 	c.nmMu.Unlock()
 	return nil
+}
+
+// groupMembers looks up a tenant's cloud-level (cross-provider) group.
+func (c *Cloud) groupMembers(tenant, group string) ([]EIP, bool) {
+	c.nmMu.RLock()
+	defer c.nmMu.RUnlock()
+	members, ok := c.groups[tenant][group]
+	return members, ok
 }
 
 // Provider returns a control plane by name.
@@ -754,10 +749,7 @@ func (c *Cloud) probe(op *slo.Op, tenant string, src EIP, dst addr.IP) (time.Dur
 // addresses (EIP or SIP). Re-registering a name repoints it — which is
 // how a tenant cuts over a service without clients noticing.
 func (c *Cloud) RegisterName(tenant, name string, target addr.IP) error {
-	err := c.registerName(tenant, name, target)
-	if err == nil && c.rec != nil {
-		c.rec.Record(tenant, intent.Op{Verb: intent.OpRegisterName, Name: name, Addr: target})
-	}
+	_, err := c.Apply(tenant, intent.Op{Verb: intent.OpRegisterName, Name: name, Addr: target})
 	return err
 }
 
@@ -786,18 +778,20 @@ func (c *Cloud) ResolveName(tenant, name string) (addr.IP, bool) {
 	return ip, ok
 }
 
-// UnregisterName removes a name binding.
+// UnregisterName removes a name binding, reporting whether it existed.
 func (c *Cloud) UnregisterName(tenant, name string) bool {
+	_, err := c.Apply(tenant, intent.Op{Verb: intent.OpUnregisterName, Name: name})
+	return err == nil
+}
+
+func (c *Cloud) unregisterName(tenant, name string) error {
 	c.nmMu.Lock()
-	_, ok := c.names[tenant][name]
-	if ok {
-		delete(c.names[tenant], name)
+	defer c.nmMu.Unlock()
+	if _, ok := c.names[tenant][name]; !ok {
+		return fmt.Errorf("core: tenant %q has no name %q", tenant, name)
 	}
-	c.nmMu.Unlock()
-	if ok && c.rec != nil {
-		c.rec.Record(tenant, intent.Op{Verb: intent.OpUnregisterName, Name: name})
-	}
-	return ok
+	delete(c.names[tenant], name)
+	return nil
 }
 
 // ConnectName is Connect with the destination given by name.

@@ -50,7 +50,7 @@ type convDirty struct {
 
 // convTracker is the tracker itself. Its mutex is a leaf: taken only
 // for map updates, never while holding it calling out, so any caller —
-// a verb wrapper under its shard lock, RestoreIntent under the global
+// Cloud.apply under a verb's shard lock, RestoreIntent under the global
 // gate, the reconciler mid-repair — may mark or bump freely.
 type convTracker struct {
 	mu    sync.Mutex

@@ -1,6 +1,6 @@
 // Durable intent: wiring between the control plane and the
 // append-only journal in internal/intent. EnableIntent attaches a store
-// so every verb wrapper records its accepted mutation; RestoreIntent
+// so Cloud.Apply records every accepted mutation; RestoreIntent
 // rebuilds the in-memory world from a replayed State after a daemon
 // restart; StateDigest canonically hashes the live control-plane state
 // so kill-and-restart equivalence is a string comparison. The Drift*
@@ -33,9 +33,6 @@ import (
 func (c *Cloud) EnableIntent(l *intent.Log) {
 	defer c.shards.lockGlobal()()
 	c.rec = l
-	for _, p := range c.providers {
-		p.rec = l
-	}
 	// Every journaled mutation now feeds the convergence tracker: dirty
 	// sets for the incremental reconciler, section versions for the
 	// incremental digest (convtrack.go). Retire any cached digests —
@@ -46,19 +43,6 @@ func (c *Cloud) EnableIntent(l *intent.Log) {
 
 // Intent returns the attached store, or nil before EnableIntent.
 func (c *Cloud) Intent() *intent.Log { return c.rec }
-
-// parsePotatoPolicy maps the journal's policy strings (PotatoPolicy
-// wire names) back to policies; unknown strings fall back to hot, the
-// provider default.
-func parsePotatoPolicy(s string) qos.PotatoPolicy {
-	switch s {
-	case "cold":
-		return qos.ColdPotato
-	case "dedicated":
-		return qos.Dedicated
-	}
-	return qos.HotPotato
-}
 
 // RestoreIntent rebuilds the in-memory control plane from a replayed
 // declared state: address pools rewound to their recorded cursors,
@@ -218,7 +202,9 @@ func (c *Cloud) RestoreIntentWorkers(st *intent.State, workers int) error {
 		if !ok {
 			return fmt.Errorf("core: restore: potato key %q references unknown provider", key)
 		}
-		p.setPotato(parts[1], parsePotatoPolicy(st.Potato[key]))
+		// An unknown string falls back to hot, the provider default.
+		policy, _ := qos.ParsePotatoPolicy(st.Potato[key])
+		p.setPotato(parts[1], policy)
 	}
 	// Group and name maps are written directly: re-validating membership
 	// would reject declared state whose members were since released, and

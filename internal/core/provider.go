@@ -15,11 +15,12 @@
 // the point.
 //
 // Concurrency: control-plane state is sharded by (tenant, region) — see
-// shard.go. Every public verb takes its shard's write lock, so verbs in
-// different shards run concurrently; the read plane (Connect admission,
-// Probe, Explain) takes shard read locks in deterministic order. The
-// unexported verb bodies assume the caller already holds the right lock
-// (ApplyBatch calls them under the global gate).
+// shard.go. Every mutation goes through Cloud.Apply (apply.go), which
+// takes the verb's shard write lock, so verbs in different shards run
+// concurrently; the read plane (Connect admission, Probe, Explain) takes
+// shard read locks in deterministic order. The exported verb methods
+// here are shims over Apply; the unexported bodies assume the caller
+// already holds the right lock.
 package core
 
 import (
@@ -34,7 +35,6 @@ import (
 	"declnet/internal/permit"
 	"declnet/internal/qos"
 	"declnet/internal/sim"
-	"declnet/internal/slo"
 	"declnet/internal/topo"
 )
 
@@ -115,13 +115,10 @@ type Provider struct {
 	// unchanged from today's clouds (§4 QoS).
 	defaultVMEgress float64
 
-	// shards is the enclosing Cloud's shard table; nil for a standalone
-	// provider (single-threaded use), in which case verbs skip locking.
-	shards *ShardSet
-
-	// resolve looks up tenant groups defined above the provider (the
-	// Cloud's cross-provider groups); nil outside a Cloud.
-	resolve func(tenant, group string) ([]EIP, bool)
+	// cloud is the enclosing Cloud: the verb shims below route through
+	// its Apply, and its shard table, SLO plane and intent store are
+	// the ones every verb uses.
+	cloud *Cloud
 
 	// meter, when set, records billable usage (see package meter).
 	meter Biller
@@ -133,25 +130,6 @@ type Provider struct {
 	// trace, when set, records control-plane decisions into the cloud's
 	// observability plane (see observe.go); nil-safe at the call site.
 	trace func(kind obs.Kind, tenant string, src, dst addr.IP, verdict, detail, cause string)
-
-	// addrsChanged, when set, notifies the Cloud that this provider's
-	// granted address set (endpoints/services) changed, advancing the
-	// address epoch (batch windows coalesce the bumps).
-	addrsChanged func()
-
-	// tenantChanged, when set, reports address-grant refcount deltas to
-	// the Cloud so fully-released tenants' observability state can be
-	// evicted (see Cloud.tenantDelta).
-	tenantChanged func(tenant string, delta int)
-
-	// slo, when set, is the live SLO plane every verb wrapper records
-	// service time into (see internal/slo); nil-safe at every call site.
-	slo *slo.Plane
-
-	// rec, when set, is the durable intent journal (see internal/intent).
-	// Verb wrappers record each accepted mutation under the shard lock,
-	// after the body succeeded and before the verb returns; nil-safe.
-	rec *intent.Log
 
 	cfg Config
 }
@@ -171,26 +149,12 @@ type Biller interface {
 // SetBiller attaches usage metering to this provider.
 func (p *Provider) SetBiller(b Biller) { p.meter = b }
 
-// notifyAddrs reports an address-set mutation to the enclosing Cloud.
-func (p *Provider) notifyAddrs() {
-	if p.addrsChanged != nil {
-		p.addrsChanged()
-	}
-}
-
-// notifyTenant reports a grant-refcount delta to the enclosing Cloud.
-func (p *Provider) notifyTenant(tenant string, delta int) {
-	if p.tenantChanged != nil {
-		p.tenantChanged(tenant, delta)
-	}
-}
-
 // stampPermitLag marks an accepted permit update for the SLO plane's
 // live propagation-lag sampler; resolved at the next admission-cache
 // fill for target. Called from the unlocked verb bodies so the batch
 // path samples too.
 func (p *Provider) stampPermitLag(tenant string, target addr.IP) {
-	p.slo.StampPermit(tenant, target)
+	p.cloud.slo.StampPermit(tenant, target)
 }
 
 // tenantQuota is one (tenant, region) egress guarantee. mu guards the
@@ -217,9 +181,10 @@ type Config struct {
 	QuotaPeriod sim.Time
 }
 
-// NewProvider returns a control plane for the named cloud over the shared
-// world. Regions are discovered from the graph's host nodes.
-func NewProvider(name string, eng *sim.Engine, g *topo.Graph, net *netsim.Network, cfg Config) (*Provider, error) {
+// newProvider returns a control plane for the named cloud over the shared
+// world (Cloud.AddProvider attaches it). Regions are discovered from the
+// graph's host nodes.
+func newProvider(name string, eng *sim.Engine, g *topo.Graph, net *netsim.Network, cfg Config) (*Provider, error) {
 	if cfg.EIPBase.Len > 16 {
 		return nil, fmt.Errorf("core: EIP base %s too small to carve /16 region blocks", cfg.EIPBase)
 	}
@@ -335,13 +300,14 @@ func (p *Provider) regionShardKey(tenant, region string) ShardKey {
 	return ShardKey{Tenant: tenant, Region: p.Name + "/" + region}
 }
 
-// lockShard takes the write lock for the shard owning (tenant, ip);
-// no-op unlock for a standalone provider.
-func (p *Provider) lockShard(k ShardKey) func() {
-	if p.shards == nil {
-		return func() {}
-	}
-	return p.shards.lockShard(k)
+// lockShard takes shard k's write lock (the reconciler's repairs).
+func (p *Provider) lockShard(k ShardKey) func() { return p.cloud.shards.lockShard(k) }
+
+// do applies one op through the cloud's verb path, for verbs that
+// return no address.
+func (p *Provider) do(tenant string, op intent.Op) error {
+	_, err := p.cloud.Apply(tenant, op)
+	return err
 }
 
 // RequestEIP grants an endpoint IP to a tenant's VM (Table 2:
@@ -349,19 +315,7 @@ func (p *Provider) lockShard(k ShardKey) func() {
 // determines which dense block the flat address comes from. The endpoint
 // starts default-off: nothing can reach it until set_permit_list.
 func (p *Provider) RequestEIP(tenant string, vm topo.NodeID) (EIP, error) {
-	region := ""
-	if n, ok := p.g.Node(vm); ok {
-		region = n.Region
-	}
-	k := p.regionShardKey(tenant, region)
-	op := p.slo.Begin(slo.VerbGrant, tenant, k.Region)
-	defer p.lockShard(k)()
-	eip, err := p.requestEIP(tenant, vm)
-	if err == nil && p.rec != nil {
-		p.rec.Record(tenant, intent.Op{Verb: intent.OpRequestEIP, VM: string(vm), Provider: p.Name, Region: region, Addr: eip})
-	}
-	op.End(err)
-	return eip, err
+	return p.cloud.Apply(tenant, intent.Op{Verb: intent.OpRequestEIP, Provider: p.Name, VM: string(vm)})
 }
 
 func (p *Provider) requestEIP(tenant string, vm topo.NodeID) (EIP, error) {
@@ -388,8 +342,8 @@ func (p *Provider) requestEIP(tenant string, vm topo.NodeID) (EIP, error) {
 		provider: p.Name, region: n.Region,
 		shard: p.Name + "/" + n.Region,
 	})
-	p.notifyAddrs()
-	p.notifyTenant(tenant, 1)
+	p.cloud.noteAddrsChanged()
+	p.cloud.tenantDelta(tenant, 1)
 	if p.meter != nil {
 		p.meter.GrantEIP(tenant, p.eng.Now())
 	}
@@ -398,19 +352,7 @@ func (p *Provider) requestEIP(tenant string, vm topo.NodeID) (EIP, error) {
 
 // ReleaseEIP returns the endpoint address and tears down its permit state.
 func (p *Provider) ReleaseEIP(tenant string, eip EIP) error {
-	k := p.shardKeyFor(tenant, eip)
-	op := p.slo.Begin(slo.VerbGrant, tenant, k.Region)
-	defer p.lockShard(k)()
-	err := p.releaseEIP(tenant, eip)
-	if err == nil && p.rec != nil {
-		p.rec.Record(tenant, intent.Op{Verb: intent.OpReleaseEIP, Addr: eip})
-	}
-	op.End(err)
-	// End records into the tenant's SLO shard after releaseEIP may have
-	// evicted it (last address gone); a zero-delta notify re-sweeps so a
-	// churned tenant leaves no orphan shard behind.
-	p.notifyTenant(tenant, 0)
-	return err
+	return p.do(tenant, intent.Op{Verb: intent.OpReleaseEIP, Addr: eip})
 }
 
 func (p *Provider) releaseEIP(tenant string, eip EIP) error {
@@ -428,8 +370,8 @@ func (p *Provider) releaseEIP(tenant string, eip EIP) error {
 	}
 	p.Permits.Drop(eip)
 	p.addrs.delEndpoint(eip)
-	p.notifyAddrs()
-	p.notifyTenant(tenant, -1)
+	p.cloud.noteAddrsChanged()
+	p.cloud.tenantDelta(tenant, -1)
 	if p.meter != nil {
 		p.meter.ReleaseEIP(tenant, p.eng.Now())
 	}
@@ -438,14 +380,7 @@ func (p *Provider) releaseEIP(tenant string, eip EIP) error {
 
 // RequestSIP grants a service IP (Table 2: request_sip()).
 func (p *Provider) RequestSIP(tenant string) (SIP, error) {
-	op := p.slo.Begin(slo.VerbGrant, tenant, p.Name)
-	defer p.lockShard(p.regionShardKey(tenant, ""))()
-	sip, err := p.requestSIP(tenant)
-	if err == nil && p.rec != nil {
-		p.rec.Record(tenant, intent.Op{Verb: intent.OpRequestSIP, Provider: p.Name, Addr: sip})
-	}
-	op.End(err)
-	return sip, err
+	return p.cloud.Apply(tenant, intent.Op{Verb: intent.OpRequestSIP, Provider: p.Name})
 }
 
 func (p *Provider) requestSIP(tenant string) (SIP, error) {
@@ -454,8 +389,8 @@ func (p *Provider) requestSIP(tenant string) (SIP, error) {
 		return 0, err
 	}
 	p.addrs.putService(sip, &service{sip: sip, tenant: tenant, balancer: lb.New(sip)})
-	p.notifyAddrs()
-	p.notifyTenant(tenant, 1)
+	p.cloud.noteAddrsChanged()
+	p.cloud.tenantDelta(tenant, 1)
 	if p.meter != nil {
 		p.meter.GrantSIP(tenant, p.eng.Now())
 	}
@@ -464,17 +399,7 @@ func (p *Provider) requestSIP(tenant string) (SIP, error) {
 
 // ReleaseSIP tears down a service address.
 func (p *Provider) ReleaseSIP(tenant string, sip SIP) error {
-	op := p.slo.Begin(slo.VerbGrant, tenant, p.Name)
-	defer p.lockShard(p.regionShardKey(tenant, ""))()
-	err := p.releaseSIP(tenant, sip)
-	if err == nil && p.rec != nil {
-		p.rec.Record(tenant, intent.Op{Verb: intent.OpReleaseSIP, Addr: sip})
-	}
-	op.End(err)
-	// See ReleaseEIP: re-sweep after End in case this released the
-	// tenant's last address.
-	p.notifyTenant(tenant, 0)
-	return err
+	return p.do(tenant, intent.Op{Verb: intent.OpReleaseSIP, Addr: sip})
 }
 
 func (p *Provider) releaseSIP(tenant string, sip SIP) error {
@@ -484,8 +409,8 @@ func (p *Provider) releaseSIP(tenant string, sip SIP) error {
 	}
 	p.Permits.Drop(sip)
 	p.addrs.delService(sip)
-	p.notifyAddrs()
-	p.notifyTenant(tenant, -1)
+	p.cloud.noteAddrsChanged()
+	p.cloud.tenantDelta(tenant, -1)
 	if p.meter != nil {
 		p.meter.ReleaseSIP(tenant, p.eng.Now())
 	}
@@ -495,14 +420,7 @@ func (p *Provider) releaseSIP(tenant string, sip SIP) error {
 // Bind associates an EIP with a SIP (Table 2: bind(eip, sip)) with the
 // optional weight extension; the provider owns all load balancing.
 func (p *Provider) Bind(tenant string, eip EIP, sip SIP, weight int) error {
-	op := p.slo.Begin(slo.VerbBind, tenant, p.Name)
-	defer p.lockShard(p.regionShardKey(tenant, ""))()
-	err := p.bind(tenant, eip, sip, weight)
-	if err == nil && p.rec != nil {
-		p.rec.Record(tenant, intent.Op{Verb: intent.OpBind, EIP: eip, SIP: sip, Weight: weight})
-	}
-	op.End(err)
-	return err
+	return p.do(tenant, intent.Op{Verb: intent.OpBind, EIP: eip, SIP: sip, Weight: weight})
 }
 
 func (p *Provider) bind(tenant string, eip EIP, sip SIP, weight int) error {
@@ -519,14 +437,7 @@ func (p *Provider) bind(tenant string, eip EIP, sip SIP, weight int) error {
 
 // Unbind removes an EIP from a SIP with connection draining.
 func (p *Provider) Unbind(tenant string, eip EIP, sip SIP) error {
-	op := p.slo.Begin(slo.VerbBind, tenant, p.Name)
-	defer p.lockShard(p.regionShardKey(tenant, ""))()
-	err := p.unbind(tenant, eip, sip)
-	if err == nil && p.rec != nil {
-		p.rec.Record(tenant, intent.Op{Verb: intent.OpUnbind, EIP: eip, SIP: sip})
-	}
-	op.End(err)
-	return err
+	return p.do(tenant, intent.Op{Verb: intent.OpUnbind, EIP: eip, SIP: sip})
 }
 
 func (p *Provider) unbind(tenant string, eip EIP, sip SIP) error {
@@ -541,15 +452,7 @@ func (p *Provider) unbind(tenant string, eip EIP, sip SIP) error {
 // set_permit_list(eip, permit_list)). Group references expand to their
 // current membership.
 func (p *Provider) SetPermitList(tenant string, target addr.IP, entries []permit.Entry, groupRefs ...string) error {
-	k := p.shardKeyFor(tenant, target)
-	op := p.slo.Begin(slo.VerbPermit, tenant, k.Region)
-	defer p.lockShard(k)()
-	err := p.setPermitList(tenant, target, entries, groupRefs...)
-	if err == nil && p.rec != nil {
-		p.rec.Record(tenant, intent.Op{Verb: intent.OpSetPermit, Provider: p.Name, Target: target, Entries: append([]permit.Entry(nil), entries...), Groups: groupRefs})
-	}
-	op.End(err)
-	return err
+	return p.do(tenant, intent.Op{Verb: intent.OpSetPermit, Target: target, Entries: entries, Groups: groupRefs})
 }
 
 func (p *Provider) setPermitList(tenant string, target addr.IP, entries []permit.Entry, groupRefs ...string) error {
@@ -561,8 +464,8 @@ func (p *Provider) setPermitList(tenant string, target addr.IP, entries []permit
 		p.polMu.RLock()
 		members, ok := p.groups[tenant][gname]
 		p.polMu.RUnlock()
-		if !ok && p.resolve != nil {
-			members, ok = p.resolve(tenant, gname)
+		if !ok {
+			members, ok = p.cloud.groupMembers(tenant, gname)
 		}
 		if !ok {
 			return fmt.Errorf("core: unknown group %q", gname)
@@ -596,50 +499,29 @@ func (p *Provider) setPermitList(tenant string, target addr.IP, entries []permit
 
 // Permit incrementally allows one source.
 func (p *Provider) Permit(tenant string, target addr.IP, entry permit.Entry) error {
-	k := p.shardKeyFor(tenant, target)
-	op := p.slo.Begin(slo.VerbPermit, tenant, k.Region)
-	defer p.lockShard(k)()
-	err := p.permitEntry(tenant, target, entry)
-	if err == nil && p.rec != nil {
-		p.rec.Record(tenant, intent.Op{Verb: intent.OpPermit, Target: target, Entries: []permit.Entry{entry}})
-	}
-	op.End(err)
-	return err
-}
-
-func (p *Provider) permitEntry(tenant string, target addr.IP, entry permit.Entry) error {
-	if err := p.ownsTarget(tenant, target); err != nil {
-		return err
-	}
-	p.Permits.Permit(target, entry)
-	p.stampPermitLag(tenant, target)
-	if p.meter != nil {
-		p.meter.PermitUpdate(tenant, p.eng.Now())
-	}
-	return nil
+	return p.do(tenant, intent.Op{Verb: intent.OpPermit, Target: target, Entries: []permit.Entry{entry}})
 }
 
 // Revoke incrementally removes one source.
 func (p *Provider) Revoke(tenant string, target addr.IP, entry permit.Entry) error {
-	k := p.shardKeyFor(tenant, target)
-	op := p.slo.Begin(slo.VerbPermit, tenant, k.Region)
-	defer p.lockShard(k)()
-	err := p.revokeEntry(tenant, target, entry)
-	if err == nil && p.rec != nil {
-		p.rec.Record(tenant, intent.Op{Verb: intent.OpRevoke, Target: target, Entries: []permit.Entry{entry}})
-	}
-	op.End(err)
-	return err
+	return p.do(tenant, intent.Op{Verb: intent.OpRevoke, Target: target, Entries: []permit.Entry{entry}})
 }
 
-func (p *Provider) revokeEntry(tenant string, target addr.IP, entry permit.Entry) error {
+// permitEntries incrementally allows (add) or removes each source.
+func (p *Provider) permitEntries(tenant string, target addr.IP, entries []permit.Entry, add bool) error {
 	if err := p.ownsTarget(tenant, target); err != nil {
 		return err
 	}
-	p.Permits.Revoke(target, entry)
-	p.stampPermitLag(tenant, target)
-	if p.meter != nil {
-		p.meter.PermitUpdate(tenant, p.eng.Now())
+	for _, e := range entries {
+		if add {
+			p.Permits.Permit(target, e)
+		} else {
+			p.Permits.Revoke(target, e)
+		}
+		p.stampPermitLag(tenant, target)
+		if p.meter != nil {
+			p.meter.PermitUpdate(tenant, p.eng.Now())
+		}
 	}
 	return nil
 }
@@ -647,15 +529,7 @@ func (p *Provider) revokeEntry(tenant string, target addr.IP, entry permit.Entry
 // SetQoS sets the tenant's regional egress-bandwidth allowance (Table 2:
 // set_qos(region, bandwidth)).
 func (p *Provider) SetQoS(tenant, region string, bandwidth float64) error {
-	k := p.regionShardKey(tenant, region)
-	op := p.slo.Begin(slo.VerbQoS, tenant, k.Region)
-	defer p.lockShard(k)()
-	err := p.setQoS(tenant, region, bandwidth)
-	if err == nil && p.rec != nil {
-		p.rec.Record(tenant, intent.Op{Verb: intent.OpSetQoS, Provider: p.Name, Region: region, Bps: bandwidth})
-	}
-	op.End(err)
-	return err
+	return p.do(tenant, intent.Op{Verb: intent.OpSetQoS, Provider: p.Name, Region: region, Bps: bandwidth})
 }
 
 func (p *Provider) setQoS(tenant, region string, bandwidth float64) error {
@@ -682,13 +556,8 @@ func (p *Provider) setQoS(tenant, region string, bandwidth float64) error {
 // SetPotato selects the tenant's transit profile (hot/cold/dedicated-
 // approximation; §4 QoS "adopt this option unchanged").
 func (p *Provider) SetPotato(tenant string, policy qos.PotatoPolicy) {
-	op := p.slo.Begin(slo.VerbQoS, tenant, p.Name)
-	defer p.lockShard(p.regionShardKey(tenant, ""))()
-	p.setPotato(tenant, policy)
-	if p.rec != nil {
-		p.rec.Record(tenant, intent.Op{Verb: intent.OpSetPotato, Provider: p.Name, Policy: policy.String()})
-	}
-	op.End(nil)
+	// Cannot fail: p is registered and a PotatoPolicy names itself.
+	_ = p.do(tenant, intent.Op{Verb: intent.OpSetPotato, Provider: p.Name, Policy: policy.String()})
 }
 
 func (p *Provider) setPotato(tenant string, policy qos.PotatoPolicy) {
@@ -718,33 +587,23 @@ func (p *Provider) quotaOf(tenant, region string) (*tenantQuota, bool) {
 
 // SetVMEgressCap overrides the per-VM egress guarantee for one endpoint.
 func (p *Provider) SetVMEgressCap(tenant string, eip EIP, bps float64) error {
-	k := p.shardKeyFor(tenant, eip)
-	op := p.slo.Begin(slo.VerbQoS, tenant, k.Region)
-	defer p.lockShard(k)()
+	return p.do(tenant, intent.Op{Verb: intent.OpSetVMEgress, EIP: eip, Bps: bps})
+}
+
+func (p *Provider) setVMEgressCap(tenant string, eip EIP, bps float64) error {
 	ep, err := p.owned(tenant, eip)
 	if err == nil {
 		ep.egressCap = bps
-		if p.rec != nil {
-			p.rec.Record(tenant, intent.Op{Verb: intent.OpSetVMEgress, EIP: eip, Bps: bps})
-		}
 	}
-	op.End(err)
 	return err
 }
 
 // CreateGroup defines or replaces a named endpoint group (extension).
 func (p *Provider) CreateGroup(tenant, name string, members ...EIP) error {
-	op := p.slo.Begin(slo.VerbBind, tenant, p.Name)
-	defer p.lockShard(p.regionShardKey(tenant, ""))()
-	err := p.createGroup(tenant, name, members...)
-	if err == nil && p.rec != nil {
-		p.rec.Record(tenant, intent.Op{Verb: intent.OpCreateGroup, Provider: p.Name, Name: name, Members: append([]EIP(nil), members...)})
-	}
-	op.End(err)
-	return err
+	return p.do(tenant, intent.Op{Verb: intent.OpCreateGroup, Provider: p.Name, Name: name, Members: members})
 }
 
-func (p *Provider) createGroup(tenant, name string, members ...EIP) error {
+func (p *Provider) createGroup(tenant, name string, members []EIP) error {
 	for _, m := range members {
 		if _, err := p.owned(tenant, m); err != nil {
 			return err

@@ -4,7 +4,7 @@
 // The plane itself lives in internal/slo and is verb-agnostic; this
 // file is the only place core knows about it. EnableSLO mirrors
 // EnableObservability: it runs under the shard set's global gate so
-// every provider sees the plane pointer before the next verb, and it
+// the next verb sees the plane pointer, and it
 // hooks the plane's breach callback into the decision trace so a
 // noisy-neighbor verdict shows up in `declnetctl explain` output with
 // a full cause chain.
@@ -21,9 +21,6 @@ import (
 func (c *Cloud) EnableSLO(p *slo.Plane) {
 	defer c.shards.lockGlobal()()
 	c.slo = p
-	for _, prov := range c.providers {
-		prov.slo = p
-	}
 	if p != nil {
 		p.OnBreach(func(tenant, detail, cause string) {
 			c.traceEvent(obs.SLOBreach, tenant, 0, 0, "degraded", detail, cause)
@@ -41,7 +38,7 @@ func (c *Cloud) SLO() *slo.Plane { return c.slo }
 // histograms — is evicted. Without this, rings for churned tenants
 // accumulate forever (the tracer's rings map only ever grew).
 //
-// A zero delta is a sweep: release wrappers re-notify after their
+// A zero delta is a sweep: Cloud.apply re-notifies after a release's
 // op.End, because End records the release's own service time after the
 // body evicted the tenant and would otherwise respawn one orphan shard
 // per churned tenant.

@@ -210,7 +210,7 @@ func (l *Log) writeHeaderLocked() error {
 }
 
 // Record journals one accepted mutation (all its ops in one atomic
-// frame) and folds it into State. Called by core's verb wrappers with
+// frame) and folds it into State. Called by core's Cloud.Apply with
 // the shard lock held, after the body succeeded and before the verb
 // returns — so anything the tenant was told succeeded is on disk (to
 // the limit of the fsync policy). Nil-safe; returns the assigned

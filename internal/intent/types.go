@@ -7,8 +7,8 @@
 // The flow mirrors the hosting-provider convergence loop the paper's
 // abstractions imply: tenants *declare* endpoints, permits, binds, and
 // QoS; the provider persists the declaration before replying and keeps
-// the dataplane converged to it afterwards. Core's mutation wrappers
-// call Log.Record after validation succeeds and before the verb
+// the dataplane converged to it afterwards. Core's Cloud.Apply
+// calls Log.Record after validation succeeds and before the verb
 // returns; a declnetd restart folds snapshot + journal tail back into
 // State and rebuilds the in-memory world from it (core.RestoreIntent).
 package intent

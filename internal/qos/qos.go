@@ -357,6 +357,17 @@ var potatoNames = map[PotatoPolicy]string{
 
 func (p PotatoPolicy) String() string { return potatoNames[p] }
 
+// ParsePotatoPolicy is String's inverse over the wire names ("hot",
+// "cold", "dedicated"); an unknown name is an error and yields HotPotato.
+func ParsePotatoPolicy(s string) (PotatoPolicy, error) {
+	for p, name := range potatoNames {
+		if name == s {
+			return p, nil
+		}
+	}
+	return HotPotato, fmt.Errorf("qos: unknown potato policy %q", s)
+}
+
 // PathFor computes the route src->dst under the policy.
 func PathFor(g *topo.Graph, policy PotatoPolicy, src, dst topo.NodeID) (topo.Path, error) {
 	// The declarative model deliberately has no tenant-provisioned
