@@ -6,10 +6,16 @@ BENCHTIME ?= 1s
 SCALE_EIPS ?= 1000000
 SCALE_TENANTS ?= 400
 
-.PHONY: build test vet race bench benchsmoke benchdiff scale recover-scale soak staticcheck check fuzz loc benchmod nobaseline
+.PHONY: build fmt test vet race bench benchsmoke benchdiff scale recover-scale soak staticcheck check fuzz loc benchmod nobaseline
 
 build:
 	$(GO) build ./...
+
+# Fails when gofmt would change any file (bench/ included; the benchmark's
+# scratch directory is not ours to format).
+fmt:
+	@out="$$(gofmt -l . | grep -v '^\.bench_build/' || true)"; \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -132,6 +138,6 @@ nobaseline:
 		echo "cmd/declnetd depends on the baseline world (packages above)"; exit 1; \
 	fi
 
-# Tier-1 verification plus vet, static analysis, the race pass, the
-# benchmark smoke tests, and the declnetd dependency pin.
-check: build vet staticcheck test race benchsmoke benchmod nobaseline
+# Tier-1 verification plus gofmt, vet, static analysis, the race pass,
+# the benchmark smoke tests, and the declnetd dependency pin.
+check: build fmt vet staticcheck test race benchsmoke benchmod nobaseline

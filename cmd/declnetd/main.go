@@ -18,7 +18,7 @@
 //	POST /v1/potato        {tenant, provider, policy}
 //	POST /v1/groups        {tenant, name, members}
 //	POST /v1/names         {tenant, name, target}
-//	POST /v1/batch         {tenant, ops}      many mutations, one epoch bump
+//	POST /v1/batch         {tenant, ops}      many mutations, one journal frame
 //	POST /v1/transfer      {tenant, src, dst, bytes}
 //	POST /v1/fail          {kind, target, advance_ms}
 //	POST /v1/heal          {kind, target, advance_ms}
@@ -55,7 +55,7 @@
 // /debug/pprof/ and the expvar JSON dump under /debug/vars (the metrics
 // registry is published there as "declnet"). Mutex and block profiling
 // are enabled on that listener too (-mutex-profile-fraction,
-// -block-profile-rate), so write-lock contention on the mutation plane
+// -block-profile-rate), so shard-lock contention on the mutation plane
 // is inspectable at /debug/pprof/mutex and /debug/pprof/block.
 package main
 
@@ -178,7 +178,7 @@ func main() {
 	}
 
 	if *debugAddr != "" {
-		// Lock-contention profiles cover the API write lock the mutation
+		// Lock-contention profiles cover the shard locks the mutation
 		// plane serializes behind; both are off by default in the runtime
 		// and cheap at these sampling rates.
 		runtime.SetMutexProfileFraction(*mutexFrac)

@@ -30,14 +30,13 @@ import (
 	"declnet/internal/slo"
 )
 
-// Server wraps a world in an http.Handler. Core's sharded locking now
-// carries mutation concurrency, so most handlers — reads (probe, status,
-// explain, trace, metrics) AND single-shard mutations (eips, sips, bind,
-// permit, qos, potato, groups, names) — share s.mu.RLock and serialize
-// only against each other's shards inside core. s.mu.Lock remains for
-// the handlers that advance the simulation engine (transfer, fail/heal —
-// the engine is single-threaded by design) and for /v1/batch, whose
-// epoch-spanning ops take core's global gate exclusively.
+// Server wraps a world in an http.Handler. Core's sharded locking
+// carries mutation concurrency, so reads (probe, status, explain, trace,
+// metrics) AND every Table-2 mutation — the single-verb routes (eips,
+// sips, bind, permit, qos, potato, groups, names) and /v1/batch — share
+// s.mu.RLock and serialize only on the shards they touch inside core.
+// s.mu.Lock remains for the handlers that advance the simulation engine
+// (transfer, fail/heal — the engine is single-threaded by design).
 type Server struct {
 	mu    sync.RWMutex
 	world *declnet.World

@@ -1,8 +1,9 @@
 // POST /v1/batch: the batch write endpoint. One request carries many
-// Table-2 mutations; the server applies them under a single write-lock
-// acquisition and a single coalesced epoch advance (core.ApplyBatch), so
-// onboarding N endpoints costs O(1) lock and cache-invalidation overhead
-// instead of O(N) round trips each paying its own flush.
+// Table-2 mutations; core.ApplyBatch applies them under one acquisition
+// of exactly the (tenant, region) shards they touch and journals them
+// as one frame, so onboarding N endpoints costs one round trip, one lock
+// acquisition and one journal append instead of N — and delays no other
+// tenant's requests while it runs.
 //
 // Status codes follow the batch semantics: 400 means the request or an
 // op failed validation and NOTHING was applied; 409 means a runtime
@@ -82,9 +83,9 @@ func (s *Server) batch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	s.mu.Lock()
+	s.mu.RLock()
 	results, err := s.world.Cloud.ApplyBatch(req.Tenant, ops)
-	s.mu.Unlock()
+	s.mu.RUnlock()
 	if err != nil {
 		var be *core.BatchError
 		if results == nil {

@@ -1,8 +1,12 @@
 package api
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"declnet"
@@ -167,5 +171,91 @@ func TestAPIKillRestartEquivalence(t *testing.T) {
 	}
 	if got := w2.StateDigest(); got != want {
 		t.Fatalf("digest mismatch after API-driven restart\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestUnbindBesideSweepsNever409: a client binds and unbinds over HTTP,
+// and a noisy tenant loops multi-shard batches, while forced sweeps run
+// back to back. Every unbind follows a bind the client saw acknowledged,
+// so none may answer 409, and no sweep may report a repair: nothing
+// injected drift.
+func TestUnbindBesideSweepsNever409(t *testing.T) {
+	ts, w, _ := newPersistentServer(t)
+	f := w.Fig1
+	var eip EIPResponse
+	var sip SIPResponse
+	post(t, ts, "/v1/eips", EIPRequest{Tenant: "acme", VM: string(w.Host(f.CloudA, f.RegionsA[0], "az1", 1))}, &eip)
+	if code := post(t, ts, "/v1/sips", SIPRequest{Tenant: "acme", Provider: f.CloudA}, &sip); code != 200 {
+		t.Fatalf("request_sip status %d", code)
+	}
+	storm := BatchRequest{Tenant: "noisy", Ops: []BatchOpRequest{
+		{Op: "request_eip", VM: string(w.Host(f.CloudA, f.RegionsA[0], "az1", 2))},
+		{Op: "request_sip", Provider: f.CloudA},
+		{Op: "bind", EIP: "$0", SIP: "$1"},
+		{Op: "set_permit", Target: "$1", Entries: []string{"10.0.0.0/8"}},
+		{Op: "release_sip", SIP: "$1"},
+		{Op: "release_eip", EIP: "$0"},
+	}}
+
+	// try is post without t.Fatal: the goroutines below use it, and the
+	// main loop must stop them before the test ends.
+	try := func(path string, body, out any) error {
+		buf, err := json.Marshal(body)
+		if err != nil {
+			return err
+		}
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(buf))
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != 200 {
+			return fmt.Errorf("%s answered %d", path, resp.StatusCode)
+		}
+		if out != nil {
+			return json.NewDecoder(resp.Body).Decode(out)
+		}
+		return nil
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	repaired := 0
+	loop := func(step func() error) {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := step(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}
+	wg.Add(2)
+	go loop(func() error {
+		var sweep core.SweepResult
+		err := try("/v1/reconcile/sweep", struct{}{}, &sweep)
+		repaired += sweep.Repaired + sweep.DriftPermits + sweep.DriftBinds
+		return err
+	})
+	go loop(func() error { return try("/v1/batch", storm, nil) })
+	for i := 0; i < 200; i++ {
+		req := BindRequest{Tenant: "acme", EIP: eip.EIP, SIP: sip.SIP, Weight: 1 + i%3}
+		if err := try("/v1/bind", req, nil); err != nil {
+			t.Errorf("bind %d: %v", i, err)
+			break
+		}
+		if err := try("/v1/unbind", req, nil); err != nil {
+			t.Errorf("unbind %d: %v: the acknowledged bind was reverted", i, err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if repaired != 0 {
+		t.Errorf("sweeps repaired or counted %d divergences with no drift injected", repaired)
 	}
 }

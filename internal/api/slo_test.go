@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"declnet"
+	"declnet/internal/intent"
 	"declnet/internal/slo"
 )
 
@@ -145,6 +146,51 @@ func TestFlightEndpoint(t *testing.T) {
 	}
 	if code := get(t, ts, "/v1/debug/flight?n=zzz", nil); code != 400 {
 		t.Fatalf("non-numeric n status %d, want 400", code)
+	}
+}
+
+// TestWriteSpansCarryLockAndJournalStages: a retained batch span and a
+// retained single-verb span, read back through /v1/debug/flight, each
+// say how long the write waited for its shards and how long the journal
+// append took.
+func TestWriteSpansCarryLockAndJournalStages(t *testing.T) {
+	ts, w, _, _ := newSLOServer(t) // SampleEvery 1: every span is retained with its stages
+	l, err := intent.Open(t.TempDir(), intent.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	w.EnableIntent(l)
+	f := w.Fig1
+
+	var resp BatchResponse
+	if code := post(t, ts, "/v1/batch", BatchRequest{Tenant: "acme", Ops: []BatchOpRequest{
+		{Op: "request_eip", VM: string(w.Host(f.CloudA, f.RegionsA[0], "az1", 1))},
+		{Op: "request_sip", Provider: f.CloudA},
+		{Op: "bind", EIP: "$0", SIP: "$1"},
+	}}, &resp); code != 200 {
+		t.Fatalf("batch status %d: %+v", code, resp)
+	}
+	if code := post(t, ts, "/v1/permit", PermitRequest{Tenant: "acme",
+		Target: resp.Results[0].Addr, Entries: []string{"10.0.0.0/8"}}, nil); code != 200 {
+		t.Fatalf("permit status %d", code)
+	}
+	var rep FlightResponse
+	if code := get(t, ts, "/v1/debug/flight", &rep); code != 200 {
+		t.Fatalf("flight status %d", code)
+	}
+	for _, verb := range []string{"batch", "permit"} {
+		stages := map[string]bool{}
+		for _, sp := range rep.Spans {
+			if sp.Verb == verb {
+				for _, st := range sp.Stages {
+					stages[st.Name] = true
+				}
+			}
+		}
+		if !stages["shard_wait"] || !stages["journal"] {
+			t.Errorf("%s span stages = %v, want shard_wait and journal", verb, stages)
+		}
 	}
 }
 

@@ -1,8 +1,10 @@
 // The verb path. Every Table-2 mutation — from the Go facades, a
 // single-verb HTTP route, or one op of a /v1/batch — is an intent.Op,
 // and Cloud.apply is the one place an op is routed to its owning
-// provider and shard, timed, locked, applied and journaled. A verb is
-// defined by its case in that switch (plus its dirty marks in
+// provider and shard, timed, locked, applied and journaled. ApplyBatch
+// (batch.go) asks the same switch which shards its ops will lock, takes
+// them all at once, and runs each op through it with the lock elided.
+// A verb is defined by its case in that switch (plus its dirty marks in
 // Cloud.noteRecorded); DESIGN.md "Mutation plane" carries the table.
 package core
 
@@ -27,7 +29,7 @@ import (
 // provider derives (request_eip's Provider and Region, set_permit's
 // Provider, the granted Addr), so the applied op is the journal op.
 func (c *Cloud) Apply(tenant string, op intent.Op) (addr.IP, error) {
-	err := c.apply(tenant, &op, false)
+	_, err := c.apply(tenant, &op, applyLocked)
 	return op.Addr, err
 }
 
@@ -36,37 +38,65 @@ func (c *Cloud) Apply(tenant string, op intent.Op) (addr.IP, error) {
 func (c *Cloud) named(tenant, provider, region string) (*Provider, ShardKey, error) {
 	p, ok := c.Provider(provider)
 	if !ok {
-		return nil, ShardKey{}, fmt.Errorf("core: unknown provider %q", provider)
+		return nil, ShardKey{Tenant: tenant}, fmt.Errorf("core: unknown provider %q", provider)
 	}
 	return p, p.regionShardKey(tenant, region), nil
 }
 
 // owner routes an address-targeted verb: the provider that granted a
-// and the tenant's shard a falls in.
+// and the tenant's shard a falls in. The shard comes from the static
+// block table, so it is right even when the error says a is not
+// (yet, or any more) granted.
 func (c *Cloud) owner(tenant string, a addr.IP) (*Provider, ShardKey, error) {
+	k := c.shardKeyOf(tenant, a)
 	p, ok := c.providerOfAddr(a)
 	if !ok {
-		return nil, ShardKey{}, fmt.Errorf("core: %s is not a granted address", a)
+		return nil, k, fmt.Errorf("core: %s is not a granted address", a)
 	}
-	return p, p.shardKeyFor(tenant, a), nil
+	return p, k, nil
 }
 
-// apply is Apply on a caller-owned op. With gated set the caller holds
-// the shard set's global gate and times and journals the op itself
-// (ApplyBatch): taking a shard lock under the gate would self-deadlock.
-func (c *Cloud) apply(tenant string, op *intent.Op, gated bool) error {
+// applyMode says how much of a verb's path apply runs.
+type applyMode int
+
+const (
+	// applyLocked is a single verb: timed, its shard locked, run,
+	// journaled.
+	applyLocked applyMode = iota
+	// applyHeld is one op of a running batch: ApplyBatch holds the shard
+	// (with every other shard of the batch) and times and journals the
+	// batch itself.
+	applyHeld
+	// applyPlan runs nothing: apply only names the shard the op locks.
+	applyPlan
+)
+
+// apply is Apply on a caller-owned op; its switch is the one verb
+// table. For op it names the shard the verb locks, the SLO verb it is
+// timed as, and the body that applies it, completing what the provider
+// derives from the operands (request_eip's Provider and Region) — the
+// body completes the rest (set_permit's Provider, a grant's Addr).
+//
+// The shard key is static: it follows from the topology's node table
+// and the address block carving alone, never from which addresses are
+// granted right now. So it is valid even alongside a routing error, and
+// ApplyBatch can plan every op's key — with a stand-in address for a
+// "$i" operand whose grant has not happened yet — before it takes a
+// single lock. The lock wait and the journal append are stages of a
+// single verb's span, so a slow write in /v1/debug/flight says which of
+// the two it spent its time in.
+func (c *Cloud) apply(tenant string, op *intent.Op, mode applyMode) (k ShardKey, err error) {
 	var (
 		p    *Provider
-		k    = ShardKey{Tenant: tenant} // cloud-level verbs: the tenant's region-less shard
 		verb slo.Verb
 		run  func() error
-		err  error
 	)
+	k = ShardKey{Tenant: tenant} // cloud-level verbs: the tenant's region-less shard
 	switch op.Verb {
 	case intent.OpRequestEIP:
 		n, ok := c.G.Node(topo.NodeID(op.VM))
 		if !ok {
-			return fmt.Errorf("core: unknown VM %q", op.VM)
+			return k, fmt.Errorf("core: unknown VM %q", op.VM)
 		}
 		if op.Provider == "" {
 			op.Provider = n.Provider
@@ -134,19 +164,24 @@ func (c *Cloud) apply(tenant string, op *intent.Op, gated bool) error {
 	case intent.OpUnregisterName:
 		verb, run = slo.VerbBind, func() error { return c.unregisterName(tenant, op.Name) }
 	default:
-		return fmt.Errorf("core: unknown verb %q", op.Verb)
+		err = fmt.Errorf("core: unknown verb %q", op.Verb)
 	}
-	if err != nil {
-		return err
+	if err != nil || mode == applyPlan {
+		return k, err
 	}
-	if gated {
-		return run()
+	if mode == applyHeld {
+		return k, run()
 	}
 	sop := c.slo.Begin(verb, tenant, k.Region)
-	defer c.shards.lockShard(k)()
+	stg := sop.StageStart()
+	unlock := c.shards.lockShard(k)
+	sop.StageEnd(stg, "shard_wait")
+	defer unlock()
 	err = run()
 	if err == nil && c.rec != nil {
+		stg = sop.StageStart()
 		c.rec.Record(tenant, *op)
+		sop.StageEnd(stg, "journal")
 	}
 	sop.End(err)
 	if op.Verb == intent.OpReleaseEIP || op.Verb == intent.OpReleaseSIP {
@@ -155,5 +190,5 @@ func (c *Cloud) apply(tenant string, op *intent.Op, gated bool) error {
 		// re-sweeps so a churned tenant leaves no orphan shard behind.
 		c.tenantDelta(tenant, 0)
 	}
-	return err
+	return k, err
 }

@@ -1,10 +1,9 @@
 // Batch writes: ApplyBatch applies a sequence of Table-2 mutations as
 // one unit of work. The point is amortization, not transactionality —
-// the batch takes the API write lock once, advances the graph, permit,
-// and address epochs once (via the topo and permit batch windows), and
-// so costs O(1) cache invalidation no matter how many operations it
-// carries. A tenant onboarding 10k endpoints pays one flush instead of
-// 10k.
+// one request, one lock acquisition over exactly the (tenant, region)
+// shards the ops touch, and one journal frame, no matter how many
+// operations the batch carries. Every other tenant's shards stay free:
+// a tenant looping 128-op batches delays nobody but itself.
 //
 // Semantics: the whole batch is statically validated up front (unknown
 // verbs, missing operands, malformed addresses, dangling back-references,
@@ -25,6 +24,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -94,26 +94,11 @@ func (e *BatchError) Error() string {
 
 func (e *BatchError) Unwrap() error { return e.Err }
 
-// noteAddrsChanged records an address-space mutation. Outside a batch
-// it bumps addrEpoch immediately; inside one, the bump is deferred to
-// the outermost endBatch. Address resolution itself is exact (the block
-// index plus the striped address tables), so nothing needs flushing —
-// the epoch is pure change accounting. batchDepth is written only under
-// the shard set's global gate, which orders it against the shard-locked
-// verbs that call this.
-func (c *Cloud) noteAddrsChanged() {
-	if c.batchDepth > 0 {
-		c.addrsDirty = true
-		return
-	}
-	c.addrEpoch.Add(1)
-}
-
-// beginBatch opens a coalescing window: graph epoch bumps, permit list
-// version bumps, and address epoch bumps all collapse to one advance at
-// the matching endBatch. Batches nest; only the outermost pair does the
-// work. Callers must hold write exclusion — ApplyBatch takes the shard
-// set's global gate; Cloud.Batch relies on the API layer's write lock.
+// beginBatch opens a coalescing window: graph epoch bumps and permit
+// list version bumps collapse to one advance at the matching endBatch.
+// Windows nest; only the outermost pair does the work. Callers must
+// hold write exclusion over the whole cloud — RestoreIntent holds the
+// shard set's global gate; Cloud.Batch leaves it to its caller.
 func (c *Cloud) beginBatch() {
 	c.batchDepth++
 	if c.batchDepth > 1 {
@@ -142,15 +127,11 @@ func (c *Cloud) endBatch() {
 	}
 	c.batchEngines = c.batchEngines[:0]
 	c.G.EndBatch()
-	if c.addrsDirty {
-		c.addrsDirty = false
-		c.addrEpoch.Add(1)
-	}
 }
 
 // Batch runs fn inside a coalescing window (see beginBatch). It exists
-// for callers composing their own multi-verb mutations; ApplyBatch uses
-// it internally.
+// for single-threaded callers composing their own multi-verb mutations;
+// ApplyBatch does not use it — concurrent batches cannot share a window.
 func (c *Cloud) Batch(fn func() error) error {
 	c.beginBatch()
 	defer c.endBatch()
@@ -163,32 +144,51 @@ func (c *Cloud) Batch(fn func() error) error {
 // [0, i) and a *BatchError with Index i; those ops stay applied. On
 // success it returns one result per op.
 //
-// The static pass runs before any lock is taken. The apply loop runs
-// under the shard set's global gate — it mutates epoch state (graph,
-// permit engines, address epoch) that spans every shard — resolving
-// each wire op into its typed form and handing it to the same apply
-// switch single verbs use, with the shard lock elided. The applied ops
-// are the journal ops: one frame for the whole batch (the applied
-// prefix when an op failed), so replay applies it atomically.
+// The static pass runs before any lock is taken, and besides
+// type-checking each op it asks the verb table (Cloud.apply) which shard
+// the op will lock. Those keys are static — a "$j" operand stands in as
+// an address from the block op j's grant must come from — so the batch's
+// whole footprint is known up front: ApplyBatch takes exactly those
+// shards' write locks, in ShardKey order (ShardSet.lockShards), and
+// holds them across every op and the journal record. A single verb on
+// one of those shards therefore sees all of the batch's ops there or
+// none, and every other shard never notices the batch. Each op is then
+// resolved into its typed form ("$j" now the real grant) and run through
+// the same switch single verbs use, with the lock elided. The applied ops are the journal ops:
+// one frame for the whole batch (the applied prefix when an op failed),
+// so replay applies it atomically.
 func (c *Cloud) ApplyBatch(tenant string, ops []BatchOp) ([]BatchResult, error) {
 	sop := c.slo.Begin(slo.VerbBatch, tenant, "")
+	var keys []ShardKey // distinct: a batch names few shards, many times each
+	standIns := make([]BatchResult, len(ops))
 	for i := range ops {
-		if _, err := c.typed(ops, i, nil); err != nil {
+		op, err := c.typed(ops, i, standIns)
+		if err != nil {
 			err = &BatchError{Index: i, Op: ops[i].Op, Err: err}
 			sop.End(err)
 			return nil, err
 		}
+		// A routing error here (unknown VM, address not granted yet) is
+		// the apply loop's to report; the key is valid regardless.
+		k, _ := c.apply(tenant, &op, applyPlan)
+		if !slices.Contains(keys, k) {
+			keys = append(keys, k)
+		}
+		if grants(op.Verb) {
+			standIns[i].Addr = c.standIn(k)
+		}
 	}
-	defer c.shards.lockGlobal()()
-	c.beginBatch()
-	defer c.endBatch()
+	stg := sop.StageStart()
+	unlock := c.shards.lockShards(keys)
+	sop.StageEnd(stg, "shard_wait")
+	defer unlock()
 	results := make([]BatchResult, 0, len(ops))
 	var applied []intent.Op
 	var berr error
 	for i := range ops {
 		op, err := c.typed(ops, i, results)
 		if err == nil {
-			err = c.apply(tenant, &op, true)
+			_, err = c.apply(tenant, &op, applyHeld)
 		}
 		if err != nil {
 			berr = &BatchError{Index: i, Op: ops[i].Op, Err: err}
@@ -203,13 +203,30 @@ func (c *Cloud) ApplyBatch(tenant string, ops []BatchOp) ([]BatchResult, error) 
 			applied = append(applied, op)
 		}
 	}
-	c.rec.Record(tenant, applied...)
+	if len(applied) > 0 {
+		stg = sop.StageStart()
+		c.rec.Record(tenant, applied...)
+		sop.StageEnd(stg, "journal")
+	}
 	sop.End(berr)
 	// A batch may have released the tenant's last address; End just
 	// recorded into its SLO shard, so re-sweep (zero-delta) to keep the
 	// fully-released eviction airtight.
 	c.tenantDelta(tenant, 0)
 	return results, berr
+}
+
+// standIn returns an address inside the block a grant locked under k
+// will come from — the region's EIP block, or the provider's SIP block
+// — for the static pass to route a "$i" operand by. Zero when k names
+// no block (the grant is going to fail).
+func (c *Cloud) standIn(k ShardKey) addr.IP {
+	for _, b := range c.pidx.Load().blocks {
+		if b.shard == k.Region {
+			return b.base.Addr
+		}
+	}
+	return 0
 }
 
 // grants reports whether a verb's result is a granted address — what a
@@ -220,12 +237,12 @@ func grants(verb string) bool {
 
 // typed resolves wire op i into the typed op Apply takes, checking verb
 // and operand shape, address syntax, back-reference targets and provider
-// names on the way. With prior == nil it is the static all-or-nothing
-// pass and address operands come back zero; once the batch is running,
-// prior holds the results of ops [0, i) and "$j" operands resolve to the
-// addresses those ops were granted. Only the operands named for a verb
-// are read (see BatchOp), so the typed op carries exactly the fields
-// the journal records.
+// names on the way. A "$j" operand resolves to prior[j].Addr: in the
+// static all-or-nothing pass that is a stand-in inside the block op j
+// will be granted from, once the batch is running it is the address op
+// j was granted. Only the operands named for a verb are read (see
+// BatchOp), so the typed op carries exactly the fields the journal
+// records.
 func (c *Cloud) typed(ops []BatchOp, i int, prior []BatchResult) (intent.Op, error) {
 	b := &ops[i]
 	op := intent.Op{Verb: b.Op}
@@ -287,8 +304,8 @@ func (c *Cloud) typed(ops []BatchOp, i int, prior []BatchResult) (intent.Op, err
 }
 
 // batchAddr checks and resolves one address operand of op i: a literal
-// address, or a "$j" back-reference to the grant made by an earlier op
-// (zero during the static pass, when prior is nil).
+// address, or a "$j" back-reference to prior[j], the grant made by an
+// earlier op.
 func batchAddr(ops []BatchOp, i int, prior []BatchResult, field, s string) (addr.IP, error) {
 	if s == "" {
 		return 0, fmt.Errorf("missing %s", field)
@@ -306,9 +323,6 @@ func batchAddr(ops []BatchOp, i int, prior []BatchResult, field, s string) (addr
 	}
 	if !grants(ops[j].Op) {
 		return 0, fmt.Errorf("%s: back-reference %q targets %q, not an address grant", field, s, ops[j].Op)
-	}
-	if prior == nil {
-		return 0, nil
 	}
 	return prior[j].Addr, nil
 }

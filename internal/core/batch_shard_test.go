@@ -1,0 +1,246 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"declnet/internal/addr"
+	"declnet/internal/metrics"
+	"declnet/internal/permit"
+	"declnet/internal/topo"
+)
+
+// stillBlocked fails the test if done closes within a short grace
+// period: the call behind it must be waiting on a lock the test holds.
+func stillBlocked(t *testing.T, done <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-done:
+		t.Fatalf("%s finished while its shard was locked", what)
+	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// TestBatchLocksOnlyItsShards: with tenant A's (tenant, region) shard
+// write-locked, tenant B's batch and probe in the same region complete,
+// while tenant A's batch there waits for the release.
+func TestBatchLocksOnlyItsShards(t *testing.T) {
+	c, w, pa, pb, _ := fig1Cloud(t)
+	vmA := topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1)
+	vmB := topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1)
+	src, err := pa.RequestEIP("tenant-b", vmA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := pb.RequestEIP("tenant-b", vmB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pb.SetPermitList("tenant-b", dst, []permit.Entry{addr.NewPrefix(src, 32)}); err != nil {
+		t.Fatal(err)
+	}
+	onboard := []BatchOp{
+		{Op: "request_eip", VM: vmA},
+		{Op: "set_permit", Target: "$0", Entries: []permit.Entry{pfx("10.0.0.0/8")}},
+	}
+
+	held := c.shards.shardOf(pa.regionShardKey("tenant-a", w.RegionsA[0]))
+	held.mu.Lock()
+	blocked := async(func() {
+		if _, err := c.ApplyBatch("tenant-a", onboard); err != nil {
+			t.Errorf("tenant-a batch: %v", err)
+		}
+	})
+	within(t, 10*time.Second, async(func() {
+		if _, err := c.ApplyBatch("tenant-b", onboard); err != nil {
+			t.Errorf("tenant-b batch: %v", err)
+		}
+	}), "tenant-b batch beside tenant-a's locked shard")
+	within(t, 10*time.Second, async(func() {
+		if _, _, err := c.Probe("tenant-b", src, dst); err != nil {
+			t.Errorf("tenant-b probe: %v", err)
+		}
+	}), "tenant-b probe beside tenant-a's locked shard")
+	stillBlocked(t, blocked, "tenant-a batch")
+	held.mu.Unlock()
+	within(t, 10*time.Second, blocked, "tenant-a batch after release")
+}
+
+// TestBatchHoldsEveryShardThroughout: a batch spanning two shards takes
+// both before its first op and keeps both until its last, so a single
+// verb on either shard sees all of the batch's ops there or none.
+func TestBatchHoldsEveryShardThroughout(t *testing.T) {
+	c, w, pa, pb, _ := fig1Cloud(t)
+	x, err := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1, p2 := pfx("10.1.0.0/16"), pfx("10.2.0.0/16")
+	first := c.shards.shardOf(c.shardKeyOf("acme", x))
+	second := c.shards.shardOf(c.shardKeyOf("acme", y))
+	if !c.shardKeyOf("acme", x).less(c.shardKeyOf("acme", y)) {
+		t.Fatal("test assumes x's shard sorts before y's")
+	}
+
+	// Hold the later shard: the batch (written y-first, to show textual
+	// order is irrelevant) takes x's shard and then waits for y's.
+	second.mu.Lock()
+	batch := async(func() {
+		_, err := c.ApplyBatch("acme", []BatchOp{
+			{Op: "set_permit", Target: y.String(), Entries: []permit.Entry{p1}},
+			{Op: "set_permit", Target: x.String(), Entries: []permit.Entry{p1}},
+		})
+		if err != nil {
+			t.Errorf("batch: %v", err)
+		}
+	})
+	for first.mu.TryLock() { // until the batch holds x's shard
+		first.mu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+	single := async(func() {
+		if err := pa.Permit("acme", x, p2); err != nil {
+			t.Errorf("single verb: %v", err)
+		}
+	})
+	stillBlocked(t, single, "single verb on a shard the waiting batch holds")
+	if _, installed := pa.Permits.List(x); installed {
+		t.Fatal("the batch applied an op before it held every shard")
+	}
+	second.mu.Unlock()
+	within(t, 10*time.Second, batch, "batch after release")
+	within(t, 10*time.Second, single, "single verb after the batch")
+	// The single verb ran after the whole batch: its entry joined the
+	// batch's list instead of being overwritten by it.
+	if eq, _ := pa.Permits.EqualsEntries(x, []permit.Entry{p1, p2}); !eq {
+		t.Fatalf("x's list = %v, want the batch's entry plus the single verb's", pa.Permits.EntriesOf(x))
+	}
+	if eq, _ := pb.Permits.EqualsEntries(y, []permit.Entry{p1}); !eq {
+		t.Fatalf("y's list = %v, want the batch's entry", pb.Permits.EntriesOf(y))
+	}
+}
+
+// TestBatchPlanMatchesRoute: for every batch verb, the shard the static
+// pass plans to lock — from stand-in addresses, before anything is
+// granted — is the shard the verb routes to once the batch is running.
+func TestBatchPlanMatchesRoute(t *testing.T) {
+	c, w, pa, _, _ := fig1Cloud(t)
+	vm := topo.HostID(w.CloudA, w.RegionsA[1], "az1", 1)
+	e := []permit.Entry{pfx("10.0.0.0/8")}
+	ops := []BatchOp{
+		{Op: "request_eip", VM: vm},             // $0
+		{Op: "request_sip", Provider: w.CloudA}, // $1
+		{Op: "bind", EIP: "$0", SIP: "$1", Weight: 2},
+		{Op: "set_permit", Target: "$0", Entries: e},
+		{Op: "permit", Target: "$1", Entries: e},
+		{Op: "revoke", Target: "$1", Entries: e},
+		{Op: "set_qos", Provider: w.CloudA, Region: w.RegionsA[1], Bandwidth: 1e9},
+		{Op: "set_potato", Provider: w.CloudA},
+		{Op: "create_group", Name: "g", Members: []string{"$0"}},
+		{Op: "register_name", Name: "n", Target: "$1"},
+		{Op: "unbind", EIP: "$0", SIP: "$1"},
+		{Op: "release_sip", SIP: "$1"},
+		{Op: "release_eip", EIP: "$0"},
+	}
+	standIns := make([]BatchResult, len(ops))
+	results := make([]BatchResult, 0, len(ops))
+	for i := range ops {
+		planned, err := c.typed(ops, i, standIns)
+		if err != nil {
+			t.Fatalf("op %d static: %v", i, err)
+		}
+		want, _ := c.apply("acme", &planned, applyPlan)
+		if grants(planned.Verb) {
+			if standIns[i].Addr = c.standIn(want); standIns[i].Addr == 0 {
+				t.Fatalf("op %d (%s): no stand-in for shard %v", i, ops[i].Op, want)
+			}
+		}
+		live, err := c.typed(ops, i, results)
+		if err != nil {
+			t.Fatalf("op %d live: %v", i, err)
+		}
+		got, err := c.apply("acme", &live, applyHeld)
+		if err != nil {
+			t.Fatalf("op %d (%s): %v", i, ops[i].Op, err)
+		}
+		if got != want {
+			t.Errorf("op %d (%s): planned shard %v, ran under %v", i, ops[i].Op, want, got)
+		}
+		results = append(results, BatchResult{Op: live.Verb, Addr: live.Addr})
+	}
+	if n := pa.EndpointCount() + pa.ServiceCount(); n != 0 {
+		t.Fatalf("%d addresses left after the script released both", n)
+	}
+}
+
+// TestShardKeyOfAllocatesNothing: routing an address to its shard is one
+// binary search over interned block entries — the planner does it per
+// batch op and every probe does it twice.
+func TestShardKeyOfAllocatesNothing(t *testing.T) {
+	c, w, pa, _, _ := fig1Cloud(t)
+	eip, err := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[1], "az1", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sip, err := pa.RequestSIP("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k, want := c.shardKeyOf("acme", eip), (ShardKey{"acme", w.CloudA + "/" + w.RegionsA[1]}); k != want {
+		t.Fatalf("shardKeyOf(EIP) = %v, want %v", k, want)
+	}
+	if k, want := c.shardKeyOf("acme", sip), (ShardKey{"acme", w.CloudA}); k != want {
+		t.Fatalf("shardKeyOf(SIP) = %v, want %v", k, want)
+	}
+	if k, want := c.shardKeyOf("acme", 1), (ShardKey{Tenant: "acme"}); k != want {
+		t.Fatalf("shardKeyOf(unowned) = %v, want %v", k, want)
+	}
+	var sink ShardKey
+	allocs := testing.AllocsPerRun(1000, func() {
+		sink = c.shardKeyOf("acme", eip)
+		sink = c.shardKeyOf("acme", sip)
+		sink = pa.regionShardKey("acme", w.RegionsA[1])
+	})
+	_ = sink
+	if allocs != 0 {
+		t.Fatalf("shardKeyOf/regionShardKey allocate %.1f times per call set, want 0", allocs)
+	}
+}
+
+// TestBatchedOpCountsLikeSingle: a set_permit carried by a batch moves
+// declnet_permit_updates_total exactly as the same op issued singly (the
+// old batch window counted installed entries instead).
+func TestBatchedOpCountsLikeSingle(t *testing.T) {
+	entries := []permit.Entry{pfx("10.0.0.0/8"), pfx("172.16.0.0/12"), pfx("192.168.0.0/16")}
+	updates := func(batched bool) float64 {
+		c, w, pa, _, _ := fig1Cloud(t)
+		reg := metrics.NewRegistry()
+		c.EnableObservability(nil, reg)
+		eip, err := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := fmt.Sprintf(`declnet_permit_updates_total{provider=%q}`, w.CloudA)
+		before, ok := reg.ExpvarMap()[key]
+		if !ok {
+			t.Fatalf("no %s sample", key)
+		}
+		if batched {
+			_, err = c.ApplyBatch("acme", []BatchOp{{Op: "set_permit", Target: eip.String(), Entries: entries}})
+		} else {
+			err = pa.SetPermitList("acme", eip, entries)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reg.ExpvarMap()[key] - before
+	}
+	if single, batched := updates(false), updates(true); single != batched || single != 1 {
+		t.Fatalf("permit updates counted: single %v, batched %v, want 1 and 1", single, batched)
+	}
+}

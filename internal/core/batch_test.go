@@ -12,12 +12,10 @@ import (
 
 // TestApplyBatchOnboarding drives the headline use case: one batch that
 // requests addresses, wires bindings and permits through back-references,
-// and names the service — then verifies the datapath works and the whole
-// batch cost exactly one address-epoch advance and one permit-version
-// bump.
+// and names the service — then verifies the datapath works, the graph
+// epoch never moved, and the new list carries one version bump.
 func TestApplyBatchOnboarding(t *testing.T) {
 	c, w, _, _, _ := fig1Cloud(t)
-	ep0 := c.addrEpoch.Load()
 	ge0 := c.G.Epoch()
 
 	be1 := topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1)
@@ -43,9 +41,6 @@ func TestApplyBatchOnboarding(t *testing.T) {
 		if results[i].Addr == 0 {
 			t.Fatalf("op %d granted no address", i)
 		}
-	}
-	if got := c.addrEpoch.Load(); got != ep0+1 {
-		t.Fatalf("addrEpoch advanced %d times, want 1", got-ep0)
 	}
 	if got := c.G.Epoch(); got != ge0 {
 		t.Fatalf("graph epoch moved (%d -> %d) on a graph-free batch", ge0, got)
@@ -94,7 +89,6 @@ func TestApplyBatchValidationRejectsWholesale(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ep0 := c.addrEpoch.Load()
 			// Lead with a valid op to prove even it is not applied.
 			ops := append([]BatchOp{{Op: "request_eip", VM: vm}}, tc.ops...)
 			results, err := c.ApplyBatch("acme", ops)
@@ -110,9 +104,6 @@ func TestApplyBatchValidationRejectsWholesale(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
-			}
-			if got := c.addrEpoch.Load(); got != ep0 {
-				t.Fatalf("rejected batch advanced addrEpoch (%d -> %d)", ep0, got)
 			}
 			if n := pa.EndpointCount(); n != 0 {
 				t.Fatalf("rejected batch granted %d endpoints", n)
@@ -178,26 +169,36 @@ func TestApplyBatchMidBatchAddressView(t *testing.T) {
 }
 
 // TestCloudBatchNesting: nested Batch windows coalesce into the
-// outermost, and an unmatched endBatch panics.
+// outermost — two permit updates to one list advance its version once,
+// when the outer window closes — and an unmatched endBatch panics.
 func TestCloudBatchNesting(t *testing.T) {
 	c, w, pa, _, _ := fig1Cloud(t)
-	vm1 := topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1)
-	vm2 := topo.HostID(w.CloudA, w.RegionsA[0], "az2", 1)
-	ep0 := c.addrEpoch.Load()
-	err := c.Batch(func() error {
-		if _, err := pa.RequestEIP("acme", vm1); err != nil {
+	eip, err := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pa.SetPermitList("acme", eip, nil); err != nil {
+		t.Fatal(err)
+	}
+	l, _ := pa.Permits.List(eip)
+	v0 := l.Version()
+	err = c.Batch(func() error {
+		if err := pa.Permit("acme", eip, addr.MustParsePrefix("10.0.0.0/8")); err != nil {
 			return err
 		}
-		return c.Batch(func() error {
-			_, err := pa.RequestEIP("acme", vm2)
-			return err
+		err := c.Batch(func() error {
+			return pa.Permit("acme", eip, addr.MustParsePrefix("172.16.0.0/12"))
 		})
+		if got := l.Version(); got != v0 {
+			t.Errorf("inner window closing advanced the version (%d -> %d)", v0, got)
+		}
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.addrEpoch.Load(); got != ep0+1 {
-		t.Fatalf("nested batches advanced addrEpoch %d times, want 1", got-ep0)
+	if got := l.Version(); got != v0+1 {
+		t.Fatalf("nested windows advanced the list version %d times, want 1", got-v0)
 	}
 	defer func() {
 		if recover() == nil {

@@ -43,6 +43,11 @@ type Cloud struct {
 	// shard.go.
 	shards *ShardSet
 
+	// engMu serializes the one thing a shard-locked verb schedules on
+	// Eng: a new quota limiter's ticker (Provider.quota). Advancing the
+	// engine is excluded by the embedder (the API layer's write lock).
+	engMu sync.Mutex
+
 	// nmMu guards the two tenant-scoped naming maps below.
 	nmMu sync.RWMutex
 	// groups holds tenant-scoped, cross-provider endpoint groups
@@ -109,21 +114,13 @@ type Cloud struct {
 	// Connect/Probe/Explain routes through it.
 	router *qos.Router
 
-	// addrEpoch counts address-space mutations (EIP/SIP grant and release,
-	// provider add), in the same style as topo.Graph.Epoch. Address
-	// resolution itself is exact (the block index above), so the epoch is
-	// pure bookkeeping for tests and batch-coalescing accounting.
-	addrEpoch atomic.Uint64
-
-	// batchDepth, addrsDirty, and batchEngines implement write batching
-	// (see batch.go): while a batch is open, address-epoch bumps coalesce
-	// into one advance at the outermost endBatch, and the graph and every
-	// permit engine run inside their own batch windows. batchEngines
-	// snapshots the engines Begin was called on so End matches them
-	// exactly even if a provider is added mid-batch. Batches run under
-	// the shard set's global gate.
+	// batchDepth and batchEngines implement the Cloud.Batch coalescing
+	// window (see batch.go): while one is open the graph and every permit
+	// engine run inside their own batch windows. batchEngines snapshots
+	// the engines Begin was called on so End matches them exactly even if
+	// a provider is added mid-window. The caller of Batch owns write
+	// exclusion.
 	batchDepth   int
-	addrsDirty   bool
 	batchEngines []*permit.Engine
 
 	// adm is the striped admission-verdict cache, striped by the
@@ -141,10 +138,15 @@ type provIndex struct {
 }
 
 // provBlock maps one carved address block (a region's EIP /16 or a
-// provider's SIP base) to its provider.
+// provider's SIP base) to its provider, its region ("" for the SIP
+// block) and the shard string every address in it belongs to —
+// "provider/region", or "provider" for the SIP block — so one binary
+// search routes an address without building a string.
 type provBlock struct {
-	base addr.Prefix
-	p    *Provider
+	base   addr.Prefix
+	p      *Provider
+	region string
+	shard  string
 }
 
 // admStripe is one stripe of the admission-verdict cache.
@@ -213,9 +215,22 @@ func (c *Cloud) Router() *qos.Router { return c.router }
 // Shards returns the shard table (experiments report its size).
 func (c *Cloud) Shards() *ShardSet { return c.shards }
 
-// AddProvider creates a provider control plane for the named cloud.
-func (c *Cloud) AddProvider(name string, cfg Config) (*Provider, error) {
+// setUp runs one world set-up step — adding a provider, attaching the
+// intent store or the SLO plane — under the shard set's exclusive gate:
+// every in-flight verb drains first and the next one sees the step
+// whole.
+func (c *Cloud) setUp(step func()) {
 	defer c.shards.lockGlobal()()
+	step()
+}
+
+// AddProvider creates a provider control plane for the named cloud.
+func (c *Cloud) AddProvider(name string, cfg Config) (p *Provider, err error) {
+	c.setUp(func() { p, err = c.addProvider(name, cfg) })
+	return p, err
+}
+
+func (c *Cloud) addProvider(name string, cfg Config) (*Provider, error) {
 	if _, ok := c.providers[name]; ok {
 		return nil, fmt.Errorf("core: duplicate provider %q", name)
 	}
@@ -230,7 +245,6 @@ func (c *Cloud) AddProvider(name string, cfg Config) (*Provider, error) {
 	}
 	c.providers[name] = p
 	c.rebuildIndex()
-	c.noteAddrsChanged()
 	if c.reg != nil {
 		c.registerProviderMetrics(name, p)
 	}
@@ -250,33 +264,47 @@ func (c *Cloud) rebuildIndex() {
 	for _, n := range names {
 		p := c.providers[n]
 		idx.list = append(idx.list, p)
-		for _, b := range p.eipBlocks {
-			idx.blocks = append(idx.blocks, provBlock{base: b.base, p: p})
+		for r, b := range p.eipBlocks {
+			idx.blocks = append(idx.blocks, provBlock{base: b.base, p: p, region: r, shard: b.shard})
 		}
-		idx.blocks = append(idx.blocks, provBlock{base: p.cfg.SIPBase, p: p})
+		idx.blocks = append(idx.blocks, provBlock{base: p.cfg.SIPBase, p: p, shard: p.Name})
 	}
 	sort.Slice(idx.blocks, func(i, j int) bool { return idx.blocks[i].base.Addr < idx.blocks[j].base.Addr })
 	c.pidx.Store(idx)
 }
 
-// blockOwner resolves which provider's carved address space contains ip
-// (binary search over the sorted disjoint block table).
-func (c *Cloud) blockOwner(ip addr.IP) (*Provider, bool) {
+// block resolves the carved address block containing ip (binary search
+// over the sorted disjoint block table); nil when ip is in no
+// provider's space.
+func (c *Cloud) block(ip addr.IP) *provBlock {
 	blocks := c.pidx.Load().blocks
 	i := sort.Search(len(blocks), func(i int) bool { return blocks[i].base.Addr > ip }) - 1
 	if i < 0 || !blocks[i].base.Contains(ip) {
-		return nil, false
+		return nil
 	}
-	return blocks[i].p, true
+	return &blocks[i]
 }
 
-// shardKeyOf derives the shard key the cross-shard connect protocol uses
-// for one endpoint of a (tenant, address) pair. The tenant is always the
+// blockOwner resolves which provider's carved address space contains ip.
+func (c *Cloud) blockOwner(ip addr.IP) (*Provider, bool) {
+	if b := c.block(ip); b != nil {
+		return b.p, true
+	}
+	return nil, false
+}
+
+// shardKeyOf is the shard a (tenant, address) pair belongs to:
+// (tenant, provider/region) for an address in a region block, the
+// tenant's provider-wide shard for a SIP, the tenant's region-less shard
+// for an address in nobody's space. It is static — the block carving
+// never changes — so it is the same before an address is granted, while
+// it is, and after. Address-targeted verbs lock it; the cross-shard
+// connect protocol read-locks it for both endpoints, always under the
 // connecting tenant — the lock expresses whose activity may contend, and
 // a cross-tenant destination's own shard stays free for its owner.
 func (c *Cloud) shardKeyOf(tenant string, ip addr.IP) ShardKey {
-	if p, ok := c.blockOwner(ip); ok {
-		return p.shardKeyFor(tenant, ip)
+	if b := c.block(ip); b != nil {
+		return ShardKey{Tenant: tenant, Region: b.shard}
 	}
 	return ShardKey{Tenant: tenant}
 }

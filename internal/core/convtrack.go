@@ -184,7 +184,7 @@ func (c *Cloud) convMarkPermit(p *Provider, target addr.IP) {
 
 // noteRecorded is the intent log's record hook (Log.SetOnRecord): it
 // runs after each journaled record's in-memory apply, still under the
-// recording verb's shard lock (or the batch path's global gate), so a
+// recording verb's shard lock (a batch's whole shard set), so a
 // concurrent StateDigest — which takes the global gate — always sees
 // the bump and the mutation together. Target->provider resolution uses
 // the static block carving (blockOwner), which stays correct even for

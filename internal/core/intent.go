@@ -31,14 +31,15 @@ import (
 // after this point are journaled; call it before serving traffic (the
 // daemon does, right after RestoreIntent).
 func (c *Cloud) EnableIntent(l *intent.Log) {
-	defer c.shards.lockGlobal()()
-	c.rec = l
-	// Every journaled mutation now feeds the convergence tracker: dirty
-	// sets for the incremental reconciler, section versions for the
-	// incremental digest (convtrack.go). Retire any cached digests —
-	// mutations before this point were not tracked.
-	l.SetOnRecord(c.noteRecorded)
-	c.conv.invalidateAll()
+	c.setUp(func() {
+		c.rec = l
+		// Every journaled mutation now feeds the convergence tracker:
+		// dirty sets for the incremental reconciler, section versions for
+		// the incremental digest (convtrack.go). Retire any cached digests
+		// — mutations before this point were not tracked.
+		l.SetOnRecord(c.noteRecorded)
+		c.conv.invalidateAll()
+	})
 }
 
 // Intent returns the attached store, or nil before EnableIntent.
@@ -249,8 +250,6 @@ func (c *Cloud) RestoreIntentWorkers(st *intent.State, workers int) error {
 		c.names[parts[0]][parts[1]] = target
 	}
 	c.nmMu.Unlock()
-
-	c.noteAddrsChanged()
 	return nil
 }
 

@@ -131,10 +131,10 @@ type ExplainStep struct {
 
 // Explanation is the ordered verdict chain for one (tenant, src, dst).
 type Explanation struct {
-	Tenant            string        `json:"tenant"`
-	Src               string        `json:"src"`
-	Dst               string        `json:"dst"`
-	VirtualTimeMillis int64         `json:"virtual_time_ms"`
+	Tenant            string `json:"tenant"`
+	Src               string `json:"src"`
+	Dst               string `json:"dst"`
+	VirtualTimeMillis int64  `json:"virtual_time_ms"`
 	// Reachable is the overall replay verdict: would Connect admit and
 	// route this flow right now?
 	Reachable bool `json:"reachable"`

@@ -68,8 +68,9 @@ type service struct {
 // dense blocks so internal route aggregation works (the flexibility §4
 // says flat addressing gives providers). Immutable after NewProvider.
 type regionBlocks struct {
-	pool *addr.HostPool
-	base addr.Prefix
+	pool  *addr.HostPool
+	base  addr.Prefix
+	shard string // "provider/region": the ShardKey.Region and SLO tag of everything in the block, built once
 }
 
 // Provider is one cloud's control plane implementing the Table-2 API.
@@ -225,7 +226,7 @@ func newProvider(name string, eng *sim.Engine, g *topo.Graph, net *netsim.Networ
 		if err != nil {
 			return nil, fmt.Errorf("core: carving region %s: %w", r, err)
 		}
-		p.eipBlocks[r] = &regionBlocks{pool: addr.NewHostPool(pfx, 1), base: pfx}
+		p.eipBlocks[r] = &regionBlocks{pool: addr.NewHostPool(pfx, 1), base: pfx, shard: name + "/" + r}
 	}
 	return p, nil
 }
@@ -272,31 +273,24 @@ func (p *Provider) sweepScopes() []string {
 }
 
 // regionOf maps a granted-range address back to its region via the
-// immutable block carving ("" for SIPs and foreign addresses).
+// cloud's block table ("" for SIPs and foreign addresses).
 func (p *Provider) regionOf(ip addr.IP) string {
-	for r, b := range p.eipBlocks {
-		if b.base.Contains(ip) {
-			return r
-		}
+	if b := p.cloud.block(ip); b != nil && b.p == p {
+		return b.region
 	}
 	return ""
 }
 
-// shardKeyFor derives the shard an address-targeted verb belongs to:
-// (tenant, provider/region) for addresses in a region block, the
-// tenant's provider-wide shard otherwise (SIP plane).
-func (p *Provider) shardKeyFor(tenant string, ip addr.IP) ShardKey {
-	if r := p.regionOf(ip); r != "" {
-		return ShardKey{Tenant: tenant, Region: p.Name + "/" + r}
-	}
-	return ShardKey{Tenant: tenant, Region: p.Name}
-}
-
-// regionShardKey is shardKeyFor when the region name is already known.
+// regionShardKey is the tenant's shard for a region of this provider by
+// name ("" = the provider-wide shard: SIP plane, potato, groups).
 func (p *Provider) regionShardKey(tenant, region string) ShardKey {
 	if region == "" {
 		return ShardKey{Tenant: tenant, Region: p.Name}
 	}
+	if b, ok := p.eipBlocks[region]; ok {
+		return ShardKey{Tenant: tenant, Region: b.shard}
+	}
+	// No such region: the verb body rejects it under this lock.
 	return ShardKey{Tenant: tenant, Region: p.Name + "/" + region}
 }
 
@@ -340,9 +334,8 @@ func (p *Provider) requestEIP(tenant string, vm topo.NodeID) (EIP, error) {
 	p.addrs.putEndpoint(eip, &endpoint{
 		eip: eip, tenant: tenant, node: vm,
 		provider: p.Name, region: n.Region,
-		shard: p.Name + "/" + n.Region,
+		shard: blocks.shard,
 	})
-	p.cloud.noteAddrsChanged()
 	p.cloud.tenantDelta(tenant, 1)
 	if p.meter != nil {
 		p.meter.GrantEIP(tenant, p.eng.Now())
@@ -370,7 +363,6 @@ func (p *Provider) releaseEIP(tenant string, eip EIP) error {
 	}
 	p.Permits.Drop(eip)
 	p.addrs.delEndpoint(eip)
-	p.cloud.noteAddrsChanged()
 	p.cloud.tenantDelta(tenant, -1)
 	if p.meter != nil {
 		p.meter.ReleaseEIP(tenant, p.eng.Now())
@@ -389,7 +381,6 @@ func (p *Provider) requestSIP(tenant string) (SIP, error) {
 		return 0, err
 	}
 	p.addrs.putService(sip, &service{sip: sip, tenant: tenant, balancer: lb.New(sip)})
-	p.cloud.noteAddrsChanged()
 	p.cloud.tenantDelta(tenant, 1)
 	if p.meter != nil {
 		p.meter.GrantSIP(tenant, p.eng.Now())
@@ -409,7 +400,6 @@ func (p *Provider) releaseSIP(tenant string, sip SIP) error {
 	}
 	p.Permits.Drop(sip)
 	p.addrs.delService(sip)
-	p.cloud.noteAddrsChanged()
 	p.cloud.tenantDelta(tenant, -1)
 	if p.meter != nil {
 		p.meter.ReleaseSIP(tenant, p.eng.Now())
@@ -577,6 +567,17 @@ func (p *Provider) potatoOf(tenant string) qos.PotatoPolicy {
 	return policy
 }
 
+// quotaBps reads the (tenant, region) egress quota in force (0 = none).
+func (p *Provider) quotaBps(tenant, region string) float64 {
+	tq, ok := p.quotaOf(tenant, region)
+	if !ok {
+		return 0
+	}
+	tq.mu.Lock()
+	defer tq.mu.Unlock()
+	return tq.quota
+}
+
 // quotaOf returns the (tenant, region) quota record if one exists.
 func (p *Provider) quotaOf(tenant, region string) (*tenantQuota, bool) {
 	p.polMu.RLock()
@@ -651,6 +652,18 @@ func (p *Provider) ownsTarget(tenant string, target addr.IP) error {
 	return fmt.Errorf("core: %s is not tenant %q's address", target, tenant)
 }
 
+// holder names the tenant an address is granted to, as an EIP or a SIP
+// ("" when it is not granted).
+func (p *Provider) holder(ip addr.IP) string {
+	if ep, ok := p.addrs.getEndpoint(ip); ok {
+		return ep.tenant
+	}
+	if svc, ok := p.addrs.getService(ip); ok {
+		return svc.tenant
+	}
+	return ""
+}
+
 // Lookup returns the endpoint behind an EIP.
 func (p *Provider) Lookup(eip EIP) (topo.NodeID, bool) {
 	ep, ok := p.addrs.getEndpoint(eip)
@@ -683,7 +696,12 @@ func (p *Provider) quota(tenant, region string) *tenantQuota {
 	tq, ok := p.quotas[tenant][region]
 	if !ok {
 		tq = &tenantQuota{enforcer: make(map[topo.NodeID]*qos.Enforcer)}
+		// A new limiter arms a ticker on the cloud's one engine, whose
+		// event queue is single-writer; first set_qos calls in different
+		// shards (and providers) would otherwise race on it.
+		p.cloud.engMu.Lock()
 		tq.limiter = qos.NewDistributedLimiter(p.eng, 0, p.cfgQuotaPeriod())
+		p.cloud.engMu.Unlock()
 		p.quotas[tenant][region] = tq
 	}
 	return tq

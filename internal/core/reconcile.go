@@ -4,9 +4,17 @@
 // what the journal replays (internal/intent.State); the dataplane can
 // drift from it through faults, lost updates, or the chaos hooks in
 // intent.go. Each sweep takes the log's copy-on-write view, releases
-// the log lock, and then diffs and repairs under ordinary shard locks —
-// never holding the log lock and a shard lock together, which keeps the
-// reconciler out of the wrappers' shard-lock -> log-lock order.
+// the log lock, and screens every target it visits against that view
+// without taking a lock. The view is already old by then — mutations keep
+// landing while the sweep walks — so a mismatch is only a candidate: the
+// check then takes the target's shard lock, re-reads that one target's
+// declared entry live from the log (shard lock -> log lock, the order
+// every verb's Record uses), and only what still differs is drift, which
+// it counts and repairs to the live value. A mutation applies and
+// records under its shard lock, so under that lock the live entry and
+// the dataplane can disagree only through real drift: a sweep never
+// reverts an acknowledged mutation, and the drift counters never count
+// one.
 //
 // Two sweep modes share the per-target check helpers. The legacy full
 // sweep (AntiEntropyK == 0) walks every declared target every time.
@@ -28,6 +36,7 @@ import (
 
 	"declnet/internal/addr"
 	"declnet/internal/intent"
+	"declnet/internal/lb"
 	"declnet/internal/metrics"
 	"declnet/internal/obs"
 )
@@ -239,10 +248,12 @@ func sortedEntries(in []addr.Prefix) []addr.Prefix {
 	return out
 }
 
-// checkDeclaredPermit diffs one declared permit target against the
-// enforcement engine and repairs in place. Reports whether divergence
-// was found. Targets with a deferred (fault-pending) permit update are
-// skipped — the fault monitor owns them until they land or time out.
+// checkDeclaredPermit screens one declared permit target against the
+// enforcement engine, re-validates a mismatch under the owning tenant's
+// shard lock against the live declared list, and repairs what is still
+// wrong. Reports whether drift was found. Targets with a deferred
+// (fault-pending) permit update are skipped — the fault monitor owns
+// them until they land or time out.
 func (r *Reconciler) checkDeclaredPermit(p *Provider, t addr.IP, pl *intent.PermitList, budget *int, res *SweepResult) bool {
 	c := r.cloud
 	if c.monitor != nil {
@@ -253,7 +264,17 @@ func (r *Reconciler) checkDeclaredPermit(p *Provider, t addr.IP, pl *intent.Perm
 	// Declared entries are kept canonically sorted and deduplicated at
 	// apply time, so the steady-state comparison is a containment probe
 	// against the installed set — no clone, no sort, no allocation.
-	equal, hasList := p.Permits.EqualsEntries(t, pl.Entries)
+	if equal, hasList := p.Permits.EqualsEntries(t, pl.Entries); hasList && equal {
+		return false
+	}
+	defer p.lockShard(c.shardKeyOf(pl.Tenant, t))()
+	// Skip a target that changed hands or was released since the view:
+	// this is no longer its shard, and whatever moved it marked it dirty.
+	live, ok := c.rec.Permit(t)
+	if !ok || live.Tenant != pl.Tenant || p.ownsTarget(pl.Tenant, t) != nil {
+		return false
+	}
+	equal, hasList := p.Permits.EqualsEntries(t, live.Entries)
 	if hasList && equal {
 		return false
 	}
@@ -275,29 +296,19 @@ func (r *Reconciler) checkDeclaredPermit(p *Provider, t addr.IP, pl *intent.Perm
 		}
 	}
 	*budget--
-	unlock := p.lockShard(p.shardKeyFor(pl.Tenant, t))
-	// Re-check liveness under the lock: the target may have been
-	// released since the declared view was taken.
-	if _, ok := p.addrs.getEndpoint(t); ok {
-		p.Permits.Set(t, pl.Entries)
-	} else if _, ok := p.addrs.getService(t); ok {
-		p.Permits.Set(t, pl.Entries)
-	} else {
-		unlock()
-		return true
-	}
-	unlock()
+	p.Permits.Set(t, live.Entries)
 	c.convBumpTarget(p, t)
 	res.Repaired++
 	c.traceEvent(obs.Reconcile, pl.Tenant, 0, t, "repaired",
-		fmt.Sprintf("surface=permit entries=%d", len(pl.Entries)),
+		fmt.Sprintf("surface=permit entries=%d", len(live.Entries)),
 		obs.Chain("reconcile:permit:"+t.String(), cause))
 	return true
 }
 
 // checkUndeclaredPermit drops a list installed for a target the
-// declared state no longer guards. The caller established that the
-// target is undeclared and a list is installed.
+// declared state no longer guards. The caller established both against
+// the view; they are re-validated under the shard lock of whoever holds
+// the address.
 func (r *Reconciler) checkUndeclaredPermit(p *Provider, t addr.IP, budget *int, res *SweepResult) bool {
 	c := r.cloud
 	if c.monitor != nil {
@@ -305,21 +316,24 @@ func (r *Reconciler) checkUndeclaredPermit(p *Provider, t addr.IP, budget *int, 
 			return false
 		}
 	}
+	tenant := p.holder(t)
+	defer p.lockShard(c.shardKeyOf(tenant, t))()
+	if p.holder(t) != tenant {
+		return false
+	}
+	if _, declared := c.rec.Permit(t); declared {
+		return false
+	}
+	if _, installed := p.Permits.List(t); !installed {
+		return false
+	}
 	res.DriftPermits++
 	if *budget <= 0 {
 		res.Deferred++
 		return true
 	}
 	*budget--
-	tenant := ""
-	if ep, ok := p.addrs.getEndpoint(t); ok {
-		tenant = ep.tenant
-	} else if svc, ok := p.addrs.getService(t); ok {
-		tenant = svc.tenant
-	}
-	unlock := p.lockShard(p.shardKeyFor(tenant, t))
 	p.Permits.Drop(t)
-	unlock()
 	c.convBumpTarget(p, t)
 	res.Repaired++
 	c.traceEvent(obs.Reconcile, tenant, 0, t, "repaired",
@@ -358,28 +372,25 @@ func (r *Reconciler) sweepPermits(p *Provider, region string, st *intent.State, 
 	}
 }
 
-// checkBindService converges one declared service's balancer
-// membership: missing backends re-bound, weights corrected, undeclared
-// backends unbound. Health bits are runtime state owned by the fault
-// monitor and are left alone. Reports whether divergence was found.
-func (r *Reconciler) checkBindService(p *Provider, sip addr.IP, want *intent.Service, budget *int, res *SweepResult) bool {
-	c := r.cloud
-	live, ok := p.addrs.getService(sip)
-	if !ok {
-		return false // released since the view was taken
-	}
+// bindFix is one step converging a balancer on its declared bindings.
+type bindFix struct {
+	eip    addr.IP
+	weight int // 0 = unbind
+	cause  string
+}
+
+// bindFixes diffs a balancer's membership against declared bindings:
+// missing backends to re-bind, weights to correct, undeclared backends
+// to unbind. Health bits are runtime state owned by the fault monitor
+// and are left alone.
+func bindFixes(bal *lb.Balancer, want []intent.Bind) []bindFix {
 	actual := make(map[addr.IP]int)
-	for _, be := range live.balancer.Backends() {
+	for _, be := range bal.Backends() {
 		actual[be.EIP] = be.Weight
 	}
-	type fix struct {
-		eip    addr.IP
-		weight int // 0 = unbind
-		cause  string
-	}
-	var fixes []fix
-	seen := make(map[addr.IP]bool, len(want.Binds))
-	for _, b := range want.Binds {
+	var fixes []bindFix
+	seen := make(map[addr.IP]bool, len(want))
+	for _, b := range want {
 		seen[b.EIP] = true
 		w := b.Weight
 		if w < 1 {
@@ -388,40 +399,69 @@ func (r *Reconciler) checkBindService(p *Provider, sip addr.IP, want *intent.Ser
 		cur, bound := actual[b.EIP]
 		switch {
 		case !bound:
-			fixes = append(fixes, fix{b.EIP, w, "drift:missing-backend"})
+			fixes = append(fixes, bindFix{b.EIP, w, "drift:missing-backend"})
 		case cur != w:
-			fixes = append(fixes, fix{b.EIP, w, "drift:weight-mismatch"})
+			fixes = append(fixes, bindFix{b.EIP, w, "drift:weight-mismatch"})
 		}
 	}
-	for _, be := range sortedBackends(live.balancer) {
+	for _, be := range sortedBackends(bal) {
 		if !seen[be.EIP] {
-			fixes = append(fixes, fix{be.EIP, 0, "drift:undeclared-backend"})
+			fixes = append(fixes, bindFix{be.EIP, 0, "drift:undeclared-backend"})
 		}
 	}
-	if len(fixes) == 0 {
+	return fixes
+}
+
+// checkBindService converges one declared service's balancer
+// membership. Reports whether drift was found. A bind or unbind runs
+// under the SIP's shard, but a release_eip drains its address out of the
+// balancer under the EIP's region shard, so a candidate is re-validated
+// holding the SIP's shard and the shard of every backend it suspects.
+func (r *Reconciler) checkBindService(p *Provider, sip addr.IP, want *intent.Service, budget *int, res *SweepResult) bool {
+	c := r.cloud
+	svc, ok := p.addrs.getService(sip)
+	if !ok {
+		return false // released since the view was taken
+	}
+	suspects := bindFixes(svc.balancer, want.Binds)
+	if len(suspects) == 0 {
 		return false
 	}
-	res.DriftBinds += len(fixes)
-	for _, f := range fixes {
+	keys := []ShardKey{p.regionShardKey(want.Tenant, "")}
+	held := make(map[addr.IP]bool, len(suspects))
+	for _, f := range suspects {
+		keys = append(keys, c.shardKeyOf(want.Tenant, f.eip))
+		held[f.eip] = true
+	}
+	defer c.shards.lockShards(keys)()
+	live, ok := c.rec.Service(sip)
+	if cur, _ := p.addrs.getService(sip); !ok || live.Tenant != want.Tenant || cur != svc {
+		return false // released or changed hands since the view
+	}
+	found := false
+	for _, f := range bindFixes(svc.balancer, live.Binds) {
+		if !held[f.eip] {
+			continue // not a suspect, so its shard is not held: next sweep
+		}
+		found = true
+		res.DriftBinds++
 		if *budget <= 0 {
 			res.Deferred++
 			continue
 		}
 		*budget--
-		unlock := p.lockShard(p.regionShardKey(want.Tenant, ""))
 		if f.weight > 0 {
-			live.balancer.Bind(f.eip, f.weight)
+			svc.balancer.Bind(f.eip, f.weight)
 		} else {
-			live.balancer.Unbind(f.eip)
+			svc.balancer.Unbind(f.eip)
 		}
-		unlock()
 		c.conv.bump(sipScope(p.Name))
 		res.Repaired++
 		c.traceEvent(obs.Reconcile, want.Tenant, f.eip, sip, "repaired",
 			fmt.Sprintf("surface=bind weight=%d", f.weight),
 			obs.Chain("reconcile:bind:"+sip.String(), f.cause))
 	}
-	return true
+	return found
 }
 
 // sweepBinds is the full sweep over one provider's bind surface.
@@ -440,16 +480,16 @@ func (r *Reconciler) sweepBinds(p *Provider, st *intent.State, budget *int, res 
 }
 
 // checkQuota converges one declared (tenant, region) egress quota
-// against the live limiter. Reports whether divergence was found.
+// against the live limiter, re-validating a mismatch under the shard
+// set_qos takes. Reports whether drift was found.
 func (r *Reconciler) checkQuota(p *Provider, tenant, reg string, want float64, budget *int, res *SweepResult) bool {
 	c := r.cloud
-	var got float64
-	if tq, live := p.quotaOf(tenant, reg); live {
-		tq.mu.Lock()
-		got = tq.quota
-		tq.mu.Unlock()
+	if p.quotaBps(tenant, reg) == want {
+		return false
 	}
-	if got == want {
+	defer p.lockShard(p.regionShardKey(tenant, reg))()
+	want, ok := c.rec.Quota(intent.QuotaKey(p.Name, tenant, reg))
+	if !ok || p.quotaBps(tenant, reg) == want {
 		return false
 	}
 	res.DriftQuotas++
@@ -458,10 +498,7 @@ func (r *Reconciler) checkQuota(p *Provider, tenant, reg string, want float64, b
 		return true
 	}
 	*budget--
-	unlock := p.lockShard(p.regionShardKey(tenant, reg))
-	err := p.setQoS(tenant, reg, want)
-	unlock()
-	if err != nil {
+	if err := p.setQoS(tenant, reg, want); err != nil {
 		res.Deferred++
 		return true
 	}

@@ -1,0 +1,234 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+	"time"
+
+	"declnet/internal/addr"
+	"declnet/internal/intent"
+	"declnet/internal/permit"
+	"declnet/internal/topo"
+)
+
+// within fails the test unless done closes before the deadline — the
+// deadlock detector for the lock-scope tests.
+func within(t *testing.T, d time.Duration, done <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s did not finish within %v", what, d)
+	}
+}
+
+// async runs fn on its own goroutine and returns a channel closed when
+// it returns.
+func async(fn func()) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	return done
+}
+
+// churnWorker is one goroutine of TestSweepNeverRevertsMutations. Two
+// workers share each tenant — and so its shards — but every worker owns
+// the addresses it mutates, so each knows what it was told succeeded.
+type churnWorker struct {
+	tenant string
+	p, far *Provider   // home provider (grants, binds) and the other one
+	vm     topo.NodeID // home-region VM, for grants
+	eips   [2]addr.IP  // home region, bound to sip on and off
+	farEIP addr.IP     // an endpoint on the other provider
+	sip    addr.IP
+	bound  [2]bool
+	flip   bool // name multi-shard batches' shards in the opposite textual order
+}
+
+func (cw *churnWorker) step(c *Cloud, rng *rand.Rand) error {
+	entries := func() []permit.Entry {
+		out := []permit.Entry{addr.NewPrefix(cw.farEIP, 32)}
+		for n := rng.Intn(3); n > 0; n-- {
+			out = append(out, pfx(fmt.Sprintf("10.%d.0.0/16", rng.Intn(200))))
+		}
+		return out
+	}
+	switch rng.Intn(6) {
+	case 0:
+		return cw.p.SetPermitList(cw.tenant, cw.eips[rng.Intn(2)], entries())
+	case 1:
+		i := rng.Intn(2)
+		cw.bound[i] = !cw.bound[i]
+		if cw.bound[i] {
+			return cw.p.Bind(cw.tenant, cw.eips[i], cw.sip, 1+rng.Intn(3))
+		}
+		// The bind was acknowledged; a sweep reverting it would make
+		// this unbind fail.
+		return cw.p.Unbind(cw.tenant, cw.eips[i], cw.sip)
+	case 2:
+		// One shard, with back-references: grant, guard, release.
+		_, err := c.ApplyBatch(cw.tenant, []BatchOp{
+			{Op: "request_eip", VM: cw.vm},
+			{Op: "set_permit", Target: "$0", Entries: entries()},
+			{Op: "permit", Target: "$0", Entries: []permit.Entry{pfx("192.168.0.0/16")}},
+			{Op: "release_eip", EIP: "$0"},
+		})
+		return err
+	case 3:
+		// Three shards — home region, home SIP plane, the far provider's
+		// region — named in one textual order or the other.
+		ops := []BatchOp{
+			{Op: "set_permit", Target: cw.farEIP.String(), Entries: entries()},
+			{Op: "set_permit", Target: cw.sip.String(), Entries: entries()},
+			{Op: "set_permit", Target: cw.eips[0].String(), Entries: entries()},
+		}
+		if cw.flip {
+			ops[0], ops[2] = ops[2], ops[0]
+		}
+		_, err := c.ApplyBatch(cw.tenant, ops)
+		return err
+	case 4:
+		// Two shards through back-references: a service granted, bound,
+		// guarded, drained and released inside one batch.
+		ops := []BatchOp{
+			{Op: "request_eip", VM: cw.vm},           // $0
+			{Op: "request_sip", Provider: cw.p.Name}, // $1
+			{Op: "bind", EIP: "$0", SIP: "$1", Weight: 2},
+			{Op: "set_permit", Target: "$1", Entries: entries()},
+			{Op: "unbind", EIP: "$0", SIP: "$1"},
+			{Op: "release_sip", SIP: "$1"},
+			{Op: "release_eip", EIP: "$0"},
+		}
+		if cw.flip {
+			ops[0], ops[1] = ops[1], ops[0]
+			ops[2] = BatchOp{Op: "bind", EIP: "$1", SIP: "$0", Weight: 2}
+			ops[3].Target, ops[4] = "$0", BatchOp{Op: "unbind", EIP: "$1", SIP: "$0"}
+			ops[5], ops[6] = BatchOp{Op: "release_sip", SIP: "$0"}, BatchOp{Op: "release_eip", EIP: "$1"}
+		}
+		_, err := c.ApplyBatch(cw.tenant, ops)
+		return err
+	default:
+		// Cross-shard read; whether the far list admits us right now is
+		// not the point, taking both shards beside the writers is.
+		c.Probe(cw.tenant, cw.eips[0], cw.farEIP)
+		return nil
+	}
+}
+
+// TestSweepNeverRevertsMutations hammers single verbs, single- and
+// multi-shard batches and cross-shard probes from several goroutines
+// while another sweeps back to back. Nothing injects drift, so a sweep
+// must find none: every mismatch it screens is a mutation acknowledged
+// since its view, and re-validation under the shard lock dismisses it.
+// Before the reconciler re-validated, this reported repairs — each one
+// an acknowledged mutation reverted — within a few sweeps.
+func TestSweepNeverRevertsMutations(t *testing.T) {
+	dir := t.TempDir()
+	c, w, pa, pb, _ := fig1Cloud(t)
+	l, err := intent.Open(dir, intent.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.EnableIntent(l)
+	r, err := c.EnableReconciler(ReconcilerConfig{AntiEntropyK: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Each tenant churns addresses on its own home provider only, so each
+	// address pool is allocated from under one shard and the journal
+	// replays its cursor exactly (the digest hashes pool cursors).
+	homes := []struct {
+		tenant  string
+		p, far  *Provider
+		vm, fvm topo.NodeID
+	}{
+		{"acme", pa, pb, topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1), topo.HostID(w.CloudB, w.RegionsB[1], "az1", 1)},
+		{"globex", pb, pa, topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1), topo.HostID(w.CloudA, w.RegionsA[1], "az1", 1)},
+	}
+	var workers []*churnWorker
+	for i := 0; i < 4; i++ {
+		h := homes[i%2]
+		cw := &churnWorker{tenant: h.tenant, p: h.p, far: h.far, vm: h.vm, flip: i >= 2}
+		for j := range cw.eips {
+			if cw.eips[j], err = h.p.RequestEIP(h.tenant, h.vm); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cw.farEIP, err = h.far.RequestEIP(h.tenant, h.fvm); err != nil {
+			t.Fatal(err)
+		}
+		if cw.sip, err = h.p.RequestSIP(h.tenant); err != nil {
+			t.Fatal(err)
+		}
+		workers = append(workers, cw)
+	}
+
+	const steps = 300
+	var wg sync.WaitGroup
+	for i, cw := range workers {
+		wg.Add(1)
+		go func(cw *churnWorker, seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for n := 0; n < steps; n++ {
+				if err := cw.step(c, rng); err != nil {
+					t.Errorf("%s step %d: %v", cw.tenant, n, err)
+					return
+				}
+			}
+		}(cw, int64(i+1))
+	}
+	mutating := async(wg.Wait)
+	var total SweepResult
+	sweeps := 0
+	sweeping := async(func() {
+		for done := false; !done; sweeps++ {
+			select {
+			case <-mutating:
+				done = true // one last sweep over the quiesced world
+			default:
+			}
+			res := r.RunSweep()
+			total.Repaired += res.Repaired
+			total.DriftPermits += res.DriftPermits
+			total.DriftBinds += res.DriftBinds
+			total.DriftQuotas += res.DriftQuotas
+			total.Deferred += res.Deferred
+		}
+	})
+	within(t, 2*time.Minute, mutating, "the mutators (deadlock?)")
+	within(t, 2*time.Minute, sweeping, "the sweeper (deadlock?)")
+	if total != (SweepResult{}) {
+		t.Errorf("%d sweeps beside %d mutations found drift with none injected: %+v", sweeps, 4*steps, total)
+	}
+
+	// Live state == declared state == what a restart rebuilds.
+	full := &Reconciler{cloud: c, cfg: ReconcilerConfig{RepairBudget: 256}}
+	if res := full.RunSweep(); sweepWork(res) != (SweepResult{}) {
+		t.Errorf("a full scan of the quiesced world found work: %+v", res)
+	}
+	want := c.StateDigest()
+	if cold := c.StateDigestFull(); cold != want {
+		t.Errorf("cached digest %s != cold walk %s", want, cold)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := intent.Open(dir, intent.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	c2, _, _, _, _ := fig1Cloud(t)
+	if err := c2.RestoreIntent(l2.State()); err != nil {
+		t.Fatal(err)
+	}
+	if got := c2.StateDigestFull(); got != want {
+		t.Errorf("a world restored from the store digests %s, the live one %s", got, want)
+	}
+}

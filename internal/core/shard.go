@@ -11,19 +11,31 @@
 // Lock hierarchy (outer to inner; never acquire leftward while holding
 // rightward):
 //
-//	ShardSet.global > shard.mu > leaf locks (permit stripes, address
-//	stripes, pool/balancer/quota/registry mutexes)
+//	ShardSet.global > shard.mu (in ShardKey.less order) > leaf locks
+//	(permit stripes, address stripes, pool/balancer/quota/registry
+//	mutexes, the intent log's mutex)
 //
-//   - Per-shard mutations (the Table-2 verbs) take global.RLock plus
-//     their shard's write lock.
+// Who takes what:
+//
+//   - A single Table-2 verb takes global.RLock plus its shard's write
+//     lock (lockShard).
+//   - A batch takes global.RLock plus the write locks of every shard its
+//     ops touch — the set is known before the first op runs — sorted by
+//     (tenant, region) and deduplicated (lockShards), and holds them
+//     for its whole apply + journal record. The reconciler's bind
+//     repair, which spans a SIP's shard and its backends' region
+//     shards, locks the same way.
 //   - Cross-shard reads (Connect, Probe, Explain) take global.RLock
-//     plus BOTH endpoint shards' read locks in deterministic key order
-//     — sorted by (tenant, region), deduped when the endpoints share a
-//     shard — so opposing lock orders cannot deadlock.
-//   - Global operations (ApplyBatch's coalescing window, world setup)
-//     take global.Lock, excluding every shard at once. Batch windows
-//     mutate engine- and graph-wide epoch state that per-shard locks
-//     cannot protect.
+//     plus BOTH endpoint shards' read locks in the same key order,
+//     deduped when the endpoints share a shard (rlockShards).
+//   - global.Lock excludes every shard at once and is taken only where
+//     the whole world must hold still: set-up (AddProvider,
+//     EnableIntent, EnableSLO), RestoreIntent, and StateDigest. No
+//     request-serving mutation takes it.
+//
+// Every multi-shard acquirer locks in the one total order ShardKey.less
+// defines, so batches, single verbs, probes and reconciler repairs
+// cannot deadlock against each other.
 //
 // Underneath the shard locks, the shared structures (permit engine,
 // endpoint/service maps, address pools) are independently striped or
@@ -32,7 +44,11 @@
 // locks are the unit of *memory safety*.
 package core
 
-import "sync"
+import (
+	"sort"
+	"sync"
+	"sync/atomic"
+)
 
 // ShardKey names one control-plane shard: a tenant's slice of one
 // provider region. Region is "provider/region" for region-scoped state
@@ -58,16 +74,18 @@ type shard struct {
 // ShardSet is the cloud's shard table. Shards materialize lazily on
 // first touch; the zero set is sharded, NewSingleShardCloud collapses
 // every key onto one shard (the unsharded build the parity property
-// test replays against).
+// test replays against). Finding a shard that exists takes no lock —
+// every verb and every probe looks one up, so a mutex here would be the
+// one point where a storm in one shard still slowed another's reads.
 type ShardSet struct {
 	global sync.RWMutex
-	mu     sync.Mutex
-	shards map[ShardKey]*shard
+	shards sync.Map // ShardKey -> *shard
+	n      atomic.Int64
 	single *shard
 }
 
 func newShardSet(single bool) *ShardSet {
-	s := &ShardSet{shards: make(map[ShardKey]*shard)}
+	s := &ShardSet{}
 	if single {
 		s.single = &shard{}
 	}
@@ -79,25 +97,23 @@ func (s *ShardSet) shardOf(k ShardKey) *shard {
 	if s.single != nil {
 		return s.single
 	}
-	s.mu.Lock()
-	sh, ok := s.shards[k]
-	if !ok {
-		sh = &shard{}
-		s.shards[k] = sh
+	if sh, ok := s.shards.Load(k); ok {
+		return sh.(*shard)
 	}
-	s.mu.Unlock()
-	return sh
+	sh, loaded := s.shards.LoadOrStore(k, &shard{})
+	if !loaded {
+		s.n.Add(1)
+	}
+	return sh.(*shard)
 }
 
-// Len reports how many shards have materialized (1 in single mode once
-// touched; single mode reports 1 unconditionally).
+// Len reports how many shards have materialized (single mode reports 1
+// unconditionally).
 func (s *ShardSet) Len() int {
 	if s.single != nil {
 		return 1
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.shards)
+	return int(s.n.Load())
 }
 
 // lockShard takes the write lock for one shard (plus the global read
@@ -108,6 +124,32 @@ func (s *ShardSet) lockShard(k ShardKey) func() {
 	sh.mu.Lock()
 	return func() {
 		sh.mu.Unlock()
+		s.global.RUnlock()
+	}
+}
+
+// lockShards takes the write locks for a set of shards (plus the global
+// read gate) and returns the unlock: a batch's whole footprint, held
+// from before its first op to after its journal record. The keys are
+// sorted in place into ShardKey.less order — the order rlockShards uses
+// — and deduplicated by shard identity (repeated keys; every key, on a
+// single-shard cloud), since sync.RWMutex is not reentrant.
+func (s *ShardSet) lockShards(keys []ShardKey) func() {
+	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
+	s.global.RLock()
+	held := make([]*shard, 0, len(keys))
+	for _, k := range keys {
+		sh := s.shardOf(k)
+		if n := len(held); n > 0 && held[n-1] == sh {
+			continue
+		}
+		sh.mu.Lock()
+		held = append(held, sh)
+	}
+	return func() {
+		for i := len(held) - 1; i >= 0; i-- {
+			held[i].mu.Unlock()
+		}
 		s.global.RUnlock()
 	}
 }
@@ -138,7 +180,8 @@ func (s *ShardSet) rlockShards(a, b ShardKey) func() {
 }
 
 // lockGlobal takes the exclusive gate: every shard's readers and writers
-// drain first, and none may enter until the returned unlock runs.
+// drain first, and none may enter until the returned unlock runs. For
+// set-up, restore and the state digest only (see the hierarchy above).
 func (s *ShardSet) lockGlobal() func() {
 	s.global.Lock()
 	return s.global.Unlock

@@ -2,12 +2,11 @@
 // refcounting for eviction, and the breach → decision-trace bridge.
 //
 // The plane itself lives in internal/slo and is verb-agnostic; this
-// file is the only place core knows about it. EnableSLO mirrors
-// EnableObservability: it runs under the shard set's global gate so
-// the next verb sees the plane pointer, and it
-// hooks the plane's breach callback into the decision trace so a
-// noisy-neighbor verdict shows up in `declnetctl explain` output with
-// a full cause chain.
+// file is the only place core knows about it. EnableSLO swaps the plane
+// pointer under the shard set's global gate (Cloud.setUp) so the next
+// verb sees it, and it hooks the plane's breach callback into the
+// decision trace so a noisy-neighbor verdict shows up in `declnetctl
+// explain` output with a full cause chain.
 package core
 
 import (
@@ -19,8 +18,7 @@ import (
 // plane. Instrumentation is nil-safe throughout, so a Cloud without a
 // plane pays only a nil check per verb.
 func (c *Cloud) EnableSLO(p *slo.Plane) {
-	defer c.shards.lockGlobal()()
-	c.slo = p
+	c.setUp(func() { c.slo = p })
 	if p != nil {
 		p.OnBreach(func(tenant, detail, cause string) {
 			c.traceEvent(obs.SLOBreach, tenant, 0, 0, "degraded", detail, cause)

@@ -15,6 +15,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+
+	"declnet/internal/addr"
 )
 
 // SyncPolicy selects when the journal file is fsynced.
@@ -385,6 +387,52 @@ func (l *Log) View() *State {
 		l.view = l.st.cloneView(l.view)
 	}
 	return l.view
+}
+
+// Permit, Service and Quota read one target's declared entry as of now
+// — not as of the last View — copied out under the log's lock. They are
+// what the reconciler re-validates a suspected divergence against: a
+// caller holding the target's shard lock reads the entry exactly as the
+// last mutation recorded under that lock left it, because Record runs
+// with the shard lock held. Nil-safe like State.
+
+// Permit returns the declared permit list guarding target.
+func (l *Log) Permit(target addr.IP) (PermitList, bool) {
+	if l == nil {
+		return PermitList{}, false
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	pl, ok := l.st.Permits[target]
+	if !ok {
+		return PermitList{}, false
+	}
+	return PermitList{Tenant: pl.Tenant, Entries: append([]addr.Prefix(nil), pl.Entries...)}, true
+}
+
+// Service returns the declared record of one SIP, bindings included.
+func (l *Log) Service(sip addr.IP) (Service, bool) {
+	if l == nil {
+		return Service{}, false
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	svc, ok := l.st.Services[sip]
+	if !ok {
+		return Service{}, false
+	}
+	return Service{Tenant: svc.Tenant, Provider: svc.Provider, Binds: append([]Bind(nil), svc.Binds...)}, true
+}
+
+// Quota returns the declared egress quota under a QuotaKey.
+func (l *Log) Quota(key string) (float64, bool) {
+	if l == nil {
+		return 0, false
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	bps, ok := l.st.Quotas[key]
+	return bps, ok
 }
 
 // Seq returns the last assigned sequence number.

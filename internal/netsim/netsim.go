@@ -554,8 +554,8 @@ func (h dueHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h dueHeap) Swap(i, j int)  { h[i], h[j] = h[j], h[i] }
-func (h *dueHeap) Push(x any)    { *h = append(*h, x.(dueEntry)) }
+func (h dueHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *dueHeap) Push(x any)   { *h = append(*h, x.(dueEntry)) }
 func (h *dueHeap) Pop() any {
 	old := *h
 	e := old[len(old)-1]

@@ -77,13 +77,13 @@ func TestParseConfigOverrides(t *testing.T) {
 
 func TestParseConfigErrors(t *testing.T) {
 	for _, text := range []string{
-		"eips",          // not key=value
-		"=5",            // empty key
-		"eips=",         // empty value
-		"eips=1\neips=2",// duplicate
-		"bogus=1",       // unknown key
-		"eips=ten",      // not an int
-		"zipf_skew=x",   // not a float
+		"eips",           // not key=value
+		"=5",             // empty key
+		"eips=",          // empty value
+		"eips=1\neips=2", // duplicate
+		"bogus=1",        // unknown key
+		"eips=ten",       // not an int
+		"zipf_skew=x",    // not a float
 	} {
 		if _, err := ParseConfig(text); err == nil {
 			t.Errorf("ParseConfig(%q) accepted bad input", text)

@@ -9,9 +9,9 @@ package sim
 
 import (
 	"container/heap"
-	"sync"
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 )
 
