@@ -6,7 +6,7 @@ BENCHTIME ?= 1s
 SCALE_EIPS ?= 1000000
 SCALE_TENANTS ?= 400
 
-.PHONY: build fmt test vet race bench benchsmoke benchdiff scale recover-scale soak staticcheck check fuzz loc benchmod nobaseline
+.PHONY: build fmt test vet race bench benchsmoke benchdiff scale recover-scale soak staticcheck check fuzz loc flags benchmod nobaseline
 
 build:
 	$(GO) build ./...
@@ -43,6 +43,8 @@ benchsmoke:
 # mutate artifact concatenates two packages' runs: the mixed read/write
 # plane lives in the root package, the /v1/batch onboarding comparison
 # in internal/api (it needs the HTTP server, which imports the root).
+# The reconcile artifact gates one steady-state sweep at K=16 against the
+# same reconciler at K=1, where every sweep walks the whole world.
 benchdiff:
 	$(GO) test -run '^$$' -bench 'Connect|ShortestPath|PotatoPath' -benchmem -benchtime $(BENCHTIME) . \
 		| $(GO) run ./cmd/benchjson -o BENCH_connect.json
@@ -123,6 +125,11 @@ loc:
 		line ~ /^\/\*/ { if (!index(line, "*/")) inblock = 1; next } \
 		{ n[pkg]++; total++ } \
 		END { for (p in n) printf "%-24s %6d\n", p, n[p] | "sort"; close("sort"); printf "%-24s %6d\n", "total", total }'
+
+# The number of flags `declnetd -h` lists: the roadmap's tracking metric
+# for "flags expected to go down".
+flags:
+	@$(GO) run ./cmd/declnetd -h 2>&1 | grep -c '^  -'
 
 # bench/ is a separate module that compiles against internal/api,
 # internal/core, internal/intent and declnet.Tenant, so the root

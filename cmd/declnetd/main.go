@@ -46,10 +46,10 @@
 // recover the pre-crash control-plane state. The -seed and -hosts flags
 // must match the world the store was created with; the daemon refuses
 // to replay a foreign world's journal. The reconciler then keeps the
-// dataplane converged to the declared state: one incremental loop
-// (dirty sets plus a rotating 1/K anti-entropy slice, -anti-entropy-k,
-// default 8) every -reconcile-interval (0 disables); -anti-entropy-k 0
-// selects the legacy full walk, one goroutine per (provider, region).
+// dataplane converged to the declared state: one loop, every
+// -reconcile-interval (0 disables), sweeping the targets mutated since
+// the last sweep plus a rotating 1/8 anti-entropy slice of the world, so
+// drift nothing recorded is found within 8 sweeps.
 //
 // With -debug-addr set, a second listener serves net/http/pprof under
 // /debug/pprof/ and the expvar JSON dump under /debug/vars (the metrics
@@ -76,6 +76,10 @@ import (
 	"declnet/internal/core"
 	"declnet/internal/intent"
 )
+
+// antiEntropyK is the reconciler's rotation: each sweep checks 1/8 of the
+// world besides the dirty targets, bounding undetected drift to 8 sweeps.
+const antiEntropyK = 8
 
 func parseLevel(s string) (slog.Level, error) {
 	var lvl slog.Level
@@ -105,8 +109,6 @@ func main() {
 		"snapshot and truncate the journal every N records (0 = only on POST /v1/snapshot)")
 	reconcileInterval := flag.Duration("reconcile-interval", time.Second,
 		"period of the background desired-state reconciler (0 disables; needs -data-dir)")
-	antiEntropyK := flag.Int("anti-entropy-k", 8,
-		"incremental reconciliation: sweep dirty targets plus a rotating 1/K anti-entropy slice (0 = full scan every sweep)")
 	flag.Parse()
 
 	lvl, err := parseLevel(*logLevel)
@@ -168,12 +170,12 @@ func main() {
 	if store != nil {
 		world.EnableReconciler(core.ReconcilerConfig{
 			Interval:     *reconcileInterval,
-			AntiEntropyK: *antiEntropyK,
+			AntiEntropyK: antiEntropyK,
 			Gate:         srv.WorldGate(),
 		})
 		if *reconcileInterval > 0 {
 			world.Reconciler().Start()
-			logger.Info("reconciler running", "interval", *reconcileInterval, "anti_entropy_k", *antiEntropyK)
+			logger.Info("reconciler running", "interval", *reconcileInterval, "anti_entropy_k", antiEntropyK)
 		}
 	}
 

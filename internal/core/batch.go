@@ -94,50 +94,6 @@ func (e *BatchError) Error() string {
 
 func (e *BatchError) Unwrap() error { return e.Err }
 
-// beginBatch opens a coalescing window: graph epoch bumps and permit
-// list version bumps collapse to one advance at the matching endBatch.
-// Windows nest; only the outermost pair does the work. Callers must
-// hold write exclusion over the whole cloud — RestoreIntent holds the
-// shard set's global gate; Cloud.Batch leaves it to its caller.
-func (c *Cloud) beginBatch() {
-	c.batchDepth++
-	if c.batchDepth > 1 {
-		return
-	}
-	c.G.BeginBatch()
-	c.batchEngines = c.batchEngines[:0]
-	for _, p := range c.providers {
-		p.Permits.BeginBatch()
-		c.batchEngines = append(c.batchEngines, p.Permits)
-	}
-}
-
-// endBatch closes the window opened by beginBatch, releasing the
-// deferred epoch advances.
-func (c *Cloud) endBatch() {
-	if c.batchDepth == 0 {
-		panic("core: endBatch without beginBatch")
-	}
-	c.batchDepth--
-	if c.batchDepth > 0 {
-		return
-	}
-	for _, e := range c.batchEngines {
-		e.EndBatch()
-	}
-	c.batchEngines = c.batchEngines[:0]
-	c.G.EndBatch()
-}
-
-// Batch runs fn inside a coalescing window (see beginBatch). It exists
-// for single-threaded callers composing their own multi-verb mutations;
-// ApplyBatch does not use it — concurrent batches cannot share a window.
-func (c *Cloud) Batch(fn func() error) error {
-	c.beginBatch()
-	defer c.endBatch()
-	return fn()
-}
-
 // ApplyBatch validates and applies ops for the tenant as one batch.
 // On a validation error it returns (nil, *BatchError) with nothing
 // applied. On a runtime error at op i it returns the results of ops

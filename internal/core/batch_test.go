@@ -167,43 +167,3 @@ func TestApplyBatchMidBatchAddressView(t *testing.T) {
 		t.Fatalf("error %q does not name the stale address", err)
 	}
 }
-
-// TestCloudBatchNesting: nested Batch windows coalesce into the
-// outermost — two permit updates to one list advance its version once,
-// when the outer window closes — and an unmatched endBatch panics.
-func TestCloudBatchNesting(t *testing.T) {
-	c, w, pa, _, _ := fig1Cloud(t)
-	eip, err := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pa.SetPermitList("acme", eip, nil); err != nil {
-		t.Fatal(err)
-	}
-	l, _ := pa.Permits.List(eip)
-	v0 := l.Version()
-	err = c.Batch(func() error {
-		if err := pa.Permit("acme", eip, addr.MustParsePrefix("10.0.0.0/8")); err != nil {
-			return err
-		}
-		err := c.Batch(func() error {
-			return pa.Permit("acme", eip, addr.MustParsePrefix("172.16.0.0/12"))
-		})
-		if got := l.Version(); got != v0 {
-			t.Errorf("inner window closing advanced the version (%d -> %d)", v0, got)
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := l.Version(); got != v0+1 {
-		t.Fatalf("nested windows advanced the list version %d times, want 1", got-v0)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("endBatch without beginBatch did not panic")
-		}
-	}()
-	c.endBatch()
-}

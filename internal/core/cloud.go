@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -113,15 +114,6 @@ type Cloud struct {
 	// router is the epoch-keyed path cache in front of qos.PathFor; every
 	// Connect/Probe/Explain routes through it.
 	router *qos.Router
-
-	// batchDepth and batchEngines implement the Cloud.Batch coalescing
-	// window (see batch.go): while one is open the graph and every permit
-	// engine run inside their own batch windows. batchEngines snapshots
-	// the engines Begin was called on so End matches them exactly even if
-	// a provider is added mid-window. The caller of Batch owns write
-	// exclusion.
-	batchDepth   int
-	batchEngines []*permit.Engine
 
 	// adm is the striped admission-verdict cache, striped by the
 	// destination's /16 block like every other per-address structure, so
@@ -260,7 +252,7 @@ func (c *Cloud) rebuildIndex() {
 		idx.byName[n] = p
 		names = append(names, n)
 	}
-	sortStrings(names)
+	slices.Sort(names)
 	for _, n := range names {
 		p := c.providers[n]
 		idx.list = append(idx.list, p)

@@ -1,9 +1,9 @@
 // Convergence tracking: the dirty sets and section versions behind
-// incremental reconciliation (reconcile.go) and the incremental state
+// reconciliation sweeps (reconcile.go) and the incremental state
 // digest (intent.go). Every journaled mutation flows through
 // Cloud.noteRecorded — the intent log's record hook — which (a) marks
 // the mutated (surface, target) dirty for the owning provider, so the
-// next incremental sweep checks exactly the touched targets, and (b)
+// next sweep checks exactly the touched targets, and (b)
 // bumps the digest section version the mutation lands in, so the next
 // StateDigest recomputes only that section. Live mutations that bypass
 // the journal — reconciler repairs, fault-deferred permit landings, the
@@ -41,7 +41,7 @@ func polScope(prov string) convScope { return convScope{kind: 'p', prov: prov} }
 func cloudScope() convScope          { return convScope{kind: 'c'} }
 
 // convDirty is one provider's accumulated dirty marks since the last
-// incremental sweep consumed them.
+// sweep consumed them.
 type convDirty struct {
 	permits map[addr.IP]bool
 	binds   map[addr.IP]bool
@@ -100,16 +100,17 @@ func (t *convTracker) markQuota(prov, key string) {
 	t.mu.Unlock()
 }
 
-// take consumes and clears a provider's dirty sets; nil when clean.
-func (t *convTracker) take(prov string) *convDirty {
+// take consumes and clears a provider's dirty sets; the zero value (nil
+// maps, which read as empty) when clean.
+func (t *convTracker) take(prov string) convDirty {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.dirty == nil {
-		return nil
-	}
 	d := t.dirty[prov]
 	delete(t.dirty, prov)
-	return d
+	if d == nil {
+		return convDirty{}
+	}
+	return *d
 }
 
 func (t *convTracker) bump(s convScope) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"declnet/internal/addr"
 	"declnet/internal/fault"
@@ -199,7 +198,7 @@ func (m *FaultMonitor) tick() {
 	now := m.cloud.Eng.Now()
 	for _, p := range m.cloud.pidx.Load().list {
 		m.sweepServices(now, p)
-		m.sweepQuotas(p)
+		m.sweepEnforcers(p)
 	}
 }
 
@@ -270,40 +269,25 @@ func (m *FaultMonitor) sweepServices(now sim.Time, p *Provider) {
 	}
 }
 
-// sweepQuotas marks quota enforcers on unreachable nodes down so the
+// sweepEnforcers marks quota enforcers on unreachable nodes down so the
 // distributed limiter re-shares the tenant's guarantee across surviving
 // regions' enforcement points (graceful degradation under partition).
-func (m *FaultMonitor) sweepQuotas(p *Provider) {
+func (m *FaultMonitor) sweepEnforcers(p *Provider) {
 	// Collect the quota records in deterministic order under polMu, then
 	// drive each one under its own mutex (Connect attaches enforcers
 	// concurrently).
 	p.polMu.RLock()
-	tenants := make([]string, 0, len(p.quotas))
-	for t := range p.quotas {
-		tenants = append(tenants, t)
-	}
-	sortStrings(tenants)
 	var tqs []*tenantQuota
-	for _, tenant := range tenants {
-		regions := make([]string, 0, len(p.quotas[tenant]))
-		for r := range p.quotas[tenant] {
-			regions = append(regions, r)
-		}
-		sortStrings(regions)
-		for _, region := range regions {
+	for _, tenant := range sortedKeys(p.quotas) {
+		for _, region := range sortedKeys(p.quotas[tenant]) {
 			tqs = append(tqs, p.quotas[tenant][region])
 		}
 	}
 	p.polMu.RUnlock()
 	for _, tq := range tqs {
 		tq.mu.Lock()
-		nodes := make([]topo.NodeID, 0, len(tq.enforcer))
-		for n := range tq.enforcer {
-			nodes = append(nodes, n)
-		}
-		sortNodeIDs(nodes)
 		changed := false
-		for _, n := range nodes {
+		for _, n := range sortedKeys(tq.enforcer) {
 			enf := tq.enforcer[n]
 			up := m.Inj.Reachable(n)
 			if enf.Up() != up {
@@ -353,7 +337,7 @@ func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, e
 			p.Permits.Set(target, entries)
 			// The deferred update lands outside any journaled record: bump
 			// the digest section it changed, and mark the target dirty so
-			// the next incremental sweep re-verifies it against the latest
+			// the next sweep re-verifies it against the latest
 			// declared list (which may have moved on while we retried).
 			m.cloud.convBumpTarget(p, target)
 			m.cloud.convMarkPermit(p, target)
@@ -384,18 +368,4 @@ func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, e
 	}
 	m.PermitRetries++
 	m.cloud.Eng.After(m.Policy.PermitRetryInterval, attempt)
-}
-
-func sortIPs(s []addr.IP) {
-	// RestoreIntent and StateDigest sort full endpoint tables (10^5+ at
-	// the E13 tier), so this must not be quadratic.
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-}
-
-func sortNodeIDs(s []topo.NodeID) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -10,11 +10,13 @@
 package core
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -34,7 +36,7 @@ func (c *Cloud) EnableIntent(l *intent.Log) {
 	c.setUp(func() {
 		c.rec = l
 		// Every journaled mutation now feeds the convergence tracker:
-		// dirty sets for the incremental reconciler, section versions for
+		// dirty sets for the reconciler, section versions for
 		// the incremental digest (convtrack.go). Retire any cached digests
 		// — mutations before this point were not tracked.
 		l.SetOnRecord(c.noteRecorded)
@@ -70,8 +72,6 @@ func (c *Cloud) RestoreIntentWorkers(st *intent.State, workers int) error {
 		return nil
 	}
 	defer c.shards.lockGlobal()()
-	c.beginBatch()
-	defer c.endBatch()
 	defer c.conv.invalidateAll()
 
 	provs := c.pidx.Load().list
@@ -106,11 +106,7 @@ func (c *Cloud) RestoreIntentWorkers(st *intent.State, workers int) error {
 	// Endpoints. The sort is not for determinism of the result — the
 	// tables are maps — but keeps worker chunks region-contiguous, so
 	// parallel installs mostly touch disjoint stripes.
-	eips := make([]addr.IP, 0, len(st.Endpoints))
-	for eip := range st.Endpoints {
-		eips = append(eips, eip)
-	}
-	sortIPs(eips)
+	eips := sortedKeys(st.Endpoints)
 	err := restoreParallel(len(eips), workers, func(i int) error {
 		eip := eips[i]
 		ep := st.Endpoints[eip]
@@ -133,11 +129,7 @@ func (c *Cloud) RestoreIntentWorkers(st *intent.State, workers int) error {
 
 	// Services and their bindings. Each worker builds a balancer
 	// privately and publishes it with one striped-table store.
-	sips := make([]addr.IP, 0, len(st.Services))
-	for sip := range st.Services {
-		sips = append(sips, sip)
-	}
-	sortIPs(sips)
+	sips := sortedKeys(st.Services)
 	err = restoreParallel(len(sips), workers, func(i int) error {
 		sip := sips[i]
 		svc := st.Services[sip]
@@ -157,23 +149,17 @@ func (c *Cloud) RestoreIntentWorkers(st *intent.State, workers int) error {
 		return err
 	}
 
-	// Permit lists, installed at the owning provider's engine. SetFresh
-	// (not Set) for two reasons: it skips the verb path's change-tracking
-	// bookkeeping, whose batch-window fields are not safe under
-	// concurrent workers, and it builds each list off-line so a target's
-	// stripe lock is held only for the final install.
-	targets := make([]addr.IP, 0, len(st.Permits))
-	for t := range st.Permits {
-		targets = append(targets, t)
-	}
-	sortIPs(targets)
+	// Permit lists, installed at the owning provider's engine. Set builds
+	// each list off-line, so a target's stripe lock is held only for the
+	// final install and workers in different stripes never serialize.
+	targets := sortedKeys(st.Permits)
 	err = restoreParallel(len(targets), workers, func(i int) error {
 		t := targets[i]
 		p, ok := c.blockOwner(t)
 		if !ok {
 			return fmt.Errorf("core: restore: permit target %s is outside every provider's blocks", t)
 		}
-		p.Permits.SetFresh(t, st.Permits[t].Entries)
+		p.Permits.Set(t, st.Permits[t].Entries)
 		return nil
 	})
 	if err != nil {
@@ -182,15 +168,15 @@ func (c *Cloud) RestoreIntentWorkers(st *intent.State, workers int) error {
 
 	// QoS quotas, potato profiles, groups, names.
 	for _, key := range sortedKeys(st.Quotas) {
-		parts := strings.SplitN(key, "|", 3)
-		if len(parts) != 3 {
+		prov, tenant, region, ok := intent.ParseQuotaKey(key)
+		if !ok {
 			return fmt.Errorf("core: restore: malformed quota key %q", key)
 		}
-		p, ok := c.providers[parts[0]]
+		p, ok := c.providers[prov]
 		if !ok {
 			return fmt.Errorf("core: restore: quota key %q references unknown provider", key)
 		}
-		if err := p.setQoS(parts[1], parts[2], st.Quotas[key]); err != nil {
+		if err := p.setQoS(tenant, region, st.Quotas[key]); err != nil {
 			return fmt.Errorf("core: restore: %w", err)
 		}
 	}
@@ -296,13 +282,13 @@ func restoreParallel(n, workers int, fn func(i int) error) error {
 	return nil
 }
 
-// sortedKeys returns a map's string keys in sorted order.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
+// sortedKeys returns a map's keys in sorted order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sortStrings(keys)
+	slices.Sort(keys)
 	return keys
 }
 

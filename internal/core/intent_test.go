@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -190,6 +191,10 @@ func TestReconcilerRepairsDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The zero-value config is K=1: every sweep walks the whole world.
+	if k := r.Status().AntiEntropyK; k != 1 {
+		t.Fatalf("zero-value config reports anti_entropy_k %d, want 1", k)
+	}
 
 	// A converged world has nothing to do (scan accounting aside).
 	if res := r.RunSweep(); sweepWork(res) != (SweepResult{}) {
@@ -216,6 +221,10 @@ func TestReconcilerRepairsDrift(t *testing.T) {
 	}
 	if res.Repaired != 3 || res.Deferred != 0 {
 		t.Fatalf("sweep repaired %d deferred %d, want 3 and 0", res.Repaired, res.Deferred)
+	}
+	// No hook marks a dirty set: one sweep's rotation found all three.
+	if res.DirtyHits != 0 || res.AntiEntropyScanned != res.Scanned {
+		t.Fatalf("hook-injected drift was not found by the rotation alone: %+v", res)
 	}
 	// Converged again — and actually repaired, not just counted.
 	if res := r.RunSweep(); sweepWork(res) != (SweepResult{}) {
@@ -346,34 +355,62 @@ func TestReconcilerStartStop(t *testing.T) {
 	defer l.Close()
 	c.EnableIntent(l)
 	populate(t, c, w, pa, pb)
-	gates := make(chan struct{}, 64)
+	const interval = 2 * time.Millisecond
+	var calls, held, overlaps atomic.Int64
+	fired := make(chan struct{}, 1)
 	r, err := c.EnableReconciler(ReconcilerConfig{
-		Interval: time.Millisecond,
+		Interval: interval,
 		Gate: func() func() {
+			calls.Add(1)
+			if held.Add(1) > 1 {
+				overlaps.Add(1)
+			}
 			select {
-			case gates <- struct{}{}:
+			case fired <- struct{}{}:
 			default:
 			}
-			return func() {}
+			return func() { held.Add(-1) }
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	begin := time.Now()
 	r.Start()
 	r.Start() // idempotent
-	select {
-	case <-gates:
-	case <-time.After(5 * time.Second):
-		t.Fatal("background sweeps never fired")
+	for n := 0; n < 3; n++ {
+		select {
+		case <-fired:
+		case <-time.After(5 * time.Second):
+			t.Fatal("background sweeps never fired")
+		}
 	}
 	r.Stop()
 	r.Stop() // idempotent
+	elapsed := time.Since(begin)
 	if s := r.Status(); !s.Enabled || s.Running {
 		t.Errorf("status after stop = %+v", s)
 	}
-	if s := r.Status(); s.Sweeps == 0 {
-		t.Error("no sweeps counted")
+	// One goroutine behind one ticker: at most one Gate call per elapsed
+	// interval, never two gates held at once, one sweep per gate.
+	got := calls.Load()
+	if most := int64(elapsed/interval) + 1; got > most {
+		t.Errorf("%d Gate calls in %v at interval %v, want at most %d", got, elapsed, interval, most)
+	}
+	if n := overlaps.Load(); n != 0 {
+		t.Errorf("%d Gate calls found another gate still held", n)
+	}
+	sweeps := r.Status().Sweeps
+	if sweeps != uint64(got) {
+		t.Errorf("%d sweeps counted for %d Gate calls", sweeps, got)
+	}
+	// Stop waited the loop out: no sweep in flight, none afterwards.
+	if n := held.Load(); n != 0 {
+		t.Errorf("Stop returned with %d gates still held", n)
+	}
+	time.Sleep(5 * interval)
+	if calls.Load() != got || r.Status().Sweeps != sweeps {
+		t.Errorf("sweeps kept running after Stop: %d -> %d Gate calls", got, calls.Load())
 	}
 }
 

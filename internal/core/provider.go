@@ -216,12 +216,7 @@ func newProvider(name string, eng *sim.Engine, g *topo.Graph, net *netsim.Networ
 		regions[n.Region] = true
 	}
 	block := addr.NewBlockPool(cfg.EIPBase)
-	names := make([]string, 0, len(regions))
-	for r := range regions {
-		names = append(names, r)
-	}
-	sortStrings(names)
-	for _, r := range names {
+	for _, r := range sortedKeys(regions) {
 		pfx, err := block.Allocate(16)
 		if err != nil {
 			return nil, fmt.Errorf("core: carving region %s: %w", r, err)
@@ -229,14 +224,6 @@ func newProvider(name string, eng *sim.Engine, g *topo.Graph, net *netsim.Networ
 		p.eipBlocks[r] = &regionBlocks{pool: addr.NewHostPool(pfx, 1), base: pfx, shard: name + "/" + r}
 	}
 	return p, nil
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // RegionBlock exposes a region's EIP prefix (experiments use it to build
@@ -251,25 +238,7 @@ func (p *Provider) RegionBlock(region string) (addr.Prefix, bool) {
 
 // Regions returns the provider's region names, sorted.
 func (p *Provider) Regions() []string {
-	out := make([]string, 0, len(p.eipBlocks))
-	for r := range p.eipBlocks {
-		out = append(out, r)
-	}
-	sortStrings(out)
-	return out
-}
-
-// sweepScopes returns the reconciler's scope list for this provider:
-// every region plus "" for the region-less SIP plane. The slice is
-// built with exactly the spare capacity the append needs, so callers
-// never alias the backing array Regions hands out — the reconciler used
-// to do append(p.Regions(), "") inline, which was only safe because
-// Regions happened to return a full-capacity slice.
-func (p *Provider) sweepScopes() []string {
-	regions := p.Regions()
-	out := make([]string, 0, len(regions)+1)
-	out = append(out, regions...)
-	return append(out, "")
+	return sortedKeys(p.eipBlocks)
 }
 
 // regionOf maps a granted-range address back to its region via the

@@ -16,19 +16,21 @@
 // reverts an acknowledged mutation, and the drift counters never count
 // one.
 //
-// Two sweep modes share the per-target check helpers. The legacy full
-// sweep (AntiEntropyK == 0) walks every declared target every time.
-// The incremental sweep (AntiEntropyK == K > 0) checks only targets the
-// convergence tracker marked dirty since the last sweep, plus a
-// rotating anti-entropy slice — 1/K of the declared world and 1/K of
-// the installed permit stripes per sweep — so drift injected behind the
-// recorder's back (the Drift* chaos hooks) is still found within K
-// sweeps of injection: a bounded detection lag instead of a bounded
-// per-sweep cost times the whole world.
+// There is one sweep. Per surface (permit lists, binds, quotas) it visits
+// the targets the convergence tracker marked dirty since the last sweep,
+// then this phase's slice of a rotating anti-entropy partition — 1/K of
+// the declared world and 1/K of the installed permit stripes — skipping
+// what a mark already covered, so each target is checked, and its drift
+// counted, at most once per sweep. K (ReconcilerConfig.AntiEntropyK) is
+// the detection-lag bound: drift injected behind the recorder's back (the
+// Drift* chaos hooks) is found within K sweeps of injection. K=1 is one
+// bucket: every sweep walks the whole world.
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -44,16 +46,16 @@ import (
 // ReconcilerConfig tunes the convergence loop.
 type ReconcilerConfig struct {
 	// Interval is the wall-clock sweep period for Start's background
-	// goroutines (default 1s).
+	// goroutine (default 1s).
 	Interval time.Duration
 	// RepairBudget caps repairs per sweep; divergence beyond it stays
 	// queued for the next sweep (reported as queue depth). Default 256.
 	RepairBudget int
-	// AntiEntropyK selects the sweep mode. 0 (the default) is the full
-	// scan: every declared target diffed every sweep. K > 0 is the
-	// incremental sweep: dirty-marked targets plus a rotating 1/K
-	// anti-entropy slice, bounding undirtied-drift detection lag to K
-	// sweeps. The daemon runs K=8 by default (-anti-entropy-k).
+	// AntiEntropyK is K of the anti-entropy rotation: besides the
+	// dirty-marked targets, each sweep checks 1/K of the declared world
+	// and of the installed permit stripes, so drift nothing marked is
+	// found within K sweeps. Values below 1 mean 1 — every sweep walks
+	// the whole world (what E15 and the tests run). The daemon runs K=8.
 	AntiEntropyK int
 	// Gate, when set, brackets each background sweep: it acquires
 	// whatever external serialization the embedder needs (the daemon
@@ -72,14 +74,13 @@ type SweepResult struct {
 	// Deferred counts divergences found but left for the next sweep
 	// (repair budget exhausted or enforcement point unreachable).
 	Deferred int `json:"deferred"`
-	// Scanned counts targets examined this sweep, across every surface;
-	// the full sweep scans the world, the incremental sweep scans
-	// dirty + anti-entropy only — the ratio is the incremental win.
+	// Scanned counts targets examined this sweep, across every surface:
+	// the dirty marks plus the rotation slice.
 	Scanned int `json:"scanned"`
 	// DirtyHits counts dirty-set checks that confirmed real drift.
 	DirtyHits int `json:"dirty_hits"`
 	// AntiEntropyScanned counts checks driven by the rotation rather
-	// than a dirty mark (0 in full sweeps).
+	// than a dirty mark.
 	AntiEntropyScanned int `json:"anti_entropy_scanned"`
 }
 
@@ -129,6 +130,9 @@ func (c *Cloud) EnableReconciler(cfg ReconcilerConfig) (*Reconciler, error) {
 	if cfg.RepairBudget <= 0 {
 		cfg.RepairBudget = 256
 	}
+	if cfg.AntiEntropyK <= 0 {
+		cfg.AntiEntropyK = 1
+	}
 	r := &Reconciler{cloud: c, cfg: cfg}
 	c.reconciler = r
 	if c.reg != nil {
@@ -169,33 +173,31 @@ func (c *Cloud) EnableReconciler(cfg ReconcilerConfig) (*Reconciler, error) {
 // EnableReconciler.
 func (c *Cloud) Reconciler() *Reconciler { return c.reconciler }
 
-// RunSweep performs one deterministic sweep. With AntiEntropyK == 0:
-// every provider, every region (plus each provider's region-less SIP
-// plane), permits then binds then quotas. With K > 0: the dirty sets
-// accumulated since the last sweep plus this sweep's anti-entropy
-// slice. Safe to call concurrently with API verbs — repairs take the
+// RunSweep performs one deterministic sweep: every provider in name
+// order, permits then binds then quotas, each surface's dirty marks
+// before its rotation slice. Dirty sets are consumed before the view is
+// taken: a mutation recorded in between is covered by this view and
+// marked for the next sweep — at worst one redundant check, never a lost
+// one. Safe to call concurrently with API verbs — repairs take the
 // ordinary shard locks — but callers that also advance the simulation
 // engine must serialize that themselves (see ReconcilerConfig.Gate).
 func (r *Reconciler) RunSweep() SweepResult {
 	start := time.Now()
+	c := r.cloud
+	k := r.cfg.AntiEntropyK
+	phase := int(r.sweeps.Load() % uint64(k))
+	provs := c.pidx.Load().list
+	dirt := make([]convDirty, len(provs))
+	for i, p := range provs {
+		dirt[i] = c.conv.take(p.Name)
+	}
+	st := c.rec.View()
+	idx := r.indexFor(st, k)
 	budget := r.cfg.RepairBudget
 	var res SweepResult
-	if r.cfg.AntiEntropyK <= 0 {
-		st := r.cloud.rec.View()
-		for _, p := range r.cloud.pidx.Load().list {
-			for _, region := range p.sweepScopes() {
-				r.sweepScope(p, region, st, &budget, &res)
-			}
-		}
-	} else {
-		r.incrementalSweep(&budget, &res)
+	for i, p := range provs {
+		r.sweepProvider(p, dirt[i], st, idx, phase, &budget, &res)
 	}
-	r.finishSweep(start, &res)
-	return res
-}
-
-// finishSweep folds one sweep's result into the running counters.
-func (r *Reconciler) finishSweep(start time.Time, res *SweepResult) {
 	r.sweeps.Add(1)
 	r.repairs.Add(uint64(res.Repaired))
 	r.driftPermits.Add(uint64(res.DriftPermits))
@@ -207,17 +209,7 @@ func (r *Reconciler) finishSweep(start time.Time, res *SweepResult) {
 	r.queueDepth.Store(int64(res.Deferred))
 	r.lastSweepNs.Store(start.UnixNano())
 	r.lastSweepDur.Store(int64(time.Since(start)))
-}
-
-// sweepScope reconciles one (provider, region) scope of the full sweep.
-// region "" is the provider's SIP plane: service addresses, their
-// bindings, and SIP permit lists.
-func (r *Reconciler) sweepScope(p *Provider, region string, st *intent.State, budget *int, res *SweepResult) {
-	r.sweepPermits(p, region, st, budget, res)
-	if region == "" {
-		r.sweepBinds(p, st, budget, res)
-	}
-	r.sweepQuotas(p, region, st, budget, res)
+	return res
 }
 
 // entriesEqual compares two permit entry sets canonically (sorted by
@@ -342,36 +334,6 @@ func (r *Reconciler) checkUndeclaredPermit(p *Provider, t addr.IP, budget *int, 
 	return true
 }
 
-// sweepPermits is the full sweep over one region scope's permit
-// surface: every declared target diffed, every undeclared installed
-// list dropped.
-func (r *Reconciler) sweepPermits(p *Provider, region string, st *intent.State, budget *int, res *SweepResult) {
-	c := r.cloud
-	// Declared targets owned by this provider and scope.
-	declared := make([]addr.IP, 0, len(st.Permits))
-	for t := range st.Permits {
-		if owner, ok := c.blockOwner(t); ok && owner == p && p.regionOf(t) == region {
-			declared = append(declared, t)
-		}
-	}
-	sortIPs(declared)
-	for _, t := range declared {
-		res.Scanned++
-		r.checkDeclaredPermit(p, t, st.Permits[t], budget, res)
-	}
-	// Undeclared lists still installed in the engine.
-	for _, t := range p.Permits.Targets() {
-		if p.regionOf(t) != region {
-			continue
-		}
-		if _, ok := st.Permits[t]; ok {
-			continue
-		}
-		res.Scanned++
-		r.checkUndeclaredPermit(p, t, budget, res)
-	}
-}
-
 // bindFix is one step converging a balancer on its declared bindings.
 type bindFix struct {
 	eip    addr.IP
@@ -464,21 +426,6 @@ func (r *Reconciler) checkBindService(p *Provider, sip addr.IP, want *intent.Ser
 	return found
 }
 
-// sweepBinds is the full sweep over one provider's bind surface.
-func (r *Reconciler) sweepBinds(p *Provider, st *intent.State, budget *int, res *SweepResult) {
-	declared := make([]addr.IP, 0, len(st.Services))
-	for sip, svc := range st.Services {
-		if svc.Provider == p.Name {
-			declared = append(declared, sip)
-		}
-	}
-	sortIPs(declared)
-	for _, sip := range declared {
-		res.Scanned++
-		r.checkBindService(p, sip, st.Services[sip], budget, res)
-	}
-}
-
 // checkQuota converges one declared (tenant, region) egress quota
 // against the live limiter, re-validating a mismatch under the shard
 // set_qos takes. Reports whether drift was found.
@@ -508,18 +455,6 @@ func (r *Reconciler) checkQuota(p *Provider, tenant, reg string, want float64, b
 		fmt.Sprintf("surface=qos region=%s bps=%g", reg, want),
 		obs.Chain("reconcile:qos:"+p.Name+"/"+reg, "drift:quota-mismatch"))
 	return true
-}
-
-// sweepQuotas is the full sweep over one region scope's quota surface.
-func (r *Reconciler) sweepQuotas(p *Provider, region string, st *intent.State, budget *int, res *SweepResult) {
-	for _, key := range sortedKeys(st.Quotas) {
-		prov, tenant, reg, ok := splitQuotaKey(key)
-		if !ok || prov != p.Name || reg != region {
-			continue
-		}
-		res.Scanned++
-		r.checkQuota(p, tenant, reg, st.Quotas[key], budget, res)
-	}
 }
 
 // aeIndex partitions one declared view into K anti-entropy buckets per
@@ -552,21 +487,21 @@ func (r *Reconciler) indexFor(st *intent.State, k int) *aeIndex {
 		idx.permits[b] = append(idx.permits[b], t)
 	}
 	for _, bkt := range idx.permits {
-		sortIPs(bkt)
+		slices.Sort(bkt)
 	}
 	for s := range st.Services {
 		b := int(uint32(s) % uint32(k))
 		idx.binds[b] = append(idx.binds[b], s)
 	}
 	for _, bkt := range idx.binds {
-		sortIPs(bkt)
+		slices.Sort(bkt)
 	}
 	for key := range st.Quotas {
 		b := bucketString(key, k)
 		idx.quotas[b] = append(idx.quotas[b], key)
 	}
 	for _, bkt := range idx.quotas {
-		sortStrings(bkt)
+		slices.Sort(bkt)
 	}
 	r.aeIdx = idx
 	return idx
@@ -582,156 +517,80 @@ func bucketString(s string, k int) int {
 	return int(h % uint32(k))
 }
 
-// incrementalSweep is one dirty + anti-entropy sweep across every
-// provider. Dirty sets are consumed before the view is taken: a
-// mutation recorded in between is covered by this view and marked for
-// the next sweep — at worst one redundant check, never a lost one.
-func (r *Reconciler) incrementalSweep(budget *int, res *SweepResult) {
-	c := r.cloud
-	k := r.cfg.AntiEntropyK
-	phase := int(r.sweeps.Load() % uint64(k))
-	provs := c.pidx.Load().list
-	dirt := make([]*convDirty, len(provs))
-	for i, p := range provs {
-		dirt[i] = c.conv.take(p.Name)
+// visit checks one surface's visit list for one provider: the dirty
+// marks in sorted order, then the rotation slices minus what a mark
+// already covered, so a target is checked at most once a sweep. check
+// reports whether the target was this provider's to examine and whether
+// it found drift.
+func visit[K cmp.Ordered](res *SweepResult, marks map[K]bool, check func(K) (mine, drift bool), rotation ...[]K) {
+	for _, k := range sortedKeys(marks) {
+		if mine, drift := check(k); mine {
+			res.Scanned++
+			if drift {
+				res.DirtyHits++
+			}
+		}
 	}
-	st := c.rec.View()
-	idx := r.indexFor(st, k)
-	for i, p := range provs {
-		r.sweepDirty(p, dirt[i], st, budget, res)
-		r.sweepAntiEntropy(p, st, idx, phase, budget, res)
+	for _, slice := range rotation {
+		for _, k := range slice {
+			if marks[k] {
+				continue
+			}
+			if mine, _ := check(k); mine {
+				res.Scanned++
+				res.AntiEntropyScanned++
+			}
+		}
 	}
 }
 
-// sweepDirty checks every target the convergence tracker marked for
-// this provider since the last sweep.
-func (r *Reconciler) sweepDirty(p *Provider, d *convDirty, st *intent.State, budget *int, res *SweepResult) {
-	if d == nil {
-		return
-	}
-	targets := make([]addr.IP, 0, len(d.permits))
-	for t := range d.permits {
-		targets = append(targets, t)
-	}
-	sortIPs(targets)
-	for _, t := range targets {
-		res.Scanned++
-		found := false
+// sweepProvider runs one provider's share of a sweep: per surface, the
+// targets the convergence tracker marked since the last sweep plus the
+// phase's rotation slice — its declared buckets (drift on declared
+// targets) and its permit engine stripes (installed-but-undeclared
+// lists). Every declared target and every installed stripe is in exactly
+// one phase, which is the K-sweep detection-lag bound for drift that
+// never marked a dirty set.
+func (r *Reconciler) sweepProvider(p *Provider, d convDirty, st *intent.State, idx *aeIndex, phase int, budget *int, res *SweepResult) {
+	c := r.cloud
+	undeclared := slices.DeleteFunc(p.Permits.TargetsOf(phase, idx.k), func(t addr.IP) bool {
+		_, declared := st.Permits[t]
+		return declared
+	})
+	visit(res, d.permits, func(t addr.IP) (mine, drift bool) {
 		if pl, ok := st.Permits[t]; ok {
-			found = r.checkDeclaredPermit(p, t, pl, budget, res)
-		} else if _, installed := p.Permits.List(t); installed {
-			found = r.checkUndeclaredPermit(p, t, budget, res)
+			// A declared bucket mixes every provider's targets.
+			if owner, ok := c.blockOwner(t); !ok || owner != p {
+				return false, false
+			}
+			return true, r.checkDeclaredPermit(p, t, pl, budget, res)
 		}
-		if found {
-			res.DirtyHits++
+		if _, installed := p.Permits.List(t); installed {
+			return true, r.checkUndeclaredPermit(p, t, budget, res)
 		}
-	}
-	sips := make([]addr.IP, 0, len(d.binds))
-	for s := range d.binds {
-		sips = append(sips, s)
-	}
-	sortIPs(sips)
-	for _, sip := range sips {
+		return true, false
+	}, idx.permits[phase], undeclared)
+	visit(res, d.binds, func(sip addr.IP) (mine, drift bool) {
+		// An undeclared mark was a release: the live service went with it.
 		want, ok := st.Services[sip]
-		if !ok {
-			continue // released: the live service went with it
+		if !ok || want.Provider != p.Name {
+			return false, false
 		}
-		res.Scanned++
-		if r.checkBindService(p, sip, want, budget, res) {
-			res.DirtyHits++
-		}
-	}
-	keys := make([]string, 0, len(d.quotas))
-	for k := range d.quotas {
-		keys = append(keys, k)
-	}
-	sortStrings(keys)
-	for _, key := range keys {
+		return true, r.checkBindService(p, sip, want, budget, res)
+	}, idx.binds[phase])
+	visit(res, d.quotas, func(key string) (mine, drift bool) {
 		want, ok := st.Quotas[key]
-		if !ok {
-			continue
+		prov, tenant, reg, parsed := intent.ParseQuotaKey(key)
+		if !ok || !parsed || prov != p.Name {
+			return false, false
 		}
-		prov, tenant, reg, ok := splitQuotaKey(key)
-		if !ok || prov != p.Name {
-			continue
-		}
-		res.Scanned++
-		if r.checkQuota(p, tenant, reg, want, budget, res) {
-			res.DirtyHits++
-		}
-	}
+		return true, r.checkQuota(p, tenant, reg, want, budget, res)
+	}, idx.quotas[phase])
 }
 
-// sweepAntiEntropy checks this sweep's 1/K rotation slice: the phase's
-// declared buckets (drift on declared targets) and the phase's permit
-// engine stripes (installed-but-undeclared lists). Every declared
-// target and every installed stripe is visited once per K sweeps, which
-// is the detection-lag bound for drift that never marked a dirty set.
-func (r *Reconciler) sweepAntiEntropy(p *Provider, st *intent.State, idx *aeIndex, phase int, budget *int, res *SweepResult) {
-	c := r.cloud
-	for _, t := range idx.permits[phase] {
-		if owner, ok := c.blockOwner(t); !ok || owner != p {
-			continue
-		}
-		res.Scanned++
-		res.AntiEntropyScanned++
-		r.checkDeclaredPermit(p, t, st.Permits[t], budget, res)
-	}
-	for _, t := range p.Permits.TargetsOf(phase, idx.k) {
-		if _, ok := st.Permits[t]; ok {
-			continue
-		}
-		res.Scanned++
-		res.AntiEntropyScanned++
-		r.checkUndeclaredPermit(p, t, budget, res)
-	}
-	for _, sip := range idx.binds[phase] {
-		want := st.Services[sip]
-		if want.Provider != p.Name {
-			continue
-		}
-		res.Scanned++
-		res.AntiEntropyScanned++
-		r.checkBindService(p, sip, want, budget, res)
-	}
-	for _, key := range idx.quotas[phase] {
-		prov, tenant, reg, ok := splitQuotaKey(key)
-		if !ok || prov != p.Name {
-			continue
-		}
-		res.Scanned++
-		res.AntiEntropyScanned++
-		r.checkQuota(p, tenant, reg, st.Quotas[key], budget, res)
-	}
-}
-
-// splitQuotaKey parses intent.QuotaKey's provider|tenant|region form.
-func splitQuotaKey(key string) (prov, tenant, region string, ok bool) {
-	i := indexByte(key, '|')
-	if i < 0 {
-		return "", "", "", false
-	}
-	j := indexByte(key[i+1:], '|')
-	if j < 0 {
-		return "", "", "", false
-	}
-	return key[:i], key[i+1 : i+1+j], key[i+1+j+1:], true
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
-}
-
-// Start launches the background sweep. In full-scan mode (K == 0) it
-// runs one goroutine per (provider, region) scope — plus each
-// provider's SIP plane — each sweeping its own slice every Interval.
-// In incremental mode the dirty sets are global consumables, so one
-// goroutine runs whole incremental sweeps instead. Idempotent.
+// Start launches the background sweep: one goroutine running a whole
+// sweep every Interval (the dirty sets are global consumables, so sweeps
+// do not run side by side). Idempotent.
 func (r *Reconciler) Start() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -740,22 +599,12 @@ func (r *Reconciler) Start() {
 	}
 	r.running = true
 	r.stop = make(chan struct{})
-	if r.cfg.AntiEntropyK > 0 {
-		r.done.Add(1)
-		go r.loopIncremental()
-		return
-	}
-	for _, p := range r.cloud.pidx.Load().list {
-		for _, region := range p.sweepScopes() {
-			p, region := p, region
-			r.done.Add(1)
-			go r.loop(p, region)
-		}
-	}
+	r.done.Add(1)
+	go r.loop()
 }
 
-// loop is one scope's periodic full sweep.
-func (r *Reconciler) loop(p *Provider, region string) {
+// loop is the background sweep: Gate, RunSweep, release.
+func (r *Reconciler) loop() {
 	defer r.done.Done()
 	t := time.NewTicker(r.cfg.Interval)
 	defer t.Stop()
@@ -763,45 +612,18 @@ func (r *Reconciler) loop(p *Provider, region string) {
 		select {
 		case <-r.stop:
 			return
-		case start := <-t.C:
+		case <-t.C:
 			release := func() {}
 			if r.cfg.Gate != nil {
 				release = r.cfg.Gate()
 			}
-			st := r.cloud.rec.View()
-			budget := r.cfg.RepairBudget
-			var res SweepResult
-			r.sweepScope(p, region, st, &budget, &res)
+			r.RunSweep()
 			release()
-			r.finishSweep(start, &res)
 		}
 	}
 }
 
-// loopIncremental is the background incremental sweep.
-func (r *Reconciler) loopIncremental() {
-	defer r.done.Done()
-	t := time.NewTicker(r.cfg.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case start := <-t.C:
-			release := func() {}
-			if r.cfg.Gate != nil {
-				release = r.cfg.Gate()
-			}
-			budget := r.cfg.RepairBudget
-			var res SweepResult
-			r.incrementalSweep(&budget, &res)
-			release()
-			r.finishSweep(start, &res)
-		}
-	}
-}
-
-// Stop halts the background goroutines and waits for them to exit.
+// Stop halts the background goroutine and waits for it to exit.
 // Idempotent; RunSweep remains usable afterwards.
 func (r *Reconciler) Stop() {
 	r.mu.Lock()
@@ -821,8 +643,8 @@ type ReconcileStatus struct {
 	Running        bool    `json:"running"`
 	IntervalMillis float64 `json:"interval_ms"`
 	RepairBudget   int     `json:"repair_budget"`
-	// AntiEntropyK is 0 for the full-scan sweep, K for the incremental
-	// sweep with a 1/K anti-entropy rotation.
+	// AntiEntropyK is K of the 1/K anti-entropy rotation (1 = every sweep
+	// walks the whole world).
 	AntiEntropyK int    `json:"anti_entropy_k"`
 	Sweeps       uint64 `json:"sweeps"`
 	Repairs      uint64 `json:"repairs"`

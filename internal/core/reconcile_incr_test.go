@@ -10,47 +10,14 @@ import (
 	"declnet/internal/topo"
 )
 
-// TestSweepScopesNoAlias pins the fix for the reconciler's old
-// append(p.Regions(), "") pattern: scope lists and region lists must
-// never share a backing array, so mutating one can never corrupt a
-// scope another goroutine is sweeping.
-func TestSweepScopesNoAlias(t *testing.T) {
-	_, _, pa, _, _ := fig1Cloud(t)
-	scopes := pa.sweepScopes()
-	regions := pa.Regions()
-	if len(scopes) != len(regions)+1 || scopes[len(scopes)-1] != "" {
-		t.Fatalf("sweepScopes = %v, want regions %v plus \"\"", scopes, regions)
-	}
-	for i, r := range regions {
-		if scopes[i] != r {
-			t.Fatalf("sweepScopes[%d] = %q, want %q", i, scopes[i], r)
-		}
-	}
-	// The historical hazard: appending to one returned slice must not
-	// rewrite another's contents.
-	s1 := pa.sweepScopes()
-	_ = append(pa.Regions(), "clobber")
-	_ = append(pa.sweepScopes(), "clobber")
-	for i := range s1 {
-		if s1[i] != scopes[i] {
-			t.Fatalf("scope slice aliased: index %d became %q", i, s1[i])
-		}
-	}
-	s2 := pa.sweepScopes()
-	s2[len(s2)-1] = "mutated"
-	if got := pa.sweepScopes(); got[len(got)-1] != "" {
-		t.Fatal("mutating a returned scope slice leaked into a later call")
-	}
-}
-
 // incrWorld is one subject world of the parity property test.
 type incrWorld struct {
 	c      *Cloud
 	w      *topo.Fig1World
 	pa, pb *Provider
 	l      *intent.Log
-	rIncr  *Reconciler // incremental sweep under test
-	rFull  *Reconciler // full-scan oracle on the same world
+	rIncr  *Reconciler // K=incrK sweep under test
+	rFull  *Reconciler // K=1 oracle on the same world: every sweep walks everything
 	eip1   addr.IP
 	eip2   addr.IP
 	dst    addr.IP
@@ -67,13 +34,13 @@ func (iw *incrWorld) buildReconcilers(t *testing.T) {
 	}
 	// A cloud holds one reconciler; the oracle is built directly so the
 	// same world can be swept both ways.
-	iw.rFull = &Reconciler{cloud: iw.c, cfg: ReconcilerConfig{RepairBudget: 256}}
+	iw.rFull = &Reconciler{cloud: iw.c, cfg: ReconcilerConfig{RepairBudget: 256, AntiEntropyK: 1}}
 }
 
 // TestIncrementalSweepParity is the property test: under randomized
-// journaled mutation, chaos-hook drift, and crash recovery, K+1
-// incremental sweeps must leave nothing for a full-scan sweep to find,
-// and the incremental (cached) digest must equal a cold full walk.
+// journaled mutation, chaos-hook drift, and crash recovery, K+1 sweeps
+// at K=incrK must leave nothing for a K=1 whole-world sweep to find, and
+// the incremental (cached) digest must equal a cold full walk.
 func TestIncrementalSweepParity(t *testing.T) {
 	dir := t.TempDir()
 	iw := &incrWorld{}
@@ -147,12 +114,12 @@ func TestIncrementalSweepParity(t *testing.T) {
 		}
 
 		// K sweeps cover every anti-entropy phase; +1 for the repair
-		// confirm. After that a full scan must find a converged world.
+		// confirm. After that a K=1 walk must find a converged world.
 		for i := 0; i < incrK+1; i++ {
 			iw.rIncr.RunSweep()
 		}
 		if res := iw.rFull.RunSweep(); sweepWork(res) != (SweepResult{}) {
-			t.Fatalf("round %d: full sweep found work after incremental convergence: %+v", round, res)
+			t.Fatalf("round %d: K=1 sweep found work after K=%d convergence: %+v", round, incrK, res)
 		}
 		if inc, full := iw.c.StateDigest(), iw.c.StateDigestFull(); inc != full {
 			t.Fatalf("round %d: incremental digest %s != full walk %s", round, inc, full)
@@ -212,6 +179,77 @@ func TestChaosDriftDetectedWithinK(t *testing.T) {
 		t.Error("no anti-entropy scanning during detection window")
 	}
 	t.Logf("chaos drift repaired after %d/%d sweeps, %d anti-entropy checks", sweeps, k, aeScanned)
+}
+
+// TestSweepVisitsEachTargetOnce pins the once-per-sweep rule: a target
+// that is both dirty-marked and in the phase's rotation slice is checked
+// once, so with the repair budget spent its drift, its deferral and its
+// scan are each counted once — at K=1, where the slice is the whole
+// world, and at K=3.
+func TestSweepVisitsEachTargetOnce(t *testing.T) {
+	for _, k := range []int{1, 3} {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+			c, w, pa, pb, _ := fig1Cloud(t)
+			l, err := intent.Open(t.TempDir(), intent.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			c.EnableIntent(l)
+			_, eip2, dst, sip := populate(t, c, w, pa, pb)
+			r, err := c.EnableReconciler(ReconcilerConfig{AntiEntropyK: k, RepairBudget: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			phase := func() int { return int(r.Status().Sweeps % uint64(k)) }
+			// Drain the setup's dirty marks, then record what a sweep of
+			// the converged, unmarked world scans in each phase.
+			r.RunSweep()
+			clean := make([]int, k)
+			for i := 0; i < k; i++ {
+				ph := phase()
+				res := r.RunSweep()
+				if sweepWork(res) != (SweepResult{}) || res.DirtyHits != 0 || res.AntiEntropyScanned != res.Scanned {
+					t.Fatalf("clean sweep in phase %d = %+v", ph, res)
+				}
+				clean[ph] = res.Scanned
+			}
+			// Stop before the phase whose slice holds dst.
+			for phase() != int(uint32(dst)%uint32(k)) {
+				r.RunSweep()
+			}
+			// Mark the list and the service dirty through journaled verbs,
+			// then corrupt both behind the recorder's back.
+			if err := pb.Permit("acme", dst, pfx("10.9.0.0/16")); err != nil {
+				t.Fatal(err)
+			}
+			if err := pa.Unbind("acme", eip2, sip); err != nil {
+				t.Fatal(err)
+			}
+			if err := pa.Bind("acme", eip2, sip, 1); err != nil {
+				t.Fatal(err)
+			}
+			if !c.DriftWipePermit(dst) || !c.DriftUnbind(sip, eip2) {
+				t.Fatal("drift injection failed")
+			}
+			want := SweepResult{
+				DriftPermits: 1, DriftBinds: 1,
+				Repaired: 1, Deferred: 1, // cloudA sweeps first: its bind takes the budget, cloudB's list waits
+				DirtyHits: 2,
+				Scanned:   clean[phase()], // dst's mark replaces its rotation visit
+			}
+			if uint32(sip)%uint32(k) != uint32(phase()) {
+				want.Scanned++ // the service's mark is outside this slice
+			}
+			want.AntiEntropyScanned = want.Scanned - 2
+			if got := r.RunSweep(); got != want {
+				t.Fatalf("sweep over a marked, drifted list and bind:\n got %+v\nwant %+v", got, want)
+			}
+			if q := r.Status().QueueDepth; q != 1 {
+				t.Errorf("QueueDepth = %d, want 1", q)
+			}
+		})
+	}
 }
 
 // TestRestoreIntentWorkersParallel pins the parallel recovery path to

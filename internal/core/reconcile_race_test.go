@@ -208,9 +208,9 @@ func TestSweepNeverRevertsMutations(t *testing.T) {
 	}
 
 	// Live state == declared state == what a restart rebuilds.
-	full := &Reconciler{cloud: c, cfg: ReconcilerConfig{RepairBudget: 256}}
+	full := &Reconciler{cloud: c, cfg: ReconcilerConfig{RepairBudget: 256, AntiEntropyK: 1}}
 	if res := full.RunSweep(); sweepWork(res) != (SweepResult{}) {
-		t.Errorf("a full scan of the quiesced world found work: %+v", res)
+		t.Errorf("a K=1 walk of the quiesced world found work: %+v", res)
 	}
 	want := c.StateDigest()
 	if cold := c.StateDigestFull(); cold != want {

@@ -21,8 +21,10 @@ var volatile = map[string]*regexp.Regexp{
 	"E12": regexp.MustCompile(`-?\d+\.\d+(ms|%)`),
 	// E13's drill measures real wall clock under real contention; every
 	// timing cell carries a us/ms/B//s/x suffix so exactly those cells
-	// mask while the deterministic counters stay pinned.
-	"E13": regexp.MustCompile(`-?\d+(\.\d+)?(us|ms|x|B|/s)\b`),
+	// mask while the deterministic counters stay pinned. The storm
+	// isolation gate's pass/FAIL cell is derived from those timings, so it
+	// masks too; TestE13Shape is where the gate is asserted.
+	"E13": regexp.MustCompile(`-?\d+(\.\d+)?(us|ms|x|B|/s)\b|\b(pass|FAIL)\b`),
 	// E14's detector compares wall-clock window p99s; the us/x cells mask
 	// while the detection verdicts, attribution strings, and counts pin.
 	"E14": regexp.MustCompile(`-?\d+(\.\d+)?(us|ms|x|%|/s)\b`),

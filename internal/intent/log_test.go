@@ -433,3 +433,20 @@ func asCorrupt(err error, target **CorruptError) bool {
 	}
 	return ok
 }
+
+// TestParseQuotaKey: ParseQuotaKey inverts QuotaKey and rejects anything
+// with fewer than three fields.
+func TestParseQuotaKey(t *testing.T) {
+	p, tn, r, ok := ParseQuotaKey(QuotaKey("cloudA", "acme", "a-east"))
+	if !ok || p != "cloudA" || tn != "acme" || r != "a-east" {
+		t.Fatalf("round trip = %q %q %q %v", p, tn, r, ok)
+	}
+	if _, _, r, ok := ParseQuotaKey(QuotaKey("cloudA", "acme", "")); !ok || r != "" {
+		t.Fatalf("empty region = %q %v, want \"\" true", r, ok)
+	}
+	for _, bad := range []string{"", "cloudA", "cloudA|acme"} {
+		if _, _, _, ok := ParseQuotaKey(bad); ok {
+			t.Errorf("ParseQuotaKey(%q) accepted a malformed key", bad)
+		}
+	}
+}

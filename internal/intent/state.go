@@ -10,6 +10,7 @@ package intent
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"declnet/internal/addr"
 )
@@ -184,6 +185,14 @@ func ProvGroupKey(provider, tenant, name string) string {
 	return provider + "|" + tenant + "|" + name
 }
 func PoolKey(provider, region string) string { return provider + "/" + region }
+
+// ParseQuotaKey is QuotaKey's inverse; ok is false for a string QuotaKey
+// could not have built.
+func ParseQuotaKey(key string) (provider, tenant, region string, ok bool) {
+	provider, rest, ok1 := strings.Cut(key, "|")
+	tenant, region, ok2 := strings.Cut(rest, "|")
+	return provider, tenant, region, ok1 && ok2
+}
 
 func (s *State) eipPool(provider, region string) *PoolState {
 	k := PoolKey(provider, region)

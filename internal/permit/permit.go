@@ -31,10 +31,6 @@ type List struct {
 	exact    map[addr.IP]bool
 	prefixes routing.Trie[bool]
 	version  atomic.Uint64
-	// batching defers version bumps (see BeginBatch); dirty records that
-	// at least one mutation is awaiting the coalesced bump.
-	batching bool
-	dirty    bool
 }
 
 // NewList returns an empty (deny-everything) list.
@@ -49,7 +45,7 @@ func (l *List) Add(e Entry) {
 	} else {
 		l.prefixes.Insert(e, true)
 	}
-	l.bump()
+	l.version.Add(1)
 }
 
 // Remove revokes one source entry, reporting whether it was present.
@@ -62,7 +58,7 @@ func (l *List) Remove(e Entry) bool {
 		ok = l.prefixes.Delete(e)
 	}
 	if ok {
-		l.bump()
+		l.version.Add(1)
 	}
 	return ok
 }
@@ -79,32 +75,9 @@ func (l *List) Permits(src addr.IP) bool {
 // Len returns the number of entries.
 func (l *List) Len() int { return len(l.exact) + l.prefixes.Len() }
 
-// Version increments on every mutation (once per batch while batching);
-// replicas and memoized admission verdicts compare versions.
+// Version increments on every mutation; replicas and memoized admission
+// verdicts compare versions.
 func (l *List) Version() uint64 { return l.version.Load() }
-
-// bump advances the version, or defers it inside a batch.
-func (l *List) bump() {
-	if l.batching {
-		l.dirty = true
-		return
-	}
-	l.version.Add(1)
-}
-
-// BeginBatch defers version bumps: mutations until EndBatch advance
-// Version once, not once per entry, so version-keyed caches (the
-// connect fast path's memoized admission verdicts) are invalidated once
-// per batch instead of N times.
-func (l *List) BeginBatch() { l.batching = true }
-
-// EndBatch applies the deferred bump if any mutation happened.
-func (l *List) EndBatch() {
-	if l.dirty {
-		l.version.Add(1)
-	}
-	l.batching, l.dirty = false, false
-}
 
 // Entries returns all entries: exact /32s sorted by address, then
 // prefixes in the trie's deterministic order — stable across runs so
@@ -160,12 +133,6 @@ type Engine struct {
 	// while control-plane writes mutate the lists under stripe locks.
 	Lookups atomic.Uint64
 	Updates atomic.Uint64
-	// batchDepth nests batches; touched tracks lists whose version bump
-	// is deferred until the outermost EndBatch. Batches require external
-	// write exclusion over the whole engine (core's global shard gate
-	// provides it), so these fields take no lock of their own.
-	batchDepth int
-	touched    map[addr.IP]*List
 }
 
 // NewEngine returns an empty engine with the default stripe count.
@@ -190,46 +157,11 @@ func (e *Engine) stripeOf(ip addr.IP) *engineStripe {
 	return &e.stripes[(uint32(ip)>>16)&uint32(len(e.stripes)-1)]
 }
 
-// BeginBatch opens a coalescing window (nestable): until the matching
-// EndBatch, each mutated list's Version advances at most once, and
-// Updates counts batched entries — the per-entry work the enforcement
-// points actually absorb — rather than one per Set call.
-func (e *Engine) BeginBatch() {
-	if e.batchDepth == 0 && e.touched == nil {
-		e.touched = make(map[addr.IP]*List)
-	}
-	e.batchDepth++
-}
-
-// EndBatch closes the window, applying one deferred version bump per
-// mutated list.
-func (e *Engine) EndBatch() {
-	if e.batchDepth == 0 {
-		panic("permit: EndBatch without BeginBatch")
-	}
-	if e.batchDepth--; e.batchDepth > 0 {
-		return
-	}
-	for _, l := range e.touched {
-		l.EndBatch()
-	}
-	clear(e.touched)
-}
-
-// enroll defers dst's version bumps for the duration of the batch.
-func (e *Engine) enroll(dst addr.IP, l *List) {
-	if e.batchDepth == 0 {
-		return
-	}
-	if _, ok := e.touched[dst]; !ok {
-		l.BeginBatch()
-		e.touched[dst] = l
-	}
-}
-
 // Set replaces the permit list for dst (the set_permit_list API verb).
-// Outside a batch one Set is one update (the E4 accounting the golden
-// tables pin); inside a batch Updates counts the entries installed.
+// One Set is one update (the E4 accounting the golden tables pin). The
+// list is built before the stripe lock is taken, which is held only for
+// the install; the fresh list pointer alone invalidates version-keyed
+// verdicts.
 func (e *Engine) Set(dst addr.IP, entries []Entry) {
 	l := NewList()
 	for _, en := range entries {
@@ -238,16 +170,6 @@ func (e *Engine) Set(dst addr.IP, entries []Entry) {
 	s := e.stripeOf(dst)
 	s.mu.Lock()
 	s.lists[dst] = l
-	// The old list (if any) dies with its deferred bump; the new pointer
-	// alone invalidates version-keyed verdicts, but enroll it so later
-	// batched mutations of dst coalesce too.
-	if e.batchDepth > 0 {
-		delete(e.touched, dst)
-		e.enroll(dst, l)
-		s.mu.Unlock()
-		e.Updates.Add(uint64(len(entries)))
-		return
-	}
 	s.mu.Unlock()
 	e.Updates.Add(1)
 }
@@ -261,7 +183,6 @@ func (e *Engine) Permit(dst addr.IP, en Entry) {
 		l = NewList()
 		s.lists[dst] = l
 	}
-	e.enroll(dst, l)
 	l.Add(en)
 	s.mu.Unlock()
 	e.Updates.Add(1)
@@ -276,30 +197,10 @@ func (e *Engine) Revoke(dst addr.IP, en Entry) bool {
 		s.mu.Unlock()
 		return false
 	}
-	e.enroll(dst, l)
 	removed := l.Remove(en)
 	s.mu.Unlock()
 	e.Updates.Add(1)
 	return removed
-}
-
-// SetFresh installs a brand-new list for dst without enrolling it in
-// any open batch window. Parallel restore workers use it: the fresh
-// list pointer alone invalidates version-keyed verdicts, and skipping
-// enrollment keeps the batch bookkeeping — which requires external
-// write exclusion over the whole engine — off the concurrent path.
-// Only the stripe lock is taken, so workers in different stripes never
-// serialize and same-stripe workers serialize only on the map write.
-func (e *Engine) SetFresh(dst addr.IP, entries []Entry) {
-	l := NewList()
-	for _, en := range entries {
-		l.Add(en)
-	}
-	s := e.stripeOf(dst)
-	s.mu.Lock()
-	s.lists[dst] = l
-	s.mu.Unlock()
-	e.Updates.Add(1)
 }
 
 // Drop removes dst's entire list (endpoint teardown).

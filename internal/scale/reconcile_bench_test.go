@@ -62,27 +62,23 @@ func reconcileWorld(b *testing.B, cfg Config, k int) (*world, *core.Reconciler) 
 	}
 	// Drain the onboarding dirt and cover every anti-entropy phase so
 	// the measured sweeps start from a converged world.
-	drain := k + 1
-	if drain < 2 {
-		drain = 2
-	}
-	for i := 0; i < drain; i++ {
+	for i := 0; i < k+1; i++ {
 		r.RunSweep()
 	}
 	return w, r
 }
 
-// reconcileK is the incremental arms' rotation width. 1/16 of the
-// declared world per sweep keeps the steady-state cost an order of
-// magnitude under the full scan (the benchdiff gate reads the ratio)
+// reconcileK is the incr arms' rotation width. 1/16 of the declared
+// world per sweep keeps the steady-state cost an order of magnitude
+// under the K=1 whole-world walk (the benchdiff gate reads the ratio)
 // while bounding undirtied-drift detection to 16 sweeps.
 const reconcileK = 16
 
 // BenchmarkReconcileSweep measures one reconciliation sweep over the
-// 10^5-endpoint tier three ways: the legacy full scan, the incremental
-// dirty + anti-entropy sweep on a converged world, and the incremental
-// sweep under a chaos drift storm (500 wiped permit lists per cycle,
-// repaired within one full rotation). benchjson derives
+// 10^5-endpoint tier three ways: K=1, where the rotation slice is the
+// whole world ("full"), K=16 on a converged world ("incr"), and K=16
+// under a chaos drift storm (500 wiped permit lists per cycle, repaired
+// within one full rotation). benchjson derives
 // reconcile_incr_full_ratio from the first two — the number `make
 // benchdiff` gates at <= 0.1.
 func BenchmarkReconcileSweep(b *testing.B) {
@@ -108,7 +104,7 @@ func BenchmarkReconcileSweep(b *testing.B) {
 			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "sweep_ms")
 		}
 	}
-	b.Run("full", steady(0))
+	b.Run("full", steady(1))
 	b.Run("incr", steady(reconcileK))
 	b.Run("incr_drift_storm", func(b *testing.B) {
 		const wipes = 500
