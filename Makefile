@@ -24,7 +24,7 @@ vet:
 	$(GO) vet ./...
 
 # The solver, the parallel sweep driver, the concurrent read plane
-# (core caches + API RWMutex), and the lock-free SLO/trace planes are the
+# (path cache + API RWMutex), and the lock-free SLO/trace planes are the
 # concurrency-sensitive packages; run them under the race detector.
 race:
 	$(GO) test -race ./internal/netsim/... ./internal/exp/... ./internal/core/... ./internal/api/... ./internal/scale/... ./internal/slo/... ./internal/obs/... ./internal/intent/...
@@ -43,8 +43,10 @@ benchsmoke:
 # mutate artifact concatenates two packages' runs: the mixed read/write
 # plane lives in the root package, the /v1/batch onboarding comparison
 # in internal/api (it needs the HTTP server, which imports the root).
-# The reconcile artifact gates one steady-state sweep at K=16 against the
-# same reconciler at K=1, where every sweep walks the whole world.
+# The reconcile artifact measures one steady-state sweep at K=16 beside
+# the same reconciler at K=1; it is a measurement, not a gate — the cost
+# relation is asserted as a count by
+# TestSteadyStateSweepIsOneKthOfTheWorld in internal/core.
 benchdiff:
 	$(GO) test -run '^$$' -bench 'Connect|ShortestPath|PotatoPath' -benchmem -benchtime $(BENCHTIME) . \
 		| $(GO) run ./cmd/benchjson -o BENCH_connect.json
@@ -63,7 +65,7 @@ benchdiff:
 		| $(GO) run ./cmd/benchjson -o BENCH_recover.json -gate 'recover_sec<=3'
 	@cat BENCH_recover.json
 	$(GO) test -run '^$$' -bench 'ReconcileSweep' -benchtime 1x -timeout 30m ./internal/scale/ \
-		| $(GO) run ./cmd/benchjson -o BENCH_reconcile.json -gate 'reconcile_incr_full_ratio<=0.1'
+		| $(GO) run ./cmd/benchjson -o BENCH_reconcile.json
 	@cat BENCH_reconcile.json
 
 # The full-tier scale drill: a 10^6-EIP E13 run. The drill is

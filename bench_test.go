@@ -449,8 +449,8 @@ func BenchmarkDeclarativeConnect(b *testing.B) {
 }
 
 // BenchmarkConnect measures the declarative connect fast path on a dense
-// Fig-1 world (50 hosts per zone). warm hits the epoch-keyed path cache and
-// the admission/provider caches on every op; cold bumps the topology epoch
+// Fig-1 world (50 hosts per zone). warm hits the epoch-keyed path cache
+// on every op; cold bumps the topology epoch
 // before each connect (a SetLinkUp no-op write still advances the epoch)
 // so every op pays a full Dijkstra plus a cache flush. The warm/cold ratio
 // is the fast path's whole value proposition in one number.
@@ -502,7 +502,7 @@ func BenchmarkConnect(b *testing.B) {
 // BenchmarkConnectParallel drives warm connects from all procs with an
 // external mutex serializing the connect itself — the shape the API server
 // imposes (exclusive lock on writes) — so the benchmark surfaces any
-// contention the read-side caches add under parallel load.
+// contention the read plane adds under parallel load.
 func BenchmarkConnectParallel(b *testing.B) {
 	d, err := exp.BuildDeclarativeFig1(1, 50)
 	if err != nil {

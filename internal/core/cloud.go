@@ -14,7 +14,6 @@ import (
 	"declnet/internal/metrics"
 	"declnet/internal/netsim"
 	"declnet/internal/obs"
-	"declnet/internal/permit"
 	"declnet/internal/qos"
 	"declnet/internal/sim"
 	"declnet/internal/slo"
@@ -73,16 +72,6 @@ type Cloud struct {
 	mConnectsErr    *metrics.RCounter
 	mProbes         *metrics.RCounter
 	mExplains       *metrics.RCounter
-	// ipMemo is a two-entry IP→string cache for traceEvent: one traced
-	// connection stringifies the same (src, dst) pair three times, so two
-	// slots catch nearly every repeat without a map. memoMu keeps it
-	// race-clean now that read-only diagnosis (Explain) can trace from
-	// concurrent API readers.
-	memoMu sync.Mutex
-	ipMemo [2]struct {
-		ip addr.IP
-		s  string
-	}
 
 	// slo is the live SLO plane, nil until EnableSLO (see slo.go);
 	// nil-safe at every call site like the tracer.
@@ -96,14 +85,11 @@ type Cloud struct {
 	// (see reconcile.go).
 	reconciler *Reconciler
 
-	// conv tracks per-scope dirty sets and digest section versions; see
+	// conv holds the reconciler's per-provider dirty sets; see
 	// convtrack.go. Fed by the intent log's record hook once EnableIntent
-	// wires it, plus the non-journaled mutation sites (drift hooks,
-	// reconciler repairs, fault-deferred permit landings). digests is the
-	// per-section digest memo StateDigest reads through; both are
-	// zero-value-usable.
-	conv    convTracker
-	digests digestCache
+	// wires it, plus the fault monitor's deferred permit landings.
+	// Zero-value-usable.
+	conv convTracker
 
 	// refMu guards tenantRefs: live address grants per tenant, so the
 	// observability planes can evict a fully-released tenant's state
@@ -114,12 +100,6 @@ type Cloud struct {
 	// router is the epoch-keyed path cache in front of qos.PathFor; every
 	// Connect/Probe/Explain routes through it.
 	router *qos.Router
-
-	// adm is the striped admission-verdict cache, striped by the
-	// destination's /16 block like every other per-address structure, so
-	// a permit storm against one region's endpoints never contends with
-	// admission checks in another region.
-	adm [addrStripes]admStripe
 }
 
 // provIndex is one immutable snapshot of the provider registry.
@@ -140,32 +120,6 @@ type provBlock struct {
 	region string
 	shard  string
 }
-
-// admStripe is one stripe of the admission-verdict cache.
-type admStripe struct {
-	mu sync.Mutex
-	m  map[admKey]admVal
-}
-
-// admKey identifies one admission query.
-type admKey struct{ src, dst addr.IP }
-
-// admVal is a cached permit verdict plus the evidence it is still
-// current: the exact list object and version the verdict was computed
-// against.
-type admVal struct {
-	allowed bool
-	list    *permit.List
-	version uint64
-}
-
-// fastPathCap bounds the fast-path caches; at the cap they are flushed
-// wholesale (simple, and far larger than any working set here). Each
-// admission stripe gets an equal share.
-const (
-	fastPathCap  = 1 << 16
-	admStripeCap = fastPathCap / addrStripes
-)
 
 // NewCloud wraps a world graph in a simulation. The control plane is
 // sharded by (tenant, region); use NewSingleShardCloud for the
@@ -192,9 +146,6 @@ func newCloud(seed int64, g *topo.Graph, singleShard bool) *Cloud {
 		names:      make(map[string]map[string]addr.IP),
 		tenantRefs: make(map[string]int),
 		router:     qos.NewRouter(g),
-	}
-	for i := range c.adm {
-		c.adm[i].m = make(map[admKey]admVal)
 	}
 	c.pidx.Store(&provIndex{byName: map[string]*Provider{}})
 	return c
@@ -375,38 +326,14 @@ func (c *Cloud) providerOfAddr(ip addr.IP) (*Provider, bool) {
 	return nil, false
 }
 
-// admitted is dstProv.Permits.Check(src, dst) behind a verdict cache. A
-// hit still counts one Lookups unit — the counter means "admission checks
-// enforced", not "trie walks" — and is valid only while dst's list is the
-// same object at the same version. The unguarded (no list) case is not
-// cached: default-off deny is already a single map probe.
+// admitted is the admission check of the connect path: the destination
+// provider's permit engine, one Lookups unit per call. The first check of
+// a target after a stamped permit update is the moment that update became
+// visible to admission — the resolve point of the SLO plane's live
+// permit-propagation-lag sampler; the pending gate keeps the idle cost to
+// one atomic load.
 func (c *Cloud) admitted(dstProv *Provider, src, dst addr.IP) bool {
-	l, ok := dstProv.Permits.List(dst)
-	if !ok {
-		return dstProv.Permits.Check(src, dst)
-	}
-	ver := l.Version()
-	key := admKey{src, dst}
-	s := &c.adm[stripeOf(dst)]
-	s.mu.Lock()
-	if v, hit := s.m[key]; hit && v.list == l && v.version == ver {
-		s.mu.Unlock()
-		dstProv.Permits.Lookups.Add(1)
-		return v.allowed
-	}
-	s.mu.Unlock()
 	allowed := dstProv.Permits.Check(src, dst)
-	s.mu.Lock()
-	if len(s.m) >= admStripeCap {
-		clear(s.m)
-	}
-	s.m[key] = admVal{allowed: allowed, list: l, version: ver}
-	s.mu.Unlock()
-	// A fill means this destination's current permit list version just
-	// became visible to admission — the resolve point of the SLO plane's
-	// live permit-propagation-lag sampler. The fill path owns the shard
-	// derivation (the stamp side stays one atomic add when sampled out),
-	// and the pending gate keeps the idle cost to one atomic load.
 	if c.slo.PendingLagSamples() > 0 {
 		region := dstProv.Name
 		if ep, ok := dstProv.addrs.getEndpoint(dst); ok {
@@ -836,4 +763,3 @@ func (c *Cloud) Admitted(src EIP, dst addr.IP) bool {
 
 // Ensure interface satisfaction.
 var _ qos.RateSetter = (*flowAdapter)(nil)
-var _ = permit.Entry{}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"declnet/internal/addr"
@@ -22,8 +23,8 @@ import (
 // bumps via the injector's coalescing window), and batched permit churn
 // through ApplyBatch, so every invalidation path — scoped staleness,
 // wholesale flush, and coalesced batch bumps — is exercised against the
-// same oracle. Connects ride along so the admission and provider-of-addr
-// caches churn under the same schedule. CI runs this under -race.
+// same oracle. Connects ride along so the connect path's own router
+// lookups run under the same schedule. CI runs this under -race.
 func TestPropertyPathCacheParity(t *testing.T) {
 	var totalInvalidations uint64
 	for seed := int64(1); seed <= 6; seed++ {
@@ -144,8 +145,8 @@ func TestPropertyPathCacheParity(t *testing.T) {
 					reg := regions[rng.Intn(len(regions))]
 					inj.RestoreRegion(reg[0], reg[1])
 				}
-				// Batched permit churn on roughly a third of the steps: the
-				// verdict memo must track coalesced version bumps too.
+				// Batched permit churn on roughly a third of the steps: a
+				// batch's permit ops must never touch the path cache.
 				if rng.Intn(3) == 0 {
 					entry := addr.NewPrefix(addr.IP(0x0a000000+uint32(i)), 32)
 					if _, err := c.ApplyBatch("acme", []BatchOp{
@@ -174,5 +175,69 @@ func TestPropertyPathCacheParity(t *testing.T) {
 	// the scoped invalidation path was never exercised.
 	if totalInvalidations == 0 {
 		t.Error("no scoped invalidations across any seed")
+	}
+}
+
+// TestAdmissionFollowsPermitRevoke pins admission's freshness under
+// concurrency: while other goroutines probe the same (src, dst) pair
+// without pause, once a revoke has returned the source's next Probe is
+// denied, and once a permit has returned it is admitted — no verdict
+// computed against an older list may outlive the mutation. Run under
+// -race.
+func TestAdmissionFollowsPermitRevoke(t *testing.T) {
+	c, w, pa, pb, _ := fig1Cloud(t)
+	src, err := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// other stays permitted throughout, so dst's list never empties.
+	if err := pb.SetPermitList("acme", dst, []permit.Entry{addr.NewPrefix(other, 32)}); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(stop)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				c.Probe("acme", src, dst)
+				if !c.Admitted(other, dst) {
+					t.Error("a source permitted throughout was denied")
+					return
+				}
+			}
+		}()
+	}
+	entry := addr.NewPrefix(src, 32)
+	for i := 0; i < 200; i++ {
+		if err := pb.Permit("acme", dst, entry); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.Probe("acme", src, dst); err != nil {
+			t.Fatalf("round %d: probe after permit returned: %v", i, err)
+		}
+		if err := pb.Revoke("acme", dst, entry); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.Probe("acme", src, dst); err == nil || !strings.Contains(err.Error(), "not permitted") {
+			t.Fatalf("round %d: probe after revoke returned: err = %v, want a permit denial", i, err)
+		}
 	}
 }

@@ -335,12 +335,11 @@ func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, e
 		}
 		if m.Inj.Reachable(node) {
 			p.Permits.Set(target, entries)
-			// The deferred update lands outside any journaled record: bump
-			// the digest section it changed, and mark the target dirty so
-			// the next sweep re-verifies it against the latest
-			// declared list (which may have moved on while we retried).
-			m.cloud.convBumpTarget(p, target)
-			m.cloud.convMarkPermit(p, target)
+			// The deferred update lands outside any journaled record: mark
+			// the target dirty so the next sweep re-verifies it against the
+			// latest declared list (which may have moved on while we
+			// retried).
+			m.cloud.conv.markPermit(p.Name, target)
 			if p.meter != nil {
 				p.meter.PermitUpdate(tenant, m.cloud.Eng.Now())
 			}
@@ -360,7 +359,7 @@ func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, e
 			// Timed out: the live list never took the declared update. Mark
 			// it dirty — with the pending flag gone, the reconciler owns
 			// the repair and should find it promptly, not in K sweeps.
-			m.cloud.convMarkPermit(p, target)
+			m.cloud.conv.markPermit(p.Name, target)
 			return
 		}
 		m.PermitRetries++

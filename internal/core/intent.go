@@ -35,12 +35,9 @@ import (
 func (c *Cloud) EnableIntent(l *intent.Log) {
 	c.setUp(func() {
 		c.rec = l
-		// Every journaled mutation now feeds the convergence tracker:
-		// dirty sets for the reconciler, section versions for
-		// the incremental digest (convtrack.go). Retire any cached digests
-		// — mutations before this point were not tracked.
+		// Every journaled mutation now feeds the reconciler's dirty sets
+		// (convtrack.go).
 		l.SetOnRecord(c.noteRecorded)
-		c.conv.invalidateAll()
 	})
 }
 
@@ -72,7 +69,6 @@ func (c *Cloud) RestoreIntentWorkers(st *intent.State, workers int) error {
 		return nil
 	}
 	defer c.shards.lockGlobal()()
-	defer c.conv.invalidateAll()
 
 	provs := c.pidx.Load().list
 
@@ -303,64 +299,24 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 //
 // The walk is sectioned: each (provider, region) scope, each provider's
 // SIP and policy planes, and the cloud plane hash independently, and
-// the world digest combines the per-section sums — O(sections) work
-// when the section sums are memoized. With an intent store attached
-// (EnableIntent) the convergence tracker versions every section, so a
-// steady-state digest recomputes only the sections that mutated since
-// the last call. Without one there is no mutation hook to invalidate
-// on, so every call recomputes cold — identical to StateDigestFull.
+// the world digest combines the per-section sums, so two digests that
+// differ can be narrowed to the section that does. Every call walks the
+// whole world under the global gate; nothing on the serving path calls
+// it.
 func (c *Cloud) StateDigest() string {
-	return c.stateDigest(true)
-}
-
-// StateDigestFull recomputes every section cold, bypassing the memo.
-// It is the parity oracle for the incremental digest: on one world at
-// one instant, StateDigest() == StateDigestFull() iff no cached
-// section went stale (a mutation path that forgot its version bump).
-// E15 asserts this equality every round of the chaos soak.
-func (c *Cloud) StateDigestFull() string {
-	return c.stateDigest(false)
-}
-
-func (c *Cloud) stateDigest(useCache bool) string {
 	defer c.shards.lockGlobal()()
-	useCache = useCache && c.rec != nil
 	h := sha256.New()
 	for _, p := range c.pidx.Load().list {
-		p := p
 		fmt.Fprintf(h, "provider %s\n", p.Name)
 		for _, region := range p.Regions() {
-			region := region
-			sum := c.sectionSum(useCache, regionScope(p.Name, region), func(w io.Writer) {
-				writeRegionSection(w, p, region)
-			})
+			sum := sectionHash(func(w io.Writer) { writeRegionSection(w, p, region) })
 			fmt.Fprintf(h, "region %s %x\n", region, sum)
 		}
-		sum := c.sectionSum(useCache, sipScope(p.Name), func(w io.Writer) { writeSIPSection(w, p) })
-		fmt.Fprintf(h, "sip %x\n", sum)
-		sum = c.sectionSum(useCache, polScope(p.Name), func(w io.Writer) { writePolSection(w, p) })
-		fmt.Fprintf(h, "policy %x\n", sum)
+		fmt.Fprintf(h, "sip %x\n", sectionHash(func(w io.Writer) { writeSIPSection(w, p) }))
+		fmt.Fprintf(h, "policy %x\n", sectionHash(func(w io.Writer) { writePolSection(w, p) }))
 	}
-	sum := c.sectionSum(useCache, cloudScope(), func(w io.Writer) { c.writeCloudSection(w) })
-	fmt.Fprintf(h, "cloud %x\n", sum)
+	fmt.Fprintf(h, "cloud %x\n", sectionHash(c.writeCloudSection))
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// sectionSum returns one section's sha256, through the memo when the
-// caller allows it. The version pair is read before filling: the global
-// gate excludes mutations for the whole digest, so the computed sum is
-// valid at exactly that version.
-func (c *Cloud) sectionSum(useCache bool, s convScope, fill func(io.Writer)) [sha256.Size]byte {
-	if !useCache {
-		return sectionHash(fill)
-	}
-	gen, ver := c.conv.version(s)
-	if sum, ok := c.digests.get(s, gen, ver); ok {
-		return sum
-	}
-	sum := sectionHash(fill)
-	c.digests.put(s, gen, ver, sum)
-	return sum
 }
 
 func sectionHash(fill func(io.Writer)) [sha256.Size]byte {
@@ -469,9 +425,7 @@ func sortedBackends(bal *lb.Balancer) []*lb.Backend {
 // without touching declared state, exactly what a lost update or a
 // bad rollout would do in a real fleet. The reconciler must find and
 // repair every one. None of these record intent — that is the point.
-// Each hook does bump its digest section version (the digest hashes the
-// live dataplane, and a silent injection would leave a stale cached
-// sum) but deliberately leaves the reconciler's dirty sets alone: the
+// Each hook deliberately leaves the reconciler's dirty sets alone: the
 // anti-entropy rotation must find hook-injected drift on its own.
 
 // DriftWipePermit drops target's installed permit list from its owning
@@ -482,7 +436,6 @@ func (c *Cloud) DriftWipePermit(target addr.IP) bool {
 		return false
 	}
 	p.Permits.Drop(target)
-	c.convBumpTarget(p, target)
 	return true
 }
 
@@ -497,11 +450,7 @@ func (c *Cloud) DriftUnbind(sip SIP, eip EIP) bool {
 	if !ok {
 		return false
 	}
-	if svc.balancer.Unbind(eip) != nil {
-		return false
-	}
-	c.conv.bump(sipScope(p.Name))
-	return true
+	return svc.balancer.Unbind(eip) == nil
 }
 
 // DriftZeroQuota zeroes a (tenant, region) egress limiter without
@@ -519,6 +468,5 @@ func (c *Cloud) DriftZeroQuota(provider, tenant, region string) bool {
 	tq.quota = 0
 	tq.limiter.SetQuota(0)
 	tq.mu.Unlock()
-	c.conv.bump(polScope(provider))
 	return true
 }

@@ -88,33 +88,23 @@ func (c *Cloud) registerProviderMetrics(name string, p *Provider) {
 		"Permit-list mutations.", func() float64 { return float64(p.Permits.Updates.Load()) }, l)
 }
 
-// traceEvent records one decision when tracing is on.
+// traceEvent records one decision when tracing is on. A zero address
+// (a surface with no source or no target) renders as "".
 func (c *Cloud) traceEvent(kind obs.Kind, tenant string, src, dst addr.IP, verdict, detail, cause string) {
 	if c.trace == nil {
 		return
 	}
 	c.trace.Record(obs.Event{
 		At: c.Eng.Now(), Tenant: tenant, Kind: kind,
-		Src: c.ipStr(src), Dst: c.ipStr(dst), Verdict: verdict, Detail: detail, Cause: cause,
+		Src: addrText(src), Dst: addrText(dst), Verdict: verdict, Detail: detail, Cause: cause,
 	})
 }
 
-// ipStr stringifies an address through the two-entry memo (0 → "").
-func (c *Cloud) ipStr(ip addr.IP) string {
+func addrText(ip addr.IP) string {
 	if ip == 0 {
 		return ""
 	}
-	c.memoMu.Lock()
-	defer c.memoMu.Unlock()
-	if c.ipMemo[0].ip == ip {
-		return c.ipMemo[0].s
-	}
-	if c.ipMemo[1].ip == ip {
-		return c.ipMemo[1].s
-	}
-	c.ipMemo[1] = c.ipMemo[0]
-	c.ipMemo[0].ip, c.ipMemo[0].s = ip, ip.String()
-	return c.ipMemo[0].s
+	return ip.String()
 }
 
 // ExplainStep is one stage of the replayed datapath decision.

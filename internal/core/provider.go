@@ -151,8 +151,8 @@ type Biller interface {
 func (p *Provider) SetBiller(b Biller) { p.meter = b }
 
 // stampPermitLag marks an accepted permit update for the SLO plane's
-// live propagation-lag sampler; resolved at the next admission-cache
-// fill for target. Called from the unlocked verb bodies so the batch
+// live propagation-lag sampler; resolved at the next admission check
+// of target. Called from the unlocked verb bodies so the batch
 // path samples too.
 func (p *Provider) stampPermitLag(tenant string, target addr.IP) {
 	p.cloud.slo.StampPermit(tenant, target)
@@ -239,15 +239,6 @@ func (p *Provider) RegionBlock(region string) (addr.Prefix, bool) {
 // Regions returns the provider's region names, sorted.
 func (p *Provider) Regions() []string {
 	return sortedKeys(p.eipBlocks)
-}
-
-// regionOf maps a granted-range address back to its region via the
-// cloud's block table ("" for SIPs and foreign addresses).
-func (p *Provider) regionOf(ip addr.IP) string {
-	if b := p.cloud.block(ip); b != nil && b.p == p {
-		return b.region
-	}
-	return ""
 }
 
 // regionShardKey is the tenant's shard for a region of this provider by

@@ -289,7 +289,6 @@ func (r *Reconciler) checkDeclaredPermit(p *Provider, t addr.IP, pl *intent.Perm
 	}
 	*budget--
 	p.Permits.Set(t, live.Entries)
-	c.convBumpTarget(p, t)
 	res.Repaired++
 	c.traceEvent(obs.Reconcile, pl.Tenant, 0, t, "repaired",
 		fmt.Sprintf("surface=permit entries=%d", len(live.Entries)),
@@ -326,7 +325,6 @@ func (r *Reconciler) checkUndeclaredPermit(p *Provider, t addr.IP, budget *int, 
 	}
 	*budget--
 	p.Permits.Drop(t)
-	c.convBumpTarget(p, t)
 	res.Repaired++
 	c.traceEvent(obs.Reconcile, tenant, 0, t, "repaired",
 		"surface=permit entries=0",
@@ -417,7 +415,6 @@ func (r *Reconciler) checkBindService(p *Provider, sip addr.IP, want *intent.Ser
 		} else {
 			svc.balancer.Unbind(f.eip)
 		}
-		c.conv.bump(sipScope(p.Name))
 		res.Repaired++
 		c.traceEvent(obs.Reconcile, want.Tenant, f.eip, sip, "repaired",
 			fmt.Sprintf("surface=bind weight=%d", f.weight),
@@ -449,7 +446,6 @@ func (r *Reconciler) checkQuota(p *Provider, tenant, reg string, want float64, b
 		res.Deferred++
 		return true
 	}
-	c.conv.bump(polScope(p.Name))
 	res.Repaired++
 	c.traceEvent(obs.Reconcile, tenant, 0, 0, "repaired",
 		fmt.Sprintf("surface=qos region=%s bps=%g", reg, want),

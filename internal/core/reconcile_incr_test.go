@@ -39,8 +39,7 @@ func (iw *incrWorld) buildReconcilers(t *testing.T) {
 
 // TestIncrementalSweepParity is the property test: under randomized
 // journaled mutation, chaos-hook drift, and crash recovery, K+1 sweeps
-// at K=incrK must leave nothing for a K=1 whole-world sweep to find, and
-// the incremental (cached) digest must equal a cold full walk.
+// at K=incrK must leave nothing for a K=1 whole-world sweep to find.
 func TestIncrementalSweepParity(t *testing.T) {
 	dir := t.TempDir()
 	iw := &incrWorld{}
@@ -84,8 +83,8 @@ func TestIncrementalSweepParity(t *testing.T) {
 				}
 			}
 		}
-		// Chaos drift: bumps the digest tracker, never the dirty sets —
-		// only the anti-entropy rotation can find it.
+		// Chaos drift: never touches the dirty sets — only the
+		// anti-entropy rotation can find it.
 		switch rng.Intn(4) {
 		case 0:
 			iw.c.DriftWipePermit(iw.dst)
@@ -120,9 +119,6 @@ func TestIncrementalSweepParity(t *testing.T) {
 		}
 		if res := iw.rFull.RunSweep(); sweepWork(res) != (SweepResult{}) {
 			t.Fatalf("round %d: K=1 sweep found work after K=%d convergence: %+v", round, incrK, res)
-		}
-		if inc, full := iw.c.StateDigest(), iw.c.StateDigestFull(); inc != full {
-			t.Fatalf("round %d: incremental digest %s != full walk %s", round, inc, full)
 		}
 	}
 }
@@ -252,6 +248,57 @@ func TestSweepVisitsEachTargetOnce(t *testing.T) {
 	}
 }
 
+// TestSteadyStateSweepIsOneKthOfTheWorld is the sweep-cost gate as a
+// count instead of a stopwatch: on a converged, unmarked world every
+// sweep at K is pure rotation — no dirty hits, every scan an
+// anti-entropy scan — and the K phases partition the world, so their
+// Scanned counts sum to what one K=1 sweep scans. K=1 and K>1 run the
+// same code, which leaves the count as the only cost that can differ.
+func TestSteadyStateSweepIsOneKthOfTheWorld(t *testing.T) {
+	c, w, pa, pb, _ := fig1Cloud(t)
+	l, err := intent.Open(t.TempDir(), intent.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	c.EnableIntent(l)
+	populate(t, c, w, pa, pb)
+	// Enough declared lists that sixteen slices each have some to hold.
+	for i := 0; i < 48; i++ {
+		eip, err := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[i%len(w.RegionsB)], "az1", 1+i%2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pb.SetPermitList("acme", eip, []addr.Prefix{pfx(fmt.Sprintf("10.%d.0.0/16", i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	whole := &Reconciler{cloud: c, cfg: ReconcilerConfig{RepairBudget: 256, AntiEntropyK: 1}}
+	whole.RunSweep() // consume the setup's dirty marks
+	want := whole.RunSweep()
+	if sweepWork(want) != (SweepResult{}) || want.DirtyHits != 0 || want.AntiEntropyScanned != want.Scanned || want.Scanned < 48 {
+		t.Fatalf("K=1 sweep of the converged world = %+v", want)
+	}
+	for _, k := range []int{2, 3, 8, 16} {
+		r := &Reconciler{cloud: c, cfg: ReconcilerConfig{RepairBudget: 256, AntiEntropyK: k}}
+		sum, largest := 0, 0
+		for phase := 0; phase < k; phase++ {
+			res := r.RunSweep()
+			if sweepWork(res) != (SweepResult{}) || res.DirtyHits != 0 || res.AntiEntropyScanned != res.Scanned {
+				t.Fatalf("K=%d phase %d: steady-state sweep = %+v", k, phase, res)
+			}
+			sum += res.Scanned
+			largest = max(largest, res.Scanned)
+		}
+		if sum != want.Scanned {
+			t.Errorf("K=%d: the phases scanned %d targets in all, one K=1 sweep scans %d", k, sum, want.Scanned)
+		}
+		if largest == want.Scanned {
+			t.Errorf("K=%d: one phase scanned the whole world (%d targets)", k, largest)
+		}
+	}
+}
+
 // TestRestoreIntentWorkersParallel pins the parallel recovery path to
 // the serial contract: same digest, same pool cursors, regardless of
 // worker count.
@@ -264,7 +311,7 @@ func TestRestoreIntentWorkersParallel(t *testing.T) {
 	}
 	c.EnableIntent(l)
 	eip1, _, dst, _ := populate(t, c, w, pa, pb)
-	want := c.StateDigestFull()
+	want := c.StateDigest()
 	// Crash: no Close.
 
 	l2, err := intent.Open(dir, intent.Options{})
@@ -277,7 +324,7 @@ func TestRestoreIntentWorkersParallel(t *testing.T) {
 		if err := c2.RestoreIntentWorkers(l2.State(), workers); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if got := c2.StateDigestFull(); got != want {
+		if got := c2.StateDigest(); got != want {
 			t.Fatalf("workers=%d: digest mismatch\n got %s\nwant %s", workers, got, want)
 		}
 		if !c2.Admitted(eip1, dst) {

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"declnet/internal/addr"
 	"declnet/internal/obs"
+	"declnet/internal/permit"
 	"declnet/internal/slo"
 	"declnet/internal/topo"
 )
@@ -152,5 +154,60 @@ func TestBreachLandsInDecisionTrace(t *testing.T) {
 		if !strings.Contains(evs[0].Cause, want) {
 			t.Errorf("cause %q missing %q", evs[0].Cause, want)
 		}
+	}
+}
+
+// TestPermitLagResolvesAtFirstAdmission pins the live permit-lag sampler
+// end to end in core: a set_permit stamps its target, the first
+// admission check of that target — by any source, admitted or not —
+// resolves exactly one sample into the stamping tenant's shard for the
+// target's region, and later checks resolve nothing. Each check, through
+// Probe or Admitted, costs one permit lookup.
+func TestPermitLagResolvesAtFirstAdmission(t *testing.T) {
+	c, w, pa, pb, _ := fig1Cloud(t)
+	eip1, eip2, dst, _ := populate(t, c, w, pa, pb)
+	plane := slo.NewPlane(slo.Config{Window: time.Hour, LagSampleEvery: 1})
+	c.EnableSLO(plane)
+
+	lagSamples := func() (total uint64, region string) {
+		for _, s := range plane.Snapshot() {
+			if s.Lag.Count > 0 {
+				if s.Key.Tenant != "acme" {
+					t.Errorf("lag sample in shard %+v, want tenant acme", s.Key)
+				}
+				total += s.Lag.Count
+				region = s.Key.Region
+			}
+		}
+		return total, region
+	}
+
+	if err := pb.SetPermitList("acme", dst, []permit.Entry{addr.NewPrefix(eip1, 32)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := plane.PendingLagSamples(); got != 1 {
+		t.Fatalf("PendingLagSamples after set_permit = %d, want 1", got)
+	}
+	lookups := pb.Permits.Lookups.Load()
+	// eip2 is not on the list: a denied check is still the moment the
+	// update became visible to admission.
+	if _, _, err := c.Probe("acme", eip2, dst); err == nil {
+		t.Fatal("probe from a source off the list was admitted")
+	}
+	if got := plane.PendingLagSamples(); got != 0 {
+		t.Fatalf("PendingLagSamples after the first check = %d, want 0", got)
+	}
+	if n, region := lagSamples(); n != 1 || region != c.shardKeyOf("acme", dst).Region {
+		t.Fatalf("first check resolved %d samples into region %q, want 1 into %q",
+			n, region, c.shardKeyOf("acme", dst).Region)
+	}
+	if !c.Admitted(eip1, dst) {
+		t.Fatal("listed source denied")
+	}
+	if n, _ := lagSamples(); n != 1 {
+		t.Fatalf("second check moved the lag histogram: %d samples, want 1", n)
+	}
+	if got := pb.Permits.Lookups.Load() - lookups; got != 2 {
+		t.Fatalf("two admission checks cost %d permit lookups, want 2", got)
 	}
 }

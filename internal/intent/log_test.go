@@ -450,3 +450,53 @@ func TestParseQuotaKey(t *testing.T) {
 		}
 	}
 }
+
+// TestStateLeavesViewRefreshPending pins the one difference between the
+// two deep copies: State() taken between a mutation and the next View()
+// must not consume the dirty mask, or the view would share the stale
+// section with its predecessor. Published views stay immutable and clean
+// sections stay shared.
+func TestStateLeavesViewRefreshPending(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	recordAll(t, l)
+	eip1 := mustIP(t, "10.0.0.1")
+	v1 := l.View()
+	if l.View() != v1 {
+		t.Fatal("View() with no mutation in between returned a new snapshot")
+	}
+	before := stateJSON(t, v1)
+
+	p := addr.MustParsePrefix("192.168.9.0/24")
+	if seq := l.Record("acme", Op{Verb: OpPermit, Target: eip1, Entries: []addr.Prefix{p}}); seq == 0 {
+		t.Fatal("permit rejected")
+	}
+	st := l.State()
+	v2 := l.View()
+	if got, want := stateJSON(t, v2), stateJSON(t, st); got != want {
+		t.Fatalf("View() after State() missed the mutation:\n got %s\nwant %s", got, want)
+	}
+	if stateJSON(t, v1) != before {
+		t.Fatal("a published view changed under a later mutation")
+	}
+	if len(v2.Permits[eip1].Entries) != len(v1.Permits[eip1].Entries)+1 {
+		t.Fatalf("permit entries: view before %d, after %d", len(v1.Permits[eip1].Entries), len(v2.Permits[eip1].Entries))
+	}
+	// A permit touches only the permit section: the rest is shared with
+	// the previous view, and State() shares nothing with either.
+	v2.Quotas["probe"] = 1
+	if _, shared := v1.Quotas["probe"]; !shared {
+		t.Error("clean section was copied, not shared, across views")
+	}
+	if _, aliased := st.Quotas["probe"]; aliased {
+		t.Error("State() aliases a view's section")
+	}
+	delete(v2.Quotas, "probe")
+	st.Permits[eip1].Entries[0] = addr.Prefix{}
+	if stateJSON(t, l.View()) != stateJSON(t, v2) {
+		t.Error("mutating a State() copy reached the log")
+	}
+}

@@ -429,6 +429,17 @@ func (s *State) cloneView(prev *State) *State {
 		d = secAll
 	}
 	s.dirty = 0
+	return s.copySections(prev, d)
+}
+
+// Clone deep-copies the state, leaving the dirty mask — the pending
+// view refresh's business — alone.
+func (s *State) Clone() *State { return s.copySections(nil, secAll) }
+
+// copySections returns a state whose sections in d are deep copies of
+// s's and whose other sections are prev's maps, shared. prev may be nil
+// only when d is secAll.
+func (s *State) copySections(prev *State, d uint32) *State {
 	c := &State{Seq: s.Seq}
 	if d&secMeta != 0 {
 		if s.Meta != nil {
@@ -524,65 +535,6 @@ func (s *State) cloneView(prev *State) *State {
 		}
 	} else {
 		c.SIPPools = prev.SIPPools
-	}
-	return c
-}
-
-// Clone deep-copies the state. The reconciler clones under the log's
-// lock and diffs outside it, so diffing (which takes shard locks) can
-// never invert the wrapper's shard-lock -> log-lock order.
-func (s *State) Clone() *State {
-	c := &State{Seq: s.Seq}
-	if s.Meta != nil {
-		c.Meta = make(map[string]string, len(s.Meta))
-		for k, v := range s.Meta {
-			c.Meta[k] = v
-		}
-	}
-	c.Endpoints = make(map[addr.IP]*Endpoint, len(s.Endpoints))
-	for k, v := range s.Endpoints {
-		ep := *v
-		c.Endpoints[k] = &ep
-	}
-	c.Services = make(map[addr.IP]*Service, len(s.Services))
-	for k, v := range s.Services {
-		svc := *v
-		svc.Binds = append([]Bind(nil), v.Binds...)
-		c.Services[k] = &svc
-	}
-	c.Permits = make(map[addr.IP]*PermitList, len(s.Permits))
-	for k, v := range s.Permits {
-		pl := *v
-		pl.Entries = append([]addr.Prefix(nil), v.Entries...)
-		c.Permits[k] = &pl
-	}
-	c.Quotas = make(map[string]float64, len(s.Quotas))
-	for k, v := range s.Quotas {
-		c.Quotas[k] = v
-	}
-	c.Potato = make(map[string]string, len(s.Potato))
-	for k, v := range s.Potato {
-		c.Potato[k] = v
-	}
-	c.ProvGroups = make(map[string][]addr.IP, len(s.ProvGroups))
-	for k, v := range s.ProvGroups {
-		c.ProvGroups[k] = append([]addr.IP(nil), v...)
-	}
-	c.Groups = make(map[string][]addr.IP, len(s.Groups))
-	for k, v := range s.Groups {
-		c.Groups[k] = append([]addr.IP(nil), v...)
-	}
-	c.Names = make(map[string]addr.IP, len(s.Names))
-	for k, v := range s.Names {
-		c.Names[k] = v
-	}
-	c.EIPPools = make(map[string]*PoolState, len(s.EIPPools))
-	for k, v := range s.EIPPools {
-		c.EIPPools[k] = &PoolState{Next: v.Next, Released: append([]addr.IP(nil), v.Released...)}
-	}
-	c.SIPPools = make(map[string]*PoolState, len(s.SIPPools))
-	for k, v := range s.SIPPools {
-		c.SIPPools[k] = &PoolState{Next: v.Next, Released: append([]addr.IP(nil), v.Released...)}
 	}
 	return c
 }

@@ -1,9 +1,10 @@
-// Package metrics provides light-weight measurement primitives used by the
-// simulator and the experiment harness: log-bucketed histograms with
-// percentile queries, running counters, and fixed-interval time series.
+// Package metrics provides the measurement primitives of the experiment
+// harness — exact-quantile summaries and the result tables experiments
+// print — and the runtime metrics registry declnetd exports
+// (registry.go).
 //
-// Everything here is allocation-conscious but favors clarity over raw
-// speed; the simulator's bottleneck is the fluid-flow solver, not metrics.
+// The harness side favors clarity over raw speed; the simulator's
+// bottleneck is the fluid-flow solver, not metrics.
 package metrics
 
 import (
@@ -11,230 +12,11 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync/atomic"
 )
 
-// Histogram records float64 samples in logarithmic buckets, giving
-// percentile estimates with bounded relative error (~5% with the default
-// growth factor) over an unbounded range. The zero value is ready to use.
-type Histogram struct {
-	counts []uint64 // bucket i covers [base*g^i, base*g^(i-1))
-	zero   uint64   // samples <= 0 or < base
-	n      uint64
-	sum    float64
-	min    float64
-	max    float64
-}
-
-const (
-	histBase   = 1e-9 // smallest distinguishable positive sample
-	histGrowth = 1.1
-)
-
-var histLogGrowth = math.Log(histGrowth)
-
-func bucketOf(v float64) int {
-	// Work in log space to avoid overflow of v/histBase for huge v.
-	b := (math.Log(v) - math.Log(histBase)) / histLogGrowth
-	if b < 0 {
-		return 0
-	}
-	if b > maxBucket {
-		return maxBucket
-	}
-	return int(b)
-}
-
-// maxBucket caps the bucket index; bucket 7800 covers ~1e314, beyond any
-// finite float64 sample magnitude we care to distinguish.
-const maxBucket = 7800
-
-func bucketUpper(i int) float64 {
-	return histBase * math.Pow(histGrowth, float64(i+1))
-}
-
-// Observe records one sample. Non-finite samples are ignored.
-func (h *Histogram) Observe(v float64) {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return
-	}
-	if h.n == 0 || v < h.min {
-		h.min = v
-	}
-	if h.n == 0 || v > h.max {
-		h.max = v
-	}
-	h.n++
-	h.sum += v
-	if v < histBase {
-		h.zero++
-		return
-	}
-	b := bucketOf(v)
-	if b >= len(h.counts) {
-		grown := make([]uint64, b+1)
-		copy(grown, h.counts)
-		h.counts = grown
-	}
-	h.counts[b]++
-}
-
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() uint64 { return h.n }
-
-// Sum returns the sum of all recorded samples.
-func (h *Histogram) Sum() float64 { return h.sum }
-
-// Mean returns the arithmetic mean, or 0 with no samples.
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
-// Min returns the smallest sample, or 0 with no samples.
-func (h *Histogram) Min() float64 { return h.min }
-
-// Max returns the largest sample, or 0 with no samples.
-func (h *Histogram) Max() float64 { return h.max }
-
-// Quantile returns an estimate of the q-quantile (0 <= q <= 1). With no
-// samples it returns 0. Estimates use each bucket's upper bound, so they
-// are conservative (never below the true quantile by more than one bucket).
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(math.Ceil(q * float64(h.n)))
-	if rank == 0 {
-		rank = 1
-	}
-	var seen uint64 = h.zero
-	if rank <= seen {
-		return 0
-	}
-	for i, c := range h.counts {
-		seen += c
-		if rank <= seen {
-			u := bucketUpper(i)
-			if u > h.max {
-				u = h.max
-			}
-			return u
-		}
-	}
-	return h.max
-}
-
-// P50, P90, P99 are shorthands for common quantiles.
-func (h *Histogram) P50() float64 { return h.Quantile(0.50) }
-func (h *Histogram) P90() float64 { return h.Quantile(0.90) }
-func (h *Histogram) P99() float64 { return h.Quantile(0.99) }
-
-// Merge folds other into h.
-func (h *Histogram) Merge(other *Histogram) {
-	if other.n == 0 {
-		return
-	}
-	if h.n == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if h.n == 0 || other.max > h.max {
-		h.max = other.max
-	}
-	h.n += other.n
-	h.sum += other.sum
-	h.zero += other.zero
-	if len(other.counts) > len(h.counts) {
-		grown := make([]uint64, len(other.counts))
-		copy(grown, h.counts)
-		h.counts = grown
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-}
-
-// Reset clears all recorded samples.
-func (h *Histogram) Reset() {
-	h.counts = h.counts[:0]
-	h.zero, h.n = 0, 0
-	h.sum, h.min, h.max = 0, 0, 0
-}
-
-// String summarizes the distribution for logs and experiment tables.
-func (h *Histogram) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g p50=%.4g p90=%.4g p99=%.4g max=%.4g",
-		h.n, h.Mean(), h.P50(), h.P90(), h.P99(), h.Max())
-}
-
-// Counter is a monotonically increasing count, safe for concurrent use
-// (the parallel experiment sweep and the health-monitor goroutines may
-// share one). The zero value is ready. Must not be copied after first use.
-type Counter struct{ v atomic.Uint64 }
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Series accumulates (x, y) points, typically (virtual time, value), for
-// experiment output. The zero value is ready to use.
-type Series struct {
-	Name string
-	Xs   []float64
-	Ys   []float64
-}
-
-// Add appends one point.
-func (s *Series) Add(x, y float64) {
-	s.Xs = append(s.Xs, x)
-	s.Ys = append(s.Ys, y)
-}
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.Xs) }
-
-// MeanY returns the mean of the Y values, or 0 when empty.
-func (s *Series) MeanY() float64 {
-	if len(s.Ys) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, y := range s.Ys {
-		sum += y
-	}
-	return sum / float64(len(s.Ys))
-}
-
-// MaxY returns the maximum Y value, or 0 when empty.
-func (s *Series) MaxY() float64 {
-	if len(s.Ys) == 0 {
-		return 0
-	}
-	m := s.Ys[0]
-	for _, y := range s.Ys[1:] {
-		if y > m {
-			m = y
-		}
-	}
-	return m
-}
-
-// Summary computes exact order statistics over a small sample set. Unlike
-// Histogram it stores every sample; use it when exactness matters more
-// than memory (experiment outputs, not hot paths). The zero value is ready.
+// Summary computes exact order statistics over a small sample set. It
+// stores every sample: for experiment outputs, not hot paths. The zero
+// value is ready.
 type Summary struct {
 	samples []float64
 	sorted  bool

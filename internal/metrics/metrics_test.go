@@ -2,127 +2,16 @@ package metrics
 
 import (
 	"math"
-	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 )
 
-func TestHistogramBasics(t *testing.T) {
-	var h Histogram
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i))
-	}
-	if h.Count() != 100 {
-		t.Fatalf("Count = %d, want 100", h.Count())
-	}
-	if got, want := h.Mean(), 50.5; math.Abs(got-want) > 1e-9 {
-		t.Fatalf("Mean = %v, want %v", got, want)
-	}
-	if h.Min() != 1 || h.Max() != 100 {
-		t.Fatalf("Min,Max = %v,%v; want 1,100", h.Min(), h.Max())
-	}
-}
-
-func TestHistogramQuantileAccuracy(t *testing.T) {
-	var h Histogram
-	rng := rand.New(rand.NewSource(1))
-	exact := make([]float64, 0, 10000)
-	for i := 0; i < 10000; i++ {
-		v := rng.ExpFloat64() * 100
-		h.Observe(v)
-		exact = append(exact, v)
-	}
-	sort.Float64s(exact)
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		want := exact[int(q*float64(len(exact)))-1]
-		got := h.Quantile(q)
-		// Log-bucketed histogram should be within one bucket (factor 1.1),
-		// plus slack for the conservative upper-bound estimate.
-		if got < want*0.90 || got > want*1.15 {
-			t.Errorf("Quantile(%v) = %v, want within 10%%/15%% of %v", q, got, want)
-		}
-	}
-}
-
-func TestHistogramEmptyAndClamp(t *testing.T) {
-	var h Histogram
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 {
-		t.Fatal("empty histogram should report zeros")
-	}
-	h.Observe(5)
-	if h.Quantile(-1) != h.Quantile(0) {
-		t.Fatal("quantile below 0 not clamped")
-	}
-	if h.Quantile(2) != h.Quantile(1) {
-		t.Fatal("quantile above 1 not clamped")
-	}
-}
-
-func TestHistogramZeroSamples(t *testing.T) {
-	var h Histogram
-	h.Observe(0)
-	h.Observe(0)
-	h.Observe(10)
-	if got := h.Quantile(0.5); got != 0 {
-		t.Fatalf("median of {0,0,10} = %v, want 0", got)
-	}
-	if got := h.Quantile(0.99); got < 10*0.9 {
-		t.Fatalf("p99 of {0,0,10} = %v, want ~10", got)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	for i := 0; i < 50; i++ {
-		a.Observe(1)
-		b.Observe(1000)
-	}
-	a.Merge(&b)
-	if a.Count() != 100 {
-		t.Fatalf("merged count = %d, want 100", a.Count())
-	}
-	if a.Min() != 1 || a.Max() != 1000 {
-		t.Fatalf("merged extremes = %v,%v", a.Min(), a.Max())
-	}
-	med := a.Quantile(0.5)
-	if med > 2 {
-		t.Fatalf("merged median = %v, want ~1", med)
-	}
-}
-
-func TestHistogramMergeEmpty(t *testing.T) {
-	var a, b Histogram
-	a.Observe(5)
-	a.Merge(&b) // empty other must be a no-op
-	if a.Count() != 1 || a.Max() != 5 {
-		t.Fatal("merge with empty histogram changed state")
-	}
-}
-
-func TestHistogramReset(t *testing.T) {
-	var h Histogram
-	h.Observe(3)
-	h.Reset()
-	if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 {
-		t.Fatal("Reset did not clear state")
-	}
-}
-
-func TestHistogramString(t *testing.T) {
-	var h Histogram
-	h.Observe(1)
-	if s := h.String(); !strings.Contains(s, "n=1") {
-		t.Fatalf("String = %q, want to contain n=1", s)
-	}
-}
-
 // Property: quantile is monotone nondecreasing in q.
 func TestQuickQuantileMonotone(t *testing.T) {
 	f := func(vals []float64, q1, q2 float64) bool {
-		var h Histogram
+		var h Summary
 		for _, v := range vals {
 			h.Observe(math.Abs(v))
 		}
@@ -138,7 +27,7 @@ func TestQuickQuantileMonotone(t *testing.T) {
 }
 
 func TestCounter(t *testing.T) {
-	var c Counter
+	var c RCounter
 	c.Inc()
 	c.Add(4)
 	if c.Value() != 5 {
@@ -147,10 +36,10 @@ func TestCounter(t *testing.T) {
 }
 
 // TestCounterConcurrent hammers Inc/Add/Value from many goroutines; under
-// `go test -race` this proves Counter is safe to share between the
+// `go test -race` this proves RCounter is safe to share between the
 // parallel experiment sweep and health-monitor goroutines.
 func TestCounterConcurrent(t *testing.T) {
-	var c Counter
+	var c RCounter
 	var wg sync.WaitGroup
 	const workers, perWorker = 8, 1000
 	for w := 0; w < workers; w++ {
@@ -167,29 +56,6 @@ func TestCounterConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := c.Value(); got != workers*perWorker*2 {
 		t.Fatalf("Counter = %d, want %d", got, workers*perWorker*2)
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Add(0, 10)
-	s.Add(1, 20)
-	s.Add(2, 30)
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", s.Len())
-	}
-	if s.MeanY() != 20 {
-		t.Fatalf("MeanY = %v, want 20", s.MeanY())
-	}
-	if s.MaxY() != 30 {
-		t.Fatalf("MaxY = %v, want 30", s.MaxY())
-	}
-}
-
-func TestSeriesEmpty(t *testing.T) {
-	var s Series
-	if s.MeanY() != 0 || s.MaxY() != 0 {
-		t.Fatal("empty series should report zeros")
 	}
 }
 

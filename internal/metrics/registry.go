@@ -14,8 +14,8 @@ import (
 // counters, gauges, gauge functions, and histograms, snapshot-able in a
 // deterministic order and exportable as Prometheus text exposition
 // (GET /v1/metrics) or an expvar map. Unlike the experiment-side
-// Histogram/Summary above — which live on a single goroutine inside the
-// simulator — everything here is atomic, because declnetd's HTTP handlers
+// Summary — which lives on a single goroutine inside the simulator —
+// everything here is atomic, because declnetd's HTTP handlers
 // scrape while the simulation mutates.
 //
 // A nil *Registry is valid everywhere and hands out nil instruments whose

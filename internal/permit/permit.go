@@ -25,8 +25,8 @@ type Entry = addr.Prefix
 // List is the permit state guarding one destination EIP. Exact /32s are
 // kept in a hash set for O(1) hits; shorter prefixes go to an LPM trie.
 // Mutation and map/trie reads require external exclusion (the engine's
-// stripe lock provides it); the version counter alone is atomic so
-// version-keyed verdict caches can revalidate without any lock.
+// stripe lock provides it); the version counter alone is atomic, so
+// Version can be read without it.
 type List struct {
 	exact    map[addr.IP]bool
 	prefixes routing.Trie[bool]
@@ -75,8 +75,7 @@ func (l *List) Permits(src addr.IP) bool {
 // Len returns the number of entries.
 func (l *List) Len() int { return len(l.exact) + l.prefixes.Len() }
 
-// Version increments on every mutation; replicas and memoized admission
-// verdicts compare versions.
+// Version increments on every mutation; replicas compare versions.
 func (l *List) Version() uint64 { return l.version.Load() }
 
 // Entries returns all entries: exact /32s sorted by address, then

@@ -70,8 +70,8 @@ func reconcileWorld(b *testing.B, cfg Config, k int) (*world, *core.Reconciler) 
 
 // reconcileK is the incr arms' rotation width. 1/16 of the declared
 // world per sweep keeps the steady-state cost an order of magnitude
-// under the K=1 whole-world walk (the benchdiff gate reads the ratio)
-// while bounding undirtied-drift detection to 16 sweeps.
+// under the K=1 whole-world walk while bounding undirtied-drift
+// detection to 16 sweeps.
 const reconcileK = 16
 
 // BenchmarkReconcileSweep measures one reconciliation sweep over the
@@ -79,8 +79,10 @@ const reconcileK = 16
 // whole world ("full"), K=16 on a converged world ("incr"), and K=16
 // under a chaos drift storm (500 wiped permit lists per cycle, repaired
 // within one full rotation). benchjson derives
-// reconcile_incr_full_ratio from the first two — the number `make
-// benchdiff` gates at <= 0.1.
+// reconcile_incr_full_ratio from the first two; it is reported, not
+// gated — both arms run the same code, so on a shared host the ratio
+// moves with memory locality, and the 1/K relation itself is asserted as
+// a count in internal/core (TestSteadyStateSweepIsOneKthOfTheWorld).
 func BenchmarkReconcileSweep(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Probes, cfg.ChurnEvents, cfg.PermitSamples = 0, 0, 0

@@ -12,9 +12,8 @@
 // cost low enough to leave on (gated ≤5% on the drill hot path).
 //
 // Layout mirrors the core's concurrency design: per-(tenant, region)
-// ShardStats live in a 64-way striped table (like addrSpace and the
-// admission cache), and each histogram is a fixed-bucket array of
-// atomics, so the record path after the stats pointer is resolved is
+// ShardStats live in a 64-way striped table (like addrSpace), and each
+// histogram is a fixed-bucket array of atomics, so the record path after the stats pointer is resolved is
 // lock-free. A nil *Plane is valid everywhere and records nothing, so
 // instrumented call sites pay one nil check when the plane is off.
 package slo
@@ -340,8 +339,8 @@ type Plane struct {
 	lagN atomic.Uint64
 
 	// lagPending holds stamped-but-unresolved permit updates, striped by
-	// the target's /16 like the admission cache; lagCount gates the
-	// admission-fill fast path to one atomic load when nothing pends.
+	// the target's /16 like addrSpace; lagCount gates the admission
+	// check's resolve step to one atomic load when nothing pends.
 	lagPending [planeStripes]lagStripe
 	lagCount   atomic.Int64
 
@@ -430,7 +429,7 @@ func (p *Plane) observe(v Verb, k Key, d time.Duration, now time.Time) {
 }
 
 // StampPermit marks an accepted permit update against target so the next
-// admission-cache fill for that address resolves the propagation lag —
+// admission check of that address resolves the propagation lag —
 // the E13 metric, measured continuously. Head-sampled at
 // cfg.LagSampleEvery, and the sampling decision comes first so a
 // sampled-out update pays one atomic add and nothing else (no clock
@@ -458,10 +457,9 @@ func (p *Plane) StampPermit(tenant string, target addr.IP) {
 
 // ResolveLag closes a pending permit-lag sample for target, recording
 // the elapsed time into the (stamped tenant, region) shard's lag
-// histograms. Called from the admission cache's fill path, which owns
-// the region derivation — fills are cache misses, so the cost lands on
-// a path that is already cold. Gate calls on PendingLagSamples() to
-// skip the derivation when nothing is pending. Nil-safe.
+// histograms. Called from the core's admission check, which owns the
+// region derivation; gate calls on PendingLagSamples() to skip the
+// derivation when nothing is pending. Nil-safe.
 func (p *Plane) ResolveLag(target addr.IP, region string) {
 	if p == nil || p.lagCount.Load() == 0 {
 		return
