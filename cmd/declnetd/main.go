@@ -40,26 +40,31 @@
 // not parse is a 400; a mutation the control plane refuses is a 409.
 //
 // With -data-dir set, every accepted mutation is journaled to an
-// append-only log before the verb returns (fsync policy via -fsync /
-// -fsync-every), snapshots compact the journal every -compact-every
-// records, and on boot the daemon replays snapshot + journal tail to
-// recover the pre-crash control-plane state. The -seed and -hosts flags
-// must match the world the store was created with; the daemon refuses
-// to replay a foreign world's journal. The reconciler then keeps the
-// dataplane converged to the declared state: one loop, every
-// -reconcile-interval (0 disables), sweeping the targets mutated since
-// the last sweep plus a rotating 1/8 anti-entropy slice of the world, so
-// drift nothing recorded is found within 8 sweeps.
+// append-only log before the verb returns (fsync policy via -fsync;
+// "interval" syncs every 64 records), a snapshot compacts the journal
+// every 4096 records, and on boot the daemon replays snapshot + journal
+// tail to recover the pre-crash control-plane state. The -seed and
+// -hosts flags must match the world the store was created with; the
+// daemon refuses to replay a foreign world's journal. The reconciler
+// then keeps the dataplane converged to the declared state: one loop,
+// every -reconcile-interval (0 disables), sweeping the targets mutated
+// since the last sweep plus a rotating 1/8 anti-entropy slice of the
+// world, so drift nothing recorded is found within 8 sweeps.
+//
+// On SIGINT or SIGTERM the daemon stops accepting, lets in-flight
+// requests finish (for at most 10 s), stops the reconciler, fsyncs and
+// closes the intent store, and exits 0.
 //
 // With -debug-addr set, a second listener serves net/http/pprof under
 // /debug/pprof/ and the expvar JSON dump under /debug/vars (the metrics
 // registry is published there as "declnet"). Mutex and block profiling
-// are enabled on that listener too (-mutex-profile-fraction,
-// -block-profile-rate), so shard-lock contention on the mutation plane
-// is inspectable at /debug/pprof/mutex and /debug/pprof/block.
+// are enabled on that listener too (1 in 100 contention events, blocking
+// of 10 µs and longer), so shard-lock contention on the mutation plane is
+// inspectable at /debug/pprof/mutex and /debug/pprof/block.
 package main
 
 import (
+	"context"
 	"expvar"
 	"flag"
 	"fmt"
@@ -67,8 +72,10 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"os/signal"
 	"runtime"
 	"strconv"
+	"syscall"
 	"time"
 
 	"declnet"
@@ -80,6 +87,34 @@ import (
 // antiEntropyK is the reconciler's rotation: each sweep checks 1/8 of the
 // world besides the dirty targets, bounding undetected drift to 8 sweeps.
 const antiEntropyK = 8
+
+// The journal's "interval" policy fsyncs every fsyncEvery records, and a
+// snapshot truncates it every compactEvery.
+const (
+	fsyncEvery   = 64
+	compactEvery = 4096
+)
+
+// With -debug-addr: sample 1 in mutexProfileFraction mutex contention
+// events and every blocking event of blockProfileRate ns or longer.
+const (
+	mutexProfileFraction = 100
+	blockProfileRate     = 10000
+)
+
+// Listener limits. A client gets readHeaderTimeout to send its headers
+// and readTimeout for the whole request (bodies are capped at 1 MiB), a
+// handler writeTimeout to answer, a keep-alive connection idleTimeout
+// between requests, and in-flight requests drainTimeout to finish once a
+// shutdown signal has arrived. The debug listener has no write timeout:
+// /debug/pprof/profile streams for 30 s by default and longer on request.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+	drainTimeout      = 10 * time.Second
+)
 
 func parseLevel(s string) (slog.Level, error) {
 	var lvl slog.Level
@@ -95,18 +130,10 @@ func main() {
 	hosts := flag.Int("hosts", 4, "hosts per availability zone")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	debugAddr := flag.String("debug-addr", "", "optional address for pprof and expvar debug endpoints")
-	mutexFrac := flag.Int("mutex-profile-fraction", 100,
-		"with -debug-addr: sample 1/N mutex contention events (0 disables)")
-	blockRate := flag.Int("block-profile-rate", 10000,
-		"with -debug-addr: sample blocking events >= N ns (0 disables)")
 	dataDir := flag.String("data-dir", "",
 		"directory for the durable intent store (empty = in-memory only)")
 	fsync := flag.String("fsync", "interval",
-		"journal durability: none, always, or interval (fsync every -fsync-every records)")
-	fsyncEvery := flag.Int("fsync-every", 64,
-		"with -fsync interval: fsync the journal every N records")
-	compactEvery := flag.Int("compact-every", 4096,
-		"snapshot and truncate the journal every N records (0 = only on POST /v1/snapshot)")
+		"journal durability: none, always, or interval (fsync every 64 records)")
 	reconcileInterval := flag.Duration("reconcile-interval", time.Second,
 		"period of the background desired-state reconciler (0 disables; needs -data-dir)")
 	flag.Parse()
@@ -133,8 +160,8 @@ func main() {
 		}
 		store, err = intent.Open(*dataDir, intent.Options{
 			Sync:         policy,
-			SyncEvery:    *fsyncEvery,
-			CompactEvery: *compactEvery,
+			SyncEvery:    fsyncEvery,
+			CompactEvery: compactEvery,
 			Meta: map[string]string{
 				"seed":  strconv.FormatInt(*seed, 10),
 				"hosts": strconv.Itoa(*hosts),
@@ -183,17 +210,18 @@ func main() {
 		// Lock-contention profiles cover the shard locks the mutation
 		// plane serializes behind; both are off by default in the runtime
 		// and cheap at these sampling rates.
-		runtime.SetMutexProfileFraction(*mutexFrac)
-		runtime.SetBlockProfileRate(*blockRate)
+		runtime.SetMutexProfileFraction(mutexProfileFraction)
+		runtime.SetBlockProfileRate(blockProfileRate)
 		// pprof registered itself on DefaultServeMux via import; publish
 		// the metrics registry alongside it for /debug/vars.
 		expvar.Publish("declnet", expvar.Func(func() any {
 			return srv.ExpvarMap()
 		}))
+		debug := &http.Server{Addr: *debugAddr, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 		go func() {
 			logger.Info("debug listener up", "addr", *debugAddr,
 				"pprof", "/debug/pprof/", "expvar", "/debug/vars")
-			if err := http.ListenAndServe(*debugAddr, nil); err != nil {
+			if err := debug.ListenAndServe(); err != nil {
 				logger.Error("debug listener failed", "err", err)
 			}
 		}()
@@ -203,8 +231,40 @@ func main() {
 		"listen", *listen,
 		"providers", fmt.Sprintf("%s, %s, onprem", world.Fig1.CloudA, world.Fig1.CloudB),
 		"seed", *seed, "hosts_per_zone", *hosts, "log_level", lvl.String())
-	if err := http.ListenAndServe(*listen, srv); err != nil {
+	// Registered before the listener is up, so a signal that arrives
+	// early is still answered with an orderly exit.
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	tenants := &http.Server{
+		Addr:              *listen,
+		Handler:           srv,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+	failed := make(chan error, 1)
+	go func() { failed <- tenants.ListenAndServe() }()
+	select {
+	case err := <-failed:
 		logger.Error("listener failed", "err", err)
 		os.Exit(1)
+	case sig := <-sigs:
+		logger.Info("shutting down", "signal", sig.String())
+	}
+
+	// Stop accepting and drain, then quiesce the only other writer (the
+	// reconciler), then make the journal durable.
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	if err := tenants.Shutdown(ctx); err != nil {
+		logger.Warn("requests still in flight after the drain window", "window", drainTimeout, "err", err)
+	}
+	if store != nil {
+		world.Reconciler().Stop()
+		if err := store.Close(); err != nil {
+			logger.Error("closing intent store", "dir", *dataDir, "err", err)
+			os.Exit(1)
+		}
 	}
 }

@@ -1,4 +1,4 @@
-// Command expdriver runs the paper-reproduction experiments (E1–E13 from
+// Command expdriver runs the paper-reproduction experiments (E1–E15 from
 // DESIGN.md) and prints their tables.
 //
 // Usage:

@@ -466,13 +466,6 @@ func (c *Cloud) Connect(tenant string, src EIP, dst addr.IP, opts ConnectOpts) (
 	return cn, err
 }
 
-// ConnectWith is Connect continuing a caller-owned SLO op (the API
-// layer threads its request span through here); the caller Ends it.
-func (c *Cloud) ConnectWith(op *slo.Op, tenant string, src EIP, dst addr.IP, opts ConnectOpts) (*Conn, error) {
-	defer c.shards.rlockShards(c.shardKeyOf(tenant, src), c.shardKeyOf(tenant, dst))()
-	return c.connect(op, tenant, src, dst, opts)
-}
-
 func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, opts ConnectOpts) (*Conn, error) {
 	srcProv, ok := c.providerOfAddr(src)
 	if !ok {

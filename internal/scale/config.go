@@ -11,19 +11,13 @@
 // provider state per endpoint — and what the sharded control plane
 // promises: that a mutation storm confined to one (tenant, region) shard
 // leaves every other shard's latency envelope intact. Experiment E13
-// (internal/exp) renders the drill as a golden table; BenchmarkScaleDrill
-// emits the same numbers for benchjson/benchdiff.
+// (internal/exp) renders the drill as a golden table.
 package scale
 
-import (
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
 // Config parameterizes one drill. The zero value is not runnable; use
-// DefaultConfig or ParseConfig, then Validate.
+// DefaultConfig or SmokeConfig, then Validate.
 type Config struct {
 	// EIPs is the total endpoint count onboarded across all tenants.
 	EIPs int
@@ -54,10 +48,6 @@ type Config struct {
 	Workers int
 	// Seed feeds every generator in the drill.
 	Seed int64
-	// SLO attaches a latency-accounting plane (internal/slo) to the
-	// drill's cloud, so the drill doubles as the instrumentation-overhead
-	// benchmark arm (BenchmarkSLOOverhead).
-	SLO bool
 }
 
 // DefaultConfig is the E13 tier: a 10^5-EIP, 200-tenant drill.
@@ -135,133 +125,4 @@ func (c Config) Validate() error {
 		return fmt.Errorf("scale: more tenants (%d) than EIPs (%d)", c.Tenants, c.EIPs)
 	}
 	return nil
-}
-
-// field maps one config key to its accessor, keeping ParseConfig and
-// String in lockstep.
-var fields = []struct {
-	key string
-	get func(*Config) string
-	set func(*Config, string) error
-}{
-	{"eips", func(c *Config) string { return strconv.Itoa(c.EIPs) }, setInt(func(c *Config, v int) { c.EIPs = v })},
-	{"tenants", func(c *Config) string { return strconv.Itoa(c.Tenants) }, setInt(func(c *Config, v int) { c.Tenants = v })},
-	{"regions", func(c *Config) string { return strconv.Itoa(c.Regions) }, setInt(func(c *Config, v int) { c.Regions = v })},
-	{"zones", func(c *Config) string { return strconv.Itoa(c.Zones) }, setInt(func(c *Config, v int) { c.Zones = v })},
-	{"hosts_per_zone", func(c *Config) string { return strconv.Itoa(c.HostsPerZone) }, setInt(func(c *Config, v int) { c.HostsPerZone = v })},
-	{"probes", func(c *Config) string { return strconv.Itoa(c.Probes) }, setInt(func(c *Config, v int) { c.Probes = v })},
-	{"zipf_skew", func(c *Config) string { return strconv.FormatFloat(c.ZipfSkew, 'g', -1, 64) },
-		func(c *Config, s string) error {
-			v, err := strconv.ParseFloat(s, 64)
-			if err != nil {
-				return err
-			}
-			c.ZipfSkew = v
-			return nil
-		}},
-	{"churn_events", func(c *Config) string { return strconv.Itoa(c.ChurnEvents) }, setInt(func(c *Config, v int) { c.ChurnEvents = v })},
-	{"permit_samples", func(c *Config) string { return strconv.Itoa(c.PermitSamples) }, setInt(func(c *Config, v int) { c.PermitSamples = v })},
-	{"storm_ops", func(c *Config) string { return strconv.Itoa(c.StormOps) }, setInt(func(c *Config, v int) { c.StormOps = v })},
-	{"workers", func(c *Config) string { return strconv.Itoa(c.Workers) }, setInt(func(c *Config, v int) { c.Workers = v })},
-	{"seed", func(c *Config) string { return strconv.FormatInt(c.Seed, 10) },
-		func(c *Config, s string) error {
-			v, err := strconv.ParseInt(s, 10, 64)
-			if err != nil {
-				return err
-			}
-			c.Seed = v
-			return nil
-		}},
-	{"slo", func(c *Config) string { return strconv.FormatBool(c.SLO) },
-		func(c *Config, s string) error {
-			v, err := strconv.ParseBool(s)
-			if err != nil {
-				return err
-			}
-			c.SLO = v
-			return nil
-		}},
-}
-
-func setInt(assign func(*Config, int)) func(*Config, string) error {
-	return func(c *Config, s string) error {
-		v, err := strconv.Atoi(s)
-		if err != nil {
-			return err
-		}
-		assign(c, v)
-		return nil
-	}
-}
-
-// ParseConfig reads a drill config in key=value form, one pair per line
-// (or semicolon-separated); '#' starts a comment, blank lines are
-// ignored, unknown or duplicate keys are errors. Unset keys keep their
-// DefaultConfig values, so a config file only states what it overrides.
-// The result is syntax-checked only; call Validate before running it.
-func ParseConfig(text string) (Config, error) {
-	cfg := DefaultConfig()
-	seen := make(map[string]bool)
-	lineno := 0
-	for _, rawLine := range strings.Split(text, "\n") {
-		lineno++
-		for _, raw := range strings.Split(rawLine, ";") {
-			line := raw
-			if i := strings.IndexByte(line, '#'); i >= 0 {
-				line = line[:i]
-			}
-			line = strings.TrimSpace(line)
-			if line == "" {
-				continue
-			}
-			k, v, ok := strings.Cut(line, "=")
-			if !ok {
-				return cfg, fmt.Errorf("scale: line %d: %q is not key=value", lineno, line)
-			}
-			k, v = strings.TrimSpace(k), strings.TrimSpace(v)
-			if k == "" {
-				return cfg, fmt.Errorf("scale: line %d: empty key", lineno)
-			}
-			if v == "" {
-				return cfg, fmt.Errorf("scale: line %d: empty value for %q", lineno, k)
-			}
-			if seen[k] {
-				return cfg, fmt.Errorf("scale: line %d: duplicate key %q", lineno, k)
-			}
-			seen[k] = true
-			found := false
-			for i := range fields {
-				if fields[i].key == k {
-					if err := fields[i].set(&cfg, v); err != nil {
-						return cfg, fmt.Errorf("scale: line %d: %s: %v", lineno, k, err)
-					}
-					found = true
-					break
-				}
-			}
-			if !found {
-				return cfg, fmt.Errorf("scale: line %d: unknown key %q (known: %s)", lineno, k, strings.Join(knownKeys(), ", "))
-			}
-		}
-	}
-	return cfg, nil
-}
-
-func knownKeys() []string {
-	out := make([]string, len(fields))
-	for i := range fields {
-		out[i] = fields[i].key
-	}
-	sort.Strings(out)
-	return out
-}
-
-// String renders the canonical key=value form; ParseConfig(c.String())
-// round-trips exactly (the fuzz target pins this).
-func (c Config) String() string {
-	var b strings.Builder
-	for i := range fields {
-		fmt.Fprintf(&b, "%s=%s\n", fields[i].key, fields[i].get(&c))
-	}
-	return b.String()
 }

@@ -11,7 +11,6 @@ import (
 	"declnet/internal/addr"
 	"declnet/internal/core"
 	"declnet/internal/permit"
-	"declnet/internal/slo"
 	"declnet/internal/topo"
 	"declnet/internal/workload"
 )
@@ -89,9 +88,6 @@ func buildWorld(cfg Config) (*world, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	if cfg.SLO {
-		c.EnableSLO(slo.NewPlane(slo.Config{}))
 	}
 	w := &world{cloud: c, prov: p}
 	for r := 0; r < cfg.Regions; r++ {

@@ -62,43 +62,3 @@ func TestValidateRejectsOverfullRegion(t *testing.T) {
 		t.Fatalf("expected /16 capacity error, got %v", err)
 	}
 }
-
-func TestParseConfigOverrides(t *testing.T) {
-	cfg, err := ParseConfig("eips = 500\ntenants=5 # fewer\nzipf_skew=1.5; seed=-7\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := DefaultConfig()
-	want.EIPs, want.Tenants, want.ZipfSkew, want.Seed = 500, 5, 1.5, -7
-	if cfg != want {
-		t.Fatalf("got %+v, want %+v", cfg, want)
-	}
-}
-
-func TestParseConfigErrors(t *testing.T) {
-	for _, text := range []string{
-		"eips",           // not key=value
-		"=5",             // empty key
-		"eips=",          // empty value
-		"eips=1\neips=2", // duplicate
-		"bogus=1",        // unknown key
-		"eips=ten",       // not an int
-		"zipf_skew=x",    // not a float
-	} {
-		if _, err := ParseConfig(text); err == nil {
-			t.Errorf("ParseConfig(%q) accepted bad input", text)
-		}
-	}
-}
-
-func TestConfigStringRoundTrip(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.EIPs, cfg.Seed, cfg.ZipfSkew = 123_456, -99, 1.0625
-	got, err := ParseConfig(cfg.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != cfg {
-		t.Fatalf("round trip changed config:\n got %+v\nwant %+v", got, cfg)
-	}
-}

@@ -229,6 +229,33 @@ func TestHistHeadSampling(t *testing.T) {
 	}
 }
 
+// TestSampledOutOpIsFree is the instrumentation-overhead budget as a
+// count: at the default rates an op that draws no ticket reads no clock
+// and allocates nothing, so always-on instrumentation costs the
+// unsampled majority one atomic add and two modulos.
+func TestSampledOutOpIsFree(t *testing.T) {
+	p := NewPlane(Config{})
+	first := p.Begin(VerbConnect, "t", "r") // op 1 always draws a ticket
+	first.End(nil)
+	// The warm-up call plus these runs are ops 2..HistSampleEvery: the
+	// whole sampled-out stretch before the next ticket.
+	allocs := testing.AllocsPerRun(p.cfg.HistSampleEvery-2, func() {
+		op := p.Begin(VerbConnect, "t", "r")
+		stg := op.StageStart()
+		if !op.t0.IsZero() || !stg.IsZero() {
+			t.Errorf("sampled-out op read the clock: t0 %v, stage %v", op.t0, stg)
+		}
+		op.StageEnd(stg, "permit")
+		op.End(nil)
+	})
+	if allocs != 0 {
+		t.Errorf("sampled-out op allocates %v times, want 0", allocs)
+	}
+	if got := p.Snapshot()[0].Verbs[VerbConnect].Count; got != 1 {
+		t.Errorf("connect count = %d, want only op 1 timed", got)
+	}
+}
+
 func TestFlightRingOverwrite(t *testing.T) {
 	p := NewPlane(Config{Window: time.Hour, SampleEvery: 1, FlightCap: 4})
 	for i := 0; i < 10; i++ {

@@ -7,8 +7,8 @@
 // degenerated to cold connects; under scoped epochs the off-path
 // failures leave the warm path valid and only the (rare, batched) heals
 // pay a wholesale flush. The mixed/readonly ns-per-op ratio and the
-// sustained mutations/sec are the acceptance numbers tracked in
-// BENCH_mutate.json.
+// sustained mutations/sec are the numbers to compare in a developer's
+// own A/B (`make bench`).
 package declnet
 
 import (
