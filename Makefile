@@ -57,7 +57,8 @@ staticcheck:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-# Short fuzz pass over the wire-format parsers. Each target gets
+# Short fuzz pass over the wire-format parsers and the snapshot codec
+# (held to encoding/json byte for byte). Each target gets
 # $(FUZZTIME); regression corpus lives under testdata/fuzz/ so plain
 # `go test` replays past findings even without this target.
 fuzz:
@@ -66,6 +67,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePermitEntry$$' -fuzztime $(FUZZTIME) ./internal/api/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseObjective$$' -fuzztime $(FUZZTIME) ./internal/slo/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalDecode$$' -fuzztime $(FUZZTIME) ./internal/intent/
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotEncode$$' -fuzztime $(FUZZTIME) ./internal/intent/
 
 # The E15 chaos soak at full length: hours of virtual time of
 # fault/heal and churn with repeated mid-stream crash/restart cycles,

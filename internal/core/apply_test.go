@@ -54,7 +54,7 @@ func TestCloudLevelVerbsJournalInApplyOrder(t *testing.T) {
 		}()
 		wg.Wait()
 
-		st := l.View()
+		st := l.State()
 		live, ok := c.ResolveName("acme", "svc")
 		declared, declaredOK := st.Names[intent.GroupKey("acme", "svc")]
 		if ok != declaredOK || live != declared {

@@ -408,3 +408,44 @@ func TestErrorsMentionDefaultOff(t *testing.T) {
 		t.Fatalf("err = %v, want default-off mention", err)
 	}
 }
+
+// TestReleaseEIPCostDoesNotGrowWithSIPs pins that release_eip asks each
+// of a provider's balancers one allocation-free question (Unbind, whose
+// miss is the fixed lb.ErrNotBound) instead of copying and sorting its
+// backends: a request_eip + release_eip pair on a provider holding 128
+// SIPs allocates within 8 of the pair on one holding 8 — the growth steps
+// of serviceSnapshot's one slice. Copying the backends cost at least one
+// allocation more per SIP.
+func TestReleaseEIPCostDoesNotGrowWithSIPs(t *testing.T) {
+	pair := func(sips int) float64 {
+		_, w, pa, _, _ := fig1Cloud(t)
+		vm := topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1)
+		bound, err := pa.RequestEIP("acme", vm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < sips; i++ {
+			sip, err := pa.RequestSIP("acme")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pa.Bind("acme", bound, sip, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(50, func() {
+			eip, err := pa.RequestEIP("acme", vm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pa.ReleaseEIP("acme", eip); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := pair(8), pair(128)
+	t.Logf("request_eip + release_eip: %v allocations beside 8 SIPs, %v beside 128", few, many)
+	if many > few+8 {
+		t.Errorf("the pair allocates %v times beside 128 SIPs and %v beside 8: release_eip's cost grows with the provider's SIP count", many, few)
+	}
+}

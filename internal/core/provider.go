@@ -313,13 +313,9 @@ func (p *Provider) releaseEIP(tenant string, eip EIP) error {
 	if err != nil {
 		return err
 	}
-	// Drain from any SIPs it is bound to.
+	// Drain from any SIPs it is bound to; lb.ErrNotBound from the rest.
 	for _, svc := range p.addrs.serviceSnapshot() {
-		for _, be := range svc.balancer.Backends() {
-			if be.EIP == eip {
-				svc.balancer.Unbind(eip)
-			}
-		}
+		_ = svc.balancer.Unbind(eip)
 	}
 	p.Permits.Drop(eip)
 	p.addrs.delEndpoint(eip)
@@ -395,7 +391,10 @@ func (p *Provider) unbind(tenant string, eip EIP, sip SIP) error {
 	if !ok || svc.tenant != tenant {
 		return fmt.Errorf("core: %s is not tenant %q's SIP", sip, tenant)
 	}
-	return svc.balancer.Unbind(eip)
+	if err := svc.balancer.Unbind(eip); err != nil {
+		return fmt.Errorf("core: unbind %s from %s: %w", eip, sip, err)
+	}
+	return nil
 }
 
 // SetPermitList replaces the permit list guarding an EIP or SIP (Table 2:
@@ -584,11 +583,7 @@ func (p *Provider) createGroup(tenant, name string, members []EIP) error {
 // under the balancers' own mutexes.
 func (p *Provider) MarkHealth(eip EIP, healthy bool) {
 	for _, svc := range p.addrs.serviceSnapshot() {
-		for _, be := range svc.balancer.Backends() {
-			if be.EIP == eip {
-				svc.balancer.SetHealth(eip, healthy)
-			}
-		}
+		_ = svc.balancer.SetHealth(eip, healthy) // lb.ErrNotBound where it is not a backend
 	}
 }
 

@@ -3,18 +3,18 @@
 // equal to the declared intent in the durable store. Declared state is
 // what the journal replays (internal/intent.State); the dataplane can
 // drift from it through faults, lost updates, or the chaos hooks in
-// intent.go. Each sweep takes the log's copy-on-write view, releases
-// the log lock, and screens every target it visits against that view
-// without taking a lock. The view is already old by then — mutations keep
-// landing while the sweep walks — so a mismatch is only a candidate: the
-// check then takes the target's shard lock, re-reads that one target's
-// declared entry live from the log (shard lock -> log lock, the order
-// every verb's Record uses), and only what still differs is drift, which
-// it counts and repairs to the live value. A mutation applies and
-// records under its shard lock, so under that lock the live entry and
-// the dataplane can disagree only through real drift: a sweep never
-// reverts an acknowledged mutation, and the drift counters never count
-// one.
+// intent.go. A sweep copies nothing out of the log: it asks the log's
+// view which targets this phase visits and reads each one's declared
+// entry — immutable once stored, so shared rather than copied — as it
+// reaches it, holding no lock while it compares. Mutations keep landing
+// while the sweep walks, so a mismatch is only a candidate: the check
+// then takes the target's shard lock, re-reads that one target's
+// declared entry from the log (shard lock -> log lock, the order every
+// verb's Record uses), and only what still differs is drift, which it
+// counts and repairs to that value. A mutation applies and records under
+// its shard lock, so under that lock the declared entry and the
+// dataplane can disagree only through real drift: a sweep never reverts
+// an acknowledged mutation, and the drift counters never count one.
 //
 // There is one sweep. Per surface (permit lists, binds, quotas) it visits
 // the targets the convergence tracker marked dirty since the last sweep,
@@ -103,12 +103,6 @@ type Reconciler struct {
 	lastSweepNs  atomic.Int64 // wall clock, UnixNano; 0 = never
 	lastSweepDur atomic.Int64 // nanoseconds
 
-	// aeIdx memoizes the anti-entropy bucket partition of one declared
-	// view; valid while the log publishes the same view (same Seq), so
-	// steady-state sweeps never re-bucket the world.
-	aeMu  sync.Mutex
-	aeIdx *aeIndex
-
 	mu      sync.Mutex
 	running bool
 	stop    chan struct{}
@@ -176,11 +170,11 @@ func (c *Cloud) Reconciler() *Reconciler { return c.reconciler }
 // RunSweep performs one deterministic sweep: every provider in name
 // order, permits then binds then quotas, each surface's dirty marks
 // before its rotation slice. Dirty sets are consumed before the view is
-// taken: a mutation recorded in between is covered by this view and
-// marked for the next sweep — at worst one redundant check, never a lost
-// one. Safe to call concurrently with API verbs — repairs take the
-// ordinary shard locks — but callers that also advance the simulation
-// engine must serialize that themselves (see ReconcilerConfig.Gate).
+// taken: a mutation recorded in between is read by this sweep and marked
+// for the next — at worst one redundant check, never a lost one. Safe to
+// call concurrently with API verbs — repairs take the ordinary shard
+// locks — but callers that also advance the simulation engine must
+// serialize that themselves (see ReconcilerConfig.Gate).
 func (r *Reconciler) RunSweep() SweepResult {
 	start := time.Now()
 	c := r.cloud
@@ -191,12 +185,11 @@ func (r *Reconciler) RunSweep() SweepResult {
 	for i, p := range provs {
 		dirt[i] = c.conv.take(p.Name)
 	}
-	st := c.rec.View()
-	idx := r.indexFor(st, k)
+	view := c.rec.View()
 	budget := r.cfg.RepairBudget
 	var res SweepResult
 	for i, p := range provs {
-		r.sweepProvider(p, dirt[i], st, idx, phase, &budget, &res)
+		r.sweepProvider(p, dirt[i], view, phase, &budget, &res)
 	}
 	r.sweeps.Add(1)
 	r.repairs.Add(uint64(res.Repaired))
@@ -260,7 +253,7 @@ func (r *Reconciler) checkDeclaredPermit(p *Provider, t addr.IP, pl *intent.Perm
 		return false
 	}
 	defer p.lockShard(c.shardKeyOf(pl.Tenant, t))()
-	// Skip a target that changed hands or was released since the view:
+	// Skip a target that changed hands or was released since the screen:
 	// this is no longer its shard, and whatever moved it marked it dirty.
 	live, ok := c.rec.Permit(t)
 	if !ok || live.Tenant != pl.Tenant || p.ownsTarget(pl.Tenant, t) != nil {
@@ -297,8 +290,8 @@ func (r *Reconciler) checkDeclaredPermit(p *Provider, t addr.IP, pl *intent.Perm
 }
 
 // checkUndeclaredPermit drops a list installed for a target the
-// declared state no longer guards. The caller established both against
-// the view; they are re-validated under the shard lock of whoever holds
+// declared state no longer guards. The caller established both without
+// a lock; they are re-validated under the shard lock of whoever holds
 // the address.
 func (r *Reconciler) checkUndeclaredPermit(p *Provider, t addr.IP, budget *int, res *SweepResult) bool {
 	c := r.cloud
@@ -344,10 +337,7 @@ type bindFix struct {
 // to unbind. Health bits are runtime state owned by the fault monitor
 // and are left alone.
 func bindFixes(bal *lb.Balancer, want []intent.Bind) []bindFix {
-	actual := make(map[addr.IP]int)
-	for _, be := range bal.Backends() {
-		actual[be.EIP] = be.Weight
-	}
+	actual := bal.Weights()
 	var fixes []bindFix
 	seen := make(map[addr.IP]bool, len(want))
 	for _, b := range want {
@@ -364,9 +354,9 @@ func bindFixes(bal *lb.Balancer, want []intent.Bind) []bindFix {
 			fixes = append(fixes, bindFix{b.EIP, w, "drift:weight-mismatch"})
 		}
 	}
-	for _, be := range sortedBackends(bal) {
-		if !seen[be.EIP] {
-			fixes = append(fixes, bindFix{be.EIP, 0, "drift:undeclared-backend"})
+	for _, eip := range sortedKeys(actual) {
+		if !seen[eip] {
+			fixes = append(fixes, bindFix{eip, 0, "drift:undeclared-backend"})
 		}
 	}
 	return fixes
@@ -381,7 +371,7 @@ func (r *Reconciler) checkBindService(p *Provider, sip addr.IP, want *intent.Ser
 	c := r.cloud
 	svc, ok := p.addrs.getService(sip)
 	if !ok {
-		return false // released since the view was taken
+		return false // released since the screen read it
 	}
 	suspects := bindFixes(svc.balancer, want.Binds)
 	if len(suspects) == 0 {
@@ -396,7 +386,7 @@ func (r *Reconciler) checkBindService(p *Provider, sip addr.IP, want *intent.Ser
 	defer c.shards.lockShards(keys)()
 	live, ok := c.rec.Service(sip)
 	if cur, _ := p.addrs.getService(sip); !ok || live.Tenant != want.Tenant || cur != svc {
-		return false // released or changed hands since the view
+		return false // released or changed hands since the screen
 	}
 	found := false
 	for _, f := range bindFixes(svc.balancer, live.Binds) {
@@ -453,66 +443,6 @@ func (r *Reconciler) checkQuota(p *Provider, tenant, reg string, want float64, b
 	return true
 }
 
-// aeIndex partitions one declared view into K anti-entropy buckets per
-// surface. Built once per published view (the log's COW view pointer is
-// the identity): in steady state — including drift storms, which never
-// touch declared state — consecutive sweeps reuse it, so the 1/K slice
-// really is 1/K work, not an O(world) rebucketing per sweep.
-type aeIndex struct {
-	st      *intent.State
-	k       int
-	permits [][]addr.IP
-	binds   [][]addr.IP
-	quotas  [][]string
-}
-
-func (r *Reconciler) indexFor(st *intent.State, k int) *aeIndex {
-	r.aeMu.Lock()
-	defer r.aeMu.Unlock()
-	if r.aeIdx != nil && r.aeIdx.st == st && r.aeIdx.k == k {
-		return r.aeIdx
-	}
-	idx := &aeIndex{
-		st: st, k: k,
-		permits: make([][]addr.IP, k),
-		binds:   make([][]addr.IP, k),
-		quotas:  make([][]string, k),
-	}
-	for t := range st.Permits {
-		b := int(uint32(t) % uint32(k))
-		idx.permits[b] = append(idx.permits[b], t)
-	}
-	for _, bkt := range idx.permits {
-		slices.Sort(bkt)
-	}
-	for s := range st.Services {
-		b := int(uint32(s) % uint32(k))
-		idx.binds[b] = append(idx.binds[b], s)
-	}
-	for _, bkt := range idx.binds {
-		slices.Sort(bkt)
-	}
-	for key := range st.Quotas {
-		b := bucketString(key, k)
-		idx.quotas[b] = append(idx.quotas[b], key)
-	}
-	for _, bkt := range idx.quotas {
-		slices.Sort(bkt)
-	}
-	r.aeIdx = idx
-	return idx
-}
-
-// bucketString is FNV-1a mod k.
-func bucketString(s string, k int) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return int(h % uint32(k))
-}
-
 // visit checks one surface's visit list for one provider: the dirty
 // marks in sorted order, then the rotation slices minus what a mark
 // already covered, so a target is checked at most once a sweep. check
@@ -547,14 +477,15 @@ func visit[K cmp.Ordered](res *SweepResult, marks map[K]bool, check func(K) (min
 // lists). Every declared target and every installed stripe is in exactly
 // one phase, which is the K-sweep detection-lag bound for drift that
 // never marked a dirty set.
-func (r *Reconciler) sweepProvider(p *Provider, d convDirty, st *intent.State, idx *aeIndex, phase int, budget *int, res *SweepResult) {
+func (r *Reconciler) sweepProvider(p *Provider, d convDirty, view intent.View, phase int, budget *int, res *SweepResult) {
 	c := r.cloud
-	undeclared := slices.DeleteFunc(p.Permits.TargetsOf(phase, idx.k), func(t addr.IP) bool {
-		_, declared := st.Permits[t]
+	k := r.cfg.AntiEntropyK
+	undeclared := slices.DeleteFunc(p.Permits.TargetsOf(phase, k), func(t addr.IP) bool {
+		_, declared := c.rec.Permit(t)
 		return declared
 	})
 	visit(res, d.permits, func(t addr.IP) (mine, drift bool) {
-		if pl, ok := st.Permits[t]; ok {
+		if pl, ok := c.rec.Permit(t); ok {
 			// A declared bucket mixes every provider's targets.
 			if owner, ok := c.blockOwner(t); !ok || owner != p {
 				return false, false
@@ -565,23 +496,23 @@ func (r *Reconciler) sweepProvider(p *Provider, d convDirty, st *intent.State, i
 			return true, r.checkUndeclaredPermit(p, t, budget, res)
 		}
 		return true, false
-	}, idx.permits[phase], undeclared)
+	}, view.PermitTargets(phase, k), undeclared)
 	visit(res, d.binds, func(sip addr.IP) (mine, drift bool) {
 		// An undeclared mark was a release: the live service went with it.
-		want, ok := st.Services[sip]
+		want, ok := c.rec.Service(sip)
 		if !ok || want.Provider != p.Name {
 			return false, false
 		}
 		return true, r.checkBindService(p, sip, want, budget, res)
-	}, idx.binds[phase])
+	}, view.ServiceTargets(phase, k))
 	visit(res, d.quotas, func(key string) (mine, drift bool) {
-		want, ok := st.Quotas[key]
+		want, ok := c.rec.Quota(key)
 		prov, tenant, reg, parsed := intent.ParseQuotaKey(key)
 		if !ok || !parsed || prov != p.Name {
 			return false, false
 		}
 		return true, r.checkQuota(p, tenant, reg, want, budget, res)
-	}, idx.quotas[phase])
+	}, view.QuotaKeys(phase, k))
 }
 
 // Start launches the background sweep: one goroutine running a whole

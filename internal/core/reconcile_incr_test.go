@@ -3,10 +3,12 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"declnet/internal/addr"
 	"declnet/internal/intent"
+	"declnet/internal/permit"
 	"declnet/internal/topo"
 )
 
@@ -347,5 +349,72 @@ func TestRestoreIntentWorkersParallel(t *testing.T) {
 		if err := pa.ReleaseEIP("acme", nextLive); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestSweepAfterOneMutationCopiesNothingWorldSized is the count behind
+// "the reconciler reads declared state through instead of copying it": on
+// a converged 20 000-endpoint world, one set_permit followed by a sweep
+// at K=8 allocates the phase's target lists and nothing that grows with
+// the world: 10 928 bytes for the 2 500 declared targets, 154 128 in the
+// two phases that also hold the permit engine's four occupied stripes
+// (Engine.TargetsOf rotates by stripe, a /16 each). The budget is that
+// × 1.25; the copy-on-write view this replaced allocated 2 459 232 to
+// 2 602 432 bytes for the same step (every permit list re-copied, every
+// surface re-bucketed), more than twelve times it.
+func TestSweepAfterOneMutationCopiesNothingWorldSized(t *testing.T) {
+	const endpoints, budget = 20000, 154128 * 5 / 4
+	c, w, pa, pb, _ := fig1Cloud(t)
+	l, err := intent.Open(t.TempDir(), intent.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	c.EnableIntent(l)
+	r, err := c.EnableReconciler(ReconcilerConfig{AntiEntropyK: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	homes := []struct {
+		p  *Provider
+		vm topo.NodeID
+	}{
+		{pa, topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1)}, {pa, topo.HostID(w.CloudA, w.RegionsA[1], "az1", 1)},
+		{pb, topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1)}, {pb, topo.HostID(w.CloudB, w.RegionsB[1], "az1", 1)},
+	}
+	lists := [][]permit.Entry{{pfx("100.64.0.0/16"), pfx("104.0.0.0/16")}, {pfx("100.65.0.0/16"), pfx("104.1.0.0/16")}}
+	eips := make([]addr.IP, endpoints)
+	for i := range eips {
+		h := homes[i%len(homes)]
+		if eips[i], err = h.p.RequestEIP("acme", h.vm); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.p.SetPermitList("acme", eips[i], lists[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for phase := 0; phase < 8; phase++ {
+		r.RunSweep() // consume the setup's marks; one full rotation
+	}
+	var before, after runtime.MemStats
+	for phase := 0; phase < 8; phase++ {
+		i := phase * 2477 % endpoints
+		if err := homes[i%len(homes)].p.SetPermitList("acme", eips[i], lists[1]); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&before)
+		res := r.RunSweep()
+		runtime.ReadMemStats(&after)
+		if sweepWork(res) != (SweepResult{}) || res.Scanned < endpoints/8 {
+			t.Fatalf("phase %d: sweep = %+v", phase, res)
+		}
+		allocated := after.TotalAlloc - before.TotalAlloc
+		t.Logf("phase %d: set_permit + sweep of %d targets allocated %d bytes", phase, res.Scanned, allocated)
+		if allocated > budget {
+			t.Errorf("phase %d: the sweep after one set_permit allocated %d bytes, budget %d", phase, allocated, budget)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { l.View() }); allocs != 0 {
+		t.Errorf("View() with no mutation in between allocates %v times, want 0", allocs)
 	}
 }

@@ -35,6 +35,47 @@ func async(fn func()) <-chan struct{} {
 	return done
 }
 
+// sweepWhile sweeps back to back until writing closes, then once more over
+// the quiesced world, and returns what the sweeps found in all.
+func sweepWhile(r *Reconciler, writing <-chan struct{}) (total SweepResult, sweeps int) {
+	for done := false; !done; sweeps++ {
+		select {
+		case <-writing:
+			done = true
+		default:
+		}
+		res := r.RunSweep()
+		total.Repaired += res.Repaired
+		total.DriftPermits += res.DriftPermits
+		total.DriftBinds += res.DriftBinds
+		total.DriftQuotas += res.DriftQuotas
+		total.Deferred += res.Deferred
+	}
+	return total, sweeps
+}
+
+// checkRestartDigest closes l and requires that a fresh world restored
+// from the store at dir digests like the live one.
+func checkRestartDigest(t *testing.T, c *Cloud, l *intent.Log, dir string) {
+	t.Helper()
+	want := c.StateDigest()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := intent.Open(dir, intent.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	c2, _, _, _, _ := fig1Cloud(t)
+	if err := c2.RestoreIntent(l2.State()); err != nil {
+		t.Fatal(err)
+	}
+	if got := c2.StateDigest(); got != want {
+		t.Errorf("a world restored from the store digests %s, the live one %s", got, want)
+	}
+}
+
 // churnWorker is one goroutine of TestSweepNeverRevertsMutations. Two
 // workers share each tenant — and so its shards — but every worker owns
 // the addresses it mutates, so each knows what it was told succeeded.
@@ -186,21 +227,7 @@ func TestSweepNeverRevertsMutations(t *testing.T) {
 	mutating := async(wg.Wait)
 	var total SweepResult
 	sweeps := 0
-	sweeping := async(func() {
-		for done := false; !done; sweeps++ {
-			select {
-			case <-mutating:
-				done = true // one last sweep over the quiesced world
-			default:
-			}
-			res := r.RunSweep()
-			total.Repaired += res.Repaired
-			total.DriftPermits += res.DriftPermits
-			total.DriftBinds += res.DriftBinds
-			total.DriftQuotas += res.DriftQuotas
-			total.Deferred += res.Deferred
-		}
-	})
+	sweeping := async(func() { total, sweeps = sweepWhile(r, mutating) })
 	within(t, 2*time.Minute, mutating, "the mutators (deadlock?)")
 	within(t, 2*time.Minute, sweeping, "the sweeper (deadlock?)")
 	if total != (SweepResult{}) {
@@ -212,20 +239,160 @@ func TestSweepNeverRevertsMutations(t *testing.T) {
 	if res := full.RunSweep(); sweepWork(res) != (SweepResult{}) {
 		t.Errorf("a K=1 walk of the quiesced world found work: %+v", res)
 	}
-	want := c.StateDigest()
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l2, err := intent.Open(dir, intent.Options{})
+	checkRestartDigest(t, c, l, dir)
+}
+
+// TestSweepSharesEntriesWithTheirWriters is the race test for the shared
+// declared entries: the sweep reads a permit list's entries and a
+// service's binds from the log's own copy, after the log's lock is
+// released, so the verbs that edit an entry must replace it, never write
+// into it. Writers issue exactly the five verbs that used to edit in
+// place — permit, revoke, bind (a weight update and an append), unbind,
+// set_vm_egress — on their own addresses while one goroutine sweeps the
+// whole world back to back and another compacts. Under -race an in-place
+// permit, revoke, bind or unbind is a reported race with the sweep's
+// screen (nothing outside the log reads a declared endpoint, so an
+// in-place set_vm_egress is intent.TestDeclaredEntriesAreImmutable's to
+// catch); with or without it the run must end with nothing repaired, no
+// drift counted, and declared == installed == what each writer was told.
+func TestSweepSharesEntriesWithTheirWriters(t *testing.T) {
+	dir := t.TempDir()
+	c, w, pa, pb, _ := fig1Cloud(t)
+	l, err := intent.Open(dir, intent.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l2.Close()
-	c2, _, _, _, _ := fig1Cloud(t)
-	if err := c2.RestoreIntent(l2.State()); err != nil {
+	c.EnableIntent(l)
+	r, err := c.EnableReconciler(ReconcilerConfig{AntiEntropyK: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c2.StateDigest(); got != want {
-		t.Errorf("a world restored from the store digests %s, the live one %s", got, want)
+
+	// told is what one writer's acknowledged verbs add up to.
+	type told struct {
+		p       *Provider
+		eips    [2]addr.IP
+		sip     addr.IP
+		entries map[permit.Entry]bool
+		weight  [2]int // 0 = unbound
+		egress  float64
 	}
+	homes := []struct {
+		p  *Provider
+		vm topo.NodeID
+	}{
+		{pa, topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1)},
+		{pb, topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1)},
+	}
+	writers := make([]*told, 4)
+	for i := range writers {
+		h := homes[i%2]
+		wr := &told{p: h.p, entries: map[permit.Entry]bool{}}
+		for j := range wr.eips {
+			if wr.eips[j], err = h.p.RequestEIP("acme", h.vm); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if wr.sip, err = h.p.RequestSIP("acme"); err != nil {
+			t.Fatal(err)
+		}
+		writers[i] = wr
+	}
+
+	const steps = 400
+	var wg sync.WaitGroup
+	for i, wr := range writers {
+		wg.Add(1)
+		go func(wr *told, seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for n := 0; n < steps; n++ {
+				var err error
+				e := pfx(fmt.Sprintf("10.%d.0.0/16", rng.Intn(12)))
+				i := rng.Intn(2)
+				switch rng.Intn(5) {
+				case 0:
+					err = wr.p.Permit("acme", wr.eips[0], e)
+					wr.entries[e] = true
+				case 1:
+					err = wr.p.Revoke("acme", wr.eips[0], e)
+					delete(wr.entries, e)
+				case 2:
+					wr.weight[i] = 1 + rng.Intn(4)
+					err = wr.p.Bind("acme", wr.eips[i], wr.sip, wr.weight[i])
+				case 3:
+					if wr.weight[i] == 0 {
+						continue
+					}
+					wr.weight[i] = 0
+					err = wr.p.Unbind("acme", wr.eips[i], wr.sip)
+				case 4:
+					wr.egress = float64(1+rng.Intn(9)) * 1e8
+					err = wr.p.SetVMEgressCap("acme", wr.eips[0], wr.egress)
+				}
+				if err != nil {
+					t.Errorf("step %d: %v", n, err)
+					return
+				}
+			}
+		}(wr, int64(i+1))
+	}
+	writing := async(wg.Wait)
+	var total SweepResult
+	sweeping := async(func() { total, _ = sweepWhile(r, writing) })
+	compacting := async(func() {
+		for {
+			if err := l.Compact(); err != nil {
+				t.Errorf("Compact beside writers and sweeps: %v", err)
+				return
+			}
+			select {
+			case <-writing:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+	})
+	within(t, 2*time.Minute, writing, "the writers (deadlock?)")
+	within(t, 2*time.Minute, sweeping, "the sweeper (deadlock?)")
+	within(t, 2*time.Minute, compacting, "the compactor (deadlock?)")
+	if total != (SweepResult{}) {
+		t.Errorf("sweeps beside %d mutations found drift with none injected: %+v", len(writers)*steps, total)
+	}
+	if res := r.RunSweep(); sweepWork(res) != (SweepResult{}) {
+		t.Errorf("a sweep of the quiesced world found work: %+v", res)
+	}
+
+	// Declared == what each writer was told; the sweep above found
+	// installed == declared for lists and binds, and the restart below
+	// covers the egress caps (the digest hashes them).
+	st := l.State()
+	for i, wr := range writers {
+		var want []addr.Prefix
+		for e := range wr.entries {
+			want = append(want, e)
+		}
+		var got []addr.Prefix
+		if pl := st.Permits[wr.eips[0]]; pl != nil {
+			got = pl.Entries
+		}
+		if !entriesEqual(got, want) {
+			t.Errorf("writer %d: declared entries %v, told %v", i, got, sortedEntries(want))
+		}
+		weights := [2]int{}
+		for _, b := range st.Services[wr.sip].Binds {
+			for j, eip := range wr.eips {
+				if b.EIP == eip {
+					weights[j] = b.Weight
+				}
+			}
+		}
+		if weights != wr.weight {
+			t.Errorf("writer %d: declared bind weights %v, told %v", i, weights, wr.weight)
+		}
+		if got := st.Endpoints[wr.eips[0]].EgressCap; got != wr.egress {
+			t.Errorf("writer %d: declared egress cap %g, told %g", i, got, wr.egress)
+		}
+	}
+	checkRestartDigest(t, c, l, dir)
 }

@@ -3,6 +3,7 @@ package intent
 import (
 	"bytes"
 	"errors"
+	"strconv"
 	"testing"
 
 	"declnet/internal/addr"
@@ -73,5 +74,50 @@ func FuzzJournalDecode(f *testing.F) {
 				break
 			}
 		}
+	})
+}
+
+// FuzzSnapshotEncode holds the hand-written snapshot codec to its
+// reference on fuzzed content: strings, floats and entry counts are
+// poured into every section of a State, and the streamed bytes must be
+// encoding/json's, must open back to what encoding/json decodes them to,
+// and nothing may panic (checkSnapshotCodec). The strings reach keys as
+// well as values; the address stride moves keys across decimal widths,
+// which is what the key order turns on.
+func FuzzSnapshotEncode(f *testing.F) {
+	f.Add("acme", "cloudA/a-east/az1/host1", 1e9, 5e8, uint32(0x64400001), uint32(1), uint8(3), uint8(2))
+	f.Add("", "", 0.0, 0.0, uint32(0), uint32(0), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, tenant, vm string, quota, egress float64, first, stride uint32, entries, members uint8) {
+		s := NewState()
+		s.Seq = uint64(first)<<8 | uint64(entries)
+		var group []addr.IP
+		for i := 0; i < int(members); i++ {
+			group = append(group, addr.IP(first+uint32(i)*stride))
+		}
+		for i := 0; i < int(entries); i++ {
+			ip := addr.IP(first + uint32(i)*stride)
+			key := tenant + strconv.Itoa(i)
+			s.Endpoints[ip] = &Endpoint{Tenant: tenant, VM: vm, Provider: key, Region: vm, EgressCap: egress * float64(i%3)}
+			svc := &Service{Tenant: tenant, Provider: vm}
+			pl := &PermitList{Tenant: key}
+			for _, m := range group[:i%(len(group)+1)] {
+				svc.Binds = append(svc.Binds, Bind{EIP: m, Weight: i})
+				pl.Entries = append(pl.Entries, addr.NewPrefix(m, i%33))
+			}
+			s.Services[ip>>uint(i%32)] = svc
+			s.Permits[ip] = pl
+			s.Quotas[key] = quota * float64(i)
+			s.Potato[key] = vm
+			s.ProvGroups[key] = group[:i%(len(group)+1)]
+			s.Names[vm+key] = ip
+			s.EIPPools[key] = &PoolState{Next: ip, Released: group}
+		}
+		if entries%2 == 1 {
+			s.Meta = map[string]string{tenant: vm, vm: tenant}
+			s.Groups[tenant] = nil
+			s.Groups[vm] = []addr.IP{}
+			s.SIPPools[tenant] = &PoolState{}
+		}
+		checkSnapshotCodec(t, s)
 	})
 }

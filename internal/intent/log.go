@@ -7,13 +7,14 @@ package intent
 
 import (
 	"bufio"
-	"encoding/json"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 
 	"declnet/internal/addr"
@@ -86,7 +87,6 @@ type Log struct {
 	mu           sync.Mutex
 	f            *os.File
 	st           *State
-	view         *State // last published copy-on-write snapshot (immutable)
 	onRecord     func(tenant string, ops []Op)
 	sinceSync    int
 	sinceCompact int
@@ -97,6 +97,11 @@ type Log struct {
 	replayed     int   // journal records folded at Open
 	replayOff    int64 // journal offset replay stopped at
 	replayCut    bool  // true if Open truncated a corrupt tail
+
+	// What the Views of the current Seq have enumerated so far, per
+	// reconciled surface (see View).
+	permitRot, serviceRot rotation[addr.IP]
+	quotaRot              rotation[string]
 }
 
 // Stats is a point-in-time summary for /v1/snapshot and declnetctl.
@@ -126,11 +131,12 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	l := &Log{dir: dir, opts: opts, st: NewState()}
 
-	// Stream the snapshot through the decoder instead of slurping the
-	// whole file: at the million-endpoint tier the snapshot is hundreds
+	// Decode the snapshot entry by entry instead of slurping the file (or
+	// letting json.Decoder buffer its one top-level value, which is the
+	// same thing): at the million-endpoint tier the snapshot is hundreds
 	// of megabytes, and buffering it doubles recovery's peak memory.
 	if sf, err := os.Open(filepath.Join(dir, snapshotName)); err == nil {
-		derr := json.NewDecoder(bufio.NewReaderSize(sf, 1<<20)).Decode(l.st)
+		derr := l.st.decodeSnapshot(bufio.NewReaderSize(sf, 1<<20))
 		sf.Close()
 		if derr != nil {
 			return nil, fmt.Errorf("intent: snapshot corrupt: %w", derr)
@@ -330,12 +336,12 @@ func (l *Log) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("intent: %w", err)
 	}
-	// Stream the encode: no full-snapshot byte buffer alongside the
-	// state itself (see the matching streamed decode in Open).
+	// Stream the encode entry by entry: no full-snapshot byte buffer
+	// alongside the state itself (see the matching decode in Open).
 	bw := bufio.NewWriterSize(tf, 1<<20)
-	if err := json.NewEncoder(bw).Encode(l.st); err != nil {
+	if err := l.st.encodeSnapshot(bw); err != nil {
 		tf.Close()
-		return fmt.Errorf("intent: %w", err)
+		return err
 	}
 	if err := bw.Flush(); err != nil {
 		tf.Close()
@@ -359,9 +365,9 @@ func (l *Log) compactLocked() error {
 	return nil
 }
 
-// State returns a deep copy of the declared world. The copy is made
-// under the log's lock and diffed outside it, keeping the reconciler
-// out of the wrapper's shard-lock -> log-lock order.
+// State returns a deep copy of the declared world, made under the log's
+// lock: what recovery restores from and what tests compare. Nothing the
+// caller does to it reaches the log.
 func (l *Log) State() *State {
 	if l == nil {
 		return NewState()
@@ -371,57 +377,155 @@ func (l *Log) State() *State {
 	return l.st.Clone()
 }
 
-// View returns an immutable copy-on-write snapshot of the declared
-// world. While no mutation lands, repeated calls return the same
-// pointer with zero copying — the steady-state reconciler's per-sweep
-// cost — and a refresh after mutations deep-copies only the touched
-// sections, sharing the rest with the previous snapshot. Callers must
-// treat the result as read-only. Nil-safe like State.
-func (l *Log) View() *State {
+// View is a read handle on the declared world, stamped with the sequence
+// number it was taken at. It holds no copy of anything: what is declared
+// for a target is read through Permit, Service and Quota at the moment
+// the reader reaches it, and the handle answers the one question that
+// takes a walk of the world — which targets fall in a phase of the
+// reconciler's rotation. A reader therefore sees each entry as of some
+// moment at or after Seq, not the world as of one moment; the reconciler,
+// which re-validates every mismatch under the target's shard lock, needs
+// no more.
+type View struct {
+	l   *Log
+	Seq uint64
+}
+
+// View returns a handle on the declared world as of now: O(1), no copy,
+// no allocation. Nil-safe like State.
+func (l *Log) View() View {
 	if l == nil {
-		return NewState()
+		return View{}
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.view == nil || l.view.Seq != l.st.Seq {
-		l.view = l.st.cloneView(l.view)
-	}
-	return l.view
+	return View{l: l, Seq: l.st.Seq}
 }
 
-// Permit, Service and Quota read one target's declared entry as of now
-// — not as of the last View — copied out under the log's lock. They are
-// what the reconciler re-validates a suspected divergence against: a
-// caller holding the target's shard lock reads the entry exactly as the
-// last mutation recorded under that lock left it, because Record runs
-// with the shard lock held. Nil-safe like State.
+// PermitTargets, ServiceTargets and QuotaKeys return one phase of a
+// k-phase rotation over a declared surface, sorted: the keys whose bucket
+// — address mod k, or FNV-1a of the key mod k — is phase. It is
+// permit.Engine.TargetsOf's question asked of declared state. Every key
+// declared from Seq until the call returns is in exactly one phase's
+// answer; one declared or released meanwhile may or may not be. Answers
+// are remembered while the log stays at Seq, so on a converged world a
+// sweep enumerates nothing.
+
+// PermitTargets enumerates the targets that have a declared permit list.
+func (v View) PermitTargets(phase, k int) []addr.IP {
+	if v.l == nil {
+		return nil
+	}
+	return gather(v, &v.l.permitRot, v.l.st.Permits, phase, k, addrBucket)
+}
+
+// ServiceTargets enumerates the declared SIPs.
+func (v View) ServiceTargets(phase, k int) []addr.IP {
+	if v.l == nil {
+		return nil
+	}
+	return gather(v, &v.l.serviceRot, v.l.st.Services, phase, k, addrBucket)
+}
+
+// QuotaKeys enumerates the QuotaKeys that have a declared quota.
+func (v View) QuotaKeys(phase, k int) []string {
+	if v.l == nil {
+		return nil
+	}
+	return gather(v, &v.l.quotaRot, v.l.st.Quotas, phase, k, stringBucket)
+}
+
+func addrBucket(t addr.IP, k int) int { return int(uint32(t) % uint32(k)) }
+
+// stringBucket is FNV-1a mod k.
+func stringBucket(s string, k int) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
+		h *= 16777619
+	}
+	return int(h % uint32(k))
+}
+
+// rotation remembers the phases gathered for one surface by the views of
+// one Seq; a nil phase has not been asked for yet.
+type rotation[K cmp.Ordered] struct {
+	seq    uint64
+	phases [][]K
+}
+
+// gatherStep bounds how many keys one hold of the log's lock enumerates,
+// so a walk of the world makes a queued Record wait for a few thousand
+// keys, not for all of them.
+const gatherStep = 4096
+
+// gather answers one rotation question from memo, or by walking m. The
+// walk drops the log's lock every gatherStep keys; a map range tolerates
+// the inserts and deletes that land in between exactly as it tolerates
+// them from its own loop body (a key present throughout is produced
+// once), which is all a screen needs.
+func gather[K cmp.Ordered, V any](v View, memo *rotation[K], m map[K]V, phase, k int, bucket func(K, int) int) []K {
+	l := v.l
+	l.mu.Lock()
+	if memo.seq != v.Seq || len(memo.phases) != k {
+		*memo = rotation[K]{seq: v.Seq, phases: make([][]K, k)}
+	}
+	if out := memo.phases[phase]; out != nil {
+		l.mu.Unlock()
+		return out
+	}
+	out := make([]K, 0, len(m)/k+1)
+	n := 0
+	for key := range m {
+		if bucket(key, k) == phase {
+			out = append(out, key)
+		}
+		if n++; n%gatherStep == 0 {
+			l.mu.Unlock()
+			runtime.Gosched() // or this goroutine takes the lock straight back
+			l.mu.Lock()
+		}
+	}
+	l.mu.Unlock()
+	slices.Sort(out)
+	l.mu.Lock()
+	if memo.seq == v.Seq && len(memo.phases) == k {
+		memo.phases[phase] = out
+	}
+	l.mu.Unlock()
+	return out
+}
+
+// Permit, Service and Quota read one target's declared entry as of now —
+// not as of any View. Entries are immutable once stored (see State), so
+// the pointer returned is the stored entry itself, shared, and stays
+// valid and unchanged however the log moves on; callers must not write
+// through it. They are both the reconciler's screen and what it
+// re-validates a suspected divergence against: a caller holding the
+// target's shard lock reads the entry exactly as the last mutation
+// recorded under that lock left it, because Record runs with the shard
+// lock held. Nil-safe like State.
 
 // Permit returns the declared permit list guarding target.
-func (l *Log) Permit(target addr.IP) (PermitList, bool) {
+func (l *Log) Permit(target addr.IP) (*PermitList, bool) {
 	if l == nil {
-		return PermitList{}, false
+		return nil, false
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	pl, ok := l.st.Permits[target]
-	if !ok {
-		return PermitList{}, false
-	}
-	return PermitList{Tenant: pl.Tenant, Entries: append([]addr.Prefix(nil), pl.Entries...)}, true
+	return pl, ok
 }
 
 // Service returns the declared record of one SIP, bindings included.
-func (l *Log) Service(sip addr.IP) (Service, bool) {
+func (l *Log) Service(sip addr.IP) (*Service, bool) {
 	if l == nil {
-		return Service{}, false
+		return nil, false
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	svc, ok := l.st.Services[sip]
-	if !ok {
-		return Service{}, false
-	}
-	return Service{Tenant: svc.Tenant, Provider: svc.Provider, Binds: append([]Bind(nil), svc.Binds...)}, true
+	return svc, ok
 }
 
 // Quota returns the declared egress quota under a QuotaKey.

@@ -451,52 +451,96 @@ func TestParseQuotaKey(t *testing.T) {
 	}
 }
 
-// TestStateLeavesViewRefreshPending pins the one difference between the
-// two deep copies: State() taken between a mutation and the next View()
-// must not consume the dirty mask, or the view would share the stale
-// section with its predecessor. Published views stay immutable and clean
-// sections stay shared.
-func TestStateLeavesViewRefreshPending(t *testing.T) {
+// TestDeclaredEntriesAreImmutable pins what lets the log share declared
+// entries with the reconciler instead of copying them: an entry handed
+// out earlier never changes, whichever verb edits its target next —
+// including the five that used to edit in place (permit, revoke, bind,
+// unbind, set_vm_egress) and the drain a release_eip runs over every
+// service — while the log itself moves on; and a State() copy aliases
+// nothing.
+func TestDeclaredEntriesAreImmutable(t *testing.T) {
 	l, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 	recordAll(t, l)
-	eip1 := mustIP(t, "10.0.0.1")
-	v1 := l.View()
-	if l.View() != v1 {
-		t.Fatal("View() with no mutation in between returned a new snapshot")
+	eip1, eip3, sip := mustIP(t, "10.0.0.1"), mustIP(t, "10.0.0.3"), mustIP(t, "172.16.0.1")
+	if seq := l.Record("acme", Op{Verb: OpRequestEIP, VM: "vm-3", Provider: "cloudA", Region: "us-east", Addr: eip3}); seq == 0 {
+		t.Fatal("request_eip rejected")
 	}
-	before := stateJSON(t, v1)
 
-	p := addr.MustParsePrefix("192.168.9.0/24")
-	if seq := l.Record("acme", Op{Verb: OpPermit, Target: eip1, Entries: []addr.Prefix{p}}); seq == 0 {
-		t.Fatal("permit rejected")
+	// held is every entry the log has handed out so far, with its
+	// rendering at the time; the Endpoint has no accessor (nothing outside
+	// the log reads one), so the test reaches in for it.
+	type handed struct {
+		entry any
+		was   string
 	}
-	st := l.State()
-	v2 := l.View()
-	if got, want := stateJSON(t, v2), stateJSON(t, st); got != want {
-		t.Fatalf("View() after State() missed the mutation:\n got %s\nwant %s", got, want)
+	var held []handed
+	render := func(v any) string {
+		buf, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(buf)
 	}
-	if stateJSON(t, v1) != before {
-		t.Fatal("a published view changed under a later mutation")
+	hold := func() (now [3]string) { // the permit list, the service, the endpoint
+		pl, _ := l.Permit(eip1)
+		svc, _ := l.Service(sip)
+		l.mu.Lock()
+		ep := l.st.Endpoints[eip1]
+		l.mu.Unlock()
+		for i, v := range []any{pl, svc, ep} {
+			now[i] = render(v)
+			held = append(held, handed{v, now[i]})
+		}
+		return now
 	}
-	if len(v2.Permits[eip1].Entries) != len(v1.Permits[eip1].Entries)+1 {
-		t.Fatalf("permit entries: view before %d, after %d", len(v1.Permits[eip1].Entries), len(v2.Permits[eip1].Entries))
+	hold()
+	for _, step := range []struct {
+		op      Op
+		changes int // 0 the permit list, 1 the service, 2 the endpoint
+	}{
+		{Op{Verb: OpPermit, Target: eip1, Entries: []addr.Prefix{addr.MustParsePrefix("192.168.9.0/24")}}, 0},
+		{Op{Verb: OpRevoke, Target: eip1, Entries: []addr.Prefix{addr.MustParsePrefix("192.168.0.0/24")}}, 0},
+		{Op{Verb: OpBind, EIP: eip1, SIP: sip, Weight: 5}, 1}, // a weight update
+		{Op{Verb: OpBind, EIP: eip3, SIP: sip, Weight: 1}, 1}, // an append
+		{Op{Verb: OpUnbind, EIP: eip1, SIP: sip}, 1},
+		{Op{Verb: OpSetVMEgress, EIP: eip1, Bps: 7e8}, 2},
+		{Op{Verb: OpReleaseEIP, Addr: eip3}, 1}, // drains eip3 out of sip
+	} {
+		before := hold()
+		if seq := l.Record("acme", step.op); seq == 0 {
+			t.Fatalf("%s rejected", step.op.Verb)
+		}
+		for _, h := range held {
+			if got := render(h.entry); got != h.was {
+				t.Fatalf("%s changed an entry handed out earlier:\n was %s\n now %s", step.op.Verb, h.was, got)
+			}
+		}
+		after := hold()
+		for i := range after {
+			if changed := after[i] != before[i]; changed != (i == step.changes) {
+				t.Fatalf("%s: declared entry %d changed=%v (before %s, after %s)", step.op.Verb, i, changed, before[i], after[i])
+			}
+		}
 	}
-	// A permit touches only the permit section: the rest is shared with
-	// the previous view, and State() shares nothing with either.
-	v2.Quotas["probe"] = 1
-	if _, shared := v1.Quotas["probe"]; !shared {
-		t.Error("clean section was copied, not shared, across views")
+
+	v := l.View()
+	if again := l.View(); again != v || v.Seq != l.Seq() {
+		t.Fatalf("View() with no mutation in between: %+v then %+v at seq %d", v, again, l.Seq())
 	}
-	if _, aliased := st.Quotas["probe"]; aliased {
-		t.Error("State() aliases a view's section")
+	if allocs := testing.AllocsPerRun(100, func() { l.View() }); allocs != 0 {
+		t.Errorf("View() allocates %v times, want 0", allocs)
 	}
-	delete(v2.Quotas, "probe")
+
+	st, want := l.State(), stateJSON(t, l.State())
 	st.Permits[eip1].Entries[0] = addr.Prefix{}
-	if stateJSON(t, l.View()) != stateJSON(t, v2) {
-		t.Error("mutating a State() copy reached the log")
+	st.Services[sip].Tenant = "globex"
+	st.Endpoints[eip1].EgressCap = 1
+	st.Quotas["probe"] = 1
+	if got := stateJSON(t, l.State()); got != want {
+		t.Errorf("mutating a State() copy reached the log:\n got %s\nwant %s", got, want)
 	}
 }

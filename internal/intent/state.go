@@ -9,6 +9,8 @@ package intent
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -89,6 +91,12 @@ func (ps *PoolState) release(a addr.IP) {
 
 // State is the full declared world at one journal sequence number.
 // JSON-serializable whole: the snapshot file is exactly this struct.
+//
+// An *Endpoint, *Service or *PermitList is immutable once stored: applyOp
+// replaces the map entry with an edited copy and never writes through the
+// pointer or into a slice it holds. That is what lets Log hand the entry
+// itself to the reconciler, which reads it after the log's lock is
+// released, instead of a copy.
 type State struct {
 	Seq  uint64            `json:"seq"`
 	Meta map[string]string `json:"meta,omitempty"`
@@ -110,54 +118,6 @@ type State struct {
 	// SIPPools keys the provider name.
 	EIPPools map[string]*PoolState `json:"eip_pools,omitempty"`
 	SIPPools map[string]*PoolState `json:"sip_pools,omitempty"`
-
-	// dirty accumulates which sections applyOp has touched since the
-	// last published view (see Log.View): the copy-on-write refresh
-	// deep-copies only those and shares the rest with the previous
-	// immutable snapshot. Never serialized.
-	dirty uint32
-}
-
-// Section bits for the copy-on-write view. An op's mask may overstate
-// (a no-op apply still marks) — that only costs a spurious copy.
-const (
-	secEndpoints uint32 = 1 << iota
-	secServices
-	secPermits
-	secQuotas
-	secPotato
-	secProvGroups
-	secGroups
-	secNames
-	secEIPPools
-	secSIPPools
-	secMeta
-	secAll = secMeta<<1 - 1
-)
-
-// dirtyMask maps a verb to the sections its apply can touch.
-func dirtyMask(verb string) uint32 {
-	switch verb {
-	case OpRequestEIP, OpReleaseEIP:
-		return secEndpoints | secServices | secPermits | secEIPPools
-	case OpRequestSIP, OpReleaseSIP:
-		return secServices | secPermits | secSIPPools
-	case OpBind, OpUnbind:
-		return secServices
-	case OpSetPermit, OpPermit, OpRevoke:
-		return secPermits
-	case OpSetQoS:
-		return secQuotas
-	case OpSetPotato:
-		return secPotato
-	case OpSetVMEgress:
-		return secEndpoints
-	case OpCreateGroup:
-		return secProvGroups | secGroups
-	case OpRegisterName, OpUnregisterName:
-		return secNames
-	}
-	return secAll
 }
 
 // NewState returns an empty declared world.
@@ -229,10 +189,8 @@ func (s *State) Apply(rec *Record) error {
 		for k, v := range rec.Meta {
 			s.Meta[k] = v
 		}
-		s.dirty |= secMeta
 	}
 	for i := range rec.Ops {
-		s.dirty |= dirtyMask(rec.Ops[i].Verb)
 		if err := s.applyOp(rec.Tenant, &rec.Ops[i]); err != nil {
 			return fmt.Errorf("intent: record %d op %d (%s): %w", rec.Seq, i, rec.Ops[i].Verb, err)
 		}
@@ -250,9 +208,7 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		// release already cleaned these up; under a concurrent
 		// release/re-grant journal inversion (see OpReleaseEIP) this is
 		// where the previous incarnation's leftovers go away.
-		for _, svc := range s.Services {
-			removeBind(svc, op.Addr)
-		}
+		s.drainBinds(op.Addr)
 		delete(s.Permits, op.Addr)
 		s.Endpoints[op.Addr] = &Endpoint{
 			Tenant: tenant, VM: op.VM, Provider: op.Provider, Region: op.Region,
@@ -272,9 +228,7 @@ func (s *State) applyOp(tenant string, op *Op) error {
 			return nil
 		}
 		// Mirror core: the released EIP drains out of every balancer.
-		for _, svc := range s.Services {
-			removeBind(svc, op.Addr)
-		}
+		s.drainBinds(op.Addr)
 		delete(s.Permits, op.Addr)
 		delete(s.Endpoints, op.Addr)
 		s.eipPool(ep.Provider, ep.Region).release(op.Addr)
@@ -302,19 +256,22 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		if w < 1 {
 			w = 1 // the balancer clamps; store what it stores
 		}
-		for i := range svc.Binds {
-			if svc.Binds[i].EIP == op.EIP {
-				svc.Binds[i].Weight = w
-				return nil
-			}
+		next := *svc
+		if i := bindIndex(svc, op.EIP); i >= 0 {
+			next.Binds = slices.Clone(svc.Binds)
+			next.Binds[i].Weight = w
+		} else {
+			next.Binds = append(slices.Clip(svc.Binds), Bind{EIP: op.EIP, Weight: w})
 		}
-		svc.Binds = append(svc.Binds, Bind{EIP: op.EIP, Weight: w})
+		s.Services[op.SIP] = &next
 	case OpUnbind:
 		svc, ok := s.Services[op.SIP]
 		if !ok {
 			return fmt.Errorf("unbind from unknown service %s", op.SIP)
 		}
-		removeBind(svc, op.EIP)
+		if i := bindIndex(svc, op.EIP); i >= 0 {
+			s.Services[op.SIP] = withoutBind(svc, i)
+		}
 	case OpSetPermit:
 		// Deduplicate while expanding: the enforcement engine's entry set
 		// dedups (/32s in a map, prefixes in a trie), and the reconciler
@@ -343,27 +300,27 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		}
 		s.Permits[op.Target] = &PermitList{Tenant: tenant, Entries: all}
 	case OpPermit:
-		pl := s.Permits[op.Target]
-		if pl == nil {
-			pl = &PermitList{Tenant: tenant}
-			s.Permits[op.Target] = pl
+		next := &PermitList{Tenant: tenant}
+		if pl := s.Permits[op.Target]; pl != nil {
+			next.Tenant = pl.Tenant
+			next.Entries = append(make([]addr.Prefix, 0, len(pl.Entries)+len(op.Entries)), pl.Entries...)
 		}
 		for _, e := range op.Entries {
-			pl.Entries = insertEntry(pl.Entries, e)
+			next.Entries = insertEntry(next.Entries, e)
 		}
+		s.Permits[op.Target] = next
 	case OpRevoke:
 		pl := s.Permits[op.Target]
 		if pl == nil {
 			return nil // revoking from an empty list is a no-op, as in core
 		}
+		next := &PermitList{Tenant: pl.Tenant, Entries: slices.Clone(pl.Entries)}
 		for _, e := range op.Entries {
-			for i, have := range pl.Entries {
-				if have == e {
-					pl.Entries = append(pl.Entries[:i], pl.Entries[i+1:]...)
-					break
-				}
+			if i := slices.Index(next.Entries, e); i >= 0 {
+				next.Entries = slices.Delete(next.Entries, i, i+1)
 			}
 		}
+		s.Permits[op.Target] = next
 	case OpSetQoS:
 		s.Quotas[QuotaKey(op.Provider, tenant, op.Region)] = op.Bps
 	case OpSetPotato:
@@ -373,7 +330,9 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		if !ok {
 			return fmt.Errorf("egress cap for unknown endpoint %s", op.EIP)
 		}
-		ep.EgressCap = op.Bps
+		next := *ep
+		next.EgressCap = op.Bps
+		s.Endpoints[op.EIP] = &next
 	case OpCreateGroup:
 		members := append([]addr.IP(nil), op.Members...)
 		if op.Provider != "" {
@@ -391,11 +350,23 @@ func (s *State) applyOp(tenant string, op *Op) error {
 	return nil
 }
 
-func removeBind(svc *Service, eip addr.IP) {
-	for i := range svc.Binds {
-		if svc.Binds[i].EIP == eip {
-			svc.Binds = append(svc.Binds[:i], svc.Binds[i+1:]...)
-			return
+// bindIndex is the position of eip among svc's bindings, or -1.
+func bindIndex(svc *Service, eip addr.IP) int {
+	return slices.IndexFunc(svc.Binds, func(b Bind) bool { return b.EIP == eip })
+}
+
+// withoutBind is svc with binding i dropped, in a copy.
+func withoutBind(svc *Service, i int) *Service {
+	next := *svc
+	next.Binds = slices.Delete(slices.Clone(svc.Binds), i, i+1)
+	return &next
+}
+
+// drainBinds unbinds eip from every service that holds it.
+func (s *State) drainBinds(eip addr.IP) {
+	for sip, svc := range s.Services {
+		if i := bindIndex(svc, eip); i >= 0 {
+			s.Services[sip] = withoutBind(svc, i)
 		}
 	}
 }
@@ -417,124 +388,48 @@ func insertEntry(entries []addr.Prefix, e addr.Prefix) []addr.Prefix {
 	return entries
 }
 
-// cloneView publishes an immutable snapshot of s for Log.View: every
-// section applyOp has touched since the previous view is deep-copied,
-// everything else shares the previous view's section map. prev must be
-// the previously published (immutable) view or nil; its clean sections
-// are by construction identical to s's, so sharing them is safe, and
-// nothing ever aliases s's own live maps. Clears the dirty mask.
-func (s *State) cloneView(prev *State) *State {
-	d := s.dirty
-	if prev == nil {
-		d = secAll
+// Clone deep-copies the state: recovery, the tests and the benchmark
+// take one through Log.State and own it outright.
+func (s *State) Clone() *State {
+	c := &State{
+		Seq:        s.Seq,
+		Meta:       maps.Clone(s.Meta),
+		Endpoints:  make(map[addr.IP]*Endpoint, len(s.Endpoints)),
+		Services:   make(map[addr.IP]*Service, len(s.Services)),
+		Permits:    make(map[addr.IP]*PermitList, len(s.Permits)),
+		Quotas:     maps.Clone(s.Quotas),
+		Potato:     maps.Clone(s.Potato),
+		ProvGroups: make(map[string][]addr.IP, len(s.ProvGroups)),
+		Groups:     make(map[string][]addr.IP, len(s.Groups)),
+		Names:      maps.Clone(s.Names),
+		EIPPools:   make(map[string]*PoolState, len(s.EIPPools)),
+		SIPPools:   make(map[string]*PoolState, len(s.SIPPools)),
 	}
-	s.dirty = 0
-	return s.copySections(prev, d)
-}
-
-// Clone deep-copies the state, leaving the dirty mask — the pending
-// view refresh's business — alone.
-func (s *State) Clone() *State { return s.copySections(nil, secAll) }
-
-// copySections returns a state whose sections in d are deep copies of
-// s's and whose other sections are prev's maps, shared. prev may be nil
-// only when d is secAll.
-func (s *State) copySections(prev *State, d uint32) *State {
-	c := &State{Seq: s.Seq}
-	if d&secMeta != 0 {
-		if s.Meta != nil {
-			c.Meta = make(map[string]string, len(s.Meta))
-			for k, v := range s.Meta {
-				c.Meta[k] = v
-			}
-		}
-	} else {
-		c.Meta = prev.Meta
+	for k, v := range s.Endpoints {
+		ep := *v
+		c.Endpoints[k] = &ep
 	}
-	if d&secEndpoints != 0 {
-		c.Endpoints = make(map[addr.IP]*Endpoint, len(s.Endpoints))
-		for k, v := range s.Endpoints {
-			ep := *v
-			c.Endpoints[k] = &ep
-		}
-	} else {
-		c.Endpoints = prev.Endpoints
+	for k, v := range s.Services {
+		svc := *v
+		svc.Binds = append([]Bind(nil), v.Binds...)
+		c.Services[k] = &svc
 	}
-	if d&secServices != 0 {
-		c.Services = make(map[addr.IP]*Service, len(s.Services))
-		for k, v := range s.Services {
-			svc := *v
-			svc.Binds = append([]Bind(nil), v.Binds...)
-			c.Services[k] = &svc
-		}
-	} else {
-		c.Services = prev.Services
+	for k, v := range s.Permits {
+		pl := *v
+		pl.Entries = append([]addr.Prefix(nil), v.Entries...)
+		c.Permits[k] = &pl
 	}
-	if d&secPermits != 0 {
-		c.Permits = make(map[addr.IP]*PermitList, len(s.Permits))
-		for k, v := range s.Permits {
-			pl := *v
-			pl.Entries = append([]addr.Prefix(nil), v.Entries...)
-			c.Permits[k] = &pl
-		}
-	} else {
-		c.Permits = prev.Permits
+	for k, v := range s.ProvGroups {
+		c.ProvGroups[k] = append([]addr.IP(nil), v...)
 	}
-	if d&secQuotas != 0 {
-		c.Quotas = make(map[string]float64, len(s.Quotas))
-		for k, v := range s.Quotas {
-			c.Quotas[k] = v
-		}
-	} else {
-		c.Quotas = prev.Quotas
+	for k, v := range s.Groups {
+		c.Groups[k] = append([]addr.IP(nil), v...)
 	}
-	if d&secPotato != 0 {
-		c.Potato = make(map[string]string, len(s.Potato))
-		for k, v := range s.Potato {
-			c.Potato[k] = v
-		}
-	} else {
-		c.Potato = prev.Potato
+	for k, v := range s.EIPPools {
+		c.EIPPools[k] = &PoolState{Next: v.Next, Released: append([]addr.IP(nil), v.Released...)}
 	}
-	if d&secProvGroups != 0 {
-		c.ProvGroups = make(map[string][]addr.IP, len(s.ProvGroups))
-		for k, v := range s.ProvGroups {
-			c.ProvGroups[k] = append([]addr.IP(nil), v...)
-		}
-	} else {
-		c.ProvGroups = prev.ProvGroups
-	}
-	if d&secGroups != 0 {
-		c.Groups = make(map[string][]addr.IP, len(s.Groups))
-		for k, v := range s.Groups {
-			c.Groups[k] = append([]addr.IP(nil), v...)
-		}
-	} else {
-		c.Groups = prev.Groups
-	}
-	if d&secNames != 0 {
-		c.Names = make(map[string]addr.IP, len(s.Names))
-		for k, v := range s.Names {
-			c.Names[k] = v
-		}
-	} else {
-		c.Names = prev.Names
-	}
-	if d&secEIPPools != 0 {
-		c.EIPPools = make(map[string]*PoolState, len(s.EIPPools))
-		for k, v := range s.EIPPools {
-			c.EIPPools[k] = &PoolState{Next: v.Next, Released: append([]addr.IP(nil), v.Released...)}
-		}
-	} else {
-		c.EIPPools = prev.EIPPools
-	}
-	if d&secSIPPools != 0 {
-		c.SIPPools = make(map[string]*PoolState, len(s.SIPPools))
-		for k, v := range s.SIPPools {
-			c.SIPPools[k] = &PoolState{Next: v.Next, Released: append([]addr.IP(nil), v.Released...)}
-		}
-	} else {
-		c.SIPPools = prev.SIPPools
+	for k, v := range s.SIPPools {
+		c.SIPPools[k] = &PoolState{Next: v.Next, Released: append([]addr.IP(nil), v.Released...)}
 	}
 	return c
 }

@@ -6,6 +6,7 @@
 package lb
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -66,6 +67,12 @@ func (b *Balancer) Bind(eip addr.IP, weight int) {
 	b.backends[eip] = &Backend{EIP: eip, Weight: weight, healthy: true}
 }
 
+// ErrNotBound is Unbind's and SetHealth's answer for an address the
+// balancer does not hold. It is a fixed value because a miss is the
+// common case: release_eip and the health checker ask every balancer of a
+// provider, and all but a few answer this.
+var ErrNotBound = errors.New("lb: backend not bound")
+
 // Unbind starts draining a backend: no new connections, existing ones
 // finish. The backend disappears once its last connection releases.
 func (b *Balancer) Unbind(eip addr.IP) error {
@@ -73,7 +80,7 @@ func (b *Balancer) Unbind(eip addr.IP) error {
 	defer b.mu.Unlock()
 	be, ok := b.backends[eip]
 	if !ok {
-		return fmt.Errorf("lb: %s not bound to %s", eip, b.SIP)
+		return ErrNotBound
 	}
 	be.draining = true
 	if be.active == 0 {
@@ -88,7 +95,7 @@ func (b *Balancer) SetHealth(eip addr.IP, healthy bool) error {
 	defer b.mu.Unlock()
 	be, ok := b.backends[eip]
 	if !ok {
-		return fmt.Errorf("lb: %s not bound to %s", eip, b.SIP)
+		return ErrNotBound
 	}
 	be.healthy = healthy
 	return nil
@@ -108,6 +115,19 @@ func (b *Balancer) backendsLocked() []*Backend {
 		out = append(out, be)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].EIP < out[j].EIP })
+	return out
+}
+
+// Weights returns every bound backend's weight as of one moment. Unlike
+// the *Backend values Backends hands out, it is safe to read beside a
+// concurrent Bind, which re-weights a backend in place.
+func (b *Balancer) Weights() map[addr.IP]int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	out := make(map[addr.IP]int, len(b.backends))
+	for eip, be := range b.backends {
+		out[eip] = be.Weight
+	}
 	return out
 }
 
