@@ -104,9 +104,10 @@ flags:
 benchmod:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# declnetd must stay free of the baseline (VPC/gateway/appliance) world.
+# declnetd must stay free of the baseline (VPC/gateway/appliance) world
+# and of its routing tables: the declarative plane holds none.
 nobaseline:
-	@if $(GO) list -deps ./cmd/declnetd | grep -E 'internal/(vnet|gateway|appliance|cloudapi|shim)$$'; then \
+	@if $(GO) list -deps ./cmd/declnetd | grep -E 'internal/(vnet|gateway|appliance|cloudapi|shim|routing)$$'; then \
 		echo "cmd/declnetd depends on the baseline world (packages above)"; exit 1; \
 	fi
 

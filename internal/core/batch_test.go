@@ -50,8 +50,8 @@ func TestApplyBatchOnboarding(t *testing.T) {
 	if !ok {
 		t.Fatalf("SIP %s has no provider", sip)
 	}
-	if l, ok := pb.Permits.List(sip); !ok || l.Version() != 1 {
-		t.Fatalf("permit list version after batch: %v (ok=%v), want 1", l, ok)
+	if d := pb.Permits.Explain(0, sip); !d.HasList || d.Version != 1 {
+		t.Fatalf("permit list after batch: %+v, want an installed list at version 1", d)
 	}
 	if ip, ok := c.ResolveName("acme", "db"); !ok || ip != sip {
 		t.Fatalf("Resolve(db) = %s/%v, want %s", ip, ok, sip)

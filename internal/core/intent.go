@@ -359,11 +359,18 @@ func writeSIPSection(w io.Writer, p *Provider) {
 	fmt.Fprintf(w, "sippool %s %v\n", next, released)
 }
 
+// writePermitLines keeps the digest's pinned entry order, which is older
+// than the canonical one: host (/32) entries, then the shorter prefixes.
 func writePermitLines(w io.Writer, p *Provider, targets []addr.IP) {
 	for _, t := range targets {
 		fmt.Fprintf(w, "permit %s", t)
-		for _, e := range p.Permits.EntriesOf(t) {
-			fmt.Fprintf(w, " %s", e)
+		entries := p.Permits.EntriesOf(t)
+		for _, hosts := range []bool{true, false} {
+			for _, e := range entries {
+				if (e.Len == 32) == hosts {
+					fmt.Fprintf(w, " %s", e)
+				}
+			}
 		}
 		fmt.Fprintln(w)
 	}

@@ -31,7 +31,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -205,34 +204,6 @@ func (r *Reconciler) RunSweep() SweepResult {
 	return res
 }
 
-// entriesEqual compares two permit entry sets canonically (sorted by
-// address then length). Safe on unsorted, deduplicated input; the hot
-// path uses permit.Engine.EqualsEntries instead (no copies, no sort),
-// and the parity property test uses this as its independent oracle.
-func entriesEqual(a, b []addr.Prefix) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	a, b = sortedEntries(a), sortedEntries(b)
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sortedEntries(in []addr.Prefix) []addr.Prefix {
-	out := append([]addr.Prefix(nil), in...)
-	// sort.Slice, not an insertion sort: this used to run per target per
-	// sweep and went quadratic on large lists.
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Addr < out[j].Addr ||
-			(out[i].Addr == out[j].Addr && out[i].Len < out[j].Len)
-	})
-	return out
-}
-
 // checkDeclaredPermit screens one declared permit target against the
 // enforcement engine, re-validates a mismatch under the owning tenant's
 // shard lock against the live declared list, and repairs what is still
@@ -246,9 +217,9 @@ func (r *Reconciler) checkDeclaredPermit(p *Provider, t addr.IP, pl *intent.Perm
 			return false
 		}
 	}
-	// Declared entries are kept canonically sorted and deduplicated at
-	// apply time, so the steady-state comparison is a containment probe
-	// against the installed set — no clone, no sort, no allocation.
+	// Declared and installed entries are the same canonical form built by
+	// the same functions, so the steady-state comparison is slices.Equal —
+	// no clone, no sort, no allocation.
 	if equal, hasList := p.Permits.EqualsEntries(t, pl.Entries); hasList && equal {
 		return false
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,32 @@ import (
 	"declnet/internal/permit"
 	"declnet/internal/topo"
 )
+
+// entriesEqual compares two permit entry sets canonically (sorted by
+// address then length), sharing no code with addr's canonical-set
+// functions: the tests' independent oracle for what production compares
+// with slices.Equal.
+func entriesEqual(a, b []addr.Prefix) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	a, b = sortedEntries(a), sortedEntries(b)
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func sortedEntries(in []addr.Prefix) []addr.Prefix {
+	out := append([]addr.Prefix(nil), in...)
+	sort.Slice(out, func(i, j int) bool {
+		return out[i].Addr < out[j].Addr ||
+			(out[i].Addr == out[j].Addr && out[i].Len < out[j].Len)
+	})
+	return out
+}
 
 // within fails the test unless done closes before the deadline — the
 // deadlock detector for the lock-scope tests.

@@ -55,103 +55,102 @@ func encodeFrame(rec *Record) ([]byte, error) {
 	return buf, nil
 }
 
+// frame is one scanned journal frame: the offset it starts at, the
+// checksum its header claims, and its payload.
+type frame struct {
+	off     int64
+	sum     uint32
+	payload []byte
+}
+
+// decode checks the payload against the claimed checksum and unmarshals
+// it into rec.
+func (f *frame) decode(rec *Record) error {
+	if crc32.ChecksumIEEE(f.payload) != f.sum {
+		return &CorruptError{Offset: f.off, Reason: "frame checksum mismatch"}
+	}
+	if err := json.Unmarshal(f.payload, rec); err != nil {
+		return &CorruptError{Offset: f.off, Reason: "frame payload is not a record: " + err.Error()}
+	}
+	return nil
+}
+
+// scanFrames checks the file header and walks the frame boundaries,
+// handing each whole frame to visit. It returns the offset the scan
+// stopped at — just past the last frame visit accepted — and why: nil on
+// a clean EOF, visit's error, or the *CorruptError of a frame that is
+// truncated or claims an implausible length.
+func scanFrames(r io.Reader, visit func(frame) error) (int64, error) {
+	hdr := make([]byte, len(journalMagic))
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return 0, &CorruptError{Offset: 0, Reason: "missing or truncated header"}
+	}
+	if !bytes.Equal(hdr, journalMagic) {
+		return 0, &CorruptError{Offset: 0, Reason: fmt.Sprintf("bad magic %q", hdr)}
+	}
+	off := int64(len(journalMagic))
+	fh := make([]byte, frameHeaderLen)
+	for {
+		if _, err := io.ReadFull(r, fh); err != nil {
+			if err == io.EOF {
+				return off, nil
+			}
+			return off, &CorruptError{Offset: off, Reason: "truncated frame header"}
+		}
+		n := binary.LittleEndian.Uint32(fh[0:4])
+		if n == 0 || n > maxFrame {
+			return off, &CorruptError{Offset: off, Reason: fmt.Sprintf("implausible frame length %d", n)}
+		}
+		payload, err := readPayload(r, int(n))
+		if err != nil {
+			return off, &CorruptError{Offset: off, Reason: "truncated frame payload"}
+		}
+		if err := visit(frame{off: off, sum: binary.LittleEndian.Uint32(fh[4:8]), payload: payload}); err != nil {
+			return off, err
+		}
+		off += int64(frameHeaderLen) + int64(n)
+	}
+}
+
 // DecodeJournal scans a journal byte stream. It returns every record of
 // the longest valid prefix, the offset just past the last valid frame,
 // and the corruption that stopped the scan — nil on a clean EOF. Any
 // input is safe: a truncated, bit-flipped, or entirely foreign stream
 // yields a *CorruptError, never a panic.
 func DecodeJournal(r io.Reader) ([]Record, int64, error) {
-	hdr := make([]byte, len(journalMagic))
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, 0, &CorruptError{Offset: 0, Reason: "missing or truncated header"}
-	}
-	if !bytes.Equal(hdr, journalMagic) {
-		return nil, 0, &CorruptError{Offset: 0, Reason: fmt.Sprintf("bad magic %q", hdr)}
-	}
 	var recs []Record
-	off := int64(len(journalMagic))
-	fh := make([]byte, frameHeaderLen)
-	for {
-		if _, err := io.ReadFull(r, fh); err != nil {
-			if err == io.EOF {
-				return recs, off, nil
-			}
-			return recs, off, &CorruptError{Offset: off, Reason: "truncated frame header"}
-		}
-		n := binary.LittleEndian.Uint32(fh[0:4])
-		sum := binary.LittleEndian.Uint32(fh[4:8])
-		if n == 0 || n > maxFrame {
-			return recs, off, &CorruptError{Offset: off, Reason: fmt.Sprintf("implausible frame length %d", n)}
-		}
-		payload, err := readPayload(r, int(n))
-		if err != nil {
-			return recs, off, &CorruptError{Offset: off, Reason: "truncated frame payload"}
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return recs, off, &CorruptError{Offset: off, Reason: "frame checksum mismatch"}
-		}
+	off, err := scanFrames(r, func(f frame) error {
 		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return recs, off, &CorruptError{Offset: off, Reason: "frame payload is not a record: " + err.Error()}
+		if err := f.decode(&rec); err != nil {
+			return err
 		}
 		recs = append(recs, rec)
-		off += int64(frameHeaderLen) + int64(n)
-	}
+		return nil
+	})
+	return recs, off, err
 }
 
 // DecodeJournalParallel is DecodeJournal with CRC verification and JSON
 // unmarshalling fanned out across workers. Framing is inherently serial
-// (each frame's offset depends on the previous length prefix), so one
-// pass scans frame boundaries and payloads; the per-frame work — the
-// bulk of recovery time — runs in parallel. The contract is bit-for-bit
-// DecodeJournal's: the longest valid prefix of records, the offset just
-// past the last valid frame, and the corruption that stopped the scan.
-// A payload error at frame i wins over any later scan-stop, exactly as
-// the serial decoder would have reported it.
+// (each frame's offset depends on the previous length prefix), so the
+// one scan collects frame boundaries and payloads; the per-frame work —
+// the bulk of recovery time — runs in parallel. The contract is
+// bit-for-bit DecodeJournal's: the longest valid prefix of records, the
+// offset just past the last valid frame, and the corruption that stopped
+// the scan. A payload error at frame i wins over any later scan-stop,
+// exactly as the serial decoder would have reported it.
 func DecodeJournalParallel(r io.Reader, workers int) ([]Record, int64, error) {
 	if workers <= 1 {
 		return DecodeJournal(r)
 	}
-	hdr := make([]byte, len(journalMagic))
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, 0, &CorruptError{Offset: 0, Reason: "missing or truncated header"}
-	}
-	if !bytes.Equal(hdr, journalMagic) {
-		return nil, 0, &CorruptError{Offset: 0, Reason: fmt.Sprintf("bad magic %q", hdr)}
-	}
-	type frame struct {
-		off     int64
-		sum     uint32
-		payload []byte
-	}
 	var frames []frame
-	off := int64(len(journalMagic))
-	var scanErr error // the serial scan's stopping corruption, if any
-	fh := make([]byte, frameHeaderLen)
-	for {
-		if _, err := io.ReadFull(r, fh); err != nil {
-			if err != io.EOF {
-				scanErr = &CorruptError{Offset: off, Reason: "truncated frame header"}
-			}
-			break
-		}
-		n := binary.LittleEndian.Uint32(fh[0:4])
-		sum := binary.LittleEndian.Uint32(fh[4:8])
-		if n == 0 || n > maxFrame {
-			scanErr = &CorruptError{Offset: off, Reason: fmt.Sprintf("implausible frame length %d", n)}
-			break
-		}
-		payload, err := readPayload(r, int(n))
-		if err != nil {
-			scanErr = &CorruptError{Offset: off, Reason: "truncated frame payload"}
-			break
-		}
-		frames = append(frames, frame{off: off, sum: sum, payload: payload})
-		off += int64(frameHeaderLen) + int64(n)
-	}
+	off, scanErr := scanFrames(r, func(f frame) error {
+		frames = append(frames, f)
+		return nil
+	})
 
 	recs := make([]Record, len(frames))
-	errs := make([]*CorruptError, len(frames))
+	errs := make([]error, len(frames))
 	var next int64 // atomically claimed frame index
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -170,14 +169,7 @@ func DecodeJournalParallel(r io.Reader, workers int) ([]Record, int64, error) {
 				if i >= len(frames) {
 					return
 				}
-				f := &frames[i]
-				if crc32.ChecksumIEEE(f.payload) != f.sum {
-					errs[i] = &CorruptError{Offset: f.off, Reason: "frame checksum mismatch"}
-					continue
-				}
-				if err := json.Unmarshal(f.payload, &recs[i]); err != nil {
-					errs[i] = &CorruptError{Offset: f.off, Reason: "frame payload is not a record: " + err.Error()}
-				}
+				errs[i] = frames[i].decode(&recs[i])
 			}
 		}()
 	}
@@ -189,10 +181,7 @@ func DecodeJournalParallel(r io.Reader, workers int) ([]Record, int64, error) {
 			return recs[:i], frames[i].off, e
 		}
 	}
-	if scanErr != nil {
-		return recs, off, scanErr
-	}
-	return recs, off, nil
+	return recs, off, scanErr
 }
 
 // readPayload reads exactly n bytes. Large claims are read

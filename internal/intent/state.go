@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strings"
 
 	"declnet/internal/addr"
@@ -273,17 +272,7 @@ func (s *State) applyOp(tenant string, op *Op) error {
 			s.Services[op.SIP] = withoutBind(svc, i)
 		}
 	case OpSetPermit:
-		// Deduplicate while expanding: the enforcement engine's entry set
-		// dedups (/32s in a map, prefixes in a trie), and the reconciler
-		// compares declared vs installed entry sets — a duplicate here
-		// would read as permanent drift. Entries are kept in canonical
-		// (address, length) order at install time, so the reconciler's
-		// steady-state comparison never sorts, and dedup is a binary
-		// search instead of a linear scan.
-		all := make([]addr.Prefix, 0, len(op.Entries))
-		for _, e := range op.Entries {
-			all = insertEntry(all, e)
-		}
+		all := slices.Clip(op.Entries) // appends below copy, never write into the op
 		for _, g := range op.Groups {
 			// Same resolution order as core.setPermitList: the provider
 			// the verb ran on first, then the cloud-level group table.
@@ -295,18 +284,19 @@ func (s *State) applyOp(tenant string, op *Op) error {
 				return fmt.Errorf("unknown group %q", g)
 			}
 			for _, m := range members {
-				all = insertEntry(all, addr.NewPrefix(m, 32))
+				all = append(all, addr.NewPrefix(m, 32))
 			}
 		}
-		s.Permits[op.Target] = &PermitList{Tenant: tenant, Entries: all}
+		// The same call permit.Engine.Set makes on the same input, so
+		// declared and installed are equal slices by construction.
+		s.Permits[op.Target] = &PermitList{Tenant: tenant, Entries: addr.CanonicalPrefixes(all)}
 	case OpPermit:
 		next := &PermitList{Tenant: tenant}
 		if pl := s.Permits[op.Target]; pl != nil {
-			next.Tenant = pl.Tenant
-			next.Entries = append(make([]addr.Prefix, 0, len(pl.Entries)+len(op.Entries)), pl.Entries...)
+			*next = *pl
 		}
 		for _, e := range op.Entries {
-			next.Entries = insertEntry(next.Entries, e)
+			next.Entries = addr.InsertPrefix(next.Entries, e)
 		}
 		s.Permits[op.Target] = next
 	case OpRevoke:
@@ -314,13 +304,11 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		if pl == nil {
 			return nil // revoking from an empty list is a no-op, as in core
 		}
-		next := &PermitList{Tenant: pl.Tenant, Entries: slices.Clone(pl.Entries)}
+		next := *pl
 		for _, e := range op.Entries {
-			if i := slices.Index(next.Entries, e); i >= 0 {
-				next.Entries = slices.Delete(next.Entries, i, i+1)
-			}
+			next.Entries = addr.RemovePrefix(next.Entries, e)
 		}
-		s.Permits[op.Target] = next
+		s.Permits[op.Target] = &next
 	case OpSetQoS:
 		s.Quotas[QuotaKey(op.Provider, tenant, op.Region)] = op.Bps
 	case OpSetPotato:
@@ -369,23 +357,6 @@ func (s *State) drainBinds(eip addr.IP) {
 			s.Services[sip] = withoutBind(svc, i)
 		}
 	}
-}
-
-// insertEntry adds e to a canonically-sorted entry set — ordered by
-// address then length — keeping it deduplicated. Binary search makes a
-// full list build O(n log n) where the old contains-scan was O(n²).
-func insertEntry(entries []addr.Prefix, e addr.Prefix) []addr.Prefix {
-	i := sort.Search(len(entries), func(i int) bool {
-		return entries[i].Addr > e.Addr ||
-			(entries[i].Addr == e.Addr && entries[i].Len >= e.Len)
-	})
-	if i < len(entries) && entries[i] == e {
-		return entries
-	}
-	entries = append(entries, addr.Prefix{})
-	copy(entries[i+1:], entries[i:])
-	entries[i] = e
-	return entries
 }
 
 // Clone deep-copies the state: recovery, the tests and the benchmark

@@ -105,39 +105,33 @@ func (e Event) String() string {
 // outermost effect first: Chain("no-healthy-backend:x", "node-down:y").
 func Chain(causes ...string) string { return strings.Join(causes, " <- ") }
 
-// ring is a fixed-capacity overwrite-oldest event buffer.
+// ring is a bounded overwrite-oldest event buffer. It grows by append
+// until it holds max events and wraps from then on, so a tenant costs
+// what it has recorded, not the bound.
 type ring struct {
 	buf  []Event
-	next int
-	full bool
+	next int // the oldest event, once len(buf) == max
 }
 
-func (r *ring) push(ev Event) (evicted bool) {
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
+func (r *ring) push(ev Event, max int) (evicted bool) {
+	switch {
+	case len(r.buf) == max:
+		r.buf[r.next] = ev
+		r.next = (r.next + 1) % max
+		return true
+	case len(r.buf) == cap(r.buf) && 2*len(r.buf) > max:
+		// append's next doubling would overshoot the bound: stop at it.
+		r.buf = append(make([]Event, 0, max), r.buf...)
 	}
-	r.buf[r.next] = ev
-	r.next++
-	return r.full
+	r.buf = append(r.buf, ev)
+	return false
 }
 
 // events returns buffered events oldest first.
 func (r *ring) events() []Event {
-	if !r.full {
-		return append([]Event(nil), r.buf[:r.next]...)
-	}
 	out := make([]Event, 0, len(r.buf))
 	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-func (r *ring) len() int {
-	if r.full {
-		return len(r.buf)
-	}
-	return r.next
+	return append(out, r.buf[:r.next]...)
 }
 
 // Tracer records decision events into one bounded ring buffer per tenant,
@@ -186,12 +180,12 @@ func (t *Tracer) Record(ev Event) uint64 {
 	if r == nil || t.lastTenant != ev.Tenant {
 		var ok bool
 		if r, ok = t.rings[ev.Tenant]; !ok {
-			r = &ring{buf: make([]Event, t.cap)}
+			r = &ring{}
 			t.rings[ev.Tenant] = r
 		}
 		t.lastTenant, t.lastRing = ev.Tenant, r
 	}
-	if r.push(ev) {
+	if r.push(ev, t.cap) {
 		t.nDrop++
 	}
 	t.nStamp++
@@ -228,7 +222,7 @@ func (t *Tracer) Len(tenant string) int {
 	if !ok {
 		return 0
 	}
-	return r.len()
+	return len(r.buf)
 }
 
 // Recorded returns the total events ever recorded; Evicted how many were

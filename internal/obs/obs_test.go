@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestRingBounds(t *testing.T) {
@@ -99,6 +100,32 @@ func TestTracerConcurrent(t *testing.T) {
 	wg.Wait()
 	if tr.Recorded() != 4000 {
 		t.Fatalf("Recorded = %d, want 4000", tr.Recorded())
+	}
+}
+
+// A ring costs what its tenant recorded: three events at the default
+// bound hold under 1 KB (a ring allocated whole is 128 KB), and a ring
+// that has filled holds exactly the bound, not append's next doubling.
+func TestRingGrowsWithItsTenant(t *testing.T) {
+	tr := NewTracer(0)
+	held := func() uintptr { return uintptr(cap(tr.rings["acme"].buf)) * unsafe.Sizeof(Event{}) }
+	for i := 0; i < 3; i++ {
+		tr.Record(Event{Tenant: "acme", Kind: PermitAllow})
+	}
+	if got := held(); got >= 1024 {
+		t.Fatalf("a tenant with three events holds %d B, want < 1 KB", got)
+	}
+	for i := 0; i < 2*DefaultPerTenantCap; i++ {
+		tr.Record(Event{Tenant: "acme", Kind: PermitAllow})
+	}
+	if got, want := held(), DefaultPerTenantCap*unsafe.Sizeof(Event{}); got != want {
+		t.Fatalf("a full ring holds %d B, want the bound's %d", got, want)
+	}
+	if got := tr.Len("acme"); got != DefaultPerTenantCap {
+		t.Fatalf("Len = %d, want %d", got, DefaultPerTenantCap)
+	}
+	if evs := tr.Recent("acme", 0); evs[0].Seq != uint64(3+DefaultPerTenantCap+1) || evs[len(evs)-1].Seq != uint64(3+2*DefaultPerTenantCap) {
+		t.Fatalf("Recent spans seq %d..%d after wrapping", evs[0].Seq, evs[len(evs)-1].Seq)
 	}
 }
 

@@ -9,12 +9,12 @@ package permit
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"declnet/internal/addr"
-	"declnet/internal/routing"
 	"declnet/internal/sim"
 )
 
@@ -22,88 +22,32 @@ import (
 // single EIP).
 type Entry = addr.Prefix
 
-// List is the permit state guarding one destination EIP. Exact /32s are
-// kept in a hash set for O(1) hits; shorter prefixes go to an LPM trie.
-// Mutation and map/trie reads require external exclusion (the engine's
-// stripe lock provides it); the version counter alone is atomic, so
-// Version can be read without it.
+// List is the permit state installed for one destination: its entries
+// in addr's canonical set form — the form intent.State declares them in,
+// built by the same functions. A List is an immutable value; the engine
+// replaces it whole under the stripe lock, so one read out of the map
+// stays consistent after the lock is dropped.
 type List struct {
-	exact    map[addr.IP]bool
-	prefixes routing.Trie[bool]
-	version  atomic.Uint64
+	entries []Entry
+	lengths uint64 // addr.PrefixLengths(entries)
+	// version counts the mutations applied to this target's list since it
+	// was last replaced whole (a Set of n entries reads n): the
+	// propagation epoch Decision.Version reports.
+	version uint64
 }
 
-// NewList returns an empty (deny-everything) list.
-func NewList() *List {
-	return &List{exact: make(map[addr.IP]bool)}
-}
-
-// Add permits one source entry.
-func (l *List) Add(e Entry) {
-	if e.Len == 32 {
-		l.exact[e.Addr] = true
-	} else {
-		l.prefixes.Insert(e, true)
-	}
-	l.version.Add(1)
-}
-
-// Remove revokes one source entry, reporting whether it was present.
-func (l *List) Remove(e Entry) bool {
-	var ok bool
-	if e.Len == 32 {
-		ok = l.exact[e.Addr]
-		delete(l.exact, e.Addr)
-	} else {
-		ok = l.prefixes.Delete(e)
-	}
-	if ok {
-		l.version.Add(1)
-	}
-	return ok
+func newList(entries []Entry, version uint64) List {
+	return List{entries: entries, lengths: addr.PrefixLengths(entries), version: version}
 }
 
 // Permits reports whether src may reach the guarded endpoint.
-func (l *List) Permits(src addr.IP) bool {
-	if l.exact[src] {
-		return true
-	}
-	_, ok := l.prefixes.Lookup(src)
+func (l List) Permits(src addr.IP) bool {
+	_, ok := addr.MatchPrefix(l.entries, l.lengths, src)
 	return ok
 }
 
 // Len returns the number of entries.
-func (l *List) Len() int { return len(l.exact) + l.prefixes.Len() }
-
-// Version increments on every mutation; replicas compare versions.
-func (l *List) Version() uint64 { return l.version.Load() }
-
-// Entries returns all entries: exact /32s sorted by address, then
-// prefixes in the trie's deterministic order — stable across runs so
-// golden tables and diff-based tests never flake on map iteration.
-func (l *List) Entries() []Entry {
-	out := make([]Entry, 0, l.Len())
-	for ip := range l.exact {
-		out = append(out, addr.NewPrefix(ip, 32))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	out = append(out, l.prefixes.Prefixes()...)
-	return out
-}
-
-// Clone deep-copies the list.
-func (l *List) Clone() *List {
-	c := NewList()
-	for ip := range l.exact {
-		c.exact[ip] = true
-	}
-	l.prefixes.Walk(func(p addr.Prefix, _ bool) bool {
-		c.prefixes.Insert(p, true)
-		return true
-	})
-	c.version.Store(l.version.Load())
-	return c
-}
+func (l List) Len() int { return len(l.entries) }
 
 // engineStripes is the default stripe count. Stripes are keyed by the
 // destination's /16 block (ip>>16): providers carve one /16 per region,
@@ -116,7 +60,7 @@ const engineStripes = 64
 // engineStripe is one independently-locked partition of the list map.
 type engineStripe struct {
 	mu    sync.RWMutex
-	lists map[addr.IP]*List
+	lists map[addr.IP]List
 }
 
 // Engine is one enforcement point's view of all tenants' permit lists,
@@ -146,7 +90,7 @@ func NewEngineStripes(n int) *Engine {
 	}
 	e := &Engine{stripes: make([]engineStripe, n)}
 	for i := range e.stripes {
-		e.stripes[i].lists = make(map[addr.IP]*List)
+		e.stripes[i].lists = make(map[addr.IP]List)
 	}
 	return e
 }
@@ -156,16 +100,13 @@ func (e *Engine) stripeOf(ip addr.IP) *engineStripe {
 	return &e.stripes[(uint32(ip)>>16)&uint32(len(e.stripes)-1)]
 }
 
-// Set replaces the permit list for dst (the set_permit_list API verb).
-// One Set is one update (the E4 accounting the golden tables pin). The
-// list is built before the stripe lock is taken, which is held only for
-// the install; the fresh list pointer alone invalidates version-keyed
-// verdicts.
+// Set replaces the permit list for dst (the set_permit_list API verb)
+// with entries, which may be unsorted and repeat themselves and are
+// copied. One Set is one update (the E4 accounting the golden tables
+// pin). The list is built before the stripe lock is taken, which is held
+// only for the install.
 func (e *Engine) Set(dst addr.IP, entries []Entry) {
-	l := NewList()
-	for _, en := range entries {
-		l.Add(en)
-	}
+	l := newList(addr.CanonicalPrefixes(entries), uint64(len(entries)))
 	s := e.stripeOf(dst)
 	s.mu.Lock()
 	s.lists[dst] = l
@@ -177,17 +118,18 @@ func (e *Engine) Set(dst addr.IP, entries []Entry) {
 func (e *Engine) Permit(dst addr.IP, en Entry) {
 	s := e.stripeOf(dst)
 	s.mu.Lock()
-	l, ok := s.lists[dst]
-	if !ok {
-		l = NewList()
-		s.lists[dst] = l
+	l := s.lists[dst]
+	s.lists[dst] = List{
+		entries: addr.InsertPrefix(l.entries, en),
+		lengths: l.lengths | 1<<uint(en.Len), // exact without newList's rescan
+		version: l.version + 1,
 	}
-	l.Add(en)
 	s.mu.Unlock()
 	e.Updates.Add(1)
 }
 
-// Revoke removes one entry from dst's list.
+// Revoke removes one entry from dst's list, reporting whether it was
+// present.
 func (e *Engine) Revoke(dst addr.IP, en Entry) bool {
 	s := e.stripeOf(dst)
 	s.mu.Lock()
@@ -196,7 +138,11 @@ func (e *Engine) Revoke(dst addr.IP, en Entry) bool {
 		s.mu.Unlock()
 		return false
 	}
-	removed := l.Remove(en)
+	rest := addr.RemovePrefix(l.entries, en)
+	removed := len(rest) != len(l.entries)
+	if removed {
+		s.lists[dst] = newList(rest, l.version+1)
+	}
 	s.mu.Unlock()
 	e.Updates.Add(1)
 	return removed
@@ -212,24 +158,16 @@ func (e *Engine) Drop(dst addr.IP) {
 }
 
 // Check enforces default-off admission: true only when dst has a list
-// that permits src. The stripe read lock is held across the list walk so
-// a same-stripe writer cannot mutate the trie mid-lookup; checks against
-// other stripes share nothing.
+// that permits src. The stripe read lock covers the map read only; the
+// search runs on the immutable list it returned.
 func (e *Engine) Check(src, dst addr.IP) bool {
 	e.Lookups.Add(1)
-	s := e.stripeOf(dst)
-	s.mu.RLock()
-	l, ok := s.lists[dst]
-	allowed := ok && l.Permits(src)
-	s.mu.RUnlock()
-	return allowed
+	l, _ := e.List(dst)
+	return l.Permits(src)
 }
 
-// List returns dst's list when present. The pointer together with its
-// atomic Version is the revalidation token for memoized verdicts; the
-// list's contents must only be read under the engine's stripe lock
-// (i.e. via Check/Explain).
-func (e *Engine) List(dst addr.IP) (*List, bool) {
+// List returns dst's installed list, and whether dst is guarded at all.
+func (e *Engine) List(dst addr.IP) (List, bool) {
 	s := e.stripeOf(dst)
 	s.mu.RLock()
 	l, ok := s.lists[dst]
@@ -261,32 +199,12 @@ type Decision struct {
 // cost figures). Unlike Check it also reports which entry admitted the
 // flow and the list's version.
 func (e *Engine) Explain(src, dst addr.IP) Decision {
-	s := e.stripeOf(dst)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	l, ok := s.lists[dst]
+	l, ok := e.List(dst)
 	if !ok {
 		return Decision{}
 	}
-	d := Decision{HasList: true, Version: l.version.Load(), Entries: l.Len()}
-	if l.exact[src] {
-		d.Allowed = true
-		d.Matched = addr.NewPrefix(src, 32)
-		return d
-	}
-	// Longest matching prefix; Entries() is small relative to diagnosis
-	// frequency, so a linear scan keeps the hot Lookup path untouched.
-	best, found := Entry{}, false
-	l.prefixes.Walk(func(p addr.Prefix, _ bool) bool {
-		if p.Contains(src) && (!found || p.Len > best.Len) {
-			best, found = p, true
-		}
-		return true
-	})
-	if found {
-		d.Allowed = true
-		d.Matched = best
-	}
+	d := Decision{HasList: true, Version: l.version, Entries: l.Len()}
+	d.Matched, d.Allowed = addr.MatchPrefix(l.entries, l.lengths, src)
 	return d
 }
 
@@ -358,47 +276,21 @@ func (e *Engine) TargetsWithin(block addr.Prefix) []addr.IP {
 	return out
 }
 
-// EqualsEntries reports whether dst's installed list equals want as a
-// set, and whether dst is guarded at all. Both sides are deduplicated
-// sets (the list by construction, want by the declared-state apply),
-// so equal length plus containment of every want entry is equality.
-// The probe runs under the stripe read lock with zero allocations —
-// the steady-state reconciler compares every declared list this way,
-// every sweep.
+// EqualsEntries reports whether dst's installed set equals want, a
+// canonical set (a declared list is one), and whether dst is guarded at
+// all. Both are the same form, so this is slices.Equal — no copy, no
+// sort, no allocation; the steady-state reconciler compares every
+// declared list this way, every sweep.
 func (e *Engine) EqualsEntries(dst addr.IP, want []Entry) (equal, hasList bool) {
-	s := e.stripeOf(dst)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	l, ok := s.lists[dst]
-	if !ok {
-		return false, false
-	}
-	if l.Len() != len(want) {
-		return false, true
-	}
-	for _, en := range want {
-		if en.Len == 32 {
-			if !l.exact[en.Addr] {
-				return false, true
-			}
-		} else if _, ok := l.prefixes.Get(en); !ok {
-			return false, true
-		}
-	}
-	return true, true
+	l, ok := e.List(dst)
+	return ok && slices.Equal(l.entries, want), ok
 }
 
-// EntriesOf returns dst's installed entries (Entries() order) under the
-// stripe read lock, or nil when dst is unguarded.
+// EntriesOf returns dst's installed entry set (shared; not to be
+// modified), or nil when dst is unguarded.
 func (e *Engine) EntriesOf(dst addr.IP) []Entry {
-	s := e.stripeOf(dst)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	l, ok := s.lists[dst]
-	if !ok {
-		return nil
-	}
-	return l.Entries()
+	l, _ := e.List(dst)
+	return l.entries
 }
 
 // Endpoints returns the number of guarded EIPs.

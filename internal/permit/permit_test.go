@@ -1,6 +1,8 @@
 package permit
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -89,53 +91,86 @@ func TestCounters(t *testing.T) {
 	}
 }
 
+// A List read out of the engine is a snapshot: every mutation installs a
+// fresh slice, so the value itself is the copy Clone used to make.
 func TestListCloneAndEntries(t *testing.T) {
-	l := NewList()
-	l.Add(pfx("10.0.0.0/8"))
-	l.Add(pfx("192.0.2.1/32"))
-	c := l.Clone()
-	l.Remove(pfx("10.0.0.0/8"))
-	if !c.Permits(ipa("10.5.5.5")) {
-		t.Fatal("clone shares state with original")
+	e := NewEngine()
+	dst := ipa("198.18.0.1")
+	e.Permit(dst, pfx("10.0.0.0/8"))
+	e.Permit(dst, pfx("192.0.2.1/32"))
+	c, _ := e.List(dst)
+	held := e.EntriesOf(dst)
+	e.Revoke(dst, pfx("10.0.0.0/8"))
+	if !c.Permits(ipa("10.5.5.5")) || c.Len() != 2 {
+		t.Fatal("a list read earlier changed under a later Revoke")
 	}
-	if len(c.Entries()) != 2 {
-		t.Fatalf("Entries = %v", c.Entries())
+	if want := []Entry{pfx("10.0.0.0/8"), pfx("192.0.2.1/32")}; !slices.Equal(held, want) {
+		t.Fatalf("entries read earlier = %v after a later Revoke, want %v", held, want)
 	}
-	if c.Version() != 2 {
-		t.Fatalf("clone Version = %d, want 2", c.Version())
+	if d := e.Explain(ipa("10.5.5.5"), dst); d.Allowed || d.Version != 3 || d.Entries != 1 {
+		t.Fatalf("after Revoke: %+v, want a one-entry list at version 3 that denies", d)
 	}
 }
 
-// Entries must come back in a deterministic order regardless of
-// insertion order: exact /32s sorted by address, then trie prefixes.
+// Entries come back in the canonical (address, length) order whatever
+// the insertion order and whichever verb built the list, duplicates gone.
 func TestEntriesDeterministic(t *testing.T) {
+	dst := ipa("198.18.0.1")
 	mk := func(order []string) []Entry {
-		l := NewList()
+		e := NewEngine()
 		for _, s := range order {
-			l.Add(pfx(s))
+			e.Permit(dst, pfx(s))
 		}
-		return l.Entries()
+		return e.EntriesOf(dst)
 	}
-	specs := []string{"192.0.2.9/32", "10.0.0.0/8", "192.0.2.1/32", "172.16.0.0/12", "1.1.1.1/32"}
+	specs := []string{"192.0.2.9/32", "10.0.0.0/8", "192.0.2.1/32", "172.16.0.0/12", "1.1.1.1/32", "10.0.0.0/8"}
 	want := mk(specs)
-	rev := make([]string, len(specs))
-	for i, s := range specs {
-		rev[len(specs)-1-i] = s
+	if len(want) != 5 || !slices.IsSortedFunc(want, addr.ComparePrefix) {
+		t.Fatalf("Entries = %v, want the five distinct entries in canonical order", want)
 	}
-	got := mk(rev)
-	if len(got) != len(want) {
-		t.Fatalf("Entries = %d items, want %d", len(got), len(want))
+	slices.Reverse(specs)
+	if got := mk(specs); !slices.Equal(got, want) {
+		t.Fatalf("Entries = %v (reversed insertion), want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Entries[%d] = %v (reversed insertion), want %v", i, got[i], want[i])
-		}
+	e := NewEngine()
+	var all []Entry
+	for _, s := range specs {
+		all = append(all, pfx(s))
 	}
-	for i := 1; i < len(want); i++ {
-		if want[i-1].Len == 32 && want[i].Len == 32 && want[i-1].Addr > want[i].Addr {
-			t.Fatalf("exact entries unsorted: %v before %v", want[i-1], want[i])
-		}
+	e.Set(dst, all)
+	if got := e.EntriesOf(dst); !slices.Equal(got, want) {
+		t.Fatalf("Entries = %v (one Set), want %v", got, want)
 	}
+	if !slices.Equal(all[:2], []Entry{pfx(specs[0]), pfx(specs[1])}) {
+		t.Fatal("Set sorted its caller's slice in place")
+	}
+	// Version counts mutations applied, not distinct entries kept.
+	if v := e.Explain(0, dst).Version; v != uint64(len(specs)) {
+		t.Fatalf("Version after a Set of %d entries = %d", len(specs), v)
+	}
+}
+
+// What one installed list costs, counted rather than timed: the two-/16
+// list every BENCHMARK.json workload builds per endpoint, map slot
+// included. The map-and-trie form this replaced measured 533 B.
+func TestListFootprint(t *testing.T) {
+	const lists = 20000
+	entries := []Entry{pfx("100.64.0.0/16"), pfx("104.255.0.0/16")}
+	e := NewEngine()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < lists; i++ {
+		e.Set(addr.IP(0x64400000+i), entries)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := float64(after.HeapAlloc-before.HeapAlloc) / lists
+	t.Logf("%.0f B per two-/16 list", per)
+	if per > 200 {
+		t.Fatalf("an installed two-/16 list costs %.0f B, budget 200", per)
+	}
+	runtime.KeepAlive(e)
 }
 
 // Property: the engine agrees with a naive oracle over arbitrary

@@ -12,7 +12,7 @@ import (
 type NextHop struct {
 	ID string
 	// Metric breaks ties between routes for the same prefix learned from
-	// different sources; lower wins (hop count in BGP-lite).
+	// different sources; lower wins.
 	Metric int
 	// Origin tags how the route was learned: "static", "propagated",
 	// "connected", "aggregated". Used in experiment accounting.

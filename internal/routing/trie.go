@@ -1,8 +1,8 @@
-// Package routing implements the forwarding-state machinery shared by the
-// baseline virtual-network layer and the provider core: a binary
-// (Patricia-style) longest-prefix-match trie, route tables with metrics,
-// a prefix aggregation pass, and a BGP-lite advertisement protocol used by
-// transit/VPN gateways.
+// Package routing implements the forwarding-state machinery of the
+// baseline virtual-network layer: a binary longest-prefix-match trie,
+// route tables with metrics, and a prefix aggregation pass. The
+// declarative plane does not use it — a permit list is a sorted prefix
+// slice (package addr) — and declnetd does not link it.
 //
 // The E3 experiment uses this package directly to measure how provider
 // routing-table size scales under the paper's flat "public but default-off"

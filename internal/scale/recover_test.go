@@ -13,16 +13,15 @@ import (
 )
 
 // What one restored endpoint costs at the 10^5-endpoint tier, half of it
-// loaded from the snapshot and half replayed from the journal: 5 312 000
-// allocations and 246.6 MB. The streamed snapshot decode holds one entry
-// at a time where json.Decoder.Decode buffered the whole file, which is
-// 199 bytes per endpoint fewer than that decode on the same history
-// (2 665), but its Decoder.Token calls cost seven allocations a key, so
-// 7.0 allocations more (46.1). Recovery may cost a quarter more before
-// TestRecoveryBudget fails.
+// loaded from the snapshot and half replayed from the journal: 3 510 000
+// allocations and 210.8 MB. An installed permit list is one sorted slice
+// beside its map slot — restore builds no hash set and no trie nodes —
+// which is 18 allocations and 359 bytes per endpoint fewer than the
+// map-and-trie list cost on the same history (53.1 and 2 467). Recovery
+// may cost a quarter more before TestRecoveryBudget fails.
 const (
-	recoverAllocsPerEndpoint = 53
-	recoverBytesPerEndpoint  = 2470
+	recoverAllocsPerEndpoint = 35.1
+	recoverBytesPerEndpoint  = 2108
 	recoverBudgetFactor      = 1.25
 )
 
