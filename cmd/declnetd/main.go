@@ -56,8 +56,9 @@
 // closes the intent store, and exits 0.
 //
 // With -debug-addr set, a second listener serves net/http/pprof under
-// /debug/pprof/ and the expvar JSON dump under /debug/vars (the metrics
-// registry is published there as "declnet"). Mutex and block profiling
+// /debug/pprof/ and Go's own expvar variables (memstats, cmdline) under
+// /debug/vars; the metrics registry is rendered only by /v1/metrics on
+// the main listener. Mutex and block profiling
 // are enabled on that listener too (1 in 100 contention events, blocking
 // of 10 µs and longer), so shard-lock contention on the mutation plane is
 // inspectable at /debug/pprof/mutex and /debug/pprof/block.
@@ -65,7 +66,7 @@ package main
 
 import (
 	"context"
-	"expvar"
+	_ "expvar"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -212,11 +213,8 @@ func main() {
 		// and cheap at these sampling rates.
 		runtime.SetMutexProfileFraction(mutexProfileFraction)
 		runtime.SetBlockProfileRate(blockProfileRate)
-		// pprof registered itself on DefaultServeMux via import; publish
-		// the metrics registry alongside it for /debug/vars.
-		expvar.Publish("declnet", expvar.Func(func() any {
-			return srv.ExpvarMap()
-		}))
+		// pprof and expvar registered themselves on DefaultServeMux via
+		// import.
 		debug := &http.Server{Addr: *debugAddr, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 		go func() {
 			logger.Info("debug listener up", "addr", *debugAddr,

@@ -48,21 +48,17 @@ type Server struct {
 	plane     *slo.Plane
 	startedAt time.Time
 
-	mRequests *metrics.RCounter
-	mErrors   *metrics.RCounter
-	mLatency  *metrics.RHistogram
+	mErrors  *metrics.RCounter
+	mLatency *metrics.Hist
 }
 
 // Options tunes the server's observability wiring. The zero value gives a
-// silent logger and fresh tracer + registry attached to the world.
+// silent logger and a default SLO plane; the server always attaches a
+// fresh tracer and registry to the world.
 type Options struct {
 	// Logger receives one structured line per request (method, path,
 	// tenant, status, latency). Nil discards logs.
 	Logger *slog.Logger
-	// Tracer and Registry override the defaults; nil values get fresh
-	// instances. Both are attached to the world via EnableObservability.
-	Tracer   *obs.Tracer
-	Registry *metrics.Registry
 	// SLO overrides the default latency plane (nil gets a fresh default
 	// plane). It is attached to the world via EnableSLO and backs the
 	// /v1/slo, /v1/health, and /v1/debug/flight endpoints.
@@ -78,25 +74,19 @@ func NewServerWith(w *declnet.World, opts Options) *Server {
 	if opts.Logger == nil {
 		opts.Logger = slog.New(slog.DiscardHandler)
 	}
-	if opts.Tracer == nil {
-		opts.Tracer = obs.NewTracer(0)
-	}
-	if opts.Registry == nil {
-		opts.Registry = metrics.NewRegistry()
-	}
 	if opts.SLO == nil {
 		opts.SLO = slo.NewPlane(slo.Config{})
 	}
-	w.EnableObservability(opts.Tracer, opts.Registry)
+	tracer, registry := obs.NewTracer(0), metrics.NewRegistry()
+	w.EnableObservability(tracer, registry)
 	w.EnableSLO(opts.SLO)
 	s := &Server{
 		world: w, mux: http.NewServeMux(),
-		log: opts.Logger, tracer: opts.Tracer, registry: opts.Registry,
+		log: opts.Logger, tracer: tracer, registry: registry,
 		plane:     opts.SLO,
 		startedAt: time.Now(),
-		mRequests: opts.Registry.Counter("declnet_http_requests_total", "HTTP API requests."),
-		mErrors:   opts.Registry.Counter("declnet_http_errors_total", "HTTP API error responses."),
-		mLatency:  opts.Registry.Histogram("declnet_http_request_seconds", "HTTP API request latency."),
+		mErrors:   registry.Counter("declnet_http_errors_total", "HTTP API error responses."),
+		mLatency:  registry.Histogram("declnet_http_request_seconds", "HTTP API request latency."),
 	}
 	// The single-verb mutation routes: wire struct -> typed op -> Apply.
 	s.mux.HandleFunc("POST /v1/eips", mutate(s, EIPRequest.op, replyEIP))
@@ -134,15 +124,6 @@ func (s *Server) Logger() *slog.Logger { return s.log }
 // Registry returns the runtime metrics registry.
 func (s *Server) Registry() *metrics.Registry { return s.registry }
 
-// ExpvarMap snapshots the registry under the world lock — gauge functions
-// sample live simulation state, so a lock-free snapshot from a debug
-// listener would race with request handlers.
-func (s *Server) ExpvarMap() map[string]float64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.registry.ExpvarMap()
-}
-
 // WorldGate returns the serialization bracket background loops use
 // around world access: it takes the server's read lock (excluding
 // engine-advancing handlers, which hold the write lock) and returns the
@@ -173,14 +154,14 @@ func (sr *statusRecorder) WriteHeader(code int) {
 }
 
 // ServeHTTP implements http.Handler, logging one structured line per
-// request and feeding the API rate/latency instruments.
+// request and feeding the API latency histogram (whose _count is the
+// request count) and error counter.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK, tenant: r.URL.Query().Get("tenant")}
 	s.mux.ServeHTTP(rec, r)
 	elapsed := time.Since(start)
-	s.mRequests.Inc()
-	s.mLatency.Observe(elapsed.Seconds())
+	s.mLatency.Record(elapsed)
 	level := slog.LevelDebug
 	if rec.code >= 400 {
 		s.mErrors.Inc()

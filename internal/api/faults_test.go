@@ -1,7 +1,12 @@
 package api
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"net/http"
+	"slices"
+	"sync"
 	"testing"
 
 	"declnet"
@@ -93,5 +98,91 @@ func TestFailoverThroughAPI(t *testing.T) {
 	}
 	if tr.FCTMillis <= 0 {
 		t.Fatal("transfer did not complete")
+	}
+}
+
+// TestConcurrentDeferredPermits: once faults are on, /v1/permit calls
+// from different tenants run side by side under the API read lock, and
+// every one aimed at a failed region defers into the fault monitor.
+// Under -race this is the proof that the monitor's pending map, its
+// retry counter and the engine's event queue are guarded against each
+// other and against the readers beside them (explain's pending check,
+// the deferred and retry gauges on /v1/metrics). Once the region heals,
+// every target carries its tenant's last request.
+func TestConcurrentDeferredPermits(t *testing.T) {
+	ts, w := newTestServer(t)
+	f := w.Fig1
+	const tenants, rounds = 8, 16
+	clients, targets := make([]string, tenants), make([]string, tenants)
+	for i := range tenants {
+		tenant := fmt.Sprintf("t%d", i)
+		var cl, tg EIPResponse
+		post(t, ts, "/v1/eips", EIPRequest{Tenant: tenant, VM: string(w.Host(f.CloudA, f.RegionsA[0], "az1", 1))}, &cl)
+		post(t, ts, "/v1/eips", EIPRequest{Tenant: tenant, VM: string(w.Host(f.CloudB, f.RegionsB[0], "az1", 1+i%2))}, &tg)
+		clients[i], targets[i] = cl.EIP, tg.EIP
+	}
+	region := f.CloudB + "/" + f.RegionsB[0]
+	if code := post(t, ts, "/v1/fail", FaultRequest{Kind: "region", Target: region}, nil); code != http.StatusOK {
+		t.Fatalf("fail region: status %d", code)
+	}
+
+	entry := func(tenant, round int) string { return fmt.Sprintf("10.%d.%d.0/24", tenant, round) }
+	var wg sync.WaitGroup
+	errs := make(chan error, tenants*rounds+rounds)
+	for i := range tenants {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range rounds {
+				body, _ := json.Marshal(PermitRequest{Tenant: fmt.Sprintf("t%d", i), Target: targets[i], Entries: []string{entry(i, r)}})
+				resp, err := http.Post(ts.URL+"/v1/permit", "application/json", bytes.NewReader(body))
+				if err != nil {
+					errs <- err
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					errs <- fmt.Errorf("t%d permit round %d: status %d", i, r, resp.StatusCode)
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for r := range rounds {
+			urls := []string{
+				fmt.Sprintf("/v1/explain?tenant=t%d&src=%s&dst=%s", r%tenants, clients[r%tenants], targets[r%tenants]),
+				"/v1/metrics",
+			}
+			for _, url := range urls {
+				resp, err := http.Get(ts.URL + url)
+				if err != nil {
+					errs <- err
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					errs <- fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	if code := post(t, ts, "/v1/heal", FaultRequest{Kind: "region", Target: region, AdvanceMillis: 1500}, nil); code != http.StatusOK {
+		t.Fatalf("heal region: status %d", code)
+	}
+	pb, _ := w.Cloud.Provider(f.CloudB)
+	for i, target := range targets {
+		ip, _ := declnet.ParseIP(target)
+		want, _ := declnet.ParsePrefix(entry(i, rounds-1))
+		if got := pb.Permits.EntriesOf(ip); !slices.Equal(got, []declnet.Prefix{want}) {
+			t.Errorf("t%d target %s installed %v, want its last request [%v]", i, target, got, want)
+		}
 	}
 }

@@ -69,14 +69,19 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE declnet_connects_total counter",
 		`declnet_connects_total{outcome="ok"} 1`,
-		"# TYPE declnet_http_requests_total counter",
 		"# TYPE declnet_http_request_seconds histogram",
+		"# TYPE declnet_http_errors_total counter",
 		"declnet_endpoints{provider=",
 		"declnet_virtual_time_seconds",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+	// The request count is the latency histogram's _count, not a family
+	// of its own.
+	if strings.Contains(text, "declnet_http_requests_total") {
+		t.Error("exposition still carries declnet_http_requests_total")
 	}
 }
 

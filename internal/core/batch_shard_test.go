@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -225,10 +225,17 @@ func TestBatchedOpCountsLikeSingle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		key := fmt.Sprintf(`declnet_permit_updates_total{provider=%q}`, w.CloudA)
-		before, ok := reg.ExpvarMap()[key]
+		sample := func() (float64, bool) {
+			for _, s := range reg.Snapshot() {
+				if s.Name == "declnet_permit_updates_total" && slices.Equal(s.Labels, []metrics.Label{metrics.L("provider", w.CloudA)}) {
+					return s.Value, true
+				}
+			}
+			return 0, false
+		}
+		before, ok := sample()
 		if !ok {
-			t.Fatalf("no %s sample", key)
+			t.Fatalf("no declnet_permit_updates_total{provider=%q} sample", w.CloudA)
 		}
 		if batched {
 			_, err = c.ApplyBatch("acme", []BatchOp{{Op: "set_permit", Target: eip.String(), Entries: entries}})
@@ -238,7 +245,8 @@ func TestBatchedOpCountsLikeSingle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return reg.ExpvarMap()[key] - before
+		after, _ := sample()
+		return after - before
 	}
 	if single, batched := updates(false), updates(true); single != batched || single != 1 {
 		t.Fatalf("permit updates counted: single %v, batched %v, want 1 and 1", single, batched)

@@ -43,8 +43,9 @@ type Cloud struct {
 	// shard.go.
 	shards *ShardSet
 
-	// engMu serializes the one thing a shard-locked verb schedules on
-	// Eng: a new quota limiter's ticker (Provider.quota). Advancing the
+	// engMu serializes what shard-locked verbs schedule on Eng: a new
+	// quota limiter's ticker (Provider.quota) and a deferred permit
+	// update's first retry (FaultMonitor.retryPermit). Advancing the
 	// engine is excluded by the embedder (the API layer's write lock).
 	engMu sync.Mutex
 
@@ -182,10 +183,6 @@ func (c *Cloud) addProvider(name string, cfg Config) (*Provider, error) {
 		return nil, err
 	}
 	p.cloud = c
-	p.faults = c.monitor
-	if c.trace != nil {
-		p.trace = c.traceEvent
-	}
 	c.providers[name] = p
 	c.rebuildIndex()
 	if c.reg != nil {

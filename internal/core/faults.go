@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"declnet/internal/addr"
 	"declnet/internal/fault"
@@ -107,7 +108,9 @@ type FaultMonitor struct {
 	cloud    *Cloud
 	backends map[backendKey]*backendState
 
-	// Counters for experiment tables and tests.
+	// Counters for experiment tables and tests. The health sweep writes
+	// the first two from the engine; PermitRetries and PermitTimeouts are
+	// guarded by mu.
 	Failovers      uint64 // backends pulled from rotation
 	Rebinds        uint64 // backends restored to rotation
 	PermitRetries  uint64 // deferred permit-update attempts
@@ -115,14 +118,18 @@ type FaultMonitor struct {
 	LastFailoverAt sim.Time
 	LastRebindAt   sim.Time
 
+	// mu guards the deferred-permit state: set_permit_list calls in
+	// different shards defer concurrently, beside Explain, the reconciler
+	// and the metrics scrape reading it.
+	mu sync.Mutex
 	// pending tracks deferred permit updates by target address (when the
 	// update was first accepted), so Explain can tell "denied" apart from
 	// "accepted but not yet enforceable".
 	pending map[addr.IP]sim.Time
 	// mMTTR observes failover detect->rebind latency; mPermitLag observes
 	// deferred-permit propagation lag. Both nil (no-op) without a registry.
-	mMTTR      *metrics.RHistogram
-	mPermitLag *metrics.RHistogram
+	mMTTR      *metrics.Hist
+	mPermitLag *metrics.Hist
 }
 
 // EnableFaults attaches a fault injector and starts the provider health
@@ -143,9 +150,6 @@ func (c *Cloud) EnableFaults(policy FaultPolicy) *FaultMonitor {
 	if c.reg != nil {
 		m.registerMetrics(c.reg)
 	}
-	for _, p := range c.providers {
-		p.faults = m
-	}
 	// Daemon ticker: the health loop never keeps a deadline-less Run
 	// alive on its own.
 	c.Eng.EveryDaemon(policy.HealthInterval, m.tick)
@@ -165,8 +169,19 @@ func (m *FaultMonitor) BackendDown(provider string, sip SIP, eip EIP) bool {
 // PendingPermit reports whether a permit update for target is accepted
 // but still deferred (its enforcement point unreachable), and since when.
 func (m *FaultMonitor) PendingPermit(target addr.IP) (sim.Time, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	since, ok := m.pending[target]
 	return since, ok
+}
+
+// locked reads a deferred-permit figure under mu, for the gauges.
+func (m *FaultMonitor) locked(f func() int) func() float64 {
+	return func() float64 {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return float64(f())
+	}
 }
 
 // registerMetrics exposes the monitor's reaction counters and latency
@@ -177,11 +192,11 @@ func (m *FaultMonitor) registerMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("declnet_rebinds_total",
 		"Backends restored to rotation.", func() float64 { return float64(m.Rebinds) })
 	reg.GaugeFunc("declnet_permit_retries_total",
-		"Deferred permit-update attempts.", func() float64 { return float64(m.PermitRetries) })
+		"Deferred permit-update attempts.", m.locked(func() int { return int(m.PermitRetries) }))
 	reg.GaugeFunc("declnet_permit_timeouts_total",
-		"Permit updates abandoned.", func() float64 { return float64(m.PermitTimeouts) })
+		"Permit updates abandoned.", m.locked(func() int { return int(m.PermitTimeouts) }))
 	reg.GaugeFunc("declnet_permit_deferred",
-		"Permit updates currently deferred.", func() float64 { return float64(len(m.pending)) })
+		"Permit updates currently deferred.", m.locked(func() int { return len(m.pending) }))
 	reg.GaugeFunc("declnet_faults_injected_total",
 		"Injected link+node+region failures.", func() float64 {
 			return float64(m.Inj.LinkFailures + m.Inj.NodeFailures + m.Inj.RegionFailures)
@@ -235,7 +250,7 @@ func (m *FaultMonitor) sweepServices(now sim.Time, p *Provider) {
 					m.Rebinds++
 					m.LastRebindAt = now
 					if st.downAt > 0 {
-						m.mMTTR.Observe((now - st.downAt).Seconds())
+						m.mMTTR.Record(now - st.downAt)
 					}
 					m.cloud.traceEvent(obs.Rebind, svc.tenant, be.EIP, sip, "ok",
 						fmt.Sprintf("node=%s mttr=%v", node, now-st.downAt), "")
@@ -316,21 +331,35 @@ func (m *FaultMonitor) state(provider string, sip SIP, eip EIP) *backendState {
 // unreachable and keeps retrying until the endpoint's enforcement point
 // answers or the timeout expires. Regular (non-daemon) events: bounded by
 // the timeout, so a deadline-less Run still terminates.
+//
+// It runs on the verb path, under the target's shard lock only, so two
+// tenants' deferrals race each other: mu covers the pending map and the
+// counters, and the first attempt is queued under the cloud's engMu like
+// every other event a shard-locked verb schedules. The attempts themselves
+// run inside the engine, which the embedder never advances beside verbs.
 func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, entries []permit.Entry, node topo.NodeID) {
 	accepted := m.cloud.Eng.Now()
 	deadline := accepted + m.Policy.PermitRetryTimeout
+	m.mu.Lock()
 	if _, dup := m.pending[target]; !dup {
 		m.pending[target] = accepted
 	}
+	m.PermitRetries++
+	m.mu.Unlock()
 	m.cloud.traceEvent(obs.PermitDefer, tenant, 0, target, "deferred",
 		fmt.Sprintf("entries=%d node=%s", len(entries), node),
 		obs.Chain(m.Inj.Cause(node)...))
+	settle := func() {
+		m.mu.Lock()
+		delete(m.pending, target)
+		m.mu.Unlock()
+	}
 	var attempt func()
 	attempt = func() {
 		// The target may have been released while the update was pending.
 		ep, ok := p.addrs.getEndpoint(target)
 		if !ok || ep.tenant != tenant {
-			delete(m.pending, target)
+			settle()
 			return
 		}
 		if m.Inj.Reachable(node) {
@@ -344,27 +373,32 @@ func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, e
 				p.meter.PermitUpdate(tenant, m.cloud.Eng.Now())
 			}
 			lag := m.cloud.Eng.Now() - accepted
-			m.mPermitLag.Observe(lag.Seconds())
+			m.mPermitLag.Record(lag)
 			m.cloud.traceEvent(obs.PermitApply, tenant, 0, target, "ok",
 				fmt.Sprintf("lag=%v epoch=%d", lag, p.Permits.Explain(0, target).Version), "")
-			delete(m.pending, target)
+			settle()
 			return
 		}
 		if m.cloud.Eng.Now()+m.Policy.PermitRetryInterval > deadline {
+			m.mu.Lock()
 			m.PermitTimeouts++
+			m.mu.Unlock()
 			m.cloud.traceEvent(obs.PermitTimeout, tenant, 0, target, "fail",
 				fmt.Sprintf("after=%v", m.cloud.Eng.Now()-accepted),
 				obs.Chain(append([]string{"permit-timeout:" + target.String()}, m.Inj.Cause(node)...)...))
-			delete(m.pending, target)
+			settle()
 			// Timed out: the live list never took the declared update. Mark
 			// it dirty — with the pending flag gone, the reconciler owns
 			// the repair and should find it promptly, not in K sweeps.
 			m.cloud.conv.markPermit(p.Name, target)
 			return
 		}
+		m.mu.Lock()
 		m.PermitRetries++
+		m.mu.Unlock()
 		m.cloud.Eng.After(m.Policy.PermitRetryInterval, attempt)
 	}
-	m.PermitRetries++
+	m.cloud.engMu.Lock()
 	m.cloud.Eng.After(m.Policy.PermitRetryInterval, attempt)
+	m.cloud.engMu.Unlock()
 }

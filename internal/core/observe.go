@@ -19,7 +19,7 @@ import (
 // no Lookups increment), and names the injected ground-truth cause.
 
 // EnableObservability attaches a decision tracer and a metrics registry
-// to the cloud and every current provider. Either may be nil (tracing
+// to the cloud, where every provider reads them. Either may be nil (tracing
 // without metrics, or vice versa); instrumented paths are nil-safe, so
 // the disabled arm of experiment E12 pays only nil checks. Idempotent in
 // the same sense as EnableFaults: later calls replace the sinks.
@@ -37,20 +37,18 @@ func (c *Cloud) EnableObservability(tr *obs.Tracer, reg *metrics.Registry) {
 		"Connect attempts by outcome.", metrics.L("outcome", "error"))
 	c.mProbes = reg.Counter("declnet_probes_total", "Probe calls.")
 	c.mExplains = reg.Counter("declnet_explains_total", "Explain replays.")
-	for _, p := range c.providers {
-		if tr != nil {
-			p.trace = c.traceEvent
-		} else {
-			p.trace = nil
-		}
-	}
 	if reg == nil {
 		return
 	}
 	reg.GaugeFunc("declnet_virtual_time_seconds",
 		"Simulated clock.", func() float64 { return c.Eng.Now().Seconds() })
+	// The scrape runs beside verbs that queue events under engMu.
 	reg.GaugeFunc("declnet_event_queue_depth",
-		"Simulator event-queue depth.", func() float64 { return float64(c.Eng.Pending()) })
+		"Simulator event-queue depth.", func() float64 {
+			c.engMu.Lock()
+			defer c.engMu.Unlock()
+			return float64(c.Eng.Pending())
+		})
 	reg.GaugeFunc("declnet_solver_recomputes_total",
 		"Fair-share solver recomputations.", func() float64 { return float64(c.Net.Recomputes) })
 	reg.GaugeFunc("declnet_solver_flows_touched_total",

@@ -189,7 +189,7 @@ func TestExplainPendingPermit(t *testing.T) {
 	if !ex.Reachable {
 		t.Fatalf("after heal+retry still unreachable: %q", ex.RootCause)
 	}
-	if reg := c.Registry(); reg.Histogram("declnet_permit_propagation_seconds", "").Count() == 0 {
+	if reg := c.Registry(); reg.Histogram("declnet_permit_propagation_seconds", "").Snapshot().Count == 0 {
 		t.Fatal("permit propagation lag not observed")
 	}
 }

@@ -117,20 +117,12 @@ type Provider struct {
 	defaultVMEgress float64
 
 	// cloud is the enclosing Cloud: the verb shims below route through
-	// its Apply, and its shard table, SLO plane and intent store are
-	// the ones every verb uses.
+	// its Apply, and its shard table, SLO plane, intent store, fault
+	// monitor and decision tracer are the ones every verb uses.
 	cloud *Cloud
 
 	// meter, when set, records billable usage (see package meter).
 	meter Biller
-
-	// faults, when set, makes permit updates to unreachable endpoints
-	// retry asynchronously instead of applying instantly (see faults.go).
-	faults *FaultMonitor
-
-	// trace, when set, records control-plane decisions into the cloud's
-	// observability plane (see observe.go); nil-safe at the call site.
-	trace func(kind obs.Kind, tenant string, src, dst addr.IP, verdict, detail, cause string)
 
 	cfg Config
 }
@@ -428,9 +420,9 @@ func (p *Provider) setPermitList(tenant string, target addr.IP, entries []permit
 	// is accepted and retried until the node answers or the policy's
 	// timeout expires. SIP targets are enforced at the (always-on)
 	// service frontend and never defer.
-	if p.faults != nil {
-		if ep, ok := p.addrs.getEndpoint(target); ok && !p.faults.Inj.Reachable(ep.node) {
-			p.faults.retryPermit(p, tenant, target, all, ep.node)
+	if m := p.cloud.monitor; m != nil {
+		if ep, ok := p.addrs.getEndpoint(target); ok && !m.Inj.Reachable(ep.node) {
+			m.retryPermit(p, tenant, target, all, ep.node)
 			return nil
 		}
 	}
@@ -439,8 +431,8 @@ func (p *Provider) setPermitList(tenant string, target addr.IP, entries []permit
 	if p.meter != nil {
 		p.meter.PermitUpdate(tenant, p.eng.Now())
 	}
-	if p.trace != nil {
-		p.trace(obs.PermitUpdate, tenant, 0, target, "ok",
+	if p.cloud.trace != nil {
+		p.cloud.traceEvent(obs.PermitUpdate, tenant, 0, target, "ok",
 			fmt.Sprintf("entries=%d epoch=%d", len(all), p.Permits.Explain(0, target).Version), "")
 	}
 	return nil

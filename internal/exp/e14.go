@@ -25,7 +25,7 @@ const (
 	// quantile excludes the top two.
 	e14ProbesPerWindow = 256
 	// e14StormPairs permit/revoke pairs per detection window — 512
-	// mutation ops, comfortably over the detector's MinStormOps floor and
+	// mutation ops, comfortably over the detector's 64-op storm floor and
 	// 4x-dominance test against the idle observer.
 	e14StormPairs = 256
 	// e14MaxWindows bounds the detection retry budget: the breach must

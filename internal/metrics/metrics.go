@@ -1,7 +1,7 @@
 // Package metrics provides the measurement primitives of the experiment
 // harness — exact-quantile summaries and the result tables experiments
-// print — and the runtime metrics registry declnetd exports
-// (registry.go).
+// print — the runtime metrics registry declnetd exports (registry.go),
+// and the latency histogram it shares with the SLO plane (hist.go).
 //
 // The harness side favors clarity over raw speed; the simulator's
 // bottleneck is the fluid-flow solver, not metrics.

@@ -11,12 +11,12 @@ import (
 )
 
 // This file is the runtime metrics registry: concurrency-safe labeled
-// counters, gauges, gauge functions, and histograms, snapshot-able in a
-// deterministic order and exportable as Prometheus text exposition
-// (GET /v1/metrics) or an expvar map. Unlike the experiment-side
-// Summary — which lives on a single goroutine inside the simulator —
-// everything here is atomic, because declnetd's HTTP handlers
-// scrape while the simulation mutates.
+// counters, gauge functions, and latency histograms (hist.go),
+// snapshot-able in a deterministic order and rendered as Prometheus text
+// exposition: GET /v1/metrics, the registry's one rendering. Unlike the
+// experiment-side Summary — which lives on a single goroutine inside the
+// simulator — everything here is atomic, because declnetd's HTTP
+// handlers scrape while the simulation mutates.
 //
 // A nil *Registry is valid everywhere and hands out nil instruments whose
 // methods are no-ops, so instrumented code needs no branches: the
@@ -53,99 +53,17 @@ func (c *RCounter) Value() uint64 {
 	return c.v.Load()
 }
 
-// RGauge is an atomic float64 gauge instrument.
-type RGauge struct{ bits atomic.Uint64 }
-
-// Set stores v. Nil-safe.
-func (g *RGauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Add increments the gauge by delta (CAS loop). Nil-safe.
-func (g *RGauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value. Nil-safe.
-func (g *RGauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
-// RHistogram is an atomic fixed-bucket histogram instrument. Bucket i
-// counts samples <= Bounds[i]; the implicit last bucket is +Inf.
-type RHistogram struct {
-	bounds []float64
-	counts []atomic.Uint64 // len(bounds)+1
-	sum    atomic.Uint64   // float64 bits, CAS-accumulated
-	n      atomic.Uint64
-}
-
-// DefLatencyBuckets are exponential seconds buckets suited to API and
-// failover latencies (100µs .. ~100s).
-var DefLatencyBuckets = []float64{
-	1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1, 0.5, 1, 5, 10, 50, 100,
-}
-
-// Observe records one sample. Nil-safe.
-func (h *RHistogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.n.Add(1)
-	for {
-		old := h.sum.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
-// Count returns the number of samples. Nil-safe.
-func (h *RHistogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.n.Load()
-}
-
-// Sum returns the sample sum. Nil-safe.
-func (h *RHistogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sum.Load())
-}
-
 // metricType enumerates instrument families.
 type metricType int
 
 const (
 	typeCounter metricType = iota
-	typeGauge
 	typeGaugeFunc
 	typeHistogram
 )
 
 var typeNames = map[metricType]string{
-	typeCounter: "counter", typeGauge: "gauge",
-	typeGaugeFunc: "gauge", typeHistogram: "histogram",
+	typeCounter: "counter", typeGaugeFunc: "gauge", typeHistogram: "histogram",
 }
 
 // child is one labeled instrument inside a family.
@@ -153,9 +71,8 @@ type child struct {
 	labels  []Label
 	key     string
 	counter *RCounter
-	gauge   *RGauge
 	fn      func() float64
-	hist    *RHistogram
+	hist    *Hist
 }
 
 // family groups every child sharing a metric name.
@@ -167,7 +84,7 @@ type family struct {
 }
 
 // Registry is a concurrency-safe labeled metric registry. Get-or-create
-// lookups (Counter, Gauge, Histogram) take the registry lock — cache the
+// lookups (Counter, Histogram) take the registry lock — cache the
 // returned instrument on hot paths. The zero value is not ready; use
 // NewRegistry. A nil *Registry hands out nil (no-op) instruments.
 type Registry struct {
@@ -211,11 +128,8 @@ func (r *Registry) get(name, help string, typ metricType, labels []Label) *child
 		switch typ {
 		case typeCounter:
 			ch.counter = &RCounter{}
-		case typeGauge:
-			ch.gauge = &RGauge{}
 		case typeHistogram:
-			ch.hist = &RHistogram{bounds: DefLatencyBuckets,
-				counts: make([]atomic.Uint64, len(DefLatencyBuckets)+1)}
+			ch.hist = &Hist{}
 		}
 		fam.children[key] = ch
 	}
@@ -232,19 +146,9 @@ func (r *Registry) Counter(name, help string, labels ...Label) *RCounter {
 	return r.get(name, help, typeCounter, labels).counter
 }
 
-// Gauge returns the labeled gauge, creating it on first use. Nil-safe.
-func (r *Registry) Gauge(name, help string, labels ...Label) *RGauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.get(name, help, typeGauge, labels).gauge
-}
-
-// Histogram returns the labeled histogram (DefLatencyBuckets bounds),
-// creating it on first use. Nil-safe.
-func (r *Registry) Histogram(name, help string, labels ...Label) *RHistogram {
+// Histogram returns the labeled latency histogram, creating it on first
+// use. Nil-safe.
+func (r *Registry) Histogram(name, help string, labels ...Label) *Hist {
 	if r == nil {
 		return nil
 	}
@@ -271,11 +175,9 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 type Sample struct {
 	Name   string
 	Labels []Label
-	Value  float64
-	// Histogram samples additionally carry the bucket expansion.
-	HistBounds []float64 // cumulative upper bounds (no +Inf)
-	HistCounts []uint64  // cumulative counts per bound, then total
-	HistSum    float64
+	Value  float64 // a histogram's sample count
+	// Hist is a histogram sample's snapshot; zero for other families.
+	Hist HistSnap
 }
 
 // Snapshot returns every instrument's current value, sorted by metric
@@ -305,21 +207,13 @@ func (r *Registry) Snapshot() []Sample {
 			switch fam.typ {
 			case typeCounter:
 				s.Value = float64(ch.counter.Value())
-			case typeGauge:
-				s.Value = ch.gauge.Value()
 			case typeGaugeFunc:
 				if ch.fn != nil {
 					s.Value = ch.fn()
 				}
 			case typeHistogram:
-				s.Value = float64(ch.hist.Count())
-				s.HistSum = ch.hist.Sum()
-				s.HistBounds = ch.hist.bounds
-				var cum uint64
-				for i := range ch.hist.counts {
-					cum += ch.hist.counts[i].Load()
-					s.HistCounts = append(s.HistCounts, cum)
-				}
+				s.Hist = ch.hist.Snapshot()
+				s.Value = float64(s.Hist.Count)
 			}
 			out = append(out, s)
 		}
@@ -379,19 +273,24 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			lastName = s.Name
 		}
 		if fam.typ == typeHistogram {
-			for i, bound := range s.HistBounds {
+			// Buckets 0..26 print as their upper bounds in seconds; the
+			// overflow bucket (from ~17.18s up) exists only inside +Inf.
+			var cum uint64
+			for i := 0; i < histBuckets-1; i++ {
+				cum += s.Hist.Counts[i]
+				le := formatValue(float64(bucketUpper(i)) / 1e9)
 				if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", s.Name,
-					formatLabels(s.Labels, L("le", formatValue(bound))), s.HistCounts[i]); err != nil {
+					formatLabels(s.Labels, L("le", le)), cum); err != nil {
 					return err
 				}
 			}
-			total := s.HistCounts[len(s.HistCounts)-1]
+			total := cum + s.Hist.Counts[histBuckets-1]
 			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", s.Name,
 				formatLabels(s.Labels, L("le", "+Inf")), total); err != nil {
 				return err
 			}
 			if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", s.Name,
-				formatLabels(s.Labels), formatValue(s.HistSum)); err != nil {
+				formatLabels(s.Labels), formatValue(float64(s.Hist.SumNS)/1e9)); err != nil {
 				return err
 			}
 			if _, err := fmt.Fprintf(w, "%s_count%s %d\n", s.Name,
@@ -406,23 +305,4 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// ExpvarMap renders the registry as a flat map for expvar publication:
-// "name{labels}" -> value (histograms appear as _count and _sum).
-func (r *Registry) ExpvarMap() map[string]float64 {
-	if r == nil {
-		return nil
-	}
-	out := make(map[string]float64)
-	for _, s := range r.Snapshot() {
-		key := s.Name + formatLabels(s.Labels)
-		if s.HistCounts != nil {
-			out[s.Name+"_count"+formatLabels(s.Labels)] = s.Value
-			out[s.Name+"_sum"+formatLabels(s.Labels)] = s.HistSum
-			continue
-		}
-		out[key] = s.Value
-	}
-	return out
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestRegistryCounterGauge(t *testing.T) {
@@ -21,25 +22,29 @@ func TestRegistryCounterGauge(t *testing.T) {
 	if r.Counter("declnet_api_calls_total", "API calls.", L("verb", "bind")) != c {
 		t.Fatal("counter lookup is not idempotent")
 	}
-	g := r.Gauge("declnet_queue_depth", "Queue depth.")
-	g.Set(4)
-	g.Add(-1.5)
-	if g.Value() != 2.5 {
-		t.Fatalf("gauge = %v, want 2.5", g.Value())
+	depth := 4.0
+	r.GaugeFunc("declnet_queue_depth", "Queue depth.", func() float64 { return depth })
+	depth = 2.5
+	if s := r.Snapshot(); len(s) != 2 || s[1].Name != "declnet_queue_depth" || s[1].Value != 2.5 {
+		t.Fatalf("snapshot = %+v, want the gauge sampled at 2.5", s)
 	}
 }
 
 func TestRegistryHistogram(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("declnet_latency_seconds", "Latency.")
-	h.Observe(0.002)
-	h.Observe(0.2)
-	h.Observe(1e6) // lands in the implicit +Inf bucket
-	if h.Count() != 3 {
-		t.Fatalf("count = %d, want 3", h.Count())
+	h.Record(2 * time.Millisecond)
+	h.Record(200 * time.Millisecond)
+	h.Record(time.Hour) // lands in the overflow bucket, exported only as +Inf
+	if r.Histogram("declnet_latency_seconds", "Latency.") != h {
+		t.Fatal("histogram lookup is not idempotent")
 	}
-	if got := h.Sum(); got < 1e6 {
-		t.Fatalf("sum = %v", got)
+	s := h.Snapshot()
+	if s.Count != 3 {
+		t.Fatalf("count = %d, want 3", s.Count)
+	}
+	if s.SumNS < int64(time.Hour) {
+		t.Fatalf("sum = %dns", s.SumNS)
 	}
 }
 
@@ -48,22 +53,20 @@ func TestRegistryTypeClash(t *testing.T) {
 	r.Counter("x_total", "")
 	defer func() {
 		if recover() == nil {
-			t.Fatal("reusing a counter name as gauge did not panic")
+			t.Fatal("reusing a counter name as histogram did not panic")
 		}
 	}()
-	r.Gauge("x_total", "")
+	r.Histogram("x_total", "")
 }
 
 func TestNilRegistryIsNoop(t *testing.T) {
 	var r *Registry
 	c := r.Counter("a", "")
 	c.Inc() // nil instrument: must not crash
-	g := r.Gauge("b", "")
-	g.Set(1)
 	h := r.Histogram("c", "")
-	h.Observe(1)
+	h.Record(time.Second)
 	r.GaugeFunc("d", "", func() float64 { return 1 })
-	if r.Snapshot() != nil || c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if r.Snapshot() != nil || c.Value() != 0 || h != nil || h.Snapshot() != (HistSnap{}) {
 		t.Fatal("nil registry leaked state")
 	}
 	var sb strings.Builder
@@ -85,8 +88,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			name := []string{"a_total", "b_total"}[w%2]
 			for i := 0; i < 400; i++ {
 				r.Counter(name, "", L("w", "x")).Inc()
-				r.Gauge("g", "").Add(1)
-				r.Histogram("h_seconds", "").Observe(0.01)
+				r.Histogram("h_seconds", "").Record(10 * time.Millisecond)
 				if i%100 == 0 {
 					r.Snapshot()
 					var sb strings.Builder
@@ -105,6 +107,9 @@ func TestRegistryConcurrent(t *testing.T) {
 	if total != 8*400 {
 		t.Fatalf("counters sum to %d, want %d", total, 8*400)
 	}
+	if n := r.Histogram("h_seconds", "").Snapshot().Count; n != 8*400 {
+		t.Fatalf("histogram holds %d samples, want %d", n, 8*400)
+	}
 }
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
@@ -119,14 +124,15 @@ func TestPrometheusGolden(t *testing.T) {
 		L("verb", "bind"), L("outcome", "ok")).Add(7)
 	r.Counter("declnet_api_calls_total", "Control-plane API calls by verb.",
 		L("verb", "set_permit_list"), L("outcome", "error")).Add(2)
-	r.Gauge("declnet_event_queue_depth", "Simulator event-queue depth.").Set(12)
+	r.GaugeFunc("declnet_event_queue_depth", "Simulator event-queue depth.",
+		func() float64 { return 12 })
 	r.GaugeFunc("declnet_virtual_time_seconds", "Simulated clock.",
 		func() float64 { return 42.5 })
 	h := r.Histogram("declnet_failover_mttr_seconds",
 		"Failover detect-to-rebind latency.", L("provider", "B"))
-	h.Observe(0.0003)
-	h.Observe(1.5)
-	h.Observe(1.5)
+	h.Record(300 * time.Microsecond)
+	h.Record(1500 * time.Millisecond)
+	h.Record(1500 * time.Millisecond)
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -148,18 +154,5 @@ func TestPrometheusGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("exposition drifted from %s:\ngot:\n%s\nwant:\n%s", path, got, want)
-	}
-}
-
-func TestExpvarMap(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c_total", "").Add(3)
-	r.Histogram("h_seconds", "").Observe(2)
-	m := r.ExpvarMap()
-	if m["c_total"] != 3 {
-		t.Fatalf("c_total = %v", m["c_total"])
-	}
-	if m["h_seconds_count"] != 1 || m["h_seconds_sum"] != 2 {
-		t.Fatalf("histogram expvar entries wrong: %v", m)
 	}
 }

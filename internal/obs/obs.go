@@ -105,34 +105,49 @@ func (e Event) String() string {
 // outermost effect first: Chain("no-healthy-backend:x", "node-down:y").
 func Chain(causes ...string) string { return strings.Join(causes, " <- ") }
 
-// ring is a bounded overwrite-oldest event buffer. It grows by append
-// until it holds max events and wraps from then on, so a tenant costs
-// what it has recorded, not the bound.
-type ring struct {
-	buf  []Event
-	next int // the oldest event, once len(buf) == max
+// Ring is the module's one bounded overwrite-oldest buffer: the tracer
+// keeps one per tenant and the SLO plane's flight recorder one of spans.
+// It grows by append until it holds max items and wraps from then on, so
+// a ring costs what it has recorded, not the bound. The zero value is
+// ready; callers serialize access.
+type Ring[T any] struct {
+	buf  []T
+	next int // the oldest item, once len(buf) == max
 }
 
-func (r *ring) push(ev Event, max int) (evicted bool) {
+// Push appends v, overwriting the oldest item once the ring holds max.
+func (r *Ring[T]) Push(v T, max int) (evicted bool) {
 	switch {
 	case len(r.buf) == max:
-		r.buf[r.next] = ev
+		r.buf[r.next] = v
 		r.next = (r.next + 1) % max
 		return true
 	case len(r.buf) == cap(r.buf) && 2*len(r.buf) > max:
 		// append's next doubling would overshoot the bound: stop at it.
-		r.buf = append(make([]Event, 0, max), r.buf...)
+		r.buf = append(make([]T, 0, max), r.buf...)
 	}
-	r.buf = append(r.buf, ev)
+	r.buf = append(r.buf, v)
 	return false
 }
 
-// events returns buffered events oldest first.
-func (r *ring) events() []Event {
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	return append(out, r.buf[:r.next]...)
+// Last returns a copy of up to n of the newest items, oldest first (all
+// of them when n <= 0); nil when the ring is empty.
+func (r *Ring[T]) Last(n int) []T {
+	if n <= 0 || n > len(r.buf) {
+		n = len(r.buf)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, 0, n)
+	for i := len(r.buf) - n; i < len(r.buf); i++ {
+		out = append(out, r.buf[(r.next+i)%len(r.buf)])
+	}
+	return out
 }
+
+// Len reports how many items the ring holds.
+func (r *Ring[T]) Len() int { return len(r.buf) }
 
 // Tracer records decision events into one bounded ring buffer per tenant,
 // so a chatty tenant cannot grow provider memory or evict another
@@ -141,7 +156,7 @@ func (r *ring) events() []Event {
 type Tracer struct {
 	mu     sync.Mutex
 	cap    int
-	rings  map[string]*ring
+	rings  map[string]*Ring[Event]
 	seq    uint64
 	nStamp uint64 // events recorded (not evicted)
 	nDrop  uint64 // events overwritten by ring wraparound
@@ -149,7 +164,7 @@ type Tracer struct {
 	// lastTenant/lastRing memoize the map lookup for the common case of
 	// many consecutive events from one tenant (guarded by mu).
 	lastTenant string
-	lastRing   *ring
+	lastRing   *Ring[Event]
 }
 
 // DefaultPerTenantCap bounds each tenant's ring when NewTracer is given
@@ -162,7 +177,7 @@ func NewTracer(perTenantCap int) *Tracer {
 	if perTenantCap <= 0 {
 		perTenantCap = DefaultPerTenantCap
 	}
-	return &Tracer{cap: perTenantCap, rings: make(map[string]*ring)}
+	return &Tracer{cap: perTenantCap, rings: make(map[string]*Ring[Event])}
 }
 
 // Record stamps the event with the next sequence number and appends it to
@@ -180,12 +195,12 @@ func (t *Tracer) Record(ev Event) uint64 {
 	if r == nil || t.lastTenant != ev.Tenant {
 		var ok bool
 		if r, ok = t.rings[ev.Tenant]; !ok {
-			r = &ring{}
+			r = &Ring[Event]{}
 			t.rings[ev.Tenant] = r
 		}
 		t.lastTenant, t.lastRing = ev.Tenant, r
 	}
-	if r.push(ev, t.cap) {
+	if r.Push(ev, t.cap) {
 		t.nDrop++
 	}
 	t.nStamp++
@@ -204,11 +219,7 @@ func (t *Tracer) Recent(tenant string, n int) []Event {
 	if !ok {
 		return nil
 	}
-	evs := r.events()
-	if n > 0 && len(evs) > n {
-		evs = evs[len(evs)-n:]
-	}
-	return evs
+	return r.Last(n)
 }
 
 // Len reports how many events the tenant's ring currently holds.
@@ -222,7 +233,7 @@ func (t *Tracer) Len(tenant string) int {
 	if !ok {
 		return 0
 	}
-	return len(r.buf)
+	return r.Len()
 }
 
 // Recorded returns the total events ever recorded; Evicted how many were

@@ -37,6 +37,20 @@ func TestRingBounds(t *testing.T) {
 	if tr.Recorded() != 10 {
 		t.Errorf("Recorded = %d, want 10", tr.Recorded())
 	}
+	// The same bound over any element type: the flight recorder's ring.
+	var r Ring[int]
+	if r.Last(0) != nil {
+		t.Fatal("empty ring returned items")
+	}
+	evicted := 0
+	for i := 0; i < 10; i++ {
+		if r.Push(i, 4) {
+			evicted++
+		}
+	}
+	if got := fmt.Sprint(r.Last(0), r.Last(2), r.Last(9), r.Len(), evicted); got != "[6 7 8 9] [8 9] [6 7 8 9] 4 6" {
+		t.Errorf("Ring[int] after 10 pushes at bound 4: Last(0), Last(2), Last(9), Len, evicted = %s", got)
+	}
 }
 
 func TestRecentLimit(t *testing.T) {
@@ -103,7 +117,7 @@ func TestTracerConcurrent(t *testing.T) {
 	}
 }
 
-// A ring costs what its tenant recorded: three events at the default
+// A Ring costs what its tenant recorded: three events at the default
 // bound hold under 1 KB (a ring allocated whole is 128 KB), and a ring
 // that has filled holds exactly the bound, not append's next doubling.
 func TestRingGrowsWithItsTenant(t *testing.T) {

@@ -10,7 +10,7 @@
 //
 // The detector compares each shard's current-window connect p99 to its
 // own trailing baseline window: a shard whose p99 exceeds the baseline
-// by cfg.BreachFactor (default the E13 storm/idle bound, 1.5×) is
+// by breachFactor (the E13 storm/idle bound, 1.5×) is
 // breached, and the shard with the dominant mutation count this window
 // is named as the suspected noisy neighbor via an obs-style cause
 // chain.
@@ -23,6 +23,7 @@ import (
 	"strings"
 	"time"
 
+	"declnet/internal/metrics"
 	"declnet/internal/obs"
 )
 
@@ -217,7 +218,7 @@ func (p *Plane) Report(tenant string) []TenantReport {
 	for _, t := range names {
 		tr := TenantReport{Tenant: t}
 		// Tenant-wide merged views for objective evaluation.
-		var connCum, lagCum, connWin, lagWin HistSnap
+		var connCum, lagCum, connWin, lagWin metrics.HistSnap
 		for _, s := range byTenant[t] {
 			var verbs []VerbStats
 			for v := 0; v < int(nVerbs); v++ {
@@ -280,7 +281,7 @@ func (p *Plane) Report(tenant string) []TenantReport {
 }
 
 // burnRate is (fraction of samples over target) / error budget.
-func burnRate(s HistSnap, target time.Duration) float64 {
+func burnRate(s metrics.HistSnap, target time.Duration) float64 {
 	if s.Count == 0 {
 		return 0
 	}
@@ -327,7 +328,7 @@ func (p *Plane) Health() HealthReport {
 		return HealthReport{Status: "ok"}
 	}
 	snaps := p.Snapshot()
-	rep := HealthReport{Status: "ok", WindowGen: p.gen.Load(), Factor: p.cfg.BreachFactor}
+	rep := HealthReport{Status: "ok", WindowGen: p.gen.Load(), Factor: breachFactor}
 	min := uint64(p.cfg.MinWindowSamples)
 	for _, s := range snaps {
 		if s.WinConn.Count < min || s.BaseCon.Count < min {
@@ -335,7 +336,7 @@ func (p *Plane) Health() HealthReport {
 		}
 		curP99 := s.WinConn.Quantile(0.99)
 		baseP99 := s.BaseCon.Quantile(0.99)
-		if baseP99 <= 0 || float64(curP99) <= p.cfg.BreachFactor*float64(baseP99) {
+		if baseP99 <= 0 || float64(curP99) <= breachFactor*float64(baseP99) {
 			continue
 		}
 		b := Breach{
@@ -364,7 +365,7 @@ func (p *Plane) Health() HealthReport {
 			"slo-breach:connect-p99:" + b.Shard,
 			fmt.Sprintf("p99=%v baseline=%v ratio=%.2fx", curP99, baseP99, b.Ratio),
 		}
-		if suspect.WinMut >= p.cfg.MinStormOps && suspect.WinMut >= 4*s.WinMut {
+		if suspect.WinMut >= minStormOps && suspect.WinMut >= 4*s.WinMut {
 			b.Suspect = suspect.Key.String()
 			b.SuspectOps = suspect.WinMut
 			links = append(links,

@@ -13,19 +13,19 @@
 //
 // Layout mirrors the core's concurrency design: per-(tenant, region)
 // ShardStats live in a 64-way striped table (like addrSpace), and each
-// histogram is a fixed-bucket array of atomics, so the record path after the stats pointer is resolved is
-// lock-free. A nil *Plane is valid everywhere and records nothing, so
+// histogram is a metrics.Hist — a fixed-bucket array of atomics — so the
+// record path after the stats pointer is resolved is lock-free. A nil *Plane is valid everywhere and records nothing, so
 // instrumented call sites pay one nil check when the plane is off.
 package slo
 
 import (
-	"math"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"declnet/internal/addr"
+	"declnet/internal/metrics"
+	"declnet/internal/obs"
 )
 
 // Verb classifies which public verb a latency sample came from. Grant
@@ -75,139 +75,6 @@ type Key struct {
 
 func (k Key) String() string { return k.Tenant + "@" + k.Region }
 
-// Histogram geometry: bucket 0 holds [0, 256ns); bucket i holds
-// [256ns<<(i-1), 256ns<<i); the last bucket tops out around 34s.
-// Power-of-two bounds make the index one bits.Len64.
-const (
-	histBuckets = 28
-	histBase    = 256 // ns; upper bound of bucket 0
-)
-
-func bucketOf(d time.Duration) int {
-	ns := uint64(d)
-	if ns < histBase {
-		return 0
-	}
-	i := bits.Len64(ns) - 8 // histBase == 1<<8
-	if i >= histBuckets {
-		return histBuckets - 1
-	}
-	return i
-}
-
-// bucketUpper returns the inclusive-side upper bound of bucket i, the
-// value quantile estimates report (conservative: never under-reports).
-func bucketUpper(i int) time.Duration { return time.Duration(histBase << i) }
-
-// bucketLower returns the lower bound of bucket i.
-func bucketLower(i int) time.Duration {
-	if i == 0 {
-		return 0
-	}
-	return time.Duration(histBase << (i - 1))
-}
-
-// Hist is a lock-free fixed-bucket latency histogram. Record is one
-// atomic add per field; concurrent Records never block each other.
-type Hist struct {
-	counts [histBuckets]atomic.Uint64
-	count  atomic.Uint64
-	sum    atomic.Int64 // ns
-}
-
-// Record adds one sample.
-func (h *Hist) Record(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	h.counts[bucketOf(d)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(int64(d))
-}
-
-// reset zeroes the histogram (window rotation). Concurrent Records may
-// lose or double a straggling sample across the reset boundary; windows
-// are statistics, not ledgers.
-func (h *Hist) reset() {
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-}
-
-// Snapshot copies the histogram's counters at one (racy but per-field
-// atomic) instant.
-func (h *Hist) Snapshot() HistSnap {
-	var s HistSnap
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	s.Count = h.count.Load()
-	s.SumNS = h.sum.Load()
-	return s
-}
-
-// HistSnap is an immutable histogram snapshot; Merge folds shards
-// together, which is exact for bucketed counts (the striped-vs-serial
-// oracle property).
-type HistSnap struct {
-	Counts [histBuckets]uint64
-	Count  uint64
-	SumNS  int64
-}
-
-// Merge adds another snapshot's counts into s.
-func (s *HistSnap) Merge(o HistSnap) {
-	for i := range s.Counts {
-		s.Counts[i] += o.Counts[i]
-	}
-	s.Count += o.Count
-	s.SumNS += o.SumNS
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) as the upper bound of
-// the bucket where the cumulative count crosses q*Count; zero when
-// empty.
-func (s HistSnap) Quantile(q float64) time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(q * float64(s.Count)))
-	if target < 1 {
-		target = 1
-	}
-	var cum uint64
-	for i := range s.Counts {
-		cum += s.Counts[i]
-		if cum >= target {
-			return bucketUpper(i)
-		}
-	}
-	return bucketUpper(histBuckets - 1)
-}
-
-// CountOver counts samples in buckets entirely above d — the burn-rate
-// numerator, at bucket resolution (the bucket straddling d is not
-// counted, so the estimate is conservative).
-func (s HistSnap) CountOver(d time.Duration) uint64 {
-	var n uint64
-	for i := range s.Counts {
-		if bucketLower(i) >= d && s.Counts[i] > 0 {
-			n += s.Counts[i]
-		}
-	}
-	return n
-}
-
-// Mean returns the average sample, zero when empty.
-func (s HistSnap) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return time.Duration(s.SumNS / int64(s.Count))
-}
-
 // ShardStats is one (tenant, region) shard's accounting: cumulative
 // per-verb service-time histograms, a cumulative permit-lag histogram,
 // and double-buffered window histograms (current/baseline) driving the
@@ -215,14 +82,14 @@ func (s HistSnap) Mean() time.Duration {
 type ShardStats struct {
 	key Key
 
-	verbs [nVerbs]Hist
-	lag   Hist
+	verbs [nVerbs]metrics.Hist
+	lag   metrics.Hist
 
 	// Double-buffered windows, indexed by the plane's winIdx: winConn
 	// holds connect+probe service time, winLag permit lag, winMut the
 	// mutation-op count (the detector's attribution signal).
-	winConn [2]Hist
-	winLag  [2]Hist
+	winConn [2]metrics.Hist
+	winLag  [2]metrics.Hist
 	winMut  [2]atomic.Uint64
 }
 
@@ -269,23 +136,23 @@ type Config struct {
 	LagSampleEvery int
 	// SlowSpan always retains ops at least this slow (default 1ms).
 	SlowSpan time.Duration
-	// FlightCap bounds the flight-recorder ring (default 256 records).
-	FlightCap int
 	// Window is the detector window; rotation happens lazily on the
 	// record path (default 10s). Tests and drills set it large and call
 	// AdvanceWindow explicitly.
 	Window time.Duration
-	// BreachFactor flags a shard whose current-window p99 exceeds its
-	// trailing baseline by this factor — default 1.5, the E13 storm/idle
-	// bound.
-	BreachFactor float64
 	// MinWindowSamples is the floor below which a window is too thin to
 	// judge (default 32, both windows).
 	MinWindowSamples int
-	// MinStormOps is the least mutation ops a shard must have logged in
-	// the current window to be named a suspect (default 64).
-	MinStormOps uint64
 }
+
+// The detector's fixed thresholds: a shard whose current-window p99
+// exceeds its trailing baseline by breachFactor (the E13 storm/idle
+// bound) is breached, and a shard must have logged at least minStormOps
+// mutation ops in the current window to be named its suspect.
+const (
+	breachFactor = 1.5
+	minStormOps  = 64
+)
 
 func (c Config) withDefaults() Config {
 	if c.SampleEvery <= 0 {
@@ -300,20 +167,11 @@ func (c Config) withDefaults() Config {
 	if c.SlowSpan <= 0 {
 		c.SlowSpan = time.Millisecond
 	}
-	if c.FlightCap <= 0 {
-		c.FlightCap = 256
-	}
 	if c.Window <= 0 {
 		c.Window = 10 * time.Second
 	}
-	if c.BreachFactor <= 0 {
-		c.BreachFactor = 1.5
-	}
 	if c.MinWindowSamples <= 0 {
 		c.MinWindowSamples = 32
-	}
-	if c.MinStormOps == 0 {
-		c.MinStormOps = 64
 	}
 	return c
 }
@@ -344,7 +202,11 @@ type Plane struct {
 	lagPending [planeStripes]lagStripe
 	lagCount   atomic.Int64
 
-	flight flightRing
+	// flight is the flight recorder: the last flightCap retained spans
+	// under flightMu, and flightN counts every span ever retained.
+	flightMu sync.Mutex
+	flight   obs.Ring[SpanRecord]
+	flightN  uint64
 
 	objMu      sync.RWMutex
 	objectives map[string]Objective
@@ -365,15 +227,11 @@ func NewPlane(cfg Config) *Plane {
 	for i := range p.lagPending {
 		p.lagPending[i].m = make(map[addr.IP]lagSample)
 	}
-	p.flight.init(p.cfg.FlightCap)
 	p.objectives = make(map[string]Objective)
 	p.breachGen = make(map[Key]uint64)
 	p.lastRotate.Store(time.Now().UnixNano())
 	return p
 }
-
-// Config returns the effective (defaulted) configuration.
-func (p *Plane) Config() Config { return p.cfg }
 
 // stripeFor hashes a key onto a stripe (FNV-1a over both fields).
 func stripeFor(k Key) int {
@@ -525,8 +383,8 @@ func (p *Plane) rotateLocked() {
 		s := &p.stripes[i]
 		s.mu.RLock()
 		for _, st := range s.m {
-			st.winConn[next].reset()
-			st.winLag[next].reset()
+			st.winConn[next].Reset()
+			st.winLag[next].Reset()
 			st.winMut[next].Store(0)
 		}
 		s.mu.RUnlock()
@@ -591,12 +449,12 @@ func (p *Plane) ShardCount() int {
 // windows.
 type ShardSnap struct {
 	Key     Key
-	Verbs   [nVerbs]HistSnap
-	Lag     HistSnap
-	WinConn HistSnap
-	BaseCon HistSnap
-	WinLag  HistSnap
-	BaseLag HistSnap
+	Verbs   [nVerbs]metrics.HistSnap
+	Lag     metrics.HistSnap
+	WinConn metrics.HistSnap
+	BaseCon metrics.HistSnap
+	WinLag  metrics.HistSnap
+	BaseLag metrics.HistSnap
 	WinMut  uint64
 	BaseMut uint64
 }
@@ -632,8 +490,8 @@ func (p *Plane) Snapshot() []ShardSnap {
 	return out
 }
 
-func snapVerbs(h *[nVerbs]Hist) [nVerbs]HistSnap {
-	var out [nVerbs]HistSnap
+func snapVerbs(h *[nVerbs]metrics.Hist) [nVerbs]metrics.HistSnap {
+	var out [nVerbs]metrics.HistSnap
 	for i := range h {
 		out[i] = h[i].Snapshot()
 	}

@@ -9,83 +9,8 @@ import (
 	"time"
 
 	"declnet/internal/addr"
+	"declnet/internal/metrics"
 )
-
-func TestBucketGeometry(t *testing.T) {
-	cases := []struct {
-		d    time.Duration
-		want int
-	}{
-		{0, 0},
-		{255, 0},
-		{256, 1},
-		{511, 1},
-		{512, 2},
-		{time.Microsecond, 2}, // 1000ns in [512, 1024)
-		{time.Hour, histBuckets - 1},
-	}
-	for _, c := range cases {
-		if got := bucketOf(c.d); got != c.want {
-			t.Errorf("bucketOf(%v) = %d, want %d", c.d, got, c.want)
-		}
-	}
-	for i := 1; i < histBuckets; i++ {
-		if bucketLower(i) != bucketUpper(i-1) {
-			t.Errorf("bucket %d: lower %v != prev upper %v", i, bucketLower(i), bucketUpper(i-1))
-		}
-	}
-}
-
-func TestHistQuantileAndMean(t *testing.T) {
-	var h Hist
-	// 99 fast samples, 1 slow: p50 sits in the fast bucket, p99 (ceil
-	// semantics) still fast, p100 reaches the slow one.
-	for i := 0; i < 99; i++ {
-		h.Record(300) // bucket 1, upper 512ns
-	}
-	h.Record(time.Millisecond)
-	s := h.Snapshot()
-	if s.Count != 100 {
-		t.Fatalf("count = %d", s.Count)
-	}
-	if got := s.Quantile(0.50); got != 512 {
-		t.Errorf("p50 = %v, want 512ns", got)
-	}
-	if got := s.Quantile(0.99); got != 512 {
-		t.Errorf("p99 = %v, want 512ns (ceil(0.99*100)=99 <= 99 fast samples)", got)
-	}
-	if got := s.Quantile(1.0); got < time.Millisecond {
-		t.Errorf("p100 = %v, want >= 1ms", got)
-	}
-	if got := s.CountOver(time.Microsecond); got != 1 {
-		t.Errorf("CountOver(1us) = %d, want 1", got)
-	}
-	mean := s.Mean()
-	if mean < 300 || mean > 20*time.Microsecond {
-		t.Errorf("mean = %v out of plausible range", mean)
-	}
-	if (HistSnap{}).Quantile(0.99) != 0 || (HistSnap{}).Mean() != 0 {
-		t.Error("empty snapshot quantile/mean must be zero")
-	}
-}
-
-func TestHistMergeIsExact(t *testing.T) {
-	var a, b, whole Hist
-	for i := 0; i < 1000; i++ {
-		d := time.Duration(i) * 100
-		whole.Record(d)
-		if i%2 == 0 {
-			a.Record(d)
-		} else {
-			b.Record(d)
-		}
-	}
-	m := a.Snapshot()
-	m.Merge(b.Snapshot())
-	if m != whole.Snapshot() {
-		t.Error("merged striped snapshots differ from the serial histogram")
-	}
-}
 
 func TestNilPlaneIsInert(t *testing.T) {
 	var p *Plane
@@ -257,23 +182,24 @@ func TestSampledOutOpIsFree(t *testing.T) {
 }
 
 func TestFlightRingOverwrite(t *testing.T) {
-	p := NewPlane(Config{Window: time.Hour, SampleEvery: 1, FlightCap: 4})
-	for i := 0; i < 10; i++ {
+	p := NewPlane(Config{Window: time.Hour, SampleEvery: 1})
+	const total = flightCap + 6
+	for i := 0; i < total; i++ {
 		op := p.Begin(VerbConnect, "t", "r")
 		op.End(fmt.Errorf("e%d", i))
 	}
 	spans := p.Flight(0)
-	if len(spans) != 4 {
-		t.Fatalf("ring holds %d, want cap 4", len(spans))
+	if len(spans) != flightCap {
+		t.Fatalf("ring holds %d, want cap %d", len(spans), flightCap)
 	}
-	if spans[0].Err != "e6" || spans[3].Err != "e9" {
-		t.Errorf("ring contents %q..%q, want e6..e9 oldest-first", spans[0].Err, spans[3].Err)
+	if first, last := spans[0].Err, spans[flightCap-1].Err; first != "e6" || last != fmt.Sprintf("e%d", total-1) {
+		t.Errorf("ring contents %q..%q, want e6..e%d oldest-first", first, last, total-1)
 	}
-	if got := p.Flight(2); len(got) != 2 || got[1].Err != "e9" {
+	if got := p.Flight(2); len(got) != 2 || got[1].Err != fmt.Sprintf("e%d", total-1) {
 		t.Errorf("Flight(2) = %+v, want last two", got)
 	}
-	if p.FlightRetained() != 10 {
-		t.Errorf("retained total = %d, want 10", p.FlightRetained())
+	if p.FlightRetained() != total {
+		t.Errorf("retained total = %d, want %d", p.FlightRetained(), total)
 	}
 }
 
@@ -341,7 +267,7 @@ func TestPermitLagStripeCap(t *testing.T) {
 }
 
 func TestDetectorBreachAndAttribution(t *testing.T) {
-	p := NewPlane(Config{Window: time.Hour, MinWindowSamples: 8, MinStormOps: 16})
+	p := NewPlane(Config{Window: time.Hour, MinWindowSamples: 8})
 	victim, quiet := Key{Tenant: "v", Region: "p/r1"}, Key{Tenant: "q", Region: "p/r2"}
 	// Baseline window: fast connects for both shards.
 	for i := 0; i < 32; i++ {
@@ -373,7 +299,7 @@ func TestDetectorBreachAndAttribution(t *testing.T) {
 	if b.Suspect != "noisy@p/r3" || b.SuspectOps != 100 {
 		t.Errorf("suspect = %q ops=%d, want noisy@p/r3 with 100", b.Suspect, b.SuspectOps)
 	}
-	if b.Ratio < p.Config().BreachFactor {
+	if b.Ratio < breachFactor || rep.Factor != breachFactor {
 		t.Errorf("ratio = %.2f under breach factor", b.Ratio)
 	}
 	for _, frag := range []string{"slo-breach:connect-p99:v@p/r1", "noisy-neighbor:noisy@p/r3", "mutation-storm:ops=100", " <- "} {
@@ -393,7 +319,7 @@ func TestDetectorBreachAndAttribution(t *testing.T) {
 }
 
 func TestDetectorNoDominantMutator(t *testing.T) {
-	p := NewPlane(Config{Window: time.Hour, MinWindowSamples: 8, MinStormOps: 1000})
+	p := NewPlane(Config{Window: time.Hour, MinWindowSamples: 8})
 	victim := Key{Tenant: "v", Region: "p/r1"}
 	for i := 0; i < 32; i++ {
 		p.Observe(VerbConnect, victim.Tenant, victim.Region, time.Microsecond)
@@ -402,7 +328,9 @@ func TestDetectorNoDominantMutator(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		p.Observe(VerbConnect, victim.Tenant, victim.Region, 8*time.Microsecond)
 	}
-	p.Observe(VerbPermit, "other", "p/r2", time.Microsecond) // under MinStormOps
+	for i := 0; i < minStormOps-1; i++ { // one short of the storm floor
+		p.Observe(VerbPermit, "other", "p/r2", time.Microsecond)
+	}
 	rep := p.Health()
 	if len(rep.Breaches) != 1 {
 		t.Fatalf("want breach, got %+v", rep)
@@ -457,7 +385,7 @@ func TestDropTenant(t *testing.T) {
 func TestStripedMergeMatchesSerialOracle(t *testing.T) {
 	p := NewPlane(Config{Window: time.Hour})
 	var mu sync.Mutex
-	var oracle Hist
+	var oracle metrics.Hist
 	const workers = 8
 	const perWorker = 2000
 	var wg sync.WaitGroup
@@ -477,7 +405,7 @@ func TestStripedMergeMatchesSerialOracle(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	var merged HistSnap
+	var merged metrics.HistSnap
 	for _, s := range p.Snapshot() {
 		merged.Merge(s.Verbs[VerbConnect])
 	}

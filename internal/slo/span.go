@@ -10,10 +10,7 @@
 // ring dumped via GET /v1/debug/flight.
 package slo
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Op is one in-flight instrumented verb. The zero Op (from a nil
 // plane's Begin) is inert: every method no-ops. Pass it by pointer so
@@ -138,7 +135,7 @@ func (op *Op) End(err error) {
 	if err != nil {
 		rec.Err = err.Error()
 	}
-	op.p.flight.push(rec)
+	op.p.retain(rec)
 }
 
 // StageRecord is one timed stage inside a retained span.
@@ -160,29 +157,15 @@ type SpanRecord struct {
 	Why string `json:"why"`
 }
 
-// flightRing is the bounded overwrite-oldest span store. Retention is
-// rare (head-sampled + errors + slow path), so a plain mutex ring is
-// cheap enough.
-type flightRing struct {
-	mu   sync.Mutex
-	buf  []SpanRecord
-	next int
-	full bool
-	n    uint64 // total retained ever
-}
+// flightCap bounds the flight recorder. Retention is rare (head-sampled
+// + errors + slow path), so a mutex around the ring is cheap enough.
+const flightCap = 256
 
-func (f *flightRing) init(cap int) { f.buf = make([]SpanRecord, cap) }
-
-func (f *flightRing) push(rec SpanRecord) {
-	f.mu.Lock()
-	if f.next == len(f.buf) {
-		f.next = 0
-		f.full = true
-	}
-	f.buf[f.next] = rec
-	f.next++
-	f.n++
-	f.mu.Unlock()
+func (p *Plane) retain(rec SpanRecord) {
+	p.flightMu.Lock()
+	p.flight.Push(rec, flightCap)
+	p.flightN++
+	p.flightMu.Unlock()
 }
 
 // Flight returns up to n retained spans, oldest first (all when n <= 0).
@@ -191,21 +174,9 @@ func (p *Plane) Flight(n int) []SpanRecord {
 	if p == nil {
 		return nil
 	}
-	f := &p.flight
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var out []SpanRecord
-	if f.full {
-		out = make([]SpanRecord, 0, len(f.buf))
-		out = append(out, f.buf[f.next:]...)
-		out = append(out, f.buf[:f.next]...)
-	} else {
-		out = append([]SpanRecord(nil), f.buf[:f.next]...)
-	}
-	if n > 0 && len(out) > n {
-		out = out[len(out)-n:]
-	}
-	return out
+	p.flightMu.Lock()
+	defer p.flightMu.Unlock()
+	return p.flight.Last(n)
 }
 
 // FlightRetained reports total spans ever retained (including ones the
@@ -214,7 +185,7 @@ func (p *Plane) FlightRetained() uint64 {
 	if p == nil {
 		return 0
 	}
-	p.flight.mu.Lock()
-	defer p.flight.mu.Unlock()
-	return p.flight.n
+	p.flightMu.Lock()
+	defer p.flightMu.Unlock()
+	return p.flightN
 }
