@@ -78,7 +78,7 @@ func BenchmarkAblationShield(b *testing.B) {
 	setup := func() (*permit.Engine, addr.IP) {
 		e := permit.NewEngine()
 		dst := addr.MustParseIP("104.0.0.1")
-		e.Permit(dst, addr.NewPrefix(addr.MustParseIP("100.64.0.1"), 32))
+		e.Set(dst, []permit.Entry{addr.NewPrefix(addr.MustParseIP("100.64.0.1"), 32)})
 		return e, dst
 	}
 	// 256 attacking sources cycling; 1 legitimate.

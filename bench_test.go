@@ -233,7 +233,7 @@ func BenchmarkPermitCheck(b *testing.B) {
 	base := addr.MustParseIP("100.64.0.0")
 	for i := 0; i < 50000; i++ {
 		dst := base + addr.IP(i)
-		e.Permit(dst, addr.NewPrefix(base+addr.IP(i*7), 32))
+		e.Set(dst, []permit.Entry{addr.NewPrefix(base+addr.IP(i*7), 32)})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

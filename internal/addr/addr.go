@@ -67,9 +67,9 @@ func MustParseIP(s string) IP {
 
 // String renders dotted-quad notation.
 func (ip IP) String() string {
-	// Hand-rolled dotted quad: this sits on the decision-tracing hot path
-	// (every traced event stringifies two addresses), where fmt's
-	// reflection cost is measurable in experiment E12.
+	// Hand-rolled dotted quad: this sits on the decision-tracing paths
+	// (cause chains name addresses; every event read back renders two),
+	// where fmt's reflection cost is measurable in experiment E12.
 	var b [15]byte
 	n := 0
 	for i := 3; i >= 0; i-- {

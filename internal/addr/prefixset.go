@@ -11,7 +11,8 @@ import (
 // []Prefix sorted by (address, length) with no duplicates, never modified
 // once built. The functions below are its whole implementation. An edit
 // never changes what an earlier slice shows, so a reader holding one needs
-// no lock, and two sets are equal exactly when slices.Equal says so.
+// no lock, two holders may share one slice, and two sets are equal exactly
+// when slices.Equal says so.
 
 // ComparePrefix orders prefixes by address, then by length.
 func ComparePrefix(a, b Prefix) int {
@@ -33,9 +34,11 @@ func CanonicalPrefixes(in []Prefix) []Prefix {
 // member, a fresh slice when p lands inside it. A p that sorts last is
 // appended, and like append that may fill set's spare capacity — beyond
 // what set shows, so set still reads the same, but the result is then
-// set's one successor: do not insert into set again. Lists grow in
-// address order as addresses are granted in it (E4 builds 40 000-entry
-// lists this way), and the append keeps that build linear, not quadratic.
+// set's one successor: do not insert into set again, and insert into a
+// set that more than one holder keeps only through slices.Clip(set),
+// which makes the append copy. Lists grow in address order as addresses
+// are granted in it (E4 builds 40 000-entry lists this way), and the
+// append keeps that build linear, not quadratic.
 func InsertPrefix(set []Prefix, p Prefix) []Prefix {
 	i, found := slices.BinarySearchFunc(set, p, ComparePrefix)
 	if found {
@@ -62,6 +65,16 @@ func RemovePrefix(set []Prefix, p Prefix) []Prefix {
 	copy(out, set[:i])
 	copy(out[i:], set[i+1:])
 	return out
+}
+
+// EqualPrefixes reports whether two sets are equal. Two holders of one
+// list — declared and installed — normally share its slice, and then the
+// answer needs no element compare.
+func EqualPrefixes(a, b []Prefix) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	return len(a) == 0 || &a[0] == &b[0] || slices.Equal(a, b)
 }
 
 // PrefixLengths returns the prefix lengths present in set, bit l set for

@@ -88,6 +88,10 @@ func NewServerWith(w *declnet.World, opts Options) *Server {
 		mErrors:   registry.Counter("declnet_http_errors_total", "HTTP API error responses."),
 		mLatency:  registry.Histogram("declnet_http_request_seconds", "HTTP API request latency."),
 	}
+	registry.GaugeFunc("declnet_trace_events_total",
+		"Decision-trace events recorded.", func() float64 { return float64(tracer.Recorded()) })
+	registry.GaugeFunc("declnet_trace_evicted_total",
+		"Decision-trace events overwritten by ring wraparound.", func() float64 { return float64(tracer.Evicted()) })
 	// The single-verb mutation routes: wire struct -> typed op -> Apply.
 	s.mux.HandleFunc("POST /v1/eips", mutate(s, EIPRequest.op, replyEIP))
 	s.mux.HandleFunc("POST /v1/eips/release", mutate(s, ReleaseRequest.op, replyEmpty))

@@ -72,7 +72,7 @@ func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
 	if kind := q.Get("kind"); kind != "" {
 		kept := evs[:0]
 		for _, ev := range evs {
-			if string(ev.Kind) == kind {
+			if ev.Kind.String() == kind {
 				kept = append(kept, ev)
 			}
 		}

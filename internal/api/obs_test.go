@@ -1,6 +1,7 @@
 package api
 
 import (
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"declnet"
+	"declnet/internal/obs"
 )
 
 // obsWorld grants a permitted client->SIP pair for diagnosis tests.
@@ -73,10 +75,20 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE declnet_http_errors_total counter",
 		"declnet_endpoints{provider=",
 		"declnet_virtual_time_seconds",
+		"# TYPE declnet_trace_events_total gauge",
+		"declnet_trace_evicted_total 0",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+	// Ring churn reads off the scrape: the recorded count is /v1/status's.
+	var st StatusResponse
+	if code := get(t, ts, "/v1/status", &st); code != 200 || st.TraceEvents == 0 {
+		t.Fatalf("status %d reports %d trace events after a transfer", code, st.TraceEvents)
+	}
+	if want := fmt.Sprintf("declnet_trace_events_total %d\n", st.TraceEvents); !strings.Contains(text, want) {
+		t.Errorf("exposition missing %q", want)
 	}
 	// The request count is the latency histogram's _count, not a family
 	// of its own.
@@ -140,7 +152,7 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 	kinds := map[string]bool{}
 	for _, ev := range tr.Events {
-		kinds[string(ev.Kind)] = true
+		kinds[ev.Kind.String()] = true
 	}
 	for _, want := range []string{"permit-update", "permit-allow", "sip-pick", "path-select"} {
 		if !kinds[want] {
@@ -155,7 +167,7 @@ func TestTraceEndpoint(t *testing.T) {
 		t.Fatalf("trace kind filter status %d", code)
 	}
 	for _, ev := range tr.Events {
-		if ev.Kind != "sip-pick" {
+		if ev.Kind != obs.SIPPick {
 			t.Fatalf("kind filter leaked %s", ev.Kind)
 		}
 	}

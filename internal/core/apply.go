@@ -101,10 +101,13 @@ func (c *Cloud) apply(tenant string, op *intent.Op, mode applyMode) (k ShardKey,
 		if op.Provider == "" {
 			op.Provider = n.Provider
 		}
-		op.Region = n.Region
+		// The topology's own ID string stands for the VM from here on, in
+		// the journal op and the endpoint alike: the decoded request's
+		// copy is not retained.
+		op.VM, op.Region = string(n.ID), n.Region
 		p, k, err = c.named(tenant, op.Provider, n.Region)
 		verb, run = slo.VerbGrant, func() (err error) {
-			op.Addr, err = p.requestEIP(tenant, topo.NodeID(op.VM))
+			op.Addr, err = p.requestEIP(tenant, n)
 			return err
 		}
 	case intent.OpReleaseEIP:
@@ -129,12 +132,12 @@ func (c *Cloud) apply(tenant string, op *intent.Op, mode applyMode) (k ShardKey,
 		p, k, err = c.owner(tenant, op.Target)
 		verb, run = slo.VerbPermit, func() error {
 			op.Provider = p.Name
-			return p.setPermitList(tenant, op.Target, op.Entries, op.Groups...)
+			return p.setPermitList(tenant, op)
 		}
 	case intent.OpPermit, intent.OpRevoke:
 		p, k, err = c.owner(tenant, op.Target)
 		verb, run = slo.VerbPermit, func() error {
-			return p.permitEntries(tenant, op.Target, op.Entries, op.Verb == intent.OpPermit)
+			return p.permitEntries(tenant, op)
 		}
 	case intent.OpSetQoS:
 		p, k, err = c.named(tenant, op.Provider, op.Region)

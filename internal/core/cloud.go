@@ -489,16 +489,16 @@ func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, opts Co
 			if !dec.HasList {
 				cause = obs.Chain("permit-deny:"+dst.String(), "no-permit-list")
 			}
-			c.traceEvent(obs.PermitDeny, tenant, src, dst, "deny",
-				"entries="+strconv.Itoa(dec.Entries)+" epoch="+strconv.FormatUint(dec.Version, 10), cause)
+			c.traceEvent(tenant, obs.Decision{Kind: obs.PermitDeny, Src: src, Dst: dst, Verdict: obs.Deny,
+				Entries: uint32(dec.Entries), Epoch: dec.Version, Cause: cause})
 		}
 		c.mConnectsDenied.Inc()
 		return nil, fmt.Errorf("core: %s not permitted to reach %s (default-off)", src, dst)
 	}
 	if c.trace != nil {
 		dec := dstProv.Permits.Explain(src, dst)
-		c.traceEvent(obs.PermitAllow, tenant, src, dst, "ok",
-			"entry="+dec.Matched.String()+" epoch="+strconv.FormatUint(dec.Version, 10), "")
+		c.traceEvent(tenant, obs.Decision{Kind: obs.PermitAllow, Src: src, Dst: dst, Verdict: obs.OK,
+			Detail: "entry=" + dec.Matched.String() + " epoch=" + strconv.FormatUint(dec.Version, 10)})
 	}
 	// (2) Resolve SIP -> backend EIP via the provider's balancer.
 	dstEIP := dst
@@ -508,15 +508,15 @@ func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, opts Co
 		be, err := svc.balancer.Pick()
 		op.StageEnd(stg, "balance")
 		if err != nil {
-			c.traceEvent(obs.SIPPick, tenant, src, dst, "fail",
-				"healthy=0/"+strconv.Itoa(len(svc.balancer.Backends())),
-				"no-healthy-backend:"+dst.String())
+			c.traceEvent(tenant, obs.Decision{Kind: obs.SIPPick, Src: src, Dst: dst, Verdict: obs.Fail,
+				Detail: "healthy=0/" + strconv.Itoa(len(svc.balancer.Backends())),
+				Cause:  "no-healthy-backend:" + dst.String()})
 			c.mConnectsErr.Inc()
 			return nil, fmt.Errorf("core: %s: %w", dst, err)
 		}
-		c.traceEvent(obs.SIPPick, tenant, src, dst, "ok",
-			"backend="+be.EIP.String()+" healthy="+strconv.Itoa(svc.balancer.HealthyCount())+
-				"/"+strconv.Itoa(len(svc.balancer.Backends())), "")
+		c.traceEvent(tenant, obs.Decision{Kind: obs.SIPPick, Src: src, Dst: dst, Verdict: obs.OK,
+			Detail: "backend=" + be.EIP.String() + " healthy=" + strconv.Itoa(svc.balancer.HealthyCount()) +
+				"/" + strconv.Itoa(len(svc.balancer.Backends()))})
 		dstEIP = be.EIP
 		bal := svc.balancer
 		release = func() { bal.Release(be) }
@@ -538,14 +538,14 @@ func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, opts Co
 		if release != nil {
 			release()
 		}
-		c.traceEvent(obs.PathSelect, tenant, src, dstEIP, "fail",
-			fmt.Sprintf("policy=%v", policy), fmt.Sprintf("no-path:%v", policy))
+		c.traceEvent(tenant, obs.Decision{Kind: obs.PathSelect, Src: src, Dst: dstEIP, Verdict: obs.Fail,
+			Detail: fmt.Sprintf("policy=%v", policy), Cause: fmt.Sprintf("no-path:%v", policy)})
 		c.mConnectsErr.Inc()
 		return nil, err
 	}
-	c.traceEvent(obs.PathSelect, tenant, src, dstEIP, "ok",
-		"policy="+policy.String()+" hops="+strconv.Itoa(len(path))+
-			" delay="+time.Duration(path.Delay()).String(), "")
+	c.traceEvent(tenant, obs.Decision{Kind: obs.PathSelect, Src: src, Dst: dstEIP, Verdict: obs.OK,
+		Detail: "policy=" + policy.String() + " hops=" + strconv.Itoa(len(path)) +
+			" delay=" + time.Duration(path.Delay()).String()})
 	// (4) Start the flow under the per-VM cap, then attach it to the
 	// regional egress limiter when it leaves the source region.
 	vmCap := srcEp.egressCap
@@ -605,8 +605,8 @@ func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, opts Co
 			}
 			tq.mu.Unlock()
 			if quota > 0 {
-				c.traceEvent(obs.QoSThrottle, tenant, src, dstEIP, "ok",
-					fmt.Sprintf("region=%s quota=%.3gbps demand=%.3gbps", srcEp.region, quota, demand), "")
+				c.traceEvent(tenant, obs.Decision{Kind: obs.QoSThrottle, Src: src, Dst: dstEIP, Verdict: obs.OK,
+					Detail: fmt.Sprintf("region=%s quota=%.3gbps demand=%.3gbps", srcEp.region, quota, demand)})
 			}
 		}
 	}

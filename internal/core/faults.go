@@ -252,8 +252,8 @@ func (m *FaultMonitor) sweepServices(now sim.Time, p *Provider) {
 					if st.downAt > 0 {
 						m.mMTTR.Record(now - st.downAt)
 					}
-					m.cloud.traceEvent(obs.Rebind, svc.tenant, be.EIP, sip, "ok",
-						fmt.Sprintf("node=%s mttr=%v", node, now-st.downAt), "")
+					m.cloud.traceEvent(svc.tenant, obs.Decision{Kind: obs.Rebind, Src: be.EIP, Dst: sip, Verdict: obs.OK,
+						Detail: fmt.Sprintf("node=%s mttr=%v", node, now-st.downAt)})
 					st.downAt = 0
 				}
 				continue
@@ -272,9 +272,9 @@ func (m *FaultMonitor) sweepServices(now sim.Time, p *Provider) {
 			m.Failovers++
 			m.LastFailoverAt = now
 			st.downAt = now
-			m.cloud.traceEvent(obs.Failover, svc.tenant, be.EIP, sip, "fail",
-				fmt.Sprintf("node=%s misses=%d", node, st.misses),
-				obs.Chain(m.Inj.Cause(node)...))
+			m.cloud.traceEvent(svc.tenant, obs.Decision{Kind: obs.Failover, Src: be.EIP, Dst: sip, Verdict: obs.Fail,
+				Detail: fmt.Sprintf("node=%s misses=%d", node, st.misses),
+				Cause:  obs.Chain(m.Inj.Cause(node)...)})
 			if st.backoff == 0 {
 				st.backoff = m.Policy.RebindBackoff
 			} else if st.backoff *= 2; st.backoff > m.Policy.RebindBackoffMax {
@@ -329,15 +329,17 @@ func (m *FaultMonitor) state(provider string, sip SIP, eip EIP) *backendState {
 
 // retryPermit accepts a permit update whose target endpoint is currently
 // unreachable and keeps retrying until the endpoint's enforcement point
-// answers or the timeout expires. Regular (non-daemon) events: bounded by
-// the timeout, so a deadline-less Run still terminates.
+// answers or the timeout expires. set is the list the verb derived (and
+// the declared state adopted), installed as is when the node answers, at
+// epoch n, the entries the tenant sent. Regular (non-daemon) events:
+// bounded by the timeout, so a deadline-less Run still terminates.
 //
 // It runs on the verb path, under the target's shard lock only, so two
 // tenants' deferrals race each other: mu covers the pending map and the
 // counters, and the first attempt is queued under the cloud's engMu like
 // every other event a shard-locked verb schedules. The attempts themselves
 // run inside the engine, which the embedder never advances beside verbs.
-func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, entries []permit.Entry, node topo.NodeID) {
+func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, set []permit.Entry, n int, node topo.NodeID) {
 	accepted := m.cloud.Eng.Now()
 	deadline := accepted + m.Policy.PermitRetryTimeout
 	m.mu.Lock()
@@ -346,9 +348,9 @@ func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, e
 	}
 	m.PermitRetries++
 	m.mu.Unlock()
-	m.cloud.traceEvent(obs.PermitDefer, tenant, 0, target, "deferred",
-		fmt.Sprintf("entries=%d node=%s", len(entries), node),
-		obs.Chain(m.Inj.Cause(node)...))
+	m.cloud.traceEvent(tenant, obs.Decision{Kind: obs.PermitDefer, Dst: target, Verdict: obs.Deferred,
+		Detail: fmt.Sprintf("entries=%d node=%s", n, node),
+		Cause:  obs.Chain(m.Inj.Cause(node)...)})
 	settle := func() {
 		m.mu.Lock()
 		delete(m.pending, target)
@@ -363,7 +365,7 @@ func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, e
 			return
 		}
 		if m.Inj.Reachable(node) {
-			p.Permits.Set(target, entries)
+			epoch := p.Permits.Install(target, set, uint64(n))
 			// The deferred update lands outside any journaled record: mark
 			// the target dirty so the next sweep re-verifies it against the
 			// latest declared list (which may have moved on while we
@@ -374,8 +376,8 @@ func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, e
 			}
 			lag := m.cloud.Eng.Now() - accepted
 			m.mPermitLag.Record(lag)
-			m.cloud.traceEvent(obs.PermitApply, tenant, 0, target, "ok",
-				fmt.Sprintf("lag=%v epoch=%d", lag, p.Permits.Explain(0, target).Version), "")
+			m.cloud.traceEvent(tenant, obs.Decision{Kind: obs.PermitApply, Dst: target, Verdict: obs.OK,
+				Detail: fmt.Sprintf("lag=%v epoch=%d", lag, epoch)})
 			settle()
 			return
 		}
@@ -383,9 +385,9 @@ func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, e
 			m.mu.Lock()
 			m.PermitTimeouts++
 			m.mu.Unlock()
-			m.cloud.traceEvent(obs.PermitTimeout, tenant, 0, target, "fail",
-				fmt.Sprintf("after=%v", m.cloud.Eng.Now()-accepted),
-				obs.Chain(append([]string{"permit-timeout:" + target.String()}, m.Inj.Cause(node)...)...))
+			m.cloud.traceEvent(tenant, obs.Decision{Kind: obs.PermitTimeout, Dst: target, Verdict: obs.Fail,
+				Detail: fmt.Sprintf("after=%v", m.cloud.Eng.Now()-accepted),
+				Cause:  obs.Chain(append([]string{"permit-timeout:" + target.String()}, m.Inj.Cause(node)...)...)})
 			settle()
 			// Timed out: the live list never took the declared update. Mark
 			// it dirty — with the pending flag gone, the reconciler owns

@@ -145,9 +145,10 @@ func (c *Cloud) RestoreIntentWorkers(st *intent.State, workers int) error {
 		return err
 	}
 
-	// Permit lists, installed at the owning provider's engine. Set builds
-	// each list off-line, so a target's stripe lock is held only for the
-	// final install and workers in different stripes never serialize.
+	// Permit lists, installed at the owning provider's engine: each
+	// declared list itself, canonical already, so the engine and the
+	// declared state share it. A target's stripe lock is held only for the
+	// install and workers in different stripes never serialize.
 	targets := sortedKeys(st.Permits)
 	err = restoreParallel(len(targets), workers, func(i int) error {
 		t := targets[i]
@@ -155,7 +156,8 @@ func (c *Cloud) RestoreIntentWorkers(st *intent.State, workers int) error {
 		if !ok {
 			return fmt.Errorf("core: restore: permit target %s is outside every provider's blocks", t)
 		}
-		p.Permits.Set(t, st.Permits[t].Entries)
+		set := st.Permits[t].Entries
+		p.Permits.Install(t, set, uint64(len(set)))
 		return nil
 	})
 	if err != nil {

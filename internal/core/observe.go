@@ -86,23 +86,14 @@ func (c *Cloud) registerProviderMetrics(name string, p *Provider) {
 		"Permit-list mutations.", func() float64 { return float64(p.Permits.Updates.Load()) }, l)
 }
 
-// traceEvent records one decision when tracing is on. A zero address
-// (a surface with no source or no target) renders as "".
-func (c *Cloud) traceEvent(kind obs.Kind, tenant string, src, dst addr.IP, verdict, detail, cause string) {
+// traceEvent records one decision for the tenant, stamped with the
+// virtual time, when tracing is on.
+func (c *Cloud) traceEvent(tenant string, d obs.Decision) {
 	if c.trace == nil {
 		return
 	}
-	c.trace.Record(obs.Event{
-		At: c.Eng.Now(), Tenant: tenant, Kind: kind,
-		Src: addrText(src), Dst: addrText(dst), Verdict: verdict, Detail: detail, Cause: cause,
-	})
-}
-
-func addrText(ip addr.IP) string {
-	if ip == 0 {
-		return ""
-	}
-	return ip.String()
+	d.At = c.Eng.Now()
+	c.trace.Record(tenant, d)
 }
 
 // ExplainStep is one stage of the replayed datapath decision.
@@ -296,11 +287,11 @@ func (c *Cloud) Explain(tenant string, src EIP, dst addr.IP) (*Explanation, erro
 	}
 	ex.Steps = append(ex.Steps, ExplainStep{Stage: "qos", Verdict: "info", Detail: qdetail})
 
-	verdict := "reachable"
+	verdict := obs.Reachable
 	if !ex.Reachable {
-		verdict = "unreachable"
+		verdict = obs.Unreachable
 	}
-	c.traceEvent(obs.Explain, tenant, src, dst, verdict, "", ex.RootCause)
+	c.traceEvent(tenant, obs.Decision{Kind: obs.Explain, Src: src, Dst: dst, Verdict: verdict, Cause: ex.RootCause})
 	return ex, nil
 }
 

@@ -4,21 +4,46 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
+	"unsafe"
 
 	"declnet/internal/addr"
 	"declnet/internal/intent"
+	"declnet/internal/permit"
 	"declnet/internal/topo"
 )
+
+// sameSlice reports whether a and b are one slice: the same length over
+// the same array.
+func sameSlice(a, b []addr.Prefix) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// shareArray reports whether a's and b's arrays overlap anywhere up to
+// their capacities — where an append into one's spare capacity would
+// write under the other.
+func shareArray(a, b []addr.Prefix) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	size := unsafe.Sizeof(addr.Prefix{})
+	lo, hi := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return lo < hi+uintptr(cap(b))*size && hi < lo+uintptr(cap(a))*size
+}
 
 // TestDeclaredAndInstalledPermitParity drives random set_permit / permit
 // / revoke ops — repeated entries, nested prefixes, provider- and
 // cloud-level groups that overlap and share a name — through Cloud.Apply
-// with a journal attached. Declared (intent.State) and installed
-// (permit.Engine) lists are built by the same addr functions, so for
-// every target they must be equal slices after every op, equal as sets to
-// a model that shares no code with either, and a sweep must find nothing.
+// with a journal attached, while an endpoint's node fails and heals now
+// and then, so set_permits to it defer until the node answers. Each verb
+// derives its target's list once and both stores keep it, so after every
+// op declared (intent.State) equals a model that shares no code with
+// either, installed (permit.Engine) is declared's very slice unless an
+// update to the target is still deferred, the two never hold different
+// views of one array, and a sweep finds nothing.
 func TestDeclaredAndInstalledPermitParity(t *testing.T) {
 	c, w, pa, pb, _ := fig1Cloud(t)
+	m := c.EnableFaults(FaultPolicy{PermitRetryInterval: 100 * time.Millisecond, PermitRetryTimeout: time.Hour})
 	l, err := intent.Open(t.TempDir(), intent.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -90,10 +115,11 @@ func TestDeclaredAndInstalledPermitParity(t *testing.T) {
 	}
 
 	model := map[addr.IP]map[addr.Prefix]bool{}
+	var down topo.NodeID // the failed node, "" when none is
 	for step := 0; step < 600; step++ {
 		target := targets[rng.Intn(len(targets))]
 		owner, _ := c.ProviderOf(target)
-		switch rng.Intn(7) {
+		switch rng.Intn(8) {
 		case 0:
 			regroup()
 			continue
@@ -127,12 +153,30 @@ func TestDeclaredAndInstalledPermitParity(t *testing.T) {
 			for _, e := range op.Entries {
 				model[target][e] = true
 			}
-		default:
+		case 6:
 			op := intent.Op{Verb: intent.OpRevoke, Target: target, Entries: entries(1 + rng.Intn(2))}
 			apply(op)
 			for _, e := range op.Entries {
 				delete(model[target], e)
 			}
+		default:
+			if down == "" {
+				eip := eips[""][rng.Intn(len(eips[""]))]
+				p, _ := c.ProviderOf(eip)
+				down, _ = p.Lookup(eip)
+				if err := m.Inj.FailNode(down); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			// Heal: the deferred updates land, and the sweep repairs what
+			// the targets' declared lists did meanwhile.
+			if err := m.Inj.RestoreNode(down); err != nil {
+				t.Fatal(err)
+			}
+			down = ""
+			c.Eng.RunUntil(c.Eng.Now() + time.Second)
+			r.RunSweep()
 		}
 		for _, tg := range targets {
 			p, _ := c.ProviderOf(tg)
@@ -141,15 +185,24 @@ func TestDeclaredAndInstalledPermitParity(t *testing.T) {
 			if pl, ok := l.Permit(tg); ok {
 				declared = pl.Entries
 			}
-			if !slices.Equal(installed, declared) {
-				t.Fatalf("step %d, target %s: installed %v, declared %v", step, tg, installed, declared)
-			}
 			var want []addr.Prefix
 			for e := range model[tg] {
 				want = append(want, e)
 			}
-			if !entriesEqual(installed, want) {
-				t.Fatalf("step %d, target %s: installed %v, the model holds %v", step, tg, installed, sortedEntries(want))
+			if !entriesEqual(declared, want) {
+				t.Fatalf("step %d, target %s: declared %v, the model holds %v", step, tg, declared, sortedEntries(want))
+			}
+			if !slices.IsSortedFunc(declared, addr.ComparePrefix) {
+				t.Fatalf("step %d, target %s: declared %v is not canonical", step, tg, declared)
+			}
+			if shareArray(installed, declared) && !sameSlice(installed, declared) {
+				t.Fatalf("step %d, target %s: installed %v and declared %v are different views of one array", step, tg, installed, declared)
+			}
+			if _, pending := m.PendingPermit(tg); pending {
+				continue
+			}
+			if !sameSlice(installed, declared) {
+				t.Fatalf("step %d, target %s: installed %v is not declared's slice %v", step, tg, installed, declared)
 			}
 		}
 		if step%50 == 49 {
@@ -157,5 +210,64 @@ func TestDeclaredAndInstalledPermitParity(t *testing.T) {
 				t.Fatalf("step %d: a sweep found work with no drift injected: %+v", step, res)
 			}
 		}
+	}
+	if m.PermitRetries == 0 {
+		t.Fatal("no set_permit was deferred: the fault arm never ran")
+	}
+}
+
+// TestStoresNeverAppendIntoASharedList is the hazard of one list with two
+// holders: addr.InsertPrefix appends into spare capacity, so if either
+// store extended a list the other still held, the other's next append
+// would write under it. A set_permit with a repeated entry leaves its list
+// spare capacity; deferred behind a failed node, it is declared at once
+// and installed later, the declared list having moved on in between —
+// and the installed list, the older view, is then extended again. Both
+// stores must read what was declared throughout.
+func TestStoresNeverAppendIntoASharedList(t *testing.T) {
+	c, w, pa, _, _ := fig1Cloud(t)
+	m := c.EnableFaults(FaultPolicy{PermitRetryInterval: 100 * time.Millisecond, PermitRetryTimeout: time.Hour})
+	l, err := intent.Open(t.TempDir(), intent.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	c.EnableIntent(l)
+	r, err := c.EnableReconciler(ReconcilerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1)
+	target, err := pa.RequestEIP("acme", node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, d := pfx("10.0.0.1/32"), pfx("10.0.0.2/32"), pfx("10.0.0.3/32")
+	if err := m.Inj.FailNode(node); err != nil {
+		t.Fatal(err)
+	}
+	if err := pa.SetPermitList("acme", target, []permit.Entry{a, a}); err != nil {
+		t.Fatal(err)
+	}
+	if pl, _ := l.Permit(target); cap(pl.Entries) == len(pl.Entries) {
+		t.Fatalf("declared %v has no spare capacity; the case needs some", pl.Entries)
+	}
+	if err := pa.Permit("acme", target, b); err != nil { // declared [a b]
+		t.Fatal(err)
+	}
+	if err := m.Inj.RestoreNode(node); err != nil {
+		t.Fatal(err)
+	}
+	c.Eng.RunUntil(c.Eng.Now() + time.Second) // installs the deferred [a]
+	if err := pa.Permit("acme", target, d); err != nil {
+		t.Fatal(err)
+	}
+	want := []addr.Prefix{a, b, d}
+	if pl, _ := l.Permit(target); !slices.Equal(pl.Entries, want) {
+		t.Fatalf("declared %v, want %v", pl.Entries, want)
+	}
+	r.RunSweep()
+	if got := pa.Permits.EntriesOf(target); !slices.Equal(got, want) {
+		t.Fatalf("installed %v after the sweep, want %v", got, want)
 	}
 }

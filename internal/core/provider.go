@@ -25,6 +25,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"declnet/internal/addr"
@@ -264,11 +265,10 @@ func (p *Provider) RequestEIP(tenant string, vm topo.NodeID) (EIP, error) {
 	return p.cloud.Apply(tenant, intent.Op{Verb: intent.OpRequestEIP, Provider: p.Name, VM: string(vm)})
 }
 
-func (p *Provider) requestEIP(tenant string, vm topo.NodeID) (EIP, error) {
-	n, ok := p.g.Node(vm)
-	if !ok {
-		return 0, fmt.Errorf("core: unknown VM %q", vm)
-	}
+// requestEIP is request_eip's body for the VM node n, which the endpoint
+// records by n's own ID.
+func (p *Provider) requestEIP(tenant string, n *topo.Node) (EIP, error) {
+	vm := n.ID
 	if n.Kind != topo.Host {
 		return 0, fmt.Errorf("core: %q is not a compute endpoint", vm)
 	}
@@ -396,12 +396,18 @@ func (p *Provider) SetPermitList(tenant string, target addr.IP, entries []permit
 	return p.do(tenant, intent.Op{Verb: intent.OpSetPermit, Target: target, Entries: entries, Groups: groupRefs})
 }
 
-func (p *Provider) setPermitList(tenant string, target addr.IP, entries []permit.Entry, groupRefs ...string) error {
+// setPermitList is set_permit's body. It derives the target's new list
+// once — the canonical set of op's entries and expanded group members —
+// installs it, or hands it to the fault monitor when the target's
+// enforcement point is unreachable, and leaves it on op for the declared
+// state to adopt.
+func (p *Provider) setPermitList(tenant string, op *intent.Op) error {
+	target := op.Target
 	if err := p.ownsTarget(tenant, target); err != nil {
 		return err
 	}
-	all := append([]permit.Entry(nil), entries...)
-	for _, gname := range groupRefs {
+	all := slices.Clip(op.Entries) // appends below copy, never write into the op
+	for _, gname := range op.Groups {
 		p.polMu.RLock()
 		members, ok := p.groups[tenant][gname]
 		p.polMu.RUnlock()
@@ -415,6 +421,8 @@ func (p *Provider) setPermitList(tenant string, target addr.IP, entries []permit
 			all = append(all, addr.NewPrefix(m, 32))
 		}
 	}
+	set := addr.CanonicalPrefixes(all)
+	op.Derived, op.Prev, op.Next = true, nil, set
 	// Under fault injection, an update targeting an endpoint whose
 	// enforcement point is partitioned away cannot land immediately: it
 	// is accepted and retried until the node answers or the policy's
@@ -422,19 +430,17 @@ func (p *Provider) setPermitList(tenant string, target addr.IP, entries []permit
 	// service frontend and never defer.
 	if m := p.cloud.monitor; m != nil {
 		if ep, ok := p.addrs.getEndpoint(target); ok && !m.Inj.Reachable(ep.node) {
-			m.retryPermit(p, tenant, target, all, ep.node)
+			m.retryPermit(p, tenant, target, set, len(all), ep.node)
 			return nil
 		}
 	}
-	p.Permits.Set(target, all)
+	epoch := p.Permits.Install(target, set, uint64(len(all)))
 	p.stampPermitLag(tenant, target)
 	if p.meter != nil {
 		p.meter.PermitUpdate(tenant, p.eng.Now())
 	}
-	if p.cloud.trace != nil {
-		p.cloud.traceEvent(obs.PermitUpdate, tenant, 0, target, "ok",
-			fmt.Sprintf("entries=%d epoch=%d", len(all), p.Permits.Explain(0, target).Version), "")
-	}
+	p.cloud.traceEvent(tenant, obs.Decision{Kind: obs.PermitUpdate, Dst: target, Verdict: obs.OK,
+		Entries: uint32(len(all)), Epoch: epoch})
 	return nil
 }
 
@@ -448,18 +454,27 @@ func (p *Provider) Revoke(tenant string, target addr.IP, entry permit.Entry) err
 	return p.do(tenant, intent.Op{Verb: intent.OpRevoke, Target: target, Entries: []permit.Entry{entry}})
 }
 
-// permitEntries incrementally allows (add) or removes each source.
-func (p *Provider) permitEntries(tenant string, target addr.IP, entries []permit.Entry, add bool) error {
-	if err := p.ownsTarget(tenant, target); err != nil {
+// permitEntries is the body of permit (add each of op's entries) and
+// revoke (remove each). It derives the target's next list once, from the
+// installed one, installs it, and leaves it on op for the declared state
+// to adopt. The epoch advances once per entry permitted and once per entry
+// actually removed; revoking from an unguarded target changes nothing.
+func (p *Provider) permitEntries(tenant string, op *intent.Op) error {
+	if err := p.ownsTarget(tenant, op.Target); err != nil {
 		return err
 	}
-	for _, e := range entries {
-		if add {
-			p.Permits.Permit(target, e)
-		} else {
-			p.Permits.Revoke(target, e)
+	if cur, guarded := p.Permits.List(op.Target); guarded || op.Verb == intent.OpPermit {
+		prev := cur.Entries()
+		next := op.Successor(prev)
+		edits := len(op.Entries)
+		if op.Verb == intent.OpRevoke {
+			edits = len(prev) - len(next)
 		}
-		p.stampPermitLag(tenant, target)
+		p.Permits.Install(op.Target, next, cur.Version()+uint64(edits))
+		op.Derived, op.Prev, op.Next = true, prev, next
+	}
+	for range op.Entries {
+		p.stampPermitLag(tenant, op.Target)
 		if p.meter != nil {
 			p.meter.PermitUpdate(tenant, p.eng.Now())
 		}

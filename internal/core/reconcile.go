@@ -217,9 +217,9 @@ func (r *Reconciler) checkDeclaredPermit(p *Provider, t addr.IP, pl *intent.Perm
 			return false
 		}
 	}
-	// Declared and installed entries are the same canonical form built by
-	// the same functions, so the steady-state comparison is slices.Equal —
-	// no clone, no sort, no allocation.
+	// A converged target's declared and installed lists are one slice, so
+	// the steady-state comparison is a pointer compare — no clone, no
+	// sort, no allocation.
 	if equal, hasList := p.Permits.EqualsEntries(t, pl.Entries); hasList && equal {
 		return false
 	}
@@ -252,11 +252,11 @@ func (r *Reconciler) checkDeclaredPermit(p *Provider, t addr.IP, pl *intent.Perm
 		}
 	}
 	*budget--
-	p.Permits.Set(t, live.Entries)
+	p.Permits.Install(t, live.Entries, uint64(len(live.Entries)))
 	res.Repaired++
-	c.traceEvent(obs.Reconcile, pl.Tenant, 0, t, "repaired",
-		fmt.Sprintf("surface=permit entries=%d", len(live.Entries)),
-		obs.Chain("reconcile:permit:"+t.String(), cause))
+	c.traceEvent(pl.Tenant, obs.Decision{Kind: obs.Reconcile, Dst: t, Verdict: obs.Repaired,
+		Detail: fmt.Sprintf("surface=permit entries=%d", len(live.Entries)),
+		Cause:  obs.Chain("reconcile:permit:"+t.String(), cause)})
 	return true
 }
 
@@ -290,9 +290,9 @@ func (r *Reconciler) checkUndeclaredPermit(p *Provider, t addr.IP, budget *int, 
 	*budget--
 	p.Permits.Drop(t)
 	res.Repaired++
-	c.traceEvent(obs.Reconcile, tenant, 0, t, "repaired",
-		"surface=permit entries=0",
-		obs.Chain("reconcile:permit:"+t.String(), "drift:undeclared-list"))
+	c.traceEvent(tenant, obs.Decision{Kind: obs.Reconcile, Dst: t, Verdict: obs.Repaired,
+		Detail: "surface=permit entries=0",
+		Cause:  obs.Chain("reconcile:permit:"+t.String(), "drift:undeclared-list")})
 	return true
 }
 
@@ -377,9 +377,9 @@ func (r *Reconciler) checkBindService(p *Provider, sip addr.IP, want *intent.Ser
 			svc.balancer.Unbind(f.eip)
 		}
 		res.Repaired++
-		c.traceEvent(obs.Reconcile, want.Tenant, f.eip, sip, "repaired",
-			fmt.Sprintf("surface=bind weight=%d", f.weight),
-			obs.Chain("reconcile:bind:"+sip.String(), f.cause))
+		c.traceEvent(want.Tenant, obs.Decision{Kind: obs.Reconcile, Src: f.eip, Dst: sip, Verdict: obs.Repaired,
+			Detail: fmt.Sprintf("surface=bind weight=%d", f.weight),
+			Cause:  obs.Chain("reconcile:bind:"+sip.String(), f.cause)})
 	}
 	return found
 }
@@ -408,9 +408,9 @@ func (r *Reconciler) checkQuota(p *Provider, tenant, reg string, want float64, b
 		return true
 	}
 	res.Repaired++
-	c.traceEvent(obs.Reconcile, tenant, 0, 0, "repaired",
-		fmt.Sprintf("surface=qos region=%s bps=%g", reg, want),
-		obs.Chain("reconcile:qos:"+p.Name+"/"+reg, "drift:quota-mismatch"))
+	c.traceEvent(tenant, obs.Decision{Kind: obs.Reconcile, Verdict: obs.Repaired,
+		Detail: fmt.Sprintf("surface=qos region=%s bps=%g", reg, want),
+		Cause:  obs.Chain("reconcile:qos:"+p.Name+"/"+reg, "drift:quota-mismatch")})
 	return true
 }
 

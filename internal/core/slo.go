@@ -21,7 +21,7 @@ func (c *Cloud) EnableSLO(p *slo.Plane) {
 	c.setUp(func() { c.slo = p })
 	if p != nil {
 		p.OnBreach(func(tenant, detail, cause string) {
-			c.traceEvent(obs.SLOBreach, tenant, 0, 0, "degraded", detail, cause)
+			c.traceEvent(tenant, obs.Decision{Kind: obs.SLOBreach, Verdict: obs.Degraded, Detail: detail, Cause: cause})
 		})
 	}
 }

@@ -52,7 +52,7 @@ func TestTenantEvictionOnFullRelease(t *testing.T) {
 	if got := c.TenantRefs("churn"); got != 3 {
 		t.Fatalf("TenantRefs = %d, want 3", got)
 	}
-	tr.Record(obs.Event{Tenant: "churn", Kind: obs.PermitAllow, Detail: "live"})
+	tr.Record("churn", obs.Decision{Kind: obs.PermitAllow, Detail: "live"})
 	if shardCountFor(plane, "churn") == 0 {
 		t.Fatal("grants recorded no SLO shards")
 	}

@@ -457,7 +457,7 @@ func TestParseQuotaKey(t *testing.T) {
 // including the five that used to edit in place (permit, revoke, bind,
 // unbind, set_vm_egress) and the drain a release_eip runs over every
 // service — while the log itself moves on; and a State() copy aliases
-// nothing.
+// nothing but those immutable permit lists.
 func TestDeclaredEntriesAreImmutable(t *testing.T) {
 	l, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -536,7 +536,10 @@ func TestDeclaredEntriesAreImmutable(t *testing.T) {
 	}
 
 	st, want := l.State(), stateJSON(t, l.State())
-	st.Permits[eip1].Entries[0] = addr.Prefix{}
+	if pl, _ := l.Permit(eip1); st.Permits[eip1] != pl {
+		t.Error("a State() copy holds a copy of a permit list, not the log's own immutable one")
+	}
+	delete(st.Permits, eip1)
 	st.Services[sip].Tenant = "globex"
 	st.Endpoints[eip1].EgressCap = 1
 	st.Quotas["probe"] = 1

@@ -272,6 +272,10 @@ func (s *State) applyOp(tenant string, op *Op) error {
 			s.Services[op.SIP] = withoutBind(svc, i)
 		}
 	case OpSetPermit:
+		if op.Derived {
+			s.Permits[op.Target] = &PermitList{Tenant: tenant, Entries: op.Next}
+			break
+		}
 		all := slices.Clip(op.Entries) // appends below copy, never write into the op
 		for _, g := range op.Groups {
 			// Same resolution order as core.setPermitList: the provider
@@ -287,28 +291,23 @@ func (s *State) applyOp(tenant string, op *Op) error {
 				all = append(all, addr.NewPrefix(m, 32))
 			}
 		}
-		// The same call permit.Engine.Set makes on the same input, so
-		// declared and installed are equal slices by construction.
+		// The same call core's set_permit makes on the same input.
 		s.Permits[op.Target] = &PermitList{Tenant: tenant, Entries: addr.CanonicalPrefixes(all)}
-	case OpPermit:
-		next := &PermitList{Tenant: tenant}
-		if pl := s.Permits[op.Target]; pl != nil {
-			*next = *pl
-		}
-		for _, e := range op.Entries {
-			next.Entries = addr.InsertPrefix(next.Entries, e)
-		}
-		s.Permits[op.Target] = next
-	case OpRevoke:
+	case OpPermit, OpRevoke:
 		pl := s.Permits[op.Target]
-		if pl == nil {
+		if pl == nil && op.Verb == OpRevoke {
 			return nil // revoking from an empty list is a no-op, as in core
 		}
-		next := *pl
-		for _, e := range op.Entries {
-			next.Entries = addr.RemovePrefix(next.Entries, e)
+		next := &PermitList{Tenant: tenant}
+		if pl != nil {
+			*next = *pl
 		}
-		s.Permits[op.Target] = &next
+		if op.Derived && addr.EqualPrefixes(next.Entries, op.Prev) {
+			next.Entries = op.Next
+		} else {
+			next.Entries = op.Successor(next.Entries)
+		}
+		s.Permits[op.Target] = next
 	case OpSetQoS:
 		s.Quotas[QuotaKey(op.Provider, tenant, op.Region)] = op.Bps
 	case OpSetPotato:
@@ -359,8 +358,10 @@ func (s *State) drainBinds(eip addr.IP) {
 	}
 }
 
-// Clone deep-copies the state: recovery, the tests and the benchmark
-// take one through Log.State and own it outright.
+// Clone copies the state: recovery, the tests and the benchmark take one
+// through Log.State and own it outright — except its permit lists, which
+// are immutable once stored and shared, so that a world restored from the
+// copy installs the very slices the log declares.
 func (s *State) Clone() *State {
 	c := &State{
 		Seq:        s.Seq,
@@ -385,11 +386,7 @@ func (s *State) Clone() *State {
 		svc.Binds = append([]Bind(nil), v.Binds...)
 		c.Services[k] = &svc
 	}
-	for k, v := range s.Permits {
-		pl := *v
-		pl.Entries = append([]addr.Prefix(nil), v.Entries...)
-		c.Permits[k] = &pl
-	}
+	maps.Copy(c.Permits, s.Permits)
 	for k, v := range s.ProvGroups {
 		c.ProvGroups[k] = append([]addr.IP(nil), v...)
 	}

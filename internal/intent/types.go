@@ -13,7 +13,11 @@
 // State and rebuilds the in-memory world from it (core.RestoreIntent).
 package intent
 
-import "declnet/internal/addr"
+import (
+	"slices"
+
+	"declnet/internal/addr"
+)
 
 // Journal verbs — one per accepted mutation kind. These are the wire
 // names (they match the batch API where a batch verb exists) and are
@@ -63,6 +67,32 @@ type Op struct {
 	Members []addr.IP     `json:"members,omitempty"`
 	Bps     float64       `json:"bps,omitempty"`
 	Policy  string        `json:"policy,omitempty"`
+
+	// Derived, Prev and Next never reach the journal. The verb that
+	// applies a set_permit, permit or revoke sets them: Next is the entry
+	// set it installed for Target and Prev the installed set it derived
+	// Next from (set_permit derives from nothing). State adopts Next
+	// rather than deriving the list a second time whenever its declared
+	// set equals Prev, so declared and installed hold one slice. Replay
+	// has no verb and derives.
+	Derived    bool          `json:"-"`
+	Prev, Next []addr.Prefix `json:"-"`
+}
+
+// Successor returns the entry set a permit or revoke op leaves when
+// applied to base: base itself when the op changes nothing, otherwise a
+// fresh slice sharing no array with base. base may have two holders, and
+// an append into its spare capacity would write under the other one.
+func (op *Op) Successor(base []addr.Prefix) []addr.Prefix {
+	next := slices.Clip(base)
+	for _, e := range op.Entries {
+		if op.Verb == OpPermit {
+			next = addr.InsertPrefix(next, e)
+		} else {
+			next = addr.RemovePrefix(next, e)
+		}
+	}
+	return next
 }
 
 // Record is one journal frame: every op of one accepted mutation. A

@@ -128,6 +128,12 @@ func TestPrometheusGolden(t *testing.T) {
 		func() float64 { return 12 })
 	r.GaugeFunc("declnet_virtual_time_seconds", "Simulated clock.",
 		func() float64 { return 42.5 })
+	// The API server's tracer gauges: counts that only grow, exposed as
+	// gauges over the tracer's own counters.
+	r.GaugeFunc("declnet_trace_events_total", "Decision-trace events recorded.",
+		func() float64 { return 7897 })
+	r.GaugeFunc("declnet_trace_evicted_total", "Decision-trace events overwritten by ring wraparound.",
+		func() float64 { return 0 })
 	h := r.Histogram("declnet_failover_mttr_seconds",
 		"Failover detect-to-rebind latency.", L("provider", "B"))
 	h.Record(300 * time.Microsecond)

@@ -1,18 +1,21 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 	"unsafe"
+
+	"declnet/internal/addr"
 )
 
 func TestRingBounds(t *testing.T) {
 	tr := NewTracer(4)
 	for i := 0; i < 10; i++ {
-		tr.Record(Event{Tenant: "acme", Kind: PermitAllow, Detail: fmt.Sprintf("e%d", i)})
+		tr.Record("acme", Decision{Kind: PermitAllow, Detail: fmt.Sprintf("e%d", i)})
 	}
 	if got := tr.Len("acme"); got != 4 {
 		t.Fatalf("Len = %d, want ring cap 4", got)
@@ -56,7 +59,7 @@ func TestRingBounds(t *testing.T) {
 func TestRecentLimit(t *testing.T) {
 	tr := NewTracer(8)
 	for i := 0; i < 5; i++ {
-		tr.Record(Event{Tenant: "acme"})
+		tr.Record("acme", Decision{})
 	}
 	if got := len(tr.Recent("acme", 2)); got != 2 {
 		t.Fatalf("Recent(2) returned %d events", got)
@@ -69,9 +72,9 @@ func TestRecentLimit(t *testing.T) {
 func TestPerTenantIsolation(t *testing.T) {
 	tr := NewTracer(2)
 	for i := 0; i < 10; i++ {
-		tr.Record(Event{Tenant: "noisy"})
+		tr.Record("noisy", Decision{})
 	}
-	tr.Record(Event{Tenant: "quiet", Detail: "only"})
+	tr.Record("quiet", Decision{Detail: "only"})
 	// The noisy tenant's churn must not evict the quiet tenant's history.
 	evs := tr.Recent("quiet", 0)
 	if len(evs) != 1 || evs[0].Detail != "only" {
@@ -84,7 +87,7 @@ func TestPerTenantIsolation(t *testing.T) {
 
 func TestNilTracerIsNoop(t *testing.T) {
 	var tr *Tracer
-	if seq := tr.Record(Event{Tenant: "x"}); seq != 0 {
+	if seq := tr.Record("x", Decision{}); seq != 0 {
 		t.Fatalf("nil tracer returned seq %d", seq)
 	}
 	if tr.Recent("x", 0) != nil || tr.Len("x") != 0 || tr.Recorded() != 0 || tr.Evicted() != 0 || tr.Tenants() != nil {
@@ -104,7 +107,7 @@ func TestTracerConcurrent(t *testing.T) {
 			defer wg.Done()
 			tenant := fmt.Sprintf("t%d", g%2)
 			for i := 0; i < 500; i++ {
-				tr.Record(Event{Tenant: tenant, Kind: SIPPick, At: time.Duration(i)})
+				tr.Record(tenant, Decision{Kind: SIPPick, At: time.Duration(i)})
 				if i%50 == 0 {
 					tr.Recent(tenant, 10)
 				}
@@ -118,21 +121,21 @@ func TestTracerConcurrent(t *testing.T) {
 }
 
 // A Ring costs what its tenant recorded: three events at the default
-// bound hold under 1 KB (a ring allocated whole is 128 KB), and a ring
+// bound hold under 1 KB (a ring allocated whole is 72 KB), and a ring
 // that has filled holds exactly the bound, not append's next doubling.
 func TestRingGrowsWithItsTenant(t *testing.T) {
 	tr := NewTracer(0)
-	held := func() uintptr { return uintptr(cap(tr.rings["acme"].buf)) * unsafe.Sizeof(Event{}) }
+	held := func() uintptr { return uintptr(cap(tr.rings["acme"].buf)) * unsafe.Sizeof(Decision{}) }
 	for i := 0; i < 3; i++ {
-		tr.Record(Event{Tenant: "acme", Kind: PermitAllow})
+		tr.Record("acme", Decision{Kind: PermitAllow})
 	}
 	if got := held(); got >= 1024 {
 		t.Fatalf("a tenant with three events holds %d B, want < 1 KB", got)
 	}
 	for i := 0; i < 2*DefaultPerTenantCap; i++ {
-		tr.Record(Event{Tenant: "acme", Kind: PermitAllow})
+		tr.Record("acme", Decision{Kind: PermitAllow})
 	}
-	if got, want := held(), DefaultPerTenantCap*unsafe.Sizeof(Event{}); got != want {
+	if got, want := held(), DefaultPerTenantCap*unsafe.Sizeof(Decision{}); got != want {
 		t.Fatalf("a full ring holds %d B, want the bound's %d", got, want)
 	}
 	if got := tr.Len("acme"); got != DefaultPerTenantCap {
@@ -151,7 +154,7 @@ func TestDrop(t *testing.T) {
 	tr := NewTracer(4)
 	for i := 0; i < 100; i++ {
 		tenant := fmt.Sprintf("churn%d", i)
-		tr.Record(Event{Tenant: tenant, Detail: "hello"})
+		tr.Record(tenant, Decision{Detail: "hello"})
 		tr.Drop(tenant)
 	}
 	if got := tr.Tenants(); len(got) != 0 {
@@ -159,12 +162,12 @@ func TestDrop(t *testing.T) {
 	}
 	// Drop the tenant the lookup memo points at, then Record again: the
 	// event must land in a fresh, discoverable ring — not the orphan.
-	tr.Record(Event{Tenant: "acme", Detail: "before"})
+	tr.Record("acme", Decision{Detail: "before"})
 	tr.Drop("acme")
 	if tr.Len("acme") != 0 {
 		t.Fatal("Drop left buffered events behind")
 	}
-	tr.Record(Event{Tenant: "acme", Detail: "after"})
+	tr.Record("acme", Decision{Detail: "after"})
 	evs := tr.Recent("acme", 0)
 	if len(evs) != 1 || evs[0].Detail != "after" {
 		t.Fatalf("post-drop events = %v, want exactly the fresh one", evs)
@@ -187,5 +190,137 @@ func TestChainAndString(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() = %q missing %q", s, want)
 		}
+	}
+}
+
+// A ring slot is a Decision, not a rendered Event: what the tracer keeps
+// per event is bounded by this size times the ring's bound, per tenant.
+func TestDecisionSize(t *testing.T) {
+	if size := unsafe.Sizeof(Decision{}); size > 72 {
+		t.Fatalf("a Decision is %d bytes, budget 72", size)
+	}
+}
+
+// Recording into a tenant's full ring copies the decision into a slot and
+// allocates nothing — for a permit-update, whose detail is two numbers,
+// and for an explain, whose cause string the caller already holds.
+func TestRecordIntoFullRingAllocatesNothing(t *testing.T) {
+	tr := NewTracer(0)
+	dst := addr.MustParseIP("104.0.0.3")
+	for i := 0; i < DefaultPerTenantCap; i++ {
+		tr.Record("acme", Decision{})
+	}
+	cause := "permit-deny:104.0.0.3 <- src-not-in-permit-list"
+	for _, d := range []Decision{
+		{Kind: PermitUpdate, Dst: dst, Verdict: OK, Entries: 2, Epoch: 2},
+		{Kind: Explain, Src: dst + 1, Dst: dst, Verdict: Unreachable, Cause: cause},
+	} {
+		if allocs := testing.AllocsPerRun(1000, func() { tr.Record("acme", d) }); allocs != 0 {
+			t.Errorf("recording a %s decision into a full ring allocates %v times, want 0", d.Kind, allocs)
+		}
+	}
+}
+
+// Recent renders every kind exactly as the events recorded whole used to
+// read: addresses in dotted quad (a zero address as ""), the verdict's
+// name, free text as given, and a permit list's two numbers as
+// "entries=N epoch=N".
+func TestRecentRendersEveryKind(t *testing.T) {
+	ip := addr.MustParseIP
+	src, dst, sip := ip("100.64.0.1"), ip("104.0.0.3"), ip("104.255.0.1")
+	cases := []struct {
+		d    Decision
+		want Event // Seq, At, Tenant and Kind are filled in below
+	}{
+		{Decision{Kind: PermitAllow, Src: src, Dst: dst, Verdict: OK, Detail: "entry=100.64.0.0/10 epoch=3"},
+			Event{Src: "100.64.0.1", Dst: "104.0.0.3", Verdict: "ok", Detail: "entry=100.64.0.0/10 epoch=3"}},
+		{Decision{Kind: PermitDeny, Src: src, Dst: dst, Verdict: Deny, Entries: 2, Epoch: 5,
+			Cause: "permit-deny:104.0.0.3 <- src-not-in-permit-list"},
+			Event{Src: "100.64.0.1", Dst: "104.0.0.3", Verdict: "deny", Detail: "entries=2 epoch=5",
+				Cause: "permit-deny:104.0.0.3 <- src-not-in-permit-list"}},
+		{Decision{Kind: PermitDeny, Src: src, Dst: dst, Verdict: Deny, Cause: "permit-deny:104.0.0.3 <- no-permit-list"},
+			Event{Src: "100.64.0.1", Dst: "104.0.0.3", Verdict: "deny", Detail: "entries=0 epoch=0",
+				Cause: "permit-deny:104.0.0.3 <- no-permit-list"}},
+		{Decision{Kind: PermitUpdate, Dst: dst, Verdict: OK, Entries: 3, Epoch: 4294967296},
+			Event{Dst: "104.0.0.3", Verdict: "ok", Detail: "entries=3 epoch=4294967296"}},
+		{Decision{Kind: PermitDefer, Dst: dst, Verdict: Deferred, Detail: "entries=1 node=cloudB/b-east/az1/host2",
+			Cause: "node-down:cloudB/b-east/az1/host2"},
+			Event{Dst: "104.0.0.3", Verdict: "deferred", Detail: "entries=1 node=cloudB/b-east/az1/host2",
+				Cause: "node-down:cloudB/b-east/az1/host2"}},
+		{Decision{Kind: PermitApply, Dst: dst, Verdict: OK, Detail: "lag=2s epoch=1"},
+			Event{Dst: "104.0.0.3", Verdict: "ok", Detail: "lag=2s epoch=1"}},
+		{Decision{Kind: PermitTimeout, Dst: dst, Verdict: Fail, Detail: "after=30s",
+			Cause: "permit-timeout:104.0.0.3 <- node-down:cloudB/b-east/az1/host2"},
+			Event{Dst: "104.0.0.3", Verdict: "fail", Detail: "after=30s",
+				Cause: "permit-timeout:104.0.0.3 <- node-down:cloudB/b-east/az1/host2"}},
+		{Decision{Kind: SIPPick, Src: src, Dst: sip, Verdict: OK, Detail: "backend=104.0.0.3 healthy=2/2"},
+			Event{Src: "100.64.0.1", Dst: "104.255.0.1", Verdict: "ok", Detail: "backend=104.0.0.3 healthy=2/2"}},
+		{Decision{Kind: SIPPick, Src: src, Dst: sip, Verdict: Fail, Detail: "healthy=0/2", Cause: "no-healthy-backend:104.255.0.1"},
+			Event{Src: "100.64.0.1", Dst: "104.255.0.1", Verdict: "fail", Detail: "healthy=0/2", Cause: "no-healthy-backend:104.255.0.1"}},
+		{Decision{Kind: PathSelect, Src: src, Dst: dst, Verdict: Fail, Detail: "policy=hot", Cause: "no-path:hot"},
+			Event{Src: "100.64.0.1", Dst: "104.0.0.3", Verdict: "fail", Detail: "policy=hot", Cause: "no-path:hot"}},
+		{Decision{Kind: QoSThrottle, Src: src, Dst: dst, Verdict: OK, Detail: "region=a-east quota=1e+09bps demand=5e+08bps"},
+			Event{Src: "100.64.0.1", Dst: "104.0.0.3", Verdict: "ok", Detail: "region=a-east quota=1e+09bps demand=5e+08bps"}},
+		{Decision{Kind: Failover, Src: dst, Dst: sip, Verdict: Fail, Detail: "node=cloudB/b-east/az1/host1 misses=2",
+			Cause: "node-down:cloudB/b-east/az1/host1"},
+			Event{Src: "104.0.0.3", Dst: "104.255.0.1", Verdict: "fail", Detail: "node=cloudB/b-east/az1/host1 misses=2",
+				Cause: "node-down:cloudB/b-east/az1/host1"}},
+		{Decision{Kind: Rebind, Src: dst, Dst: sip, Verdict: OK, Detail: "node=cloudB/b-east/az1/host1 mttr=1.5s"},
+			Event{Src: "104.0.0.3", Dst: "104.255.0.1", Verdict: "ok", Detail: "node=cloudB/b-east/az1/host1 mttr=1.5s"}},
+		{Decision{Kind: Explain, Src: src, Dst: sip, Verdict: Reachable},
+			Event{Src: "100.64.0.1", Dst: "104.255.0.1", Verdict: "reachable"}},
+		{Decision{Kind: Explain, Src: src, Dst: dst, Verdict: Unreachable, Cause: "permit-deny:104.0.0.3 <- no-permit-list"},
+			Event{Src: "100.64.0.1", Dst: "104.0.0.3", Verdict: "unreachable", Cause: "permit-deny:104.0.0.3 <- no-permit-list"}},
+		{Decision{Kind: SLOBreach, Verdict: Degraded, Detail: "shard=cloudA/a-east p99=2ms baseline=1ms",
+			Cause: "slo-breach:observer@cloudA/a-east <- noisy-neighbor:noisy@cloudB/b-east"},
+			Event{Verdict: "degraded", Detail: "shard=cloudA/a-east p99=2ms baseline=1ms",
+				Cause: "slo-breach:observer@cloudA/a-east <- noisy-neighbor:noisy@cloudB/b-east"}},
+		{Decision{Kind: Reconcile, Dst: dst, Verdict: Repaired, Detail: "surface=permit entries=2",
+			Cause: "reconcile:permit:104.0.0.3 <- drift:missing-list"},
+			Event{Dst: "104.0.0.3", Verdict: "repaired", Detail: "surface=permit entries=2",
+				Cause: "reconcile:permit:104.0.0.3 <- drift:missing-list"}},
+		{Decision{Kind: Reconcile, Src: dst, Dst: sip, Verdict: Repaired, Detail: "surface=bind weight=1",
+			Cause: "reconcile:bind:104.255.0.1 <- drift:missing-backend"},
+			Event{Src: "104.0.0.3", Dst: "104.255.0.1", Verdict: "repaired", Detail: "surface=bind weight=1",
+				Cause: "reconcile:bind:104.255.0.1 <- drift:missing-backend"}},
+	}
+	tr := NewTracer(0)
+	covered := map[Kind]bool{}
+	for i, c := range cases {
+		c.d.At = time.Duration(i) * time.Millisecond
+		tr.Record("acme", c.d)
+		covered[c.d.Kind] = true
+	}
+	for k := PermitAllow; k <= Reconcile; k++ {
+		if !covered[k] {
+			t.Errorf("no case renders kind %s", k)
+		}
+	}
+	evs := tr.Recent("acme", 0)
+	if len(evs) != len(cases) {
+		t.Fatalf("Recent returned %d events for %d recorded", len(evs), len(cases))
+	}
+	for i, c := range cases {
+		want := c.want
+		want.Seq, want.At, want.Tenant, want.Kind = uint64(i+1), time.Duration(i)*time.Millisecond, "acme", c.d.Kind
+		if evs[i] != want {
+			t.Errorf("case %d (%s):\n got %+v\nwant %+v", i, c.d.Kind, evs[i], want)
+		}
+	}
+
+	// On the wire a kind is its name, both ways.
+	buf, err := json.Marshal(evs[7])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(buf), `"kind":"sip-pick"`) {
+		t.Fatalf("an event's JSON carries %s, want kind \"sip-pick\"", buf)
+	}
+	var back Event
+	if err := json.Unmarshal(buf, &back); err != nil || back != evs[7] {
+		t.Fatalf("JSON round trip = %+v, %v; want %+v", back, err, evs[7])
+	}
+	if err := json.Unmarshal([]byte(`{"kind":"no-such-kind"}`), &back); err == nil {
+		t.Fatal("an unknown kind name decoded without error")
 	}
 }

@@ -9,7 +9,6 @@ package permit
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -48,6 +47,12 @@ func (l List) Permits(src addr.IP) bool {
 
 // Len returns the number of entries.
 func (l List) Len() int { return len(l.entries) }
+
+// Entries returns the entry set (shared; not to be modified).
+func (l List) Entries() []Entry { return l.entries }
+
+// Version returns the list's propagation epoch.
+func (l List) Version() uint64 { return l.version }
 
 // engineStripes is the default stripe count. Stripes are keyed by the
 // destination's /16 block (ip>>16): providers carve one /16 per region,
@@ -100,52 +105,32 @@ func (e *Engine) stripeOf(ip addr.IP) *engineStripe {
 	return &e.stripes[(uint32(ip)>>16)&uint32(len(e.stripes)-1)]
 }
 
-// Set replaces the permit list for dst (the set_permit_list API verb)
-// with entries, which may be unsorted and repeat themselves and are
-// copied. One Set is one update (the E4 accounting the golden tables
-// pin). The list is built before the stripe lock is taken, which is held
-// only for the install.
-func (e *Engine) Set(dst addr.IP, entries []Entry) {
-	l := newList(addr.CanonicalPrefixes(entries), uint64(len(entries)))
+// Install makes set dst's list at propagation epoch version, and returns
+// the epoch. set must be a canonical entry set — addr.CanonicalPrefixes's
+// form — and is adopted, not copied: the caller and the engine hold one
+// slice from here on, and neither may modify it. Whoever edits a list
+// derives its successor (from List's Entries and Version) and installs
+// that; one Install is one update.
+func (e *Engine) Install(dst addr.IP, set []Entry, version uint64) uint64 {
+	e.put(dst, newList(set, version))
+	return version
+}
+
+// Set replaces dst's list with entries, which may be unsorted and repeat
+// themselves and are copied, and returns the epoch: len(entries), the
+// mutations a fresh list took (the E4 accounting the golden tables pin).
+func (e *Engine) Set(dst addr.IP, entries []Entry) uint64 {
+	return e.Install(dst, addr.CanonicalPrefixes(entries), uint64(len(entries)))
+}
+
+// put installs l for dst: one update. The list is built before the stripe
+// lock is taken, which is held only for the install.
+func (e *Engine) put(dst addr.IP, l List) {
 	s := e.stripeOf(dst)
 	s.mu.Lock()
 	s.lists[dst] = l
 	s.mu.Unlock()
 	e.Updates.Add(1)
-}
-
-// Permit adds one entry to dst's list, creating the list if needed.
-func (e *Engine) Permit(dst addr.IP, en Entry) {
-	s := e.stripeOf(dst)
-	s.mu.Lock()
-	l := s.lists[dst]
-	s.lists[dst] = List{
-		entries: addr.InsertPrefix(l.entries, en),
-		lengths: l.lengths | 1<<uint(en.Len), // exact without newList's rescan
-		version: l.version + 1,
-	}
-	s.mu.Unlock()
-	e.Updates.Add(1)
-}
-
-// Revoke removes one entry from dst's list, reporting whether it was
-// present.
-func (e *Engine) Revoke(dst addr.IP, en Entry) bool {
-	s := e.stripeOf(dst)
-	s.mu.Lock()
-	l, ok := s.lists[dst]
-	if !ok {
-		s.mu.Unlock()
-		return false
-	}
-	rest := addr.RemovePrefix(l.entries, en)
-	removed := len(rest) != len(l.entries)
-	if removed {
-		s.lists[dst] = newList(rest, l.version+1)
-	}
-	s.mu.Unlock()
-	e.Updates.Add(1)
-	return removed
 }
 
 // Drop removes dst's entire list (endpoint teardown).
@@ -278,12 +263,14 @@ func (e *Engine) TargetsWithin(block addr.Prefix) []addr.IP {
 
 // EqualsEntries reports whether dst's installed set equals want, a
 // canonical set (a declared list is one), and whether dst is guarded at
-// all. Both are the same form, so this is slices.Equal — no copy, no
-// sort, no allocation; the steady-state reconciler compares every
-// declared list this way, every sweep.
+// all. Both are the same form, and a converged target's two holders share
+// one slice, so this is a pointer compare — no copy, no sort, no
+// allocation, and an element compare only for a list that drifted; the
+// steady-state reconciler compares every declared list this way, every
+// sweep.
 func (e *Engine) EqualsEntries(dst addr.IP, want []Entry) (equal, hasList bool) {
 	l, ok := e.List(dst)
-	return ok && slices.Equal(l.entries, want), ok
+	return ok && addr.EqualPrefixes(l.entries, want), ok
 }
 
 // EntriesOf returns dst's installed entry set (shared; not to be
@@ -320,14 +307,12 @@ func (e *Engine) TotalEntries() int {
 	return n
 }
 
-// update is a replication log record.
+// update is a replication log record: the list the origin installed for
+// dst, or its drop.
 type update struct {
-	dst     addr.IP
-	entries []Entry // nil means drop
-	set     bool    // true: replace entire list; false: single add/remove
-	add     Entry
-	remove  bool
-	drop    bool
+	dst  addr.IP
+	list List
+	drop bool
 }
 
 // ReplicaSet models the provider pushing permit updates from a control
@@ -336,6 +321,11 @@ type update struct {
 // writes apply locally at the origin immediately and at each replica
 // after its lag. StalenessWindow reports the longest interval during
 // which replicas could disagree.
+//
+// The origin derives every list and the replicas install the very list it
+// installed, so a list is built once however many points enforce it. The
+// origin alone derives from a list, which is what lets Permit extend one
+// in place (addr.InsertPrefix) while replicas still hold shorter views.
 type ReplicaSet struct {
 	eng      *sim.Engine
 	origin   *Engine
@@ -370,20 +360,32 @@ func (rs *ReplicaSet) Replicas() int { return len(rs.replicas) }
 // Set replaces dst's list everywhere (lagged at replicas).
 func (rs *ReplicaSet) Set(dst addr.IP, entries []Entry) {
 	rs.origin.Set(dst, entries)
-	cp := append([]Entry(nil), entries...)
-	rs.propagate(update{dst: dst, set: true, entries: cp})
+	l, _ := rs.origin.List(dst)
+	rs.propagate(update{dst: dst, list: l})
 }
 
 // Permit adds one entry everywhere (lagged at replicas).
 func (rs *ReplicaSet) Permit(dst addr.IP, en Entry) {
-	rs.origin.Permit(dst, en)
-	rs.propagate(update{dst: dst, add: en})
+	l, _ := rs.origin.List(dst)
+	rs.install(dst, List{
+		entries: addr.InsertPrefix(l.entries, en),
+		lengths: l.lengths | 1<<uint(en.Len), // exact without newList's rescan
+		version: l.version + 1,
+	})
 }
 
-// Revoke removes one entry everywhere (lagged at replicas).
+// Revoke removes one entry everywhere (lagged at replicas). An unguarded
+// destination has nothing to remove, and nothing happens.
 func (rs *ReplicaSet) Revoke(dst addr.IP, en Entry) {
-	rs.origin.Revoke(dst, en)
-	rs.propagate(update{dst: dst, add: en, remove: true})
+	l, ok := rs.origin.List(dst)
+	if !ok {
+		return
+	}
+	rest := addr.RemovePrefix(l.entries, en)
+	if len(rest) != len(l.entries) {
+		l = newList(rest, l.version+1)
+	}
+	rs.install(dst, l)
 }
 
 // Drop removes dst's list everywhere (lagged at replicas).
@@ -392,29 +394,26 @@ func (rs *ReplicaSet) Drop(dst addr.IP) {
 	rs.propagate(update{dst: dst, drop: true})
 }
 
+// install puts l at the origin now and at every replica after the lag.
+func (rs *ReplicaSet) install(dst addr.IP, l List) {
+	rs.origin.put(dst, l)
+	rs.propagate(update{dst: dst, list: l})
+}
+
 func (rs *ReplicaSet) propagate(u update) {
 	rs.issued++
 	rs.PendingUpdates++
 	rs.eng.After(rs.lag, func() {
 		for _, r := range rs.replicas {
-			applyUpdate(r, u)
+			if u.drop {
+				r.Drop(u.dst)
+			} else {
+				r.put(u.dst, u.list)
+			}
 		}
 		rs.applied++
 		rs.PendingUpdates--
 	})
-}
-
-func applyUpdate(e *Engine, u update) {
-	switch {
-	case u.drop:
-		e.Drop(u.dst)
-	case u.set:
-		e.Set(u.dst, u.entries)
-	case u.remove:
-		e.Revoke(u.dst, u.add)
-	default:
-		e.Permit(u.dst, u.add)
-	}
 }
 
 // Check enforces at replica i (the packet's nearest enforcement point).

@@ -43,31 +43,37 @@ func TestExactAndPrefixEntries(t *testing.T) {
 	}
 }
 
+// Incremental edits: a replica set's origin derives each successor list
+// from the one it holds and installs it, one update per edit.
 func TestPermitRevoke(t *testing.T) {
-	e := NewEngine()
+	rs := NewReplicaSet(sim.New(1), 0, 0)
+	e := rs.Origin()
 	dst := ipa("198.18.0.1")
-	e.Permit(dst, pfx("192.0.2.1/32"))
+	rs.Permit(dst, pfx("192.0.2.1/32"))
 	if !e.Check(ipa("192.0.2.1"), dst) {
 		t.Fatal("permitted source rejected")
 	}
-	if !e.Revoke(dst, pfx("192.0.2.1/32")) {
-		t.Fatal("revoke of present entry failed")
-	}
+	rs.Revoke(dst, pfx("192.0.2.1/32"))
 	if e.Check(ipa("192.0.2.1"), dst) {
 		t.Fatal("revoked source admitted")
 	}
-	if e.Revoke(dst, pfx("192.0.2.1/32")) {
-		t.Fatal("double revoke succeeded")
+	rs.Revoke(dst, pfx("192.0.2.1/32"))
+	if d := e.Explain(0, dst); d.Version != 2 || d.Entries != 0 {
+		t.Fatalf("after a double revoke: %+v, want the empty list at version 2", d)
 	}
-	if e.Revoke(ipa("9.9.9.9"), pfx("1.1.1.1/32")) {
-		t.Fatal("revoke on unknown dst succeeded")
+	rs.Revoke(ipa("9.9.9.9"), pfx("1.1.1.1/32"))
+	if _, guarded := e.List(ipa("9.9.9.9")); guarded {
+		t.Fatal("revoke on unknown dst created a list")
+	}
+	if n := e.Updates.Load(); n != 3 {
+		t.Fatalf("Updates = %d after three edits of a guarded list, want 3", n)
 	}
 }
 
 func TestDropEndpoint(t *testing.T) {
 	e := NewEngine()
 	dst := ipa("198.18.0.1")
-	e.Permit(dst, pfx("0.0.0.0/0"))
+	e.Set(dst, []Entry{pfx("0.0.0.0/0")})
 	e.Drop(dst)
 	if e.Check(ipa("1.1.1.1"), dst) {
 		t.Fatal("dropped endpoint still admits traffic")
@@ -80,7 +86,9 @@ func TestDropEndpoint(t *testing.T) {
 func TestCounters(t *testing.T) {
 	e := NewEngine()
 	dst := ipa("198.18.0.1")
-	e.Set(dst, []Entry{pfx("10.0.0.0/8"), pfx("1.1.1.1/32")})
+	if epoch := e.Set(dst, []Entry{pfx("10.0.0.0/8"), pfx("1.1.1.1/32")}); epoch != 2 {
+		t.Fatalf("Set of two entries returned epoch %d, want 2", epoch)
+	}
 	e.Check(ipa("10.0.0.1"), dst)
 	e.Check(ipa("2.2.2.2"), dst)
 	if e.Lookups.Load() != 2 || e.Updates.Load() != 1 {
@@ -94,13 +102,14 @@ func TestCounters(t *testing.T) {
 // A List read out of the engine is a snapshot: every mutation installs a
 // fresh slice, so the value itself is the copy Clone used to make.
 func TestListCloneAndEntries(t *testing.T) {
-	e := NewEngine()
+	rs := NewReplicaSet(sim.New(1), 0, 0)
+	e := rs.Origin()
 	dst := ipa("198.18.0.1")
-	e.Permit(dst, pfx("10.0.0.0/8"))
-	e.Permit(dst, pfx("192.0.2.1/32"))
+	rs.Permit(dst, pfx("10.0.0.0/8"))
+	rs.Permit(dst, pfx("192.0.2.1/32"))
 	c, _ := e.List(dst)
 	held := e.EntriesOf(dst)
-	e.Revoke(dst, pfx("10.0.0.0/8"))
+	rs.Revoke(dst, pfx("10.0.0.0/8"))
 	if !c.Permits(ipa("10.5.5.5")) || c.Len() != 2 {
 		t.Fatal("a list read earlier changed under a later Revoke")
 	}
@@ -112,16 +121,34 @@ func TestListCloneAndEntries(t *testing.T) {
 	}
 }
 
+// Install adopts the canonical set it is handed — the engine holds the
+// caller's slice, not a copy — at the epoch it is given.
+func TestInstallAdoptsTheSet(t *testing.T) {
+	e := NewEngine()
+	dst := ipa("198.18.0.1")
+	set := addr.CanonicalPrefixes([]Entry{pfx("10.0.0.0/8"), pfx("1.1.1.1/32"), pfx("10.0.0.0/8")})
+	if epoch := e.Install(dst, set, 3); epoch != 3 {
+		t.Fatalf("Install returned epoch %d, want 3", epoch)
+	}
+	l, _ := e.List(dst)
+	if got := l.Entries(); &got[0] != &set[0] || len(got) != len(set) || l.Version() != 3 {
+		t.Fatalf("installed %v at version %d, want the caller's own slice at version 3", got, l.Version())
+	}
+	if equal, _ := e.EqualsEntries(dst, set); !equal || !e.Check(ipa("10.1.2.3"), dst) {
+		t.Fatal("the installed set does not read as the one handed over")
+	}
+}
+
 // Entries come back in the canonical (address, length) order whatever
 // the insertion order and whichever verb built the list, duplicates gone.
 func TestEntriesDeterministic(t *testing.T) {
 	dst := ipa("198.18.0.1")
 	mk := func(order []string) []Entry {
-		e := NewEngine()
+		rs := NewReplicaSet(sim.New(1), 0, 0)
 		for _, s := range order {
-			e.Permit(dst, pfx(s))
+			rs.Permit(dst, pfx(s))
 		}
-		return e.EntriesOf(dst)
+		return rs.Origin().EntriesOf(dst)
 	}
 	specs := []string{"192.0.2.9/32", "10.0.0.0/8", "192.0.2.1/32", "172.16.0.0/12", "1.1.1.1/32", "10.0.0.0/8"}
 	want := mk(specs)
@@ -177,13 +204,14 @@ func TestListFootprint(t *testing.T) {
 // add/remove/check sequences.
 func TestQuickEngineMatchesOracle(t *testing.T) {
 	f := func(ops []uint32, probes []uint32) bool {
-		e := NewEngine()
+		rs := NewReplicaSet(sim.New(1), 0, 0)
+		e := rs.Origin()
 		oracle := make(map[addr.IP][]Entry)
 		dst := ipa("198.18.0.1")
 		for _, op := range ops {
 			en := addr.NewPrefix(addr.IP(op), 8+int(op%25)) // /8../32
 			if op%3 == 0 {
-				e.Revoke(dst, en)
+				rs.Revoke(dst, en)
 				list := oracle[dst]
 				for i, x := range list {
 					if x == en {
@@ -192,7 +220,7 @@ func TestQuickEngineMatchesOracle(t *testing.T) {
 					}
 				}
 			} else {
-				e.Permit(dst, en)
+				rs.Permit(dst, en)
 				found := false
 				for _, x := range oracle[dst] {
 					if x == en {

@@ -11,7 +11,7 @@ func shieldUnderTest(t *testing.T, threshold uint64) (*Shield, addr.IP, addr.IP)
 	e := NewEngine()
 	dst := ipa("198.18.0.1")
 	good := ipa("203.0.113.1")
-	e.Permit(dst, addr.NewPrefix(good, 32))
+	e.Set(dst, []Entry{addr.NewPrefix(good, 32)})
 	return NewShield(e, threshold), dst, good
 }
 
@@ -65,7 +65,7 @@ func TestShieldGreylistDoesNotAffectOthers(t *testing.T) {
 }
 
 func TestShieldPardon(t *testing.T) {
-	s, dst, _ := shieldUnderTest(t, 1)
+	s, dst, good := shieldUnderTest(t, 1)
 	attacker := ipa("203.0.113.66")
 	s.Check(attacker, dst)
 	if !s.IsGreylisted(attacker) {
@@ -76,7 +76,7 @@ func TestShieldPardon(t *testing.T) {
 		t.Fatal("pardon did not lift greylist")
 	}
 	// A pardoned source that is later permitted flows normally.
-	s.Engine().Permit(dst, addr.NewPrefix(attacker, 32))
+	s.Engine().Set(dst, []Entry{addr.NewPrefix(good, 32), addr.NewPrefix(attacker, 32)})
 	if !s.Check(attacker, dst) {
 		t.Fatal("pardoned+permitted source still blocked")
 	}

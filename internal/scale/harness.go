@@ -461,8 +461,8 @@ func runStorm(cfg Config, w *world, m *Metrics) {
 					target := addr.IP(0x0afe0000 + uint32(wkr))
 					for i := 0; i < cfg.StormOps; i++ {
 						e := addr.NewPrefix(addr.IP(0xc0a90000+uint32(i)), 32)
-						eng.Permit(target, e)
-						eng.Revoke(target, e)
+						eng.Set(target, []permit.Entry{e})
+						eng.Set(target, nil)
 					}
 				}
 			}(wkr)
