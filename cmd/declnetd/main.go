@@ -199,7 +199,6 @@ func main() {
 		world.EnableReconciler(core.ReconcilerConfig{
 			Interval:     *reconcileInterval,
 			AntiEntropyK: antiEntropyK,
-			Gate:         srv.WorldGate(),
 		})
 		if *reconcileInterval > 0 {
 			world.Reconciler().Start()

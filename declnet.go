@@ -119,7 +119,10 @@ func (w *World) OnPremHost(n int) NodeID {
 	return NodeID(fmt.Sprintf("onprem/hq/host%d", n))
 }
 
-// Run advances the simulation until its event queue drains.
+// Run advances the simulation until its event queue drains. Run, RunFor,
+// Fail and Heal take no lock: engine callbacks may call verbs. Drive
+// them from one goroutine, or inside Cloud.Exclusive while other
+// goroutines serve verbs.
 func (w *World) Run() { w.Cloud.Eng.Run() }
 
 // RunFor advances the simulation by the given virtual duration.
@@ -128,7 +131,7 @@ func (w *World) RunFor(d time.Duration) {
 }
 
 // Now returns the current virtual time.
-func (w *World) Now() time.Duration { return w.Cloud.Eng.Now() }
+func (w *World) Now() time.Duration { return w.Cloud.Now() }
 
 // AttachMeter turns on usage metering across all providers; pass a
 // *meter.Meter (see internal/meter) or any core.Biller.
@@ -145,14 +148,14 @@ type FaultMonitor = core.FaultMonitor
 // DefaultFaultPolicy mirrors common cloud health-check settings.
 func DefaultFaultPolicy() FaultPolicy { return core.DefaultFaultPolicy() }
 
-// EnableFaults turns on fault injection and the provider health monitor
-// that reacts to it (SIP failover, quota degradation, permit retries).
-// Idempotent; a zero policy takes the defaults.
+// EnableFaults arms the provider health monitor that reacts to injected
+// faults (SIP failover, quota degradation, permit retries). The first
+// call's policy wins; a zero policy takes the defaults.
 func (w *World) EnableFaults(policy FaultPolicy) *FaultMonitor {
 	return w.Cloud.EnableFaults(policy)
 }
 
-// Faults returns the monitor, or nil before EnableFaults.
+// Faults returns the fault monitor (idle until EnableFaults).
 func (w *World) Faults() *FaultMonitor { return w.Cloud.Faults() }
 
 // Fail injects an infrastructure failure. kind is "link" (target: link
@@ -166,11 +169,7 @@ func (w *World) Fail(kind, target string) error { return w.faultOp(kind, target,
 func (w *World) Heal(kind, target string) error { return w.faultOp(kind, target, false) }
 
 func (w *World) faultOp(kind, target string, fail bool) error {
-	m := w.Cloud.Faults()
-	if m == nil {
-		m = w.Cloud.EnableFaults(core.FaultPolicy{})
-	}
-	inj := m.Inj
+	inj := w.Cloud.EnableFaults(core.FaultPolicy{}).Inj
 	switch kind {
 	case "link":
 		if fail {

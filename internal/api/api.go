@@ -1,8 +1,7 @@
 // Package api exposes the Table-2 control plane over HTTP/JSON — the
 // shape a real provider would offer tenants. cmd/declnetd serves it;
-// cmd/declnetctl speaks it. The handler owns a single simulated World and
-// serializes access to it (the simulation engine is single-threaded by
-// design).
+// cmd/declnetctl speaks it. The handler serves one simulated World and
+// holds no lock of its own: core's shard set is the only world gate.
 //
 // Alongside the control verbs, the server carries the observability plane
 // of §6: GET /v1/explain replays a datapath decision, GET /v1/trace
@@ -17,7 +16,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"declnet"
@@ -30,15 +28,14 @@ import (
 	"declnet/internal/slo"
 )
 
-// Server wraps a world in an http.Handler. Core's sharded locking
-// carries mutation concurrency, so reads (probe, status, explain, trace,
-// metrics) AND every Table-2 mutation — the single-verb routes (eips,
-// sips, bind, permit, qos, potato, groups, names) and /v1/batch — share
-// s.mu.RLock and serialize only on the shards they touch inside core.
-// s.mu.Lock remains for the handlers that advance the simulation engine
-// (transfer, fail/heal — the engine is single-threaded by design).
+// Server wraps a world in an http.Handler. It takes no lock: reads
+// (probe, status, explain, trace, metrics) and every Table-2 mutation —
+// the single-verb routes (eips, sips, bind, permit, qos, potato, groups,
+// names) and /v1/batch — serialize only on the shards they touch inside
+// core. The simulator controls (transfer, fail, heal) advance the
+// single-threaded engine inside core.Cloud.Exclusive, which holds every
+// shard still for the step.
 type Server struct {
-	mu    sync.RWMutex
 	world *declnet.World
 	mux   *http.ServeMux
 
@@ -127,14 +124,6 @@ func (s *Server) Logger() *slog.Logger { return s.log }
 
 // Registry returns the runtime metrics registry.
 func (s *Server) Registry() *metrics.Registry { return s.registry }
-
-// WorldGate returns the serialization bracket background loops use
-// around world access: it takes the server's read lock (excluding
-// engine-advancing handlers, which hold the write lock) and returns the
-// release. The daemon passes this to the reconciler's Start loop.
-func (s *Server) WorldGate() func() func() {
-	return func() func() { s.mu.RLock(); return s.mu.RUnlock }
-}
 
 // statusRecorder captures the response code, and the tenant a handler
 // decoded from its body, for logging and metrics.
@@ -232,9 +221,7 @@ func mutate[T any](s *Server, toOp func(T) (tenant string, op intent.Op, err err
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		s.mu.RLock()
 		a, err := s.world.Cloud.Apply(tenant, op)
-		s.mu.RUnlock()
 		if err != nil {
 			writeErr(w, http.StatusConflict, err)
 			return
@@ -413,7 +400,7 @@ func (r NameRequest) op() (string, intent.Op, error) {
 }
 
 // resolveDst interprets a destination string as an IP, falling back to
-// the tenant's registered names. Callers hold s.mu.
+// the tenant's registered names.
 func (s *Server) resolveDst(tenant, dst string) (declnet.IP, error) {
 	if ip, err := declnet.ParseIP(dst); err == nil {
 		return ip, nil
@@ -452,21 +439,26 @@ func (s *Server) transfer(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("api: bytes must be positive"))
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	dst, err := s.resolveDst(req.Tenant, req.Dst)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
+	// The connect runs under its shard read locks like any read; only
+	// the run that completes the flow holds the world still. fct is set by
+	// whichever engine step fires the completion, and read inside a step.
 	var fct time.Duration
 	_, err = s.world.Tenant(req.Tenant).Transfer(src, dst, req.Bytes, func(d time.Duration) { fct = d })
 	if err != nil {
 		writeErr(w, http.StatusForbidden, err)
 		return
 	}
-	s.world.Run()
-	writeJSON(w, http.StatusOK, TransferResponse{FCTMillis: float64(fct) / float64(time.Millisecond)})
+	var resp TransferResponse
+	s.world.Cloud.Exclusive(func() {
+		s.world.Run()
+		resp.FCTMillis = float64(fct) / float64(time.Millisecond)
+	})
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // FaultRequest injects or heals an infrastructure failure — the
@@ -497,28 +489,36 @@ func (s *Server) faultish(w http.ResponseWriter, r *http.Request, fail bool) {
 	if !ok {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	op := s.world.Heal
 	if fail {
 		op = s.world.Fail
 	}
-	if err := op(req.Kind, req.Target); err != nil {
+	var resp FaultResponse
+	var err error
+	// Injection, the run after it and the counter reads are one engine
+	// step: no verb or read sees the world between them.
+	s.world.Cloud.Exclusive(func() {
+		if err = op(req.Kind, req.Target); err != nil {
+			return
+		}
+		if req.AdvanceMillis > 0 {
+			s.world.RunFor(time.Duration(req.AdvanceMillis * float64(time.Millisecond)))
+		}
+		m := s.world.Faults()
+		resp = FaultResponse{
+			LinkFailures:   m.Inj.LinkFailures,
+			NodeFailures:   m.Inj.NodeFailures,
+			RegionFailures: m.Inj.RegionFailures,
+			Recoveries:     m.Inj.Recoveries,
+			Failovers:      m.Failovers,
+			Rebinds:        m.Rebinds,
+		}
+	})
+	if err != nil {
 		writeErr(w, http.StatusConflict, err)
 		return
 	}
-	if req.AdvanceMillis > 0 {
-		s.world.RunFor(time.Duration(req.AdvanceMillis * float64(time.Millisecond)))
-	}
-	m := s.world.Faults()
-	writeJSON(w, http.StatusOK, FaultResponse{
-		LinkFailures:   m.Inj.LinkFailures,
-		NodeFailures:   m.Inj.NodeFailures,
-		RegionFailures: m.Inj.RegionFailures,
-		Recoveries:     m.Inj.Recoveries,
-		Failovers:      m.Failovers,
-		Rebinds:        m.Rebinds,
-	})
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // ProbeResponse reports one RTT sample.
@@ -537,8 +537,6 @@ func (s *Server) probe(w http.ResponseWriter, r *http.Request) {
 	// The op opens here (not in core) so its service time covers the
 	// whole request path: name resolution, shard locking, datapath.
 	op := s.plane.Begin(slo.VerbProbe, q.Get("tenant"), "")
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	dst, err := s.resolveDst(q.Get("tenant"), q.Get("dst"))
 	if err != nil {
 		op.End(err)
@@ -570,8 +568,6 @@ type StatusResponse struct {
 }
 
 func (s *Server) status(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	resp := StatusResponse{
 		VirtualTimeMillis: float64(s.world.Now()) / float64(time.Millisecond),
 		UptimeSeconds:     time.Since(s.startedAt).Seconds(),

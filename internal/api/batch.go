@@ -83,9 +83,7 @@ func (s *Server) batch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	s.mu.RLock()
 	results, err := s.world.Cloud.ApplyBatch(req.Tenant, ops)
-	s.mu.RUnlock()
 	if err != nil {
 		var be *core.BatchError
 		if results == nil {

@@ -7,19 +7,28 @@ import (
 	"net/http"
 	"sync"
 	"testing"
+	"time"
 
 	"declnet/internal/addr"
+	"declnet/internal/core"
 	"declnet/internal/permit"
 )
 
 // TestConcurrentReadPlane hammers every read-only endpoint from many
-// goroutines while fault/heal mutations interleave on the write lock.
-// Run under -race (CI does) this is the proof that the RWMutex split is
-// sound: probes advance balancer WRR state and draw from the engine RNG,
-// explains trace and consult the path cache, metrics snapshot gauges —
-// all concurrently.
+// goroutines while everything that writes the world runs beside it: a
+// fault/heal writer advancing the engine (advance_ms), transfers starting
+// flows and running them to completion, a tenant looping batches, forced
+// sweeps and the background reconciler. Run under -race this is the proof
+// that core's gate is the only one needed: the engine steps of fail,
+// heal and transfer hold the world still through it, and everything else
+// serializes on shards and leaf locks — probes advance balancer WRR state
+// and draw from the engine RNG, explains trace and consult the path
+// cache, metrics sample engine gauges, all concurrently.
 func TestConcurrentReadPlane(t *testing.T) {
-	ts, w := newTestServer(t)
+	ts, w, _ := newPersistentServer(t, core.ReconcilerConfig{Interval: time.Millisecond})
+	rec := w.Reconciler()
+	rec.Start()
+	t.Cleanup(rec.Stop)
 	f := w.Fig1
 
 	var client, be1, be2 EIPResponse
@@ -49,49 +58,59 @@ func TestConcurrentReadPlane(t *testing.T) {
 		"/v1/trace?tenant=acme",
 		"/v1/metrics",
 		"/v1/status",
+		"/v1/reconcile",
 	}
 	const readers, rounds = 8, 20
 	var wg sync.WaitGroup
-	errs := make(chan error, readers*rounds+rounds)
-	for g := 0; g < readers; g++ {
+	errs := make(chan error, (readers+5)*rounds)
+	call := func(method, url string, body []byte) {
+		var resp *http.Response
+		var err error
+		if method == http.MethodGet {
+			resp, err = http.Get(ts.URL + url)
+		} else {
+			resp, err = http.Post(ts.URL+url, "application/json", bytes.NewReader(body))
+		}
+		if err != nil {
+			errs <- err
+			return
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			errs <- fmt.Errorf("%s %s: status %d", method, url, resp.StatusCode)
+		}
+	}
+	repeat := func(step func(i int)) {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				url := reads[(g+i)%len(reads)]
-				resp, err := http.Get(ts.URL + url)
-				if err != nil {
-					errs <- err
-					return
-				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					errs <- fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
-				}
+				step(i)
 			}
-		}(g)
+		}()
 	}
-	// One writer interleaves topology mutations: a far-away host flaps so
-	// the path-cache epoch churns while readers consult it.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		node := string(w.Host(f.CloudA, f.RegionsA[1], "az1", 1))
-		body := []byte(`{"kind":"node","target":"` + node + `"}`)
-		for i := 0; i < rounds; i++ {
-			for _, verb := range []string{"/v1/fail", "/v1/heal"} {
-				resp, err := http.Post(ts.URL+verb, "application/json", bytes.NewReader(body))
-				if err != nil {
-					errs <- err
-					return
-				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					errs <- fmt.Errorf("POST %s: status %d", verb, resp.StatusCode)
-				}
-			}
-		}
-	}()
+	for g := 0; g < readers; g++ {
+		repeat(func(i int) { call(http.MethodGet, reads[(g+i)%len(reads)], nil) })
+	}
+	// A far-away host flaps, and each step advances the engine so the
+	// health sweep runs and the path-cache epoch churns under the readers.
+	node := string(w.Host(f.CloudA, f.RegionsA[1], "az1", 1))
+	for _, verb := range []string{"/v1/fail", "/v1/heal"} {
+		body := []byte(`{"kind":"node","target":"` + node + `","advance_ms":100}`)
+		repeat(func(int) { call(http.MethodPost, verb, body) })
+	}
+	transfer, _ := json.Marshal(TransferRequest{Tenant: "acme", Src: client.EIP, Dst: sip.SIP, Bytes: 1e6})
+	repeat(func(int) { call(http.MethodPost, "/v1/transfer", transfer) })
+	batch, _ := json.Marshal(BatchRequest{Tenant: "noisy", Ops: []BatchOpRequest{
+		{Op: "request_eip", VM: string(w.Host(f.CloudA, f.RegionsA[0], "az1", 2))},
+		{Op: "request_sip", Provider: f.CloudA},
+		{Op: "bind", EIP: "$0", SIP: "$1"},
+		{Op: "set_permit", Target: "$0", Entries: []string{"10.0.0.0/8"}},
+		{Op: "release_sip", SIP: "$1"},
+		{Op: "release_eip", EIP: "$0"},
+	}})
+	repeat(func(int) { call(http.MethodPost, "/v1/batch", batch) })
+	repeat(func(int) { call(http.MethodPost, "/v1/reconcile/sweep", []byte("{}")) })
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -100,12 +119,15 @@ func TestConcurrentReadPlane(t *testing.T) {
 	if hits := w.Cloud.Router().Hits(); hits == 0 {
 		t.Error("path cache served no hits under concurrent probes")
 	}
+	// Nothing injected drift, so no sweep may have found any.
+	if s := rec.Status(); s.Repairs != 0 || s.DriftPermits+s.DriftBinds+s.DriftQuotas != 0 {
+		t.Errorf("sweeps repaired %d divergences with no drift injected: %+v", s.Repairs, s)
+	}
 }
 
 // TestConcurrentCrossShardWritePlane is the cross-shard extension of the
 // read-plane test above: writers mutate disjoint (tenant, region) shards
-// directly through the core API — no API-layer write lock serializing
-// them — while cross-shard probes and HTTP readers run against both
+// directly through the core API while cross-shard probes and HTTP readers run against both
 // shards the whole time. It asserts the two properties the sharded
 // control plane owes us: no deadlock (the deterministic two-shard lock
 // order means the test completes) and no lost updates (every permit
@@ -210,12 +232,10 @@ func TestConcurrentCrossShardWritePlane(t *testing.T) {
 			}
 		}()
 	}
-	// HTTP-level mutation storm: since the single-shard handlers demoted
-	// to the API read lock, these POSTs run concurrently with each other,
-	// with the core writers above, and with every reader below — the old
-	// write-lock code serialized all of them. /v1/permit replaces the
-	// list wholesale, so round i posts entries [0..i] and the final list
-	// carries everything.
+	// HTTP-level mutation storm: these POSTs run concurrently with each
+	// other, with the core writers above, and with every reader below.
+	// /v1/permit replaces the list wholesale, so round i posts entries
+	// [0..i] and the final list carries everything.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

@@ -25,7 +25,7 @@ func TestFailHealEndpoints(t *testing.T) {
 	if resp.NodeFailures != 1 {
 		t.Fatalf("NodeFailures = %d, want 1", resp.NodeFailures)
 	}
-	if w.Faults() == nil || w.Faults().Inj.NodeUp(topo.NodeID(node)) {
+	if w.Faults().Inj.NodeUp(topo.NodeID(node)) {
 		t.Fatal("node should be down after /v1/fail")
 	}
 	if code := post(t, ts, "/v1/heal", map[string]any{"kind": "node", "target": node, "advance_ms": 100.0}, &resp); code != http.StatusOK {
@@ -102,7 +102,7 @@ func TestFailoverThroughAPI(t *testing.T) {
 }
 
 // TestConcurrentDeferredPermits: once faults are on, /v1/permit calls
-// from different tenants run side by side under the API read lock, and
+// from different tenants run side by side on their own shards, and
 // every one aimed at a failed region defers into the fault monitor.
 // Under -race this is the proof that the monitor's pending map, its
 // retry counter and the engine's event queue are guarded against each

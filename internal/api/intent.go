@@ -21,19 +21,10 @@ type ReconcileResponse struct {
 }
 
 func (s *Server) reconcileStatus(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	rec := s.world.Reconciler()
-	if rec == nil {
-		writeJSON(w, http.StatusOK, ReconcileResponse{})
-		return
-	}
-	writeJSON(w, http.StatusOK, ReconcileResponse{ReconcileStatus: rec.Status()})
+	writeJSON(w, http.StatusOK, ReconcileResponse{ReconcileStatus: s.world.Reconciler().Status()})
 }
 
 func (s *Server) reconcileSweep(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	rec := s.world.Reconciler()
 	if rec == nil {
 		writeErr(w, http.StatusConflict, fmt.Errorf("api: reconciler not enabled (run declnetd with -data-dir)"))
@@ -48,8 +39,6 @@ type SnapshotResponse struct {
 }
 
 func (s *Server) snapshot(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	l := s.world.Intent()
 	if l == nil {
 		writeErr(w, http.StatusConflict, fmt.Errorf("api: intent store not enabled (run declnetd with -data-dir)"))

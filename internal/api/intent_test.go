@@ -15,8 +15,8 @@ import (
 )
 
 // newPersistentServer builds a world with a durable store and a
-// reconciler, mirroring declnetd's -data-dir boot path.
-func newPersistentServer(t *testing.T) (*httptest.Server, *declnet.World, *intent.Log) {
+// reconciler (not started), mirroring declnetd's -data-dir boot path.
+func newPersistentServer(t *testing.T, cfg core.ReconcilerConfig) (*httptest.Server, *declnet.World, *intent.Log) {
 	t.Helper()
 	w, err := declnet.NewFig1World(1, 2)
 	if err != nil {
@@ -29,7 +29,7 @@ func newPersistentServer(t *testing.T) (*httptest.Server, *declnet.World, *inten
 	t.Cleanup(func() { l.Close() })
 	w.EnableIntent(l)
 	srv := NewServer(w)
-	if _, err := w.EnableReconciler(core.ReconcilerConfig{Gate: srv.WorldGate()}); err != nil {
+	if _, err := w.EnableReconciler(cfg); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
@@ -55,7 +55,7 @@ func TestReconcileEndpointsDisabled(t *testing.T) {
 }
 
 func TestReconcileEndpoints(t *testing.T) {
-	ts, w, _ := newPersistentServer(t)
+	ts, w, _ := newPersistentServer(t, core.ReconcilerConfig{})
 	f := w.Fig1
 
 	var eip EIPResponse
@@ -100,7 +100,7 @@ func TestReconcileEndpoints(t *testing.T) {
 }
 
 func TestSnapshotEndpoint(t *testing.T) {
-	ts, w, l := newPersistentServer(t)
+	ts, w, l := newPersistentServer(t, core.ReconcilerConfig{})
 	f := w.Fig1
 	for i, az := range []string{"az1", "az1", "az2"} {
 		if code := post(t, ts, "/v1/eips", EIPRequest{Tenant: "acme",
@@ -180,7 +180,7 @@ func TestAPIKillRestartEquivalence(t *testing.T) {
 // so none may answer 409, and no sweep may report a repair: nothing
 // injected drift.
 func TestUnbindBesideSweepsNever409(t *testing.T) {
-	ts, w, _ := newPersistentServer(t)
+	ts, w, _ := newPersistentServer(t, core.ReconcilerConfig{})
 	f := w.Fig1
 	var eip EIPResponse
 	var sip SIPResponse

@@ -26,8 +26,6 @@ func (s *Server) explain(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("api: bad src: %w", err))
 		return
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	dst, err := s.resolveDst(tenant, q.Get("dst"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
@@ -66,8 +64,6 @@ func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	evs := s.tracer.Recent(tenant, n)
 	if kind := q.Get("kind"); kind != "" {
 		kept := evs[:0]
@@ -85,11 +81,9 @@ func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
 }
 
 // metrics handles GET /v1/metrics: Prometheus text exposition of the
-// runtime registry. The world lock is held across the write because gauge
-// functions sample live simulation state.
+// runtime registry. Gauges over live simulation state take core's gate
+// themselves.
 func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	var sb strings.Builder
 	if err := s.registry.WritePrometheus(&sb); err != nil {
 		writeErr(w, http.StatusInternalServerError, err)

@@ -2,10 +2,10 @@
 // (GET/POST /v1/slo), the noisy-neighbor detector (GET /v1/health), and
 // the flight recorder dump (GET /v1/debug/flight).
 //
-// These are read paths over internally-synchronized slo.Plane state, so
-// none of them take s.mu at all — health checks and postmortem span
-// dumps must work even while the engine-advancing handlers hold the
-// write lock; that is exactly when they are needed.
+// These are read paths over internally-synchronized slo.Plane state and
+// never touch core's world gate — health checks and postmortem span
+// dumps must work even while an engine step holds the world still; that
+// is exactly when they are needed.
 package api
 
 import (

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -14,23 +13,22 @@ import (
 	"declnet/internal/slo"
 )
 
-// newSLOServer is newTestServer plus the *Server handle and a plane
-// configured for detector tests (tiny sample floors, explicit windows).
-func newSLOServer(t *testing.T) (*httptest.Server, *declnet.World, *Server, *slo.Plane) {
+// newSLOServer is newTestServer plus a plane configured for detector
+// tests (tiny sample floors, explicit windows).
+func newSLOServer(t *testing.T) (*httptest.Server, *declnet.World, *slo.Plane) {
 	t.Helper()
 	w, err := declnet.NewFig1World(1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plane := slo.NewPlane(slo.Config{Window: time.Hour, SampleEvery: 1, MinWindowSamples: 8})
-	srv := NewServerWith(w, Options{SLO: plane})
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewServer(NewServerWith(w, Options{SLO: plane}))
 	t.Cleanup(ts.Close)
-	return ts, w, srv, plane
+	return ts, w, plane
 }
 
 func TestSLOEndpoints(t *testing.T) {
-	ts, w, _, _ := newSLOServer(t)
+	ts, w, _ := newSLOServer(t)
 	f := w.Fig1
 
 	// Objective registration: good spec, then the 400 paths.
@@ -90,7 +88,7 @@ func TestSLOEndpoints(t *testing.T) {
 }
 
 func TestHealthEndpoint(t *testing.T) {
-	ts, _, _, plane := newSLOServer(t)
+	ts, _, plane := newSLOServer(t)
 
 	var rep slo.HealthReport
 	if code := get(t, ts, "/v1/health", &rep); code != 200 || rep.Status != "ok" {
@@ -122,7 +120,7 @@ func TestHealthEndpoint(t *testing.T) {
 }
 
 func TestFlightEndpoint(t *testing.T) {
-	ts, _, _, plane := newSLOServer(t)
+	ts, _, plane := newSLOServer(t)
 
 	for i := 0; i < 3; i++ {
 		op := plane.Begin(slo.VerbConnect, "acme", "cloudA/a-east")
@@ -154,7 +152,7 @@ func TestFlightEndpoint(t *testing.T) {
 // say how long the write waited for its shards and how long the journal
 // append took.
 func TestWriteSpansCarryLockAndJournalStages(t *testing.T) {
-	ts, w, _, _ := newSLOServer(t) // SampleEvery 1: every span is retained with its stages
+	ts, w, _ := newSLOServer(t) // SampleEvery 1: every span is retained with its stages
 	l, err := intent.Open(t.TempDir(), intent.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +196,7 @@ func TestWriteSpansCarryLockAndJournalStages(t *testing.T) {
 // probe through the full API stack must land one error span whose stages
 // were timed inside core.
 func TestProbeRetainsAPISpan(t *testing.T) {
-	ts, w, _, plane := newSLOServer(t)
+	ts, w, plane := newSLOServer(t)
 	f := w.Fig1
 
 	var src, dst EIPResponse
@@ -226,36 +224,5 @@ func TestProbeRetainsAPISpan(t *testing.T) {
 	}
 	if !hasPermitStage {
 		t.Fatalf("probe span stages = %+v, want a core-timed permit stage", denied.Stages)
-	}
-}
-
-// TestMutationUnderReadLock is the lock-demotion proof for the satellite
-// that moved single-shard mutation handlers from s.mu.Lock to RLock: a
-// mutation must complete while another goroutine holds the server's read
-// lock. Under the old write-lock code this deadlocks (timeout fires).
-func TestMutationUnderReadLock(t *testing.T) {
-	ts, w, srv, _ := newSLOServer(t)
-	f := w.Fig1
-
-	srv.mu.RLock()
-	defer srv.mu.RUnlock()
-	done := make(chan int, 1)
-	body := fmt.Sprintf(`{"tenant":"acme","vm":%q}`, string(w.Host(f.CloudA, f.RegionsA[0], "az1", 1)))
-	go func() {
-		resp, err := http.Post(ts.URL+"/v1/eips", "application/json", strings.NewReader(body))
-		if err != nil {
-			done <- -1
-			return
-		}
-		resp.Body.Close()
-		done <- resp.StatusCode
-	}()
-	select {
-	case code := <-done:
-		if code != 200 {
-			t.Fatalf("request_eip under read lock: status %d", code)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("mutation blocked behind the API read lock — handler still takes the write lock")
 	}
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"declnet/internal/addr"
+	"declnet/internal/intent"
 	"declnet/internal/metrics"
 	"declnet/internal/permit"
 	"declnet/internal/topo"
@@ -22,49 +24,114 @@ func stillBlocked(t *testing.T, done <-chan struct{}, what string) {
 	}
 }
 
-// TestBatchLocksOnlyItsShards: with tenant A's (tenant, region) shard
-// write-locked, tenant B's batch and probe in the same region complete,
-// while tenant A's batch there waits for the release.
-func TestBatchLocksOnlyItsShards(t *testing.T) {
+// TestShardLockIsolation: isolation is a lock-footprint property, so it
+// is checked as one. With the shard tenant A's op takes write-locked,
+// every op of E13's storm mix, a batch, Probe and Explain complete for
+// tenant B, while the same op for tenant A waits for the release. A
+// global write lock on any of those paths fails the row.
+func TestShardLockIsolation(t *testing.T) {
 	c, w, pa, pb, _ := fig1Cloud(t)
-	vmA := topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1)
-	vmB := topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1)
-	src, err := pa.RequestEIP("tenant-b", vmA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst, err := pb.RequestEIP("tenant-b", vmB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pb.SetPermitList("tenant-b", dst, []permit.Entry{addr.NewPrefix(src, 32)}); err != nil {
-		t.Fatal(err)
-	}
-	onboard := []BatchOp{
-		{Op: "request_eip", VM: vmA},
-		{Op: "set_permit", Target: "$0", Entries: []permit.Entry{pfx("10.0.0.0/8")}},
-	}
-
-	held := c.shards.shardOf(pa.regionShardKey("tenant-a", w.RegionsA[0]))
-	held.mu.Lock()
-	blocked := async(func() {
-		if _, err := c.ApplyBatch("tenant-a", onboard); err != nil {
-			t.Errorf("tenant-a batch: %v", err)
+	vm := topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1)
+	// Per tenant: src and spare in cloudA's first region, a SIP on
+	// cloudA, and dst in cloudB admitting src.
+	type fixture struct{ src, spare, sip, dst addr.IP }
+	fx := map[string]fixture{}
+	for _, tenant := range []string{"tenant-a", "tenant-b"} {
+		var f fixture
+		var err error
+		if f.src, err = pa.RequestEIP(tenant, vm); err != nil {
+			t.Fatal(err)
 		}
-	})
-	within(t, 10*time.Second, async(func() {
-		if _, err := c.ApplyBatch("tenant-b", onboard); err != nil {
-			t.Errorf("tenant-b batch: %v", err)
+		if f.spare, err = pa.RequestEIP(tenant, vm); err != nil {
+			t.Fatal(err)
 		}
-	}), "tenant-b batch beside tenant-a's locked shard")
-	within(t, 10*time.Second, async(func() {
-		if _, _, err := c.Probe("tenant-b", src, dst); err != nil {
-			t.Errorf("tenant-b probe: %v", err)
+		if f.sip, err = pa.RequestSIP(tenant); err != nil {
+			t.Fatal(err)
 		}
-	}), "tenant-b probe beside tenant-a's locked shard")
-	stillBlocked(t, blocked, "tenant-a batch")
-	held.mu.Unlock()
-	within(t, 10*time.Second, blocked, "tenant-a batch after release")
+		if f.dst, err = pb.RequestEIP(tenant, topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := pb.SetPermitList(tenant, f.dst, []permit.Entry{addr.NewPrefix(f.src, 32)}); err != nil {
+			t.Fatal(err)
+		}
+		fx[tenant] = f
+	}
+	type row struct {
+		name  string
+		shard func(tenant string, f fixture) ShardKey // the shard the op takes
+		run   func(tenant string, f fixture) error
+	}
+	// verb builds a row from one Table-2 op; its shard is the one the
+	// verb path plans for it (a planned key is valid even beside a
+	// routing error, and the run reports that error).
+	verb := func(name string, mk func(f fixture) intent.Op) row {
+		return row{name,
+			func(tenant string, f fixture) ShardKey {
+				op := mk(f)
+				k, _ := c.apply(tenant, &op, applyPlan)
+				return k
+			},
+			func(tenant string, f fixture) error {
+				_, err := c.Apply(tenant, mk(f))
+				return err
+			}}
+	}
+	srcShard := func(tenant string, f fixture) ShardKey { return c.shardKeyOf(tenant, f.src) }
+	wide, narrow := []permit.Entry{pfx("10.0.0.0/8")}, []permit.Entry{pfx("10.1.0.0/16")}
+	rows := []row{
+		verb("set_permit", func(f fixture) intent.Op {
+			return intent.Op{Verb: intent.OpSetPermit, Target: f.src, Entries: wide}
+		}),
+		verb("permit", func(f fixture) intent.Op {
+			return intent.Op{Verb: intent.OpPermit, Target: f.src, Entries: narrow}
+		}),
+		verb("revoke", func(f fixture) intent.Op {
+			return intent.Op{Verb: intent.OpRevoke, Target: f.src, Entries: narrow}
+		}),
+		verb("request_eip", func(fixture) intent.Op { return intent.Op{Verb: intent.OpRequestEIP, VM: string(vm)} }),
+		verb("release_eip", func(f fixture) intent.Op { return intent.Op{Verb: intent.OpReleaseEIP, Addr: f.spare} }),
+		verb("bind", func(f fixture) intent.Op { return intent.Op{Verb: intent.OpBind, EIP: f.src, SIP: f.sip} }),
+		verb("set_qos", func(fixture) intent.Op {
+			return intent.Op{Verb: intent.OpSetQoS, Provider: w.CloudA, Region: w.RegionsA[0], Bps: 1e9}
+		}),
+		{"batch", srcShard, func(tenant string, _ fixture) error {
+			_, err := c.ApplyBatch(tenant, []BatchOp{
+				{Op: "request_eip", VM: vm},
+				{Op: "set_permit", Target: "$0", Entries: wide},
+			})
+			return err
+		}},
+		{"probe", srcShard, func(tenant string, f fixture) error {
+			_, _, err := c.Probe(tenant, f.src, f.dst)
+			return err
+		}},
+		{"explain", srcShard, func(tenant string, f fixture) error {
+			_, err := c.Explain(tenant, f.src, f.dst)
+			return err
+		}},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			do := func(tenant string) <-chan struct{} {
+				return async(func() {
+					if err := r.run(tenant, fx[tenant]); err != nil {
+						t.Errorf("%s %s: %v", tenant, r.name, err)
+					}
+				})
+			}
+			held := c.shards.shardOf(r.shard("tenant-a", fx["tenant-a"]))
+			held.mu.Lock()
+			release := sync.OnceFunc(held.mu.Unlock)
+			defer release()
+			blocked := do("tenant-a")
+			stillBlocked(t, blocked, "tenant-a's "+r.name)
+			// tenant-a's op is parked on the held shard by now: whatever
+			// else it took, tenant-b's op must get past it.
+			within(t, 10*time.Second, do("tenant-b"), "tenant-b's "+r.name+" beside tenant-a's locked shard")
+			release()
+			within(t, 10*time.Second, blocked, "tenant-a's "+r.name+" after release")
+		})
+	}
 }
 
 // TestBatchHoldsEveryShardThroughout: a batch spanning two shards takes

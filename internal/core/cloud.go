@@ -43,10 +43,11 @@ type Cloud struct {
 	// shard.go.
 	shards *ShardSet
 
-	// engMu serializes what shard-locked verbs schedule on Eng: a new
-	// quota limiter's ticker (Provider.quota) and a deferred permit
-	// update's first retry (FaultMonitor.retryPermit). Advancing the
-	// engine is excluded by the embedder (the API layer's write lock).
+	// engMu serializes what holders of the gate's read side write into
+	// Eng and Net: a new quota limiter's ticker (Provider.quota), a
+	// deferred permit update's first retry (FaultMonitor.retryPermit),
+	// and Connect's flow start and limiter attach. Advancing the engine
+	// takes the gate's write side instead (Exclusive).
 	engMu sync.Mutex
 
 	// nmMu guards the two tenant-scoped naming maps below.
@@ -59,7 +60,8 @@ type Cloud struct {
 	// address endpoints and services by name and never see an address.
 	names map[string]map[string]addr.IP
 
-	// monitor is the fault-reaction loop, nil until EnableFaults.
+	// monitor is the fault-reaction loop: built idle with the cloud,
+	// its health ticker armed by EnableFaults.
 	monitor *FaultMonitor
 
 	// trace and reg are the observability plane, nil until
@@ -149,6 +151,7 @@ func newCloud(seed int64, g *topo.Graph, singleShard bool) *Cloud {
 		router:     qos.NewRouter(g),
 	}
 	c.pidx.Store(&provIndex{byName: map[string]*Provider{}})
+	c.monitor = newFaultMonitor(c)
 	return c
 }
 
@@ -159,18 +162,40 @@ func (c *Cloud) Router() *qos.Router { return c.router }
 // Shards returns the shard table (experiments report its size).
 func (c *Cloud) Shards() *ShardSet { return c.shards }
 
-// setUp runs one world set-up step — adding a provider, attaching the
-// intent store or the SLO plane — under the shard set's exclusive gate:
-// every in-flight verb drains first and the next one sees the step
-// whole.
-func (c *Cloud) setUp(step func()) {
+// Exclusive runs step with the whole world held still, under the shard
+// set's exclusive gate: every in-flight verb and read drains first and
+// the next one sees the step whole. It is how set-up attaches a provider
+// or a plane, and how an embedder serving verbs concurrently advances
+// the engine (Eng.Run, fault injection). step must not call a verb, a
+// read or Exclusive itself: the gate is not reentrant.
+func (c *Cloud) Exclusive(step func()) {
 	defer c.shards.lockGlobal()()
 	step()
 }
 
+// engineRead wraps a read of engine-owned state — the event queue, the
+// solver and fault counters — for a metrics scrape: the gate's read side
+// excludes an exclusive step advancing the engine, engMu a verb
+// scheduling on it or starting a flow.
+func (c *Cloud) engineRead(read func() float64) func() float64 {
+	return func() float64 {
+		defer c.shards.rlockGlobal()()
+		c.engMu.Lock()
+		defer c.engMu.Unlock()
+		return read()
+	}
+}
+
+// Now reads the virtual clock, which only an exclusive step advances
+// while verbs are being served.
+func (c *Cloud) Now() time.Duration {
+	defer c.shards.rlockGlobal()()
+	return c.Eng.Now()
+}
+
 // AddProvider creates a provider control plane for the named cloud.
 func (c *Cloud) AddProvider(name string, cfg Config) (p *Provider, err error) {
-	c.setUp(func() { p, err = c.addProvider(name, cfg) })
+	c.Exclusive(func() { p, err = c.addProvider(name, cfg) })
 	return p, err
 }
 
@@ -451,10 +476,10 @@ type ConnectOpts struct {
 // Cross-shard protocol: the connect holds read locks on both endpoints'
 // shards, taken in deterministic key order (see ShardSet.rlockShards),
 // so a mutation storm in an unrelated shard cannot stall it and opposing
-// connects cannot deadlock. The flow start itself additionally relies on
-// the engine's external serialization (the API layer's write lock), as
-// the netsim solver is single-writer; Probe is the fully concurrent
-// read-plane variant.
+// connects cannot deadlock. The flow start and limiter attach write the
+// single-writer netsim solver and engine, so they run under engMu; the
+// flow then moves only when an exclusive step advances the engine.
+// Probe is the write-free read-plane variant.
 func (c *Cloud) Connect(tenant string, src EIP, dst addr.IP, opts ConnectOpts) (*Conn, error) {
 	op := c.slo.Begin(slo.VerbConnect, tenant, "")
 	defer c.shards.rlockShards(c.shardKeyOf(tenant, src), c.shardKeyOf(tenant, dst))()
@@ -548,6 +573,17 @@ func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, opts Co
 			" delay=" + time.Duration(path.Delay()).String()})
 	// (4) Start the flow under the per-VM cap, then attach it to the
 	// regional egress limiter when it leaves the source region.
+	// Cross-region/cloud reserved egress is subject to the tenant's
+	// regional quota when one is set; best-effort traffic bypasses the
+	// reservation entirely (§4 footnote extension). The quota is found
+	// before engMu, which a new limiter takes inside the provider's polMu;
+	// the netsim and engine writes after it run under engMu.
+	var tq *tenantQuota
+	if opts.Class == Reserved && (dstEp.provider != srcEp.provider || dstEp.region != srcEp.region) {
+		tq, _ = srcProv.quotaOf(tenant, srcEp.region)
+	}
+	c.engMu.Lock()
+	defer c.engMu.Unlock()
 	vmCap := srcEp.egressCap
 	if vmCap == 0 {
 		vmCap = srcProv.defaultVMEgress
@@ -583,31 +619,26 @@ func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, opts Co
 	}
 	cn.Flow = flow
 	stg = op.StageStart()
-	if opts.Class == Reserved && (dstEp.provider != srcEp.provider || dstEp.region != srcEp.region) {
-		// Cross-region/cloud reserved egress: subject to the tenant's
-		// regional quota when one is set. Best-effort traffic bypasses
-		// the reservation entirely (§4 footnote extension).
-		if tq, ok := srcProv.quotaOf(tenant, srcEp.region); ok {
-			tq.mu.Lock()
-			quota := tq.quota
-			if quota > 0 {
-				ad := &flowAdapter{net: c.Net, flow: flow, demand: demand, vmCap: vmCap}
-				enf, found := tq.enforcer[srcEp.node]
-				if !found {
-					enf = qos.NewEnforcer(string(srcEp.node))
-					tq.enforcer[srcEp.node] = enf
-					tq.limiter.AddEnforcer(enf)
-				}
-				enf.Attach(ad)
-				tq.limiter.Redistribute()
-				cn.adapter = ad
-				cn.enforcer = enf
+	if tq != nil {
+		tq.mu.Lock()
+		quota := tq.quota
+		if quota > 0 {
+			ad := &flowAdapter{net: c.Net, flow: flow, demand: demand, vmCap: vmCap}
+			enf, found := tq.enforcer[srcEp.node]
+			if !found {
+				enf = qos.NewEnforcer(string(srcEp.node))
+				tq.enforcer[srcEp.node] = enf
+				tq.limiter.AddEnforcer(enf)
 			}
-			tq.mu.Unlock()
-			if quota > 0 {
-				c.traceEvent(tenant, obs.Decision{Kind: obs.QoSThrottle, Src: src, Dst: dstEIP, Verdict: obs.OK,
-					Detail: fmt.Sprintf("region=%s quota=%.3gbps demand=%.3gbps", srcEp.region, quota, demand)})
-			}
+			enf.Attach(ad)
+			tq.limiter.Redistribute()
+			cn.adapter = ad
+			cn.enforcer = enf
+		}
+		tq.mu.Unlock()
+		if quota > 0 {
+			c.traceEvent(tenant, obs.Decision{Kind: obs.QoSThrottle, Src: src, Dst: dstEIP, Verdict: obs.OK,
+				Detail: fmt.Sprintf("region=%s quota=%.3gbps demand=%.3gbps", srcEp.region, quota, demand)})
 		}
 	}
 	op.StageEnd(stg, "qos")

@@ -100,12 +100,15 @@ type backendState struct {
 // FaultMonitor is the provider-side reaction to injected faults: a
 // periodic health sweep that fails SIP bindings over to surviving
 // backends, re-binds recovered ones with exponential backoff, and
-// degrades QoS quotas when enforcement points partition away.
+// degrades QoS quotas when enforcement points partition away. Every
+// cloud has one from construction, idle — nothing injected, every node
+// reachable — until EnableFaults arms its health sweep.
 type FaultMonitor struct {
 	Inj    *fault.Injector
 	Policy FaultPolicy
 
 	cloud    *Cloud
+	armed    bool
 	backends map[backendKey]*backendState
 
 	// Counters for experiment tables and tests. The health sweep writes
@@ -132,31 +135,35 @@ type FaultMonitor struct {
 	mPermitLag *metrics.Hist
 }
 
-// EnableFaults attaches a fault injector and starts the provider health
-// monitor. Idempotent: repeated calls return the same monitor.
-func (c *Cloud) EnableFaults(policy FaultPolicy) *FaultMonitor {
-	if c.monitor != nil {
-		return c.monitor
-	}
-	policy = policy.withDefaults()
-	m := &FaultMonitor{
+// newFaultMonitor builds a cloud's idle monitor under the default
+// policy.
+func newFaultMonitor(c *Cloud) *FaultMonitor {
+	return &FaultMonitor{
 		Inj:      fault.NewInjector(c.Eng, c.G, c.Net),
-		Policy:   policy,
+		Policy:   DefaultFaultPolicy(),
 		cloud:    c,
 		backends: make(map[backendKey]*backendState),
 		pending:  make(map[addr.IP]sim.Time),
 	}
-	c.monitor = m
-	if c.reg != nil {
-		m.registerMetrics(c.reg)
+}
+
+// EnableFaults arms the provider health monitor: the first call sets its
+// policy (zero fields take the defaults) and starts the health sweep;
+// later calls change nothing. It returns the cloud's one monitor. Call it
+// at set-up or inside an exclusive step, like any engine write.
+func (c *Cloud) EnableFaults(policy FaultPolicy) *FaultMonitor {
+	m := c.monitor
+	if !m.armed {
+		m.armed = true
+		m.Policy = policy.withDefaults()
+		// Daemon ticker: the health loop never keeps a deadline-less Run
+		// alive on its own.
+		c.Eng.EveryDaemon(m.Policy.HealthInterval, m.tick)
 	}
-	// Daemon ticker: the health loop never keeps a deadline-less Run
-	// alive on its own.
-	c.Eng.EveryDaemon(policy.HealthInterval, m.tick)
 	return m
 }
 
-// Faults returns the monitor, or nil before EnableFaults.
+// Faults returns the fault monitor (idle until EnableFaults).
 func (c *Cloud) Faults() *FaultMonitor { return c.monitor }
 
 // BackendDown reports whether the monitor currently holds a binding out
@@ -185,12 +192,14 @@ func (m *FaultMonitor) locked(f func() int) func() float64 {
 }
 
 // registerMetrics exposes the monitor's reaction counters and latency
-// distributions through the cloud's registry.
+// distributions through the cloud's registry. The health sweep and fault
+// injection write the engine-side counters inside an exclusive step.
 func (m *FaultMonitor) registerMetrics(reg *metrics.Registry) {
+	c := m.cloud
 	reg.GaugeFunc("declnet_failovers_total",
-		"Backends pulled from rotation.", func() float64 { return float64(m.Failovers) })
+		"Backends pulled from rotation.", c.engineRead(func() float64 { return float64(m.Failovers) }))
 	reg.GaugeFunc("declnet_rebinds_total",
-		"Backends restored to rotation.", func() float64 { return float64(m.Rebinds) })
+		"Backends restored to rotation.", c.engineRead(func() float64 { return float64(m.Rebinds) }))
 	reg.GaugeFunc("declnet_permit_retries_total",
 		"Deferred permit-update attempts.", m.locked(func() int { return int(m.PermitRetries) }))
 	reg.GaugeFunc("declnet_permit_timeouts_total",
@@ -198,9 +207,9 @@ func (m *FaultMonitor) registerMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("declnet_permit_deferred",
 		"Permit updates currently deferred.", m.locked(func() int { return len(m.pending) }))
 	reg.GaugeFunc("declnet_faults_injected_total",
-		"Injected link+node+region failures.", func() float64 {
+		"Injected link+node+region failures.", c.engineRead(func() float64 {
 			return float64(m.Inj.LinkFailures + m.Inj.NodeFailures + m.Inj.RegionFailures)
-		})
+		}))
 	m.mMTTR = reg.Histogram("declnet_failover_mttr_seconds",
 		"Failover detect-to-rebind latency.")
 	m.mPermitLag = reg.Histogram("declnet_permit_propagation_seconds",
@@ -338,7 +347,8 @@ func (m *FaultMonitor) state(provider string, sip SIP, eip EIP) *backendState {
 // tenants' deferrals race each other: mu covers the pending map and the
 // counters, and the first attempt is queued under the cloud's engMu like
 // every other event a shard-locked verb schedules. The attempts themselves
-// run inside the engine, which the embedder never advances beside verbs.
+// run inside the engine, which never advances beside verbs: that takes an
+// exclusive step.
 func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, set []permit.Entry, n int, node topo.NodeID) {
 	accepted := m.cloud.Eng.Now()
 	deadline := accepted + m.Policy.PermitRetryTimeout

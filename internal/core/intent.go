@@ -33,7 +33,7 @@ import (
 // after this point are journaled; call it before serving traffic (the
 // daemon does, right after RestoreIntent).
 func (c *Cloud) EnableIntent(l *intent.Log) {
-	c.setUp(func() {
+	c.Exclusive(func() {
 		c.rec = l
 		// Every journaled mutation now feeds the reconciler's dirty sets
 		// (convtrack.go).

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sync/atomic"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -363,32 +364,15 @@ func TestReconcilerStartStop(t *testing.T) {
 	c.EnableIntent(l)
 	populate(t, c, w, pa, pb)
 	const interval = 2 * time.Millisecond
-	var calls, held, overlaps atomic.Int64
-	fired := make(chan struct{}, 1)
-	r, err := c.EnableReconciler(ReconcilerConfig{
-		Interval: interval,
-		Gate: func() func() {
-			calls.Add(1)
-			if held.Add(1) > 1 {
-				overlaps.Add(1)
-			}
-			select {
-			case fired <- struct{}{}:
-			default:
-			}
-			return func() { held.Add(-1) }
-		},
-	})
+	r, err := c.EnableReconciler(ReconcilerConfig{Interval: interval})
 	if err != nil {
 		t.Fatal(err)
 	}
 	begin := time.Now()
 	r.Start()
 	r.Start() // idempotent
-	for n := 0; n < 3; n++ {
-		select {
-		case <-fired:
-		case <-time.After(5 * time.Second):
+	for deadline := begin.Add(5 * time.Second); r.Status().Sweeps < 3; time.Sleep(interval) {
+		if time.Now().After(deadline) {
 			t.Fatal("background sweeps never fired")
 		}
 	}
@@ -398,26 +382,77 @@ func TestReconcilerStartStop(t *testing.T) {
 	if s := r.Status(); !s.Enabled || s.Running {
 		t.Errorf("status after stop = %+v", s)
 	}
-	// One goroutine behind one ticker: at most one Gate call per elapsed
-	// interval, never two gates held at once, one sweep per gate.
-	got := calls.Load()
-	if most := int64(elapsed/interval) + 1; got > most {
-		t.Errorf("%d Gate calls in %v at interval %v, want at most %d", got, elapsed, interval, most)
-	}
-	if n := overlaps.Load(); n != 0 {
-		t.Errorf("%d Gate calls found another gate still held", n)
-	}
+	// One goroutine behind one ticker: at most one sweep per elapsed
+	// interval.
 	sweeps := r.Status().Sweeps
-	if sweeps != uint64(got) {
-		t.Errorf("%d sweeps counted for %d Gate calls", sweeps, got)
+	if most := uint64(elapsed/interval) + 1; sweeps > most {
+		t.Errorf("%d sweeps in %v at interval %v, want at most %d", sweeps, elapsed, interval, most)
 	}
 	// Stop waited the loop out: no sweep in flight, none afterwards.
-	if n := held.Load(); n != 0 {
-		t.Errorf("Stop returned with %d gates still held", n)
-	}
 	time.Sleep(5 * interval)
-	if calls.Load() != got || r.Status().Sweeps != sweeps {
-		t.Errorf("sweeps kept running after Stop: %d -> %d Gate calls", got, calls.Load())
+	if n := r.Status().Sweeps; n != sweeps {
+		t.Errorf("sweeps kept running after Stop: %d -> %d", sweeps, n)
+	}
+}
+
+// TestConcurrentSweepsCoverEveryPhase: K forced sweeps started at once
+// still visit K distinct phases of the anti-entropy rotation, so drift
+// injected behind the recorder's back in every phase is repaired by
+// them. Side by side, two sweeps could read one phase and leave the next
+// for a whole rotation; RunSweep runs them one at a time.
+func TestConcurrentSweepsCoverEveryPhase(t *testing.T) {
+	const k = 4
+	c, w, _, pb, _ := fig1Cloud(t)
+	l, err := intent.Open(t.TempDir(), intent.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	c.EnableIntent(l)
+	// One declared list in each phase: a permit target's phase is its
+	// address mod K, and consecutive grants are consecutive addresses.
+	targets := make([]addr.IP, k)
+	for i := range targets {
+		eip, err := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pb.SetPermitList("acme", eip, []permit.Entry{pfx("10.0.0.0/8")}); err != nil {
+			t.Fatal(err)
+		}
+		targets[uint32(eip)%k] = eip
+		if i == k-1 && slices.Contains(targets, 0) {
+			t.Fatalf("grants %v do not cover all %d phases", targets, k)
+		}
+	}
+	r, err := c.EnableReconciler(ReconcilerConfig{AntiEntropyK: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.RunSweep() // consume the setup's dirty marks
+	for round := 0; round < 8; round++ {
+		for _, tgt := range targets {
+			if !c.DriftWipePermit(tgt) {
+				t.Fatalf("round %d: DriftWipePermit(%s) failed", round, tgt)
+			}
+		}
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for range k {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				r.RunSweep()
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for _, tgt := range targets {
+			if _, installed := pb.Permits.List(tgt); !installed {
+				t.Fatalf("round %d: %d concurrent sweeps left %s (phase %d) unrepaired", round, k, tgt, uint32(tgt)%k)
+			}
+		}
 	}
 }
 

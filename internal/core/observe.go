@@ -21,48 +21,45 @@ import (
 // EnableObservability attaches a decision tracer and a metrics registry
 // to the cloud, where every provider reads them. Either may be nil (tracing
 // without metrics, or vice versa); instrumented paths are nil-safe, so
-// the disabled arm of experiment E12 pays only nil checks. Idempotent in
-// the same sense as EnableFaults: later calls replace the sinks.
+// the disabled arm of experiment E12 pays only nil checks. It is a set-up
+// step, run under the exclusive gate; a later call replaces both sinks.
+// The registry gets every cloud-wide instrument here: the connect and
+// engine gauges, each provider's, and the fault monitor's.
 func (c *Cloud) EnableObservability(tr *obs.Tracer, reg *metrics.Registry) {
-	c.trace = tr
-	c.reg = reg
-	// Cached instrument handles: hot paths must not pay the registry's
-	// get-or-create lock per connection. Nil registry hands out nil
-	// instruments whose methods are no-ops.
-	c.mConnects = reg.Counter("declnet_connects_total",
-		"Connect attempts by outcome.", metrics.L("outcome", "ok"))
-	c.mConnectsDenied = reg.Counter("declnet_connects_total",
-		"Connect attempts by outcome.", metrics.L("outcome", "denied"))
-	c.mConnectsErr = reg.Counter("declnet_connects_total",
-		"Connect attempts by outcome.", metrics.L("outcome", "error"))
-	c.mProbes = reg.Counter("declnet_probes_total", "Probe calls.")
-	c.mExplains = reg.Counter("declnet_explains_total", "Explain replays.")
-	if reg == nil {
-		return
-	}
-	reg.GaugeFunc("declnet_virtual_time_seconds",
-		"Simulated clock.", func() float64 { return c.Eng.Now().Seconds() })
-	// The scrape runs beside verbs that queue events under engMu.
-	reg.GaugeFunc("declnet_event_queue_depth",
-		"Simulator event-queue depth.", func() float64 {
-			c.engMu.Lock()
-			defer c.engMu.Unlock()
-			return float64(c.Eng.Pending())
-		})
-	reg.GaugeFunc("declnet_solver_recomputes_total",
-		"Fair-share solver recomputations.", func() float64 { return float64(c.Net.Recomputes) })
-	reg.GaugeFunc("declnet_solver_flows_touched_total",
-		"Flows visited by incremental solves.", func() float64 { return float64(c.Net.FlowsTouched) })
-	reg.GaugeFunc("declnet_solver_links_touched_total",
-		"Links visited by incremental solves.", func() float64 { return float64(c.Net.LinksTouched) })
-	reg.GaugeFunc("declnet_flows_active",
-		"Live flows in the network.", func() float64 { return float64(c.Net.Active()) })
-	for name, p := range c.providers {
-		c.registerProviderMetrics(name, p)
-	}
-	if c.monitor != nil {
+	c.Exclusive(func() {
+		c.trace = tr
+		c.reg = reg
+		// Cached instrument handles: hot paths must not pay the registry's
+		// get-or-create lock per connection. Nil registry hands out nil
+		// instruments whose methods are no-ops.
+		c.mConnects = reg.Counter("declnet_connects_total",
+			"Connect attempts by outcome.", metrics.L("outcome", "ok"))
+		c.mConnectsDenied = reg.Counter("declnet_connects_total",
+			"Connect attempts by outcome.", metrics.L("outcome", "denied"))
+		c.mConnectsErr = reg.Counter("declnet_connects_total",
+			"Connect attempts by outcome.", metrics.L("outcome", "error"))
+		c.mProbes = reg.Counter("declnet_probes_total", "Probe calls.")
+		c.mExplains = reg.Counter("declnet_explains_total", "Explain replays.")
+		if reg == nil {
+			return
+		}
+		reg.GaugeFunc("declnet_virtual_time_seconds",
+			"Simulated clock.", c.engineRead(func() float64 { return c.Eng.Now().Seconds() }))
+		reg.GaugeFunc("declnet_event_queue_depth",
+			"Simulator event-queue depth.", c.engineRead(func() float64 { return float64(c.Eng.Pending()) }))
+		reg.GaugeFunc("declnet_solver_recomputes_total",
+			"Fair-share solver recomputations.", c.engineRead(func() float64 { return float64(c.Net.Recomputes) }))
+		reg.GaugeFunc("declnet_solver_flows_touched_total",
+			"Flows visited by incremental solves.", c.engineRead(func() float64 { return float64(c.Net.FlowsTouched) }))
+		reg.GaugeFunc("declnet_solver_links_touched_total",
+			"Links visited by incremental solves.", c.engineRead(func() float64 { return float64(c.Net.LinksTouched) }))
+		reg.GaugeFunc("declnet_flows_active",
+			"Live flows in the network.", c.engineRead(func() float64 { return float64(c.Net.Active()) }))
+		for name, p := range c.providers {
+			c.registerProviderMetrics(name, p)
+		}
 		c.monitor.registerMetrics(reg)
-	}
+	})
 }
 
 // Tracer returns the decision tracer, nil until EnableObservability.
@@ -190,15 +187,13 @@ func (c *Cloud) Explain(tenant string, src EIP, dst addr.IP) (*Explanation, erro
 		// A deferred set_permit_list explains an unexpected deny better
 		// than the list state does: the tenant already issued the update,
 		// the enforcement point just can't hear it yet.
-		if c.monitor != nil {
-			if since, pending := c.monitor.PendingPermit(dst); pending {
-				cause = obs.Chain("permit-pending:"+dst.String(),
-					fmt.Sprintf("deferred-since=%v", since))
-				if nc := c.nodeCause(c.targetNode(dstProv, dst)); nc != "" {
-					cause = obs.Chain(cause, nc)
-				}
-				detail = "update accepted, retrying against unreachable enforcement point"
+		if since, pending := c.monitor.PendingPermit(dst); pending {
+			cause = obs.Chain("permit-pending:"+dst.String(),
+				fmt.Sprintf("deferred-since=%v", since))
+			if nc := c.nodeCause(c.targetNode(dstProv, dst)); nc != "" {
+				cause = obs.Chain(cause, nc)
 			}
+			detail = "update accepted, retrying against unreachable enforcement point"
 		}
 		ex.failStep("admission", detail, cause)
 	}
@@ -342,9 +337,9 @@ func (c *Cloud) TenantResources() map[string]ResourceCounts {
 }
 
 // nodeCause renders a node's unreachability cause chain, "" when the node
-// is reachable or fault injection is off.
+// is reachable.
 func (c *Cloud) nodeCause(id topo.NodeID) string {
-	if c.monitor == nil || id == "" || c.monitor.Inj.Reachable(id) {
+	if id == "" || c.monitor.Inj.Reachable(id) {
 		return ""
 	}
 	causes := c.monitor.Inj.Cause(id)

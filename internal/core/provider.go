@@ -428,11 +428,9 @@ func (p *Provider) setPermitList(tenant string, op *intent.Op) error {
 	// is accepted and retried until the node answers or the policy's
 	// timeout expires. SIP targets are enforced at the (always-on)
 	// service frontend and never defer.
-	if m := p.cloud.monitor; m != nil {
-		if ep, ok := p.addrs.getEndpoint(target); ok && !m.Inj.Reachable(ep.node) {
-			m.retryPermit(p, tenant, target, set, len(all), ep.node)
-			return nil
-		}
+	if ep, ok := p.addrs.getEndpoint(target); ok && !p.cloud.monitor.Inj.Reachable(ep.node) {
+		p.cloud.monitor.retryPermit(p, tenant, target, set, len(all), ep.node)
+		return nil
 	}
 	epoch := p.Permits.Install(target, set, uint64(len(all)))
 	p.stampPermitLag(tenant, target)

@@ -56,12 +56,6 @@ type ReconcilerConfig struct {
 	// found within K sweeps. Values below 1 mean 1 — every sweep walks
 	// the whole world (what E15 and the tests run). The daemon runs K=8.
 	AntiEntropyK int
-	// Gate, when set, brackets each background sweep: it acquires
-	// whatever external serialization the embedder needs (the daemon
-	// passes the API server's world read lock, which excludes engine
-	// advancement) and returns the release. RunSweep itself never calls
-	// it — synchronous callers own their serialization.
-	Gate func() func()
 }
 
 // SweepResult summarizes one reconciliation sweep.
@@ -101,6 +95,11 @@ type Reconciler struct {
 	queueDepth   atomic.Int64
 	lastSweepNs  atomic.Int64 // wall clock, UnixNano; 0 = never
 	lastSweepDur atomic.Int64 // nanoseconds
+
+	// sweeping serializes RunSweep: the dirty sets are consumables and
+	// the phase follows the sweep count, so two sweeps side by side would
+	// visit one phase twice and skip the next for a whole rotation.
+	sweeping sync.Mutex
 
 	mu      sync.Mutex
 	running bool
@@ -171,10 +170,12 @@ func (c *Cloud) Reconciler() *Reconciler { return c.reconciler }
 // before its rotation slice. Dirty sets are consumed before the view is
 // taken: a mutation recorded in between is read by this sweep and marked
 // for the next — at worst one redundant check, never a lost one. Safe to
-// call concurrently with API verbs — repairs take the ordinary shard
-// locks — but callers that also advance the simulation engine must
-// serialize that themselves (see ReconcilerConfig.Gate).
+// call from any goroutine: sweeps run one at a time, repairs take the
+// ordinary shard locks (so none runs beside an exclusive step), and the
+// unlocked screens read only leaf-locked state.
 func (r *Reconciler) RunSweep() SweepResult {
+	r.sweeping.Lock()
+	defer r.sweeping.Unlock()
 	start := time.Now()
 	c := r.cloud
 	k := r.cfg.AntiEntropyK
@@ -212,10 +213,8 @@ func (r *Reconciler) RunSweep() SweepResult {
 // them until they land or time out.
 func (r *Reconciler) checkDeclaredPermit(p *Provider, t addr.IP, pl *intent.PermitList, budget *int, res *SweepResult) bool {
 	c := r.cloud
-	if c.monitor != nil {
-		if _, pending := c.monitor.PendingPermit(t); pending {
-			return false
-		}
+	if _, pending := c.monitor.PendingPermit(t); pending {
+		return false
 	}
 	// A converged target's declared and installed lists are one slice, so
 	// the steady-state comparison is a pointer compare — no clone, no
@@ -245,11 +244,9 @@ func (r *Reconciler) checkDeclaredPermit(p *Provider, t addr.IP, pl *intent.Perm
 	}
 	// Respect fault-deferral semantics: an endpoint whose enforcement
 	// point is unreachable cannot take the repair now.
-	if c.monitor != nil {
-		if ep, ok := p.addrs.getEndpoint(t); ok && !c.monitor.Inj.Reachable(ep.node) {
-			res.Deferred++
-			return true
-		}
+	if ep, ok := p.addrs.getEndpoint(t); ok && !c.monitor.Inj.Reachable(ep.node) {
+		res.Deferred++
+		return true
 	}
 	*budget--
 	p.Permits.Install(t, live.Entries, uint64(len(live.Entries)))
@@ -266,10 +263,8 @@ func (r *Reconciler) checkDeclaredPermit(p *Provider, t addr.IP, pl *intent.Perm
 // the address.
 func (r *Reconciler) checkUndeclaredPermit(p *Provider, t addr.IP, budget *int, res *SweepResult) bool {
 	c := r.cloud
-	if c.monitor != nil {
-		if _, pending := c.monitor.PendingPermit(t); pending {
-			return false
-		}
+	if _, pending := c.monitor.PendingPermit(t); pending {
+		return false
 	}
 	tenant := p.holder(t)
 	defer p.lockShard(c.shardKeyOf(tenant, t))()
@@ -487,8 +482,8 @@ func (r *Reconciler) sweepProvider(p *Provider, d convDirty, view intent.View, p
 }
 
 // Start launches the background sweep: one goroutine running a whole
-// sweep every Interval (the dirty sets are global consumables, so sweeps
-// do not run side by side). Idempotent.
+// sweep every Interval. A forced RunSweep waits for a running one rather
+// than running beside it. Idempotent.
 func (r *Reconciler) Start() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -501,7 +496,7 @@ func (r *Reconciler) Start() {
 	go r.loop()
 }
 
-// loop is the background sweep: Gate, RunSweep, release.
+// loop is the background sweep: one RunSweep per tick.
 func (r *Reconciler) loop() {
 	defer r.done.Done()
 	t := time.NewTicker(r.cfg.Interval)
@@ -511,12 +506,7 @@ func (r *Reconciler) loop() {
 		case <-r.stop:
 			return
 		case <-t.C:
-			release := func() {}
-			if r.cfg.Gate != nil {
-				release = r.cfg.Gate()
-			}
 			r.RunSweep()
-			release()
 		}
 	}
 }

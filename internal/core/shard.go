@@ -11,10 +11,14 @@
 // Lock hierarchy (outer to inner; never acquire leftward while holding
 // rightward):
 //
-//	ShardSet.global > shard.mu (in ShardKey.less order) > leaf locks
-//	(permit stripes, address stripes, pool/balancer/quota/registry
-//	mutexes, the intent log's mutex)
+//	Reconciler.sweeping > ShardSet.global > shard.mu (in ShardKey.less
+//	order) > engMu > leaf locks (permit stripes, address stripes,
+//	pool/balancer/quota/registry mutexes, the intent log's mutex)
 //
+// One leaf sits above engMu: a new quota limiter takes engMu inside its
+// provider's polMu, so nothing takes polMu while holding engMu.
+//
+// global is the one world gate: nothing else holds the world still.
 // Who takes what:
 //
 //   - A single Table-2 verb takes global.RLock plus its shard's write
@@ -28,10 +32,20 @@
 //   - Cross-shard reads (Connect, Probe, Explain) take global.RLock
 //     plus BOTH endpoint shards' read locks in the same key order,
 //     deduped when the endpoints share a shard (rlockShards).
+//   - Readers of engine-owned state alone take global.RLock: the
+//     virtual clock (Cloud.Now) and the engine, solver and fault gauges
+//     (Cloud.engineRead, which adds engMu).
 //   - global.Lock excludes every shard at once and is taken only where
 //     the whole world must hold still: set-up (AddProvider,
-//     EnableIntent, EnableSLO), RestoreIntent, and StateDigest. No
-//     request-serving mutation takes it.
+//     EnableObservability, EnableIntent, EnableSLO), RestoreIntent,
+//     StateDigest, and the simulator controls' engine step — the
+//     transfer, fail and heal routes advance the engine inside
+//     Cloud.Exclusive. No Table-2 mutation takes it. A step must never
+//     call a verb (global is not reentrant); the engine callbacks it
+//     fires touch leaf locks only.
+//   - engMu serializes what global.RLock holders write into the engine
+//     and the netsim solver: a new quota limiter's ticker, a deferred
+//     permit's first retry, and Connect's flow start and limiter attach.
 //
 // Every multi-shard acquirer locks in the one total order ShardKey.less
 // defines, so batches, single verbs, probes and reconciler repairs
@@ -181,8 +195,16 @@ func (s *ShardSet) rlockShards(a, b ShardKey) func() {
 
 // lockGlobal takes the exclusive gate: every shard's readers and writers
 // drain first, and none may enter until the returned unlock runs. For
-// set-up, restore and the state digest only (see the hierarchy above).
+// set-up, restore, the state digest and engine steps only (see the
+// hierarchy above).
 func (s *ShardSet) lockGlobal() func() {
 	s.global.Lock()
 	return s.global.Unlock
+}
+
+// rlockGlobal takes the gate's read side alone: no exclusive step runs
+// until the returned unlock.
+func (s *ShardSet) rlockGlobal() func() {
+	s.global.RLock()
+	return s.global.RUnlock
 }

@@ -3,7 +3,7 @@
 //
 // The plane itself lives in internal/slo and is verb-agnostic; this
 // file is the only place core knows about it. EnableSLO swaps the plane
-// pointer under the shard set's global gate (Cloud.setUp) so the next
+// pointer under the shard set's global gate (Cloud.Exclusive) so the next
 // verb sees it, and it hooks the plane's breach callback into the
 // decision trace so a noisy-neighbor verdict shows up in `declnetctl
 // explain` output with a full cause chain.
@@ -18,7 +18,7 @@ import (
 // plane. Instrumentation is nil-safe throughout, so a Cloud without a
 // plane pays only a nil check per verb.
 func (c *Cloud) EnableSLO(p *slo.Plane) {
-	c.setUp(func() { c.slo = p })
+	c.Exclusive(func() { c.slo = p })
 	if p != nil {
 		p.OnBreach(func(tenant, detail, cause string) {
 			c.traceEvent(tenant, obs.Decision{Kind: obs.SLOBreach, Verdict: obs.Degraded, Detail: detail, Cause: cause})

@@ -22,10 +22,11 @@ func e13TestConfig() scale.Config {
 	return cfg
 }
 
-// TestE13Shape checks the drill table's structure and the acceptance
-// gate without pinning any timing value: counters must echo the config,
-// every timing cell must carry a maskable suffix, and the storm-isolation
-// gate must hold.
+// TestE13Shape checks the drill table's structure without pinning any
+// timing value: counters must echo the config and every timing cell must
+// carry a maskable suffix. The storm/idle ratio and its gate cell are
+// reported, masked measurements; isolation itself is gated structurally
+// by core's TestShardLockIsolation.
 func TestE13Shape(t *testing.T) {
 	cfg := e13TestConfig()
 	tbl, err := E13ScaleDrill(cfg)
@@ -47,9 +48,6 @@ func TestE13Shape(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("table missing %q:\n%s", want, text)
 		}
-	}
-	if strings.Contains(text, "FAIL") {
-		t.Errorf("storm isolation gate failed:\n%s", text)
 	}
 	// Every timing value must be masked by the golden normalizer — after
 	// masking, no floating-point digits may survive (the deterministic

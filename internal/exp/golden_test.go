@@ -23,7 +23,8 @@ var volatile = map[string]*regexp.Regexp{
 	// timing cell carries a us/ms/B//s/x suffix so exactly those cells
 	// mask while the deterministic counters stay pinned. The storm
 	// isolation gate's pass/FAIL cell is derived from those timings, so it
-	// masks too; TestE13Shape is where the gate is asserted.
+	// masks too; isolation is gated structurally by core's
+	// TestShardLockIsolation.
 	"E13": regexp.MustCompile(`-?\d+(\.\d+)?(us|ms|x|B|/s)\b|\b(pass|FAIL)\b`),
 	// E14's detector compares wall-clock window p99s; the us/x cells mask
 	// while the detection verdicts, attribution strings, and counts pin.
