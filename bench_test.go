@@ -440,7 +440,7 @@ func BenchmarkDeclarativeConnect(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		conn, err := d.Cloud.Connect(exp.Tenant, d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
+		conn, err := d.Cloud.Tenant(exp.Tenant).Connect(d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -462,7 +462,7 @@ func BenchmarkConnect(b *testing.B) {
 			b.Fatal(err)
 		}
 		// Prime every cache so the first measured op is steady-state.
-		conn, err := d.Cloud.Connect(exp.Tenant, d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
+		conn, err := d.Cloud.Tenant(exp.Tenant).Connect(d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -474,7 +474,7 @@ func BenchmarkConnect(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			conn, err := d.Cloud.Connect(exp.Tenant, d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
+			conn, err := d.Cloud.Tenant(exp.Tenant).Connect(d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -490,7 +490,7 @@ func BenchmarkConnect(b *testing.B) {
 			if err := d.Cloud.G.SetLinkUp(link.ID, link.Up()); err != nil {
 				b.Fatal(err)
 			}
-			conn, err := d.Cloud.Connect(exp.Tenant, d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
+			conn, err := d.Cloud.Tenant(exp.Tenant).Connect(d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -508,7 +508,7 @@ func BenchmarkConnectParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	conn, err := d.Cloud.Connect(exp.Tenant, d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
+	conn, err := d.Cloud.Tenant(exp.Tenant).Connect(d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -519,7 +519,7 @@ func BenchmarkConnectParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			mu.Lock()
-			conn, err := d.Cloud.Connect(exp.Tenant, d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
+			conn, err := d.Cloud.Tenant(exp.Tenant).Connect(d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
 			if err != nil {
 				mu.Unlock()
 				b.Fatal(err)

@@ -14,7 +14,9 @@
 //	set_qos(region, bandwidth)      -> Tenant.SetQoS
 //
 // plus the extensions the paper sketches: weights on bind, endpoint
-// groups, and hot/cold-potato transit profiles.
+// groups, and hot/cold-potato transit profiles. Tenant is core.Tenant,
+// the only Go facade for the verbs: each builds one intent.Op and runs it
+// through core.Cloud.Apply, as the HTTP routes and /v1/batch do.
 //
 // Everything runs against a deterministic multi-cloud simulation: a world
 // graph of providers, regions, backbones, internet transit, exchange
@@ -88,22 +90,8 @@ func NewFig1World(seed int64, hostsPerZone int) (*World, error) {
 	}
 	w := topo.BuildFig1(hostsPerZone)
 	c := core.NewCloud(seed, w.Graph)
-	configs := []struct {
-		name string
-		eip  string
-		sip  string
-	}{
-		{w.CloudA, "100.64.0.0/10", "100.127.0.0/16"},
-		{w.CloudB, "104.0.0.0/8", "104.255.0.0/16"},
-		{"onprem", "108.0.0.0/8", "108.255.0.0/16"},
-	}
-	for _, cfg := range configs {
-		if _, err := c.AddProvider(cfg.name, core.Config{
-			EIPBase: addr.MustParsePrefix(cfg.eip),
-			SIPBase: addr.MustParsePrefix(cfg.sip),
-		}); err != nil {
-			return nil, err
-		}
+	if _, _, _, err := core.AddFig1Providers(c, w); err != nil {
+		return nil, err
 	}
 	return &World{Cloud: c, Fig1: w}, nil
 }
@@ -252,96 +240,12 @@ func (w *World) Registry() *metrics.Registry { return w.Cloud.Registry() }
 
 // Tenant returns a handle scoped to one tenant account. Creating the
 // handle is free; all state lives provider-side.
-func (w *World) Tenant(name string) *Tenant {
-	return &Tenant{world: w, name: name}
-}
+func (w *World) Tenant(name string) *Tenant { return w.Cloud.Tenant(name) }
 
 // Tenant is a tenant-scoped view of the Table-2 API across all providers
-// in the world — the paper's uniform multi-cloud interface.
-type Tenant struct {
-	world *World
-	name  string
-}
-
-// Name returns the tenant account name.
-func (t *Tenant) Name() string { return t.name }
-
-// apply runs one mutation through the cloud's single verb path.
-func (t *Tenant) apply(op intent.Op) (IP, error) { return t.world.Cloud.Apply(t.name, op) }
-
-// do is apply for the verbs that return no address.
-func (t *Tenant) do(op intent.Op) error {
-	_, err := t.apply(op)
-	return err
-}
-
-// RequestEIP grants an endpoint IP for a VM (Table 2: request_eip). The
-// provider is inferred from the VM's position in the world.
-func (t *Tenant) RequestEIP(vm NodeID) (EIP, error) {
-	return t.apply(intent.Op{Verb: intent.OpRequestEIP, VM: string(vm)})
-}
-
-// ReleaseEIP returns an endpoint IP and tears down its bindings and
-// permit state.
-func (t *Tenant) ReleaseEIP(eip EIP) error {
-	return t.do(intent.Op{Verb: intent.OpReleaseEIP, Addr: eip})
-}
-
-// RequestSIP grants a service IP at the named provider (Table 2:
-// request_sip).
-func (t *Tenant) RequestSIP(providerName string) (SIP, error) {
-	return t.apply(intent.Op{Verb: intent.OpRequestSIP, Provider: providerName})
-}
-
-// Bind associates an EIP with a SIP with an optional weight (Table 2:
-// bind). weight <= 0 means 1.
-func (t *Tenant) Bind(eip EIP, sip SIP, weight int) error {
-	return t.do(intent.Op{Verb: intent.OpBind, EIP: eip, SIP: sip, Weight: weight})
-}
-
-// Unbind removes an EIP from a SIP with connection draining.
-func (t *Tenant) Unbind(eip EIP, sip SIP) error {
-	return t.do(intent.Op{Verb: intent.OpUnbind, EIP: eip, SIP: sip})
-}
-
-// SetPermitList replaces the permit list guarding an EIP or SIP (Table 2:
-// set_permit_list). Group names expand to their membership.
-func (t *Tenant) SetPermitList(target IP, entries []Prefix, groups ...string) error {
-	return t.do(intent.Op{Verb: intent.OpSetPermit, Target: target, Entries: entries, Groups: groups})
-}
-
-// Permit adds one entry to a target's permit list.
-func (t *Tenant) Permit(target IP, entry Prefix) error {
-	return t.do(intent.Op{Verb: intent.OpPermit, Target: target, Entries: []Prefix{entry}})
-}
-
-// Revoke removes one entry from a target's permit list.
-func (t *Tenant) Revoke(target IP, entry Prefix) error {
-	return t.do(intent.Op{Verb: intent.OpRevoke, Target: target, Entries: []Prefix{entry}})
-}
-
-// SetQoS grants regional egress bandwidth in bits/s (Table 2: set_qos).
-func (t *Tenant) SetQoS(providerName, region string, bandwidth float64) error {
-	return t.do(intent.Op{Verb: intent.OpSetQoS, Provider: providerName, Region: region, Bps: bandwidth})
-}
-
-// SetVMEgressCap overrides one endpoint's egress bandwidth guarantee in
-// bits/s — today's standard per-VM offering, adopted unchanged (§4 QoS).
-func (t *Tenant) SetVMEgressCap(eip EIP, bps float64) error {
-	return t.do(intent.Op{Verb: intent.OpSetVMEgress, EIP: eip, Bps: bps})
-}
-
-// SetPotato selects the tenant's transit profile at a provider
-// (extension; §4 QoS).
-func (t *Tenant) SetPotato(providerName string, policy qos.PotatoPolicy) error {
-	return t.do(intent.Op{Verb: intent.OpSetPotato, Provider: providerName, Policy: policy.String()})
-}
-
-// CreateGroup defines a named endpoint group usable in SetPermitList at
-// any provider; members may span clouds (extension; §4 Connectivity).
-func (t *Tenant) CreateGroup(group string, members ...EIP) error {
-	return t.do(intent.Op{Verb: intent.OpCreateGroup, Name: group, Members: members})
-}
+// in the world — the paper's uniform multi-cloud interface; see
+// core.Tenant.
+type Tenant = core.Tenant
 
 // ConnectOpts tunes Connect; see core.ConnectOpts.
 type ConnectOpts = core.ConnectOpts
@@ -357,62 +261,6 @@ const (
 	Reserved   = core.Reserved
 	BestEffort = core.BestEffort
 )
-
-// Connect opens a connection from one of the tenant's EIPs to a
-// destination EIP or SIP, running the full declarative data path:
-// default-off admission, provider-side load balancing, potato-profile
-// path selection, and egress enforcement.
-func (t *Tenant) Connect(src EIP, dst IP, opts ConnectOpts) (*Conn, error) {
-	return t.world.Cloud.Connect(t.name, src, dst, opts)
-}
-
-// Transfer moves sizeBytes from src to dst and returns the completion
-// time once the simulation is advanced (World.Run).
-func (t *Tenant) Transfer(src EIP, dst IP, sizeBytes float64, done func(time.Duration)) (*Conn, error) {
-	return t.Connect(src, dst, ConnectOpts{SizeBytes: sizeBytes, OnDone: done})
-}
-
-// Probe samples a round trip between one of the tenant's EIPs and a
-// destination, reporting the RTT and whether the probe survived loss.
-func (t *Tenant) Probe(src EIP, dst IP) (time.Duration, bool, error) {
-	return t.world.Cloud.Probe(t.name, src, dst)
-}
-
-// ProbeWith is Probe with a caller-owned SLO span threaded through the
-// datapath, so per-stage timings land on the caller's request-scoped op
-// (the HTTP layer uses this). The caller Ends the op.
-func (t *Tenant) ProbeWith(op *slo.Op, src EIP, dst IP) (time.Duration, bool, error) {
-	return t.world.Cloud.ProbeWith(op, t.name, src, dst)
-}
-
-// Explain replays the datapath decision for a hypothetical flow from one
-// of the tenant's EIPs to a destination, returning the ordered verdict
-// chain without taking any decision — the declarative answer to
-// traceroute plus "why is my security group blocking this" (§6).
-func (t *Tenant) Explain(src EIP, dst IP) (*Explanation, error) {
-	return t.world.Cloud.Explain(t.name, src, dst)
-}
-
-// Register binds a tenant-scoped name to one of the tenant's addresses —
-// the §6 extension that abstracts above IP addresses entirely.
-func (t *Tenant) Register(name string, target IP) error {
-	return t.do(intent.Op{Verb: intent.OpRegisterName, Name: name, Addr: target})
-}
-
-// Resolve returns the address behind one of the tenant's names.
-func (t *Tenant) Resolve(name string) (IP, bool) {
-	return t.world.Cloud.ResolveName(t.name, name)
-}
-
-// Unregister removes a name binding.
-func (t *Tenant) Unregister(name string) bool {
-	return t.do(intent.Op{Verb: intent.OpUnregisterName, Name: name}) == nil
-}
-
-// ConnectName is Connect with the destination given by name.
-func (t *Tenant) ConnectName(src EIP, name string, opts ConnectOpts) (*Conn, error) {
-	return t.world.Cloud.ConnectName(t.name, src, name, opts)
-}
 
 // Entry builds a permit entry from a CIDR string, panicking on bad input;
 // for tests and example code.

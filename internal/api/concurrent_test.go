@@ -136,35 +136,33 @@ func TestConcurrentCrossShardWritePlane(t *testing.T) {
 	ts, w := newTestServer(t)
 	f := w.Fig1
 	c := w.Cloud
-	pa, _ := c.Provider(f.CloudA)
-	pb, _ := c.Provider(f.CloudB)
 
 	// Tenant "mesh" spans both clouds: src in cloudA/r0, dst in cloudB/r1 —
 	// two shards, so every probe takes the cross-shard read path.
-	src, err := pa.RequestEIP("mesh", w.Host(f.CloudA, f.RegionsA[0], "az1", 2))
+	src, err := c.Tenant("mesh").RequestEIP(w.Host(f.CloudA, f.RegionsA[0], "az1", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst, err := pb.RequestEIP("mesh", w.Host(f.CloudB, f.RegionsB[1], "az1", 2))
+	dst, err := c.Tenant("mesh").RequestEIP(w.Host(f.CloudB, f.RegionsB[1], "az1", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pb.SetPermitList("mesh", dst, []permit.Entry{addr.NewPrefix(src, 32)}); err != nil {
+	if err := c.Tenant("mesh").SetPermitList(dst, []permit.Entry{addr.NewPrefix(src, 32)}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Storm writers get their own tenants so each mutates a shard nobody
 	// else touches: (storm-a, cloudA/r1), (storm-b, cloudB/r0), and
 	// (storm-h, cloudA/r0) for the HTTP-level writer.
-	ta, err := pa.RequestEIP("storm-a", w.Host(f.CloudA, f.RegionsA[1], "az2", 1))
+	ta, err := c.Tenant("storm-a").RequestEIP(w.Host(f.CloudA, f.RegionsA[1], "az2", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := pb.RequestEIP("storm-b", w.Host(f.CloudB, f.RegionsB[0], "az2", 1))
+	tb, err := c.Tenant("storm-b").RequestEIP(w.Host(f.CloudB, f.RegionsB[0], "az2", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	th, err := pa.RequestEIP("storm-h", w.Host(f.CloudA, f.RegionsA[0], "az2", 2))
+	th, err := c.Tenant("storm-h").RequestEIP(w.Host(f.CloudA, f.RegionsA[0], "az2", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,16 +176,16 @@ func TestConcurrentCrossShardWritePlane(t *testing.T) {
 		defer wg.Done()
 		vm := w.Host(f.CloudA, f.RegionsA[1], "az2", 2)
 		for i := 0; i < rounds; i++ {
-			if err := pa.Permit("storm-a", ta, addr.NewPrefix(addr.IP(0x0a010000+uint32(i)), 32)); err != nil {
+			if err := c.Tenant("storm-a").Permit(ta, addr.NewPrefix(addr.IP(0x0a010000+uint32(i)), 32)); err != nil {
 				errs <- fmt.Errorf("storm-a permit %d: %v", i, err)
 				return
 			}
-			eip, err := pa.RequestEIP("storm-a", vm)
+			eip, err := c.Tenant("storm-a").RequestEIP(vm)
 			if err != nil {
 				errs <- fmt.Errorf("storm-a grant %d: %v", i, err)
 				return
 			}
-			if err := pa.ReleaseEIP("storm-a", eip); err != nil {
+			if err := c.Tenant("storm-a").ReleaseEIP(eip); err != nil {
 				errs <- fmt.Errorf("storm-a release %d: %v", i, err)
 				return
 			}
@@ -200,16 +198,16 @@ func TestConcurrentCrossShardWritePlane(t *testing.T) {
 		defer wg.Done()
 		vm := w.Host(f.CloudB, f.RegionsB[0], "az2", 2)
 		for i := 0; i < rounds; i++ {
-			if err := pb.Permit("storm-b", tb, addr.NewPrefix(addr.IP(0x0a020000+uint32(i)), 32)); err != nil {
+			if err := c.Tenant("storm-b").Permit(tb, addr.NewPrefix(addr.IP(0x0a020000+uint32(i)), 32)); err != nil {
 				errs <- fmt.Errorf("storm-b permit %d: %v", i, err)
 				return
 			}
-			eip, err := pb.RequestEIP("storm-b", vm)
+			eip, err := c.Tenant("storm-b").RequestEIP(vm)
 			if err != nil {
 				errs <- fmt.Errorf("storm-b grant %d: %v", i, err)
 				return
 			}
-			if err := pb.ReleaseEIP("storm-b", eip); err != nil {
+			if err := c.Tenant("storm-b").ReleaseEIP(eip); err != nil {
 				errs <- fmt.Errorf("storm-b release %d: %v", i, err)
 				return
 			}
@@ -225,7 +223,7 @@ func TestConcurrentCrossShardWritePlane(t *testing.T) {
 					errs <- fmt.Errorf("cross-shard verdict lost at %d", i)
 					return
 				}
-				if _, _, err := c.Probe("mesh", src, dst); err != nil {
+				if _, _, err := c.Tenant("mesh").Probe(src, dst); err != nil {
 					errs <- fmt.Errorf("cross-shard probe %d: %v", i, err)
 					return
 				}

@@ -121,10 +121,7 @@ func TestVerbPathParity(t *testing.T) {
 			"/v1/sips", func(pw *parityWorld) any { return SIPRequest{Tenant: "acme", Provider: cloudA} },
 			func(pw *parityWorld) BatchOpRequest { return BatchOpRequest{Op: "request_sip", Provider: cloudA} }},
 		{"release_sip",
-			func(pw *parityWorld, _ *declnet.Tenant) error {
-				p, _ := pw.w.Cloud.Provider(cloudA)
-				return p.ReleaseSIP("acme", pw.scratch2)
-			},
+			func(pw *parityWorld, acme *declnet.Tenant) error { return acme.ReleaseSIP(pw.scratch2) },
 			"", nil,
 			func(pw *parityWorld) BatchOpRequest {
 				return BatchOpRequest{Op: "release_sip", SIP: pw.scratch2.String()}

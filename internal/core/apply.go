@@ -1,4 +1,4 @@
-// The verb path. Every Table-2 mutation — from the Go facades, a
+// The verb path. Every Table-2 mutation — from the Go facade, a
 // single-verb HTTP route, or one op of a /v1/batch — is an intent.Op,
 // and Cloud.apply is the one place an op is routed to its owning
 // provider and shard, timed, locked, applied and journaled. ApplyBatch
@@ -155,13 +155,10 @@ func (c *Cloud) apply(tenant string, op *intent.Op, mode applyMode) (k ShardKey,
 		p, k, err = c.owner(tenant, op.EIP)
 		verb, run = slo.VerbQoS, func() error { return p.setVMEgressCap(tenant, op.EIP, op.Bps) }
 	case intent.OpCreateGroup:
-		verb = slo.VerbBind
-		if op.Provider == "" { // the cloud's cross-provider group table
-			run = func() error { return c.createGroup(tenant, op.Name, op.Members) }
-		} else { // that provider's own
-			p, k, err = c.named(tenant, op.Provider, "")
-			run = func() error { return p.createGroup(tenant, op.Name, op.Members) }
+		if op.Provider != "" {
+			return k, fmt.Errorf("core: create_group is tenant-wide; provider %q given", op.Provider)
 		}
+		verb, run = slo.VerbBind, func() error { return c.createGroup(tenant, op.Name, op.Members) }
 	case intent.OpRegisterName:
 		verb, run = slo.VerbBind, func() error { return c.registerName(tenant, op.Name, op.Addr) }
 	case intent.OpUnregisterName:

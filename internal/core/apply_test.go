@@ -17,7 +17,7 @@ import (
 // Apply gives them the tenant's region-less shard like every other verb.
 func TestCloudLevelVerbsJournalInApplyOrder(t *testing.T) {
 	dir := t.TempDir()
-	c, w, pa, _, _ := fig1Cloud(t)
+	c, w, _, _, _ := fig1Cloud(t)
 	l, err := intent.Open(dir, intent.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +26,7 @@ func TestCloudLevelVerbsJournalInApplyOrder(t *testing.T) {
 	var targets []EIP
 	for _, zone := range []string{"az1", "az2"} {
 		for host := 1; host <= 2; host++ {
-			eip, err := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], zone, host))
+			eip, err := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], zone, host))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -39,10 +39,10 @@ func TestCloudLevelVerbsJournalInApplyOrder(t *testing.T) {
 			wg.Add(1)
 			go func(target EIP) {
 				defer wg.Done()
-				if err := c.RegisterName("acme", "svc", target); err != nil {
+				if err := c.Tenant("acme").Register("svc", target); err != nil {
 					t.Error(err)
 				}
-				if err := c.CreateGroup("acme", "fleet", target); err != nil {
+				if err := c.Tenant("acme").CreateGroup("fleet", target); err != nil {
 					t.Error(err)
 				}
 			}(target)
@@ -50,12 +50,12 @@ func TestCloudLevelVerbsJournalInApplyOrder(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.UnregisterName("acme", "svc") // may lose the race to every Register: either is fine
+			c.Tenant("acme").Unregister("svc") // may lose the race to every Register: either is fine
 		}()
 		wg.Wait()
 
 		st := l.State()
-		live, ok := c.ResolveName("acme", "svc")
+		live, ok := c.Tenant("acme").Resolve("svc")
 		declared, declaredOK := st.Names[intent.GroupKey("acme", "svc")]
 		if ok != declaredOK || live != declared {
 			t.Fatalf("round %d: name svc is %s (%v) live, %s (%v) declared", round, live, ok, declared, declaredOK)

@@ -30,7 +30,7 @@ func stillBlocked(t *testing.T, done <-chan struct{}, what string) {
 // tenant B, while the same op for tenant A waits for the release. A
 // global write lock on any of those paths fails the row.
 func TestShardLockIsolation(t *testing.T) {
-	c, w, pa, pb, _ := fig1Cloud(t)
+	c, w, pa, _, _ := fig1Cloud(t)
 	vm := topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1)
 	// Per tenant: src and spare in cloudA's first region, a SIP on
 	// cloudA, and dst in cloudB admitting src.
@@ -39,19 +39,19 @@ func TestShardLockIsolation(t *testing.T) {
 	for _, tenant := range []string{"tenant-a", "tenant-b"} {
 		var f fixture
 		var err error
-		if f.src, err = pa.RequestEIP(tenant, vm); err != nil {
+		if f.src, err = c.Tenant(tenant).RequestEIP(vm); err != nil {
 			t.Fatal(err)
 		}
-		if f.spare, err = pa.RequestEIP(tenant, vm); err != nil {
+		if f.spare, err = c.Tenant(tenant).RequestEIP(vm); err != nil {
 			t.Fatal(err)
 		}
-		if f.sip, err = pa.RequestSIP(tenant); err != nil {
+		if f.sip, err = c.Tenant(tenant).RequestSIP(pa.Name); err != nil {
 			t.Fatal(err)
 		}
-		if f.dst, err = pb.RequestEIP(tenant, topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1)); err != nil {
+		if f.dst, err = c.Tenant(tenant).RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1)); err != nil {
 			t.Fatal(err)
 		}
-		if err := pb.SetPermitList(tenant, f.dst, []permit.Entry{addr.NewPrefix(f.src, 32)}); err != nil {
+		if err := c.Tenant(tenant).SetPermitList(f.dst, []permit.Entry{addr.NewPrefix(f.src, 32)}); err != nil {
 			t.Fatal(err)
 		}
 		fx[tenant] = f
@@ -102,11 +102,11 @@ func TestShardLockIsolation(t *testing.T) {
 			return err
 		}},
 		{"probe", srcShard, func(tenant string, f fixture) error {
-			_, _, err := c.Probe(tenant, f.src, f.dst)
+			_, _, err := c.Tenant(tenant).Probe(f.src, f.dst)
 			return err
 		}},
 		{"explain", srcShard, func(tenant string, f fixture) error {
-			_, err := c.Explain(tenant, f.src, f.dst)
+			_, err := c.Tenant(tenant).Explain(f.src, f.dst)
 			return err
 		}},
 	}
@@ -139,11 +139,11 @@ func TestShardLockIsolation(t *testing.T) {
 // verb on either shard sees all of the batch's ops there or none.
 func TestBatchHoldsEveryShardThroughout(t *testing.T) {
 	c, w, pa, pb, _ := fig1Cloud(t)
-	x, err := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	x, err := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, err := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
+	y, err := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestBatchHoldsEveryShardThroughout(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	single := async(func() {
-		if err := pa.Permit("acme", x, p2); err != nil {
+		if err := c.Tenant("acme").Permit(x, p2); err != nil {
 			t.Errorf("single verb: %v", err)
 		}
 	})
@@ -250,11 +250,11 @@ func TestBatchPlanMatchesRoute(t *testing.T) {
 // batch op and every probe does it twice.
 func TestShardKeyOfAllocatesNothing(t *testing.T) {
 	c, w, pa, _, _ := fig1Cloud(t)
-	eip, err := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[1], "az1", 1))
+	eip, err := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[1], "az1", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sip, err := pa.RequestSIP("acme")
+	sip, err := c.Tenant("acme").RequestSIP(pa.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,10 +285,10 @@ func TestShardKeyOfAllocatesNothing(t *testing.T) {
 func TestBatchedOpCountsLikeSingle(t *testing.T) {
 	entries := []permit.Entry{pfx("10.0.0.0/8"), pfx("172.16.0.0/12"), pfx("192.168.0.0/16")}
 	updates := func(batched bool) float64 {
-		c, w, pa, _, _ := fig1Cloud(t)
+		c, w, _, _, _ := fig1Cloud(t)
 		reg := metrics.NewRegistry()
 		c.EnableObservability(nil, reg)
-		eip, err := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+		eip, err := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +307,7 @@ func TestBatchedOpCountsLikeSingle(t *testing.T) {
 		if batched {
 			_, err = c.ApplyBatch("acme", []BatchOp{{Op: "set_permit", Target: eip.String(), Entries: entries}})
 		} else {
-			err = pa.SetPermitList("acme", eip, entries)
+			err = c.Tenant("acme").SetPermitList(eip, entries)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -53,10 +53,10 @@ func TestApplyBatchOnboarding(t *testing.T) {
 	if d := pb.Permits.Explain(0, sip); !d.HasList || d.Version != 1 {
 		t.Fatalf("permit list after batch: %+v, want an installed list at version 1", d)
 	}
-	if ip, ok := c.ResolveName("acme", "db"); !ok || ip != sip {
+	if ip, ok := c.Tenant("acme").Resolve("db"); !ok || ip != sip {
 		t.Fatalf("Resolve(db) = %s/%v, want %s", ip, ok, sip)
 	}
-	cn, err := c.Connect("acme", results[0].Addr, sip, ConnectOpts{SizeBytes: 1e3})
+	cn, err := c.Tenant("acme").Connect(results[0].Addr, sip, ConnectOpts{SizeBytes: 1e3})
 	if err != nil {
 		t.Fatalf("Connect after batch onboarding: %v", err)
 	}
@@ -147,7 +147,7 @@ func TestApplyBatchPartialFailure(t *testing.T) {
 func TestApplyBatchMidBatchAddressView(t *testing.T) {
 	c, w, _, _, _ := fig1Cloud(t)
 	vm := topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1)
-	eip, err := c.providers[w.CloudA].RequestEIP("acme", vm)
+	eip, err := c.providers[w.CloudA].cloud.Tenant("acme").RequestEIP(vm)
 	if err != nil {
 		t.Fatal(err)
 	}

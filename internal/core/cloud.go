@@ -21,9 +21,10 @@ import (
 )
 
 // Cloud is the multi-provider world a tenant sees: several Providers
-// exposing the same Table-2 verbs over one shared substrate graph. The
-// uniform interface across providers is the §5 claim that "the basic
-// interface will be constant between clouds".
+// over one shared substrate graph, and one tenant surface across them —
+// Tenant, whose verbs take the same form whichever provider serves them.
+// That is the §5 claim that "the basic interface will be constant
+// between clouds".
 type Cloud struct {
 	Eng *sim.Engine
 	G   *topo.Graph
@@ -52,8 +53,9 @@ type Cloud struct {
 
 	// nmMu guards the two tenant-scoped naming maps below.
 	nmMu sync.RWMutex
-	// groups holds tenant-scoped, cross-provider endpoint groups
-	// (the grouping extension of §4): tenant -> group -> members.
+	// groups holds tenant-scoped endpoint groups, whose members may span
+	// providers — the grouping extension of §4, usable as permit sources
+	// at any provider: tenant -> group -> members.
 	groups map[string]map[string][]EIP
 	// names holds tenant-scoped service names — the §6 "abstract above
 	// details such as IP addresses entirely?" extension: tenants may
@@ -199,6 +201,22 @@ func (c *Cloud) AddProvider(name string, cfg Config) (p *Provider, err error) {
 	return p, err
 }
 
+// AddFig1Providers attaches the Figure-1 address plan to c: a control
+// plane for each of w's two clouds and for its on-prem site, each with
+// its own EIP and SIP blocks. It returns them in that order.
+func AddFig1Providers(c *Cloud, w *topo.Fig1World) (a, b, onprem *Provider, err error) {
+	add := func(name, eips, sips string) (p *Provider) {
+		if err == nil {
+			p, err = c.AddProvider(name, Config{EIPBase: addr.MustParsePrefix(eips), SIPBase: addr.MustParsePrefix(sips)})
+		}
+		return p
+	}
+	a = add(w.CloudA, "100.64.0.0/10", "100.127.0.0/16")
+	b = add(w.CloudB, "104.0.0.0/8", "104.255.0.0/16")
+	onprem = add("onprem", "108.0.0.0/8", "108.255.0.0/16")
+	return a, b, onprem, err
+}
+
 func (c *Cloud) addProvider(name string, cfg Config) (*Provider, error) {
 	if _, ok := c.providers[name]; ok {
 		return nil, fmt.Errorf("core: duplicate provider %q", name)
@@ -274,14 +292,12 @@ func (c *Cloud) shardKeyOf(tenant string, ip addr.IP) ShardKey {
 	return ShardKey{Tenant: tenant}
 }
 
-// CreateGroup defines a tenant-scoped endpoint group whose members may
-// span providers; any provider resolves it in set_permit_list.
-func (c *Cloud) CreateGroup(tenant, name string, members ...EIP) error {
-	_, err := c.Apply(tenant, intent.Op{Verb: intent.OpCreateGroup, Name: name, Members: members})
-	return err
-}
-
+// createGroup checks ownership under nmMu, as registerName does: a
+// release forgets under it too, once the address has left its
+// provider's table, so no group keeps a released member.
 func (c *Cloud) createGroup(tenant, name string, members []EIP) error {
+	c.nmMu.Lock()
+	defer c.nmMu.Unlock()
 	for _, m := range members {
 		p, ok := c.providerOfAddr(m)
 		if !ok {
@@ -291,16 +307,14 @@ func (c *Cloud) createGroup(tenant, name string, members []EIP) error {
 			return err
 		}
 	}
-	c.nmMu.Lock()
 	if c.groups[tenant] == nil {
 		c.groups[tenant] = make(map[string][]EIP)
 	}
 	c.groups[tenant][name] = append([]EIP(nil), members...)
-	c.nmMu.Unlock()
 	return nil
 }
 
-// groupMembers looks up a tenant's cloud-level (cross-provider) group.
+// groupMembers looks up one of a tenant's groups.
 func (c *Cloud) groupMembers(tenant, group string) ([]EIP, bool) {
 	c.nmMu.RLock()
 	defer c.nmMu.RUnlock()
@@ -466,28 +480,6 @@ type ConnectOpts struct {
 	OnDone func(fct time.Duration)
 }
 
-// Connect opens a connection from a tenant's EIP to a destination EIP or
-// SIP, running the paper's data path: (1) default-off permit admission at
-// the destination provider, (2) SIP load balancing when the target is a
-// service address, (3) potato-profile path selection, (4) per-VM and
-// regional egress enforcement. The returned Conn carries a live netsim
-// flow.
-//
-// Cross-shard protocol: the connect holds read locks on both endpoints'
-// shards, taken in deterministic key order (see ShardSet.rlockShards),
-// so a mutation storm in an unrelated shard cannot stall it and opposing
-// connects cannot deadlock. The flow start and limiter attach write the
-// single-writer netsim solver and engine, so they run under engMu; the
-// flow then moves only when an exclusive step advances the engine.
-// Probe is the write-free read-plane variant.
-func (c *Cloud) Connect(tenant string, src EIP, dst addr.IP, opts ConnectOpts) (*Conn, error) {
-	op := c.slo.Begin(slo.VerbConnect, tenant, "")
-	defer c.shards.rlockShards(c.shardKeyOf(tenant, src), c.shardKeyOf(tenant, dst))()
-	cn, err := c.connect(&op, tenant, src, dst, opts)
-	op.End(err)
-	return cn, err
-}
-
 func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, opts ConnectOpts) (*Conn, error) {
 	srcProv, ok := c.providerOfAddr(src)
 	if !ok {
@@ -646,27 +638,6 @@ func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, opts Co
 	return cn, nil
 }
 
-// Probe measures a round trip from a tenant EIP to a destination address,
-// subject to the same admission and path policy as Connect. It reports
-// the sampled RTT and whether the (single-datagram) probe survived loss.
-// Probe touches only concurrency-safe structures and is the scale
-// harness's connect-latency instrument.
-func (c *Cloud) Probe(tenant string, src EIP, dst addr.IP) (time.Duration, bool, error) {
-	op := c.slo.Begin(slo.VerbProbe, tenant, "")
-	defer c.shards.rlockShards(c.shardKeyOf(tenant, src), c.shardKeyOf(tenant, dst))()
-	rtt, delivered, err := c.probe(&op, tenant, src, dst)
-	op.End(err)
-	return rtt, delivered, err
-}
-
-// ProbeWith is Probe with a caller-owned span: the API layer threads its
-// request-scoped op through so stage timings land on the HTTP span. The
-// caller Ends the op.
-func (c *Cloud) ProbeWith(op *slo.Op, tenant string, src EIP, dst addr.IP) (time.Duration, bool, error) {
-	defer c.shards.rlockShards(c.shardKeyOf(tenant, src), c.shardKeyOf(tenant, dst))()
-	return c.probe(op, tenant, src, dst)
-}
-
 func (c *Cloud) probe(op *slo.Op, tenant string, src EIP, dst addr.IP) (time.Duration, bool, error) {
 	srcProv, ok := c.providerOfAddr(src)
 	if !ok {
@@ -713,15 +684,9 @@ func (c *Cloud) probe(op *slo.Op, tenant string, src EIP, dst addr.IP) (time.Dur
 	return rtt, ok, nil
 }
 
-// RegisterName binds a tenant-scoped name to one of the tenant's
-// addresses (EIP or SIP). Re-registering a name repoints it — which is
-// how a tenant cuts over a service without clients noticing.
-func (c *Cloud) RegisterName(tenant, name string, target addr.IP) error {
-	_, err := c.Apply(tenant, intent.Op{Verb: intent.OpRegisterName, Name: name, Addr: target})
-	return err
-}
-
 func (c *Cloud) registerName(tenant, name string, target addr.IP) error {
+	c.nmMu.Lock()
+	defer c.nmMu.Unlock()
 	p, ok := c.providerOfAddr(target)
 	if !ok {
 		return fmt.Errorf("core: %s is not a granted address", target)
@@ -729,27 +694,11 @@ func (c *Cloud) registerName(tenant, name string, target addr.IP) error {
 	if err := p.ownsTarget(tenant, target); err != nil {
 		return err
 	}
-	c.nmMu.Lock()
 	if c.names[tenant] == nil {
 		c.names[tenant] = make(map[string]addr.IP)
 	}
 	c.names[tenant][name] = target
-	c.nmMu.Unlock()
 	return nil
-}
-
-// ResolveName returns the address behind a tenant's name.
-func (c *Cloud) ResolveName(tenant, name string) (addr.IP, bool) {
-	c.nmMu.RLock()
-	ip, ok := c.names[tenant][name]
-	c.nmMu.RUnlock()
-	return ip, ok
-}
-
-// UnregisterName removes a name binding, reporting whether it existed.
-func (c *Cloud) UnregisterName(tenant, name string) bool {
-	_, err := c.Apply(tenant, intent.Op{Verb: intent.OpUnregisterName, Name: name})
-	return err == nil
 }
 
 func (c *Cloud) unregisterName(tenant, name string) error {
@@ -762,13 +711,25 @@ func (c *Cloud) unregisterName(tenant, name string) error {
 	return nil
 }
 
-// ConnectName is Connect with the destination given by name.
-func (c *Cloud) ConnectName(tenant string, src EIP, name string, opts ConnectOpts) (*Conn, error) {
-	dst, ok := c.ResolveName(tenant, name)
-	if !ok {
-		return nil, fmt.Errorf("core: tenant %q has no name %q", tenant, name)
+// forget drops a released address from the tenant's groups and names,
+// so that neither resolves to it once the pool hands it to someone
+// else. The release calls it after the address has left its provider's
+// table and before the pool may reuse it. A permit list expanded from a
+// group earlier keeps its /32: it was derived at set time and the
+// release does not rewrite it.
+func (c *Cloud) forget(tenant string, a addr.IP) {
+	c.nmMu.Lock()
+	defer c.nmMu.Unlock()
+	for name, members := range c.groups[tenant] {
+		if slices.Contains(members, a) {
+			c.groups[tenant][name] = slices.DeleteFunc(slices.Clone(members), func(m EIP) bool { return m == a })
+		}
 	}
-	return c.Connect(tenant, src, dst, opts)
+	for name, target := range c.names[tenant] {
+		if target == a {
+			delete(c.names[tenant], name)
+		}
+	}
 }
 
 // Admitted reports whether src may currently reach dst — the pure

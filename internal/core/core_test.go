@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"declnet/internal/addr"
+	"declnet/internal/intent"
 	"declnet/internal/permit"
 	"declnet/internal/qos"
 	"declnet/internal/topo"
@@ -20,24 +21,7 @@ func fig1Cloud(t *testing.T) (*Cloud, *topo.Fig1World, *Provider, *Provider, *Pr
 	t.Helper()
 	w := topo.BuildFig1(2)
 	c := NewCloud(1, w.Graph)
-	pa, err := c.AddProvider(w.CloudA, Config{
-		EIPBase: pfx("100.64.0.0/10"),
-		SIPBase: pfx("100.127.0.0/16"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := c.AddProvider(w.CloudB, Config{
-		EIPBase: pfx("104.0.0.0/8"),
-		SIPBase: pfx("104.255.0.0/16"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	po, err := c.AddProvider("onprem", Config{
-		EIPBase: pfx("108.0.0.0/8"),
-		SIPBase: pfx("108.255.0.0/16"),
-	})
+	pa, pb, po, err := AddFig1Providers(c, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,9 +30,8 @@ func fig1Cloud(t *testing.T) (*Cloud, *topo.Fig1World, *Provider, *Provider, *Pr
 
 func TestRequestEIPValidation(t *testing.T) {
 	c, w, pa, _, _ := fig1Cloud(t)
-	_ = c
 	vm := topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1)
-	eip, err := pa.RequestEIP("acme", vm)
+	eip, err := c.Tenant("acme").RequestEIP(vm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,35 +43,35 @@ func TestRequestEIPValidation(t *testing.T) {
 	if !ok || !block.Contains(eip) {
 		t.Fatalf("EIP %s outside region block %s", eip, block)
 	}
-	if _, err := pa.RequestEIP("acme", "no-such-vm"); err == nil {
+	if _, err := c.Tenant("acme").RequestEIP("no-such-vm"); err == nil {
 		t.Fatal("unknown VM granted an EIP")
 	}
-	if _, err := pa.RequestEIP("acme", topo.RegionRouterID(w.CloudA, w.RegionsA[0])); err == nil {
+	if _, err := c.Tenant("acme").RequestEIP(topo.RegionRouterID(w.CloudA, w.RegionsA[0])); err == nil {
 		t.Fatal("non-host node granted an EIP")
 	}
 	// A VM of cloud B cannot get an EIP from provider A.
-	if _, err := pa.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1)); err == nil {
+	if _, err := c.Apply("acme", intent.Op{Verb: intent.OpRequestEIP, Provider: pa.Name, VM: string(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))}); err == nil {
 		t.Fatal("cross-provider EIP grant succeeded")
 	}
 }
 
 func TestDefaultOffEndToEnd(t *testing.T) {
-	c, w, pa, pb, _ := fig1Cloud(t)
-	src, _ := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
-	dst, _ := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
+	c, w, _, _, _ := fig1Cloud(t)
+	src, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	dst, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
 	// No permit list: connection refused.
-	if _, err := c.Connect("acme", src, dst, ConnectOpts{SizeBytes: 1000}); err == nil {
+	if _, err := c.Tenant("acme").Connect(src, dst, ConnectOpts{SizeBytes: 1000}); err == nil {
 		t.Fatal("default-off violated: connect without permit list succeeded")
 	}
 	if c.Admitted(src, dst) {
 		t.Fatal("Admitted true without permit list")
 	}
 	// Permit the source; now it flows.
-	if err := pb.SetPermitList("acme", dst, []permit.Entry{addr.NewPrefix(src, 32)}); err != nil {
+	if err := c.Tenant("acme").SetPermitList(dst, []permit.Entry{addr.NewPrefix(src, 32)}); err != nil {
 		t.Fatal(err)
 	}
 	var fct time.Duration
-	conn, err := c.Connect("acme", src, dst, ConnectOpts{
+	conn, err := c.Tenant("acme").Connect(src, dst, ConnectOpts{
 		SizeBytes: 1e6,
 		OnDone:    func(d time.Duration) { fct = d },
 	})
@@ -103,11 +86,11 @@ func TestDefaultOffEndToEnd(t *testing.T) {
 }
 
 func TestCrossTenantIsolation(t *testing.T) {
-	c, w, pa, pb, _ := fig1Cloud(t)
-	victim, _ := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
-	attacker, _ := pa.RequestEIP("evil", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
-	friend, _ := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 2))
-	pb.SetPermitList("acme", victim, []permit.Entry{addr.NewPrefix(friend, 32)})
+	c, w, _, _, _ := fig1Cloud(t)
+	victim, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
+	attacker, _ := c.Tenant("evil").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	friend, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 2))
+	c.Tenant("acme").SetPermitList(victim, []permit.Entry{addr.NewPrefix(friend, 32)})
 	if c.Admitted(attacker, victim) {
 		t.Fatal("unpermitted tenant admitted")
 	}
@@ -115,31 +98,31 @@ func TestCrossTenantIsolation(t *testing.T) {
 		t.Fatal("permitted source rejected")
 	}
 	// evil cannot edit acme's permit list.
-	if err := pb.SetPermitList("evil", victim, []permit.Entry{addr.NewPrefix(attacker, 32)}); err == nil {
+	if err := c.Tenant("evil").SetPermitList(victim, []permit.Entry{addr.NewPrefix(attacker, 32)}); err == nil {
 		t.Fatal("cross-tenant permit-list mutation succeeded")
 	}
 }
 
 func TestSIPLoadBalancing(t *testing.T) {
-	c, w, pa, pb, _ := fig1Cloud(t)
+	c, w, _, pb, _ := fig1Cloud(t)
 	// Two backends in cloud B behind one SIP; client in cloud A.
-	be1, _ := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
-	be2, _ := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az2", 1))
-	sip, err := pb.RequestSIP("acme")
+	be1, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
+	be2, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az2", 1))
+	sip, err := c.Tenant("acme").RequestSIP(pb.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pb.Bind("acme", be1, sip, 1); err != nil {
+	if err := c.Tenant("acme").Bind(be1, sip, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := pb.Bind("acme", be2, sip, 1); err != nil {
+	if err := c.Tenant("acme").Bind(be2, sip, 1); err != nil {
 		t.Fatal(err)
 	}
-	client, _ := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
-	pb.SetPermitList("acme", sip, []permit.Entry{addr.NewPrefix(client, 32)})
+	client, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	c.Tenant("acme").SetPermitList(sip, []permit.Entry{addr.NewPrefix(client, 32)})
 	hits := map[EIP]int{}
 	for i := 0; i < 10; i++ {
-		conn, err := c.Connect("acme", client, sip, ConnectOpts{SizeBytes: -1})
+		conn, err := c.Tenant("acme").Connect(client, sip, ConnectOpts{SizeBytes: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,16 +136,16 @@ func TestSIPLoadBalancing(t *testing.T) {
 
 func TestSIPWeightsAndHealth(t *testing.T) {
 	c, w, _, pb, _ := fig1Cloud(t)
-	be1, _ := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
-	be2, _ := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az2", 1))
-	sip, _ := pb.RequestSIP("acme")
-	pb.Bind("acme", be1, sip, 3)
-	pb.Bind("acme", be2, sip, 1)
-	client, _ := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[1], "az1", 1))
-	pb.SetPermitList("acme", sip, []permit.Entry{addr.NewPrefix(client, 32)})
+	be1, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
+	be2, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az2", 1))
+	sip, _ := c.Tenant("acme").RequestSIP(pb.Name)
+	c.Tenant("acme").Bind(be1, sip, 3)
+	c.Tenant("acme").Bind(be2, sip, 1)
+	client, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[1], "az1", 1))
+	c.Tenant("acme").SetPermitList(sip, []permit.Entry{addr.NewPrefix(client, 32)})
 	hits := map[EIP]int{}
 	for i := 0; i < 8; i++ {
-		conn, err := c.Connect("acme", client, sip, ConnectOpts{SizeBytes: -1})
+		conn, err := c.Tenant("acme").Connect(client, sip, ConnectOpts{SizeBytes: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +158,7 @@ func TestSIPWeightsAndHealth(t *testing.T) {
 	// Health failure removes be1 from rotation.
 	pb.MarkHealth(be1, false)
 	for i := 0; i < 4; i++ {
-		conn, err := c.Connect("acme", client, sip, ConnectOpts{SizeBytes: -1})
+		conn, err := c.Tenant("acme").Connect(client, sip, ConnectOpts{SizeBytes: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,41 +171,46 @@ func TestSIPWeightsAndHealth(t *testing.T) {
 
 func TestGroupsExtension(t *testing.T) {
 	c, w, _, pb, _ := fig1Cloud(t)
-	a, _ := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
-	bb, _ := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az1", 2))
-	dst, _ := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az2", 1))
-	if err := pb.CreateGroup("acme", "web", a, bb); err != nil {
+	a, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
+	bb, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 2))
+	dst, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az2", 1))
+	if err := c.Tenant("acme").CreateGroup("web", a, bb); err != nil {
 		t.Fatal(err)
 	}
-	if err := pb.SetPermitList("acme", dst, nil, "web"); err != nil {
+	if err := c.Tenant("acme").SetPermitList(dst, nil, "web"); err != nil {
 		t.Fatal(err)
 	}
 	if !c.Admitted(a, dst) || !c.Admitted(bb, dst) {
 		t.Fatal("group members not admitted")
 	}
-	if err := pb.SetPermitList("acme", dst, nil, "missing-group"); err == nil {
+	if err := c.Tenant("acme").SetPermitList(dst, nil, "missing-group"); err == nil {
 		t.Fatal("unknown group accepted")
 	}
 	// Groups may only contain the tenant's own endpoints.
-	other, _ := pb.RequestEIP("rival", topo.HostID(w.CloudB, w.RegionsB[1], "az1", 1))
-	if err := pb.CreateGroup("acme", "bad", other); err == nil {
+	other, _ := c.Tenant("rival").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[1], "az1", 1))
+	if err := c.Tenant("acme").CreateGroup("bad", other); err == nil {
 		t.Fatal("foreign EIP accepted into group")
+	}
+	// Groups have one, tenant-wide namespace.
+	op := intent.Op{Verb: intent.OpCreateGroup, Provider: pb.Name, Name: "web", Members: []addr.IP{a}}
+	if _, err := c.Apply("acme", op); err == nil {
+		t.Fatal("provider-scoped create_group accepted")
 	}
 }
 
 func TestPotatoProfilesAffectPath(t *testing.T) {
-	c, w, pa, pb, _ := fig1Cloud(t)
-	src, _ := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
-	dst, _ := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
-	pb.SetPermitList("acme", dst, []permit.Entry{addr.NewPrefix(src, 32)})
+	c, w, pa, _, _ := fig1Cloud(t)
+	src, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	dst, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
+	c.Tenant("acme").SetPermitList(dst, []permit.Entry{addr.NewPrefix(src, 32)})
 
-	pa.SetPotato("acme", qos.HotPotato)
-	hot, err := c.Connect("acme", src, dst, ConnectOpts{SizeBytes: -1})
+	c.Tenant("acme").SetPotato(pa.Name, qos.HotPotato)
+	hot, err := c.Tenant("acme").Connect(src, dst, ConnectOpts{SizeBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa.SetPotato("acme", qos.Dedicated)
-	ded, err := c.Connect("acme", src, dst, ConnectOpts{SizeBytes: -1})
+	c.Tenant("acme").SetPotato(pa.Name, qos.Dedicated)
+	ded, err := c.Tenant("acme").Connect(src, dst, ConnectOpts{SizeBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,20 +234,20 @@ func TestPotatoProfilesAffectPath(t *testing.T) {
 }
 
 func TestRegionalQuotaEnforced(t *testing.T) {
-	c, w, pa, pb, _ := fig1Cloud(t)
-	src1, _ := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
-	src2, _ := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az2", 1))
-	dst, _ := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
-	pb.SetPermitList("acme", dst, []permit.Entry{pfx("100.64.0.0/10")})
+	c, w, pa, _, _ := fig1Cloud(t)
+	src1, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	src2, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az2", 1))
+	dst, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
+	c.Tenant("acme").SetPermitList(dst, []permit.Entry{pfx("100.64.0.0/10")})
 	// 100 Mbps regional egress quota.
-	if err := pa.SetQoS("acme", w.RegionsA[0], 100e6); err != nil {
+	if err := c.Tenant("acme").SetQoS(pa.Name, w.RegionsA[0], 100e6); err != nil {
 		t.Fatal(err)
 	}
-	c1, err := c.Connect("acme", src1, dst, ConnectOpts{SizeBytes: -1, Demand: 10e9})
+	c1, err := c.Tenant("acme").Connect(src1, dst, ConnectOpts{SizeBytes: -1, Demand: 10e9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := c.Connect("acme", src2, dst, ConnectOpts{SizeBytes: -1, Demand: 10e9})
+	c2, err := c.Tenant("acme").Connect(src2, dst, ConnectOpts{SizeBytes: -1, Demand: 10e9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,20 +261,20 @@ func TestRegionalQuotaEnforced(t *testing.T) {
 	}
 	c1.Close()
 	c2.Close()
-	if err := pa.SetQoS("acme", "mars", 1); err == nil {
+	if err := c.Tenant("acme").SetQoS(pa.Name, "mars", 1); err == nil {
 		t.Fatal("unknown region accepted")
 	}
 }
 
 func TestVMEgressCap(t *testing.T) {
-	c, w, pa, pb, _ := fig1Cloud(t)
-	src, _ := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
-	dst, _ := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
-	pb.SetPermitList("acme", dst, []permit.Entry{addr.NewPrefix(src, 32)})
-	if err := pa.SetVMEgressCap("acme", src, 50e6); err != nil {
+	c, w, _, _, _ := fig1Cloud(t)
+	src, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	dst, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
+	c.Tenant("acme").SetPermitList(dst, []permit.Entry{addr.NewPrefix(src, 32)})
+	if err := c.Tenant("acme").SetVMEgressCap(src, 50e6); err != nil {
 		t.Fatal(err)
 	}
-	conn, err := c.Connect("acme", src, dst, ConnectOpts{SizeBytes: -1})
+	conn, err := c.Tenant("acme").Connect(src, dst, ConnectOpts{SizeBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,11 +286,11 @@ func TestVMEgressCap(t *testing.T) {
 
 func TestReleaseEIPTearsDownState(t *testing.T) {
 	c, w, _, pb, _ := fig1Cloud(t)
-	be, _ := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
-	sip, _ := pb.RequestSIP("acme")
-	pb.Bind("acme", be, sip, 1)
-	pb.SetPermitList("acme", be, []permit.Entry{pfx("0.0.0.0/0")})
-	if err := pb.ReleaseEIP("acme", be); err != nil {
+	be, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
+	sip, _ := c.Tenant("acme").RequestSIP(pb.Name)
+	c.Tenant("acme").Bind(be, sip, 1)
+	c.Tenant("acme").SetPermitList(be, []permit.Entry{pfx("0.0.0.0/0")})
+	if err := c.Tenant("acme").ReleaseEIP(be); err != nil {
 		t.Fatal(err)
 	}
 	// Permit state gone, balancer drained, address reusable.
@@ -313,27 +301,27 @@ func TestReleaseEIPTearsDownState(t *testing.T) {
 	if len(bal.Backends()) != 0 {
 		t.Fatal("released EIP still bound to SIP")
 	}
-	be2, _ := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az1", 2))
+	be2, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 2))
 	if be2 != be {
 		t.Fatalf("address not recycled: %s vs %s", be2, be)
 	}
-	if err := pb.ReleaseEIP("acme", be2); err != nil {
+	if err := c.Tenant("acme").ReleaseEIP(be2); err != nil {
 		t.Fatal(err)
 	}
-	if err := pb.ReleaseEIP("acme", be2); err == nil {
+	if err := c.Tenant("acme").ReleaseEIP(be2); err == nil {
 		t.Fatal("double release succeeded")
 	}
 }
 
 func TestProbe(t *testing.T) {
-	c, w, pa, pb, _ := fig1Cloud(t)
-	src, _ := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
-	dst, _ := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
-	if _, _, err := c.Probe("acme", src, dst); err == nil {
+	c, w, _, _, _ := fig1Cloud(t)
+	src, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	dst, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
+	if _, _, err := c.Tenant("acme").Probe(src, dst); err == nil {
 		t.Fatal("probe admitted without permit list")
 	}
-	pb.SetPermitList("acme", dst, []permit.Entry{addr.NewPrefix(src, 32)})
-	rtt, _, err := c.Probe("acme", src, dst)
+	c.Tenant("acme").SetPermitList(dst, []permit.Entry{addr.NewPrefix(src, 32)})
+	rtt, _, err := c.Tenant("acme").Probe(src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,15 +333,15 @@ func TestProbe(t *testing.T) {
 func TestOnPremUniformAPI(t *testing.T) {
 	// The same verbs work for on-prem endpoints — the multi-domain
 	// uniformity claim of §5.
-	c, w, pa, _, po := fig1Cloud(t)
+	c, w, _, _, _ := fig1Cloud(t)
 	opHost := topo.NodeID("onprem/hq/host1")
-	onprem, err := po.RequestEIP("acme", opHost)
+	onprem, err := c.Tenant("acme").RequestEIP(opHost)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cloudVM, _ := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
-	po.SetPermitList("acme", onprem, []permit.Entry{addr.NewPrefix(cloudVM, 32)})
-	conn, err := c.Connect("acme", cloudVM, onprem, ConnectOpts{SizeBytes: -1})
+	cloudVM, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	c.Tenant("acme").SetPermitList(onprem, []permit.Entry{addr.NewPrefix(cloudVM, 32)})
+	conn, err := c.Tenant("acme").Connect(cloudVM, onprem, ConnectOpts{SizeBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,10 +369,10 @@ func TestFlatAddressNoAssumptions(t *testing.T) {
 	// EIPs for different VMs in the same region are dense (aggregatable
 	// by the provider) but the tenant-visible API never exposes structure:
 	// two tenants' EIPs interleave in the same block.
-	_, w, pa, _, _ := fig1Cloud(t)
-	e1, _ := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
-	e2, _ := pa.RequestEIP("rival", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 2))
-	e3, _ := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az2", 1))
+	c, w, pa, _, _ := fig1Cloud(t)
+	e1, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	e2, _ := c.Tenant("rival").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 2))
+	e3, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az2", 1))
 	if e2 != e1+1 || e3 != e2+1 {
 		t.Fatalf("region block not dense: %s %s %s", e1, e2, e3)
 	}
@@ -400,10 +388,10 @@ func TestFlatAddressNoAssumptions(t *testing.T) {
 }
 
 func TestErrorsMentionDefaultOff(t *testing.T) {
-	c, w, pa, pb, _ := fig1Cloud(t)
-	src, _ := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
-	dst, _ := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
-	_, err := c.Connect("acme", src, dst, ConnectOpts{SizeBytes: 1})
+	c, w, _, _, _ := fig1Cloud(t)
+	src, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	dst, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
+	_, err := c.Tenant("acme").Connect(src, dst, ConnectOpts{SizeBytes: 1})
 	if err == nil || !strings.Contains(err.Error(), "default-off") {
 		t.Fatalf("err = %v, want default-off mention", err)
 	}
@@ -418,27 +406,27 @@ func TestErrorsMentionDefaultOff(t *testing.T) {
 // allocation more per SIP.
 func TestReleaseEIPCostDoesNotGrowWithSIPs(t *testing.T) {
 	pair := func(sips int) float64 {
-		_, w, pa, _, _ := fig1Cloud(t)
+		c, w, pa, _, _ := fig1Cloud(t)
 		vm := topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1)
-		bound, err := pa.RequestEIP("acme", vm)
+		bound, err := c.Tenant("acme").RequestEIP(vm)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < sips; i++ {
-			sip, err := pa.RequestSIP("acme")
+			sip, err := c.Tenant("acme").RequestSIP(pa.Name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := pa.Bind("acme", bound, sip, 1); err != nil {
+			if err := c.Tenant("acme").Bind(bound, sip, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return testing.AllocsPerRun(50, func() {
-			eip, err := pa.RequestEIP("acme", vm)
+			eip, err := c.Tenant("acme").RequestEIP(vm)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := pa.ReleaseEIP("acme", eip); err != nil {
+			if err := c.Tenant("acme").ReleaseEIP(eip); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -13,20 +13,20 @@ import (
 // TestBestEffortBypassesQuota covers the §4-footnote traffic-class
 // extension: best-effort flows must not consume the regional reservation.
 func TestBestEffortBypassesQuota(t *testing.T) {
-	c, w, pa, pb, _ := fig1Cloud(t)
-	src1, _ := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
-	src2, _ := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az2", 1))
-	dst, _ := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
-	pb.SetPermitList("acme", dst, []permit.Entry{pfx("100.64.0.0/10")})
-	if err := pa.SetQoS("acme", w.RegionsA[0], 100e6); err != nil {
+	c, w, pa, _, _ := fig1Cloud(t)
+	src1, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	src2, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az2", 1))
+	dst, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
+	c.Tenant("acme").SetPermitList(dst, []permit.Entry{pfx("100.64.0.0/10")})
+	if err := c.Tenant("acme").SetQoS(pa.Name, w.RegionsA[0], 100e6); err != nil {
 		t.Fatal(err)
 	}
 	// Reserved flow is shaped to the quota; best-effort is not.
-	res, err := c.Connect("acme", src1, dst, ConnectOpts{SizeBytes: -1, Demand: 10e9, Class: Reserved})
+	res, err := c.Tenant("acme").Connect(src1, dst, ConnectOpts{SizeBytes: -1, Demand: 10e9, Class: Reserved})
 	if err != nil {
 		t.Fatal(err)
 	}
-	be, err := c.Connect("acme", src2, dst, ConnectOpts{SizeBytes: -1, Demand: 10e9, Class: BestEffort})
+	be, err := c.Tenant("acme").Connect(src2, dst, ConnectOpts{SizeBytes: -1, Demand: 10e9, Class: BestEffort})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,19 +51,19 @@ func TestQoSClassString(t *testing.T) {
 
 // TestNamingExtension covers the §6 "abstract above addresses" extension.
 func TestNamingExtension(t *testing.T) {
-	c, w, pa, pb, _ := fig1Cloud(t)
-	client, _ := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
-	be1, _ := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
-	be2, _ := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[1], "az1", 1))
-	sip, _ := pb.RequestSIP("acme")
-	pb.Bind("acme", be1, sip, 1)
-	pb.SetPermitList("acme", sip, []permit.Entry{addr.NewPrefix(client, 32)})
-	pb.SetPermitList("acme", be2, []permit.Entry{addr.NewPrefix(client, 32)})
+	c, w, _, pb, _ := fig1Cloud(t)
+	client, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	be1, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
+	be2, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[1], "az1", 1))
+	sip, _ := c.Tenant("acme").RequestSIP(pb.Name)
+	c.Tenant("acme").Bind(be1, sip, 1)
+	c.Tenant("acme").SetPermitList(sip, []permit.Entry{addr.NewPrefix(client, 32)})
+	c.Tenant("acme").SetPermitList(be2, []permit.Entry{addr.NewPrefix(client, 32)})
 
-	if err := c.RegisterName("acme", "db", sip); err != nil {
+	if err := c.Tenant("acme").Register("db", sip); err != nil {
 		t.Fatal(err)
 	}
-	conn, err := c.ConnectName("acme", client, "db", ConnectOpts{SizeBytes: -1})
+	conn, err := c.Tenant("acme").ConnectName(client, "db", ConnectOpts{SizeBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,10 +73,10 @@ func TestNamingExtension(t *testing.T) {
 	conn.Close()
 
 	// Cutover: repoint the name at a plain EIP; clients keep working.
-	if err := c.RegisterName("acme", "db", be2); err != nil {
+	if err := c.Tenant("acme").Register("db", be2); err != nil {
 		t.Fatal(err)
 	}
-	conn, err = c.ConnectName("acme", client, "db", ConnectOpts{SizeBytes: -1})
+	conn, err = c.Tenant("acme").ConnectName(client, "db", ConnectOpts{SizeBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,19 +87,19 @@ func TestNamingExtension(t *testing.T) {
 
 	// Tenancy: another tenant's names are separate; foreign addresses
 	// are rejected.
-	if err := c.RegisterName("rival", "db", sip); err == nil {
+	if err := c.Tenant("rival").Register("db", sip); err == nil {
 		t.Fatal("rival registered a name over acme's SIP")
 	}
-	if _, ok := c.ResolveName("rival", "db"); ok {
+	if _, ok := c.Tenant("rival").Resolve("db"); ok {
 		t.Fatal("rival resolved acme's name")
 	}
-	if _, err := c.ConnectName("acme", client, "ghost", ConnectOpts{}); err == nil {
+	if _, err := c.Tenant("acme").ConnectName(client, "ghost", ConnectOpts{}); err == nil {
 		t.Fatal("unknown name connected")
 	}
-	if !c.UnregisterName("acme", "db") {
+	if !c.Tenant("acme").Unregister("db") {
 		t.Fatal("unregister failed")
 	}
-	if c.UnregisterName("acme", "db") {
+	if c.Tenant("acme").Unregister("db") {
 		t.Fatal("double unregister succeeded")
 	}
 }

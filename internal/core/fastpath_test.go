@@ -31,16 +31,16 @@ func TestPropertyPathCacheParity(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			c, w, pa, pb, _ := fig1Cloud(t)
+			c, w, _, pb, _ := fig1Cloud(t)
 			inj := fault.NewInjector(c.Eng, c.G, c.Net)
 
 			// Connect traffic: one client in cloud A, a SIP with two
 			// backends in cloud B.
-			client, err := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+			client, err := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
 			if err != nil {
 				t.Fatal(err)
 			}
-			sip, err := pb.RequestSIP("acme")
+			sip, err := c.Tenant("acme").RequestSIP(pb.Name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,15 +48,15 @@ func TestPropertyPathCacheParity(t *testing.T) {
 				topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1),
 				topo.HostID(w.CloudB, w.RegionsB[0], "az2", 1),
 			} {
-				be, err := pb.RequestEIP("acme", n)
+				be, err := c.Tenant("acme").RequestEIP(n)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := pb.Bind("acme", be, sip, 1); err != nil {
+				if err := c.Tenant("acme").Bind(be, sip, 1); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := pb.SetPermitList("acme", sip, []permit.Entry{addr.NewPrefix(client, 32)}); err != nil {
+			if err := c.Tenant("acme").SetPermitList(sip, []permit.Entry{addr.NewPrefix(client, 32)}); err != nil {
 				t.Fatal(err)
 			}
 
@@ -156,7 +156,7 @@ func TestPropertyPathCacheParity(t *testing.T) {
 						t.Fatalf("step %d: batched permit churn: %v", i, err)
 					}
 				}
-				if cn, err := c.Connect("acme", client, sip, ConnectOpts{SizeBytes: 1e3}); err == nil {
+				if cn, err := c.Tenant("acme").Connect(client, sip, ConnectOpts{SizeBytes: 1e3}); err == nil {
 					cn.Close()
 				}
 				check(i)
@@ -185,21 +185,21 @@ func TestPropertyPathCacheParity(t *testing.T) {
 // computed against an older list may outlive the mutation. Run under
 // -race.
 func TestAdmissionFollowsPermitRevoke(t *testing.T) {
-	c, w, pa, pb, _ := fig1Cloud(t)
-	src, err := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	c, w, _, _, _ := fig1Cloud(t)
+	src, err := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 2))
+	other, err := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst, err := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
+	dst, err := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// other stays permitted throughout, so dst's list never empties.
-	if err := pb.SetPermitList("acme", dst, []permit.Entry{addr.NewPrefix(other, 32)}); err != nil {
+	if err := c.Tenant("acme").SetPermitList(dst, []permit.Entry{addr.NewPrefix(other, 32)}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -217,7 +217,7 @@ func TestAdmissionFollowsPermitRevoke(t *testing.T) {
 					return
 				default:
 				}
-				c.Probe("acme", src, dst)
+				c.Tenant("acme").Probe(src, dst)
 				if !c.Admitted(other, dst) {
 					t.Error("a source permitted throughout was denied")
 					return
@@ -227,16 +227,16 @@ func TestAdmissionFollowsPermitRevoke(t *testing.T) {
 	}
 	entry := addr.NewPrefix(src, 32)
 	for i := 0; i < 200; i++ {
-		if err := pb.Permit("acme", dst, entry); err != nil {
+		if err := c.Tenant("acme").Permit(dst, entry); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := c.Probe("acme", src, dst); err != nil {
+		if _, _, err := c.Tenant("acme").Probe(src, dst); err != nil {
 			t.Fatalf("round %d: probe after permit returned: %v", i, err)
 		}
-		if err := pb.Revoke("acme", dst, entry); err != nil {
+		if err := c.Tenant("acme").Revoke(dst, entry); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := c.Probe("acme", src, dst); err == nil || !strings.Contains(err.Error(), "not permitted") {
+		if _, _, err := c.Tenant("acme").Probe(src, dst); err == nil || !strings.Contains(err.Error(), "not permitted") {
 			t.Fatalf("round %d: probe after revoke returned: err = %v, want a permit denial", i, err)
 		}
 	}

@@ -90,14 +90,14 @@ func TestPropertySIPNeverServesDownBackend(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			c, w, pa, pb, _ := fig1Cloud(t)
+			c, w, _, pb, _ := fig1Cloud(t)
 			m := c.EnableFaults(policy)
 
-			client, err := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+			client, err := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
 			if err != nil {
 				t.Fatal(err)
 			}
-			sip, err := pb.RequestSIP("acme")
+			sip, err := c.Tenant("acme").RequestSIP(pb.Name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,16 +108,16 @@ func TestPropertySIPNeverServesDownBackend(t *testing.T) {
 			}
 			byEIP := make(map[EIP]int, nBackends)
 			for i := 0; i < nBackends; i++ {
-				be, err := pb.RequestEIP("acme", nodes[i])
+				be, err := c.Tenant("acme").RequestEIP(nodes[i])
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := pb.Bind("acme", be, sip, 1); err != nil {
+				if err := c.Tenant("acme").Bind(be, sip, 1); err != nil {
 					t.Fatal(err)
 				}
 				byEIP[be] = i
 			}
-			if err := pb.SetPermitList("acme", sip, []permit.Entry{addr.NewPrefix(client, 32)}); err != nil {
+			if err := c.Tenant("acme").SetPermitList(sip, []permit.Entry{addr.NewPrefix(client, 32)}); err != nil {
 				t.Fatal(err)
 			}
 
@@ -158,7 +158,7 @@ func TestPropertySIPNeverServesDownBackend(t *testing.T) {
 							settled = false
 						}
 					}
-					cn, err := c.Connect("acme", client, sip, ConnectOpts{SizeBytes: 1e3})
+					cn, err := c.Tenant("acme").Connect(client, sip, ConnectOpts{SizeBytes: 1e3})
 					if err != nil {
 						if settled {
 							t.Errorf("t=%v: connect failed with all failures past the detect window: %v", at, err)

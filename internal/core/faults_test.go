@@ -13,35 +13,35 @@ import (
 // client in cloud A, with faults enabled under the given policy.
 func failoverWorld(t *testing.T, policy FaultPolicy) (c *Cloud, m *FaultMonitor, client EIP, sip SIP, be1, be2 EIP, n1, n2 topo.NodeID) {
 	t.Helper()
-	c, w, pa, pb, _ := fig1Cloud(t)
+	c, w, _, pb, _ := fig1Cloud(t)
 	m = c.EnableFaults(policy)
 
 	var err error
-	client, err = pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	client, err = c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	n1 = topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1)
 	n2 = topo.HostID(w.CloudB, w.RegionsB[0], "az2", 1)
-	be1, err = pb.RequestEIP("acme", n1)
+	be1, err = c.Tenant("acme").RequestEIP(n1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	be2, err = pb.RequestEIP("acme", n2)
+	be2, err = c.Tenant("acme").RequestEIP(n2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sip, err = pb.RequestSIP("acme")
+	sip, err = c.Tenant("acme").RequestSIP(pb.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pb.Bind("acme", be1, sip, 1); err != nil {
+	if err := c.Tenant("acme").Bind(be1, sip, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := pb.Bind("acme", be2, sip, 1); err != nil {
+	if err := c.Tenant("acme").Bind(be2, sip, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := pb.SetPermitList("acme", sip, []permit.Entry{addr.NewPrefix(client, 32)}); err != nil {
+	if err := c.Tenant("acme").SetPermitList(sip, []permit.Entry{addr.NewPrefix(client, 32)}); err != nil {
 		t.Fatal(err)
 	}
 	return c, m, client, sip, be1, be2, n1, n2
@@ -60,7 +60,7 @@ func TestSIPFailsOverToSurvivingBackend(t *testing.T) {
 	// with zero tenant API calls in between.
 	c.Eng.Schedule(time.Second+policy.DetectDelay()+policy.HealthInterval, func() {
 		for i := 0; i < 10; i++ {
-			cn, err := c.Connect("acme", client, sip, ConnectOpts{SizeBytes: 1e3})
+			cn, err := c.Tenant("acme").Connect(client, sip, ConnectOpts{SizeBytes: 1e3})
 			if err != nil {
 				t.Fatalf("connect during failure: %v", err)
 			}
@@ -149,7 +149,7 @@ func TestPermitUpdateRetriesUntilNodeReturns(t *testing.T) {
 	c.Eng.Schedule(time.Second, func() { m.Inj.FailNode(n1) })
 	// While be1's host is down, a permit update for it defers.
 	c.Eng.Schedule(2*time.Second, func() {
-		if err := pb.SetPermitList("acme", be1, []permit.Entry{addr.NewPrefix(client, 32)}); err != nil {
+		if err := c.Tenant("acme").SetPermitList(be1, []permit.Entry{addr.NewPrefix(client, 32)}); err != nil {
 			t.Error(err)
 		}
 		if pb.Permits.Check(client, be1) {
@@ -180,7 +180,7 @@ func TestPermitUpdateTimesOut(t *testing.T) {
 
 	c.Eng.Schedule(time.Second, func() { m.Inj.FailNode(n1) })
 	c.Eng.Schedule(2*time.Second, func() {
-		pb.SetPermitList("acme", be1, []permit.Entry{addr.NewPrefix(client, 32)})
+		c.Tenant("acme").SetPermitList(be1, []permit.Entry{addr.NewPrefix(client, 32)})
 	})
 	// Node never heals within the timeout.
 	c.Eng.RunUntil(10 * time.Second)
@@ -194,23 +194,23 @@ func TestPermitUpdateTimesOut(t *testing.T) {
 
 func TestQuotaDegradesWhenRegionPartitions(t *testing.T) {
 	policy := FaultPolicy{HealthInterval: 100 * time.Millisecond, DownAfter: 2}
-	c, w, pa, pb, _ := fig1Cloud(t)
+	c, w, pa, _, _ := fig1Cloud(t)
 	m := c.EnableFaults(policy)
 
 	// Two senders in different cloud-A regions, one receiver in cloud B,
 	// a tenant-wide quota per region.
-	src1, _ := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
-	src2, _ := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[1], "az1", 1))
-	dst, _ := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
-	pb.SetPermitList("acme", dst, []permit.Entry{addr.NewPrefix(src1, 32), addr.NewPrefix(src2, 32)})
-	pa.SetQoS("acme", w.RegionsA[0], 2e9)
-	pa.SetQoS("acme", w.RegionsA[1], 2e9)
+	src1, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	src2, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[1], "az1", 1))
+	dst, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
+	c.Tenant("acme").SetPermitList(dst, []permit.Entry{addr.NewPrefix(src1, 32), addr.NewPrefix(src2, 32)})
+	c.Tenant("acme").SetQoS(pa.Name, w.RegionsA[0], 2e9)
+	c.Tenant("acme").SetQoS(pa.Name, w.RegionsA[1], 2e9)
 
-	cn1, err := c.Connect("acme", src1, dst, ConnectOpts{SizeBytes: -1, Demand: 2e9})
+	cn1, err := c.Tenant("acme").Connect(src1, dst, ConnectOpts{SizeBytes: -1, Demand: 2e9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cn2, err := c.Connect("acme", src2, dst, ConnectOpts{SizeBytes: -1, Demand: 2e9})
+	cn2, err := c.Tenant("acme").Connect(src2, dst, ConnectOpts{SizeBytes: -1, Demand: 2e9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -191,25 +191,8 @@ func (c *Cloud) RestoreIntentWorkers(st *intent.State, workers int) error {
 		policy, _ := qos.ParsePotatoPolicy(st.Potato[key])
 		p.setPotato(parts[1], policy)
 	}
-	// Group and name maps are written directly: re-validating membership
-	// would reject declared state whose members were since released, and
-	// the declared maps are authoritative here.
-	for key, members := range st.ProvGroups {
-		parts := strings.SplitN(key, "|", 3)
-		if len(parts) != 3 {
-			return fmt.Errorf("core: restore: malformed group key %q", key)
-		}
-		p, ok := c.providers[parts[0]]
-		if !ok {
-			return fmt.Errorf("core: restore: group key %q references unknown provider", key)
-		}
-		p.polMu.Lock()
-		if p.groups[parts[1]] == nil {
-			p.groups[parts[1]] = make(map[string][]EIP)
-		}
-		p.groups[parts[1]][parts[2]] = append([]EIP(nil), members...)
-		p.polMu.Unlock()
-	}
+	// Group and name maps are written directly: the declared maps are
+	// authoritative here.
 	c.nmMu.Lock()
 	for key, members := range st.Groups {
 		parts := strings.SplitN(key, "|", 2)
@@ -292,8 +275,8 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 
 // StateDigest hashes the control plane's durable state in canonical
 // order: providers (name-sorted), their endpoints, services and
-// bindings, permit lists, quotas, potato profiles, groups, pool
-// cursors, and the cloud-level groups and names. Runtime-only state —
+// bindings, permit lists, quotas, potato profiles, pool cursors, and
+// the tenants' groups and names. Runtime-only state —
 // backend health bits, WRR counters, in-flight monitor state, permit
 // list versions — is excluded, so a recovered world that converged to
 // the same declared state digests identically to the world that never
@@ -378,8 +361,8 @@ func writePermitLines(w io.Writer, p *Provider, targets []addr.IP) {
 	}
 }
 
-// writePolSection renders a provider's policy plane: quotas, potato
-// profiles, groups.
+// writePolSection renders a provider's policy plane: quotas and potato
+// profiles.
 func writePolSection(w io.Writer, p *Provider) {
 	p.polMu.RLock()
 	for _, tenant := range sortedKeys(p.quotas) {
@@ -393,11 +376,6 @@ func writePolSection(w io.Writer, p *Provider) {
 	}
 	for _, tenant := range sortedKeys(p.potato) {
 		fmt.Fprintf(w, "potato %s %s\n", tenant, p.potato[tenant])
-	}
-	for _, tenant := range sortedKeys(p.groups) {
-		for _, name := range sortedKeys(p.groups[tenant]) {
-			fmt.Fprintf(w, "group %s %s %v\n", tenant, name, p.groups[tenant][name])
-		}
 	}
 	p.polMu.RUnlock()
 }

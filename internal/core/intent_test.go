@@ -21,47 +21,47 @@ import (
 func populate(t *testing.T, c *Cloud, w *topo.Fig1World, pa, pb *Provider) (eip1, eip2, dst, sip addr.IP) {
 	t.Helper()
 	var err error
-	if eip1, err = pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1)); err != nil {
+	if eip1, err = c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if eip2, err = pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 2)); err != nil {
+	if eip2, err = c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 2)); err != nil {
 		t.Fatal(err)
 	}
-	if dst, err = pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1)); err != nil {
+	if dst, err = c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if sip, err = pa.RequestSIP("acme"); err != nil {
+	if sip, err = c.Tenant("acme").RequestSIP(pa.Name); err != nil {
 		t.Fatal(err)
 	}
-	if err := pa.Bind("acme", eip1, sip, 2); err != nil {
+	if err := c.Tenant("acme").Bind(eip1, sip, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := pa.Bind("acme", eip2, sip, 1); err != nil {
+	if err := c.Tenant("acme").Bind(eip2, sip, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := pa.CreateGroup("acme", "web", eip1, eip2); err != nil {
+	if err := c.Tenant("acme").CreateGroup("web", eip1, eip2); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CreateGroup("acme", "fleet", eip1, dst); err != nil {
+	if err := c.Tenant("acme").CreateGroup("fleet", eip1, dst); err != nil {
 		t.Fatal(err)
 	}
-	if err := pb.SetPermitList("acme", dst, []permit.Entry{addr.NewPrefix(eip1, 32)}, "fleet"); err != nil {
+	if err := c.Tenant("acme").SetPermitList(dst, []permit.Entry{addr.NewPrefix(eip1, 32)}, "fleet"); err != nil {
 		t.Fatal(err)
 	}
-	if err := pa.SetPermitList("acme", sip, []permit.Entry{pfx("0.0.0.0/0")}); err != nil {
+	if err := c.Tenant("acme").SetPermitList(sip, []permit.Entry{pfx("0.0.0.0/0")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := pa.Permit("acme", eip1, addr.NewPrefix(dst, 32)); err != nil {
+	if err := c.Tenant("acme").Permit(eip1, addr.NewPrefix(dst, 32)); err != nil {
 		t.Fatal(err)
 	}
-	if err := pa.SetQoS("acme", w.RegionsA[0], 2e9); err != nil {
+	if err := c.Tenant("acme").SetQoS(pa.Name, w.RegionsA[0], 2e9); err != nil {
 		t.Fatal(err)
 	}
-	pa.SetPotato("acme", qos.ColdPotato)
-	if err := pa.SetVMEgressCap("acme", eip1, 5e8); err != nil {
+	c.Tenant("acme").SetPotato(pa.Name, qos.ColdPotato)
+	if err := c.Tenant("acme").SetVMEgressCap(eip1, 5e8); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RegisterName("acme", "frontend", sip); err != nil {
+	if err := c.Tenant("acme").Register("frontend", sip); err != nil {
 		t.Fatal(err)
 	}
 	// Batch path: one frame with back-references resolved.
@@ -73,11 +73,11 @@ func populate(t *testing.T, c *Cloud, w *topo.Fig1World, pa, pb *Provider) (eip1
 		t.Fatal(err)
 	}
 	// A release exercises pool free-list replay.
-	scratch, err := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az2", 1))
+	scratch, err := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az2", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pa.ReleaseEIP("acme", scratch); err != nil {
+	if err := c.Tenant("acme").ReleaseEIP(scratch); err != nil {
 		t.Fatal(err)
 	}
 	return eip1, eip2, dst, sip
@@ -98,8 +98,9 @@ func TestKillAndRestartEquivalence(t *testing.T) {
 	wantDigest := c.StateDigest()
 	// The digest's sections, line format and hex are a contract (stores
 	// and tools compare them across builds): populate's scripted world is
-	// pinned to the string the memoized digest of PR 19 printed for it.
-	const pinnedDigest = "3b9b10d8e8ab6949a12e7bae2ec91bc1c7fadef6e85c5066dd0f57c2d7442c8f"
+	// pinned to the string the digest has printed for it since groups
+	// became tenant-wide only.
+	const pinnedDigest = "cf73f202e7d26d01075ebf9a69f71b9f66dae0265031511438d22fdf809cec8d"
 	if wantDigest != pinnedDigest {
 		t.Fatalf("StateDigest of the scripted world changed\n got %s\nwant %s", wantDigest, pinnedDigest)
 	}
@@ -113,8 +114,7 @@ func TestKillAndRestartEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	c2, w2, pa2, _, _ := fig1Cloud(t)
-	_ = w2
+	c2, _, _, _, _ := fig1Cloud(t)
 	if err := c2.RestoreIntent(l2.State()); err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +123,11 @@ func TestKillAndRestartEquivalence(t *testing.T) {
 	}
 	// The recovered world keeps functioning: pools continue where the
 	// crashed world's cursor stopped.
-	next1, err := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az2", 2))
+	next1, err := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az2", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	next2, err := pa2.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az2", 2))
+	next2, err := c2.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az2", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestRestoreIntentThenEnable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	c2, _, pa2, _, _ := fig1Cloud(t)
+	c2, _, _, _, _ := fig1Cloud(t)
 	if err := c2.RestoreIntent(l2.State()); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestRestoreIntentThenEnable(t *testing.T) {
 	}
 	c2.EnableIntent(l2)
 	// New mutations journal again from the recovered sequence.
-	if _, err := pa2.RequestEIP("acme", topo.HostID("cloudA", "A1", "az2", 2)); err == nil {
+	if _, err := c2.Tenant("acme").RequestEIP(topo.HostID("cloudA", "A1", "az2", 2)); err == nil {
 		if l2.Seq() != seq+1 {
 			t.Fatalf("post-restore mutation got seq %d, want %d", l2.Seq(), seq+1)
 		}
@@ -302,7 +302,7 @@ func TestReconcilerDropsUndeclared(t *testing.T) {
 	// Grant an EIP *without* journaling a permit list for it, then slip a
 	// list into the engine directly: an undeclared install, e.g. a stale
 	// push that survived a rollback.
-	victim, err := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az2", 1))
+	victim, err := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az2", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,11 +413,11 @@ func TestConcurrentSweepsCoverEveryPhase(t *testing.T) {
 	// address mod K, and consecutive grants are consecutive addresses.
 	targets := make([]addr.IP, k)
 	for i := range targets {
-		eip, err := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
+		eip, err := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := pb.SetPermitList("acme", eip, []permit.Entry{pfx("10.0.0.0/8")}); err != nil {
+		if err := c.Tenant("acme").SetPermitList(eip, []permit.Entry{pfx("10.0.0.0/8")}); err != nil {
 			t.Fatal(err)
 		}
 		targets[uint32(eip)%k] = eip

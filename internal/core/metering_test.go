@@ -16,21 +16,21 @@ func TestMeteringEndToEnd(t *testing.T) {
 	m := meter.New()
 	c.SetBiller(m)
 
-	src, _ := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
-	dst, _ := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
-	sip, _ := pb.RequestSIP("acme")
-	pb.Bind("acme", dst, sip, 1)
-	pb.SetPermitList("acme", sip, []permit.Entry{addr.NewPrefix(src, 32)})
-	pa.SetQoS("acme", w.RegionsA[0], 2e9)
+	src, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	dst, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
+	sip, _ := c.Tenant("acme").RequestSIP(pb.Name)
+	c.Tenant("acme").Bind(dst, sip, 1)
+	c.Tenant("acme").SetPermitList(sip, []permit.Entry{addr.NewPrefix(src, 32)})
+	c.Tenant("acme").SetQoS(pa.Name, w.RegionsA[0], 2e9)
 
 	// Transfer 10 MB reserved, then 5 MB best-effort.
 	done := 0
-	if _, err := c.Connect("acme", src, sip, ConnectOpts{SizeBytes: 10e6,
+	if _, err := c.Tenant("acme").Connect(src, sip, ConnectOpts{SizeBytes: 10e6,
 		OnDone: func(time.Duration) { done++ }}); err != nil {
 		t.Fatal(err)
 	}
 	c.Eng.Run()
-	if _, err := c.Connect("acme", src, sip, ConnectOpts{SizeBytes: 5e6, Class: BestEffort,
+	if _, err := c.Tenant("acme").Connect(src, sip, ConnectOpts{SizeBytes: 5e6, Class: BestEffort,
 		OnDone: func(time.Duration) { done++ }}); err != nil {
 		t.Fatal(err)
 	}
@@ -65,13 +65,13 @@ func TestMeteringEndToEnd(t *testing.T) {
 }
 
 func TestMeteringCloseBillsOnce(t *testing.T) {
-	c, w, pa, pb, _ := fig1Cloud(t)
+	c, w, _, _, _ := fig1Cloud(t)
 	m := meter.New()
 	c.SetBiller(m)
-	src, _ := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
-	dst, _ := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
-	pb.SetPermitList("acme", dst, []permit.Entry{addr.NewPrefix(src, 32)})
-	conn, err := c.Connect("acme", src, dst, ConnectOpts{SizeBytes: -1})
+	src, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	dst, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
+	c.Tenant("acme").SetPermitList(dst, []permit.Entry{addr.NewPrefix(src, 32)})
+	conn, err := c.Tenant("acme").Connect(src, dst, ConnectOpts{SizeBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,7 +129,7 @@ func (ex *Explanation) failStep(stage, detail, cause string) {
 	ex.Reachable = false
 }
 
-// Explain replays the Connect datapath for a hypothetical flow from a
+// explain replays the Connect datapath for a hypothetical flow from a
 // tenant's EIP to dst (EIP or SIP), without taking any decision: the
 // balancer is previewed, not advanced; the permit engine's lookup counter
 // is untouched. Every stage appends a verdict, the first failure sets
@@ -139,7 +139,7 @@ func (ex *Explanation) failStep(stage, detail, cause string) {
 // Like Connect and Probe, Explain holds both endpoints' shard read locks
 // (deterministic order), so a mutation storm in an unrelated shard never
 // stalls a diagnosis.
-func (c *Cloud) Explain(tenant string, src EIP, dst addr.IP) (*Explanation, error) {
+func (c *Cloud) explain(tenant string, src EIP, dst addr.IP) (*Explanation, error) {
 	defer c.shards.rlockShards(c.shardKeyOf(tenant, src), c.shardKeyOf(tenant, dst))()
 	srcProv, ok := c.providerOfAddr(src)
 	if !ok {
@@ -317,11 +317,6 @@ func (c *Cloud) TenantResources() map[string]ResourceCounts {
 		for tenant, regions := range p.quotas {
 			rc := out[tenant]
 			rc.Quotas += len(regions)
-			out[tenant] = rc
-		}
-		for tenant, groups := range p.groups {
-			rc := out[tenant]
-			rc.Groups += len(groups)
 			out[tenant] = rc
 		}
 		p.polMu.RUnlock()

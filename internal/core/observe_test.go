@@ -30,7 +30,7 @@ func TestExplainHealthyPath(t *testing.T) {
 	c.EnableObservability(obs.NewTracer(0), metrics.NewRegistry())
 	c.Eng.RunUntil(500 * time.Millisecond)
 
-	ex, err := c.Explain("acme", client, sip)
+	ex, err := c.Tenant("acme").Explain(client, sip)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestExplainHealthyPath(t *testing.T) {
 		t.Fatalf("balancer step = %+v", bal)
 	}
 	// Explain must not advance the balancer: Preview twice, same backend.
-	ex2, err := c.Explain("acme", client, sip)
+	ex2, err := c.Tenant("acme").Explain(client, sip)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,18 +67,18 @@ func TestExplainHealthyPath(t *testing.T) {
 }
 
 func TestExplainPermitDeny(t *testing.T) {
-	c, w, pa, pb, _ := fig1Cloud(t)
+	c, w, _, _, _ := fig1Cloud(t)
 	c.EnableObservability(obs.NewTracer(0), nil)
-	client, err := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	client, err := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst, err := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
+	dst, err := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// No permit list at all: pure default-off.
-	ex, err := c.Explain("acme", client, dst)
+	ex, err := c.Tenant("acme").Explain(client, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,10 +90,10 @@ func TestExplainPermitDeny(t *testing.T) {
 	}
 	// A list that excludes the client: deny with different evidence.
 	other := addr.NewPrefix(client+1, 32)
-	if err := pb.SetPermitList("acme", dst, []permit.Entry{other}); err != nil {
+	if err := c.Tenant("acme").SetPermitList(dst, []permit.Entry{other}); err != nil {
 		t.Fatal(err)
 	}
-	ex, err = c.Explain("acme", client, dst)
+	ex, err = c.Tenant("acme").Explain(client, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestExplainNamesNodeAndRegionFaults(t *testing.T) {
 		}
 	})
 	c.Eng.RunUntil(time.Second + policy.DetectDelay() + policy.HealthInterval)
-	ex, err := c.Explain("acme", client, sip)
+	ex, err := c.Tenant("acme").Explain(client, sip)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestExplainNamesNodeAndRegionFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Eng.RunUntil(c.Eng.Now() + policy.DetectDelay() + policy.HealthInterval)
-	ex, err = c.Explain("acme", client, sip)
+	ex, err = c.Tenant("acme").Explain(client, sip)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,15 +146,15 @@ func TestExplainNamesNodeAndRegionFaults(t *testing.T) {
 
 func TestExplainPendingPermit(t *testing.T) {
 	policy := FaultPolicy{HealthInterval: 100 * time.Millisecond, DownAfter: 2}
-	c, w, pa, pb, _ := fig1Cloud(t)
+	c, w, _, _, _ := fig1Cloud(t)
 	m := c.EnableFaults(policy)
 	c.EnableObservability(obs.NewTracer(0), metrics.NewRegistry())
-	client, err := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	client, err := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	node := topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1)
-	dst, err := pb.RequestEIP("acme", node)
+	dst, err := c.Tenant("acme").RequestEIP(node)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,10 +163,10 @@ func TestExplainPendingPermit(t *testing.T) {
 	if err := m.Inj.FailNode(node); err != nil {
 		t.Fatal(err)
 	}
-	if err := pb.SetPermitList("acme", dst, []permit.Entry{addr.NewPrefix(client, 32)}); err != nil {
+	if err := c.Tenant("acme").SetPermitList(dst, []permit.Entry{addr.NewPrefix(client, 32)}); err != nil {
 		t.Fatal(err)
 	}
-	ex, err := c.Explain("acme", client, dst)
+	ex, err := c.Tenant("acme").Explain(client, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestExplainPendingPermit(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Eng.RunUntil(c.Eng.Now() + 3*policy.withDefaults().PermitRetryInterval)
-	ex, err = c.Explain("acme", client, dst)
+	ex, err = c.Tenant("acme").Explain(client, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,15 +195,15 @@ func TestExplainPendingPermit(t *testing.T) {
 }
 
 func TestExplainUnknownTenant(t *testing.T) {
-	c, w, pa, _, _ := fig1Cloud(t)
-	client, err := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	c, w, _, _, _ := fig1Cloud(t)
+	client, err := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Explain("mallory", client, client); err == nil {
+	if _, err := c.Tenant("mallory").Explain(client, client); err == nil {
 		t.Fatal("foreign tenant could explain another tenant's EIP")
 	}
-	if _, err := c.Explain("acme", client, addr.IP(1)); err == nil {
+	if _, err := c.Tenant("acme").Explain(client, addr.IP(1)); err == nil {
 		t.Fatal("ungranted destination did not error")
 	}
 }
@@ -214,7 +214,7 @@ func TestConnectTracesDecisions(t *testing.T) {
 	tr := obs.NewTracer(0)
 	reg := metrics.NewRegistry()
 	c.EnableObservability(tr, reg)
-	cn, err := c.Connect("acme", client, sip, ConnectOpts{SizeBytes: 1e3})
+	cn, err := c.Tenant("acme").Connect(client, sip, ConnectOpts{SizeBytes: 1e3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestConnectTracesDecisions(t *testing.T) {
 		t.Fatalf("connects ok counter = %d, want 1", got)
 	}
 	// A denied connect traces the deny with evidence.
-	if _, err := c.Connect("acme", client, client, ConnectOpts{}); err == nil {
+	if _, err := c.Tenant("acme").Connect(client, client, ConnectOpts{}); err == nil {
 		t.Fatal("self-connect without permit list should deny")
 	}
 	var sawDeny bool

@@ -32,8 +32,8 @@ func shareArray(a, b []addr.Prefix) bool {
 }
 
 // TestDeclaredAndInstalledPermitParity drives random set_permit / permit
-// / revoke ops — repeated entries, nested prefixes, provider- and
-// cloud-level groups that overlap and share a name — through Cloud.Apply
+// / revoke ops — repeated entries, nested prefixes, groups whose
+// members overlap and span providers — through Cloud.Apply
 // with a journal attached, while an endpoint's node fails and heals now
 // and then, so set_permits to it defer until the node answers. Each verb
 // derives its target's list once and both stores keep it, so after every
@@ -63,7 +63,7 @@ func TestDeclaredAndInstalledPermitParity(t *testing.T) {
 		}
 		return a
 	}
-	// Group members must be EIPs, a provider's own group that provider's.
+	// Group members must be EIPs; a group may span providers.
 	eips := map[string][]addr.IP{}
 	for i := 1; i <= 2; i++ {
 		eips[pa.Name] = append(eips[pa.Name],
@@ -77,29 +77,22 @@ func TestDeclaredAndInstalledPermitParity(t *testing.T) {
 		apply(intent.Op{Verb: intent.OpRequestSIP, Provider: pa.Name}),
 		apply(intent.Op{Verb: intent.OpRequestSIP, Provider: pb.Name}))
 
-	// Group tables as the model sees them: a provider's own table shadows
-	// the cloud's for a set_permit run on that provider.
+	// The group table as the model sees it.
 	rng := rand.New(rand.NewSource(24))
 	groupNames := []string{"web", "fleet"}
-	provGroups := map[string]map[string][]addr.IP{pa.Name: {}, pb.Name: {}}
-	cloudGroups := map[string][]addr.IP{}
+	groups := map[string][]addr.IP{}
 	regroup := func() {
 		name := groupNames[rng.Intn(len(groupNames))]
-		prov := []string{"", pa.Name, pb.Name}[rng.Intn(3)]
 		members := make([]addr.IP, 1+rng.Intn(4))
 		for i := range members {
-			members[i] = eips[prov][rng.Intn(len(eips[prov]))] // may repeat
+			members[i] = eips[""][rng.Intn(len(eips[""]))] // may repeat
 		}
-		if prov != "" {
-			provGroups[prov][name] = members
-		} else {
-			cloudGroups[name] = members
-		}
-		apply(intent.Op{Verb: intent.OpCreateGroup, Provider: prov, Name: name, Members: members})
+		groups[name] = members
+		apply(intent.Op{Verb: intent.OpCreateGroup, Name: name, Members: members})
 	}
 	for _, name := range groupNames { // every reference resolves from the start
-		cloudGroups[name] = []addr.IP{targets[0]}
-		apply(intent.Op{Verb: intent.OpCreateGroup, Name: name, Members: cloudGroups[name]})
+		groups[name] = []addr.IP{targets[0]}
+		apply(intent.Op{Verb: intent.OpCreateGroup, Name: name, Members: groups[name]})
 	}
 
 	pool := []addr.Prefix{pfx("0.0.0.0/0"), pfx("100.64.0.0/10"), pfx("100.64.0.0/16"), pfx("100.64.0.0/32"), pfx("10.0.0.0/8")}
@@ -118,7 +111,6 @@ func TestDeclaredAndInstalledPermitParity(t *testing.T) {
 	var down topo.NodeID // the failed node, "" when none is
 	for step := 0; step < 600; step++ {
 		target := targets[rng.Intn(len(targets))]
-		owner, _ := c.ProviderOf(target)
 		switch rng.Intn(8) {
 		case 0:
 			regroup()
@@ -134,11 +126,7 @@ func TestDeclaredAndInstalledPermitParity(t *testing.T) {
 					continue
 				}
 				op.Groups = append(op.Groups, g)
-				members, ok := provGroups[owner.Name][g]
-				if !ok {
-					members = cloudGroups[g]
-				}
-				for _, m := range members {
+				for _, m := range groups[g] {
 					want[addr.NewPrefix(m, 32)] = true
 				}
 			}
@@ -238,7 +226,7 @@ func TestStoresNeverAppendIntoASharedList(t *testing.T) {
 		t.Fatal(err)
 	}
 	node := topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1)
-	target, err := pa.RequestEIP("acme", node)
+	target, err := c.Tenant("acme").RequestEIP(node)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,20 +234,20 @@ func TestStoresNeverAppendIntoASharedList(t *testing.T) {
 	if err := m.Inj.FailNode(node); err != nil {
 		t.Fatal(err)
 	}
-	if err := pa.SetPermitList("acme", target, []permit.Entry{a, a}); err != nil {
+	if err := c.Tenant("acme").SetPermitList(target, []permit.Entry{a, a}); err != nil {
 		t.Fatal(err)
 	}
 	if pl, _ := l.Permit(target); cap(pl.Entries) == len(pl.Entries) {
 		t.Fatalf("declared %v has no spare capacity; the case needs some", pl.Entries)
 	}
-	if err := pa.Permit("acme", target, b); err != nil { // declared [a b]
+	if err := c.Tenant("acme").Permit(target, b); err != nil { // declared [a b]
 		t.Fatal(err)
 	}
 	if err := m.Inj.RestoreNode(node); err != nil {
 		t.Fatal(err)
 	}
 	c.Eng.RunUntil(c.Eng.Now() + time.Second) // installs the deferred [a]
-	if err := pa.Permit("acme", target, d); err != nil {
+	if err := c.Tenant("acme").Permit(target, d); err != nil {
 		t.Fatal(err)
 	}
 	want := []addr.Prefix{a, b, d}

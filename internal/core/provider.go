@@ -18,9 +18,9 @@
 // shard.go. Every mutation goes through Cloud.Apply (apply.go), which
 // takes the verb's shard write lock, so verbs in different shards run
 // concurrently; the read plane (Connect admission, Probe, Explain) takes
-// shard read locks in deterministic order. The exported verb methods
-// here are shims over Apply; the unexported bodies assume the caller
-// already holds the right lock.
+// shard read locks in deterministic order. Tenant (tenant.go) is the
+// only Go facade for the verbs; the unexported bodies here assume the
+// caller already holds the right lock.
 package core
 
 import (
@@ -98,8 +98,8 @@ type Provider struct {
 	// the target's /16 block.
 	Permits *permit.Engine
 
-	// polMu guards the per-tenant policy maps below (potato, quotas,
-	// groups): low-traffic state shared across the tenant's shards.
+	// polMu guards the per-tenant policy maps below (potato, quotas):
+	// low-traffic state shared across the tenant's shards.
 	polMu sync.RWMutex
 
 	// potato holds each tenant's transit profile (default hot, §4 QoS).
@@ -108,18 +108,13 @@ type Provider struct {
 	// quotas holds per-(tenant,region) egress limiters.
 	quotas map[string]map[string]*tenantQuota
 
-	// groups: the grouping extension — named EIP sets usable as permit
-	// sources (§4's "grouping mechanism ... could easily be built into
-	// our API as an extension").
-	groups map[string]map[string][]EIP // tenant -> group -> members
-
 	// defaultVMEgress is the standard per-VM egress guarantee adopted
 	// unchanged from today's clouds (§4 QoS).
 	defaultVMEgress float64
 
-	// cloud is the enclosing Cloud: the verb shims below route through
-	// its Apply, and its shard table, SLO plane, intent store, fault
-	// monitor and decision tracer are the ones every verb uses.
+	// cloud is the enclosing Cloud: its shard table, SLO plane, intent
+	// store, fault monitor and decision tracer are the ones every verb
+	// body uses.
 	cloud *Cloud
 
 	// meter, when set, records billable usage (see package meter).
@@ -199,7 +194,6 @@ func newProvider(name string, eng *sim.Engine, g *topo.Graph, net *netsim.Networ
 		Permits:         permit.NewEngine(),
 		potato:          make(map[string]qos.PotatoPolicy),
 		quotas:          make(map[string]map[string]*tenantQuota),
-		groups:          make(map[string]map[string][]EIP),
 		defaultVMEgress: cfg.DefaultVMEgress,
 	}
 	p.cfg = cfg
@@ -235,7 +229,7 @@ func (p *Provider) Regions() []string {
 }
 
 // regionShardKey is the tenant's shard for a region of this provider by
-// name ("" = the provider-wide shard: SIP plane, potato, groups).
+// name ("" = the provider-wide shard: SIP plane, potato).
 func (p *Provider) regionShardKey(tenant, region string) ShardKey {
 	if region == "" {
 		return ShardKey{Tenant: tenant, Region: p.Name}
@@ -249,21 +243,6 @@ func (p *Provider) regionShardKey(tenant, region string) ShardKey {
 
 // lockShard takes shard k's write lock (the reconciler's repairs).
 func (p *Provider) lockShard(k ShardKey) func() { return p.cloud.shards.lockShard(k) }
-
-// do applies one op through the cloud's verb path, for verbs that
-// return no address.
-func (p *Provider) do(tenant string, op intent.Op) error {
-	_, err := p.cloud.Apply(tenant, op)
-	return err
-}
-
-// RequestEIP grants an endpoint IP to a tenant's VM (Table 2:
-// request_eip(vm_id)). The VM is a host node of this provider; its region
-// determines which dense block the flat address comes from. The endpoint
-// starts default-off: nothing can reach it until set_permit_list.
-func (p *Provider) RequestEIP(tenant string, vm topo.NodeID) (EIP, error) {
-	return p.cloud.Apply(tenant, intent.Op{Verb: intent.OpRequestEIP, Provider: p.Name, VM: string(vm)})
-}
 
 // requestEIP is request_eip's body for the VM node n, which the endpoint
 // records by n's own ID.
@@ -295,11 +274,9 @@ func (p *Provider) requestEIP(tenant string, n *topo.Node) (EIP, error) {
 	return eip, nil
 }
 
-// ReleaseEIP returns the endpoint address and tears down its permit state.
-func (p *Provider) ReleaseEIP(tenant string, eip EIP) error {
-	return p.do(tenant, intent.Op{Verb: intent.OpReleaseEIP, Addr: eip})
-}
-
+// releaseEIP is release_eip's body: the address leaves every balancer,
+// its permit list, and the tenant's groups and names before its pool
+// may hand it to someone else.
 func (p *Provider) releaseEIP(tenant string, eip EIP) error {
 	ep, err := p.owned(tenant, eip)
 	if err != nil {
@@ -311,16 +288,12 @@ func (p *Provider) releaseEIP(tenant string, eip EIP) error {
 	}
 	p.Permits.Drop(eip)
 	p.addrs.delEndpoint(eip)
+	p.cloud.forget(tenant, eip)
 	p.cloud.tenantDelta(tenant, -1)
 	if p.meter != nil {
 		p.meter.ReleaseEIP(tenant, p.eng.Now())
 	}
 	return p.eipBlocks[ep.region].pool.Release(eip)
-}
-
-// RequestSIP grants a service IP (Table 2: request_sip()).
-func (p *Provider) RequestSIP(tenant string) (SIP, error) {
-	return p.cloud.Apply(tenant, intent.Op{Verb: intent.OpRequestSIP, Provider: p.Name})
 }
 
 func (p *Provider) requestSIP(tenant string) (SIP, error) {
@@ -336,11 +309,6 @@ func (p *Provider) requestSIP(tenant string) (SIP, error) {
 	return sip, nil
 }
 
-// ReleaseSIP tears down a service address.
-func (p *Provider) ReleaseSIP(tenant string, sip SIP) error {
-	return p.do(tenant, intent.Op{Verb: intent.OpReleaseSIP, Addr: sip})
-}
-
 func (p *Provider) releaseSIP(tenant string, sip SIP) error {
 	svc, ok := p.addrs.getService(sip)
 	if !ok || svc.tenant != tenant {
@@ -348,17 +316,12 @@ func (p *Provider) releaseSIP(tenant string, sip SIP) error {
 	}
 	p.Permits.Drop(sip)
 	p.addrs.delService(sip)
+	p.cloud.forget(tenant, sip)
 	p.cloud.tenantDelta(tenant, -1)
 	if p.meter != nil {
 		p.meter.ReleaseSIP(tenant, p.eng.Now())
 	}
 	return p.sipBlock.Release(sip)
-}
-
-// Bind associates an EIP with a SIP (Table 2: bind(eip, sip)) with the
-// optional weight extension; the provider owns all load balancing.
-func (p *Provider) Bind(tenant string, eip EIP, sip SIP, weight int) error {
-	return p.do(tenant, intent.Op{Verb: intent.OpBind, EIP: eip, SIP: sip, Weight: weight})
 }
 
 func (p *Provider) bind(tenant string, eip EIP, sip SIP, weight int) error {
@@ -373,11 +336,6 @@ func (p *Provider) bind(tenant string, eip EIP, sip SIP, weight int) error {
 	return nil
 }
 
-// Unbind removes an EIP from a SIP with connection draining.
-func (p *Provider) Unbind(tenant string, eip EIP, sip SIP) error {
-	return p.do(tenant, intent.Op{Verb: intent.OpUnbind, EIP: eip, SIP: sip})
-}
-
 func (p *Provider) unbind(tenant string, eip EIP, sip SIP) error {
 	svc, ok := p.addrs.getService(sip)
 	if !ok || svc.tenant != tenant {
@@ -387,13 +345,6 @@ func (p *Provider) unbind(tenant string, eip EIP, sip SIP) error {
 		return fmt.Errorf("core: unbind %s from %s: %w", eip, sip, err)
 	}
 	return nil
-}
-
-// SetPermitList replaces the permit list guarding an EIP or SIP (Table 2:
-// set_permit_list(eip, permit_list)). Group references expand to their
-// current membership.
-func (p *Provider) SetPermitList(tenant string, target addr.IP, entries []permit.Entry, groupRefs ...string) error {
-	return p.do(tenant, intent.Op{Verb: intent.OpSetPermit, Target: target, Entries: entries, Groups: groupRefs})
 }
 
 // setPermitList is set_permit's body. It derives the target's new list
@@ -408,12 +359,7 @@ func (p *Provider) setPermitList(tenant string, op *intent.Op) error {
 	}
 	all := slices.Clip(op.Entries) // appends below copy, never write into the op
 	for _, gname := range op.Groups {
-		p.polMu.RLock()
-		members, ok := p.groups[tenant][gname]
-		p.polMu.RUnlock()
-		if !ok {
-			members, ok = p.cloud.groupMembers(tenant, gname)
-		}
+		members, ok := p.cloud.groupMembers(tenant, gname)
 		if !ok {
 			return fmt.Errorf("core: unknown group %q", gname)
 		}
@@ -440,16 +386,6 @@ func (p *Provider) setPermitList(tenant string, op *intent.Op) error {
 	p.cloud.traceEvent(tenant, obs.Decision{Kind: obs.PermitUpdate, Dst: target, Verdict: obs.OK,
 		Entries: uint32(len(all)), Epoch: epoch})
 	return nil
-}
-
-// Permit incrementally allows one source.
-func (p *Provider) Permit(tenant string, target addr.IP, entry permit.Entry) error {
-	return p.do(tenant, intent.Op{Verb: intent.OpPermit, Target: target, Entries: []permit.Entry{entry}})
-}
-
-// Revoke incrementally removes one source.
-func (p *Provider) Revoke(tenant string, target addr.IP, entry permit.Entry) error {
-	return p.do(tenant, intent.Op{Verb: intent.OpRevoke, Target: target, Entries: []permit.Entry{entry}})
 }
 
 // permitEntries is the body of permit (add each of op's entries) and
@@ -480,12 +416,6 @@ func (p *Provider) permitEntries(tenant string, op *intent.Op) error {
 	return nil
 }
 
-// SetQoS sets the tenant's regional egress-bandwidth allowance (Table 2:
-// set_qos(region, bandwidth)).
-func (p *Provider) SetQoS(tenant, region string, bandwidth float64) error {
-	return p.do(tenant, intent.Op{Verb: intent.OpSetQoS, Provider: p.Name, Region: region, Bps: bandwidth})
-}
-
 func (p *Provider) setQoS(tenant, region string, bandwidth float64) error {
 	if _, ok := p.eipBlocks[region]; !ok {
 		return fmt.Errorf("core: unknown region %q", region)
@@ -505,13 +435,6 @@ func (p *Provider) setQoS(tenant, region string, bandwidth float64) error {
 		p.meter.SetQuota(tenant, p.eng.Now(), total)
 	}
 	return nil
-}
-
-// SetPotato selects the tenant's transit profile (hot/cold/dedicated-
-// approximation; §4 QoS "adopt this option unchanged").
-func (p *Provider) SetPotato(tenant string, policy qos.PotatoPolicy) {
-	// Cannot fail: p is registered and a PotatoPolicy names itself.
-	_ = p.do(tenant, intent.Op{Verb: intent.OpSetPotato, Provider: p.Name, Policy: policy.String()})
 }
 
 func (p *Provider) setPotato(tenant string, policy qos.PotatoPolicy) {
@@ -550,37 +473,12 @@ func (p *Provider) quotaOf(tenant, region string) (*tenantQuota, bool) {
 	return tq, ok
 }
 
-// SetVMEgressCap overrides the per-VM egress guarantee for one endpoint.
-func (p *Provider) SetVMEgressCap(tenant string, eip EIP, bps float64) error {
-	return p.do(tenant, intent.Op{Verb: intent.OpSetVMEgress, EIP: eip, Bps: bps})
-}
-
 func (p *Provider) setVMEgressCap(tenant string, eip EIP, bps float64) error {
 	ep, err := p.owned(tenant, eip)
 	if err == nil {
 		ep.egressCap = bps
 	}
 	return err
-}
-
-// CreateGroup defines or replaces a named endpoint group (extension).
-func (p *Provider) CreateGroup(tenant, name string, members ...EIP) error {
-	return p.do(tenant, intent.Op{Verb: intent.OpCreateGroup, Provider: p.Name, Name: name, Members: members})
-}
-
-func (p *Provider) createGroup(tenant, name string, members []EIP) error {
-	for _, m := range members {
-		if _, err := p.owned(tenant, m); err != nil {
-			return err
-		}
-	}
-	p.polMu.Lock()
-	if p.groups[tenant] == nil {
-		p.groups[tenant] = make(map[string][]EIP)
-	}
-	p.groups[tenant][name] = append([]EIP(nil), members...)
-	p.polMu.Unlock()
-	return nil
 }
 
 // MarkHealth is the provider health checker's signal for a bound backend.

@@ -62,7 +62,7 @@ func TestIncrementalSweepParity(t *testing.T) {
 			switch rng.Intn(4) {
 			case 0:
 				p := pfx(fmt.Sprintf("10.%d.0.0/16", rng.Intn(40)))
-				if err := iw.pa.Permit("acme", iw.eip1, p); err != nil {
+				if err := iw.c.Tenant("acme").Permit(iw.eip1, p); err != nil {
 					t.Fatal(err)
 				}
 			case 1:
@@ -70,16 +70,16 @@ func TestIncrementalSweepParity(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					entries = append(entries, pfx(fmt.Sprintf("172.16.%d.0/24", rng.Intn(40))))
 				}
-				if err := iw.pb.SetPermitList("acme", iw.dst, entries); err != nil {
+				if err := iw.c.Tenant("acme").SetPermitList(iw.dst, entries); err != nil {
 					t.Fatal(err)
 				}
 			case 2:
-				if err := iw.pa.SetQoS("acme", iw.w.RegionsA[0], float64(1+rng.Intn(9))*1e8); err != nil {
+				if err := iw.c.Tenant("acme").SetQoS(iw.pa.Name, iw.w.RegionsA[0], float64(1+rng.Intn(9))*1e8); err != nil {
 					t.Fatal(err)
 				}
 			case 3:
-				if err := iw.pa.Unbind("acme", iw.eip2, iw.sip); err == nil {
-					if err := iw.pa.Bind("acme", iw.eip2, iw.sip, 1+rng.Intn(3)); err != nil {
+				if err := iw.c.Tenant("acme").Unbind(iw.eip2, iw.sip); err == nil {
+					if err := iw.c.Tenant("acme").Bind(iw.eip2, iw.sip, 1+rng.Intn(3)); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -218,13 +218,13 @@ func TestSweepVisitsEachTargetOnce(t *testing.T) {
 			}
 			// Mark the list and the service dirty through journaled verbs,
 			// then corrupt both behind the recorder's back.
-			if err := pb.Permit("acme", dst, pfx("10.9.0.0/16")); err != nil {
+			if err := c.Tenant("acme").Permit(dst, pfx("10.9.0.0/16")); err != nil {
 				t.Fatal(err)
 			}
-			if err := pa.Unbind("acme", eip2, sip); err != nil {
+			if err := c.Tenant("acme").Unbind(eip2, sip); err != nil {
 				t.Fatal(err)
 			}
-			if err := pa.Bind("acme", eip2, sip, 1); err != nil {
+			if err := c.Tenant("acme").Bind(eip2, sip, 1); err != nil {
 				t.Fatal(err)
 			}
 			if !c.DriftWipePermit(dst) || !c.DriftUnbind(sip, eip2) {
@@ -267,11 +267,11 @@ func TestSteadyStateSweepIsOneKthOfTheWorld(t *testing.T) {
 	populate(t, c, w, pa, pb)
 	// Enough declared lists that sixteen slices each have some to hold.
 	for i := 0; i < 48; i++ {
-		eip, err := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[i%len(w.RegionsB)], "az1", 1+i%2))
+		eip, err := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[i%len(w.RegionsB)], "az1", 1+i%2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := pb.SetPermitList("acme", eip, []addr.Prefix{pfx(fmt.Sprintf("10.%d.0.0/16", i))}); err != nil {
+		if err := c.Tenant("acme").SetPermitList(eip, []addr.Prefix{pfx(fmt.Sprintf("10.%d.0.0/16", i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -322,7 +322,7 @@ func TestRestoreIntentWorkersParallel(t *testing.T) {
 	}
 	defer l2.Close()
 	for _, workers := range []int{1, 4} {
-		c2, w2, pa2, _, _ := fig1Cloud(t)
+		c2, w2, _, _, _ := fig1Cloud(t)
 		if err := c2.RestoreIntentWorkers(l2.State(), workers); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -333,11 +333,11 @@ func TestRestoreIntentWorkersParallel(t *testing.T) {
 			t.Errorf("workers=%d: recovered world rejects a declared-permitted flow", workers)
 		}
 		// Pool cursors restored: the next grant matches the live world's.
-		nextLive, err := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az2", 2))
+		nextLive, err := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az2", 2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		nextRec, err := pa2.RequestEIP("acme", topo.HostID(w2.CloudA, w2.RegionsA[0], "az2", 2))
+		nextRec, err := c2.Tenant("acme").RequestEIP(topo.HostID(w2.CloudA, w2.RegionsA[0], "az2", 2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,7 +346,7 @@ func TestRestoreIntentWorkersParallel(t *testing.T) {
 		}
 		// Rewind the live pool so the next loop iteration compares from
 		// the same cursor.
-		if err := pa.ReleaseEIP("acme", nextLive); err != nil {
+		if err := c.Tenant("acme").ReleaseEIP(nextLive); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -386,10 +386,10 @@ func TestSweepAfterOneMutationCopiesNothingWorldSized(t *testing.T) {
 	eips := make([]addr.IP, endpoints)
 	for i := range eips {
 		h := homes[i%len(homes)]
-		if eips[i], err = h.p.RequestEIP("acme", h.vm); err != nil {
+		if eips[i], err = c.Tenant("acme").RequestEIP(h.vm); err != nil {
 			t.Fatal(err)
 		}
-		if err := h.p.SetPermitList("acme", eips[i], lists[0]); err != nil {
+		if err := c.Tenant("acme").SetPermitList(eips[i], lists[0]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -399,7 +399,7 @@ func TestSweepAfterOneMutationCopiesNothingWorldSized(t *testing.T) {
 	var before, after runtime.MemStats
 	for phase := 0; phase < 8; phase++ {
 		i := phase * 2477 % endpoints
-		if err := homes[i%len(homes)].p.SetPermitList("acme", eips[i], lists[1]); err != nil {
+		if err := c.Tenant("acme").SetPermitList(eips[i], lists[1]); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&before)

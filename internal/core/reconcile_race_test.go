@@ -127,16 +127,16 @@ func (cw *churnWorker) step(c *Cloud, rng *rand.Rand) error {
 	}
 	switch rng.Intn(6) {
 	case 0:
-		return cw.p.SetPermitList(cw.tenant, cw.eips[rng.Intn(2)], entries())
+		return c.Tenant(cw.tenant).SetPermitList(cw.eips[rng.Intn(2)], entries())
 	case 1:
 		i := rng.Intn(2)
 		cw.bound[i] = !cw.bound[i]
 		if cw.bound[i] {
-			return cw.p.Bind(cw.tenant, cw.eips[i], cw.sip, 1+rng.Intn(3))
+			return c.Tenant(cw.tenant).Bind(cw.eips[i], cw.sip, 1+rng.Intn(3))
 		}
 		// The bind was acknowledged; a sweep reverting it would make
 		// this unbind fail.
-		return cw.p.Unbind(cw.tenant, cw.eips[i], cw.sip)
+		return c.Tenant(cw.tenant).Unbind(cw.eips[i], cw.sip)
 	case 2:
 		// One shard, with back-references: grant, guard, release.
 		_, err := c.ApplyBatch(cw.tenant, []BatchOp{
@@ -182,7 +182,7 @@ func (cw *churnWorker) step(c *Cloud, rng *rand.Rand) error {
 	default:
 		// Cross-shard read; whether the far list admits us right now is
 		// not the point, taking both shards beside the writers is.
-		c.Probe(cw.tenant, cw.eips[0], cw.farEIP)
+		c.Tenant(cw.tenant).Probe(cw.eips[0], cw.farEIP)
 		return nil
 	}
 }
@@ -223,14 +223,14 @@ func TestSweepNeverRevertsMutations(t *testing.T) {
 		h := homes[i%2]
 		cw := &churnWorker{tenant: h.tenant, p: h.p, far: h.far, vm: h.vm, flip: i >= 2}
 		for j := range cw.eips {
-			if cw.eips[j], err = h.p.RequestEIP(h.tenant, h.vm); err != nil {
+			if cw.eips[j], err = c.Tenant(h.tenant).RequestEIP(h.vm); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if cw.farEIP, err = h.far.RequestEIP(h.tenant, h.fvm); err != nil {
+		if cw.farEIP, err = c.Tenant(h.tenant).RequestEIP(h.fvm); err != nil {
 			t.Fatal(err)
 		}
-		if cw.sip, err = h.p.RequestSIP(h.tenant); err != nil {
+		if cw.sip, err = c.Tenant(h.tenant).RequestSIP(h.p.Name); err != nil {
 			t.Fatal(err)
 		}
 		workers = append(workers, cw)
@@ -316,11 +316,11 @@ func TestSweepSharesEntriesWithTheirWriters(t *testing.T) {
 		h := homes[i%2]
 		wr := &told{p: h.p, entries: map[permit.Entry]bool{}}
 		for j := range wr.eips {
-			if wr.eips[j], err = h.p.RequestEIP("acme", h.vm); err != nil {
+			if wr.eips[j], err = c.Tenant("acme").RequestEIP(h.vm); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if wr.sip, err = h.p.RequestSIP("acme"); err != nil {
+		if wr.sip, err = c.Tenant("acme").RequestSIP(h.p.Name); err != nil {
 			t.Fatal(err)
 		}
 		writers[i] = wr
@@ -339,23 +339,23 @@ func TestSweepSharesEntriesWithTheirWriters(t *testing.T) {
 				i := rng.Intn(2)
 				switch rng.Intn(5) {
 				case 0:
-					err = wr.p.Permit("acme", wr.eips[0], e)
+					err = c.Tenant("acme").Permit(wr.eips[0], e)
 					wr.entries[e] = true
 				case 1:
-					err = wr.p.Revoke("acme", wr.eips[0], e)
+					err = c.Tenant("acme").Revoke(wr.eips[0], e)
 					delete(wr.entries, e)
 				case 2:
 					wr.weight[i] = 1 + rng.Intn(4)
-					err = wr.p.Bind("acme", wr.eips[i], wr.sip, wr.weight[i])
+					err = c.Tenant("acme").Bind(wr.eips[i], wr.sip, wr.weight[i])
 				case 3:
 					if wr.weight[i] == 0 {
 						continue
 					}
 					wr.weight[i] = 0
-					err = wr.p.Unbind("acme", wr.eips[i], wr.sip)
+					err = c.Tenant("acme").Unbind(wr.eips[i], wr.sip)
 				case 4:
 					wr.egress = float64(1+rng.Intn(9)) * 1e8
-					err = wr.p.SetVMEgressCap("acme", wr.eips[0], wr.egress)
+					err = c.Tenant("acme").SetVMEgressCap(wr.eips[0], wr.egress)
 				}
 				if err != nil {
 					t.Errorf("step %d: %v", n, err)

@@ -70,7 +70,7 @@ func runParityScript(t *testing.T, c *Cloud, pt parityTenant, script []parityOp)
 	for _, op := range script {
 		switch op.kind {
 		case 0:
-			eip, err := p.RequestEIP(pt.name, pt.hosts[op.host%len(pt.hosts)])
+			eip, err := c.Tenant(pt.name).RequestEIP(pt.hosts[op.host%len(pt.hosts)])
 			if err != nil {
 				t.Errorf("%s: grant: %v", pt.name, err)
 				return granted
@@ -81,7 +81,7 @@ func runParityScript(t *testing.T, c *Cloud, pt parityTenant, script []parityOp)
 				continue
 			}
 			i := op.idx % len(granted)
-			if err := p.ReleaseEIP(pt.name, granted[i]); err != nil {
+			if err := c.Tenant(pt.name).ReleaseEIP(granted[i]); err != nil {
 				t.Errorf("%s: release: %v", pt.name, err)
 				return granted
 			}
@@ -96,7 +96,7 @@ func runParityScript(t *testing.T, c *Cloud, pt parityTenant, script []parityOp)
 				addr.NewPrefix(src, 32),
 				addr.NewPrefix(addr.IP(0xc0a80000|op.extra&0xffff), 32), // 192.168.x.x filler
 			}
-			if err := p.SetPermitList(pt.name, target, entries); err != nil {
+			if err := c.Tenant(pt.name).SetPermitList(target, entries); err != nil {
 				t.Errorf("%s: set_permit: %v", pt.name, err)
 				return granted
 			}
@@ -105,7 +105,7 @@ func runParityScript(t *testing.T, c *Cloud, pt parityTenant, script []parityOp)
 				continue
 			}
 			target := granted[op.idx%len(granted)]
-			if err := p.Permit(pt.name, target, addr.NewPrefix(addr.IP(0xc0a80000|op.extra&0xffff), 32)); err != nil {
+			if err := c.Tenant(pt.name).Permit(target, addr.NewPrefix(addr.IP(0xc0a80000|op.extra&0xffff), 32)); err != nil {
 				t.Errorf("%s: permit: %v", pt.name, err)
 				return granted
 			}
@@ -115,9 +115,9 @@ func runParityScript(t *testing.T, c *Cloud, pt parityTenant, script []parityOp)
 			}
 			target := granted[op.idx%len(granted)]
 			// Revoking an entry that may not exist is a valid no-op.
-			_ = p.Revoke(pt.name, target, addr.NewPrefix(addr.IP(0xc0a80000|op.extra&0xffff), 32))
+			_ = c.Tenant(pt.name).Revoke(target, addr.NewPrefix(addr.IP(0xc0a80000|op.extra&0xffff), 32))
 		case 5:
-			if err := p.SetQoS(pt.name, pt.region, op.bw); err != nil {
+			if err := c.Tenant(pt.name).SetQoS(p.Name, pt.region, op.bw); err != nil {
 				t.Errorf("%s: set_qos: %v", pt.name, err)
 				return granted
 			}
@@ -147,15 +147,8 @@ func TestPropertyShardParity(t *testing.T) {
 				} else {
 					c = NewCloud(seed, w.Graph)
 				}
-				for _, spec := range []struct{ name, eip, sip string }{
-					{w.CloudA, "100.64.0.0/10", "100.127.0.0/16"},
-					{w.CloudB, "104.0.0.0/8", "104.255.0.0/16"},
-				} {
-					if _, err := c.AddProvider(spec.name, Config{
-						EIPBase: pfx(spec.eip), SIPBase: pfx(spec.sip),
-					}); err != nil {
-						t.Fatal(err)
-					}
+				if _, _, _, err := AddFig1Providers(c, w); err != nil {
+					t.Fatal(err)
 				}
 				return c, w
 			}
@@ -249,8 +242,8 @@ func TestPropertyShardParity(t *testing.T) {
 			for i := range tenants {
 				g := grantedSharded[i]
 				for j := 0; j+1 < len(g) && j < 4; j++ {
-					es, errS := sharded.Explain(tenants[i].name, g[j], g[j+1])
-					eu, errU := serial.Explain(tenants[i].name, g[j], g[j+1])
+					es, errS := sharded.Tenant(tenants[i].name).Explain(g[j], g[j+1])
+					eu, errU := serial.Tenant(tenants[i].name).Explain(g[j], g[j+1])
 					if (errS == nil) != (errU == nil) {
 						t.Fatalf("%s: explain err: sharded %v, serial %v", tenants[i].name, errS, errU)
 					}
@@ -292,19 +285,19 @@ func mustProv(t *testing.T, c *Cloud, name string) *Provider {
 // almost immediately; with deterministic (tenant, region) ordering it
 // must complete.
 func TestCrossShardConnectOrdering(t *testing.T) {
-	c, w, pa, pb, _ := fig1Cloud(t)
-	a, err := pa.RequestEIP("acme", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	c, w, _, _, _ := fig1Cloud(t)
+	a, err := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := pb.RequestEIP("acme", topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
+	b, err := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pa.SetPermitList("acme", a, []permit.Entry{addr.NewPrefix(b, 32)}); err != nil {
+	if err := c.Tenant("acme").SetPermitList(a, []permit.Entry{addr.NewPrefix(b, 32)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := pb.SetPermitList("acme", b, []permit.Entry{addr.NewPrefix(a, 32)}); err != nil {
+	if err := c.Tenant("acme").SetPermitList(b, []permit.Entry{addr.NewPrefix(a, 32)}); err != nil {
 		t.Fatal(err)
 	}
 	const iters = 300
@@ -332,7 +325,7 @@ func TestCrossShardConnectOrdering(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
 			e := addr.NewPrefix(addr.IP(0xc0a80000|uint32(i)), 32)
-			if err := pa.Permit("acme", a, e); err != nil {
+			if err := c.Tenant("acme").Permit(a, e); err != nil {
 				t.Errorf("permit storm a: %v", err)
 				return
 			}
@@ -342,7 +335,7 @@ func TestCrossShardConnectOrdering(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
 			e := addr.NewPrefix(addr.IP(0xc0a90000|uint32(i)), 32)
-			if err := pb.Permit("acme", b, e); err != nil {
+			if err := c.Tenant("acme").Permit(b, e); err != nil {
 				t.Errorf("permit storm b: %v", err)
 				return
 			}

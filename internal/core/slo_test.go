@@ -28,7 +28,7 @@ func shardCountFor(p *slo.Plane, tenant string) int {
 // decision-trace ring and SLO shard histograms with it — including the
 // shard the release verb's own End would respawn after eviction.
 func TestTenantEvictionOnFullRelease(t *testing.T) {
-	c, w, pa, pb, _ := fig1Cloud(t)
+	c, w, pa, _, _ := fig1Cloud(t)
 	tr := obs.NewTracer(64)
 	c.EnableObservability(tr, nil)
 	plane := slo.NewPlane(slo.Config{Window: time.Hour, SampleEvery: 1})
@@ -37,15 +37,15 @@ func TestTenantEvictionOnFullRelease(t *testing.T) {
 		t.Fatal("SLO() did not return the attached plane")
 	}
 
-	eipA, err := pa.RequestEIP("churn", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	eipA, err := c.Tenant("churn").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eipB, err := pb.RequestEIP("churn", topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
+	eipB, err := c.Tenant("churn").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sip, err := pa.RequestSIP("churn")
+	sip, err := c.Tenant("churn").RequestSIP(pa.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestTenantEvictionOnFullRelease(t *testing.T) {
 	}
 
 	// Partial release keeps everything.
-	if err := pa.ReleaseEIP("churn", eipA); err != nil {
+	if err := c.Tenant("churn").ReleaseEIP(eipA); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.TenantRefs("churn"); got != 2 {
@@ -70,10 +70,10 @@ func TestTenantEvictionOnFullRelease(t *testing.T) {
 
 	// Full release evicts ring and shards, with nothing respawned by the
 	// final release's own latency recording.
-	if err := pb.ReleaseEIP("churn", eipB); err != nil {
+	if err := c.Tenant("churn").ReleaseEIP(eipB); err != nil {
 		t.Fatal(err)
 	}
-	if err := pa.ReleaseSIP("churn", sip); err != nil {
+	if err := c.Tenant("churn").ReleaseSIP(sip); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.TenantRefs("churn"); got != 0 {
@@ -87,7 +87,7 @@ func TestTenantEvictionOnFullRelease(t *testing.T) {
 	}
 
 	// Re-onboarding starts fresh.
-	if _, err := pa.RequestEIP("churn", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1)); err != nil {
+	if _, err := c.Tenant("churn").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.TenantRefs("churn"); got != 1 {
@@ -102,11 +102,11 @@ func TestTenantEvictionOnFullRelease(t *testing.T) {
 // release the tenant's last address must sweep the shard the batch op's
 // own End records into.
 func TestTenantEvictionViaBatch(t *testing.T) {
-	c, w, pa, _, _ := fig1Cloud(t)
+	c, w, _, _, _ := fig1Cloud(t)
 	plane := slo.NewPlane(slo.Config{Window: time.Hour})
 	c.EnableSLO(plane)
 
-	eip, err := pa.RequestEIP("churn", topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	eip, err := c.Tenant("churn").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestPermitLagResolvesAtFirstAdmission(t *testing.T) {
 		return total, region
 	}
 
-	if err := pb.SetPermitList("acme", dst, []permit.Entry{addr.NewPrefix(eip1, 32)}); err != nil {
+	if err := c.Tenant("acme").SetPermitList(dst, []permit.Entry{addr.NewPrefix(eip1, 32)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := plane.PendingLagSamples(); got != 1 {
@@ -191,7 +191,7 @@ func TestPermitLagResolvesAtFirstAdmission(t *testing.T) {
 	lookups := pb.Permits.Lookups.Load()
 	// eip2 is not on the list: a denied check is still the moment the
 	// update became visible to admission.
-	if _, _, err := c.Probe("acme", eip2, dst); err == nil {
+	if _, _, err := c.Tenant("acme").Probe(eip2, dst); err == nil {
 		t.Fatal("probe from a source off the list was admitted")
 	}
 	if got := plane.PendingLagSamples(); got != 0 {

@@ -21,13 +21,7 @@ import (
 func TestSoakRandomOps(t *testing.T) {
 	w := topo.BuildFig1(4)
 	c := NewCloud(99, w.Graph)
-	pa, err := c.AddProvider(w.CloudA, Config{
-		EIPBase: pfx("100.64.0.0/10"), SIPBase: pfx("100.127.0.0/16")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := c.AddProvider(w.CloudB, Config{
-		EIPBase: pfx("104.0.0.0/8"), SIPBase: pfx("104.255.0.0/16")})
+	pa, pb, _, err := AddFig1Providers(c, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +60,7 @@ func TestSoakRandomOps(t *testing.T) {
 			}
 			tenant := tenants[rng.Intn(len(tenants))]
 			p := provOf(node)
-			eip, err := p.RequestEIP(tenant, node)
+			eip, err := c.Tenant(tenant).RequestEIP(node)
 			if err != nil {
 				t.Fatalf("step %d: RequestEIP: %v", i, err)
 			}
@@ -76,7 +70,7 @@ func TestSoakRandomOps(t *testing.T) {
 		case op < 6 && len(live) > 1: // permit a random source
 			dst := live[rng.Intn(len(live))]
 			src := live[rng.Intn(len(live))]
-			if err := dst.prov.Permit(dst.tenant, dst.eip, addr.NewPrefix(src.eip, 32)); err != nil {
+			if err := c.Tenant(dst.tenant).Permit(dst.eip, addr.NewPrefix(src.eip, 32)); err != nil {
 				t.Fatalf("step %d: Permit: %v", i, err)
 			}
 			dst.permits[src.eip] = true
@@ -84,7 +78,7 @@ func TestSoakRandomOps(t *testing.T) {
 		case op < 7 && len(live) > 0: // revoke a permitted source
 			dst := live[rng.Intn(len(live))]
 			for src := range dst.permits {
-				dst.prov.Revoke(dst.tenant, dst.eip, addr.NewPrefix(src, 32))
+				c.Tenant(dst.tenant).Revoke(dst.eip, addr.NewPrefix(src, 32))
 				delete(dst.permits, src)
 				break
 			}
@@ -95,14 +89,14 @@ func TestSoakRandomOps(t *testing.T) {
 			if other == dst.tenant {
 				continue
 			}
-			if err := dst.prov.Permit(other, dst.eip, addr.MustParsePrefix("0.0.0.0/0")); err == nil {
+			if err := c.Tenant(other).Permit(dst.eip, addr.MustParsePrefix("0.0.0.0/0")); err == nil {
 				t.Fatalf("step %d: tenant %q mutated %q's permit list", i, other, dst.tenant)
 			}
 
 		case op < 9 && len(live) > 0: // release an endpoint
 			idx := rng.Intn(len(live))
 			victim := live[idx]
-			if err := victim.prov.ReleaseEIP(victim.tenant, victim.eip); err != nil {
+			if err := c.Tenant(victim.tenant).ReleaseEIP(victim.eip); err != nil {
 				t.Fatalf("step %d: ReleaseEIP: %v", i, err)
 			}
 			node, _ := victim.prov.Lookup(victim.eip)

@@ -95,13 +95,10 @@ func diffDeclnet(t *testing.T, pol diffPolicy, seed int64) func(src, dst int, pr
 	n := len(pol)
 	w := topo.BuildFig1(3)
 	c := core.NewCloud(seed, w.Graph)
-	pa, err := c.AddProvider(w.CloudA, core.Config{
-		EIPBase: addr.MustParsePrefix("100.64.0.0/10"),
-		SIPBase: addr.MustParsePrefix("100.127.0.0/16"),
-	})
-	if err != nil {
+	if _, _, _, err := core.AddFig1Providers(c, w); err != nil {
 		t.Fatal(err)
 	}
+	var err error
 	// Spread endpoints across regions/zones/hosts so the EIPs come from
 	// different dense blocks (the interesting case for prefix matching).
 	eips := make([]core.EIP, n)
@@ -109,7 +106,7 @@ func diffDeclnet(t *testing.T, pol diffPolicy, seed int64) func(src, dst int, pr
 	for _, region := range w.RegionsA {
 		for _, az := range []string{"az1", "az2"} {
 			for h := 1; h <= 3 && i < n; h++ {
-				eips[i], err = pa.RequestEIP(Tenant, topo.HostID(w.CloudA, region, az, h))
+				eips[i], err = c.Tenant(Tenant).RequestEIP(topo.HostID(w.CloudA, region, az, h))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -127,7 +124,7 @@ func diffDeclnet(t *testing.T, pol diffPolicy, seed int64) func(src, dst int, pr
 				entries = append(entries, addr.NewPrefix(eips[s], 32))
 			}
 		}
-		if err := pa.SetPermitList(Tenant, eips[d], entries); err != nil {
+		if err := c.Tenant(Tenant).SetPermitList(eips[d], entries); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -86,11 +86,11 @@ func e10Declarative(rate float64, horizon, failAt, detect time.Duration, seed in
 	c := d.Cloud
 	w := d.World
 	// Third backend joins the SIP.
-	db3, err := d.ProvB.RequestEIP(Tenant, topo.HostID(w.CloudB, w.RegionsB[0], "az1", 3))
+	db3, err := d.Cloud.Tenant(Tenant).RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 3))
 	if err != nil {
 		return 0, 0, 0, nil, err
 	}
-	if err := d.ProvB.Bind(Tenant, db3, d.DBService, 1); err != nil {
+	if err := d.Cloud.Tenant(Tenant).Bind(db3, d.DBService, 1); err != nil {
 		return 0, 0, 0, nil, err
 	}
 	dead := d.DB1
@@ -109,7 +109,7 @@ func e10Declarative(rate float64, horizon, failAt, detect time.Duration, seed in
 			return
 		}
 		total++
-		conn, cerr := c.Connect(Tenant, d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
+		conn, cerr := c.Tenant(Tenant).Connect(d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
 		if cerr != nil {
 			errors++
 			lastError = c.Eng.Now()

@@ -85,11 +85,11 @@ func e11Declarative(rate float64, horizon, failAt, healAt time.Duration, policy 
 	c := d.Cloud
 	w := d.World
 	// Third backend joins the SIP so two survive the drill.
-	db3, err := d.ProvB.RequestEIP(Tenant, topo.HostID(w.CloudB, w.RegionsB[0], "az1", 3))
+	db3, err := d.Cloud.Tenant(Tenant).RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 3))
 	if err != nil {
 		return st, nil, err
 	}
-	if err := d.ProvB.Bind(Tenant, db3, d.DBService, 1); err != nil {
+	if err := d.Cloud.Tenant(Tenant).Bind(db3, d.DBService, 1); err != nil {
 		return st, nil, err
 	}
 	m := c.EnableFaults(policy)
@@ -124,7 +124,7 @@ func e11Declarative(rate float64, horizon, failAt, healAt time.Duration, policy 
 			st.windowTotal++
 		}
 		failed := false
-		conn, cerr := c.Connect(Tenant, d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
+		conn, cerr := c.Tenant(Tenant).Connect(d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
 		if cerr != nil {
 			failed = true
 		} else {

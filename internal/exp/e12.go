@@ -117,7 +117,7 @@ func e12Scenarios() []e12Scenario {
 			expect: "no-permit-list",
 			run: func(d *DeclarativeFig1, m *core.FaultMonitor) (core.EIP, addr.IP, error) {
 				w := d.World
-				extra, err := d.ProvB.RequestEIP(Tenant, node(w.CloudB, w.RegionsB[0], "az1", 2))
+				extra, err := d.Cloud.Tenant(Tenant).RequestEIP(node(w.CloudB, w.RegionsB[0], "az1", 2))
 				return d.Spark1, addr.IP(extra), err
 			},
 		},
@@ -182,14 +182,14 @@ func e12Scenarios() []e12Scenario {
 			run: func(d *DeclarativeFig1, m *core.FaultMonitor) (core.EIP, addr.IP, error) {
 				w := d.World
 				target := node(w.CloudB, w.RegionsB[0], "az1", 2)
-				extra, err := d.ProvB.RequestEIP(Tenant, target)
+				extra, err := d.Cloud.Tenant(Tenant).RequestEIP(target)
 				if err != nil {
 					return 0, 0, err
 				}
 				if err := m.Inj.FailNode(target); err != nil {
 					return 0, 0, err
 				}
-				err = d.ProvB.SetPermitList(Tenant, addr.IP(extra),
+				err = d.Cloud.Tenant(Tenant).SetPermitList(addr.IP(extra),
 					[]permit.Entry{addr.NewPrefix(d.Spark1, 32)})
 				return d.Spark1, addr.IP(extra), err
 			},
@@ -227,7 +227,7 @@ func e12RunScenario(sc e12Scenario, seed int64) (verdict string, match bool, err
 	if sc.advance > 0 {
 		d.Cloud.Eng.RunUntil(d.Cloud.Eng.Now() + sc.advance)
 	}
-	ex, err := d.Cloud.Explain(Tenant, src, dst)
+	ex, err := d.Cloud.Tenant(Tenant).Explain(src, dst)
 	if err != nil {
 		return "", false, err
 	}
@@ -333,13 +333,13 @@ func e12ArmOnce(instrument bool, connects int, seed int64) (e12ArmStats, error) 
 		st.connects++
 		if done%100 == 0 {
 			// Permit churn keeps the permit-update decision point hot.
-			if err := d.ProvB.SetPermitList(Tenant, addr.IP(d.DBService),
+			if err := d.Cloud.Tenant(Tenant).SetPermitList(addr.IP(d.DBService),
 				[]permit.Entry{addr.NewPrefix(d.Spark1, 32), addr.NewPrefix(d.Spark2, 32),
 					addr.NewPrefix(d.Alerts, 32)}); err != nil {
 				panic(err)
 			}
 		}
-		conn, cerr := c.Connect(Tenant, d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
+		conn, cerr := c.Tenant(Tenant).Connect(d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
 		if cerr != nil {
 			st.errors++
 		} else {

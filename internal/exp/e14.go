@@ -48,24 +48,7 @@ const (
 func E14NoisyNeighbor(seed int64) (*metrics.Table, error) {
 	w := topo.BuildFig1(2)
 	c := core.NewCloud(seed, w.Graph)
-	var pa, pb *core.Provider
-	var err error
-	if pa, err = c.AddProvider(w.CloudA, core.Config{
-		EIPBase: addr.MustParsePrefix("100.64.0.0/10"),
-		SIPBase: addr.MustParsePrefix("100.127.0.0/16"),
-	}); err != nil {
-		return nil, fmt.Errorf("exp: E14 world: %w", err)
-	}
-	if pb, err = c.AddProvider(w.CloudB, core.Config{
-		EIPBase: addr.MustParsePrefix("104.0.0.0/8"),
-		SIPBase: addr.MustParsePrefix("104.255.0.0/16"),
-	}); err != nil {
-		return nil, fmt.Errorf("exp: E14 world: %w", err)
-	}
-	if _, err = c.AddProvider("onprem", core.Config{
-		EIPBase: addr.MustParsePrefix("108.0.0.0/8"),
-		SIPBase: addr.MustParsePrefix("108.255.0.0/16"),
-	}); err != nil {
+	if _, _, _, err := core.AddFig1Providers(c, w); err != nil {
 		return nil, fmt.Errorf("exp: E14 world: %w", err)
 	}
 	tracer := obs.NewTracer(0)
@@ -85,28 +68,29 @@ func E14NoisyNeighbor(seed int64) (*metrics.Table, error) {
 	})
 	exact := func(ip addr.IP) permit.Entry { return addr.NewPrefix(ip, 32) }
 
+	observer, noisy := c.Tenant("observer"), c.Tenant("noisy")
 	// Observer: one EIP per cloudA region, each permitting the other, so
 	// cross-region probes exercise the real admission + path planes.
-	obsEast, err := pa.RequestEIP("observer", topo.HostID(w.CloudA, "a-east", "az1", 1))
+	obsEast, err := observer.RequestEIP(topo.HostID(w.CloudA, "a-east", "az1", 1))
 	if err != nil {
 		return nil, err
 	}
-	obsWest, err := pa.RequestEIP("observer", topo.HostID(w.CloudA, "a-west", "az1", 1))
+	obsWest, err := observer.RequestEIP(topo.HostID(w.CloudA, "a-west", "az1", 1))
 	if err != nil {
 		return nil, err
 	}
-	if err := pa.SetPermitList("observer", obsEast, []permit.Entry{exact(addr.IP(obsWest))}); err != nil {
+	if err := observer.SetPermitList(obsEast, []permit.Entry{exact(addr.IP(obsWest))}); err != nil {
 		return nil, err
 	}
-	if err := pa.SetPermitList("observer", obsWest, []permit.Entry{exact(addr.IP(obsEast))}); err != nil {
+	if err := observer.SetPermitList(obsWest, []permit.Entry{exact(addr.IP(obsEast))}); err != nil {
 		return nil, err
 	}
 	// Noisy: one EIP in cloudB/b-east, the storm's confinement shard.
-	noisyEIP, err := pb.RequestEIP("noisy", topo.HostID(w.CloudB, "b-east", "az1", 1))
+	noisyEIP, err := noisy.RequestEIP(topo.HostID(w.CloudB, "b-east", "az1", 1))
 	if err != nil {
 		return nil, err
 	}
-	if err := pb.SetPermitList("noisy", noisyEIP, []permit.Entry{exact(addr.IP(noisyEIP))}); err != nil {
+	if err := noisy.SetPermitList(noisyEIP, []permit.Entry{exact(addr.IP(noisyEIP))}); err != nil {
 		return nil, err
 	}
 	obsShard := "observer@" + w.CloudA + "/a-east"
@@ -115,10 +99,10 @@ func E14NoisyNeighbor(seed int64) (*metrics.Table, error) {
 	// Warm-up (window generation 0): both directions once, which also
 	// resolves the two pending permit-lag stamps from the setup
 	// SetPermitLists on first admission fill.
-	if _, _, err := c.Probe("observer", obsEast, addr.IP(obsWest)); err != nil {
+	if _, _, err := observer.Probe(obsEast, addr.IP(obsWest)); err != nil {
 		return nil, fmt.Errorf("exp: E14 warm-up: %w", err)
 	}
-	if _, _, err := c.Probe("observer", obsWest, addr.IP(obsEast)); err != nil {
+	if _, _, err := observer.Probe(obsWest, addr.IP(obsEast)); err != nil {
 		return nil, fmt.Errorf("exp: E14 warm-up: %w", err)
 	}
 
@@ -134,17 +118,17 @@ func E14NoisyNeighbor(seed int64) (*metrics.Table, error) {
 		// Warm window: cache-hot probes become the trailing baseline.
 		plane.AdvanceWindow()
 		for i := 0; i < e14ProbesPerWindow; i++ {
-			if _, _, err := c.Probe("observer", obsEast, addr.IP(obsWest)); err != nil {
+			if _, _, err := observer.Probe(obsEast, addr.IP(obsWest)); err != nil {
 				return nil, err
 			}
 		}
 		plane.AdvanceWindow()
 		// Storm window: the noisy tenant flaps permits on its own shard…
 		for i := 0; i < e14StormPairs; i++ {
-			if err := pb.Permit("noisy", addr.IP(noisyEIP), stormEntry); err != nil {
+			if err := noisy.Permit(addr.IP(noisyEIP), stormEntry); err != nil {
 				return nil, err
 			}
-			if err := pb.Revoke("noisy", addr.IP(noisyEIP), stormEntry); err != nil {
+			if err := noisy.Revoke(addr.IP(noisyEIP), stormEntry); err != nil {
 				return nil, err
 			}
 		}
@@ -156,7 +140,7 @@ func E14NoisyNeighbor(seed int64) (*metrics.Table, error) {
 			if err := inj.RestoreNode(flapNode); err != nil {
 				return nil, err
 			}
-			if _, _, err := c.Probe("observer", obsEast, addr.IP(obsWest)); err != nil {
+			if _, _, err := observer.Probe(obsEast, addr.IP(obsWest)); err != nil {
 				return nil, err
 			}
 		}
@@ -172,7 +156,7 @@ func E14NoisyNeighbor(seed int64) (*metrics.Table, error) {
 	// Deny-path probes land error spans in the flight recorder (retained
 	// regardless of sampling; here they are the freshest ring entries).
 	for i := 0; i < e14ErrorProbes; i++ {
-		if _, _, err := c.Probe("observer", obsEast, addr.IP(noisyEIP)); err == nil {
+		if _, _, err := observer.Probe(obsEast, addr.IP(noisyEIP)); err == nil {
 			return nil, fmt.Errorf("exp: E14: probe to unpermitted %s unexpectedly admitted", noisyEIP)
 		}
 	}

@@ -49,31 +49,13 @@ const (
 type e15World struct {
 	fig    *topo.Fig1World
 	c      *core.Cloud
-	pa, pb *core.Provider
 	tracer *obs.Tracer
 }
 
 func newE15World(seed int64) (*e15World, error) {
 	w := topo.BuildFig1(2)
 	c := core.NewCloud(seed, w.Graph)
-	pa, err := c.AddProvider(w.CloudA, core.Config{
-		EIPBase: addr.MustParsePrefix("100.64.0.0/10"),
-		SIPBase: addr.MustParsePrefix("100.127.0.0/16"),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("exp: E15 world: %w", err)
-	}
-	pb, err := c.AddProvider(w.CloudB, core.Config{
-		EIPBase: addr.MustParsePrefix("104.0.0.0/8"),
-		SIPBase: addr.MustParsePrefix("104.255.0.0/16"),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("exp: E15 world: %w", err)
-	}
-	if _, err := c.AddProvider("onprem", core.Config{
-		EIPBase: addr.MustParsePrefix("108.0.0.0/8"),
-		SIPBase: addr.MustParsePrefix("108.255.0.0/16"),
-	}); err != nil {
+	if _, _, _, err := core.AddFig1Providers(c, w); err != nil {
 		return nil, fmt.Errorf("exp: E15 world: %w", err)
 	}
 	// A large ring so per-round cumulative event counts never lose
@@ -81,7 +63,7 @@ func newE15World(seed int64) (*e15World, error) {
 	tracer := obs.NewTracer(1 << 16)
 	c.EnableObservability(tracer, nil)
 	c.EnableFaults(core.FaultPolicy{})
-	return &e15World{fig: w, c: c, pa: pa, pb: pb, tracer: tracer}, nil
+	return &e15World{fig: w, c: c, tracer: tracer}, nil
 }
 
 // e15Addrs is the fixed address cast: two cloudA EIPs (a2 permits a1),
@@ -95,30 +77,31 @@ type e15Addrs struct {
 
 func (w *e15World) setup() (e15Addrs, error) {
 	var a e15Addrs
+	acme := w.c.Tenant("acme")
 	var err error
-	if a.a1, err = w.pa.RequestEIP("acme", topo.HostID(w.fig.CloudA, "a-east", "az1", 1)); err != nil {
+	if a.a1, err = acme.RequestEIP(topo.HostID(w.fig.CloudA, "a-east", "az1", 1)); err != nil {
 		return a, err
 	}
-	if a.a2, err = w.pa.RequestEIP("acme", topo.HostID(w.fig.CloudA, "a-west", "az1", 1)); err != nil {
+	if a.a2, err = acme.RequestEIP(topo.HostID(w.fig.CloudA, "a-west", "az1", 1)); err != nil {
 		return a, err
 	}
-	if a.b1, err = w.pb.RequestEIP("acme", topo.HostID(w.fig.CloudB, "b-east", "az1", 1)); err != nil {
+	if a.b1, err = acme.RequestEIP(topo.HostID(w.fig.CloudB, "b-east", "az1", 1)); err != nil {
 		return a, err
 	}
-	if a.s, err = w.pb.RequestSIP("acme"); err != nil {
+	if a.s, err = acme.RequestSIP(w.fig.CloudB); err != nil {
 		return a, err
 	}
-	if err = w.pb.Bind("acme", a.b1, a.s, 1); err != nil {
+	if err = acme.Bind(a.b1, a.s, 1); err != nil {
 		return a, err
 	}
 	exact := func(e core.EIP) permit.Entry { return addr.NewPrefix(addr.IP(e), 32) }
-	if err = w.pa.SetPermitList("acme", addr.IP(a.a2), []permit.Entry{exact(a.a1)}); err != nil {
+	if err = acme.SetPermitList(addr.IP(a.a2), []permit.Entry{exact(a.a1)}); err != nil {
 		return a, err
 	}
-	if err = w.pb.SetPermitList("acme", addr.IP(a.s), []permit.Entry{exact(a.a1)}); err != nil {
+	if err = acme.SetPermitList(addr.IP(a.s), []permit.Entry{exact(a.a1)}); err != nil {
 		return a, err
 	}
-	err = w.pb.SetQoS("acme", "b-east", 1e9)
+	err = acme.SetQoS(w.fig.CloudB, "b-east", 1e9)
 	return a, err
 }
 
@@ -128,32 +111,32 @@ func (w *e15World) setup() (e15Addrs, error) {
 // pipeline is full) the release of the grant from e15ChurnTenants
 // rounds ago. The same plan runs against subject and oracle.
 func e15Churn(w *e15World, a e15Addrs, r int, grants []core.EIP) (eip core.EIP, err error) {
-	tn := fmt.Sprintf("churn%02d", r%e15ChurnTenants)
+	tn, acme := w.c.Tenant(fmt.Sprintf("churn%02d", r%e15ChurnTenants)), w.c.Tenant("acme")
 	az := "az1"
 	if r%2 == 1 {
 		az = "az2"
 	}
-	if eip, err = w.pa.RequestEIP(tn, topo.HostID(w.fig.CloudA, "a-east", az, r%2+1)); err != nil {
+	if eip, err = tn.RequestEIP(topo.HostID(w.fig.CloudA, "a-east", az, r%2+1)); err != nil {
 		return eip, err
 	}
-	if err = w.pa.SetPermitList(tn, addr.IP(eip), []permit.Entry{addr.NewPrefix(addr.IP(a.a1), 32)}); err != nil {
+	if err = tn.SetPermitList(addr.IP(eip), []permit.Entry{addr.NewPrefix(addr.IP(a.a1), 32)}); err != nil {
 		return eip, err
 	}
 	flap := addr.NewPrefix(addr.IP(a.a2), 32)
 	for i := 0; i < e15FlapPairs; i++ {
-		if err = w.pb.Permit("acme", addr.IP(a.s), flap); err != nil {
+		if err = acme.Permit(addr.IP(a.s), flap); err != nil {
 			return eip, err
 		}
-		if err = w.pb.Revoke("acme", addr.IP(a.s), flap); err != nil {
+		if err = acme.Revoke(addr.IP(a.s), flap); err != nil {
 			return eip, err
 		}
 	}
-	if err = w.pb.SetQoS("acme", "b-east", float64(1+r%3)*1e9); err != nil {
+	if err = acme.SetQoS(w.fig.CloudB, "b-east", float64(1+r%3)*1e9); err != nil {
 		return eip, err
 	}
 	if r >= e15ChurnTenants {
 		old := fmt.Sprintf("churn%02d", (r-e15ChurnTenants)%e15ChurnTenants)
-		if err = w.pa.ReleaseEIP(old, grants[r-e15ChurnTenants]); err != nil {
+		if err = w.c.Tenant(old).ReleaseEIP(grants[r-e15ChurnTenants]); err != nil {
 			return eip, err
 		}
 	}
@@ -171,7 +154,7 @@ type e15Verdict struct {
 func e15Explain(w *e15World, a e15Addrs) ([]e15Verdict, error) {
 	out := make([]e15Verdict, 0, 3)
 	for _, dst := range []addr.IP{addr.IP(a.a2), addr.IP(a.s), addr.IP(a.b1)} {
-		ex, err := w.c.Explain("acme", a.a1, dst)
+		ex, err := w.c.Tenant("acme").Explain(a.a1, dst)
 		if err != nil {
 			return nil, err
 		}
@@ -296,7 +279,7 @@ func E15ChaosSoak(seed int64, rounds int) (*metrics.Table, error) {
 			ok = subject.c.DriftUnbind(sa.s, sa.b1)
 			driftB++
 		case 2:
-			ok = subject.c.DriftZeroQuota(subject.pb.Name, "acme", "b-east")
+			ok = subject.c.DriftZeroQuota(subject.fig.CloudB, "acme", "b-east")
 			driftQ++
 		}
 		if !ok {

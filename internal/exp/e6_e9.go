@@ -137,19 +137,21 @@ func E9Potato(probes int, seed int64) (*metrics.Table, error) {
 		{d.ProvB, w.RegionsB[1], topo.HostID(w.CloudB, w.RegionsB[1], "az1", 2)},
 	}
 	for _, cl := range clients {
-		eip, err := cl.prov.RequestEIP(Tenant, cl.node)
+		eip, err := d.Cloud.Tenant(Tenant).RequestEIP(cl.node)
 		if err != nil {
 			return nil, err
 		}
-		if err := d.ProvB.Permit(Tenant, d.DBService, exactEntry(eip)); err != nil {
+		if err := d.Cloud.Tenant(Tenant).Permit(d.DBService, exactEntry(eip)); err != nil {
 			return nil, err
 		}
 		for _, policy := range []qos.PotatoPolicy{qos.HotPotato, qos.ColdPotato} {
-			cl.prov.SetPotato(Tenant, policy)
+			if err := d.Cloud.Tenant(Tenant).SetPotato(cl.prov.Name, policy); err != nil {
+				return nil, err
+			}
 			var rtts metrics.Summary
 			delivered := 0
 			for i := 0; i < probes; i++ {
-				rtt, ok, err := c.Probe(Tenant, eip, d.DBService)
+				rtt, ok, err := c.Tenant(Tenant).Probe(eip, d.DBService)
 				if err != nil {
 					return nil, err
 				}

@@ -49,7 +49,7 @@ func E7Security(perKind int, seed int64) (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	bastionEIP, err := decl.ProvA.RequestEIP(Tenant, topo.HostID(decl.World.CloudA, decl.World.RegionsA[0], "az2", 2))
+	bastionEIP, err := decl.Cloud.Tenant(Tenant).RequestEIP(topo.HostID(decl.World.CloudA, decl.World.RegionsA[0], "az2", 2))
 	if err != nil {
 		return nil, err
 	}

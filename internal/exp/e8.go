@@ -103,66 +103,65 @@ func E8Migration(seed int64) (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	tn := decl.Cloud.Tenant(Tenant)
 	calls := 0
 	// Release the two analytics EIPs at cloud A.
 	for _, e := range []addr.IP{decl.Spark1, decl.Spark2} {
-		if err := decl.ProvA.ReleaseEIP(Tenant, e); err != nil {
+		if err := tn.ReleaseEIP(e); err != nil {
 			return nil, err
 		}
 		calls++
 	}
 	// Request replacements at cloud B (same verb, different provider).
 	w := decl.World
-	n1, err := decl.ProvB.RequestEIP(Tenant, topo.HostID(w.CloudB, w.RegionsB[0], "az1", 2))
+	n1, err := tn.RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 2))
 	if err != nil {
 		return nil, err
 	}
 	calls++
-	n2, err := decl.ProvB.RequestEIP(Tenant, topo.HostID(w.CloudB, w.RegionsB[0], "az2", 2))
+	n2, err := tn.RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az2", 2))
 	if err != nil {
 		return nil, err
 	}
 	calls++
 	// Refresh the permit lists that referenced the old workers.
-	refresh := func(p interface {
-		SetPermitList(string, addr.IP, []permit.Entry, ...string) error
-	}, dst addr.IP, srcs ...addr.IP) error {
+	refresh := func(dst addr.IP, srcs ...addr.IP) error {
 		calls++
 		entries := make([]permit.Entry, len(srcs))
 		for i, s := range srcs {
 			entries[i] = addr.NewPrefix(s, 32)
 		}
-		return p.SetPermitList(Tenant, dst, entries)
+		return tn.SetPermitList(dst, entries)
 	}
-	if err := refresh(decl.ProvB, decl.DBService, n1, n2, decl.Alerts); err != nil {
+	if err := refresh(decl.DBService, n1, n2, decl.Alerts); err != nil {
 		return nil, err
 	}
-	if err := refresh(decl.ProvB, decl.DB1, n1, n2, decl.Alerts); err != nil {
+	if err := refresh(decl.DB1, n1, n2, decl.Alerts); err != nil {
 		return nil, err
 	}
-	if err := refresh(decl.ProvB, decl.DB2, n1, n2, decl.Alerts); err != nil {
+	if err := refresh(decl.DB2, n1, n2, decl.Alerts); err != nil {
 		return nil, err
 	}
-	if err := refresh(decl.ProvA, decl.Logs, n1, n2, decl.WebSrv); err != nil {
+	if err := refresh(decl.Logs, n1, n2, decl.WebSrv); err != nil {
 		return nil, err
 	}
-	if err := refresh(decl.ProvOnPrem, decl.Alerts, n1, n2); err != nil {
+	if err := refresh(decl.Alerts, n1, n2); err != nil {
 		return nil, err
 	}
 	// Permit the workers to reach each other.
-	if err := refresh(decl.ProvB, n1, n2, decl.WebSrv); err != nil {
+	if err := refresh(n1, n2, decl.WebSrv); err != nil {
 		return nil, err
 	}
-	if err := refresh(decl.ProvB, n2, n1, decl.WebSrv); err != nil {
+	if err := refresh(n2, n1, decl.WebSrv); err != nil {
 		return nil, err
 	}
 	// Move the QoS grant to the new region.
-	if err := decl.ProvB.SetQoS(Tenant, w.RegionsB[0], 10*topo.Gbps); err != nil {
+	if err := tn.SetQoS(decl.ProvB.Name, w.RegionsB[0], 10*topo.Gbps); err != nil {
 		return nil, err
 	}
 	calls++
 	// Verify the moved tier still reaches the database service.
-	conn, err := decl.Cloud.Connect(Tenant, n1, decl.DBService, core.ConnectOpts{SizeBytes: -1})
+	conn, err := tn.Connect(n1, decl.DBService, core.ConnectOpts{SizeBytes: -1})
 	if err != nil {
 		return nil, fmt.Errorf("exp: migrated tier cannot reach db: %w", err)
 	}

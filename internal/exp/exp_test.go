@@ -60,7 +60,7 @@ func TestDeclarativeFig1Functional(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Alerts (on-prem) may reach the DB service too.
-	conn, err := d.Cloud.Connect(Tenant, d.Alerts, d.DBService, core.ConnectOpts{SizeBytes: -1})
+	conn, err := d.Cloud.Tenant(Tenant).Connect(d.Alerts, d.DBService, core.ConnectOpts{SizeBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

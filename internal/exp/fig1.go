@@ -358,108 +358,96 @@ func BuildDeclarativeFig1(seed int64, hostsPerZone int) (*DeclarativeFig1, error
 	c := core.NewCloud(seed, w.Graph)
 	d := &DeclarativeFig1{Cloud: c, World: w, APICalls: make(map[string]int)}
 	var err error
-	if d.ProvA, err = c.AddProvider(w.CloudA, core.Config{
-		EIPBase: addr.MustParsePrefix("100.64.0.0/10"),
-		SIPBase: addr.MustParsePrefix("100.127.0.0/16"),
-	}); err != nil {
+	if d.ProvA, d.ProvB, d.ProvOnPrem, err = core.AddFig1Providers(c, w); err != nil {
 		return nil, err
 	}
-	if d.ProvB, err = c.AddProvider(w.CloudB, core.Config{
-		EIPBase: addr.MustParsePrefix("104.0.0.0/8"),
-		SIPBase: addr.MustParsePrefix("104.255.0.0/16"),
-	}); err != nil {
-		return nil, err
-	}
-	if d.ProvOnPrem, err = c.AddProvider("onprem", core.Config{
-		EIPBase: addr.MustParsePrefix("108.0.0.0/8"),
-		SIPBase: addr.MustParsePrefix("108.255.0.0/16"),
-	}); err != nil {
-		return nil, err
-	}
+	tn := c.Tenant(Tenant)
 	call := func(verb string) { d.APICalls[verb]++ }
 
-	eip := func(p *core.Provider, node topo.NodeID) (core.EIP, error) {
+	eip := func(node topo.NodeID) (core.EIP, error) {
 		call("request_eip")
-		return p.RequestEIP(Tenant, node)
+		return tn.RequestEIP(node)
 	}
-	if d.Spark1, err = eip(d.ProvA, topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1)); err != nil {
+	if d.Spark1, err = eip(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1)); err != nil {
 		return nil, err
 	}
-	if d.Spark2, err = eip(d.ProvA, topo.HostID(w.CloudA, w.RegionsA[0], "az2", 1)); err != nil {
+	if d.Spark2, err = eip(topo.HostID(w.CloudA, w.RegionsA[0], "az2", 1)); err != nil {
 		return nil, err
 	}
-	if d.WebSrv, err = eip(d.ProvA, topo.HostID(w.CloudA, w.RegionsA[0], "az1", 2)); err != nil {
+	if d.WebSrv, err = eip(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 2)); err != nil {
 		return nil, err
 	}
-	if d.Logs, err = eip(d.ProvA, topo.HostID(w.CloudA, w.RegionsA[1], "az1", 1)); err != nil {
+	if d.Logs, err = eip(topo.HostID(w.CloudA, w.RegionsA[1], "az1", 1)); err != nil {
 		return nil, err
 	}
-	if d.DB1, err = eip(d.ProvB, topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1)); err != nil {
+	if d.DB1, err = eip(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1)); err != nil {
 		return nil, err
 	}
-	if d.DB2, err = eip(d.ProvB, topo.HostID(w.CloudB, w.RegionsB[0], "az2", 1)); err != nil {
+	if d.DB2, err = eip(topo.HostID(w.CloudB, w.RegionsB[0], "az2", 1)); err != nil {
 		return nil, err
 	}
-	if d.Alerts, err = eip(d.ProvOnPrem, "onprem/hq/host1"); err != nil {
+	if d.Alerts, err = eip("onprem/hq/host1"); err != nil {
 		return nil, err
 	}
 
 	call("request_sip")
-	if d.DBService, err = d.ProvB.RequestSIP(Tenant); err != nil {
+	if d.DBService, err = tn.RequestSIP(d.ProvB.Name); err != nil {
 		return nil, err
 	}
 	call("bind")
-	if err := d.ProvB.Bind(Tenant, d.DB1, d.DBService, 1); err != nil {
+	if err := tn.Bind(d.DB1, d.DBService, 1); err != nil {
 		return nil, err
 	}
 	call("bind")
-	if err := d.ProvB.Bind(Tenant, d.DB2, d.DBService, 1); err != nil {
+	if err := tn.Bind(d.DB2, d.DBService, 1); err != nil {
 		return nil, err
 	}
 
 	// Permit lists: exactly the app's communication matrix.
-	permitList := func(p *core.Provider, dst addr.IP, srcs ...core.EIP) error {
+	permitList := func(dst addr.IP, srcs ...core.EIP) error {
 		call("set_permit_list")
 		entries := make([]permit.Entry, len(srcs))
 		for i, s := range srcs {
 			entries[i] = addr.NewPrefix(s, 32)
 		}
-		return p.SetPermitList(Tenant, dst, entries)
+		return tn.SetPermitList(dst, entries)
 	}
-	if err := permitList(d.ProvA, d.Spark1, d.WebSrv, d.Spark2); err != nil {
+	if err := permitList(d.Spark1, d.WebSrv, d.Spark2); err != nil {
 		return nil, err
 	}
-	if err := permitList(d.ProvA, d.Spark2, d.WebSrv, d.Spark1); err != nil {
+	if err := permitList(d.Spark2, d.WebSrv, d.Spark1); err != nil {
 		return nil, err
 	}
-	if err := permitList(d.ProvB, d.DBService, d.Spark1, d.Spark2, d.Alerts); err != nil {
+	if err := permitList(d.DBService, d.Spark1, d.Spark2, d.Alerts); err != nil {
 		return nil, err
 	}
-	if err := permitList(d.ProvB, d.DB1, d.Spark1, d.Spark2, d.Alerts); err != nil {
+	if err := permitList(d.DB1, d.Spark1, d.Spark2, d.Alerts); err != nil {
 		return nil, err
 	}
-	if err := permitList(d.ProvB, d.DB2, d.Spark1, d.Spark2, d.Alerts); err != nil {
+	if err := permitList(d.DB2, d.Spark1, d.Spark2, d.Alerts); err != nil {
 		return nil, err
 	}
-	if err := permitList(d.ProvA, d.Logs, d.Spark1, d.Spark2, d.WebSrv); err != nil {
+	if err := permitList(d.Logs, d.Spark1, d.Spark2, d.WebSrv); err != nil {
 		return nil, err
 	}
-	if err := permitList(d.ProvOnPrem, d.Alerts, d.Spark1, d.Spark2); err != nil {
+	if err := permitList(d.Alerts, d.Spark1, d.Spark2); err != nil {
 		return nil, err
 	}
 	// Web front end is open to the world.
 	call("set_permit_list")
-	if err := d.ProvA.SetPermitList(Tenant, d.WebSrv, []permit.Entry{addr.MustParsePrefix("0.0.0.0/0")}); err != nil {
+	if err := tn.SetPermitList(d.WebSrv, []permit.Entry{addr.MustParsePrefix("0.0.0.0/0")}); err != nil {
 		return nil, err
 	}
 
 	// One QoS grant: analytics region egress.
 	call("set_qos")
-	if err := d.ProvA.SetQoS(Tenant, w.RegionsA[0], 10*topo.Gbps); err != nil {
+	if err := tn.SetQoS(d.ProvA.Name, w.RegionsA[0], 10*topo.Gbps); err != nil {
 		return nil, err
 	}
 	call("set_potato")
-	d.ProvA.SetPotato(Tenant, qos.ColdPotato)
+	if err := tn.SetPotato(d.ProvA.Name, qos.ColdPotato); err != nil {
+		return nil, err
+	}
 	return d, nil
 }
 
@@ -481,7 +469,7 @@ func (b *BaselineFig1) SparkToDB() vnet.Verdict {
 
 // SparkToDB opens the analogous declarative connection.
 func (d *DeclarativeFig1) SparkToDB() error {
-	conn, err := d.Cloud.Connect(Tenant, d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
+	conn, err := d.Cloud.Tenant(Tenant).Connect(d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
 	if err != nil {
 		return err
 	}

@@ -108,7 +108,7 @@ func FuzzSnapshotEncode(f *testing.F) {
 			s.Permits[ip] = pl
 			s.Quotas[key] = quota * float64(i)
 			s.Potato[key] = vm
-			s.ProvGroups[key] = group[:i%(len(group)+1)]
+			s.Groups[key] = group[:i%(len(group)+1)]
 			s.Names[vm+key] = ip
 			s.EIPPools[key] = &PoolState{Next: ip, Released: group}
 		}

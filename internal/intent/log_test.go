@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"declnet/internal/addr"
@@ -41,7 +42,7 @@ func sampleOps(t testing.TB) []struct {
 			{Verb: OpBind, EIP: eip1, SIP: sip, Weight: 2},
 			{Verb: OpBind, EIP: eip2, SIP: sip}, // weight clamps to 1
 		}},
-		{"acme", []Op{{Verb: OpCreateGroup, Provider: "cloudA", Name: "web", Members: []addr.IP{eip1, eip2}}}},
+		{"acme", []Op{{Verb: OpCreateGroup, Name: "web", Members: []addr.IP{eip1, eip2}}}},
 		{"acme", []Op{{Verb: OpSetPermit, Provider: "cloudA", Target: eip1,
 			Entries: []addr.Prefix{addr.MustParsePrefix("192.168.0.0/24")}, Groups: []string{"web"}}}},
 		{"acme", []Op{{Verb: OpPermit, Target: eip2, Entries: []addr.Prefix{addr.MustParsePrefix("192.168.1.7/32")}}}},
@@ -399,6 +400,69 @@ func TestReleaseRegrantInversion(t *testing.T) {
 	apply(8, "alice", Op{Verb: OpReleaseSIP, Addr: sip})
 	if svc := s.Services[sip]; svc == nil || svc.Tenant != "bob" {
 		t.Fatalf("service = %+v, want bob's", s.Services[sip])
+	}
+}
+
+// TestReleaseLeavesGroupsAndNames: a released address leaves its
+// tenant's groups and names — in order, under a release/re-grant
+// inversion, and when the journal places the release before a group or
+// name op core applied first — so neither resolves to the pool's next
+// holder.
+func TestReleaseLeavesGroupsAndNames(t *testing.T) {
+	eip, other, late := addr.IP(0x0a000001), addr.IP(0x0a000002), addr.IP(0x0a000003)
+	s := NewState()
+	apply := func(seq uint64, tenant string, ops ...Op) {
+		t.Helper()
+		if err := s.Apply(&Record{Seq: seq, Tenant: tenant, Ops: ops}); err != nil {
+			t.Fatalf("apply %d: %v", seq, err)
+		}
+	}
+	grouped := func(seq uint64, a addr.IP) {
+		apply(seq, "alice", Op{Verb: OpCreateGroup, Name: "web", Members: []addr.IP{a, other}},
+			Op{Verb: OpRegisterName, Name: "db", Addr: a})
+	}
+	check := func(when string) {
+		t.Helper()
+		if got := s.Groups[GroupKey("alice", "web")]; !slices.Equal(got, []addr.IP{other}) {
+			t.Errorf("%s: group web = %v, want [%v]", when, got, other)
+		}
+		if ip, ok := s.Names[GroupKey("alice", "db")]; ok {
+			t.Errorf("%s: name db still resolves to %v", when, ip)
+		}
+	}
+	apply(1, "alice", Op{Verb: OpRequestEIP, VM: "vm-a", Provider: "p", Region: "r", Addr: eip},
+		Op{Verb: OpRequestEIP, VM: "vm-a", Provider: "p", Region: "r", Addr: other})
+	grouped(2, eip)
+	apply(3, "alice", Op{Verb: OpReleaseEIP, Addr: eip})
+	check("after release")
+
+	apply(4, "alice", Op{Verb: OpRequestEIP, VM: "vm-a", Provider: "p", Region: "r", Addr: eip})
+	grouped(5, eip)
+	apply(6, "bob", Op{Verb: OpRequestEIP, VM: "vm-b", Provider: "p", Region: "r", Addr: eip})
+	apply(7, "alice", Op{Verb: OpReleaseEIP, Addr: eip})
+	check("after inverted re-grant")
+
+	apply(8, "alice", Op{Verb: OpRequestEIP, VM: "vm-a", Provider: "p", Region: "r", Addr: late})
+	apply(9, "alice", Op{Verb: OpReleaseEIP, Addr: late})
+	grouped(10, late)
+	check("after a release journaled first")
+}
+
+// TestProviderScopedGroupsAreErrors: groups have one, tenant-wide
+// namespace. A snapshot carrying the retired per-provider section and a
+// create_group record naming a provider are both refused.
+func TestProviderScopedGroupsAreErrors(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapshotName), []byte(`{"seq":1,"prov_groups":{"p|acme|web":[1]}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if l, err := Open(dir, Options{}); err == nil {
+		l.Close()
+		t.Error("Open accepted a prov_groups snapshot section")
+	}
+	rec := &Record{Seq: 1, Tenant: "acme", Ops: []Op{{Verb: OpCreateGroup, Provider: "p", Name: "web"}}}
+	if err := NewState().Apply(rec); err == nil {
+		t.Error("Apply accepted a provider-scoped create_group")
 	}
 }
 

@@ -48,7 +48,6 @@ func (s *State) encodeSnapshot(w *bufio.Writer) error {
 	addrSection(e, "permits", s.Permits, e.permitList)
 	stringSection(e, "quotas", s.Quotas, e.float)
 	stringSection(e, "potato", s.Potato, e.str)
-	stringSection(e, "prov_groups", s.ProvGroups, e.addrs)
 	stringSection(e, "groups", s.Groups, e.addrs)
 	stringSection(e, "names", s.Names, e.addr)
 	stringSection(e, "eip_pools", s.EIPPools, e.pool)
@@ -351,7 +350,7 @@ func (s *State) decodeSnapshot(r io.Reader) error {
 		case "potato":
 			err = decodeSection(dec, s.Potato, stringKey)
 		case "prov_groups":
-			err = decodeSection(dec, s.ProvGroups, stringKey)
+			err = fmt.Errorf("provider-scoped groups are not supported (groups are tenant-wide)")
 		case "groups":
 			err = decodeSection(dec, s.Groups, stringKey)
 		case "names":

@@ -140,7 +140,6 @@ func randState(rng *rand.Rand, n int) *State {
 		}
 		s.Quotas[randString(rng)] = randFloat(rng)
 		s.Potato[randString(rng)] = randString(rng)
-		s.ProvGroups[randString(rng)] = randAddrs(rng)
 		s.Groups[randString(rng)] = randAddrs(rng)
 		s.Names[randString(rng)] = randAddr(rng)
 		s.EIPPools[randString(rng)] = &PoolState{Next: randAddr(rng), Released: randAddrs(rng)}
@@ -179,7 +178,6 @@ func TestSnapshotStreamMatchesMarshal(t *testing.T) {
 		func(c *State) { c.Permits = nil },
 		func(c *State) { c.Quotas = nil },
 		func(c *State) { c.Potato = map[string]string{} },
-		func(c *State) { c.ProvGroups = nil },
 		func(c *State) { c.Groups = nil },
 		func(c *State) { c.Names = nil },
 		func(c *State) { c.EIPPools = nil },

@@ -105,13 +105,12 @@ type State struct {
 	Permits   map[addr.IP]*PermitList `json:"permits,omitempty"`
 
 	// Quotas keys "provider|tenant|region" -> bits/s. Potato keys
-	// "provider|tenant" -> policy name. ProvGroups keys
-	// "provider|tenant|name"; Groups and Names key "tenant|name".
-	Quotas     map[string]float64   `json:"quotas,omitempty"`
-	Potato     map[string]string    `json:"potato,omitempty"`
-	ProvGroups map[string][]addr.IP `json:"prov_groups,omitempty"`
-	Groups     map[string][]addr.IP `json:"groups,omitempty"`
-	Names      map[string]addr.IP   `json:"names,omitempty"`
+	// "provider|tenant" -> policy name. Groups and Names key
+	// "tenant|name".
+	Quotas map[string]float64   `json:"quotas,omitempty"`
+	Potato map[string]string    `json:"potato,omitempty"`
+	Groups map[string][]addr.IP `json:"groups,omitempty"`
+	Names  map[string]addr.IP   `json:"names,omitempty"`
 
 	// EIPPools keys "provider/region" (the shard-region notation);
 	// SIPPools keys the provider name.
@@ -122,16 +121,15 @@ type State struct {
 // NewState returns an empty declared world.
 func NewState() *State {
 	return &State{
-		Endpoints:  make(map[addr.IP]*Endpoint),
-		Services:   make(map[addr.IP]*Service),
-		Permits:    make(map[addr.IP]*PermitList),
-		Quotas:     make(map[string]float64),
-		Potato:     make(map[string]string),
-		ProvGroups: make(map[string][]addr.IP),
-		Groups:     make(map[string][]addr.IP),
-		Names:      make(map[string]addr.IP),
-		EIPPools:   make(map[string]*PoolState),
-		SIPPools:   make(map[string]*PoolState),
+		Endpoints: make(map[addr.IP]*Endpoint),
+		Services:  make(map[addr.IP]*Service),
+		Permits:   make(map[addr.IP]*PermitList),
+		Quotas:    make(map[string]float64),
+		Potato:    make(map[string]string),
+		Groups:    make(map[string][]addr.IP),
+		Names:     make(map[string]addr.IP),
+		EIPPools:  make(map[string]*PoolState),
+		SIPPools:  make(map[string]*PoolState),
 	}
 }
 
@@ -140,10 +138,7 @@ func NewState() *State {
 func QuotaKey(provider, tenant, region string) string { return provider + "|" + tenant + "|" + region }
 func PotatoKey(provider, tenant string) string        { return provider + "|" + tenant }
 func GroupKey(tenant, name string) string             { return tenant + "|" + name }
-func ProvGroupKey(provider, tenant, name string) string {
-	return provider + "|" + tenant + "|" + name
-}
-func PoolKey(provider, region string) string { return provider + "/" + region }
+func PoolKey(provider, region string) string          { return provider + "/" + region }
 
 // ParseQuotaKey is QuotaKey's inverse; ok is false for a string QuotaKey
 // could not have built.
@@ -209,6 +204,9 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		// where the previous incarnation's leftovers go away.
 		s.drainBinds(op.Addr)
 		delete(s.Permits, op.Addr)
+		if _, stale := s.Endpoints[op.Addr]; stale {
+			s.forget(op.Addr)
+		}
 		s.Endpoints[op.Addr] = &Endpoint{
 			Tenant: tenant, VM: op.VM, Provider: op.Provider, Region: op.Region,
 		}
@@ -226,13 +224,18 @@ func (s *State) applyOp(tenant string, op *Op) error {
 			// by the re-claim. Drop it.
 			return nil
 		}
-		// Mirror core: the released EIP drains out of every balancer.
+		// Mirror core: the released EIP drains out of every balancer and
+		// leaves the tenant's groups and names.
 		s.drainBinds(op.Addr)
 		delete(s.Permits, op.Addr)
+		s.forget(op.Addr)
 		delete(s.Endpoints, op.Addr)
 		s.eipPool(ep.Provider, ep.Region).release(op.Addr)
 	case OpRequestSIP:
 		delete(s.Permits, op.Addr)
+		if _, stale := s.Services[op.Addr]; stale {
+			s.forget(op.Addr)
+		}
 		s.Services[op.Addr] = &Service{Tenant: tenant, Provider: op.Provider}
 		s.sipPool(op.Provider).claim(op.Addr)
 	case OpReleaseSIP:
@@ -244,6 +247,7 @@ func (s *State) applyOp(tenant string, op *Op) error {
 			return nil // stale record, as in OpReleaseEIP
 		}
 		delete(s.Permits, op.Addr)
+		s.forget(op.Addr)
 		delete(s.Services, op.Addr)
 		s.sipPool(svc.Provider).release(op.Addr)
 	case OpBind:
@@ -278,12 +282,7 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		}
 		all := slices.Clip(op.Entries) // appends below copy, never write into the op
 		for _, g := range op.Groups {
-			// Same resolution order as core.setPermitList: the provider
-			// the verb ran on first, then the cloud-level group table.
-			members, ok := s.ProvGroups[ProvGroupKey(op.Provider, tenant, g)]
-			if !ok {
-				members, ok = s.Groups[GroupKey(tenant, g)]
-			}
+			members, ok := s.Groups[GroupKey(tenant, g)]
 			if !ok {
 				return fmt.Errorf("unknown group %q", g)
 			}
@@ -321,14 +320,22 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		next.EgressCap = op.Bps
 		s.Endpoints[op.EIP] = &next
 	case OpCreateGroup:
-		members := append([]addr.IP(nil), op.Members...)
 		if op.Provider != "" {
-			s.ProvGroups[ProvGroupKey(op.Provider, tenant, op.Name)] = members
-		} else {
-			s.Groups[GroupKey(tenant, op.Name)] = members
+			return fmt.Errorf("provider-scoped group %q (groups are tenant-wide)", op.Name)
 		}
+		// Core checked every member was the tenant's. One that is not
+		// here was released by a record the journal placed first, whose
+		// forget core ran after this group existed: it is no member.
+		s.Groups[GroupKey(tenant, op.Name)] = slices.DeleteFunc(append([]addr.IP(nil), op.Members...), func(m addr.IP) bool {
+			ep, ok := s.Endpoints[m]
+			return !ok || ep.Tenant != tenant
+		})
 	case OpRegisterName:
-		s.Names[GroupKey(tenant, op.Name)] = op.Addr
+		if s.owns(tenant, op.Addr) {
+			s.Names[GroupKey(tenant, op.Name)] = op.Addr
+		} else { // released by an earlier record, as in OpCreateGroup
+			delete(s.Names, GroupKey(tenant, op.Name))
+		}
 	case OpUnregisterName:
 		delete(s.Names, GroupKey(tenant, op.Name))
 	default:
@@ -349,6 +356,34 @@ func withoutBind(svc *Service, i int) *Service {
 	return &next
 }
 
+// forget drops a from every group and name, as core does when the
+// address is released. A grant runs it too when the address still has an
+// owner: under a release/re-grant journal inversion (see OpReleaseEIP)
+// the stale release is skipped, and the grant is where its group and
+// name effects land. Members and names are replaced in copies, never
+// edited in place.
+func (s *State) forget(a addr.IP) {
+	for k, members := range s.Groups {
+		if slices.Contains(members, a) {
+			s.Groups[k] = slices.DeleteFunc(slices.Clone(members), func(m addr.IP) bool { return m == a })
+		}
+	}
+	for k, target := range s.Names {
+		if target == a {
+			delete(s.Names, k)
+		}
+	}
+}
+
+// owns reports whether a is one of tenant's endpoints or services.
+func (s *State) owns(tenant string, a addr.IP) bool {
+	if ep, ok := s.Endpoints[a]; ok {
+		return ep.Tenant == tenant
+	}
+	svc, ok := s.Services[a]
+	return ok && svc.Tenant == tenant
+}
+
 // drainBinds unbinds eip from every service that holds it.
 func (s *State) drainBinds(eip addr.IP) {
 	for sip, svc := range s.Services {
@@ -364,18 +399,17 @@ func (s *State) drainBinds(eip addr.IP) {
 // copy installs the very slices the log declares.
 func (s *State) Clone() *State {
 	c := &State{
-		Seq:        s.Seq,
-		Meta:       maps.Clone(s.Meta),
-		Endpoints:  make(map[addr.IP]*Endpoint, len(s.Endpoints)),
-		Services:   make(map[addr.IP]*Service, len(s.Services)),
-		Permits:    make(map[addr.IP]*PermitList, len(s.Permits)),
-		Quotas:     maps.Clone(s.Quotas),
-		Potato:     maps.Clone(s.Potato),
-		ProvGroups: make(map[string][]addr.IP, len(s.ProvGroups)),
-		Groups:     make(map[string][]addr.IP, len(s.Groups)),
-		Names:      maps.Clone(s.Names),
-		EIPPools:   make(map[string]*PoolState, len(s.EIPPools)),
-		SIPPools:   make(map[string]*PoolState, len(s.SIPPools)),
+		Seq:       s.Seq,
+		Meta:      maps.Clone(s.Meta),
+		Endpoints: make(map[addr.IP]*Endpoint, len(s.Endpoints)),
+		Services:  make(map[addr.IP]*Service, len(s.Services)),
+		Permits:   make(map[addr.IP]*PermitList, len(s.Permits)),
+		Quotas:    maps.Clone(s.Quotas),
+		Potato:    maps.Clone(s.Potato),
+		Groups:    make(map[string][]addr.IP, len(s.Groups)),
+		Names:     maps.Clone(s.Names),
+		EIPPools:  make(map[string]*PoolState, len(s.EIPPools)),
+		SIPPools:  make(map[string]*PoolState, len(s.SIPPools)),
 	}
 	for k, v := range s.Endpoints {
 		ep := *v
@@ -387,9 +421,6 @@ func (s *State) Clone() *State {
 		c.Services[k] = &svc
 	}
 	maps.Copy(c.Permits, s.Permits)
-	for k, v := range s.ProvGroups {
-		c.ProvGroups[k] = append([]addr.IP(nil), v...)
-	}
 	for k, v := range s.Groups {
 		c.Groups[k] = append([]addr.IP(nil), v...)
 	}

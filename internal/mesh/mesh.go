@@ -42,8 +42,7 @@ type Service struct {
 	Port int
 
 	sip       core.SIP
-	tenant    string
-	provider  *core.Provider
+	tenant    *core.Tenant
 	workloads []*Workload
 	gateway   *app.Gateway
 	// callers are the service names allowed to invoke this service.
@@ -128,11 +127,8 @@ func (m *Mesh) AddService(cfg ServiceConfig) (*Service, error) {
 	if _, ok := m.services[cfg.Name]; ok {
 		return nil, fmt.Errorf("mesh: duplicate service %q", cfg.Name)
 	}
-	p, ok := m.cloud.Provider(cfg.Provider)
-	if !ok {
-		return nil, fmt.Errorf("mesh: unknown provider %q", cfg.Provider)
-	}
-	sip, err := p.RequestSIP(m.Tenant)
+	tn := m.cloud.Tenant(m.Tenant)
+	sip, err := tn.RequestSIP(cfg.Provider)
 	if err != nil {
 		return nil, err
 	}
@@ -141,13 +137,13 @@ func (m *Mesh) AddService(cfg ServiceConfig) (*Service, error) {
 	}
 	s := &Service{
 		Name: cfg.Name, Port: cfg.Port,
-		sip: sip, tenant: m.Tenant, provider: p,
+		sip: sip, tenant: tn,
 		gateway: app.NewGateway(app.NewService(cfg.Name, cfg.Operations...)),
 		callers: make(map[string]bool),
 		breaker: breaker{threshold: cfg.BreakerThreshold, cooldown: cfg.BreakerCooldown},
 	}
 	m.services[cfg.Name] = s
-	if err := m.cloud.RegisterName(m.Tenant, cfg.Name, sip); err != nil {
+	if err := tn.Register(cfg.Name, sip); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -166,14 +162,14 @@ func (m *Mesh) Deploy(service string, node topo.NodeID, canary bool) (*Workload,
 	if !ok {
 		return nil, fmt.Errorf("mesh: unknown service %q", service)
 	}
-	eip, err := s.provider.RequestEIP(m.Tenant, node)
+	eip, err := s.tenant.RequestEIP(node)
 	if err != nil {
 		return nil, err
 	}
 	w := &Workload{Node: node, EIP: eip, Canary: canary}
 	s.workloads = append(s.workloads, w)
 	weight := 1
-	if err := s.provider.Bind(m.Tenant, eip, s.sip, weight); err != nil {
+	if err := s.tenant.Bind(eip, s.sip, weight); err != nil {
 		return nil, err
 	}
 	s.applyCanarySplit()
@@ -190,7 +186,7 @@ func (m *Mesh) Retire(service string, w *Workload) error {
 	for i, cur := range s.workloads {
 		if cur == w {
 			s.workloads = append(s.workloads[:i], s.workloads[i+1:]...)
-			if err := s.provider.ReleaseEIP(m.Tenant, w.EIP); err != nil {
+			if err := s.tenant.ReleaseEIP(w.EIP); err != nil {
 				return err
 			}
 			return m.reconcilePermits()
@@ -240,7 +236,7 @@ func (m *Mesh) reconcilePermits() error {
 			targets = append(targets, w.EIP)
 		}
 		for _, target := range targets {
-			if err := callee.provider.SetPermitList(m.Tenant, target, entries); err != nil {
+			if err := callee.tenant.SetPermitList(target, entries); err != nil {
 				return err
 			}
 		}
@@ -275,7 +271,7 @@ func (s *Service) applyCanarySplit() {
 	}
 	if canaries == 0 || stable == 0 || s.canaryWeight == 0 {
 		for _, w := range s.workloads {
-			s.provider.Bind(s.tenant, w.EIP, s.sip, 1)
+			s.tenant.Bind(w.EIP, s.sip, 1)
 		}
 		return
 	}
@@ -294,7 +290,7 @@ func (s *Service) applyCanarySplit() {
 		if w.Canary {
 			weight = wc
 		}
-		s.provider.Bind(s.tenant, w.EIP, s.sip, weight)
+		s.tenant.Bind(w.EIP, s.sip, weight)
 	}
 }
 
@@ -344,7 +340,7 @@ func (m *Mesh) Call(caller string, src *Workload, callee string, opts CallOpts) 
 	var lastErr error
 	for attempt := 0; attempt <= opts.Retries; attempt++ {
 		res.Attempts = attempt + 1
-		conn, err := m.cloud.Connect(m.Tenant, src.EIP, cs.sip, core.ConnectOpts{SizeBytes: -1})
+		conn, err := m.cloud.Tenant(m.Tenant).Connect(src.EIP, cs.sip, core.ConnectOpts{SizeBytes: -1})
 		if err != nil {
 			lastErr = err
 			continue

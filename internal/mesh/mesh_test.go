@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"declnet/internal/addr"
 	"declnet/internal/app"
 	"declnet/internal/core"
 	"declnet/internal/topo"
@@ -14,16 +13,8 @@ func testMesh(t *testing.T) (*Mesh, *topo.Fig1World) {
 	t.Helper()
 	w := topo.BuildFig1(3)
 	c := core.NewCloud(1, w.Graph)
-	for _, cfg := range []struct{ name, eip, sip string }{
-		{w.CloudA, "100.64.0.0/10", "100.127.0.0/16"},
-		{w.CloudB, "104.0.0.0/8", "104.255.0.0/16"},
-	} {
-		if _, err := c.AddProvider(cfg.name, core.Config{
-			EIPBase: addr.MustParsePrefix(cfg.eip),
-			SIPBase: addr.MustParsePrefix(cfg.sip),
-		}); err != nil {
-			t.Fatal(err)
-		}
+	if _, _, _, err := core.AddFig1Providers(c, w); err != nil {
+		t.Fatal(err)
 	}
 	return New(c, "acme"), w
 }
@@ -245,7 +236,7 @@ func TestMeshNameRegistration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := m.cloud.ResolveName("acme", "orders")
+	got, ok := m.cloud.Tenant("acme").Resolve("orders")
 	if !ok || got != s.SIP() {
 		t.Fatalf("service name not registered: %v,%v", got, ok)
 	}

@@ -181,14 +181,14 @@ func Run(cfg Config) (*Metrics, error) {
 		}
 		var regionEntry []permit.Entry
 		for i := 0; i < n; i++ {
-			eip, err := w.prov.RequestEIP(ts.name, ts.hosts[i%len(ts.hosts)])
+			eip, err := w.cloud.Tenant(ts.name).RequestEIP(ts.hosts[i%len(ts.hosts)])
 			if err != nil {
 				return err
 			}
 			if regionEntry == nil {
 				regionEntry = []permit.Entry{addr.NewPrefix(addr.IP(eip), 16)}
 			}
-			if err := w.prov.SetPermitList(ts.name, eip, regionEntry); err != nil {
+			if err := w.cloud.Tenant(ts.name).SetPermitList(eip, regionEntry); err != nil {
 				return err
 			}
 			ts.eips = append(ts.eips, eip)
@@ -275,7 +275,7 @@ func runChurn(cfg Config, w *world, m *Metrics) error {
 		for i := 0; i < cfg.PermitSamples; i++ {
 			src := addr.IP(0xc0a80000 + uint32(i) + 1)
 			t0 := time.Now()
-			if err := w.prov.Permit(sampleTenant.name, target, addr.NewPrefix(src, 32)); err != nil {
+			if err := w.cloud.Tenant(sampleTenant.name).Permit(target, addr.NewPrefix(src, 32)); err != nil {
 				errs[cfg.Workers] = err
 				return
 			}
@@ -298,12 +298,12 @@ func runChurn(cfg Config, w *world, m *Metrics) error {
 				ts := w.tenants[tenantIndex(ev.Tenant)%cfg.Tenants]
 				switch ev.Kind {
 				case workload.Launch:
-					eip, err := w.prov.RequestEIP(ts.name, ts.hosts[rng.Intn(len(ts.hosts))])
+					eip, err := w.cloud.Tenant(ts.name).RequestEIP(ts.hosts[rng.Intn(len(ts.hosts))])
 					if err != nil {
 						errs[wkr] = err
 						return
 					}
-					if err := w.prov.SetPermitList(ts.name, eip, openEntry); err != nil {
+					if err := w.cloud.Tenant(ts.name).SetPermitList(eip, openEntry); err != nil {
 						errs[wkr] = err
 						return
 					}
@@ -313,7 +313,7 @@ func runChurn(cfg Config, w *world, m *Metrics) error {
 					if len(l) == 0 {
 						continue
 					}
-					if err := w.prov.ReleaseEIP(ts.name, l[0]); err != nil {
+					if err := w.cloud.Tenant(ts.name).ReleaseEIP(l[0]); err != nil {
 						errs[wkr] = err
 						return
 					}
@@ -323,7 +323,7 @@ func runChurn(cfg Config, w *world, m *Metrics) error {
 			// Drain survivors so later phases see only onboarded state.
 			for tn, l := range live {
 				for _, eip := range l {
-					if err := w.prov.ReleaseEIP(tn, eip); err != nil {
+					if err := w.cloud.Tenant(tn).ReleaseEIP(eip); err != nil {
 						errs[wkr] = err
 						return
 					}
@@ -374,7 +374,7 @@ func runFanout(cfg Config, w *world, m *Metrics) {
 					}
 					dst = other.eips[zipf.Draw()%len(other.eips)]
 					t0 := time.Now()
-					_, _, err := w.cloud.Probe(ts.name, src, dst)
+					_, _, err := w.cloud.Tenant(ts.name).Probe(src, dst)
 					d := time.Since(t0)
 					if err != nil {
 						denied[wkr]++
@@ -387,7 +387,7 @@ func runFanout(cfg Config, w *world, m *Metrics) {
 					continue
 				}
 				t0 := time.Now()
-				if _, _, err := w.cloud.Probe(ts.name, src, dst); err != nil {
+				if _, _, err := w.cloud.Tenant(ts.name).Probe(src, dst); err != nil {
 					denied[wkr]++
 				}
 				lat[wkr] = append(lat[wkr], time.Since(t0))
@@ -439,7 +439,7 @@ func runStorm(cfg Config, w *world, m *Metrics) {
 			dst = obs.eips[rng.Intn(len(obs.eips))]
 		}
 		t0 := time.Now()
-		w.cloud.Probe(obs.name, src, dst)
+		w.cloud.Tenant(obs.name).Probe(src, dst)
 		return time.Since(t0)
 	}
 	measure := func(storm bool) time.Duration {
@@ -453,8 +453,8 @@ func runStorm(cfg Config, w *world, m *Metrics) {
 					target := victim.eips[wkr%len(victim.eips)]
 					for i := 0; i < cfg.StormOps; i++ {
 						e := addr.NewPrefix(addr.IP(0xc0a90000+uint32(wkr*cfg.StormOps+i)), 32)
-						w.prov.Permit(victim.name, target, e)
-						w.prov.Revoke(victim.name, target, e)
+						w.cloud.Tenant(victim.name).Permit(target, e)
+						w.cloud.Tenant(victim.name).Revoke(target, e)
 					}
 				} else {
 					eng := permit.NewEngine()

@@ -104,13 +104,13 @@ func TestRecoveryBudget(t *testing.T) {
 				lo, hi = n/2, n
 			}
 			for i := lo; i < hi; i++ {
-				eip, err := w.prov.RequestEIP(ts.name, ts.hosts[i%len(ts.hosts)])
+				eip, err := w.cloud.Tenant(ts.name).RequestEIP(ts.hosts[i%len(ts.hosts)])
 				if err != nil {
 					return err
 				}
 				ts.eips = append(ts.eips, eip)
 				regionEntry := []permit.Entry{addr.NewPrefix(addr.IP(ts.eips[0]), 16)}
-				if err := w.prov.SetPermitList(ts.name, eip, regionEntry); err != nil {
+				if err := w.cloud.Tenant(ts.name).SetPermitList(eip, regionEntry); err != nil {
 					return err
 				}
 			}
@@ -127,7 +127,7 @@ func TestRecoveryBudget(t *testing.T) {
 	}
 	// A QoS tail after the snapshot point.
 	for _, ts := range w.tenants {
-		if err := w.prov.SetQoS(ts.name, regionName(ts.region), 1e9); err != nil {
+		if err := w.cloud.Tenant(ts.name).SetQoS(w.prov.Name, regionName(ts.region), 1e9); err != nil {
 			t.Fatal(err)
 		}
 	}

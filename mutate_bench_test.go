@@ -36,7 +36,7 @@ func BenchmarkMutatePlane(b *testing.B) {
 		}
 		// Prime every cache and learn which epoch scopes the measured
 		// path traverses.
-		conn, err := d.Cloud.Connect(exp.Tenant, d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
+		conn, err := d.Cloud.Tenant(exp.Tenant).Connect(d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func BenchmarkMutatePlane(b *testing.B) {
 	}
 
 	connect := func(b *testing.B, d *exp.DeclarativeFig1) {
-		conn, err := d.Cloud.Connect(exp.Tenant, d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
+		conn, err := d.Cloud.Tenant(exp.Tenant).Connect(d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
 		if err != nil {
 			b.Fatal(err)
 		}
