@@ -58,9 +58,10 @@ staticcheck:
 	fi
 
 # Short fuzz pass over the wire-format parsers and the snapshot codec
-# (held to encoding/json byte for byte). Each target gets
-# $(FUZZTIME); regression corpus lives under testdata/fuzz/ so plain
-# `go test` replays past findings even without this target.
+# (encode: a round trip; decode: any bytes give a state or an error, in
+# memory the input's size bounds). Each target gets $(FUZZTIME);
+# regression corpus lives under testdata/fuzz/ so plain `go test`
+# replays past findings even without this target.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseIP$$' -fuzztime $(FUZZTIME) ./internal/addr/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePrefix$$' -fuzztime $(FUZZTIME) ./internal/addr/
@@ -68,6 +69,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseObjective$$' -fuzztime $(FUZZTIME) ./internal/slo/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalDecode$$' -fuzztime $(FUZZTIME) ./internal/intent/
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotEncode$$' -fuzztime $(FUZZTIME) ./internal/intent/
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME) ./internal/intent/
 
 # The E15 chaos soak at full length: hours of virtual time of
 # fault/heal and churn with repeated mid-stream crash/restart cycles,

@@ -40,15 +40,21 @@ func shareArray(a, b []addr.Prefix) bool {
 // op declared (intent.State) equals a model that shares no code with
 // either, installed (permit.Engine) is declared's very slice unless an
 // update to the target is still deferred, the two never hold different
-// views of one array, and a sweep finds nothing.
+// views of one array, and a sweep finds nothing. Halfway, the world
+// restarts from a snapshot in which several targets declare one list:
+// recovery hands those targets, in both stores, one slice with no spare
+// capacity, and the ops after it permit and revoke on them while the model
+// checks that every other target's entries stay as they were.
 func TestDeclaredAndInstalledPermitParity(t *testing.T) {
 	c, w, pa, pb, _ := fig1Cloud(t)
-	m := c.EnableFaults(FaultPolicy{PermitRetryInterval: 100 * time.Millisecond, PermitRetryTimeout: time.Hour})
-	l, err := intent.Open(t.TempDir(), intent.Options{})
+	policy := FaultPolicy{PermitRetryInterval: 100 * time.Millisecond, PermitRetryTimeout: time.Hour}
+	m := c.EnableFaults(policy)
+	dir := t.TempDir()
+	l, err := intent.Open(dir, intent.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
+	defer func() { l.Close() }()
 	c.EnableIntent(l)
 	r, err := c.EnableReconciler(ReconcilerConfig{})
 	if err != nil {
@@ -108,8 +114,88 @@ func TestDeclaredAndInstalledPermitParity(t *testing.T) {
 	}
 
 	model := map[addr.IP]map[addr.Prefix]bool{}
+	check := func(step int) {
+		t.Helper()
+		for _, tg := range targets {
+			p, _ := c.ProviderOf(tg)
+			installed := p.Permits.EntriesOf(tg)
+			var declared []addr.Prefix
+			if pl, ok := l.Permit(tg); ok {
+				declared = pl.Entries
+			}
+			var want []addr.Prefix
+			for e := range model[tg] {
+				want = append(want, e)
+			}
+			if !entriesEqual(declared, want) {
+				t.Fatalf("step %d, target %s: declared %v, the model holds %v", step, tg, declared, sortedEntries(want))
+			}
+			if !slices.IsSortedFunc(declared, addr.ComparePrefix) {
+				t.Fatalf("step %d, target %s: declared %v is not canonical", step, tg, declared)
+			}
+			if shareArray(installed, declared) && !sameSlice(installed, declared) {
+				t.Fatalf("step %d, target %s: installed %v and declared %v are different views of one array", step, tg, installed, declared)
+			}
+			if _, pending := m.PendingPermit(tg); pending {
+				continue
+			}
+			if !sameSlice(installed, declared) {
+				t.Fatalf("step %d, target %s: installed %v is not declared's slice %v", step, tg, installed, declared)
+			}
+		}
+	}
+	var retries uint64 // deferred set_permits before the restart
+	restart := func(step int) {
+		shared := append(entries(3), pool[0]) // a repeat: the lists declared now have spare capacity
+		for _, tg := range targets[:5] {
+			apply(intent.Op{Verb: intent.OpSetPermit, Target: tg, Entries: shared})
+			model[tg] = map[addr.Prefix]bool{}
+			for _, e := range shared {
+				model[tg][e] = true
+			}
+		}
+		if err := l.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		if l, err = intent.Open(dir, intent.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		retries += m.PermitRetries
+		c, _, _, _, _ = fig1Cloud(t)
+		m = c.EnableFaults(policy)
+		if err := c.RestoreIntent(l.State()); err != nil {
+			t.Fatal(err)
+		}
+		c.EnableIntent(l)
+		if r, err = c.EnableReconciler(ReconcilerConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		first, _ := l.Permit(targets[0])
+		for _, tg := range targets[:5] {
+			if pl, _ := l.Permit(tg); !sameSlice(pl.Entries, first.Entries) || cap(pl.Entries) != len(pl.Entries) {
+				t.Fatalf("recovered %s declares %v (cap %d), not the one clipped slice %v its equals share",
+					tg, pl.Entries, cap(pl.Entries), first.Entries)
+			}
+		}
+		// Two entries that sort last, each appended to one holder of the
+		// shared list — into its spare capacity, were there any — and a
+		// revoke from a third.
+		for i, e := range []addr.Prefix{pfx("255.255.255.255/32"), pfx("255.255.255.254/32")} {
+			apply(intent.Op{Verb: intent.OpPermit, Target: targets[i], Entries: []addr.Prefix{e}})
+			model[targets[i]][e] = true
+		}
+		apply(intent.Op{Verb: intent.OpRevoke, Target: targets[2], Entries: shared[:1]})
+		delete(model[targets[2]], shared[0])
+		check(step)
+	}
 	var down topo.NodeID // the failed node, "" when none is
+	restarted := false
 	for step := 0; step < 600; step++ {
+		if step >= 300 && !restarted && down == "" {
+			restart(step)
+			restarted = true
+		}
 		target := targets[rng.Intn(len(targets))]
 		switch rng.Intn(8) {
 		case 0:
@@ -166,41 +252,16 @@ func TestDeclaredAndInstalledPermitParity(t *testing.T) {
 			c.Eng.RunUntil(c.Eng.Now() + time.Second)
 			r.RunSweep()
 		}
-		for _, tg := range targets {
-			p, _ := c.ProviderOf(tg)
-			installed := p.Permits.EntriesOf(tg)
-			var declared []addr.Prefix
-			if pl, ok := l.Permit(tg); ok {
-				declared = pl.Entries
-			}
-			var want []addr.Prefix
-			for e := range model[tg] {
-				want = append(want, e)
-			}
-			if !entriesEqual(declared, want) {
-				t.Fatalf("step %d, target %s: declared %v, the model holds %v", step, tg, declared, sortedEntries(want))
-			}
-			if !slices.IsSortedFunc(declared, addr.ComparePrefix) {
-				t.Fatalf("step %d, target %s: declared %v is not canonical", step, tg, declared)
-			}
-			if shareArray(installed, declared) && !sameSlice(installed, declared) {
-				t.Fatalf("step %d, target %s: installed %v and declared %v are different views of one array", step, tg, installed, declared)
-			}
-			if _, pending := m.PendingPermit(tg); pending {
-				continue
-			}
-			if !sameSlice(installed, declared) {
-				t.Fatalf("step %d, target %s: installed %v is not declared's slice %v", step, tg, installed, declared)
-			}
-		}
+		check(step)
 		if step%50 == 49 {
 			if res := r.RunSweep(); sweepWork(res) != (SweepResult{}) {
 				t.Fatalf("step %d: a sweep found work with no drift injected: %+v", step, res)
 			}
 		}
 	}
-	if m.PermitRetries == 0 {
-		t.Fatal("no set_permit was deferred: the fault arm never ran")
+	if retries == 0 || m.PermitRetries == 0 {
+		t.Fatalf("set_permits deferred before the restart: %d, after it: %d; the fault arm never ran on one side",
+			retries, m.PermitRetries)
 	}
 }
 

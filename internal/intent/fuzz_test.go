@@ -2,7 +2,11 @@ package intent
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math/rand"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -77,13 +81,13 @@ func FuzzJournalDecode(f *testing.F) {
 	})
 }
 
-// FuzzSnapshotEncode holds the hand-written snapshot codec to its
-// reference on fuzzed content: strings, floats and entry counts are
-// poured into every section of a State, and the streamed bytes must be
-// encoding/json's, must open back to what encoding/json decodes them to,
-// and nothing may panic (checkSnapshotCodec). The strings reach keys as
-// well as values; the address stride moves keys across decimal widths,
-// which is what the key order turns on.
+// FuzzSnapshotEncode holds the snapshot codec to a round trip on fuzzed
+// content: strings, floats and entry counts are poured into every section
+// of a State, which must decode back from its snapshot and, when
+// encoding/json can render it, open from a JSON snapshot to what
+// encoding/json decodes that to (checkSnapshotCodec). The strings reach
+// keys as well as values and the string table; the address stride moves
+// the gaps between addresses across varint widths.
 func FuzzSnapshotEncode(f *testing.F) {
 	f.Add("acme", "cloudA/a-east/az1/host1", 1e9, 5e8, uint32(0x64400001), uint32(1), uint8(3), uint8(2))
 	f.Add("", "", 0.0, 0.0, uint32(0), uint32(0), uint8(0), uint8(0))
@@ -119,5 +123,56 @@ func FuzzSnapshotEncode(f *testing.F) {
 			s.SIPPools[tenant] = &PoolState{}
 		}
 		checkSnapshotCodec(t, s)
+	})
+}
+
+// decodeAllocBound is what decoding n bytes of snapshot may allocate: the
+// read buffer, and per input byte at most a presized map slot and a share
+// of the entries it holds — every count is bounded by the bytes left.
+func decodeAllocBound(n int) uint64 { return 128<<10 + 128*uint64(n) }
+
+// FuzzSnapshotDecode is the crash-safety contract of the snapshot format:
+// decodeSnapshot over ANY byte stream returns a state or an error, never
+// panics, and allocates no more than the input's size bounds — so a lying
+// count or length cannot make Open reserve memory the file does not
+// hold. A state it does return is one the encoder can write back.
+func FuzzSnapshotDecode(f *testing.F) {
+	s := randState(rand.New(rand.NewSource(3)), 6)
+	valid, err := encodeBytes(s)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add([]byte{})
+	f.Add(snapshotMagic)
+	f.Add(valid[:len(valid)-5])
+	f.Add(valid[:len(valid)/2])
+	flipped := bytes.Clone(valid)
+	flipped[len(flipped)/2] ^= 0x10
+	f.Add(flipped)
+	// Lying counts, each behind a correct checksum: a meta section, a
+	// string and a permit list claiming far more than the file holds.
+	for _, lie := range [][]byte{
+		binary.AppendUvarint(binary.AppendUvarint(bytes.Clone(snapshotMagic), 1), 1<<40),
+		binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(bytes.Clone(snapshotMagic), 1), 1), 1<<30),
+		append(bytes.Clone(snapshotMagic), 1, 0, 0, 0, 1, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f),
+	} {
+		f.Add(binary.LittleEndian.AppendUint32(lie, crc32.ChecksumIEEE(lie)))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := decodeBytes(data)
+		runtime.ReadMemStats(&after)
+		if (s == nil) == (err == nil) {
+			t.Fatalf("decode returned state %v and error %v", s != nil, err)
+		}
+		if allocated, bound := after.TotalAlloc-before.TotalAlloc, decodeAllocBound(len(data)); allocated > bound {
+			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(data), allocated, bound)
+		}
+		if s != nil {
+			checkSnapshotCodec(t, s)
+		}
 	})
 }

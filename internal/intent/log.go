@@ -7,6 +7,7 @@ package intent
 
 import (
 	"bufio"
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -73,7 +74,10 @@ type Options struct {
 }
 
 const (
-	journalName  = "journal.log"
+	journalName = "journal.log"
+	// snapshotName is the name the snapshot had when it was JSON, which
+	// tools outside the store stat: it now holds the binary format, told
+	// apart from a JSON one by its magic (see loadSnapshot).
 	snapshotName = "snapshot.json"
 )
 
@@ -130,19 +134,8 @@ func Open(dir string, opts Options) (*Log, error) {
 		return nil, fmt.Errorf("intent: %w", err)
 	}
 	l := &Log{dir: dir, opts: opts, st: NewState()}
-
-	// Decode the snapshot entry by entry instead of slurping the file (or
-	// letting json.Decoder buffer its one top-level value, which is the
-	// same thing): at the million-endpoint tier the snapshot is hundreds
-	// of megabytes, and buffering it doubles recovery's peak memory.
-	if sf, err := os.Open(filepath.Join(dir, snapshotName)); err == nil {
-		derr := l.st.decodeSnapshot(bufio.NewReaderSize(sf, 1<<20))
-		sf.Close()
-		if derr != nil {
-			return nil, fmt.Errorf("intent: snapshot corrupt: %w", derr)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("intent: %w", err)
+	if err := l.loadSnapshot(); err != nil {
+		return nil, err
 	}
 
 	f, err := os.OpenFile(filepath.Join(dir, journalName), os.O_APPEND|os.O_RDWR|os.O_CREATE, 0o644)
@@ -204,6 +197,51 @@ func Open(dir string, opts Options) (*Log, error) {
 		return nil, fmt.Errorf("intent: %w", err)
 	}
 	return l, nil
+}
+
+// loadSnapshot removes the temporary file a crash mid-compaction left
+// behind and loads the snapshot: the binary format when the file opens
+// with its magic, else the JSON one of a store no compaction has touched
+// since the upgrade. No JSON text starts with the magic's first byte.
+func (l *Log) loadSnapshot() error {
+	path := filepath.Join(l.dir, snapshotName)
+	_ = os.Remove(path + ".tmp") // one that stays fails the next compaction, which counts it
+	f, err := os.Open(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	} else if err != nil {
+		return fmt.Errorf("intent: %w", err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err == nil {
+		magic := make([]byte, len(snapshotMagic))
+		if _, rerr := f.ReadAt(magic, 0); rerr == nil && bytes.Equal(magic, snapshotMagic) {
+			l.st, err = decodeSnapshot(f, fi.Size())
+		} else {
+			err = l.st.decodeJSONSnapshot(bufio.NewReaderSize(f, 1<<20))
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("intent: snapshot corrupt: %w", err)
+	}
+	return nil
+}
+
+// syncDir makes the directory entries of dir durable: a rename in it
+// survives a power cut only once this returns.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err == nil {
+		err = d.Sync()
+		if cerr := d.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("intent: %w", err)
+	}
+	return nil
 }
 
 func (l *Log) writeHeaderLocked() error {
@@ -294,6 +332,9 @@ func (l *Log) appendLocked(tenant string, ops []Op, meta map[string]string) uint
 		}
 	}
 	if l.opts.CompactEvery > 0 && l.sinceCompact >= l.opts.CompactEvery {
+		// Counted from the attempt: on a failing disk the retry comes a
+		// window later, not on every append after this one.
+		l.sinceCompact = 0
 		if err := l.compactLocked(); err != nil {
 			l.appendErrs++
 			l.lastErr = err
@@ -314,10 +355,10 @@ func (l *Log) syncLocked() {
 	l.sinceSync = 0
 }
 
-// Compact snapshots State atomically (tmp + fsync + rename) and resets
-// the journal to an empty header. A crash between rename and truncate
-// is safe: replay skips journal records at or below the snapshot's
-// sequence number.
+// Compact snapshots State atomically (tmp + fsync + rename + directory
+// fsync) and resets the journal to an empty header. A crash between
+// rename and truncate is safe: replay skips journal records at or below
+// the snapshot's sequence number.
 func (l *Log) Compact() error {
 	if l == nil {
 		return nil
@@ -336,14 +377,7 @@ func (l *Log) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("intent: %w", err)
 	}
-	// Stream the encode entry by entry: no full-snapshot byte buffer
-	// alongside the state itself (see the matching decode in Open).
-	bw := bufio.NewWriterSize(tf, 1<<20)
-	if err := l.st.encodeSnapshot(bw); err != nil {
-		tf.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
+	if err := l.st.encodeSnapshot(tf); err != nil {
 		tf.Close()
 		return fmt.Errorf("intent: %w", err)
 	}
@@ -356,6 +390,12 @@ func (l *Log) compactLocked() error {
 	}
 	if err := os.Rename(tmp, filepath.Join(l.dir, snapshotName)); err != nil {
 		return fmt.Errorf("intent: %w", err)
+	}
+	// The rename must be durable before the journal it replaces is cut:
+	// after a power cut that kept the cut and lost the rename, every
+	// record since the previous snapshot would be gone.
+	if err := syncDir(l.dir); err != nil {
+		return err
 	}
 	if err := l.writeHeaderLocked(); err != nil {
 		return err

@@ -3,6 +3,7 @@ package intent
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -159,6 +160,48 @@ func TestAutoCompact(t *testing.T) {
 	}
 }
 
+// TestFailedCompactionRetriesAWindowLater: a compaction that fails — here
+// because a directory stands where its temporary file goes — is retried
+// CompactEvery records later, not on every append after it, so a failing
+// disk does not turn each mutation into a world-sized write under the
+// lock. Each attempt is one append error.
+func TestFailedCompactionRetriesAWindowLater(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{CompactEvery: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := os.Mkdir(filepath.Join(dir, snapshotName+".tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		l.Record("acme", Op{Verb: OpSetQoS, Provider: "p", Region: "r", Bps: float64(i + 1)})
+	}
+	if st := l.Stats(); st.AppendErrors != 5 || st.Compactions != 0 {
+		t.Errorf("40 records, compacting every 8 onto a failing disk: %d append errors and %d compactions, want 5 and 0",
+			st.AppendErrors, st.Compactions)
+	}
+}
+
+// TestOpenRemovesStaleTmp: the temporary file of a compaction a crash cut
+// short is gone after Open — it is no snapshot, only bytes in the store.
+func TestOpenRemovesStaleTmp(t *testing.T) {
+	dir := t.TempDir()
+	tmp := filepath.Join(dir, snapshotName+".tmp")
+	if err := os.WriteFile(tmp, []byte("half a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Errorf("%s survived Open: %v", filepath.Base(tmp), err)
+	}
+}
+
 // TestSeqSkip simulates a crash between the snapshot rename and the
 // journal truncation: the journal still holds records the snapshot
 // already covers. Replay must skip them.
@@ -171,10 +214,7 @@ func TestSeqSkip(t *testing.T) {
 	recordAll(t, l)
 	want := stateJSON(t, l.State())
 	wantSeq := l.Seq()
-	snap, err := json.Marshal(l.State())
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := l.State()
 	l.Close()
 	journal, err := os.ReadFile(filepath.Join(dirA, journalName))
 	if err != nil {
@@ -182,9 +222,7 @@ func TestSeqSkip(t *testing.T) {
 	}
 
 	dirB := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dirB, snapshotName), snap, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeSnapshot(t, dirB, snap)
 	if err := os.WriteFile(filepath.Join(dirB, journalName), journal, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -258,14 +296,48 @@ func TestCorruptTailRecovers(t *testing.T) {
 	}
 }
 
+// TestCorruptSnapshotIsFatal: a snapshot is written whole or not at all,
+// so a damaged one is no crash debris and the store refuses to open —
+// whichever byte of a binary snapshot is flipped or wherever it is cut,
+// and a JSON one that is not JSON.
 func TestCorruptSnapshotIsFatal(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, snapshotName), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(dir, Options{}); err == nil {
-		t.Fatal("Open accepted a corrupt snapshot")
+		t.Fatal("Open accepted a corrupt JSON snapshot")
 	}
+
+	l, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recordAll(t, l)
+	good, err := encodeBytes(l.State())
+	l.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir = t.TempDir()
+	path := filepath.Join(dir, snapshotName)
+	refused := func(what string, snapshot []byte) {
+		t.Helper()
+		if err := os.WriteFile(path, snapshot, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if l, err := Open(dir, Options{}); err == nil {
+			l.Close()
+			t.Fatalf("Open accepted a binary snapshot %s", what)
+		}
+	}
+	for i := range good {
+		bad := bytes.Clone(good)
+		bad[i] ^= 0xff
+		refused(fmt.Sprintf("with byte %d of %d flipped", i, len(good)), bad)
+		refused(fmt.Sprintf("cut to %d of %d bytes", i, len(good)), good[:i])
+	}
+	refused("with a byte appended", append(bytes.Clone(good), 0))
 }
 
 func TestInvalidOpRejected(t *testing.T) {
