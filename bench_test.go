@@ -10,6 +10,7 @@
 package declnet
 
 import (
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -387,8 +388,9 @@ func BenchmarkReshareIncremental(b *testing.B) {
 	})
 }
 
-// BenchmarkSweepParallel compares the experiment sweep driver's serial and
-// parallel modes on an E5 grid (four independent cells per op).
+// BenchmarkSweepParallel compares the experiment sweep driver's pool at
+// one worker (GOMAXPROCS 1) and at four (GOMAXPROCS 4) on an E5 grid
+// (four independent cells per op).
 func BenchmarkSweepParallel(b *testing.B) {
 	grid := func(b *testing.B) {
 		t, err := exp.E5QuotaEnforce([]int{50, 100},
@@ -400,18 +402,17 @@ func BenchmarkSweepParallel(b *testing.B) {
 			b.Fatalf("rows = %d, want 4", len(t.Rows))
 		}
 	}
-	b.Run("serial", func(b *testing.B) {
-		exp.SetParallel(false)
-		defer exp.SetParallel(true)
-		for i := 0; i < b.N; i++ {
-			grid(b)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			grid(b)
-		}
-	})
+	for _, arm := range []struct {
+		name  string
+		procs int
+	}{{"serial", 1}, {"parallel", 4}} {
+		b.Run(arm.name, func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(arm.procs))
+			for i := 0; i < b.N; i++ {
+				grid(b)
+			}
+		})
+	}
 }
 
 // BenchmarkFabricEvaluate measures the baseline reachability evaluator on

@@ -7,7 +7,6 @@
 //	expdriver -run E3,E7      # a subset
 //	expdriver -format md      # GitHub markdown (for EXPERIMENTS.md)
 //	expdriver -list           # list experiment IDs and titles
-//	expdriver -serial         # disable parallel sweep cells
 //	expdriver -run E13 -scale-eips 1000000 -scale-tenants 400
 //	                          # the full million-endpoint drill tier
 package main
@@ -26,15 +25,11 @@ func main() {
 	run := flag.String("run", "all", "comma-separated experiment IDs, or 'all'")
 	format := flag.String("format", "text", "output format: text or md")
 	list := flag.Bool("list", false, "list experiments and exit")
-	serial := flag.Bool("serial", false, "run sweep cells serially (same tables, one core)")
 	scaleEIPs := flag.Int("scale-eips", 0, "E13 drill size in endpoints (0 = default 10^5; `make scale` passes 10^6)")
 	scaleTenants := flag.Int("scale-tenants", 0, "E13 drill tenant count (0 = default 200)")
 	scaleRegions := flag.Int("scale-regions", 0, "E13 drill region count (0 = default 16)")
 	flag.Parse()
 
-	if *serial {
-		exp.SetParallel(false)
-	}
 	if *scaleEIPs > 0 || *scaleTenants > 0 || *scaleRegions > 0 {
 		exp.SetScaleTier(*scaleEIPs, *scaleTenants, *scaleRegions)
 	}

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strings"
@@ -187,13 +188,22 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 // maxBody bounds every POST body.
 const maxBody = 1 << 20
 
-// decode reads a POST's JSON body. When it reports false the error
-// response is already written: 413 for a body over maxBody, 400 for one
-// that does not decode (unknown fields included).
+// decode reads a POST's JSON body: one JSON value and nothing after it
+// but whitespace. When it reports false the error response is already
+// written: 413 for a body over maxBody, 400 for one that does not decode
+// (unknown fields and trailing data included).
 func decode[T any](w http.ResponseWriter, r *http.Request) (v T, ok bool) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&v); err != nil {
+	err := dec.Decode(&v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("data after the JSON value")
+		}
+	}
+	if err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 
 	"declnet"
@@ -156,16 +158,81 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// TestUnknownFieldRejected: a POST body is one JSON value of the route's
+// request type. An unknown field, a second object after it, or garbage
+// after it is a 400 on every route that takes a body, and nothing is
+// applied; trailing whitespace, which json.Encoder ends each body with,
+// stays accepted.
 func TestUnknownFieldRejected(t *testing.T) {
-	ts, _ := newTestServer(t)
+	ts, w := newTestServer(t)
+	f := w.Fig1
+	vmA, vmB := string(w.Host(f.CloudA, f.RegionsA[0], "az1", 1)), string(w.Host(f.CloudB, f.RegionsB[0], "az1", 1))
+	var client, server EIPResponse
+	post(t, ts, "/v1/eips", EIPRequest{Tenant: "acme", VM: vmA}, &client)
+	post(t, ts, "/v1/eips", EIPRequest{Tenant: "acme", VM: vmB}, &server)
+	var sip SIPResponse
+	post(t, ts, "/v1/sips", SIPRequest{Tenant: "acme", Provider: f.CloudB}, &sip)
+	post(t, ts, "/v1/bind", BindRequest{Tenant: "acme", EIP: server.EIP, SIP: sip.SIP}, nil)
+	routes := []struct {
+		path string
+		body any
+	}{
+		{"/v1/eips", EIPRequest{Tenant: "acme", VM: vmA}},
+		{"/v1/eips/release", ReleaseRequest{Tenant: "acme", EIP: client.EIP}},
+		{"/v1/sips", SIPRequest{Tenant: "acme", Provider: f.CloudB}},
+		{"/v1/bind", BindRequest{Tenant: "acme", EIP: client.EIP, SIP: sip.SIP}},
+		{"/v1/unbind", BindRequest{Tenant: "acme", EIP: server.EIP, SIP: sip.SIP}},
+		{"/v1/permit", PermitRequest{Tenant: "acme", Target: server.EIP, Entries: []string{client.EIP}}},
+		{"/v1/qos", QoSRequest{Tenant: "acme", Provider: f.CloudA, Region: f.RegionsA[0], Bandwidth: 1e9}},
+		{"/v1/potato", PotatoRequest{Tenant: "acme", Provider: f.CloudA, Policy: "cold"}},
+		{"/v1/groups", GroupRequest{Tenant: "acme", Name: "web", Members: []string{client.EIP}}},
+		{"/v1/names", NameRequest{Tenant: "acme", Name: "db", Target: server.EIP}},
+		{"/v1/batch", BatchRequest{Tenant: "acme", Ops: []BatchOpRequest{{Op: "request_eip", VM: vmA}}}},
+		{"/v1/transfer", TransferRequest{Tenant: "acme", Src: client.EIP, Dst: server.EIP, Bytes: 1e6}},
+		{"/v1/fail", FaultRequest{Kind: "node", Target: vmB, AdvanceMillis: 1000}},
+		{"/v1/heal", FaultRequest{Kind: "node", Target: vmB, AdvanceMillis: 1000}},
+		{"/v1/slo", SLOSetRequest{Tenant: "acme", Objective: "connect_p99=5ms"}},
+	}
+	status := func() StatusResponse {
+		var st StatusResponse
+		get(t, ts, "/v1/status", &st)
+		st.UptimeSeconds, st.MetricSamples = 0, 0
+		return st
+	}
+	want := status()
+	for _, r := range routes {
+		buf, err := json.Marshal(r.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := string(buf)
+		for _, bad := range []struct{ what, body string }{
+			{"an unknown field", body[:len(body)-1] + `,"bogus":1}`},
+			{"a second object after it", body + `{"tenant":"mallory"}`},
+			{"garbage after it", body + " garbage"},
+		} {
+			resp, err := http.Post(ts.URL+r.path, "application/json", strings.NewReader(bad.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s, body with %s: status %d, want 400", r.path, bad.what, resp.StatusCode)
+			}
+			if got := status(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, body with %s: the world changed:\n got %+v\nwant %+v", r.path, bad.what, got, want)
+			}
+		}
+	}
+	// json.Encoder's trailing newline, and any other whitespace, is fine.
 	resp, err := http.Post(ts.URL+"/v1/eips", "application/json",
-		bytes.NewReader([]byte(`{"tenant":"acme","vm":"x","bogus":1}`)))
+		strings.NewReader(`{"tenant":"acme","vm":"`+vmA+`"}`+"\n \t\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown field status %d", resp.StatusCode)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("a body ending in whitespace: status %d, want 200", resp.StatusCode)
 	}
 }
 

@@ -181,6 +181,7 @@ func (c *Cloud) apply(tenant string, op *intent.Op, mode applyMode) (k ShardKey,
 	if err == nil && c.rec != nil {
 		stg = sop.StageStart()
 		c.rec.Record(tenant, *op)
+		c.noteRecorded(tenant, *op)
 		sop.StageEnd(stg, "journal")
 	}
 	sop.End(err)

@@ -162,6 +162,7 @@ func (c *Cloud) ApplyBatch(tenant string, ops []BatchOp) ([]BatchResult, error) 
 	if len(applied) > 0 {
 		stg = sop.StageStart()
 		c.rec.Record(tenant, applied...)
+		c.noteRecorded(tenant, applied...)
 		sop.StageEnd(stg, "journal")
 	}
 	sop.End(berr)

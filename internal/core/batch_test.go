@@ -147,7 +147,7 @@ func TestApplyBatchPartialFailure(t *testing.T) {
 func TestApplyBatchMidBatchAddressView(t *testing.T) {
 	c, w, _, _, _ := fig1Cloud(t)
 	vm := topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1)
-	eip, err := c.providers[w.CloudA].cloud.Tenant("acme").RequestEIP(vm)
+	eip, err := c.Tenant("acme").RequestEIP(vm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -30,14 +32,11 @@ type Cloud struct {
 	G   *topo.Graph
 	Net *netsim.Network
 
-	// providers is the authoritative registry, mutated only under the
-	// shard set's global gate (AddProvider); the read plane goes through
-	// the pidx snapshot below instead.
-	providers map[string]*Provider
-
-	// pidx is the copy-on-write provider index the lock-free read plane
-	// resolves addresses through: provider-by-name plus the sorted
-	// address-block table mapping any granted-range IP to its provider.
+	// pidx is the provider registry: a copy-on-write index, replaced
+	// only under the shard set's global gate (AddProvider), that the
+	// lock-free read plane resolves addresses through — provider-by-name
+	// plus the sorted address-block table mapping any granted-range IP
+	// to its provider.
 	pidx atomic.Pointer[provIndex]
 
 	// shards partitions the write plane by (tenant, region); see
@@ -91,8 +90,8 @@ type Cloud struct {
 	reconciler *Reconciler
 
 	// conv holds the reconciler's per-provider dirty sets; see
-	// convtrack.go. Fed by the intent log's record hook once EnableIntent
-	// wires it, plus the fault monitor's deferred permit landings.
+	// convtrack.go. Fed by every journaled mutation once EnableIntent
+	// attaches a store, plus the fault monitor's deferred permit landings.
 	// Zero-value-usable.
 	conv convTracker
 
@@ -145,7 +144,6 @@ func newCloud(seed int64, g *topo.Graph, singleShard bool) *Cloud {
 	eng := sim.New(seed)
 	c := &Cloud{
 		Eng: eng, G: g, Net: netsim.New(g, eng),
-		providers:  make(map[string]*Provider),
 		shards:     newShardSet(singleShard),
 		groups:     make(map[string]map[string][]EIP),
 		names:      make(map[string]map[string]addr.IP),
@@ -218,7 +216,7 @@ func AddFig1Providers(c *Cloud, w *topo.Fig1World) (a, b, onprem *Provider, err 
 }
 
 func (c *Cloud) addProvider(name string, cfg Config) (*Provider, error) {
-	if _, ok := c.providers[name]; ok {
+	if _, ok := c.pidx.Load().byName[name]; ok {
 		return nil, fmt.Errorf("core: duplicate provider %q", name)
 	}
 	p, err := newProvider(name, c.Eng, c.G, c.Net, cfg)
@@ -226,32 +224,28 @@ func (c *Cloud) addProvider(name string, cfg Config) (*Provider, error) {
 		return nil, err
 	}
 	p.cloud = c
-	c.providers[name] = p
-	c.rebuildIndex()
+	c.rebuildIndex(p)
 	if c.reg != nil {
 		c.registerProviderMetrics(name, p)
 	}
 	return p, nil
 }
 
-// rebuildIndex publishes a fresh provider index; caller holds the
-// global gate.
-func (c *Cloud) rebuildIndex() {
-	idx := &provIndex{byName: make(map[string]*Provider, len(c.providers))}
-	names := make([]string, 0, len(c.providers))
-	for n, p := range c.providers {
-		idx.byName[n] = p
-		names = append(names, n)
+// rebuildIndex publishes the next provider index: the current one plus
+// p. The caller holds the global gate.
+func (c *Cloud) rebuildIndex(p *Provider) {
+	cur := c.pidx.Load()
+	idx := &provIndex{
+		byName: maps.Clone(cur.byName),
+		list:   append(slices.Clone(cur.list), p),
+		blocks: slices.Clone(cur.blocks),
 	}
-	slices.Sort(names)
-	for _, n := range names {
-		p := c.providers[n]
-		idx.list = append(idx.list, p)
-		for r, b := range p.eipBlocks {
-			idx.blocks = append(idx.blocks, provBlock{base: b.base, p: p, region: r, shard: b.shard})
-		}
-		idx.blocks = append(idx.blocks, provBlock{base: p.cfg.SIPBase, p: p, shard: p.Name})
+	idx.byName[p.Name] = p
+	slices.SortFunc(idx.list, func(a, b *Provider) int { return cmp.Compare(a.Name, b.Name) })
+	for r, b := range p.eipBlocks {
+		idx.blocks = append(idx.blocks, provBlock{base: b.base, p: p, region: r, shard: b.shard})
 	}
+	idx.blocks = append(idx.blocks, provBlock{base: p.cfg.SIPBase, p: p, shard: p.Name})
 	sort.Slice(idx.blocks, func(i, j int) bool { return idx.blocks[i].base.Addr < idx.blocks[j].base.Addr })
 	c.pidx.Store(idx)
 }
@@ -353,10 +347,10 @@ func (c *Cloud) providerOfAddr(ip addr.IP) (*Provider, bool) {
 	if !ok {
 		return nil, false
 	}
-	if _, ok := p.addrs.getEndpoint(ip); ok {
+	if _, ok := p.endpoints.Get(ip); ok {
 		return p, true
 	}
-	if _, ok := p.addrs.getService(ip); ok {
+	if _, ok := p.services.Get(ip); ok {
 		return p, true
 	}
 	return nil, false
@@ -372,7 +366,7 @@ func (c *Cloud) admitted(dstProv *Provider, src, dst addr.IP) bool {
 	allowed := dstProv.Permits.Check(src, dst)
 	if c.slo.PendingLagSamples() > 0 {
 		region := dstProv.Name
-		if ep, ok := dstProv.addrs.getEndpoint(dst); ok {
+		if ep, ok := dstProv.endpoints.Get(dst); ok {
 			region = ep.shard
 		}
 		c.slo.ResolveLag(dst, region)
@@ -520,7 +514,7 @@ func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, opts Co
 	// (2) Resolve SIP -> backend EIP via the provider's balancer.
 	dstEIP := dst
 	var release func()
-	if svc, isSIP := dstProv.addrs.getService(dst); isSIP {
+	if svc, isSIP := dstProv.services.Get(dst); isSIP {
 		stg = op.StageStart()
 		be, err := svc.balancer.Pick()
 		op.StageEnd(stg, "balance")
@@ -538,7 +532,7 @@ func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, opts Co
 		bal := svc.balancer
 		release = func() { bal.Release(be) }
 	}
-	dstEp, ok := dstProv.addrs.getEndpoint(dstEIP)
+	dstEp, ok := dstProv.endpoints.Get(dstEIP)
 	if !ok {
 		if release != nil {
 			release()
@@ -659,7 +653,7 @@ func (c *Cloud) probe(op *slo.Op, tenant string, src EIP, dst addr.IP) (time.Dur
 		return 0, false, fmt.Errorf("core: %s not permitted to reach %s (default-off)", src, dst)
 	}
 	dstEIP := dst
-	if svc, isSIP := dstProv.addrs.getService(dst); isSIP {
+	if svc, isSIP := dstProv.services.Get(dst); isSIP {
 		be, err := svc.balancer.Pick()
 		if err != nil {
 			return 0, false, err
@@ -667,7 +661,7 @@ func (c *Cloud) probe(op *slo.Op, tenant string, src EIP, dst addr.IP) (time.Dur
 		dstEIP = be.EIP
 		defer svc.balancer.Release(be)
 	}
-	dstEp, ok := dstProv.addrs.getEndpoint(dstEIP)
+	dstEp, ok := dstProv.endpoints.Get(dstEIP)
 	if !ok {
 		return 0, false, fmt.Errorf("core: backend %s vanished", dstEIP)
 	}

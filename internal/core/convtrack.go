@@ -1,6 +1,6 @@
 // Convergence tracking: the dirty sets behind reconciliation sweeps
 // (reconcile.go). Every journaled mutation flows through
-// Cloud.noteRecorded — the intent log's record hook — which marks the
+// Cloud.noteRecorded, called right after Log.Record, which marks the
 // mutated (surface, target) dirty for the owning provider, so the next
 // sweep checks exactly the touched targets. The fault monitor marks a
 // deferred permit update's target when it lands or times out. The Drift*
@@ -80,14 +80,17 @@ func (t *convTracker) take(prov string) convDirty {
 	return *d
 }
 
-// noteRecorded is the intent log's record hook (Log.SetOnRecord): it
-// runs after each journaled record's in-memory apply, still under the
-// recording verb's shard lock (a batch's whole shard set).
+// noteRecorded marks what a journaled mutation touched. Cloud.apply and
+// ApplyBatch call it right after Log.Record, still under the recording
+// verb's shard lock (a batch's whole shard set), so anything serialized
+// against the mutation — a digest under the global gate, a sweep — sees
+// the marks too. It runs even when the append failed: the in-memory
+// mutation has happened either way.
 // Target->provider resolution uses the static block carving
 // (blockOwner), which stays correct even for release ops whose address
 // is already gone from the live tables. Verbs with no reconciled
 // surface (potato, VM egress caps, groups, names) mark nothing.
-func (c *Cloud) noteRecorded(tenant string, ops []intent.Op) {
+func (c *Cloud) noteRecorded(tenant string, ops ...intent.Op) {
 	for i := range ops {
 		op := &ops[i]
 		switch op.Verb {

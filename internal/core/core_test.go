@@ -402,8 +402,8 @@ func TestErrorsMentionDefaultOff(t *testing.T) {
 // miss is the fixed lb.ErrNotBound) instead of copying and sorting its
 // backends: a request_eip + release_eip pair on a provider holding 128
 // SIPs allocates within 8 of the pair on one holding 8 — the growth steps
-// of serviceSnapshot's one slice. Copying the backends cost at least one
-// allocation more per SIP.
+// of the one slice the service table lists into. Copying the backends
+// cost at least one allocation more per SIP.
 func TestReleaseEIPCostDoesNotGrowWithSIPs(t *testing.T) {
 	pair := func(sips int) float64 {
 		c, w, pa, _, _ := fig1Cloud(t)

@@ -228,7 +228,7 @@ func (m *FaultMonitor) tick() {
 
 // sweepServices probes every SIP backend and drives rotation health.
 func (m *FaultMonitor) sweepServices(now sim.Time, p *Provider) {
-	svcs := p.addrs.serviceSnapshot()
+	svcs := p.services.All()
 	for i := 1; i < len(svcs); i++ {
 		for j := i; j > 0 && svcs[j].sip < svcs[j-1].sip; j-- {
 			svcs[j], svcs[j-1] = svcs[j-1], svcs[j]
@@ -369,7 +369,7 @@ func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, s
 	var attempt func()
 	attempt = func() {
 		// The target may have been released while the update was pending.
-		ep, ok := p.addrs.getEndpoint(target)
+		ep, ok := p.endpoints.Get(target)
 		if !ok || ep.tenant != tenant {
 			settle()
 			return

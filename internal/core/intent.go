@@ -30,15 +30,11 @@ import (
 )
 
 // EnableIntent attaches the durable intent store. Mutations accepted
-// after this point are journaled; call it before serving traffic (the
-// daemon does, right after RestoreIntent).
+// after this point are journaled, and each journaled one feeds the
+// reconciler's dirty sets (convtrack.go); call it before serving traffic
+// (the daemon does, right after RestoreIntent).
 func (c *Cloud) EnableIntent(l *intent.Log) {
-	c.Exclusive(func() {
-		c.rec = l
-		// Every journaled mutation now feeds the reconciler's dirty sets
-		// (convtrack.go).
-		l.SetOnRecord(c.noteRecorded)
-	})
+	c.Exclusive(func() { c.rec = l })
 }
 
 // Intent returns the attached store, or nil before EnableIntent.
@@ -70,11 +66,11 @@ func (c *Cloud) RestoreIntentWorkers(st *intent.State, workers int) error {
 	}
 	defer c.shards.lockGlobal()()
 
-	provs := c.pidx.Load().list
+	idx := c.pidx.Load()
 
 	// Pools first, so the cursors are exact even for addresses whose
 	// endpoints are restored below (Restore rebuilds inUse wholesale).
-	for _, p := range provs {
+	for _, p := range idx.list {
 		for _, region := range p.Regions() {
 			ps := st.EIPPools[intent.PoolKey(p.Name, region)]
 			if ps == nil {
@@ -106,11 +102,11 @@ func (c *Cloud) RestoreIntentWorkers(st *intent.State, workers int) error {
 	err := restoreParallel(len(eips), workers, func(i int) error {
 		eip := eips[i]
 		ep := st.Endpoints[eip]
-		p, ok := c.providers[ep.Provider]
+		p, ok := idx.byName[ep.Provider]
 		if !ok {
 			return fmt.Errorf("core: restore: endpoint %s references unknown provider %q", eip, ep.Provider)
 		}
-		p.addrs.putEndpoint(eip, &endpoint{
+		p.endpoints.Put(eip, &endpoint{
 			eip: eip, tenant: ep.Tenant, node: topo.NodeID(ep.VM),
 			provider: ep.Provider, region: ep.Region,
 			shard:     ep.Provider + "/" + ep.Region,
@@ -129,7 +125,7 @@ func (c *Cloud) RestoreIntentWorkers(st *intent.State, workers int) error {
 	err = restoreParallel(len(sips), workers, func(i int) error {
 		sip := sips[i]
 		svc := st.Services[sip]
-		p, ok := c.providers[svc.Provider]
+		p, ok := idx.byName[svc.Provider]
 		if !ok {
 			return fmt.Errorf("core: restore: service %s references unknown provider %q", sip, svc.Provider)
 		}
@@ -137,7 +133,7 @@ func (c *Cloud) RestoreIntentWorkers(st *intent.State, workers int) error {
 		for _, b := range svc.Binds {
 			bal.Bind(b.EIP, b.Weight)
 		}
-		p.addrs.putService(sip, &service{sip: sip, tenant: svc.Tenant, balancer: bal})
+		p.services.Put(sip, &service{sip: sip, tenant: svc.Tenant, balancer: bal})
 		c.tenantDelta(svc.Tenant, 1)
 		return nil
 	})
@@ -170,7 +166,7 @@ func (c *Cloud) RestoreIntentWorkers(st *intent.State, workers int) error {
 		if !ok {
 			return fmt.Errorf("core: restore: malformed quota key %q", key)
 		}
-		p, ok := c.providers[prov]
+		p, ok := idx.byName[prov]
 		if !ok {
 			return fmt.Errorf("core: restore: quota key %q references unknown provider", key)
 		}
@@ -183,7 +179,7 @@ func (c *Cloud) RestoreIntentWorkers(st *intent.State, workers int) error {
 		if len(parts) != 2 {
 			return fmt.Errorf("core: restore: malformed potato key %q", key)
 		}
-		p, ok := c.providers[parts[0]]
+		p, ok := idx.byName[parts[0]]
 		if !ok {
 			return fmt.Errorf("core: restore: potato key %q references unknown provider", key)
 		}
@@ -318,7 +314,7 @@ func sectionHash(fill func(io.Writer)) [sha256.Size]byte {
 // the stripe unit.
 func writeRegionSection(w io.Writer, p *Provider, region string) {
 	b := p.eipBlocks[region]
-	eps := p.addrs.endpointsWithin(b.base)
+	eps := p.endpoints.Values(b.base)
 	sort.Slice(eps, func(i, j int) bool { return eps[i].eip < eps[j].eip })
 	for _, ep := range eps {
 		fmt.Fprintf(w, "ep %s %s %s %s %g\n", ep.eip, ep.tenant, ep.node, ep.region, ep.egressCap)
@@ -331,7 +327,7 @@ func writeRegionSection(w io.Writer, p *Provider, region string) {
 // writeSIPSection renders a provider's SIP plane: services and their
 // bindings, SIP permit lists, and the SIP pool cursor.
 func writeSIPSection(w io.Writer, p *Provider) {
-	svcs := p.addrs.serviceSnapshot()
+	svcs := p.services.All()
 	sort.Slice(svcs, func(i, j int) bool { return svcs[i].sip < svcs[j].sip })
 	for _, svc := range svcs {
 		fmt.Fprintf(w, "svc %s %s\n", svc.sip, svc.tenant)
@@ -433,7 +429,7 @@ func (c *Cloud) DriftUnbind(sip SIP, eip EIP) bool {
 	if !ok {
 		return false
 	}
-	svc, ok := p.addrs.getService(sip)
+	svc, ok := p.services.Get(sip)
 	if !ok {
 		return false
 	}
@@ -443,7 +439,7 @@ func (c *Cloud) DriftUnbind(sip SIP, eip EIP) bool {
 // DriftZeroQuota zeroes a (tenant, region) egress limiter without
 // touching the declared quota.
 func (c *Cloud) DriftZeroQuota(provider, tenant, region string) bool {
-	p, ok := c.providers[provider]
+	p, ok := c.Provider(provider)
 	if !ok {
 		return false
 	}

@@ -277,7 +277,7 @@ func TestReconcilerRepairsDrift(t *testing.T) {
 // mustService looks a service up in the provider's address table.
 func mustService(t *testing.T, p *Provider, sip addr.IP) *service {
 	t.Helper()
-	svc, ok := p.addrs.getService(sip)
+	svc, ok := p.services.Get(sip)
 	if !ok {
 		t.Fatalf("service %s not found", sip)
 	}

@@ -55,8 +55,8 @@ func (c *Cloud) EnableObservability(tr *obs.Tracer, reg *metrics.Registry) {
 			"Links visited by incremental solves.", c.engineRead(func() float64 { return float64(c.Net.LinksTouched) }))
 		reg.GaugeFunc("declnet_flows_active",
 			"Live flows in the network.", c.engineRead(func() float64 { return float64(c.Net.Active()) }))
-		for name, p := range c.providers {
-			c.registerProviderMetrics(name, p)
+		for _, p := range c.pidx.Load().list {
+			c.registerProviderMetrics(p.Name, p)
 		}
 		c.monitor.registerMetrics(reg)
 	})
@@ -200,7 +200,7 @@ func (c *Cloud) explain(tenant string, src EIP, dst addr.IP) (*Explanation, erro
 
 	// Stage 3 — balancer, only when dst is a service address.
 	dstEIP := dst
-	if svc, isSIP := dstProv.addrs.getService(dst); isSIP {
+	if svc, isSIP := dstProv.services.Get(dst); isSIP {
 		bal := svc.balancer
 		healthy, total := bal.HealthyCount(), len(bal.Backends())
 		if be, err := bal.Preview(); err == nil {
@@ -225,7 +225,7 @@ func (c *Cloud) explain(tenant string, src EIP, dst addr.IP) (*Explanation, erro
 	// Stage 4 — destination endpoint liveness.
 	var dstNode topo.NodeID
 	if dstEIP != 0 {
-		if dstEp, ok := dstProv.addrs.getEndpoint(dstEIP); ok {
+		if dstEp, ok := dstProv.endpoints.Get(dstEIP); ok {
 			dstNode = dstEp.node
 			if cause := c.nodeCause(dstNode); cause != "" {
 				ex.failStep("destination", "vm="+string(dstNode), cause)
@@ -303,12 +303,12 @@ type ResourceCounts struct {
 func (c *Cloud) TenantResources() map[string]ResourceCounts {
 	out := make(map[string]ResourceCounts)
 	for _, p := range c.pidx.Load().list {
-		for _, ep := range p.addrs.endpointSnapshot() {
+		for _, ep := range p.endpoints.All() {
 			rc := out[ep.tenant]
 			rc.EIPs++
 			out[ep.tenant] = rc
 		}
-		for _, svc := range p.addrs.serviceSnapshot() {
+		for _, svc := range p.services.All() {
 			rc := out[svc.tenant]
 			rc.SIPs++
 			out[svc.tenant] = rc
@@ -347,7 +347,7 @@ func (c *Cloud) nodeCause(id topo.NodeID) string {
 // targetNode resolves the enforcement node behind a permit target, "" for
 // SIPs (enforced at the always-on frontend).
 func (c *Cloud) targetNode(p *Provider, target addr.IP) topo.NodeID {
-	if ep, ok := p.addrs.getEndpoint(target); ok {
+	if ep, ok := p.endpoints.Get(target); ok {
 		return ep.node
 	}
 	return ""

@@ -89,13 +89,18 @@ type Provider struct {
 	eipBlocks map[string]*regionBlocks
 	sipBlock  *addr.HostPool
 
-	// addrs holds the granted endpoint/service tables, striped by /16
-	// block so one region's churn never touches another's stripe.
-	addrs *addrSpace
+	// endpoints and services are the granted EIPs and SIPs. Every tenant
+	// shard homed on the provider shares them, so the shard locks above
+	// cannot be their memory-safety story: two tenants mutating the same
+	// region run under different shard locks. Instead each is an
+	// addr.Table, striped by /16 block — the carving above — so one
+	// region's churn never takes the stripe lock another region's reader
+	// holds.
+	endpoints addr.Table[*endpoint]
+	services  addr.Table[*service]
 
-	// Permits is the provider's enforcement engine. Exposed for
-	// experiments that measure its scale directly. Internally striped by
-	// the target's /16 block.
+	// Permits is the provider's enforcement engine, an addr.Table of its
+	// own. Exposed for experiments that measure its scale directly.
 	Permits *permit.Engine
 
 	// polMu guards the per-tenant policy maps below (potato, quotas):
@@ -190,7 +195,6 @@ func newProvider(name string, eng *sim.Engine, g *topo.Graph, net *netsim.Networ
 		net:             net,
 		eipBlocks:       make(map[string]*regionBlocks),
 		sipBlock:        addr.NewHostPool(cfg.SIPBase, 1),
-		addrs:           newAddrSpace(),
 		Permits:         permit.NewEngine(),
 		potato:          make(map[string]qos.PotatoPolicy),
 		quotas:          make(map[string]map[string]*tenantQuota),
@@ -262,7 +266,7 @@ func (p *Provider) requestEIP(tenant string, n *topo.Node) (EIP, error) {
 	if err != nil {
 		return 0, err
 	}
-	p.addrs.putEndpoint(eip, &endpoint{
+	p.endpoints.Put(eip, &endpoint{
 		eip: eip, tenant: tenant, node: vm,
 		provider: p.Name, region: n.Region,
 		shard: blocks.shard,
@@ -283,11 +287,11 @@ func (p *Provider) releaseEIP(tenant string, eip EIP) error {
 		return err
 	}
 	// Drain from any SIPs it is bound to; lb.ErrNotBound from the rest.
-	for _, svc := range p.addrs.serviceSnapshot() {
+	for _, svc := range p.services.All() {
 		_ = svc.balancer.Unbind(eip)
 	}
 	p.Permits.Drop(eip)
-	p.addrs.delEndpoint(eip)
+	p.endpoints.Delete(eip)
 	p.cloud.forget(tenant, eip)
 	p.cloud.tenantDelta(tenant, -1)
 	if p.meter != nil {
@@ -301,7 +305,7 @@ func (p *Provider) requestSIP(tenant string) (SIP, error) {
 	if err != nil {
 		return 0, err
 	}
-	p.addrs.putService(sip, &service{sip: sip, tenant: tenant, balancer: lb.New(sip)})
+	p.services.Put(sip, &service{sip: sip, tenant: tenant, balancer: lb.New(sip)})
 	p.cloud.tenantDelta(tenant, 1)
 	if p.meter != nil {
 		p.meter.GrantSIP(tenant, p.eng.Now())
@@ -310,12 +314,12 @@ func (p *Provider) requestSIP(tenant string) (SIP, error) {
 }
 
 func (p *Provider) releaseSIP(tenant string, sip SIP) error {
-	svc, ok := p.addrs.getService(sip)
+	svc, ok := p.services.Get(sip)
 	if !ok || svc.tenant != tenant {
 		return fmt.Errorf("core: %s is not tenant %q's SIP", sip, tenant)
 	}
 	p.Permits.Drop(sip)
-	p.addrs.delService(sip)
+	p.services.Delete(sip)
 	p.cloud.forget(tenant, sip)
 	p.cloud.tenantDelta(tenant, -1)
 	if p.meter != nil {
@@ -328,7 +332,7 @@ func (p *Provider) bind(tenant string, eip EIP, sip SIP, weight int) error {
 	if _, err := p.owned(tenant, eip); err != nil {
 		return err
 	}
-	svc, ok := p.addrs.getService(sip)
+	svc, ok := p.services.Get(sip)
 	if !ok || svc.tenant != tenant {
 		return fmt.Errorf("core: %s is not tenant %q's SIP", sip, tenant)
 	}
@@ -337,7 +341,7 @@ func (p *Provider) bind(tenant string, eip EIP, sip SIP, weight int) error {
 }
 
 func (p *Provider) unbind(tenant string, eip EIP, sip SIP) error {
-	svc, ok := p.addrs.getService(sip)
+	svc, ok := p.services.Get(sip)
 	if !ok || svc.tenant != tenant {
 		return fmt.Errorf("core: %s is not tenant %q's SIP", sip, tenant)
 	}
@@ -374,7 +378,7 @@ func (p *Provider) setPermitList(tenant string, op *intent.Op) error {
 	// is accepted and retried until the node answers or the policy's
 	// timeout expires. SIP targets are enforced at the (always-on)
 	// service frontend and never defer.
-	if ep, ok := p.addrs.getEndpoint(target); ok && !p.cloud.monitor.Inj.Reachable(ep.node) {
+	if ep, ok := p.endpoints.Get(target); ok && !p.cloud.monitor.Inj.Reachable(ep.node) {
 		p.cloud.monitor.retryPermit(p, tenant, target, set, len(all), ep.node)
 		return nil
 	}
@@ -485,7 +489,7 @@ func (p *Provider) setVMEgressCap(tenant string, eip EIP, bps float64) error {
 // Structure-safe without shard locks: it only flips balancer health bits
 // under the balancers' own mutexes.
 func (p *Provider) MarkHealth(eip EIP, healthy bool) {
-	for _, svc := range p.addrs.serviceSnapshot() {
+	for _, svc := range p.services.All() {
 		_ = svc.balancer.SetHealth(eip, healthy) // lb.ErrNotBound where it is not a backend
 	}
 }
@@ -493,7 +497,7 @@ func (p *Provider) MarkHealth(eip EIP, healthy bool) {
 // Endpoint resolution helpers.
 
 func (p *Provider) owned(tenant string, eip EIP) (*endpoint, error) {
-	ep, ok := p.addrs.getEndpoint(eip)
+	ep, ok := p.endpoints.Get(eip)
 	if !ok || ep.tenant != tenant {
 		return nil, fmt.Errorf("core: %s is not tenant %q's EIP", eip, tenant)
 	}
@@ -501,10 +505,10 @@ func (p *Provider) owned(tenant string, eip EIP) (*endpoint, error) {
 }
 
 func (p *Provider) ownsTarget(tenant string, target addr.IP) error {
-	if ep, ok := p.addrs.getEndpoint(target); ok && ep.tenant == tenant {
+	if ep, ok := p.endpoints.Get(target); ok && ep.tenant == tenant {
 		return nil
 	}
-	if svc, ok := p.addrs.getService(target); ok && svc.tenant == tenant {
+	if svc, ok := p.services.Get(target); ok && svc.tenant == tenant {
 		return nil
 	}
 	return fmt.Errorf("core: %s is not tenant %q's address", target, tenant)
@@ -513,10 +517,10 @@ func (p *Provider) ownsTarget(tenant string, target addr.IP) error {
 // holder names the tenant an address is granted to, as an EIP or a SIP
 // ("" when it is not granted).
 func (p *Provider) holder(ip addr.IP) string {
-	if ep, ok := p.addrs.getEndpoint(ip); ok {
+	if ep, ok := p.endpoints.Get(ip); ok {
 		return ep.tenant
 	}
-	if svc, ok := p.addrs.getService(ip); ok {
+	if svc, ok := p.services.Get(ip); ok {
 		return svc.tenant
 	}
 	return ""
@@ -524,7 +528,7 @@ func (p *Provider) holder(ip addr.IP) string {
 
 // Lookup returns the endpoint behind an EIP.
 func (p *Provider) Lookup(eip EIP) (topo.NodeID, bool) {
-	ep, ok := p.addrs.getEndpoint(eip)
+	ep, ok := p.endpoints.Get(eip)
 	if !ok {
 		return "", false
 	}
@@ -533,7 +537,7 @@ func (p *Provider) Lookup(eip EIP) (topo.NodeID, bool) {
 
 // Service returns the balancer behind a SIP (read-only use in tests).
 func (p *Provider) Service(sip SIP) (*lb.Balancer, bool) {
-	svc, ok := p.addrs.getService(sip)
+	svc, ok := p.services.Get(sip)
 	if !ok {
 		return nil, false
 	}
@@ -541,8 +545,8 @@ func (p *Provider) Service(sip SIP) (*lb.Balancer, bool) {
 }
 
 // EndpointCount returns granted EIPs; ServiceCount granted SIPs.
-func (p *Provider) EndpointCount() int { return p.addrs.endpointCount() }
-func (p *Provider) ServiceCount() int  { return p.addrs.serviceCount() }
+func (p *Provider) EndpointCount() int { return p.endpoints.Len() }
+func (p *Provider) ServiceCount() int  { return p.services.Len() }
 
 // quota lazily builds the (tenant, region) limiter.
 func (p *Provider) quota(tenant, region string) *tenantQuota {

@@ -244,7 +244,7 @@ func (r *Reconciler) checkDeclaredPermit(p *Provider, t addr.IP, pl *intent.Perm
 	}
 	// Respect fault-deferral semantics: an endpoint whose enforcement
 	// point is unreachable cannot take the repair now.
-	if ep, ok := p.addrs.getEndpoint(t); ok && !c.monitor.Inj.Reachable(ep.node) {
+	if ep, ok := p.endpoints.Get(t); ok && !c.monitor.Inj.Reachable(ep.node) {
 		res.Deferred++
 		return true
 	}
@@ -335,7 +335,7 @@ func bindFixes(bal *lb.Balancer, want []intent.Bind) []bindFix {
 // holding the SIP's shard and the shard of every backend it suspects.
 func (r *Reconciler) checkBindService(p *Provider, sip addr.IP, want *intent.Service, budget *int, res *SweepResult) bool {
 	c := r.cloud
-	svc, ok := p.addrs.getService(sip)
+	svc, ok := p.services.Get(sip)
 	if !ok {
 		return false // released since the screen read it
 	}
@@ -351,7 +351,7 @@ func (r *Reconciler) checkBindService(p *Provider, sip addr.IP, want *intent.Ser
 	}
 	defer c.shards.lockShards(keys)()
 	live, ok := c.rec.Service(sip)
-	if cur, _ := p.addrs.getService(sip); !ok || live.Tenant != want.Tenant || cur != svc {
+	if cur, _ := p.services.Get(sip); !ok || live.Tenant != want.Tenant || cur != svc {
 		return false // released or changed hands since the screen
 	}
 	found := false

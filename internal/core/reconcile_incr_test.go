@@ -57,7 +57,7 @@ func TestIncrementalSweepParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const rounds = 24
 	for round := 0; round < rounds; round++ {
-		// Journaled mutations: marked dirty via the record hook.
+		// Journaled mutations: marked dirty by Cloud.noteRecorded.
 		for n := rng.Intn(3); n >= 0; n-- {
 			switch rng.Intn(4) {
 			case 0:

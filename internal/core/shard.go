@@ -12,7 +12,7 @@
 // rightward):
 //
 //	Reconciler.sweeping > ShardSet.global > shard.mu (in ShardKey.less
-//	order) > engMu > leaf locks (permit stripes, address stripes,
+//	order) > engMu > leaf locks (addr.Table stripes,
 //	pool/balancer/quota/registry mutexes, the intent log's mutex)
 //
 // One leaf sits above engMu: a new quota limiter takes engMu inside its
@@ -51,8 +51,8 @@
 // defines, so batches, single verbs, probes and reconciler repairs
 // cannot deadlock against each other.
 //
-// Underneath the shard locks, the shared structures (permit engine,
-// endpoint/service maps, address pools) are independently striped or
+// Underneath the shard locks, the shared structures (the addr.Tables
+// of endpoints, services and permit lists, address pools) are striped or
 // locked, because one region's state is reachable from several tenants'
 // shards. The shard lock is the unit of *contention isolation*; the leaf
 // locks are the unit of *memory safety*.

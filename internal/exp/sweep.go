@@ -6,32 +6,18 @@ import (
 	"sync/atomic"
 )
 
-// parallel controls whether sweep experiments (E3/E4/E5) run their cells
-// concurrently. Each cell builds its own sim.Engine from the same seed,
-// so cells are independent and their results identical regardless of
-// execution order; rows are emitted in cell order either way.
-var parallel = true
-
-// SetParallel toggles concurrent sweep-cell execution (the expdriver
-// -serial flag and the determinism tests use it).
-func SetParallel(on bool) { parallel = on }
-
 // sweepCells evaluates fn for every cell index 0..n-1 and returns the
-// results in index order. When parallel execution is on, cells run on a
-// GOMAXPROCS-bounded worker pool; results and errors land in per-index
-// slots, so the output is byte-identical to a serial run. On error the
-// lowest-index failure is returned (again matching serial semantics,
-// where the first failing cell aborts the sweep).
+// results in index order. The sweep experiments (E3/E4/E5) run their
+// cells on it: each cell builds its own sim.Engine from the same seed, so
+// cells are independent and their results do not depend on execution
+// order. Cells run on a GOMAXPROCS-sized worker pool; results and errors
+// land in per-index slots, so the output is byte-identical to a serial
+// run. On error the lowest-index failure is returned (again matching
+// serial semantics, where the first failing cell aborts the sweep).
 func sweepCells[T any](n int, fn func(cell int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)
-	workers := runtime.GOMAXPROCS(0)
-	if !parallel {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			var err error

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -11,6 +12,8 @@ import (
 // The parallel sweep driver must produce byte-identical tables to a
 // serial run: every cell owns an independent engine seeded the same way,
 // and rows are emitted in cell order regardless of completion order.
+// GOMAXPROCS(1) sizes the pool at one worker, GOMAXPROCS(4) at four,
+// whatever the machine's core count.
 // (E4 is excluded: its lookups/us column is a wall-clock measurement.)
 func TestSweepParallelMatchesSerial(t *testing.T) {
 	build := func() []*metrics.Table {
@@ -24,10 +27,9 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 		}
 		return []*metrics.Table{e3, e5}
 	}
-	defer SetParallel(true)
-	SetParallel(false)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	serial := build()
-	SetParallel(true)
+	runtime.GOMAXPROCS(4)
 	par := build()
 	for i := range serial {
 		if !reflect.DeepEqual(serial[i].Rows, par[i].Rows) {
@@ -38,9 +40,9 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 }
 
 func TestSweepCellsError(t *testing.T) {
-	defer SetParallel(true)
-	for _, par := range []bool{false, true} {
-		SetParallel(par)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
 		_, err := sweepCells(8, func(cell int) (int, error) {
 			if cell >= 3 {
 				return 0, errCell(cell)
@@ -48,11 +50,11 @@ func TestSweepCellsError(t *testing.T) {
 			return cell, nil
 		})
 		if err == nil {
-			t.Fatalf("parallel=%v: no error surfaced", par)
+			t.Fatalf("GOMAXPROCS=%d: no error surfaced", procs)
 		}
 		// The lowest-index failure wins, matching serial abort semantics.
 		if err != errCell(3) {
-			t.Fatalf("parallel=%v: got %v, want cell 3's error", par, err)
+			t.Fatalf("GOMAXPROCS=%d: got %v, want cell 3's error", procs, err)
 		}
 	}
 }

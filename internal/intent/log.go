@@ -91,7 +91,6 @@ type Log struct {
 	mu           sync.Mutex
 	f            *os.File
 	st           *State
-	onRecord     func(tenant string, ops []Op)
 	sinceSync    int
 	sinceCompact int
 	records      uint64 // frames appended this process (not lifetime)
@@ -271,31 +270,8 @@ func (l *Log) Record(tenant string, ops ...Op) uint64 {
 		return 0
 	}
 	l.mu.Lock()
-	seq := l.appendLocked(tenant, ops, nil)
-	fn := l.onRecord
-	l.mu.Unlock()
-	// The observer fires outside the log lock (it may take its own leaf
-	// locks) but before Record returns — the caller still holds its
-	// shard lock, so anything serialized against the mutation (a digest
-	// under the global gate, a sweep) observes the notification too.
-	// Fired even when the append itself failed: the in-memory mutation
-	// has happened either way.
-	if fn != nil {
-		fn(tenant, ops)
-	}
-	return seq
-}
-
-// SetOnRecord registers an observer called after every Record with the
-// accepted ops — core's dirty-set tracker and incremental digest hang
-// off it. Set once, at EnableIntent time, before concurrent use.
-func (l *Log) SetOnRecord(fn func(tenant string, ops []Op)) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.onRecord = fn
-	l.mu.Unlock()
+	defer l.mu.Unlock()
+	return l.appendLocked(tenant, ops, nil)
 }
 
 func (l *Log) appendLocked(tenant string, ops []Op, meta map[string]string) uint64 {

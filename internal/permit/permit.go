@@ -5,12 +5,15 @@
 // shared permit-list between tenants and cloud providers scale?" — so it
 // tracks lookup cost, memory, update churn, and (via ReplicaSet)
 // propagation staleness across distributed enforcement points.
+//
+// An Engine keeps its lists in an addr.Table, the striped map every
+// address-keyed provider table uses: one stripe lock per /16, so the
+// lists of one region share a lock that no other region's checks take.
 package permit
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"declnet/internal/addr"
@@ -54,28 +57,13 @@ func (l List) Entries() []Entry { return l.entries }
 // Version returns the list's propagation epoch.
 func (l List) Version() uint64 { return l.version }
 
-// engineStripes is the default stripe count. Stripes are keyed by the
-// destination's /16 block (ip>>16): providers carve one /16 per region,
-// so every region's permit lists land in one stripe and a mutation storm
-// confined to one region contends with nothing outside it. 64 is a power
-// of two (the index is a mask) comfortably above the region counts the
-// scale drill builds.
-const engineStripes = 64
-
-// engineStripe is one independently-locked partition of the list map.
-type engineStripe struct {
-	mu    sync.RWMutex
-	lists map[addr.IP]List
-}
-
 // Engine is one enforcement point's view of all tenants' permit lists,
 // keyed by destination EIP. Default-off: an EIP with no list drops
-// everything. The map is partitioned into region-aligned stripes, each
-// behind its own RWMutex, so concurrent mutations in different regions
-// never serialize against each other and admission checks only share a
-// read lock with writes to their own stripe.
+// everything. Mutations in different regions never serialize against
+// each other, and an admission check shares a read lock only with writes
+// to its own region. The zero value is an empty engine.
 type Engine struct {
-	stripes []engineStripe
+	lists addr.Table[List]
 	// Lookups and Updates count enforcement work for the E4 experiment.
 	// Atomic because admission checks run on the concurrent read plane
 	// while control-plane writes mutate the lists under stripe locks.
@@ -83,27 +71,8 @@ type Engine struct {
 	Updates atomic.Uint64
 }
 
-// NewEngine returns an empty engine with the default stripe count.
-func NewEngine() *Engine { return NewEngineStripes(engineStripes) }
-
-// NewEngineStripes returns an empty engine partitioned into n stripes
-// (n must be a power of two; 1 yields the unsharded engine the parity
-// property test replays against).
-func NewEngineStripes(n int) *Engine {
-	if n < 1 || n&(n-1) != 0 {
-		panic(fmt.Sprintf("permit: stripe count %d is not a power of two", n))
-	}
-	e := &Engine{stripes: make([]engineStripe, n)}
-	for i := range e.stripes {
-		e.stripes[i].lists = make(map[addr.IP]List)
-	}
-	return e
-}
-
-// stripeOf maps a destination to its stripe by region block.
-func (e *Engine) stripeOf(ip addr.IP) *engineStripe {
-	return &e.stripes[(uint32(ip)>>16)&uint32(len(e.stripes)-1)]
-}
+// NewEngine returns an empty engine.
+func NewEngine() *Engine { return &Engine{} }
 
 // Install makes set dst's list at propagation epoch version, and returns
 // the epoch. set must be a canonical entry set — addr.CanonicalPrefixes's
@@ -126,19 +95,13 @@ func (e *Engine) Set(dst addr.IP, entries []Entry) uint64 {
 // put installs l for dst: one update. The list is built before the stripe
 // lock is taken, which is held only for the install.
 func (e *Engine) put(dst addr.IP, l List) {
-	s := e.stripeOf(dst)
-	s.mu.Lock()
-	s.lists[dst] = l
-	s.mu.Unlock()
+	e.lists.Put(dst, l)
 	e.Updates.Add(1)
 }
 
 // Drop removes dst's entire list (endpoint teardown).
 func (e *Engine) Drop(dst addr.IP) {
-	s := e.stripeOf(dst)
-	s.mu.Lock()
-	delete(s.lists, dst)
-	s.mu.Unlock()
+	e.lists.Delete(dst)
 	e.Updates.Add(1)
 }
 
@@ -152,13 +115,7 @@ func (e *Engine) Check(src, dst addr.IP) bool {
 }
 
 // List returns dst's installed list, and whether dst is guarded at all.
-func (e *Engine) List(dst addr.IP) (List, bool) {
-	s := e.stripeOf(dst)
-	s.mu.RLock()
-	l, ok := s.lists[dst]
-	s.mu.RUnlock()
-	return l, ok
-}
+func (e *Engine) List(dst addr.IP) (List, bool) { return e.lists.Get(dst) }
 
 // Decision is a diagnostic replay of one admission check: the verdict plus
 // the evidence a tenant needs to understand it — whether dst is guarded at
@@ -193,71 +150,23 @@ func (e *Engine) Explain(src, dst addr.IP) Decision {
 	return d
 }
 
-// Targets returns every guarded destination, sorted — the reconciler's
-// walk order over the engine's actual state.
-func (e *Engine) Targets() []addr.IP {
-	var out []addr.IP
-	for i := range e.stripes {
-		s := &e.stripes[i]
-		s.mu.RLock()
-		for dst := range s.lists {
-			out = append(out, dst)
-		}
-		s.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// TargetsOf returns the guarded destinations in stripes where
-// stripe%mod == phase, sorted. The reconciler's anti-entropy rotation
-// walks 1/mod of the engine per sweep with it; mod 1, phase 0 is
-// Targets. mod must divide the stripe count (both are powers of two
-// here) so every stripe lands in exactly one phase.
+// TargetsOf returns the guarded destinations whose stripe is phase mod
+// mod, sorted: the reconciler's anti-entropy rotation walks 1/mod of the
+// engine per sweep with it, and phases 0..mod-1 together list every
+// destination once. mod ≤ 1 lists them all.
 func (e *Engine) TargetsOf(phase, mod int) []addr.IP {
-	if mod <= 1 {
-		return e.Targets()
-	}
-	var out []addr.IP
-	for i := range e.stripes {
-		if i%mod != phase {
-			continue
-		}
-		s := &e.stripes[i]
-		s.mu.RLock()
-		for dst := range s.lists {
-			out = append(out, dst)
-		}
-		s.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := e.lists.PhaseKeys(phase, mod)
+	slices.Sort(out)
 	return out
 }
 
 // TargetsWithin returns the guarded destinations inside block, sorted.
 // When block is a /16 or longer — the granularity regions are carved
-// at — only the single owning stripe is touched, which is what keeps
-// the incremental digest's per-region recompute O(region), not
-// O(engine).
+// at — only the one stripe holding it is read, which keeps the digest's
+// per-region section O(region), not O(engine).
 func (e *Engine) TargetsWithin(block addr.Prefix) []addr.IP {
-	var out []addr.IP
-	scan := func(s *engineStripe) {
-		s.mu.RLock()
-		for dst := range s.lists {
-			if block.Contains(dst) {
-				out = append(out, dst)
-			}
-		}
-		s.mu.RUnlock()
-	}
-	if block.Len >= 16 {
-		scan(e.stripeOf(block.Addr))
-	} else {
-		for i := range e.stripes {
-			scan(&e.stripes[i])
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := e.lists.Keys(block)
+	slices.Sort(out)
 	return out
 }
 
@@ -281,28 +190,14 @@ func (e *Engine) EntriesOf(dst addr.IP) []Entry {
 }
 
 // Endpoints returns the number of guarded EIPs.
-func (e *Engine) Endpoints() int {
-	var n int
-	for i := range e.stripes {
-		s := &e.stripes[i]
-		s.mu.RLock()
-		n += len(s.lists)
-		s.mu.RUnlock()
-	}
-	return n
-}
+func (e *Engine) Endpoints() int { return e.lists.Len() }
 
 // TotalEntries returns the total permit entries across all lists — the
 // memory-scale figure for E4.
 func (e *Engine) TotalEntries() int {
 	var n int
-	for i := range e.stripes {
-		s := &e.stripes[i]
-		s.mu.RLock()
-		for _, l := range s.lists {
-			n += l.Len()
-		}
-		s.mu.RUnlock()
+	for _, l := range e.lists.All() {
+		n += l.Len()
 	}
 	return n
 }

@@ -12,7 +12,7 @@
 // cost low enough to leave on (gated ≤5% on the drill hot path).
 //
 // Layout mirrors the core's concurrency design: per-(tenant, region)
-// ShardStats live in a 64-way striped table (like addrSpace), and each
+// ShardStats live in a 64-way striped table, and each
 // histogram is a metrics.Hist — a fixed-bucket array of atomics — so the
 // record path after the stats pointer is resolved is lock-free. A nil *Plane is valid everywhere and records nothing, so
 // instrumented call sites pay one nil check when the plane is off.
@@ -93,8 +93,9 @@ type ShardStats struct {
 	winMut  [2]atomic.Uint64
 }
 
-// planeStripes mirrors core's addrSpace striping so one shard's
-// recording never contends with another stripe's.
+// planeStripes is the stats table's stripe count, so one shard's
+// recording rarely contends with another's. Its stripes hash a (tenant,
+// region) key, which is not an address, so they are not an addr.Table.
 const planeStripes = 64
 
 type statsStripe struct {
@@ -197,9 +198,11 @@ type Plane struct {
 	lagN atomic.Uint64
 
 	// lagPending holds stamped-but-unresolved permit updates, striped by
-	// the target's /16 like addrSpace; lagCount gates the admission
-	// check's resolve step to one atomic load when nothing pends.
-	lagPending [planeStripes]lagStripe
+	// the target's /16 (addr.Stripe) like an addr.Table but with each
+	// stripe capped at lagStripeCap, which is not a map operation.
+	// lagCount gates the admission check's resolve step to one atomic
+	// load when nothing pends.
+	lagPending [addr.Stripes]lagStripe
 	lagCount   atomic.Int64
 
 	// flight is the flight recorder: the last flightCap retained spans
@@ -300,7 +303,7 @@ func (p *Plane) StampPermit(tenant string, target addr.IP) {
 	if every := uint64(p.cfg.LagSampleEvery); every > 1 && p.lagN.Add(1)%every != 1 {
 		return
 	}
-	s := &p.lagPending[int(uint32(target)>>16)&(planeStripes-1)]
+	s := &p.lagPending[addr.Stripe(target)]
 	s.mu.Lock()
 	if _, exists := s.m[target]; !exists {
 		if len(s.m) >= lagStripeCap {
@@ -322,7 +325,7 @@ func (p *Plane) ResolveLag(target addr.IP, region string) {
 	if p == nil || p.lagCount.Load() == 0 {
 		return
 	}
-	s := &p.lagPending[int(uint32(target)>>16)&(planeStripes-1)]
+	s := &p.lagPending[addr.Stripe(target)]
 	s.mu.Lock()
 	smp, ok := s.m[target]
 	if ok {
