@@ -134,6 +134,29 @@ func TestQoSPotatoGroups(t *testing.T) {
 	}
 }
 
+// TestNegativeBandwidthRefused: set_qos with a negative rate is a 409 on
+// the single route and in a batch, which names the failing op; zero,
+// which clears the reservation, stays a 200.
+func TestNegativeBandwidthRefused(t *testing.T) {
+	ts, w := newTestServer(t)
+	f := w.Fig1
+	qos := QoSRequest{Tenant: "acme", Provider: f.CloudA, Region: f.RegionsA[0], Bandwidth: -5}
+	if code := post(t, ts, "/v1/qos", qos, nil); code != http.StatusConflict {
+		t.Errorf("set_qos at -5 bit/s: status %d, want 409", code)
+	}
+	var resp BatchResponse
+	batch := BatchRequest{Tenant: "acme", Ops: []BatchOpRequest{
+		{Op: "set_qos", Provider: f.CloudA, Region: f.RegionsA[0], Bandwidth: -7}}}
+	if code := post(t, ts, "/v1/batch", batch, &resp); code != http.StatusConflict ||
+		resp.FailedIndex == nil || *resp.FailedIndex != 0 || resp.Applied != 0 {
+		t.Errorf("batch set_qos at -7 bit/s: status %d, %+v; want 409 failing op 0", code, resp)
+	}
+	qos.Bandwidth = 0
+	if code := post(t, ts, "/v1/qos", qos, nil); code != 200 {
+		t.Errorf("set_qos at 0 bit/s: status %d, want 200", code)
+	}
+}
+
 func TestValidationErrors(t *testing.T) {
 	ts, _ := newTestServer(t)
 	cases := []struct {

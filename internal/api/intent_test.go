@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -96,6 +99,94 @@ func TestReconcileEndpoints(t *testing.T) {
 	get(t, ts, "/v1/reconcile", &status)
 	if status.Sweeps == 0 || status.Repairs != 1 {
 		t.Errorf("status after sweep = %+v", status.ReconcileStatus)
+	}
+}
+
+// TestReconcileMetricsMatchStatus: every declnet_reconcile_* series on
+// /v1/metrics, the wall-clock lag aside, reads what /v1/reconcile reports
+// for the same counter, after sweeps that found drift on all three
+// surfaces, by a dirty mark and by the rotation.
+func TestReconcileMetricsMatchStatus(t *testing.T) {
+	ts, w, _ := newPersistentServer(t, core.ReconcilerConfig{AntiEntropyK: 2})
+	f := w.Fig1
+	var src, be EIPResponse
+	var sip SIPResponse
+	post(t, ts, "/v1/eips", EIPRequest{Tenant: "acme", VM: string(w.Host(f.CloudA, f.RegionsA[0], "az1", 1))}, &src)
+	post(t, ts, "/v1/eips", EIPRequest{Tenant: "acme", VM: string(w.Host(f.CloudB, f.RegionsB[0], "az1", 1))}, &be)
+	post(t, ts, "/v1/sips", SIPRequest{Tenant: "acme", Provider: f.CloudB}, &sip)
+	post(t, ts, "/v1/bind", BindRequest{Tenant: "acme", EIP: be.EIP, SIP: sip.SIP}, nil)
+	post(t, ts, "/v1/qos", QoSRequest{Tenant: "acme", Provider: f.CloudB, Region: f.RegionsB[0], Bandwidth: 1e9}, nil)
+	sweep := func() {
+		if code := post(t, ts, "/v1/reconcile/sweep", struct{}{}, nil); code != 200 {
+			t.Fatalf("POST /v1/reconcile/sweep status %d", code)
+		}
+	}
+	sweep()
+	sweep() // both phases: the setup's marks consumed, the world converged
+	beIP, err := ParsePermitEntry(be.EIP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sipIP, err := ParsePermitEntry(sip.SIP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The permit marks be's list dirty; the wipe after it is drift a mark
+	// finds. The unbind and the zeroed quota mark nothing.
+	if code := post(t, ts, "/v1/permit", PermitRequest{Tenant: "acme", Target: be.EIP, Entries: []string{src.EIP}}, nil); code != 200 {
+		t.Fatalf("permit status %d", code)
+	}
+	if !w.Cloud.DriftWipePermit(beIP.Addr) || !w.Cloud.DriftUnbind(sipIP.Addr, beIP.Addr) ||
+		!w.Cloud.DriftZeroQuota(f.CloudB, "acme", f.RegionsB[0]) {
+		t.Fatal("drift injection failed")
+	}
+	sweep()
+	sweep()
+
+	var st ReconcileResponse
+	if code := get(t, ts, "/v1/reconcile", &st); code != 200 {
+		t.Fatalf("GET /v1/reconcile status %d", code)
+	}
+	if st.DriftPermits == 0 || st.DriftBinds == 0 || st.DriftQuotas == 0 || st.DirtyHits == 0 || st.AntiEntropyScanned == 0 {
+		t.Fatalf("sweeps did not find drift on every surface by both routes: %+v", st.ReconcileStatus)
+	}
+	want := map[string]float64{
+		"declnet_reconcile_sweeps_total":                  float64(st.Sweeps),
+		"declnet_reconcile_repairs_total":                 float64(st.Repairs),
+		`declnet_reconcile_drift_total{surface="permit"}`: float64(st.DriftPermits),
+		`declnet_reconcile_drift_total{surface="bind"}`:   float64(st.DriftBinds),
+		`declnet_reconcile_drift_total{surface="qos"}`:    float64(st.DriftQuotas),
+		"declnet_reconcile_scanned_total":                 float64(st.Scanned),
+		"declnet_reconcile_dirty_hits_total":              float64(st.DirtyHits),
+		"declnet_reconcile_anti_entropy_scanned_total":    float64(st.AntiEntropyScanned),
+		"declnet_reconcile_queue_depth":                   float64(st.QueueDepth),
+	}
+	resp, err := http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		series, value, ok := strings.Cut(line, " ")
+		if !ok || !strings.HasPrefix(series, "declnet_reconcile_") || series == "declnet_reconcile_lag_seconds" {
+			continue
+		}
+		expect, known := want[series]
+		if !known {
+			t.Errorf("%s has no /v1/reconcile field to match", series)
+			continue
+		}
+		delete(want, series)
+		if got, err := strconv.ParseFloat(value, 64); err != nil || got != expect {
+			t.Errorf("%s = %s on /v1/metrics, %g on /v1/reconcile", series, value, expect)
+		}
+	}
+	for series := range want {
+		t.Errorf("/v1/metrics has no %s", series)
 	}
 }
 

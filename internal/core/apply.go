@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"declnet/internal/addr"
 	"declnet/internal/intent"
@@ -141,7 +142,14 @@ func (c *Cloud) apply(tenant string, op *intent.Op, mode applyMode) (k ShardKey,
 		}
 	case intent.OpSetQoS:
 		p, k, err = c.named(tenant, op.Provider, op.Region)
-		verb, run = slo.VerbQoS, func() error { return p.setQoS(tenant, op.Region, op.Bps) }
+		verb, run = slo.VerbQoS, func() error {
+			// Checked here, not in setQoS: recovery and the quota repair
+			// share that body, and a store holding such a quota must open.
+			if op.Bps < 0 || math.IsNaN(op.Bps) || math.IsInf(op.Bps, 0) {
+				return fmt.Errorf("core: bandwidth %g bit/s is not a finite, non-negative rate", op.Bps)
+			}
+			return p.setQoS(tenant, op.Region, op.Bps)
+		}
 	case intent.OpSetPotato:
 		p, k, err = c.named(tenant, op.Provider, "")
 		verb, run = slo.VerbQoS, func() error {

@@ -82,7 +82,7 @@ type Cloud struct {
 	slo *slo.Plane
 
 	// rec is the durable intent store, nil until EnableIntent (see
-	// intent.go in this package); nil-safe at every call site.
+	// intent.go in this package); every call site checks for nil.
 	rec *intent.Log
 
 	// reconciler is the desired-state engine, nil until EnableReconciler

@@ -266,6 +266,35 @@ func TestRegionalQuotaEnforced(t *testing.T) {
 	}
 }
 
+// TestSetQoSRefusesBadBandwidth: a negative or non-finite quota is an
+// error that leaves the limiter and the journal as they were; zero, which
+// clears the reservation, is a quota.
+func TestSetQoSRefusesBadBandwidth(t *testing.T) {
+	c, w, pa, _, _ := fig1Cloud(t)
+	l, err := intent.Open(t.TempDir(), intent.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	c.EnableIntent(l)
+	acme, reg := c.Tenant("acme"), w.RegionsA[0]
+	if err := acme.SetQoS(pa.Name, reg, 100e6); err != nil {
+		t.Fatal(err)
+	}
+	seq := l.Seq()
+	for _, bps := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := acme.SetQoS(pa.Name, reg, bps); err == nil {
+			t.Errorf("SetQoS(%g) accepted", bps)
+		}
+	}
+	if got := pa.quotaBps("acme", reg); got != 100e6 || l.Seq() != seq {
+		t.Errorf("after refused quotas: limiter %g bit/s, journal seq %d; want 1e+08 and %d", got, l.Seq(), seq)
+	}
+	if err := acme.SetQoS(pa.Name, reg, 0); err != nil {
+		t.Errorf("SetQoS(0): %v", err)
+	}
+}
+
 func TestVMEgressCap(t *testing.T) {
 	c, w, _, _, _ := fig1Cloud(t)
 	src, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))

@@ -380,7 +380,7 @@ func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, s
 			// the target dirty so the next sweep re-verifies it against the
 			// latest declared list (which may have moved on while we
 			// retried).
-			m.cloud.conv.markPermit(p.Name, target)
+			m.cloud.conv.markPermit(target)
 			if p.meter != nil {
 				p.meter.PermitUpdate(tenant, m.cloud.Eng.Now())
 			}
@@ -402,7 +402,7 @@ func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, s
 			// Timed out: the live list never took the declared update. Mark
 			// it dirty — with the pending flag gone, the reconciler owns
 			// the repair and should find it promptly, not in K sweeps.
-			m.cloud.conv.markPermit(p.Name, target)
+			m.cloud.conv.markPermit(target)
 			return
 		}
 		m.mu.Lock()

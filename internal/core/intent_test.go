@@ -330,10 +330,11 @@ func TestReconcilerBudgetDefers(t *testing.T) {
 	c.EnableIntent(l)
 	eip1, eip2, dst, sip := populate(t, c, w, pa, pb)
 	_ = eip1
-	r, err := c.EnableReconciler(ReconcilerConfig{RepairBudget: 1})
+	r, err := c.EnableReconciler(ReconcilerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.budget = 1
 	c.DriftWipePermit(dst)
 	c.DriftUnbind(sip, eip2)
 	res := r.RunSweep()

@@ -16,15 +16,18 @@
 // dataplane can disagree only through real drift: a sweep never reverts
 // an acknowledged mutation, and the drift counters never count one.
 //
-// There is one sweep. Per surface (permit lists, binds, quotas) it visits
-// the targets the convergence tracker marked dirty since the last sweep,
-// then this phase's slice of a rotating anti-entropy partition — 1/K of
-// the declared world and 1/K of the installed permit stripes — skipping
-// what a mark already covered, so each target is checked, and its drift
-// counted, at most once per sweep. K (ReconcilerConfig.AntiEntropyK) is
-// the detection-lag bound: drift injected behind the recorder's back (the
-// Drift* chaos hooks) is found within K sweeps of injection. K=1 is one
-// bucket: every sweep walks the whole world.
+// There is one sweep, planned once. Per surface (permit lists, binds,
+// quotas) it visits the targets the convergence tracker marked dirty
+// since the last sweep, then this phase's slice of a rotating
+// anti-entropy partition — 1/K of the declared world and 1/K of the
+// installed permit stripes — skipping what a mark already covered, so
+// each target is checked, and its drift counted, at most once per sweep.
+// The marks and the declared slices are taken once per sweep and shared
+// by every provider, each checking the targets it owns. K
+// (ReconcilerConfig.AntiEntropyK) is the detection-lag bound: drift
+// injected behind the recorder's back (the Drift* chaos hooks) is found
+// within K sweeps of injection. K=1 is one bucket: every sweep walks the
+// whole world.
 package core
 
 import (
@@ -47,9 +50,6 @@ type ReconcilerConfig struct {
 	// Interval is the wall-clock sweep period for Start's background
 	// goroutine (default 1s).
 	Interval time.Duration
-	// RepairBudget caps repairs per sweep; divergence beyond it stays
-	// queued for the next sweep (reported as queue depth). Default 256.
-	RepairBudget int
 	// AntiEntropyK is K of the anti-entropy rotation: besides the
 	// dirty-marked targets, each sweep checks 1/K of the declared world
 	// and of the installed permit stripes, so drift nothing marked is
@@ -57,6 +57,10 @@ type ReconcilerConfig struct {
 	// the whole world (what E15 and the tests run). The daemon runs K=8.
 	AntiEntropyK int
 }
+
+// repairBudget caps repairs per sweep; divergence beyond it stays queued
+// for the next sweep (reported as queue depth).
+const repairBudget = 256
 
 // SweepResult summarizes one reconciliation sweep.
 type SweepResult struct {
@@ -81,8 +85,9 @@ type SweepResult struct {
 // EnableReconciler; drive it synchronously with RunSweep (tests, the
 // chaos soak) or in the background with Start (the daemon).
 type Reconciler struct {
-	cloud *Cloud
-	cfg   ReconcilerConfig
+	cloud  *Cloud
+	cfg    ReconcilerConfig
+	budget int // repairs per sweep: repairBudget; tests lower it
 
 	sweeps       atomic.Uint64
 	repairs      atomic.Uint64
@@ -119,13 +124,10 @@ func (c *Cloud) EnableReconciler(cfg ReconcilerConfig) (*Reconciler, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
 	}
-	if cfg.RepairBudget <= 0 {
-		cfg.RepairBudget = 256
-	}
 	if cfg.AntiEntropyK <= 0 {
 		cfg.AntiEntropyK = 1
 	}
-	r := &Reconciler{cloud: c, cfg: cfg}
+	r := &Reconciler{cloud: c, cfg: cfg, budget: repairBudget}
 	c.reconciler = r
 	if c.reg != nil {
 		c.reg.GaugeFunc("declnet_reconcile_sweeps_total",
@@ -165,31 +167,41 @@ func (c *Cloud) EnableReconciler(cfg ReconcilerConfig) (*Reconciler, error) {
 // EnableReconciler.
 func (c *Cloud) Reconciler() *Reconciler { return c.reconciler }
 
-// RunSweep performs one deterministic sweep: every provider in name
-// order, permits then binds then quotas, each surface's dirty marks
-// before its rotation slice. Dirty sets are consumed before the view is
-// taken: a mutation recorded in between is read by this sweep and marked
-// for the next — at worst one redundant check, never a lost one. Safe to
-// call from any goroutine: sweeps run one at a time, repairs take the
-// ordinary shard locks (so none runs beside an exclusive step), and the
-// unlocked screens read only leaf-locked state.
+// sweepPlan is what one sweep visits, taken once before any provider
+// runs and shared by all of them: the dirty marks the sweep consumed and
+// the phase's slice of each declared surface. Both mix every provider's
+// targets; each provider checks the ones it owns.
+type sweepPlan struct {
+	phase             int
+	dirty             convDirty
+	permits, services []addr.IP
+	quotas            []string
+}
+
+// RunSweep performs one deterministic sweep: it plans the sweep, then
+// runs every provider in name order over the plan, permits then binds
+// then quotas, each surface's dirty marks before its rotation slice.
+// Dirty sets are consumed before the view is taken: a mutation recorded
+// in between is read by this sweep and marked for the next — at worst
+// one redundant check, never a lost one. Safe to call from any
+// goroutine: sweeps run one at a time, repairs take the ordinary shard
+// locks (so none runs beside an exclusive step), and the unlocked
+// screens read only leaf-locked state.
 func (r *Reconciler) RunSweep() SweepResult {
 	r.sweeping.Lock()
 	defer r.sweeping.Unlock()
 	start := time.Now()
 	c := r.cloud
 	k := r.cfg.AntiEntropyK
-	phase := int(r.sweeps.Load() % uint64(k))
-	provs := c.pidx.Load().list
-	dirt := make([]convDirty, len(provs))
-	for i, p := range provs {
-		dirt[i] = c.conv.take(p.Name)
-	}
+	plan := sweepPlan{phase: int(r.sweeps.Load() % uint64(k)), dirty: c.conv.take()}
 	view := c.rec.View()
-	budget := r.cfg.RepairBudget
+	plan.permits = view.PermitTargets(plan.phase, k)
+	plan.services = view.ServiceTargets(plan.phase, k)
+	plan.quotas = view.QuotaKeys(plan.phase, k)
+	budget := r.budget
 	var res SweepResult
-	for i, p := range provs {
-		r.sweepProvider(p, dirt[i], view, phase, &budget, &res)
+	for _, p := range c.pidx.Load().list {
+		r.sweepProvider(p, &plan, &budget, &res)
 	}
 	r.sweeps.Add(1)
 	r.repairs.Add(uint64(res.Repaired))
@@ -436,49 +448,46 @@ func visit[K cmp.Ordered](res *SweepResult, marks map[K]bool, check func(K) (min
 	}
 }
 
-// sweepProvider runs one provider's share of a sweep: per surface, the
-// targets the convergence tracker marked since the last sweep plus the
-// phase's rotation slice — its declared buckets (drift on declared
-// targets) and its permit engine stripes (installed-but-undeclared
-// lists). Every declared target and every installed stripe is in exactly
-// one phase, which is the K-sweep detection-lag bound for drift that
-// never marked a dirty set.
-func (r *Reconciler) sweepProvider(p *Provider, d convDirty, view intent.View, phase int, budget *int, res *SweepResult) {
+// sweepProvider runs one provider's share of a planned sweep: per
+// surface, the marked targets it owns plus the phase's rotation slice —
+// its declared targets (drift on declared targets) and its permit engine
+// stripes (installed-but-undeclared lists). Every declared target and
+// every installed stripe is in exactly one phase, which is the K-sweep
+// detection-lag bound for drift that never marked a dirty set.
+func (r *Reconciler) sweepProvider(p *Provider, plan *sweepPlan, budget *int, res *SweepResult) {
 	c := r.cloud
-	k := r.cfg.AntiEntropyK
-	undeclared := slices.DeleteFunc(p.Permits.TargetsOf(phase, k), func(t addr.IP) bool {
+	undeclared := slices.DeleteFunc(p.Permits.TargetsOf(plan.phase, r.cfg.AntiEntropyK), func(t addr.IP) bool {
 		_, declared := c.rec.Permit(t)
 		return declared
 	})
-	visit(res, d.permits, func(t addr.IP) (mine, drift bool) {
+	visit(res, plan.dirty.permits, func(t addr.IP) (mine, drift bool) {
+		if owner, ok := c.blockOwner(t); !ok || owner != p {
+			return false, false
+		}
 		if pl, ok := c.rec.Permit(t); ok {
-			// A declared bucket mixes every provider's targets.
-			if owner, ok := c.blockOwner(t); !ok || owner != p {
-				return false, false
-			}
 			return true, r.checkDeclaredPermit(p, t, pl, budget, res)
 		}
 		if _, installed := p.Permits.List(t); installed {
 			return true, r.checkUndeclaredPermit(p, t, budget, res)
 		}
 		return true, false
-	}, view.PermitTargets(phase, k), undeclared)
-	visit(res, d.binds, func(sip addr.IP) (mine, drift bool) {
+	}, plan.permits, undeclared)
+	visit(res, plan.dirty.binds, func(sip addr.IP) (mine, drift bool) {
 		// An undeclared mark was a release: the live service went with it.
 		want, ok := c.rec.Service(sip)
 		if !ok || want.Provider != p.Name {
 			return false, false
 		}
 		return true, r.checkBindService(p, sip, want, budget, res)
-	}, view.ServiceTargets(phase, k))
-	visit(res, d.quotas, func(key string) (mine, drift bool) {
+	}, plan.services)
+	visit(res, plan.dirty.quotas, func(key string) (mine, drift bool) {
 		want, ok := c.rec.Quota(key)
 		prov, tenant, reg, parsed := intent.ParseQuotaKey(key)
 		if !ok || !parsed || prov != p.Name {
 			return false, false
 		}
 		return true, r.checkQuota(p, tenant, reg, want, budget, res)
-	}, view.QuotaKeys(phase, k))
+	}, plan.quotas)
 }
 
 // Start launches the background sweep: one goroutine running a whole
@@ -565,7 +574,7 @@ func (r *Reconciler) Status() ReconcileStatus {
 		Enabled:            true,
 		Running:            running,
 		IntervalMillis:     float64(r.cfg.Interval) / float64(time.Millisecond),
-		RepairBudget:       r.cfg.RepairBudget,
+		RepairBudget:       r.budget,
 		AntiEntropyK:       r.cfg.AntiEntropyK,
 		Sweeps:             r.sweeps.Load(),
 		Repairs:            r.repairs.Load(),

@@ -36,7 +36,7 @@ func (iw *incrWorld) buildReconcilers(t *testing.T) {
 	}
 	// A cloud holds one reconciler; the oracle is built directly so the
 	// same world can be swept both ways.
-	iw.rFull = &Reconciler{cloud: iw.c, cfg: ReconcilerConfig{RepairBudget: 256, AntiEntropyK: 1}}
+	iw.rFull = &Reconciler{cloud: iw.c, cfg: ReconcilerConfig{AntiEntropyK: 1}, budget: repairBudget}
 }
 
 // TestIncrementalSweepParity is the property test: under randomized
@@ -195,10 +195,11 @@ func TestSweepVisitsEachTargetOnce(t *testing.T) {
 			defer l.Close()
 			c.EnableIntent(l)
 			_, eip2, dst, sip := populate(t, c, w, pa, pb)
-			r, err := c.EnableReconciler(ReconcilerConfig{AntiEntropyK: k, RepairBudget: 1})
+			r, err := c.EnableReconciler(ReconcilerConfig{AntiEntropyK: k})
 			if err != nil {
 				t.Fatal(err)
 			}
+			r.budget = 1
 			phase := func() int { return int(r.Status().Sweeps % uint64(k)) }
 			// Drain the setup's dirty marks, then record what a sweep of
 			// the converged, unmarked world scans in each phase.
@@ -275,14 +276,14 @@ func TestSteadyStateSweepIsOneKthOfTheWorld(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	whole := &Reconciler{cloud: c, cfg: ReconcilerConfig{RepairBudget: 256, AntiEntropyK: 1}}
+	whole := &Reconciler{cloud: c, cfg: ReconcilerConfig{AntiEntropyK: 1}, budget: repairBudget}
 	whole.RunSweep() // consume the setup's dirty marks
 	want := whole.RunSweep()
 	if sweepWork(want) != (SweepResult{}) || want.DirtyHits != 0 || want.AntiEntropyScanned != want.Scanned || want.Scanned < 48 {
 		t.Fatalf("K=1 sweep of the converged world = %+v", want)
 	}
 	for _, k := range []int{2, 3, 8, 16} {
-		r := &Reconciler{cloud: c, cfg: ReconcilerConfig{RepairBudget: 256, AntiEntropyK: k}}
+		r := &Reconciler{cloud: c, cfg: ReconcilerConfig{AntiEntropyK: k}, budget: repairBudget}
 		sum, largest := 0, 0
 		for phase := 0; phase < k; phase++ {
 			res := r.RunSweep()
@@ -356,14 +357,17 @@ func TestRestoreIntentWorkersParallel(t *testing.T) {
 // "the reconciler reads declared state through instead of copying it": on
 // a converged 20 000-endpoint world, one set_permit followed by a sweep
 // at K=8 allocates the phase's target lists and nothing that grows with
-// the world: 10 928 bytes for the 2 500 declared targets, 154 128 in the
-// two phases that also hold the permit engine's four occupied stripes
-// (Engine.TargetsOf rotates by stripe, a /16 each). The budget is that
-// × 1.25; the copy-on-write view this replaced allocated 2 459 232 to
-// 2 602 432 bytes for the same step (every permit list re-copied, every
-// surface re-bucketed), more than twelve times it.
+// the world: 10 272 bytes for the 2 500 declared targets, gathered once
+// for all three providers, and 154 128 in the two phases that also hold
+// the permit engine's four occupied stripes (Engine.TargetsOf rotates by
+// stripe, a /16 each). Each phase's budget is its figure × 1.25, so a
+// sweep that gathered a declared surface once per provider would fail the
+// six phases with empty stripes; the copy-on-write view this replaced
+// allocated 2 459 232 to 2 602 432 bytes for the same step (every permit
+// list re-copied, every surface re-bucketed), more than twelve times the
+// larger budget.
 func TestSweepAfterOneMutationCopiesNothingWorldSized(t *testing.T) {
-	const endpoints, budget = 20000, 154128 * 5 / 4
+	const endpoints, declaredBudget, stripesBudget = 20000, 10272 * 5 / 4, 154128 * 5 / 4
 	c, w, pa, pb, _ := fig1Cloud(t)
 	l, err := intent.Open(t.TempDir(), intent.Options{})
 	if err != nil {
@@ -398,6 +402,12 @@ func TestSweepAfterOneMutationCopiesNothingWorldSized(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	for phase := 0; phase < 8; phase++ {
+		budget := uint64(declaredBudget)
+		for _, p := range c.pidx.Load().list {
+			if len(p.Permits.TargetsOf(phase, 8)) > 0 {
+				budget = stripesBudget
+			}
+		}
 		i := phase * 2477 % endpoints
 		if err := c.Tenant("acme").SetPermitList(eips[i], lists[1]); err != nil {
 			t.Fatal(err)

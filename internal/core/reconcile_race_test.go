@@ -262,7 +262,7 @@ func TestSweepNeverRevertsMutations(t *testing.T) {
 	}
 
 	// Live state == declared state == what a restart rebuilds.
-	full := &Reconciler{cloud: c, cfg: ReconcilerConfig{RepairBudget: 256, AntiEntropyK: 1}}
+	full := &Reconciler{cloud: c, cfg: ReconcilerConfig{AntiEntropyK: 1}, budget: repairBudget}
 	if res := full.RunSweep(); sweepWork(res) != (SweepResult{}) {
 		t.Errorf("a K=1 walk of the quiesced world found work: %+v", res)
 	}

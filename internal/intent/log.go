@@ -82,8 +82,7 @@ const (
 )
 
 // Log is the durable intent store rooted at one directory. All methods
-// are safe for concurrent use; a nil *Log is a no-op recorder so core
-// can call Record unconditionally.
+// are safe for concurrent use.
 type Log struct {
 	dir  string
 	opts Options
@@ -100,11 +99,6 @@ type Log struct {
 	replayed     int   // journal records folded at Open
 	replayOff    int64 // journal offset replay stopped at
 	replayCut    bool  // true if Open truncated a corrupt tail
-
-	// What the Views of the current Seq have enumerated so far, per
-	// reconciled surface (see View).
-	permitRot, serviceRot rotation[addr.IP]
-	quotaRot              rotation[string]
 }
 
 // Stats is a point-in-time summary for /v1/snapshot and declnetctl.
@@ -258,15 +252,15 @@ func (l *Log) writeHeaderLocked() error {
 // frame) and folds it into State. Called by core's Cloud.Apply with
 // the shard lock held, after the body succeeded and before the verb
 // returns — so anything the tenant was told succeeded is on disk (to
-// the limit of the fsync policy). Nil-safe; returns the assigned
-// sequence number (0 when disabled).
+// the limit of the fsync policy). Returns the assigned sequence number
+// (0 when ops is empty or State refused them).
 //
 // Append errors are counted, not returned: the mutation has already
 // been applied in memory and cannot be unwound here. Stats surfaces
 // them; an operator seeing append_errors > 0 knows the journal has a
 // hole from that point.
 func (l *Log) Record(tenant string, ops ...Op) uint64 {
-	if l == nil || len(ops) == 0 {
+	if len(ops) == 0 {
 		return 0
 	}
 	l.mu.Lock()
@@ -336,9 +330,6 @@ func (l *Log) syncLocked() {
 // rename and truncate is safe: replay skips journal records at or below
 // the snapshot's sequence number.
 func (l *Log) Compact() error {
-	if l == nil {
-		return nil
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.compactLocked()
@@ -385,9 +376,6 @@ func (l *Log) compactLocked() error {
 // lock: what recovery restores from and what tests compare. Nothing the
 // caller does to it reaches the log.
 func (l *Log) State() *State {
-	if l == nil {
-		return NewState()
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.st.Clone()
@@ -408,11 +396,8 @@ type View struct {
 }
 
 // View returns a handle on the declared world as of now: O(1), no copy,
-// no allocation. Nil-safe like State.
+// no allocation.
 func (l *Log) View() View {
-	if l == nil {
-		return View{}
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return View{l: l, Seq: l.st.Seq}
@@ -423,32 +408,22 @@ func (l *Log) View() View {
 // — address mod k, or FNV-1a of the key mod k — is phase. It is
 // permit.Engine.TargetsOf's question asked of declared state. Every key
 // declared from Seq until the call returns is in exactly one phase's
-// answer; one declared or released meanwhile may or may not be. Answers
-// are remembered while the log stays at Seq, so on a converged world a
-// sweep enumerates nothing.
+// answer; one declared or released meanwhile may or may not be. Each call
+// walks the surface; a sweep asks each question once.
 
 // PermitTargets enumerates the targets that have a declared permit list.
 func (v View) PermitTargets(phase, k int) []addr.IP {
-	if v.l == nil {
-		return nil
-	}
-	return gather(v, &v.l.permitRot, v.l.st.Permits, phase, k, addrBucket)
+	return gather(v.l, v.l.st.Permits, phase, k, addrBucket)
 }
 
 // ServiceTargets enumerates the declared SIPs.
 func (v View) ServiceTargets(phase, k int) []addr.IP {
-	if v.l == nil {
-		return nil
-	}
-	return gather(v, &v.l.serviceRot, v.l.st.Services, phase, k, addrBucket)
+	return gather(v.l, v.l.st.Services, phase, k, addrBucket)
 }
 
 // QuotaKeys enumerates the QuotaKeys that have a declared quota.
 func (v View) QuotaKeys(phase, k int) []string {
-	if v.l == nil {
-		return nil
-	}
-	return gather(v, &v.l.quotaRot, v.l.st.Quotas, phase, k, stringBucket)
+	return gather(v.l, v.l.st.Quotas, phase, k, stringBucket)
 }
 
 func addrBucket(t addr.IP, k int) int { return int(uint32(t) % uint32(k)) }
@@ -463,33 +438,18 @@ func stringBucket(s string, k int) int {
 	return int(h % uint32(k))
 }
 
-// rotation remembers the phases gathered for one surface by the views of
-// one Seq; a nil phase has not been asked for yet.
-type rotation[K cmp.Ordered] struct {
-	seq    uint64
-	phases [][]K
-}
-
 // gatherStep bounds how many keys one hold of the log's lock enumerates,
 // so a walk of the world makes a queued Record wait for a few thousand
 // keys, not for all of them.
 const gatherStep = 4096
 
-// gather answers one rotation question from memo, or by walking m. The
-// walk drops the log's lock every gatherStep keys; a map range tolerates
-// the inserts and deletes that land in between exactly as it tolerates
-// them from its own loop body (a key present throughout is produced
-// once), which is all a screen needs.
-func gather[K cmp.Ordered, V any](v View, memo *rotation[K], m map[K]V, phase, k int, bucket func(K, int) int) []K {
-	l := v.l
+// gather answers one rotation question by walking m. The walk drops the
+// log's lock every gatherStep keys; a map range tolerates the inserts and
+// deletes that land in between exactly as it tolerates them from its own
+// loop body (a key present throughout is produced once), which is all a
+// screen needs.
+func gather[K cmp.Ordered, V any](l *Log, m map[K]V, phase, k int, bucket func(K, int) int) []K {
 	l.mu.Lock()
-	if memo.seq != v.Seq || len(memo.phases) != k {
-		*memo = rotation[K]{seq: v.Seq, phases: make([][]K, k)}
-	}
-	if out := memo.phases[phase]; out != nil {
-		l.mu.Unlock()
-		return out
-	}
 	out := make([]K, 0, len(m)/k+1)
 	n := 0
 	for key := range m {
@@ -504,11 +464,6 @@ func gather[K cmp.Ordered, V any](v View, memo *rotation[K], m map[K]V, phase, k
 	}
 	l.mu.Unlock()
 	slices.Sort(out)
-	l.mu.Lock()
-	if memo.seq == v.Seq && len(memo.phases) == k {
-		memo.phases[phase] = out
-	}
-	l.mu.Unlock()
 	return out
 }
 
@@ -520,13 +475,10 @@ func gather[K cmp.Ordered, V any](v View, memo *rotation[K], m map[K]V, phase, k
 // re-validates a suspected divergence against: a caller holding the
 // target's shard lock reads the entry exactly as the last mutation
 // recorded under that lock left it, because Record runs with the shard
-// lock held. Nil-safe like State.
+// lock held.
 
 // Permit returns the declared permit list guarding target.
 func (l *Log) Permit(target addr.IP) (*PermitList, bool) {
-	if l == nil {
-		return nil, false
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	pl, ok := l.st.Permits[target]
@@ -535,9 +487,6 @@ func (l *Log) Permit(target addr.IP) (*PermitList, bool) {
 
 // Service returns the declared record of one SIP, bindings included.
 func (l *Log) Service(sip addr.IP) (*Service, bool) {
-	if l == nil {
-		return nil, false
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	svc, ok := l.st.Services[sip]
@@ -546,9 +495,6 @@ func (l *Log) Service(sip addr.IP) (*Service, bool) {
 
 // Quota returns the declared egress quota under a QuotaKey.
 func (l *Log) Quota(key string) (float64, bool) {
-	if l == nil {
-		return 0, false
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	bps, ok := l.st.Quotas[key]
@@ -557,9 +503,6 @@ func (l *Log) Quota(key string) (float64, bool) {
 
 // Seq returns the last assigned sequence number.
 func (l *Log) Seq() uint64 {
-	if l == nil {
-		return 0
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.st.Seq
@@ -567,9 +510,6 @@ func (l *Log) Seq() uint64 {
 
 // Meta returns the world-identity stamps folded from snapshot+journal.
 func (l *Log) Meta() map[string]string {
-	if l == nil {
-		return nil
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	m := make(map[string]string, len(l.st.Meta))
@@ -581,9 +521,6 @@ func (l *Log) Meta() map[string]string {
 
 // Stats returns a point-in-time summary.
 func (l *Log) Stats() Stats {
-	if l == nil {
-		return Stats{}
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	s := Stats{
@@ -602,19 +539,11 @@ func (l *Log) Stats() Stats {
 }
 
 // Dir returns the store's root directory.
-func (l *Log) Dir() string {
-	if l == nil {
-		return ""
-	}
-	return l.dir
-}
+func (l *Log) Dir() string { return l.dir }
 
 // Close syncs and closes the journal file. The store stays readable
 // via State but further Records will count append errors.
 func (l *Log) Close() error {
-	if l == nil {
-		return nil
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {

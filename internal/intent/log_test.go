@@ -375,14 +375,6 @@ func TestRecordAfterClose(t *testing.T) {
 	if err := l.Compact(); err == nil {
 		t.Error("Compact after Close did not error")
 	}
-	// Nil receivers are no-op recorders.
-	var nl *Log
-	if seq := nl.Record("acme", Op{Verb: OpBind}); seq != 0 {
-		t.Errorf("nil log assigned seq %d", seq)
-	}
-	if nl.State() == nil || nl.Seq() != 0 || nl.Close() != nil {
-		t.Error("nil log accessors misbehaved")
-	}
 }
 
 func TestSyncPolicies(t *testing.T) {
