@@ -47,9 +47,9 @@
 // -hosts flags must match the world the store was created with; the
 // daemon refuses to replay a foreign world's journal. The reconciler
 // then keeps the dataplane converged to the declared state: one loop,
-// every -reconcile-interval (0 disables), sweeping the targets mutated
-// since the last sweep plus a rotating 1/8 anti-entropy slice of the
-// world, so drift nothing recorded is found within 8 sweeps.
+// every second, sweeping the targets mutated since the last sweep plus a
+// rotating 1/8 anti-entropy slice of the world, so drift nothing
+// recorded is found within 8 sweeps.
 //
 // On SIGINT or SIGTERM the daemon stops accepting, lets in-flight
 // requests finish (for at most 10 s), stops the reconciler, fsyncs and
@@ -85,9 +85,13 @@ import (
 	"declnet/internal/intent"
 )
 
-// antiEntropyK is the reconciler's rotation: each sweep checks 1/8 of the
-// world besides the dirty targets, bounding undetected drift to 8 sweeps.
-const antiEntropyK = 8
+// With -data-dir the reconciler sweeps every reconcileInterval, and each
+// sweep checks 1/antiEntropyK of the world besides the dirty targets,
+// bounding undetected drift to antiEntropyK sweeps.
+const (
+	reconcileInterval = time.Second
+	antiEntropyK      = 8
+)
 
 // The journal's "interval" policy fsyncs every fsyncEvery records, and a
 // snapshot truncates it every compactEvery.
@@ -135,8 +139,6 @@ func main() {
 		"directory for the durable intent store (empty = in-memory only)")
 	fsync := flag.String("fsync", "interval",
 		"journal durability: none, always, or interval (fsync every 64 records)")
-	reconcileInterval := flag.Duration("reconcile-interval", time.Second,
-		"period of the background desired-state reconciler (0 disables; needs -data-dir)")
 	flag.Parse()
 
 	lvl, err := parseLevel(*logLevel)
@@ -197,13 +199,11 @@ func main() {
 
 	if store != nil {
 		world.EnableReconciler(core.ReconcilerConfig{
-			Interval:     *reconcileInterval,
+			Interval:     reconcileInterval,
 			AntiEntropyK: antiEntropyK,
 		})
-		if *reconcileInterval > 0 {
-			world.Reconciler().Start()
-			logger.Info("reconciler running", "interval", *reconcileInterval, "anti_entropy_k", antiEntropyK)
-		}
+		world.Reconciler().Start()
+		logger.Info("reconciler running", "interval", reconcileInterval, "anti_entropy_k", antiEntropyK)
 	}
 
 	if *debugAddr != "" {

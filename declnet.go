@@ -125,15 +125,16 @@ func (w *World) Now() time.Duration { return w.Cloud.Now() }
 // *meter.Meter (see internal/meter) or any core.Biller.
 func (w *World) AttachMeter(b core.Biller) { w.Cloud.SetBiller(b) }
 
-// FaultPolicy parameterizes the provider's failure reactions (health-check
-// cadence, failover thresholds, re-bind backoff, permit-retry window).
+// FaultPolicy sets the provider's health-check cadence; the failover
+// threshold, re-bind backoff and permit-retry window are fixed.
 type FaultPolicy = core.FaultPolicy
 
 // FaultMonitor is the provider-side failure-reaction loop plus the fault
 // injector driving drills; see World.EnableFaults.
 type FaultMonitor = core.FaultMonitor
 
-// DefaultFaultPolicy mirrors common cloud health-check settings.
+// DefaultFaultPolicy probes every 500ms, a common cloud health-check
+// setting.
 func DefaultFaultPolicy() FaultPolicy { return core.DefaultFaultPolicy() }
 
 // EnableFaults arms the provider health monitor that reacts to injected

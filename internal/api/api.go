@@ -41,26 +41,20 @@ type Server struct {
 	mux   *http.ServeMux
 
 	log       *slog.Logger
-	tracer    *obs.Tracer
-	registry  *metrics.Registry
-	plane     *slo.Plane
 	startedAt time.Time
 
 	mErrors  *metrics.RCounter
 	mLatency *metrics.Hist
 }
 
-// Options tunes the server's observability wiring. The zero value gives a
-// silent logger and a default SLO plane; the server always attaches a
-// fresh tracer and registry to the world.
+// Options tunes the server's logging. The server always attaches a fresh
+// tracer, registry and default SLO plane to the world, and reads them
+// back from the world on every request, so a plane attached later with
+// World.EnableSLO backs /v1/slo, /v1/health and /v1/debug/flight.
 type Options struct {
 	// Logger receives one structured line per request (method, path,
 	// tenant, status, latency). Nil discards logs.
 	Logger *slog.Logger
-	// SLO overrides the default latency plane (nil gets a fresh default
-	// plane). It is attached to the world via EnableSLO and backs the
-	// /v1/slo, /v1/health, and /v1/debug/flight endpoints.
-	SLO *slo.Plane
 }
 
 // NewServer returns a handler over the given world with default
@@ -72,16 +66,12 @@ func NewServerWith(w *declnet.World, opts Options) *Server {
 	if opts.Logger == nil {
 		opts.Logger = slog.New(slog.DiscardHandler)
 	}
-	if opts.SLO == nil {
-		opts.SLO = slo.NewPlane(slo.Config{})
-	}
 	tracer, registry := obs.NewTracer(0), metrics.NewRegistry()
 	w.EnableObservability(tracer, registry)
-	w.EnableSLO(opts.SLO)
+	w.EnableSLO(slo.NewPlane(slo.Config{}))
 	s := &Server{
 		world: w, mux: http.NewServeMux(),
-		log: opts.Logger, tracer: tracer, registry: registry,
-		plane:     opts.SLO,
+		log:       opts.Logger,
 		startedAt: time.Now(),
 		mErrors:   registry.Counter("declnet_http_errors_total", "HTTP API error responses."),
 		mLatency:  registry.Histogram("declnet_http_request_seconds", "HTTP API request latency."),
@@ -124,7 +114,7 @@ func NewServerWith(w *declnet.World, opts Options) *Server {
 func (s *Server) Logger() *slog.Logger { return s.log }
 
 // Registry returns the runtime metrics registry.
-func (s *Server) Registry() *metrics.Registry { return s.registry }
+func (s *Server) Registry() *metrics.Registry { return s.world.Registry() }
 
 // statusRecorder captures the response code, and the tenant a handler
 // decoded from its body, for logging and metrics.
@@ -474,7 +464,8 @@ func (s *Server) transfer(w http.ResponseWriter, r *http.Request) {
 // FaultRequest injects or heals an infrastructure failure — the
 // operator-facing face of internal/fault. Kind is "link", "node", or
 // "region"; AdvanceMillis optionally runs the simulation forward after
-// the event so the provider's reaction (failover, re-bind) can land.
+// the event, by at most maxAdvance, so the provider's reaction (failover,
+// re-bind) can land.
 type FaultRequest struct {
 	Kind          string  `json:"kind"`
 	Target        string  `json:"target"`
@@ -491,12 +482,21 @@ type FaultResponse struct {
 	Rebinds        uint64 `json:"rebinds"`
 }
 
+// maxAdvance bounds a fault request's advance: the run holds the world
+// gate, every verb and read waiting on it, while the daemon tickers
+// (health sweeps, quota limiters) fire all the way to the deadline.
+const maxAdvance = time.Minute
+
 func (s *Server) fail(w http.ResponseWriter, r *http.Request) { s.faultish(w, r, true) }
 func (s *Server) heal(w http.ResponseWriter, r *http.Request) { s.faultish(w, r, false) }
 
 func (s *Server) faultish(w http.ResponseWriter, r *http.Request, fail bool) {
 	req, ok := decode[FaultRequest](w, r)
 	if !ok {
+		return
+	}
+	if req.AdvanceMillis > float64(maxAdvance.Milliseconds()) {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("api: advance_ms %g is over the %d ms bound", req.AdvanceMillis, maxAdvance.Milliseconds()))
 		return
 	}
 	op := s.world.Heal
@@ -546,7 +546,7 @@ func (s *Server) probe(w http.ResponseWriter, r *http.Request) {
 	}
 	// The op opens here (not in core) so its service time covers the
 	// whole request path: name resolution, shard locking, datapath.
-	op := s.plane.Begin(slo.VerbProbe, q.Get("tenant"), "")
+	op := s.world.SLO().Begin(slo.VerbProbe, q.Get("tenant"), "")
 	dst, err := s.resolveDst(q.Get("tenant"), q.Get("dst"))
 	if err != nil {
 		op.End(err)
@@ -583,8 +583,8 @@ func (s *Server) status(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds:     time.Since(s.startedAt).Seconds(),
 		Providers:         map[string]any{},
 		Tenants:           s.world.Cloud.TenantResources(),
-		TraceEvents:       s.tracer.Recorded(),
-		MetricSamples:     len(s.registry.Snapshot()),
+		TraceEvents:       s.world.Tracer().Recorded(),
+		MetricSamples:     len(s.world.Registry().Snapshot()),
 	}
 	for _, name := range []string{s.world.Fig1.CloudA, s.world.Fig1.CloudB, "onprem"} {
 		if p, ok := s.world.Cloud.Provider(name); ok {

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"declnet"
 	"declnet/internal/topo"
@@ -184,5 +185,56 @@ func TestConcurrentDeferredPermits(t *testing.T) {
 		if got := pb.Permits.EntriesOf(ip); !slices.Equal(got, []declnet.Prefix{want}) {
 			t.Errorf("t%d target %s installed %v, want its last request [%v]", i, target, got, want)
 		}
+	}
+}
+
+// TestFaultAdvanceIsBounded: a fault route's run holds the world gate
+// while the daemon tickers fire up to its deadline, so an advance_ms over
+// the bound is refused with a 400 — promptly, with nothing injected —
+// while a probe sent beside it is served. An advance at the bound runs.
+func TestFaultAdvanceIsBounded(t *testing.T) {
+	ts, w := newTestServer(t)
+	fig := w.Fig1
+	var src, dst EIPResponse
+	post(t, ts, "/v1/eips", EIPRequest{Tenant: "acme", VM: string(w.Host(fig.CloudA, fig.RegionsA[0], "az1", 1))}, &src)
+	post(t, ts, "/v1/eips", EIPRequest{Tenant: "acme", VM: string(w.Host(fig.CloudB, fig.RegionsB[0], "az1", 1))}, &dst)
+	if code := post(t, ts, "/v1/permit", PermitRequest{Tenant: "acme", Target: dst.EIP, Entries: []string{src.EIP}}, nil); code != http.StatusOK {
+		t.Fatalf("permit: status %d", code)
+	}
+	node := string(w.Host(fig.CloudB, fig.RegionsB[0], "az2", 1))
+	codes := make(chan string, 2)
+	send := func(name, method, path string, body []byte) {
+		req, _ := http.NewRequest(method, ts.URL+path, bytes.NewReader(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			codes <- fmt.Sprintf("%s: %v", name, err)
+			return
+		}
+		resp.Body.Close()
+		codes <- fmt.Sprintf("%s: %d", name, resp.StatusCode)
+	}
+	go send("fail", http.MethodPost, "/v1/fail",
+		[]byte(fmt.Sprintf(`{"kind":"node","target":%q,"advance_ms":1e12}`, node)))
+	go send("probe", http.MethodGet, fmt.Sprintf("/v1/probe?tenant=acme&src=%s&dst=%s", src.EIP, dst.EIP), nil)
+	var got []string
+	deadline := time.After(10 * time.Second)
+	for range 2 {
+		select {
+		case c := <-codes:
+			got = append(got, c)
+		case <-deadline:
+			t.Fatalf("answered within 10s: %v; want the fail refused and the probe served", got)
+		}
+	}
+	slices.Sort(got)
+	if want := []string{"fail: 400", "probe: 200"}; !slices.Equal(got, want) {
+		t.Fatalf("answers %v, want %v", got, want)
+	}
+	if !w.Faults().Inj.NodeUp(topo.NodeID(node)) {
+		t.Fatal("a refused fail request injected its fault")
+	}
+	var resp FaultResponse
+	if code := post(t, ts, "/v1/fail", FaultRequest{Kind: "node", Target: node, AdvanceMillis: 60e3}, &resp); code != http.StatusOK || resp.NodeFailures != 1 {
+		t.Fatalf("fail at the bound: status %d, %+v", code, resp)
 	}
 }

@@ -64,7 +64,7 @@ func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	evs := s.tracer.Recent(tenant, n)
+	evs := s.world.Tracer().Recent(tenant, n)
 	if kind := q.Get("kind"); kind != "" {
 		kept := evs[:0]
 		for _, ev := range evs {
@@ -85,7 +85,7 @@ func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
 // themselves.
 func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 	var sb strings.Builder
-	if err := s.registry.WritePrometheus(&sb); err != nil {
+	if err := s.world.Registry().WritePrometheus(&sb); err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}

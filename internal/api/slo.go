@@ -38,7 +38,7 @@ func (s *Server) sloSet(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	s.plane.SetObjective(req.Tenant, o)
+	s.world.SLO().SetObjective(req.Tenant, o)
 	writeJSON(w, http.StatusOK, struct{}{})
 }
 
@@ -50,14 +50,15 @@ type SLOResponse struct {
 }
 
 func (s *Server) sloReport(w http.ResponseWriter, r *http.Request) {
+	plane := s.world.SLO()
 	writeJSON(w, http.StatusOK, SLOResponse{
-		WindowGen: s.plane.WindowGen(),
-		Tenants:   s.plane.Report(r.URL.Query().Get("tenant")),
+		WindowGen: plane.WindowGen(),
+		Tenants:   plane.Report(r.URL.Query().Get("tenant")),
 	})
 }
 
 func (s *Server) health(w http.ResponseWriter, r *http.Request) {
-	rep := s.plane.Health()
+	rep := s.world.SLO().Health()
 	code := http.StatusOK
 	if rep.Status != "ok" {
 		// 503 lets dumb probes (curl -f, LB health checks) see degradation
@@ -83,8 +84,9 @@ func (s *Server) flight(w http.ResponseWriter, r *http.Request) {
 		}
 		n = i
 	}
+	plane := s.world.SLO()
 	writeJSON(w, http.StatusOK, FlightResponse{
-		Retained: s.plane.FlightRetained(),
-		Spans:    s.plane.Flight(n),
+		Retained: plane.FlightRetained(),
+		Spans:    plane.Flight(n),
 	})
 }

@@ -13,16 +13,18 @@ import (
 	"declnet/internal/slo"
 )
 
-// newSLOServer is newTestServer plus a plane configured for detector
-// tests (tiny sample floors, explicit windows).
+// newSLOServer is newTestServer with the server's plane replaced by one
+// configured for detector tests (every span sampled, explicit windows).
 func newSLOServer(t *testing.T) (*httptest.Server, *declnet.World, *slo.Plane) {
 	t.Helper()
 	w, err := declnet.NewFig1World(1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plane := slo.NewPlane(slo.Config{Window: time.Hour, SampleEvery: 1, MinWindowSamples: 8})
-	ts := httptest.NewServer(NewServerWith(w, Options{SLO: plane}))
+	srv := NewServer(w)
+	plane := slo.NewPlane(slo.Config{Window: time.Hour, SampleEvery: 1})
+	w.EnableSLO(plane)
+	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return ts, w, plane
 }
@@ -97,11 +99,12 @@ func TestHealthEndpoint(t *testing.T) {
 
 	// Synthesize a breach: fast baseline window, slow current window, and
 	// a dominant mutator from another tenant.
-	for i := 0; i < 16; i++ {
+	// 32 connects a window: the detector's floor.
+	for i := 0; i < 32; i++ {
 		plane.Observe(slo.VerbConnect, "victim", "cloudA/a-east", time.Microsecond)
 	}
 	plane.AdvanceWindow()
-	for i := 0; i < 16; i++ {
+	for i := 0; i < 32; i++ {
 		plane.Observe(slo.VerbConnect, "victim", "cloudA/a-east", 100*time.Microsecond)
 	}
 	for i := 0; i < 100; i++ {

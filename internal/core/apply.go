@@ -143,10 +143,8 @@ func (c *Cloud) apply(tenant string, op *intent.Op, mode applyMode) (k ShardKey,
 	case intent.OpSetQoS:
 		p, k, err = c.named(tenant, op.Provider, op.Region)
 		verb, run = slo.VerbQoS, func() error {
-			// Checked here, not in setQoS: recovery and the quota repair
-			// share that body, and a store holding such a quota must open.
-			if op.Bps < 0 || math.IsNaN(op.Bps) || math.IsInf(op.Bps, 0) {
-				return fmt.Errorf("core: bandwidth %g bit/s is not a finite, non-negative rate", op.Bps)
+			if err := checkRate(op.Bps); err != nil {
+				return err
 			}
 			return p.setQoS(tenant, op.Region, op.Bps)
 		}
@@ -161,7 +159,12 @@ func (c *Cloud) apply(tenant string, op *intent.Op, mode applyMode) (k ShardKey,
 		}
 	case intent.OpSetVMEgress:
 		p, k, err = c.owner(tenant, op.EIP)
-		verb, run = slo.VerbQoS, func() error { return p.setVMEgressCap(tenant, op.EIP, op.Bps) }
+		verb, run = slo.VerbQoS, func() error {
+			if err := checkRate(op.Bps); err != nil {
+				return err
+			}
+			return p.setVMEgressCap(tenant, op.EIP, op.Bps)
+		}
 	case intent.OpCreateGroup:
 		if op.Provider != "" {
 			return k, fmt.Errorf("core: create_group is tenant-wide; provider %q given", op.Provider)
@@ -200,4 +203,16 @@ func (c *Cloud) apply(tenant string, op *intent.Op, mode applyMode) (k ShardKey,
 		c.tenantDelta(tenant, 0)
 	}
 	return k, err
+}
+
+// checkRate refuses a set_qos or set_vm_egress bandwidth that is negative,
+// NaN or infinite; zero is a rate (no reservation, or the provider's
+// default VM cap). Checked in apply, not in setQoS: recovery and the
+// quota repair share that body, and a store holding such a quota must
+// open.
+func checkRate(bps float64) error {
+	if bps < 0 || math.IsNaN(bps) || math.IsInf(bps, 0) {
+		return fmt.Errorf("core: bandwidth %g bit/s is not a finite, non-negative rate", bps)
+	}
+	return nil
 }

@@ -572,7 +572,7 @@ func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, opts Co
 	defer c.engMu.Unlock()
 	vmCap := srcEp.egressCap
 	if vmCap == 0 {
-		vmCap = srcProv.defaultVMEgress
+		vmCap = defaultVMEgress
 	}
 	demand := opts.Demand
 	if demand == 0 {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"declnet/internal/addr"
 	"declnet/internal/fault"
@@ -19,67 +20,30 @@ import (
 // exactly that through a failure — no API calls required.
 type FaultPolicy struct {
 	// HealthInterval is the health-check probe period for SIP backends
-	// and quota enforcers.
+	// and quota enforcers (default 500ms). A backend leaves rotation
+	// after DownAfter consecutive missed probes.
 	HealthInterval sim.Time
-	// DownAfter is how many consecutive missed probes pull a backend out
-	// of rotation (so failover latency ≈ HealthInterval * DownAfter).
-	DownAfter int
-	// RebindBackoff is the wait before re-binding a recovered backend;
-	// it doubles on every subsequent failure of the same backend (up to
-	// RebindBackoffMax) so a flapping host cannot churn the rotation.
-	RebindBackoff    sim.Time
-	RebindBackoffMax sim.Time
-	// PermitRetryInterval / PermitRetryTimeout govern permit-plane
-	// updates targeting an unreachable endpoint: the update is accepted,
-	// retried each interval, and abandoned after the timeout.
-	PermitRetryInterval sim.Time
-	PermitRetryTimeout  sim.Time
 }
 
-// DefaultFaultPolicy mirrors common cloud health-check settings:
-// 500ms probes, 2 misses to pull, 1s re-bind backoff capped at 8s,
-// permit retries every second for at most 30s.
+// The provider's fixed reactions, common cloud health-check settings:
+// DownAfter consecutive missed probes pull a backend out of rotation (so
+// failover latency ≈ HealthInterval × DownAfter); a recovered backend
+// re-enters after RebindBackoff, doubled on every later failure of the
+// same backend up to rebindBackoffMax, so a flapping host cannot churn
+// the rotation. A permit update targeting an unreachable endpoint is
+// accepted, retried every permitRetryInterval, and abandoned after
+// permitRetryTimeout.
+const (
+	DownAfter           = 2
+	RebindBackoff       = time.Second
+	rebindBackoffMax    = 8 * RebindBackoff
+	permitRetryInterval = time.Second
+	permitRetryTimeout  = 30 * permitRetryInterval
+)
+
+// DefaultFaultPolicy probes every 500ms.
 func DefaultFaultPolicy() FaultPolicy {
-	return FaultPolicy{
-		HealthInterval:      500 * 1e6,
-		DownAfter:           2,
-		RebindBackoff:       1e9,
-		RebindBackoffMax:    8e9,
-		PermitRetryInterval: 1e9,
-		PermitRetryTimeout:  30e9,
-	}
-}
-
-func (fp FaultPolicy) withDefaults() FaultPolicy {
-	def := DefaultFaultPolicy()
-	if fp.HealthInterval <= 0 {
-		fp.HealthInterval = def.HealthInterval
-	}
-	if fp.DownAfter <= 0 {
-		fp.DownAfter = def.DownAfter
-	}
-	if fp.RebindBackoff <= 0 {
-		fp.RebindBackoff = def.RebindBackoff
-	}
-	if fp.RebindBackoffMax < fp.RebindBackoff {
-		fp.RebindBackoffMax = def.RebindBackoffMax
-	}
-	if fp.RebindBackoffMax < fp.RebindBackoff {
-		fp.RebindBackoffMax = fp.RebindBackoff
-	}
-	if fp.PermitRetryInterval <= 0 {
-		fp.PermitRetryInterval = def.PermitRetryInterval
-	}
-	if fp.PermitRetryTimeout <= 0 {
-		fp.PermitRetryTimeout = def.PermitRetryTimeout
-	}
-	return fp
-}
-
-// DetectDelay is the worst-case time from failure to a backend leaving
-// rotation under this policy.
-func (fp FaultPolicy) DetectDelay() sim.Time {
-	return fp.HealthInterval * sim.Time(fp.DownAfter)
+	return FaultPolicy{HealthInterval: 500 * time.Millisecond}
 }
 
 type backendKey struct {
@@ -148,14 +112,16 @@ func newFaultMonitor(c *Cloud) *FaultMonitor {
 }
 
 // EnableFaults arms the provider health monitor: the first call sets its
-// policy (zero fields take the defaults) and starts the health sweep;
-// later calls change nothing. It returns the cloud's one monitor. Call it
-// at set-up or inside an exclusive step, like any engine write.
+// policy (a zero HealthInterval takes the default) and starts the health
+// sweep; later calls change nothing. It returns the cloud's one monitor.
+// Call it at set-up or inside an exclusive step, like any engine write.
 func (c *Cloud) EnableFaults(policy FaultPolicy) *FaultMonitor {
 	m := c.monitor
 	if !m.armed {
 		m.armed = true
-		m.Policy = policy.withDefaults()
+		if policy.HealthInterval > 0 {
+			m.Policy = policy
+		}
 		// Daemon ticker: the health loop never keeps a deadline-less Run
 		// alive on its own.
 		c.Eng.EveryDaemon(m.Policy.HealthInterval, m.tick)
@@ -272,7 +238,7 @@ func (m *FaultMonitor) sweepServices(now sim.Time, p *Provider) {
 				continue
 			}
 			st.misses++
-			if st.misses < m.Policy.DownAfter {
+			if st.misses < DownAfter {
 				continue
 			}
 			// Pull the binding; the balancer serves from survivors only.
@@ -285,9 +251,9 @@ func (m *FaultMonitor) sweepServices(now sim.Time, p *Provider) {
 				Detail: fmt.Sprintf("node=%s misses=%d", node, st.misses),
 				Cause:  obs.Chain(m.Inj.Cause(node)...)})
 			if st.backoff == 0 {
-				st.backoff = m.Policy.RebindBackoff
-			} else if st.backoff *= 2; st.backoff > m.Policy.RebindBackoffMax {
-				st.backoff = m.Policy.RebindBackoffMax
+				st.backoff = RebindBackoff
+			} else if st.backoff *= 2; st.backoff > rebindBackoffMax {
+				st.backoff = rebindBackoffMax
 			}
 		}
 	}
@@ -351,7 +317,7 @@ func (m *FaultMonitor) state(provider string, sip SIP, eip EIP) *backendState {
 // exclusive step.
 func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, set []permit.Entry, n int, node topo.NodeID) {
 	accepted := m.cloud.Eng.Now()
-	deadline := accepted + m.Policy.PermitRetryTimeout
+	deadline := accepted + permitRetryTimeout
 	m.mu.Lock()
 	if _, dup := m.pending[target]; !dup {
 		m.pending[target] = accepted
@@ -391,7 +357,7 @@ func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, s
 			settle()
 			return
 		}
-		if m.cloud.Eng.Now()+m.Policy.PermitRetryInterval > deadline {
+		if m.cloud.Eng.Now()+permitRetryInterval > deadline {
 			m.mu.Lock()
 			m.PermitTimeouts++
 			m.mu.Unlock()
@@ -408,9 +374,9 @@ func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, s
 		m.mu.Lock()
 		m.PermitRetries++
 		m.mu.Unlock()
-		m.cloud.Eng.After(m.Policy.PermitRetryInterval, attempt)
+		m.cloud.Eng.After(permitRetryInterval, attempt)
 	}
 	m.cloud.engMu.Lock()
-	m.cloud.Eng.After(m.Policy.PermitRetryInterval, attempt)
+	m.cloud.Eng.After(permitRetryInterval, attempt)
 	m.cloud.engMu.Unlock()
 }

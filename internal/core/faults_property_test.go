@@ -77,14 +77,10 @@ func TestPropertySIPNeverServesDownBackend(t *testing.T) {
 		nBackends = 3
 		horizon   = 10 * time.Second
 	)
-	policy := FaultPolicy{
-		HealthInterval: 100 * time.Millisecond,
-		DownAfter:      2,
-		RebindBackoff:  300 * time.Millisecond,
-	}
+	policy := FaultPolicy{HealthInterval: 100 * time.Millisecond}
 	// The monitor needs one sweep past the detect delay to pull a backend;
 	// add two intervals of slack so probe phase never races the sweep phase.
-	window := policy.DetectDelay() + 2*policy.HealthInterval
+	window := (DownAfter + 2) * policy.HealthInterval
 
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed

@@ -48,7 +48,7 @@ func failoverWorld(t *testing.T, policy FaultPolicy) (c *Cloud, m *FaultMonitor,
 }
 
 func TestSIPFailsOverToSurvivingBackend(t *testing.T) {
-	policy := FaultPolicy{HealthInterval: 100 * time.Millisecond, DownAfter: 2}
+	policy := FaultPolicy{HealthInterval: 100 * time.Millisecond}
 	c, m, client, sip, be1, _, n1, _ := failoverWorld(t, policy)
 
 	c.Eng.Schedule(time.Second, func() {
@@ -58,7 +58,7 @@ func TestSIPFailsOverToSurvivingBackend(t *testing.T) {
 	})
 	// After the detect delay every pick must land on the survivor —
 	// with zero tenant API calls in between.
-	c.Eng.Schedule(time.Second+policy.DetectDelay()+policy.HealthInterval, func() {
+	c.Eng.Schedule(time.Second+(DownAfter+1)*policy.HealthInterval, func() {
 		for i := 0; i < 10; i++ {
 			cn, err := c.Tenant("acme").Connect(client, sip, ConnectOpts{SizeBytes: 1e3})
 			if err != nil {
@@ -80,12 +80,7 @@ func TestSIPFailsOverToSurvivingBackend(t *testing.T) {
 }
 
 func TestRecoveredBackendRebindsAfterBackoff(t *testing.T) {
-	policy := FaultPolicy{
-		HealthInterval: 100 * time.Millisecond,
-		DownAfter:      2,
-		RebindBackoff:  time.Second,
-	}
-	c, m, _, sip, be1, _, n1, _ := failoverWorld(t, policy)
+	c, m, _, sip, be1, _, n1, _ := failoverWorld(t, FaultPolicy{HealthInterval: 100 * time.Millisecond})
 
 	c.Eng.Schedule(time.Second, func() { m.Inj.FailNode(n1) })
 	c.Eng.Schedule(3*time.Second, func() { m.Inj.RestoreNode(n1) })
@@ -108,42 +103,41 @@ func TestRecoveredBackendRebindsAfterBackoff(t *testing.T) {
 }
 
 func TestRebindBackoffDoublesPerFlap(t *testing.T) {
-	policy := FaultPolicy{
-		HealthInterval:   100 * time.Millisecond,
-		DownAfter:        1,
-		RebindBackoff:    200 * time.Millisecond,
-		RebindBackoffMax: 300 * time.Millisecond,
-	}
+	policy := FaultPolicy{HealthInterval: 100 * time.Millisecond}
 	c, m, _, sip, be1, _, n1, _ := failoverWorld(t, policy)
 
-	// Two fail/heal rounds: the second re-bind must wait the doubled
-	// (and capped) backoff.
-	c.Eng.Schedule(time.Second, func() { m.Inj.FailNode(n1) })
-	c.Eng.Schedule(2*time.Second, func() { m.Inj.RestoreNode(n1) })
-	c.Eng.Schedule(4*time.Second, func() { m.Inj.FailNode(n1) })
-	c.Eng.Schedule(5*time.Second, func() { m.Inj.RestoreNode(n1) })
-	c.Eng.Schedule(5*time.Second+200*time.Millisecond, func() {
-		if !m.BackendDown("cloudB", sip, be1) {
-			t.Error("second re-bind should wait the doubled backoff")
-		}
-	})
-	c.Eng.RunUntil(8 * time.Second)
-	if m.Failovers != 2 || m.Rebinds != 2 {
-		t.Fatalf("failovers=%d rebinds=%d, want 2/2", m.Failovers, m.Rebinds)
+	// Six fail/heal rounds: each re-bind waits double the last one's
+	// backoff, capped from the fourth round on.
+	want := []time.Duration{RebindBackoff, 2 * RebindBackoff, 4 * RebindBackoff,
+		rebindBackoffMax, rebindBackoffMax, rebindBackoffMax}
+	at := time.Second
+	for i, backoff := range want {
+		restore := at + time.Second
+		c.Eng.Schedule(at, func() { m.Inj.FailNode(n1) })
+		c.Eng.Schedule(restore, func() { m.Inj.RestoreNode(n1) })
+		c.Eng.Schedule(restore+backoff-policy.HealthInterval, func() {
+			if !m.BackendDown("cloudB", sip, be1) {
+				t.Errorf("round %d: re-bound before its %v backoff", i, backoff)
+			}
+		})
+		c.Eng.Schedule(restore+backoff+2*policy.HealthInterval, func() {
+			if m.BackendDown("cloudB", sip, be1) || m.Rebinds != uint64(i+1) {
+				t.Errorf("round %d: not re-bound %v after recovery (rebinds %d)", i, backoff, m.Rebinds)
+			}
+		})
+		at = restore + backoff + time.Second
 	}
-	st := m.backends[backendKey{"cloudB", sip, be1}]
-	if st.backoff != policy.RebindBackoffMax {
-		t.Fatalf("backoff = %v, want capped at %v", st.backoff, policy.RebindBackoffMax)
+	c.Eng.RunUntil(at)
+	if m.Failovers != uint64(len(want)) || m.Rebinds != uint64(len(want)) {
+		t.Fatalf("failovers=%d rebinds=%d, want %d/%d", m.Failovers, m.Rebinds, len(want), len(want))
+	}
+	if st := m.backends[backendKey{"cloudB", sip, be1}]; st.backoff != rebindBackoffMax {
+		t.Fatalf("backoff = %v, want capped at %v", st.backoff, rebindBackoffMax)
 	}
 }
 
 func TestPermitUpdateRetriesUntilNodeReturns(t *testing.T) {
-	policy := FaultPolicy{
-		HealthInterval:      100 * time.Millisecond,
-		PermitRetryInterval: 500 * time.Millisecond,
-		PermitRetryTimeout:  10 * time.Second,
-	}
-	c, m, client, _, be1, _, n1, _ := failoverWorld(t, policy)
+	c, m, client, _, be1, _, n1, _ := failoverWorld(t, FaultPolicy{HealthInterval: 100 * time.Millisecond})
 	pb, _ := c.Provider("cloudB")
 
 	c.Eng.Schedule(time.Second, func() { m.Inj.FailNode(n1) })
@@ -170,12 +164,7 @@ func TestPermitUpdateRetriesUntilNodeReturns(t *testing.T) {
 }
 
 func TestPermitUpdateTimesOut(t *testing.T) {
-	policy := FaultPolicy{
-		HealthInterval:      100 * time.Millisecond,
-		PermitRetryInterval: 500 * time.Millisecond,
-		PermitRetryTimeout:  2 * time.Second,
-	}
-	c, m, client, _, be1, _, n1, _ := failoverWorld(t, policy)
+	c, m, client, _, be1, _, n1, _ := failoverWorld(t, FaultPolicy{HealthInterval: 100 * time.Millisecond})
 	pb, _ := c.Provider("cloudB")
 
 	c.Eng.Schedule(time.Second, func() { m.Inj.FailNode(n1) })
@@ -183,7 +172,7 @@ func TestPermitUpdateTimesOut(t *testing.T) {
 		c.Tenant("acme").SetPermitList(be1, []permit.Entry{addr.NewPrefix(client, 32)})
 	})
 	// Node never heals within the timeout.
-	c.Eng.RunUntil(10 * time.Second)
+	c.Eng.RunUntil(2*time.Second + permitRetryTimeout + 2*permitRetryInterval)
 	if m.PermitTimeouts != 1 {
 		t.Fatalf("PermitTimeouts = %d, want 1", m.PermitTimeouts)
 	}
@@ -193,9 +182,8 @@ func TestPermitUpdateTimesOut(t *testing.T) {
 }
 
 func TestQuotaDegradesWhenRegionPartitions(t *testing.T) {
-	policy := FaultPolicy{HealthInterval: 100 * time.Millisecond, DownAfter: 2}
 	c, w, pa, _, _ := fig1Cloud(t)
-	m := c.EnableFaults(policy)
+	m := c.EnableFaults(FaultPolicy{HealthInterval: 100 * time.Millisecond})
 
 	// Two senders in different cloud-A regions, one receiver in cloud B,
 	// a tenant-wide quota per region.

@@ -263,7 +263,7 @@ func (c *Cloud) explain(tenant string, src EIP, dst addr.IP) (*Explanation, erro
 	// Stage 6 — qos: informational; throttling degrades, never blocks.
 	vmCap := srcEp.egressCap
 	if vmCap == 0 {
-		vmCap = srcProv.defaultVMEgress
+		vmCap = defaultVMEgress
 	}
 	qdetail := fmt.Sprintf("vm-cap=%.3gbps", vmCap)
 	if tq, ok := srcProv.quotaOf(tenant, srcEp.region); ok {

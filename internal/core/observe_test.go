@@ -25,7 +25,7 @@ func explainStage(t *testing.T, ex *Explanation, stage string) ExplainStep {
 }
 
 func TestExplainHealthyPath(t *testing.T) {
-	policy := FaultPolicy{HealthInterval: 100 * time.Millisecond, DownAfter: 2}
+	policy := FaultPolicy{HealthInterval: 100 * time.Millisecond}
 	c, _, client, sip, _, _, _, _ := failoverWorld(t, policy)
 	c.EnableObservability(obs.NewTracer(0), metrics.NewRegistry())
 	c.Eng.RunUntil(500 * time.Millisecond)
@@ -103,7 +103,7 @@ func TestExplainPermitDeny(t *testing.T) {
 }
 
 func TestExplainNamesNodeAndRegionFaults(t *testing.T) {
-	policy := FaultPolicy{HealthInterval: 100 * time.Millisecond, DownAfter: 2}
+	policy := FaultPolicy{HealthInterval: 100 * time.Millisecond}
 	c, m, client, sip, _, _, n1, n2 := failoverWorld(t, policy)
 	c.EnableObservability(obs.NewTracer(0), metrics.NewRegistry())
 
@@ -114,7 +114,7 @@ func TestExplainNamesNodeAndRegionFaults(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	c.Eng.RunUntil(time.Second + policy.DetectDelay() + policy.HealthInterval)
+	c.Eng.RunUntil(time.Second + (DownAfter+1)*policy.HealthInterval)
 	ex, err := c.Tenant("acme").Explain(client, sip)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestExplainNamesNodeAndRegionFaults(t *testing.T) {
 	if err := m.Inj.FailRegion(prov, region); err != nil {
 		t.Fatal(err)
 	}
-	c.Eng.RunUntil(c.Eng.Now() + policy.DetectDelay() + policy.HealthInterval)
+	c.Eng.RunUntil(c.Eng.Now() + (DownAfter+1)*policy.HealthInterval)
 	ex, err = c.Tenant("acme").Explain(client, sip)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestExplainNamesNodeAndRegionFaults(t *testing.T) {
 }
 
 func TestExplainPendingPermit(t *testing.T) {
-	policy := FaultPolicy{HealthInterval: 100 * time.Millisecond, DownAfter: 2}
+	policy := FaultPolicy{HealthInterval: 100 * time.Millisecond}
 	c, w, _, _, _ := fig1Cloud(t)
 	m := c.EnableFaults(policy)
 	c.EnableObservability(obs.NewTracer(0), metrics.NewRegistry())
@@ -181,7 +181,7 @@ func TestExplainPendingPermit(t *testing.T) {
 	if err := m.Inj.RestoreNode(node); err != nil {
 		t.Fatal(err)
 	}
-	c.Eng.RunUntil(c.Eng.Now() + 3*policy.withDefaults().PermitRetryInterval)
+	c.Eng.RunUntil(c.Eng.Now() + 3*permitRetryInterval)
 	ex, err = c.Tenant("acme").Explain(client, dst)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestExplainUnknownTenant(t *testing.T) {
 }
 
 func TestConnectTracesDecisions(t *testing.T) {
-	policy := FaultPolicy{HealthInterval: 100 * time.Millisecond, DownAfter: 2}
+	policy := FaultPolicy{HealthInterval: 100 * time.Millisecond}
 	c, _, client, sip, _, _, _, _ := failoverWorld(t, policy)
 	tr := obs.NewTracer(0)
 	reg := metrics.NewRegistry()

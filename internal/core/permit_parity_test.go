@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"time"
 	"unsafe"
 
 	"declnet/internal/addr"
@@ -47,8 +46,7 @@ func shareArray(a, b []addr.Prefix) bool {
 // checks that every other target's entries stay as they were.
 func TestDeclaredAndInstalledPermitParity(t *testing.T) {
 	c, w, pa, pb, _ := fig1Cloud(t)
-	policy := FaultPolicy{PermitRetryInterval: 100 * time.Millisecond, PermitRetryTimeout: time.Hour}
-	m := c.EnableFaults(policy)
+	m := c.EnableFaults(FaultPolicy{})
 	dir := t.TempDir()
 	l, err := intent.Open(dir, intent.Options{})
 	if err != nil {
@@ -163,7 +161,7 @@ func TestDeclaredAndInstalledPermitParity(t *testing.T) {
 		}
 		retries += m.PermitRetries
 		c, _, _, _, _ = fig1Cloud(t)
-		m = c.EnableFaults(policy)
+		m = c.EnableFaults(FaultPolicy{})
 		if err := c.RestoreIntent(l.State()); err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +247,7 @@ func TestDeclaredAndInstalledPermitParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			down = ""
-			c.Eng.RunUntil(c.Eng.Now() + time.Second)
+			c.Eng.RunUntil(c.Eng.Now() + permitRetryInterval)
 			r.RunSweep()
 		}
 		check(step)
@@ -275,7 +273,7 @@ func TestDeclaredAndInstalledPermitParity(t *testing.T) {
 // stores must read what was declared throughout.
 func TestStoresNeverAppendIntoASharedList(t *testing.T) {
 	c, w, pa, _, _ := fig1Cloud(t)
-	m := c.EnableFaults(FaultPolicy{PermitRetryInterval: 100 * time.Millisecond, PermitRetryTimeout: time.Hour})
+	m := c.EnableFaults(FaultPolicy{})
 	l, err := intent.Open(t.TempDir(), intent.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +305,7 @@ func TestStoresNeverAppendIntoASharedList(t *testing.T) {
 	if err := m.Inj.RestoreNode(node); err != nil {
 		t.Fatal(err)
 	}
-	c.Eng.RunUntil(c.Eng.Now() + time.Second) // installs the deferred [a]
+	c.Eng.RunUntil(c.Eng.Now() + permitRetryInterval) // installs the deferred [a]
 	if err := c.Tenant("acme").Permit(target, d); err != nil {
 		t.Fatal(err)
 	}

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"time"
 
 	"declnet/internal/addr"
 	"declnet/internal/intent"
@@ -113,10 +114,6 @@ type Provider struct {
 	// quotas holds per-(tenant,region) egress limiters.
 	quotas map[string]map[string]*tenantQuota
 
-	// defaultVMEgress is the standard per-VM egress guarantee adopted
-	// unchanged from today's clouds (§4 QoS).
-	defaultVMEgress float64
-
 	// cloud is the enclosing Cloud: its shard table, SLO plane, intent
 	// store, fault monitor and decision tracer are the ones every verb
 	// body uses.
@@ -168,12 +165,16 @@ type Config struct {
 	EIPBase addr.Prefix
 	// SIPBase is the provider's service-address block.
 	SIPBase addr.Prefix
-	// DefaultVMEgress is the per-VM egress cap applied when the tenant
-	// sets none (bits/s).
-	DefaultVMEgress float64
-	// QuotaPeriod is the distributed limiter's control period.
-	QuotaPeriod sim.Time
 }
+
+// defaultVMEgress is the per-VM egress cap applied when the tenant sets
+// none (bits/s): the standard guarantee adopted unchanged from today's
+// clouds (§4 QoS). quotaPeriod is the distributed limiter's control
+// period.
+const (
+	defaultVMEgress = 5 * topo.Gbps
+	quotaPeriod     = 100 * time.Millisecond
+)
 
 // newProvider returns a control plane for the named cloud over the shared
 // world (Cloud.AddProvider attaches it). Regions are discovered from the
@@ -182,25 +183,18 @@ func newProvider(name string, eng *sim.Engine, g *topo.Graph, net *netsim.Networ
 	if cfg.EIPBase.Len > 16 {
 		return nil, fmt.Errorf("core: EIP base %s too small to carve /16 region blocks", cfg.EIPBase)
 	}
-	if cfg.DefaultVMEgress == 0 {
-		cfg.DefaultVMEgress = 5 * topo.Gbps
-	}
-	if cfg.QuotaPeriod == 0 {
-		cfg.QuotaPeriod = 100 * 1e6 // 100ms
-	}
 	p := &Provider{
-		Name:            name,
-		eng:             eng,
-		g:               g,
-		net:             net,
-		eipBlocks:       make(map[string]*regionBlocks),
-		sipBlock:        addr.NewHostPool(cfg.SIPBase, 1),
-		Permits:         permit.NewEngine(),
-		potato:          make(map[string]qos.PotatoPolicy),
-		quotas:          make(map[string]map[string]*tenantQuota),
-		defaultVMEgress: cfg.DefaultVMEgress,
+		Name:      name,
+		eng:       eng,
+		g:         g,
+		net:       net,
+		eipBlocks: make(map[string]*regionBlocks),
+		sipBlock:  addr.NewHostPool(cfg.SIPBase, 1),
+		Permits:   permit.NewEngine(),
+		potato:    make(map[string]qos.PotatoPolicy),
+		quotas:    make(map[string]map[string]*tenantQuota),
+		cfg:       cfg,
 	}
-	p.cfg = cfg
 	// Carve one /16 per region, in sorted region order for determinism.
 	regions := map[string]bool{}
 	for _, n := range g.NodesWhere(func(n *topo.Node) bool { return n.Kind == topo.Host && n.Provider == name }) {
@@ -355,7 +349,11 @@ func (p *Provider) unbind(tenant string, eip EIP, sip SIP) error {
 // once — the canonical set of op's entries and expanded group members —
 // installs it, or hands it to the fault monitor when the target's
 // enforcement point is unreachable, and leaves it on op for the declared
-// state to adopt.
+// state to adopt and the journal to record: op's entries become the list
+// and its group names go. The groups run under the tenant's region-less
+// shard, not the target's, so their create_group frames may land after
+// this op's; a replayed op that named them would expand another
+// membership, or none.
 func (p *Provider) setPermitList(tenant string, op *intent.Op) error {
 	target := op.Target
 	if err := p.ownsTarget(tenant, target); err != nil {
@@ -372,6 +370,7 @@ func (p *Provider) setPermitList(tenant string, op *intent.Op) error {
 		}
 	}
 	set := addr.CanonicalPrefixes(all)
+	op.Entries, op.Groups = set, nil
 	op.Derived, op.Prev, op.Next = true, nil, set
 	// Under fault injection, an update targeting an endpoint whose
 	// enforcement point is partitioned away cannot land immediately: it
@@ -562,11 +561,9 @@ func (p *Provider) quota(tenant, region string) *tenantQuota {
 		// event queue is single-writer; first set_qos calls in different
 		// shards (and providers) would otherwise race on it.
 		p.cloud.engMu.Lock()
-		tq.limiter = qos.NewDistributedLimiter(p.eng, 0, p.cfgQuotaPeriod())
+		tq.limiter = qos.NewDistributedLimiter(p.eng, 0, quotaPeriod)
 		p.cloud.engMu.Unlock()
 		p.quotas[tenant][region] = tq
 	}
 	return tq
 }
-
-func (p *Provider) cfgQuotaPeriod() sim.Time { return p.cfg.QuotaPeriod }

@@ -130,14 +130,15 @@ func TestBreachLandsInDecisionTrace(t *testing.T) {
 	c, _, _, _, _ := fig1Cloud(t)
 	tr := obs.NewTracer(64)
 	c.EnableObservability(tr, nil)
-	plane := slo.NewPlane(slo.Config{Window: time.Hour, MinWindowSamples: 8})
+	plane := slo.NewPlane(slo.Config{Window: time.Hour})
 	c.EnableSLO(plane)
 
-	for i := 0; i < 16; i++ {
+	// 32 connects a window: the detector's floor.
+	for i := 0; i < 32; i++ {
 		plane.Observe(slo.VerbConnect, "victim", "cloudA/a-east", time.Microsecond)
 	}
 	plane.AdvanceWindow()
-	for i := 0; i < 16; i++ {
+	for i := 0; i < 32; i++ {
 		plane.Observe(slo.VerbConnect, "victim", "cloudA/a-east", 100*time.Microsecond)
 	}
 	for i := 0; i < 100; i++ {

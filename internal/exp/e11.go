@@ -36,11 +36,7 @@ func E11AvailabilityDrill(requestRate float64, seed int64) (*metrics.Table, erro
 		healAt   = 7 * time.Second
 		opsDelay = 2 * time.Second // baseline operator reaction time
 	)
-	policy := core.FaultPolicy{
-		HealthInterval: 250 * time.Millisecond,
-		DownAfter:      2,
-		RebindBackoff:  time.Second,
-	}
+	policy := core.FaultPolicy{HealthInterval: 250 * time.Millisecond}
 
 	decl, m, err := e11Declarative(requestRate, horizon, failAt, healAt, policy, seed)
 	if err != nil {
@@ -62,7 +58,7 @@ func E11AvailabilityDrill(requestRate float64, seed int64) (*metrics.Table, erro
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("identical drill in both models: backend host down at t=%v, back at t=%v", failAt, healAt),
 		fmt.Sprintf("provider policy: %v health checks, down after %d misses, %v re-bind backoff",
-			policy.HealthInterval, policy.DownAfter, policy.RebindBackoff),
+			policy.HealthInterval, core.DownAfter, core.RebindBackoff),
 		fmt.Sprintf("baseline operator reacts %v after each transition (deregister, re-register)", opsDelay))
 	t.AddNotef("provider-side events: %d failover, %d re-bind; tenant saw none of them",
 		m.Failovers, m.Rebinds)

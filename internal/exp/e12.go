@@ -214,11 +214,7 @@ func e12RunScenario(sc e12Scenario, seed int64) (verdict string, match bool, err
 	if err != nil {
 		return "", false, err
 	}
-	m := d.Cloud.EnableFaults(core.FaultPolicy{
-		HealthInterval: 250 * time.Millisecond,
-		DownAfter:      2,
-		RebindBackoff:  time.Second,
-	})
+	m := d.Cloud.EnableFaults(core.FaultPolicy{HealthInterval: 250 * time.Millisecond})
 	d.Cloud.EnableObservability(obs.NewTracer(0), nil)
 	src, dst, err := sc.run(d, m)
 	if err != nil {
@@ -295,11 +291,7 @@ func e12ArmOnce(instrument bool, connects int, seed int64) (e12ArmStats, error) 
 		return st, err
 	}
 	c := d.Cloud
-	m := c.EnableFaults(core.FaultPolicy{
-		HealthInterval: 250 * time.Millisecond,
-		DownAfter:      2,
-		RebindBackoff:  time.Second,
-	})
+	m := c.EnableFaults(core.FaultPolicy{HealthInterval: 250 * time.Millisecond})
 	var tracer *obs.Tracer
 	var reg *metrics.Registry
 	if instrument {

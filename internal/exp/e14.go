@@ -54,11 +54,10 @@ func E14NoisyNeighbor(seed int64) (*metrics.Table, error) {
 	tracer := obs.NewTracer(0)
 	c.EnableObservability(tracer, nil)
 	plane := slo.NewPlane(slo.Config{
-		Window:           time.Hour, // rotation is explicit below
-		SampleEvery:      1,
-		HistSampleEvery:  1, // exact counts: the drill is the oracle
-		LagSampleEvery:   1,
-		MinWindowSamples: 16,
+		Window:          time.Hour, // rotation is explicit below
+		SampleEvery:     1,
+		HistSampleEvery: 1, // exact counts: the drill is the oracle
+		LagSampleEvery:  1,
 	})
 	c.EnableSLO(plane)
 

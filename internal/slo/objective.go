@@ -329,9 +329,8 @@ func (p *Plane) Health() HealthReport {
 	}
 	snaps := p.Snapshot()
 	rep := HealthReport{Status: "ok", WindowGen: p.gen.Load(), Factor: breachFactor}
-	min := uint64(p.cfg.MinWindowSamples)
 	for _, s := range snaps {
-		if s.WinConn.Count < min || s.BaseCon.Count < min {
+		if s.WinConn.Count < minWindowSamples || s.BaseCon.Count < minWindowSamples {
 			continue
 		}
 		curP99 := s.WinConn.Quantile(0.99)

@@ -135,24 +135,24 @@ type Config struct {
 	// LagSampleEvery stamps 1-in-N accepted permit updates for
 	// propagation-lag measurement (default 16).
 	LagSampleEvery int
-	// SlowSpan always retains ops at least this slow (default 1ms).
-	SlowSpan time.Duration
 	// Window is the detector window; rotation happens lazily on the
 	// record path (default 10s). Tests and drills set it large and call
 	// AdvanceWindow explicitly.
 	Window time.Duration
-	// MinWindowSamples is the floor below which a window is too thin to
-	// judge (default 32, both windows).
-	MinWindowSamples int
 }
 
-// The detector's fixed thresholds: a shard whose current-window p99
-// exceeds its trailing baseline by breachFactor (the E13 storm/idle
-// bound) is breached, and a shard must have logged at least minStormOps
-// mutation ops in the current window to be named its suspect.
+// The plane's fixed thresholds. The flight recorder always retains an op
+// at least slowSpan slow. The detector judges a shard only when both its
+// windows hold at least minWindowSamples connects; a shard whose
+// current-window p99 exceeds its trailing baseline by breachFactor (the
+// E13 storm/idle bound) is breached, and a shard must have logged at
+// least minStormOps mutation ops in the current window to be named its
+// suspect.
 const (
-	breachFactor = 1.5
-	minStormOps  = 64
+	slowSpan         = time.Millisecond
+	minWindowSamples = 32
+	breachFactor     = 1.5
+	minStormOps      = 64
 )
 
 func (c Config) withDefaults() Config {
@@ -165,14 +165,8 @@ func (c Config) withDefaults() Config {
 	if c.LagSampleEvery <= 0 {
 		c.LagSampleEvery = 16
 	}
-	if c.SlowSpan <= 0 {
-		c.SlowSpan = time.Millisecond
-	}
 	if c.Window <= 0 {
 		c.Window = 10 * time.Second
-	}
-	if c.MinWindowSamples <= 0 {
-		c.MinWindowSamples = 32
 	}
 	return c
 }
@@ -182,6 +176,8 @@ func (c Config) withDefaults() Config {
 // call sites need no enablement branches.
 type Plane struct {
 	cfg Config
+	// slowSpan is the constant of that name; tests move it.
+	slowSpan time.Duration
 
 	stripes [planeStripes]statsStripe
 
@@ -223,7 +219,7 @@ type Plane struct {
 
 // NewPlane builds a plane; zero Config fields take defaults.
 func NewPlane(cfg Config) *Plane {
-	p := &Plane{cfg: cfg.withDefaults()}
+	p := &Plane{cfg: cfg.withDefaults(), slowSpan: slowSpan}
 	for i := range p.stripes {
 		p.stripes[i].m = make(map[Key]*ShardStats)
 	}

@@ -33,7 +33,7 @@ func TestNilPlaneIsInert(t *testing.T) {
 }
 
 func TestObserveAndWindows(t *testing.T) {
-	p := NewPlane(Config{Window: time.Hour, MinWindowSamples: 4})
+	p := NewPlane(Config{Window: time.Hour})
 	for i := 0; i < 10; i++ {
 		p.Observe(VerbConnect, "t1", "p/r1", time.Microsecond)
 		p.Observe(VerbPermit, "t2", "p/r2", time.Microsecond)
@@ -83,7 +83,8 @@ func TestLazyRotation(t *testing.T) {
 }
 
 func TestSpanSamplingAndFlight(t *testing.T) {
-	p := NewPlane(Config{Window: time.Hour, SampleEvery: 2, HistSampleEvery: 1, SlowSpan: time.Hour})
+	p := NewPlane(Config{Window: time.Hour, SampleEvery: 2, HistSampleEvery: 1})
+	p.slowSpan = time.Hour
 	// opN%2==1 samples: op 1 sampled, op 2 not.
 	op1 := p.Begin(VerbConnect, "t", "r")
 	if !op1.Sampled() {
@@ -131,7 +132,8 @@ func TestSpanSamplingAndFlight(t *testing.T) {
 // op without a ticket is still retained (with zero duration), and the
 // first op is always sampled.
 func TestHistHeadSampling(t *testing.T) {
-	p := NewPlane(Config{Window: time.Hour, HistSampleEvery: 4, SampleEvery: 1 << 30, SlowSpan: time.Hour})
+	p := NewPlane(Config{Window: time.Hour, HistSampleEvery: 4, SampleEvery: 1 << 30})
+	p.slowSpan = time.Hour
 	for i := 0; i < 6; i++ {
 		op := p.Begin(VerbConnect, "t", "r")
 		var err error
@@ -204,7 +206,8 @@ func TestFlightRingOverwrite(t *testing.T) {
 }
 
 func TestSlowSpanRetention(t *testing.T) {
-	p := NewPlane(Config{Window: time.Hour, SampleEvery: 1 << 30, SlowSpan: time.Nanosecond})
+	p := NewPlane(Config{Window: time.Hour, SampleEvery: 1 << 30})
+	p.slowSpan = time.Nanosecond
 	op := p.Begin(VerbQoS, "t", "r")
 	op.End(nil)
 	spans := p.Flight(0)
@@ -267,7 +270,7 @@ func TestPermitLagStripeCap(t *testing.T) {
 }
 
 func TestDetectorBreachAndAttribution(t *testing.T) {
-	p := NewPlane(Config{Window: time.Hour, MinWindowSamples: 8})
+	p := NewPlane(Config{Window: time.Hour})
 	victim, quiet := Key{Tenant: "v", Region: "p/r1"}, Key{Tenant: "q", Region: "p/r2"}
 	// Baseline window: fast connects for both shards.
 	for i := 0; i < 32; i++ {
@@ -319,7 +322,7 @@ func TestDetectorBreachAndAttribution(t *testing.T) {
 }
 
 func TestDetectorNoDominantMutator(t *testing.T) {
-	p := NewPlane(Config{Window: time.Hour, MinWindowSamples: 8})
+	p := NewPlane(Config{Window: time.Hour})
 	victim := Key{Tenant: "v", Region: "p/r1"}
 	for i := 0; i < 32; i++ {
 		p.Observe(VerbConnect, victim.Tenant, victim.Region, time.Microsecond)
@@ -341,13 +344,13 @@ func TestDetectorNoDominantMutator(t *testing.T) {
 }
 
 func TestDetectorThinWindowsStaySilent(t *testing.T) {
-	p := NewPlane(Config{Window: time.Hour, MinWindowSamples: 64})
+	p := NewPlane(Config{Window: time.Hour})
 	k := Key{Tenant: "v", Region: "p/r"}
-	for i := 0; i < 16; i++ {
+	for i := 0; i < minWindowSamples-1; i++ {
 		p.Observe(VerbConnect, k.Tenant, k.Region, time.Microsecond)
 	}
 	p.AdvanceWindow()
-	for i := 0; i < 16; i++ {
+	for i := 0; i < minWindowSamples-1; i++ {
 		p.Observe(VerbConnect, k.Tenant, k.Region, time.Second)
 	}
 	if rep := p.Health(); rep.Status != "ok" {

@@ -4,7 +4,7 @@
 // the boundary (api or core wrapper) and Ended exactly once by its
 // creator. The Op always records service time into its shard's
 // histograms; per-stage detail is head-sampled at cfg.SampleEvery, but
-// an op that errors or exceeds cfg.SlowSpan is retained in the flight
+// an op that errors or exceeds slowSpan is retained in the flight
 // recorder even when unsampled, so postmortems always have the
 // interesting cases. The flight recorder is a bounded overwrite-oldest
 // ring dumped via GET /v1/debug/flight.
@@ -114,7 +114,7 @@ func (op *Op) End(err error) {
 	switch {
 	case err != nil:
 		why = "error"
-	case timed && d >= op.p.cfg.SlowSpan:
+	case timed && d >= op.p.slowSpan:
 		why = "slow"
 	case op.sp != nil:
 		why = "sampled"
