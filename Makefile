@@ -5,7 +5,7 @@ FUZZTIME ?= 10s
 SCALE_EIPS ?= 1000000
 SCALE_TENANTS ?= 400
 
-.PHONY: build fmt test vet race bench benchsmoke scale recover-scale soak staticcheck check fuzz loc flags benchmod nobaseline
+.PHONY: build fmt test vet race bench benchsmoke scale recover-scale soak staticcheck check fuzz loc flags benchmod nobaseline onejson
 
 build:
 	$(GO) build ./...
@@ -40,9 +40,9 @@ benchsmoke:
 scale:
 	$(GO) run ./cmd/expdriver -run E13 -scale-eips $(SCALE_EIPS) -scale-tenants $(SCALE_TENANTS)
 
-# Restart recovery at the full 10^6-EIP tier: journal decode and surface
-# restore fan out across GOMAXPROCS workers, so this is the tier where
-# parallel recovery earns its keep. The test asserts the same
+# Restart recovery at the full 10^6-EIP tier: surface restore fans out
+# across GOMAXPROCS workers, so this is the tier where parallel recovery
+# earns its keep. The test asserts the same
 # per-endpoint allocation budget as at the 10^5 tier and logs the seconds.
 recover-scale:
 	DECLNET_RECOVER_EIPS=$(SCALE_EIPS) DECLNET_RECOVER_TENANTS=$(SCALE_TENANTS) \
@@ -57,9 +57,11 @@ staticcheck:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-# Short fuzz pass over the wire-format parsers and the snapshot codec
-# (encode: a round trip; decode: any bytes give a state or an error, in
-# memory the input's size bounds). Each target gets $(FUZZTIME);
+# Short fuzz pass over the wire-format parsers and the intent store's
+# binary codec: journal frames and snapshots each round-trip (encode),
+# and any bytes decode to records or a state, or an error, in memory the
+# input's size bounds (decode; a DNETJNL1 journal goes through the JSON
+# frame decoder, as Open sends it). Each target gets $(FUZZTIME);
 # regression corpus lives under testdata/fuzz/ so plain `go test`
 # replays past findings even without this target.
 fuzz:
@@ -68,6 +70,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePermitEntry$$' -fuzztime $(FUZZTIME) ./internal/api/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseObjective$$' -fuzztime $(FUZZTIME) ./internal/slo/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalDecode$$' -fuzztime $(FUZZTIME) ./internal/intent/
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalFrame$$' -fuzztime $(FUZZTIME) ./internal/intent/
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotEncode$$' -fuzztime $(FUZZTIME) ./internal/intent/
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME) ./internal/intent/
 
@@ -113,6 +116,14 @@ nobaseline:
 		echo "cmd/declnetd depends on the baseline world (packages above)"; exit 1; \
 	fi
 
+# The intent store reads JSON only to upgrade a store written before its
+# binary formats, and only internal/intent/legacy.go does that.
+onejson:
+	@if grep -l '"encoding/json"' $$(ls internal/intent/*.go | grep -v -e '_test\.go$$' -e '/legacy\.go$$'); then \
+		echo "the files above import encoding/json; the intent store's JSON readers belong in internal/intent/legacy.go"; exit 1; \
+	fi
+
 # Tier-1 verification plus gofmt, vet, static analysis, the race pass,
-# the benchmark smoke tests, and the declnetd dependency pin.
-check: build fmt vet staticcheck test race benchsmoke benchmod nobaseline
+# the benchmark smoke tests, the declnetd dependency pin and the one JSON
+# reader of the intent store.
+check: build fmt vet staticcheck test race benchsmoke benchmod nobaseline onejson

@@ -20,11 +20,11 @@ import (
 )
 
 // Apply runs one mutation for the tenant: it resolves the owning
-// provider and (tenant, region) shard, takes that shard's write lock,
-// applies the verb, and — under the same lock, so journal order equals
-// apply order within a shard — records the op in the intent store. It
-// returns the op's Addr: the granted address for request_eip and
-// request_sip.
+// provider and (tenant, region) shard, takes that shard's write lock
+// (bind also its EIP's: Cloud.eipShard), applies the verb, and — under
+// the same lock, so journal order equals apply order within a shard —
+// records the op in the intent store. It returns the op's Addr: the
+// granted address for request_eip and request_sip.
 //
 // The caller fills the verb's operands; Apply completes what the
 // provider derives (request_eip's Provider and Region, set_permit's
@@ -185,7 +185,12 @@ func (c *Cloud) apply(tenant string, op *intent.Op, mode applyMode) (k ShardKey,
 	}
 	sop := c.slo.Begin(verb, tenant, k.Region)
 	stg := sop.StageStart()
-	unlock := c.shards.lockShard(k)
+	var unlock func()
+	if ek, ok := c.eipShard(tenant, op); ok {
+		unlock = c.shards.lockShards([]ShardKey{k, ek})
+	} else {
+		unlock = c.shards.lockShard(k)
+	}
 	sop.StageEnd(stg, "shard_wait")
 	defer unlock()
 	err = run()
@@ -203,6 +208,18 @@ func (c *Cloud) apply(tenant string, op *intent.Op, mode applyMode) (k ShardKey,
 		c.tenantDelta(tenant, 0)
 	}
 	return k, err
+}
+
+// eipShard names the one second shard a verb write-locks: bind's EIP's.
+// bind checks that the EIP is the tenant's and then installs it in the
+// SIP's balancer, while release_eip runs under the EIP's shard; holding
+// both keeps a release from landing between the check and the install,
+// which would leave a released address bound, live and in the journal.
+func (c *Cloud) eipShard(tenant string, op *intent.Op) (ShardKey, bool) {
+	if op.Verb != intent.OpBind {
+		return ShardKey{}, false
+	}
+	return c.shardKeyOf(tenant, op.EIP), true
 }
 
 // checkRate refuses a set_qos or set_vm_egress bandwidth that is negative,

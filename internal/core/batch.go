@@ -130,6 +130,9 @@ func (c *Cloud) ApplyBatch(tenant string, ops []BatchOp) ([]BatchResult, error) 
 		if !slices.Contains(keys, k) {
 			keys = append(keys, k)
 		}
+		if ek, ok := c.eipShard(tenant, &op); ok && !slices.Contains(keys, ek) {
+			keys = append(keys, ek)
+		}
 		if grants(op.Verb) {
 			standIns[i].Addr = c.standIn(k)
 		}

@@ -22,7 +22,8 @@
 // Who takes what:
 //
 //   - A single Table-2 verb takes global.RLock plus its shard's write
-//     lock (lockShard).
+//     lock (lockShard) — bind, its SIP's shard and its EIP's, the way a
+//     batch does (Cloud.eipShard).
 //   - A batch takes global.RLock plus the write locks of every shard its
 //     ops touch — the set is known before the first op runs — sorted by
 //     (tenant, region) and deduplicated (lockShards), and holds them

@@ -13,11 +13,15 @@ import (
 	"declnet/internal/addr"
 )
 
-// FuzzJournalDecode is the crash-safety contract of the journal format:
-// DecodeJournal over ANY byte stream must return the longest valid
-// prefix and a typed *CorruptError (or nil on clean EOF) — never panic,
-// never over-read, never return records past the corruption point.
-// Folding the returned records into a State must not panic either.
+// FuzzJournalDecode is the crash-safety contract of the journal formats:
+// the decoder Open picks by the magic — DecodeJournal, or the JSON one
+// for a DNETJNL1 file — over ANY byte stream must return the longest
+// valid prefix and a typed *CorruptError (or nil on clean EOF) — never
+// panic, never over-read, never return records past the corruption
+// point. Folding the returned records into a State must not panic
+// either. The binary decoder allocates no more than the snapshot's does
+// for as many bytes (decodeAllocBound), so a lying count cannot make Open
+// reserve memory the journal does not hold.
 func FuzzJournalDecode(f *testing.F) {
 	// A valid two-frame journal as the structured seed.
 	var valid bytes.Buffer
@@ -28,11 +32,7 @@ func FuzzJournalDecode(f *testing.F) {
 			Entries: []addr.Prefix{addr.NewPrefix(addr.IP(0xc0a80000), 24)}},
 	}
 	for i, op := range seedOps {
-		frame, err := encodeFrame(&Record{Seq: uint64(i + 1), Tenant: "acme", Ops: []Op{op}})
-		if err != nil {
-			f.Fatal(err)
-		}
-		valid.Write(frame)
+		valid.Write(appendFrame(nil, &Record{Seq: uint64(i + 1), Tenant: "acme", Ops: []Op{op}}))
 	}
 	f.Add(valid.Bytes())
 	f.Add([]byte{})
@@ -45,7 +45,18 @@ func FuzzJournalDecode(f *testing.F) {
 	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, off, err := DecodeJournal(bytes.NewReader(data))
+		decode := DecodeJournal
+		legacy := bytes.HasPrefix(data, legacyJournalMagic)
+		if legacy {
+			decode = decodeLegacyJournal
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		recs, off, err := decode(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if allocated, bound := after.TotalAlloc-before.TotalAlloc, decodeAllocBound(len(data)); !legacy && allocated > bound {
+			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(data), allocated, bound)
+		}
 		if off < 0 || off > int64(len(data)) {
 			t.Fatalf("offset %d out of range [0, %d]", off, len(data))
 		}
@@ -61,7 +72,7 @@ func FuzzJournalDecode(f *testing.F) {
 		// The reported prefix must itself decode clean and identically:
 		// this is what Open truncates to and appends after.
 		if off >= int64(len(journalMagic)) {
-			recs2, off2, err2 := DecodeJournal(bytes.NewReader(data[:off]))
+			recs2, off2, err2 := decode(bytes.NewReader(data[:off]))
 			if err2 != nil {
 				t.Fatalf("valid prefix re-decode failed: %v", err2)
 			}

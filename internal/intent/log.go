@@ -89,6 +89,7 @@ type Log struct {
 
 	mu           sync.Mutex
 	f            *os.File
+	buf          []byte // the frame being appended, reused
 	st           *State
 	sinceSync    int
 	sinceCompact int
@@ -96,9 +97,8 @@ type Log struct {
 	compactions  uint64
 	appendErrs   uint64
 	lastErr      error
-	replayed     int   // journal records folded at Open
-	replayOff    int64 // journal offset replay stopped at
-	replayCut    bool  // true if Open truncated a corrupt tail
+	replayed     int  // journal records folded at Open
+	replayCut    bool // true if Open truncated a corrupt tail
 }
 
 // Stats is a point-in-time summary for /v1/snapshot and declnetctl.
@@ -118,7 +118,9 @@ type Stats struct {
 // off — everything before it replays — so a crash mid-append recovers
 // to the last whole frame. A corrupt snapshot is an error: it is
 // written atomically (tmp + rename), so corruption there means
-// something other than a crash went wrong.
+// something other than a crash went wrong. A DNETJNL1 journal replays
+// through the JSON frame decoder and is compacted away at once, so
+// nothing is ever appended to one.
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SyncEvery <= 0 {
 		opts.SyncEvery = 64
@@ -160,7 +162,13 @@ func Open(dir string, opts Options) (*Log, error) {
 		f.Close()
 		return nil, fmt.Errorf("intent: %w", err)
 	}
-	recs, off, decErr := DecodeJournalParallel(bufio.NewReaderSize(f, 1<<20), runtime.GOMAXPROCS(0))
+	br := bufio.NewReaderSize(f, 1<<20)
+	hdr, _ := br.Peek(len(legacyJournalMagic))
+	decode, legacy := DecodeJournal, bytes.Equal(hdr, legacyJournalMagic)
+	if legacy {
+		decode = decodeLegacyJournal
+	}
+	recs, off, decErr := decode(br)
 	for i := range recs {
 		if err := l.st.Apply(&recs[i]); err != nil {
 			f.Close()
@@ -168,7 +176,14 @@ func Open(dir string, opts Options) (*Log, error) {
 		}
 	}
 	l.replayed = len(recs)
-	l.replayOff = off
+	l.replayCut = decErr != nil
+	if legacy {
+		if err := l.compactLocked(); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("intent: upgrading the journal: %w", err)
+		}
+		return l, nil
+	}
 	if decErr != nil {
 		// Cut the corrupt tail so O_APPEND writes land right after the
 		// last whole frame.
@@ -176,7 +191,6 @@ func Open(dir string, opts Options) (*Log, error) {
 			f.Close()
 			return nil, fmt.Errorf("intent: truncating corrupt tail: %w", err)
 		}
-		l.replayCut = true
 		if off < int64(len(journalMagic)) {
 			// Even the header was bad; rewrite it.
 			if err := l.writeHeaderLocked(); err != nil {
@@ -277,13 +291,12 @@ func (l *Log) appendLocked(tenant string, ops []Op, meta map[string]string) uint
 		l.lastErr = err
 		return 0
 	}
-	frame, err := encodeFrame(&rec)
-	if err == nil {
-		if l.f == nil {
-			err = errors.New("intent: log closed")
-		} else {
-			_, err = l.f.Write(frame)
-		}
+	l.buf = appendFrame(l.buf[:0], &rec)
+	var err error
+	if l.f == nil {
+		err = errors.New("intent: log closed")
+	} else {
+		_, err = l.f.Write(l.buf)
 	}
 	if err != nil {
 		l.appendErrs++

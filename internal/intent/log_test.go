@@ -533,10 +533,7 @@ func TestProviderScopedGroupsAreErrors(t *testing.T) {
 func TestDecodeJournalTrailingGarbage(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write(journalMagic)
-	frame, err := encodeFrame(&Record{Seq: 1, Tenant: "t", Ops: []Op{{Verb: OpSetQoS, Provider: "p", Bps: 1}}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := appendFrame(nil, &Record{Seq: 1, Tenant: "t", Ops: []Op{{Verb: OpSetQoS, Provider: "p", Bps: 1}}})
 	buf.Write(frame)
 	cut := buf.Len()
 	buf.WriteString("\x07\x00\x00\x00garbage-without-valid-crc")

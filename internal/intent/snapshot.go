@@ -25,14 +25,15 @@
 // Neither direction holds a second copy of the world: the encoder appends
 // one entry at a time into a buffer it hands to the file every spillAt
 // bytes, and the decoder reads through a bufio.Reader. The JSON format
-// before this one is read (never written) by decodeJSONSnapshot.
+// before this one is read (never written) by decodeJSONSnapshot. The
+// journal's frames (journal.go) are written and read with the same
+// encoder and decoder.
 package intent
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -40,7 +41,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"strconv"
 
 	"declnet/internal/addr"
 )
@@ -52,7 +52,9 @@ var snapshotMagic = []byte("DNETSNP2")
 // time: the file's write size.
 const spillAt = 64 << 10
 
-type snapEncoder struct {
+// encoder appends the codec's primitives to b. A frame encoder uses b
+// alone; a snapshot's also the rest.
+type encoder struct {
 	w     io.Writer
 	b     []byte            // bytes not yet handed to w
 	sum   uint32            // CRC32 of the bytes handed to w
@@ -66,7 +68,7 @@ type snapEncoder struct {
 // encodeSnapshot streams s to w and returns the first write error, or the
 // first entry Apply could not have stored (a nil one).
 func (s *State) encodeSnapshot(w io.Writer) error {
-	e := &snapEncoder{w: w, b: make([]byte, 0, spillAt+4<<10), strs: map[string]uint64{}, lists: map[string]uint64{}}
+	e := &encoder{w: w, b: make([]byte, 0, spillAt+4<<10), strs: map[string]uint64{}, lists: map[string]uint64{}}
 	e.b = append(e.b, snapshotMagic...)
 	e.uvarint(s.Seq)
 	stringSection(e, s.Meta, e.text)
@@ -86,7 +88,7 @@ func (s *State) encodeSnapshot(w io.Writer) error {
 }
 
 // spill hands the pending bytes to w once there are at least n of them.
-func (e *snapEncoder) spill(n int) {
+func (e *encoder) spill(n int) {
 	if len(e.b) < n {
 		return
 	}
@@ -97,7 +99,7 @@ func (e *snapEncoder) spill(n int) {
 	e.b = e.b[:0]
 }
 
-func addrSection[V any](e *snapEncoder, m map[addr.IP]*V, value func(*V)) {
+func addrSection[V any](e *encoder, m map[addr.IP]*V, value func(*V)) {
 	e.keys = slices.Grow(e.keys[:0], len(m))
 	for ip := range m {
 		e.keys = append(e.keys, ip)
@@ -114,7 +116,7 @@ func addrSection[V any](e *snapEncoder, m map[addr.IP]*V, value func(*V)) {
 }
 
 // some writes *v, or fails the encode: Apply never stores a nil entry.
-func some[V any](e *snapEncoder, v *V, value func(*V)) {
+func some[V any](e *encoder, v *V, value func(*V)) {
 	if v != nil {
 		value(v)
 	} else if e.err == nil {
@@ -124,7 +126,7 @@ func some[V any](e *snapEncoder, v *V, value func(*V)) {
 
 // stringSection is addrSection for the string-keyed sections, which are
 // a handful of entries per tenant.
-func stringSection[V any](e *snapEncoder, m map[string]V, value func(V)) {
+func stringSection[V any](e *encoder, m map[string]V, value func(V)) {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -138,19 +140,19 @@ func stringSection[V any](e *snapEncoder, m map[string]V, value func(V)) {
 	}
 }
 
-func (e *snapEncoder) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
-func (e *snapEncoder) addr(ip addr.IP)  { e.uvarint(uint64(ip)) }
+func (e *encoder) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
+func (e *encoder) addr(ip addr.IP)  { e.uvarint(uint64(ip)) }
 
-func (e *snapEncoder) text(s string) {
+func (e *encoder) text(s string) {
 	e.uvarint(uint64(len(s)))
 	e.b = append(e.b, s...)
 }
 
 // float writes f as gob does, so 0 takes one byte and a round number a few.
-func (e *snapEncoder) float(f float64) { e.uvarint(bits.ReverseBytes64(math.Float64bits(f))) }
+func (e *encoder) float(f float64) { e.uvarint(bits.ReverseBytes64(math.Float64bits(f))) }
 
 // ref writes s as a string-table reference.
-func (e *snapEncoder) ref(s string) {
+func (e *encoder) ref(s string) {
 	i, seen := e.strs[s]
 	if !seen {
 		i = uint64(len(e.strs))
@@ -162,18 +164,23 @@ func (e *snapEncoder) ref(s string) {
 	}
 }
 
-func (e *snapEncoder) addrs(ips []addr.IP) {
-	if ips == nil {
+// nilable writes a slice's or map's length plus one, or 0 for nil.
+func (e *encoder) nilable(n int, isNil bool) {
+	if isNil {
 		e.uvarint(0)
-		return
+	} else {
+		e.uvarint(uint64(n) + 1)
 	}
-	e.uvarint(uint64(len(ips)) + 1)
+}
+
+func (e *encoder) addrs(ips []addr.IP) {
+	e.nilable(len(ips), ips == nil)
 	for _, ip := range ips {
 		e.addr(ip)
 	}
 }
 
-func (e *snapEncoder) endpoint(ep *Endpoint) {
+func (e *encoder) endpoint(ep *Endpoint) {
 	e.ref(ep.Tenant)
 	e.ref(ep.VM)
 	e.ref(ep.Provider)
@@ -181,7 +188,7 @@ func (e *snapEncoder) endpoint(ep *Endpoint) {
 	e.float(ep.EgressCap)
 }
 
-func (e *snapEncoder) service(svc *Service) {
+func (e *encoder) service(svc *Service) {
 	e.ref(svc.Tenant)
 	e.ref(svc.Provider)
 	e.uvarint(uint64(len(svc.Binds)))
@@ -193,12 +200,9 @@ func (e *snapEncoder) service(svc *Service) {
 
 // permitList writes the tenant and a permit-list-table reference. A list
 // is its length, then each entry's address and length.
-func (e *snapEncoder) permitList(pl *PermitList) {
+func (e *encoder) permitList(pl *PermitList) {
 	e.ref(pl.Tenant)
-	e.list = binary.AppendUvarint(e.list[:0], uint64(len(pl.Entries)))
-	for _, p := range pl.Entries {
-		e.list = binary.AppendVarint(binary.AppendUvarint(e.list, uint64(p.Addr)), int64(p.Len))
-	}
+	e.list = appendPrefixes(e.list[:0], pl.Entries)
 	i, seen := e.lists[string(e.list)]
 	if !seen {
 		i = uint64(len(e.lists))
@@ -210,18 +214,29 @@ func (e *snapEncoder) permitList(pl *PermitList) {
 	}
 }
 
-func (e *snapEncoder) pool(ps *PoolState) {
+func appendPrefixes(b []byte, ps []addr.Prefix) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ps)))
+	for _, p := range ps {
+		b = binary.AppendVarint(binary.AppendUvarint(b, uint64(p.Addr)), int64(p.Len))
+	}
+	return b
+}
+
+func (e *encoder) pool(ps *PoolState) {
 	e.addr(ps.Next)
 	e.addrs(ps.Released)
 }
 
-type snapDecoder struct {
+// decoder reads the codec's primitives from r: a snapshot file, or one
+// journal frame's payload.
+type decoder struct {
 	r     *bufio.Reader
 	lim   *io.LimitedReader // the payload, beneath r
 	buf   []byte            // the string being read
 	strs  []string
 	lists [][]addr.Prefix
-	err   error // the first thing wrong; every read after it returns zero
+	seen  map[string]string // the strings read so far, when the caller keeps one copy of each
+	err   error             // the first thing wrong; every read after it returns zero
 }
 
 // decodeSnapshot reads a binary snapshot of size bytes. Any input is safe: a
@@ -230,7 +245,7 @@ type snapDecoder struct {
 // nothing is allocated that the input's size does not bound.
 func decodeSnapshot(r io.Reader, size int64) (*State, error) {
 	sum := crc32.NewIEEE()
-	d := &snapDecoder{lim: &io.LimitedReader{R: r, N: max(size-4, 0)}}
+	d := &decoder{lim: &io.LimitedReader{R: r, N: max(size-4, 0)}}
 	d.r = bufio.NewReaderSize(io.TeeReader(d.lim, sum), 64<<10)
 	if magic := d.read(len(snapshotMagic)); d.err == nil && !bytes.Equal(magic, snapshotMagic) {
 		return nil, fmt.Errorf("bad magic %q", magic)
@@ -262,18 +277,18 @@ func decodeSnapshot(r io.Reader, size int64) (*State, error) {
 	return s, nil
 }
 
-func (d *snapDecoder) fail(format string, args ...any) {
+func (d *decoder) fail(format string, args ...any) {
 	if d.err == nil {
 		d.err = fmt.Errorf(format, args...)
 	}
 }
 
 // left is how many payload bytes are still unread.
-func (d *snapDecoder) left() uint64 { return uint64(d.lim.N) + uint64(d.r.Buffered()) }
+func (d *decoder) left() uint64 { return uint64(d.lim.N) + uint64(d.r.Buffered()) }
 
 // read returns the next n bytes, valid until the next read; after an
 // error, n bytes of whatever.
-func (d *snapDecoder) read(n int) []byte {
+func (d *decoder) read(n int) []byte {
 	d.buf = slices.Grow(d.buf[:0], n)[:n]
 	if d.err == nil {
 		if _, err := io.ReadFull(d.r, d.buf); err != nil {
@@ -283,7 +298,7 @@ func (d *snapDecoder) read(n int) []byte {
 	return d.buf
 }
 
-func (d *snapDecoder) uvarint() uint64 {
+func (d *decoder) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
@@ -295,24 +310,24 @@ func (d *snapDecoder) uvarint() uint64 {
 }
 
 // varint undoes binary.AppendVarint's zig-zag encoding.
-func (d *snapDecoder) varint() int64 {
+func (d *decoder) varint() int64 {
 	u := d.uvarint()
 	return int64(u>>1) ^ -int64(u&1)
 }
 
-// bounded is n as a count of things that take at least a byte each: at
-// most the bytes left.
-func (d *snapDecoder) bounded(n uint64) int {
-	if left := d.left(); n > left {
+// bounded is n as a count of things that take at least each bytes: at
+// most the bytes left can hold.
+func (d *decoder) bounded(n, each uint64) int {
+	if left := d.left(); n > left/each {
 		d.fail("count %d with %d bytes left", n, left)
 		return 0
 	}
 	return int(n)
 }
 
-func (d *snapDecoder) count() int { return d.bounded(d.uvarint()) }
+func (d *decoder) count() int { return d.bounded(d.uvarint(), 1) }
 
-func (d *snapDecoder) addr() addr.IP {
+func (d *decoder) addr() addr.IP {
 	v := d.uvarint()
 	if v > math.MaxUint32 {
 		d.fail("address %d", v)
@@ -320,13 +335,24 @@ func (d *snapDecoder) addr() addr.IP {
 	return addr.IP(v)
 }
 
-func (d *snapDecoder) text() string { return string(d.read(d.count())) }
+func (d *decoder) text() string {
+	b := d.read(d.count())
+	if d.seen == nil {
+		return string(b)
+	}
+	s, ok := d.seen[string(b)]
+	if !ok {
+		s = string(b)
+		d.seen[s] = s
+	}
+	return s
+}
 
-func (d *snapDecoder) float() float64 { return math.Float64frombits(bits.ReverseBytes64(d.uvarint())) }
+func (d *decoder) float() float64 { return math.Float64frombits(bits.ReverseBytes64(d.uvarint())) }
 
 // ref reads an index into table, or — at the index one past its end — the
 // new entry next reads, which joins the table.
-func ref[T any](d *snapDecoder, table *[]T, next func() T) T {
+func ref[T any](d *decoder, table *[]T, next func() T) T {
 	i := d.uvarint()
 	if i == uint64(len(*table)) {
 		*table = append(*table, next())
@@ -339,19 +365,29 @@ func ref[T any](d *snapDecoder, table *[]T, next func() T) T {
 	return (*table)[i]
 }
 
-func (d *snapDecoder) addrs() []addr.IP {
-	n := d.uvarint()
-	if n == 0 {
+// nilable reads the length encoder.nilable writes, of things that take
+// at least each bytes: ok is false for nil.
+func (d *decoder) nilable(each uint64) (n int, ok bool) {
+	c := d.uvarint()
+	if c == 0 {
+		return 0, false
+	}
+	return d.bounded(c-1, each), true
+}
+
+func (d *decoder) addrs() []addr.IP {
+	n, ok := d.nilable(1)
+	if !ok {
 		return nil
 	}
-	ips := make([]addr.IP, d.bounded(n-1))
+	ips := make([]addr.IP, n)
 	for i := range ips {
 		ips[i] = d.addr()
 	}
 	return ips
 }
 
-func decodeAddrs[V any](d *snapDecoder, value func() V) map[addr.IP]V {
+func decodeAddrs[V any](d *decoder, value func() V) map[addr.IP]V {
 	n := d.count()
 	m := make(map[addr.IP]V, n)
 	var ip uint64
@@ -366,7 +402,7 @@ func decodeAddrs[V any](d *snapDecoder, value func() V) map[addr.IP]V {
 	return m
 }
 
-func decodeStrings[V any](d *snapDecoder, value func() V) map[string]V {
+func decodeStrings[V any](d *decoder, value func() V) map[string]V {
 	n := d.count()
 	m := make(map[string]V, n)
 	for i := 0; i < n && d.err == nil; i++ {
@@ -376,12 +412,12 @@ func decodeStrings[V any](d *snapDecoder, value func() V) map[string]V {
 	return m
 }
 
-func (d *snapDecoder) endpoint() *Endpoint {
+func (d *decoder) endpoint() *Endpoint {
 	return &Endpoint{Tenant: ref(d, &d.strs, d.text), VM: ref(d, &d.strs, d.text),
 		Provider: ref(d, &d.strs, d.text), Region: ref(d, &d.strs, d.text), EgressCap: d.float()}
 }
 
-func (d *snapDecoder) service() *Service {
+func (d *decoder) service() *Service {
 	svc := &Service{Tenant: ref(d, &d.strs, d.text), Provider: ref(d, &d.strs, d.text), Binds: make([]Bind, d.count())}
 	for i := range svc.Binds {
 		svc.Binds[i] = Bind{EIP: d.addr(), Weight: int(d.varint())}
@@ -391,11 +427,11 @@ func (d *snapDecoder) service() *Service {
 
 // permitList hands every target declaring the same list one slice, whose
 // cap is its len: an append by one holder never writes under another.
-func (d *snapDecoder) permitList() *PermitList {
+func (d *decoder) permitList() *PermitList {
 	return &PermitList{Tenant: ref(d, &d.strs, d.text), Entries: ref(d, &d.lists, d.entries)}
 }
 
-func (d *snapDecoder) entries() []addr.Prefix {
+func (d *decoder) entries() []addr.Prefix {
 	list := make([]addr.Prefix, d.count())
 	for i := range list {
 		list[i] = addr.Prefix{Addr: d.addr(), Len: int(d.varint())}
@@ -403,100 +439,6 @@ func (d *snapDecoder) entries() []addr.Prefix {
 	return list
 }
 
-func (d *snapDecoder) pool() *PoolState {
+func (d *decoder) pool() *PoolState {
 	return &PoolState{Next: d.addr(), Released: d.addrs()}
-}
-
-// decodeJSONSnapshot folds a JSON snapshot stream into s, one entry at a
-// time. As json.Unmarshal into a State would, it skips an unknown
-// top-level key and ignores whatever follows the object; a null section
-// leaves the section empty.
-func (s *State) decodeJSONSnapshot(r io.Reader) error {
-	dec := json.NewDecoder(r)
-	if tok, err := dec.Token(); err != nil {
-		return err
-	} else if tok != json.Delim('{') {
-		return fmt.Errorf("snapshot is %v, want an object", tok)
-	}
-	for dec.More() {
-		tok, err := dec.Token()
-		if err != nil {
-			return err
-		}
-		switch key, _ := tok.(string); key {
-		case "seq":
-			err = dec.Decode(&s.Seq)
-		case "meta":
-			if s.Meta == nil {
-				s.Meta = make(map[string]string)
-			}
-			err = decodeSection(dec, s.Meta, stringKey)
-		case "endpoints":
-			err = decodeSection(dec, s.Endpoints, addrKey)
-		case "services":
-			err = decodeSection(dec, s.Services, addrKey)
-		case "permits":
-			err = decodeSection(dec, s.Permits, addrKey)
-		case "quotas":
-			err = decodeSection(dec, s.Quotas, stringKey)
-		case "potato":
-			err = decodeSection(dec, s.Potato, stringKey)
-		case "prov_groups":
-			err = fmt.Errorf("provider-scoped groups are not supported (groups are tenant-wide)")
-		case "groups":
-			err = decodeSection(dec, s.Groups, stringKey)
-		case "names":
-			err = decodeSection(dec, s.Names, stringKey)
-		case "eip_pools":
-			err = decodeSection(dec, s.EIPPools, stringKey)
-		case "sip_pools":
-			err = decodeSection(dec, s.SIPPools, stringKey)
-		default:
-			var skipped json.RawMessage
-			err = dec.Decode(&skipped)
-		}
-		if err != nil {
-			return fmt.Errorf("%v: %w", tok, err)
-		}
-	}
-	_, err := dec.Token() // the closing brace, or the syntax error in its place
-	return err
-}
-
-func stringKey(k string) (string, error) { return k, nil }
-
-func addrKey(k string) (addr.IP, error) {
-	v, err := strconv.ParseUint(k, 10, 32)
-	return addr.IP(v), err
-}
-
-// decodeSection decodes one section object into m entry by entry, so the
-// decoder's buffer never holds more than one entry.
-func decodeSection[K comparable, V any](dec *json.Decoder, m map[K]V, parseKey func(string) (K, error)) error {
-	tok, err := dec.Token()
-	if err != nil || tok == nil {
-		return err
-	}
-	if tok != json.Delim('{') {
-		return fmt.Errorf("section is %v, want an object", tok)
-	}
-	var v V // one heap cell for the section, not one per entry
-	for dec.More() {
-		tok, err := dec.Token()
-		if err != nil {
-			return err
-		}
-		name, _ := tok.(string)
-		key, err := parseKey(name)
-		if err != nil {
-			return err
-		}
-		v = *new(V) // or Decode would fill the previous entry's pointer or slice again
-		if err := dec.Decode(&v); err != nil {
-			return err
-		}
-		m[key] = v
-	}
-	_, err = dec.Token()
-	return err
 }

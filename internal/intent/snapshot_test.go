@@ -237,38 +237,40 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // until encodeSnapshot and decodeSnapshot carry it.
 func TestRandStateFillsEveryField(t *testing.T) {
 	filled := map[string]bool{}
-	var walk func(v reflect.Value)
-	walk = func(v reflect.Value) {
-		switch v.Kind() {
-		case reflect.Pointer:
-			if !v.IsNil() {
-				walk(v.Elem())
-			}
-		case reflect.Map:
-			for it := v.MapRange(); it.Next(); {
-				walk(it.Value())
-			}
-		case reflect.Slice:
-			for i := 0; i < v.Len(); i++ {
-				walk(v.Index(i))
-			}
-		case reflect.Struct:
-			for i := 0; i < v.NumField(); i++ {
-				if !v.Field(i).IsZero() {
-					filled[v.Type().String()+"."+v.Type().Field(i).Name] = true
-				}
-				walk(v.Field(i))
-			}
-		}
-	}
 	for seed := int64(1); seed <= 40; seed++ {
-		walk(reflect.ValueOf(randState(rand.New(rand.NewSource(seed)), 12)))
+		markFilled(filled, reflect.ValueOf(randState(rand.New(rand.NewSource(seed)), 12)))
 	}
 	for _, v := range []any{State{}, Endpoint{}, Service{}, Bind{}, PermitList{}, PoolState{}, addr.Prefix{}} {
 		for _, f := range reflect.VisibleFields(reflect.TypeOf(v)) {
 			if name := reflect.TypeOf(v).String() + "." + f.Name; !filled[name] {
 				t.Errorf("randState never fills %s: the round trip cannot tell whether the codec carries it", name)
 			}
+		}
+	}
+}
+
+// markFilled records in filled, as "type.Field", every struct field
+// reachable from v that holds something other than its zero value.
+func markFilled(filled map[string]bool, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			markFilled(filled, v.Elem())
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			markFilled(filled, it.Value())
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			markFilled(filled, v.Index(i))
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if !v.Field(i).IsZero() {
+				filled[v.Type().String()+"."+v.Type().Field(i).Name] = true
+			}
+			markFilled(filled, v.Field(i))
 		}
 	}
 }
