@@ -86,8 +86,8 @@ import (
 )
 
 // With -data-dir the reconciler sweeps every reconcileInterval, and each
-// sweep checks 1/antiEntropyK of the world besides the dirty targets,
-// bounding undetected drift to antiEntropyK sweeps.
+// sweep checks 1/antiEntropyK of the world besides the targets the fault
+// monitor marked, bounding undetected drift to antiEntropyK sweeps.
 const (
 	reconcileInterval = time.Second
 	antiEntropyK      = 8

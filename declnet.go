@@ -32,12 +32,8 @@ import (
 
 	"declnet/internal/addr"
 	"declnet/internal/core"
-	"declnet/internal/intent"
-	"declnet/internal/metrics"
-	"declnet/internal/obs"
 	"declnet/internal/permit"
 	"declnet/internal/qos"
-	"declnet/internal/slo"
 	"declnet/internal/topo"
 )
 
@@ -73,8 +69,10 @@ func Exact(ip IP) Prefix { return addr.NewPrefix(ip, 32) }
 func Anywhere() Prefix { return addr.MustParsePrefix("0.0.0.0/0") }
 
 // World is a running multi-cloud simulation with provider control planes.
+// It embeds the cloud, so the cloud's planes are World's: Tenant,
+// EnableFaults, EnableIntent, EnableReconciler, StateDigest and the rest.
 type World struct {
-	Cloud *core.Cloud
+	*core.Cloud
 	// Fig1 describes the built world when NewFig1World was used.
 	Fig1 *topo.Fig1World
 }
@@ -118,13 +116,6 @@ func (w *World) RunFor(d time.Duration) {
 	w.Cloud.Eng.RunUntil(w.Cloud.Eng.Now() + d)
 }
 
-// Now returns the current virtual time.
-func (w *World) Now() time.Duration { return w.Cloud.Now() }
-
-// AttachMeter turns on usage metering across all providers; pass a
-// *meter.Meter (see internal/meter) or any core.Biller.
-func (w *World) AttachMeter(b core.Biller) { w.Cloud.SetBiller(b) }
-
 // FaultPolicy sets the provider's health-check cadence; the failover
 // threshold, re-bind backoff and permit-retry window are fixed.
 type FaultPolicy = core.FaultPolicy
@@ -136,16 +127,6 @@ type FaultMonitor = core.FaultMonitor
 // DefaultFaultPolicy probes every 500ms, a common cloud health-check
 // setting.
 func DefaultFaultPolicy() FaultPolicy { return core.DefaultFaultPolicy() }
-
-// EnableFaults arms the provider health monitor that reacts to injected
-// faults (SIP failover, quota degradation, permit retries). The first
-// call's policy wins; a zero policy takes the defaults.
-func (w *World) EnableFaults(policy FaultPolicy) *FaultMonitor {
-	return w.Cloud.EnableFaults(policy)
-}
-
-// Faults returns the fault monitor (idle until EnableFaults).
-func (w *World) Faults() *FaultMonitor { return w.Cloud.Faults() }
 
 // Fail injects an infrastructure failure. kind is "link" (target: link
 // pair ID), "node" (target: node ID), or "region" (target:
@@ -190,58 +171,6 @@ type Explanation = core.Explanation
 
 // ExplainStep is one stage of a replayed datapath decision.
 type ExplainStep = core.ExplainStep
-
-// EnableObservability attaches a decision tracer and metrics registry to
-// every provider (see internal/obs and internal/metrics). Either may be
-// nil to enable only one side.
-func (w *World) EnableObservability(tr *obs.Tracer, reg *metrics.Registry) {
-	w.Cloud.EnableObservability(tr, reg)
-}
-
-// EnableSLO attaches (or detaches, with nil) the per-shard latency
-// accounting plane: verb histograms, request-scoped spans with a flight
-// recorder, declared objectives with burn rates, and the noisy-neighbor
-// detector. Breaches land in the decision trace when one is attached.
-func (w *World) EnableSLO(p *slo.Plane) { w.Cloud.EnableSLO(p) }
-
-// SLO returns the attached latency plane, nil until EnableSLO.
-func (w *World) SLO() *slo.Plane { return w.Cloud.SLO() }
-
-// EnableIntent attaches the durable intent store: every accepted
-// mutation from this point is journaled before the verb returns (see
-// internal/intent).
-func (w *World) EnableIntent(l *intent.Log) { w.Cloud.EnableIntent(l) }
-
-// Intent returns the attached intent store, nil until EnableIntent.
-func (w *World) Intent() *intent.Log { return w.Cloud.Intent() }
-
-// RestoreIntent rebuilds the in-memory control plane from a replayed
-// declared state — the daemon's restart-recovery path. Call on a fresh
-// world over the same topology, before EnableIntent.
-func (w *World) RestoreIntent(st *intent.State) error { return w.Cloud.RestoreIntent(st) }
-
-// StateDigest canonically hashes the durable control-plane state, for
-// kill-and-restart equivalence checks.
-func (w *World) StateDigest() string { return w.Cloud.StateDigest() }
-
-// EnableReconciler builds the desired-state convergence loop (requires
-// EnableIntent first).
-func (w *World) EnableReconciler(cfg core.ReconcilerConfig) (*core.Reconciler, error) {
-	return w.Cloud.EnableReconciler(cfg)
-}
-
-// Reconciler returns the convergence loop, nil until EnableReconciler.
-func (w *World) Reconciler() *core.Reconciler { return w.Cloud.Reconciler() }
-
-// Tracer returns the decision tracer, nil until EnableObservability.
-func (w *World) Tracer() *obs.Tracer { return w.Cloud.Tracer() }
-
-// Registry returns the metrics registry, nil until EnableObservability.
-func (w *World) Registry() *metrics.Registry { return w.Cloud.Registry() }
-
-// Tenant returns a handle scoped to one tenant account. Creating the
-// handle is free; all state lives provider-side.
-func (w *World) Tenant(name string) *Tenant { return w.Cloud.Tenant(name) }
 
 // Tenant is a tenant-scoped view of the Table-2 API across all providers
 // in the world — the paper's uniform multi-cloud interface; see

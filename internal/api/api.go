@@ -412,6 +412,8 @@ func (s *Server) resolveDst(tenant, dst string) (declnet.IP, error) {
 }
 
 // TransferRequest moves bytes between endpoints inside the simulation.
+// The flow must finish within maxAdvance of virtual time; one still
+// running at the bound is stopped and the request refused with 422.
 type TransferRequest struct {
 	Tenant string  `json:"tenant"`
 	Src    string  `json:"src"`
@@ -448,16 +450,30 @@ func (s *Server) transfer(w http.ResponseWriter, r *http.Request) {
 	// the run that completes the flow holds the world still. fct is set by
 	// whichever engine step fires the completion, and read inside a step.
 	var fct time.Duration
-	_, err = s.world.Tenant(req.Tenant).Transfer(src, dst, req.Bytes, func(d time.Duration) { fct = d })
+	conn, err := s.world.Tenant(req.Tenant).Transfer(src, dst, req.Bytes, func(d time.Duration) { fct = d })
 	if err != nil {
 		writeErr(w, http.StatusForbidden, err)
 		return
 	}
 	var resp TransferResponse
+	var finished bool
 	s.world.Cloud.Exclusive(func() {
+		// The run drains to idle, but no further than maxAdvance: the
+		// guard is a daemon event, so it keeps no run alive, and a flow
+		// still going when it fires is stopped.
+		eng := s.world.Cloud.Eng
+		guard := eng.ScheduleDaemon(eng.Now()+maxAdvance, eng.Stop)
 		s.world.Run()
+		guard.Cancel()
+		if finished = conn.Flow.Done(); !finished {
+			conn.Close()
+		}
 		resp.FCTMillis = float64(fct) / float64(time.Millisecond)
 	})
+	if !finished {
+		writeErr(w, http.StatusUnprocessableEntity, fmt.Errorf("api: %g bytes did not arrive within the %d ms bound; the flow was stopped", req.Bytes, maxAdvance.Milliseconds()))
+		return
+	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -482,9 +498,10 @@ type FaultResponse struct {
 	Rebinds        uint64 `json:"rebinds"`
 }
 
-// maxAdvance bounds a fault request's advance: the run holds the world
-// gate, every verb and read waiting on it, while the daemon tickers
-// (health sweeps, quota limiters) fire all the way to the deadline.
+// maxAdvance bounds a fault request's advance and a transfer's run: the
+// run holds the world gate, every verb and read waiting on it, while the
+// daemon tickers (health sweeps, quota limiters) fire all the way to the
+// deadline.
 const maxAdvance = time.Minute
 
 func (s *Server) fail(w http.ResponseWriter, r *http.Request) { s.faultish(w, r, true) }

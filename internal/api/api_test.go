@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"declnet"
 )
@@ -155,6 +156,44 @@ func TestNegativeBandwidthRefused(t *testing.T) {
 	if code := post(t, ts, "/v1/qos", qos, nil); code != 200 {
 		t.Errorf("set_qos at 0 bit/s: status %d, want 200", code)
 	}
+}
+
+// TestTransferIsBoundedByMaxAdvance: a transfer holds the world gate
+// while the engine runs its flow, so the run stops at maxAdvance of
+// virtual time. A flow too large to finish by then — 1e13 bytes under a
+// regional quota whose limiter ticks every 100 ms — is stopped, and the
+// request is refused naming the bound.
+func TestTransferIsBoundedByMaxAdvance(t *testing.T) {
+	ts, w := newTestServer(t)
+	f := w.Fig1
+	var src, dst EIPResponse
+	post(t, ts, "/v1/eips", EIPRequest{Tenant: "acme", VM: string(w.Host(f.CloudA, f.RegionsA[0], "az1", 1))}, &src)
+	post(t, ts, "/v1/eips", EIPRequest{Tenant: "acme", VM: string(w.Host(f.CloudB, f.RegionsB[0], "az1", 1))}, &dst)
+	if code := post(t, ts, "/v1/permit", PermitRequest{Tenant: "acme", Target: dst.EIP, Entries: []string{src.EIP}}, nil); code != 200 {
+		t.Fatalf("permit status %d", code)
+	}
+	if code := post(t, ts, "/v1/qos", QoSRequest{Tenant: "acme", Provider: f.CloudA, Region: f.RegionsA[0], Bandwidth: 1e9}, nil); code != 200 {
+		t.Fatalf("set_qos status %d", code)
+	}
+	var before time.Duration
+	var active int
+	w.Cloud.Exclusive(func() { before, active = w.Cloud.Eng.Now(), w.Cloud.Net.Active() })
+	var refused Error
+	code := post(t, ts, "/v1/transfer", TransferRequest{Tenant: "acme", Src: src.EIP, Dst: dst.EIP, Bytes: 1e13}, &refused)
+	if code < 400 || code >= 500 {
+		t.Fatalf("1e13-byte transfer: status %d, want a 4xx", code)
+	}
+	if want := fmt.Sprint(maxAdvance.Milliseconds()); !strings.Contains(refused.Error, want) {
+		t.Errorf("refusal %q does not name the %s ms bound", refused.Error, want)
+	}
+	w.Cloud.Exclusive(func() {
+		if advanced := w.Cloud.Eng.Now() - before; advanced > maxAdvance {
+			t.Errorf("the refused transfer advanced the clock %v, bound %v", advanced, maxAdvance)
+		}
+		if now := w.Cloud.Net.Active(); now != active {
+			t.Errorf("%d flows active after the refused transfer, %d before", now, active)
+		}
+	})
 }
 
 func TestValidationErrors(t *testing.T) {

@@ -105,7 +105,7 @@ func TestReconcileEndpoints(t *testing.T) {
 // TestReconcileMetricsMatchStatus: every declnet_reconcile_* series on
 // /v1/metrics, the wall-clock lag aside, reads what /v1/reconcile reports
 // for the same counter, after sweeps that found drift on all three
-// surfaces, by a dirty mark and by the rotation.
+// surfaces, by a fault-monitor mark and by the rotation.
 func TestReconcileMetricsMatchStatus(t *testing.T) {
 	ts, w, _ := newPersistentServer(t, core.ReconcilerConfig{AntiEntropyK: 2})
 	f := w.Fig1
@@ -122,7 +122,11 @@ func TestReconcileMetricsMatchStatus(t *testing.T) {
 		}
 	}
 	sweep()
-	sweep() // both phases: the setup's marks consumed, the world converged
+	sweep() // both phases: the world converged
+	srcIP, err := ParsePermitEntry(src.EIP)
+	if err != nil {
+		t.Fatal(err)
+	}
 	beIP, err := ParsePermitEntry(be.EIP)
 	if err != nil {
 		t.Fatal(err)
@@ -131,12 +135,27 @@ func TestReconcileMetricsMatchStatus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The permit marks be's list dirty; the wipe after it is drift a mark
-	// finds. The unbind and the zeroed quota mark nothing.
-	if code := post(t, ts, "/v1/permit", PermitRequest{Tenant: "acme", Target: be.EIP, Entries: []string{src.EIP}}, nil); code != 200 {
+	// A permit deferred at src's failed host lands once the host heals,
+	// and the fault monitor marks src's list; the wipe after it is drift
+	// the mark finds. The unbind and the zeroed quota mark nothing.
+	srcHost := FaultRequest{Kind: "node", Target: string(w.Host(f.CloudA, f.RegionsA[0], "az1", 1))}
+	if code := post(t, ts, "/v1/fail", srcHost, nil); code != 200 {
+		t.Fatalf("fail status %d", code)
+	}
+	if code := post(t, ts, "/v1/permit", PermitRequest{Tenant: "acme", Target: src.EIP, Entries: []string{be.EIP}}, nil); code != 200 {
 		t.Fatalf("permit status %d", code)
 	}
-	if !w.Cloud.DriftWipePermit(beIP.Addr) || !w.Cloud.DriftUnbind(sipIP.Addr, beIP.Addr) ||
+	if _, pending := w.Faults().PendingPermit(srcIP.Addr); !pending {
+		t.Fatal("the permit at a failed host did not defer")
+	}
+	srcHost.AdvanceMillis = 1500
+	if code := post(t, ts, "/v1/heal", srcHost, nil); code != 200 {
+		t.Fatalf("heal status %d", code)
+	}
+	if _, pending := w.Faults().PendingPermit(srcIP.Addr); pending {
+		t.Fatal("the deferred permit did not land")
+	}
+	if !w.Cloud.DriftWipePermit(srcIP.Addr) || !w.Cloud.DriftUnbind(sipIP.Addr, beIP.Addr) ||
 		!w.Cloud.DriftZeroQuota(f.CloudB, "acme", f.RegionsB[0]) {
 		t.Fatal("drift injection failed")
 	}

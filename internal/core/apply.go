@@ -4,8 +4,10 @@
 // provider and shard, timed, locked, applied and journaled. ApplyBatch
 // (batch.go) asks the same switch which shards its ops will lock, takes
 // them all at once, and runs each op through it with the lock elided.
-// A verb is defined by its case in that switch (plus its dirty marks in
-// Cloud.noteRecorded); DESIGN.md "Mutation plane" carries the table.
+// A verb is defined by its case in that switch; DESIGN.md "Mutation
+// plane" carries the table. A verb applies and journals under one lock,
+// so whatever it touched is converged when it returns, accepted or
+// refused: it leaves the reconciler nothing to re-check.
 package core
 
 import (
@@ -197,7 +199,6 @@ func (c *Cloud) apply(tenant string, op *intent.Op, mode applyMode) (k ShardKey,
 	if err == nil && c.rec != nil {
 		stg = sop.StageStart()
 		c.rec.Record(tenant, *op)
-		c.noteRecorded(tenant, *op)
 		sop.StageEnd(stg, "journal")
 	}
 	sop.End(err)

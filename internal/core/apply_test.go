@@ -225,8 +225,9 @@ func TestSetVMEgressRefusesBadCap(t *testing.T) {
 // changed the world is one frame and a refused one none: after every
 // call the store has counted no append error, so no op reached
 // State.Apply's rejection branch; at the end each tenant owns exactly as
-// many frames as it had calls accepted; and the store reopens into the
-// live world.
+// many frames as it had calls accepted; a whole-world sweep finds
+// nothing to repair, since a verb leaves every reconciled surface
+// converged when it returns; and the store reopens into the live world.
 func TestEveryAcceptedMutationIsJournaled(t *testing.T) {
 	dir := t.TempDir()
 	c, w, _, _, _ := fig1Cloud(t)
@@ -250,6 +251,13 @@ func TestEveryAcceptedMutationIsJournaled(t *testing.T) {
 		return
 	}
 	want := c.StateDigest()
+	r, err := c.EnableReconciler(ReconcilerConfig{AntiEntropyK: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := r.RunSweep(); sweepWork(res) != (SweepResult{}) {
+		t.Errorf("a K=1 sweep after the writers found work: %+v", res)
+	}
 	total := 0
 	for _, n := range accepted {
 		total += n

@@ -89,12 +89,6 @@ type Cloud struct {
 	// (see reconcile.go).
 	reconciler *Reconciler
 
-	// conv holds the reconciler's per-provider dirty sets; see
-	// convtrack.go. Fed by every journaled mutation once EnableIntent
-	// attaches a store, plus the fault monitor's deferred permit landings.
-	// Zero-value-usable.
-	conv convTracker
-
 	// refMu guards tenantRefs: live address grants per tenant, so the
 	// observability planes can evict a fully-released tenant's state
 	// (trace ring, SLO shards) instead of growing with tenant churn.

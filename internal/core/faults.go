@@ -93,6 +93,11 @@ type FaultMonitor struct {
 	// update was first accepted), so Explain can tell "denied" apart from
 	// "accepted but not yet enforceable".
 	pending map[addr.IP]sim.Time
+	// marks is the reconciler's one source of dirty marks: the targets
+	// whose deferred update landed or timed out since the last sweep took
+	// them. Only these change a reconciled surface outside a journaled
+	// verb, and a verb leaves what it touched converged.
+	marks map[addr.IP]bool
 	// mMTTR observes failover detect->rebind latency; mPermitLag observes
 	// deferred-permit propagation lag. Both nil (no-op) without a registry.
 	mMTTR      *metrics.Hist
@@ -146,6 +151,15 @@ func (m *FaultMonitor) PendingPermit(target addr.IP) (sim.Time, bool) {
 	defer m.mu.Unlock()
 	since, ok := m.pending[target]
 	return since, ok
+}
+
+// takeMarks consumes the permit targets marked since the last call.
+func (m *FaultMonitor) takeMarks() map[addr.IP]bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	marks := m.marks
+	m.marks = nil
+	return marks
 }
 
 // locked reads a deferred-permit figure under mu, for the gauges.
@@ -327,9 +341,18 @@ func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, s
 	m.cloud.traceEvent(tenant, obs.Decision{Kind: obs.PermitDefer, Dst: target, Verdict: obs.Deferred,
 		Detail: fmt.Sprintf("entries=%d node=%s", n, node),
 		Cause:  obs.Chain(m.Inj.Cause(node)...)})
-	settle := func() {
+	// settle ends the deferral. A landed or timed-out update marks the
+	// target in the same step, so a sweep sees the target either still
+	// pending or marked, never neither.
+	settle := func(mark bool) {
 		m.mu.Lock()
 		delete(m.pending, target)
+		if mark {
+			if m.marks == nil {
+				m.marks = make(map[addr.IP]bool)
+			}
+			m.marks[target] = true
+		}
 		m.mu.Unlock()
 	}
 	var attempt func()
@@ -337,16 +360,11 @@ func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, s
 		// The target may have been released while the update was pending.
 		ep, ok := p.endpoints.Get(target)
 		if !ok || ep.tenant != tenant {
-			settle()
+			settle(false)
 			return
 		}
 		if m.Inj.Reachable(node) {
 			epoch := p.Permits.Install(target, set, uint64(n))
-			// The deferred update lands outside any journaled record: mark
-			// the target dirty so the next sweep re-verifies it against the
-			// latest declared list (which may have moved on while we
-			// retried).
-			m.cloud.conv.markPermit(target)
 			if p.meter != nil {
 				p.meter.PermitUpdate(tenant, m.cloud.Eng.Now())
 			}
@@ -354,7 +372,10 @@ func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, s
 			m.mPermitLag.Record(lag)
 			m.cloud.traceEvent(tenant, obs.Decision{Kind: obs.PermitApply, Dst: target, Verdict: obs.OK,
 				Detail: fmt.Sprintf("lag=%v epoch=%d", lag, epoch)})
-			settle()
+			// The update landed outside any journaled record: the next
+			// sweep re-verifies it against the latest declared list, which
+			// may have moved on while we retried.
+			settle(true)
 			return
 		}
 		if m.cloud.Eng.Now()+permitRetryInterval > deadline {
@@ -364,11 +385,10 @@ func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, s
 			m.cloud.traceEvent(tenant, obs.Decision{Kind: obs.PermitTimeout, Dst: target, Verdict: obs.Fail,
 				Detail: fmt.Sprintf("after=%v", m.cloud.Eng.Now()-accepted),
 				Cause:  obs.Chain(append([]string{"permit-timeout:" + target.String()}, m.Inj.Cause(node)...)...)})
-			settle()
-			// Timed out: the live list never took the declared update. Mark
-			// it dirty — with the pending flag gone, the reconciler owns
-			// the repair and should find it promptly, not in K sweeps.
-			m.cloud.conv.markPermit(target)
+			// Timed out: the live list never took the declared update. With
+			// the pending flag gone the reconciler owns the repair, and the
+			// mark has it found promptly, not in K sweeps.
+			settle(true)
 			return
 		}
 		m.mu.Lock()

@@ -30,9 +30,8 @@ import (
 )
 
 // EnableIntent attaches the durable intent store. Mutations accepted
-// after this point are journaled, and each journaled one feeds the
-// reconciler's dirty sets (convtrack.go); call it before serving traffic
-// (the daemon does, right after RestoreIntent).
+// after this point are journaled; call it before serving traffic (the
+// daemon does, right after RestoreIntent).
 func (c *Cloud) EnableIntent(l *intent.Log) {
 	c.Exclusive(func() { c.rec = l })
 }
@@ -408,8 +407,8 @@ func sortedBackends(bal *lb.Balancer) []*lb.Backend {
 // without touching declared state, exactly what a lost update or a
 // bad rollout would do in a real fleet. The reconciler must find and
 // repair every one. None of these record intent — that is the point.
-// Each hook deliberately leaves the reconciler's dirty sets alone: the
-// anti-entropy rotation must find hook-injected drift on its own.
+// No hook marks its target for the reconciler: the anti-entropy
+// rotation must find hook-injected drift on its own.
 
 // DriftWipePermit drops target's installed permit list from its owning
 // provider's enforcement engine, leaving the declared list intact.

@@ -230,7 +230,7 @@ func TestReconcilerRepairsDrift(t *testing.T) {
 	if res.Repaired != 3 || res.Deferred != 0 {
 		t.Fatalf("sweep repaired %d deferred %d, want 3 and 0", res.Repaired, res.Deferred)
 	}
-	// No hook marks a dirty set: one sweep's rotation found all three.
+	// No hook marks anything: one sweep's rotation found all three.
 	if res.DirtyHits != 0 || res.AntiEntropyScanned != res.Scanned {
 		t.Fatalf("hook-injected drift was not found by the rotation alone: %+v", res)
 	}
@@ -430,7 +430,6 @@ func TestConcurrentSweepsCoverEveryPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.RunSweep() // consume the setup's dirty marks
 	for round := 0; round < 8; round++ {
 		for _, tgt := range targets {
 			if !c.DriftWipePermit(tgt) {

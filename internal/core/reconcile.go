@@ -17,17 +17,19 @@
 // an acknowledged mutation, and the drift counters never count one.
 //
 // There is one sweep, planned once. Per surface (permit lists, binds,
-// quotas) it visits the targets the convergence tracker marked dirty
-// since the last sweep, then this phase's slice of a rotating
-// anti-entropy partition — 1/K of the declared world and 1/K of the
-// installed permit stripes — skipping what a mark already covered, so
-// each target is checked, and its drift counted, at most once per sweep.
-// The marks and the declared slices are taken once per sweep and shared
-// by every provider, each checking the targets it owns. K
-// (ReconcilerConfig.AntiEntropyK) is the detection-lag bound: drift
-// injected behind the recorder's back (the Drift* chaos hooks) is found
-// within K sweeps of injection. K=1 is one bucket: every sweep walks the
-// whole world.
+// quotas) it visits this phase's slice of a rotating anti-entropy
+// partition — 1/K of the declared world and 1/K of the installed permit
+// stripes. A verb leaves what it touched converged, so verbs mark
+// nothing; the one writer that changes a reconciled surface outside a
+// verb, the fault monitor, marks a permit target whose deferred update
+// landed or timed out, and the sweep checks those marks first, skipping
+// them in the rotation, so each target is checked, and its drift
+// counted, at most once per sweep. The marks and the declared slices are
+// taken once per sweep and shared by every provider, each checking the
+// targets it owns. K (ReconcilerConfig.AntiEntropyK) is the
+// detection-lag bound: drift injected behind the recorder's back (the
+// Drift* chaos hooks) is found within K sweeps of injection. K=1 is one
+// bucket: every sweep walks the whole world.
 package core
 
 import (
@@ -51,10 +53,11 @@ type ReconcilerConfig struct {
 	// goroutine (default 1s).
 	Interval time.Duration
 	// AntiEntropyK is K of the anti-entropy rotation: besides the
-	// dirty-marked targets, each sweep checks 1/K of the declared world
-	// and of the installed permit stripes, so drift nothing marked is
-	// found within K sweeps. Values below 1 mean 1 — every sweep walks
-	// the whole world (what E15 and the tests run). The daemon runs K=8.
+	// fault monitor's marked targets, each sweep checks 1/K of the
+	// declared world and of the installed permit stripes, so drift
+	// nothing marked is found within K sweeps. Values below 1 mean 1 —
+	// every sweep walks the whole world (what E15 and the tests run). The
+	// daemon runs K=8.
 	AntiEntropyK int
 }
 
@@ -72,12 +75,14 @@ type SweepResult struct {
 	// (repair budget exhausted or enforcement point unreachable).
 	Deferred int `json:"deferred"`
 	// Scanned counts targets examined this sweep, across every surface:
-	// the dirty marks plus the rotation slice.
+	// the marked targets plus the rotation slice.
 	Scanned int `json:"scanned"`
-	// DirtyHits counts dirty-set checks that confirmed real drift.
+	// DirtyHits counts checks of targets the fault monitor marked (a
+	// deferred permit update landed or timed out) that confirmed real
+	// drift.
 	DirtyHits int `json:"dirty_hits"`
 	// AntiEntropyScanned counts checks driven by the rotation rather
-	// than a dirty mark.
+	// than a mark.
 	AntiEntropyScanned int `json:"anti_entropy_scanned"`
 }
 
@@ -101,8 +106,8 @@ type Reconciler struct {
 	lastSweepNs  atomic.Int64 // wall clock, UnixNano; 0 = never
 	lastSweepDur atomic.Int64 // nanoseconds
 
-	// sweeping serializes RunSweep: the dirty sets are consumables and
-	// the phase follows the sweep count, so two sweeps side by side would
+	// sweeping serializes RunSweep: the marks are consumables and the
+	// phase follows the sweep count, so two sweeps side by side would
 	// visit one phase twice and skip the next for a whole rotation.
 	sweeping sync.Mutex
 
@@ -146,7 +151,7 @@ func (c *Cloud) EnableReconciler(cfg ReconcilerConfig) (*Reconciler, error) {
 		c.reg.GaugeFunc("declnet_reconcile_scanned_total",
 			"Targets examined by sweeps, all surfaces.", func() float64 { return float64(r.scanned.Load()) })
 		c.reg.GaugeFunc("declnet_reconcile_dirty_hits_total",
-			"Dirty-set checks that confirmed drift.", func() float64 { return float64(r.dirtyHits.Load()) })
+			"Checks of fault-monitor-marked targets that confirmed drift.", func() float64 { return float64(r.dirtyHits.Load()) })
 		c.reg.GaugeFunc("declnet_reconcile_anti_entropy_scanned_total",
 			"Targets examined by the anti-entropy rotation.", func() float64 { return float64(r.antiScanned.Load()) })
 		c.reg.GaugeFunc("declnet_reconcile_queue_depth",
@@ -168,22 +173,23 @@ func (c *Cloud) EnableReconciler(cfg ReconcilerConfig) (*Reconciler, error) {
 func (c *Cloud) Reconciler() *Reconciler { return c.reconciler }
 
 // sweepPlan is what one sweep visits, taken once before any provider
-// runs and shared by all of them: the dirty marks the sweep consumed and
-// the phase's slice of each declared surface. Both mix every provider's
-// targets; each provider checks the ones it owns.
+// runs and shared by all of them: the permit marks the sweep consumed
+// from the fault monitor and the phase's slice of each declared surface.
+// Both mix every provider's targets; each provider checks the ones it
+// owns.
 type sweepPlan struct {
 	phase             int
-	dirty             convDirty
+	marks             map[addr.IP]bool
 	permits, services []addr.IP
 	quotas            []string
 }
 
 // RunSweep performs one deterministic sweep: it plans the sweep, then
 // runs every provider in name order over the plan, permits then binds
-// then quotas, each surface's dirty marks before its rotation slice.
-// Dirty sets are consumed before the view is taken: a mutation recorded
-// in between is read by this sweep and marked for the next — at worst
-// one redundant check, never a lost one. Safe to call from any
+// then quotas, the permit marks before the permit rotation slice. Marks
+// are consumed before the view is taken: a deferred update that lands in
+// between is read by this sweep and marked for the next — at worst one
+// redundant check, never a lost one. Safe to call from any
 // goroutine: sweeps run one at a time, repairs take the ordinary shard
 // locks (so none runs beside an exclusive step), and the unlocked
 // screens read only leaf-locked state.
@@ -193,7 +199,7 @@ func (r *Reconciler) RunSweep() SweepResult {
 	start := time.Now()
 	c := r.cloud
 	k := r.cfg.AntiEntropyK
-	plan := sweepPlan{phase: int(r.sweeps.Load() % uint64(k)), dirty: c.conv.take()}
+	plan := sweepPlan{phase: int(r.sweeps.Load() % uint64(k)), marks: c.monitor.takeMarks()}
 	view := c.rec.View()
 	plan.permits = view.PermitTargets(plan.phase, k)
 	plan.services = view.ServiceTargets(plan.phase, k)
@@ -236,7 +242,8 @@ func (r *Reconciler) checkDeclaredPermit(p *Provider, t addr.IP, pl *intent.Perm
 	}
 	defer p.lockShard(c.shardKeyOf(pl.Tenant, t))()
 	// Skip a target that changed hands or was released since the screen:
-	// this is no longer its shard, and whatever moved it marked it dirty.
+	// this is no longer its shard, and the verb that moved it left it
+	// converged.
 	live, ok := c.rec.Permit(t)
 	if !ok || live.Tenant != pl.Tenant || p.ownsTarget(pl.Tenant, t) != nil {
 		return false
@@ -421,11 +428,11 @@ func (r *Reconciler) checkQuota(p *Provider, tenant, reg string, want float64, b
 	return true
 }
 
-// visit checks one surface's visit list for one provider: the dirty
-// marks in sorted order, then the rotation slices minus what a mark
-// already covered, so a target is checked at most once a sweep. check
-// reports whether the target was this provider's to examine and whether
-// it found drift.
+// visit checks one surface's visit list for one provider: the marks in
+// sorted order (nil on every surface but permits), then the rotation
+// slices minus what a mark already covered, so a target is checked at
+// most once a sweep. check reports whether the target was this
+// provider's to examine and whether it found drift.
 func visit[K cmp.Ordered](res *SweepResult, marks map[K]bool, check func(K) (mine, drift bool), rotation ...[]K) {
 	for _, k := range sortedKeys(marks) {
 		if mine, drift := check(k); mine {
@@ -453,14 +460,14 @@ func visit[K cmp.Ordered](res *SweepResult, marks map[K]bool, check func(K) (min
 // its declared targets (drift on declared targets) and its permit engine
 // stripes (installed-but-undeclared lists). Every declared target and
 // every installed stripe is in exactly one phase, which is the K-sweep
-// detection-lag bound for drift that never marked a dirty set.
+// detection-lag bound for drift nothing marked.
 func (r *Reconciler) sweepProvider(p *Provider, plan *sweepPlan, budget *int, res *SweepResult) {
 	c := r.cloud
 	undeclared := slices.DeleteFunc(p.Permits.TargetsOf(plan.phase, r.cfg.AntiEntropyK), func(t addr.IP) bool {
 		_, declared := c.rec.Permit(t)
 		return declared
 	})
-	visit(res, plan.dirty.permits, func(t addr.IP) (mine, drift bool) {
+	visit(res, plan.marks, func(t addr.IP) (mine, drift bool) {
 		if owner, ok := c.blockOwner(t); !ok || owner != p {
 			return false, false
 		}
@@ -472,15 +479,14 @@ func (r *Reconciler) sweepProvider(p *Provider, plan *sweepPlan, budget *int, re
 		}
 		return true, false
 	}, plan.permits, undeclared)
-	visit(res, plan.dirty.binds, func(sip addr.IP) (mine, drift bool) {
-		// An undeclared mark was a release: the live service went with it.
+	visit(res, nil, func(sip addr.IP) (mine, drift bool) {
 		want, ok := c.rec.Service(sip)
 		if !ok || want.Provider != p.Name {
 			return false, false
 		}
 		return true, r.checkBindService(p, sip, want, budget, res)
 	}, plan.services)
-	visit(res, plan.dirty.quotas, func(key string) (mine, drift bool) {
+	visit(res, nil, func(key string) (mine, drift bool) {
 		want, ok := c.rec.Quota(key)
 		prov, tenant, reg, parsed := intent.ParseQuotaKey(key)
 		if !ok || !parsed || prov != p.Name {
@@ -549,8 +555,9 @@ type ReconcileStatus struct {
 	DriftBinds   uint64 `json:"drift_binds"`
 	DriftQuotas  uint64 `json:"drift_quotas"`
 	// Scanned / DirtyHits / AntiEntropyScanned expose sweep cost live:
-	// how many targets sweeps examined, how many dirty-set checks found
-	// real drift, and how much of the scanning was rotation coverage.
+	// how many targets sweeps examined, how many checks of
+	// fault-monitor-marked targets found real drift, and how much of the
+	// scanning was rotation coverage.
 	Scanned            uint64 `json:"scanned"`
 	DirtyHits          uint64 `json:"dirty_hits"`
 	AntiEntropyScanned uint64 `json:"anti_entropy_scanned"`

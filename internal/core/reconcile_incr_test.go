@@ -57,7 +57,8 @@ func TestIncrementalSweepParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const rounds = 24
 	for round := 0; round < rounds; round++ {
-		// Journaled mutations: marked dirty by Cloud.noteRecorded.
+		// Journaled mutations: converged when the verb returns, so they
+		// leave the sweeps nothing to find.
 		for n := rng.Intn(3); n >= 0; n-- {
 			switch rng.Intn(4) {
 			case 0:
@@ -85,8 +86,8 @@ func TestIncrementalSweepParity(t *testing.T) {
 				}
 			}
 		}
-		// Chaos drift: never touches the dirty sets — only the
-		// anti-entropy rotation can find it.
+		// Chaos drift: marks nothing — only the anti-entropy rotation
+		// can find it.
 		switch rng.Intn(4) {
 		case 0:
 			iw.c.DriftWipePermit(iw.dst)
@@ -127,7 +128,7 @@ func TestIncrementalSweepParity(t *testing.T) {
 
 // TestChaosDriftDetectedWithinK pins the anti-entropy detection bound:
 // drift injected behind the recorder's back — no journal record, no
-// dirty mark — is found and repaired within K incremental sweeps.
+// mark — is found and repaired within K incremental sweeps.
 func TestChaosDriftDetectedWithinK(t *testing.T) {
 	dir := t.TempDir()
 	c, w, pa, pb, _ := fig1Cloud(t)
@@ -144,7 +145,7 @@ func TestChaosDriftDetectedWithinK(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < k+1; i++ {
-		r.RunSweep() // drain setup dirt, converge
+		r.RunSweep() // converge
 	}
 	if !c.Admitted(eip1, dst) {
 		t.Fatal("world not admitting before drift injection")
@@ -179,11 +180,35 @@ func TestChaosDriftDetectedWithinK(t *testing.T) {
 	t.Logf("chaos drift repaired after %d/%d sweeps, %d anti-entropy checks", sweeps, k, aeScanned)
 }
 
+// landDeferredPermit has the fault monitor mark target the one way it
+// can: a set_permit deferred at its failed enforcement point, the point
+// healed, and the retry advanced until the update lands.
+func landDeferredPermit(t *testing.T, c *Cloud, target addr.IP, node topo.NodeID, entries ...addr.Prefix) {
+	t.Helper()
+	m := c.Faults()
+	if err := m.Inj.FailNode(node); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Tenant("acme").SetPermitList(target, entries); err != nil {
+		t.Fatal(err)
+	}
+	if _, pending := m.PendingPermit(target); !pending {
+		t.Fatalf("set_permit on %s did not defer", target)
+	}
+	if err := m.Inj.RestoreNode(node); err != nil {
+		t.Fatal(err)
+	}
+	c.Eng.RunUntil(c.Eng.Now() + permitRetryInterval)
+	if _, pending := m.PendingPermit(target); pending {
+		t.Fatalf("deferred set_permit on %s did not land", target)
+	}
+}
+
 // TestSweepVisitsEachTargetOnce pins the once-per-sweep rule: a target
-// that is both dirty-marked and in the phase's rotation slice is checked
-// once, so with the repair budget spent its drift, its deferral and its
-// scan are each counted once — at K=1, where the slice is the whole
-// world, and at K=3.
+// that is both marked by the fault monitor and in the phase's rotation
+// slice is checked once, so with the repair budget spent its drift, its
+// deferral and its scan are each counted once — at K=1, where the slice
+// is the whole world, and at K=3.
 func TestSweepVisitsEachTargetOnce(t *testing.T) {
 	for _, k := range []int{1, 3} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
@@ -194,16 +219,15 @@ func TestSweepVisitsEachTargetOnce(t *testing.T) {
 			}
 			defer l.Close()
 			c.EnableIntent(l)
-			_, eip2, dst, sip := populate(t, c, w, pa, pb)
+			eip1, _, dst, _ := populate(t, c, w, pa, pb)
 			r, err := c.EnableReconciler(ReconcilerConfig{AntiEntropyK: k})
 			if err != nil {
 				t.Fatal(err)
 			}
 			r.budget = 1
 			phase := func() int { return int(r.Status().Sweeps % uint64(k)) }
-			// Drain the setup's dirty marks, then record what a sweep of
-			// the converged, unmarked world scans in each phase.
-			r.RunSweep()
+			// Record what a sweep of the converged, unmarked world scans
+			// in each phase.
 			clean := make([]int, k)
 			for i := 0; i < k; i++ {
 				ph := phase()
@@ -217,32 +241,25 @@ func TestSweepVisitsEachTargetOnce(t *testing.T) {
 			for phase() != int(uint32(dst)%uint32(k)) {
 				r.RunSweep()
 			}
-			// Mark the list and the service dirty through journaled verbs,
-			// then corrupt both behind the recorder's back.
-			if err := c.Tenant("acme").Permit(dst, pfx("10.9.0.0/16")); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Tenant("acme").Unbind(eip2, sip); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Tenant("acme").Bind(eip2, sip, 1); err != nil {
-				t.Fatal(err)
-			}
-			if !c.DriftWipePermit(dst) || !c.DriftUnbind(sip, eip2) {
+			// Have the fault monitor mark both lists, then corrupt both
+			// behind the recorder's back.
+			landDeferredPermit(t, c, eip1, topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1), addr.NewPrefix(dst, 32))
+			landDeferredPermit(t, c, dst, topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1), pfx("10.9.0.0/16"))
+			if !c.DriftWipePermit(eip1) || !c.DriftWipePermit(dst) {
 				t.Fatal("drift injection failed")
 			}
 			want := SweepResult{
-				DriftPermits: 1, DriftBinds: 1,
-				Repaired: 1, Deferred: 1, // cloudA sweeps first: its bind takes the budget, cloudB's list waits
+				DriftPermits: 2,
+				Repaired:     1, Deferred: 1, // cloudA sweeps first: eip1's list takes the budget, cloudB's waits
 				DirtyHits: 2,
 				Scanned:   clean[phase()], // dst's mark replaces its rotation visit
 			}
-			if uint32(sip)%uint32(k) != uint32(phase()) {
-				want.Scanned++ // the service's mark is outside this slice
+			if uint32(eip1)%uint32(k) != uint32(phase()) {
+				want.Scanned++ // eip1's mark is outside this slice
 			}
 			want.AntiEntropyScanned = want.Scanned - 2
 			if got := r.RunSweep(); got != want {
-				t.Fatalf("sweep over a marked, drifted list and bind:\n got %+v\nwant %+v", got, want)
+				t.Fatalf("sweep over two marked, drifted lists:\n got %+v\nwant %+v", got, want)
 			}
 			if q := r.Status().QueueDepth; q != 1 {
 				t.Errorf("QueueDepth = %d, want 1", q)
@@ -277,7 +294,6 @@ func TestSteadyStateSweepIsOneKthOfTheWorld(t *testing.T) {
 		}
 	}
 	whole := &Reconciler{cloud: c, cfg: ReconcilerConfig{AntiEntropyK: 1}, budget: repairBudget}
-	whole.RunSweep() // consume the setup's dirty marks
 	want := whole.RunSweep()
 	if sweepWork(want) != (SweepResult{}) || want.DirtyHits != 0 || want.AntiEntropyScanned != want.Scanned || want.Scanned < 48 {
 		t.Fatalf("K=1 sweep of the converged world = %+v", want)
@@ -398,7 +414,7 @@ func TestSweepAfterOneMutationCopiesNothingWorldSized(t *testing.T) {
 		}
 	}
 	for phase := 0; phase < 8; phase++ {
-		r.RunSweep() // consume the setup's marks; one full rotation
+		r.RunSweep() // one full rotation before measuring
 	}
 	var before, after runtime.MemStats
 	for phase := 0; phase < 8; phase++ {

@@ -193,7 +193,9 @@ func (cw *churnWorker) step(c *Cloud, rng *rand.Rand) error {
 // must find none: every mismatch it screens is a mutation acknowledged
 // since its view, and re-validation under the shard lock dismisses it.
 // Before the reconciler re-validated, this reported repairs — each one
-// an acknowledged mutation reverted — within a few sweeps.
+// an acknowledged mutation reverted — within a few sweeps. Verbs mark
+// nothing, so only the rotation re-screens what a writer just wrote:
+// at K=1 every sweep screens every target.
 func TestSweepNeverRevertsMutations(t *testing.T) {
 	dir := t.TempDir()
 	c, w, pa, pb, _ := fig1Cloud(t)
@@ -202,7 +204,7 @@ func TestSweepNeverRevertsMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.EnableIntent(l)
-	r, err := c.EnableReconciler(ReconcilerConfig{AntiEntropyK: 8})
+	r, err := c.EnableReconciler(ReconcilerConfig{AntiEntropyK: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
