@@ -40,10 +40,9 @@ benchsmoke:
 scale:
 	$(GO) run ./cmd/expdriver -run E13 -scale-eips $(SCALE_EIPS) -scale-tenants $(SCALE_TENANTS)
 
-# Restart recovery at the full 10^6-EIP tier: surface restore fans out
-# across GOMAXPROCS workers, so this is the tier where parallel recovery
-# earns its keep. The test asserts the same
-# per-endpoint allocation budget as at the 10^5 tier and logs the seconds.
+# Restart recovery at the full 10^6-EIP tier (CI runs it). The test
+# asserts the same per-endpoint allocation budget as at the 10^5 tier
+# and logs the seconds.
 recover-scale:
 	DECLNET_RECOVER_EIPS=$(SCALE_EIPS) DECLNET_RECOVER_TENANTS=$(SCALE_TENANTS) \
 		$(GO) test -run TestRecoveryBudget -v -timeout 60m ./internal/scale/

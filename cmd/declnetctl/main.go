@@ -302,7 +302,8 @@ func (c client) probe(args []string) error {
 	if err := need(args, 2, "probe <src> <dst>"); err != nil {
 		return err
 	}
-	return c.call("GET", fmt.Sprintf("/v1/probe?tenant=%s&src=%s&dst=%s", c.tenant, args[0], args[1]), nil)
+	q := url.Values{"tenant": {c.tenant}, "src": {args[0]}, "dst": {args[1]}}
+	return c.call("GET", "/v1/probe?"+q.Encode(), nil)
 }
 
 // fault drives the operator's drill verbs: an optional trailing

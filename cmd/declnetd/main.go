@@ -47,9 +47,10 @@
 // -hosts flags must match the world the store was created with; the
 // daemon refuses to replay a foreign world's journal. The reconciler
 // then keeps the dataplane converged to the declared state: one loop,
-// every second, sweeping the targets mutated since the last sweep plus a
-// rotating 1/8 anti-entropy slice of the world, so drift nothing
-// recorded is found within 8 sweeps.
+// every second, sweeping the permit targets whose deferred update landed
+// or timed out since the last sweep plus a rotating 1/8 anti-entropy
+// slice of the world, so drift nothing recorded is found within 8
+// sweeps.
 //
 // On SIGINT or SIGTERM the daemon stops accepting, lets in-flight
 // requests finish (for at most 10 s), stops the reconciler, fsyncs and

@@ -1,9 +1,9 @@
 // The verb path. Every Table-2 mutation — from the Go facade, a
 // single-verb HTTP route, or one op of a /v1/batch — is an intent.Op,
-// and Cloud.apply is the one place an op is routed to its owning
-// provider and shard, timed, locked, applied and journaled. ApplyBatch
-// (batch.go) asks the same switch which shards its ops will lock, takes
-// them all at once, and runs each op through it with the lock elided.
+// and Cloud.route is the one place an op is routed to its owning
+// provider and shard. Cloud.Apply times, locks, runs and journals one
+// op; ApplyBatch (batch.go) plans every op's shard with route, takes
+// them all at once, and runs each op's body under them.
 // A verb is defined by its case in that switch; DESIGN.md "Mutation
 // plane" carries the table. A verb applies and journals under one lock,
 // so whatever it touched is converged when it returns, accepted or
@@ -31,8 +31,43 @@ import (
 // The caller fills the verb's operands; Apply completes what the
 // provider derives (request_eip's Provider and Region, set_permit's
 // Provider, the granted Addr), so the applied op is the journal op.
+//
+// A tenant name intent's composite keys cannot carry is refused before
+// anything runs (intent.CheckTenant).
 func (c *Cloud) Apply(tenant string, op intent.Op) (addr.IP, error) {
-	_, err := c.apply(tenant, &op, applyLocked)
+	if err := intent.CheckTenant(tenant); err != nil {
+		return op.Addr, err
+	}
+	k, verb, p, run, err := c.route(tenant, &op)
+	if err != nil {
+		return op.Addr, err
+	}
+	// The lock wait and the journal append are stages of the verb's
+	// span, so a slow write in /v1/debug/flight says which of the two it
+	// spent its time in.
+	sop := c.slo.Begin(verb, tenant, k.Region)
+	stg := sop.StageStart()
+	var unlock func()
+	if ek, ok := c.eipShard(tenant, &op); ok {
+		unlock = c.shards.lockShards([]ShardKey{k, ek})
+	} else {
+		unlock = c.shards.lockShard(k)
+	}
+	sop.StageEnd(stg, "shard_wait")
+	defer unlock()
+	op, err = run(c, p, tenant, op)
+	if err == nil && c.rec != nil {
+		stg = sop.StageStart()
+		c.rec.Record(tenant, op)
+		sop.StageEnd(stg, "journal")
+	}
+	sop.End(err)
+	if op.Verb == intent.OpReleaseEIP || op.Verb == intent.OpReleaseSIP {
+		// End records into the tenant's SLO shard after the release may
+		// have evicted it (last address gone); a zero-delta notify
+		// re-sweeps so a churned tenant leaves no orphan shard behind.
+		c.tenantDelta(tenant, 0)
+	}
 	return op.Addr, err
 }
 
@@ -59,47 +94,34 @@ func (c *Cloud) owner(tenant string, a addr.IP) (*Provider, ShardKey, error) {
 	return p, k, nil
 }
 
-// applyMode says how much of a verb's path apply runs.
-type applyMode int
+// A verbBody applies a routed op at its owning provider p (nil for a
+// cloud-level verb) and returns the op completed with what it derives
+// (set_permit's Provider and list, a grant's Addr). Bodies capture
+// nothing and take the op by value, so routing and running a verb
+// allocate nothing: a closure returned from route, or an op passed by
+// pointer through a func value, would be moved to the heap.
+type verbBody func(c *Cloud, p *Provider, tenant string, op intent.Op) (intent.Op, error)
 
-const (
-	// applyLocked is a single verb: timed, its shard locked, run,
-	// journaled.
-	applyLocked applyMode = iota
-	// applyHeld is one op of a running batch: ApplyBatch holds the shard
-	// (with every other shard of the batch) and times and journals the
-	// batch itself.
-	applyHeld
-	// applyPlan runs nothing: apply only names the shard the op locks.
-	applyPlan
-)
-
-// apply is Apply on a caller-owned op; its switch is the one verb
-// table. For op it names the shard the verb locks, the SLO verb it is
-// timed as, and the body that applies it, completing what the provider
-// derives from the operands (request_eip's Provider and Region) — the
-// body completes the rest (set_permit's Provider, a grant's Addr).
+// route is the one verb table. For op it names the shard the verb
+// locks, the SLO verb it is timed as, the owning provider and the body
+// that applies it, completing what the provider derives from the
+// operands (request_eip's Provider and Region). It runs nothing: Apply
+// runs the body under the shard's lock, and ApplyBatch plans every op's
+// shard with route and runs the bodies under the locks it holds.
 //
 // The shard key is static: it follows from the topology's node table
 // and the address block carving alone, never from which addresses are
 // granted right now. So it is valid even alongside a routing error, and
 // ApplyBatch can plan every op's key — with a stand-in address for a
 // "$i" operand whose grant has not happened yet — before it takes a
-// single lock. The lock wait and the journal append are stages of a
-// single verb's span, so a slow write in /v1/debug/flight says which of
-// the two it spent its time in.
-func (c *Cloud) apply(tenant string, op *intent.Op, mode applyMode) (k ShardKey, err error) {
-	var (
-		p    *Provider
-		verb slo.Verb
-		run  func() error
-	)
+// single lock.
+func (c *Cloud) route(tenant string, op *intent.Op) (k ShardKey, verb slo.Verb, p *Provider, run verbBody, err error) {
 	k = ShardKey{Tenant: tenant} // cloud-level verbs: the tenant's region-less shard
 	switch op.Verb {
 	case intent.OpRequestEIP:
 		n, ok := c.G.Node(topo.NodeID(op.VM))
 		if !ok {
-			return k, fmt.Errorf("core: unknown VM %q", op.VM)
+			return k, verb, nil, nil, fmt.Errorf("core: unknown VM %q", op.VM)
 		}
 		if op.Provider == "" {
 			op.Provider = n.Provider
@@ -109,106 +131,94 @@ func (c *Cloud) apply(tenant string, op *intent.Op, mode applyMode) (k ShardKey,
 		// copy is not retained.
 		op.VM, op.Region = string(n.ID), n.Region
 		p, k, err = c.named(tenant, op.Provider, n.Region)
-		verb, run = slo.VerbGrant, func() (err error) {
+		verb, run = slo.VerbGrant, func(c *Cloud, p *Provider, tenant string, op intent.Op) (_ intent.Op, err error) {
+			n, _ := c.G.Node(topo.NodeID(op.VM))
 			op.Addr, err = p.requestEIP(tenant, n)
-			return err
+			return op, err
 		}
 	case intent.OpReleaseEIP:
 		p, k, err = c.owner(tenant, op.Addr)
-		verb, run = slo.VerbGrant, func() error { return p.releaseEIP(tenant, op.Addr) }
+		verb, run = slo.VerbGrant, func(_ *Cloud, p *Provider, tenant string, op intent.Op) (intent.Op, error) {
+			return op, p.releaseEIP(tenant, op.Addr)
+		}
 	case intent.OpRequestSIP:
 		p, k, err = c.named(tenant, op.Provider, "")
-		verb, run = slo.VerbGrant, func() (err error) {
+		verb, run = slo.VerbGrant, func(_ *Cloud, p *Provider, tenant string, op intent.Op) (_ intent.Op, err error) {
 			op.Addr, err = p.requestSIP(tenant)
-			return err
+			return op, err
 		}
 	case intent.OpReleaseSIP:
 		p, k, err = c.owner(tenant, op.Addr)
-		verb, run = slo.VerbGrant, func() error { return p.releaseSIP(tenant, op.Addr) }
+		verb, run = slo.VerbGrant, func(_ *Cloud, p *Provider, tenant string, op intent.Op) (intent.Op, error) {
+			return op, p.releaseSIP(tenant, op.Addr)
+		}
 	case intent.OpBind:
 		p, k, err = c.owner(tenant, op.SIP)
-		verb, run = slo.VerbBind, func() error { return p.bind(tenant, op.EIP, op.SIP, op.Weight) }
+		verb, run = slo.VerbBind, func(_ *Cloud, p *Provider, tenant string, op intent.Op) (intent.Op, error) {
+			return op, p.bind(tenant, op.EIP, op.SIP, op.Weight)
+		}
 	case intent.OpUnbind:
 		p, k, err = c.owner(tenant, op.SIP)
-		verb, run = slo.VerbBind, func() error { return p.unbind(tenant, op.EIP, op.SIP) }
+		verb, run = slo.VerbBind, func(_ *Cloud, p *Provider, tenant string, op intent.Op) (intent.Op, error) {
+			return op, p.unbind(tenant, op.EIP, op.SIP)
+		}
 	case intent.OpSetPermit:
 		p, k, err = c.owner(tenant, op.Target)
-		verb, run = slo.VerbPermit, func() error {
+		verb, run = slo.VerbPermit, func(_ *Cloud, p *Provider, tenant string, op intent.Op) (intent.Op, error) {
 			op.Provider = p.Name
-			return p.setPermitList(tenant, op)
+			err := p.setPermitList(tenant, &op)
+			return op, err
 		}
 	case intent.OpPermit, intent.OpRevoke:
 		p, k, err = c.owner(tenant, op.Target)
-		verb, run = slo.VerbPermit, func() error {
-			return p.permitEntries(tenant, op)
+		verb, run = slo.VerbPermit, func(_ *Cloud, p *Provider, tenant string, op intent.Op) (intent.Op, error) {
+			err := p.permitEntries(tenant, &op)
+			return op, err
 		}
 	case intent.OpSetQoS:
 		p, k, err = c.named(tenant, op.Provider, op.Region)
-		verb, run = slo.VerbQoS, func() error {
+		verb, run = slo.VerbQoS, func(_ *Cloud, p *Provider, tenant string, op intent.Op) (intent.Op, error) {
 			if err := checkRate(op.Bps); err != nil {
-				return err
+				return op, err
 			}
-			return p.setQoS(tenant, op.Region, op.Bps)
+			return op, p.setQoS(tenant, op.Region, op.Bps)
 		}
 	case intent.OpSetPotato:
 		p, k, err = c.named(tenant, op.Provider, "")
-		verb, run = slo.VerbQoS, func() error {
+		verb, run = slo.VerbQoS, func(_ *Cloud, p *Provider, tenant string, op intent.Op) (intent.Op, error) {
 			policy, err := qos.ParsePotatoPolicy(op.Policy)
 			if err == nil {
 				p.setPotato(tenant, policy)
 			}
-			return err
+			return op, err
 		}
 	case intent.OpSetVMEgress:
 		p, k, err = c.owner(tenant, op.EIP)
-		verb, run = slo.VerbQoS, func() error {
+		verb, run = slo.VerbQoS, func(_ *Cloud, p *Provider, tenant string, op intent.Op) (intent.Op, error) {
 			if err := checkRate(op.Bps); err != nil {
-				return err
+				return op, err
 			}
-			return p.setVMEgressCap(tenant, op.EIP, op.Bps)
+			return op, p.setVMEgressCap(tenant, op.EIP, op.Bps)
 		}
 	case intent.OpCreateGroup:
 		if op.Provider != "" {
-			return k, fmt.Errorf("core: create_group is tenant-wide; provider %q given", op.Provider)
+			return k, verb, nil, nil, fmt.Errorf("core: create_group is tenant-wide; provider %q given", op.Provider)
 		}
-		verb, run = slo.VerbBind, func() error { return c.createGroup(tenant, op.Name, op.Members) }
+		verb, run = slo.VerbBind, func(c *Cloud, _ *Provider, tenant string, op intent.Op) (intent.Op, error) {
+			return op, c.createGroup(tenant, op.Name, op.Members)
+		}
 	case intent.OpRegisterName:
-		verb, run = slo.VerbBind, func() error { return c.registerName(tenant, op.Name, op.Addr) }
+		verb, run = slo.VerbBind, func(c *Cloud, _ *Provider, tenant string, op intent.Op) (intent.Op, error) {
+			return op, c.registerName(tenant, op.Name, op.Addr)
+		}
 	case intent.OpUnregisterName:
-		verb, run = slo.VerbBind, func() error { return c.unregisterName(tenant, op.Name) }
+		verb, run = slo.VerbBind, func(c *Cloud, _ *Provider, tenant string, op intent.Op) (intent.Op, error) {
+			return op, c.unregisterName(tenant, op.Name)
+		}
 	default:
 		err = fmt.Errorf("core: unknown verb %q", op.Verb)
 	}
-	if err != nil || mode == applyPlan {
-		return k, err
-	}
-	if mode == applyHeld {
-		return k, run()
-	}
-	sop := c.slo.Begin(verb, tenant, k.Region)
-	stg := sop.StageStart()
-	var unlock func()
-	if ek, ok := c.eipShard(tenant, op); ok {
-		unlock = c.shards.lockShards([]ShardKey{k, ek})
-	} else {
-		unlock = c.shards.lockShard(k)
-	}
-	sop.StageEnd(stg, "shard_wait")
-	defer unlock()
-	err = run()
-	if err == nil && c.rec != nil {
-		stg = sop.StageStart()
-		c.rec.Record(tenant, *op)
-		sop.StageEnd(stg, "journal")
-	}
-	sop.End(err)
-	if op.Verb == intent.OpReleaseEIP || op.Verb == intent.OpReleaseSIP {
-		// End records into the tenant's SLO shard after the release may
-		// have evicted it (last address gone); a zero-delta notify
-		// re-sweeps so a churned tenant leaves no orphan shard behind.
-		c.tenantDelta(tenant, 0)
-	}
-	return k, err
+	return k, verb, p, run, err
 }
 
 // eipShard names the one second shard a verb write-locks: bind's EIP's.

@@ -217,6 +217,76 @@ func TestSetVMEgressRefusesBadCap(t *testing.T) {
 	}
 }
 
+// TestVerbPathAllocatesNothingOfItsOwn: routing and running a verb
+// allocate nothing, so set_qos's one allocation is its shard lock's
+// unlock function. Verb bodies that closed over the op, returned from
+// Cloud.route, would add three.
+func TestVerbPathAllocatesNothingOfItsOwn(t *testing.T) {
+	c, w, pa, _, _ := fig1Cloud(t)
+	op := intent.Op{Verb: intent.OpSetQoS, Provider: pa.Name, Region: w.RegionsA[0], Bps: 1e9}
+	if n := testing.AllocsPerRun(100, func() { _, _ = c.Apply("acme", op) }); n > 1 {
+		t.Errorf("set_qos allocated %.0f times, want 1 (the shard lock's unlock)", n)
+	}
+}
+
+// TestPipeTenantIsRefused: the intent store's composite keys join a
+// tenant name to the rest with "|", so a tenant name containing it would
+// read back as another tenant's — a quota under a region that does not
+// exist, which fails every restore, or a name another tenant resolves.
+// Apply and ApplyBatch refuse such a tenant before any op runs: nothing
+// is applied, nothing journaled, and the store still restores.
+func TestPipeTenantIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	c, w, pa, _, _ := fig1Cloud(t)
+	l, err := intent.Open(dir, intent.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.EnableIntent(l)
+	eip, err := c.Tenant("a").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, seq := c.StateDigest(), l.Seq()
+
+	bad := c.Tenant("a|b")
+	if err := bad.SetQoS(pa.Name, w.RegionsA[0], 1e9); err == nil {
+		t.Error("set_qos for tenant \"a|b\" accepted")
+	}
+	if err := bad.Register("db", eip); err == nil {
+		t.Error("register_name for tenant \"a|b\" accepted")
+	}
+	if _, err := bad.RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 2)); err == nil {
+		t.Error("request_eip for tenant \"a|b\" accepted")
+	}
+	res, err := c.ApplyBatch("a|b", []BatchOp{{Op: "set_qos", Provider: pa.Name, Region: w.RegionsA[0], Bandwidth: 1e9}})
+	if err == nil || res != nil {
+		t.Errorf("batch for tenant \"a|b\": results %v, error %v; want nil and an error", res, err)
+	}
+	if got := l.Seq(); got != seq {
+		t.Errorf("journal seq %d after the refusals, want %d", got, seq)
+	}
+	if got := c.StateDigest(); got != want {
+		t.Error("a refused tenant changed the world")
+	}
+	if a, ok := c.Tenant("a").Resolve("b|db"); ok {
+		t.Errorf("tenant a resolves \"b|db\" to %s", a)
+	}
+
+	l2, err := intent.Open(dir, intent.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	c2, _, _, _, _ := fig1Cloud(t)
+	if err := c2.RestoreIntent(l2.State()); err != nil {
+		t.Fatalf("restore after the refusals: %v", err)
+	}
+	if got := c2.StateDigest(); got != want {
+		t.Error("restored digest differs from the live world")
+	}
+}
+
 // TestEveryAcceptedMutationIsJournaled drives every verb, accepted and
 // refused, through Cloud.Apply and Cloud.ApplyBatch from concurrent
 // writers, one tenant each, with a store attached: grants and releases

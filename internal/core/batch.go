@@ -95,13 +95,14 @@ func (e *BatchError) Error() string {
 func (e *BatchError) Unwrap() error { return e.Err }
 
 // ApplyBatch validates and applies ops for the tenant as one batch.
-// On a validation error it returns (nil, *BatchError) with nothing
-// applied. On a runtime error at op i it returns the results of ops
+// On a validation error it returns nil results with nothing applied: a
+// tenant name intent.CheckTenant refuses, or a *BatchError naming the
+// op. On a runtime error at op i it returns the results of ops
 // [0, i) and a *BatchError with Index i; those ops stay applied. On
 // success it returns one result per op.
 //
 // The static pass runs before any lock is taken, and besides
-// type-checking each op it asks the verb table (Cloud.apply) which shard
+// type-checking each op it asks the verb table (Cloud.route) which shard
 // the op will lock. Those keys are static — a "$j" operand stands in as
 // an address from the block op j's grant must come from — so the batch's
 // whole footprint is known up front: ApplyBatch takes exactly those
@@ -109,11 +110,14 @@ func (e *BatchError) Unwrap() error { return e.Err }
 // holds them across every op and the journal record. A single verb on
 // one of those shards therefore sees all of the batch's ops there or
 // none, and every other shard never notices the batch. Each op is then
-// resolved into its typed form ("$j" now the real grant) and run through
-// the same switch single verbs use, with the lock elided. The applied ops are the journal ops:
+// resolved into its typed form ("$j" now the real grant), routed again,
+// and its body run under the held locks. The applied ops are the journal ops:
 // one frame for the whole batch (the applied prefix when an op failed),
 // so replay applies it atomically.
 func (c *Cloud) ApplyBatch(tenant string, ops []BatchOp) ([]BatchResult, error) {
+	if err := intent.CheckTenant(tenant); err != nil {
+		return nil, err
+	}
 	sop := c.slo.Begin(slo.VerbBatch, tenant, "")
 	var keys []ShardKey // distinct: a batch names few shards, many times each
 	standIns := make([]BatchResult, len(ops))
@@ -126,7 +130,7 @@ func (c *Cloud) ApplyBatch(tenant string, ops []BatchOp) ([]BatchResult, error) 
 		}
 		// A routing error here (unknown VM, address not granted yet) is
 		// the apply loop's to report; the key is valid regardless.
-		k, _ := c.apply(tenant, &op, applyPlan)
+		k, _, _, _, _ := c.route(tenant, &op)
 		if !slices.Contains(keys, k) {
 			keys = append(keys, k)
 		}
@@ -146,8 +150,13 @@ func (c *Cloud) ApplyBatch(tenant string, ops []BatchOp) ([]BatchResult, error) 
 	var berr error
 	for i := range ops {
 		op, err := c.typed(ops, i, results)
+		var p *Provider
+		var run verbBody
 		if err == nil {
-			_, err = c.apply(tenant, &op, applyHeld)
+			_, _, p, run, err = c.route(tenant, &op)
+		}
+		if err == nil {
+			op, err = run(c, p, tenant, op)
 		}
 		if err != nil {
 			berr = &BatchError{Index: i, Op: ops[i].Op, Err: err}

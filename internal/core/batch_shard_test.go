@@ -68,7 +68,7 @@ func TestShardLockIsolation(t *testing.T) {
 		return row{name,
 			func(tenant string, f fixture) ShardKey {
 				op := mk(f)
-				k, _ := c.apply(tenant, &op, applyPlan)
+				k, _, _, _, _ := c.route(tenant, &op)
 				return k
 			},
 			func(tenant string, f fixture) error {
@@ -221,7 +221,7 @@ func TestBatchPlanMatchesRoute(t *testing.T) {
 		if err != nil {
 			t.Fatalf("op %d static: %v", i, err)
 		}
-		want, _ := c.apply("acme", &planned, applyPlan)
+		want, _, _, _, _ := c.route("acme", &planned)
 		if grants(planned.Verb) {
 			if standIns[i].Addr = c.standIn(want); standIns[i].Addr == 0 {
 				t.Fatalf("op %d (%s): no stand-in for shard %v", i, ops[i].Op, want)
@@ -231,7 +231,10 @@ func TestBatchPlanMatchesRoute(t *testing.T) {
 		if err != nil {
 			t.Fatalf("op %d live: %v", i, err)
 		}
-		got, err := c.apply("acme", &live, applyHeld)
+		got, _, p, run, err := c.route("acme", &live)
+		if err == nil {
+			live, err = run(c, p, "acme", live)
+		}
 		if err != nil {
 			t.Fatalf("op %d (%s): %v", i, ops[i].Op, err)
 		}

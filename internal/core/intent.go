@@ -15,12 +15,9 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"declnet/internal/addr"
 	"declnet/internal/intent"
@@ -40,90 +37,46 @@ func (c *Cloud) EnableIntent(l *intent.Log) {
 func (c *Cloud) Intent() *intent.Log { return c.rec }
 
 // RestoreIntent rebuilds the in-memory control plane from a replayed
-// declared state: address pools rewound to their recorded cursors,
-// endpoints and services re-granted at their original addresses,
-// balancers re-bound, permit lists re-installed, QoS and policy state
-// re-applied. Call it once, on an otherwise-fresh Cloud built over the
-// same world (the daemon compares the store's Meta stamps first), and
-// before EnableIntent — restoration itself must not re-journal.
-// Restoration fans out across GOMAXPROCS workers phase by phase.
+// declared state: endpoints and services re-granted at their original
+// addresses, balancers re-bound, address pools rewound to their recorded
+// cursors, permit lists re-installed, QoS and policy state re-applied.
+// Call it once, on an otherwise-fresh Cloud built over the same world
+// (the daemon compares the store's Meta stamps first), and before
+// EnableIntent — restoration itself must not re-journal. It is one
+// serial pass over each declared surface, in map order, under the
+// global gate.
 func (c *Cloud) RestoreIntent(st *intent.State) error {
-	return c.RestoreIntentWorkers(st, runtime.GOMAXPROCS(0))
-}
-
-// RestoreIntentWorkers is RestoreIntent with an explicit worker count
-// (tests force >1 on single-core machines; 1 restores serially).
-// Phases run in dependency order — pools, then endpoints, services, and
-// permit lists each fanned out across workers, then the serial policy
-// tail — so no worker ever needs state a concurrent worker is building.
-// Within a phase items are independent: every write lands in a striped
-// table under its own stripe lock, keyed by a distinct address, and the
-// final state is identical for any interleaving.
-func (c *Cloud) RestoreIntentWorkers(st *intent.State, workers int) error {
 	if st == nil {
 		return nil
 	}
 	defer c.shards.lockGlobal()()
 
 	idx := c.pidx.Load()
+	// The addresses each pool holds, gathered while the endpoints and
+	// services go in and handed to the pools once both are (Restore
+	// rebuilds inUse wholesale).
+	inUse := make(map[*addr.HostPool][]addr.IP)
 
-	// Pools first, so the cursors are exact even for addresses whose
-	// endpoints are restored below (Restore rebuilds inUse wholesale).
-	for _, p := range idx.list {
-		for _, region := range p.Regions() {
-			ps := st.EIPPools[intent.PoolKey(p.Name, region)]
-			if ps == nil {
-				continue
-			}
-			var inUse []addr.IP
-			for eip, ep := range st.Endpoints {
-				if ep.Provider == p.Name && ep.Region == region {
-					inUse = append(inUse, eip)
-				}
-			}
-			p.eipBlocks[region].pool.Restore(ps.Next, ps.Released, inUse)
-		}
-		if ps := st.SIPPools[p.Name]; ps != nil {
-			var inUse []addr.IP
-			for sip, svc := range st.Services {
-				if svc.Provider == p.Name {
-					inUse = append(inUse, sip)
-				}
-			}
-			p.sipBlock.Restore(ps.Next, ps.Released, inUse)
-		}
-	}
-
-	// Endpoints. The sort is not for determinism of the result — the
-	// tables are maps — but keeps worker chunks region-contiguous, so
-	// parallel installs mostly touch disjoint stripes.
-	eips := sortedKeys(st.Endpoints)
-	err := restoreParallel(len(eips), workers, func(i int) error {
-		eip := eips[i]
-		ep := st.Endpoints[eip]
+	for eip, ep := range st.Endpoints {
 		p, ok := idx.byName[ep.Provider]
 		if !ok {
 			return fmt.Errorf("core: restore: endpoint %s references unknown provider %q", eip, ep.Provider)
 		}
+		b, ok := p.eipBlocks[ep.Region]
+		if !ok {
+			return fmt.Errorf("core: restore: endpoint %s references unknown region %q of provider %q", eip, ep.Region, ep.Provider)
+		}
 		p.endpoints.Put(eip, &endpoint{
 			eip: eip, tenant: ep.Tenant, node: topo.NodeID(ep.VM),
 			provider: ep.Provider, region: ep.Region,
-			shard:     ep.Provider + "/" + ep.Region,
+			shard:     b.shard,
 			egressCap: ep.EgressCap,
 		})
+		inUse[b.pool] = append(inUse[b.pool], eip)
 		c.tenantDelta(ep.Tenant, 1)
-		return nil
-	})
-	if err != nil {
-		return err
 	}
 
-	// Services and their bindings. Each worker builds a balancer
-	// privately and publishes it with one striped-table store.
-	sips := sortedKeys(st.Services)
-	err = restoreParallel(len(sips), workers, func(i int) error {
-		sip := sips[i]
-		svc := st.Services[sip]
+	for sip, svc := range st.Services {
 		p, ok := idx.byName[svc.Provider]
 		if !ok {
 			return fmt.Errorf("core: restore: service %s references unknown provider %q", sip, svc.Provider)
@@ -133,33 +86,35 @@ func (c *Cloud) RestoreIntentWorkers(st *intent.State, workers int) error {
 			bal.Bind(b.EIP, b.Weight)
 		}
 		p.services.Put(sip, &service{sip: sip, tenant: svc.Tenant, balancer: bal})
+		inUse[p.sipBlock] = append(inUse[p.sipBlock], sip)
 		c.tenantDelta(svc.Tenant, 1)
-		return nil
-	})
-	if err != nil {
-		return err
+	}
+
+	// A pool with no recorded cursor was never drawn from.
+	for _, p := range idx.list {
+		for region, b := range p.eipBlocks {
+			if ps := st.EIPPools[intent.PoolKey(p.Name, region)]; ps != nil {
+				b.pool.Restore(ps.Next, ps.Released, inUse[b.pool])
+			}
+		}
+		if ps := st.SIPPools[p.Name]; ps != nil {
+			p.sipBlock.Restore(ps.Next, ps.Released, inUse[p.sipBlock])
+		}
 	}
 
 	// Permit lists, installed at the owning provider's engine: each
 	// declared list itself, canonical already, so the engine and the
-	// declared state share it. A target's stripe lock is held only for the
-	// install and workers in different stripes never serialize.
-	targets := sortedKeys(st.Permits)
-	err = restoreParallel(len(targets), workers, func(i int) error {
-		t := targets[i]
+	// declared state share it.
+	for t, pl := range st.Permits {
 		p, ok := c.blockOwner(t)
 		if !ok {
 			return fmt.Errorf("core: restore: permit target %s is outside every provider's blocks", t)
 		}
-		set := st.Permits[t].Entries
-		p.Permits.Install(t, set, uint64(len(set)))
-		return nil
-	})
-	if err != nil {
-		return err
+		p.Permits.Install(t, pl.Entries, uint64(len(pl.Entries)))
 	}
 
-	// QoS quotas, potato profiles, groups, names.
+	// QoS quotas, potato profiles, groups, names. Quotas go in sorted
+	// order: a new limiter schedules on the engine.
 	for _, key := range sortedKeys(st.Quotas) {
 		prov, tenant, region, ok := intent.ParseQuotaKey(key)
 		if !ok {
@@ -212,49 +167,6 @@ func (c *Cloud) RestoreIntentWorkers(st *intent.State, workers int) error {
 		c.names[parts[0]][parts[1]] = target
 	}
 	c.nmMu.Unlock()
-	return nil
-}
-
-// restoreParallel runs fn(0..n-1) across workers, stopping each worker
-// at its first error. Which error surfaces when several workers fail is
-// unspecified — any error aborts the whole restore.
-func restoreParallel(n, workers int, fn func(i int) error) error {
-	if workers <= 1 || n < 2 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	errs := make([]error, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(slot int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := fn(i); err != nil {
-					errs[slot] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

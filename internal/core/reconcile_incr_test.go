@@ -100,14 +100,14 @@ func TestIncrementalSweepParity(t *testing.T) {
 		}
 
 		// Crash every 4th round mid-divergence: abandon the log
-		// un-Closed, recover a fresh world with parallel restore.
+		// un-Closed, recover a fresh world.
 		if round%4 == 3 {
 			l2, err := intent.Open(dir, intent.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			c2, w2, pa2, pb2, _ := fig1Cloud(t)
-			if err := c2.RestoreIntentWorkers(l2.State(), 4); err != nil {
+			if err := c2.RestoreIntent(l2.State()); err != nil {
 				t.Fatal(err)
 			}
 			c2.EnableIntent(l2)
@@ -318,10 +318,10 @@ func TestSteadyStateSweepIsOneKthOfTheWorld(t *testing.T) {
 	}
 }
 
-// TestRestoreIntentWorkersParallel pins the parallel recovery path to
-// the serial contract: same digest, same pool cursors, regardless of
-// worker count.
-func TestRestoreIntentWorkersParallel(t *testing.T) {
+// TestRestoreIntentRebuildsTheLiveWorld pins recovery to the world that
+// crashed: same digest, a declared-permitted flow still admitted, and
+// the pool cursors rewound so the next grant matches the live world's.
+func TestRestoreIntentRebuildsTheLiveWorld(t *testing.T) {
 	dir := t.TempDir()
 	c, w, pa, pb, _ := fig1Cloud(t)
 	l, err := intent.Open(dir, intent.Options{})
@@ -338,34 +338,26 @@ func TestRestoreIntentWorkersParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	for _, workers := range []int{1, 4} {
-		c2, w2, _, _, _ := fig1Cloud(t)
-		if err := c2.RestoreIntentWorkers(l2.State(), workers); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got := c2.StateDigest(); got != want {
-			t.Fatalf("workers=%d: digest mismatch\n got %s\nwant %s", workers, got, want)
-		}
-		if !c2.Admitted(eip1, dst) {
-			t.Errorf("workers=%d: recovered world rejects a declared-permitted flow", workers)
-		}
-		// Pool cursors restored: the next grant matches the live world's.
-		nextLive, err := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az2", 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		nextRec, err := c2.Tenant("acme").RequestEIP(topo.HostID(w2.CloudA, w2.RegionsA[0], "az2", 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if nextLive != nextRec {
-			t.Fatalf("workers=%d: pool divergence: live %s, recovered %s", workers, nextLive, nextRec)
-		}
-		// Rewind the live pool so the next loop iteration compares from
-		// the same cursor.
-		if err := c.Tenant("acme").ReleaseEIP(nextLive); err != nil {
-			t.Fatal(err)
-		}
+	c2, w2, _, _, _ := fig1Cloud(t)
+	if err := c2.RestoreIntent(l2.State()); err != nil {
+		t.Fatal(err)
+	}
+	if got := c2.StateDigest(); got != want {
+		t.Fatalf("digest mismatch\n got %s\nwant %s", got, want)
+	}
+	if !c2.Admitted(eip1, dst) {
+		t.Errorf("recovered world rejects a declared-permitted flow")
+	}
+	nextLive, err := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az2", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nextRec, err := c2.Tenant("acme").RequestEIP(topo.HostID(w2.CloudA, w2.RegionsA[0], "az2", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nextLive != nextRec {
+		t.Fatalf("pool divergence: live %s, recovered %s", nextLive, nextRec)
 	}
 }
 

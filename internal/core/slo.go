@@ -36,7 +36,7 @@ func (c *Cloud) SLO() *slo.Plane { return c.slo }
 // histograms — is evicted. Without this, rings for churned tenants
 // accumulate forever (the tracer's rings map only ever grew).
 //
-// A zero delta is a sweep: Cloud.apply re-notifies after a release's
+// A zero delta is a sweep: Cloud.Apply re-notifies after a release's
 // op.End, because End records the release's own service time after the
 // body evicted the tenant and would otherwise respawn one orphan shard
 // per churned tenant.

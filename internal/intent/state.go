@@ -133,12 +133,25 @@ func NewState() *State {
 	}
 }
 
-// Composite-key builders. "|" never appears in provider, tenant,
-// region, or name strings the system generates.
+// Composite-key builders. "|" separates the parts: a provider or region
+// name is one the topology declares, which never contains it; a name is
+// always the last part; and a tenant name, which comes from a request,
+// must pass CheckTenant before anything keyed by it is applied.
 func QuotaKey(provider, tenant, region string) string { return provider + "|" + tenant + "|" + region }
 func PotatoKey(provider, tenant string) string        { return provider + "|" + tenant }
 func GroupKey(tenant, name string) string             { return tenant + "|" + name }
 func PoolKey(provider, region string) string          { return provider + "/" + region }
+
+// CheckTenant refuses a tenant name the composite keys cannot carry: one
+// containing "|" would split at the wrong place on the way back
+// (tenant "a|b" and name "db" key the same as tenant "a" and name
+// "b|db").
+func CheckTenant(tenant string) error {
+	if strings.Contains(tenant, "|") {
+		return fmt.Errorf("intent: tenant name %q contains %q", tenant, "|")
+	}
+	return nil
+}
 
 // ParseQuotaKey is QuotaKey's inverse; ok is false for a string QuotaKey
 // could not have built.
