@@ -59,8 +59,7 @@ staticcheck:
 # Short fuzz pass over the wire-format parsers and the intent store's
 # binary codec: journal frames and snapshots each round-trip (encode),
 # and any bytes decode to records or a state, or an error, in memory the
-# input's size bounds (decode; a DNETJNL1 journal goes through the JSON
-# frame decoder, as Open sends it). Each target gets $(FUZZTIME);
+# input's size bounds (decode). Each target gets $(FUZZTIME);
 # regression corpus lives under testdata/fuzz/ so plain `go test`
 # replays past findings even without this target.
 fuzz:
@@ -115,14 +114,15 @@ nobaseline:
 		echo "cmd/declnetd depends on the baseline world (packages above)"; exit 1; \
 	fi
 
-# The intent store reads JSON only to upgrade a store written before its
-# binary formats, and only internal/intent/legacy.go does that.
+# The intent store reads and writes its binary formats only: no non-test
+# file of internal/intent imports encoding/json (its tests render states
+# with it to compare them).
 onejson:
-	@if grep -l '"encoding/json"' $$(ls internal/intent/*.go | grep -v -e '_test\.go$$' -e '/legacy\.go$$'); then \
-		echo "the files above import encoding/json; the intent store's JSON readers belong in internal/intent/legacy.go"; exit 1; \
+	@if grep -l '"encoding/json"' $$(ls internal/intent/*.go | grep -v '_test\.go$$'); then \
+		echo "the files above import encoding/json; the intent store has no JSON format"; exit 1; \
 	fi
 
 # Tier-1 verification plus gofmt, vet, static analysis, the race pass,
-# the benchmark smoke tests, the declnetd dependency pin and the one JSON
-# reader of the intent store.
+# the benchmark smoke tests, the declnetd dependency pin and the intent
+# store's freedom from JSON.
 check: build fmt vet staticcheck test race benchsmoke benchmod nobaseline onejson

@@ -13,15 +13,14 @@ import (
 	"declnet/internal/addr"
 )
 
-// FuzzJournalDecode is the crash-safety contract of the journal formats:
-// the decoder Open picks by the magic — DecodeJournal, or the JSON one
-// for a DNETJNL1 file — over ANY byte stream must return the longest
-// valid prefix and a typed *CorruptError (or nil on clean EOF) — never
-// panic, never over-read, never return records past the corruption
-// point. Folding the returned records into a State must not panic
-// either. The binary decoder allocates no more than the snapshot's does
-// for as many bytes (decodeAllocBound), so a lying count cannot make Open
-// reserve memory the journal does not hold.
+// FuzzJournalDecode is the crash-safety contract of the journal format:
+// DecodeJournal over ANY byte stream must return the longest valid
+// prefix and a typed *CorruptError (or nil on clean EOF) — never panic,
+// never over-read, never return records past the corruption point.
+// Folding the returned records into a State must not panic either. The
+// decoder allocates no more than the snapshot's does for as many bytes
+// (decodeAllocBound), so a lying count cannot make Open reserve memory
+// the journal does not hold.
 func FuzzJournalDecode(f *testing.F) {
 	// A valid two-frame journal as the structured seed.
 	var valid bytes.Buffer
@@ -45,16 +44,11 @@ func FuzzJournalDecode(f *testing.F) {
 	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		decode := DecodeJournal
-		legacy := bytes.HasPrefix(data, legacyJournalMagic)
-		if legacy {
-			decode = decodeLegacyJournal
-		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		recs, off, err := decode(bytes.NewReader(data))
+		recs, off, err := DecodeJournal(bytes.NewReader(data))
 		runtime.ReadMemStats(&after)
-		if allocated, bound := after.TotalAlloc-before.TotalAlloc, decodeAllocBound(len(data)); !legacy && allocated > bound {
+		if allocated, bound := after.TotalAlloc-before.TotalAlloc, decodeAllocBound(len(data)); allocated > bound {
 			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(data), allocated, bound)
 		}
 		if off < 0 || off > int64(len(data)) {
@@ -72,7 +66,7 @@ func FuzzJournalDecode(f *testing.F) {
 		// The reported prefix must itself decode clean and identically:
 		// this is what Open truncates to and appends after.
 		if off >= int64(len(journalMagic)) {
-			recs2, off2, err2 := decode(bytes.NewReader(data[:off]))
+			recs2, off2, err2 := DecodeJournal(bytes.NewReader(data[:off]))
 			if err2 != nil {
 				t.Fatalf("valid prefix re-decode failed: %v", err2)
 			}
@@ -94,11 +88,11 @@ func FuzzJournalDecode(f *testing.F) {
 
 // FuzzSnapshotEncode holds the snapshot codec to a round trip on fuzzed
 // content: strings, floats and entry counts are poured into every section
-// of a State, which must decode back from its snapshot and, when
-// encoding/json can render it, open from a JSON snapshot to what
-// encoding/json decodes that to (checkSnapshotCodec). The strings reach
-// keys as well as values and the string table; the address stride moves
-// the gaps between addresses across varint widths.
+// of a State, which must decode back from its snapshot to the same bytes
+// and, when encoding/json can render it, the same rendering
+// (checkSnapshotCodec). The strings reach keys as well as values and the
+// string table; the address stride moves the gaps between addresses
+// across varint widths.
 func FuzzSnapshotEncode(f *testing.F) {
 	f.Add("acme", "cloudA/a-east/az1/host1", 1e9, 5e8, uint32(0x64400001), uint32(1), uint8(3), uint8(2))
 	f.Add("", "", 0.0, 0.0, uint32(0), uint32(0), uint8(0), uint8(0))

@@ -23,8 +23,9 @@
 // (uvarint addresses); Weight (varint); Bps (a float as gob writes it);
 // Entries (count, then each prefix's address and length); Groups (count,
 // then each string); Members (count+1, then each address). Derived, Prev
-// and Next are never written. A journal in the JSON frame format before
-// this one is read (never written) by decodeLegacyJournal.
+// and Next are never written. Groups keeps its bit, but no frame sets it:
+// a set_permit is journaled with its groups expanded, and State refuses
+// one that names them.
 package intent
 
 import (
@@ -40,9 +41,10 @@ import (
 	"declnet/internal/addr"
 )
 
-// journalMagic opens every journal file: format name plus version. A
-// future frame-format change bumps the trailing digit and keeps a
-// decoder for the old one.
+// journalMagic opens every journal file: format name plus version. It is
+// the only version this build reads or writes; Open refuses a journal
+// whose header names another one (see checkFormat), and a future
+// frame-format change bumps the trailing digit.
 var journalMagic = []byte("DNETJNL2")
 
 // maxFrame bounds a frame payload (64 MiB). Real records are a few KiB
@@ -214,22 +216,28 @@ func (d *decoder) op(op *Op) {
 	}
 }
 
-// decodeFrames checks the file header against magic and walks the
-// frames, handing the payload of each whole one whose checksum holds to
-// decode, valid until decode returns. It returns the records decoded,
-// the offset just past the last of them, and why the walk stopped: nil
-// on a clean EOF, or the *CorruptError of a frame that is truncated,
-// fails its checksum, claims an implausible length or does not decode.
-func decodeFrames(r io.Reader, magic []byte, decode func(payload []byte) (Record, error)) ([]Record, int64, error) {
-	hdr := make([]byte, len(magic))
+// DecodeJournal scans a journal byte stream. It returns every record of
+// the longest valid prefix, the offset just past the last valid frame,
+// and the corruption that stopped the scan — nil on a clean EOF, or the
+// *CorruptError of a header that is not journalMagic or of a frame that
+// is truncated, fails its checksum, claims an implausible length or does
+// not decode. Any input is safe: a truncated, bit-flipped, or entirely
+// foreign stream yields a *CorruptError, never a panic.
+func DecodeJournal(r io.Reader) ([]Record, int64, error) {
+	hdr := make([]byte, len(journalMagic))
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, 0, &CorruptError{Offset: 0, Reason: "missing or truncated header"}
 	}
-	if !bytes.Equal(hdr, magic) {
+	if !bytes.Equal(hdr, journalMagic) {
 		return nil, 0, &CorruptError{Offset: 0, Reason: fmt.Sprintf("bad magic %q", hdr)}
 	}
+	// Records repeat a handful of tenant, provider, region and VM
+	// strings: the decoder keeps one copy of each.
+	var src bytes.Reader
+	lim := &io.LimitedReader{R: &src}
+	d := &decoder{r: bufio.NewReader(lim), lim: lim, seen: map[string]string{}}
 	var recs []Record
-	off := int64(len(magic))
+	off := int64(len(journalMagic))
 	fh := make([]byte, frameHeaderLen)
 	var buf []byte
 	for {
@@ -251,34 +259,17 @@ func decodeFrames(r io.Reader, magic []byte, decode func(payload []byte) (Record
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(fh[4:8]) {
 			return recs, off, &CorruptError{Offset: off, Reason: "frame checksum mismatch"}
 		}
-		rec, err := decode(payload)
-		if err != nil {
-			return recs, off, &CorruptError{Offset: off, Reason: "frame payload is not a record: " + err.Error()}
-		}
-		recs = append(recs, rec)
-		off += int64(frameHeaderLen) + int64(n)
-	}
-}
-
-// DecodeJournal scans a journal byte stream. It returns every record of
-// the longest valid prefix, the offset just past the last valid frame,
-// and the corruption that stopped the scan — nil on a clean EOF. Any
-// input is safe: a truncated, bit-flipped, or entirely foreign stream
-// yields a *CorruptError, never a panic.
-func DecodeJournal(r io.Reader) ([]Record, int64, error) {
-	// Records repeat a handful of tenant, provider, region and VM
-	// strings: the decoder keeps one copy of each.
-	var src bytes.Reader
-	lim := &io.LimitedReader{R: &src}
-	d := &decoder{r: bufio.NewReader(lim), lim: lim, seen: map[string]string{}}
-	return decodeFrames(r, journalMagic, func(payload []byte) (rec Record, err error) {
 		src.Reset(payload)
 		lim.N = int64(len(payload))
 		d.r.Reset(lim)
 		d.err = nil
-		d.record(&rec)
-		return rec, d.err
-	})
+		var rec Record
+		if d.record(&rec); d.err != nil {
+			return recs, off, &CorruptError{Offset: off, Reason: "frame payload is not a record: " + d.err.Error()}
+		}
+		recs = append(recs, rec)
+		off += int64(frameHeaderLen) + int64(n)
+	}
 }
 
 // readPayload reads exactly n bytes into buf's array when it has room.

@@ -2,12 +2,17 @@ package intent
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"declnet/internal/addr"
@@ -167,7 +172,7 @@ func TestFrameEncodeAllocatesNothing(t *testing.T) {
 	grant := Record{Seq: 4242, Tenant: "tenant-17", Ops: []Op{{Verb: OpRequestEIP,
 		VM: "cloudA/a-east/az1/host3", Provider: "cloudA", Region: "a-east", Addr: mustIP(t, "100.64.3.7")}}}
 	batch := Record{Seq: 4243, Tenant: "tenant-17", Ops: []Op{grant.Ops[0], {Verb: OpSetPermit, Provider: "cloudA",
-		Target: mustIP(t, "100.64.3.7"), Entries: []addr.Prefix{addr.MustParsePrefix("100.64.0.0/16")}, Groups: []string{"web"}}}}
+		Target: mustIP(t, "100.64.3.7"), Entries: []addr.Prefix{addr.MustParsePrefix("100.64.0.0/16"), addr.MustParsePrefix("100.66.0.9/32")}}}}
 	for _, rec := range []*Record{&grant, &batch} {
 		l.buf = appendFrame(l.buf[:0], rec)
 		if n := testing.AllocsPerRun(100, func() { l.buf = appendFrame(l.buf[:0], rec) }); n != 0 {
@@ -179,59 +184,89 @@ func TestFrameEncodeAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestLegacyJournalUpgrades opens a store the JSON-frame build wrote
-// (testdata/dnetjnl1: every verb, a world-meta first record, a set_permit
-// that still names its groups) and holds the upgrade to it: its frames
-// replay to the state that build reached (testdata/dnetjnl1/state.json),
-// Open reaches that state, leaves a binary snapshot and a bare
-// DNETJNL2 journal, and a second Open reaches the same state — as does
-// one after a crash that kept the upgrade's snapshot but not its journal
-// cut.
-func TestLegacyJournalUpgrades(t *testing.T) {
-	v1, err := os.ReadFile(filepath.Join("testdata", "dnetjnl1", journalName))
+// storeFiles is every file of the store in dir, by name.
+func storeFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(filepath.Join("testdata", "dnetjnl1", "state.json"))
-	if err != nil {
-		t.Fatal(err)
+	files := make(map[string]string, len(entries))
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(b)
 	}
-	recs, _, err := decodeLegacyJournal(bytes.NewReader(v1))
-	ref := NewState()
-	for i := range recs {
-		if err == nil {
-			err = ref.Apply(&recs[i])
+	return files
+}
+
+// openRefused holds Open to refusing the store in dir with an error that
+// names each of want, and to leaving every file of it as it was.
+func openRefused(t *testing.T, dir string, want ...string) {
+	t.Helper()
+	before := storeFiles(t, dir)
+	l, err := Open(dir, Options{})
+	if err == nil {
+		l.Close()
+		t.Fatal("Open accepted the store")
+	}
+	for _, w := range want {
+		if !strings.Contains(err.Error(), w) {
+			t.Errorf("Open's error %q does not name %s", err, w)
 		}
 	}
-	if got := stateJSON(t, ref); err != nil || got != string(want) {
-		t.Fatalf("the JSON frames replay (%v) to\n %s\nwant %s", err, got, want)
+	if !maps.Equal(storeFiles(t, dir), before) {
+		t.Error("Open changed the files of the store it refused")
+	}
+}
+
+// writeStoreFile writes one file of the store in dir.
+func writeStoreFile(t *testing.T, dir, name string, b []byte) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOtherJournalVersionIsRefused: a journal whose whole header names
+// another version of the format is no crash debris — a crash while the
+// header is written leaves fewer than its 8 bytes — so Open refuses it by
+// name and truncates nothing.
+func TestOtherJournalVersionIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	frame := appendFrame(nil, &Record{Seq: 1, Tenant: "acme", Ops: []Op{{Verb: OpSetQoS, Provider: "p", Region: "r", Bps: 1}}})
+	writeStoreFile(t, dir, journalName, append([]byte("DNETJNL3"), frame...))
+	openRefused(t, dir, `"DNETJNL3"`)
+}
+
+// TestDNETJNL1JournalIsRefused: a journal of JSON frames, the format
+// before DNETJNL2, is refused by name and with lastUpgrade — on its own,
+// and beside the binary snapshot of an upgrade that crashed between its
+// snapshot's rename and its journal cut.
+func TestDNETJNL1JournalIsRefused(t *testing.T) {
+	v1 := []byte("DNETJNL1")
+	for _, rec := range []Record{
+		{Seq: 1, Meta: map[string]string{"seed": "7"}},
+		{Seq: 2, Tenant: "acme", Ops: []Op{{Verb: OpRequestEIP, VM: "vm-1", Provider: "p", Region: "r", Addr: mustIP(t, "10.0.0.1")}}},
+	} {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v1 = binary.LittleEndian.AppendUint32(v1, uint32(len(payload)))
+		v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(payload))
+		v1 = append(v1, payload...)
 	}
 	dir := t.TempDir()
-	journal := filepath.Join(dir, journalName)
-	open := func(when string) {
-		t.Helper()
-		l, err := Open(dir, Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", when, err)
-		}
-		defer l.Close()
-		if got := stateJSON(t, l.State()); got != string(want) {
-			t.Fatalf("%s the store opens to\n %s\nwant %s", when, got, want)
-		}
-		if b, err := os.ReadFile(journal); err != nil || !bytes.Equal(b, journalMagic) {
-			t.Fatalf("%s the journal holds %q (%v), want the bare header %q", when, b, err, journalMagic)
-		}
-		if b, err := os.ReadFile(filepath.Join(dir, snapshotName)); err != nil || !bytes.HasPrefix(b, snapshotMagic) {
-			t.Fatalf("%s the snapshot starts %.8q (%v), want %q", when, b, err, snapshotMagic)
-		}
-	}
-	if err := os.WriteFile(journal, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	open("on the first open")
-	open("on the second open")
-	if err := os.WriteFile(journal, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	open("after a crash between the upgrade's rename and its journal cut")
+	writeStoreFile(t, dir, journalName, v1)
+	openRefused(t, dir, `"DNETJNL1"`, lastUpgrade)
+
+	dir = t.TempDir()
+	st := NewState()
+	st.Seq = 2
+	writeSnapshot(t, dir, st)
+	writeStoreFile(t, dir, journalName, v1)
+	openRefused(t, dir, `"DNETJNL1"`, lastUpgrade)
 }

@@ -75,10 +75,13 @@ type Options struct {
 
 const (
 	journalName = "journal.log"
-	// snapshotName is the name the snapshot had when it was JSON, which
-	// tools outside the store stat: it now holds the binary format, told
-	// apart from a JSON one by its magic (see loadSnapshot).
+	// snapshotName is the name the snapshot had when it was JSON, kept
+	// because tools outside the store stat it: the file holds DNETSNP2.
 	snapshotName = "snapshot.json"
+	// lastUpgrade is the last commit whose Open reads a store written in
+	// the formats before DNETJNL2 and DNETSNP2 — a DNETJNL1 journal of
+	// JSON frames, a JSON snapshot — and upgrades it.
+	lastUpgrade = "262588d"
 )
 
 // Log is the durable intent store rooted at one directory. All methods
@@ -118,9 +121,9 @@ type Stats struct {
 // off — everything before it replays — so a crash mid-append recovers
 // to the last whole frame. A corrupt snapshot is an error: it is
 // written atomically (tmp + rename), so corruption there means
-// something other than a crash went wrong. A DNETJNL1 journal replays
-// through the JSON frame decoder and is compacted away at once, so
-// nothing is ever appended to one.
+// something other than a crash went wrong. A store file in a format
+// other than the one this build writes is refused and left as it is
+// (see checkFormat): Open reads DNETSNP2 and DNETJNL2 only.
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SyncEvery <= 0 {
 		opts.SyncEvery = 64
@@ -163,12 +166,12 @@ func Open(dir string, opts Options) (*Log, error) {
 		return nil, fmt.Errorf("intent: %w", err)
 	}
 	br := bufio.NewReaderSize(f, 1<<20)
-	hdr, _ := br.Peek(len(legacyJournalMagic))
-	decode, legacy := DecodeJournal, bytes.Equal(hdr, legacyJournalMagic)
-	if legacy {
-		decode = decodeLegacyJournal
+	hdr, _ := br.Peek(len(journalMagic))
+	if err := l.checkFormat(journalName, hdr, journalMagic); err != nil {
+		f.Close()
+		return nil, err
 	}
-	recs, off, decErr := decode(br)
+	recs, off, decErr := DecodeJournal(br)
 	for i := range recs {
 		if err := l.st.Apply(&recs[i]); err != nil {
 			f.Close()
@@ -177,13 +180,6 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	l.replayed = len(recs)
 	l.replayCut = decErr != nil
-	if legacy {
-		if err := l.compactLocked(); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("intent: upgrading the journal: %w", err)
-		}
-		return l, nil
-	}
 	if decErr != nil {
 		// Cut the corrupt tail so O_APPEND writes land right after the
 		// last whole frame.
@@ -207,9 +203,7 @@ func Open(dir string, opts Options) (*Log, error) {
 }
 
 // loadSnapshot removes the temporary file a crash mid-compaction left
-// behind and loads the snapshot: the binary format when the file opens
-// with its magic, else the JSON one of a store no compaction has touched
-// since the upgrade. No JSON text starts with the magic's first byte.
+// behind and loads the snapshot, refusing one in another format.
 func (l *Log) loadSnapshot() error {
 	path := filepath.Join(l.dir, snapshotName)
 	_ = os.Remove(path + ".tmp") // one that stays fails the next compaction, which counts it
@@ -223,16 +217,35 @@ func (l *Log) loadSnapshot() error {
 	fi, err := f.Stat()
 	if err == nil {
 		magic := make([]byte, len(snapshotMagic))
-		if _, rerr := f.ReadAt(magic, 0); rerr == nil && bytes.Equal(magic, snapshotMagic) {
-			l.st, err = decodeSnapshot(f, fi.Size())
-		} else {
-			err = l.st.decodeJSONSnapshot(bufio.NewReaderSize(f, 1<<20))
+		n, _ := f.ReadAt(magic, 0)
+		if err = l.checkFormat(snapshotName, magic[:n], snapshotMagic); err != nil {
+			return err
 		}
+		l.st, err = decodeSnapshot(f, fi.Size())
 	}
 	if err != nil {
 		return fmt.Errorf("intent: snapshot corrupt: %w", err)
 	}
 	return nil
+}
+
+// checkFormat refuses a store file whose header names a format other
+// than want: another version of it (a whole header that differs from
+// want only in its last byte), or, for the snapshot, JSON. Anything
+// else — a header cut short by a crash while the file was created, or
+// bytes that name no format — is left to the decoder.
+func (l *Log) checkFormat(name string, hdr, want []byte) error {
+	var format string
+	switch {
+	case len(hdr) == len(want) && bytes.HasPrefix(hdr, want[:len(want)-1]) && !bytes.Equal(hdr, want):
+		format = fmt.Sprintf("%q", hdr)
+	case bytes.Equal(want, snapshotMagic) && len(hdr) > 0 && hdr[0] == '{':
+		format = "JSON"
+	default:
+		return nil
+	}
+	return fmt.Errorf("intent: %s is in format %s, and this build reads only %q (commit %s is the last to upgrade a DNETJNL1 journal or a JSON snapshot)",
+		filepath.Join(l.dir, name), format, want, lastUpgrade)
 }
 
 // syncDir makes the directory entries of dir durable: a rename in it

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"declnet/internal/addr"
@@ -22,8 +23,9 @@ func mustIP(t testing.TB, s string) addr.IP {
 }
 
 // sampleOps is a valid mutation history touching every journal surface:
-// grants, binds, permits (direct and group-expanded), QoS, potato,
-// egress caps, groups, names, and a release.
+// grants, binds, permits (a set_permit as core records one, its group
+// expanded, then permit and revoke), QoS, potato, egress caps, groups,
+// names, and a release.
 func sampleOps(t testing.TB) []struct {
 	tenant string
 	ops    []Op
@@ -44,8 +46,8 @@ func sampleOps(t testing.TB) []struct {
 			{Verb: OpBind, EIP: eip2, SIP: sip}, // weight clamps to 1
 		}},
 		{"acme", []Op{{Verb: OpCreateGroup, Name: "web", Members: []addr.IP{eip1, eip2}}}},
-		{"acme", []Op{{Verb: OpSetPermit, Provider: "cloudA", Target: eip1,
-			Entries: []addr.Prefix{addr.MustParsePrefix("192.168.0.0/24")}, Groups: []string{"web"}}}},
+		{"acme", []Op{{Verb: OpSetPermit, Provider: "cloudA", Target: eip1, Entries: []addr.Prefix{
+			addr.NewPrefix(eip1, 32), addr.NewPrefix(eip2, 32), addr.MustParsePrefix("192.168.0.0/24")}}}},
 		{"acme", []Op{{Verb: OpPermit, Target: eip2, Entries: []addr.Prefix{addr.MustParsePrefix("192.168.1.7/32")}}}},
 		{"acme", []Op{{Verb: OpRevoke, Target: eip2, Entries: []addr.Prefix{addr.MustParsePrefix("192.168.1.7/32")}}}},
 		{"acme", []Op{{Verb: OpSetQoS, Provider: "cloudA", Region: "us-east", Bps: 1e9}}},
@@ -298,17 +300,8 @@ func TestCorruptTailRecovers(t *testing.T) {
 
 // TestCorruptSnapshotIsFatal: a snapshot is written whole or not at all,
 // so a damaged one is no crash debris and the store refuses to open —
-// whichever byte of a binary snapshot is flipped or wherever it is cut,
-// and a JSON one that is not JSON.
+// whichever byte of it is flipped or wherever it is cut.
 func TestCorruptSnapshotIsFatal(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, snapshotName), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, Options{}); err == nil {
-		t.Fatal("Open accepted a corrupt JSON snapshot")
-	}
-
 	l, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +312,7 @@ func TestCorruptSnapshotIsFatal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir = t.TempDir()
+	dir := t.TempDir()
 	path := filepath.Join(dir, snapshotName)
 	refused := func(what string, snapshot []byte) {
 		t.Helper()
@@ -513,20 +506,32 @@ func TestReleaseLeavesGroupsAndNames(t *testing.T) {
 }
 
 // TestProviderScopedGroupsAreErrors: groups have one, tenant-wide
-// namespace. A snapshot carrying the retired per-provider section and a
-// create_group record naming a provider are both refused.
+// namespace, so a create_group record naming a provider is refused.
 func TestProviderScopedGroupsAreErrors(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, snapshotName), []byte(`{"seq":1,"prov_groups":{"p|acme|web":[1]}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if l, err := Open(dir, Options{}); err == nil {
-		l.Close()
-		t.Error("Open accepted a prov_groups snapshot section")
-	}
 	rec := &Record{Seq: 1, Tenant: "acme", Ops: []Op{{Verb: OpCreateGroup, Provider: "p", Name: "web"}}}
 	if err := NewState().Apply(rec); err == nil {
 		t.Error("Apply accepted a provider-scoped create_group")
+	}
+}
+
+// TestGroupNamingSetPermitIsRefused: core records a set_permit with its
+// groups expanded, since the groups' own frames may land after it. A
+// frame that still names groups was written by no build, and replay
+// refuses it rather than expand a membership from the wrong moment.
+func TestGroupNamingSetPermitIsRefused(t *testing.T) {
+	eip := mustIP(t, "10.0.0.1")
+	journal := append(bytes.Clone(journalMagic), appendFrame(nil, &Record{Seq: 1, Tenant: "acme", Ops: []Op{
+		{Verb: OpRequestEIP, VM: "vm-1", Provider: "p", Region: "r", Addr: eip},
+		{Verb: OpCreateGroup, Name: "web", Members: []addr.IP{eip}},
+		{Verb: OpSetPermit, Provider: "p", Target: eip, Groups: []string{"web"}},
+	}})...)
+	dir := t.TempDir()
+	writeStoreFile(t, dir, journalName, journal)
+	if l, err := Open(dir, Options{}); err == nil {
+		l.Close()
+		t.Fatal("Open replayed a set_permit that names groups")
+	} else if !strings.Contains(err.Error(), "names groups") {
+		t.Fatalf("Open's error %q is not the set_permit's", err)
 	}
 }
 

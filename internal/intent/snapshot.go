@@ -24,10 +24,10 @@
 //
 // Neither direction holds a second copy of the world: the encoder appends
 // one entry at a time into a buffer it hands to the file every spillAt
-// bytes, and the decoder reads through a bufio.Reader. The JSON format
-// before this one is read (never written) by decodeJSONSnapshot. The
-// journal's frames (journal.go) are written and read with the same
-// encoder and decoder.
+// bytes, and the decoder reads through a bufio.Reader. The journal's
+// frames (journal.go) are written and read with the same encoder and
+// decoder. This is the only snapshot format the store reads: Open refuses
+// the JSON one before it (see checkFormat).
 package intent
 
 import (

@@ -1,7 +1,7 @@
 // State is the declared world: the fold of every journaled mutation,
 // mirroring exactly the state core's verb bodies build — endpoints,
-// services and their binds, permit lists (group references expanded at
-// apply time, as core expands them at verb time), quotas, potato
+// services and their binds, permit lists (group references expanded by
+// core at verb time, before the op is recorded), quotas, potato
 // profiles, groups, names, and the address pools' allocation cursors.
 // It is what restart recovery rebuilds the in-memory world from and
 // what the reconciler treats as desired state.
@@ -88,8 +88,9 @@ func (ps *PoolState) release(a addr.IP) {
 	ps.Released = append(ps.Released, a)
 }
 
-// State is the full declared world at one journal sequence number.
-// JSON-serializable whole: the snapshot file is exactly this struct.
+// State is the full declared world at one journal sequence number: the
+// snapshot file holds exactly this struct. Its JSON tags are not a store
+// format; they render a state canonically for comparison.
 //
 // An *Endpoint, *Service or *PermitList is immutable once stored: applyOp
 // replaces the map entry with an edited copy and never writes through the
@@ -289,22 +290,16 @@ func (s *State) applyOp(tenant string, op *Op) error {
 			s.Services[op.SIP] = withoutBind(svc, i)
 		}
 	case OpSetPermit:
+		if len(op.Groups) > 0 {
+			// core expands a set_permit's groups before it records the op
+			return fmt.Errorf("set_permit names groups %q, not their members", op.Groups)
+		}
 		if op.Derived {
 			s.Permits[op.Target] = &PermitList{Tenant: tenant, Entries: op.Next}
 			break
 		}
-		all := slices.Clip(op.Entries) // appends below copy, never write into the op
-		for _, g := range op.Groups {
-			members, ok := s.Groups[GroupKey(tenant, g)]
-			if !ok {
-				return fmt.Errorf("unknown group %q", g)
-			}
-			for _, m := range members {
-				all = append(all, addr.NewPrefix(m, 32))
-			}
-		}
 		// The same call core's set_permit makes on the same input.
-		s.Permits[op.Target] = &PermitList{Tenant: tenant, Entries: addr.CanonicalPrefixes(all)}
+		s.Permits[op.Target] = &PermitList{Tenant: tenant, Entries: addr.CanonicalPrefixes(op.Entries)}
 	case OpPermit, OpRevoke:
 		pl := s.Permits[op.Target]
 		if pl == nil && op.Verb == OpRevoke {

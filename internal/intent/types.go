@@ -20,8 +20,8 @@ import (
 )
 
 // Journal verbs — one per accepted mutation kind. These are the wire
-// names (they match the batch API where a batch verb exists) and are
-// stable: old journals must replay on new builds.
+// names (they match the batch API where a batch verb exists). A journal
+// frame names its verb by code (journal.go's verbCodes), not by these.
 const (
 	OpRequestEIP     = "request_eip"
 	OpReleaseEIP     = "release_eip"
