@@ -40,12 +40,12 @@ benchsmoke:
 scale:
 	$(GO) run ./cmd/expdriver -run E13 -scale-eips $(SCALE_EIPS) -scale-tenants $(SCALE_TENANTS)
 
-# Restart recovery at the full 10^6-EIP tier (CI runs it). The test
-# asserts the same per-endpoint allocation budget as at the 10^5 tier
-# and logs the seconds.
+# Restart recovery and the deployed live heap at the full 10^6-EIP tier
+# (CI runs it). The tests assert the same per-endpoint allocation and
+# live-heap budgets as at the 10^5 tier and log the seconds and bytes.
 recover-scale:
 	DECLNET_RECOVER_EIPS=$(SCALE_EIPS) DECLNET_RECOVER_TENANTS=$(SCALE_TENANTS) \
-		$(GO) test -run TestRecoveryBudget -v -timeout 60m ./internal/scale/
+		$(GO) test -run 'TestRecoveryBudget|TestLiveBudget' -v -timeout 60m ./internal/scale/
 
 # Static analysis beyond vet. The tool is optional locally (CI installs
 # it); skip quietly when absent rather than failing the whole check.

@@ -96,7 +96,8 @@ func (c *Cloud) owner(tenant string, a addr.IP) (*Provider, ShardKey, error) {
 
 // A verbBody applies a routed op at its owning provider p (nil for a
 // cloud-level verb) and returns the op completed with what it derives
-// (set_permit's Provider and list, a grant's Addr). Bodies capture
+// (set_permit's Provider and list, a grant's Addr, the endpoint entry
+// request_eip and set_vm_egress install). Bodies capture
 // nothing and take the op by value, so routing and running a verb
 // allocate nothing: a closure returned from route, or an op passed by
 // pointer through a func value, would be moved to the heap.
@@ -133,7 +134,7 @@ func (c *Cloud) route(tenant string, op *intent.Op) (k ShardKey, verb slo.Verb, 
 		p, k, err = c.named(tenant, op.Provider, n.Region)
 		verb, run = slo.VerbGrant, func(c *Cloud, p *Provider, tenant string, op intent.Op) (_ intent.Op, err error) {
 			n, _ := c.G.Node(topo.NodeID(op.VM))
-			op.Addr, err = p.requestEIP(tenant, n)
+			op.Addr, op.Endpoint, err = p.requestEIP(tenant, n)
 			return op, err
 		}
 	case intent.OpReleaseEIP:
@@ -194,11 +195,12 @@ func (c *Cloud) route(tenant string, op *intent.Op) (k ShardKey, verb slo.Verb, 
 		}
 	case intent.OpSetVMEgress:
 		p, k, err = c.owner(tenant, op.EIP)
-		verb, run = slo.VerbQoS, func(_ *Cloud, p *Provider, tenant string, op intent.Op) (intent.Op, error) {
+		verb, run = slo.VerbQoS, func(_ *Cloud, p *Provider, tenant string, op intent.Op) (_ intent.Op, err error) {
 			if err := checkRate(op.Bps); err != nil {
 				return op, err
 			}
-			return op, p.setVMEgressCap(tenant, op.EIP, op.Bps)
+			op.Endpoint, err = p.setVMEgressCap(tenant, op.EIP, op.Bps)
+			return op, err
 		}
 	case intent.OpCreateGroup:
 		if op.Provider != "" {

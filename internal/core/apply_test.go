@@ -209,8 +209,8 @@ func TestSetVMEgressRefusesBadCap(t *testing.T) {
 		}
 	}
 	ep, _ := pa.endpoints.Get(eip)
-	if ep.egressCap != 50e6 || l.Seq() != seq {
-		t.Errorf("after refused caps: cap %g bit/s, journal seq %d; want 5e+07 and %d", ep.egressCap, l.Seq(), seq)
+	if ep.EgressCap != 50e6 || l.Seq() != seq {
+		t.Errorf("after refused caps: cap %g bit/s, journal seq %d; want 5e+07 and %d", ep.EgressCap, l.Seq(), seq)
 	}
 	if err := acme.SetVMEgressCap(eip, 0); err != nil {
 		t.Errorf("SetVMEgressCap(0): %v", err)

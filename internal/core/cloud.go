@@ -360,8 +360,8 @@ func (c *Cloud) admitted(dstProv *Provider, src, dst addr.IP) bool {
 	allowed := dstProv.Permits.Check(src, dst)
 	if c.slo.PendingLagSamples() > 0 {
 		region := dstProv.Name
-		if ep, ok := dstProv.endpoints.Get(dst); ok {
-			region = ep.shard
+		if _, ok := dstProv.endpoints.Get(dst); ok {
+			region = c.block(dst).shard
 		}
 		c.slo.ResolveLag(dst, region)
 	}
@@ -477,7 +477,7 @@ func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, opts Co
 	if err != nil {
 		return nil, err
 	}
-	op.SetRegion(srcEp.shard)
+	op.SetRegion(c.block(src).shard)
 	dstProv, ok := c.providerOfAddr(dst)
 	if !ok {
 		return nil, fmt.Errorf("core: destination %s is not a granted address", dst)
@@ -537,7 +537,7 @@ func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, opts Co
 	// (3) Path under the tenant's transit profile.
 	policy := srcProv.potatoOf(tenant)
 	stg = op.StageStart()
-	path, err := c.router.PathFor(policy, srcEp.node, dstEp.node)
+	path, err := c.router.PathFor(policy, topo.NodeID(srcEp.VM), topo.NodeID(dstEp.VM))
 	op.StageEnd(stg, "path")
 	if err != nil {
 		if release != nil {
@@ -559,12 +559,12 @@ func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, opts Co
 	// before engMu, which a new limiter takes inside the provider's polMu;
 	// the netsim and engine writes after it run under engMu.
 	var tq *tenantQuota
-	if opts.Class == Reserved && (dstEp.provider != srcEp.provider || dstEp.region != srcEp.region) {
-		tq, _ = srcProv.quotaOf(tenant, srcEp.region)
+	if opts.Class == Reserved && (dstEp.Provider != srcEp.Provider || dstEp.Region != srcEp.Region) {
+		tq, _ = srcProv.quotaOf(tenant, srcEp.Region)
 	}
 	c.engMu.Lock()
 	defer c.engMu.Unlock()
-	vmCap := srcEp.egressCap
+	vmCap := srcEp.EgressCap
 	if vmCap == 0 {
 		vmCap = defaultVMEgress
 	}
@@ -604,10 +604,10 @@ func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, opts Co
 		quota := tq.quota
 		if quota > 0 {
 			ad := &flowAdapter{net: c.Net, flow: flow, demand: demand, vmCap: vmCap}
-			enf, found := tq.enforcer[srcEp.node]
+			enf, found := tq.enforcer[topo.NodeID(srcEp.VM)]
 			if !found {
-				enf = qos.NewEnforcer(string(srcEp.node))
-				tq.enforcer[srcEp.node] = enf
+				enf = qos.NewEnforcer(srcEp.VM)
+				tq.enforcer[topo.NodeID(srcEp.VM)] = enf
 				tq.limiter.AddEnforcer(enf)
 			}
 			enf.Attach(ad)
@@ -618,7 +618,7 @@ func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, opts Co
 		tq.mu.Unlock()
 		if quota > 0 {
 			c.traceEvent(tenant, obs.Decision{Kind: obs.QoSThrottle, Src: src, Dst: dstEIP, Verdict: obs.OK,
-				Detail: fmt.Sprintf("region=%s quota=%.3gbps demand=%.3gbps", srcEp.region, quota, demand)})
+				Detail: fmt.Sprintf("region=%s quota=%.3gbps demand=%.3gbps", srcEp.Region, quota, demand)})
 		}
 	}
 	op.StageEnd(stg, "qos")
@@ -635,7 +635,7 @@ func (c *Cloud) probe(op *slo.Op, tenant string, src EIP, dst addr.IP) (time.Dur
 	if err != nil {
 		return 0, false, err
 	}
-	op.SetRegion(srcEp.shard)
+	op.SetRegion(c.block(src).shard)
 	dstProv, ok := c.providerOfAddr(dst)
 	if !ok {
 		return 0, false, fmt.Errorf("core: destination %s is not a granted address", dst)
@@ -661,7 +661,7 @@ func (c *Cloud) probe(op *slo.Op, tenant string, src EIP, dst addr.IP) (time.Dur
 	}
 	policy := srcProv.potatoOf(tenant)
 	stg = op.StageStart()
-	path, err := c.router.PathFor(policy, srcEp.node, dstEp.node)
+	path, err := c.router.PathFor(policy, topo.NodeID(srcEp.VM), topo.NodeID(dstEp.VM))
 	op.StageEnd(stg, "path")
 	if err != nil {
 		return 0, false, err

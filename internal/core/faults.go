@@ -359,7 +359,7 @@ func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, s
 	attempt = func() {
 		// The target may have been released while the update was pending.
 		ep, ok := p.endpoints.Get(target)
-		if !ok || ep.tenant != tenant {
+		if !ok || ep.Tenant != tenant {
 			settle(false)
 			return
 		}

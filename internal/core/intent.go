@@ -23,7 +23,6 @@ import (
 	"declnet/internal/intent"
 	"declnet/internal/lb"
 	"declnet/internal/qos"
-	"declnet/internal/topo"
 )
 
 // EnableIntent attaches the durable intent store. Mutations accepted
@@ -66,14 +65,14 @@ func (c *Cloud) RestoreIntent(st *intent.State) error {
 		if !ok {
 			return fmt.Errorf("core: restore: endpoint %s references unknown region %q of provider %q", eip, ep.Region, ep.Provider)
 		}
-		p.endpoints.Put(eip, &endpoint{
-			eip: eip, tenant: ep.Tenant, node: topo.NodeID(ep.VM),
-			provider: ep.Provider, region: ep.Region,
-			shard:     b.shard,
-			egressCap: ep.EgressCap,
-		})
+		p.endpoints.Put(eip, ep)
 		inUse[b.pool] = append(inUse[b.pool], eip)
 		c.tenantDelta(ep.Tenant, 1)
+		// The declared list itself, canonical already: the engine and the
+		// record share it.
+		if ep.Permits != nil {
+			p.Permits.Install(eip, ep.Permits, uint64(len(ep.Permits)))
+		}
 	}
 
 	for sip, svc := range st.Services {
@@ -88,6 +87,9 @@ func (c *Cloud) RestoreIntent(st *intent.State) error {
 		p.services.Put(sip, &service{sip: sip, tenant: svc.Tenant, balancer: bal})
 		inUse[p.sipBlock] = append(inUse[p.sipBlock], sip)
 		c.tenantDelta(svc.Tenant, 1)
+		if svc.Permits != nil {
+			p.Permits.Install(sip, svc.Permits, uint64(len(svc.Permits)))
+		}
 	}
 
 	// A pool with no recorded cursor was never drawn from.
@@ -100,17 +102,6 @@ func (c *Cloud) RestoreIntent(st *intent.State) error {
 		if ps := st.SIPPools[p.Name]; ps != nil {
 			p.sipBlock.Restore(ps.Next, ps.Released, inUse[p.sipBlock])
 		}
-	}
-
-	// Permit lists, installed at the owning provider's engine: each
-	// declared list itself, canonical already, so the engine and the
-	// declared state share it.
-	for t, pl := range st.Permits {
-		p, ok := c.blockOwner(t)
-		if !ok {
-			return fmt.Errorf("core: restore: permit target %s is outside every provider's blocks", t)
-		}
-		p.Permits.Install(t, pl.Entries, uint64(len(pl.Entries)))
 	}
 
 	// QoS quotas, potato profiles, groups, names. Quotas go in sorted
@@ -225,10 +216,11 @@ func sectionHash(fill func(io.Writer)) [sha256.Size]byte {
 // the stripe unit.
 func writeRegionSection(w io.Writer, p *Provider, region string) {
 	b := p.eipBlocks[region]
-	eps := p.endpoints.Values(b.base)
-	sort.Slice(eps, func(i, j int) bool { return eps[i].eip < eps[j].eip })
-	for _, ep := range eps {
-		fmt.Fprintf(w, "ep %s %s %s %s %g\n", ep.eip, ep.tenant, ep.node, ep.region, ep.egressCap)
+	eips := p.endpoints.Keys(b.base)
+	slices.Sort(eips)
+	for _, eip := range eips {
+		ep, _ := p.endpoints.Get(eip)
+		fmt.Fprintf(w, "ep %s %s %s %s %g\n", eip, ep.Tenant, ep.VM, ep.Region, ep.EgressCap)
 	}
 	writePermitLines(w, p, p.Permits.TargetsWithin(b.base))
 	next, released := b.pool.Cursor()

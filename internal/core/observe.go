@@ -161,11 +161,12 @@ func (c *Cloud) explain(tenant string, src EIP, dst addr.IP) (*Explanation, erro
 	}
 
 	// Stage 1 — source: is the tenant's own VM even alive?
-	if cause := c.nodeCause(srcEp.node); cause != "" {
-		ex.failStep("source", "vm="+string(srcEp.node), cause)
+	srcNode := topo.NodeID(srcEp.VM)
+	if cause := c.nodeCause(srcNode); cause != "" {
+		ex.failStep("source", "vm="+srcEp.VM, cause)
 	} else {
 		ex.Steps = append(ex.Steps, ExplainStep{Stage: "source", Verdict: "ok",
-			Detail: "vm=" + string(srcEp.node)})
+			Detail: "vm=" + srcEp.VM})
 	}
 
 	// Stage 2 — admission: default-off permit check at the destination
@@ -226,7 +227,7 @@ func (c *Cloud) explain(tenant string, src EIP, dst addr.IP) (*Explanation, erro
 	var dstNode topo.NodeID
 	if dstEIP != 0 {
 		if dstEp, ok := dstProv.endpoints.Get(dstEIP); ok {
-			dstNode = dstEp.node
+			dstNode = topo.NodeID(dstEp.VM)
 			if cause := c.nodeCause(dstNode); cause != "" {
 				ex.failStep("destination", "vm="+string(dstNode), cause)
 			} else {
@@ -239,7 +240,7 @@ func (c *Cloud) explain(tenant string, src EIP, dst addr.IP) (*Explanation, erro
 	// Stage 5 — path under the tenant's potato profile.
 	policy := srcProv.potatoOf(tenant)
 	if dstNode != "" {
-		path, err := c.router.PathFor(policy, srcEp.node, dstNode)
+		path, err := c.router.PathFor(policy, srcNode, dstNode)
 		if err != nil {
 			ex.failStep("path", fmt.Sprintf("policy=%v", policy),
 				fmt.Sprintf("no-path:%v", policy))
@@ -261,12 +262,12 @@ func (c *Cloud) explain(tenant string, src EIP, dst addr.IP) (*Explanation, erro
 	}
 
 	// Stage 6 — qos: informational; throttling degrades, never blocks.
-	vmCap := srcEp.egressCap
+	vmCap := srcEp.EgressCap
 	if vmCap == 0 {
 		vmCap = defaultVMEgress
 	}
 	qdetail := fmt.Sprintf("vm-cap=%.3gbps", vmCap)
-	if tq, ok := srcProv.quotaOf(tenant, srcEp.region); ok {
+	if tq, ok := srcProv.quotaOf(tenant, srcEp.Region); ok {
 		tq.mu.Lock()
 		if tq.quota > 0 {
 			up := 0
@@ -304,9 +305,9 @@ func (c *Cloud) TenantResources() map[string]ResourceCounts {
 	out := make(map[string]ResourceCounts)
 	for _, p := range c.pidx.Load().list {
 		for _, ep := range p.endpoints.All() {
-			rc := out[ep.tenant]
+			rc := out[ep.Tenant]
 			rc.EIPs++
-			out[ep.tenant] = rc
+			out[ep.Tenant] = rc
 		}
 		for _, svc := range p.services.All() {
 			rc := out[svc.tenant]
@@ -348,7 +349,7 @@ func (c *Cloud) nodeCause(id topo.NodeID) string {
 // SIPs (enforced at the always-on frontend).
 func (c *Cloud) targetNode(p *Provider, target addr.IP) topo.NodeID {
 	if ep, ok := p.endpoints.Get(target); ok {
-		return ep.node
+		return topo.NodeID(ep.VM)
 	}
 	return ""
 }

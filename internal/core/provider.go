@@ -46,19 +46,6 @@ type EIP = addr.IP
 // SIP is a service IP: globally routable, load balanced to bound EIIPs.
 type SIP = addr.IP
 
-// endpoint is the provider's record for one granted EIP. All fields but
-// egressCap are immutable after grant; egressCap is guarded by the
-// endpoint's (tenant, region) shard lock.
-type endpoint struct {
-	eip       EIP
-	tenant    string
-	node      topo.NodeID // the VM/container the EIP fronts
-	provider  string
-	region    string
-	shard     string  // "provider/region", precomputed so per-op SLO tagging never allocates
-	egressCap float64 // per-VM egress guarantee/cap (bits/s), 0 = provider default
-}
-
 // service is the provider's record for one granted SIP.
 type service struct {
 	sip      SIP
@@ -97,7 +84,14 @@ type Provider struct {
 	// addr.Table, striped by /16 block — the carving above — so one
 	// region's churn never takes the stripe lock another region's reader
 	// holds.
-	endpoints addr.Table[*endpoint]
+	//
+	// An endpoint is its declared record itself, immutable once put here
+	// and, with a store attached, the very entry intent.State holds: its
+	// VM is the node the EIP fronts, and its shard is its block's
+	// (Cloud.block), and its Permits the list declared for it.
+	// set_vm_egress and the permit verbs put a successor entry, never
+	// write through the pointer.
+	endpoints addr.Table[*intent.Endpoint]
 	services  addr.Table[*service]
 
 	// Permits is the provider's enforcement engine, an addr.Table of its
@@ -243,33 +237,31 @@ func (p *Provider) regionShardKey(tenant, region string) ShardKey {
 func (p *Provider) lockShard(k ShardKey) func() { return p.cloud.shards.lockShard(k) }
 
 // requestEIP is request_eip's body for the VM node n, which the endpoint
-// records by n's own ID.
-func (p *Provider) requestEIP(tenant string, n *topo.Node) (EIP, error) {
+// records by n's own ID. It returns the granted address and the entry it
+// installed there, for the declared state to adopt.
+func (p *Provider) requestEIP(tenant string, n *topo.Node) (EIP, *intent.Endpoint, error) {
 	vm := n.ID
 	if n.Kind != topo.Host {
-		return 0, fmt.Errorf("core: %q is not a compute endpoint", vm)
+		return 0, nil, fmt.Errorf("core: %q is not a compute endpoint", vm)
 	}
 	if n.Provider != p.Name {
-		return 0, fmt.Errorf("core: VM %q belongs to provider %q, not %q", vm, n.Provider, p.Name)
+		return 0, nil, fmt.Errorf("core: VM %q belongs to provider %q, not %q", vm, n.Provider, p.Name)
 	}
 	blocks, ok := p.eipBlocks[n.Region]
 	if !ok {
-		return 0, fmt.Errorf("core: no address block for region %q", n.Region)
+		return 0, nil, fmt.Errorf("core: no address block for region %q", n.Region)
 	}
 	eip, err := blocks.pool.Allocate()
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	p.endpoints.Put(eip, &endpoint{
-		eip: eip, tenant: tenant, node: vm,
-		provider: p.Name, region: n.Region,
-		shard: blocks.shard,
-	})
+	ep := &intent.Endpoint{Tenant: tenant, VM: string(vm), Provider: p.Name, Region: n.Region}
+	p.endpoints.Put(eip, ep)
 	p.cloud.tenantDelta(tenant, 1)
 	if p.meter != nil {
 		p.meter.GrantEIP(tenant, p.eng.Now())
 	}
-	return eip, nil
+	return eip, ep, nil
 }
 
 // releaseEIP is release_eip's body: the address leaves every balancer,
@@ -291,7 +283,7 @@ func (p *Provider) releaseEIP(tenant string, eip EIP) error {
 	if p.meter != nil {
 		p.meter.ReleaseEIP(tenant, p.eng.Now())
 	}
-	return p.eipBlocks[ep.region].pool.Release(eip)
+	return p.eipBlocks[ep.Region].pool.Release(eip)
 }
 
 func (p *Provider) requestSIP(tenant string) (SIP, error) {
@@ -372,13 +364,14 @@ func (p *Provider) setPermitList(tenant string, op *intent.Op) error {
 	set := addr.CanonicalPrefixes(all)
 	op.Entries, op.Groups = set, nil
 	op.Derived, op.Prev, op.Next = true, nil, set
+	p.declarePermits(op)
 	// Under fault injection, an update targeting an endpoint whose
 	// enforcement point is partitioned away cannot land immediately: it
 	// is accepted and retried until the node answers or the policy's
 	// timeout expires. SIP targets are enforced at the (always-on)
 	// service frontend and never defer.
-	if ep, ok := p.endpoints.Get(target); ok && !p.cloud.monitor.Inj.Reachable(ep.node) {
-		p.cloud.monitor.retryPermit(p, tenant, target, set, len(all), ep.node)
+	if ep, ok := p.endpoints.Get(target); ok && !p.cloud.monitor.Inj.Reachable(topo.NodeID(ep.VM)) {
+		p.cloud.monitor.retryPermit(p, tenant, target, set, len(all), topo.NodeID(ep.VM))
 		return nil
 	}
 	epoch := p.Permits.Install(target, set, uint64(len(all)))
@@ -410,6 +403,7 @@ func (p *Provider) permitEntries(tenant string, op *intent.Op) error {
 		p.Permits.Install(op.Target, next, cur.Version()+uint64(edits))
 		op.Derived, op.Prev, op.Next = true, prev, next
 	}
+	p.declarePermits(op)
 	for range op.Entries {
 		p.stampPermitLag(tenant, op.Target)
 		if p.meter != nil {
@@ -417,6 +411,18 @@ func (p *Provider) permitEntries(tenant string, op *intent.Op) error {
 		}
 	}
 	return nil
+}
+
+// declarePermits puts a successor of op's target's endpoint holding the
+// list op declares, and leaves it on op for the declared state to adopt.
+// A SIP's list lives in its declared record alone.
+func (p *Provider) declarePermits(op *intent.Op) {
+	if ep, ok := p.endpoints.Get(op.Target); ok {
+		next := *ep
+		next.Permits = op.Declares(ep.Permits)
+		p.endpoints.Put(op.Target, &next)
+		op.Endpoint = &next
+	}
 }
 
 func (p *Provider) setQoS(tenant, region string, bandwidth float64) error {
@@ -476,12 +482,18 @@ func (p *Provider) quotaOf(tenant, region string) (*tenantQuota, bool) {
 	return tq, ok
 }
 
-func (p *Provider) setVMEgressCap(tenant string, eip EIP, bps float64) error {
+// setVMEgressCap is set_vm_egress's body: it puts a successor of eip's
+// entry carrying the new cap and returns it, for the declared state to
+// adopt. A reader holding the old entry keeps reading the old cap.
+func (p *Provider) setVMEgressCap(tenant string, eip EIP, bps float64) (*intent.Endpoint, error) {
 	ep, err := p.owned(tenant, eip)
-	if err == nil {
-		ep.egressCap = bps
+	if err != nil {
+		return nil, err
 	}
-	return err
+	next := *ep
+	next.EgressCap = bps
+	p.endpoints.Put(eip, &next)
+	return &next, nil
 }
 
 // MarkHealth is the provider health checker's signal for a bound backend.
@@ -495,16 +507,16 @@ func (p *Provider) MarkHealth(eip EIP, healthy bool) {
 
 // Endpoint resolution helpers.
 
-func (p *Provider) owned(tenant string, eip EIP) (*endpoint, error) {
+func (p *Provider) owned(tenant string, eip EIP) (*intent.Endpoint, error) {
 	ep, ok := p.endpoints.Get(eip)
-	if !ok || ep.tenant != tenant {
+	if !ok || ep.Tenant != tenant {
 		return nil, fmt.Errorf("core: %s is not tenant %q's EIP", eip, tenant)
 	}
 	return ep, nil
 }
 
 func (p *Provider) ownsTarget(tenant string, target addr.IP) error {
-	if ep, ok := p.endpoints.Get(target); ok && ep.tenant == tenant {
+	if ep, ok := p.endpoints.Get(target); ok && ep.Tenant == tenant {
 		return nil
 	}
 	if svc, ok := p.services.Get(target); ok && svc.tenant == tenant {
@@ -517,7 +529,7 @@ func (p *Provider) ownsTarget(tenant string, target addr.IP) error {
 // ("" when it is not granted).
 func (p *Provider) holder(ip addr.IP) string {
 	if ep, ok := p.endpoints.Get(ip); ok {
-		return ep.tenant
+		return ep.Tenant
 	}
 	if svc, ok := p.services.Get(ip); ok {
 		return svc.tenant
@@ -531,7 +543,7 @@ func (p *Provider) Lookup(eip EIP) (topo.NodeID, bool) {
 	if !ok {
 		return "", false
 	}
-	return ep.node, true
+	return topo.NodeID(ep.VM), true
 }
 
 // Service returns the balancer behind a SIP (read-only use in tests).

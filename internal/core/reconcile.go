@@ -229,7 +229,7 @@ func (r *Reconciler) RunSweep() SweepResult {
 // wrong. Reports whether drift was found. Targets with a deferred
 // (fault-pending) permit update are skipped — the fault monitor owns
 // them until they land or time out.
-func (r *Reconciler) checkDeclaredPermit(p *Provider, t addr.IP, pl *intent.PermitList, budget *int, res *SweepResult) bool {
+func (r *Reconciler) checkDeclaredPermit(p *Provider, t addr.IP, pl intent.PermitList, budget *int, res *SweepResult) bool {
 	c := r.cloud
 	if _, pending := c.monitor.PendingPermit(t); pending {
 		return false
@@ -263,7 +263,7 @@ func (r *Reconciler) checkDeclaredPermit(p *Provider, t addr.IP, pl *intent.Perm
 	}
 	// Respect fault-deferral semantics: an endpoint whose enforcement
 	// point is unreachable cannot take the repair now.
-	if ep, ok := p.endpoints.Get(t); ok && !c.monitor.Inj.Reachable(ep.node) {
+	if n := c.targetNode(p, t); n != "" && !c.monitor.Inj.Reachable(n) {
 		res.Deferred++
 		return true
 	}

@@ -81,8 +81,34 @@ func sweepWhile(r *Reconciler, writing <-chan struct{}) (total SweepResult, swee
 	return total, sweeps
 }
 
+// sharesEndpoints fails t unless c installs exactly the endpoints l
+// declares, each as the very entry l holds, not a copy of it, and
+// enforces each one's declared permit list as that very slice.
+func sharesEndpoints(t *testing.T, c *Cloud, l *intent.Log, when string) {
+	t.Helper()
+	st := l.State()
+	installed := 0
+	for _, p := range c.pidx.Load().list {
+		for _, eip := range p.endpoints.Keys(addr.Prefix{}) {
+			installed++
+			ep, _ := p.endpoints.Get(eip)
+			if ep != st.Endpoints[eip] {
+				t.Errorf("%s: %s's installed record %p is not the declared entry %p", when, eip, ep, st.Endpoints[eip])
+			}
+			list, _ := p.Permits.List(eip)
+			if got := list.Entries(); len(ep.Permits) > 0 && (len(got) == 0 || &got[0] != &ep.Permits[0]) {
+				t.Errorf("%s: %s's enforced list is not the one its record declares", when, eip)
+			}
+		}
+	}
+	if installed != len(st.Endpoints) {
+		t.Errorf("%s: %d endpoints installed, %d declared", when, installed, len(st.Endpoints))
+	}
+}
+
 // checkRestartDigest closes l and requires that a fresh world restored
-// from the store at dir digests like the live one.
+// from the store at dir digests like the live one and installs the
+// store's own endpoint entries.
 func checkRestartDigest(t *testing.T, c *Cloud, l *intent.Log, dir string) {
 	t.Helper()
 	want := c.StateDigest()
@@ -101,6 +127,7 @@ func checkRestartDigest(t *testing.T, c *Cloud, l *intent.Log, dir string) {
 	if got := c2.StateDigest(); got != want {
 		t.Errorf("a world restored from the store digests %s, the live one %s", got, want)
 	}
+	sharesEndpoints(t, c2, l2, "after RestoreIntent")
 }
 
 // churnWorker is one goroutine of TestSweepNeverRevertsMutations. Two
@@ -274,16 +301,21 @@ func TestSweepNeverRevertsMutations(t *testing.T) {
 // TestSweepSharesEntriesWithTheirWriters is the race test for the shared
 // declared entries: the sweep reads a permit list's entries and a
 // service's binds from the log's own copy, after the log's lock is
-// released, so the verbs that edit an entry must replace it, never write
-// into it. Writers issue exactly the five verbs that used to edit in
-// place — permit, revoke, bind (a weight update and an append), unbind,
-// set_vm_egress — on their own addresses while one goroutine sweeps the
-// whole world back to back and another compacts. Under -race an in-place
-// permit, revoke, bind or unbind is a reported race with the sweep's
-// screen (nothing outside the log reads a declared endpoint, so an
-// in-place set_vm_egress is intent.TestDeclaredEntriesAreImmutable's to
-// catch); with or without it the run must end with nothing repaired, no
-// drift counted, and declared == installed == what each writer was told.
+// released, and the read plane reads an endpoint's egress cap from the
+// record the log declares, so the verbs that edit an entry must replace
+// it, never write into it. Writers issue exactly the five verbs that
+// used to edit in place — permit, revoke, bind (a weight update and an
+// append), unbind, set_vm_egress — on their own addresses while one
+// goroutine sweeps the whole world back to back, another compacts and a
+// third connects from and explains the endpoints whose caps change.
+// Under -race an in-place permit, revoke, bind or unbind is a reported
+// race with the sweep's screen, and an in-place set_vm_egress one with
+// Connect's or Explain's read of the cap; with or without it the run
+// must end with nothing repaired, no drift counted, and declared ==
+// installed == what each writer was told. Every endpoint core installs
+// — by a single request_eip, a batched one, set_permit, permit, revoke,
+// set_vm_egress or RestoreIntent — is the declared entry itself, and the
+// list it declares is the one the engine enforces.
 func TestSweepSharesEntriesWithTheirWriters(t *testing.T) {
 	dir := t.TempDir()
 	c, w, pa, pb, _ := fig1Cloud(t)
@@ -307,11 +339,11 @@ func TestSweepSharesEntriesWithTheirWriters(t *testing.T) {
 		egress  float64
 	}
 	homes := []struct {
-		p  *Provider
-		vm topo.NodeID
+		p        *Provider
+		vm, sink topo.NodeID
 	}{
-		{pa, topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1)},
-		{pb, topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1)},
+		{pa, topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1), topo.HostID(w.CloudA, w.RegionsA[0], "az1", 2)},
+		{pb, topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1), topo.HostID(w.CloudB, w.RegionsB[0], "az1", 2)},
 	}
 	writers := make([]*told, 4)
 	for i := range writers {
@@ -327,6 +359,24 @@ func TestSweepSharesEntriesWithTheirWriters(t *testing.T) {
 		}
 		writers[i] = wr
 	}
+	// One sink per home, on another host and granted in a batch, admits
+	// every writer's first endpoint: the reader connects from those to it.
+	sinks := make([]addr.IP, len(homes))
+	for i, h := range homes {
+		res, err := c.ApplyBatch("acme", []BatchOp{{Op: intent.OpRequestEIP, VM: h.sink}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sinks[i] = res[0].Addr
+		var srcs []permit.Entry
+		for _, wr := range writers {
+			srcs = append(srcs, addr.NewPrefix(wr.eips[0], 32))
+		}
+		if err := c.Tenant("acme").SetPermitList(sinks[i], srcs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sharesEndpoints(t, c, l, "after request_eip, a batched request_eip and set_permit")
 
 	const steps = 400
 	var wg sync.WaitGroup
@@ -369,6 +419,34 @@ func TestSweepSharesEntriesWithTheirWriters(t *testing.T) {
 	writing := async(wg.Wait)
 	var total SweepResult
 	sweeping := async(func() { total, _ = sweepWhile(r, writing) })
+	// Connect and Explain read a source's egress cap under its shard's
+	// read lock while set_vm_egress replaces it under the write lock. A
+	// sized flow stays open until the engine runs, so the conns close
+	// once the writers are done.
+	var conns []*Conn
+	reading := async(func() {
+		for n := 0; ; n++ {
+			select {
+			case <-writing:
+				return
+			default:
+			}
+			wr := writers[n%len(writers)]
+			sink := sinks[n%len(homes)]
+			if len(conns) < 256 {
+				cn, err := c.Tenant("acme").Connect(wr.eips[0], sink, ConnectOpts{SizeBytes: 1e3})
+				if err != nil {
+					t.Errorf("connect %s -> %s: %v", wr.eips[0], sink, err)
+					return
+				}
+				conns = append(conns, cn)
+			}
+			if _, err := c.Tenant("acme").Explain(wr.eips[0], sink); err != nil {
+				t.Errorf("explain %s -> %s: %v", wr.eips[0], sink, err)
+				return
+			}
+		}
+	})
 	compacting := async(func() {
 		for {
 			if err := l.Compact(); err != nil {
@@ -385,6 +463,10 @@ func TestSweepSharesEntriesWithTheirWriters(t *testing.T) {
 	within(t, 2*time.Minute, writing, "the writers (deadlock?)")
 	within(t, 2*time.Minute, sweeping, "the sweeper (deadlock?)")
 	within(t, 2*time.Minute, compacting, "the compactor (deadlock?)")
+	within(t, 2*time.Minute, reading, "the reader (deadlock?)")
+	for _, cn := range conns {
+		cn.Close()
+	}
 	if total != (SweepResult{}) {
 		t.Errorf("sweeps beside %d mutations found drift with none injected: %+v", len(writers)*steps, total)
 	}
@@ -401,10 +483,7 @@ func TestSweepSharesEntriesWithTheirWriters(t *testing.T) {
 		for e := range wr.entries {
 			want = append(want, e)
 		}
-		var got []addr.Prefix
-		if pl := st.Permits[wr.eips[0]]; pl != nil {
-			got = pl.Entries
-		}
+		got := st.Endpoints[wr.eips[0]].Permits
 		if !entriesEqual(got, want) {
 			t.Errorf("writer %d: declared entries %v, told %v", i, got, sortedEntries(want))
 		}
@@ -423,5 +502,6 @@ func TestSweepSharesEntriesWithTheirWriters(t *testing.T) {
 			t.Errorf("writer %d: declared egress cap %g, told %g", i, got, wr.egress)
 		}
 	}
+	sharesEndpoints(t, c, l, "after permit, revoke and set_vm_egress")
 	checkRestartDigest(t, c, l, dir)
 }

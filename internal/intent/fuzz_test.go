@@ -106,15 +106,17 @@ func FuzzSnapshotEncode(f *testing.F) {
 		for i := 0; i < int(entries); i++ {
 			ip := addr.IP(first + uint32(i)*stride)
 			key := tenant + strconv.Itoa(i)
-			s.Endpoints[ip] = &Endpoint{Tenant: tenant, VM: vm, Provider: key, Region: vm, EgressCap: egress * float64(i%3)}
+			ep := &Endpoint{Tenant: tenant, VM: vm, Provider: key, Region: vm, EgressCap: egress * float64(i%3)}
 			svc := &Service{Tenant: tenant, Provider: vm}
-			pl := &PermitList{Tenant: key}
 			for _, m := range group[:i%(len(group)+1)] {
 				svc.Binds = append(svc.Binds, Bind{EIP: m, Weight: i})
-				pl.Entries = append(pl.Entries, addr.NewPrefix(m, i%33))
+				ep.Permits = append(ep.Permits, addr.NewPrefix(m, i%33))
 			}
+			if i%2 == 0 {
+				ep.Permits = guarded(ep.Permits)
+			}
+			s.Endpoints[ip] = ep
 			s.Services[ip>>uint(i%32)] = svc
-			s.Permits[ip] = pl
 			s.Quotas[key] = quota * float64(i)
 			s.Potato[key] = vm
 			s.Groups[key] = group[:i%(len(group)+1)]

@@ -398,9 +398,10 @@ func (l *Log) compactLocked() error {
 	return nil
 }
 
-// State returns a deep copy of the declared world, made under the log's
-// lock: what recovery restores from and what tests compare. Nothing the
-// caller does to it reaches the log.
+// State returns a copy of the declared world, made under the log's lock:
+// what recovery restores from and what tests compare. It shares only the
+// immutable endpoint records and permit lists (see Clone); nothing else
+// the caller does to it reaches the log.
 func (l *Log) State() *State {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -437,19 +438,23 @@ func (l *Log) View() View {
 // answer; one declared or released meanwhile may or may not be. Each call
 // walks the surface; a sweep asks each question once.
 
-// PermitTargets enumerates the targets that have a declared permit list.
+// PermitTargets enumerates the targets that have a declared permit list:
+// the endpoints and services whose records hold one.
 func (v View) PermitTargets(phase, k int) []addr.IP {
-	return gather(v.l, v.l.st.Permits, phase, k, addrBucket)
+	out := gather(v.l, v.l.st.Endpoints, phase, k, addrBucket, func(ep *Endpoint) bool { return ep.Permits != nil })
+	out = append(out, gather(v.l, v.l.st.Services, phase, k, addrBucket, func(svc *Service) bool { return svc.Permits != nil })...)
+	slices.Sort(out)
+	return out
 }
 
 // ServiceTargets enumerates the declared SIPs.
 func (v View) ServiceTargets(phase, k int) []addr.IP {
-	return gather(v.l, v.l.st.Services, phase, k, addrBucket)
+	return gather(v.l, v.l.st.Services, phase, k, addrBucket, nil)
 }
 
 // QuotaKeys enumerates the QuotaKeys that have a declared quota.
 func (v View) QuotaKeys(phase, k int) []string {
-	return gather(v.l, v.l.st.Quotas, phase, k, stringBucket)
+	return gather(v.l, v.l.st.Quotas, phase, k, stringBucket, nil)
 }
 
 func addrBucket(t addr.IP, k int) int { return int(uint32(t) % uint32(k)) }
@@ -469,17 +474,18 @@ func stringBucket(s string, k int) int {
 // keys, not for all of them.
 const gatherStep = 4096
 
-// gather answers one rotation question by walking m. The walk drops the
-// log's lock every gatherStep keys; a map range tolerates the inserts and
-// deletes that land in between exactly as it tolerates them from its own
-// loop body (a key present throughout is produced once), which is all a
-// screen needs.
-func gather[K cmp.Ordered, V any](l *Log, m map[K]V, phase, k int, bucket func(K, int) int) []K {
+// gather answers one rotation question by walking m, keeping the keys
+// whose value keep accepts (every key when keep is nil). The walk drops
+// the log's lock every gatherStep keys; a map range tolerates the inserts
+// and deletes that land in between exactly as it tolerates them from its
+// own loop body (a key present throughout is produced once), which is all
+// a screen needs.
+func gather[K cmp.Ordered, V any](l *Log, m map[K]V, phase, k int, bucket func(K, int) int, keep func(V) bool) []K {
 	l.mu.Lock()
 	out := make([]K, 0, len(m)/k+1)
 	n := 0
-	for key := range m {
-		if bucket(key, k) == phase {
+	for key, v := range m {
+		if bucket(key, k) == phase && (keep == nil || keep(v)) {
 			out = append(out, key)
 		}
 		if n++; n%gatherStep == 0 {
@@ -504,11 +510,10 @@ func gather[K cmp.Ordered, V any](l *Log, m map[K]V, phase, k int, bucket func(K
 // lock held.
 
 // Permit returns the declared permit list guarding target.
-func (l *Log) Permit(target addr.IP) (*PermitList, bool) {
+func (l *Log) Permit(target addr.IP) (PermitList, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	pl, ok := l.st.Permits[target]
-	return pl, ok
+	return l.st.Permit(target)
 }
 
 // Service returns the declared record of one SIP, bindings included.

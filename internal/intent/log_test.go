@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -446,8 +447,8 @@ func TestReleaseRegrantInversion(t *testing.T) {
 	if ep == nil || ep.Tenant != "bob" {
 		t.Fatalf("endpoint = %+v, want bob's", ep)
 	}
-	if s.Permits[eip] != nil {
-		t.Errorf("stale permit list survived: %+v", s.Permits[eip])
+	if pl, ok := s.Permit(eip); ok {
+		t.Errorf("stale permit list survived: %+v", pl)
 	}
 	if svc := s.Services[sip]; len(svc.Binds) != 0 {
 		t.Errorf("stale binds survived: %+v", svc.Binds)
@@ -587,7 +588,7 @@ func TestParseQuotaKey(t *testing.T) {
 // including the five that used to edit in place (permit, revoke, bind,
 // unbind, set_vm_egress) and the drain a release_eip runs over every
 // service — while the log itself moves on; and a State() copy aliases
-// nothing but those immutable permit lists.
+// nothing but those immutable endpoints and permit lists.
 func TestDeclaredEntriesAreImmutable(t *testing.T) {
 	l, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -615,13 +616,14 @@ func TestDeclaredEntriesAreImmutable(t *testing.T) {
 		}
 		return string(buf)
 	}
-	hold := func() (now [3]string) { // the permit list, the service, the endpoint
+	hold := func() (now [2]string) { // the service, the endpoint (its permit list with it)
 		pl, _ := l.Permit(eip1)
+		held = append(held, handed{pl, render(pl)})
 		svc, _ := l.Service(sip)
 		l.mu.Lock()
 		ep := l.st.Endpoints[eip1]
 		l.mu.Unlock()
-		for i, v := range []any{pl, svc, ep} {
+		for i, v := range []any{svc, ep} {
 			now[i] = render(v)
 			held = append(held, handed{v, now[i]})
 		}
@@ -630,15 +632,15 @@ func TestDeclaredEntriesAreImmutable(t *testing.T) {
 	hold()
 	for _, step := range []struct {
 		op      Op
-		changes int // 0 the permit list, 1 the service, 2 the endpoint
+		changes int // 0 the service, 1 the endpoint
 	}{
-		{Op{Verb: OpPermit, Target: eip1, Entries: []addr.Prefix{addr.MustParsePrefix("192.168.9.0/24")}}, 0},
-		{Op{Verb: OpRevoke, Target: eip1, Entries: []addr.Prefix{addr.MustParsePrefix("192.168.0.0/24")}}, 0},
-		{Op{Verb: OpBind, EIP: eip1, SIP: sip, Weight: 5}, 1}, // a weight update
-		{Op{Verb: OpBind, EIP: eip3, SIP: sip, Weight: 1}, 1}, // an append
-		{Op{Verb: OpUnbind, EIP: eip1, SIP: sip}, 1},
-		{Op{Verb: OpSetVMEgress, EIP: eip1, Bps: 7e8}, 2},
-		{Op{Verb: OpReleaseEIP, Addr: eip3}, 1}, // drains eip3 out of sip
+		{Op{Verb: OpPermit, Target: eip1, Entries: []addr.Prefix{addr.MustParsePrefix("192.168.9.0/24")}}, 1},
+		{Op{Verb: OpRevoke, Target: eip1, Entries: []addr.Prefix{addr.MustParsePrefix("192.168.0.0/24")}}, 1},
+		{Op{Verb: OpBind, EIP: eip1, SIP: sip, Weight: 5}, 0}, // a weight update
+		{Op{Verb: OpBind, EIP: eip3, SIP: sip, Weight: 1}, 0}, // an append
+		{Op{Verb: OpUnbind, EIP: eip1, SIP: sip}, 0},
+		{Op{Verb: OpSetVMEgress, EIP: eip1, Bps: 7e8}, 1},
+		{Op{Verb: OpReleaseEIP, Addr: eip3}, 0}, // drains eip3 out of sip
 	} {
 		before := hold()
 		if seq := l.Record("acme", step.op); seq == 0 {
@@ -666,14 +668,92 @@ func TestDeclaredEntriesAreImmutable(t *testing.T) {
 	}
 
 	st, want := l.State(), stateJSON(t, l.State())
-	if pl, _ := l.Permit(eip1); st.Permits[eip1] != pl {
-		t.Error("a State() copy holds a copy of a permit list, not the log's own immutable one")
+	l.mu.Lock()
+	ep := l.st.Endpoints[eip1]
+	l.mu.Unlock()
+	if st.Endpoints[eip1] != ep {
+		t.Error("a State() copy holds a copy of an endpoint, not the log's own immutable one")
 	}
-	delete(st.Permits, eip1)
+	delete(st.Endpoints, eip1)
 	st.Services[sip].Tenant = "globex"
-	st.Endpoints[eip1].EgressCap = 1
 	st.Quotas["probe"] = 1
 	if got := stateJSON(t, l.State()); got != want {
 		t.Errorf("mutating a State() copy reached the log:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestStateAdoptsTheVerbsEndpoint: a request_eip, set_vm_egress or
+// permit-surface op carrying the entry its verb installed is stored as
+// that very entry, so
+// the declared state and core hold one record; an op carrying none, as
+// replay's do, gets an entry built from its operands, and no entry handed
+// out before is written.
+func TestStateAdoptsTheVerbsEndpoint(t *testing.T) {
+	s := NewState()
+	eip := mustIP(t, "10.0.0.1")
+	apply := func(seq uint64, op Op) {
+		t.Helper()
+		if err := s.Apply(&Record{Seq: seq, Tenant: "acme", Ops: []Op{op}}); err != nil {
+			t.Fatalf("apply %s: %v", op.Verb, err)
+		}
+	}
+	granted := &Endpoint{Tenant: "acme", VM: "vm-1", Provider: "cloudA", Region: "us-east"}
+	apply(1, Op{Verb: OpRequestEIP, VM: "vm-1", Provider: "cloudA", Region: "us-east", Addr: eip, Endpoint: granted})
+	if s.Endpoints[eip] != granted {
+		t.Fatalf("request_eip stored %+v, not the verb's entry", s.Endpoints[eip])
+	}
+	capped := *granted
+	capped.EgressCap = 5e8
+	apply(2, Op{Verb: OpSetVMEgress, EIP: eip, Bps: 5e8, Endpoint: &capped})
+	if s.Endpoints[eip] != &capped {
+		t.Fatalf("set_vm_egress stored %+v, not the verb's entry", s.Endpoints[eip])
+	}
+	list := []addr.Prefix{addr.MustParsePrefix("10.0.0.0/8")}
+	permitted := capped
+	permitted.Permits = list
+	apply(3, Op{Verb: OpSetPermit, Target: eip, Entries: list, Derived: true, Next: list, Endpoint: &permitted})
+	if s.Endpoints[eip] != &permitted {
+		t.Fatalf("set_permit stored %+v, not the verb's entry", s.Endpoints[eip])
+	}
+	apply(4, Op{Verb: OpSetVMEgress, EIP: eip, Bps: 7e8})
+	want := Endpoint{Tenant: "acme", VM: "vm-1", Provider: "cloudA", Region: "us-east", EgressCap: 7e8, Permits: list}
+	if got := s.Endpoints[eip]; got == &permitted || !reflect.DeepEqual(*got, want) {
+		t.Fatalf("a replayed set_vm_egress stored %+v", got)
+	}
+	apply(5, Op{Verb: OpRevoke, Target: eip, Entries: list})
+	want.Permits = []addr.Prefix{}
+	if got := s.Endpoints[eip]; !reflect.DeepEqual(*got, want) {
+		t.Fatalf("a replayed revoke stored %+v", got)
+	}
+	if granted.EgressCap != 0 || capped.EgressCap != 5e8 || capped.Permits != nil || len(permitted.Permits) != 1 {
+		t.Fatalf("an adopted entry was written: %+v, %+v, %+v", granted, capped, permitted)
+	}
+}
+
+// TestPermitOnAnUnheldTargetDeclaresNothing: a permit-surface op naming
+// an address the tenant holds no record of — another tenant's endpoint,
+// or nobody's — applies without error and changes nothing, since there
+// is no record of the tenant's to carry the list.
+func TestPermitOnAnUnheldTargetDeclaresNothing(t *testing.T) {
+	s := NewState()
+	eip, nobodys := mustIP(t, "10.0.0.1"), mustIP(t, "10.0.0.9")
+	if err := s.Apply(&Record{Seq: 1, Tenant: "acme", Ops: []Op{{Verb: OpRequestEIP, VM: "vm-1", Provider: "p", Region: "r", Addr: eip}}}); err != nil {
+		t.Fatal(err)
+	}
+	held := s.Endpoints[eip]
+	entries := []addr.Prefix{addr.MustParsePrefix("10.0.0.0/8")}
+	for i, op := range []Op{
+		{Verb: OpSetPermit, Target: eip, Entries: entries},
+		{Verb: OpPermit, Target: nobodys, Entries: entries},
+	} {
+		if err := s.Apply(&Record{Seq: uint64(2 + i), Tenant: "globex", Ops: []Op{op}}); err != nil {
+			t.Fatalf("%s on %s: %v", op.Verb, op.Target, err)
+		}
+	}
+	if s.Endpoints[eip] != held || held.Permits != nil {
+		t.Errorf("globex's set_permit changed acme's endpoint: %+v", s.Endpoints[eip])
+	}
+	if pl, ok := s.Permit(nobodys); ok {
+		t.Errorf("a permit on an address nobody holds declared %+v", pl)
 	}
 }

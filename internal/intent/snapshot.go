@@ -10,7 +10,8 @@
 //	meta                      string-keyed section
 //	endpoints                 address-keyed section
 //	services                  address-keyed section
-//	permits                   address-keyed section
+//	permits                   address-keyed section, of the lists the
+//	                          endpoints and services above hold
 //	quotas, potato, groups, names, eip_pools, sip_pools
 //	CRC32 (IEEE, little-endian) of every byte before it
 //
@@ -74,7 +75,21 @@ func (s *State) encodeSnapshot(w io.Writer) error {
 	stringSection(e, s.Meta, e.text)
 	addrSection(e, s.Endpoints, e.endpoint)
 	addrSection(e, s.Services, e.service)
-	addrSection(e, s.Permits, e.permitList)
+	e.keys = e.keys[:0]
+	for ip, ep := range s.Endpoints {
+		if ep != nil && ep.Permits != nil {
+			e.keys = append(e.keys, ip)
+		}
+	}
+	for ip, svc := range s.Services {
+		if svc != nil && svc.Permits != nil {
+			e.keys = append(e.keys, ip)
+		}
+	}
+	e.section(func(ip addr.IP) {
+		pl, _ := s.Permit(ip)
+		e.permitList(pl)
+	})
 	stringSection(e, s.Quotas, e.float)
 	stringSection(e, s.Potato, e.text)
 	stringSection(e, s.Groups, e.addrs)
@@ -104,13 +119,18 @@ func addrSection[V any](e *encoder, m map[addr.IP]*V, value func(*V)) {
 	for ip := range m {
 		e.keys = append(e.keys, ip)
 	}
+	e.section(func(ip addr.IP) { some(e, m[ip], value) })
+}
+
+// section writes the address-keyed section of e.keys, sorting them.
+func (e *encoder) section(value func(addr.IP)) {
 	slices.Sort(e.keys)
-	e.uvarint(uint64(len(m)))
+	e.uvarint(uint64(len(e.keys)))
 	var prev addr.IP
 	for _, ip := range e.keys {
 		e.uvarint(uint64(ip - prev))
 		prev = ip
-		some(e, m[ip], value)
+		value(ip)
 		e.spill(spillAt)
 	}
 }
@@ -200,7 +220,7 @@ func (e *encoder) service(svc *Service) {
 
 // permitList writes the tenant and a permit-list-table reference. A list
 // is its length, then each entry's address and length.
-func (e *encoder) permitList(pl *PermitList) {
+func (e *encoder) permitList(pl PermitList) {
 	e.ref(pl.Tenant)
 	e.list = appendPrefixes(e.list[:0], pl.Entries)
 	i, seen := e.lists[string(e.list)]
@@ -254,7 +274,7 @@ func decodeSnapshot(r io.Reader, size int64) (*State, error) {
 	s.Meta = decodeStrings(d, d.text)
 	s.Endpoints = decodeAddrs(d, d.endpoint)
 	s.Services = decodeAddrs(d, d.service)
-	s.Permits = decodeAddrs(d, d.permitList)
+	d.permits(s)
 	s.Quotas = decodeStrings(d, d.float)
 	s.Potato = decodeStrings(d, d.text)
 	s.Groups = decodeStrings(d, d.addrs)
@@ -390,6 +410,12 @@ func (d *decoder) addrs() []addr.IP {
 func decodeAddrs[V any](d *decoder, value func() V) map[addr.IP]V {
 	n := d.count()
 	m := make(map[addr.IP]V, n)
+	d.keyed(n, func(ip addr.IP) { m[ip] = value() })
+	return m
+}
+
+// keyed reads n addresses written as gaps, calling value after each.
+func (d *decoder) keyed(n int, value func(addr.IP)) {
 	var ip uint64
 	for i := 0; i < n && d.err == nil; i++ {
 		gap := d.uvarint()
@@ -397,9 +423,23 @@ func decodeAddrs[V any](d *decoder, value func() V) map[addr.IP]V {
 			d.fail("address gap %d after %d", gap, ip)
 		}
 		ip += gap
-		m[addr.IP(ip)] = value()
+		value(addr.IP(ip))
 	}
-	return m
+}
+
+// permits reads the permits section into the records decoded before it:
+// each list must belong to an endpoint or service of its tenant.
+func (d *decoder) permits(s *State) {
+	d.keyed(d.count(), func(ip addr.IP) {
+		tenant, list := ref(d, &d.strs, d.text), guarded(ref(d, &d.lists, d.entries))
+		if ep := s.Endpoints[ip]; ep != nil && ep.Tenant == tenant {
+			ep.Permits = list
+		} else if svc := s.Services[ip]; ep == nil && svc != nil && svc.Tenant == tenant {
+			svc.Permits = list
+		} else {
+			d.fail("permit list for %s, which tenant %q holds no record of", ip, tenant)
+		}
+	})
 }
 
 func decodeStrings[V any](d *decoder, value func() V) map[string]V {
@@ -425,12 +465,9 @@ func (d *decoder) service() *Service {
 	return svc
 }
 
-// permitList hands every target declaring the same list one slice, whose
-// cap is its len: an append by one holder never writes under another.
-func (d *decoder) permitList() *PermitList {
-	return &PermitList{Tenant: ref(d, &d.strs, d.text), Entries: ref(d, &d.lists, d.entries)}
-}
-
+// entries reads a permit list. The table hands every target declaring the
+// same list one slice, whose cap is its len: an append by one holder
+// never writes under another.
 func (d *decoder) entries() []addr.Prefix {
 	list := make([]addr.Prefix, d.count())
 	for i := range list {

@@ -136,27 +136,39 @@ func randState(rng *rand.Rand, n int) *State {
 	}
 	tenants := []string{randString(rng), randString(rng)}
 	var lists [][]addr.Prefix
+	// permits is a declared list, or none, drawn so lists repeat.
+	permits := func() []addr.Prefix {
+		switch rng.Intn(4) {
+		case 0:
+			return nil
+		case 1:
+			if len(lists) > 0 {
+				return lists[rng.Intn(len(lists))]
+			}
+		}
+		var list []addr.Prefix
+		for _, a := range randAddrs(rng) {
+			list = append(list, addr.NewPrefix(a, rng.Intn(33)))
+		}
+		lists = append(lists, guarded(list))
+		return lists[len(lists)-1]
+	}
 	for i := rng.Intn(n + 1); i > 0; i-- {
-		ep := &Endpoint{Tenant: tenants[rng.Intn(2)], VM: randString(rng), Provider: randString(rng), Region: randString(rng)}
+		ep := &Endpoint{Tenant: tenants[rng.Intn(2)], VM: randString(rng), Provider: randString(rng), Region: randString(rng),
+			Permits: permits()}
 		if rng.Intn(2) == 0 {
 			ep.EgressCap = randFloat(rng)
 		}
-		s.Endpoints[randAddr(rng)] = ep
-		svc := &Service{Tenant: tenants[rng.Intn(2)], Provider: randString(rng)}
+		if eip := randAddr(rng); s.Services[eip] == nil {
+			s.Endpoints[eip] = ep // an address is an EIP or a SIP, never both
+		}
+		svc := &Service{Tenant: tenants[rng.Intn(2)], Provider: randString(rng), Permits: permits()}
 		for _, eip := range randAddrs(rng) {
 			svc.Binds = append(svc.Binds, Bind{EIP: eip, Weight: rng.Intn(9) - 1})
 		}
-		s.Services[randAddr(rng)] = svc
-		pl := &PermitList{Tenant: randString(rng)}
-		if len(lists) > 0 && rng.Intn(2) == 0 {
-			pl.Entries = lists[rng.Intn(len(lists))]
-		} else {
-			for _, a := range randAddrs(rng) {
-				pl.Entries = append(pl.Entries, addr.NewPrefix(a, rng.Intn(33)))
-			}
-			lists = append(lists, pl.Entries)
+		if sip := randAddr(rng); s.Endpoints[sip] == nil {
+			s.Services[sip] = svc
 		}
-		s.Permits[randAddr(rng)] = pl
 	}
 	return s
 }
@@ -170,7 +182,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		func(c *State) { c.Meta = map[string]string{} },
 		func(c *State) { c.Endpoints = nil },
 		func(c *State) { c.Services = map[addr.IP]*Service{} },
-		func(c *State) { c.Permits = nil },
 		func(c *State) { c.Quotas = nil },
 		func(c *State) { c.Potato = map[string]string{} },
 		func(c *State) { c.Groups = nil },
@@ -198,7 +209,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	for _, store := range []func(*State){
 		func(s *State) { s.Endpoints[7] = nil },
 		func(s *State) { s.Services[7] = nil },
-		func(s *State) { s.Permits[70] = nil },
 		func(s *State) { s.SIPPools["p"] = nil },
 	} {
 		s := NewState()
@@ -220,7 +230,7 @@ func TestRandStateFillsEveryField(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		markFilled(filled, reflect.ValueOf(randState(rand.New(rand.NewSource(seed)), 12)))
 	}
-	for _, v := range []any{State{}, Endpoint{}, Service{}, Bind{}, PermitList{}, PoolState{}, addr.Prefix{}} {
+	for _, v := range []any{State{}, Endpoint{}, Service{}, Bind{}, PoolState{}, addr.Prefix{}} {
 		for _, f := range reflect.VisibleFields(reflect.TypeOf(v)) {
 			if name := reflect.TypeOf(v).String() + "." + f.Name; !filled[name] {
 				t.Errorf("randState never fills %s: the round trip cannot tell whether the codec carries it", name)

@@ -18,11 +18,12 @@ import (
 
 // Endpoint is the declared record of one granted EIP.
 type Endpoint struct {
-	Tenant    string  `json:"tenant"`
-	VM        string  `json:"vm"`
-	Provider  string  `json:"provider"`
-	Region    string  `json:"region"`
-	EgressCap float64 `json:"egress_cap,omitempty"`
+	Tenant    string        `json:"tenant"`
+	VM        string        `json:"vm"`
+	Provider  string        `json:"provider"`
+	Region    string        `json:"region"`
+	EgressCap float64       `json:"egress_cap,omitempty"`
+	Permits   []addr.Prefix `json:"permits"` // see PermitList
 }
 
 // Bind is one declared EIP -> SIP binding (weight already clamped the
@@ -34,16 +35,30 @@ type Bind struct {
 
 // Service is the declared record of one granted SIP.
 type Service struct {
-	Tenant   string `json:"tenant"`
-	Provider string `json:"provider"`
-	Binds    []Bind `json:"binds,omitempty"`
+	Tenant   string        `json:"tenant"`
+	Provider string        `json:"provider"`
+	Binds    []Bind        `json:"binds,omitempty"`
+	Permits  []addr.Prefix `json:"permits"` // see PermitList
 }
 
 // PermitList is the declared permit list guarding one target, group
-// references already expanded.
+// references already expanded, as State.Permit reads it: the target's
+// holder and its record's Permits. A record holds its target's list
+// itself, so a permitted endpoint costs no entry of its own. Permits is
+// nil when the target declares no list, and non-nil when it declares one
+// — empty for a list with no entries (guarded): a list that admits
+// nothing is enforced, a missing one is not installed at all.
 type PermitList struct {
-	Tenant  string        `json:"tenant"`
-	Entries []addr.Prefix `json:"entries,omitempty"`
+	Tenant  string
+	Entries []addr.Prefix
+}
+
+// guarded is entries as a declared list: nil becomes an empty one.
+func guarded(entries []addr.Prefix) []addr.Prefix {
+	if entries == nil {
+		return []addr.Prefix{}
+	}
+	return entries
 }
 
 // PoolState is one address pool's allocation cursor: the next-fresh
@@ -92,18 +107,20 @@ func (ps *PoolState) release(a addr.IP) {
 // snapshot file holds exactly this struct. Its JSON tags are not a store
 // format; they render a state canonically for comparison.
 //
-// An *Endpoint, *Service or *PermitList is immutable once stored: applyOp
-// replaces the map entry with an edited copy and never writes through the
-// pointer or into a slice it holds. That is what lets Log hand the entry
-// itself to the reconciler, which reads it after the log's lock is
-// released, instead of a copy.
+// An *Endpoint or *Service is immutable once stored: applyOp replaces the
+// map entry with an edited copy and never writes through the pointer or
+// into a slice it holds. That is what lets Log hand the entry itself to
+// the reconciler, which reads it after the log's lock is released,
+// instead of a copy — and what lets core hold the same *Endpoint and
+// permit slice as its installed record (Op.Endpoint, Op.Next), the second
+// holder of each: a verb that changes one builds a successor and puts it
+// in both.
 type State struct {
 	Seq  uint64            `json:"seq"`
 	Meta map[string]string `json:"meta,omitempty"`
 
-	Endpoints map[addr.IP]*Endpoint   `json:"endpoints,omitempty"`
-	Services  map[addr.IP]*Service    `json:"services,omitempty"`
-	Permits   map[addr.IP]*PermitList `json:"permits,omitempty"`
+	Endpoints map[addr.IP]*Endpoint `json:"endpoints,omitempty"`
+	Services  map[addr.IP]*Service  `json:"services,omitempty"`
 
 	// Quotas keys "provider|tenant|region" -> bits/s. Potato keys
 	// "provider|tenant" -> policy name. Groups and Names key
@@ -124,7 +141,6 @@ func NewState() *State {
 	return &State{
 		Endpoints: make(map[addr.IP]*Endpoint),
 		Services:  make(map[addr.IP]*Service),
-		Permits:   make(map[addr.IP]*PermitList),
 		Quotas:    make(map[string]float64),
 		Potato:    make(map[string]string),
 		Groups:    make(map[string][]addr.IP),
@@ -217,12 +233,13 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		// release/re-grant journal inversion (see OpReleaseEIP) this is
 		// where the previous incarnation's leftovers go away.
 		s.drainBinds(op.Addr)
-		delete(s.Permits, op.Addr)
 		if _, stale := s.Endpoints[op.Addr]; stale {
 			s.forget(op.Addr)
 		}
-		s.Endpoints[op.Addr] = &Endpoint{
-			Tenant: tenant, VM: op.VM, Provider: op.Provider, Region: op.Region,
+		if op.Endpoint != nil {
+			s.Endpoints[op.Addr] = op.Endpoint
+		} else {
+			s.Endpoints[op.Addr] = &Endpoint{Tenant: tenant, VM: op.VM, Provider: op.Provider, Region: op.Region}
 		}
 		s.eipPool(op.Provider, op.Region).claim(op.Addr)
 	case OpReleaseEIP:
@@ -241,12 +258,10 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		// Mirror core: the released EIP drains out of every balancer and
 		// leaves the tenant's groups and names.
 		s.drainBinds(op.Addr)
-		delete(s.Permits, op.Addr)
 		s.forget(op.Addr)
 		delete(s.Endpoints, op.Addr)
 		s.eipPool(ep.Provider, ep.Region).release(op.Addr)
 	case OpRequestSIP:
-		delete(s.Permits, op.Addr)
 		if _, stale := s.Services[op.Addr]; stale {
 			s.forget(op.Addr)
 		}
@@ -260,7 +275,6 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		if svc.Tenant != tenant {
 			return nil // stale record, as in OpReleaseEIP
 		}
-		delete(s.Permits, op.Addr)
 		s.forget(op.Addr)
 		delete(s.Services, op.Addr)
 		s.sipPool(svc.Provider).release(op.Addr)
@@ -289,32 +303,28 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		if i := bindIndex(svc, op.EIP); i >= 0 {
 			s.Services[op.SIP] = withoutBind(svc, i)
 		}
-	case OpSetPermit:
+	case OpSetPermit, OpPermit, OpRevoke:
 		if len(op.Groups) > 0 {
 			// core expands a set_permit's groups before it records the op
 			return fmt.Errorf("set_permit names groups %q, not their members", op.Groups)
 		}
-		if op.Derived {
-			s.Permits[op.Target] = &PermitList{Tenant: tenant, Entries: op.Next}
-			break
+		if ep, ok := s.Endpoints[op.Target]; ok && ep.Tenant == tenant {
+			if op.Endpoint != nil {
+				s.Endpoints[op.Target] = op.Endpoint
+				break
+			}
+			next := *ep
+			next.Permits = op.Declares(ep.Permits)
+			s.Endpoints[op.Target] = &next
+		} else if svc, ok := s.Services[op.Target]; ok && svc.Tenant == tenant {
+			next := *svc
+			next.Permits = op.Declares(svc.Permits)
+			s.Services[op.Target] = &next
 		}
-		// The same call core's set_permit makes on the same input.
-		s.Permits[op.Target] = &PermitList{Tenant: tenant, Entries: addr.CanonicalPrefixes(op.Entries)}
-	case OpPermit, OpRevoke:
-		pl := s.Permits[op.Target]
-		if pl == nil && op.Verb == OpRevoke {
-			return nil // revoking from an empty list is a no-op, as in core
-		}
-		next := &PermitList{Tenant: tenant}
-		if pl != nil {
-			*next = *pl
-		}
-		if op.Derived && addr.EqualPrefixes(next.Entries, op.Prev) {
-			next.Entries = op.Next
-		} else {
-			next.Entries = op.Successor(next.Entries)
-		}
-		s.Permits[op.Target] = next
+		// Otherwise no record of the tenant's is there to hold a list, and
+		// the op declares nothing: core refuses a permit verb on a target
+		// the tenant does not hold, so only a journal written by hand
+		// names one.
 	case OpSetQoS:
 		s.Quotas[QuotaKey(op.Provider, tenant, op.Region)] = op.Bps
 	case OpSetPotato:
@@ -323,6 +333,10 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		ep, ok := s.Endpoints[op.EIP]
 		if !ok {
 			return fmt.Errorf("egress cap for unknown endpoint %s", op.EIP)
+		}
+		if op.Endpoint != nil {
+			s.Endpoints[op.EIP] = op.Endpoint
+			break
 		}
 		next := *ep
 		next.EgressCap = op.Bps
@@ -383,6 +397,18 @@ func (s *State) forget(a addr.IP) {
 	}
 }
 
+// Permit returns the declared permit list guarding target, and whether
+// there is one.
+func (s *State) Permit(target addr.IP) (PermitList, bool) {
+	if ep, ok := s.Endpoints[target]; ok {
+		return PermitList{Tenant: ep.Tenant, Entries: ep.Permits}, ep.Permits != nil
+	}
+	if svc, ok := s.Services[target]; ok {
+		return PermitList{Tenant: svc.Tenant, Entries: svc.Permits}, svc.Permits != nil
+	}
+	return PermitList{}, false
+}
+
 // owns reports whether a is one of tenant's endpoints or services.
 func (s *State) owns(tenant string, a addr.IP) bool {
 	if ep, ok := s.Endpoints[a]; ok {
@@ -402,16 +428,15 @@ func (s *State) drainBinds(eip addr.IP) {
 }
 
 // Clone copies the state: recovery, the tests and the benchmark take one
-// through Log.State and own it outright — except its permit lists, which
-// are immutable once stored and shared, so that a world restored from the
-// copy installs the very slices the log declares.
+// through Log.State and own it outright — except its endpoints and permit
+// lists, which are immutable once stored and shared, so that a world
+// restored from the copy installs the very entries the log declares.
 func (s *State) Clone() *State {
 	c := &State{
 		Seq:       s.Seq,
 		Meta:      maps.Clone(s.Meta),
 		Endpoints: make(map[addr.IP]*Endpoint, len(s.Endpoints)),
 		Services:  make(map[addr.IP]*Service, len(s.Services)),
-		Permits:   make(map[addr.IP]*PermitList, len(s.Permits)),
 		Quotas:    maps.Clone(s.Quotas),
 		Potato:    maps.Clone(s.Potato),
 		Groups:    make(map[string][]addr.IP, len(s.Groups)),
@@ -419,16 +444,12 @@ func (s *State) Clone() *State {
 		EIPPools:  make(map[string]*PoolState, len(s.EIPPools)),
 		SIPPools:  make(map[string]*PoolState, len(s.SIPPools)),
 	}
-	for k, v := range s.Endpoints {
-		ep := *v
-		c.Endpoints[k] = &ep
-	}
+	maps.Copy(c.Endpoints, s.Endpoints)
 	for k, v := range s.Services {
 		svc := *v
 		svc.Binds = append([]Bind(nil), v.Binds...)
 		c.Services[k] = &svc
 	}
-	maps.Copy(c.Permits, s.Permits)
 	for k, v := range s.Groups {
 		c.Groups[k] = append([]addr.IP(nil), v...)
 	}

@@ -77,6 +77,31 @@ type Op struct {
 	// has no verb and derives.
 	Derived    bool          `json:"-"`
 	Prev, Next []addr.Prefix `json:"-"`
+
+	// Endpoint never reaches the journal either. The verb that applies a
+	// request_eip, a set_vm_egress or a permit-surface op on an EIP sets
+	// it to the entry it installed for the address, and State adopts that
+	// entry instead of building a second one, so declared and installed
+	// hold one record. Replay has no verb and builds.
+	Endpoint *Endpoint `json:"-"`
+}
+
+// Declares returns the permit list a set_permit, permit or revoke op
+// leaves declared on a target whose declared list is cur (nil for none):
+// nil when revoke finds none, otherwise a guarded list — the one the verb
+// derived when it derived from cur.
+func (op *Op) Declares(cur []addr.Prefix) []addr.Prefix {
+	switch {
+	case op.Verb == OpSetPermit && op.Derived:
+		return guarded(op.Next)
+	case op.Verb == OpSetPermit:
+		return guarded(addr.CanonicalPrefixes(op.Entries))
+	case cur == nil && op.Verb == OpRevoke:
+		return nil // revoking from an empty list is a no-op, as in core
+	case op.Derived && addr.EqualPrefixes(cur, op.Prev):
+		return guarded(op.Next)
+	}
+	return guarded(op.Successor(cur))
 }
 
 // Successor returns the entry set a permit or revoke op leaves when

@@ -16,6 +16,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -105,8 +106,8 @@ var verdictNames = [...]string{"", "ok", "deny", "fail", "deferred", "degraded",
 func (v Verdict) String() string { return verdictNames[v] }
 
 // Event is one structured provider-side decision, as /v1/trace and the
-// experiments read it: Tracer.Recent renders it from the Decision the
-// ring stored.
+// experiments read it: Tracer.Recent renders it from the packed Decision
+// the ring stored.
 type Event struct {
 	// Seq is a tracer-global monotonic sequence number; events across
 	// tenants interleave in Seq order.
@@ -146,15 +147,14 @@ func (e Event) String() string {
 	return b.String()
 }
 
-// Decision is one decision as the recorder hands it over and a tenant's
-// ring stores it, in 72 bytes: an Event before rendering. Addresses stay
-// addr.IP, kind and verdict stay enums, and a permit list's size and
-// epoch stay numbers; Detail and Cause hold free text, for the kinds that
-// need some. The tenant is the ring's key, so no decision stores it, and
-// the sequence number is the tracer's to stamp.
+// Decision is one decision as the recorder hands it over: an Event
+// before rendering. Addresses stay addr.IP, kind and verdict stay enums,
+// and a permit list's size and epoch stay numbers; Detail and Cause hold
+// free text, for the kinds that need some. The tenant is the ring's key,
+// so no decision carries it, and the sequence number is the tracer's to
+// stamp.
 type Decision struct {
-	seq uint64
-	At  time.Duration
+	At time.Duration
 	// Src and Dst are the flow endpoints, 0 when the decision has none
 	// (rendered "").
 	Src, Dst addr.IP
@@ -169,16 +169,45 @@ type Decision struct {
 	Cause   string
 }
 
-// event renders d as the Event the tenant reads.
-func (d *Decision) event(tenant string) Event {
-	ev := Event{
-		Seq: d.seq, At: d.At, Tenant: tenant, Kind: d.Kind,
-		Src: ipText(d.Src), Dst: ipText(d.Dst),
-		Verdict: d.Verdict.String(), Detail: d.Detail, Cause: d.Cause,
+// slot is a Decision as a tenant's ring stores it, in 56 bytes: the
+// numbers as they are, and Detail and Cause as one string, text, that
+// split cuts in two — Detail is text[:split], Cause text[split:]. Most
+// decisions carry at most one of the two, and then text is that string
+// itself; only a decision with both pays for joining them. A Detail
+// longer than 64 KiB − 1 is cut there.
+type slot struct {
+	seq      uint64
+	at       time.Duration
+	src, dst addr.IP
+	kind     Kind
+	verdict  Verdict
+	split    uint16
+	entries  uint32
+	epoch    uint64
+	text     string
+}
+
+// pack stores d, stamped seq, in a slot.
+func pack(seq uint64, d *Decision) slot {
+	detail := d.Detail
+	if len(detail) > math.MaxUint16 {
+		detail = detail[:math.MaxUint16]
 	}
-	if d.Kind == PermitUpdate || d.Kind == PermitDeny {
-		ev.Detail = "entries=" + strconv.FormatUint(uint64(d.Entries), 10) +
-			" epoch=" + strconv.FormatUint(d.Epoch, 10)
+	text := detail + d.Cause // no allocation when either is empty
+	return slot{seq: seq, at: d.At, src: d.Src, dst: d.Dst, kind: d.Kind, verdict: d.Verdict,
+		split: uint16(len(detail)), entries: d.Entries, epoch: d.Epoch, text: text}
+}
+
+// event renders s as the Event the tenant reads.
+func (s *slot) event(tenant string) Event {
+	ev := Event{
+		Seq: s.seq, At: s.at, Tenant: tenant, Kind: s.kind,
+		Src: ipText(s.src), Dst: ipText(s.dst),
+		Verdict: s.verdict.String(), Detail: s.text[:s.split], Cause: s.text[s.split:],
+	}
+	if s.kind == PermitUpdate || s.kind == PermitDeny {
+		ev.Detail = "entries=" + strconv.FormatUint(uint64(s.entries), 10) +
+			" epoch=" + strconv.FormatUint(s.epoch, 10)
 	}
 	return ev
 }
@@ -245,13 +274,14 @@ func (r *Ring[T]) Len() int { return len(r.buf) }
 
 // Tracer records decisions into one bounded ring buffer per tenant, so a
 // chatty tenant cannot grow provider memory or evict another tenant's
-// history. A ring holds Decisions, not rendered Events: the strings a
-// tenant reads are built by Recent, for the events it returns. Safe for concurrent use. The zero value is NOT ready;
-// use NewTracer. A nil *Tracer records nothing.
+// history. A ring holds packed Decisions (slot), not rendered Events: the
+// strings a tenant reads are built by Recent, for the events it returns.
+// Safe for concurrent use. The zero value is NOT ready; use NewTracer. A
+// nil *Tracer records nothing.
 type Tracer struct {
 	mu     sync.Mutex
 	cap    int
-	rings  map[string]*Ring[Decision]
+	rings  map[string]*Ring[slot]
 	seq    uint64
 	nStamp uint64 // events recorded (not evicted)
 	nDrop  uint64 // events overwritten by ring wraparound
@@ -259,7 +289,7 @@ type Tracer struct {
 	// lastTenant/lastRing memoize the map lookup for the common case of
 	// many consecutive events from one tenant (guarded by mu).
 	lastTenant string
-	lastRing   *Ring[Decision]
+	lastRing   *Ring[slot]
 }
 
 // DefaultPerTenantCap bounds each tenant's ring when NewTracer is given
@@ -272,7 +302,7 @@ func NewTracer(perTenantCap int) *Tracer {
 	if perTenantCap <= 0 {
 		perTenantCap = DefaultPerTenantCap
 	}
-	return &Tracer{cap: perTenantCap, rings: make(map[string]*Ring[Decision])}
+	return &Tracer{cap: perTenantCap, rings: make(map[string]*Ring[slot])}
 }
 
 // Record stamps d with the next sequence number and appends it to the
@@ -286,21 +316,20 @@ func (t *Tracer) Record(tenant string, d Decision) uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.seq++
-	d.seq = t.seq
 	r := t.lastRing
 	if r == nil || t.lastTenant != tenant {
 		var ok bool
 		if r, ok = t.rings[tenant]; !ok {
-			r = &Ring[Decision]{}
+			r = &Ring[slot]{}
 			t.rings[tenant] = r
 		}
 		t.lastTenant, t.lastRing = tenant, r
 	}
-	if r.Push(d, t.cap) {
+	if r.Push(pack(t.seq, &d), t.cap) {
 		t.nDrop++
 	}
 	t.nStamp++
-	return d.seq
+	return t.seq
 }
 
 // Recent renders up to n of the tenant's most recent decisions as
@@ -315,7 +344,7 @@ func (t *Tracer) Recent(tenant string, n int) []Event {
 	if !ok {
 		return nil
 	}
-	return lastOf(r, n, func(d *Decision) Event { return d.event(tenant) })
+	return lastOf(r, n, func(s *slot) Event { return s.event(tenant) })
 }
 
 // Len reports how many events the tenant's ring currently holds.
@@ -356,7 +385,7 @@ func (t *Tracer) Evicted() uint64 {
 // Drop releases the tenant's ring. Called when a tenant's last address
 // is released: without eviction the rings map only ever grows, so a
 // workload that churns through short-lived tenants leaks one ring
-// (cap × sizeof(Decision)) per tenant forever. Events already buffered
+// (cap × sizeof(slot)) per tenant forever. Events already buffered
 // for the tenant are discarded; a later Record for the same tenant
 // starts a fresh ring. Nil-safe.
 func (t *Tracer) Drop(tenant string) {

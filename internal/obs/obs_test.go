@@ -121,11 +121,15 @@ func TestTracerConcurrent(t *testing.T) {
 }
 
 // A Ring costs what its tenant recorded: three events at the default
-// bound hold under 1 KB (a ring allocated whole is 72 KB), and a ring
-// that has filled holds exactly the bound, not append's next doubling.
+// bound hold under 1 KB (a ring allocated whole is 56 KB), and a ring
+// that has filled holds exactly the bound, not append's next doubling, in
+// slots of at most 56 bytes.
 func TestRingGrowsWithItsTenant(t *testing.T) {
+	if size := unsafe.Sizeof(slot{}); size > 56 {
+		t.Fatalf("a ring slot is %d bytes, budget 56", size)
+	}
 	tr := NewTracer(0)
-	held := func() uintptr { return uintptr(cap(tr.rings["acme"].buf)) * unsafe.Sizeof(Decision{}) }
+	held := func() uintptr { return uintptr(cap(tr.rings["acme"].buf)) * unsafe.Sizeof(slot{}) }
 	for i := 0; i < 3; i++ {
 		tr.Record("acme", Decision{Kind: PermitAllow})
 	}
@@ -135,7 +139,7 @@ func TestRingGrowsWithItsTenant(t *testing.T) {
 	for i := 0; i < 2*DefaultPerTenantCap; i++ {
 		tr.Record("acme", Decision{Kind: PermitAllow})
 	}
-	if got, want := held(), DefaultPerTenantCap*unsafe.Sizeof(Decision{}); got != want {
+	if got, want := held(), DefaultPerTenantCap*unsafe.Sizeof(slot{}); got != want {
 		t.Fatalf("a full ring holds %d B, want the bound's %d", got, want)
 	}
 	if got := tr.Len("acme"); got != DefaultPerTenantCap {
@@ -193,11 +197,25 @@ func TestChainAndString(t *testing.T) {
 	}
 }
 
-// A ring slot is a Decision, not a rendered Event: what the tracer keeps
-// per event is bounded by this size times the ring's bound, per tenant.
+// A Decision is what every traced verdict copies into Record, by value;
+// the ring stores it packed (TestRingGrowsWithItsTenant bounds the slot).
 func TestDecisionSize(t *testing.T) {
-	if size := unsafe.Sizeof(Decision{}); size > 72 {
-		t.Fatalf("a Decision is %d bytes, budget 72", size)
+	if size := unsafe.Sizeof(Decision{}); size > 64 {
+		t.Fatalf("a Decision is %d bytes, budget 64", size)
+	}
+}
+
+// A Detail too long for the slot's split index is cut at 64 KiB − 1
+// bytes; the cause after it is kept whole.
+func TestOversizeDetailIsCut(t *testing.T) {
+	tr := NewTracer(0)
+	long := strings.Repeat("d", 70000)
+	tr.Record("acme", Decision{Kind: Explain, Detail: long, Cause: "root"})
+	tr.Record("acme", Decision{Kind: Explain, Detail: long})
+	for i, ev := range tr.Recent("acme", 0) {
+		if ev.Detail != long[:65535] || ev.Cause != []string{"root", ""}[i] {
+			t.Errorf("event %d: detail of %d bytes, cause %q", i, len(ev.Detail), ev.Cause)
+		}
 	}
 }
 

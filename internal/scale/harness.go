@@ -3,6 +3,7 @@ package scale
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -10,6 +11,7 @@ import (
 
 	"declnet/internal/addr"
 	"declnet/internal/core"
+	"declnet/internal/intent"
 	"declnet/internal/permit"
 	"declnet/internal/topo"
 	"declnet/internal/workload"
@@ -25,7 +27,7 @@ type Metrics struct {
 	Onboarded    int           // endpoints granted and permit-listed
 	OnboardWall  time.Duration // wall time for the whole onboard fan-out
 	GrantsPerSec float64
-	BytesPerEP   float64 // provider heap bytes per onboarded endpoint
+	BytesPerEP   float64 // provider heap bytes per onboarded endpoint, declared state included
 	Shards       int     // (tenant, region) shards materialized
 
 	// Churn phase (Poisson launch/teardown through the live API).
@@ -154,7 +156,10 @@ func sortDurations(d []time.Duration) {
 }
 
 // Run executes the full drill: onboard, churn, connect fan-out, storm
-// isolation. The config must have passed Validate.
+// isolation. The config must have passed Validate. The world runs as
+// declnetd deploys it, with an intent store attached — in a temporary
+// directory Run removes — so every verb is journaled and the heap bytes
+// per endpoint count the declared state too.
 func Run(cfg Config) (*Metrics, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -163,6 +168,17 @@ func Run(cfg Config) (*Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
+	dir, err := os.MkdirTemp("", "declnet-scale-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	l, err := intent.Open(dir, intent.Options{})
+	if err != nil {
+		return nil, err
+	}
+	defer l.Close()
+	w.cloud.EnableIntent(l)
 	m := &Metrics{Config: cfg}
 
 	// Phase 1 — onboard: every tenant grants its share of endpoints,

@@ -9,25 +9,25 @@ import (
 
 	"declnet/internal/addr"
 	"declnet/internal/intent"
+	"declnet/internal/obs"
 	"declnet/internal/permit"
 )
 
-// What one restored endpoint costs at the 10^5-endpoint tier, half of it
-// loaded from the snapshot and half replayed from the journal: 700 000
-// allocations and 127.7 MB. The journal half decodes binary frames with
-// no reflection, keeping one copy of each repeated string: 13.1
-// allocations and 559 bytes per endpoint fewer than the JSON frames'
-// decoder (21.1 and 1 860). The snapshot half is read without a JSON
-// token per key, and every endpoint declaring the same list shares one
-// decoded slice. An installed permit list is the declared list itself —
-// Log.State shares it and restore adopts it, so neither copies it.
-// Restore is one pass per declared surface with no sorted key list, and
-// an endpoint adopts its region block's shard string rather than
-// building one. Recovery may cost a quarter more before
-// TestRecoveryBudget fails.
+// What one restored endpoint may cost — half of the world loaded from
+// the snapshot and half replayed from the journal — counting Open,
+// building the empty world and RestoreIntent. The figures are the smoke
+// tier's (10^4 endpoints) under the race detector, the largest of the
+// tiers the test runs: building the world is a fixed cost, which fewer
+// endpoints share (the 10^5 tier measures 4.5 allocations and 1 090
+// bytes, the 10^6 tier 4.1 and 1 216). The journal half decodes binary
+// frames with no reflection, keeping one copy of each repeated string;
+// the snapshot half hands every endpoint declaring the same list one
+// decoded slice; and an installed endpoint, with its permit list, is the
+// declared entry itself — Log.State shares it and restore adopts it.
+// Recovery may cost a quarter more before TestRecoveryBudget fails.
 const (
-	recoverAllocsPerEndpoint = 7.0
-	recoverBytesPerEndpoint  = 1277
+	recoverAllocsPerEndpoint = 6.0
+	recoverBytesPerEndpoint  = 1272
 	recoverBudgetFactor      = 1.25
 )
 
@@ -35,24 +35,11 @@ const (
 // in.
 var raceEnabled bool
 
-// TestRecoveryBudget pins the cost of restart recovery at the E13
-// default tier (10^5 endpoints, 200 tenants): onboard a full drill world
-// with the durable intent store attached, compact at the halfway mark so
-// recovery exercises snapshot load AND journal-tail replay, then run
-// Open -> buildWorld -> RestoreIntent once and check the recovered world
-// against the crashed one's digest. The budget is counted in allocations
-// and bytes per restored endpoint, which do not depend on the host; the
-// wall clock is logged, not asserted. DECLNET_RECOVER_EIPS / _TENANTS /
-// _REGIONS raise the tier toward 10^6 (`make recover-scale` does, and CI
-// runs it), so the per-endpoint budget holds at both tiers. Under the
-// race detector the default tier is the smoke one: the budget is per
-// endpoint and the same there, and the 10^5 tier would hold a core for
-// half a minute beside the wall-clock tests of packages `go test ./...`
-// runs concurrently.
-func TestRecoveryBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("onboards and recovers 10^5 endpoints")
-	}
+// budgetTier is the tier the budget tests run: E13's default (10^5
+// endpoints, 200 tenants), the smoke tier under the race detector, and
+// what DECLNET_RECOVER_EIPS / _TENANTS / _REGIONS set when given.
+func budgetTier(t *testing.T) Config {
+	t.Helper()
 	cfg := DefaultConfig()
 	if raceEnabled {
 		cfg = SmokeConfig()
@@ -76,27 +63,20 @@ func TestRecoveryBudget(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	l, err := intent.Open(dir, intent.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := buildWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.cloud.EnableIntent(l)
+	return cfg
+}
 
-	// Onboard exactly like the drill's phase 1: grants plus a permit
-	// list per endpoint, fanned out over workers so the journal sees
-	// real concurrent append order — in two halves with a snapshot
-	// between them, so recovery folds a snapshot holding half the world
-	// and a journal tail holding the other half, whatever the scheduler
-	// did.
+// onboardInHalves onboards w exactly like the drill's phase 1 — grants
+// plus a permit list per endpoint, fanned out over workers so the journal
+// l sees real concurrent append order — in two halves with a snapshot
+// between them, so a recovery folds a snapshot holding half the world
+// and a journal tail holding the other half, whatever the scheduler did.
+func onboardInHalves(t *testing.T, cfg Config, w *world, l *intent.Log) {
+	t.Helper()
 	perTenant := cfg.EIPs / cfg.Tenants
 	extra := cfg.EIPs % cfg.Tenants
 	for half := 0; half < 2; half++ {
-		err = forEachTenant(cfg, w.tenants, func(_ int, ts *tenantState) error {
+		err := forEachTenant(cfg, w.tenants, func(_ int, ts *tenantState) error {
 			n := perTenant
 			if tenantIndex(ts.name) < extra {
 				n++
@@ -127,6 +107,38 @@ func TestRecoveryBudget(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRecoveryBudget pins the cost of restart recovery at the E13
+// default tier (10^5 endpoints, 200 tenants): onboard a full drill world
+// with the durable intent store attached, compact at the halfway mark so
+// recovery exercises snapshot load AND journal-tail replay, then run
+// Open -> buildWorld -> RestoreIntent once and check the recovered world
+// against the crashed one's digest. The budget is counted in allocations
+// and bytes per restored endpoint, which do not depend on the host; the
+// wall clock is logged, not asserted. DECLNET_RECOVER_EIPS / _TENANTS /
+// _REGIONS raise the tier toward 10^6 (`make recover-scale` does, and CI
+// runs it), so the per-endpoint budget holds at both tiers. Under the
+// race detector the default tier is the smoke one: the budget is per
+// endpoint and the same there, and the 10^5 tier would hold a core for
+// half a minute beside the wall-clock tests of packages `go test ./...`
+// runs concurrently.
+func TestRecoveryBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("onboards and recovers 10^5 endpoints")
+	}
+	cfg := budgetTier(t)
+	dir := t.TempDir()
+	l, err := intent.Open(dir, intent.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := buildWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.cloud.EnableIntent(l)
+	onboardInHalves(t, cfg, w, l)
 	// A QoS tail after the snapshot point.
 	for _, ts := range w.tenants {
 		if err := w.cloud.Tenant(ts.name).SetQoS(w.prov.Name, regionName(ts.region), 1e9); err != nil {
@@ -169,5 +181,64 @@ func TestRecoveryBudget(t *testing.T) {
 	}
 	if limit := recoverBudgetFactor * recoverBytesPerEndpoint; bytes > limit {
 		t.Errorf("recovery allocated %.0f bytes per endpoint, budget %.0f", bytes, limit)
+	}
+}
+
+// liveBytesPerEndpoint is the live heap one endpoint may cost in the
+// configuration declnetd runs: the intent store attached and compacted,
+// the decision tracer on. An endpoint is one declared record, held by the
+// store and installed by core alike and carrying its permit list, whose
+// slice the permit engine enforces as is; a slot in each of the four
+// address-keyed tables (declared, core's, the engine's, its pool's); and
+// a share of its tenant's decision ring. The tables' load factor falls
+// as a region's block fills, so an endpoint costs more at 10^6 than at
+// 10^5; the budget holds at both.
+const liveBytesPerEndpoint = 420
+
+// TestLiveBudget pins what the deployed control plane holds per endpoint:
+// onboard the budget tier the way TestRecoveryBudget does, with the intent
+// store and obs.NewTracer(0) attached as declnetd attaches them, compact,
+// collect, and count the heap in use against what it was before the
+// first grant. The same onboarding with the store alone is logged beside
+// it. Bytes per endpoint do not depend on the host; `make recover-scale`
+// runs it at 10^6. Under the race detector its allocations are not the
+// daemon's, so it does not run there.
+func TestLiveBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("onboards 10^5 endpoints twice")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's allocations are not the daemon's")
+	}
+	cfg := budgetTier(t)
+	live := func(tr *obs.Tracer) float64 {
+		l, err := intent.Open(t.TempDir(), intent.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		w, err := buildWorld(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.cloud.EnableIntent(l)
+		if tr != nil {
+			w.cloud.EnableObservability(tr, nil)
+		}
+		heap0 := heapInUse()
+		onboardInHalves(t, cfg, w, l)
+		if err := l.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		heap1 := heapInUse()
+		runtime.KeepAlive(w)
+		return (float64(heap1) - float64(heap0)) / float64(cfg.EIPs)
+	}
+	storeOnly := live(nil)
+	deployed := live(obs.NewTracer(0))
+	t.Logf("%d endpoints, %d tenants: %.0f live bytes per endpoint with the store and the tracer, %.0f with the store alone",
+		cfg.EIPs, cfg.Tenants, deployed, storeOnly)
+	if deployed > liveBytesPerEndpoint {
+		t.Errorf("the deployed control plane holds %.0f bytes per endpoint, budget %d", deployed, liveBytesPerEndpoint)
 	}
 }
