@@ -297,7 +297,9 @@ func TestPipeTenantIsRefused(t *testing.T) {
 // State.Apply's rejection branch; at the end each tenant owns exactly as
 // many frames as it had calls accepted; a whole-world sweep finds
 // nothing to repair, since a verb leaves every reconciled surface
-// converged when it returns; and the store reopens into the live world.
+// converged when it returns; no verb moved the topology epoch, which
+// would flush the path cache on every mutation; and the store reopens
+// into the live world.
 func TestEveryAcceptedMutationIsJournaled(t *testing.T) {
 	dir := t.TempDir()
 	c, w, _, _, _ := fig1Cloud(t)
@@ -306,6 +308,7 @@ func TestEveryAcceptedMutationIsJournaled(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.EnableIntent(l)
+	epoch := c.G.Epoch()
 	tenants := []string{"acme", "globex", "initech"}
 	accepted := make([]int, len(tenants))
 	var wg sync.WaitGroup
@@ -319,6 +322,9 @@ func TestEveryAcceptedMutationIsJournaled(t *testing.T) {
 	wg.Wait()
 	if t.Failed() {
 		return
+	}
+	if got := c.G.Epoch(); got != epoch {
+		t.Errorf("the writers moved the topology epoch %d -> %d", epoch, got)
 	}
 	want := c.StateDigest()
 	r, err := c.EnableReconciler(ReconcilerConfig{AntiEntropyK: 1})

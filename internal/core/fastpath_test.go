@@ -15,18 +15,15 @@ import (
 )
 
 // TestPropertyPathCacheParity replays random fault/heal/connect schedules
-// and asserts, after every step, that the scope-aware path cache answers
+// and asserts, after every step, that the epoch-keyed path cache answers
 // byte-identically to an uncached Dijkstra over the live graph: the same
 // link-ID sequence on success, the same error string on failure (negative
 // caching included). The schedule mixes single-link and single-node
-// faults (scoped or cross-cut epoch bumps), whole-region faults (batched
-// bumps via the injector's coalescing window), and batched permit churn
-// through ApplyBatch, so every invalidation path — scoped staleness,
-// wholesale flush, and coalesced batch bumps — is exercised against the
-// same oracle. Connects ride along so the connect path's own router
+// faults, whole-region faults (many link transitions in one step), and
+// batched permit churn through ApplyBatch, which must never touch the
+// path cache. Connects ride along so the connect path's own router
 // lookups run under the same schedule. CI runs this under -race.
 func TestPropertyPathCacheParity(t *testing.T) {
-	var totalInvalidations uint64
 	for seed := int64(1); seed <= 6; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -137,8 +134,8 @@ func TestPropertyPathCacheParity(t *testing.T) {
 				case 5:
 					inj.RestoreNode(mids[rng.Intn(len(mids))])
 				case 6:
-					// Whole-region faults run inside the injector's batch
-					// window: many link transitions, one coalesced bump.
+					// Whole-region faults: many link transitions in one
+					// step, one flush at the next lookup.
 					reg := regions[rng.Intn(len(regions))]
 					inj.FailRegion(reg[0], reg[1])
 				case 7:
@@ -167,14 +164,7 @@ func TestPropertyPathCacheParity(t *testing.T) {
 			if c.Router().Flushes() == 0 {
 				t.Error("parity run never flushed the cache despite restores")
 			}
-			totalInvalidations += c.Router().Invalidations()
 		})
-	}
-	// Across all seeds, some entries must have gone scoped-stale (a scope
-	// their path crosses mutated without a wholesale flush) — otherwise
-	// the scoped invalidation path was never exercised.
-	if totalInvalidations == 0 {
-		t.Error("no scoped invalidations across any seed")
 	}
 }
 

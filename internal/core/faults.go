@@ -9,7 +9,6 @@ import (
 	"declnet/internal/fault"
 	"declnet/internal/metrics"
 	"declnet/internal/obs"
-	"declnet/internal/permit"
 	"declnet/internal/sim"
 	"declnet/internal/topo"
 )
@@ -89,10 +88,10 @@ type FaultMonitor struct {
 	// different shards defer concurrently, beside Explain, the reconciler
 	// and the metrics scrape reading it.
 	mu sync.Mutex
-	// pending tracks deferred permit updates by target address (when the
-	// update was first accepted), so Explain can tell "denied" apart from
-	// "accepted but not yet enforceable".
-	pending map[addr.IP]sim.Time
+	// pending tracks deferred permit updates by target address, so
+	// Explain can tell "denied" apart from "accepted but not yet
+	// enforceable".
+	pending map[addr.IP]*deferral
 	// marks is the reconciler's one source of dirty marks: the targets
 	// whose deferred update landed or timed out since the last sweep took
 	// them. Only these change a reconciled surface outside a journaled
@@ -112,7 +111,7 @@ func newFaultMonitor(c *Cloud) *FaultMonitor {
 		Policy:   DefaultFaultPolicy(),
 		cloud:    c,
 		backends: make(map[backendKey]*backendState),
-		pending:  make(map[addr.IP]sim.Time),
+		pending:  make(map[addr.IP]*deferral),
 	}
 }
 
@@ -149,8 +148,10 @@ func (m *FaultMonitor) BackendDown(provider string, sip SIP, eip EIP) bool {
 func (m *FaultMonitor) PendingPermit(target addr.IP) (sim.Time, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	since, ok := m.pending[target]
-	return since, ok
+	if d, ok := m.pending[target]; ok {
+		return d.since, true
+	}
+	return 0, false
 }
 
 // takeMarks consumes the permit targets marked since the last call.
@@ -316,12 +317,25 @@ func (m *FaultMonitor) state(provider string, sip SIP, eip EIP) *backendState {
 	return st
 }
 
+// deferral is one target's deferred permit update: when the first one
+// was accepted, and the list version of the latest.
+type deferral struct {
+	since   sim.Time
+	version uint64
+}
+
 // retryPermit accepts a permit update whose target endpoint is currently
 // unreachable and keeps retrying until the endpoint's enforcement point
-// answers or the timeout expires. set is the list the verb derived (and
-// the declared state adopted), installed as is when the node answers, at
-// epoch n, the entries the tenant sent. Regular (non-daemon) events:
-// bounded by the timeout, so a deadline-less Run still terminates.
+// answers or the timeout, counted from the first deferral, expires. The
+// verb has declared the update on the endpoint's record already; the
+// attempt that reaches the node installs the list the record holds then.
+// Its version counts as if each deferred update had landed: a set_permit
+// (set) restarts it at edits, its entry count, and a permit or revoke adds
+// its edits to the pending deferral's version, or to the installed list's.
+// A target has one retry loop: a deferral while one is pending only moves
+// its version, so the list that lands is the one declared last. Regular
+// (non-daemon) events: bounded by the timeout, so a deadline-less Run
+// still terminates.
 //
 // It runs on the verb path, under the target's shard lock only, so two
 // tenants' deferrals race each other: mu covers the pending map and the
@@ -329,18 +343,28 @@ func (m *FaultMonitor) state(provider string, sip SIP, eip EIP) *backendState {
 // every other event a shard-locked verb schedules. The attempts themselves
 // run inside the engine, which never advances beside verbs: that takes an
 // exclusive step.
-func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, set []permit.Entry, n int, node topo.NodeID) {
-	accepted := m.cloud.Eng.Now()
-	deadline := accepted + permitRetryTimeout
+func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, edits int, set bool, node topo.NodeID) {
 	m.mu.Lock()
-	if _, dup := m.pending[target]; !dup {
-		m.pending[target] = accepted
+	d, running := m.pending[target]
+	if !running {
+		cur, _ := p.Permits.List(target)
+		d = &deferral{since: m.cloud.Eng.Now(), version: cur.Version()}
+		m.pending[target] = d
 	}
+	if set {
+		d.version = 0
+	}
+	d.version += uint64(edits)
 	m.PermitRetries++
 	m.mu.Unlock()
 	m.cloud.traceEvent(tenant, obs.Decision{Kind: obs.PermitDefer, Dst: target, Verdict: obs.Deferred,
-		Detail: fmt.Sprintf("entries=%d node=%s", n, node),
+		Detail: fmt.Sprintf("entries=%d node=%s", edits, node),
 		Cause:  obs.Chain(m.Inj.Cause(node)...)})
+	if running {
+		return
+	}
+	accepted := d.since
+	deadline := accepted + permitRetryTimeout
 	// settle ends the deferral. A landed or timed-out update marks the
 	// target in the same step, so a sweep sees the target either still
 	// pending or marked, never neither.
@@ -357,24 +381,28 @@ func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, s
 	}
 	var attempt func()
 	attempt = func() {
-		// The target may have been released while the update was pending.
+		// The target may have been released, or granted again, while the
+		// update was pending: what lands is what its record declares now.
 		ep, ok := p.endpoints.Get(target)
-		if !ok || ep.Tenant != tenant {
+		if !ok || ep.Permits == nil {
 			settle(false)
 			return
 		}
+		node := topo.NodeID(ep.VM)
 		if m.Inj.Reachable(node) {
-			epoch := p.Permits.Install(target, set, uint64(n))
+			m.mu.Lock()
+			version := d.version
+			m.mu.Unlock()
+			epoch := p.Permits.Install(target, ep.Permits, version)
 			if p.meter != nil {
-				p.meter.PermitUpdate(tenant, m.cloud.Eng.Now())
+				p.meter.PermitUpdate(ep.Tenant, m.cloud.Eng.Now())
 			}
 			lag := m.cloud.Eng.Now() - accepted
 			m.mPermitLag.Record(lag)
-			m.cloud.traceEvent(tenant, obs.Decision{Kind: obs.PermitApply, Dst: target, Verdict: obs.OK,
+			m.cloud.traceEvent(ep.Tenant, obs.Decision{Kind: obs.PermitApply, Dst: target, Verdict: obs.OK,
 				Detail: fmt.Sprintf("lag=%v epoch=%d", lag, epoch)})
 			// The update landed outside any journaled record: the next
-			// sweep re-verifies it against the latest declared list, which
-			// may have moved on while we retried.
+			// sweep re-verifies it against the declared list.
 			settle(true)
 			return
 		}
@@ -382,7 +410,7 @@ func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, s
 			m.mu.Lock()
 			m.PermitTimeouts++
 			m.mu.Unlock()
-			m.cloud.traceEvent(tenant, obs.Decision{Kind: obs.PermitTimeout, Dst: target, Verdict: obs.Fail,
+			m.cloud.traceEvent(ep.Tenant, obs.Decision{Kind: obs.PermitTimeout, Dst: target, Verdict: obs.Fail,
 				Detail: fmt.Sprintf("after=%v", m.cloud.Eng.Now()-accepted),
 				Cause:  obs.Chain(append([]string{"permit-timeout:" + target.String()}, m.Inj.Cause(node)...)...)})
 			// Timed out: the live list never took the declared update. With

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -178,6 +179,73 @@ func TestPermitUpdateTimesOut(t *testing.T) {
 	}
 	if pb.Permits.Check(client, be1) {
 		t.Fatal("abandoned permit update must not land")
+	}
+}
+
+// TestDeferredSetPermitsInstallTheLastDeclared: two set_permits 300ms
+// apart defer behind one failed node, and the node heals between the
+// first update's retry and the second's. The list that lands is the one
+// declared last, with no store attached to repair it afterwards.
+func TestDeferredSetPermitsInstallTheLastDeclared(t *testing.T) {
+	c, m, _, _, be1, _, n1, _ := failoverWorld(t, FaultPolicy{HealthInterval: 100 * time.Millisecond})
+	pb, _ := c.Provider("cloudB")
+	run := func(d time.Duration) { c.Eng.RunUntil(c.Eng.Now() + d) }
+	set := func(e addr.Prefix) {
+		t.Helper()
+		if err := c.Tenant("acme").SetPermitList(be1, []permit.Entry{e}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Inj.FailNode(n1); err != nil {
+		t.Fatal(err)
+	}
+	a, b := pfx("10.0.0.1/32"), pfx("10.0.0.2/32")
+	set(a)
+	run(300 * time.Millisecond)
+	set(b)
+	run(permitRetryInterval - 200*time.Millisecond)
+	if err := m.Inj.RestoreNode(n1); err != nil {
+		t.Fatal(err)
+	}
+	run(3 * permitRetryInterval)
+	if got, want := pb.Permits.EntriesOf(be1), []addr.Prefix{b}; !slices.Equal(got, want) {
+		t.Fatalf("installed %v after the heal, want the last declared %v", got, want)
+	}
+	if _, pending := m.PendingPermit(be1); pending {
+		t.Fatal("update still pending after it landed")
+	}
+}
+
+// TestPermitBehindADeferredSetPermitDefers: a permit to an endpoint whose
+// node is down is declared at once and deferred, as the set_permit ahead
+// of it was. Nothing lands on the unreachable node, and after the heal
+// the node holds the list declared last.
+func TestPermitBehindADeferredSetPermitDefers(t *testing.T) {
+	c, m, _, _, be1, _, n1, _ := failoverWorld(t, FaultPolicy{HealthInterval: 100 * time.Millisecond})
+	pb, _ := c.Provider("cloudB")
+	if err := m.Inj.FailNode(n1); err != nil {
+		t.Fatal(err)
+	}
+	a, b := pfx("10.0.0.1/32"), pfx("10.0.0.2/32")
+	if err := c.Tenant("acme").SetPermitList(be1, []permit.Entry{a}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Tenant("acme").Permit(be1, b); err != nil {
+		t.Fatal(err)
+	}
+	if got := pb.Permits.EntriesOf(be1); got != nil {
+		t.Errorf("installed %v on an unreachable node", got)
+	}
+	if err := m.Inj.RestoreNode(n1); err != nil {
+		t.Fatal(err)
+	}
+	c.Eng.RunUntil(c.Eng.Now() + 2*permitRetryInterval)
+	want := []addr.Prefix{a, b}
+	if ep, _ := pb.endpoints.Get(be1); !slices.Equal(ep.Permits, want) {
+		t.Fatalf("declared %v, want %v", ep.Permits, want)
+	}
+	if got := pb.Permits.EntriesOf(be1); !slices.Equal(got, want) {
+		t.Fatalf("installed %v after the heal, want the declared %v", got, want)
 	}
 }
 

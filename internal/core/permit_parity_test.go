@@ -34,7 +34,7 @@ func shareArray(a, b []addr.Prefix) bool {
 // / revoke ops — repeated entries, nested prefixes, groups whose
 // members overlap and span providers — through Cloud.Apply
 // with a journal attached, while an endpoint's node fails and heals now
-// and then, so set_permits to it defer until the node answers. Each verb
+// and then, so updates to it defer until the node answers. Each verb
 // derives its target's list once and both stores keep it, so after every
 // op declared (intent.State) equals a model that shares no code with
 // either, installed (permit.Engine) is declared's very slice unless an
@@ -142,7 +142,7 @@ func TestDeclaredAndInstalledPermitParity(t *testing.T) {
 			}
 		}
 	}
-	var retries uint64 // deferred set_permits before the restart
+	var retries uint64 // deferred updates before the restart
 	restart := func(step int) {
 		shared := append(entries(3), pool[0]) // a repeat: the lists declared now have spare capacity
 		for _, tg := range targets[:5] {
@@ -258,7 +258,7 @@ func TestDeclaredAndInstalledPermitParity(t *testing.T) {
 		}
 	}
 	if retries == 0 || m.PermitRetries == 0 {
-		t.Fatalf("set_permits deferred before the restart: %d, after it: %d; the fault arm never ran on one side",
+		t.Fatalf("updates deferred before the restart: %d, after it: %d; the fault arm never ran on one side",
 			retries, m.PermitRetries)
 	}
 }
@@ -267,10 +267,11 @@ func TestDeclaredAndInstalledPermitParity(t *testing.T) {
 // holders: addr.InsertPrefix appends into spare capacity, so if either
 // store extended a list the other still held, the other's next append
 // would write under it. A set_permit with a repeated entry leaves its list
-// spare capacity; deferred behind a failed node, it is declared at once
-// and installed later, the declared list having moved on in between —
-// and the installed list, the older view, is then extended again. Both
-// stores must read what was declared throughout.
+// spare capacity, and both stores hold that list. A permit deferred behind
+// a failed node is declared at once and times out uninstalled, so the
+// declared list moves on from the installed one; once the node is back,
+// the installed list, the older view, is extended again. Both stores must
+// read what was declared throughout.
 func TestStoresNeverAppendIntoASharedList(t *testing.T) {
 	c, w, pa, _, _ := fig1Cloud(t)
 	m := c.EnableFaults(FaultPolicy{})
@@ -290,22 +291,25 @@ func TestStoresNeverAppendIntoASharedList(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b, d := pfx("10.0.0.1/32"), pfx("10.0.0.2/32"), pfx("10.0.0.3/32")
-	if err := m.Inj.FailNode(node); err != nil {
-		t.Fatal(err)
-	}
 	if err := c.Tenant("acme").SetPermitList(target, []permit.Entry{a, a}); err != nil {
 		t.Fatal(err)
 	}
 	if pl, _ := l.Permit(target); cap(pl.Entries) == len(pl.Entries) {
 		t.Fatalf("declared %v has no spare capacity; the case needs some", pl.Entries)
 	}
+	if err := m.Inj.FailNode(node); err != nil {
+		t.Fatal(err)
+	}
 	if err := c.Tenant("acme").Permit(target, b); err != nil { // declared [a b]
 		t.Fatal(err)
+	}
+	c.Eng.RunUntil(c.Eng.Now() + permitRetryTimeout + permitRetryInterval)
+	if got := pa.Permits.EntriesOf(target); m.PermitTimeouts != 1 || !slices.Equal(got, []addr.Prefix{a}) {
+		t.Fatalf("installed %v after %d timeouts; the case needs the deferred permit to time out", got, m.PermitTimeouts)
 	}
 	if err := m.Inj.RestoreNode(node); err != nil {
 		t.Fatal(err)
 	}
-	c.Eng.RunUntil(c.Eng.Now() + permitRetryInterval) // installs the deferred [a]
 	if err := c.Tenant("acme").Permit(target, d); err != nil {
 		t.Fatal(err)
 	}

@@ -371,7 +371,7 @@ func (p *Provider) setPermitList(tenant string, op *intent.Op) error {
 	// timeout expires. SIP targets are enforced at the (always-on)
 	// service frontend and never defer.
 	if ep, ok := p.endpoints.Get(target); ok && !p.cloud.monitor.Inj.Reachable(topo.NodeID(ep.VM)) {
-		p.cloud.monitor.retryPermit(p, tenant, target, set, len(all), topo.NodeID(ep.VM))
+		p.cloud.monitor.retryPermit(p, tenant, target, len(all), true, topo.NodeID(ep.VM))
 		return nil
 	}
 	epoch := p.Permits.Install(target, set, uint64(len(all)))
@@ -389,9 +389,22 @@ func (p *Provider) setPermitList(tenant string, op *intent.Op) error {
 // installed one, installs it, and leaves it on op for the declared state
 // to adopt. The epoch advances once per entry permitted and once per entry
 // actually removed; revoking from an unguarded target changes nothing.
+// An endpoint whose node is unreachable defers as under set_permit: the
+// list derives from the declared one and lands when the node answers.
 func (p *Provider) permitEntries(tenant string, op *intent.Op) error {
 	if err := p.ownsTarget(tenant, op.Target); err != nil {
 		return err
+	}
+	if ep, ok := p.endpoints.Get(op.Target); ok && !p.cloud.monitor.Inj.Reachable(topo.NodeID(ep.VM)) {
+		p.declarePermits(op)
+		edits := len(op.Entries)
+		if op.Verb == intent.OpRevoke {
+			edits = len(ep.Permits) - len(op.Endpoint.Permits)
+		}
+		if op.Endpoint.Permits != nil {
+			p.cloud.monitor.retryPermit(p, tenant, op.Target, edits, false, topo.NodeID(ep.VM))
+		}
+		return nil
 	}
 	if cur, guarded := p.Permits.List(op.Target); guarded || op.Verb == intent.OpPermit {
 		prev := cur.Entries()

@@ -195,10 +195,8 @@ func (in *Injector) FailLink(pairID string) error {
 	}
 	in.pairsDown[pairID] = true
 	in.LinkFailures++
-	in.batch(func() {
-		in.addLinkFault(pairID+":fwd", 1)
-		in.addLinkFault(pairID+":rev", 1)
-	})
+	in.addLinkFault(pairID+":fwd", 1)
+	in.addLinkFault(pairID+":rev", 1)
 	return nil
 }
 
@@ -210,10 +208,8 @@ func (in *Injector) RestoreLink(pairID string) error {
 	}
 	delete(in.pairsDown, pairID)
 	in.Recoveries++
-	in.batch(func() {
-		in.addLinkFault(pairID+":fwd", -1)
-		in.addLinkFault(pairID+":rev", -1)
-	})
+	in.addLinkFault(pairID+":fwd", -1)
+	in.addLinkFault(pairID+":rev", -1)
 	return nil
 }
 
@@ -225,7 +221,7 @@ func (in *Injector) FailNode(id topo.NodeID) error {
 	}
 	in.NodeFailures++
 	in.directDown[id]++
-	in.batch(func() { in.addNodeFault(id, 1) })
+	in.addNodeFault(id, 1)
 	return nil
 }
 
@@ -243,7 +239,7 @@ func (in *Injector) RestoreNode(id topo.NodeID) error {
 			delete(in.directDown, id)
 		}
 	}
-	in.batch(func() { in.addNodeFault(id, -1) })
+	in.addNodeFault(id, -1)
 	return nil
 }
 
@@ -260,11 +256,9 @@ func (in *Injector) FailRegion(provider, region string) error {
 	}
 	in.regionsDown[key] = true
 	in.RegionFailures++
-	in.batch(func() {
-		for _, n := range nodes {
-			in.addNodeFault(n.ID, 1)
-		}
-	})
+	for _, n := range nodes {
+		in.addNodeFault(n.ID, 1)
+	}
 	return nil
 }
 
@@ -277,11 +271,9 @@ func (in *Injector) RestoreRegion(provider, region string) error {
 	}
 	delete(in.regionsDown, key)
 	in.Recoveries++
-	in.batch(func() {
-		for _, n := range in.g.NodesOf(provider, region) {
-			in.addNodeFault(n.ID, -1)
-		}
-	})
+	for _, n := range in.g.NodesOf(provider, region) {
+		in.addNodeFault(n.ID, -1)
+	}
 	return nil
 }
 
@@ -336,17 +328,6 @@ func splitRegion(target string) (provider, region string, ok bool) {
 }
 
 // ---- Internals ---------------------------------------------------------
-
-// batch runs one compound fault mutation inside a graph coalescing
-// window: every directed-link transition it cascades into (a region
-// failure fans out to hundreds) advances each epoch counter once, so
-// the path cache pays one invalidation per fault event — mirroring the
-// solver's same-timestamp event batching on the data plane.
-func (in *Injector) batch(fn func()) {
-	in.g.BeginBatch()
-	defer in.g.EndBatch()
-	fn()
-}
 
 func (in *Injector) addNodeFault(id topo.NodeID, delta int) {
 	before := in.nodeFaults[id]

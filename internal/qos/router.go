@@ -1,23 +1,17 @@
-// Router: a scope-aware epoch-keyed cache in front of PathFor, the
-// provider's connect-time route computation. The paper's pitch is that
-// the provider absorbs the datapath work tenants used to do by hand —
-// which makes path selection a per-connect cost, and repeat (policy,
-// src, dst) queries the common case.
+// Router: an epoch-keyed cache in front of PathFor, the provider's
+// connect-time route computation. The paper's pitch is that the
+// provider absorbs the datapath work tenants used to do by hand — which
+// makes path selection a per-connect cost, and repeat (policy, src,
+// dst) queries the common case.
 //
-// Invalidation is scoped (see topo/scope.go): every cache entry records
-// the epoch scopes its path traverses and the sum of those scopes'
-// epochs at fill time. A degrading mutation (link failure) bumps only
-// its scope, so a fault in region A leaves warm paths confined to
-// region B untouched; an entry is stale only when a scope it actually
-// crosses has mutated. Improving or structural mutations (heals,
-// AddNode/AddLink) bump the graph's flush epoch, which invalidates the
-// whole cache — a restored link can undercut any cached detour, even
-// one that never enters its region.
+// Invalidation is one counter: the cache is valid at one graph epoch,
+// and the first lookup after any topology mutation flushes it whole. No
+// Table-2 verb mutates the graph; topology changes only in fault/heal
+// steps, which run exclusively, so a step's N link transitions cost one
+// flush however many epochs they advance.
 //
-// Misses (including errors) are cached too. Negative caching is safe
-// under scoped invalidation: an error entry records no scopes, and the
-// only mutations that can turn an unreachable or unknown pair routable
-// are improving/structural ones, which flush wholesale.
+// Misses (including errors) are cached too: an unreachable or unknown
+// pair stays so until the topology changes, which flushes the entry.
 //
 // Concurrent misses for the same key dedup singleflight-style: one
 // caller runs the Dijkstra, the rest park on its result, so a cold key
@@ -38,14 +32,10 @@ type pathKey struct {
 }
 
 // pathVal is one cached outcome: the path, or the error the search
-// produced (negative cache entry), plus the scope signature that
-// revalidates it — the deduped scopes the path traverses and the sum of
-// their epochs at fill time (nil/0 for errors and empty paths).
+// produced (negative cache entry).
 type pathVal struct {
-	path   topo.Path
-	err    error
-	scopes []topo.Scope
-	sum    uint64
+	path topo.Path
+	err  error
 }
 
 // flight is one in-progress computation waiters can park on. ok means
@@ -58,26 +48,25 @@ type flight struct {
 	ok   bool
 }
 
-// routerCacheCap bounds the cache. Entries now survive scoped mutations
-// indefinitely, so a pathological key churn could grow the map without
+// routerCacheCap bounds the cache. Entries live until the topology
+// changes, so a pathological key churn could grow the map without
 // bound; past the cap the next store clears it wholesale (counted as a
 // flush) rather than tracking LRU order on the hot path.
 const routerCacheCap = 1 << 17
 
-// Router serves policy path queries through a scope-aware cache over
+// Router serves policy path queries through an epoch-keyed cache over
 // one graph. Concurrent readers are safe; the graph itself must not be
-// mutated while a query is in flight (the API layer's write lock
-// guarantees that).
+// mutated while a query is in flight (core's Cloud.Exclusive guarantees
+// that).
 type Router struct {
 	g *topo.Graph
 
-	mu         sync.RWMutex
-	flushEpoch uint64 // graph flush epoch the cache contents are valid at
-	cache      map[pathKey]pathVal
-	inflight   map[pathKey]*flight
+	mu       sync.RWMutex
+	epoch    uint64 // graph epoch the cache contents are valid at
+	cache    map[pathKey]pathVal
+	inflight map[pathKey]*flight
 
 	hits, misses, flushes     atomic.Uint64
-	invalidations             atomic.Uint64 // scoped-stale entries observed
 	searches, shared, waiting atomic.Uint64
 
 	// testSearchGate, when set (tests only), runs after the leader's
@@ -98,30 +87,22 @@ func NewRouter(g *topo.Graph) *Router {
 // Graph returns the underlying substrate graph.
 func (r *Router) Graph() *topo.Graph { return r.g }
 
-// PathFor computes the route src->dst under the policy, consulting the
-// cache when the entry's scope signature is current. Hits return the
+// PathFor computes the route src->dst under the policy, serving the
+// cached entry while the cache's epoch is the graph's. Hits return the
 // same Path value the original computation produced (callers must not
 // mutate it).
 func (r *Router) PathFor(policy PotatoPolicy, src, dst topo.NodeID) (topo.Path, error) {
 	key := pathKey{policy, src, dst}
-	fe := r.g.FlushEpoch()
-	stale := false
 	r.mu.RLock()
-	if r.flushEpoch == fe {
+	if r.epoch == r.g.Epoch() {
 		if v, ok := r.cache[key]; ok {
-			if r.g.ScopeEpochSum(v.scopes) == v.sum {
-				r.mu.RUnlock()
-				r.hits.Add(1)
-				return v.path, v.err
-			}
-			stale = true
+			r.mu.RUnlock()
+			r.hits.Add(1)
+			return v.path, v.err
 		}
 	}
 	r.mu.RUnlock()
 	r.misses.Add(1)
-	if stale {
-		r.invalidations.Add(1)
-	}
 	return r.compute(key, true)
 }
 
@@ -131,16 +112,16 @@ func (r *Router) PathFor(policy PotatoPolicy, src, dst topo.NodeID) (topo.Path, 
 // park twice.
 func (r *Router) compute(key pathKey, mayWait bool) (topo.Path, error) {
 	r.mu.Lock()
-	// Sync the cache to the current flush epoch first: everything in it
-	// predates the flush-worthy mutation.
-	if fe := r.g.FlushEpoch(); r.flushEpoch != fe {
+	// Sync the cache to the current epoch first: everything in it
+	// predates the mutation.
+	if ep := r.g.Epoch(); r.epoch != ep {
 		if len(r.cache) > 0 {
 			clear(r.cache)
 			r.flushes.Add(1)
 		}
-		r.flushEpoch = fe
+		r.epoch = ep
 	}
-	fe := r.flushEpoch
+	ep := r.epoch
 	if f, ok := r.inflight[key]; ok && mayWait {
 		r.mu.Unlock()
 		r.waiting.Add(1)
@@ -157,73 +138,30 @@ func (r *Router) compute(key pathKey, mayWait bool) (topo.Path, error) {
 	}
 	r.mu.Unlock()
 
-	// Snapshot every scope's epoch around the search. A mutation landing
-	// mid-search can tear the result only if it touched state the search
-	// read, so storability is judged per scope, not against the single
-	// global epoch (which would let a mutation storm in one shard's
-	// region mark every other shard's results unstorable forever):
-	//
-	//   - A positive path is stored iff no scope it traverses mutated
-	//     during the search. Degrading mutations elsewhere cannot better
-	//     or break a path that avoids them, and every link on the path
-	//     was read consistently (its scope stayed quiescent).
-	//
-	//   - A negative result is stored iff flushEpoch is unchanged.
-	//     Degrading mutations only remove capacity: an unreachable pair
-	//     computed on a torn degrading-only view is still unreachable
-	//     afterwards. Anything improving bumps flushEpoch.
-	pre := r.g.ScopeEpochs(nil)
 	if r.testSearchGate != nil {
 		r.testSearchGate()
 	}
 	r.searches.Add(1)
 	path, err := PathFor(r.g, key.policy, key.src, key.dst)
-	var scopes []topo.Scope
-	var sum uint64
-	storable := r.g.FlushEpoch() == fe
-	if err == nil {
-		scopes = pathScopes(path)
-		sum = r.g.ScopeEpochSum(scopes)
-		for _, s := range scopes {
-			if int(s) >= len(pre) || r.g.ScopeEpoch(s) != pre[s] {
-				storable = false
-				break
-			}
-		}
-	}
+	// A mutation landing mid-search may have torn what the search read:
+	// its result is returned but neither stored nor shared.
+	storable := r.g.Epoch() == ep
 
 	r.mu.Lock()
 	if mayWait && r.inflight[key] == f {
 		delete(r.inflight, key)
 	}
-	if storable && r.flushEpoch == fe {
+	if storable && r.epoch == ep {
 		if len(r.cache) >= routerCacheCap {
 			clear(r.cache)
 			r.flushes.Add(1)
 		}
-		r.cache[key] = pathVal{path, err, scopes, sum}
+		r.cache[key] = pathVal{path, err}
 	}
 	r.mu.Unlock()
 	f.path, f.err, f.ok = path, err, storable
 	close(f.done)
 	return path, err
-}
-
-// pathScopes returns the deduped epoch scopes a path traverses. Paths
-// are short and cross few scopes, so linear dedup beats a map.
-func pathScopes(p topo.Path) []topo.Scope {
-	var scopes []topo.Scope
-outer:
-	for _, l := range p {
-		s := l.Scope()
-		for _, have := range scopes {
-			if have == s {
-				continue outer
-			}
-		}
-		scopes = append(scopes, s)
-	}
-	return scopes
 }
 
 // Hits returns the number of queries answered from the cache.
@@ -232,13 +170,9 @@ func (r *Router) Hits() uint64 { return r.hits.Load() }
 // Misses returns the number of queries not answered from the cache.
 func (r *Router) Misses() uint64 { return r.misses.Load() }
 
-// Flushes returns the number of wholesale invalidations (flush-epoch
-// changes and cap overflows).
+// Flushes returns the number of wholesale invalidations (epoch changes
+// and cap overflows).
 func (r *Router) Flushes() uint64 { return r.flushes.Load() }
-
-// Invalidations returns the number of scoped-stale entries observed: a
-// lookup found the key but a scope its path traverses had mutated.
-func (r *Router) Invalidations() uint64 { return r.invalidations.Load() }
 
 // Searches returns the number of full path computations actually run.
 func (r *Router) Searches() uint64 { return r.searches.Load() }

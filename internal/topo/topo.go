@@ -103,9 +103,6 @@ type Link struct {
 	// fromIdx/toIdx are the arena indices of From/To, assigned by AddLink
 	// so path search never touches the NodeID maps.
 	fromIdx, toIdx int32
-	// scope is the epoch scope (see scope.go): the provider region that
-	// contains both endpoints, or CrossCut. Assigned by AddLink.
-	scope Scope
 }
 
 // Up reports whether the link is in service.
@@ -114,7 +111,8 @@ func (l *Link) Up() bool { return !l.down }
 // Graph is the substrate topology. Construct with New and the Add methods;
 // it is not safe for concurrent mutation, but any number of goroutines may
 // run ShortestPath (and the other read-only accessors) concurrently as
-// long as no mutation is in flight.
+// long as no mutation is in flight (where verbs and reads run
+// concurrently, core's Cloud.Exclusive guarantees that).
 //
 // Nodes live in a dense arena (nodeList, indexed by the order of AddNode)
 // so path search runs over int indices instead of NodeID map keys, and
@@ -129,25 +127,9 @@ type Graph struct {
 	adj      [][]*Link        // adj[i] = out-links of nodeList[i], sorted by ID
 
 	// epoch counts topology mutations (AddNode/AddLink/SetLinkUp/
-	// SetPairUp). Epoch-keyed caches (qos.Router) compare it to detect
-	// staleness; it is atomic so readers need no lock. A batch counts as
-	// one mutation regardless of how many calls it coalesces.
+	// SetPairUp). The path cache (qos.Router) keys on it; it is atomic
+	// so readers need no lock.
 	epoch atomic.Uint64
-
-	// Scoped invalidation state (see scope.go): flushEpoch advances on
-	// improving/structural mutations, scopeEps[s] on degrading mutations
-	// confined to scope s, and scopeIdx interns "provider/region" scope
-	// names. scopeEps[CrossCut] exists from construction.
-	flushEpoch atomic.Uint64
-	scopeIdx   map[string]Scope
-	scopeEps   []*atomic.Uint64
-
-	// Batch coalescing state (BeginBatch/EndBatch), guarded by the same
-	// external write exclusion as all mutation.
-	batchDepth  int
-	batchDirty  bool
-	batchFlush  bool
-	batchScopes map[Scope]struct{}
 
 	// scratch pools per-search working state so concurrent ShortestPath
 	// calls each get their own arrays without per-call allocation.
@@ -157,11 +139,9 @@ type Graph struct {
 // New returns an empty graph.
 func New() *Graph {
 	return &Graph{
-		nodes:    make(map[NodeID]*Node),
-		links:    make(map[string]*Link),
-		idx:      make(map[NodeID]int32),
-		scopeIdx: make(map[string]Scope),
-		scopeEps: []*atomic.Uint64{new(atomic.Uint64)}, // CrossCut
+		nodes: make(map[NodeID]*Node),
+		links: make(map[string]*Link),
+		idx:   make(map[NodeID]int32),
 	}
 }
 
@@ -180,9 +160,7 @@ func (g *Graph) AddNode(n Node) (*Node, error) {
 	g.idx[n.ID] = int32(len(g.nodeList))
 	g.nodeList = append(g.nodeList, &cp)
 	g.adj = append(g.adj, nil)
-	// Structural: a new node can resolve cached "unknown node" errors,
-	// which record no scopes, so only a wholesale flush reaches them.
-	g.bumpFlush()
+	g.epoch.Add(1)
 	return &cp, nil
 }
 
@@ -246,15 +224,6 @@ func (g *Graph) AddLink(l Link) (*Link, error) {
 	}
 	cp := l
 	cp.fromIdx, cp.toIdx = fi, ti
-	// The link's scope is the provider region containing both endpoints;
-	// anything spanning regions/providers (or touching an unregioned
-	// node) is cross-cut.
-	from, to := g.nodeList[fi], g.nodeList[ti]
-	cp.scope = CrossCut
-	if s := g.scopeOf(from.Provider, from.Region); s != CrossCut &&
-		s == g.scopeOf(to.Provider, to.Region) {
-		cp.scope = s
-	}
 	g.links[l.ID] = &cp
 	out := g.adj[fi]
 	at := sort.Search(len(out), func(i int) bool { return out[i].ID >= cp.ID })
@@ -262,8 +231,7 @@ func (g *Graph) AddLink(l Link) (*Link, error) {
 	copy(out[at+1:], out[at:])
 	out[at] = &cp
 	g.adj[fi] = out
-	// Structural/improving: a new edge can better any cached path.
-	g.bumpFlush()
+	g.epoch.Add(1)
 	return &cp, nil
 }
 
@@ -293,51 +261,36 @@ func (g *Graph) Link(id string) (*Link, bool) {
 }
 
 // SetLinkUp fails or restores one directed link. Use SetPairUp for the
-// usual case of a whole physical link. Failing a link is a degrading
-// mutation (bumps only the link's scope epoch); restoring one is
-// improving (bumps flushEpoch), and deliberately bumps even on a no-op
-// restore so callers can force a wholesale cache flush.
+// usual case of a whole physical link. It bumps the epoch even on a
+// no-op, so callers can force a cache flush.
 func (g *Graph) SetLinkUp(id string, up bool) error {
-	l, err := g.setLinkUp(id, up)
-	if err != nil {
+	if err := g.setLinkUp(id, up); err != nil {
 		return err
 	}
-	g.bumpTransition(l, up)
+	g.epoch.Add(1)
 	return nil
 }
 
 // setLinkUp is SetLinkUp without the epoch bump, so compound mutators
 // (SetPairUp) count as one topology transition.
-func (g *Graph) setLinkUp(id string, up bool) (*Link, error) {
+func (g *Graph) setLinkUp(id string, up bool) error {
 	l, ok := g.links[id]
 	if !ok {
-		return nil, fmt.Errorf("topo: unknown link %q", id)
+		return fmt.Errorf("topo: unknown link %q", id)
 	}
 	l.down = !up
-	return l, nil
-}
-
-// bumpTransition classifies one link transition for epoch accounting:
-// down is degrading (scoped), up is improving (wholesale flush).
-func (g *Graph) bumpTransition(l *Link, up bool) {
-	if up {
-		g.bumpFlush()
-	} else {
-		g.bumpScoped(l.scope)
-	}
+	return nil
 }
 
 // SetPairUp fails or restores both directions of a link created with
 // Connect (ids "<id>:fwd" and "<id>:rev"). It bumps the epoch once: a
-// physical link transition is one mutation, not two. Both directions
-// share a scope (same endpoints), so one scoped bump covers the pair.
+// physical link transition is one mutation, not two.
 func (g *Graph) SetPairUp(id string, up bool) error {
-	fwd, err := g.setLinkUp(id+":fwd", up)
-	if err != nil {
+	if err := g.setLinkUp(id+":fwd", up); err != nil {
 		return err
 	}
-	_, err = g.setLinkUp(id+":rev", up)
-	g.bumpTransition(fwd, up) // :fwd changed even when :rev is missing
+	err := g.setLinkUp(id+":rev", up)
+	g.epoch.Add(1) // :fwd changed even when :rev is missing
 	return err
 }
 
