@@ -183,9 +183,16 @@ const maxBody = 1 << 20
 // written: 413 for a body over maxBody, 400 for one that does not decode
 // (unknown fields and trailing data included).
 func decode[T any](w http.ResponseWriter, r *http.Request) (v T, ok bool) {
+	ok = decodeInto(w, r, &v)
+	return v, ok
+}
+
+// decodeInto is decode's body, decoding into v, which the caller owns:
+// /v1/batch hands it a pooled request (see Server.batch).
+func decodeInto(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	dec.DisallowUnknownFields()
-	err := dec.Decode(&v)
+	err := dec.Decode(v)
 	if err == nil {
 		if _, err = dec.Token(); err == io.EOF {
 			err = nil
@@ -200,9 +207,9 @@ func decode[T any](w http.ResponseWriter, r *http.Request) (v T, ok bool) {
 			code = http.StatusRequestEntityTooLarge
 		}
 		writeErr(w, code, fmt.Errorf("api: bad request body: %w", err))
-		return v, false
+		return false
 	}
-	return v, true
+	return true
 }
 
 // mutate serves one single-verb mutation route: decode the wire struct

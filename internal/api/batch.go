@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sync"
 
 	"declnet"
 	"declnet/internal/core"
@@ -68,9 +69,33 @@ type BatchResponse struct {
 	FailedIndex *int            `json:"failed_index,omitempty"`
 }
 
+// batchReqs recycles /v1/batch bodies: a request's Ops keep their
+// capacity, so decoding the next batch into them regrows nothing.
+var batchReqs = sync.Pool{New: func() any { return new(BatchRequest) }}
+
+// maxPooledOps bounds the Ops capacity a recycled body keeps: a rare huge
+// batch is left to the collector rather than pinned in the pool.
+const maxPooledOps = 1024
+
+// recycle zeroes req up to its capacity and returns it to the pool.
+// encoding/json decodes each array element into whatever its reused slot
+// holds, so without the zeroing a field the next batch omits would keep
+// this one's value. Nothing of req may be read after this: the handler
+// copies what it keeps (parseBatchOps, the tenant string).
+func recycle(req *BatchRequest) {
+	if cap(req.Ops) > maxPooledOps {
+		return
+	}
+	ops := req.Ops[:cap(req.Ops)]
+	clear(ops)
+	*req = BatchRequest{Ops: ops[:0]}
+	batchReqs.Put(req)
+}
+
 func (s *Server) batch(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[BatchRequest](w, r)
-	if !ok {
+	req := batchReqs.Get().(*BatchRequest)
+	defer recycle(req)
+	if !decodeInto(w, r, req) {
 		return
 	}
 	logTenant(w, req.Tenant)

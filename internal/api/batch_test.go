@@ -1,9 +1,18 @@
 package api
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"declnet"
+	"declnet/internal/addr"
+	"declnet/internal/intent"
 )
 
 // TestBatchEndpointOnboarding: one POST /v1/batch onboards a service —
@@ -127,5 +136,180 @@ func TestBatchEndpointPartialFailure(t *testing.T) {
 	if code := post(t, ts, "/v1/eips/release",
 		ReleaseRequest{Tenant: "acme", EIP: resp.Results[0].Addr}, nil); code != 200 {
 		t.Fatalf("release of batch-granted EIP: status %d", code)
+	}
+}
+
+// newStoreServer is a Server over a Fig1 world with an intent store
+// attached and no reconciler: what a /v1/batch costs and declares, with
+// nothing running beside it.
+func newStoreServer(t *testing.T) (*Server, *declnet.World, *intent.Log) {
+	t.Helper()
+	w, err := declnet.NewFig1World(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := intent.Open(t.TempDir(), intent.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	w.EnableIntent(l)
+	return NewServer(w), w, l
+}
+
+// postBatch serves one /v1/batch body through srv in the calling
+// goroutine and returns the decoded response, or an error unless it
+// answered 200.
+func postBatch(srv *Server, req BatchRequest) (BatchResponse, error) {
+	var resp BatchResponse
+	body, err := json.Marshal(req)
+	if err != nil {
+		return resp, err
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)))
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		return resp, fmt.Errorf("decoding /v1/batch response: %v", err)
+	}
+	if rec.Code != http.StatusOK {
+		return resp, fmt.Errorf("batch status %d (error %q)", rec.Code, resp.Error)
+	}
+	return resp, nil
+}
+
+// serveBatch is postBatch on the test's goroutine: any failure is fatal.
+func serveBatch(t *testing.T, srv *Server, req BatchRequest) BatchResponse {
+	t.Helper()
+	resp, err := postBatch(srv, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// onboardingOps is one onboarding batch of declnetd's benchmark shape: n
+// request_eip, then a set_permit naming each grant by "$i".
+func onboardingOps(vm string, n int) []BatchOpRequest {
+	ops := make([]BatchOpRequest, 0, 2*n)
+	for range n {
+		ops = append(ops, BatchOpRequest{Op: "request_eip", VM: vm})
+	}
+	for i := range n {
+		ops = append(ops, BatchOpRequest{Op: "set_permit", Target: fmt.Sprintf("$%d", i),
+			Entries: []string{"10.1.0.0/16", "10.2.0.0/16"}})
+	}
+	return ops
+}
+
+// batchAllocBudget is the bytes one op of a 128-op onboarding batch may
+// allocate through Server.ServeHTTP with a store attached, body decode
+// and response encode included: the measured 1 465 B plus 10%. Ops
+// decoded into a regrown slice, journaled from one grown by doubling and
+// given a formatted error each in the plan pass measure 2 312 B.
+const batchAllocBudget = 1610
+
+// raceEnabled is set by race_test.go when the race detector is compiled
+// in.
+var raceEnabled bool
+
+// TestBatchAllocBudget: a /v1/batch op allocates what its own work needs
+// and no more. A TotalAlloc delta over whole batches served in this
+// goroutine; no clock is read.
+func TestBatchAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations are not the daemon's")
+	}
+	srv, w, _ := newStoreServer(t)
+	f := w.Fig1
+	body, err := json.Marshal(BatchRequest{Tenant: "acme",
+		Ops: onboardingOps(string(w.Host(f.CloudA, f.RegionsA[0], "az1", 1)), 64)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const warm, measured = 2, 16
+	reqs := make([]*http.Request, warm+measured)
+	recs := make([]*httptest.ResponseRecorder, warm+measured)
+	for i := range reqs {
+		reqs[i] = httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body))
+		recs[i] = httptest.NewRecorder()
+	}
+	for i := range warm {
+		srv.ServeHTTP(recs[i], reqs[i])
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := warm; i < warm+measured; i++ {
+		srv.ServeHTTP(recs[i], reqs[i])
+	}
+	runtime.ReadMemStats(&after)
+	for i, rec := range recs {
+		if rec.Code != http.StatusOK {
+			t.Fatalf("batch %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	perOp := float64(after.TotalAlloc-before.TotalAlloc) / float64(measured*128)
+	t.Logf("%.0f B per op (budget %d)", perOp, batchAllocBudget)
+	if perOp > batchAllocBudget {
+		t.Errorf("a /v1/batch op allocates %.0f B, over its %d B budget", perOp, batchAllocBudget)
+	}
+}
+
+// pooledPair is two batches for one tenant at the same op positions. The
+// first sets a bind weight, a set_permit's groups and a group's members;
+// the second leaves each of them out, so a recycled request that kept
+// them would show: its bind would weigh 3, its list would admit the
+// group's member and its group would hold one.
+func pooledPair(vm, provider string) (first, second []BatchOpRequest) {
+	first = []BatchOpRequest{
+		{Op: "request_eip", VM: vm},             // $0
+		{Op: "request_sip", Provider: provider}, // $1
+		{Op: "bind", EIP: "$0", SIP: "$1", Weight: 3},
+		{Op: "create_group", Name: "g", Members: []string{"$0"}},
+		{Op: "set_permit", Target: "$1", Groups: []string{"g"}, Entries: []string{"10.0.0.0/8"}},
+	}
+	second = []BatchOpRequest{
+		{Op: "request_eip", VM: vm},
+		{Op: "request_sip", Provider: provider},
+		{Op: "bind", EIP: "$0", SIP: "$1"},
+		{Op: "create_group", Name: "h"},
+		{Op: "set_permit", Target: "$1", Entries: []string{"10.0.0.0/8"}},
+	}
+	return first, second
+}
+
+// checkFresh fails unless the second batch of pooledPair, answered by
+// resp, declared what a freshly decoded request declares.
+func checkFresh(t *testing.T, l *intent.Log, tenant string, resp BatchResponse) {
+	t.Helper()
+	sip, err := addr.ParseIP(resp.Results[1].Addr)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	st := l.State()
+	if b := st.Services[sip].Binds; len(b) != 1 || b[0].Weight != 1 {
+		t.Errorf("binds %v after a bind that named no weight, want one of weight 1", b)
+	}
+	pl, _ := st.Permit(sip)
+	if want := []addr.Prefix{addr.MustParsePrefix("10.0.0.0/8")}; !reflect.DeepEqual(pl.Entries, want) {
+		t.Errorf("permit list %v after a set_permit that named no groups, want %v", pl.Entries, want)
+	}
+	if m := st.Groups[intent.GroupKey(tenant, "h")]; len(m) != 0 {
+		t.Errorf("group h has members %v, want none", m)
+	}
+}
+
+// TestPooledBatchLeaksNothing: /v1/batch decodes into a recycled request,
+// and a batch that omits a field behaves as if freshly decoded — its
+// bind weight clamps to 1, its list names no group — whatever the
+// request before it set there. Served in this goroutine, so the pool
+// hands the second batch the first one's request.
+func TestPooledBatchLeaksNothing(t *testing.T) {
+	srv, w, l := newStoreServer(t)
+	f := w.Fig1
+	first, second := pooledPair(string(w.Host(f.CloudB, f.RegionsB[0], "az1", 1)), f.CloudB)
+	for range 4 {
+		serveBatch(t, srv, BatchRequest{Tenant: "acme", Ops: first})
+		checkFresh(t, l, "acme", serveBatch(t, srv, BatchRequest{Tenant: "acme", Ops: second}))
 	}
 }

@@ -302,3 +302,33 @@ func TestConcurrentCrossShardWritePlane(t *testing.T) {
 		t.Errorf("expected >= 3 materialized shards, got %d", got)
 	}
 }
+
+// TestConcurrentPooledBatches is TestPooledBatchLeaksNothing with many
+// tenants served at once: recycled requests pass between goroutines, and
+// none may carry a field from another tenant's batch into its own.
+func TestConcurrentPooledBatches(t *testing.T) {
+	srv, w, l := newStoreServer(t)
+	f := w.Fig1
+	first, second := pooledPair(string(w.Host(f.CloudB, f.RegionsB[0], "az1", 1)), f.CloudB)
+	var wg sync.WaitGroup
+	for g := range 4 {
+		tenant := fmt.Sprintf("tenant%d", g)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 8 {
+				if _, err := postBatch(srv, BatchRequest{Tenant: tenant, Ops: first}); err != nil {
+					t.Errorf("%s: first batch: %v", tenant, err)
+					return
+				}
+				resp, err := postBatch(srv, BatchRequest{Tenant: tenant, Ops: second})
+				if err != nil {
+					t.Errorf("%s: second batch: %v", tenant, err)
+					return
+				}
+				checkFresh(t, l, tenant, resp)
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -25,8 +25,10 @@ import (
 // provider and (tenant, region) shard, takes that shard's write lock
 // (bind also its EIP's: Cloud.eipShard), applies the verb, and — under
 // the same lock, so journal order equals apply order within a shard —
-// records the op in the intent store. It returns the op's Addr: the
-// granted address for request_eip and request_sip.
+// records the op in the intent store. A released address returns to its
+// pool only after that (Cloud.free), so no re-grant of it can be
+// journaled ahead of its release. It returns the op's Addr: the granted
+// address for request_eip and request_sip.
 //
 // The caller fills the verb's operands; Apply completes what the
 // provider derives (request_eip's Provider and Region, set_permit's
@@ -61,8 +63,11 @@ func (c *Cloud) Apply(tenant string, op intent.Op) (addr.IP, error) {
 		c.rec.Record(tenant, op)
 		sop.StageEnd(stg, "journal")
 	}
+	if err == nil && releases(op.Verb) {
+		err = c.free(op.Addr)
+	}
 	sop.End(err)
-	if op.Verb == intent.OpReleaseEIP || op.Verb == intent.OpReleaseSIP {
+	if releases(op.Verb) {
 		// End records into the tenant's SLO shard after the release may
 		// have evicted it (last address gone); a zero-delta notify
 		// re-sweeps so a churned tenant leaves no orphan shard behind.
@@ -115,9 +120,13 @@ type verbBody func(c *Cloud, p *Provider, tenant string, op intent.Op) (intent.O
 // granted right now. So it is valid even alongside a routing error, and
 // ApplyBatch can plan every op's key — with a stand-in address for a
 // "$i" operand whose grant has not happened yet — before it takes a
-// single lock.
+// single lock (Cloud.planKey, which for an address-targeted verb reads
+// only the target's block).
 func (c *Cloud) route(tenant string, op *intent.Op) (k ShardKey, verb slo.Verb, p *Provider, run verbBody, err error) {
 	k = ShardKey{Tenant: tenant} // cloud-level verbs: the tenant's region-less shard
+	if a, ok := target(op); ok {
+		p, k, err = c.owner(tenant, a)
+	}
 	switch op.Verb {
 	case intent.OpRequestEIP:
 		n, ok := c.G.Node(topo.NodeID(op.VM))
@@ -138,7 +147,6 @@ func (c *Cloud) route(tenant string, op *intent.Op) (k ShardKey, verb slo.Verb, 
 			return op, err
 		}
 	case intent.OpReleaseEIP:
-		p, k, err = c.owner(tenant, op.Addr)
 		verb, run = slo.VerbGrant, func(_ *Cloud, p *Provider, tenant string, op intent.Op) (intent.Op, error) {
 			return op, p.releaseEIP(tenant, op.Addr)
 		}
@@ -149,29 +157,24 @@ func (c *Cloud) route(tenant string, op *intent.Op) (k ShardKey, verb slo.Verb, 
 			return op, err
 		}
 	case intent.OpReleaseSIP:
-		p, k, err = c.owner(tenant, op.Addr)
 		verb, run = slo.VerbGrant, func(_ *Cloud, p *Provider, tenant string, op intent.Op) (intent.Op, error) {
 			return op, p.releaseSIP(tenant, op.Addr)
 		}
 	case intent.OpBind:
-		p, k, err = c.owner(tenant, op.SIP)
 		verb, run = slo.VerbBind, func(_ *Cloud, p *Provider, tenant string, op intent.Op) (intent.Op, error) {
 			return op, p.bind(tenant, op.EIP, op.SIP, op.Weight)
 		}
 	case intent.OpUnbind:
-		p, k, err = c.owner(tenant, op.SIP)
 		verb, run = slo.VerbBind, func(_ *Cloud, p *Provider, tenant string, op intent.Op) (intent.Op, error) {
 			return op, p.unbind(tenant, op.EIP, op.SIP)
 		}
 	case intent.OpSetPermit:
-		p, k, err = c.owner(tenant, op.Target)
 		verb, run = slo.VerbPermit, func(_ *Cloud, p *Provider, tenant string, op intent.Op) (intent.Op, error) {
 			op.Provider = p.Name
 			err := p.setPermitList(tenant, &op)
 			return op, err
 		}
 	case intent.OpPermit, intent.OpRevoke:
-		p, k, err = c.owner(tenant, op.Target)
 		verb, run = slo.VerbPermit, func(_ *Cloud, p *Provider, tenant string, op intent.Op) (intent.Op, error) {
 			err := p.permitEntries(tenant, &op)
 			return op, err
@@ -194,7 +197,6 @@ func (c *Cloud) route(tenant string, op *intent.Op) (k ShardKey, verb slo.Verb, 
 			return op, err
 		}
 	case intent.OpSetVMEgress:
-		p, k, err = c.owner(tenant, op.EIP)
 		verb, run = slo.VerbQoS, func(_ *Cloud, p *Provider, tenant string, op intent.Op) (_ intent.Op, err error) {
 			if err := checkRate(op.Bps); err != nil {
 				return op, err
@@ -221,6 +223,23 @@ func (c *Cloud) route(tenant string, op *intent.Op) (k ShardKey, verb slo.Verb, 
 		err = fmt.Errorf("core: unknown verb %q", op.Verb)
 	}
 	return k, verb, p, run, err
+}
+
+// target is the address an address-targeted verb is routed by: the
+// provider that granted it runs the verb, and its static block names the
+// shard. It reports false for a verb routed by name.
+func target(op *intent.Op) (addr.IP, bool) {
+	switch op.Verb {
+	case intent.OpReleaseEIP, intent.OpReleaseSIP:
+		return op.Addr, true
+	case intent.OpBind, intent.OpUnbind:
+		return op.SIP, true
+	case intent.OpSetPermit, intent.OpPermit, intent.OpRevoke:
+		return op.Target, true
+	case intent.OpSetVMEgress:
+		return op.EIP, true
+	}
+	return 0, false
 }
 
 // eipShard names the one second shard a verb write-locks: bind's EIP's.

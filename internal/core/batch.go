@@ -113,7 +113,13 @@ func (e *BatchError) Unwrap() error { return e.Err }
 // resolved into its typed form ("$j" now the real grant), routed again,
 // and its body run under the held locks. The applied ops are the journal ops:
 // one frame for the whole batch (the applied prefix when an op failed),
-// so replay applies it atomically.
+// so replay applies it atomically. An address the batch released returns
+// to its pool only after that frame, so no op of the same batch is
+// granted it again.
+//
+// The plan pass computes only each op's key (Cloud.planKey), and the
+// frame's ops are sized once, at the batch's length: an op costs its own
+// work and no more.
 func (c *Cloud) ApplyBatch(tenant string, ops []BatchOp) ([]BatchResult, error) {
 	if err := intent.CheckTenant(tenant); err != nil {
 		return nil, err
@@ -128,9 +134,7 @@ func (c *Cloud) ApplyBatch(tenant string, ops []BatchOp) ([]BatchResult, error) 
 			sop.End(err)
 			return nil, err
 		}
-		// A routing error here (unknown VM, address not granted yet) is
-		// the apply loop's to report; the key is valid regardless.
-		k, _, _, _, _ := c.route(tenant, &op)
+		k := c.planKey(tenant, &op)
 		if !slices.Contains(keys, k) {
 			keys = append(keys, k)
 		}
@@ -146,7 +150,11 @@ func (c *Cloud) ApplyBatch(tenant string, ops []BatchOp) ([]BatchResult, error) 
 	sop.StageEnd(stg, "shard_wait")
 	defer unlock()
 	results := make([]BatchResult, 0, len(ops))
-	var applied []intent.Op
+	var applied []intent.Op // the journal frame's ops: sized once
+	if c.rec != nil {
+		applied = make([]intent.Op, 0, len(ops))
+	}
+	var released []addr.IP // returned to their pools after the frame
 	var berr error
 	for i := range ops {
 		op, err := c.typed(ops, i, results)
@@ -170,11 +178,19 @@ func (c *Cloud) ApplyBatch(tenant string, ops []BatchOp) ([]BatchResult, error) 
 		if c.rec != nil {
 			applied = append(applied, op)
 		}
+		if releases(op.Verb) {
+			released = append(released, op.Addr)
+		}
 	}
 	if len(applied) > 0 {
 		stg = sop.StageStart()
 		c.rec.Record(tenant, applied...)
 		sop.StageEnd(stg, "journal")
+	}
+	for _, a := range released {
+		if err := c.free(a); err != nil && berr == nil {
+			berr = err
+		}
 	}
 	sop.End(berr)
 	// A batch may have released the tenant's last address; End just
@@ -197,10 +213,30 @@ func (c *Cloud) standIn(k ShardKey) addr.IP {
 	return 0
 }
 
+// planKey is the shard route names for op, computed without routing an
+// address-targeted verb: its key is its target's static block alone, so
+// the plan pass never asks whether a "$i" stand-in is granted (it is
+// not) and builds no error saying so. A routing error of any other verb
+// (an unknown VM) is the apply loop's to report; the key is valid
+// regardless.
+func (c *Cloud) planKey(tenant string, op *intent.Op) ShardKey {
+	if a, ok := target(op); ok {
+		return c.shardKeyOf(tenant, a)
+	}
+	k, _, _, _, _ := c.route(tenant, op)
+	return k
+}
+
 // grants reports whether a verb's result is a granted address — what a
 // "$i" back-reference may name and a BatchResult carries.
 func grants(verb string) bool {
 	return verb == intent.OpRequestEIP || verb == intent.OpRequestSIP
+}
+
+// releases reports whether a verb gives an address back, which returns
+// to its pool only once the verb is journaled (Cloud.free).
+func releases(verb string) bool {
+	return verb == intent.OpReleaseEIP || verb == intent.OpReleaseSIP
 }
 
 // typed resolves wire op i into the typed op Apply takes, checking verb

@@ -265,11 +265,11 @@ func (p *Provider) requestEIP(tenant string, n *topo.Node) (EIP, *intent.Endpoin
 }
 
 // releaseEIP is release_eip's body: the address leaves every balancer,
-// its permit list, and the tenant's groups and names before its pool
-// may hand it to someone else.
+// its permit list, and the tenant's groups and names. It stays out of its
+// pool: the caller returns it there (Cloud.free) once the release is
+// journaled, so no re-grant of it can be journaled first.
 func (p *Provider) releaseEIP(tenant string, eip EIP) error {
-	ep, err := p.owned(tenant, eip)
-	if err != nil {
+	if _, err := p.owned(tenant, eip); err != nil {
 		return err
 	}
 	// Drain from any SIPs it is bound to; lb.ErrNotBound from the rest.
@@ -283,7 +283,7 @@ func (p *Provider) releaseEIP(tenant string, eip EIP) error {
 	if p.meter != nil {
 		p.meter.ReleaseEIP(tenant, p.eng.Now())
 	}
-	return p.eipBlocks[ep.Region].pool.Release(eip)
+	return nil
 }
 
 func (p *Provider) requestSIP(tenant string) (SIP, error) {
@@ -299,6 +299,8 @@ func (p *Provider) requestSIP(tenant string) (SIP, error) {
 	return sip, nil
 }
 
+// releaseSIP is release_sip's body; like releaseEIP it leaves the
+// address out of its pool for the caller to return.
 func (p *Provider) releaseSIP(tenant string, sip SIP) error {
 	svc, ok := p.services.Get(sip)
 	if !ok || svc.tenant != tenant {
@@ -311,7 +313,24 @@ func (p *Provider) releaseSIP(tenant string, sip SIP) error {
 	if p.meter != nil {
 		p.meter.ReleaseSIP(tenant, p.eng.Now())
 	}
-	return p.sipBlock.Release(sip)
+	return nil
+}
+
+// free returns a released address to the pool that granted it — its
+// region's EIP pool, or its provider's SIP pool — which the static block
+// table names. Apply and ApplyBatch call it once the release is
+// journaled (at the same point with no store attached): a release frame
+// always precedes the frame of any re-grant of its address, which
+// intent.State's grant rule relies on.
+func (c *Cloud) free(a addr.IP) error {
+	b := c.block(a)
+	if b == nil {
+		return fmt.Errorf("core: %s is in no provider's address space", a)
+	}
+	if b.region == "" {
+		return b.p.sipBlock.Release(a)
+	}
+	return b.p.eipBlocks[b.region].pool.Release(a)
 }
 
 func (p *Provider) bind(tenant string, eip EIP, sip SIP, weight int) error {

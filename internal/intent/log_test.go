@@ -461,6 +461,75 @@ func TestReleaseRegrantInversion(t *testing.T) {
 	}
 }
 
+// TestGrantDrainsOnlyAStaleIncarnation pins request_eip's fold: a grant
+// unbinds its address from the services only when the address still has
+// a live record (a stale incarnation), and walks none otherwise.
+//
+// (a) alice is granted X and binds it, and bob's grant of X journals
+// before alice's release: the grant drains the stale bind.
+//
+// (b) alice is granted X, binds it and releases it, then bob is granted
+// X — the only order core journals now. The state equals the one the
+// old rule, which drained on every grant, folds the same records into:
+// the guard skips no drain that mattered, since the release drained.
+func TestGrantDrainsOnlyAStaleIncarnation(t *testing.T) {
+	x, kept := addr.IP(0x0a000001), addr.IP(0x0a000002)
+	sip := addr.IP(0xac100001)
+	grant := func(vm string, a addr.IP) Op {
+		return Op{Verb: OpRequestEIP, VM: vm, Provider: "p", Region: "r", Addr: a}
+	}
+	apply := func(s *State, seq uint64, tenant string, ops ...Op) {
+		t.Helper()
+		if err := s.Apply(&Record{Seq: seq, Tenant: tenant, Ops: ops}); err != nil {
+			t.Fatalf("apply %d: %v", seq, err)
+		}
+	}
+	bound := func(s *State) []addr.IP {
+		var eips []addr.IP
+		for _, b := range s.Services[sip].Binds {
+			eips = append(eips, b.EIP)
+		}
+		return eips
+	}
+	prefix := func(s *State) {
+		apply(s, 1, "alice", grant("vm-a", x), grant("vm-a", kept),
+			Op{Verb: OpRequestSIP, Provider: "p", Addr: sip})
+		apply(s, 2, "alice", Op{Verb: OpBind, EIP: x, SIP: sip, Weight: 2},
+			Op{Verb: OpBind, EIP: kept, SIP: sip})
+	}
+
+	t.Run("stale", func(t *testing.T) {
+		s := NewState()
+		prefix(s)
+		apply(s, 3, "bob", grant("vm-b", x)) // alice's release not yet journaled
+		if got := bound(s); !slices.Equal(got, []addr.IP{kept}) {
+			t.Errorf("binds after a stale grant = %v, want [%v]", got, kept)
+		}
+		apply(s, 4, "alice", Op{Verb: OpReleaseEIP, Addr: x})
+		if ep := s.Endpoints[x]; ep == nil || ep.Tenant != "bob" {
+			t.Errorf("endpoint = %+v, want bob's", ep)
+		}
+	})
+
+	t.Run("released", func(t *testing.T) {
+		s, old := NewState(), NewState()
+		for _, st := range []*State{s, old} {
+			prefix(st)
+			apply(st, 3, "alice", Op{Verb: OpReleaseEIP, Addr: x})
+		}
+		old.drainBinds(x) // the old rule: every grant drained first
+		for _, st := range []*State{s, old} {
+			apply(st, 4, "bob", grant("vm-b", x))
+		}
+		if got, want := stateJSON(t, s), stateJSON(t, old); got != want {
+			t.Errorf("state after release then grant:\n got %s\nwant %s", got, want)
+		}
+		if got := bound(s); !slices.Equal(got, []addr.IP{kept}) {
+			t.Errorf("binds = %v, want [%v]", got, kept)
+		}
+	})
+}
+
 // TestReleaseLeavesGroupsAndNames: a released address leaves its
 // tenant's groups and names — in order, under a release/re-grant
 // inversion, and when the journal places the release before a group or

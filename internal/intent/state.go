@@ -228,12 +228,22 @@ func (s *State) Apply(rec *Record) error {
 func (s *State) applyOp(tenant string, op *Op) error {
 	switch op.Verb {
 	case OpRequestEIP:
-		// A fresh grant starts default-off with no bindings. Normally the
-		// release already cleaned these up; under a concurrent
-		// release/re-grant journal inversion (see OpReleaseEIP) this is
-		// where the previous incarnation's leftovers go away.
-		s.drainBinds(op.Addr)
+		// A fresh grant starts default-off with no bindings, and only a
+		// stale incarnation — the address still has a live record — can
+		// leave any behind: a grant walks no service otherwise.
+		//
+		// An address with no live record holds no bind. core's bind
+		// write-locks its EIP's shard (Cloud.eipShard), the shard that
+		// address's release_eip runs and journals under, so every bind of
+		// an incarnation is journaled before that incarnation's release,
+		// whose drain below removes it. And core returns a released
+		// address to its pool only after the release is journaled, so no
+		// re-grant's frame can precede it; a stale incarnation exists only
+		// in a store written before that rule, under a release/re-grant
+		// journal inversion (see OpReleaseEIP), and is where the previous
+		// incarnation's binds, groups and names go away.
 		if _, stale := s.Endpoints[op.Addr]; stale {
+			s.drainBinds(op.Addr)
 			s.forget(op.Addr)
 		}
 		if op.Endpoint != nil {
@@ -248,9 +258,11 @@ func (s *State) applyOp(tenant string, op *Op) error {
 			return fmt.Errorf("release of unknown endpoint %s", op.Addr)
 		}
 		if ep.Tenant != tenant {
-			// Stale record: the journal serializes on append order, which
-			// under concurrent shards can place a release after the
-			// re-grant that reused its address. The re-grant's apply
+			// Stale record, which only a store written before releases
+			// were journaled ahead of their address's return to the pool
+			// can hold: the journal serializes on append order, which
+			// under concurrent shards could then place a release after
+			// the re-grant that reused its address. The re-grant's apply
 			// already cleaned up; the release's pool effect was consumed
 			// by the re-claim. Drop it.
 			return nil
@@ -380,10 +392,11 @@ func withoutBind(svc *Service, i int) *Service {
 
 // forget drops a from every group and name, as core does when the
 // address is released. A grant runs it too when the address still has an
-// owner: under a release/re-grant journal inversion (see OpReleaseEIP)
-// the stale release is skipped, and the grant is where its group and
-// name effects land. Members and names are replaced in copies, never
-// edited in place.
+// owner, which only a store written before releases were journaled ahead
+// of their address's return to the pool can show: under a release/re-grant
+// journal inversion (see OpReleaseEIP) the stale release is skipped, and
+// the grant is where its group and name effects land. Members and names
+// are replaced in copies, never edited in place.
 func (s *State) forget(a addr.IP) {
 	for k, members := range s.Groups {
 		if slices.Contains(members, a) {
