@@ -59,13 +59,15 @@ staticcheck:
 # Short fuzz pass over the wire-format parsers and the intent store's
 # binary codec: journal frames and snapshots each round-trip (encode),
 # and any bytes decode to records or a state, or an error, in memory the
-# input's size bounds (decode). Each target gets $(FUZZTIME);
+# input's size bounds (decode); the /v1/batch decoder agrees with
+# encoding/json on every body. Each target gets $(FUZZTIME);
 # regression corpus lives under testdata/fuzz/ so plain `go test`
 # replays past findings even without this target.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseIP$$' -fuzztime $(FUZZTIME) ./internal/addr/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePrefix$$' -fuzztime $(FUZZTIME) ./internal/addr/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePermitEntry$$' -fuzztime $(FUZZTIME) ./internal/api/
+	$(GO) test -run '^$$' -fuzz '^FuzzBatchDecode$$' -fuzztime $(FUZZTIME) ./internal/api/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseObjective$$' -fuzztime $(FUZZTIME) ./internal/slo/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalDecode$$' -fuzztime $(FUZZTIME) ./internal/intent/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalFrame$$' -fuzztime $(FUZZTIME) ./internal/intent/

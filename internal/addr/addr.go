@@ -18,17 +18,22 @@ import (
 // IP is an IPv4 address in host byte order.
 type IP uint32
 
-// ParseIP parses dotted-quad notation.
+// ParseIP parses dotted-quad notation. It allocates only on error, and
+// its errors quote copies, so s does not escape: a caller parsing
+// string(b) of bytes it holds pays no copy either (the /v1/batch decoder
+// parses every permit entry that way). ParsePrefix keeps both rules.
 func ParseIP(s string) (IP, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return 0, fmt.Errorf("addr: invalid IPv4 %q", s)
+	if strings.Count(s, ".") != 3 {
+		return 0, fmt.Errorf("addr: invalid IPv4 %q", strings.Clone(s))
 	}
 	var ip uint32
-	for _, p := range parts {
+	rest := s
+	for range 4 {
+		var p string
+		p, rest, _ = strings.Cut(rest, ".")
 		v, ok := parseDecimal(p, 255)
 		if !ok {
-			return 0, fmt.Errorf("addr: invalid IPv4 octet %q in %q", p, s)
+			return 0, fmt.Errorf("addr: invalid IPv4 octet %q in %q", strings.Clone(p), strings.Clone(s))
 		}
 		ip = ip<<8 | uint32(v)
 	}
@@ -67,19 +72,23 @@ func MustParseIP(s string) IP {
 
 // String renders dotted-quad notation.
 func (ip IP) String() string {
-	// Hand-rolled dotted quad: this sits on the decision-tracing paths
-	// (cause chains name addresses; every event read back renders two),
-	// where fmt's reflection cost is measurable in experiment E12.
 	var b [15]byte
-	n := 0
+	return string(ip.AppendTo(b[:0]))
+}
+
+// AppendTo appends ip's dotted quad to b. Hand-rolled: this sits on the
+// decision-tracing paths (cause chains name addresses; every event read
+// back renders two), where fmt's reflection cost is measurable in
+// experiment E12, and on every /v1/batch reply.
+func (ip IP) AppendTo(b []byte) []byte {
+	var d [3]byte
 	for i := 3; i >= 0; i-- {
-		n += copyDecimal(b[n:], byte(ip>>(8*i)))
+		b = append(b, d[:copyDecimal(d[:], byte(ip>>(8*i)))]...)
 		if i > 0 {
-			b[n] = '.'
-			n++
+			b = append(b, '.')
 		}
 	}
-	return string(b[:n])
+	return b
 }
 
 // copyDecimal writes v's decimal digits into b, returning the count.
@@ -129,7 +138,7 @@ func mask(length int) IP {
 func ParsePrefix(s string) (Prefix, error) {
 	slash := strings.IndexByte(s, '/')
 	if slash < 0 {
-		return Prefix{}, fmt.Errorf("addr: missing / in prefix %q", s)
+		return Prefix{}, fmt.Errorf("addr: missing / in prefix %q", strings.Clone(s))
 	}
 	ip, err := ParseIP(s[:slash])
 	if err != nil {
@@ -137,11 +146,11 @@ func ParsePrefix(s string) (Prefix, error) {
 	}
 	length, ok := parseDecimal(s[slash+1:], 32)
 	if !ok {
-		return Prefix{}, fmt.Errorf("addr: invalid prefix length in %q", s)
+		return Prefix{}, fmt.Errorf("addr: invalid prefix length in %q", strings.Clone(s))
 	}
 	p := NewPrefix(ip, length)
 	if p.Addr != ip {
-		return Prefix{}, fmt.Errorf("addr: %q has host bits set", s)
+		return Prefix{}, fmt.Errorf("addr: %q has host bits set", strings.Clone(s))
 	}
 	return p, nil
 }

@@ -27,6 +27,56 @@ func TestParseIPErrors(t *testing.T) {
 	}
 }
 
+// TestParseAllocatesNothing: a valid address or prefix parses without
+// allocating — the /v1/batch decoder parses every permit entry through
+// ParsePrefix — and AppendTo renders into the caller's buffer.
+func TestParseAllocatesNothing(t *testing.T) {
+	for _, s := range []string{"0.0.0.0", "10.1.2.3", "255.255.255.255"} {
+		if n := testing.AllocsPerRun(100, func() { _, _ = ParseIP(s) }); n != 0 {
+			t.Errorf("ParseIP(%q) allocates %.0f times", s, n)
+		}
+	}
+	for _, s := range []string{"0.0.0.0/0", "10.1.0.0/16", "255.255.255.255/32"} {
+		if n := testing.AllocsPerRun(100, func() { _, _ = ParsePrefix(s) }); n != 0 {
+			t.Errorf("ParsePrefix(%q) allocates %.0f times", s, n)
+		}
+	}
+	ip, buf := MustParseIP("10.1.2.3"), make([]byte, 0, 32)
+	if n := testing.AllocsPerRun(100, func() { buf = ip.AppendTo(buf[:0]) }); n != 0 {
+		t.Errorf("AppendTo allocates %.0f times", n)
+	}
+	if got := string(ip.AppendTo([]byte("ip="))); got != "ip=10.1.2.3" {
+		t.Errorf("AppendTo = %q", got)
+	}
+}
+
+// TestParseErrorTexts pins each parse error's text: the count of dots is
+// checked before any octet, and the first bad octet is named.
+func TestParseErrorTexts(t *testing.T) {
+	for s, want := range map[string]string{
+		"":           `addr: invalid IPv4 ""`,
+		"1.2.3":      `addr: invalid IPv4 "1.2.3"`,
+		"x.1.2.3.4":  `addr: invalid IPv4 "x.1.2.3.4"`,
+		"1.x.3.y":    `addr: invalid IPv4 octet "x" in "1.x.3.y"`,
+		"1.2.3.":     `addr: invalid IPv4 octet "" in "1.2.3."`,
+		"1.2.3.256":  `addr: invalid IPv4 octet "256" in "1.2.3.256"`,
+		"1.2.3.4/8x": `addr: invalid prefix length in "1.2.3.4/8x"`,
+		"1.2.3.4/8":  `addr: "1.2.3.4/8" has host bits set`,
+		"1.2.3.4":    `addr: missing / in prefix "1.2.3.4"`,
+		"1.2.3/8":    `addr: invalid IPv4 "1.2.3"`,
+	} {
+		var err error
+		if strings.Contains(s, "/") || want[:14] == "addr: missing " {
+			_, err = ParsePrefix(s)
+		} else {
+			_, err = ParseIP(s)
+		}
+		if err == nil || err.Error() != want {
+			t.Errorf("parse %q: error %v, want %s", s, err, want)
+		}
+	}
+}
+
 func TestParsePrefix(t *testing.T) {
 	p, err := ParsePrefix("10.0.0.0/8")
 	if err != nil {

@@ -17,7 +17,7 @@ func Stripe(ip IP) int { return int(ip>>16) & (Stripes - 1) }
 // each behind its own RWMutex. The zero value is an empty table, and all
 // methods are safe for concurrent use. Every list is a copy taken one
 // stripe at a time, in no particular order, so no caller runs under a
-// stripe lock.
+// stripe lock; only Each's visitor does.
 type Table[V any] struct {
 	stripes [Stripes]struct {
 		mu sync.RWMutex
@@ -63,6 +63,13 @@ func (t *Table[V]) Len() int {
 		s.mu.RUnlock()
 	}
 	return n
+}
+
+// Each calls visit for every value, one stripe at a time under that
+// stripe's read lock, collecting nothing: visit must not call back into
+// the table.
+func (t *Table[V]) Each(visit func(V)) {
+	t.scan(Prefix{}, 0, 1, func(_ IP, v V) { visit(v) })
 }
 
 // All returns every value.

@@ -180,19 +180,11 @@ const maxBody = 1 << 20
 
 // decode reads a POST's JSON body: one JSON value and nothing after it
 // but whitespace. When it reports false the error response is already
-// written: 413 for a body over maxBody, 400 for one that does not decode
-// (unknown fields and trailing data included).
+// written (writeBodyErr): unknown fields and trailing data are 400s.
 func decode[T any](w http.ResponseWriter, r *http.Request) (v T, ok bool) {
-	ok = decodeInto(w, r, &v)
-	return v, ok
-}
-
-// decodeInto is decode's body, decoding into v, which the caller owns:
-// /v1/batch hands it a pooled request (see Server.batch).
-func decodeInto(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
+	err := dec.Decode(&v)
 	if err == nil {
 		if _, err = dec.Token(); err == io.EOF {
 			err = nil
@@ -201,15 +193,21 @@ func decodeInto(w http.ResponseWriter, r *http.Request, v any) bool {
 		}
 	}
 	if err != nil {
-		code := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeErr(w, code, fmt.Errorf("api: bad request body: %w", err))
-		return false
+		writeBodyErr(w, err)
+		return v, false
 	}
-	return true
+	return v, true
+}
+
+// writeBodyErr answers a body that could not be read or decoded: 413
+// for one over maxBody, 400 for any other.
+func writeBodyErr(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, code, fmt.Errorf("api: bad request body: %w", err))
 }
 
 // mutate serves one single-verb mutation route: decode the wire struct
@@ -329,12 +327,14 @@ func (r PermitRequest) op() (string, intent.Op, error) {
 }
 
 // ParsePermitEntry parses one wire-format permit entry: a CIDR, or a
-// bare IP treated as a /32.
+// bare IP treated as a /32. Like addr.ParsePrefix it allocates only on
+// error and e does not escape.
 func ParsePermitEntry(e string) (declnet.Prefix, error) {
 	if !strings.Contains(e, "/") {
-		e += "/32"
+		ip, err := addr.ParseIP(e)
+		return addr.Prefix{Addr: ip, Len: 32}, err
 	}
-	return declnet.ParsePrefix(e)
+	return addr.ParsePrefix(e)
 }
 
 func parsePermitEntries(es []string) ([]addr.Prefix, error) {
@@ -608,7 +608,7 @@ func (s *Server) status(w http.ResponseWriter, r *http.Request) {
 		Providers:         map[string]any{},
 		Tenants:           s.world.Cloud.TenantResources(),
 		TraceEvents:       s.world.Tracer().Recorded(),
-		MetricSamples:     len(s.world.Registry().Snapshot()),
+		MetricSamples:     s.world.Registry().Len(),
 	}
 	for _, name := range []string{s.world.Fig1.CloudA, s.world.Fig1.CloudB, "onprem"} {
 		if p, ok := s.world.Cloud.Provider(name); ok {

@@ -13,15 +13,17 @@
 package api
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
+	"unicode/utf8"
 
-	"declnet"
+	"declnet/internal/addr"
 	"declnet/internal/core"
-	"declnet/internal/intent"
-	"declnet/internal/qos"
 )
 
 // BatchOpRequest is one wire-format batch operation. Op names the verb
@@ -69,104 +71,128 @@ type BatchResponse struct {
 	FailedIndex *int            `json:"failed_index,omitempty"`
 }
 
-// batchReqs recycles /v1/batch bodies: a request's Ops keep their
-// capacity, so decoding the next batch into them regrows nothing.
-var batchReqs = sync.Pool{New: func() any { return new(BatchRequest) }}
+// batchBuf is one /v1/batch request's memory, recycled through
+// batchBufs: the body, which the reply overwrites once the ops are
+// applied, and the ops decoded from it. The decoder copies every string
+// it keeps out of the body, so nothing of it outlives the request.
+type batchBuf struct {
+	buf []byte // the body, then the reply
+	at  int    // the decoder's offset into buf
+	ops []core.BatchOp
+	// held counts the slots of ops an "ops" array has written since the
+	// field was last null or empty: a repeated key decodes into them.
+	held int
+	// policy holds each op's wire policy, bad the permit entries that did
+	// not parse; finish settles both once the whole body has decoded.
+	policy []string
+	bad    []string
+	// Scratch for the string and entry arrays being decoded.
+	texts    []string
+	prefixes []addr.Prefix
+}
 
-// maxPooledOps bounds the Ops capacity a recycled body keeps: a rare huge
-// batch is left to the collector rather than pinned in the pool.
-const maxPooledOps = 1024
+var batchBufs = sync.Pool{New: func() any { return new(batchBuf) }}
 
-// recycle zeroes req up to its capacity and returns it to the pool.
-// encoding/json decodes each array element into whatever its reused slot
-// holds, so without the zeroing a field the next batch omits would keep
-// this one's value. Nothing of req may be read after this: the handler
-// copies what it keeps (parseBatchOps, the tenant string).
-func recycle(req *BatchRequest) {
-	if cap(req.Ops) > maxPooledOps {
-		return
+// A recycled batchBuf keeps at most maxKeptOps ops and a buffer of 128
+// bytes per op: a rare huge batch is left to the collector.
+const maxKeptOps = 1024
+
+// release returns b to the pool, cleared (reset).
+func (b *batchBuf) release() {
+	if b.reset() {
+		batchBufs.Put(b)
 	}
-	ops := req.Ops[:cap(req.Ops)]
-	clear(ops)
-	*req = BatchRequest{Ops: ops[:0]}
-	batchReqs.Put(req)
+}
+
+// reset clears b, so nothing pins a decoded entry, group or member and a
+// reused slot reads as a fresh one, and reports whether b is small
+// enough to keep.
+func (b *batchBuf) reset() bool {
+	clear(b.ops[:cap(b.ops)])
+	clear(b.policy[:cap(b.policy)])
+	clear(b.bad)
+	*b = batchBuf{buf: b.buf[:0], ops: b.ops[:0], policy: b.policy[:0], bad: b.bad[:0],
+		texts: b.texts, prefixes: b.prefixes}
+	return cap(b.ops) <= maxKeptOps && cap(b.buf) <= 128*maxKeptOps
 }
 
 func (s *Server) batch(w http.ResponseWriter, r *http.Request) {
-	req := batchReqs.Get().(*BatchRequest)
-	defer recycle(req)
-	if !decodeInto(w, r, req) {
+	b := batchBufs.Get().(*batchBuf)
+	defer b.release()
+	body := bytes.NewBuffer(b.buf[:0])
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody))
+	b.buf = body.Bytes()
+	if err != nil {
+		writeBodyErr(w, err)
 		return
 	}
-	logTenant(w, req.Tenant)
-	if len(req.Ops) == 0 {
+	tenant, err := b.decode()
+	if err != nil {
+		writeBodyErr(w, err)
+		return
+	}
+	logTenant(w, tenant)
+	if len(b.ops) == 0 {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("api: empty batch"))
 		return
 	}
-	ops, err := parseBatchOps(req.Ops)
-	if err != nil {
+	if err := b.finish(); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	results, err := s.world.Cloud.ApplyBatch(req.Tenant, ops)
+	results, err := s.world.Cloud.ApplyBatch(tenant, b.ops)
+	code := http.StatusOK
 	if err != nil {
-		var be *core.BatchError
 		if results == nil {
 			// Static validation failed: nothing was applied.
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		resp := BatchResponse{Applied: len(results), Results: wireResults(results), Error: err.Error()}
-		if errors.As(err, &be) {
-			idx := be.Index
-			resp.FailedIndex = &idx
-		}
-		writeJSON(w, http.StatusConflict, resp)
-		return
+		code = http.StatusConflict
 	}
-	writeJSON(w, http.StatusOK, BatchResponse{Applied: len(results), Results: wireResults(results)})
+	b.buf = appendBatchResponse(b.buf[:0], results, err)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(b.buf)
 }
 
-// parseBatchOps converts wire ops to core ops, parsing permit entries
-// and potato policies; parse failures reject the whole batch (400).
-func parseBatchOps(ops []BatchOpRequest) ([]core.BatchOp, error) {
-	out := make([]core.BatchOp, 0, len(ops))
-	for i, o := range ops {
-		op := core.BatchOp{
-			Op:        o.Op,
-			VM:        declnet.NodeID(o.VM),
-			Provider:  o.Provider,
-			EIP:       o.EIP,
-			SIP:       o.SIP,
-			Target:    o.Target,
-			Weight:    o.Weight,
-			Groups:    o.Groups,
-			Region:    o.Region,
-			Bandwidth: o.Bandwidth,
-			Name:      o.Name,
-			Members:   o.Members,
-		}
-		var err error
-		if op.Entries, err = parsePermitEntries(o.Entries); err != nil {
-			return nil, fmt.Errorf("api: batch op %d (%s): %w", i, o.Op, err)
-		}
-		if o.Op == intent.OpSetPotato {
-			if op.Policy, err = qos.ParsePotatoPolicy(o.Policy); err != nil {
-				return nil, fmt.Errorf("api: batch op %d: unknown policy %q", i, o.Policy)
-			}
-		}
-		out = append(out, op)
-	}
-	return out, nil
-}
-
-func wireResults(results []core.BatchResult) []BatchOpResult {
-	out := make([]BatchOpResult, len(results))
+// appendBatchResponse appends the BatchResponse for results and err to
+// b: the bytes json.Encoder writes for it, trailing newline included.
+func appendBatchResponse(b []byte, results []core.BatchResult, err error) []byte {
+	b = append(b, `{"applied":`...)
+	b = strconv.AppendInt(b, int64(len(results)), 10)
+	b = append(b, `,"results":[`...)
 	for i, r := range results {
-		out[i] = BatchOpResult{Op: r.Op}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONString(append(b, `{"op":`...), r.Op)
 		if r.Addr != 0 {
-			out[i].Addr = r.Addr.String()
+			b = append(r.Addr.AppendTo(append(b, `,"addr":"`...)), '"')
+		}
+		b = append(b, '}')
+	}
+	b = append(b, ']')
+	if err != nil {
+		if msg := err.Error(); msg != "" {
+			b = appendJSONString(append(b, `,"error":`...), msg)
+		}
+		var be *core.BatchError
+		if errors.As(err, &be) {
+			b = strconv.AppendInt(append(b, `,"failed_index":`...), int64(be.Index), 10)
 		}
 	}
-	return out
+	return append(b, "}\n"...)
+}
+
+// appendJSONString appends s as encoding/json writes it, HTML characters
+// escaped: verbatim in quotes when nothing in it needs escaping.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
 }

@@ -139,6 +139,56 @@ func TestBatchEndpointPartialFailure(t *testing.T) {
 	}
 }
 
+// TestBatchReplyBytes: a /v1/batch reply, 200 or 409, is byte for byte
+// what json.Encoder writes for the BatchResponse it stands for: field
+// order, omitted fields, HTML-escaped error text, trailing newline.
+func TestBatchReplyBytes(t *testing.T) {
+	srv, w, _ := newStoreServer(t)
+	f := w.Fig1
+	vm := string(w.Host(f.CloudA, f.RegionsA[0], "az1", 1))
+	for _, c := range []struct {
+		name string
+		code int
+		ops  []BatchOpRequest
+	}{
+		{"all applied", 200, []BatchOpRequest{
+			{Op: "request_eip", VM: vm}, {Op: "request_sip", Provider: f.CloudA},
+			{Op: "bind", EIP: "$0", SIP: "$1"}, {Op: "set_permit", Target: "$1", Entries: []string{"10.0.0.0/8"}},
+		}},
+		{"stopped at op 1", 409, []BatchOpRequest{
+			{Op: "request_eip", VM: vm}, {Op: "request_eip", VM: "ghost<&>/az0/host9"}, {Op: "request_sip", Provider: f.CloudA},
+		}},
+		{"stopped at op 0", 409, []BatchOpRequest{{Op: "request_eip", VM: "ghost/az0/host9"}}},
+	} {
+		body, err := json.Marshal(BatchRequest{Tenant: "acme", Ops: c.ops})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)))
+		if rec.Code != c.code {
+			t.Fatalf("%s: status %d, want %d: %s", c.name, rec.Code, c.code, rec.Body)
+		}
+		var resp BatchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if c.code == 409 && (resp.Error == "" || resp.FailedIndex == nil || *resp.FailedIndex != resp.Applied) {
+			t.Fatalf("%s: reply %+v names no failing op", c.name, resp)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(resp); err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.Body.String(); got != want.String() {
+			t.Errorf("%s: reply\n%q\nwant\n%q", c.name, got, want.String())
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: Content-Type %q", c.name, ct)
+		}
+	}
+}
+
 // newStoreServer is a Server over a Fig1 world with an intent store
 // attached and no reconciler: what a /v1/batch costs and declares, with
 // nothing running beside it.
@@ -203,10 +253,11 @@ func onboardingOps(vm string, n int) []BatchOpRequest {
 
 // batchAllocBudget is the bytes one op of a 128-op onboarding batch may
 // allocate through Server.ServeHTTP with a store attached, body decode
-// and response encode included: the measured 1 465 B plus 10%. Ops
-// decoded into a regrown slice, journaled from one grown by doubling and
-// given a formatted error each in the plan pass measure 2 312 B.
-const batchAllocBudget = 1610
+// and response encode included: the measured 464 B plus 10%. Decoding
+// through encoding/json into a pooled BatchRequest, copying its ops into
+// core ops, journaling from a fresh frame and encoding the reply through
+// a []BatchOpResult measured 1 465 B.
+const batchAllocBudget = 510
 
 // raceEnabled is set by race_test.go when the race detector is compiled
 // in.

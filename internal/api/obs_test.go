@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"declnet"
@@ -198,5 +199,32 @@ func TestRequestLogging(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("log output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestStatusCountsSamplesWithoutTakingThem: GET /v1/status reports
+// metric_samples, the number of samples a /v1/metrics scrape takes, by
+// counting the registry's instruments: on a populated world it equals
+// len(Snapshot()), and no gauge function runs to produce it.
+func TestStatusCountsSamplesWithoutTakingThem(t *testing.T) {
+	ts, w := newTestServer(t)
+	f := w.Fig1
+	if code := post(t, ts, "/v1/batch", BatchRequest{Tenant: "acme", Ops: onboardingOps(
+		string(w.Host(f.CloudA, f.RegionsA[0], "az1", 1)), 8)}, nil); code != 200 {
+		t.Fatalf("onboarding batch status %d", code)
+	}
+	var calls atomic.Int32
+	w.Registry().GaugeFunc("declnet_test_gauge", "Counts its own samples.", func() float64 {
+		return float64(calls.Add(1))
+	})
+	var st StatusResponse
+	if code := get(t, ts, "/v1/status", &st); code != 200 {
+		t.Fatalf("status %d", code)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("GET /v1/status ran a gauge function %d times", n)
+	}
+	if want := len(w.Registry().Snapshot()); st.MetricSamples != want || want == 0 {
+		t.Errorf("metric_samples %d, want len(Snapshot()) = %d", st.MetricSamples, want)
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"declnet/internal/addr"
 	"declnet/internal/intent"
@@ -117,18 +118,20 @@ func (e *BatchError) Unwrap() error { return e.Err }
 // to its pool only after that frame, so no op of the same batch is
 // granted it again.
 //
-// The plan pass computes only each op's key (Cloud.planKey), and the
-// frame's ops are sized once, at the batch's length: an op costs its own
-// work and no more.
+// The plan pass computes only each op's key (Cloud.planKey) and writes
+// each grant's stand-in into the results, which the apply pass then
+// overwrites slot by slot ("$j" reads only slots before its own); the
+// frame's ops come from a pool, cleared after Record: an op costs its
+// own work and no more.
 func (c *Cloud) ApplyBatch(tenant string, ops []BatchOp) ([]BatchResult, error) {
 	if err := intent.CheckTenant(tenant); err != nil {
 		return nil, err
 	}
 	sop := c.slo.Begin(slo.VerbBatch, tenant, "")
 	var keys []ShardKey // distinct: a batch names few shards, many times each
-	standIns := make([]BatchResult, len(ops))
+	results := make([]BatchResult, len(ops))
 	for i := range ops {
-		op, err := c.typed(ops, i, standIns)
+		op, err := c.typed(ops, i, results)
 		if err != nil {
 			err = &BatchError{Index: i, Op: ops[i].Op, Err: err}
 			sop.End(err)
@@ -142,22 +145,23 @@ func (c *Cloud) ApplyBatch(tenant string, ops []BatchOp) ([]BatchResult, error) 
 			keys = append(keys, ek)
 		}
 		if grants(op.Verb) {
-			standIns[i].Addr = c.standIn(k)
+			results[i].Addr = c.standIn(k)
 		}
 	}
 	stg := sop.StageStart()
 	unlock := c.shards.lockShards(keys)
 	sop.StageEnd(stg, "shard_wait")
 	defer unlock()
-	results := make([]BatchResult, 0, len(ops))
-	var applied []intent.Op // the journal frame's ops: sized once
+	var frame *[]intent.Op // the journal frame's ops, pooled
 	if c.rec != nil {
-		applied = make([]intent.Op, 0, len(ops))
+		frame = frames.Get().(*[]intent.Op)
+		*frame = slices.Grow(*frame, len(ops))
 	}
 	var released []addr.IP // returned to their pools after the frame
 	var berr error
-	for i := range ops {
-		op, err := c.typed(ops, i, results)
+	n := 0 // ops applied
+	for ; n < len(ops); n++ {
+		op, err := c.typed(ops, n, results)
 		var p *Provider
 		var run verbBody
 		if err == nil {
@@ -167,25 +171,27 @@ func (c *Cloud) ApplyBatch(tenant string, ops []BatchOp) ([]BatchResult, error) 
 			op, err = run(c, p, tenant, op)
 		}
 		if err != nil {
-			berr = &BatchError{Index: i, Op: ops[i].Op, Err: err}
+			berr = &BatchError{Index: n, Op: ops[n].Op, Err: err}
 			break
 		}
-		res := BatchResult{Op: op.Verb}
+		results[n] = BatchResult{Op: op.Verb}
 		if grants(op.Verb) {
-			res.Addr = op.Addr
+			results[n].Addr = op.Addr
 		}
-		results = append(results, res)
-		if c.rec != nil {
-			applied = append(applied, op)
+		if frame != nil {
+			*frame = append(*frame, op)
 		}
 		if releases(op.Verb) {
 			released = append(released, op.Addr)
 		}
 	}
-	if len(applied) > 0 {
-		stg = sop.StageStart()
-		c.rec.Record(tenant, applied...)
-		sop.StageEnd(stg, "journal")
+	if frame != nil {
+		if len(*frame) > 0 {
+			stg = sop.StageStart()
+			c.rec.Record(tenant, *frame...)
+			sop.StageEnd(stg, "journal")
+		}
+		putFrame(frame)
 	}
 	for _, a := range released {
 		if err := c.free(a); err != nil && berr == nil {
@@ -197,7 +203,26 @@ func (c *Cloud) ApplyBatch(tenant string, ops []BatchOp) ([]BatchResult, error) 
 	// recorded into its SLO shard, so re-sweep (zero-delta) to keep the
 	// fully-released eviction airtight.
 	c.tenantDelta(tenant, 0)
-	return results, berr
+	return results[:n], berr
+}
+
+// frames recycles batch journal frames: Log.Record keeps nothing of its
+// ops once it returns, so the next batch appends into the same array.
+var frames = sync.Pool{New: func() any { return new([]intent.Op) }}
+
+// maxPooledFrame bounds the ops a recycled frame keeps: a rare huge batch
+// is left to the collector rather than pinned in the pool.
+const maxPooledFrame = 1024
+
+// putFrame clears the frame, so the pool pins no entry set or endpoint,
+// and recycles it.
+func putFrame(frame *[]intent.Op) {
+	if cap(*frame) > maxPooledFrame {
+		return
+	}
+	clear(*frame)
+	*frame = (*frame)[:0]
+	frames.Put(frame)
 }
 
 // standIn returns an address inside the block a grant locked under k

@@ -280,7 +280,10 @@ func (l *Log) writeHeaderLocked() error {
 // the shard lock held, after the body succeeded and before the verb
 // returns — so anything the tenant was told succeeded is on disk (to
 // the limit of the fsync policy). Returns the assigned sequence number
-// (0 when ops is empty or State refused them).
+// (0 when ops is empty or State refused them). Record keeps nothing of
+// ops once it returns — State holds what the ops point at (entry sets,
+// endpoints), never the ops themselves — so a caller may reuse the
+// slice for its next frame.
 //
 // Append errors are counted, not returned: the mutation has already
 // been applied in memory and cannot be unwound here. Stats surfaces

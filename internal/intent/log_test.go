@@ -826,3 +826,67 @@ func TestPermitOnAnUnheldTargetDeclaresNothing(t *testing.T) {
 		t.Errorf("a permit on an address nobody holds declared %+v", pl)
 	}
 }
+
+// TestRecordKeepsNothingOfItsOps: Record keeps nothing of the ops slice
+// it is handed — core records each batch from a pooled frame that the
+// next batch overwrites. After a multi-op frame is recorded and every
+// element of the caller's slice overwritten, State, Permit and a
+// compacted, reopened store all still show the recorded ops.
+func TestRecordKeepsNothingOfItsOps(t *testing.T) {
+	x, y, s := mustIP(t, "10.0.0.1"), mustIP(t, "10.0.0.2"), mustIP(t, "172.16.0.1")
+	entries := []addr.Prefix{addr.MustParsePrefix("192.168.0.0/24"), addr.MustParsePrefix("192.168.1.7/32")}
+	frame := func() []Op {
+		return []Op{
+			{Verb: OpRequestEIP, VM: "vm-1", Provider: "cloudA", Region: "us-east", Addr: x},
+			{Verb: OpRequestEIP, VM: "vm-2", Provider: "cloudA", Region: "us-east", Addr: y},
+			{Verb: OpRequestSIP, Provider: "cloudA", Addr: s},
+			{Verb: OpBind, EIP: y, SIP: s, Weight: 2},
+			{Verb: OpSetPermit, Provider: "cloudA", Target: x, Entries: slices.Clone(entries)},
+			{Verb: OpCreateGroup, Name: "web", Members: []addr.IP{x, y}},
+			{Verb: OpRegisterName, Name: "db", Addr: s},
+		}
+	}
+	ref, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	if ref.Record("acme", frame()...) == 0 {
+		t.Fatal("reference frame rejected")
+	}
+	want := stateJSON(t, ref.State())
+
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := frame()
+	if l.Record("acme", ops...) == 0 {
+		t.Fatal("frame rejected")
+	}
+	for i := range ops {
+		ops[i] = Op{Verb: OpReleaseEIP, VM: "overwritten", Name: "overwritten", Addr: mustIP(t, "10.9.9.9"),
+			Target: x, Entries: []addr.Prefix{addr.MustParsePrefix("0.0.0.0/0")}, Members: []addr.IP{s}}
+	}
+	if got := stateJSON(t, l.State()); got != want {
+		t.Errorf("state after the caller overwrote its ops\n got %s\nwant %s", got, want)
+	}
+	if pl, ok := l.Permit(x); !ok || !reflect.DeepEqual(pl.Entries, entries) {
+		t.Errorf("Permit(%s) = %v, %v; want %v", x, pl.Entries, ok, entries)
+	}
+	if err := l.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if got := stateJSON(t, l2.State()); got != want {
+		t.Errorf("state after compact and reopen\n got %s\nwant %s", got, want)
+	}
+}

@@ -171,6 +171,22 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	ch.fn = fn
 }
 
+// Len returns the number of samples Snapshot would return — one per
+// child instrument — without sampling any: no gauge function runs.
+// Nil-safe.
+func (r *Registry) Len() int {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	for _, fam := range r.families {
+		n += len(fam.children)
+	}
+	return n
+}
+
 // Sample is one observed value in a deterministic snapshot.
 type Sample struct {
 	Name   string

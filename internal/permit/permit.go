@@ -193,12 +193,10 @@ func (e *Engine) EntriesOf(dst addr.IP) []Entry {
 func (e *Engine) Endpoints() int { return e.lists.Len() }
 
 // TotalEntries returns the total permit entries across all lists — the
-// memory-scale figure for E4.
+// memory-scale figure for E4 — summed in place, copying no list.
 func (e *Engine) TotalEntries() int {
 	var n int
-	for _, l := range e.lists.All() {
-		n += l.Len()
-	}
+	e.lists.Each(func(l List) { n += l.Len() })
 	return n
 }
 
