@@ -5,7 +5,7 @@ FUZZTIME ?= 10s
 SCALE_EIPS ?= 1000000
 SCALE_TENANTS ?= 400
 
-.PHONY: build fmt test vet race bench benchsmoke scale recover-scale soak staticcheck check fuzz loc flags benchmod nobaseline onejson
+.PHONY: build fmt test vet race bench benchsmoke scale recover-scale soak staticcheck check fuzz loc flags benchmod nobaseline onejson onepath
 
 build:
 	$(GO) build ./...
@@ -59,8 +59,8 @@ staticcheck:
 # Short fuzz pass over the wire-format parsers and the intent store's
 # binary codec: journal frames and snapshots each round-trip (encode),
 # and any bytes decode to records or a state, or an error, in memory the
-# input's size bounds (decode); the /v1/batch decoder agrees with
-# encoding/json on every body. Each target gets $(FUZZTIME);
+# input's size bounds (decode); the mutation body decoder agrees with
+# encoding/json on every /v1/batch body and every single-verb route's. Each target gets $(FUZZTIME);
 # regression corpus lives under testdata/fuzz/ so plain `go test`
 # replays past findings even without this target.
 fuzz:
@@ -68,6 +68,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePrefix$$' -fuzztime $(FUZZTIME) ./internal/addr/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePermitEntry$$' -fuzztime $(FUZZTIME) ./internal/api/
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchDecode$$' -fuzztime $(FUZZTIME) ./internal/api/
+	$(GO) test -run '^$$' -fuzz '^FuzzRouteDecode$$' -fuzztime $(FUZZTIME) ./internal/api/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseObjective$$' -fuzztime $(FUZZTIME) ./internal/slo/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalDecode$$' -fuzztime $(FUZZTIME) ./internal/intent/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalFrame$$' -fuzztime $(FUZZTIME) ./internal/intent/
@@ -124,7 +125,17 @@ onejson:
 		echo "the files above import encoding/json; the intent store has no JSON format"; exit 1; \
 	fi
 
+# One mutation path: internal/core journals a mutation from one call
+# site (Cloud.apply's rec.Record), and internal/api applies every
+# mutation route through core.ApplyBatch, with no Cloud.Apply call and
+# no per-route generic handler.
+onepath:
+	@n=$$(cat $$(ls internal/core/*.go | grep -v '_test\.go$$') | grep -o 'rec\.Record(' | wc -l); \
+	if [ "$$n" -ne 1 ]; then echo "internal/core calls rec.Record( $$n times; the one call is Cloud.apply's"; exit 1; fi
+	@if grep -n 'Cloud\.Apply(\|mutate\[' $$(ls internal/api/*.go | grep -v '_test\.go$$'); then \
+		echo "internal/api applies mutations through core.ApplyBatch alone"; exit 1; fi
+
 # Tier-1 verification plus gofmt, vet, static analysis, the race pass,
-# the benchmark smoke tests, the declnetd dependency pin and the intent
-# store's freedom from JSON.
-check: build fmt vet staticcheck test race benchsmoke benchmod nobaseline onejson
+# the benchmark smoke tests, the declnetd dependency pin, the intent
+# store's freedom from JSON and the one mutation path.
+check: build fmt vet staticcheck test race benchsmoke benchmod nobaseline onejson onepath

@@ -16,7 +16,8 @@
 // plus the extensions the paper sketches: weights on bind, endpoint
 // groups, and hot/cold-potato transit profiles. Tenant is core.Tenant,
 // the only Go facade for the verbs: each builds one intent.Op and runs it
-// through core.Cloud.Apply, as the HTTP routes and /v1/batch do.
+// through core.Cloud.Apply, into the one apply loop every HTTP mutation
+// route reaches through core.Cloud.ApplyBatch.
 //
 // Everything runs against a deterministic multi-cloud simulation: a world
 // graph of providers, regions, backbones, internet transit, exchange

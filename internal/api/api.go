@@ -22,10 +22,8 @@ import (
 	"declnet"
 	"declnet/internal/addr"
 	"declnet/internal/core"
-	"declnet/internal/intent"
 	"declnet/internal/metrics"
 	"declnet/internal/obs"
-	"declnet/internal/qos"
 	"declnet/internal/slo"
 )
 
@@ -80,18 +78,12 @@ func NewServerWith(w *declnet.World, opts Options) *Server {
 		"Decision-trace events recorded.", func() float64 { return float64(tracer.Recorded()) })
 	registry.GaugeFunc("declnet_trace_evicted_total",
 		"Decision-trace events overwritten by ring wraparound.", func() float64 { return float64(tracer.Evicted()) })
-	// The single-verb mutation routes: wire struct -> typed op -> Apply.
-	s.mux.HandleFunc("POST /v1/eips", mutate(s, EIPRequest.op, replyEIP))
-	s.mux.HandleFunc("POST /v1/eips/release", mutate(s, ReleaseRequest.op, replyEmpty))
-	s.mux.HandleFunc("POST /v1/sips", mutate(s, SIPRequest.op, replySIP))
-	s.mux.HandleFunc("POST /v1/bind", mutate(s, BindRequest.bind, replyEmpty))
-	s.mux.HandleFunc("POST /v1/unbind", mutate(s, BindRequest.unbind, replyEmpty))
-	s.mux.HandleFunc("POST /v1/permit", mutate(s, PermitRequest.op, replyEmpty))
-	s.mux.HandleFunc("POST /v1/qos", mutate(s, QoSRequest.op, replyEmpty))
-	s.mux.HandleFunc("POST /v1/potato", mutate(s, PotatoRequest.op, replyEmpty))
-	s.mux.HandleFunc("POST /v1/groups", mutate(s, GroupRequest.op, replyEmpty))
-	s.mux.HandleFunc("POST /v1/names", mutate(s, NameRequest.op, replyEmpty))
-	s.mux.HandleFunc("POST /v1/batch", s.batch)
+	// Every mutation route decodes its body with the one decoder and
+	// applies it with core.ApplyBatch (batch.go).
+	s.mux.HandleFunc("POST /v1/batch", s.mutation(route{}))
+	for _, m := range verbRoutes {
+		s.mux.HandleFunc("POST "+m.path, s.mutation(m.route))
+	}
 	s.mux.HandleFunc("POST /v1/transfer", s.transfer)
 	s.mux.HandleFunc("POST /v1/fail", s.fail)
 	s.mux.HandleFunc("POST /v1/heal", s.heal)
@@ -210,45 +202,10 @@ func writeBodyErr(w http.ResponseWriter, err error) {
 	writeErr(w, code, fmt.Errorf("api: bad request body: %w", err))
 }
 
-// mutate serves one single-verb mutation route: decode the wire struct
-// once, convert it to the typed op (a conversion error is a 400), run it
-// through the cloud's verb path (a failure there is a 409), and encode
-// the reply built from the op's address.
-func mutate[T any](s *Server, toOp func(T) (tenant string, op intent.Op, err error), reply func(addr.IP) any) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		req, ok := decode[T](w, r)
-		if !ok {
-			return
-		}
-		tenant, op, err := toOp(req)
-		logTenant(w, tenant)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		a, err := s.world.Cloud.Apply(tenant, op)
-		if err != nil {
-			writeErr(w, http.StatusConflict, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, reply(a))
-	}
-}
-
-func replyEIP(a addr.IP) any { return EIPResponse{EIP: a.String()} }
-func replySIP(a addr.IP) any { return SIPResponse{SIP: a.String()} }
-func replyEmpty(addr.IP) any { return struct{}{} }
-
-// ips parses a request's address operands, keeping the first error.
-type ips struct{ err error }
-
-func (p *ips) parse(s string) addr.IP {
-	a, err := addr.ParseIP(s)
-	if p.err == nil {
-		p.err = err
-	}
-	return a
-}
+// The single-verb routes' request structs below are their wire schema,
+// which clients encode with. The server decodes none of them: each
+// route's body is one op of its verb (verbRoutes, batch.go), decoded by
+// the /v1/batch decoder under the same keys.
 
 // EIPRequest asks for an endpoint IP (Table 2: request_eip(vm_id)).
 type EIPRequest struct {
@@ -261,19 +218,10 @@ type EIPResponse struct {
 	EIP string `json:"eip"`
 }
 
-func (r EIPRequest) op() (string, intent.Op, error) {
-	return r.Tenant, intent.Op{Verb: intent.OpRequestEIP, VM: r.VM}, nil
-}
-
 // ReleaseRequest returns an endpoint IP.
 type ReleaseRequest struct {
 	Tenant string `json:"tenant"`
 	EIP    string `json:"eip"`
-}
-
-func (r ReleaseRequest) op() (string, intent.Op, error) {
-	var p ips
-	return r.Tenant, intent.Op{Verb: intent.OpReleaseEIP, Addr: p.parse(r.EIP)}, p.err
 }
 
 // SIPRequest asks for a service IP (Table 2: request_sip()).
@@ -287,24 +235,12 @@ type SIPResponse struct {
 	SIP string `json:"sip"`
 }
 
-func (r SIPRequest) op() (string, intent.Op, error) {
-	return r.Tenant, intent.Op{Verb: intent.OpRequestSIP, Provider: r.Provider}, nil
-}
-
 // BindRequest associates an EIP with a SIP (Table 2: bind(eip, sip)).
 type BindRequest struct {
 	Tenant string `json:"tenant"`
 	EIP    string `json:"eip"`
 	SIP    string `json:"sip"`
 	Weight int    `json:"weight,omitempty"`
-}
-
-func (r BindRequest) bind() (string, intent.Op, error)   { return r.op(intent.OpBind, r.Weight) }
-func (r BindRequest) unbind() (string, intent.Op, error) { return r.op(intent.OpUnbind, 0) }
-
-func (r BindRequest) op(verb string, weight int) (string, intent.Op, error) {
-	var p ips
-	return r.Tenant, intent.Op{Verb: verb, EIP: p.parse(r.EIP), SIP: p.parse(r.SIP), Weight: weight}, p.err
 }
 
 // PermitRequest replaces a target's permit list (Table 2:
@@ -315,15 +251,6 @@ type PermitRequest struct {
 	Target  string   `json:"target"`
 	Entries []string `json:"entries"`
 	Groups  []string `json:"groups,omitempty"`
-}
-
-func (r PermitRequest) op() (string, intent.Op, error) {
-	var p ips
-	op := intent.Op{Verb: intent.OpSetPermit, Target: p.parse(r.Target), Groups: r.Groups}
-	if p.err == nil {
-		op.Entries, p.err = parsePermitEntries(r.Entries)
-	}
-	return r.Tenant, op, p.err
 }
 
 // ParsePermitEntry parses one wire-format permit entry: a CIDR, or a
@@ -337,18 +264,6 @@ func ParsePermitEntry(e string) (declnet.Prefix, error) {
 	return addr.ParsePrefix(e)
 }
 
-func parsePermitEntries(es []string) ([]addr.Prefix, error) {
-	out := make([]addr.Prefix, 0, len(es))
-	for _, e := range es {
-		p, err := ParsePermitEntry(e)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
 // QoSRequest grants regional egress bandwidth (Table 2:
 // set_qos(region, bandwidth)).
 type QoSRequest struct {
@@ -358,23 +273,11 @@ type QoSRequest struct {
 	Bandwidth float64 `json:"bandwidth_bps"`
 }
 
-func (r QoSRequest) op() (string, intent.Op, error) {
-	return r.Tenant, intent.Op{Verb: intent.OpSetQoS, Provider: r.Provider, Region: r.Region, Bps: r.Bandwidth}, nil
-}
-
 // PotatoRequest selects a transit profile ("hot", "cold", "dedicated").
 type PotatoRequest struct {
 	Tenant   string `json:"tenant"`
 	Provider string `json:"provider"`
 	Policy   string `json:"policy"`
-}
-
-func (r PotatoRequest) op() (string, intent.Op, error) {
-	op := intent.Op{Verb: intent.OpSetPotato, Provider: r.Provider, Policy: r.Policy}
-	if _, err := qos.ParsePotatoPolicy(r.Policy); err != nil {
-		return r.Tenant, op, fmt.Errorf("api: unknown policy %q", r.Policy)
-	}
-	return r.Tenant, op, nil
 }
 
 // GroupRequest defines an endpoint group (members may span providers).
@@ -384,26 +287,12 @@ type GroupRequest struct {
 	Members []string `json:"members"`
 }
 
-func (r GroupRequest) op() (string, intent.Op, error) {
-	var p ips
-	op := intent.Op{Verb: intent.OpCreateGroup, Name: r.Name}
-	for _, m := range r.Members {
-		op.Members = append(op.Members, p.parse(m))
-	}
-	return r.Tenant, op, p.err
-}
-
 // NameRequest binds a tenant-scoped name to one of the tenant's
 // addresses (the §6 naming extension).
 type NameRequest struct {
 	Tenant string `json:"tenant"`
 	Name   string `json:"name"`
 	Target string `json:"target"`
-}
-
-func (r NameRequest) op() (string, intent.Op, error) {
-	var p ips
-	return r.Tenant, intent.Op{Verb: intent.OpRegisterName, Name: r.Name, Addr: p.parse(r.Target)}, p.err
 }
 
 // resolveDst interprets a destination string as an IP, falling back to

@@ -208,7 +208,7 @@ func TestValidationErrors(t *testing.T) {
 		{"/v1/bind", BindRequest{Tenant: "acme", EIP: "x", SIP: "y"}, http.StatusBadRequest},
 		{"/v1/permit", PermitRequest{Tenant: "acme", Target: "1.2.3.4", Entries: []string{"zzz"}}, http.StatusBadRequest},
 		{"/v1/transfer", TransferRequest{Tenant: "acme", Src: "1.2.3.4", Dst: "5.6.7.8", Bytes: -1}, http.StatusBadRequest},
-		{"/v1/qos", QoSRequest{Tenant: "acme", Provider: "nope", Region: "r"}, http.StatusConflict},
+		{"/v1/qos", QoSRequest{Tenant: "acme", Provider: "nope", Region: "r"}, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		if code := post(t, ts, c.path, c.body, nil); code != c.want {

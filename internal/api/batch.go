@@ -1,15 +1,21 @@
-// POST /v1/batch: the batch write endpoint. One request carries many
-// Table-2 mutations; core.ApplyBatch applies them under one acquisition
-// of exactly the (tenant, region) shards they touch and journals them
-// as one frame, so onboarding N endpoints costs one round trip, one lock
+// The mutation plane. Every Table-2 mutation route — POST /v1/batch
+// and the nine single-verb routes — reads its body into one pooled
+// batchBuf, decodes it in one hand-written pass straight into
+// []core.BatchOp (batchjson.go), applies the ops with core.ApplyBatch
+// and append-encodes the reply into the same buffer. A /v1/batch body
+// carries many ops; ApplyBatch applies them under one acquisition of
+// exactly the (tenant, region) shards they touch and journals them as
+// one record, so onboarding N endpoints costs one round trip, one lock
 // acquisition and one journal append instead of N — and delays no other
-// tenant's requests while it runs.
+// tenant's requests while it runs. A single-verb route's body is one op
+// of its verb, applied as a batch of one.
 //
-// Status codes follow the batch semantics: 400 means the request or an
-// op failed validation and NOTHING was applied; 409 means a runtime
-// failure stopped the batch partway — the response carries the results
-// of the ops that were applied (and stay applied) plus the failing
-// index; 200 means every op applied.
+// One status contract holds on every route: 400 means the body did not
+// decode or an op failed static validation, and NOTHING was applied;
+// 409 means an op failed as it ran — a /v1/batch response carries the
+// results of the ops that were applied (and stay applied) plus the
+// failing index; 413 means the body was over maxBody; 200 means every
+// op applied.
 package api
 
 import (
@@ -24,6 +30,7 @@ import (
 
 	"declnet/internal/addr"
 	"declnet/internal/core"
+	"declnet/internal/intent"
 )
 
 // BatchOpRequest is one wire-format batch operation. Op names the verb
@@ -71,11 +78,12 @@ type BatchResponse struct {
 	FailedIndex *int            `json:"failed_index,omitempty"`
 }
 
-// batchBuf is one /v1/batch request's memory, recycled through
-// batchBufs: the body, which the reply overwrites once the ops are
+// batchBuf is one mutation request's memory, recycled through its
+// route's pool: the body, which the reply overwrites once the ops are
 // applied, and the ops decoded from it. The decoder copies every string
 // it keeps out of the body, so nothing of it outlives the request.
 type batchBuf struct {
+	rt  route  // the route the body is for
 	buf []byte // the body, then the reply
 	at  int    // the decoder's offset into buf
 	ops []core.BatchOp
@@ -91,16 +99,14 @@ type batchBuf struct {
 	prefixes []addr.Prefix
 }
 
-var batchBufs = sync.Pool{New: func() any { return new(batchBuf) }}
-
 // A recycled batchBuf keeps at most maxKeptOps ops and a buffer of 128
 // bytes per op: a rare huge batch is left to the collector.
 const maxKeptOps = 1024
 
-// release returns b to the pool, cleared (reset).
-func (b *batchBuf) release() {
+// release returns b to pool, cleared (reset).
+func (b *batchBuf) release(pool *sync.Pool) {
 	if b.reset() {
-		batchBufs.Put(b)
+		pool.Put(b)
 	}
 }
 
@@ -116,44 +122,98 @@ func (b *batchBuf) reset() bool {
 	return cap(b.ops) <= maxKeptOps && cap(b.buf) <= 128*maxKeptOps
 }
 
-func (s *Server) batch(w http.ResponseWriter, r *http.Request) {
-	b := batchBufs.Get().(*batchBuf)
-	defer b.release()
-	body := bytes.NewBuffer(b.buf[:0])
-	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody))
-	b.buf = body.Bytes()
-	if err != nil {
-		writeBodyErr(w, err)
-		return
-	}
-	tenant, err := b.decode()
-	if err != nil {
-		writeBodyErr(w, err)
-		return
-	}
-	logTenant(w, tenant)
-	if len(b.ops) == 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("api: empty batch"))
-		return
-	}
-	if err := b.finish(); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	results, err := s.world.Cloud.ApplyBatch(tenant, b.ops)
-	code := http.StatusOK
-	if err != nil {
-		if results == nil {
-			// Static validation failed: nothing was applied.
+// A route is one mutation route's body shape and reply. The zero route
+// is /v1/batch, whose body is {tenant, ops}. A single-verb route's body
+// is one op of verb: the tenant plus the keys of the route's request
+// struct, which are the names BatchOpRequest gives those operands.
+type route struct {
+	verb  string
+	keys  []string
+	reply string // the address field of a 200: "eip", "sip", or "" for {}
+}
+
+// verbRoutes are the single-verb mutation routes.
+var verbRoutes = []struct {
+	path string
+	route
+}{
+	{"/v1/eips", route{intent.OpRequestEIP, []string{"tenant", "vm"}, "eip"}},
+	{"/v1/eips/release", route{intent.OpReleaseEIP, []string{"tenant", "eip"}, ""}},
+	{"/v1/sips", route{intent.OpRequestSIP, []string{"tenant", "provider"}, "sip"}},
+	{"/v1/bind", route{intent.OpBind, []string{"tenant", "eip", "sip", "weight"}, ""}},
+	{"/v1/unbind", route{intent.OpUnbind, []string{"tenant", "eip", "sip", "weight"}, ""}}, // BindRequest; weight is ignored
+	{"/v1/permit", route{intent.OpSetPermit, []string{"tenant", "target", "entries", "groups"}, ""}},
+	{"/v1/qos", route{intent.OpSetQoS, []string{"tenant", "provider", "region", "bandwidth_bps"}, ""}},
+	{"/v1/potato", route{intent.OpSetPotato, []string{"tenant", "provider", "policy"}, ""}},
+	{"/v1/groups", route{intent.OpCreateGroup, []string{"tenant", "name", "members"}, ""}},
+	{"/v1/names", route{intent.OpRegisterName, []string{"tenant", "name", "target"}, ""}},
+}
+
+// mutation serves the mutation route rt.
+func (s *Server) mutation(rt route) http.HandlerFunc {
+	// Each route recycles its own buffers, so a batch never draws one a
+	// single verb left one op long.
+	bufs := &sync.Pool{New: func() any { return new(batchBuf) }}
+	return func(w http.ResponseWriter, r *http.Request) {
+		b := bufs.Get().(*batchBuf)
+		defer b.release(bufs)
+		b.rt = rt
+		body := bytes.NewBuffer(b.buf[:0])
+		_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody))
+		b.buf = body.Bytes()
+		if err != nil {
+			writeBodyErr(w, err)
+			return
+		}
+		tenant, err := b.decode()
+		if err != nil {
+			writeBodyErr(w, err)
+			return
+		}
+		logTenant(w, tenant)
+		if len(b.ops) == 0 {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("api: empty batch"))
+			return
+		}
+		if err := b.finish(); err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		code = http.StatusConflict
+		results, err := s.world.Cloud.ApplyBatch(tenant, b.ops)
+		code := http.StatusOK
+		if err != nil {
+			code = http.StatusConflict
+			if results == nil { // static validation failed: nothing was applied
+				code = http.StatusBadRequest
+			}
+			var be *core.BatchError
+			if rt.verb != "" && errors.As(err, &be) {
+				err = be.Err // the body is its one op: no "batch op 0" to name
+			}
+			if rt.verb != "" || results == nil {
+				writeErr(w, code, err)
+				return
+			}
+		}
+		b.buf = rt.appendReply(b.buf[:0], results, err)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(code)
+		w.Write(b.buf)
 	}
-	b.buf = appendBatchResponse(b.buf[:0], results, err)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(b.buf)
+}
+
+// appendReply appends rt's reply to the applied results: the bytes
+// json.Encoder writes for a BatchResponse, an EIPResponse, an
+// SIPResponse or an empty object, trailing newline included.
+func (rt route) appendReply(b []byte, results []core.BatchResult, err error) []byte {
+	switch {
+	case rt.verb == "":
+		return appendBatchResponse(b, results, err)
+	case rt.reply == "":
+		return append(b, "{}\n"...)
+	}
+	b = append(append(append(b, `{"`...), rt.reply...), `":"`...)
+	return append(results[0].Addr.AppendTo(b), "\"}\n"...)
 }
 
 // appendBatchResponse appends the BatchResponse for results and err to

@@ -364,3 +364,58 @@ func TestPooledBatchLeaksNothing(t *testing.T) {
 		checkFresh(t, l, "acme", serveBatch(t, srv, BatchRequest{Tenant: "acme", Ops: second}))
 	}
 }
+
+// verbAllocBudget is the bytes one POST /v1/permit may allocate through
+// Server.ServeHTTP with a store attached, body decode, apply, journal
+// and reply included: the measured 1 391 B plus 10%, the headroom
+// batchAllocBudget has. The route's old path — encoding/json into a
+// PermitRequest, its converter, Cloud.Apply and a json.Encoder reply —
+// measured 2 735 B.
+const verbAllocBudget = 1530
+
+// TestVerbAllocBudget: a single-verb route allocates what its one op
+// needs. Served in this goroutine, as TestBatchAllocBudget's batches
+// are; each request replaces the list the one before it set.
+func TestVerbAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations are not the daemon's")
+	}
+	srv, w, _ := newStoreServer(t)
+	f := w.Fig1
+	eip, err := w.Tenant("acme").RequestEIP(w.Host(f.CloudA, f.RegionsA[0], "az1", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bodies [2][]byte
+	for i, e := range []string{"10.1.0.0/16", "10.2.0.0/16"} {
+		if bodies[i], err = json.Marshal(PermitRequest{Tenant: "acme", Target: eip.String(), Entries: []string{e, "10.9.0.9"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const warm, measured = 4, 256
+	reqs := make([]*http.Request, warm+measured)
+	recs := make([]*httptest.ResponseRecorder, warm+measured)
+	for i := range reqs {
+		reqs[i] = httptest.NewRequest(http.MethodPost, "/v1/permit", bytes.NewReader(bodies[i%2]))
+		recs[i] = httptest.NewRecorder()
+	}
+	for i := range warm {
+		srv.ServeHTTP(recs[i], reqs[i])
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := warm; i < warm+measured; i++ {
+		srv.ServeHTTP(recs[i], reqs[i])
+	}
+	runtime.ReadMemStats(&after)
+	for i, rec := range recs {
+		if rec.Code != http.StatusOK || rec.Body.String() != "{}\n" {
+			t.Fatalf("request %d: status %d: %q", i, rec.Code, rec.Body)
+		}
+	}
+	perReq := float64(after.TotalAlloc-before.TotalAlloc) / measured
+	t.Logf("%.0f B per request (budget %d; 2 735 B through encoding/json)", perReq, verbAllocBudget)
+	if perReq > verbAllocBudget {
+		t.Errorf("POST /v1/permit allocates %.0f B, over its %d B budget", perReq, verbAllocBudget)
+	}
+}

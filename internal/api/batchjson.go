@@ -13,12 +13,14 @@ import (
 	"declnet/internal/qos"
 )
 
-// The /v1/batch body decoder: one pass over the body bytes straight into
-// []core.BatchOp, parsing permit entries on the way. It accepts exactly
-// what json.Decoder with DisallowUnknownFields, followed by a check that
-// only whitespace remains, accepts for a BatchRequest, and yields what
-// decoding one and converting its ops would (FuzzBatchDecode holds the
-// two together):
+// The mutation body decoder: one pass over the body bytes straight into
+// []core.BatchOp, parsing permit entries on the way. For /v1/batch it
+// accepts exactly what json.Decoder with DisallowUnknownFields, followed
+// by a check that only whitespace remains, accepts for a BatchRequest,
+// and yields what decoding one and converting its ops would; for a
+// single-verb route the same holds for the route's request struct,
+// whose fields become the operands of one op of the route's verb
+// (FuzzBatchDecode and FuzzRouteDecode hold the two together):
 //
 //   - a key names a field as encoding/json matches one, exactly or else
 //     under bytes.EqualFold ("OP", "ſip"); any other key is an error;
@@ -40,19 +42,26 @@ var (
 		"entries", "groups", "region", "bandwidth_bps", "policy", "name", "members"}
 )
 
-// decode decodes b.buf into b.ops and returns the tenant.
+// decode decodes b.buf into b.ops and returns the tenant: a /v1/batch
+// body, or, when b.rt names a verb, that route's body as its one op.
 func (b *batchBuf) decode() (tenant string, err error) {
+	keys := requestFields
+	if b.rt.verb != "" {
+		keys = b.rt.keys
+		b.ops, b.policy = append(b.ops[:0], core.BatchOp{Op: b.rt.verb}), append(b.policy[:0], "")
+	}
 	b.at = 0
 	switch b.peek() {
 	case '{':
 		err = b.object(func(key []byte) error {
-			switch field(key, requestFields) {
+			switch name := field(key, keys); name {
 			case "tenant":
 				return b.text(&tenant)
 			case "ops":
 				return b.opList()
+			default:
+				return b.operand(0, name, key)
 			}
-			return fmt.Errorf("unknown field %q", key)
 		})
 	case 'n':
 		err = b.null()
@@ -94,51 +103,59 @@ func (b *batchBuf) opList() error {
 
 // op decodes the object at b.at into op i, over what the slot holds.
 func (b *batchBuf) op(i int) error {
-	o := &b.ops[i]
-	return b.object(func(key []byte) error {
-		switch field(key, opFields) {
-		case "op":
-			return b.text(&o.Op)
-		case "vm":
-			return b.text((*string)(&o.VM))
-		case "provider":
-			return b.text(&o.Provider)
-		case "eip":
-			return b.text(&o.EIP)
-		case "sip":
-			return b.text(&o.SIP)
-		case "target":
-			return b.text(&o.Target)
-		case "weight":
-			return b.number(func(num string) error {
-				n, err := strconv.ParseInt(num, 10, 64)
-				o.Weight = int(n)
-				return err
-			})
-		case "entries":
-			return list(b, &o.Entries, &b.prefixes, b.entry)
-		case "groups":
-			return list(b, &o.Groups, &b.texts, b.textAt)
-		case "region":
-			return b.text(&o.Region)
-		case "bandwidth_bps":
-			return b.number(func(num string) (err error) {
-				o.Bandwidth, err = strconv.ParseFloat(num, 64)
-				return err
-			})
-		case "policy":
-			return b.text(&b.policy[i])
-		case "name":
-			return b.text(&o.Name)
-		case "members":
-			return list(b, &o.Members, &b.texts, b.textAt)
-		}
+	return b.object(func(key []byte) error { return b.operand(i, field(key, opFields), key) })
+}
+
+// operand decodes the value at b.at into op i's field name; an empty
+// name is a key the body may not carry.
+func (b *batchBuf) operand(i int, name string, key []byte) error {
+	if name == "" {
 		return fmt.Errorf("unknown field %q", key)
-	})
+	}
+	o := &b.ops[i]
+	switch name {
+	case "op":
+		return b.text(&o.Op)
+	case "vm":
+		return b.text((*string)(&o.VM))
+	case "provider":
+		return b.text(&o.Provider)
+	case "eip":
+		return b.text(&o.EIP)
+	case "sip":
+		return b.text(&o.SIP)
+	case "target":
+		return b.text(&o.Target)
+	case "weight":
+		return b.number(func(num string) error {
+			n, err := strconv.ParseInt(num, 10, 64)
+			o.Weight = int(n)
+			return err
+		})
+	case "entries":
+		return list(b, &o.Entries, &b.prefixes, b.entry)
+	case "groups":
+		return list(b, &o.Groups, &b.texts, b.textAt)
+	case "region":
+		return b.text(&o.Region)
+	case "bandwidth_bps":
+		return b.number(func(num string) (err error) {
+			o.Bandwidth, err = strconv.ParseFloat(num, 64)
+			return err
+		})
+	case "policy":
+		return b.text(&b.policy[i])
+	case "name":
+		return b.text(&o.Name)
+	case "members":
+		return list(b, &o.Members, &b.texts, b.textAt)
+	}
+	return fmt.Errorf("field %q has no operand", name)
 }
 
 // finish checks each op's permit entries and, for set_potato, parses its
-// policy, in op order; the first failure is the batch's 400. An op with
+// policy, in op order; the first failure is the request's 400, naming
+// the op in a /v1/batch. An op with
 // no entries gets an empty list, as a decoded request's ops always had.
 func (b *batchBuf) finish() error {
 	for i := range b.ops {
@@ -149,12 +166,18 @@ func (b *batchBuf) finish() error {
 		for _, p := range o.Entries {
 			if p.Len < 0 {
 				_, err := ParsePermitEntry(b.bad[p.Addr])
+				if b.rt.verb != "" {
+					return err
+				}
 				return fmt.Errorf("api: batch op %d (%s): %w", i, o.Op, err)
 			}
 		}
 		if o.Op == intent.OpSetPotato {
 			var err error
 			if o.Policy, err = qos.ParsePotatoPolicy(b.policy[i]); err != nil {
+				if b.rt.verb != "" {
+					return fmt.Errorf("api: unknown policy %q", b.policy[i])
+				}
 				return fmt.Errorf("api: batch op %d: unknown policy %q", i, b.policy[i])
 			}
 		}

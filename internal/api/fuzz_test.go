@@ -3,6 +3,7 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"reflect"
@@ -75,6 +76,13 @@ func TestParsePermitEntryAllocatesNothing(t *testing.T) {
 		t.Errorf("ParsePermitEntry(10.2.0): error %v, want %s", err, want)
 	}
 }
+
+// dirtyBody is a /v1/batch body that sets every op field, some of them
+// to entries and policies that do not parse: the fuzzers decode each
+// input into a batchBuf that has just decoded and reset it.
+var dirtyBody = []byte(`{"tenant":"dirty","ops":[{"op":"set_potato","vm":"v","provider":"p","eip":"e","sip":"s","target":"t","weight":7,` +
+	`"entries":["1.0.0.0/8","bad","3.0.0.0/8"],"groups":["g","h"],"region":"r","bandwidth_bps":5,"policy":"cold","name":"n","members":["m","k"]},` +
+	`{"op":"permit","entries":["bad"]},{"op":"bind"}]}`)
 
 // FuzzBatchDecode holds the /v1/batch decoder to encoding/json: on any
 // body, it accepts exactly what json.Decoder with DisallowUnknownFields
@@ -150,12 +158,9 @@ func FuzzBatchDecode(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
-	dirty := []byte(`{"tenant":"dirty","ops":[{"op":"set_potato","vm":"v","provider":"p","eip":"e","sip":"s","target":"t","weight":7,` +
-		`"entries":["1.0.0.0/8","bad","3.0.0.0/8"],"groups":["g","h"],"region":"r","bandwidth_bps":5,"policy":"cold","name":"n","members":["m","k"]},` +
-		`{"op":"permit","entries":["bad"]},{"op":"bind"}]}`)
 	var b batchBuf
 	f.Fuzz(func(t *testing.T, body []byte) {
-		b.buf = append(b.buf[:0], dirty...)
+		b.buf = append(b.buf[:0], dirtyBody...)
 		if _, err := b.decode(); err != nil {
 			t.Fatalf("the dirty body does not decode: %v", err)
 		}
@@ -222,4 +227,163 @@ func referenceOps(ops []BatchOpRequest) ([]core.BatchOp, error) {
 		out = append(out, op)
 	}
 	return out, nil
+}
+
+// FuzzRouteDecode holds the decoder to encoding/json on every single-verb
+// route: on any body, it accepts exactly what json.Decoder with
+// DisallowUnknownFields and the trailing-data check accepts for the
+// route's request struct, and yields its tenant and the one core.BatchOp
+// that struct spells (wireOp, then referenceRouteOp), the entry or
+// policy error word for word. The fuzzer picks the route by index; each
+// body is decoded into a batchBuf a /v1/batch body has just dirtied.
+func FuzzRouteDecode(f *testing.F) {
+	index := func(path string) uint8 {
+		for i, r := range verbRoutes {
+			if r.path == path {
+				return uint8(i)
+			}
+		}
+		f.Fatalf("no route %s", path)
+		return 0
+	}
+	for _, seed := range []struct{ path, body string }{
+		{"/v1/eips", `{"tenant":"acme","vm":"cloudA/a-east/az1/host1"}`},
+		{"/v1/eips", `{"tenant":"acme","vm":""}`},
+		{"/v1/eips", `{"tenant":"acme"}`},
+		{"/v1/eips", `{"tenant":"acme","vm":"x","op":"release_eip"}`},
+		{"/v1/eips/release", `{"tenant":"acme","eip":"100.64.0.1"}` + "\n"},
+		{"/v1/eips/release", `{"tenant":"acme","eip":"$0"}`},
+		{"/v1/sips", `{"tenant":"acme","provider":"nope"}`},
+		{"/v1/sips", `{"tenant":"acme","provider":""}`},
+		{"/v1/sips", `{"TENANT":"acme","Provider":"cloudA","provider":null}`},
+		{"/v1/bind", `{"tenant":"acme","eip":"1.2.3.4","sip":"5.6.7.8","weight":3}`},
+		{"/v1/bind", `{"tenant":"acme","eip":"1.2.3.4","ſip":"5.6.7.8","weight":1.5}`},
+		{"/v1/unbind", `{"tenant":"acme","eip":"1.2.3.4","sip":"5.6.7.8","weight":2}`},
+		{"/v1/permit", `{"tenant":"acme","target":"1.2.3.4","entries":["10.0.0.0/8","10.2.0.9"],"groups":["g"]}`},
+		{"/v1/permit", `{"tenant":"acme","target":"1.2.3.4","entries":["zzz"]}`},
+		{"/v1/permit", `{"tenant":"acme","entries":["bad"],"entries":["1.0.0.0/8",null]}`},
+		{"/v1/permit", `{"tenant":"acme","entries":null,"groups":[]}`},
+		{"/v1/qos", `{"tenant":"acme","provider":"nope","region":"r"}`},
+		{"/v1/qos", `{"tenant":"acme","provider":"cloudA","region":"","bandwidth_bps":1e9}`},
+		{"/v1/qos", `{"tenant":"acme","provider":"cloudA","region":"a-east","bandwidth_bps":"1e9"}`},
+		{"/v1/potato", `{"tenant":"acme","provider":"cloudA","policy":"cold"}`},
+		{"/v1/potato", `{"tenant":"acme","provider":"cloudA","policy":"lukewarm"}`},
+		{"/v1/potato", `{"tenant":"acme","policy":"hot","policy":"bad"}`},
+		{"/v1/groups", `{"tenant":"acme","name":"","members":["100.64.0.1"]}`},
+		{"/v1/groups", `{"tenant":"acme","name":"web","members":["a","b"],"members":["c",null,null]}`},
+		{"/v1/names", `{"tenant":"acme","name":"","target":"104.255.0.1"}`},
+		{"/v1/names", `{"tenant":"acme","name":"db","target":"104.255.0.1"} {"tenant":"mallory"}`},
+		{"/v1/names", `{"tenant":"acme","name":"db","bogus":1}`},
+		{"/v1/names", `null`},
+		{"/v1/names", `{"tenant":"a\"c\\me\n","name":"café"}`},
+		{"/v1/names", `[]`},
+	} {
+		f.Add(index(seed.path), []byte(seed.body))
+	}
+	var b batchBuf
+	f.Fuzz(func(t *testing.T, r uint8, body []byte) {
+		vr := verbRoutes[int(r)%len(verbRoutes)]
+		b.rt, b.buf = route{}, append(b.buf[:0], dirtyBody...)
+		if _, err := b.decode(); err != nil {
+			t.Fatalf("the dirty body does not decode: %v", err)
+		}
+		b.reset()
+		b.rt = vr.route
+		b.buf = append(b.buf[:0], body...)
+		tenant, err := b.decode()
+		wantTenant, wire, want := wireOp(vr.path, body)
+		if (err == nil) != (want == nil) {
+			t.Fatalf("%s %q: decode error %v, encoding/json's %v", vr.path, body, err, want)
+		}
+		if err != nil {
+			return
+		}
+		if tenant != wantTenant {
+			t.Fatalf("%s %q: tenant %q, encoding/json's %q", vr.path, body, tenant, wantTenant)
+		}
+		if len(b.ops) != 1 {
+			t.Fatalf("%s %q: %d ops, want 1", vr.path, body, len(b.ops))
+		}
+		err = b.finish()
+		wantOp, want := referenceRouteOp(wire)
+		if fmt.Sprint(err) != fmt.Sprint(want) {
+			t.Fatalf("%s %q: op error %v, want %v", vr.path, body, err, want)
+		}
+		if err == nil && !reflect.DeepEqual(b.ops[0], wantOp) {
+			t.Fatalf("%s %q: op\n%#v\nwant\n%#v", vr.path, body, b.ops[0], wantOp)
+		}
+	})
+}
+
+// wireOp decodes body as encoding/json does into the request struct of
+// the single-verb route at path, and returns its tenant and the batch op
+// it spells.
+func wireOp(path string, body []byte) (string, BatchOpRequest, error) {
+	strict := func(v any) error {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		err := dec.Decode(v)
+		if err == nil {
+			if _, err := dec.Token(); err != io.EOF {
+				return fmt.Errorf("data after the value: %v", err)
+			}
+		}
+		return err
+	}
+	switch path {
+	case "/v1/eips":
+		var r EIPRequest
+		err := strict(&r)
+		return r.Tenant, BatchOpRequest{Op: intent.OpRequestEIP, VM: r.VM}, err
+	case "/v1/eips/release":
+		var r ReleaseRequest
+		err := strict(&r)
+		return r.Tenant, BatchOpRequest{Op: intent.OpReleaseEIP, EIP: r.EIP}, err
+	case "/v1/sips":
+		var r SIPRequest
+		err := strict(&r)
+		return r.Tenant, BatchOpRequest{Op: intent.OpRequestSIP, Provider: r.Provider}, err
+	case "/v1/bind", "/v1/unbind":
+		var r BindRequest
+		err := strict(&r)
+		verb := intent.OpBind
+		if path == "/v1/unbind" {
+			verb = intent.OpUnbind
+		}
+		return r.Tenant, BatchOpRequest{Op: verb, EIP: r.EIP, SIP: r.SIP, Weight: r.Weight}, err
+	case "/v1/permit":
+		var r PermitRequest
+		err := strict(&r)
+		return r.Tenant, BatchOpRequest{Op: intent.OpSetPermit, Target: r.Target, Entries: r.Entries, Groups: r.Groups}, err
+	case "/v1/qos":
+		var r QoSRequest
+		err := strict(&r)
+		return r.Tenant, BatchOpRequest{Op: intent.OpSetQoS, Provider: r.Provider, Region: r.Region, Bandwidth: r.Bandwidth}, err
+	case "/v1/potato":
+		var r PotatoRequest
+		err := strict(&r)
+		return r.Tenant, BatchOpRequest{Op: intent.OpSetPotato, Provider: r.Provider, Policy: r.Policy}, err
+	case "/v1/groups":
+		var r GroupRequest
+		err := strict(&r)
+		return r.Tenant, BatchOpRequest{Op: intent.OpCreateGroup, Name: r.Name, Members: r.Members}, err
+	case "/v1/names":
+		var r NameRequest
+		err := strict(&r)
+		return r.Tenant, BatchOpRequest{Op: intent.OpRegisterName, Name: r.Name, Target: r.Target}, err
+	}
+	panic("no single-verb route " + path)
+}
+
+// referenceRouteOp converts a single-verb route's op as referenceOps
+// does a batch's, its error without the batch's "batch op 0" prefix.
+func referenceRouteOp(o BatchOpRequest) (core.BatchOp, error) {
+	ops, err := referenceOps([]BatchOpRequest{o})
+	switch {
+	case err == nil:
+		return ops[0], nil
+	case errors.Unwrap(err) != nil: // a permit entry's
+		return core.BatchOp{}, errors.Unwrap(err)
+	}
+	return core.BatchOp{}, fmt.Errorf("api: unknown policy %q", o.Policy)
 }

@@ -2,6 +2,7 @@ package api
 
 import (
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -90,7 +91,10 @@ func (pw *parityWorld) lastRecord(t *testing.T) (string, int) {
 // single-verb HTTP route (where one exists) and a one-op /v1/batch, on
 // three fresh worlds, and requires the same journal record and the same
 // state digest from all of them: there is one verb path, and the three
-// front doors only differ in how they spell the op.
+// front doors only differ in how they spell the op. Its refusal rows
+// send malformed ops through a single-verb route and a one-op /v1/batch
+// and require the same status from both, with nothing journaled and
+// the state unchanged.
 func TestVerbPathParity(t *testing.T) {
 	const cloudA = "cloudA"
 	cases := []struct {
@@ -235,6 +239,96 @@ func TestVerbPathParity(t *testing.T) {
 			})
 			if got != want {
 				t.Errorf("one-op /v1/batch diverges from the facade:\n got %+v\nwant %+v", got, want)
+			}
+		})
+	}
+	refusals := []struct {
+		name  string
+		route string
+		body  func(pw *parityWorld) any
+		batch func(pw *parityWorld) BatchOpRequest
+		want  int
+	}{
+		{"request_eip/no-vm", "/v1/eips",
+			func(*parityWorld) any { return EIPRequest{Tenant: "acme"} },
+			func(*parityWorld) BatchOpRequest { return BatchOpRequest{Op: "request_eip"} }, 400},
+		{"request_sip/no-provider", "/v1/sips",
+			func(*parityWorld) any { return SIPRequest{Tenant: "acme"} },
+			func(*parityWorld) BatchOpRequest { return BatchOpRequest{Op: "request_sip"} }, 400},
+		{"request_sip/unknown-provider", "/v1/sips",
+			func(*parityWorld) any { return SIPRequest{Tenant: "acme", Provider: "nope"} },
+			func(*parityWorld) BatchOpRequest { return BatchOpRequest{Op: "request_sip", Provider: "nope"} }, 400},
+		{"set_qos/no-provider", "/v1/qos",
+			func(pw *parityWorld) any {
+				return QoSRequest{Tenant: "acme", Region: pw.w.Fig1.RegionsA[0], Bandwidth: 1e9}
+			},
+			func(pw *parityWorld) BatchOpRequest {
+				return BatchOpRequest{Op: "set_qos", Region: pw.w.Fig1.RegionsA[0], Bandwidth: 1e9}
+			}, 400},
+		{"set_qos/unknown-provider", "/v1/qos",
+			func(pw *parityWorld) any {
+				return QoSRequest{Tenant: "acme", Provider: "nope", Region: pw.w.Fig1.RegionsA[0], Bandwidth: 1e9}
+			},
+			func(pw *parityWorld) BatchOpRequest {
+				return BatchOpRequest{Op: "set_qos", Provider: "nope", Region: pw.w.Fig1.RegionsA[0], Bandwidth: 1e9}
+			}, 400},
+		{"set_qos/no-region", "/v1/qos",
+			func(*parityWorld) any { return QoSRequest{Tenant: "acme", Provider: cloudA, Bandwidth: 1e9} },
+			func(*parityWorld) BatchOpRequest {
+				return BatchOpRequest{Op: "set_qos", Provider: cloudA, Bandwidth: 1e9}
+			}, 400},
+		{"set_qos/unknown-region", "/v1/qos",
+			func(*parityWorld) any {
+				return QoSRequest{Tenant: "acme", Provider: cloudA, Region: "nowhere", Bandwidth: 1e9}
+			},
+			func(*parityWorld) BatchOpRequest {
+				return BatchOpRequest{Op: "set_qos", Provider: cloudA, Region: "nowhere", Bandwidth: 1e9}
+			}, 409},
+		{"set_potato/no-provider", "/v1/potato",
+			func(*parityWorld) any { return PotatoRequest{Tenant: "acme", Policy: "cold"} },
+			func(*parityWorld) BatchOpRequest { return BatchOpRequest{Op: "set_potato", Policy: "cold"} }, 400},
+		{"set_potato/unknown-provider", "/v1/potato",
+			func(*parityWorld) any { return PotatoRequest{Tenant: "acme", Provider: "nope", Policy: "cold"} },
+			func(*parityWorld) BatchOpRequest {
+				return BatchOpRequest{Op: "set_potato", Provider: "nope", Policy: "cold"}
+			}, 400},
+		{"create_group/no-name", "/v1/groups",
+			func(pw *parityWorld) any { return GroupRequest{Tenant: "acme", Members: []string{pw.eip1.String()}} },
+			func(pw *parityWorld) BatchOpRequest {
+				return BatchOpRequest{Op: "create_group", Members: []string{pw.eip1.String()}}
+			}, 400},
+		{"register_name/no-name", "/v1/names",
+			func(pw *parityWorld) any { return NameRequest{Tenant: "acme", Target: pw.sip.String()} },
+			func(pw *parityWorld) BatchOpRequest {
+				return BatchOpRequest{Op: "register_name", Target: pw.sip.String()}
+			}, 400},
+	}
+	for _, tc := range refusals {
+		t.Run("refused/"+tc.name, func(t *testing.T) {
+			pw := newParityWorld(t)
+			_, records := pw.lastRecord(t)
+			digest := pw.w.StateDigest()
+			for _, front := range []struct {
+				path string
+				body any
+			}{
+				{tc.route, tc.body(pw)},
+				{"/v1/batch", BatchRequest{Tenant: "acme", Ops: []BatchOpRequest{tc.batch(pw)}}},
+			} {
+				if code := post(t, pw.ts, front.path, front.body, nil); code != tc.want {
+					t.Errorf("POST %s: status %d, want %d", front.path, code, tc.want)
+				}
+				if _, n := pw.lastRecord(t); n != records {
+					t.Errorf("POST %s: journal holds %d records, %d before", front.path, n, records)
+				}
+				if d := pw.w.StateDigest(); d != digest {
+					t.Errorf("POST %s changed the state digest", front.path)
+				}
+			}
+			// A refused name is not registered: a probe naming no
+			// destination resolves none.
+			if code := get(t, pw.ts, "/v1/probe?tenant=acme&src="+pw.eip1.String(), nil); code != http.StatusBadRequest {
+				t.Errorf("probe with no dst: status %d, want 400", code)
 			}
 		})
 	}

@@ -1,9 +1,11 @@
 // The verb path. Every Table-2 mutation — from the Go facade, a
-// single-verb HTTP route, or one op of a /v1/batch — is an intent.Op,
+// single-verb HTTP route, or an op of a /v1/batch — is an intent.Op,
 // and Cloud.route is the one place an op is routed to its owning
-// provider and shard. Cloud.Apply times, locks, runs and journals one
-// op; ApplyBatch (batch.go) plans every op's shard with route, takes
-// them all at once, and runs each op's body under them.
+// provider and shard. Cloud.apply is the one place ops run: it plans
+// every op's shard with route, takes them all at once, runs each op's
+// body under them and journals the applied ops as one record. Its two
+// callers are Cloud.Apply (the Go facade) and ApplyBatch (batch.go,
+// which the HTTP routes use).
 // A verb is defined by its case in that switch; DESIGN.md "Mutation
 // plane" carries the table. A verb applies and journals under one lock,
 // so whatever it touched is converged when it returns, accepted or
@@ -13,6 +15,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"declnet/internal/addr"
 	"declnet/internal/intent"
@@ -21,59 +24,146 @@ import (
 	"declnet/internal/topo"
 )
 
-// Apply runs one mutation for the tenant: it resolves the owning
-// provider and (tenant, region) shard, takes that shard's write lock
-// (bind also its EIP's: Cloud.eipShard), applies the verb, and — under
-// the same lock, so journal order equals apply order within a shard —
-// records the op in the intent store. A released address returns to its
-// pool only after that (Cloud.free), so no re-grant of it can be
-// journaled ahead of its release. It returns the op's Addr: the granted
-// address for request_eip and request_sip.
-//
-// The caller fills the verb's operands; Apply completes what the
-// provider derives (request_eip's Provider and Region, set_permit's
-// Provider, the granted Addr), so the applied op is the journal op.
+// Apply runs ops for the tenant, in order, through Cloud.apply, and
+// returns the last op's Addr: the granted address when it is a
+// request_eip or request_sip (zero on an error). The caller fills each
+// verb's operands; Apply completes, in place, what the provider derives
+// (request_eip's Provider and Region, set_permit's Provider, the granted
+// Addr), so the applied ops are the journal ops. The first failure stops
+// the run; the ops before it stay applied and journaled.
 //
 // A tenant name intent's composite keys cannot carry is refused before
 // anything runs (intent.CheckTenant).
-func (c *Cloud) Apply(tenant string, op intent.Op) (addr.IP, error) {
+func (c *Cloud) Apply(tenant string, ops ...intent.Op) (addr.IP, error) {
 	if err := intent.CheckTenant(tenant); err != nil {
-		return op.Addr, err
+		return 0, err
 	}
-	k, verb, p, run, err := c.route(tenant, &op)
-	if err != nil {
-		return op.Addr, err
+	if n, err := c.apply(tenant, ops, nil); err != nil || n == 0 {
+		return 0, err
 	}
-	// The lock wait and the journal append are stages of the verb's
-	// span, so a slow write in /v1/debug/flight says which of the two it
-	// spent its time in.
-	sop := c.slo.Begin(verb, tenant, k.Region)
+	return ops[len(ops)-1].Addr, nil
+}
+
+// backRef is a "$j" operand of a batch op: the address slot at holds,
+// in ops[op], the address op j is granted. apply fills the slot with a
+// stand-in while it plans and with the grant just before op runs.
+type backRef struct {
+	op, j int
+	at    *addr.IP
+}
+
+// apply is the one apply loop. It plans each op's shard (Cloud.route;
+// a grant's address, which a later op's backRef may name, is a stand-in
+// from the block it will come from), takes the write locks of exactly
+// those shards (ShardSet.lockShards), runs each op's body in order,
+// completing the op in place, and stops at the first failure. Under the
+// same locks, so journal order equals apply order within a shard, it
+// records the applied ops as one intent record; an address they released
+// returns to its pool only after that (Cloud.free), so no re-grant of it
+// can be journaled ahead of its release. It returns how many ops applied
+// and the first error. refs are in op order.
+//
+// One op is timed as its own verb, more as one batch; the lock wait and
+// the journal append are stages of the span, so a slow write in
+// /v1/debug/flight says which of the two it spent its time in.
+func (c *Cloud) apply(tenant string, ops []intent.Op, refs []backRef) (n int, err error) {
+	verb, region := slo.VerbBatch, ""
+	var kb [4]ShardKey // distinct: a batch names few shards, many times each
+	keys := kb[:0]
+	for i, r := 0, 0; i < len(ops); i++ {
+		r = resolve(ops, refs, i, r)
+		op := &ops[i]
+		k, v, _, _, _ := c.route(tenant, op) // a routing error is the run's to report
+		if len(ops) == 1 {
+			verb, region = v, k.Region
+		}
+		if !slices.Contains(keys, k) {
+			keys = append(keys, k)
+		}
+		if ek, ok := c.eipShard(tenant, op); ok && !slices.Contains(keys, ek) {
+			keys = append(keys, ek)
+		}
+		if grants(op.Verb) {
+			op.Addr = c.standIn(k)
+		}
+	}
+	sop := c.slo.Begin(verb, tenant, region)
 	stg := sop.StageStart()
-	var unlock func()
-	if ek, ok := c.eipShard(tenant, &op); ok {
-		unlock = c.shards.lockShards([]ShardKey{k, ek})
-	} else {
-		unlock = c.shards.lockShard(k)
-	}
+	var hb [4]*shard
+	held := c.shards.lockShards(keys, hb[:0])
 	sop.StageEnd(stg, "shard_wait")
-	defer unlock()
-	op, err = run(c, p, tenant, op)
-	if err == nil && c.rec != nil {
+	defer c.shards.unlockShards(held)
+	released := false
+	for r := 0; n < len(ops); n++ {
+		r = resolve(ops, refs, n, r)
+		op := &ops[n]
+		released = released || releases(op.Verb)
+		_, _, p, run, rerr := c.route(tenant, op)
+		if a, ok := target(op); ok && rerr == nil {
+			p, rerr = c.owner(a)
+		}
+		if rerr == nil {
+			*op, rerr = run(c, p, tenant, *op)
+		}
+		if rerr != nil {
+			err = rerr
+			break
+		}
+	}
+	if n > 0 && c.rec != nil {
 		stg = sop.StageStart()
-		c.rec.Record(tenant, op)
+		c.rec.Record(tenant, ops[:n]...)
 		sop.StageEnd(stg, "journal")
 	}
-	if err == nil && releases(op.Verb) {
-		err = c.free(op.Addr)
+	for i := range ops[:n] {
+		if releases(ops[i].Verb) {
+			if ferr := c.free(ops[i].Addr); ferr != nil && err == nil {
+				err = ferr
+			}
+		}
 	}
 	sop.End(err)
-	if releases(op.Verb) {
-		// End records into the tenant's SLO shard after the release may
+	if released {
+		// End records into the tenant's SLO shard after a release may
 		// have evicted it (last address gone); a zero-delta notify
 		// re-sweeps so a churned tenant leaves no orphan shard behind.
 		c.tenantDelta(tenant, 0)
 	}
-	return op.Addr, err
+	return n, err
+}
+
+// resolve fills op i's back-references, refs[r] on, from the ops they
+// name, and returns the index of the first reference of a later op.
+func resolve(ops []intent.Op, refs []backRef, i, r int) int {
+	for ; r < len(refs) && refs[r].op == i; r++ {
+		*refs[r].at = ops[refs[r].j].Addr
+	}
+	return r
+}
+
+// standIn returns an address inside the block a grant locked under k
+// will come from — the region's EIP block, or the provider's SIP block
+// — for the plan to route a "$i" operand by. Zero when k names no block
+// (the grant is going to fail).
+func (c *Cloud) standIn(k ShardKey) addr.IP {
+	for _, b := range c.pidx.Load().blocks {
+		if b.shard == k.Region {
+			return b.base.Addr
+		}
+	}
+	return 0
+}
+
+// grants reports whether a verb's result is a granted address — what a
+// "$i" back-reference may name and a BatchResult carries.
+func grants(verb string) bool {
+	return verb == intent.OpRequestEIP || verb == intent.OpRequestSIP
+}
+
+// releases reports whether a verb gives an address back, which returns
+// to its pool only once the verb is journaled (Cloud.free).
+func releases(verb string) bool {
+	return verb == intent.OpReleaseEIP || verb == intent.OpReleaseSIP
 }
 
 // named routes a provider-addressed verb: the provider by name and the
@@ -86,17 +176,15 @@ func (c *Cloud) named(tenant, provider, region string) (*Provider, ShardKey, err
 	return p, p.regionShardKey(tenant, region), nil
 }
 
-// owner routes an address-targeted verb: the provider that granted a
-// and the tenant's shard a falls in. The shard comes from the static
-// block table, so it is right even when the error says a is not
-// (yet, or any more) granted.
-func (c *Cloud) owner(tenant string, a addr.IP) (*Provider, ShardKey, error) {
-	k := c.shardKeyOf(tenant, a)
+// owner is the provider that granted an address-targeted verb's
+// target, which runs the verb. apply asks under the shard locks, just
+// before the body runs: the answer depends on what is granted now.
+func (c *Cloud) owner(a addr.IP) (*Provider, error) {
 	p, ok := c.providerOfAddr(a)
 	if !ok {
-		return nil, k, fmt.Errorf("core: %s is not a granted address", a)
+		return nil, fmt.Errorf("core: %s is not a granted address", a)
 	}
-	return p, k, nil
+	return p, nil
 }
 
 // A verbBody applies a routed op at its owning provider p (nil for a
@@ -109,23 +197,21 @@ func (c *Cloud) owner(tenant string, a addr.IP) (*Provider, ShardKey, error) {
 type verbBody func(c *Cloud, p *Provider, tenant string, op intent.Op) (intent.Op, error)
 
 // route is the one verb table. For op it names the shard the verb
-// locks, the SLO verb it is timed as, the owning provider and the body
-// that applies it, completing what the provider derives from the
-// operands (request_eip's Provider and Region). It runs nothing: Apply
-// runs the body under the shard's lock, and ApplyBatch plans every op's
-// shard with route and runs the bodies under the locks it holds.
-//
-// The shard key is static: it follows from the topology's node table
-// and the address block carving alone, never from which addresses are
-// granted right now. So it is valid even alongside a routing error, and
-// ApplyBatch can plan every op's key — with a stand-in address for a
-// "$i" operand whose grant has not happened yet — before it takes a
-// single lock (Cloud.planKey, which for an address-targeted verb reads
-// only the target's block).
+// locks, the SLO verb it is timed as, the owning provider of a verb
+// routed by name and the body that applies it, completing what the
+// provider derives from the operands (request_eip's Provider and
+// Region). It runs nothing, and it reads only the topology's node
+// table and the address block carving, never which addresses are
+// granted right now: an address-targeted verb's key is its target's
+// static block, and apply asks for the target's owner (Cloud.owner)
+// only under the locks. So the key is valid even alongside a routing
+// error, and apply can plan every op's key — with a stand-in address
+// for a "$i" operand whose grant has not happened yet — before it takes
+// a single lock.
 func (c *Cloud) route(tenant string, op *intent.Op) (k ShardKey, verb slo.Verb, p *Provider, run verbBody, err error) {
 	k = ShardKey{Tenant: tenant} // cloud-level verbs: the tenant's region-less shard
 	if a, ok := target(op); ok {
-		p, k, err = c.owner(tenant, a)
+		k = c.shardKeyOf(tenant, a)
 	}
 	switch op.Verb {
 	case intent.OpRequestEIP:

@@ -217,15 +217,16 @@ func TestSetVMEgressRefusesBadCap(t *testing.T) {
 	}
 }
 
-// TestVerbPathAllocatesNothingOfItsOwn: routing and running a verb
-// allocate nothing, so set_qos's one allocation is its shard lock's
-// unlock function. Verb bodies that closed over the op, returned from
-// Cloud.route, would add three.
+// TestVerbPathAllocatesNothingOfItsOwn: planning, locking, routing and
+// running a verb allocate nothing, so set_qos's one allocation is the
+// op slice Apply's variadic call builds, which the journal record takes.
+// Verb bodies that closed over the op, returned from Cloud.route, would
+// add three.
 func TestVerbPathAllocatesNothingOfItsOwn(t *testing.T) {
 	c, w, pa, _, _ := fig1Cloud(t)
 	op := intent.Op{Verb: intent.OpSetQoS, Provider: pa.Name, Region: w.RegionsA[0], Bps: 1e9}
 	if n := testing.AllocsPerRun(100, func() { _, _ = c.Apply("acme", op) }); n > 1 {
-		t.Errorf("set_qos allocated %.0f times, want 1 (the shard lock's unlock)", n)
+		t.Errorf("set_qos allocated %.0f times, want 1 (Apply's op slice)", n)
 	}
 }
 

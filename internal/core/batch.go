@@ -1,9 +1,13 @@
-// Batch writes: ApplyBatch applies a sequence of Table-2 mutations as
-// one unit of work. The point is amortization, not transactionality —
-// one request, one lock acquisition over exactly the (tenant, region)
-// shards the ops touch, and one journal frame, no matter how many
-// operations the batch carries. Every other tenant's shards stay free:
-// a tenant looping 128-op batches delays nobody but itself.
+// Batch writes: ApplyBatch applies a sequence of wire-form Table-2
+// mutations as one unit of work, and is how every HTTP mutation route
+// applies — a single-verb route's body is a batch of one. BatchOp is the
+// one wire op and typed the one conversion from it to an intent.Op; the
+// ops then run through Cloud.apply (apply.go) like the Go facade's. The
+// point is amortization, not transactionality — one request, one lock
+// acquisition over exactly the (tenant, region) shards the ops touch,
+// and one journal frame, no matter how many operations the batch
+// carries. Every other tenant's shards stay free: a tenant looping
+// 128-op batches delays nobody but itself.
 //
 // Semantics: the whole batch is statically validated up front (unknown
 // verbs, missing operands, malformed addresses, dangling back-references,
@@ -33,7 +37,6 @@ import (
 	"declnet/internal/intent"
 	"declnet/internal/permit"
 	"declnet/internal/qos"
-	"declnet/internal/slo"
 	"declnet/internal/topo"
 )
 
@@ -102,185 +105,94 @@ func (e *BatchError) Unwrap() error { return e.Err }
 // [0, i) and a *BatchError with Index i; those ops stay applied. On
 // success it returns one result per op.
 //
-// The static pass runs before any lock is taken, and besides
-// type-checking each op it asks the verb table (Cloud.route) which shard
-// the op will lock. Those keys are static — a "$j" operand stands in as
-// an address from the block op j's grant must come from — so the batch's
-// whole footprint is known up front: ApplyBatch takes exactly those
-// shards' write locks, in ShardKey order (ShardSet.lockShards), and
-// holds them across every op and the journal record. A single verb on
-// one of those shards therefore sees all of the batch's ops there or
-// none, and every other shard never notices the batch. Each op is then
-// resolved into its typed form ("$j" now the real grant), routed again,
-// and its body run under the held locks. The applied ops are the journal ops:
-// one frame for the whole batch (the applied prefix when an op failed),
-// so replay applies it atomically. An address the batch released returns
-// to its pool only after that frame, so no op of the same batch is
-// granted it again.
-//
-// The plan pass computes only each op's key (Cloud.planKey) and writes
-// each grant's stand-in into the results, which the apply pass then
-// overwrites slot by slot ("$j" reads only slots before its own); the
-// frame's ops come from a pool, cleared after Record: an op costs its
-// own work and no more.
+// The static pass types each op once (typed) into a pooled frame of
+// intent.Ops, before any lock is taken; a "$j" operand becomes a backRef
+// next to the frame. Cloud.apply then runs the frame: it plans the
+// whole footprint from static keys, holds exactly those shards across
+// every op and the journal record, and journals the applied prefix as
+// one record, so replay applies it atomically. A single verb on one of
+// those shards therefore sees all of the batch's ops there or none, and
+// every other shard never notices the batch. The frame goes back to its
+// pool once Record returns (it keeps nothing of its ops): an op costs
+// its own work and no more.
 func (c *Cloud) ApplyBatch(tenant string, ops []BatchOp) ([]BatchResult, error) {
 	if err := intent.CheckTenant(tenant); err != nil {
 		return nil, err
 	}
-	sop := c.slo.Begin(slo.VerbBatch, tenant, "")
-	var keys []ShardKey // distinct: a batch names few shards, many times each
-	results := make([]BatchResult, len(ops))
+	pool := &frames
+	if len(ops) == 1 {
+		pool = &verbFrames
+	}
+	f := pool.Get().(*frame)
+	defer f.put(pool)
+	f.ops = slices.Grow(f.ops, len(ops))[:len(ops)]
 	for i := range ops {
-		op, err := c.typed(ops, i, results)
-		if err != nil {
-			err = &BatchError{Index: i, Op: ops[i].Op, Err: err}
-			sop.End(err)
-			return nil, err
-		}
-		k := c.planKey(tenant, &op)
-		if !slices.Contains(keys, k) {
-			keys = append(keys, k)
-		}
-		if ek, ok := c.eipShard(tenant, &op); ok && !slices.Contains(keys, ek) {
-			keys = append(keys, ek)
-		}
-		if grants(op.Verb) {
-			results[i].Addr = c.standIn(k)
+		if err := c.typed(ops, i, &f.ops[i], &f.refs); err != nil {
+			return nil, &BatchError{Index: i, Op: ops[i].Op, Err: err}
 		}
 	}
-	stg := sop.StageStart()
-	unlock := c.shards.lockShards(keys)
-	sop.StageEnd(stg, "shard_wait")
-	defer unlock()
-	var frame *[]intent.Op // the journal frame's ops, pooled
-	if c.rec != nil {
-		frame = frames.Get().(*[]intent.Op)
-		*frame = slices.Grow(*frame, len(ops))
-	}
-	var released []addr.IP // returned to their pools after the frame
-	var berr error
-	n := 0 // ops applied
-	for ; n < len(ops); n++ {
-		op, err := c.typed(ops, n, results)
-		var p *Provider
-		var run verbBody
-		if err == nil {
-			_, _, p, run, err = c.route(tenant, &op)
-		}
-		if err == nil {
-			op, err = run(c, p, tenant, op)
-		}
-		if err != nil {
-			berr = &BatchError{Index: n, Op: ops[n].Op, Err: err}
-			break
-		}
-		results[n] = BatchResult{Op: op.Verb}
-		if grants(op.Verb) {
-			results[n].Addr = op.Addr
-		}
-		if frame != nil {
-			*frame = append(*frame, op)
-		}
-		if releases(op.Verb) {
-			released = append(released, op.Addr)
+	n, err := c.apply(tenant, f.ops, f.refs)
+	results := make([]BatchResult, n)
+	for i := range results {
+		results[i].Op = f.ops[i].Verb
+		if grants(f.ops[i].Verb) {
+			results[i].Addr = f.ops[i].Addr
 		}
 	}
-	if frame != nil {
-		if len(*frame) > 0 {
-			stg = sop.StageStart()
-			c.rec.Record(tenant, *frame...)
-			sop.StageEnd(stg, "journal")
-		}
-		putFrame(frame)
+	if err != nil && n < len(ops) {
+		err = &BatchError{Index: n, Op: ops[n].Op, Err: err}
 	}
-	for _, a := range released {
-		if err := c.free(a); err != nil && berr == nil {
-			berr = err
-		}
-	}
-	sop.End(berr)
-	// A batch may have released the tenant's last address; End just
-	// recorded into its SLO shard, so re-sweep (zero-delta) to keep the
-	// fully-released eviction airtight.
-	c.tenantDelta(tenant, 0)
-	return results[:n], berr
+	return results, err
 }
 
-// frames recycles batch journal frames: Log.Record keeps nothing of its
-// ops once it returns, so the next batch appends into the same array.
-var frames = sync.Pool{New: func() any { return new([]intent.Op) }}
+// frame is one batch's typed ops, the journal frame, and the back-
+// references among them, recycled through frames, or verbFrames for a
+// single verb's one op: a batch never draws a frame a single verb left
+// one op long.
+type frame struct {
+	ops  []intent.Op
+	refs []backRef
+}
+
+var (
+	frames     = sync.Pool{New: func() any { return new(frame) }}
+	verbFrames = sync.Pool{New: func() any { return new(frame) }}
+)
 
 // maxPooledFrame bounds the ops a recycled frame keeps: a rare huge batch
 // is left to the collector rather than pinned in the pool.
 const maxPooledFrame = 1024
 
-// putFrame clears the frame, so the pool pins no entry set or endpoint,
-// and recycles it.
-func putFrame(frame *[]intent.Op) {
-	if cap(*frame) > maxPooledFrame {
+// put clears the frame, so the pool pins no entry set or endpoint, and
+// recycles it through pool.
+func (f *frame) put(pool *sync.Pool) {
+	if cap(f.ops) > maxPooledFrame {
 		return
 	}
-	clear(*frame)
-	*frame = (*frame)[:0]
-	frames.Put(frame)
+	clear(f.ops)
+	clear(f.refs)
+	f.ops, f.refs = f.ops[:0], f.refs[:0]
+	pool.Put(f)
 }
 
-// standIn returns an address inside the block a grant locked under k
-// will come from — the region's EIP block, or the provider's SIP block
-// — for the static pass to route a "$i" operand by. Zero when k names
-// no block (the grant is going to fail).
-func (c *Cloud) standIn(k ShardKey) addr.IP {
-	for _, b := range c.pidx.Load().blocks {
-		if b.shard == k.Region {
-			return b.base.Addr
-		}
-	}
-	return 0
-}
-
-// planKey is the shard route names for op, computed without routing an
-// address-targeted verb: its key is its target's static block alone, so
-// the plan pass never asks whether a "$i" stand-in is granted (it is
-// not) and builds no error saying so. A routing error of any other verb
-// (an unknown VM) is the apply loop's to report; the key is valid
-// regardless.
-func (c *Cloud) planKey(tenant string, op *intent.Op) ShardKey {
-	if a, ok := target(op); ok {
-		return c.shardKeyOf(tenant, a)
-	}
-	k, _, _, _, _ := c.route(tenant, op)
-	return k
-}
-
-// grants reports whether a verb's result is a granted address — what a
-// "$i" back-reference may name and a BatchResult carries.
-func grants(verb string) bool {
-	return verb == intent.OpRequestEIP || verb == intent.OpRequestSIP
-}
-
-// releases reports whether a verb gives an address back, which returns
-// to its pool only once the verb is journaled (Cloud.free).
-func releases(verb string) bool {
-	return verb == intent.OpReleaseEIP || verb == intent.OpReleaseSIP
-}
-
-// typed resolves wire op i into the typed op Apply takes, checking verb
-// and operand shape, address syntax, back-reference targets and provider
-// names on the way. A "$j" operand resolves to prior[j].Addr: in the
-// static all-or-nothing pass that is a stand-in inside the block op j
-// will be granted from, once the batch is running it is the address op
-// j was granted. Only the operands named for a verb are read (see
-// BatchOp), so the typed op carries exactly the fields the journal
-// records.
-func (c *Cloud) typed(ops []BatchOp, i int, prior []BatchResult) (intent.Op, error) {
+// typed converts wire op i into the typed op at *op, checking verb and
+// operand shape, address syntax, back-reference targets and provider
+// names on the way. A "$j" operand is left zero and its slot appended
+// to refs, for Cloud.apply to fill with op j's grant. Only the operands
+// named for a verb are read (see BatchOp), so the typed op carries
+// exactly the fields the journal records.
+func (c *Cloud) typed(ops []BatchOp, i int, op *intent.Op, refs *[]backRef) error {
 	b := &ops[i]
-	op := intent.Op{Verb: b.Op}
+	*op = intent.Op{Verb: b.Op}
 	var err error // the first operand error wins
-	ref := func(field, s string) (a addr.IP) {
-		if err == nil {
-			a, err = batchAddr(ops, i, prior, field, s)
+	ref := func(field, s string, at *addr.IP) {
+		if err != nil {
+			return
 		}
-		return a
+		var j int
+		if *at, j, err = batchAddr(ops, i, field, s); j >= 0 {
+			*refs = append(*refs, backRef{op: i, j: j, at: at})
+		}
 	}
 	need := func(field, s string) string {
 		if err == nil && s == "" {
@@ -298,19 +210,24 @@ func (c *Cloud) typed(ops []BatchOp, i int, prior []BatchResult) (intent.Op, err
 	case intent.OpRequestEIP:
 		op.VM = need("vm", string(b.VM))
 	case intent.OpReleaseEIP:
-		op.Addr = ref("eip", b.EIP)
+		ref("eip", b.EIP, &op.Addr)
 	case intent.OpRequestSIP:
 		op.Provider = provider()
 	case intent.OpReleaseSIP:
-		op.Addr = ref("sip", b.SIP)
+		ref("sip", b.SIP, &op.Addr)
 	case intent.OpBind:
-		op.EIP, op.SIP, op.Weight = ref("eip", b.EIP), ref("sip", b.SIP), b.Weight
+		ref("eip", b.EIP, &op.EIP)
+		ref("sip", b.SIP, &op.SIP)
+		op.Weight = b.Weight
 	case intent.OpUnbind:
-		op.EIP, op.SIP = ref("eip", b.EIP), ref("sip", b.SIP)
+		ref("eip", b.EIP, &op.EIP)
+		ref("sip", b.SIP, &op.SIP)
 	case intent.OpSetPermit:
-		op.Target, op.Entries, op.Groups = ref("target", b.Target), b.Entries, b.Groups
+		ref("target", b.Target, &op.Target)
+		op.Entries, op.Groups = b.Entries, b.Groups
 	case intent.OpPermit, intent.OpRevoke:
-		op.Target, op.Entries = ref("target", b.Target), b.Entries
+		ref("target", b.Target, &op.Target)
+		op.Entries = b.Entries
 		if err == nil && len(b.Entries) == 0 {
 			err = errors.New("missing entries")
 		}
@@ -321,37 +238,41 @@ func (c *Cloud) typed(ops []BatchOp, i int, prior []BatchResult) (intent.Op, err
 	case intent.OpCreateGroup:
 		// The cloud-level (cross-provider) group namespace: no Provider.
 		op.Name = need("name", b.Name)
-		for _, m := range b.Members {
-			op.Members = append(op.Members, ref("members", m))
+		if len(b.Members) > 0 {
+			op.Members = make([]addr.IP, len(b.Members))
+			for k, m := range b.Members {
+				ref("members", m, &op.Members[k])
+			}
 		}
 	case intent.OpRegisterName:
-		op.Name, op.Addr = need("name", b.Name), ref("target", b.Target)
+		op.Name = need("name", b.Name)
+		ref("target", b.Target, &op.Addr)
 	default:
 		err = errors.New("unknown op")
 	}
-	return op, err
+	return err
 }
 
-// batchAddr checks and resolves one address operand of op i: a literal
-// address, or a "$j" back-reference to prior[j], the grant made by an
-// earlier op.
-func batchAddr(ops []BatchOp, i int, prior []BatchResult, field, s string) (addr.IP, error) {
+// batchAddr checks one address operand of op i: a literal address, or a
+// "$j" back-reference to the grant of an earlier op j, which it returns
+// (-1 for a literal).
+func batchAddr(ops []BatchOp, i int, field, s string) (addr.IP, int, error) {
 	if s == "" {
-		return 0, fmt.Errorf("missing %s", field)
+		return 0, -1, fmt.Errorf("missing %s", field)
 	}
 	if !strings.HasPrefix(s, "$") {
 		a, err := addr.ParseIP(s)
 		if err != nil {
-			return 0, fmt.Errorf("%s: %v", field, err)
+			return 0, -1, fmt.Errorf("%s: %v", field, err)
 		}
-		return a, nil
+		return a, -1, nil
 	}
 	j, err := strconv.Atoi(s[1:])
 	if err != nil || j < 0 || j >= i {
-		return 0, fmt.Errorf("%s: back-reference %q must name an earlier op", field, s)
+		return 0, -1, fmt.Errorf("%s: back-reference %q must name an earlier op", field, s)
 	}
 	if !grants(ops[j].Op) {
-		return 0, fmt.Errorf("%s: back-reference %q targets %q, not an address grant", field, s, ops[j].Op)
+		return 0, -1, fmt.Errorf("%s: back-reference %q targets %q, not an address grant", field, s, ops[j].Op)
 	}
-	return prior[j].Addr, nil
+	return 0, j, nil
 }

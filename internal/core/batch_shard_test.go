@@ -214,34 +214,40 @@ func TestBatchPlanMatchesRoute(t *testing.T) {
 		{Op: "release_sip", SIP: "$1"},
 		{Op: "release_eip", EIP: "$0"},
 	}
-	standIns := make([]BatchResult, len(ops))
-	results := make([]BatchResult, 0, len(ops))
+	f := &frame{ops: make([]intent.Op, len(ops))}
 	for i := range ops {
-		planned, err := c.typed(ops, i, standIns)
-		if err != nil {
+		if err := c.typed(ops, i, &f.ops[i], &f.refs); err != nil {
 			t.Fatalf("op %d static: %v", i, err)
 		}
-		want, _, _, _, _ := c.route("acme", &planned)
-		if grants(planned.Verb) {
-			if standIns[i].Addr = c.standIn(want); standIns[i].Addr == 0 {
-				t.Fatalf("op %d (%s): no stand-in for shard %v", i, ops[i].Op, want)
+	}
+	// fill resolves op i's "$j" operands as Cloud.apply does: to stand-ins
+	// while planning, to the grants once running.
+	fill := func(i int) {
+		for _, r := range f.refs {
+			if r.op == i {
+				*r.at = f.ops[r.j].Addr
 			}
 		}
-		live, err := c.typed(ops, i, results)
-		if err != nil {
-			t.Fatalf("op %d live: %v", i, err)
+	}
+	planned := make([]ShardKey, len(ops))
+	for i := range ops {
+		fill(i)
+		planned[i], _, _, _, _ = c.route("acme", &f.ops[i])
+		if grants(f.ops[i].Verb) {
+			if f.ops[i].Addr = c.standIn(planned[i]); f.ops[i].Addr == 0 {
+				t.Fatalf("op %d (%s): no stand-in for shard %v", i, ops[i].Op, planned[i])
+			}
 		}
-		got, _, p, run, err := c.route("acme", &live)
-		if err == nil {
-			live, err = run(c, p, "acme", live)
-		}
-		if err != nil {
+	}
+	for i := range ops {
+		fill(i)
+		got, _, _, _, _ := c.route("acme", &f.ops[i])
+		if _, err := c.Apply("acme", f.ops[i:i+1]...); err != nil {
 			t.Fatalf("op %d (%s): %v", i, ops[i].Op, err)
 		}
-		if got != want {
-			t.Errorf("op %d (%s): planned shard %v, ran under %v", i, ops[i].Op, want, got)
+		if got != planned[i] {
+			t.Errorf("op %d (%s): planned shard %v, ran under %v", i, ops[i].Op, planned[i], got)
 		}
-		results = append(results, BatchResult{Op: live.Verb, Addr: live.Addr})
 	}
 	if n := pa.EndpointCount() + pa.ServiceCount(); n != 0 {
 		t.Fatalf("%d addresses left after the script released both", n)

@@ -368,7 +368,7 @@ func (r *Reconciler) checkBindService(p *Provider, sip addr.IP, want *intent.Ser
 		keys = append(keys, c.shardKeyOf(want.Tenant, f.eip))
 		held[f.eip] = true
 	}
-	defer c.shards.lockShards(keys)()
+	defer c.shards.unlockShards(c.shards.lockShards(keys, nil))
 	live, ok := c.rec.Service(sip)
 	if cur, _ := p.services.Get(sip); !ok || live.Tenant != want.Tenant || cur != svc {
 		return false // released or changed hands since the screen

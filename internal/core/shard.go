@@ -21,15 +21,14 @@
 // global is the one world gate: nothing else holds the world still.
 // Who takes what:
 //
-//   - A single Table-2 verb takes global.RLock plus its shard's write
-//     lock (lockShard) — bind, its SIP's shard and its EIP's, the way a
-//     batch does (Cloud.eipShard).
-//   - A batch takes global.RLock plus the write locks of every shard its
-//     ops touch — the set is known before the first op runs — sorted by
-//     (tenant, region) and deduplicated (lockShards), and holds them
-//     for its whole apply + journal record. The reconciler's bind
-//     repair, which spans a SIP's shard and its backends' region
-//     shards, locks the same way.
+//   - A Table-2 mutation, a single verb or a batch (Cloud.apply), takes
+//     global.RLock plus the write locks of every shard its ops touch —
+//     the set is known before the first op runs; a bind adds its EIP's
+//     shard (Cloud.eipShard) — sorted by (tenant, region) and
+//     deduplicated (lockShards), and holds them for its whole apply +
+//     journal record. The reconciler's bind repair, which spans a SIP's
+//     shard and its backends' region shards, locks the same way; its
+//     other repairs take one shard's write lock (lockShard).
 //   - Cross-shard reads (Connect, Probe, Explain) take global.RLock
 //     plus BOTH endpoint shards' read locks in the same key order,
 //     deduped when the endpoints share a shard (rlockShards).
@@ -60,7 +59,8 @@
 package core
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -74,13 +74,15 @@ type ShardKey struct {
 	Region string
 }
 
-// less orders shard keys for deterministic multi-shard acquisition.
-func (k ShardKey) less(o ShardKey) bool {
-	if k.Tenant != o.Tenant {
-		return k.Tenant < o.Tenant
+// compare orders shard keys for deterministic multi-shard acquisition.
+func (k ShardKey) compare(o ShardKey) int {
+	if c := strings.Compare(k.Tenant, o.Tenant); c != 0 {
+		return c
 	}
-	return k.Region < o.Region
+	return strings.Compare(k.Region, o.Region)
 }
+
+func (k ShardKey) less(o ShardKey) bool { return k.compare(o) < 0 }
 
 type shard struct {
 	mu sync.RWMutex
@@ -144,15 +146,16 @@ func (s *ShardSet) lockShard(k ShardKey) func() {
 }
 
 // lockShards takes the write locks for a set of shards (plus the global
-// read gate) and returns the unlock: a batch's whole footprint, held
-// from before its first op to after its journal record. The keys are
-// sorted in place into ShardKey.less order — the order rlockShards uses
-// — and deduplicated by shard identity (repeated keys; every key, on a
-// single-shard cloud), since sync.RWMutex is not reentrant.
-func (s *ShardSet) lockShards(keys []ShardKey) func() {
-	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
+// read gate), appends the shards it locked to held and returns it for
+// unlockShards: a batch's whole footprint, held from before its first op
+// to after its journal record. The keys are sorted in place into
+// ShardKey.less order — the order rlockShards uses — and deduplicated by
+// shard identity (repeated keys; every key, on a single-shard cloud),
+// since sync.RWMutex is not reentrant. With room in held and a sorted
+// key set it allocates nothing.
+func (s *ShardSet) lockShards(keys []ShardKey, held []*shard) []*shard {
+	slices.SortFunc(keys, ShardKey.compare)
 	s.global.RLock()
-	held := make([]*shard, 0, len(keys))
 	for _, k := range keys {
 		sh := s.shardOf(k)
 		if n := len(held); n > 0 && held[n-1] == sh {
@@ -161,12 +164,15 @@ func (s *ShardSet) lockShards(keys []ShardKey) func() {
 		sh.mu.Lock()
 		held = append(held, sh)
 	}
-	return func() {
-		for i := len(held) - 1; i >= 0; i-- {
-			held[i].mu.Unlock()
-		}
-		s.global.RUnlock()
+	return held
+}
+
+// unlockShards releases what lockShards took.
+func (s *ShardSet) unlockShards(held []*shard) {
+	for i := len(held) - 1; i >= 0; i-- {
+		held[i].mu.Unlock()
 	}
+	s.global.RUnlock()
 }
 
 // rlockShards takes the read locks for a pair of shards in deterministic

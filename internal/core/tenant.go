@@ -15,7 +15,8 @@ import (
 // Tenant is one tenant's view of the Table-2 API across every provider
 // in the cloud — the paper's uniform multi-cloud interface, and the only
 // Go facade for the verbs. Each verb builds its intent.Op and runs it
-// through Cloud.Apply, the path the HTTP routes and /v1/batch share.
+// through Cloud.Apply, into the apply loop (Cloud.apply) that ApplyBatch,
+// and so every HTTP mutation route, shares.
 // Creating a handle is free; all state lives provider-side.
 type Tenant struct {
 	c    *Cloud
