@@ -60,12 +60,15 @@ staticcheck:
 # binary codec: journal frames and snapshots each round-trip (encode),
 # and any bytes decode to records or a state, or an error, in memory the
 # input's size bounds (decode); the mutation body decoder agrees with
-# encoding/json on every /v1/batch body and every single-verb route's. Each target gets $(FUZZTIME);
+# encoding/json on every /v1/batch body and every single-verb route's;
+# addr.Table agrees with a plain map on any sequence of Put, Delete, Get
+# and Keys (FuzzTableOps). Each target gets $(FUZZTIME);
 # regression corpus lives under testdata/fuzz/ so plain `go test`
 # replays past findings even without this target.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseIP$$' -fuzztime $(FUZZTIME) ./internal/addr/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePrefix$$' -fuzztime $(FUZZTIME) ./internal/addr/
+	$(GO) test -run '^$$' -fuzz '^FuzzTableOps$$' -fuzztime $(FUZZTIME) ./internal/addr/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePermitEntry$$' -fuzztime $(FUZZTIME) ./internal/api/
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchDecode$$' -fuzztime $(FUZZTIME) ./internal/api/
 	$(GO) test -run '^$$' -fuzz '^FuzzRouteDecode$$' -fuzztime $(FUZZTIME) ./internal/api/

@@ -327,6 +327,102 @@ func TestHostPool(t *testing.T) {
 	}
 }
 
+// TestHostPoolRestore: restored in-use addresses may lie below or above
+// the cursor and repeat, and one outside the prefix is not the pool's;
+// the count stays exact, each is released once, and the pool hands out
+// the free list, then the cursor.
+func TestHostPoolRestore(t *testing.T) {
+	hp := NewHostPool(MustParsePrefix("10.0.0.0/16"), 0)
+	ip := MustParseIP
+	held := []IP{ip("10.0.0.1"), ip("10.0.0.200"), ip("10.0.0.1"), ip("10.0.3.7"), ip("10.0.0.9"), ip("10.0.3.7"), ip("10.1.0.1")}
+	hp.Restore(ip("10.0.1.0"), []IP{ip("10.0.0.5")}, held)
+	if n := hp.InUse(); n != 4 {
+		t.Fatalf("InUse = %d after restoring 4 distinct addresses", n)
+	}
+	for i, want := range []string{"10.0.0.5", "10.0.1.0", "10.0.1.1"} {
+		if got, err := hp.Allocate(); err != nil || got != ip(want) {
+			t.Fatalf("allocation %d = %s, %v; want %s", i, got, err, want)
+		}
+	}
+	if n := hp.InUse(); n != 7 {
+		t.Fatalf("InUse = %d, want 7", n)
+	}
+	for _, a := range []string{"10.0.3.7", "10.0.0.1", "10.0.0.200", "10.0.0.9", "10.0.0.5"} {
+		if err := hp.Release(ip(a)); err != nil {
+			t.Fatalf("release of restored %s: %v", a, err)
+		}
+		if err := hp.Release(ip(a)); err == nil {
+			t.Fatalf("%s released twice", a)
+		}
+	}
+	if n := hp.InUse(); n != 2 || hp.Release(ip("10.1.0.1")) == nil {
+		t.Fatalf("InUse = %d, want 2, with 10.1.0.1 not the pool's", n)
+	}
+	hp.Restore(0, nil, []IP{ip("10.0.0.2")})
+	if n := hp.InUse(); n != 1 || hp.Release(ip("10.0.1.0")) == nil {
+		t.Fatalf("a second Restore kept earlier holdings: InUse = %d", n)
+	}
+}
+
+// TestHostPoolBitmapGrowsOnlyToWhatIsHandedOut: the in-use bitmap of a
+// block far larger than a /16 covers only the addresses handed out, and
+// a refused release — of an address outside the prefix, or of one never
+// handed out, inside the bitmap or past it — leaves it as it was.
+func TestHostPoolBitmapGrowsOnlyToWhatIsHandedOut(t *testing.T) {
+	hp := NewHostPool(MustParsePrefix("104.0.0.0/10"), 0)
+	for i := 0; i < 3; i++ {
+		if _, err := hp.Allocate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(hp.inUse); n != 1 {
+		t.Fatalf("3 addresses of a /10 take %d bitmap words", n)
+	}
+	for _, s := range []string{"10.0.0.1", "104.64.0.0", "104.0.0.50", "104.0.0.3", "104.12.0.1"} {
+		if err := hp.Release(MustParseIP(s)); err == nil {
+			t.Errorf("release of %s, never handed out, succeeded", s)
+		}
+	}
+	if n := len(hp.inUse); n != 1 || hp.InUse() != 3 {
+		t.Fatalf("after the refused releases: %d bitmap words, InUse %d", n, hp.InUse())
+	}
+}
+
+// TestHostPoolShorterThanA16 allocates across a /16 boundary of a /15
+// pool, releases every third address, and gets them back first, in
+// release order.
+func TestHostPoolShorterThanA16(t *testing.T) {
+	p := MustParsePrefix("10.2.0.0/15")
+	hp := NewHostPool(p, 0)
+	const n = 1<<16 + 100
+	seen := make(map[IP]bool, n)
+	var freed []IP
+	for i := 0; i < n; i++ {
+		a, err := hp.Allocate()
+		if err != nil || !p.Contains(a) || seen[a] {
+			t.Fatalf("allocation %d = %s, %v (seen %v)", i, a, err, seen[a])
+		}
+		seen[a] = true
+	}
+	for a := p.First() + 1<<16 - 150; a < p.First()+n; a += 3 {
+		if err := hp.Release(a); err != nil {
+			t.Fatal(err)
+		}
+		freed = append(freed, a)
+	}
+	if got := hp.InUse(); got != n-len(freed) {
+		t.Fatalf("InUse = %d, want %d", got, n-len(freed))
+	}
+	for _, want := range freed {
+		if got, err := hp.Allocate(); err != nil || got != want {
+			t.Fatalf("reallocation = %s, %v; want %s", got, err, want)
+		}
+	}
+	if got := hp.InUse(); got != n {
+		t.Fatalf("InUse = %d, want %d", got, n)
+	}
+}
+
 func TestPlanner(t *testing.T) {
 	p := NewPlanner(RFC1918())
 	seen := map[string]Prefix{}

@@ -5,6 +5,38 @@ import (
 	"testing"
 )
 
+// FuzzTableOps decodes bytes into a sequence of Table operations, three
+// bytes each: a Put, Delete, Get or Keys listing, on one of the first
+// 16 384 addresses (256 pages) of one of four /16s, two of which share a
+// stripe; a listing's prefix length comes from the last byte. Each
+// result must match a plain map's.
+func FuzzTableOps(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 0, 4, 65, 3, 0, 16, 1, 0, 1, 3, 0, 0})
+	f.Add([]byte{0, 1, 63, 0, 1, 64, 1, 1, 63, 2, 1, 63, 3, 1, 26, 1, 1, 64, 3, 1, 32})
+	f.Add([]byte{0, 2, 9, 0, 3, 9, 0, 255, 255, 3, 2, 8, 1, 2, 9, 2, 3, 9, 3, 0, 0})
+	blocks := [4]IP{0x0a000000, 0x0a010000, 0x0a400000, 0xc0a80000}
+	lengths := [8]int{0, 8, 9, 15, 16, 20, 26, 32}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		mr := newMirror(t)
+		for i := 0; i+2 < len(ops); i += 3 {
+			b, lo := ops[i+1], ops[i+2]
+			ip := blocks[b&3] | IP(b>>2)<<8 | IP(lo)
+			switch ops[i] & 3 {
+			case 0:
+				mr.put(ip, i)
+			case 1:
+				mr.del(ip)
+			case 2:
+				mr.get(ip)
+			default:
+				mr.list(NewPrefix(ip, lengths[lo&7]))
+			}
+		}
+		mr.list(Prefix{})
+		mr.phases(3)
+	})
+}
+
 // FuzzParseIP checks the core parser invariant: anything ParseIP accepts
 // must round-trip through String to the identical input. This is what
 // caught strconv.Atoi's sign tolerance ("+4", "-0" octets parsed fine

@@ -154,7 +154,11 @@ type HostPool struct {
 	prefix   Prefix
 	next     IP
 	released []IP
-	inUse    map[IP]bool
+	// inUse has bit k set while the address k past prefix.First() is
+	// handed out. It reaches only as far as the highest address handed
+	// out or restored, never the whole prefix; held counts its set bits.
+	inUse    []uint64
+	held     int
 	reserved int // leading addresses withheld (network/router/dns, AWS-style)
 }
 
@@ -165,13 +169,41 @@ func NewHostPool(prefix Prefix, reserved int) *HostPool {
 	return &HostPool{
 		prefix:   prefix,
 		next:     prefix.First() + IP(reserved),
-		inUse:    make(map[IP]bool),
 		reserved: reserved,
 	}
 }
 
 // Prefix returns the pool's covering prefix.
 func (h *HostPool) Prefix() Prefix { return h.prefix }
+
+// bit returns the word of inUse that holds ip's bit, and the bit.
+func (h *HostPool) bit(ip IP) (w int, b uint64) {
+	off := ip - h.prefix.First()
+	return int(off >> 6), 1 << (off & 63)
+}
+
+// isHeld reports whether ip is handed out. Only hold sets a bit, and
+// never one outside the prefix.
+func (h *HostPool) isHeld(ip IP) bool {
+	w, b := h.bit(ip)
+	return w < len(h.inUse) && h.inUse[w]&b != 0
+}
+
+// hold marks ip handed out, growing inUse to reach it; an address outside
+// the prefix, or one already held, changes nothing.
+func (h *HostPool) hold(ip IP) {
+	if !h.prefix.Contains(ip) {
+		return
+	}
+	w, b := h.bit(ip)
+	if w >= len(h.inUse) {
+		h.inUse = append(h.inUse, make([]uint64, w+1-len(h.inUse))...)
+	}
+	if h.inUse[w]&b == 0 {
+		h.inUse[w] |= b
+		h.held++
+	}
+}
 
 // Allocate returns a free address from the pool.
 func (h *HostPool) Allocate() (IP, error) {
@@ -180,7 +212,7 @@ func (h *HostPool) Allocate() (IP, error) {
 	if n := len(h.released); n > 0 {
 		ip := h.released[0]
 		h.released = h.released[1:]
-		h.inUse[ip] = true
+		h.hold(ip)
 		return ip, nil
 	}
 	if h.next > h.prefix.Last() || !h.prefix.Contains(h.next) {
@@ -188,7 +220,7 @@ func (h *HostPool) Allocate() (IP, error) {
 	}
 	ip := h.next
 	h.next++
-	h.inUse[ip] = true
+	h.hold(ip)
 	return ip, nil
 }
 
@@ -196,10 +228,12 @@ func (h *HostPool) Allocate() (IP, error) {
 func (h *HostPool) Release(ip IP) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if !h.inUse[ip] {
+	if !h.isHeld(ip) {
 		return fmt.Errorf("addr: release of unallocated address %s", ip)
 	}
-	delete(h.inUse, ip)
+	w, b := h.bit(ip)
+	h.inUse[w] &^= b
+	h.held--
 	h.released = append(h.released, ip)
 	return nil
 }
@@ -208,13 +242,14 @@ func (h *HostPool) Release(ip IP) error {
 func (h *HostPool) InUse() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.inUse)
+	return h.held
 }
 
 // Restore rewinds the pool to a recorded allocation cursor: the next
 // fresh address, the free list (in release order), and the addresses
-// currently held. Restart recovery uses it so a recovered pool hands
-// out exactly the addresses the pre-crash pool would have.
+// currently held, in any order (a repeat counts once; one outside the
+// prefix is not the pool's). Restart recovery uses it so a recovered
+// pool hands out exactly the addresses the pre-crash pool would have.
 func (h *HostPool) Restore(next IP, released []IP, inUse []IP) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -222,9 +257,9 @@ func (h *HostPool) Restore(next IP, released []IP, inUse []IP) {
 		h.next = next
 	}
 	h.released = append(h.released[:0], released...)
-	h.inUse = make(map[IP]bool, len(inUse))
+	h.inUse, h.held = nil, 0
 	for _, ip := range inUse {
-		h.inUse[ip] = true
+		h.hold(ip)
 	}
 }
 

@@ -2,6 +2,7 @@ package addr
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -110,6 +111,166 @@ func TestTableListsWithin(t *testing.T) {
 	}
 	if n := len(tab.All()); n != len(keys) || tab.Len() != len(keys) {
 		t.Errorf("All lists %d values and Len is %d, want %d", n, tab.Len(), len(keys))
+	}
+}
+
+// mirror is a Table beside the plain map it must agree with.
+type mirror struct {
+	t   testing.TB
+	tab Table[int]
+	m   map[IP]int
+}
+
+func newMirror(t testing.TB) *mirror { return &mirror{t: t, m: map[IP]int{}} }
+
+func (mr *mirror) put(ip IP, v int) { mr.tab.Put(ip, v); mr.m[ip] = v }
+
+func (mr *mirror) del(ip IP) { mr.tab.Delete(ip); delete(mr.m, ip) }
+
+func (mr *mirror) get(ip IP) {
+	mr.t.Helper()
+	v, ok := mr.tab.Get(ip)
+	if w, wok := mr.m[ip]; v != w || ok != wok {
+		mr.t.Fatalf("Get(%s) = %d, %v; the map holds %d, %v", ip, v, ok, w, wok)
+	}
+}
+
+// list checks Len, and Keys and Values of block: the keys the map holds
+// inside block, each listed once, with the values in the same order.
+func (mr *mirror) list(block Prefix) {
+	mr.t.Helper()
+	if n := mr.tab.Len(); n != len(mr.m) {
+		mr.t.Fatalf("Len = %d, the map holds %d", n, len(mr.m))
+	}
+	keys, vals := mr.tab.Keys(block), mr.tab.Values(block)
+	if len(keys) != len(vals) {
+		mr.t.Fatalf("%s: %d keys, %d values", block, len(keys), len(vals))
+	}
+	for i, ip := range keys {
+		if v, ok := mr.m[ip]; !ok || v != vals[i] || !block.Contains(ip) {
+			mr.t.Fatalf("%s lists %s = %d; the map holds %d, %v", block, ip, vals[i], v, ok)
+		}
+	}
+	n := 0
+	for ip := range mr.m {
+		if block.Contains(ip) {
+			n++
+		}
+	}
+	if slices.Sort(keys); len(slices.Compact(keys)) != n {
+		mr.t.Fatalf("%s lists %d distinct keys, the map holds %d", block, len(keys), n)
+	}
+}
+
+// phases checks that PhaseKeys over phases 0..k-1 lists every key once,
+// in its stripe's phase.
+func (mr *mirror) phases(k int) {
+	mr.t.Helper()
+	n := 0
+	for phase := 0; phase < k; phase++ {
+		for _, ip := range mr.tab.PhaseKeys(phase, k) {
+			if _, ok := mr.m[ip]; !ok || Stripe(ip)%k != phase {
+				mr.t.Fatalf("k=%d: phase %d lists %s (held %v, stripe %d)", k, phase, ip, ok, Stripe(ip))
+			}
+			n++
+		}
+	}
+	if n != len(mr.m) {
+		mr.t.Fatalf("k=%d: the phases list %d keys, the map holds %d", k, n, len(mr.m))
+	}
+}
+
+// TestTableMatchesAMap runs seeded random operation sequences against a
+// Table and a plain map side by side, over key sets that are dense, that
+// straddle page boundaries, that keep emptying one page and refilling it,
+// and that are scattered over many /16s, some sharing a stripe.
+func TestTableMatchesAMap(t *testing.T) {
+	base := MustParseIP("100.64.0.0")
+	sets := []struct {
+		name string
+		key  func(*rand.Rand) IP
+	}{
+		{"dense", func(r *rand.Rand) IP { return base + IP(r.Intn(300)) }},
+		{"page boundaries", func(r *rand.Rand) IP { return base + IP(pageSlots*(1+r.Intn(3))+r.Intn(6)-3) }},
+		{"one page", func(r *rand.Rand) IP { return base + pageSlots + IP(r.Intn(3)) }},
+		// 96 /16s 11 apart: 64 stripes, so 32 of them hold two.
+		{"sparse", func(r *rand.Rand) IP { return IP(11*r.Intn(96))<<16 | IP(r.Intn(1<<16)) }},
+	}
+	for _, set := range sets {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			mr := newMirror(t)
+			var drawn []IP // half the operations reuse a key drawn before
+			for step := 0; step < 4000; step++ {
+				ip := set.key(rng)
+				if len(drawn) > 0 && rng.Intn(2) == 0 {
+					ip = drawn[rng.Intn(len(drawn))]
+				} else {
+					drawn = append(drawn, ip)
+				}
+				switch op := rng.Intn(10); {
+				case op < 4:
+					mr.put(ip, step)
+				case op < 7:
+					mr.del(ip)
+				case op < 9:
+					mr.get(ip)
+				default:
+					mr.list(NewPrefix(ip, []int{0, 8, 14, 16, 22, 26, 32}[rng.Intn(7)]))
+					mr.phases(1 + rng.Intn(9))
+				}
+			}
+			mr.list(Prefix{})
+		}
+	}
+}
+
+// TestTableFreesAnEmptiedPage: a page goes when its last key does, and a
+// key put on it again reads back alone.
+func TestTableFreesAnEmptiedPage(t *testing.T) {
+	var tab Table[int]
+	base := MustParseIP("10.1.0.0") + 3*pageSlots
+	for i := 0; i < pageSlots; i++ {
+		tab.Put(base+IP(i), i)
+	}
+	s := &tab.stripes[Stripe(base)]
+	if s.blocks[0].dir[3] == nil {
+		t.Fatal("no page holds the keys")
+	}
+	for i := 0; i < pageSlots; i++ {
+		tab.Delete(base + IP(i))
+	}
+	if s.blocks[0].dir[3] != nil || tab.Len() != 0 {
+		t.Fatalf("the emptied page is still held; Len = %d", tab.Len())
+	}
+	tab.Put(base+5, 7)
+	if v, ok := tab.Get(base + 5); !ok || v != 7 || tab.Len() != 1 || len(tab.Keys(NewPrefix(base, 16))) != 1 {
+		t.Fatalf("after refilling the page: Get = %d, %v; Len = %d", v, ok, tab.Len())
+	}
+}
+
+// TestTableBytesPerKey: dense keys cost their value's size and little
+// more. 50 000 consecutive addresses holding a 40-byte value each — the
+// size of a permit list — take at most 48 bytes of live heap per key.
+func TestTableBytesPerKey(t *testing.T) {
+	const n, budget = 50000, 48
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var tab Table[[5]uint64]
+	before := heap()
+	base := MustParseIP("100.64.0.0")
+	for i := 0; i < n; i++ {
+		tab.Put(base+IP(i), [5]uint64{uint64(i)})
+	}
+	per := float64(heap()-before) / n
+	runtime.KeepAlive(&tab)
+	t.Logf("%.1f live bytes per key", per)
+	if per > budget {
+		t.Errorf("%.1f live bytes per key, budget %d", per, budget)
 	}
 }
 

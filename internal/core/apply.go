@@ -32,11 +32,17 @@ import (
 // Addr), so the applied ops are the journal ops. The first failure stops
 // the run; the ops before it stay applied and journaled.
 //
-// A tenant name intent's composite keys cannot carry is refused before
-// anything runs (intent.CheckTenant).
+// A tenant name intent's composite keys cannot carry (intent.CheckTenant),
+// or an op that breaks an operand rule (checkOperands), is refused
+// before anything runs.
 func (c *Cloud) Apply(tenant string, ops ...intent.Op) (addr.IP, error) {
 	if err := intent.CheckTenant(tenant); err != nil {
 		return 0, err
+	}
+	for i := range ops {
+		if err := c.checkOperands(&ops[i]); err != nil {
+			return 0, fmt.Errorf("core: %s: %w", ops[i].Verb, err)
+		}
 	}
 	if n, err := c.apply(tenant, ops, nil); err != nil || n == 0 {
 		return 0, err

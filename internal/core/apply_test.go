@@ -7,11 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"declnet/internal/addr"
 	"declnet/internal/intent"
+	"declnet/internal/qos"
 	"declnet/internal/topo"
 )
 
@@ -285,6 +287,52 @@ func TestPipeTenantIsRefused(t *testing.T) {
 	}
 	if got := c2.StateDigest(); got != want {
 		t.Error("restored digest differs from the live world")
+	}
+}
+
+// TestFacadeChecksOperandsLikeTheWire: the operand rules a wire op is
+// checked against hold for the Go facade too. An empty VM, group name,
+// registered name or region, and a missing or unknown provider, are
+// refused through Cloud.Apply before anything runs: nothing applied,
+// nothing journaled, and the empty name resolves to nothing.
+func TestFacadeChecksOperandsLikeTheWire(t *testing.T) {
+	c, w, pa, _, _ := fig1Cloud(t)
+	l, err := intent.Open(t.TempDir(), intent.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	c.EnableIntent(l)
+	acme := c.Tenant("acme")
+	eip, err := acme.RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, seq := c.StateDigest(), l.Seq()
+	rows := []struct {
+		name, want string
+		run        func() error
+	}{
+		{"create_group", "missing name", func() error { return acme.CreateGroup("", eip) }},
+		{"register_name", "missing name", func() error { return acme.Register("", eip) }},
+		{"request_eip", "missing vm", func() error { _, err := acme.RequestEIP(""); return err }},
+		{"request_sip", "missing provider", func() error { _, err := acme.RequestSIP(""); return err }},
+		{"set_potato", "unknown provider", func() error { return acme.SetPotato("nope", qos.ColdPotato) }},
+		{"set_qos", "missing region", func() error { return acme.SetQoS(pa.Name, "", 1e9) }},
+	}
+	for _, r := range rows {
+		if err := r.run(); err == nil || !strings.Contains(err.Error(), r.want) {
+			t.Errorf("%s: error %v, want one naming %q", r.name, err, r.want)
+		}
+	}
+	if got := l.Seq(); got != seq {
+		t.Errorf("journal seq %d after the refusals, want %d", got, seq)
+	}
+	if got := c.StateDigest(); got != want {
+		t.Error("a refused op changed the world")
+	}
+	if a, ok := acme.Resolve(""); ok {
+		t.Errorf("the empty name resolves to %s", a)
 	}
 }
 

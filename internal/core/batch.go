@@ -176,11 +176,12 @@ func (f *frame) put(pool *sync.Pool) {
 }
 
 // typed converts wire op i into the typed op at *op, checking verb and
-// operand shape, address syntax, back-reference targets and provider
-// names on the way. A "$j" operand is left zero and its slot appended
-// to refs, for Cloud.apply to fill with op j's grant. Only the operands
-// named for a verb are read (see BatchOp), so the typed op carries
-// exactly the fields the journal records.
+// operand shape, address syntax and back-reference targets on the way,
+// then the operand rules every door shares (checkOperands). A "$j"
+// operand is left zero and its slot appended to refs, for Cloud.apply to
+// fill with op j's grant. Only the operands named for a verb are read
+// (see BatchOp), so the typed op carries exactly the fields the journal
+// records.
 func (c *Cloud) typed(ops []BatchOp, i int, op *intent.Op, refs *[]backRef) error {
 	b := &ops[i]
 	*op = intent.Op{Verb: b.Op}
@@ -194,25 +195,13 @@ func (c *Cloud) typed(ops []BatchOp, i int, op *intent.Op, refs *[]backRef) erro
 			*refs = append(*refs, backRef{op: i, j: j, at: at})
 		}
 	}
-	need := func(field, s string) string {
-		if err == nil && s == "" {
-			err = fmt.Errorf("missing %s", field)
-		}
-		return s
-	}
-	provider := func() string {
-		if _, ok := c.Provider(need("provider", b.Provider)); !ok && err == nil {
-			err = fmt.Errorf("unknown provider %q", b.Provider)
-		}
-		return b.Provider
-	}
 	switch b.Op {
 	case intent.OpRequestEIP:
-		op.VM = need("vm", string(b.VM))
+		op.VM = string(b.VM)
 	case intent.OpReleaseEIP:
 		ref("eip", b.EIP, &op.Addr)
 	case intent.OpRequestSIP:
-		op.Provider = provider()
+		op.Provider = b.Provider
 	case intent.OpReleaseSIP:
 		ref("sip", b.SIP, &op.Addr)
 	case intent.OpBind:
@@ -232,12 +221,12 @@ func (c *Cloud) typed(ops []BatchOp, i int, op *intent.Op, refs *[]backRef) erro
 			err = errors.New("missing entries")
 		}
 	case intent.OpSetQoS:
-		op.Provider, op.Region, op.Bps = provider(), need("region", b.Region), b.Bandwidth
+		op.Provider, op.Region, op.Bps = b.Provider, b.Region, b.Bandwidth
 	case intent.OpSetPotato:
-		op.Provider, op.Policy = provider(), b.Policy.String()
+		op.Provider, op.Policy = b.Provider, b.Policy.String()
 	case intent.OpCreateGroup:
 		// The cloud-level (cross-provider) group namespace: no Provider.
-		op.Name = need("name", b.Name)
+		op.Name = b.Name
 		if len(b.Members) > 0 {
 			op.Members = make([]addr.IP, len(b.Members))
 			for k, m := range b.Members {
@@ -245,12 +234,45 @@ func (c *Cloud) typed(ops []BatchOp, i int, op *intent.Op, refs *[]backRef) erro
 			}
 		}
 	case intent.OpRegisterName:
-		op.Name = need("name", b.Name)
+		op.Name = b.Name
 		ref("target", b.Target, &op.Addr)
 	default:
 		err = errors.New("unknown op")
 	}
+	if err == nil {
+		err = c.checkOperands(op)
+	}
 	return err
+}
+
+// checkOperands holds the operand rules of a verb's typed op that need no
+// lock and no grant: a request_eip names a VM, create_group and
+// register_name a name, set_qos a region, and request_sip, set_qos and
+// set_potato a known provider. Both doors run it on every op before any
+// op runs — typed for a wire op, Cloud.Apply for a facade op — so an op
+// that breaks one is refused with nothing applied or journaled.
+func (c *Cloud) checkOperands(op *intent.Op) error {
+	switch op.Verb {
+	case intent.OpRequestEIP:
+		if op.VM == "" {
+			return errors.New("missing vm")
+		}
+	case intent.OpCreateGroup, intent.OpRegisterName:
+		if op.Name == "" {
+			return errors.New("missing name")
+		}
+	case intent.OpRequestSIP, intent.OpSetQoS, intent.OpSetPotato:
+		if op.Provider == "" {
+			return errors.New("missing provider")
+		}
+		if _, ok := c.Provider(op.Provider); !ok {
+			return fmt.Errorf("unknown provider %q", op.Provider)
+		}
+		if op.Verb == intent.OpSetQoS && op.Region == "" {
+			return errors.New("missing region")
+		}
+	}
+	return nil
 }
 
 // batchAddr checks one address operand of op i: a literal address, or a

@@ -43,7 +43,8 @@ func (c *Cloud) Intent() *intent.Log { return c.rec }
 // (the daemon compares the store's Meta stamps first), and before
 // EnableIntent — restoration itself must not re-journal. It is one
 // serial pass over each declared surface, in map order, under the
-// global gate.
+// global gate; the tables and pools it fills index by address, so the
+// order leaves no trace in them.
 func (c *Cloud) RestoreIntent(st *intent.State) error {
 	if st == nil {
 		return nil

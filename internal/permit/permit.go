@@ -6,9 +6,10 @@
 // tracks lookup cost, memory, update churn, and (via ReplicaSet)
 // propagation staleness across distributed enforcement points.
 //
-// An Engine keeps its lists in an addr.Table, the striped map every
-// address-keyed provider table uses: one stripe lock per /16, so the
-// lists of one region share a lock that no other region's checks take.
+// An Engine keeps its lists in an addr.Table, the address-indexed store
+// every address-keyed provider table uses: one stripe lock per /16, so
+// the lists of one region share a lock that no other region's checks
+// take.
 package permit
 
 import (
@@ -27,7 +28,7 @@ type Entry = addr.Prefix
 // List is the permit state installed for one destination: its entries
 // in addr's canonical set form — the form intent.State declares them in,
 // built by the same functions. A List is an immutable value; the engine
-// replaces it whole under the stripe lock, so one read out of the map
+// replaces it whole under the stripe lock, so one read out of the table
 // stays consistent after the lock is dropped.
 type List struct {
 	entries []Entry
@@ -106,7 +107,7 @@ func (e *Engine) Drop(dst addr.IP) {
 }
 
 // Check enforces default-off admission: true only when dst has a list
-// that permits src. The stripe read lock covers the map read only; the
+// that permits src. The stripe read lock covers the table read only; the
 // search runs on the immutable list it returned.
 func (e *Engine) Check(src, dst addr.IP) bool {
 	e.Lookups.Add(1)

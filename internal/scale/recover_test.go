@@ -188,12 +188,14 @@ func TestRecoveryBudget(t *testing.T) {
 // configuration declnetd runs: the intent store attached and compacted,
 // the decision tracer on. An endpoint is one declared record, held by the
 // store and installed by core alike and carrying its permit list, whose
-// slice the permit engine enforces as is; a slot in each of the four
-// address-keyed tables (declared, core's, the engine's, its pool's); and
-// a share of its tenant's decision ring. The tables' load factor falls
-// as a region's block fills, so an endpoint costs more at 10^6 than at
-// 10^5; the budget holds at both.
-const liveBytesPerEndpoint = 420
+// slice the permit engine enforces as is; its slot in the store's
+// endpoint map; a slot on an address-indexed page of core's endpoint
+// table and of the engine's lists (addr.Table) and a bit in its pool's
+// in-use bitmap; and a share of its tenant's decision ring. Only the
+// store's map hashes, and what is fixed (a table's /16 directories, the
+// rings) spreads thinner as a region's block fills, so an endpoint costs
+// less at 10^6 than at 10^5; the budget holds at both.
+const liveBytesPerEndpoint = 300
 
 // TestLiveBudget pins what the deployed control plane holds per endpoint:
 // onboard the budget tier the way TestRecoveryBudget does, with the intent
