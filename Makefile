@@ -5,7 +5,7 @@ FUZZTIME ?= 10s
 SCALE_EIPS ?= 1000000
 SCALE_TENANTS ?= 400
 
-.PHONY: build fmt test vet race bench benchsmoke scale recover-scale soak staticcheck check fuzz loc flags benchmod nobaseline onejson onepath
+.PHONY: build fmt test vet race bench benchsmoke scale recover-scale soak staticcheck check fuzz loc flags benchmod nobaseline onejson onepath addrmaps
 
 build:
 	$(GO) build ./...
@@ -138,7 +138,16 @@ onepath:
 	@if grep -n 'Cloud\.Apply(\|mutate\[' $$(ls internal/api/*.go | grep -v '_test\.go$$'); then \
 		echo "internal/api applies mutations through core.ApplyBatch alone"; exit 1; fi
 
+# The declared state indexes its address-keyed sections by address
+# (addr.Table, walked in address order), never in a hash map: no non-test
+# file of internal/intent declares a map keyed by addr.IP.
+addrmaps:
+	@if grep -n 'map\[addr\.IP\]' $$(ls internal/intent/*.go | grep -v '_test\.go$$'); then \
+		echo "the lines above key a map by addr.IP; intent.State indexes addresses with addr.Table"; exit 1; \
+	fi
+
 # Tier-1 verification plus gofmt, vet, static analysis, the race pass,
 # the benchmark smoke tests, the declnetd dependency pin, the intent
-# store's freedom from JSON and the one mutation path.
-check: build fmt vet staticcheck test race benchsmoke benchmod nobaseline onejson onepath
+# store's freedom from JSON and from address-keyed maps, and the one
+# mutation path.
+check: build fmt vet staticcheck test race benchsmoke benchmod nobaseline onejson onepath addrmaps

@@ -101,7 +101,7 @@ func TestSIGTERMDrains(t *testing.T) {
 	}
 	st := store.State()
 	for _, ip := range granted {
-		if st.Endpoints[ip] == nil {
+		if _, ok := st.Endpoints.Get(ip); !ok {
 			t.Errorf("acknowledged grant %s is missing from the reopened store", ip)
 		}
 	}

@@ -364,6 +364,34 @@ func TestHostPoolRestore(t *testing.T) {
 	}
 }
 
+// TestHostPoolAllocateSkipsHeld: a pool restored holding an address at
+// or past its cursor, or at the head of its free list, never hands that
+// address out a second time — the cursor steps over it, and the free list
+// drops it.
+func TestHostPoolAllocateSkipsHeld(t *testing.T) {
+	ip := MustParseIP
+	hp := NewHostPool(MustParsePrefix("10.0.0.0/24"), 0)
+	hp.Restore(ip("10.0.0.1"), nil, []IP{ip("10.0.0.2")})
+	for i, want := range []string{"10.0.0.1", "10.0.0.3", "10.0.0.4"} {
+		if got, err := hp.Allocate(); err != nil || got != ip(want) {
+			t.Fatalf("allocation %d = %s, %v; want %s", i, got, err, want)
+		}
+	}
+	if n := hp.InUse(); n != 4 {
+		t.Fatalf("InUse = %d after restoring one address and allocating three, want 4", n)
+	}
+
+	hp.Restore(ip("10.0.0.9"), []IP{ip("10.0.0.5"), ip("10.0.0.6")}, []IP{ip("10.0.0.5"), ip("10.0.0.9")})
+	for i, want := range []string{"10.0.0.6", "10.0.0.10"} {
+		if got, err := hp.Allocate(); err != nil || got != ip(want) {
+			t.Fatalf("allocation %d after a free list headed by a held address = %s, %v; want %s", i, got, err, want)
+		}
+	}
+	if n := hp.InUse(); n != 4 {
+		t.Fatalf("InUse = %d, want 4", n)
+	}
+}
+
 // TestHostPoolBitmapGrowsOnlyToWhatIsHandedOut: the in-use bitmap of a
 // block far larger than a /16 covers only the addresses handed out, and
 // a refused release — of an address outside the prefix, or of one never

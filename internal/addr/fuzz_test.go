@@ -8,8 +8,10 @@ import (
 // FuzzTableOps decodes bytes into a sequence of Table operations, three
 // bytes each: a Put, Delete, Get or Keys listing, on one of the first
 // 16 384 addresses (256 pages) of one of four /16s, two of which share a
-// stripe; a listing's prefix length comes from the last byte. Each
-// result must match a plain map's.
+// stripe; a listing's prefix length comes from the last byte, and a
+// listing also walks the table in order from its address. Each result
+// must match a plain map's: an ordered walk, across blocks and stripes,
+// yields exactly the map's sorted keys.
 func FuzzTableOps(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 4, 65, 3, 0, 16, 1, 0, 1, 3, 0, 0})
 	f.Add([]byte{0, 1, 63, 0, 1, 64, 1, 1, 63, 2, 1, 63, 3, 1, 26, 1, 1, 64, 3, 1, 32})
@@ -30,9 +32,11 @@ func FuzzTableOps(f *testing.F) {
 				mr.get(ip)
 			default:
 				mr.list(NewPrefix(ip, lengths[lo&7]))
+				mr.ascend(ip)
 			}
 		}
 		mr.list(Prefix{})
+		mr.ascend(0)
 		mr.phases(3)
 	})
 }

@@ -205,15 +205,24 @@ func (h *HostPool) hold(ip IP) {
 	}
 }
 
-// Allocate returns a free address from the pool.
+// Allocate returns a free address from the pool: the oldest released
+// one, else the cursor's. An address already held is never handed out
+// again — a restored pool may hold addresses at or past its cursor, or at
+// the head of its free list — so the free list drops a held head and the
+// cursor steps over held addresses.
 func (h *HostPool) Allocate() (IP, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if n := len(h.released); n > 0 {
+	for len(h.released) > 0 {
 		ip := h.released[0]
 		h.released = h.released[1:]
-		h.hold(ip)
-		return ip, nil
+		if !h.isHeld(ip) {
+			h.hold(ip)
+			return ip, nil
+		}
+	}
+	for h.prefix.Contains(h.next) && h.isHeld(h.next) {
+		h.next++
 	}
 	if h.next > h.prefix.Last() || !h.prefix.Contains(h.next) {
 		return 0, fmt.Errorf("host pool %s: %w", h.prefix, ErrExhausted)

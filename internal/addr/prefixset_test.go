@@ -44,24 +44,24 @@ func TestPrefixSetMatchesTrie(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for round := 0; round < 300; round++ {
 		in := randomPrefixes(rng, rng.Intn(40))
-		set := addr.CanonicalPrefixes(in)
+		ps := addr.NewPrefixSet(in)
+		set := ps.Entries()
 		var trie routing.Trie[addr.Prefix]
 		for _, p := range in {
 			trie.Insert(p, p)
 		}
 		if !slices.IsSortedFunc(set, addr.ComparePrefix) || len(set) != trie.Len() {
-			t.Fatalf("round %d: CanonicalPrefixes(%v) = %v, want %d distinct sorted entries", round, in, set, trie.Len())
+			t.Fatalf("round %d: NewPrefixSet(%v) holds %v, want %d distinct sorted entries", round, in, set, trie.Len())
 		}
 		// The trie's pre-order walk is (address, length) order too.
 		if want := trie.Prefixes(); !slices.Equal(set, want) {
 			t.Fatalf("round %d: set %v, trie holds %v", round, set, want)
 		}
-		lengths := addr.PrefixLengths(set)
 		for _, ip := range probesFor(rng, set) {
-			got, ok := addr.MatchPrefix(set, lengths, ip)
+			got, ok := ps.Match(ip)
 			want, wantOK := trie.Lookup(ip)
 			if ok != wantOK || got != want {
-				t.Fatalf("round %d: MatchPrefix(%v, %s) = %v/%v, trie's longest match %v/%v", round, set, ip, got, ok, want, wantOK)
+				t.Fatalf("round %d: Match(%v, %s) = %v/%v, trie's longest match %v/%v", round, set, ip, got, ok, want, wantOK)
 			}
 		}
 	}
@@ -71,21 +71,32 @@ func TestPrefixSetEditsMatchRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for round := 0; round < 300; round++ {
 		var set, members []addr.Prefix
+		var ps *addr.PrefixSet // the same edits, through the set's own methods
 		for _, p := range randomPrefixes(rng, 1+rng.Intn(30)) {
 			before := slices.Clone(set)
 			held := set
 			if rng.Intn(3) == 0 {
 				set = addr.RemovePrefix(set, p)
+				ps = ps.Remove(p)
 				members = slices.DeleteFunc(members, func(m addr.Prefix) bool { return m == p })
 			} else {
 				set = addr.InsertPrefix(set, p)
+				ps = ps.Insert(p)
 				members = append(members, p)
 			}
 			if !slices.Equal(held, before) {
 				t.Fatalf("round %d: editing %v for %v wrote into the old slice: %v", round, before, p, held)
 			}
-			if want := addr.CanonicalPrefixes(members); !slices.Equal(set, want) {
-				t.Fatalf("round %d: after editing for %v the set is %v, rebuilt from scratch %v", round, p, set, want)
+			want := addr.NewPrefixSet(members).Entries()
+			if !slices.Equal(set, want) || !slices.Equal(ps.Entries(), want) {
+				t.Fatalf("round %d: after editing for %v the set is %v (by its methods %v), rebuilt from scratch %v", round, p, set, ps.Entries(), want)
+			}
+			rebuilt := addr.NewPrefixSet(members)
+			for _, ip := range probesFor(rng, want) {
+				got, ok := ps.Match(ip)
+				if w, wok := rebuilt.Match(ip); got != w || ok != wok {
+					t.Fatalf("round %d: the edited set matches %s as %v/%v, the rebuilt one as %v/%v", round, ip, got, ok, w, wok)
+				}
 			}
 		}
 	}
@@ -94,17 +105,19 @@ func TestPrefixSetEditsMatchRebuild(t *testing.T) {
 // A list built in address order — how E4 builds its 40 000-entry lists,
 // one permit per newly granted source — costs what append costs, not one
 // whole copy per entry (3.2 GB for this build), and every slice handed
-// out along the way still reads as it did.
+// out along the way still reads as it did. The build is the origin
+// engine's: PrefixSet.Insert by its sole holder, a new record per entry
+// over one growing array.
 func TestInOrderBuildIsLinear(t *testing.T) {
 	const n = 20000
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	var set []addr.Prefix
+	var set *addr.PrefixSet
 	held := map[int][]addr.Prefix{}
 	for i := 0; i < n; i++ {
-		set = addr.InsertPrefix(set, addr.NewPrefix(addr.IP(0x0a000000+i), 32))
+		set = set.Insert(addr.NewPrefix(addr.IP(0x0a000000+i), 32))
 		if i%1000 == 0 {
-			held[i+1] = set
+			held[i+1] = set.Entries()
 		}
 	}
 	runtime.ReadMemStats(&after)
@@ -113,7 +126,7 @@ func TestInOrderBuildIsLinear(t *testing.T) {
 		t.Fatalf("building %d entries in order allocated %d B, want under 8x the list's %d", n, got, final)
 	}
 	for size, s := range held {
-		if len(s) != size || s[size-1].Addr != addr.IP(0x0a000000+size-1) || !slices.Equal(s, set[:size]) {
+		if len(s) != size || s[size-1].Addr != addr.IP(0x0a000000+size-1) || !slices.Equal(s, set.Entries()[:size]) {
 			t.Fatalf("the %d-entry slice handed out during the build no longer reads as it did", size)
 		}
 	}

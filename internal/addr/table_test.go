@@ -162,6 +162,44 @@ func (mr *mirror) list(block Prefix) {
 	}
 }
 
+// ascend checks Ascend from from: across blocks and stripes it yields
+// exactly the map's keys from from on, ascending, each with its value;
+// and a walk stopped after any key and resumed at the next address
+// yields the same keys.
+func (mr *mirror) ascend(from IP) {
+	mr.t.Helper()
+	var want []IP
+	for ip := range mr.m {
+		if ip >= from {
+			want = append(want, ip)
+		}
+	}
+	slices.Sort(want)
+	var got []IP
+	mr.tab.Ascend(from, func(ip IP, v int) bool {
+		if w, ok := mr.m[ip]; !ok || v != w {
+			mr.t.Fatalf("Ascend(%s) yields %s = %d; the map holds %d, %v", from, ip, v, w, ok)
+		}
+		got = append(got, ip)
+		return true
+	})
+	if !slices.Equal(got, want) {
+		mr.t.Fatalf("Ascend(%s) yields %d keys %v, the map's sorted keys from there are %d: %v", from, len(got), got, len(want), want)
+	}
+	var resumed []IP
+	for at, more := from, true; more; {
+		more = false
+		mr.tab.Ascend(at, func(ip IP, _ int) bool {
+			resumed = append(resumed, ip)
+			at, more = ip+1, ip != ^IP(0)
+			return false
+		})
+	}
+	if !slices.Equal(resumed, want) {
+		mr.t.Fatalf("Ascend(%s) one key at a time yields %v, want %v", from, resumed, want)
+	}
+}
+
 // phases checks that PhaseKeys over phases 0..k-1 lists every key once,
 // in its stripe's phase.
 func (mr *mirror) phases(k int) {
@@ -218,9 +256,11 @@ func TestTableMatchesAMap(t *testing.T) {
 				default:
 					mr.list(NewPrefix(ip, []int{0, 8, 14, 16, 22, 26, 32}[rng.Intn(7)]))
 					mr.phases(1 + rng.Intn(9))
+					mr.ascend([]IP{0, ip, ip + 1, ip &^ 0xffff}[rng.Intn(4)])
 				}
 			}
 			mr.list(Prefix{})
+			mr.ascend(0)
 		}
 	}
 }
@@ -234,13 +274,13 @@ func TestTableFreesAnEmptiedPage(t *testing.T) {
 		tab.Put(base+IP(i), i)
 	}
 	s := &tab.stripes[Stripe(base)]
-	if s.blocks[0].dir[3] == nil {
+	if s.blocks[0].page(3) == nil {
 		t.Fatal("no page holds the keys")
 	}
 	for i := 0; i < pageSlots; i++ {
 		tab.Delete(base + IP(i))
 	}
-	if s.blocks[0].dir[3] != nil || tab.Len() != 0 {
+	if s.blocks[0].page(3) != nil || tab.Len() != 0 {
 		t.Fatalf("the emptied page is still held; Len = %d", tab.Len())
 	}
 	tab.Put(base+5, 7)

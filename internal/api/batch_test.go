@@ -338,7 +338,8 @@ func checkFresh(t *testing.T, l *intent.Log, tenant string, resp BatchResponse) 
 		return
 	}
 	st := l.State()
-	if b := st.Services[sip].Binds; len(b) != 1 || b[0].Weight != 1 {
+	svc, _ := st.Services.Get(sip)
+	if b := svc.Binds; len(b) != 1 || b[0].Weight != 1 {
 		t.Errorf("binds %v after a bind that named no weight, want one of weight 1", b)
 	}
 	pl, _ := st.Permit(sip)

@@ -69,6 +69,11 @@ type backRef struct {
 // can be journaled ahead of its release. It returns how many ops applied
 // and the first error. refs are in op order.
 //
+// A set_permit naming no groups runs with the set of its entries built
+// here (frameSets): every set_permit of the frame that declares the same
+// entry list — a set-up batch declares one list on each of its
+// endpoints — holds that one set.
+//
 // One op is timed as its own verb, more as one batch; the lock wait and
 // the journal append are stages of the span, so a slow write in
 // /v1/debug/flight says which of the two it spent its time in.
@@ -100,6 +105,7 @@ func (c *Cloud) apply(tenant string, ops []intent.Op, refs []backRef) (n int, er
 	sop.StageEnd(stg, "shard_wait")
 	defer c.shards.unlockShards(held)
 	released := false
+	var sets frameSets
 	for r := 0; n < len(ops); n++ {
 		r = resolve(ops, refs, n, r)
 		op := &ops[n]
@@ -107,6 +113,12 @@ func (c *Cloud) apply(tenant string, ops []intent.Op, refs []backRef) (n int, er
 		_, _, p, run, rerr := c.route(tenant, op)
 		if a, ok := target(op); ok && rerr == nil {
 			p, rerr = c.owner(a)
+		}
+		if op.Verb == intent.OpSetPermit {
+			op.Next = nil // the verb's result, never its caller's
+			if rerr == nil && len(op.Groups) == 0 {
+				op.Next = sets.of(op.Entries)
+			}
 		}
 		if rerr == nil {
 			*op, rerr = run(c, p, tenant, *op)
@@ -136,6 +148,34 @@ func (c *Cloud) apply(tenant string, ops []intent.Op, refs []backRef) (n int, er
 		c.tenantDelta(tenant, 0)
 	}
 	return n, err
+}
+
+// frameSets is one frame's table of the permit sets its set_permits
+// declare, keyed by the entry list as the op names it. It lives for one
+// apply call and caches nothing across frames. It keeps the first few
+// distinct lists, so a frame of many distinct lists costs a bounded scan
+// per op; a list beyond them gets a set of its own.
+type frameSets struct {
+	n    int
+	sets [8]struct {
+		entries []addr.Prefix
+		set     *addr.PrefixSet
+	}
+}
+
+// of returns the set holding entries, built on the frame's first ask.
+func (f *frameSets) of(entries []addr.Prefix) *addr.PrefixSet {
+	for _, s := range f.sets[:f.n] {
+		if slices.Equal(s.entries, entries) {
+			return s.set
+		}
+	}
+	set := addr.NewPrefixSet(entries)
+	if f.n < len(f.sets) {
+		f.sets[f.n].entries, f.sets[f.n].set = entries, set
+		f.n++
+	}
+	return set
 }
 
 // resolve fills op i's back-references, refs[r] on, from the ops they

@@ -145,7 +145,7 @@ func TestSetPermitJournalsItsExpandedList(t *testing.T) {
 				ops := slices.Clone(rec.Ops)
 				for i := range ops {
 					if ops[i].Verb == intent.OpSetPermit {
-						ops[i].Derived, ops[i].Next = true, declared.Entries
+						ops[i].Derived, ops[i].Next = true, declared.Set
 					}
 				}
 				if l2.Record(rec.Tenant, ops...) == 0 {

@@ -184,10 +184,10 @@ func TestBatchHoldsEveryShardThroughout(t *testing.T) {
 	within(t, 10*time.Second, single, "single verb after the batch")
 	// The single verb ran after the whole batch: its entry joined the
 	// batch's list instead of being overwritten by it.
-	if eq, _ := pa.Permits.EqualsEntries(x, []permit.Entry{p1, p2}); !eq {
+	if eq := slices.Equal(pa.Permits.EntriesOf(x), []permit.Entry{p1, p2}); !eq {
 		t.Fatalf("x's list = %v, want the batch's entry plus the single verb's", pa.Permits.EntriesOf(x))
 	}
-	if eq, _ := pb.Permits.EqualsEntries(y, []permit.Entry{p1}); !eq {
+	if eq := slices.Equal(pb.Permits.EntriesOf(y), []permit.Entry{p1}); !eq {
 		t.Fatalf("y's list = %v, want the batch's entry", pb.Permits.EntriesOf(y))
 	}
 }

@@ -109,8 +109,9 @@ func TestBindNeverInstallsAReleasedEIP(t *testing.T) {
 				t.Errorf("live: %s's SIP %s balances to %s: %v", tenant, sip, eip, err)
 			}
 		}
-		for _, b := range st.Services[sip].Binds {
-			if ep := st.Endpoints[b.EIP]; ep == nil || ep.Tenant != tenant {
+		decl, _ := st.Services.Get(sip)
+		for _, b := range decl.Binds {
+			if ep, _ := st.Endpoints.Get(b.EIP); ep == nil || ep.Tenant != tenant {
 				t.Errorf("declared: %s's SIP %s binds %s, declared as %+v", tenant, sip, b.EIP, ep)
 			}
 		}

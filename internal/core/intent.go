@@ -42,9 +42,8 @@ func (c *Cloud) Intent() *intent.Log { return c.rec }
 // Call it once, on an otherwise-fresh Cloud built over the same world
 // (the daemon compares the store's Meta stamps first), and before
 // EnableIntent — restoration itself must not re-journal. It is one
-// serial pass over each declared surface, in map order, under the
-// global gate; the tables and pools it fills index by address, so the
-// order leaves no trace in them.
+// serial pass over each declared surface, in address order, under the
+// global gate.
 func (c *Cloud) RestoreIntent(st *intent.State) error {
 	if st == nil {
 		return nil
@@ -57,29 +56,36 @@ func (c *Cloud) RestoreIntent(st *intent.State) error {
 	// rebuilds inUse wholesale).
 	inUse := make(map[*addr.HostPool][]addr.IP)
 
-	for eip, ep := range st.Endpoints {
+	var err error
+	st.Endpoints.Ascend(0, func(eip addr.IP, ep *intent.Endpoint) bool {
 		p, ok := idx.byName[ep.Provider]
 		if !ok {
-			return fmt.Errorf("core: restore: endpoint %s references unknown provider %q", eip, ep.Provider)
+			err = fmt.Errorf("core: restore: endpoint %s references unknown provider %q", eip, ep.Provider)
+			return false
 		}
 		b, ok := p.eipBlocks[ep.Region]
 		if !ok {
-			return fmt.Errorf("core: restore: endpoint %s references unknown region %q of provider %q", eip, ep.Region, ep.Provider)
+			err = fmt.Errorf("core: restore: endpoint %s references unknown region %q of provider %q", eip, ep.Region, ep.Provider)
+			return false
 		}
 		p.endpoints.Put(eip, ep)
 		inUse[b.pool] = append(inUse[b.pool], eip)
 		c.tenantDelta(ep.Tenant, 1)
-		// The declared list itself, canonical already: the engine and the
-		// record share it.
+		// The declared set itself: the engine and the record share it.
 		if ep.Permits != nil {
-			p.Permits.Install(eip, ep.Permits, uint64(len(ep.Permits)))
+			p.Permits.Install(eip, ep.Permits, uint64(ep.Permits.Len()))
 		}
+		return true
+	})
+	if err != nil {
+		return err
 	}
 
-	for sip, svc := range st.Services {
+	st.Services.Ascend(0, func(sip addr.IP, svc *intent.Service) bool {
 		p, ok := idx.byName[svc.Provider]
 		if !ok {
-			return fmt.Errorf("core: restore: service %s references unknown provider %q", sip, svc.Provider)
+			err = fmt.Errorf("core: restore: service %s references unknown provider %q", sip, svc.Provider)
+			return false
 		}
 		bal := lb.New(sip)
 		for _, b := range svc.Binds {
@@ -89,8 +95,12 @@ func (c *Cloud) RestoreIntent(st *intent.State) error {
 		inUse[p.sipBlock] = append(inUse[p.sipBlock], sip)
 		c.tenantDelta(svc.Tenant, 1)
 		if svc.Permits != nil {
-			p.Permits.Install(sip, svc.Permits, uint64(len(svc.Permits)))
+			p.Permits.Install(sip, svc.Permits, uint64(svc.Permits.Len()))
 		}
+		return true
+	})
+	if err != nil {
+		return err
 	}
 
 	// A pool with no recorded cursor was never drawn from.

@@ -272,6 +272,12 @@ func TestDeclaredAndInstalledPermitParity(t *testing.T) {
 // declared list moves on from the installed one; once the node is back,
 // the installed list, the older view, is extended again. Both stores must
 // read what was declared throughout.
+//
+// A frame shares its lists too: one frame that declares [a a] on two
+// targets hands both one set, with that spare capacity, in both stores;
+// then each target is extended by an entry that sorts last. Had either
+// permit appended into the frame's set, the second would write under the
+// first, and the first target would read the second's entry.
 func TestStoresNeverAppendIntoASharedList(t *testing.T) {
 	c, w, pa, _, _ := fig1Cloud(t)
 	m := c.EnableFaults(FaultPolicy{})
@@ -320,5 +326,37 @@ func TestStoresNeverAppendIntoASharedList(t *testing.T) {
 	r.RunSweep()
 	if got := pa.Permits.EntriesOf(target); !slices.Equal(got, want) {
 		t.Fatalf("installed %v after the sweep, want %v", got, want)
+	}
+
+	var pair [2]addr.IP
+	for i := range pair {
+		if pair[i], err = c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Apply("acme",
+		intent.Op{Verb: intent.OpSetPermit, Target: pair[0], Entries: []addr.Prefix{a, a}},
+		intent.Op{Verb: intent.OpSetPermit, Target: pair[1], Entries: []addr.Prefix{a, a}}); err != nil {
+		t.Fatal(err)
+	}
+	first, _ := l.Permit(pair[0])
+	for _, tg := range pair {
+		pl, _ := l.Permit(tg)
+		installed, _ := pa.Permits.List(tg)
+		if pl.Set != first.Set || installed.Set() != first.Set || cap(pl.Entries) == len(pl.Entries) {
+			t.Fatalf("%s declares %v (cap %d) and installs %v: not the one set with spare capacity its frame declared",
+				tg, pl.Entries, cap(pl.Entries), installed.Entries())
+		}
+	}
+	for i, e := range []addr.Prefix{b, d} {
+		if err := c.Tenant("acme").Permit(pair[i], e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, want := range [][]addr.Prefix{{a, b}, {a, d}} {
+		pl, _ := l.Permit(pair[i])
+		if got := pa.Permits.EntriesOf(pair[i]); !slices.Equal(pl.Entries, want) || !slices.Equal(got, want) {
+			t.Fatalf("%s declares %v and installs %v, want %v", pair[i], pl.Entries, got, want)
+		}
 	}
 }

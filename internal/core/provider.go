@@ -356,32 +356,36 @@ func (p *Provider) unbind(tenant string, eip EIP, sip SIP) error {
 	return nil
 }
 
-// setPermitList is set_permit's body. It derives the target's new list
-// once — the canonical set of op's entries and expanded group members —
-// installs it, or hands it to the fault monitor when the target's
-// enforcement point is unreachable, and leaves it on op for the declared
-// state to adopt and the journal to record: op's entries become the list
-// and its group names go. The groups run under the tenant's region-less
-// shard, not the target's, so their create_group frames may land after
-// this op's; a replayed op that named them would expand another
-// membership, or none.
+// setPermitList is set_permit's body. It takes the target's new list —
+// the set of op's entries Cloud.apply built for the frame (op.Next), or,
+// when op names groups, the set of its entries and the groups' expanded
+// members, built here — installs it, or hands it to the fault monitor
+// when the target's enforcement point is unreachable, and leaves it on op
+// for the declared state to adopt and the journal to record: op's
+// entries become the list and its group names go. The groups run under
+// the tenant's region-less shard, not the target's, so their create_group
+// frames may land after this op's; a replayed op that named them would
+// expand another membership, or none.
 func (p *Provider) setPermitList(tenant string, op *intent.Op) error {
 	target := op.Target
 	if err := p.ownsTarget(tenant, target); err != nil {
 		return err
 	}
-	all := slices.Clip(op.Entries) // appends below copy, never write into the op
-	for _, gname := range op.Groups {
-		members, ok := p.cloud.groupMembers(tenant, gname)
-		if !ok {
-			return fmt.Errorf("core: unknown group %q", gname)
+	set, all := op.Next, len(op.Entries)
+	if set == nil {
+		entries := slices.Clip(op.Entries) // appends below copy, never write into the op
+		for _, gname := range op.Groups {
+			members, ok := p.cloud.groupMembers(tenant, gname)
+			if !ok {
+				return fmt.Errorf("core: unknown group %q", gname)
+			}
+			for _, m := range members {
+				entries = append(entries, addr.NewPrefix(m, 32))
+			}
 		}
-		for _, m := range members {
-			all = append(all, addr.NewPrefix(m, 32))
-		}
+		set, all = addr.NewPrefixSet(entries), len(entries)
 	}
-	set := addr.CanonicalPrefixes(all)
-	op.Entries, op.Groups = set, nil
+	op.Entries, op.Groups = set.Entries(), nil
 	op.Derived, op.Prev, op.Next = true, nil, set
 	p.declarePermits(op)
 	// Under fault injection, an update targeting an endpoint whose
@@ -390,16 +394,16 @@ func (p *Provider) setPermitList(tenant string, op *intent.Op) error {
 	// timeout expires. SIP targets are enforced at the (always-on)
 	// service frontend and never defer.
 	if ep, ok := p.endpoints.Get(target); ok && !p.cloud.monitor.Inj.Reachable(topo.NodeID(ep.VM)) {
-		p.cloud.monitor.retryPermit(p, tenant, target, len(all), true, topo.NodeID(ep.VM))
+		p.cloud.monitor.retryPermit(p, tenant, target, all, true, topo.NodeID(ep.VM))
 		return nil
 	}
-	epoch := p.Permits.Install(target, set, uint64(len(all)))
+	epoch := p.Permits.Install(target, set, uint64(all))
 	p.stampPermitLag(tenant, target)
 	if p.meter != nil {
 		p.meter.PermitUpdate(tenant, p.eng.Now())
 	}
 	p.cloud.traceEvent(tenant, obs.Decision{Kind: obs.PermitUpdate, Dst: target, Verdict: obs.OK,
-		Entries: uint32(len(all)), Epoch: epoch})
+		Entries: uint32(all), Epoch: epoch})
 	return nil
 }
 
@@ -418,7 +422,7 @@ func (p *Provider) permitEntries(tenant string, op *intent.Op) error {
 		p.declarePermits(op)
 		edits := len(op.Entries)
 		if op.Verb == intent.OpRevoke {
-			edits = len(ep.Permits) - len(op.Endpoint.Permits)
+			edits = ep.Permits.Len() - op.Endpoint.Permits.Len()
 		}
 		if op.Endpoint.Permits != nil {
 			p.cloud.monitor.retryPermit(p, tenant, op.Target, edits, false, topo.NodeID(ep.VM))
@@ -426,11 +430,11 @@ func (p *Provider) permitEntries(tenant string, op *intent.Op) error {
 		return nil
 	}
 	if cur, guarded := p.Permits.List(op.Target); guarded || op.Verb == intent.OpPermit {
-		prev := cur.Entries()
+		prev := cur.Set()
 		next := op.Successor(prev)
 		edits := len(op.Entries)
 		if op.Verb == intent.OpRevoke {
-			edits = len(prev) - len(next)
+			edits = prev.Len() - next.Len()
 		}
 		p.Permits.Install(op.Target, next, cur.Version()+uint64(edits))
 		op.Derived, op.Prev, op.Next = true, prev, next

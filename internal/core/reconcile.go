@@ -234,10 +234,10 @@ func (r *Reconciler) checkDeclaredPermit(p *Provider, t addr.IP, pl intent.Permi
 	if _, pending := c.monitor.PendingPermit(t); pending {
 		return false
 	}
-	// A converged target's declared and installed lists are one slice, so
-	// the steady-state comparison is a pointer compare — no clone, no
+	// A converged target's declared and installed lists are one record,
+	// so the steady-state comparison is a pointer compare — no clone, no
 	// sort, no allocation.
-	if equal, hasList := p.Permits.EqualsEntries(t, pl.Entries); hasList && equal {
+	if equal, hasList := p.Permits.EqualsSet(t, pl.Set); hasList && equal {
 		return false
 	}
 	defer p.lockShard(c.shardKeyOf(pl.Tenant, t))()
@@ -248,7 +248,7 @@ func (r *Reconciler) checkDeclaredPermit(p *Provider, t addr.IP, pl intent.Permi
 	if !ok || live.Tenant != pl.Tenant || p.ownsTarget(pl.Tenant, t) != nil {
 		return false
 	}
-	equal, hasList := p.Permits.EqualsEntries(t, live.Entries)
+	equal, hasList := p.Permits.EqualsSet(t, live.Set)
 	if hasList && equal {
 		return false
 	}
@@ -268,7 +268,7 @@ func (r *Reconciler) checkDeclaredPermit(p *Provider, t addr.IP, pl intent.Permi
 		return true
 	}
 	*budget--
-	p.Permits.Install(t, live.Entries, uint64(len(live.Entries)))
+	p.Permits.Install(t, live.Set, uint64(len(live.Entries)))
 	res.Repaired++
 	c.traceEvent(pl.Tenant, obs.Decision{Kind: obs.Reconcile, Dst: t, Verdict: obs.Repaired,
 		Detail: fmt.Sprintf("surface=permit entries=%d", len(live.Entries)),

@@ -92,17 +92,17 @@ func sharesEndpoints(t *testing.T, c *Cloud, l *intent.Log, when string) {
 		for _, eip := range p.endpoints.Keys(addr.Prefix{}) {
 			installed++
 			ep, _ := p.endpoints.Get(eip)
-			if ep != st.Endpoints[eip] {
-				t.Errorf("%s: %s's installed record %p is not the declared entry %p", when, eip, ep, st.Endpoints[eip])
+			if decl, _ := st.Endpoints.Get(eip); ep != decl {
+				t.Errorf("%s: %s's installed record %p is not the declared entry %p", when, eip, ep, decl)
 			}
 			list, _ := p.Permits.List(eip)
-			if got := list.Entries(); len(ep.Permits) > 0 && (len(got) == 0 || &got[0] != &ep.Permits[0]) {
+			if got, want := list.Entries(), ep.Permits.Entries(); len(want) > 0 && (len(got) == 0 || &got[0] != &want[0]) {
 				t.Errorf("%s: %s's enforced list is not the one its record declares", when, eip)
 			}
 		}
 	}
-	if installed != len(st.Endpoints) {
-		t.Errorf("%s: %d endpoints installed, %d declared", when, installed, len(st.Endpoints))
+	if installed != st.Endpoints.Len() {
+		t.Errorf("%s: %d endpoints installed, %d declared", when, installed, st.Endpoints.Len())
 	}
 }
 
@@ -483,12 +483,14 @@ func TestSweepSharesEntriesWithTheirWriters(t *testing.T) {
 		for e := range wr.entries {
 			want = append(want, e)
 		}
-		got := st.Endpoints[wr.eips[0]].Permits
+		ep, _ := st.Endpoints.Get(wr.eips[0])
+		got := ep.Permits.Entries()
 		if !entriesEqual(got, want) {
 			t.Errorf("writer %d: declared entries %v, told %v", i, got, sortedEntries(want))
 		}
 		weights := [2]int{}
-		for _, b := range st.Services[wr.sip].Binds {
+		svc, _ := st.Services.Get(wr.sip)
+		for _, b := range svc.Binds {
 			for j, eip := range wr.eips {
 				if b.EIP == eip {
 					weights[j] = b.Weight
@@ -498,7 +500,7 @@ func TestSweepSharesEntriesWithTheirWriters(t *testing.T) {
 		if weights != wr.weight {
 			t.Errorf("writer %d: declared bind weights %v, told %v", i, weights, wr.weight)
 		}
-		if got := st.Endpoints[wr.eips[0]].EgressCap; got != wr.egress {
+		if got := ep.EgressCap; got != wr.egress {
 			t.Errorf("writer %d: declared egress cap %g, told %g", i, got, wr.egress)
 		}
 	}

@@ -7,7 +7,6 @@ package intent
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -108,12 +107,12 @@ func TestCrashAtEveryOffset(t *testing.T) {
 	// Serial oracle: state after each whole-frame prefix.
 	oracle := make([]string, len(recs)+1)
 	st := NewState()
-	oracle[0] = mustJSON(t, st)
+	oracle[0] = stateJSON(t, st)
 	for i := range recs {
 		if err := st.Apply(&recs[i]); err != nil {
 			t.Fatalf("oracle apply %d: %v", i, err)
 		}
-		oracle[i+1] = mustJSON(t, st)
+		oracle[i+1] = stateJSON(t, st)
 	}
 
 	// Crash at every offset: recovery must land exactly on oracle[k].
@@ -134,7 +133,7 @@ func TestCrashAtEveryOffset(t *testing.T) {
 		if k < 0 || k > len(recs) {
 			t.Fatalf("cut %d: replayed %d records, outside [0, %d]", cut, k, len(recs))
 		}
-		if got := mustJSON(t, rl.State()); got != oracle[k] {
+		if got := stateJSON(t, rl.State()); got != oracle[k] {
 			t.Fatalf("cut %d: recovered state is not the serial prefix after %d records\n got %s\nwant %s",
 				cut, k, got, oracle[k])
 		}
@@ -168,7 +167,7 @@ func TestCrashDuringCompaction(t *testing.T) {
 			}
 		}
 	}
-	want := mustJSON(t, l.State())
+	want := stateJSON(t, l.State())
 	l.Close()
 
 	// Recovery from snapshot + post-compaction tail.
@@ -177,19 +176,10 @@ func TestCrashDuringCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if got := mustJSON(t, l2.State()); got != want {
+	if got := stateJSON(t, l2.State()); got != want {
 		t.Fatalf("snapshot+tail recovery differs\n got %s\nwant %s", got, want)
 	}
 	if l2.Stats().ReplayedRecords != 6 {
 		t.Fatalf("replayed %d tail records, want 6", l2.Stats().ReplayedRecords)
 	}
-}
-
-func mustJSON(t testing.TB, s *State) string {
-	t.Helper()
-	buf, err := json.Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(buf)
 }

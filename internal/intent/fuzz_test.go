@@ -108,15 +108,16 @@ func FuzzSnapshotEncode(f *testing.F) {
 			key := tenant + strconv.Itoa(i)
 			ep := &Endpoint{Tenant: tenant, VM: vm, Provider: key, Region: vm, EgressCap: egress * float64(i%3)}
 			svc := &Service{Tenant: tenant, Provider: vm}
+			var permits []addr.Prefix
 			for _, m := range group[:i%(len(group)+1)] {
 				svc.Binds = append(svc.Binds, Bind{EIP: m, Weight: i})
-				ep.Permits = append(ep.Permits, addr.NewPrefix(m, i%33))
+				permits = append(permits, addr.NewPrefix(m, i%33))
 			}
-			if i%2 == 0 {
-				ep.Permits = guarded(ep.Permits)
+			if permits != nil || i%2 == 0 {
+				ep.Permits = addr.AdoptPrefixSet(permits)
 			}
-			s.Endpoints[ip] = ep
-			s.Services[ip>>uint(i%32)] = svc
+			s.Endpoints.Put(ip, ep)
+			s.Services.Put(ip>>uint(i%32), svc)
 			s.Quotas[key] = quota * float64(i)
 			s.Potato[key] = vm
 			s.Groups[key] = group[:i%(len(group)+1)]
@@ -138,6 +139,38 @@ func FuzzSnapshotEncode(f *testing.F) {
 // of the entries it holds — every count is bounded by the bytes left.
 func decodeAllocBound(n int) uint64 { return 128<<10 + 128*uint64(n) }
 
+// sparseState is the costliest shape a snapshot's address sections can
+// give the tables they fill: a service alone in each of n /16s, and n
+// endpoints 64 addresses apart, each alone on its page.
+func sparseState(n int) *State {
+	s := NewState()
+	for i := 0; i < n; i++ {
+		s.Services.Put(addr.IP(i)<<16|0xff00, &Service{Tenant: "a", Provider: "p"})
+		s.Endpoints.Put(0xa0000000+addr.IP(i)*64, &Endpoint{Tenant: "a", VM: "v", Provider: "p", Region: "r"})
+	}
+	return s
+}
+
+// TestSparseSnapshotDecodeStaysInBound: decoding sparseState's snapshot,
+// a few bytes per key, allocates within decodeAllocBound. A table that
+// gave each /16 a directory of 1 024 page pointers and each page all 64
+// of its slots needed ten times the bound here.
+func TestSparseSnapshotDecodeStaysInBound(t *testing.T) {
+	b, err := encodeBytes(sparseState(4000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := decodeBytes(b); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if allocated, bound := after.TotalAlloc-before.TotalAlloc, decodeAllocBound(len(b)); allocated > bound {
+		t.Fatalf("decoding %d bytes of a sparse snapshot allocated %d, bound %d", len(b), allocated, bound)
+	}
+}
+
 // FuzzSnapshotDecode is the crash-safety contract of the snapshot format:
 // decodeSnapshot over ANY byte stream returns a state or an error, never
 // panics, and allocates no more than the input's size bounds — so a lying
@@ -150,6 +183,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
+	sparse, err := encodeBytes(sparseState(64))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sparse)
 	f.Add([]byte{})
 	f.Add(snapshotMagic)
 	f.Add(valid[:len(valid)-5])

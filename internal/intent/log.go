@@ -8,7 +8,6 @@ package intent
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -444,20 +443,29 @@ func (l *Log) View() View {
 // PermitTargets enumerates the targets that have a declared permit list:
 // the endpoints and services whose records hold one.
 func (v View) PermitTargets(phase, k int) []addr.IP {
-	out := gather(v.l, v.l.st.Endpoints, phase, k, addrBucket, func(ep *Endpoint) bool { return ep.Permits != nil })
-	out = append(out, gather(v.l, v.l.st.Services, phase, k, addrBucket, func(svc *Service) bool { return svc.Permits != nil })...)
-	slices.Sort(out)
-	return out
+	eps := gatherAddrs(v.l, v.l.st.Endpoints, phase, k, func(ep *Endpoint) bool { return ep.Permits != nil })
+	svcs := gatherAddrs(v.l, v.l.st.Services, phase, k, func(svc *Service) bool { return svc.Permits != nil })
+	return mergeAscending(eps, svcs)
 }
 
 // ServiceTargets enumerates the declared SIPs.
 func (v View) ServiceTargets(phase, k int) []addr.IP {
-	return gather(v.l, v.l.st.Services, phase, k, addrBucket, nil)
+	return gatherAddrs(v.l, v.l.st.Services, phase, k, nil)
 }
 
-// QuotaKeys enumerates the QuotaKeys that have a declared quota.
+// QuotaKeys enumerates the QuotaKeys that have a declared quota: a
+// handful per tenant, listed under one hold of the lock and sorted.
 func (v View) QuotaKeys(phase, k int) []string {
-	return gather(v.l, v.l.st.Quotas, phase, k, stringBucket, nil)
+	v.l.mu.Lock()
+	out := make([]string, 0, len(v.l.st.Quotas)/k+1)
+	for key := range v.l.st.Quotas {
+		if stringBucket(key, k) == phase {
+			out = append(out, key)
+		}
+	}
+	v.l.mu.Unlock()
+	slices.Sort(out)
+	return out
 }
 
 func addrBucket(t addr.IP, k int) int { return int(uint32(t) % uint32(k)) }
@@ -477,29 +485,53 @@ func stringBucket(s string, k int) int {
 // keys, not for all of them.
 const gatherStep = 4096
 
-// gather answers one rotation question by walking m, keeping the keys
-// whose value keep accepts (every key when keep is nil). The walk drops
-// the log's lock every gatherStep keys; a map range tolerates the inserts
-// and deletes that land in between exactly as it tolerates them from its
-// own loop body (a key present throughout is produced once), which is all
-// a screen needs.
-func gather[K cmp.Ordered, V any](l *Log, m map[K]V, phase, k int, bucket func(K, int) int, keep func(V) bool) []K {
+// gatherAddrs answers one rotation question by walking t in address
+// order, keeping the keys whose value keep accepts (every key when keep
+// is nil), so the answer comes out sorted. The walk drops the log's lock
+// every gatherStep keys and resumes at the address after the last one it
+// saw: a key present throughout is produced once, and one put or deleted
+// in between may or may not be, which is all a screen needs.
+func gatherAddrs[V any](l *Log, t *addr.Table[V], phase, k int, keep func(V) bool) []addr.IP {
 	l.mu.Lock()
-	out := make([]K, 0, len(m)/k+1)
-	n := 0
-	for key, v := range m {
-		if bucket(key, k) == phase && (keep == nil || keep(v)) {
-			out = append(out, key)
-		}
-		if n++; n%gatherStep == 0 {
+	out := make([]addr.IP, 0, t.Len()/k+1)
+	for from, more := addr.IP(0), true; more; {
+		more = false
+		n := 0
+		t.Ascend(from, func(ip addr.IP, v V) bool {
+			if addrBucket(ip, k) == phase && (keep == nil || keep(v)) {
+				out = append(out, ip)
+			}
+			if n++; n == gatherStep {
+				from, more = ip+1, ip != ^addr.IP(0)
+				return false
+			}
+			return true
+		})
+		if more {
 			l.mu.Unlock()
 			runtime.Gosched() // or this goroutine takes the lock straight back
 			l.mu.Lock()
 		}
 	}
 	l.mu.Unlock()
-	slices.Sort(out)
 	return out
+}
+
+// mergeAscending returns the ascending union of two ascending address
+// lists: the endpoints' and the services' part of one surface.
+func mergeAscending(a, b []addr.IP) []addr.IP {
+	if len(a) == 0 || len(b) == 0 || a[len(a)-1] < b[0] {
+		return append(a, b...)
+	}
+	out := make([]addr.IP, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] <= b[0] {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 // Permit, Service and Quota read one target's declared entry as of now —
@@ -523,8 +555,7 @@ func (l *Log) Permit(target addr.IP) (PermitList, bool) {
 func (l *Log) Service(sip addr.IP) (*Service, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	svc, ok := l.st.Services[sip]
-	return svc, ok
+	return l.st.Services.Get(sip)
 }
 
 // Quota returns the declared egress quota under a QuotaKey.

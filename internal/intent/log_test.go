@@ -69,15 +69,79 @@ func recordAll(t testing.TB, l *Log) {
 	}
 }
 
-// stateJSON canonicalizes a state for comparison (encoding/json sorts
-// map keys, so equal states marshal identically).
+// stateJSON canonicalizes a state for comparison: encoding/json sorts
+// map keys, so equal states marshal identically once the address-indexed
+// sections render as maps and each permit set as its entries.
 func stateJSON(t testing.TB, s *State) string {
 	t.Helper()
-	buf, err := json.Marshal(s)
+	buf, err := renderState(s)
 	if err != nil {
 		t.Fatalf("marshal state: %v", err)
 	}
 	return string(buf)
+}
+
+// renderState is stateJSON's rendering, which fails for a NaN or an
+// infinity.
+func renderState(s *State) ([]byte, error) {
+	view := struct {
+		*State
+		Endpoints map[addr.IP]*endpointJSON `json:"endpoints,omitempty"`
+		Services  map[addr.IP]*serviceJSON  `json:"services,omitempty"`
+	}{State: s, Endpoints: map[addr.IP]*endpointJSON{}, Services: map[addr.IP]*serviceJSON{}}
+	s.Endpoints.Ascend(0, func(ip addr.IP, ep *Endpoint) bool {
+		view.Endpoints[ip] = renderEndpoint(ep)
+		return true
+	})
+	s.Services.Ascend(0, func(ip addr.IP, svc *Service) bool {
+		view.Services[ip] = renderService(svc)
+		return true
+	})
+	return json.Marshal(view)
+}
+
+// endpointJSON and serviceJSON render a record with its permit list: null
+// for none, [] for a guarded list with no entries.
+type endpointJSON struct {
+	*Endpoint
+	Permits []addr.Prefix `json:"permits"`
+}
+
+type serviceJSON struct {
+	*Service
+	Permits []addr.Prefix `json:"permits"`
+}
+
+func renderEndpoint(ep *Endpoint) *endpointJSON {
+	if ep == nil {
+		return nil
+	}
+	return &endpointJSON{ep, listJSON(ep.Permits)}
+}
+
+func renderService(svc *Service) *serviceJSON {
+	if svc == nil {
+		return nil
+	}
+	return &serviceJSON{svc, listJSON(svc.Permits)}
+}
+
+func listJSON(set *addr.PrefixSet) []addr.Prefix {
+	if set == nil {
+		return nil
+	}
+	return append([]addr.Prefix{}, set.Entries()...)
+}
+
+// endpointAt and serviceAt read one record of s, nil for none.
+func endpointAt(s *State, ip addr.IP) *Endpoint {
+	ep, _ := s.Endpoints.Get(ip)
+	return ep
+}
+
+func serviceAt(s *State, ip addr.IP) *Service {
+	svc, _ := s.Services.Get(ip)
+	return svc
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -443,21 +507,21 @@ func TestReleaseRegrantInversion(t *testing.T) {
 	apply(5, "bob", Op{Verb: OpRequestEIP, VM: "vm-b", Provider: "p", Region: "r", Addr: eip})
 	apply(6, "alice", Op{Verb: OpReleaseEIP, Addr: eip})
 
-	ep := s.Endpoints[eip]
+	ep := endpointAt(s, eip)
 	if ep == nil || ep.Tenant != "bob" {
 		t.Fatalf("endpoint = %+v, want bob's", ep)
 	}
 	if pl, ok := s.Permit(eip); ok {
 		t.Errorf("stale permit list survived: %+v", pl)
 	}
-	if svc := s.Services[sip]; len(svc.Binds) != 0 {
+	if svc := serviceAt(s, sip); len(svc.Binds) != 0 {
 		t.Errorf("stale binds survived: %+v", svc.Binds)
 	}
 	// Same shape for SIPs.
 	apply(7, "bob", Op{Verb: OpRequestSIP, Provider: "p", Addr: sip})
 	apply(8, "alice", Op{Verb: OpReleaseSIP, Addr: sip})
-	if svc := s.Services[sip]; svc == nil || svc.Tenant != "bob" {
-		t.Fatalf("service = %+v, want bob's", s.Services[sip])
+	if svc := serviceAt(s, sip); svc == nil || svc.Tenant != "bob" {
+		t.Fatalf("service = %+v, want bob's", svc)
 	}
 }
 
@@ -486,7 +550,7 @@ func TestGrantDrainsOnlyAStaleIncarnation(t *testing.T) {
 	}
 	bound := func(s *State) []addr.IP {
 		var eips []addr.IP
-		for _, b := range s.Services[sip].Binds {
+		for _, b := range serviceAt(s, sip).Binds {
 			eips = append(eips, b.EIP)
 		}
 		return eips
@@ -506,7 +570,7 @@ func TestGrantDrainsOnlyAStaleIncarnation(t *testing.T) {
 			t.Errorf("binds after a stale grant = %v, want [%v]", got, kept)
 		}
 		apply(s, 4, "alice", Op{Verb: OpReleaseEIP, Addr: x})
-		if ep := s.Endpoints[x]; ep == nil || ep.Tenant != "bob" {
+		if ep := endpointAt(s, x); ep == nil || ep.Tenant != "bob" {
 			t.Errorf("endpoint = %+v, want bob's", ep)
 		}
 	})
@@ -679,6 +743,9 @@ func TestDeclaredEntriesAreImmutable(t *testing.T) {
 	}
 	var held []handed
 	render := func(v any) string {
+		if ep, ok := v.(*Endpoint); ok {
+			v = renderEndpoint(ep)
+		}
 		buf, err := json.Marshal(v)
 		if err != nil {
 			t.Fatal(err)
@@ -690,7 +757,7 @@ func TestDeclaredEntriesAreImmutable(t *testing.T) {
 		held = append(held, handed{pl, render(pl)})
 		svc, _ := l.Service(sip)
 		l.mu.Lock()
-		ep := l.st.Endpoints[eip1]
+		ep := endpointAt(l.st, eip1)
 		l.mu.Unlock()
 		for i, v := range []any{svc, ep} {
 			now[i] = render(v)
@@ -738,13 +805,13 @@ func TestDeclaredEntriesAreImmutable(t *testing.T) {
 
 	st, want := l.State(), stateJSON(t, l.State())
 	l.mu.Lock()
-	ep := l.st.Endpoints[eip1]
+	ep := endpointAt(l.st, eip1)
 	l.mu.Unlock()
-	if st.Endpoints[eip1] != ep {
+	if endpointAt(st, eip1) != ep {
 		t.Error("a State() copy holds a copy of an endpoint, not the log's own immutable one")
 	}
-	delete(st.Endpoints, eip1)
-	st.Services[sip].Tenant = "globex"
+	st.Endpoints.Delete(eip1)
+	serviceAt(st, sip).Tenant = "globex"
 	st.Quotas["probe"] = 1
 	if got := stateJSON(t, l.State()); got != want {
 		t.Errorf("mutating a State() copy reached the log:\n got %s\nwant %s", got, want)
@@ -768,33 +835,34 @@ func TestStateAdoptsTheVerbsEndpoint(t *testing.T) {
 	}
 	granted := &Endpoint{Tenant: "acme", VM: "vm-1", Provider: "cloudA", Region: "us-east"}
 	apply(1, Op{Verb: OpRequestEIP, VM: "vm-1", Provider: "cloudA", Region: "us-east", Addr: eip, Endpoint: granted})
-	if s.Endpoints[eip] != granted {
-		t.Fatalf("request_eip stored %+v, not the verb's entry", s.Endpoints[eip])
+	if endpointAt(s, eip) != granted {
+		t.Fatalf("request_eip stored %+v, not the verb's entry", endpointAt(s, eip))
 	}
 	capped := *granted
 	capped.EgressCap = 5e8
 	apply(2, Op{Verb: OpSetVMEgress, EIP: eip, Bps: 5e8, Endpoint: &capped})
-	if s.Endpoints[eip] != &capped {
-		t.Fatalf("set_vm_egress stored %+v, not the verb's entry", s.Endpoints[eip])
+	if endpointAt(s, eip) != &capped {
+		t.Fatalf("set_vm_egress stored %+v, not the verb's entry", endpointAt(s, eip))
 	}
-	list := []addr.Prefix{addr.MustParsePrefix("10.0.0.0/8")}
+	entries := []addr.Prefix{addr.MustParsePrefix("10.0.0.0/8")}
+	list := addr.NewPrefixSet(entries)
 	permitted := capped
 	permitted.Permits = list
-	apply(3, Op{Verb: OpSetPermit, Target: eip, Entries: list, Derived: true, Next: list, Endpoint: &permitted})
-	if s.Endpoints[eip] != &permitted {
-		t.Fatalf("set_permit stored %+v, not the verb's entry", s.Endpoints[eip])
+	apply(3, Op{Verb: OpSetPermit, Target: eip, Entries: entries, Derived: true, Next: list, Endpoint: &permitted})
+	if endpointAt(s, eip) != &permitted {
+		t.Fatalf("set_permit stored %+v, not the verb's entry", endpointAt(s, eip))
 	}
 	apply(4, Op{Verb: OpSetVMEgress, EIP: eip, Bps: 7e8})
 	want := Endpoint{Tenant: "acme", VM: "vm-1", Provider: "cloudA", Region: "us-east", EgressCap: 7e8, Permits: list}
-	if got := s.Endpoints[eip]; got == &permitted || !reflect.DeepEqual(*got, want) {
+	if got := endpointAt(s, eip); got == &permitted || !reflect.DeepEqual(*got, want) {
 		t.Fatalf("a replayed set_vm_egress stored %+v", got)
 	}
-	apply(5, Op{Verb: OpRevoke, Target: eip, Entries: list})
-	want.Permits = []addr.Prefix{}
-	if got := s.Endpoints[eip]; !reflect.DeepEqual(*got, want) {
-		t.Fatalf("a replayed revoke stored %+v", got)
+	apply(5, Op{Verb: OpRevoke, Target: eip, Entries: entries})
+	got := *endpointAt(s, eip)
+	if want.Permits = got.Permits; got.Permits == nil || got.Permits.Len() != 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("a replayed revoke stored %+v, want a guarded list with no entries", got)
 	}
-	if granted.EgressCap != 0 || capped.EgressCap != 5e8 || capped.Permits != nil || len(permitted.Permits) != 1 {
+	if granted.EgressCap != 0 || capped.EgressCap != 5e8 || capped.Permits != nil || permitted.Permits.Len() != 1 {
 		t.Fatalf("an adopted entry was written: %+v, %+v, %+v", granted, capped, permitted)
 	}
 }
@@ -809,7 +877,7 @@ func TestPermitOnAnUnheldTargetDeclaresNothing(t *testing.T) {
 	if err := s.Apply(&Record{Seq: 1, Tenant: "acme", Ops: []Op{{Verb: OpRequestEIP, VM: "vm-1", Provider: "p", Region: "r", Addr: eip}}}); err != nil {
 		t.Fatal(err)
 	}
-	held := s.Endpoints[eip]
+	held := endpointAt(s, eip)
 	entries := []addr.Prefix{addr.MustParsePrefix("10.0.0.0/8")}
 	for i, op := range []Op{
 		{Verb: OpSetPermit, Target: eip, Entries: entries},
@@ -819,8 +887,8 @@ func TestPermitOnAnUnheldTargetDeclaresNothing(t *testing.T) {
 			t.Fatalf("%s on %s: %v", op.Verb, op.Target, err)
 		}
 	}
-	if s.Endpoints[eip] != held || held.Permits != nil {
-		t.Errorf("globex's set_permit changed acme's endpoint: %+v", s.Endpoints[eip])
+	if endpointAt(s, eip) != held || held.Permits != nil {
+		t.Errorf("globex's set_permit changed acme's endpoint: %+v", endpointAt(s, eip))
 	}
 	if pl, ok := s.Permit(nobodys); ok {
 		t.Errorf("a permit on an address nobody holds declared %+v", pl)

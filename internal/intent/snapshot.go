@@ -59,7 +59,7 @@ type encoder struct {
 	w     io.Writer
 	b     []byte            // bytes not yet handed to w
 	sum   uint32            // CRC32 of the bytes handed to w
-	keys  []addr.IP         // sort keys, reused across the address-keyed sections
+	keys  []addr.IP         // the permits section's targets
 	strs  map[string]uint64 // the string table
 	lists map[string]uint64 // the permit-list table, keyed by each list's encoding
 	list  []byte            // the permit list being looked up
@@ -75,21 +75,18 @@ func (s *State) encodeSnapshot(w io.Writer) error {
 	stringSection(e, s.Meta, e.text)
 	addrSection(e, s.Endpoints, e.endpoint)
 	addrSection(e, s.Services, e.service)
-	e.keys = e.keys[:0]
-	for ip, ep := range s.Endpoints {
-		if ep != nil && ep.Permits != nil {
-			e.keys = append(e.keys, ip)
-		}
-	}
-	for ip, svc := range s.Services {
-		if svc != nil && svc.Permits != nil {
-			e.keys = append(e.keys, ip)
-		}
-	}
-	e.section(func(ip addr.IP) {
+	e.keys = mergeAscending(
+		permitted(slices.Grow(e.keys[:0], s.Endpoints.Len()), s.Endpoints, func(ep *Endpoint) bool { return ep.Permits != nil }),
+		permitted(nil, s.Services, func(svc *Service) bool { return svc.Permits != nil }))
+	e.uvarint(uint64(len(e.keys)))
+	var prev addr.IP
+	for _, ip := range e.keys {
+		e.uvarint(uint64(ip - prev))
+		prev = ip
 		pl, _ := s.Permit(ip)
 		e.permitList(pl)
-	})
+		e.spill(spillAt)
+	}
 	stringSection(e, s.Quotas, e.float)
 	stringSection(e, s.Potato, e.text)
 	stringSection(e, s.Groups, e.addrs)
@@ -114,25 +111,30 @@ func (e *encoder) spill(n int) {
 	e.b = e.b[:0]
 }
 
-func addrSection[V any](e *encoder, m map[addr.IP]*V, value func(*V)) {
-	e.keys = slices.Grow(e.keys[:0], len(m))
-	for ip := range m {
-		e.keys = append(e.keys, ip)
-	}
-	e.section(func(ip addr.IP) { some(e, m[ip], value) })
-}
-
-// section writes the address-keyed section of e.keys, sorting them.
-func (e *encoder) section(value func(addr.IP)) {
-	slices.Sort(e.keys)
-	e.uvarint(uint64(len(e.keys)))
+// addrSection writes t's address-keyed section, walking it in address
+// order: no key is collected or sorted.
+func addrSection[V any](e *encoder, t *addr.Table[*V], value func(*V)) {
+	e.uvarint(uint64(t.Len()))
 	var prev addr.IP
-	for _, ip := range e.keys {
+	t.Ascend(0, func(ip addr.IP, v *V) bool {
 		e.uvarint(uint64(ip - prev))
 		prev = ip
-		value(ip)
+		some(e, v, value)
 		e.spill(spillAt)
-	}
+		return true
+	})
+}
+
+// permitted appends to keys, in address order, the addresses of t whose
+// record declares a permit list (has reports whether it does).
+func permitted[V any](keys []addr.IP, t *addr.Table[*V], has func(*V) bool) []addr.IP {
+	t.Ascend(0, func(ip addr.IP, v *V) bool {
+		if v != nil && has(v) {
+			keys = append(keys, ip)
+		}
+		return true
+	})
+	return keys
 }
 
 // some writes *v, or fails the encode: Apply never stores a nil entry.
@@ -254,7 +256,7 @@ type decoder struct {
 	lim   *io.LimitedReader // the payload, beneath r
 	buf   []byte            // the string being read
 	strs  []string
-	lists [][]addr.Prefix
+	lists []*addr.PrefixSet
 	seen  map[string]string // the strings read so far, when the caller keeps one copy of each
 	err   error             // the first thing wrong; every read after it returns zero
 }
@@ -407,11 +409,10 @@ func (d *decoder) addrs() []addr.IP {
 	return ips
 }
 
-func decodeAddrs[V any](d *decoder, value func() V) map[addr.IP]V {
-	n := d.count()
-	m := make(map[addr.IP]V, n)
-	d.keyed(n, func(ip addr.IP) { m[ip] = value() })
-	return m
+func decodeAddrs[V any](d *decoder, value func() V) *addr.Table[V] {
+	t := new(addr.Table[V])
+	d.keyed(d.count(), func(ip addr.IP) { t.Put(ip, value()) })
+	return t
 }
 
 // keyed reads n addresses written as gaps, calling value after each.
@@ -431,10 +432,11 @@ func (d *decoder) keyed(n int, value func(addr.IP)) {
 // each list must belong to an endpoint or service of its tenant.
 func (d *decoder) permits(s *State) {
 	d.keyed(d.count(), func(ip addr.IP) {
-		tenant, list := ref(d, &d.strs, d.text), guarded(ref(d, &d.lists, d.entries))
-		if ep := s.Endpoints[ip]; ep != nil && ep.Tenant == tenant {
+		tenant, list := ref(d, &d.strs, d.text), ref(d, &d.lists, d.set)
+		ep, _ := s.Endpoints.Get(ip)
+		if svc, _ := s.Services.Get(ip); ep != nil && ep.Tenant == tenant {
 			ep.Permits = list
-		} else if svc := s.Services[ip]; ep == nil && svc != nil && svc.Tenant == tenant {
+		} else if ep == nil && svc != nil && svc.Tenant == tenant {
 			svc.Permits = list
 		} else {
 			d.fail("permit list for %s, which tenant %q holds no record of", ip, tenant)
@@ -465,9 +467,7 @@ func (d *decoder) service() *Service {
 	return svc
 }
 
-// entries reads a permit list. The table hands every target declaring the
-// same list one slice, whose cap is its len: an append by one holder
-// never writes under another.
+// entries reads a permit list's entries.
 func (d *decoder) entries() []addr.Prefix {
 	list := make([]addr.Prefix, d.count())
 	for i := range list {
@@ -475,6 +475,11 @@ func (d *decoder) entries() []addr.Prefix {
 	}
 	return list
 }
+
+// set reads a permit list of the snapshot's table, which hands every
+// target declaring the same list one set, whose entries' cap is their
+// len: an append by one holder never writes under another.
+func (d *decoder) set() *addr.PrefixSet { return addr.AdoptPrefixSet(d.entries()) }
 
 func (d *decoder) pool() *PoolState {
 	return &PoolState{Next: d.addr(), Released: d.addrs()}

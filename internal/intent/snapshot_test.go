@@ -2,6 +2,7 @@ package intent
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"declnet/internal/addr"
@@ -55,11 +57,10 @@ func checkSnapshotCodec(t testing.TB, s *State) {
 	if again, _ := encodeBytes(got); !bytes.Equal(again, b) {
 		t.Fatalf("the decoded state encodes to %d other bytes than the %d it was decoded from", len(again), len(b))
 	}
-	rendered, err := json.Marshal(s)
-	if err != nil {
+	if _, err := renderState(s); err != nil {
 		return // a NaN or an infinity: the byte comparison above covers it
 	}
-	if want, got := string(rendered), stateJSON(t, got); got != want {
+	if want, got := stateJSON(t, s), stateJSON(t, got); got != want {
 		t.Fatalf("round trip\n got %s\nwant %s", got, want)
 	}
 }
@@ -135,9 +136,9 @@ func randState(rng *rand.Rand, n int) *State {
 		s.SIPPools[randString(rng)] = &PoolState{Next: randAddr(rng), Released: randAddrs(rng)}
 	}
 	tenants := []string{randString(rng), randString(rng)}
-	var lists [][]addr.Prefix
+	var lists []*addr.PrefixSet
 	// permits is a declared list, or none, drawn so lists repeat.
-	permits := func() []addr.Prefix {
+	permits := func() *addr.PrefixSet {
 		switch rng.Intn(4) {
 		case 0:
 			return nil
@@ -150,7 +151,7 @@ func randState(rng *rand.Rand, n int) *State {
 		for _, a := range randAddrs(rng) {
 			list = append(list, addr.NewPrefix(a, rng.Intn(33)))
 		}
-		lists = append(lists, guarded(list))
+		lists = append(lists, addr.AdoptPrefixSet(list))
 		return lists[len(lists)-1]
 	}
 	for i := rng.Intn(n + 1); i > 0; i-- {
@@ -159,15 +160,15 @@ func randState(rng *rand.Rand, n int) *State {
 		if rng.Intn(2) == 0 {
 			ep.EgressCap = randFloat(rng)
 		}
-		if eip := randAddr(rng); s.Services[eip] == nil {
-			s.Endpoints[eip] = ep // an address is an EIP or a SIP, never both
+		if eip := randAddr(rng); serviceAt(s, eip) == nil {
+			s.Endpoints.Put(eip, ep) // an address is an EIP or a SIP, never both
 		}
 		svc := &Service{Tenant: tenants[rng.Intn(2)], Provider: randString(rng), Permits: permits()}
 		for _, eip := range randAddrs(rng) {
 			svc.Binds = append(svc.Binds, Bind{EIP: eip, Weight: rng.Intn(9) - 1})
 		}
-		if sip := randAddr(rng); s.Endpoints[sip] == nil {
-			s.Services[sip] = svc
+		if sip := randAddr(rng); endpointAt(s, sip) == nil {
+			s.Services.Put(sip, svc)
 		}
 	}
 	return s
@@ -180,8 +181,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	emptied := []func(*State){
 		func(c *State) { c.Meta = nil },
 		func(c *State) { c.Meta = map[string]string{} },
-		func(c *State) { c.Endpoints = nil },
-		func(c *State) { c.Services = map[addr.IP]*Service{} },
+		func(c *State) { c.Endpoints = new(addr.Table[*Endpoint]) },
+		func(c *State) { c.Services = new(addr.Table[*Service]) },
 		func(c *State) { c.Quotas = nil },
 		func(c *State) { c.Potato = map[string]string{} },
 		func(c *State) { c.Groups = nil },
@@ -201,14 +202,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		s := NewState()
 		s.Quotas["q"] = f
-		s.Endpoints[1] = &Endpoint{EgressCap: f}
+		s.Endpoints.Put(1, &Endpoint{EgressCap: f})
 		checkSnapshotCodec(t, s)
 	}
 
 	// What Apply never stores, and a snapshot cannot hold.
 	for _, store := range []func(*State){
-		func(s *State) { s.Endpoints[7] = nil },
-		func(s *State) { s.Services[7] = nil },
+		func(s *State) { s.Endpoints.Put(7, nil) },
+		func(s *State) { s.Services.Put(7, nil) },
 		func(s *State) { s.SIPPools["p"] = nil },
 	} {
 		s := NewState()
@@ -217,6 +218,136 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Errorf("a nil entry encoded: %s", stateJSON(t, s))
 		}
 	}
+}
+
+// TestOrderedWalkEncodesLikeSortedKeys: the snapshot's address-keyed
+// sections walk the tables in address order, where the format used to
+// sort the keys of maps. A state built through shuffled grants, permits,
+// binds and releases over six /16s — three of them in one stripe, put
+// there out of address order — encodes to exactly the bytes of a
+// reference encoder that copies each table into a map, in stripe order,
+// and sorts the map's keys.
+func TestOrderedWalkEncodesLikeSortedKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	// Stripes 0, 1, 0, 63, 0, 2: 0x68000000 and 0x0a000000 join 0x64400000's.
+	blocks := []addr.IP{0x64400000, 0x64410000, 0x68000000, 0x647f0000, 0x0a000000, 0x64420000}
+	var eips, sips []addr.IP
+	for _, b := range blocks[:4] {
+		for _, k := range rng.Perm(300) {
+			eips = append(eips, b+addr.IP(k*37%1024)) // across page boundaries
+		}
+	}
+	for _, b := range blocks[4:] {
+		for _, k := range rng.Perm(40) {
+			sips = append(sips, b+addr.IP(k*97))
+		}
+	}
+	rng.Shuffle(len(eips), func(i, j int) { eips[i], eips[j] = eips[j], eips[i] })
+	rng.Shuffle(len(sips), func(i, j int) { sips[i], sips[j] = sips[j], sips[i] })
+	lists := [][]addr.Prefix{
+		{addr.MustParsePrefix("100.64.0.0/16"), addr.MustParsePrefix("100.65.0.0/16")},
+		{addr.MustParsePrefix("10.0.0.0/8")},
+		nil,
+	}
+	s := NewState()
+	seq := uint64(0)
+	apply := func(tenant string, ops ...Op) {
+		t.Helper()
+		seq++
+		if err := s.Apply(&Record{Seq: seq, Tenant: tenant, Ops: ops}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tenantOf := func(a addr.IP) string { return fmt.Sprintf("t%d", a%3) }
+	for _, sip := range sips {
+		apply(tenantOf(sip), Op{Verb: OpRequestSIP, Provider: fmt.Sprintf("p%d", sip>>16), Addr: sip}) // a pool per block
+		if rng.Intn(2) == 0 {
+			apply(tenantOf(sip), Op{Verb: OpSetPermit, Target: sip, Entries: lists[rng.Intn(len(lists))]})
+		}
+	}
+	for i, eip := range eips {
+		tenant := tenantOf(eip)
+		apply(tenant, Op{Verb: OpRequestEIP, VM: "vm", Provider: "p", Region: fmt.Sprintf("r%d", eip>>16), Addr: eip})
+		if i%4 != 0 {
+			apply(tenant, Op{Verb: OpSetPermit, Target: eip, Entries: lists[rng.Intn(len(lists))]})
+		}
+		if i%5 == 0 {
+			sip := sips[rng.Intn(len(sips))]
+			if tenantOf(sip) == tenant {
+				apply(tenant, Op{Verb: OpBind, EIP: eip, SIP: sip, Weight: 1 + i%3})
+			}
+		}
+	}
+	for _, eip := range eips[:len(eips)/3] {
+		apply(tenantOf(eip), Op{Verb: OpReleaseEIP, Addr: eip})
+	}
+	for _, sip := range sips[:len(sips)/4] {
+		apply(tenantOf(sip), Op{Verb: OpReleaseSIP, Addr: sip})
+	}
+
+	got, err := encodeBytes(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := referenceSnapshot(s); !bytes.Equal(got, want) {
+		t.Fatalf("the ordered walk encodes %d bytes that differ from the %d of the sorted-keys reference", len(got), len(want))
+	}
+}
+
+// referenceSnapshot is encodeSnapshot as it was over maps: each table is
+// copied into a map in stripe order, and each section sorts its keys.
+func referenceSnapshot(s *State) []byte {
+	eps, svcs := map[addr.IP]*Endpoint{}, map[addr.IP]*Service{}
+	for _, ip := range s.Endpoints.PhaseKeys(0, 1) {
+		eps[ip], _ = s.Endpoints.Get(ip)
+	}
+	for _, ip := range s.Services.PhaseKeys(0, 1) {
+		svcs[ip], _ = s.Services.Get(ip)
+	}
+	var buf bytes.Buffer
+	e := &encoder{w: &buf, strs: map[string]uint64{}, lists: map[string]uint64{}}
+	e.b = append(e.b, snapshotMagic...)
+	e.uvarint(s.Seq)
+	stringSection(e, s.Meta, e.text)
+	section := func(keys []addr.IP, value func(addr.IP)) {
+		slices.Sort(keys)
+		e.uvarint(uint64(len(keys)))
+		var prev addr.IP
+		for _, ip := range keys {
+			e.uvarint(uint64(ip - prev))
+			prev = ip
+			value(ip)
+		}
+	}
+	var epKeys, svcKeys, permitted []addr.IP
+	for ip, ep := range eps {
+		epKeys = append(epKeys, ip)
+		if ep.Permits != nil {
+			permitted = append(permitted, ip)
+		}
+	}
+	for ip, svc := range svcs {
+		svcKeys = append(svcKeys, ip)
+		if svc.Permits != nil {
+			permitted = append(permitted, ip)
+		}
+	}
+	section(epKeys, func(ip addr.IP) { e.endpoint(eps[ip]) })
+	section(svcKeys, func(ip addr.IP) { e.service(svcs[ip]) })
+	section(permitted, func(ip addr.IP) {
+		pl, _ := s.Permit(ip)
+		e.permitList(pl)
+	})
+	stringSection(e, s.Quotas, e.float)
+	stringSection(e, s.Potato, e.text)
+	stringSection(e, s.Groups, e.addrs)
+	stringSection(e, s.Names, e.addr)
+	stringSection(e, s.EIPPools, func(ps *PoolState) { some(e, ps, e.pool) })
+	stringSection(e, s.SIPPools, func(ps *PoolState) { some(e, ps, e.pool) })
+	e.spill(0)
+	e.b = binary.LittleEndian.AppendUint32(e.b, e.sum)
+	e.spill(0)
+	return buf.Bytes()
 }
 
 // TestRandStateFillsEveryField is what keeps the round trip an oracle for
@@ -251,7 +382,7 @@ func markFilled(filled map[string]bool, v reflect.Value) {
 		for it := v.MapRange(); it.Next(); {
 			markFilled(filled, it.Value())
 		}
-	case reflect.Slice:
+	case reflect.Slice, reflect.Array:
 		for i := 0; i < v.Len(); i++ {
 			markFilled(filled, v.Index(i))
 		}

@@ -18,12 +18,12 @@ import (
 
 // Endpoint is the declared record of one granted EIP.
 type Endpoint struct {
-	Tenant    string        `json:"tenant"`
-	VM        string        `json:"vm"`
-	Provider  string        `json:"provider"`
-	Region    string        `json:"region"`
-	EgressCap float64       `json:"egress_cap,omitempty"`
-	Permits   []addr.Prefix `json:"permits"` // see PermitList
+	Tenant    string          `json:"tenant"`
+	VM        string          `json:"vm"`
+	Provider  string          `json:"provider"`
+	Region    string          `json:"region"`
+	EgressCap float64         `json:"egress_cap,omitempty"`
+	Permits   *addr.PrefixSet `json:"-"` // see PermitList
 }
 
 // Bind is one declared EIP -> SIP binding (weight already clamped the
@@ -35,30 +35,37 @@ type Bind struct {
 
 // Service is the declared record of one granted SIP.
 type Service struct {
-	Tenant   string        `json:"tenant"`
-	Provider string        `json:"provider"`
-	Binds    []Bind        `json:"binds,omitempty"`
-	Permits  []addr.Prefix `json:"permits"` // see PermitList
+	Tenant   string          `json:"tenant"`
+	Provider string          `json:"provider"`
+	Binds    []Bind          `json:"binds,omitempty"`
+	Permits  *addr.PrefixSet `json:"-"` // see PermitList
 }
 
 // PermitList is the declared permit list guarding one target, group
 // references already expanded, as State.Permit reads it: the target's
-// holder and its record's Permits. A record holds its target's list
-// itself, so a permitted endpoint costs no entry of its own. Permits is
-// nil when the target declares no list, and non-nil when it declares one
-// — empty for a list with no entries (guarded): a list that admits
-// nothing is enforced, a missing one is not installed at all.
+// holder and its record's Permits, with that set's entries. A record
+// holds a reference to its target's set, which any number of records —
+// every target one frame declared the same list on — and the permit
+// engine share, so a permitted endpoint costs one word of its own.
+// Permits is nil when the target declares no list, and non-nil when it
+// declares one — with no entries for a guarded list that admits nothing:
+// a list that admits nothing is enforced, a missing one is not installed
+// at all.
 type PermitList struct {
 	Tenant  string
-	Entries []addr.Prefix
+	Set     *addr.PrefixSet
+	Entries []addr.Prefix // Set.Entries()
 }
 
-// guarded is entries as a declared list: nil becomes an empty one.
-func guarded(entries []addr.Prefix) []addr.Prefix {
-	if entries == nil {
-		return []addr.Prefix{}
+// noEntries is the declared list that admits nothing.
+var noEntries = addr.AdoptPrefixSet([]addr.Prefix{})
+
+// guarded is set as a declared list: nil becomes one with no entries.
+func guarded(set *addr.PrefixSet) *addr.PrefixSet {
+	if set == nil {
+		return noEntries
 	}
-	return entries
+	return set
 }
 
 // PoolState is one address pool's allocation cursor: the next-fresh
@@ -105,22 +112,29 @@ func (ps *PoolState) release(a addr.IP) {
 
 // State is the full declared world at one journal sequence number: the
 // snapshot file holds exactly this struct. Its JSON tags are not a store
-// format; they render a state canonically for comparison.
+// format; they render a state's string-keyed sections for comparison.
+//
+// Endpoints and Services are indexed by address, not hashed: each is an
+// addr.Table, a few bytes per granted address on the pages of its /16,
+// walked in ascending address order (Table.Ascend) wherever order shows
+// — the snapshot's sections, the reconciler's rotation, recovery — so
+// nothing sorts their keys. The store's lock covers them; their stripe
+// locks are never contended.
 //
 // An *Endpoint or *Service is immutable once stored: applyOp replaces the
-// map entry with an edited copy and never writes through the pointer or
-// into a slice it holds. That is what lets Log hand the entry itself to
-// the reconciler, which reads it after the log's lock is released,
-// instead of a copy — and what lets core hold the same *Endpoint and
-// permit slice as its installed record (Op.Endpoint, Op.Next), the second
-// holder of each: a verb that changes one builds a successor and puts it
-// in both.
+// table entry with an edited copy and never writes through the pointer or
+// into a slice or set it holds. That is what lets Log hand the entry
+// itself to the reconciler, which reads it after the log's lock is
+// released, instead of a copy — and what lets core hold the same
+// *Endpoint and permit set as its installed record (Op.Endpoint,
+// Op.Next), the second holder of each: a verb that changes one builds a
+// successor and puts it in both.
 type State struct {
 	Seq  uint64            `json:"seq"`
 	Meta map[string]string `json:"meta,omitempty"`
 
-	Endpoints map[addr.IP]*Endpoint `json:"endpoints,omitempty"`
-	Services  map[addr.IP]*Service  `json:"services,omitempty"`
+	Endpoints *addr.Table[*Endpoint] `json:"-"`
+	Services  *addr.Table[*Service]  `json:"-"`
 
 	// Quotas keys "provider|tenant|region" -> bits/s. Potato keys
 	// "provider|tenant" -> policy name. Groups and Names key
@@ -139,8 +153,8 @@ type State struct {
 // NewState returns an empty declared world.
 func NewState() *State {
 	return &State{
-		Endpoints: make(map[addr.IP]*Endpoint),
-		Services:  make(map[addr.IP]*Service),
+		Endpoints: new(addr.Table[*Endpoint]),
+		Services:  new(addr.Table[*Service]),
 		Quotas:    make(map[string]float64),
 		Potato:    make(map[string]string),
 		Groups:    make(map[string][]addr.IP),
@@ -242,18 +256,18 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		// in a store written before that rule, under a release/re-grant
 		// journal inversion (see OpReleaseEIP), and is where the previous
 		// incarnation's binds, groups and names go away.
-		if _, stale := s.Endpoints[op.Addr]; stale {
+		if _, stale := s.Endpoints.Get(op.Addr); stale {
 			s.drainBinds(op.Addr)
 			s.forget(op.Addr)
 		}
 		if op.Endpoint != nil {
-			s.Endpoints[op.Addr] = op.Endpoint
+			s.Endpoints.Put(op.Addr, op.Endpoint)
 		} else {
-			s.Endpoints[op.Addr] = &Endpoint{Tenant: tenant, VM: op.VM, Provider: op.Provider, Region: op.Region}
+			s.Endpoints.Put(op.Addr, &Endpoint{Tenant: tenant, VM: op.VM, Provider: op.Provider, Region: op.Region})
 		}
 		s.eipPool(op.Provider, op.Region).claim(op.Addr)
 	case OpReleaseEIP:
-		ep, ok := s.Endpoints[op.Addr]
+		ep, ok := s.Endpoints.Get(op.Addr)
 		if !ok {
 			return fmt.Errorf("release of unknown endpoint %s", op.Addr)
 		}
@@ -271,16 +285,16 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		// leaves the tenant's groups and names.
 		s.drainBinds(op.Addr)
 		s.forget(op.Addr)
-		delete(s.Endpoints, op.Addr)
+		s.Endpoints.Delete(op.Addr)
 		s.eipPool(ep.Provider, ep.Region).release(op.Addr)
 	case OpRequestSIP:
-		if _, stale := s.Services[op.Addr]; stale {
+		if _, stale := s.Services.Get(op.Addr); stale {
 			s.forget(op.Addr)
 		}
-		s.Services[op.Addr] = &Service{Tenant: tenant, Provider: op.Provider}
+		s.Services.Put(op.Addr, &Service{Tenant: tenant, Provider: op.Provider})
 		s.sipPool(op.Provider).claim(op.Addr)
 	case OpReleaseSIP:
-		svc, ok := s.Services[op.Addr]
+		svc, ok := s.Services.Get(op.Addr)
 		if !ok {
 			return fmt.Errorf("release of unknown service %s", op.Addr)
 		}
@@ -288,10 +302,10 @@ func (s *State) applyOp(tenant string, op *Op) error {
 			return nil // stale record, as in OpReleaseEIP
 		}
 		s.forget(op.Addr)
-		delete(s.Services, op.Addr)
+		s.Services.Delete(op.Addr)
 		s.sipPool(svc.Provider).release(op.Addr)
 	case OpBind:
-		svc, ok := s.Services[op.SIP]
+		svc, ok := s.Services.Get(op.SIP)
 		if !ok {
 			return fmt.Errorf("bind to unknown service %s", op.SIP)
 		}
@@ -306,32 +320,32 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		} else {
 			next.Binds = append(slices.Clip(svc.Binds), Bind{EIP: op.EIP, Weight: w})
 		}
-		s.Services[op.SIP] = &next
+		s.Services.Put(op.SIP, &next)
 	case OpUnbind:
-		svc, ok := s.Services[op.SIP]
+		svc, ok := s.Services.Get(op.SIP)
 		if !ok {
 			return fmt.Errorf("unbind from unknown service %s", op.SIP)
 		}
 		if i := bindIndex(svc, op.EIP); i >= 0 {
-			s.Services[op.SIP] = withoutBind(svc, i)
+			s.Services.Put(op.SIP, withoutBind(svc, i))
 		}
 	case OpSetPermit, OpPermit, OpRevoke:
 		if len(op.Groups) > 0 {
 			// core expands a set_permit's groups before it records the op
 			return fmt.Errorf("set_permit names groups %q, not their members", op.Groups)
 		}
-		if ep, ok := s.Endpoints[op.Target]; ok && ep.Tenant == tenant {
+		if ep, ok := s.Endpoints.Get(op.Target); ok && ep.Tenant == tenant {
 			if op.Endpoint != nil {
-				s.Endpoints[op.Target] = op.Endpoint
+				s.Endpoints.Put(op.Target, op.Endpoint)
 				break
 			}
 			next := *ep
 			next.Permits = op.Declares(ep.Permits)
-			s.Endpoints[op.Target] = &next
-		} else if svc, ok := s.Services[op.Target]; ok && svc.Tenant == tenant {
+			s.Endpoints.Put(op.Target, &next)
+		} else if svc, ok := s.Services.Get(op.Target); ok && svc.Tenant == tenant {
 			next := *svc
 			next.Permits = op.Declares(svc.Permits)
-			s.Services[op.Target] = &next
+			s.Services.Put(op.Target, &next)
 		}
 		// Otherwise no record of the tenant's is there to hold a list, and
 		// the op declares nothing: core refuses a permit verb on a target
@@ -342,17 +356,17 @@ func (s *State) applyOp(tenant string, op *Op) error {
 	case OpSetPotato:
 		s.Potato[PotatoKey(op.Provider, tenant)] = op.Policy
 	case OpSetVMEgress:
-		ep, ok := s.Endpoints[op.EIP]
+		ep, ok := s.Endpoints.Get(op.EIP)
 		if !ok {
 			return fmt.Errorf("egress cap for unknown endpoint %s", op.EIP)
 		}
 		if op.Endpoint != nil {
-			s.Endpoints[op.EIP] = op.Endpoint
+			s.Endpoints.Put(op.EIP, op.Endpoint)
 			break
 		}
 		next := *ep
 		next.EgressCap = op.Bps
-		s.Endpoints[op.EIP] = &next
+		s.Endpoints.Put(op.EIP, &next)
 	case OpCreateGroup:
 		if op.Provider != "" {
 			return fmt.Errorf("provider-scoped group %q (groups are tenant-wide)", op.Name)
@@ -361,7 +375,7 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		// here was released by a record the journal placed first, whose
 		// forget core ran after this group existed: it is no member.
 		s.Groups[GroupKey(tenant, op.Name)] = slices.DeleteFunc(append([]addr.IP(nil), op.Members...), func(m addr.IP) bool {
-			ep, ok := s.Endpoints[m]
+			ep, ok := s.Endpoints.Get(m)
 			return !ok || ep.Tenant != tenant
 		})
 	case OpRegisterName:
@@ -413,30 +427,37 @@ func (s *State) forget(a addr.IP) {
 // Permit returns the declared permit list guarding target, and whether
 // there is one.
 func (s *State) Permit(target addr.IP) (PermitList, bool) {
-	if ep, ok := s.Endpoints[target]; ok {
-		return PermitList{Tenant: ep.Tenant, Entries: ep.Permits}, ep.Permits != nil
+	if ep, ok := s.Endpoints.Get(target); ok {
+		return PermitList{Tenant: ep.Tenant, Set: ep.Permits, Entries: ep.Permits.Entries()}, ep.Permits != nil
 	}
-	if svc, ok := s.Services[target]; ok {
-		return PermitList{Tenant: svc.Tenant, Entries: svc.Permits}, svc.Permits != nil
+	if svc, ok := s.Services.Get(target); ok {
+		return PermitList{Tenant: svc.Tenant, Set: svc.Permits, Entries: svc.Permits.Entries()}, svc.Permits != nil
 	}
 	return PermitList{}, false
 }
 
 // owns reports whether a is one of tenant's endpoints or services.
 func (s *State) owns(tenant string, a addr.IP) bool {
-	if ep, ok := s.Endpoints[a]; ok {
+	if ep, ok := s.Endpoints.Get(a); ok {
 		return ep.Tenant == tenant
 	}
-	svc, ok := s.Services[a]
+	svc, ok := s.Services.Get(a)
 	return ok && svc.Tenant == tenant
 }
 
-// drainBinds unbinds eip from every service that holds it.
+// drainBinds unbinds eip from every service that holds it. The walk only
+// finds them: a table is not written while it is walked.
 func (s *State) drainBinds(eip addr.IP) {
-	for sip, svc := range s.Services {
-		if i := bindIndex(svc, eip); i >= 0 {
-			s.Services[sip] = withoutBind(svc, i)
+	var bound []addr.IP
+	s.Services.Ascend(0, func(sip addr.IP, svc *Service) bool {
+		if bindIndex(svc, eip) >= 0 {
+			bound = append(bound, sip)
 		}
+		return true
+	})
+	for _, sip := range bound {
+		svc, _ := s.Services.Get(sip)
+		s.Services.Put(sip, withoutBind(svc, bindIndex(svc, eip)))
 	}
 }
 
@@ -448,8 +469,8 @@ func (s *State) Clone() *State {
 	c := &State{
 		Seq:       s.Seq,
 		Meta:      maps.Clone(s.Meta),
-		Endpoints: make(map[addr.IP]*Endpoint, len(s.Endpoints)),
-		Services:  make(map[addr.IP]*Service, len(s.Services)),
+		Endpoints: new(addr.Table[*Endpoint]),
+		Services:  new(addr.Table[*Service]),
 		Quotas:    maps.Clone(s.Quotas),
 		Potato:    maps.Clone(s.Potato),
 		Groups:    make(map[string][]addr.IP, len(s.Groups)),
@@ -457,12 +478,16 @@ func (s *State) Clone() *State {
 		EIPPools:  make(map[string]*PoolState, len(s.EIPPools)),
 		SIPPools:  make(map[string]*PoolState, len(s.SIPPools)),
 	}
-	maps.Copy(c.Endpoints, s.Endpoints)
-	for k, v := range s.Services {
+	s.Endpoints.Ascend(0, func(ip addr.IP, ep *Endpoint) bool {
+		c.Endpoints.Put(ip, ep)
+		return true
+	})
+	s.Services.Ascend(0, func(ip addr.IP, v *Service) bool {
 		svc := *v
 		svc.Binds = append([]Bind(nil), v.Binds...)
-		c.Services[k] = &svc
-	}
+		c.Services.Put(ip, &svc)
+		return true
+	})
 	for k, v := range s.Groups {
 		c.Groups[k] = append([]addr.IP(nil), v...)
 	}

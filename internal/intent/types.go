@@ -73,10 +73,10 @@ type Op struct {
 	// set it installed for Target and Prev the installed set it derived
 	// Next from (set_permit derives from nothing). State adopts Next
 	// rather than deriving the list a second time whenever its declared
-	// set equals Prev, so declared and installed hold one slice. Replay
+	// set equals Prev, so declared and installed hold one record. Replay
 	// has no verb and derives.
-	Derived    bool          `json:"-"`
-	Prev, Next []addr.Prefix `json:"-"`
+	Derived    bool            `json:"-"`
+	Prev, Next *addr.PrefixSet `json:"-"`
 
 	// Endpoint never reaches the journal either. The verb that applies a
 	// request_eip, a set_vm_egress or a permit-surface op on an EIP sets
@@ -90,15 +90,15 @@ type Op struct {
 // leaves declared on a target whose declared list is cur (nil for none):
 // nil when revoke finds none, otherwise a guarded list — the one the verb
 // derived when it derived from cur.
-func (op *Op) Declares(cur []addr.Prefix) []addr.Prefix {
+func (op *Op) Declares(cur *addr.PrefixSet) *addr.PrefixSet {
 	switch {
 	case op.Verb == OpSetPermit && op.Derived:
 		return guarded(op.Next)
 	case op.Verb == OpSetPermit:
-		return guarded(addr.CanonicalPrefixes(op.Entries))
+		return addr.NewPrefixSet(op.Entries)
 	case cur == nil && op.Verb == OpRevoke:
 		return nil // revoking from an empty list is a no-op, as in core
-	case op.Derived && addr.EqualPrefixes(cur, op.Prev):
+	case op.Derived && addr.EqualSets(cur, op.Prev):
 		return guarded(op.Next)
 	}
 	return guarded(op.Successor(cur))
@@ -106,10 +106,10 @@ func (op *Op) Declares(cur []addr.Prefix) []addr.Prefix {
 
 // Successor returns the entry set a permit or revoke op leaves when
 // applied to base: base itself when the op changes nothing, otherwise a
-// fresh slice sharing no array with base. base may have two holders, and
-// an append into its spare capacity would write under the other one.
-func (op *Op) Successor(base []addr.Prefix) []addr.Prefix {
-	next := slices.Clip(base)
+// new set sharing no array with base. base may have any number of
+// holders, and an append into its spare capacity would write under them.
+func (op *Op) Successor(base *addr.PrefixSet) *addr.PrefixSet {
+	next := slices.Clip(base.Entries())
 	for _, e := range op.Entries {
 		if op.Verb == OpPermit {
 			next = addr.InsertPrefix(next, e)
@@ -117,7 +117,10 @@ func (op *Op) Successor(base []addr.Prefix) []addr.Prefix {
 			next = addr.RemovePrefix(next, e)
 		}
 	}
-	return next
+	if base != nil && len(next) == base.Len() { // a permit only grows, a revoke only shrinks
+		return base
+	}
+	return addr.AdoptPrefixSet(next)
 }
 
 // Record is one journal frame: every op of one accepted mutation. A

@@ -25,35 +25,33 @@ import (
 // single EIP).
 type Entry = addr.Prefix
 
-// List is the permit state installed for one destination: its entries
-// in addr's canonical set form — the form intent.State declares them in,
-// built by the same functions. A List is an immutable value; the engine
-// replaces it whole under the stripe lock, so one read out of the table
-// stays consistent after the lock is dropped.
+// List is the permit state installed for one destination: a reference
+// to its entry set — the very addr.PrefixSet intent.State declares for
+// it, on a converged target — and its epoch, two words. A List is an
+// immutable value; the engine replaces it whole under the stripe lock, so
+// one read out of the table stays consistent after the lock is dropped.
 type List struct {
-	entries []Entry
-	lengths uint64 // addr.PrefixLengths(entries)
+	set *addr.PrefixSet
 	// version counts the mutations applied to this target's list since it
 	// was last replaced whole (a Set of n entries reads n): the
 	// propagation epoch Decision.Version reports.
 	version uint64
 }
 
-func newList(entries []Entry, version uint64) List {
-	return List{entries: entries, lengths: addr.PrefixLengths(entries), version: version}
-}
-
 // Permits reports whether src may reach the guarded endpoint.
 func (l List) Permits(src addr.IP) bool {
-	_, ok := addr.MatchPrefix(l.entries, l.lengths, src)
+	_, ok := l.set.Match(src)
 	return ok
 }
 
 // Len returns the number of entries.
-func (l List) Len() int { return len(l.entries) }
+func (l List) Len() int { return l.set.Len() }
 
-// Entries returns the entry set (shared; not to be modified).
-func (l List) Entries() []Entry { return l.entries }
+// Entries returns the entries (shared; not to be modified).
+func (l List) Entries() []Entry { return l.set.Entries() }
+
+// Set returns the entry set (shared).
+func (l List) Set() *addr.PrefixSet { return l.set }
 
 // Version returns the list's propagation epoch.
 func (l List) Version() uint64 { return l.version }
@@ -76,13 +74,12 @@ type Engine struct {
 func NewEngine() *Engine { return &Engine{} }
 
 // Install makes set dst's list at propagation epoch version, and returns
-// the epoch. set must be a canonical entry set — addr.CanonicalPrefixes's
-// form — and is adopted, not copied: the caller and the engine hold one
-// slice from here on, and neither may modify it. Whoever edits a list
-// derives its successor (from List's Entries and Version) and installs
+// the epoch. set is held by reference: the caller and the engine share
+// one record from here on, as any number of targets may. Whoever edits a
+// list derives its successor (from List's Set and Version) and installs
 // that; one Install is one update.
-func (e *Engine) Install(dst addr.IP, set []Entry, version uint64) uint64 {
-	e.put(dst, newList(set, version))
+func (e *Engine) Install(dst addr.IP, set *addr.PrefixSet, version uint64) uint64 {
+	e.put(dst, List{set: set, version: version})
 	return version
 }
 
@@ -90,7 +87,7 @@ func (e *Engine) Install(dst addr.IP, set []Entry, version uint64) uint64 {
 // themselves and are copied, and returns the epoch: len(entries), the
 // mutations a fresh list took (the E4 accounting the golden tables pin).
 func (e *Engine) Set(dst addr.IP, entries []Entry) uint64 {
-	return e.Install(dst, addr.CanonicalPrefixes(entries), uint64(len(entries)))
+	return e.Install(dst, addr.NewPrefixSet(entries), uint64(len(entries)))
 }
 
 // put installs l for dst: one update. The list is built before the stripe
@@ -147,7 +144,7 @@ func (e *Engine) Explain(src, dst addr.IP) Decision {
 		return Decision{}
 	}
 	d := Decision{HasList: true, Version: l.version, Entries: l.Len()}
-	d.Matched, d.Allowed = addr.MatchPrefix(l.entries, l.lengths, src)
+	d.Matched, d.Allowed = l.set.Match(src)
 	return d
 }
 
@@ -171,23 +168,22 @@ func (e *Engine) TargetsWithin(block addr.Prefix) []addr.IP {
 	return out
 }
 
-// EqualsEntries reports whether dst's installed set equals want, a
-// canonical set (a declared list is one), and whether dst is guarded at
-// all. Both are the same form, and a converged target's two holders share
-// one slice, so this is a pointer compare — no copy, no sort, no
-// allocation, and an element compare only for a list that drifted; the
-// steady-state reconciler compares every declared list this way, every
-// sweep.
-func (e *Engine) EqualsEntries(dst addr.IP, want []Entry) (equal, hasList bool) {
+// EqualsSet reports whether dst's installed set equals want (a declared
+// list), and whether dst is guarded at all. A converged target's two
+// holders share one record, so this is a pointer compare — no copy, no
+// sort, no allocation, and an element compare only for a list that
+// drifted; the steady-state reconciler compares every declared list this
+// way, every sweep.
+func (e *Engine) EqualsSet(dst addr.IP, want *addr.PrefixSet) (equal, hasList bool) {
 	l, ok := e.List(dst)
-	return ok && addr.EqualPrefixes(l.entries, want), ok
+	return ok && addr.EqualSets(l.set, want), ok
 }
 
-// EntriesOf returns dst's installed entry set (shared; not to be
+// EntriesOf returns dst's installed entries (shared; not to be
 // modified), or nil when dst is unguarded.
 func (e *Engine) EntriesOf(dst addr.IP) []Entry {
 	l, _ := e.List(dst)
-	return l.entries
+	return l.Entries()
 }
 
 // Endpoints returns the number of guarded EIPs.
@@ -219,7 +215,8 @@ type update struct {
 // The origin derives every list and the replicas install the very list it
 // installed, so a list is built once however many points enforce it. The
 // origin alone derives from a list, which is what lets Permit extend one
-// in place (addr.InsertPrefix) while replicas still hold shorter views.
+// in place (addr.PrefixSet.Insert) while replicas still hold shorter
+// views.
 type ReplicaSet struct {
 	eng      *sim.Engine
 	origin   *Engine
@@ -261,11 +258,7 @@ func (rs *ReplicaSet) Set(dst addr.IP, entries []Entry) {
 // Permit adds one entry everywhere (lagged at replicas).
 func (rs *ReplicaSet) Permit(dst addr.IP, en Entry) {
 	l, _ := rs.origin.List(dst)
-	rs.install(dst, List{
-		entries: addr.InsertPrefix(l.entries, en),
-		lengths: l.lengths | 1<<uint(en.Len), // exact without newList's rescan
-		version: l.version + 1,
-	})
+	rs.install(dst, List{set: l.set.Insert(en), version: l.version + 1})
 }
 
 // Revoke removes one entry everywhere (lagged at replicas). An unguarded
@@ -275,9 +268,8 @@ func (rs *ReplicaSet) Revoke(dst addr.IP, en Entry) {
 	if !ok {
 		return
 	}
-	rest := addr.RemovePrefix(l.entries, en)
-	if len(rest) != len(l.entries) {
-		l = newList(rest, l.version+1)
+	if rest := l.set.Remove(en); rest != l.set {
+		l = List{set: rest, version: l.version + 1}
 	}
 	rs.install(dst, l)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"declnet/internal/addr"
 	"declnet/internal/sim"
@@ -121,21 +122,24 @@ func TestListCloneAndEntries(t *testing.T) {
 	}
 }
 
-// Install adopts the canonical set it is handed — the engine holds the
-// caller's slice, not a copy — at the epoch it is given.
+// Install adopts the set it is handed — the engine holds the caller's
+// record, not a copy — at the epoch it is given, in a two-word slot.
 func TestInstallAdoptsTheSet(t *testing.T) {
 	e := NewEngine()
 	dst := ipa("198.18.0.1")
-	set := addr.CanonicalPrefixes([]Entry{pfx("10.0.0.0/8"), pfx("1.1.1.1/32"), pfx("10.0.0.0/8")})
+	set := addr.NewPrefixSet([]Entry{pfx("10.0.0.0/8"), pfx("1.1.1.1/32"), pfx("10.0.0.0/8")})
 	if epoch := e.Install(dst, set, 3); epoch != 3 {
 		t.Fatalf("Install returned epoch %d, want 3", epoch)
 	}
 	l, _ := e.List(dst)
-	if got := l.Entries(); &got[0] != &set[0] || len(got) != len(set) || l.Version() != 3 {
-		t.Fatalf("installed %v at version %d, want the caller's own slice at version 3", got, l.Version())
+	if l.Set() != set || l.Version() != 3 {
+		t.Fatalf("installed %v at version %d, want the caller's own set at version 3", l.Entries(), l.Version())
 	}
-	if equal, _ := e.EqualsEntries(dst, set); !equal || !e.Check(ipa("10.1.2.3"), dst) {
+	if equal, _ := e.EqualsSet(dst, set); !equal || !e.Check(ipa("10.1.2.3"), dst) {
 		t.Fatal("the installed set does not read as the one handed over")
+	}
+	if size := unsafe.Sizeof(List{}); size != 16 {
+		t.Fatalf("a List takes %d bytes of its page slot, want 16: a set reference and an epoch", size)
 	}
 }
 

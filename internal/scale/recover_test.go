@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"declnet/internal/addr"
+	"declnet/internal/core"
 	"declnet/internal/intent"
 	"declnet/internal/obs"
 	"declnet/internal/permit"
@@ -18,11 +19,11 @@ import (
 // building the empty world and RestoreIntent. The figures are the smoke
 // tier's (10^4 endpoints) under the race detector, the largest of the
 // tiers the test runs: building the world is a fixed cost, which fewer
-// endpoints share (the 10^5 tier measures 4.5 allocations and 1 090
-// bytes, the 10^6 tier 4.1 and 1 216). The journal half decodes binary
+// endpoints share (the 10^5 tier measures 4.7 allocations and 817
+// bytes, the 10^6 tier 4.3 and 784). The journal half decodes binary
 // frames with no reflection, keeping one copy of each repeated string;
 // the snapshot half hands every endpoint declaring the same list one
-// decoded slice; and an installed endpoint, with its permit list, is the
+// decoded set; and an installed endpoint, with its permit set, is the
 // declared entry itself — Log.State shares it and restore adopts it.
 // Recovery may cost a quarter more before TestRecoveryBudget fails.
 const (
@@ -71,7 +72,8 @@ func budgetTier(t *testing.T) Config {
 // l sees real concurrent append order — in two halves with a snapshot
 // between them, so a recovery folds a snapshot holding half the world
 // and a journal tail holding the other half, whatever the scheduler did.
-func onboardInHalves(t *testing.T, cfg Config, w *world, l *intent.Log) {
+// onboard grants a tenant's endpoints lo..hi-1: singleVerbs or batches.
+func onboardInHalves(t *testing.T, cfg Config, w *world, l *intent.Log, onboard func(*world, *tenantState, int, int) error) {
 	t.Helper()
 	perTenant := cfg.EIPs / cfg.Tenants
 	extra := cfg.EIPs % cfg.Tenants
@@ -81,22 +83,10 @@ func onboardInHalves(t *testing.T, cfg Config, w *world, l *intent.Log) {
 			if tenantIndex(ts.name) < extra {
 				n++
 			}
-			lo, hi := 0, n/2
-			if half == 1 {
-				lo, hi = n/2, n
+			if half == 0 {
+				return onboard(w, ts, 0, n/2)
 			}
-			for i := lo; i < hi; i++ {
-				eip, err := w.cloud.Tenant(ts.name).RequestEIP(ts.hosts[i%len(ts.hosts)])
-				if err != nil {
-					return err
-				}
-				ts.eips = append(ts.eips, eip)
-				regionEntry := []permit.Entry{addr.NewPrefix(addr.IP(ts.eips[0]), 16)}
-				if err := w.cloud.Tenant(ts.name).SetPermitList(eip, regionEntry); err != nil {
-					return err
-				}
-			}
-			return nil
+			return onboard(w, ts, n/2, n)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -107,6 +97,53 @@ func onboardInHalves(t *testing.T, cfg Config, w *world, l *intent.Log) {
 			}
 		}
 	}
+}
+
+// singleVerbs grants each endpoint and sets its permit list — its
+// tenant's first EIP's /16 — one verb at a time, as the drill does.
+func singleVerbs(w *world, ts *tenantState, lo, hi int) error {
+	for i := lo; i < hi; i++ {
+		eip, err := w.cloud.Tenant(ts.name).RequestEIP(ts.hosts[i%len(ts.hosts)])
+		if err != nil {
+			return err
+		}
+		ts.eips = append(ts.eips, eip)
+		regionEntry := []permit.Entry{addr.NewPrefix(addr.IP(ts.eips[0]), 16)}
+		if err := w.cloud.Tenant(ts.name).SetPermitList(eip, regionEntry); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// batchEndpoints is how many endpoints one batch onboards: a grant and a
+// set_permit each, 128 ops, the size of a set-up batch.
+const batchEndpoints = 64
+
+// batches onboards the same endpoints with the same list — the tenant's
+// region block — through ApplyBatch: each frame grants batchEndpoints
+// endpoints and declares the list on each of them, naming the grant by
+// back-reference.
+func batches(w *world, ts *tenantState, lo, hi int) error {
+	block, _ := w.prov.RegionBlock(w.regions[ts.region])
+	list := []permit.Entry{block}
+	for i := lo; i < hi; i += batchEndpoints {
+		var ops []core.BatchOp
+		for j := i; j < min(i+batchEndpoints, hi); j++ {
+			ops = append(ops, core.BatchOp{Op: intent.OpRequestEIP, VM: ts.hosts[j%len(ts.hosts)]},
+				core.BatchOp{Op: intent.OpSetPermit, Target: "$" + strconv.Itoa(len(ops)), Entries: list})
+		}
+		res, err := w.cloud.ApplyBatch(ts.name, ops)
+		if err != nil {
+			return err
+		}
+		for _, r := range res {
+			if r.Addr != 0 {
+				ts.eips = append(ts.eips, r.Addr)
+			}
+		}
+	}
+	return nil
 }
 
 // TestRecoveryBudget pins the cost of restart recovery at the E13
@@ -138,7 +175,7 @@ func TestRecoveryBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.cloud.EnableIntent(l)
-	onboardInHalves(t, cfg, w, l)
+	onboardInHalves(t, cfg, w, l, singleVerbs)
 	// A QoS tail after the snapshot point.
 	for _, ts := range w.tenants {
 		if err := w.cloud.Tenant(ts.name).SetQoS(w.prov.Name, regionName(ts.region), 1e9); err != nil {
@@ -186,34 +223,37 @@ func TestRecoveryBudget(t *testing.T) {
 
 // liveBytesPerEndpoint is the live heap one endpoint may cost in the
 // configuration declnetd runs: the intent store attached and compacted,
-// the decision tracer on. An endpoint is one declared record, held by the
-// store and installed by core alike and carrying its permit list, whose
-// slice the permit engine enforces as is; its slot in the store's
-// endpoint map; a slot on an address-indexed page of core's endpoint
-// table and of the engine's lists (addr.Table) and a bit in its pool's
-// in-use bitmap; and a share of its tenant's decision ring. Only the
-// store's map hashes, and what is fixed (a table's /16 directories, the
-// rings) spreads thinner as a region's block fills, so an endpoint costs
-// less at 10^6 than at 10^5; the budget holds at both.
-const liveBytesPerEndpoint = 300
+// the decision tracer on, onboarded one verb at a time. An endpoint is
+// one declared record, held by the store and installed by core alike and
+// carrying a reference to its permit set, which the permit engine
+// enforces as is; a slot on an address-indexed page of the store's
+// endpoint table, of core's and of the engine's (addr.Table), and a bit
+// in its pool's in-use bitmap; its own permit set, which a single verb
+// builds for it alone; and a share of its tenant's decision ring. What
+// is fixed (the rings, a table's blocks) spreads thinner as a region's
+// block fills, so an endpoint costs less at 10^6 than at 10^5; the
+// budget holds at both. Onboarded in batches, the endpoints of a frame
+// share one permit set, and an endpoint costs less again.
+const liveBytesPerEndpoint = 275
 
 // TestLiveBudget pins what the deployed control plane holds per endpoint:
 // onboard the budget tier the way TestRecoveryBudget does, with the intent
 // store and obs.NewTracer(0) attached as declnetd attaches them, compact,
 // collect, and count the heap in use against what it was before the
-// first grant. The same onboarding with the store alone is logged beside
-// it. Bytes per endpoint do not depend on the host; `make recover-scale`
-// runs it at 10^6. Under the race detector its allocations are not the
-// daemon's, so it does not run there.
+// first grant. The same onboarding with the store alone, and with the
+// store and tracer but in 128-op batches, are logged beside it. Bytes per
+// endpoint do not depend on the host; `make recover-scale` runs it at
+// 10^6. Under the race detector its allocations are not the daemon's, so
+// it does not run there.
 func TestLiveBudget(t *testing.T) {
 	if testing.Short() {
-		t.Skip("onboards 10^5 endpoints twice")
+		t.Skip("onboards 10^5 endpoints three times")
 	}
 	if raceEnabled {
 		t.Skip("the race detector's allocations are not the daemon's")
 	}
 	cfg := budgetTier(t)
-	live := func(tr *obs.Tracer) float64 {
+	live := func(tr *obs.Tracer, onboard func(*world, *tenantState, int, int) error) float64 {
 		l, err := intent.Open(t.TempDir(), intent.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -228,7 +268,7 @@ func TestLiveBudget(t *testing.T) {
 			w.cloud.EnableObservability(tr, nil)
 		}
 		heap0 := heapInUse()
-		onboardInHalves(t, cfg, w, l)
+		onboardInHalves(t, cfg, w, l, onboard)
 		if err := l.Compact(); err != nil {
 			t.Fatal(err)
 		}
@@ -236,10 +276,11 @@ func TestLiveBudget(t *testing.T) {
 		runtime.KeepAlive(w)
 		return (float64(heap1) - float64(heap0)) / float64(cfg.EIPs)
 	}
-	storeOnly := live(nil)
-	deployed := live(obs.NewTracer(0))
-	t.Logf("%d endpoints, %d tenants: %.0f live bytes per endpoint with the store and the tracer, %.0f with the store alone",
-		cfg.EIPs, cfg.Tenants, deployed, storeOnly)
+	storeOnly := live(nil, singleVerbs)
+	deployed := live(obs.NewTracer(0), singleVerbs)
+	batched := live(obs.NewTracer(0), batches)
+	t.Logf("%d endpoints, %d tenants: %.0f live bytes per endpoint with the store and the tracer, %.0f with the store alone, %.0f with both when onboarded in batches",
+		cfg.EIPs, cfg.Tenants, deployed, storeOnly, batched)
 	if deployed > liveBytesPerEndpoint {
 		t.Errorf("the deployed control plane holds %.0f bytes per endpoint, budget %d", deployed, liveBytesPerEndpoint)
 	}
