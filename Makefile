@@ -5,7 +5,7 @@ FUZZTIME ?= 10s
 SCALE_EIPS ?= 1000000
 SCALE_TENANTS ?= 400
 
-.PHONY: build fmt test vet race bench benchsmoke scale recover-scale soak staticcheck check fuzz loc flags benchmod nobaseline onejson onepath addrmaps
+.PHONY: build fmt test vet race bench benchsmoke scale recover-scale soak staticcheck check fuzz loc flags benchmod nobaseline onejson onepath addrmaps nostep
 
 build:
 	$(GO) build ./...
@@ -146,8 +146,18 @@ addrmaps:
 		echo "the lines above key a map by addr.IP; intent.State indexes addresses with addr.Table"; exit 1; \
 	fi
 
+# No request path advances the simulation: no non-test file of
+# internal/api or cmd/declnetd runs the engine (Run, RunFor, RunUntil) or
+# injects or heals a fault, which is what lets every verb and read take
+# only its shard locks, with no gate that holds the world still.
+nostep:
+	@if grep -nE '(^|[^A-Za-z0-9_])(Run|RunFor|RunUntil)\(|\.(Fail|Heal)\(|Exclusive\(' \
+		$$(ls internal/api/*.go cmd/declnetd/*.go | grep -v '_test\.go$$'); then \
+		echo "the lines above advance the engine on a request path; fault drills run in-process"; exit 1; \
+	fi
+
 # Tier-1 verification plus gofmt, vet, static analysis, the race pass,
 # the benchmark smoke tests, the declnetd dependency pin, the intent
-# store's freedom from JSON and from address-keyed maps, and the one
-# mutation path.
-check: build fmt vet staticcheck test race benchsmoke benchmod nobaseline onejson onepath addrmaps
+# store's freedom from JSON and from address-keyed maps, the one
+# mutation path, and a request path that never advances the engine.
+check: build fmt vet staticcheck test race benchsmoke benchmod nobaseline onejson onepath addrmaps nostep

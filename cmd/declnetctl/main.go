@@ -15,10 +15,7 @@
 //	potato <provider> hot|cold|dedicated
 //	group <name> <eip> [eip...]
 //	batch [file]                           # JSON ops from file or stdin
-//	transfer <src> <dst> <bytes>
 //	probe <src> <dst>
-//	fail link|node|region <target> [advance-ms]   # inject a failure
-//	heal link|node|region <target> [advance-ms]   # reverse it
 //	explain <src> <dst>                    # replay the datapath verdict chain
 //	trace [n] [kind]                       # recent decision trace events
 //	slo [all]                              # latency/SLO report for -tenant (or all)
@@ -86,14 +83,8 @@ parsed:
 		err = c.group(rest)
 	case "batch":
 		err = c.batch(rest)
-	case "transfer":
-		err = c.transfer(rest)
 	case "probe":
 		err = c.probe(rest)
-	case "fail":
-		err = c.fault("fail", rest)
-	case "heal":
-		err = c.fault("heal", rest)
 	case "explain":
 		err = c.explain(rest)
 	case "trace":
@@ -286,42 +277,12 @@ func (c client) batch(args []string) error {
 	return c.call("POST", "/v1/batch", map[string]any{"tenant": c.tenant, "ops": ops})
 }
 
-func (c client) transfer(args []string) error {
-	if err := need(args, 3, "transfer <src> <dst> <bytes>"); err != nil {
-		return err
-	}
-	b, err := strconv.ParseFloat(args[2], 64)
-	if err != nil {
-		return fmt.Errorf("bad byte count %q", args[2])
-	}
-	return c.call("POST", "/v1/transfer", map[string]any{
-		"tenant": c.tenant, "src": args[0], "dst": args[1], "bytes": b})
-}
-
 func (c client) probe(args []string) error {
 	if err := need(args, 2, "probe <src> <dst>"); err != nil {
 		return err
 	}
 	q := url.Values{"tenant": {c.tenant}, "src": {args[0]}, "dst": {args[1]}}
 	return c.call("GET", "/v1/probe?"+q.Encode(), nil)
-}
-
-// fault drives the operator's drill verbs: an optional trailing
-// advance-ms runs the simulation forward so the provider's reaction
-// (failover, re-bind) is visible in the returned counters.
-func (c client) fault(verb string, args []string) error {
-	if err := need(args, 2, verb+" link|node|region <target> [advance-ms]"); err != nil {
-		return err
-	}
-	body := map[string]any{"kind": args[0], "target": args[1]}
-	if len(args) >= 3 {
-		ms, err := strconv.ParseFloat(args[2], 64)
-		if err != nil {
-			return fmt.Errorf("bad advance-ms %q", args[2])
-		}
-		body["advance_ms"] = ms
-	}
-	return c.call("POST", "/v1/"+verb, body)
 }
 
 // explain asks the provider to replay the datapath decision for a

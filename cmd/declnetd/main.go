@@ -19,9 +19,6 @@
 //	POST /v1/groups        {tenant, name, members}
 //	POST /v1/names         {tenant, name, target}
 //	POST /v1/batch         {tenant, ops}      many mutations, one journal frame
-//	POST /v1/transfer      {tenant, src, dst, bytes}
-//	POST /v1/fail          {kind, target, advance_ms}
-//	POST /v1/heal          {kind, target, advance_ms}
 //	GET  /v1/probe?tenant=&src=&dst=
 //	GET  /v1/explain?tenant=&src=&dst=     replay datapath verdict chain
 //	GET  /v1/trace?tenant=&n=&kind=        recent decision trace events
@@ -34,6 +31,11 @@
 //	GET  /v1/reconcile                     desired-state convergence counters
 //	POST /v1/reconcile/sweep               force one reconciliation sweep
 //	POST /v1/snapshot                      compact the durable intent store
+//
+// No route advances the simulated world: its virtual clock stands still
+// while the daemon serves. Fault drills (link, node and region failures,
+// failover, re-bind) run in-process through declnet.World's Fail, Heal
+// and RunFor, as the experiments (cmd/expdriver -run E11) do.
 //
 // A POST body is limited to 1 MiB; a larger one is answered 413. A body
 // that does not decode (unknown fields included) or an operand that does

@@ -107,9 +107,10 @@ func (w *World) OnPremHost(n int) NodeID {
 }
 
 // Run advances the simulation until its event queue drains. Run, RunFor,
-// Fail and Heal take no lock: engine callbacks may call verbs. Drive
-// them from one goroutine, or inside Cloud.Exclusive while other
-// goroutines serve verbs.
+// Fail and Heal take no lock, and engine callbacks may call verbs: drive
+// them from one goroutine, with no verb or read in flight on another.
+// The HTTP control plane (internal/api) never calls them; a drill that
+// serves verbs concurrently runs them between rounds of requests.
 func (w *World) Run() { w.Cloud.Eng.Run() }
 
 // RunFor advances the simulation by the given virtual duration.

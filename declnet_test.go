@@ -234,3 +234,32 @@ func TestWorldClocks(t *testing.T) {
 		t.Fatalf("Now = %v", w.Now())
 	}
 }
+
+// TestWorldFaultOps: World.Fail and Heal take node and region targets,
+// count each on the injector, and refuse an unknown kind, an unknown
+// node or a region target that is not provider/region.
+func TestWorldFaultOps(t *testing.T) {
+	w, _ := fig1(t)
+	f := w.Fig1
+	node := string(w.Host(f.CloudB, f.RegionsB[0], "az1", 1))
+	region := f.CloudA + "/" + f.RegionsA[0]
+	for _, op := range []struct{ kind, target string }{{"node", node}, {"region", region}} {
+		if err := w.Fail(op.kind, op.target); err != nil {
+			t.Fatalf("fail %s: %v", op.kind, err)
+		}
+		if err := w.Heal(op.kind, op.target); err != nil {
+			t.Fatalf("heal %s: %v", op.kind, err)
+		}
+	}
+	if inj := w.Faults().Inj; inj.NodeFailures != 1 || inj.RegionFailures != 1 || !inj.NodeUp(NodeID(node)) {
+		t.Fatalf("after fail+heal: node failures %d, region failures %d, node up %v",
+			inj.NodeFailures, inj.RegionFailures, inj.NodeUp(NodeID(node)))
+	}
+	for _, bad := range []struct{ kind, target string }{
+		{"volcano", "x"}, {"node", "no-such-node"}, {"region", "cloudA"}, {"region", "cloudA/"},
+	} {
+		if err := w.Fail(bad.kind, bad.target); err == nil {
+			t.Errorf("fail %s %q accepted", bad.kind, bad.target)
+		}
+	}
+}

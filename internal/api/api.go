@@ -1,7 +1,10 @@
 // Package api exposes the Table-2 control plane over HTTP/JSON — the
 // shape a real provider would offer tenants. cmd/declnetd serves it;
 // cmd/declnetctl speaks it. The handler serves one simulated World and
-// holds no lock of its own: core's shard set is the only world gate.
+// holds no lock of its own: every request takes only the shard locks of
+// what it touches, inside core. No route advances the simulation engine;
+// fault drills run in-process (World.Fail, Heal, Run, RunFor), as the
+// experiments do.
 //
 // Alongside the control verbs, the server carries the observability plane
 // of §6: GET /v1/explain replays a datapath decision, GET /v1/trace
@@ -31,9 +34,9 @@ import (
 // (probe, status, explain, trace, metrics) and every Table-2 mutation —
 // the single-verb routes (eips, sips, bind, permit, qos, potato, groups,
 // names) and /v1/batch — serialize only on the shards they touch inside
-// core. The simulator controls (transfer, fail, heal) advance the
-// single-threaded engine inside core.Cloud.Exclusive, which holds every
-// shard still for the step.
+// core. Build it before the world is shared: NewServerWith attaches the
+// observability and SLO planes, which are set-up steps. Nothing advances
+// the world's engine while it serves.
 type Server struct {
 	world *declnet.World
 	mux   *http.ServeMux
@@ -84,9 +87,6 @@ func NewServerWith(w *declnet.World, opts Options) *Server {
 	for _, m := range verbRoutes {
 		s.mux.HandleFunc("POST "+m.path, s.mutation(m.route))
 	}
-	s.mux.HandleFunc("POST /v1/transfer", s.transfer)
-	s.mux.HandleFunc("POST /v1/fail", s.fail)
-	s.mux.HandleFunc("POST /v1/heal", s.heal)
 	s.mux.HandleFunc("GET /v1/probe", s.probe)
 	s.mux.HandleFunc("GET /v1/status", s.status)
 	s.mux.HandleFunc("GET /v1/explain", s.explain)
@@ -305,143 +305,6 @@ func (s *Server) resolveDst(tenant, dst string) (declnet.IP, error) {
 		return ip, nil
 	}
 	return 0, fmt.Errorf("api: %q is neither an address nor a registered name", dst)
-}
-
-// TransferRequest moves bytes between endpoints inside the simulation.
-// The flow must finish within maxAdvance of virtual time; one still
-// running at the bound is stopped and the request refused with 422.
-type TransferRequest struct {
-	Tenant string  `json:"tenant"`
-	Src    string  `json:"src"`
-	Dst    string  `json:"dst"`
-	Bytes  float64 `json:"bytes"`
-}
-
-// TransferResponse reports the flow completion time.
-type TransferResponse struct {
-	FCTMillis float64 `json:"fct_ms"`
-}
-
-func (s *Server) transfer(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[TransferRequest](w, r)
-	if !ok {
-		return
-	}
-	logTenant(w, req.Tenant)
-	src, err := declnet.ParseIP(req.Src)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Bytes <= 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("api: bytes must be positive"))
-		return
-	}
-	dst, err := s.resolveDst(req.Tenant, req.Dst)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	// The connect runs under its shard read locks like any read; only
-	// the run that completes the flow holds the world still. fct is set by
-	// whichever engine step fires the completion, and read inside a step.
-	var fct time.Duration
-	conn, err := s.world.Tenant(req.Tenant).Transfer(src, dst, req.Bytes, func(d time.Duration) { fct = d })
-	if err != nil {
-		writeErr(w, http.StatusForbidden, err)
-		return
-	}
-	var resp TransferResponse
-	var finished bool
-	s.world.Cloud.Exclusive(func() {
-		// The run drains to idle, but no further than maxAdvance: the
-		// guard is a daemon event, so it keeps no run alive, and a flow
-		// still going when it fires is stopped.
-		eng := s.world.Cloud.Eng
-		guard := eng.ScheduleDaemon(eng.Now()+maxAdvance, eng.Stop)
-		s.world.Run()
-		guard.Cancel()
-		if finished = conn.Flow.Done(); !finished {
-			conn.Close()
-		}
-		resp.FCTMillis = float64(fct) / float64(time.Millisecond)
-	})
-	if !finished {
-		writeErr(w, http.StatusUnprocessableEntity, fmt.Errorf("api: %g bytes did not arrive within the %d ms bound; the flow was stopped", req.Bytes, maxAdvance.Milliseconds()))
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// FaultRequest injects or heals an infrastructure failure — the
-// operator-facing face of internal/fault. Kind is "link", "node", or
-// "region"; AdvanceMillis optionally runs the simulation forward after
-// the event, by at most maxAdvance, so the provider's reaction (failover,
-// re-bind) can land.
-type FaultRequest struct {
-	Kind          string  `json:"kind"`
-	Target        string  `json:"target"`
-	AdvanceMillis float64 `json:"advance_ms,omitempty"`
-}
-
-// FaultResponse reports the injector's running drill counters.
-type FaultResponse struct {
-	LinkFailures   uint64 `json:"link_failures"`
-	NodeFailures   uint64 `json:"node_failures"`
-	RegionFailures uint64 `json:"region_failures"`
-	Recoveries     uint64 `json:"recoveries"`
-	Failovers      uint64 `json:"failovers"`
-	Rebinds        uint64 `json:"rebinds"`
-}
-
-// maxAdvance bounds a fault request's advance and a transfer's run: the
-// run holds the world gate, every verb and read waiting on it, while the
-// daemon tickers (health sweeps, quota limiters) fire all the way to the
-// deadline.
-const maxAdvance = time.Minute
-
-func (s *Server) fail(w http.ResponseWriter, r *http.Request) { s.faultish(w, r, true) }
-func (s *Server) heal(w http.ResponseWriter, r *http.Request) { s.faultish(w, r, false) }
-
-func (s *Server) faultish(w http.ResponseWriter, r *http.Request, fail bool) {
-	req, ok := decode[FaultRequest](w, r)
-	if !ok {
-		return
-	}
-	if req.AdvanceMillis > float64(maxAdvance.Milliseconds()) {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("api: advance_ms %g is over the %d ms bound", req.AdvanceMillis, maxAdvance.Milliseconds()))
-		return
-	}
-	op := s.world.Heal
-	if fail {
-		op = s.world.Fail
-	}
-	var resp FaultResponse
-	var err error
-	// Injection, the run after it and the counter reads are one engine
-	// step: no verb or read sees the world between them.
-	s.world.Cloud.Exclusive(func() {
-		if err = op(req.Kind, req.Target); err != nil {
-			return
-		}
-		if req.AdvanceMillis > 0 {
-			s.world.RunFor(time.Duration(req.AdvanceMillis * float64(time.Millisecond)))
-		}
-		m := s.world.Faults()
-		resp = FaultResponse{
-			LinkFailures:   m.Inj.LinkFailures,
-			NodeFailures:   m.Inj.NodeFailures,
-			RegionFailures: m.Inj.RegionFailures,
-			Recoveries:     m.Inj.Recoveries,
-			Failovers:      m.Failovers,
-			Rebinds:        m.Rebinds,
-		}
-	})
-	if err != nil {
-		writeErr(w, http.StatusConflict, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // ProbeResponse reports one RTT sample.

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"declnet"
 	"declnet/internal/core"
@@ -138,9 +139,9 @@ func TestReconcileMetricsMatchStatus(t *testing.T) {
 	// A permit deferred at src's failed host lands once the host heals,
 	// and the fault monitor marks src's list; the wipe after it is drift
 	// the mark finds. The unbind and the zeroed quota mark nothing.
-	srcHost := FaultRequest{Kind: "node", Target: string(w.Host(f.CloudA, f.RegionsA[0], "az1", 1))}
-	if code := post(t, ts, "/v1/fail", srcHost, nil); code != 200 {
-		t.Fatalf("fail status %d", code)
+	srcHost := string(w.Host(f.CloudA, f.RegionsA[0], "az1", 1))
+	if err := w.Fail("node", srcHost); err != nil {
+		t.Fatal(err)
 	}
 	if code := post(t, ts, "/v1/permit", PermitRequest{Tenant: "acme", Target: src.EIP, Entries: []string{be.EIP}}, nil); code != 200 {
 		t.Fatalf("permit status %d", code)
@@ -148,10 +149,10 @@ func TestReconcileMetricsMatchStatus(t *testing.T) {
 	if _, pending := w.Faults().PendingPermit(srcIP.Addr); !pending {
 		t.Fatal("the permit at a failed host did not defer")
 	}
-	srcHost.AdvanceMillis = 1500
-	if code := post(t, ts, "/v1/heal", srcHost, nil); code != 200 {
-		t.Fatalf("heal status %d", code)
+	if err := w.Heal("node", srcHost); err != nil {
+		t.Fatal(err)
 	}
+	w.RunFor(1500 * time.Millisecond)
 	if _, pending := w.Faults().PendingPermit(srcIP.Addr); pending {
 		t.Fatal("the deferred permit did not land")
 	}

@@ -9,15 +9,16 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"declnet"
 	"declnet/internal/obs"
 )
 
 // obsWorld grants a permitted client->SIP pair for diagnosis tests.
-func obsWorld(t *testing.T) (ts *httptest.Server, client, sip string) {
+func obsWorld(t *testing.T) (ts *httptest.Server, w *declnet.World, client, sip string) {
 	t.Helper()
-	ts, w := newTestServer(t)
+	ts, w = newTestServer(t)
 	f := w.Fig1
 	var cl, be EIPResponse
 	post(t, ts, "/v1/eips", EIPRequest{Tenant: "acme", VM: string(w.Host(f.CloudA, f.RegionsA[0], "az1", 1))}, &cl)
@@ -26,11 +27,24 @@ func obsWorld(t *testing.T) (ts *httptest.Server, client, sip string) {
 	post(t, ts, "/v1/sips", SIPRequest{Tenant: "acme", Provider: f.CloudB}, &sr)
 	post(t, ts, "/v1/bind", BindRequest{Tenant: "acme", EIP: be.EIP, SIP: sr.SIP}, nil)
 	post(t, ts, "/v1/permit", PermitRequest{Tenant: "acme", Target: sr.SIP, Entries: []string{cl.EIP}}, nil)
-	return ts, cl.EIP, sr.SIP
+	return ts, w, cl.EIP, sr.SIP
+}
+
+// transfer moves 1 MB from client to sip in-process and runs the engine
+// until it arrives: the connect records its decisions on the tracer and
+// the registry the server reads. No request is in flight while it runs.
+func transfer(t *testing.T, w *declnet.World, client, sip string) {
+	t.Helper()
+	src, _ := declnet.ParseIP(client)
+	dst, _ := declnet.ParseIP(sip)
+	if _, err := w.Tenant("acme").Transfer(src, dst, 1e6, nil); err != nil {
+		t.Fatal(err)
+	}
+	w.Run()
 }
 
 func TestStatusEndpoint(t *testing.T) {
-	ts, _, _ := obsWorld(t)
+	ts, _, _, _ := obsWorld(t)
 	var st StatusResponse
 	if code := get(t, ts, "/v1/status", &st); code != 200 {
 		t.Fatalf("status %d", code)
@@ -51,8 +65,8 @@ func TestStatusEndpoint(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	ts, client, sip := obsWorld(t)
-	post(t, ts, "/v1/transfer", TransferRequest{Tenant: "acme", Src: client, Dst: sip, Bytes: 1e6}, nil)
+	ts, w, client, sip := obsWorld(t)
+	transfer(t, w, client, sip)
 	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +113,7 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestExplainEndpoint(t *testing.T) {
-	ts, client, sip := obsWorld(t)
+	ts, _, client, sip := obsWorld(t)
 	// Happy path: permitted, healthy backends.
 	var ex declnet.Explanation
 	if code := get(t, ts, "/v1/explain?tenant=acme&src="+client+"&dst="+sip, &ex); code != 200 {
@@ -126,9 +140,12 @@ func TestExplainEndpoint(t *testing.T) {
 }
 
 func TestExplainNamesInjectedFault(t *testing.T) {
-	ts, client, sip := obsWorld(t)
-	// Kill the backend region and let the health monitor react.
-	post(t, ts, "/v1/fail", FaultRequest{Kind: "region", Target: "cloudB/b-east", AdvanceMillis: 3000}, nil)
+	ts, w, client, sip := obsWorld(t)
+	// Kill the backend region in-process and let the health monitor react.
+	if err := w.Fail("region", "cloudB/b-east"); err != nil {
+		t.Fatal(err)
+	}
+	w.RunFor(3 * time.Second)
 	var ex declnet.Explanation
 	if code := get(t, ts, "/v1/explain?tenant=acme&src="+client+"&dst="+sip, &ex); code != 200 {
 		t.Fatalf("explain status %d", code)
@@ -142,8 +159,8 @@ func TestExplainNamesInjectedFault(t *testing.T) {
 }
 
 func TestTraceEndpoint(t *testing.T) {
-	ts, client, sip := obsWorld(t)
-	post(t, ts, "/v1/transfer", TransferRequest{Tenant: "acme", Src: client, Dst: sip, Bytes: 1e6}, nil)
+	ts, w, client, sip := obsWorld(t)
+	transfer(t, w, client, sip)
 	var tr TraceResponse
 	if code := get(t, ts, "/v1/trace?tenant=acme", &tr); code != 200 {
 		t.Fatalf("trace status %d", code)

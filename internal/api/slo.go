@@ -3,9 +3,9 @@
 // the flight recorder dump (GET /v1/debug/flight).
 //
 // These are read paths over internally-synchronized slo.Plane state and
-// never touch core's world gate — health checks and postmortem span
-// dumps must work even while an engine step holds the world still; that
-// is exactly when they are needed.
+// take no shard lock — health checks and postmortem span dumps must work
+// even while a storm holds a shard's lock; that is exactly when they are
+// needed.
 package api
 
 import (

@@ -33,21 +33,21 @@ type Cloud struct {
 	Net *netsim.Network
 
 	// pidx is the provider registry: a copy-on-write index, replaced
-	// only under the shard set's global gate (AddProvider), that the
-	// lock-free read plane resolves addresses through — provider-by-name
-	// plus the sorted address-block table mapping any granted-range IP
-	// to its provider.
+	// only at set-up (AddProvider), that the lock-free read plane
+	// resolves addresses through — provider-by-name plus the sorted
+	// address-block table mapping any granted-range IP to its provider.
 	pidx atomic.Pointer[provIndex]
 
 	// shards partitions the write plane by (tenant, region); see
 	// shard.go.
 	shards *ShardSet
 
-	// engMu serializes what holders of the gate's read side write into
-	// Eng and Net: a new quota limiter's ticker (Provider.quota), a
-	// deferred permit update's first retry (FaultMonitor.retryPermit),
-	// and Connect's flow start and limiter attach. Advancing the engine
-	// takes the gate's write side instead (Exclusive).
+	// engMu serializes what concurrent verbs and reads write into Eng
+	// and Net: a new quota limiter's ticker (Provider.quota), a deferred
+	// permit update's first retry (FaultMonitor.retryPermit), and
+	// Connect's flow start and limiter attach. Advancing the engine
+	// takes no lock: only the simulation driver does it, with no verb in
+	// flight (see shard.go).
 	engMu sync.Mutex
 
 	// nmMu guards the two tenant-scoped naming maps below.
@@ -156,41 +156,36 @@ func (c *Cloud) Router() *qos.Router { return c.router }
 // Shards returns the shard table (experiments report its size).
 func (c *Cloud) Shards() *ShardSet { return c.shards }
 
-// Exclusive runs step with the whole world held still, under the shard
-// set's exclusive gate: every in-flight verb and read drains first and
-// the next one sees the step whole. It is how set-up attaches a provider
-// or a plane, and how an embedder serving verbs concurrently advances
-// the engine (Eng.Run, fault injection). step must not call a verb, a
-// read or Exclusive itself: the gate is not reentrant.
-func (c *Cloud) Exclusive(step func()) {
-	defer c.shards.lockGlobal()()
-	step()
-}
-
 // engineRead wraps a read of engine-owned state — the event queue, the
-// solver and fault counters — for a metrics scrape: the gate's read side
-// excludes an exclusive step advancing the engine, engMu a verb
-// scheduling on it or starting a flow.
+// solver and fault counters — for a metrics scrape: engMu excludes a verb
+// scheduling on the engine or starting a flow.
 func (c *Cloud) engineRead(read func() float64) func() float64 {
 	return func() float64 {
-		defer c.shards.rlockGlobal()()
 		c.engMu.Lock()
 		defer c.engMu.Unlock()
 		return read()
 	}
 }
 
-// Now reads the virtual clock, which only an exclusive step advances
-// while verbs are being served.
-func (c *Cloud) Now() time.Duration {
-	defer c.shards.rlockGlobal()()
-	return c.Eng.Now()
-}
+// Now reads the virtual clock, which no verb or read advances.
+func (c *Cloud) Now() time.Duration { return c.Eng.Now() }
 
-// AddProvider creates a provider control plane for the named cloud.
-func (c *Cloud) AddProvider(name string, cfg Config) (p *Provider, err error) {
-	c.Exclusive(func() { p, err = c.addProvider(name, cfg) })
-	return p, err
+// AddProvider creates a provider control plane for the named cloud. It
+// is a set-up step: call it before the cloud is shared.
+func (c *Cloud) AddProvider(name string, cfg Config) (*Provider, error) {
+	if _, ok := c.pidx.Load().byName[name]; ok {
+		return nil, fmt.Errorf("core: duplicate provider %q", name)
+	}
+	p, err := newProvider(name, c.Eng, c.G, c.Net, cfg)
+	if err != nil {
+		return nil, err
+	}
+	p.cloud = c
+	c.rebuildIndex(p)
+	if c.reg != nil {
+		c.registerProviderMetrics(name, p)
+	}
+	return p, nil
 }
 
 // AddFig1Providers attaches the Figure-1 address plan to c: a control
@@ -209,24 +204,8 @@ func AddFig1Providers(c *Cloud, w *topo.Fig1World) (a, b, onprem *Provider, err 
 	return a, b, onprem, err
 }
 
-func (c *Cloud) addProvider(name string, cfg Config) (*Provider, error) {
-	if _, ok := c.pidx.Load().byName[name]; ok {
-		return nil, fmt.Errorf("core: duplicate provider %q", name)
-	}
-	p, err := newProvider(name, c.Eng, c.G, c.Net, cfg)
-	if err != nil {
-		return nil, err
-	}
-	p.cloud = c
-	c.rebuildIndex(p)
-	if c.reg != nil {
-		c.registerProviderMetrics(name, p)
-	}
-	return p, nil
-}
-
 // rebuildIndex publishes the next provider index: the current one plus
-// p. The caller holds the global gate.
+// p, at set-up.
 func (c *Cloud) rebuildIndex(p *Provider) {
 	cur := c.pidx.Load()
 	idx := &provIndex{

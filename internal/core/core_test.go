@@ -394,6 +394,16 @@ func TestDuplicateProvider(t *testing.T) {
 	}
 }
 
+// TestWideSIPBaseRefused: a provider's SIP pool is one /16 at most, the
+// farthest apart the journal replays two grants of one pool.
+func TestWideSIPBaseRefused(t *testing.T) {
+	w := topo.BuildFig1(1)
+	c := NewCloud(1, w.Graph)
+	if _, err := c.AddProvider(w.CloudA, Config{EIPBase: pfx("100.64.0.0/10"), SIPBase: pfx("100.126.0.0/15")}); err == nil {
+		t.Fatal("a /15 SIP base accepted")
+	}
+}
+
 func TestFlatAddressNoAssumptions(t *testing.T) {
 	// EIPs for different VMs in the same region are dense (aggregatable
 	// by the provider) but the tenant-visible API never exposes structure:

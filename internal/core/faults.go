@@ -118,7 +118,8 @@ func newFaultMonitor(c *Cloud) *FaultMonitor {
 // EnableFaults arms the provider health monitor: the first call sets its
 // policy (a zero HealthInterval takes the default) and starts the health
 // sweep; later calls change nothing. It returns the cloud's one monitor.
-// Call it at set-up or inside an exclusive step, like any engine write.
+// Call it at set-up or from the simulation driver, like any engine
+// write.
 func (c *Cloud) EnableFaults(policy FaultPolicy) *FaultMonitor {
 	m := c.monitor
 	if !m.armed {
@@ -174,7 +175,7 @@ func (m *FaultMonitor) locked(f func() int) func() float64 {
 
 // registerMetrics exposes the monitor's reaction counters and latency
 // distributions through the cloud's registry. The health sweep and fault
-// injection write the engine-side counters inside an exclusive step.
+// injection write the engine-side counters from the simulation driver.
 func (m *FaultMonitor) registerMetrics(reg *metrics.Registry) {
 	c := m.cloud
 	reg.GaugeFunc("declnet_failovers_total",
@@ -341,8 +342,7 @@ type deferral struct {
 // tenants' deferrals race each other: mu covers the pending map and the
 // counters, and the first attempt is queued under the cloud's engMu like
 // every other event a shard-locked verb schedules. The attempts themselves
-// run inside the engine, which never advances beside verbs: that takes an
-// exclusive step.
+// run inside the engine, which never advances beside verbs.
 func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, edits int, set bool, node topo.NodeID) {
 	m.mu.Lock()
 	d, running := m.pending[target]

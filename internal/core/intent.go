@@ -26,11 +26,9 @@ import (
 )
 
 // EnableIntent attaches the durable intent store. Mutations accepted
-// after this point are journaled; call it before serving traffic (the
-// daemon does, right after RestoreIntent).
-func (c *Cloud) EnableIntent(l *intent.Log) {
-	c.Exclusive(func() { c.rec = l })
-}
+// after this point are journaled. It is a set-up step: call it before
+// the cloud is shared (the daemon does, right after RestoreIntent).
+func (c *Cloud) EnableIntent(l *intent.Log) { c.rec = l }
 
 // Intent returns the attached store, or nil before EnableIntent.
 func (c *Cloud) Intent() *intent.Log { return c.rec }
@@ -41,14 +39,13 @@ func (c *Cloud) Intent() *intent.Log { return c.rec }
 // cursors, permit lists re-installed, QoS and policy state re-applied.
 // Call it once, on an otherwise-fresh Cloud built over the same world
 // (the daemon compares the store's Meta stamps first), and before
-// EnableIntent — restoration itself must not re-journal. It is one
-// serial pass over each declared surface, in address order, under the
-// global gate.
+// EnableIntent — restoration itself must not re-journal — and before the
+// cloud is shared: it takes no lock. It is one serial pass over each
+// declared surface, in address order.
 func (c *Cloud) RestoreIntent(st *intent.State) error {
 	if st == nil {
 		return nil
 	}
-	defer c.shards.lockGlobal()()
 
 	idx := c.pidx.Load()
 	// The addresses each pool holds, gathered while the endpoints and
@@ -195,10 +192,9 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 // SIP and policy planes, and the cloud plane hash independently, and
 // the world digest combines the per-section sums, so two digests that
 // differ can be narrowed to the section that does. Every call walks the
-// whole world under the global gate; nothing on the serving path calls
-// it.
+// whole world and takes no lock, so call it on a quiesced world: no verb,
+// sweep or engine step in flight. Nothing on the serving path calls it.
 func (c *Cloud) StateDigest() string {
-	defer c.shards.lockGlobal()()
 	h := sha256.New()
 	for _, p := range c.pidx.Load().list {
 		fmt.Fprintf(h, "provider %s\n", p.Name)

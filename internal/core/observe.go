@@ -22,44 +22,42 @@ import (
 // to the cloud, where every provider reads them. Either may be nil (tracing
 // without metrics, or vice versa); instrumented paths are nil-safe, so
 // the disabled arm of experiment E12 pays only nil checks. It is a set-up
-// step, run under the exclusive gate; a later call replaces both sinks.
-// The registry gets every cloud-wide instrument here: the connect and
-// engine gauges, each provider's, and the fault monitor's.
+// step: call it before the cloud is shared; a later call replaces both
+// sinks. The registry gets every cloud-wide instrument here: the connect
+// and engine gauges, each provider's, and the fault monitor's.
 func (c *Cloud) EnableObservability(tr *obs.Tracer, reg *metrics.Registry) {
-	c.Exclusive(func() {
-		c.trace = tr
-		c.reg = reg
-		// Cached instrument handles: hot paths must not pay the registry's
-		// get-or-create lock per connection. Nil registry hands out nil
-		// instruments whose methods are no-ops.
-		c.mConnects = reg.Counter("declnet_connects_total",
-			"Connect attempts by outcome.", metrics.L("outcome", "ok"))
-		c.mConnectsDenied = reg.Counter("declnet_connects_total",
-			"Connect attempts by outcome.", metrics.L("outcome", "denied"))
-		c.mConnectsErr = reg.Counter("declnet_connects_total",
-			"Connect attempts by outcome.", metrics.L("outcome", "error"))
-		c.mProbes = reg.Counter("declnet_probes_total", "Probe calls.")
-		c.mExplains = reg.Counter("declnet_explains_total", "Explain replays.")
-		if reg == nil {
-			return
-		}
-		reg.GaugeFunc("declnet_virtual_time_seconds",
-			"Simulated clock.", c.engineRead(func() float64 { return c.Eng.Now().Seconds() }))
-		reg.GaugeFunc("declnet_event_queue_depth",
-			"Simulator event-queue depth.", c.engineRead(func() float64 { return float64(c.Eng.Pending()) }))
-		reg.GaugeFunc("declnet_solver_recomputes_total",
-			"Fair-share solver recomputations.", c.engineRead(func() float64 { return float64(c.Net.Recomputes) }))
-		reg.GaugeFunc("declnet_solver_flows_touched_total",
-			"Flows visited by incremental solves.", c.engineRead(func() float64 { return float64(c.Net.FlowsTouched) }))
-		reg.GaugeFunc("declnet_solver_links_touched_total",
-			"Links visited by incremental solves.", c.engineRead(func() float64 { return float64(c.Net.LinksTouched) }))
-		reg.GaugeFunc("declnet_flows_active",
-			"Live flows in the network.", c.engineRead(func() float64 { return float64(c.Net.Active()) }))
-		for _, p := range c.pidx.Load().list {
-			c.registerProviderMetrics(p.Name, p)
-		}
-		c.monitor.registerMetrics(reg)
-	})
+	c.trace = tr
+	c.reg = reg
+	// Cached instrument handles: hot paths must not pay the registry's
+	// get-or-create lock per connection. Nil registry hands out nil
+	// instruments whose methods are no-ops.
+	c.mConnects = reg.Counter("declnet_connects_total",
+		"Connect attempts by outcome.", metrics.L("outcome", "ok"))
+	c.mConnectsDenied = reg.Counter("declnet_connects_total",
+		"Connect attempts by outcome.", metrics.L("outcome", "denied"))
+	c.mConnectsErr = reg.Counter("declnet_connects_total",
+		"Connect attempts by outcome.", metrics.L("outcome", "error"))
+	c.mProbes = reg.Counter("declnet_probes_total", "Probe calls.")
+	c.mExplains = reg.Counter("declnet_explains_total", "Explain replays.")
+	if reg == nil {
+		return
+	}
+	reg.GaugeFunc("declnet_virtual_time_seconds",
+		"Simulated clock.", c.engineRead(func() float64 { return c.Eng.Now().Seconds() }))
+	reg.GaugeFunc("declnet_event_queue_depth",
+		"Simulator event-queue depth.", c.engineRead(func() float64 { return float64(c.Eng.Pending()) }))
+	reg.GaugeFunc("declnet_solver_recomputes_total",
+		"Fair-share solver recomputations.", c.engineRead(func() float64 { return float64(c.Net.Recomputes) }))
+	reg.GaugeFunc("declnet_solver_flows_touched_total",
+		"Flows visited by incremental solves.", c.engineRead(func() float64 { return float64(c.Net.FlowsTouched) }))
+	reg.GaugeFunc("declnet_solver_links_touched_total",
+		"Links visited by incremental solves.", c.engineRead(func() float64 { return float64(c.Net.LinksTouched) }))
+	reg.GaugeFunc("declnet_flows_active",
+		"Live flows in the network.", c.engineRead(func() float64 { return float64(c.Net.Active()) }))
+	for _, p := range c.pidx.Load().list {
+		c.registerProviderMetrics(p.Name, p)
+	}
+	c.monitor.registerMetrics(reg)
 }
 
 // Tracer returns the decision tracer, nil until EnableObservability.

@@ -157,7 +157,8 @@ type Config struct {
 	// EIPBase is the provider's public block, carved per region.
 	// Each region receives consecutive /16s from it.
 	EIPBase addr.Prefix
-	// SIPBase is the provider's service-address block.
+	// SIPBase is the provider's service-address block, a /16 or
+	// narrower: the journal replays a pool's grants no farther apart.
 	SIPBase addr.Prefix
 }
 
@@ -176,6 +177,9 @@ const (
 func newProvider(name string, eng *sim.Engine, g *topo.Graph, net *netsim.Network, cfg Config) (*Provider, error) {
 	if cfg.EIPBase.Len > 16 {
 		return nil, fmt.Errorf("core: EIP base %s too small to carve /16 region blocks", cfg.EIPBase)
+	}
+	if cfg.SIPBase.Len < 16 {
+		return nil, fmt.Errorf("core: SIP base %s is wider than a /16", cfg.SIPBase)
 	}
 	p := &Provider{
 		Name:      name,

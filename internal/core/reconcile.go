@@ -118,7 +118,9 @@ type Reconciler struct {
 }
 
 // EnableReconciler builds the convergence loop. Requires EnableIntent
-// first — without a declared state there is nothing to converge to.
+// first — without a declared state there is nothing to converge to. It
+// is a set-up step: call it before the cloud is shared (Start may come
+// later).
 func (c *Cloud) EnableReconciler(cfg ReconcilerConfig) (*Reconciler, error) {
 	if c.rec == nil {
 		return nil, fmt.Errorf("core: EnableReconciler requires EnableIntent first")
@@ -191,8 +193,7 @@ type sweepPlan struct {
 // between is read by this sweep and marked for the next — at worst one
 // redundant check, never a lost one. Safe to call from any
 // goroutine: sweeps run one at a time, repairs take the ordinary shard
-// locks (so none runs beside an exclusive step), and the unlocked
-// screens read only leaf-locked state.
+// locks, and the unlocked screens read only leaf-locked state.
 func (r *Reconciler) RunSweep() SweepResult {
 	r.sweeping.Lock()
 	defer r.sweeping.Unlock()

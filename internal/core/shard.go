@@ -11,41 +11,40 @@
 // Lock hierarchy (outer to inner; never acquire leftward while holding
 // rightward):
 //
-//	Reconciler.sweeping > ShardSet.global > shard.mu (in ShardKey.less
-//	order) > engMu > leaf locks (addr.Table stripes,
-//	pool/balancer/quota/registry mutexes, the intent log's mutex)
+//	Reconciler.sweeping > shard.mu (in ShardKey.less order) > engMu >
+//	leaf locks (addr.Table stripes, pool/balancer/quota/registry
+//	mutexes, the intent log's mutex)
 //
 // One leaf sits above engMu: a new quota limiter takes engMu inside its
 // provider's polMu, so nothing takes polMu while holding engMu.
 //
-// global is the one world gate: nothing else holds the world still.
 // Who takes what:
 //
 //   - A Table-2 mutation, a single verb or a batch (Cloud.apply), takes
-//     global.RLock plus the write locks of every shard its ops touch —
-//     the set is known before the first op runs; a bind adds its EIP's
-//     shard (Cloud.eipShard) — sorted by (tenant, region) and
-//     deduplicated (lockShards), and holds them for its whole apply +
-//     journal record. The reconciler's bind repair, which spans a SIP's
-//     shard and its backends' region shards, locks the same way; its
-//     other repairs take one shard's write lock (lockShard).
-//   - Cross-shard reads (Connect, Probe, Explain) take global.RLock
-//     plus BOTH endpoint shards' read locks in the same key order,
-//     deduped when the endpoints share a shard (rlockShards).
-//   - Readers of engine-owned state alone take global.RLock: the
-//     virtual clock (Cloud.Now) and the engine, solver and fault gauges
-//     (Cloud.engineRead, which adds engMu).
-//   - global.Lock excludes every shard at once and is taken only where
-//     the whole world must hold still: set-up (AddProvider,
-//     EnableObservability, EnableIntent, EnableSLO), RestoreIntent,
-//     StateDigest, and the simulator controls' engine step — the
-//     transfer, fail and heal routes advance the engine inside
-//     Cloud.Exclusive. No Table-2 mutation takes it. A step must never
-//     call a verb (global is not reentrant); the engine callbacks it
-//     fires touch leaf locks only.
-//   - engMu serializes what global.RLock holders write into the engine
-//     and the netsim solver: a new quota limiter's ticker, a deferred
-//     permit's first retry, and Connect's flow start and limiter attach.
+//     the write locks of every shard its ops touch — the set is known
+//     before the first op runs; a bind adds its EIP's shard
+//     (Cloud.eipShard) — sorted by (tenant, region) and deduplicated
+//     (lockShards), and holds them for its whole apply + journal record.
+//     The reconciler's bind repair, which spans a SIP's shard and its
+//     backends' region shards, locks the same way; its other repairs
+//     take one shard's write lock (lockShard).
+//   - Cross-shard reads (Connect, Probe, Explain) take BOTH endpoint
+//     shards' read locks in the same key order, deduped when the
+//     endpoints share a shard (rlockShards).
+//   - engMu serializes what concurrent verbs and reads write into the
+//     engine and the netsim solver — a new quota limiter's ticker, a
+//     deferred permit's first retry, Connect's flow start and limiter
+//     attach — and the metrics scrape's reads of the engine, solver and
+//     fault gauges (Cloud.engineRead).
+//
+// Nothing holds the whole world still, so three kinds of work run only
+// where no verb or read runs beside them, each as its doc states:
+// set-up (AddProvider, EnableObservability, EnableIntent, EnableSLO,
+// EnableReconciler) and RestoreIntent run before the world is shared;
+// StateDigest runs on a quiesced world; and advancing the engine
+// (World.Run, RunFor, Fail, Heal) is the simulation driver's, from one
+// goroutine with no request in flight. No request path advances it
+// (`make nostep`).
 //
 // Every multi-shard acquirer locks in the one total order ShardKey.less
 // defines, so batches, single verbs, probes and reconciler repairs
@@ -95,7 +94,6 @@ type shard struct {
 // every verb and every probe looks one up, so a mutex here would be the
 // one point where a storm in one shard still slowed another's reads.
 type ShardSet struct {
-	global sync.RWMutex
 	shards sync.Map // ShardKey -> *shard
 	n      atomic.Int64
 	single *shard
@@ -133,29 +131,23 @@ func (s *ShardSet) Len() int {
 	return int(s.n.Load())
 }
 
-// lockShard takes the write lock for one shard (plus the global read
-// gate) and returns the unlock.
+// lockShard takes the write lock for one shard and returns the unlock.
 func (s *ShardSet) lockShard(k ShardKey) func() {
-	s.global.RLock()
 	sh := s.shardOf(k)
 	sh.mu.Lock()
-	return func() {
-		sh.mu.Unlock()
-		s.global.RUnlock()
-	}
+	return sh.mu.Unlock
 }
 
-// lockShards takes the write locks for a set of shards (plus the global
-// read gate), appends the shards it locked to held and returns it for
-// unlockShards: a batch's whole footprint, held from before its first op
-// to after its journal record. The keys are sorted in place into
+// lockShards takes the write locks for a set of shards, appends the
+// shards it locked to held and returns it for unlockShards: a batch's
+// whole footprint, held from before its first op to after its journal
+// record. The keys are sorted in place into
 // ShardKey.less order — the order rlockShards uses — and deduplicated by
 // shard identity (repeated keys; every key, on a single-shard cloud),
 // since sync.RWMutex is not reentrant. With room in held and a sorted
 // key set it allocates nothing.
 func (s *ShardSet) lockShards(keys []ShardKey, held []*shard) []*shard {
 	slices.SortFunc(keys, ShardKey.compare)
-	s.global.RLock()
 	for _, k := range keys {
 		sh := s.shardOf(k)
 		if n := len(held); n > 0 && held[n-1] == sh {
@@ -172,20 +164,18 @@ func (s *ShardSet) unlockShards(held []*shard) {
 	for i := len(held) - 1; i >= 0; i-- {
 		held[i].mu.Unlock()
 	}
-	s.global.RUnlock()
 }
 
 // rlockShards takes the read locks for a pair of shards in deterministic
-// key order (plus the global read gate) and returns the unlock. The two
-// keys are the cross-shard connect protocol: src's shard and dst's
-// shard, sorted by (tenant, region) and deduped by shard identity —
-// sync.RWMutex is not reentrant even for readers once a writer queues,
-// so the same shard must be locked exactly once.
+// key order and returns the unlock. The two keys are the cross-shard
+// connect protocol: src's shard and dst's shard, sorted by (tenant,
+// region) and deduped by shard identity — sync.RWMutex is not reentrant
+// even for readers once a writer queues, so the same shard must be
+// locked exactly once.
 func (s *ShardSet) rlockShards(a, b ShardKey) func() {
 	if b.less(a) {
 		a, b = b, a
 	}
-	s.global.RLock()
 	sa, sb := s.shardOf(a), s.shardOf(b)
 	sa.mu.RLock()
 	if sb != sa {
@@ -196,22 +186,5 @@ func (s *ShardSet) rlockShards(a, b ShardKey) func() {
 			sb.mu.RUnlock()
 		}
 		sa.mu.RUnlock()
-		s.global.RUnlock()
 	}
-}
-
-// lockGlobal takes the exclusive gate: every shard's readers and writers
-// drain first, and none may enter until the returned unlock runs. For
-// set-up, restore, the state digest and engine steps only (see the
-// hierarchy above).
-func (s *ShardSet) lockGlobal() func() {
-	s.global.Lock()
-	return s.global.Unlock
-}
-
-// rlockGlobal takes the gate's read side alone: no exclusive step runs
-// until the returned unlock.
-func (s *ShardSet) rlockGlobal() func() {
-	s.global.RLock()
-	return s.global.RUnlock
 }

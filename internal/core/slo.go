@@ -2,9 +2,8 @@
 // refcounting for eviction, and the breach → decision-trace bridge.
 //
 // The plane itself lives in internal/slo and is verb-agnostic; this
-// file is the only place core knows about it. EnableSLO swaps the plane
-// pointer under the shard set's global gate (Cloud.Exclusive) so the next
-// verb sees it, and it hooks the plane's breach callback into the
+// file is the only place core knows about it. EnableSLO sets the plane
+// pointer at set-up, and it hooks the plane's breach callback into the
 // decision trace so a noisy-neighbor verdict shows up in `declnetctl
 // explain` output with a full cause chain.
 package core
@@ -16,9 +15,10 @@ import (
 
 // EnableSLO attaches (or detaches, with nil) the latency-accounting
 // plane. Instrumentation is nil-safe throughout, so a Cloud without a
-// plane pays only a nil check per verb.
+// plane pays only a nil check per verb. It is a set-up step: call it
+// before the cloud is shared.
 func (c *Cloud) EnableSLO(p *slo.Plane) {
-	c.Exclusive(func() { c.slo = p })
+	c.slo = p
 	if p != nil {
 		p.OnBreach(func(tenant, detail, cause string) {
 			c.traceEvent(tenant, obs.Decision{Kind: obs.SLOBreach, Verdict: obs.Degraded, Detail: detail, Cause: cause})

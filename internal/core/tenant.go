@@ -150,7 +150,7 @@ func (t *Tenant) Resolve(name string) (addr.IP, bool) {
 // so a mutation storm in an unrelated shard cannot stall it and opposing
 // connects cannot deadlock. The flow start and limiter attach write the
 // single-writer netsim solver and engine, so they run under engMu; the
-// flow then moves only when an exclusive step advances the engine.
+// flow then moves only when the simulation driver advances the engine.
 // Probe is the write-free read-plane variant.
 func (t *Tenant) Connect(src EIP, dst addr.IP, opts ConnectOpts) (*Conn, error) {
 	c := t.c

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -482,6 +483,41 @@ func TestPoolClaimOutOfOrder(t *testing.T) {
 	ps.claim(13) // free-list reuse
 	if len(ps.Released) != 0 || ps.Next != 16 {
 		t.Fatalf("free-list reclaim: Next = %d, Released = %v", ps.Next, ps.Released)
+	}
+}
+
+// TestFarClaimIsRefused: a request_sip record naming an address 1<<20
+// past its pool's cursor, farther than any /16 pool reaches, is an apply
+// error that declares nothing and allocates next to nothing, where
+// skip-filling the gap would append a million addresses to the free list.
+func TestFarClaimIsRefused(t *testing.T) {
+	const base = addr.IP(0xac100001)
+	s := NewState()
+	grant := func(seq uint64, ip addr.IP) error {
+		return s.Apply(&Record{Seq: seq, Tenant: "t", Ops: []Op{{Verb: OpRequestSIP, Addr: ip, Provider: "p"}}})
+	}
+	if err := grant(1, base); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := grant(2, base+1<<20)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("a grant 1<<20 addresses past its pool's cursor applied")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Errorf("refusing the far grant allocated %d bytes, bound 64 KiB", grew)
+	}
+	if _, ok := s.Services.Get(base + 1<<20); ok {
+		t.Error("the refused grant declared its service")
+	}
+	if ps := s.SIPPools["p"]; ps.Next != base+1 || len(ps.Released) != 0 {
+		t.Errorf("the refused grant moved the pool: Next = %s, %d released", ps.Next, len(ps.Released))
+	}
+	// One /16 past the cursor is the farthest a grant may land.
+	if err := grant(3, base+1+1<<16); err != nil {
+		t.Errorf("a grant one /16 past the cursor: %v", err)
 	}
 }
 

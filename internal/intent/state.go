@@ -77,21 +77,34 @@ type PoolState struct {
 	Released []addr.IP `json:"released,omitempty"`
 }
 
+// maxSkip bounds a claim's skip-fill: one /16, the size of every pool
+// (an EIP region block, a provider's SIP base).
+const maxSkip = 1 << 16
+
 // claim folds "this address was granted" into the cursor. The journal
 // serializes on append order, which under concurrent shards may differ
 // from pool-allocation order, so claim tolerates out-of-order grants:
 // a claim past the cursor skip-fills the gap into Released (the gap
 // addresses' own claims remove them again), and a claim below the
 // cursor that is not in Released was already skip-filled past. Serial
-// schedules replay byte-exact.
-func (ps *PoolState) claim(a addr.IP) {
+// schedules replay byte-exact. A claim more than maxSkip past the cursor
+// names an address its pool cannot hold; it is an error, and changes
+// nothing.
+func (ps *PoolState) claim(a addr.IP) error {
 	if ps.Next == 0 {
 		ps.Next = a
 	}
+	if a > ps.Next && a-ps.Next > maxSkip {
+		return fmt.Errorf("grant of %s lies %d addresses past its pool's cursor %s", a, a-ps.Next, ps.Next)
+	}
 	for i, r := range ps.Released {
 		if r == a {
-			ps.Released = append(ps.Released[:i], ps.Released[i+1:]...)
-			return
+			if i == 0 {
+				ps.Released = ps.Released[1:]
+			} else {
+				ps.Released = append(ps.Released[:i], ps.Released[i+1:]...)
+			}
+			return nil
 		}
 	}
 	switch {
@@ -103,6 +116,7 @@ func (ps *PoolState) claim(a addr.IP) {
 		}
 		ps.Next = a + 1
 	}
+	return nil
 }
 
 // release appends to the free list (FIFO, matching addr.HostPool).
@@ -242,6 +256,9 @@ func (s *State) Apply(rec *Record) error {
 func (s *State) applyOp(tenant string, op *Op) error {
 	switch op.Verb {
 	case OpRequestEIP:
+		if err := s.eipPool(op.Provider, op.Region).claim(op.Addr); err != nil {
+			return err
+		}
 		// A fresh grant starts default-off with no bindings, and only a
 		// stale incarnation — the address still has a live record — can
 		// leave any behind: a grant walks no service otherwise.
@@ -265,7 +282,6 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		} else {
 			s.Endpoints.Put(op.Addr, &Endpoint{Tenant: tenant, VM: op.VM, Provider: op.Provider, Region: op.Region})
 		}
-		s.eipPool(op.Provider, op.Region).claim(op.Addr)
 	case OpReleaseEIP:
 		ep, ok := s.Endpoints.Get(op.Addr)
 		if !ok {
@@ -288,11 +304,13 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		s.Endpoints.Delete(op.Addr)
 		s.eipPool(ep.Provider, ep.Region).release(op.Addr)
 	case OpRequestSIP:
+		if err := s.sipPool(op.Provider).claim(op.Addr); err != nil {
+			return err
+		}
 		if _, stale := s.Services.Get(op.Addr); stale {
 			s.forget(op.Addr)
 		}
 		s.Services.Put(op.Addr, &Service{Tenant: tenant, Provider: op.Provider})
-		s.sipPool(op.Provider).claim(op.Addr)
 	case OpReleaseSIP:
 		svc, ok := s.Services.Get(op.Addr)
 		if !ok {

@@ -7,8 +7,8 @@
 // Invalidation is one counter: the cache is valid at one graph epoch,
 // and the first lookup after any topology mutation flushes it whole. No
 // Table-2 verb mutates the graph; topology changes only in fault/heal
-// steps, which run exclusively, so a step's N link transitions cost one
-// flush however many epochs they advance.
+// steps, which run with no query in flight, so a step's N link
+// transitions cost one flush however many epochs they advance.
 //
 // Misses (including errors) are cached too: an unreachable or unknown
 // pair stays so until the topology changes, which flushes the entry.
@@ -56,8 +56,8 @@ const routerCacheCap = 1 << 17
 
 // Router serves policy path queries through an epoch-keyed cache over
 // one graph. Concurrent readers are safe; the graph itself must not be
-// mutated while a query is in flight (core's Cloud.Exclusive guarantees
-// that).
+// mutated while a query is in flight (core mutates it only from the
+// simulation driver, with no verb or read in flight).
 type Router struct {
 	g *topo.Graph
 

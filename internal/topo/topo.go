@@ -111,8 +111,8 @@ func (l *Link) Up() bool { return !l.down }
 // Graph is the substrate topology. Construct with New and the Add methods;
 // it is not safe for concurrent mutation, but any number of goroutines may
 // run ShortestPath (and the other read-only accessors) concurrently as
-// long as no mutation is in flight (where verbs and reads run
-// concurrently, core's Cloud.Exclusive guarantees that).
+// long as no mutation is in flight (core mutates it only from the
+// simulation driver, with no verb or read in flight).
 //
 // Nodes live in a dense arena (nodeList, indexed by the order of AddNode)
 // so path search runs over int indices instead of NodeID map keys, and
