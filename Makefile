@@ -5,7 +5,7 @@ FUZZTIME ?= 10s
 SCALE_EIPS ?= 1000000
 SCALE_TENANTS ?= 400
 
-.PHONY: build fmt test vet race bench benchsmoke scale recover-scale soak staticcheck check fuzz loc flags benchmod nobaseline onejson onepath addrmaps nostep
+.PHONY: build fmt test vet race bench benchsmoke scale recover-scale soak staticcheck check fuzz loc flags benchmod nobaseline onejson onepath addrmaps onestate nostep
 
 build:
 	$(GO) build ./...
@@ -146,6 +146,16 @@ addrmaps:
 		echo "the lines above key a map by addr.IP; intent.State indexes addresses with addr.Table"; exit 1; \
 	fi
 
+# One declared state: intent.State is the only copy of what a tenant
+# declared, so no non-test file of internal/core declares a group or name
+# map (keyed by string, holding addresses), the lock that once guarded
+# them, or an address table of endpoint records of its own.
+onestate:
+	@if grep -nE 'nmMu|map\[string\](map\[string\])?(\[\])?(addr\.IP|EIP|SIP)\b|addr\.Table\[\*intent\.Endpoint\]' \
+		$$(ls internal/core/*.go | grep -v '_test\.go$$'); then \
+		echo "the lines above keep declared state in core; it lives in intent.State alone"; exit 1; \
+	fi
+
 # No request path advances the simulation: no non-test file of
 # internal/api or cmd/declnetd runs the engine (Run, RunFor, RunUntil) or
 # injects or heals a fault, which is what lets every verb and read take
@@ -159,5 +169,6 @@ nostep:
 # Tier-1 verification plus gofmt, vet, static analysis, the race pass,
 # the benchmark smoke tests, the declnetd dependency pin, the intent
 # store's freedom from JSON and from address-keyed maps, the one
-# mutation path, and a request path that never advances the engine.
-check: build fmt vet staticcheck test race benchsmoke benchmod nobaseline onejson onepath addrmaps nostep
+# mutation path, one declared state, and a request path that never
+# advances the engine.
+check: build fmt vet staticcheck test race benchsmoke benchmod nobaseline onejson onepath addrmaps onestate nostep

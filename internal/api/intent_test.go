@@ -370,3 +370,30 @@ func TestUnbindBesideSweepsNever409(t *testing.T) {
 		t.Errorf("sweeps repaired or counted %d divergences with no drift injected", repaired)
 	}
 }
+
+// TestRefusedOpChangesNothing: an op the declared state refuses — a
+// release of an address the tenant does not hold, a create_group naming
+// another tenant's address — answers 409 and leaves the installed world,
+// the journal and its sequence number as they were: the check reads the
+// declared state before anything is folded or installed.
+func TestRefusedOpChangesNothing(t *testing.T) {
+	ts, w, l := newPersistentServer(t, core.ReconcilerConfig{})
+	f := w.Fig1
+	var mine, theirs EIPResponse
+	post(t, ts, "/v1/eips", EIPRequest{Tenant: "acme", VM: string(w.Host(f.CloudA, f.RegionsA[0], "az1", 1))}, &mine)
+	post(t, ts, "/v1/eips", EIPRequest{Tenant: "globex", VM: string(w.Host(f.CloudA, f.RegionsA[0], "az1", 2))}, &theirs)
+	refused := map[string]any{ // path -> body
+		"/v1/eips/release": ReleaseRequest{Tenant: "acme", EIP: theirs.EIP},
+		"/v1/batch": BatchRequest{Tenant: "acme", Ops: []BatchOpRequest{
+			{Op: "create_group", Name: "fleet", Members: []string{mine.EIP, theirs.EIP}}}},
+	}
+	for path, body := range refused {
+		digest, seq, records := w.Cloud.StateDigest(), l.Seq(), l.Stats().JournalRecords
+		if code := post(t, ts, path, body, nil); code != http.StatusConflict {
+			t.Errorf("%s: status %d, want 409", path, code)
+		}
+		if w.Cloud.StateDigest() != digest || l.Seq() != seq || l.Stats().JournalRecords != records {
+			t.Errorf("%s changed the world: seq %d -> %d, journal records %d -> %d", path, seq, l.Seq(), records, l.Stats().JournalRecords)
+		}
+	}
+}

@@ -2,10 +2,13 @@
 // single-verb HTTP route, or an op of a /v1/batch — is an intent.Op,
 // and Cloud.route is the one place an op is routed to its owning
 // provider and shard. Cloud.apply is the one place ops run: it plans
-// every op's shard with route, takes them all at once, runs each op's
-// body under them and journals the applied ops as one record. Its two
-// callers are Cloud.Apply (the Go facade) and ApplyBatch (batch.go,
-// which the HTTP routes use).
+// every op's shard with route and takes them all at once; under them it
+// checks each op against the declared state (intent.State, the only copy
+// of what tenants declared) and folds it there, journals the folded ops
+// as one record, and then installs each op's effect — permit engines,
+// balancers, limiters — derived from what was folded. Its two callers
+// are Cloud.Apply (the Go facade) and ApplyBatch (batch.go, which the
+// HTTP routes use).
 // A verb is defined by its case in that switch; DESIGN.md "Mutation
 // plane" carries the table. A verb applies and journals under one lock,
 // so whatever it touched is converged when it returns, accepted or
@@ -19,6 +22,7 @@ import (
 
 	"declnet/internal/addr"
 	"declnet/internal/intent"
+	"declnet/internal/lb"
 	"declnet/internal/qos"
 	"declnet/internal/slo"
 	"declnet/internal/topo"
@@ -60,14 +64,19 @@ type backRef struct {
 
 // apply is the one apply loop. It plans each op's shard (Cloud.route;
 // a grant's address, which a later op's backRef may name, is a stand-in
-// from the block it will come from), takes the write locks of exactly
-// those shards (ShardSet.lockShards), runs each op's body in order,
-// completing the op in place, and stops at the first failure. Under the
-// same locks, so journal order equals apply order within a shard, it
-// records the applied ops as one intent record; an address they released
-// returns to its pool only after that (Cloud.free), so no re-grant of it
-// can be journaled ahead of its release. It returns how many ops applied
-// and the first error. refs are in op order.
+// from the block it will come from) and takes the write locks of exactly
+// those shards (ShardSet.lockShards). Then, in one hold of the declared
+// state's lock (intent.Frame), it runs each op in order: the verb's
+// declare checks the op against the declared state and completes it in
+// place (a grant's address, set_permit's list), the state folds it, and
+// the verb's install derives the installed state from what was folded.
+// The first refusal stops the run, leaving the refused op unfolded and
+// nothing of it installed. The folded ops are journaled as one record
+// under the same hold, so journal order equals fold order and no
+// compaction sees half a frame. An address the ops released returns to
+// its pool only after that (Cloud.free), so no re-grant of it can be
+// journaled ahead of its release. It returns how many ops applied and the
+// first error. refs are in op order.
 //
 // A set_permit naming no groups runs with the set of its entries built
 // here (frameSets): every set_permit of the frame that declares the same
@@ -84,9 +93,9 @@ func (c *Cloud) apply(tenant string, ops []intent.Op, refs []backRef) (n int, er
 	for i, r := 0, 0; i < len(ops); i++ {
 		r = resolve(ops, refs, i, r)
 		op := &ops[i]
-		k, v, _, _, _ := c.route(tenant, op) // a routing error is the run's to report
+		k, v, _, _ := c.route(tenant, op) // a routing error is the run's to report
 		if len(ops) == 1 {
-			verb, region = v, k.Region
+			verb, region = v.slo, k.Region
 		}
 		if !slices.Contains(keys, k) {
 			keys = append(keys, k)
@@ -104,13 +113,13 @@ func (c *Cloud) apply(tenant string, ops []intent.Op, refs []backRef) (n int, er
 	held := c.shards.lockShards(keys, hb[:0])
 	sop.StageEnd(stg, "shard_wait")
 	defer c.shards.unlockShards(held)
-	released := false
 	var sets frameSets
+	released := false
+	rec := c.decl.Begin()
 	for r := 0; n < len(ops); n++ {
 		r = resolve(ops, refs, n, r)
 		op := &ops[n]
-		released = released || releases(op.Verb)
-		_, _, p, run, rerr := c.route(tenant, op)
+		_, v, p, rerr := c.route(tenant, op)
 		if a, ok := target(op); ok && rerr == nil {
 			p, rerr = c.owner(a)
 		}
@@ -121,18 +130,21 @@ func (c *Cloud) apply(tenant string, ops []intent.Op, refs []backRef) (n int, er
 			}
 		}
 		if rerr == nil {
-			*op, rerr = run(c, p, tenant, *op)
+			*op, rerr = v.declare(c, p, rec.State(), tenant, *op)
+		}
+		if rerr == nil {
+			rerr = rec.Fold(tenant, op)
 		}
 		if rerr != nil {
 			err = rerr
 			break
 		}
+		v.install(c, p, tenant, op)
+		released = released || releases(op.Verb)
 	}
-	if n > 0 && c.rec != nil {
-		stg = sop.StageStart()
-		c.rec.Record(tenant, ops[:n]...)
-		sop.StageEnd(stg, "journal")
-	}
+	stg = sop.StageStart()
+	rec.Record(tenant, ops[:n]...)
+	sop.StageEnd(stg, "journal")
 	for i := range ops[:n] {
 		if releases(ops[i].Verb) {
 			if ferr := c.free(ops[i].Addr); ferr != nil && err == nil {
@@ -224,7 +236,7 @@ func (c *Cloud) named(tenant, provider, region string) (*Provider, ShardKey, err
 
 // owner is the provider that granted an address-targeted verb's
 // target, which runs the verb. apply asks under the shard locks, just
-// before the body runs: the answer depends on what is granted now.
+// before the op is declared: the answer depends on what is granted now.
 func (c *Cloud) owner(a addr.IP) (*Provider, error) {
 	p, ok := c.providerOfAddr(a)
 	if !ok {
@@ -233,37 +245,219 @@ func (c *Cloud) owner(a addr.IP) (*Provider, error) {
 	return p, nil
 }
 
-// A verbBody applies a routed op at its owning provider p (nil for a
-// cloud-level verb) and returns the op completed with what it derives
-// (set_permit's Provider and list, a grant's Addr, the endpoint entry
-// request_eip and set_vm_egress install). Bodies capture
-// nothing and take the op by value, so routing and running a verb
-// allocate nothing: a closure returned from route, or an op passed by
-// pointer through a func value, would be moved to the heap.
-type verbBody func(c *Cloud, p *Provider, tenant string, op intent.Op) (intent.Op, error)
+// verb is one Table-2 verb: the SLO verb it is timed as, and its two
+// halves, which run under the shard locks and the declared state's lock
+// with the fold between them. declare checks op against st — the tenant
+// holds what op names, op's operands hold — and returns op completed with
+// what the provider derives (a grant's address, set_permit's list); a
+// release also uninstalls there, before its record leaves the declared
+// state. install derives installed state from the folded op and cannot
+// fail. p is the owning provider (nil for a cloud-level verb). Both
+// capture nothing and declare takes the op by value, so routing and
+// running a verb allocate nothing.
+type verb struct {
+	slo     slo.Verb
+	declare func(c *Cloud, p *Provider, st *intent.State, tenant string, op intent.Op) (intent.Op, error)
+	install func(c *Cloud, p *Provider, tenant string, op *intent.Op)
+}
 
-// route is the one verb table. For op it names the shard the verb
-// locks, the SLO verb it is timed as, the owning provider of a verb
-// routed by name and the body that applies it, completing what the
-// provider derives from the operands (request_eip's Provider and
-// Region). It runs nothing, and it reads only the topology's node
-// table and the address block carving, never which addresses are
-// granted right now: an address-targeted verb's key is its target's
-// static block, and apply asks for the target's owner (Cloud.owner)
-// only under the locks. So the key is valid even alongside a routing
-// error, and apply can plan every op's key — with a stand-in address
-// for a "$i" operand whose grant has not happened yet — before it takes
-// a single lock.
-func (c *Cloud) route(tenant string, op *intent.Op) (k ShardKey, verb slo.Verb, p *Provider, run verbBody, err error) {
+// nothing is the install of a verb whose whole effect is declared.
+func nothing(*Cloud, *Provider, string, *intent.Op) {}
+
+// verbs is the one verb table.
+var verbs = map[string]*verb{
+	intent.OpRequestEIP: {slo.VerbGrant,
+		func(c *Cloud, p *Provider, _ *intent.State, _ string, op intent.Op) (_ intent.Op, err error) {
+			n, _ := c.G.Node(topo.NodeID(op.VM))
+			blocks, err := p.checkHost(n)
+			if err == nil {
+				op.Addr, err = blocks.pool.Allocate()
+			}
+			return op, err
+		},
+		func(_ *Cloud, p *Provider, tenant string, _ *intent.Op) { p.granted(tenant, false) }},
+	intent.OpReleaseEIP: {slo.VerbGrant,
+		func(c *Cloud, p *Provider, st *intent.State, tenant string, op intent.Op) (intent.Op, error) {
+			if _, err := c.owned(tenant, op.Addr); err != nil {
+				return op, err
+			}
+			// The balancers it is bound to drain it now: the fold forgets them.
+			for _, sip := range st.Bound(op.Addr) {
+				if svc, ok := p.services.Get(sip); ok {
+					_ = svc.balancer.Unbind(op.Addr)
+				}
+			}
+			p.Permits.Drop(op.Addr)
+			return op, nil
+		},
+		func(_ *Cloud, p *Provider, tenant string, op *intent.Op) { p.released(tenant, op.Addr, false) }},
+	intent.OpRequestSIP: {slo.VerbGrant,
+		func(_ *Cloud, p *Provider, _ *intent.State, _ string, op intent.Op) (_ intent.Op, err error) {
+			op.Addr, err = p.sipBlock.Allocate()
+			return op, err
+		},
+		func(_ *Cloud, p *Provider, tenant string, op *intent.Op) {
+			p.services.Put(op.Addr, &service{sip: op.Addr, balancer: lb.New(op.Addr)})
+			p.granted(tenant, true)
+		}},
+	intent.OpReleaseSIP: {slo.VerbGrant,
+		func(c *Cloud, p *Provider, _ *intent.State, tenant string, op intent.Op) (intent.Op, error) {
+			_, err := c.ownedSIP(tenant, op.Addr)
+			if err == nil {
+				p.Permits.Drop(op.Addr)
+			}
+			return op, err
+		},
+		func(_ *Cloud, p *Provider, tenant string, op *intent.Op) { p.released(tenant, op.Addr, true) }},
+	intent.OpBind: {slo.VerbBind,
+		func(c *Cloud, _ *Provider, _ *intent.State, tenant string, op intent.Op) (intent.Op, error) {
+			if _, err := c.owned(tenant, op.EIP); err != nil {
+				return op, err
+			}
+			_, err := c.ownedSIP(tenant, op.SIP)
+			return op, err
+		},
+		func(_ *Cloud, p *Provider, _ string, op *intent.Op) {
+			if svc, ok := p.services.Get(op.SIP); ok {
+				svc.balancer.Bind(op.EIP, op.Weight)
+			}
+		}},
+	intent.OpUnbind: {slo.VerbBind,
+		func(c *Cloud, _ *Provider, _ *intent.State, tenant string, op intent.Op) (intent.Op, error) {
+			svc, err := c.ownedSIP(tenant, op.SIP)
+			if err == nil && !slices.ContainsFunc(svc.Binds, func(b intent.Bind) bool { return b.EIP == op.EIP }) {
+				err = fmt.Errorf("core: unbind %s from %s: %w", op.EIP, op.SIP, lb.ErrNotBound)
+			}
+			return op, err
+		},
+		func(_ *Cloud, p *Provider, _ string, op *intent.Op) {
+			if svc, ok := p.services.Get(op.SIP); ok {
+				_ = svc.balancer.Unbind(op.EIP) // a drifted balancer may already lack it
+			}
+		}},
+	intent.OpSetPermit: {slo.VerbPermit,
+		func(c *Cloud, p *Provider, st *intent.State, tenant string, op intent.Op) (intent.Op, error) {
+			if err := c.ownsTarget(tenant, op.Target); err != nil {
+				return op, err
+			}
+			op.Provider = p.Name
+			if op.Next == nil {
+				// The groups expand here, from the declared memberships:
+				// the journal records the expanded entries, for a replay
+				// that named the groups would expand another membership.
+				entries := slices.Clip(op.Entries) // appends below copy, never write into the op
+				for _, g := range op.Groups {
+					members, ok := st.Groups[intent.GroupKey(tenant, g)]
+					if !ok {
+						return op, fmt.Errorf("core: unknown group %q", g)
+					}
+					for _, m := range members {
+						entries = append(entries, addr.NewPrefix(m, 32))
+					}
+				}
+				op.Next = addr.NewPrefixSet(entries)
+			}
+			op.Entries, op.Groups = op.Next.Entries(), nil
+			return op, nil
+		},
+		func(_ *Cloud, p *Provider, tenant string, op *intent.Op) { p.installPermits(tenant, op) }},
+	intent.OpPermit: permitVerb,
+	intent.OpRevoke: permitVerb,
+	intent.OpSetQoS: {slo.VerbQoS,
+		func(_ *Cloud, p *Provider, _ *intent.State, _ string, op intent.Op) (intent.Op, error) {
+			if err := checkRate(op.Bps); err != nil {
+				return op, err
+			}
+			if _, ok := p.eipBlocks[op.Region]; !ok {
+				return op, fmt.Errorf("core: unknown region %q", op.Region)
+			}
+			return op, nil
+		},
+		func(_ *Cloud, p *Provider, tenant string, op *intent.Op) { p.setQoS(tenant, op.Region, op.Bps) }},
+	intent.OpSetPotato: {slo.VerbQoS,
+		func(_ *Cloud, _ *Provider, _ *intent.State, _ string, op intent.Op) (intent.Op, error) {
+			_, err := qos.ParsePotatoPolicy(op.Policy)
+			return op, err
+		},
+		func(_ *Cloud, p *Provider, tenant string, op *intent.Op) {
+			policy, _ := qos.ParsePotatoPolicy(op.Policy)
+			p.setPotato(tenant, policy)
+		}},
+	intent.OpSetVMEgress: {slo.VerbQoS,
+		func(c *Cloud, _ *Provider, _ *intent.State, tenant string, op intent.Op) (intent.Op, error) {
+			if err := checkRate(op.Bps); err != nil {
+				return op, err
+			}
+			_, err := c.owned(tenant, op.EIP)
+			return op, err
+		},
+		nothing}, // a connect reads the cap off the declared record
+	intent.OpCreateGroup: {slo.VerbBind,
+		func(c *Cloud, _ *Provider, _ *intent.State, tenant string, op intent.Op) (intent.Op, error) {
+			for _, m := range op.Members {
+				if _, ok := c.providerOfAddr(m); !ok {
+					return op, fmt.Errorf("core: group member %s is not a granted address", m)
+				}
+				if _, err := c.owned(tenant, m); err != nil {
+					return op, err
+				}
+			}
+			return op, nil
+		},
+		nothing},
+	intent.OpRegisterName: {slo.VerbBind,
+		func(c *Cloud, _ *Provider, _ *intent.State, tenant string, op intent.Op) (intent.Op, error) {
+			if _, ok := c.providerOfAddr(op.Addr); !ok {
+				return op, fmt.Errorf("core: %s is not a granted address", op.Addr)
+			}
+			return op, c.ownsTarget(tenant, op.Addr)
+		},
+		nothing},
+	intent.OpUnregisterName: {slo.VerbBind,
+		func(_ *Cloud, _ *Provider, st *intent.State, tenant string, op intent.Op) (intent.Op, error) {
+			if _, ok := st.Names[intent.GroupKey(tenant, op.Name)]; !ok {
+				return op, fmt.Errorf("core: tenant %q has no name %q", tenant, op.Name)
+			}
+			return op, nil
+		},
+		nothing},
+}
+
+// permitVerb is permit (add each of op's entries) and revoke (remove
+// each): the fold derives the target's next declared list from its
+// declared one, and the install derives the installed list from it
+// (Provider.installPermits).
+var permitVerb = &verb{slo.VerbPermit,
+	func(c *Cloud, _ *Provider, _ *intent.State, tenant string, op intent.Op) (intent.Op, error) {
+		return op, c.ownsTarget(tenant, op.Target)
+	},
+	func(_ *Cloud, p *Provider, tenant string, op *intent.Op) { p.installPermits(tenant, op) }}
+
+// route routes op. It names the shard the verb locks, the verb, and the
+// owning provider of a verb routed by name, completing what the provider
+// derives from the operands (request_eip's Provider, VM and Region). It
+// runs nothing, and it reads only the topology's node table and the
+// address block carving, never which addresses are granted right now: an
+// address-targeted verb's key is its target's static block, and apply
+// asks for the target's owner (Cloud.owner) only under the locks. So the
+// key is valid even alongside a routing error, and apply can plan every
+// op's key — with a stand-in address for a "$i" operand whose grant has
+// not happened yet — before it takes a single lock. An unknown verb
+// routes to a verb whose declare refuses it.
+func (c *Cloud) route(tenant string, op *intent.Op) (k ShardKey, v *verb, p *Provider, err error) {
 	k = ShardKey{Tenant: tenant} // cloud-level verbs: the tenant's region-less shard
 	if a, ok := target(op); ok {
 		k = c.shardKeyOf(tenant, a)
+	}
+	v, ok := verbs[op.Verb]
+	if !ok {
+		return k, unknownVerb, nil, fmt.Errorf("core: unknown verb %q", op.Verb)
 	}
 	switch op.Verb {
 	case intent.OpRequestEIP:
 		n, ok := c.G.Node(topo.NodeID(op.VM))
 		if !ok {
-			return k, verb, nil, nil, fmt.Errorf("core: unknown VM %q", op.VM)
+			return k, v, nil, fmt.Errorf("core: unknown VM %q", op.VM)
 		}
 		if op.Provider == "" {
 			op.Provider = n.Provider
@@ -273,89 +467,20 @@ func (c *Cloud) route(tenant string, op *intent.Op) (k ShardKey, verb slo.Verb, 
 		// copy is not retained.
 		op.VM, op.Region = string(n.ID), n.Region
 		p, k, err = c.named(tenant, op.Provider, n.Region)
-		verb, run = slo.VerbGrant, func(c *Cloud, p *Provider, tenant string, op intent.Op) (_ intent.Op, err error) {
-			n, _ := c.G.Node(topo.NodeID(op.VM))
-			op.Addr, op.Endpoint, err = p.requestEIP(tenant, n)
-			return op, err
-		}
-	case intent.OpReleaseEIP:
-		verb, run = slo.VerbGrant, func(_ *Cloud, p *Provider, tenant string, op intent.Op) (intent.Op, error) {
-			return op, p.releaseEIP(tenant, op.Addr)
-		}
-	case intent.OpRequestSIP:
+	case intent.OpRequestSIP, intent.OpSetPotato:
 		p, k, err = c.named(tenant, op.Provider, "")
-		verb, run = slo.VerbGrant, func(_ *Cloud, p *Provider, tenant string, op intent.Op) (_ intent.Op, err error) {
-			op.Addr, err = p.requestSIP(tenant)
-			return op, err
-		}
-	case intent.OpReleaseSIP:
-		verb, run = slo.VerbGrant, func(_ *Cloud, p *Provider, tenant string, op intent.Op) (intent.Op, error) {
-			return op, p.releaseSIP(tenant, op.Addr)
-		}
-	case intent.OpBind:
-		verb, run = slo.VerbBind, func(_ *Cloud, p *Provider, tenant string, op intent.Op) (intent.Op, error) {
-			return op, p.bind(tenant, op.EIP, op.SIP, op.Weight)
-		}
-	case intent.OpUnbind:
-		verb, run = slo.VerbBind, func(_ *Cloud, p *Provider, tenant string, op intent.Op) (intent.Op, error) {
-			return op, p.unbind(tenant, op.EIP, op.SIP)
-		}
-	case intent.OpSetPermit:
-		verb, run = slo.VerbPermit, func(_ *Cloud, p *Provider, tenant string, op intent.Op) (intent.Op, error) {
-			op.Provider = p.Name
-			err := p.setPermitList(tenant, &op)
-			return op, err
-		}
-	case intent.OpPermit, intent.OpRevoke:
-		verb, run = slo.VerbPermit, func(_ *Cloud, p *Provider, tenant string, op intent.Op) (intent.Op, error) {
-			err := p.permitEntries(tenant, &op)
-			return op, err
-		}
 	case intent.OpSetQoS:
 		p, k, err = c.named(tenant, op.Provider, op.Region)
-		verb, run = slo.VerbQoS, func(_ *Cloud, p *Provider, tenant string, op intent.Op) (intent.Op, error) {
-			if err := checkRate(op.Bps); err != nil {
-				return op, err
-			}
-			return op, p.setQoS(tenant, op.Region, op.Bps)
-		}
-	case intent.OpSetPotato:
-		p, k, err = c.named(tenant, op.Provider, "")
-		verb, run = slo.VerbQoS, func(_ *Cloud, p *Provider, tenant string, op intent.Op) (intent.Op, error) {
-			policy, err := qos.ParsePotatoPolicy(op.Policy)
-			if err == nil {
-				p.setPotato(tenant, policy)
-			}
-			return op, err
-		}
-	case intent.OpSetVMEgress:
-		verb, run = slo.VerbQoS, func(_ *Cloud, p *Provider, tenant string, op intent.Op) (_ intent.Op, err error) {
-			if err := checkRate(op.Bps); err != nil {
-				return op, err
-			}
-			op.Endpoint, err = p.setVMEgressCap(tenant, op.EIP, op.Bps)
-			return op, err
-		}
 	case intent.OpCreateGroup:
 		if op.Provider != "" {
-			return k, verb, nil, nil, fmt.Errorf("core: create_group is tenant-wide; provider %q given", op.Provider)
+			err = fmt.Errorf("core: create_group is tenant-wide; provider %q given", op.Provider)
 		}
-		verb, run = slo.VerbBind, func(c *Cloud, _ *Provider, tenant string, op intent.Op) (intent.Op, error) {
-			return op, c.createGroup(tenant, op.Name, op.Members)
-		}
-	case intent.OpRegisterName:
-		verb, run = slo.VerbBind, func(c *Cloud, _ *Provider, tenant string, op intent.Op) (intent.Op, error) {
-			return op, c.registerName(tenant, op.Name, op.Addr)
-		}
-	case intent.OpUnregisterName:
-		verb, run = slo.VerbBind, func(c *Cloud, _ *Provider, tenant string, op intent.Op) (intent.Op, error) {
-			return op, c.unregisterName(tenant, op.Name)
-		}
-	default:
-		err = fmt.Errorf("core: unknown verb %q", op.Verb)
 	}
-	return k, verb, p, run, err
+	return k, v, p, err
 }
+
+// unknownVerb is what route returns beside an unknown verb's error.
+var unknownVerb = &verb{}
 
 // target is the address an address-targeted verb is routed by: the
 // provider that granted it runs the verb, and its static block names the
@@ -388,9 +513,9 @@ func (c *Cloud) eipShard(tenant string, op *intent.Op) (ShardKey, bool) {
 
 // checkRate refuses a set_qos or set_vm_egress bandwidth that is negative,
 // NaN or infinite; zero is a rate (no reservation, or the provider's
-// default VM cap). Checked in apply, not in setQoS: recovery and the
-// quota repair share that body, and a store holding such a quota must
-// open.
+// default VM cap). Checked in the verbs' declare, not in setQoS: recovery
+// and the quota repair share that body, and a store holding such a quota
+// must open.
 func checkRate(bps float64) error {
 	if bps < 0 || math.IsNaN(bps) || math.IsInf(bps, 0) {
 		return fmt.Errorf("core: bandwidth %g bit/s is not a finite, non-negative rate", bps)

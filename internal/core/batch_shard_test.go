@@ -68,7 +68,7 @@ func TestShardLockIsolation(t *testing.T) {
 		return row{name,
 			func(tenant string, f fixture) ShardKey {
 				op := mk(f)
-				k, _, _, _, _ := c.route(tenant, &op)
+				k, _, _, _ := c.route(tenant, &op)
 				return k
 			},
 			func(tenant string, f fixture) error {
@@ -232,7 +232,7 @@ func TestBatchPlanMatchesRoute(t *testing.T) {
 	planned := make([]ShardKey, len(ops))
 	for i := range ops {
 		fill(i)
-		planned[i], _, _, _, _ = c.route("acme", &f.ops[i])
+		planned[i], _, _, _ = c.route("acme", &f.ops[i])
 		if grants(f.ops[i].Verb) {
 			if f.ops[i].Addr = c.standIn(planned[i]); f.ops[i].Addr == 0 {
 				t.Fatalf("op %d (%s): no stand-in for shard %v", i, ops[i].Op, planned[i])
@@ -241,7 +241,7 @@ func TestBatchPlanMatchesRoute(t *testing.T) {
 	}
 	for i := range ops {
 		fill(i)
-		got, _, _, _, _ := c.route("acme", &f.ops[i])
+		got, _, _, _ := c.route("acme", &f.ops[i])
 		if _, err := c.Apply("acme", f.ops[i:i+1]...); err != nil {
 			t.Fatalf("op %d (%s): %v", i, ops[i].Op, err)
 		}

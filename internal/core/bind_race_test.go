@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -105,7 +107,7 @@ func TestBindNeverInstallsAReleasedEIP(t *testing.T) {
 	for tenant, sip := range sips {
 		svc, _ := pa.services.Get(sip)
 		for eip := range svc.balancer.Weights() {
-			if _, err := pa.owned(tenant, eip); err != nil {
+			if _, err := c.owned(tenant, eip); err != nil {
 				t.Errorf("live: %s's SIP %s balances to %s: %v", tenant, sip, eip, err)
 			}
 		}
@@ -116,4 +118,59 @@ func TestBindNeverInstallsAReleasedEIP(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGroupsAndNamesNeverKeepAReleasedAddress races create_group and
+// register_name, which run under the tenant's region-less shard, against
+// release_eip, which runs under the EIP's region shard. Each verb checks
+// and folds under the declared state's lock, so a group or name op either
+// sees the address released and refuses it, or folds first and the
+// release's fold drops it again: after every round no group member and no
+// name target is an address the tenant no longer holds, and a world
+// restored from the store digests like the live one.
+func TestGroupsAndNamesNeverKeepAReleasedAddress(t *testing.T) {
+	dir := t.TempDir()
+	c, w, _, _, _ := fig1Cloud(t)
+	l, err := intent.Open(dir, intent.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.EnableIntent(l)
+	acme := c.Tenant("acme")
+	for round := 0; round < 50; round++ {
+		var eips []EIP
+		for i := 0; i < 4; i++ {
+			eip, err := acme.RequestEIP(topo.HostID(w.CloudA, w.RegionsA[round%2], []string{"az1", "az2"}[i%2], 1+i/2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			eips = append(eips, eip)
+		}
+		var wg sync.WaitGroup
+		for i, eip := range eips {
+			wg.Add(3)
+			go func() { // every other address stays held into the next round
+				defer wg.Done()
+				if i%2 == 0 && acme.ReleaseEIP(eip) != nil {
+					t.Error("release refused")
+				}
+			}()
+			go func() { defer wg.Done(); _ = acme.Register(fmt.Sprintf("svc%d", i), eip) }() // refused once released
+			go func() { defer wg.Done(); _ = acme.CreateGroup(fmt.Sprintf("fleet%d", i%2), eips...) }()
+		}
+		wg.Wait()
+		st := l.State()
+		held := func(a addr.IP) bool { ep, ok := st.Endpoints.Get(a); return ok && ep.Tenant == "acme" }
+		for key, members := range st.Groups {
+			if i := slices.IndexFunc(members, func(m addr.IP) bool { return !held(m) }); i >= 0 {
+				t.Fatalf("round %d: group %s keeps released member %s", round, key, members[i])
+			}
+		}
+		for key, a := range st.Names {
+			if !held(a) {
+				t.Fatalf("round %d: name %s keeps released address %s", round, key, a)
+			}
+		}
+	}
+	checkRestartDigest(t, c, l, dir)
 }

@@ -50,17 +50,6 @@ type Cloud struct {
 	// flight (see shard.go).
 	engMu sync.Mutex
 
-	// nmMu guards the two tenant-scoped naming maps below.
-	nmMu sync.RWMutex
-	// groups holds tenant-scoped endpoint groups, whose members may span
-	// providers — the grouping extension of §4, usable as permit sources
-	// at any provider: tenant -> group -> members.
-	groups map[string]map[string][]EIP
-	// names holds tenant-scoped service names — the §6 "abstract above
-	// details such as IP addresses entirely?" extension: tenants may
-	// address endpoints and services by name and never see an address.
-	names map[string]map[string]addr.IP
-
 	// monitor is the fault-reaction loop: built idle with the cloud,
 	// its health ticker armed by EnableFaults.
 	monitor *FaultMonitor
@@ -81,9 +70,11 @@ type Cloud struct {
 	// nil-safe at every call site like the tracer.
 	slo *slo.Plane
 
-	// rec is the durable intent store, nil until EnableIntent (see
-	// intent.go in this package); every call site checks for nil.
-	rec *intent.Log
+	// decl is the declared world — endpoints, services, permit lists,
+	// groups, names, quotas — every verb checks and folds into, and its
+	// durable tail once EnableIntent attaches a store (see intent.go in
+	// this package). Never nil.
+	decl *intent.Log
 
 	// reconciler is the desired-state engine, nil until EnableReconciler
 	// (see reconcile.go).
@@ -139,8 +130,7 @@ func newCloud(seed int64, g *topo.Graph, singleShard bool) *Cloud {
 	c := &Cloud{
 		Eng: eng, G: g, Net: netsim.New(g, eng),
 		shards:     newShardSet(singleShard),
-		groups:     make(map[string]map[string][]EIP),
-		names:      make(map[string]map[string]addr.IP),
+		decl:       intent.NewLog(nil),
 		tenantRefs: make(map[string]int),
 		router:     qos.NewRouter(g),
 	}
@@ -259,36 +249,6 @@ func (c *Cloud) shardKeyOf(tenant string, ip addr.IP) ShardKey {
 	return ShardKey{Tenant: tenant}
 }
 
-// createGroup checks ownership under nmMu, as registerName does: a
-// release forgets under it too, once the address has left its
-// provider's table, so no group keeps a released member.
-func (c *Cloud) createGroup(tenant, name string, members []EIP) error {
-	c.nmMu.Lock()
-	defer c.nmMu.Unlock()
-	for _, m := range members {
-		p, ok := c.providerOfAddr(m)
-		if !ok {
-			return fmt.Errorf("core: group member %s is not a granted address", m)
-		}
-		if _, err := p.owned(tenant, m); err != nil {
-			return err
-		}
-	}
-	if c.groups[tenant] == nil {
-		c.groups[tenant] = make(map[string][]EIP)
-	}
-	c.groups[tenant][name] = append([]EIP(nil), members...)
-	return nil
-}
-
-// groupMembers looks up one of a tenant's groups.
-func (c *Cloud) groupMembers(tenant, group string) ([]EIP, bool) {
-	c.nmMu.RLock()
-	defer c.nmMu.RUnlock()
-	members, ok := c.groups[tenant][group]
-	return members, ok
-}
-
 // Provider returns a control plane by name.
 func (c *Cloud) Provider(name string) (*Provider, bool) {
 	p, ok := c.pidx.Load().byName[name]
@@ -309,24 +269,62 @@ func (c *Cloud) ProviderOf(ip addr.IP) (*Provider, bool) {
 }
 
 // providerOfAddr finds which provider granted an address (EIP or SIP).
-// Exact and lock-free on the index: the block table names the only
-// provider whose pools could have granted ip, and its striped address
-// tables answer whether it actually did. (This replaced an epoch-keyed
-// result cache: the cache's global invalidation epoch meant churn in one
-// shard wiped every shard's entries, and the index lookup is cheap
-// enough to skip caching entirely.)
+// Exact and free of the declared state's lock: the block table names the
+// only provider whose pools could have granted ip, and the declared
+// state's striped address tables answer whether it actually did. (This
+// replaced an epoch-keyed result cache: the cache's global invalidation
+// epoch meant churn in one shard wiped every shard's entries, and the
+// index lookup is cheap enough to skip caching entirely.)
 func (c *Cloud) providerOfAddr(ip addr.IP) (*Provider, bool) {
 	p, ok := c.blockOwner(ip)
 	if !ok {
 		return nil, false
 	}
-	if _, ok := p.endpoints.Get(ip); ok {
+	if _, ok := c.decl.Endpoint(ip); ok {
 		return p, true
 	}
-	if _, ok := p.services.Get(ip); ok {
+	if _, ok := c.decl.Service(ip); ok {
 		return p, true
 	}
 	return nil, false
+}
+
+// owned returns eip's declared record when it is one of the tenant's
+// EIPs; ownedSIP likewise for a SIP, and ownsTarget refuses an address
+// that is neither.
+func (c *Cloud) owned(tenant string, eip EIP) (*intent.Endpoint, error) {
+	ep, ok := c.decl.Endpoint(eip)
+	if !ok || ep.Tenant != tenant {
+		return nil, fmt.Errorf("core: %s is not tenant %q's EIP", eip, tenant)
+	}
+	return ep, nil
+}
+
+func (c *Cloud) ownedSIP(tenant string, sip SIP) (*intent.Service, error) {
+	svc, ok := c.decl.Service(sip)
+	if !ok || svc.Tenant != tenant {
+		return nil, fmt.Errorf("core: %s is not tenant %q's SIP", sip, tenant)
+	}
+	return svc, nil
+}
+
+func (c *Cloud) ownsTarget(tenant string, target addr.IP) error {
+	if c.holder(target) != tenant || tenant == "" {
+		return fmt.Errorf("core: %s is not tenant %q's address", target, tenant)
+	}
+	return nil
+}
+
+// holder names the tenant an address is granted to, as an EIP or a SIP
+// ("" when it is not granted).
+func (c *Cloud) holder(ip addr.IP) string {
+	if ep, ok := c.decl.Endpoint(ip); ok {
+		return ep.Tenant
+	}
+	if svc, ok := c.decl.Service(ip); ok {
+		return svc.Tenant
+	}
+	return ""
 }
 
 // admitted is the admission check of the connect path: the destination
@@ -339,7 +337,7 @@ func (c *Cloud) admitted(dstProv *Provider, src, dst addr.IP) bool {
 	allowed := dstProv.Permits.Check(src, dst)
 	if c.slo.PendingLagSamples() > 0 {
 		region := dstProv.Name
-		if _, ok := dstProv.endpoints.Get(dst); ok {
+		if _, ok := c.decl.Endpoint(dst); ok {
 			region = c.block(dst).shard
 		}
 		c.slo.ResolveLag(dst, region)
@@ -452,7 +450,7 @@ func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, opts Co
 	if !ok {
 		return nil, fmt.Errorf("core: unknown source EIP %s", src)
 	}
-	srcEp, err := srcProv.owned(tenant, src)
+	srcEp, err := c.owned(tenant, src)
 	if err != nil {
 		return nil, err
 	}
@@ -505,7 +503,7 @@ func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, opts Co
 		bal := svc.balancer
 		release = func() { bal.Release(be) }
 	}
-	dstEp, ok := dstProv.endpoints.Get(dstEIP)
+	dstEp, ok := c.decl.Endpoint(dstEIP)
 	if !ok {
 		if release != nil {
 			release()
@@ -610,7 +608,7 @@ func (c *Cloud) probe(op *slo.Op, tenant string, src EIP, dst addr.IP) (time.Dur
 	if !ok {
 		return 0, false, fmt.Errorf("core: unknown source EIP %s", src)
 	}
-	srcEp, err := srcProv.owned(tenant, src)
+	srcEp, err := c.owned(tenant, src)
 	if err != nil {
 		return 0, false, err
 	}
@@ -634,7 +632,7 @@ func (c *Cloud) probe(op *slo.Op, tenant string, src EIP, dst addr.IP) (time.Dur
 		dstEIP = be.EIP
 		defer svc.balancer.Release(be)
 	}
-	dstEp, ok := dstProv.endpoints.Get(dstEIP)
+	dstEp, ok := c.decl.Endpoint(dstEIP)
 	if !ok {
 		return 0, false, fmt.Errorf("core: backend %s vanished", dstEIP)
 	}
@@ -649,54 +647,6 @@ func (c *Cloud) probe(op *slo.Op, tenant string, src EIP, dst addr.IP) (time.Dur
 	ok = c.Net.Delivered(path) && c.Net.Delivered(path)
 	c.mProbes.Inc()
 	return rtt, ok, nil
-}
-
-func (c *Cloud) registerName(tenant, name string, target addr.IP) error {
-	c.nmMu.Lock()
-	defer c.nmMu.Unlock()
-	p, ok := c.providerOfAddr(target)
-	if !ok {
-		return fmt.Errorf("core: %s is not a granted address", target)
-	}
-	if err := p.ownsTarget(tenant, target); err != nil {
-		return err
-	}
-	if c.names[tenant] == nil {
-		c.names[tenant] = make(map[string]addr.IP)
-	}
-	c.names[tenant][name] = target
-	return nil
-}
-
-func (c *Cloud) unregisterName(tenant, name string) error {
-	c.nmMu.Lock()
-	defer c.nmMu.Unlock()
-	if _, ok := c.names[tenant][name]; !ok {
-		return fmt.Errorf("core: tenant %q has no name %q", tenant, name)
-	}
-	delete(c.names[tenant], name)
-	return nil
-}
-
-// forget drops a released address from the tenant's groups and names,
-// so that neither resolves to it once the pool hands it to someone
-// else. The release calls it after the address has left its provider's
-// table and before the pool may reuse it. A permit list expanded from a
-// group earlier keeps its /32: it was derived at set time and the
-// release does not rewrite it.
-func (c *Cloud) forget(tenant string, a addr.IP) {
-	c.nmMu.Lock()
-	defer c.nmMu.Unlock()
-	for name, members := range c.groups[tenant] {
-		if slices.Contains(members, a) {
-			c.groups[tenant][name] = slices.DeleteFunc(slices.Clone(members), func(m EIP) bool { return m == a })
-		}
-	}
-	for name, target := range c.names[tenant] {
-		if target == a {
-			delete(c.names[tenant], name)
-		}
-	}
 }
 
 // Admitted reports whether src may currently reach dst — the pure

@@ -243,7 +243,7 @@ func (m *FaultMonitor) sweepServices(now sim.Time, p *Provider) {
 					if st.downAt > 0 {
 						m.mMTTR.Record(now - st.downAt)
 					}
-					m.cloud.traceEvent(svc.tenant, obs.Decision{Kind: obs.Rebind, Src: be.EIP, Dst: sip, Verdict: obs.OK,
+					m.cloud.traceEvent(m.cloud.holder(sip), obs.Decision{Kind: obs.Rebind, Src: be.EIP, Dst: sip, Verdict: obs.OK,
 						Detail: fmt.Sprintf("node=%s mttr=%v", node, now-st.downAt)})
 					st.downAt = 0
 				}
@@ -263,7 +263,7 @@ func (m *FaultMonitor) sweepServices(now sim.Time, p *Provider) {
 			m.Failovers++
 			m.LastFailoverAt = now
 			st.downAt = now
-			m.cloud.traceEvent(svc.tenant, obs.Decision{Kind: obs.Failover, Src: be.EIP, Dst: sip, Verdict: obs.Fail,
+			m.cloud.traceEvent(m.cloud.holder(sip), obs.Decision{Kind: obs.Failover, Src: be.EIP, Dst: sip, Verdict: obs.Fail,
 				Detail: fmt.Sprintf("node=%s misses=%d", node, st.misses),
 				Cause:  obs.Chain(m.Inj.Cause(node)...)})
 			if st.backoff == 0 {
@@ -383,7 +383,7 @@ func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, e
 	attempt = func() {
 		// The target may have been released, or granted again, while the
 		// update was pending: what lands is what its record declares now.
-		ep, ok := p.endpoints.Get(target)
+		ep, ok := m.cloud.decl.Endpoint(target)
 		if !ok || ep.Permits == nil {
 			settle(false)
 			return

@@ -241,7 +241,7 @@ func TestPermitBehindADeferredSetPermitDefers(t *testing.T) {
 	}
 	c.Eng.RunUntil(c.Eng.Now() + 2*permitRetryInterval)
 	want := []addr.Prefix{a, b}
-	if ep, _ := pb.endpoints.Get(be1); !slices.Equal(ep.Permits.Entries(), want) {
+	if ep, _ := c.decl.Endpoint(be1); !slices.Equal(ep.Permits.Entries(), want) {
 		t.Fatalf("declared %v, want %v", ep.Permits.Entries(), want)
 	}
 	if got := pb.Permits.EntriesOf(be1); !slices.Equal(got, want) {

@@ -1,12 +1,15 @@
-// Durable intent: wiring between the control plane and the
-// append-only journal in internal/intent. EnableIntent attaches a store
-// so Cloud.Apply records every accepted mutation; RestoreIntent
-// rebuilds the in-memory world from a replayed State after a daemon
-// restart; StateDigest canonically hashes the live control-plane state
+// Declared state and its durable tail: wiring between the control plane
+// and internal/intent. A Cloud holds one declared world from NewCloud on
+// (Cloud.decl, an intent.Log): every verb checks its ops against that
+// State and folds them there, with or without a store, and the installed
+// state — permit engines, balancers, limiters, pools — is derived from
+// it. EnableIntent attaches a store as the declared world's durable tail;
+// RestoreIntent installs a replayed State after a daemon restart and
+// adopts it; StateDigest canonically hashes the live control-plane state
 // so kill-and-restart equivalence is a string comparison. The Drift*
 // methods are test/chaos hooks that corrupt the simulated dataplane
-// behind the declared state's back, for the reconciler (reconcile.go)
-// to find and repair.
+// behind the declared state's back, for the reconciler (reconcile.go) to
+// find and repair.
 package core
 
 import (
@@ -25,20 +28,29 @@ import (
 	"declnet/internal/qos"
 )
 
-// EnableIntent attaches the durable intent store. Mutations accepted
-// after this point are journaled. It is a set-up step: call it before
-// the cloud is shared (the daemon does, right after RestoreIntent).
-func (c *Cloud) EnableIntent(l *intent.Log) { c.rec = l }
+// EnableIntent attaches the durable tail: l, with the declared world it
+// replayed, becomes the cloud's declared world, and every mutation
+// accepted from now on is journaled to it. Call it on a fresh cloud, or
+// right after RestoreIntent(l.State()), so that what l declares is what
+// the cloud installed. It is a set-up step: call it before the cloud is
+// shared.
+func (c *Cloud) EnableIntent(l *intent.Log) { c.decl = l }
 
 // Intent returns the attached store, or nil before EnableIntent.
-func (c *Cloud) Intent() *intent.Log { return c.rec }
+func (c *Cloud) Intent() *intent.Log {
+	if c.decl.Dir() == "" {
+		return nil
+	}
+	return c.decl
+}
 
-// RestoreIntent rebuilds the in-memory control plane from a replayed
-// declared state: endpoints and services re-granted at their original
-// addresses, balancers re-bound, address pools rewound to their recorded
-// cursors, permit lists re-installed, QoS and policy state re-applied.
-// Call it once, on an otherwise-fresh Cloud built over the same world
-// (the daemon compares the store's Meta stamps first), and before
+// RestoreIntent installs a replayed declared state and adopts it as the
+// cloud's: services re-granted at their original addresses and their
+// balancers re-bound, address pools rewound to their recorded cursors,
+// permit lists re-installed, QoS and policy state re-applied. Endpoints,
+// groups and names have nothing installed: the adopted state is their
+// one copy. Call it once, on an otherwise-fresh Cloud built over the same
+// world (the daemon compares the store's Meta stamps first), before
 // EnableIntent — restoration itself must not re-journal — and before the
 // cloud is shared: it takes no lock. It is one serial pass over each
 // declared surface, in address order.
@@ -46,6 +58,7 @@ func (c *Cloud) RestoreIntent(st *intent.State) error {
 	if st == nil {
 		return nil
 	}
+	c.decl = intent.NewLog(st)
 
 	idx := c.pidx.Load()
 	// The addresses each pool holds, gathered while the endpoints and
@@ -65,7 +78,6 @@ func (c *Cloud) RestoreIntent(st *intent.State) error {
 			err = fmt.Errorf("core: restore: endpoint %s references unknown region %q of provider %q", eip, ep.Region, ep.Provider)
 			return false
 		}
-		p.endpoints.Put(eip, ep)
 		inUse[b.pool] = append(inUse[b.pool], eip)
 		c.tenantDelta(ep.Tenant, 1)
 		// The declared set itself: the engine and the record share it.
@@ -88,7 +100,7 @@ func (c *Cloud) RestoreIntent(st *intent.State) error {
 		for _, b := range svc.Binds {
 			bal.Bind(b.EIP, b.Weight)
 		}
-		p.services.Put(sip, &service{sip: sip, tenant: svc.Tenant, balancer: bal})
+		p.services.Put(sip, &service{sip: sip, balancer: bal})
 		inUse[p.sipBlock] = append(inUse[p.sipBlock], sip)
 		c.tenantDelta(svc.Tenant, 1)
 		if svc.Permits != nil {
@@ -112,7 +124,7 @@ func (c *Cloud) RestoreIntent(st *intent.State) error {
 		}
 	}
 
-	// QoS quotas, potato profiles, groups, names. Quotas go in sorted
+	// QoS quotas and potato profiles. Quotas go in sorted
 	// order: a new limiter schedules on the engine.
 	for _, key := range sortedKeys(st.Quotas) {
 		prov, tenant, region, ok := intent.ParseQuotaKey(key)
@@ -140,32 +152,6 @@ func (c *Cloud) RestoreIntent(st *intent.State) error {
 		policy, _ := qos.ParsePotatoPolicy(st.Potato[key])
 		p.setPotato(parts[1], policy)
 	}
-	// Group and name maps are written directly: the declared maps are
-	// authoritative here.
-	c.nmMu.Lock()
-	for key, members := range st.Groups {
-		parts := strings.SplitN(key, "|", 2)
-		if len(parts) != 2 {
-			c.nmMu.Unlock()
-			return fmt.Errorf("core: restore: malformed group key %q", key)
-		}
-		if c.groups[parts[0]] == nil {
-			c.groups[parts[0]] = make(map[string][]EIP)
-		}
-		c.groups[parts[0]][parts[1]] = append([]EIP(nil), members...)
-	}
-	for key, target := range st.Names {
-		parts := strings.SplitN(key, "|", 2)
-		if len(parts) != 2 {
-			c.nmMu.Unlock()
-			return fmt.Errorf("core: restore: malformed name key %q", key)
-		}
-		if c.names[parts[0]] == nil {
-			c.names[parts[0]] = make(map[string]addr.IP)
-		}
-		c.names[parts[0]][parts[1]] = target
-	}
-	c.nmMu.Unlock()
 	return nil
 }
 
@@ -196,16 +182,18 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 // sweep or engine step in flight. Nothing on the serving path calls it.
 func (c *Cloud) StateDigest() string {
 	h := sha256.New()
-	for _, p := range c.pidx.Load().list {
-		fmt.Fprintf(h, "provider %s\n", p.Name)
-		for _, region := range p.Regions() {
-			sum := sectionHash(func(w io.Writer) { writeRegionSection(w, p, region) })
-			fmt.Fprintf(h, "region %s %x\n", region, sum)
+	c.decl.Read(func(st *intent.State) {
+		for _, p := range c.pidx.Load().list {
+			fmt.Fprintf(h, "provider %s\n", p.Name)
+			for _, region := range p.Regions() {
+				sum := sectionHash(func(w io.Writer) { writeRegionSection(w, st, p, region) })
+				fmt.Fprintf(h, "region %s %x\n", region, sum)
+			}
+			fmt.Fprintf(h, "sip %x\n", sectionHash(func(w io.Writer) { writeSIPSection(w, st, p) }))
+			fmt.Fprintf(h, "policy %x\n", sectionHash(func(w io.Writer) { writePolSection(w, p) }))
 		}
-		fmt.Fprintf(h, "sip %x\n", sectionHash(func(w io.Writer) { writeSIPSection(w, p) }))
-		fmt.Fprintf(h, "policy %x\n", sectionHash(func(w io.Writer) { writePolSection(w, p) }))
-	}
-	fmt.Fprintf(h, "cloud %x\n", sectionHash(c.writeCloudSection))
+		fmt.Fprintf(h, "cloud %x\n", sectionHash(func(w io.Writer) { writeCloudSection(w, st) }))
+	})
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -221,12 +209,12 @@ func sectionHash(fill func(io.Writer)) [sha256.Size]byte {
 // block's endpoints, its installed permit lists, and its pool cursor.
 // Both enumerations are single-stripe scans — region blocks are /16s,
 // the stripe unit.
-func writeRegionSection(w io.Writer, p *Provider, region string) {
+func writeRegionSection(w io.Writer, st *intent.State, p *Provider, region string) {
 	b := p.eipBlocks[region]
-	eips := p.endpoints.Keys(b.base)
+	eips := st.Endpoints.Keys(b.base)
 	slices.Sort(eips)
 	for _, eip := range eips {
-		ep, _ := p.endpoints.Get(eip)
+		ep, _ := st.Endpoints.Get(eip)
 		fmt.Fprintf(w, "ep %s %s %s %s %g\n", eip, ep.Tenant, ep.VM, ep.Region, ep.EgressCap)
 	}
 	writePermitLines(w, p, p.Permits.TargetsWithin(b.base))
@@ -236,11 +224,12 @@ func writeRegionSection(w io.Writer, p *Provider, region string) {
 
 // writeSIPSection renders a provider's SIP plane: services and their
 // bindings, SIP permit lists, and the SIP pool cursor.
-func writeSIPSection(w io.Writer, p *Provider) {
+func writeSIPSection(w io.Writer, st *intent.State, p *Provider) {
 	svcs := p.services.All()
 	sort.Slice(svcs, func(i, j int) bool { return svcs[i].sip < svcs[j].sip })
 	for _, svc := range svcs {
-		fmt.Fprintf(w, "svc %s %s\n", svc.sip, svc.tenant)
+		decl, _ := st.Services.Get(svc.sip)
+		fmt.Fprintf(w, "svc %s %s\n", svc.sip, decl.Tenant)
 		for _, be := range sortedBackends(svc.balancer) {
 			fmt.Fprintf(w, "bind %s %d\n", be.EIP, be.Weight)
 		}
@@ -287,20 +276,27 @@ func writePolSection(w io.Writer, p *Provider) {
 }
 
 // writeCloudSection renders the cloud plane: cross-provider groups and
-// names.
-func (c *Cloud) writeCloudSection(w io.Writer) {
-	c.nmMu.RLock()
-	for _, tenant := range sortedKeys(c.groups) {
-		for _, name := range sortedKeys(c.groups[tenant]) {
-			fmt.Fprintf(w, "cgroup %s %s %v\n", tenant, name, c.groups[tenant][name])
-		}
+// names, by tenant and then name.
+func writeCloudSection(w io.Writer, st *intent.State) {
+	for _, key := range tenantSorted(st.Groups) {
+		tenant, name, _ := strings.Cut(key, "|")
+		fmt.Fprintf(w, "cgroup %s %s %v\n", tenant, name, st.Groups[key])
 	}
-	for _, tenant := range sortedKeys(c.names) {
-		for _, name := range sortedKeys(c.names[tenant]) {
-			fmt.Fprintf(w, "name %s %s %s\n", tenant, name, c.names[tenant][name])
-		}
+	for _, key := range tenantSorted(st.Names) {
+		tenant, name, _ := strings.Cut(key, "|")
+		fmt.Fprintf(w, "name %s %s %s\n", tenant, name, st.Names[key])
 	}
-	c.nmMu.RUnlock()
+}
+
+// tenantSorted returns the GroupKeys of m ordered by tenant, then name.
+func tenantSorted[V any](m map[string]V) []string {
+	keys := sortedKeys(m)
+	slices.SortFunc(keys, func(a, b string) int {
+		at, an, _ := strings.Cut(a, "|")
+		bt, bn, _ := strings.Cut(b, "|")
+		return cmp.Or(strings.Compare(at, bt), strings.Compare(an, bn))
+	})
+	return keys
 }
 
 // sortedBackends returns a balancer's backends ordered by EIP.

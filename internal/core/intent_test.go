@@ -456,12 +456,22 @@ func TestConcurrentSweepsCoverEveryPhase(t *testing.T) {
 	}
 }
 
-func TestEnableReconcilerRequiresIntent(t *testing.T) {
-	c, _, _, _, _ := fig1Cloud(t)
-	if _, err := c.EnableReconciler(ReconcilerConfig{}); err == nil {
-		t.Fatal("EnableReconciler without EnableIntent succeeded")
+// TestReconcilerRunsWithoutAStore: the reconciler converges on the
+// cloud's declared state, which exists from NewCloud on, so a permit list
+// wiped behind a store-less cloud's back is found and repaired.
+func TestReconcilerRunsWithoutAStore(t *testing.T) {
+	c, w, pa, _, _ := fig1Cloud(t)
+	eip, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	entries := []addr.Prefix{addr.MustParsePrefix("10.0.0.0/8")}
+	if err := c.Tenant("acme").SetPermitList(eip, entries); err != nil {
+		t.Fatal(err)
 	}
-	if c.Reconciler() != nil {
-		t.Fatal("Reconciler() non-nil after failed enable")
+	r, err := c.EnableReconciler(ReconcilerConfig{})
+	if err != nil || c.Intent() != nil {
+		t.Fatalf("EnableReconciler on a store-less cloud: %v (store %v)", err, c.Intent())
+	}
+	c.DriftWipePermit(eip)
+	if res := r.RunSweep(); res.Repaired != 1 || !slices.Equal(pa.Permits.EntriesOf(eip), entries) {
+		t.Fatalf("sweep after a wiped list: %+v, installed %v", res, pa.Permits.EntriesOf(eip))
 	}
 }

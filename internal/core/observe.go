@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"declnet/internal/addr"
+	"declnet/internal/intent"
 	"declnet/internal/metrics"
 	"declnet/internal/obs"
 	"declnet/internal/topo"
@@ -143,7 +145,7 @@ func (c *Cloud) explain(tenant string, src EIP, dst addr.IP) (*Explanation, erro
 	if !ok {
 		return nil, fmt.Errorf("core: unknown source EIP %s", src)
 	}
-	srcEp, err := srcProv.owned(tenant, src)
+	srcEp, err := c.owned(tenant, src)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +226,7 @@ func (c *Cloud) explain(tenant string, src EIP, dst addr.IP) (*Explanation, erro
 	// Stage 4 — destination endpoint liveness.
 	var dstNode topo.NodeID
 	if dstEIP != 0 {
-		if dstEp, ok := dstProv.endpoints.Get(dstEIP); ok {
+		if dstEp, ok := c.decl.Endpoint(dstEIP); ok {
 			dstNode = topo.NodeID(dstEp.VM)
 			if cause := c.nodeCause(dstNode); cause != "" {
 				ex.failStep("destination", "vm="+string(dstNode), cause)
@@ -298,35 +300,32 @@ type ResourceCounts struct {
 	Groups int `json:"groups"`
 }
 
-// TenantResources aggregates per-tenant resource counts across providers.
+// TenantResources aggregates per-tenant resource counts across providers:
+// addresses and groups as declared, quotas as installed.
 func (c *Cloud) TenantResources() map[string]ResourceCounts {
 	out := make(map[string]ResourceCounts)
+	count := func(tenant string, add func(*ResourceCounts)) {
+		rc := out[tenant]
+		add(&rc)
+		out[tenant] = rc
+	}
+	c.decl.Read(func(st *intent.State) {
+		for key := range st.Groups {
+			tenant, _, _ := strings.Cut(key, "|")
+			count(tenant, func(rc *ResourceCounts) { rc.Groups++ })
+		}
+	})
+	// The address tables are read outside the lock: a walk of the world
+	// holds up no writer.
+	c.decl.Endpoints().Each(func(ep *intent.Endpoint) { count(ep.Tenant, func(rc *ResourceCounts) { rc.EIPs++ }) })
+	c.decl.Services().Each(func(svc *intent.Service) { count(svc.Tenant, func(rc *ResourceCounts) { rc.SIPs++ }) })
 	for _, p := range c.pidx.Load().list {
-		for _, ep := range p.endpoints.All() {
-			rc := out[ep.Tenant]
-			rc.EIPs++
-			out[ep.Tenant] = rc
-		}
-		for _, svc := range p.services.All() {
-			rc := out[svc.tenant]
-			rc.SIPs++
-			out[svc.tenant] = rc
-		}
 		p.polMu.RLock()
 		for tenant, regions := range p.quotas {
-			rc := out[tenant]
-			rc.Quotas += len(regions)
-			out[tenant] = rc
+			count(tenant, func(rc *ResourceCounts) { rc.Quotas += len(regions) })
 		}
 		p.polMu.RUnlock()
 	}
-	c.nmMu.RLock()
-	for tenant, groups := range c.groups {
-		rc := out[tenant]
-		rc.Groups += len(groups)
-		out[tenant] = rc
-	}
-	c.nmMu.RUnlock()
 	return out
 }
 
@@ -346,7 +345,7 @@ func (c *Cloud) nodeCause(id topo.NodeID) string {
 // targetNode resolves the enforcement node behind a permit target, "" for
 // SIPs (enforced at the always-on frontend).
 func (c *Cloud) targetNode(p *Provider, target addr.IP) topo.NodeID {
-	if ep, ok := p.endpoints.Get(target); ok {
+	if ep, ok := c.decl.Endpoint(target); ok {
 		return topo.NodeID(ep.VM)
 	}
 	return ""

@@ -25,7 +25,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -46,10 +45,9 @@ type EIP = addr.IP
 // SIP is a service IP: globally routable, load balanced to bound EIIPs.
 type SIP = addr.IP
 
-// service is the provider's record for one granted SIP.
+// service is the provider's installed record for one granted SIP.
 type service struct {
 	sip      SIP
-	tenant   string
 	balancer *lb.Balancer
 }
 
@@ -77,22 +75,14 @@ type Provider struct {
 	eipBlocks map[string]*regionBlocks
 	sipBlock  *addr.HostPool
 
-	// endpoints and services are the granted EIPs and SIPs. Every tenant
-	// shard homed on the provider shares them, so the shard locks above
-	// cannot be their memory-safety story: two tenants mutating the same
-	// region run under different shard locks. Instead each is an
-	// addr.Table, striped by /16 block — the carving above — so one
-	// region's churn never takes the stripe lock another region's reader
-	// holds.
-	//
-	// An endpoint is its declared record itself, immutable once put here
-	// and, with a store attached, the very entry intent.State holds: its
-	// VM is the node the EIP fronts, and its shard is its block's
-	// (Cloud.block), and its Permits the list declared for it.
-	// set_vm_egress and the permit verbs put a successor entry, never
-	// write through the pointer.
-	endpoints addr.Table[*intent.Endpoint]
-	services  addr.Table[*service]
+	// services is the installed half of each granted SIP: its balancer.
+	// Every tenant shard homed on the provider shares it, so the shard
+	// locks above cannot be its memory-safety story: two tenants mutating
+	// the same provider run under different shard locks. Instead it is an
+	// addr.Table, striped by /16 block. An endpoint has no installed
+	// record: its declared one (intent.State, Cloud.decl) is what the read
+	// plane resolves, and its VM is the node the EIP fronts.
+	services addr.Table[*service]
 
 	// Permits is the provider's enforcement engine, an addr.Table of its
 	// own. Exposed for experiments that measure its scale directly.
@@ -240,84 +230,55 @@ func (p *Provider) regionShardKey(tenant, region string) ShardKey {
 // lockShard takes shard k's write lock (the reconciler's repairs).
 func (p *Provider) lockShard(k ShardKey) func() { return p.cloud.shards.lockShard(k) }
 
-// requestEIP is request_eip's body for the VM node n, which the endpoint
-// records by n's own ID. It returns the granted address and the entry it
-// installed there, for the declared state to adopt.
-func (p *Provider) requestEIP(tenant string, n *topo.Node) (EIP, *intent.Endpoint, error) {
-	vm := n.ID
+// checkHost refuses a request_eip for node n this provider cannot grant:
+// not a compute endpoint, another provider's, or in a region with no block.
+func (p *Provider) checkHost(n *topo.Node) (*regionBlocks, error) {
 	if n.Kind != topo.Host {
-		return 0, nil, fmt.Errorf("core: %q is not a compute endpoint", vm)
+		return nil, fmt.Errorf("core: %q is not a compute endpoint", n.ID)
 	}
 	if n.Provider != p.Name {
-		return 0, nil, fmt.Errorf("core: VM %q belongs to provider %q, not %q", vm, n.Provider, p.Name)
+		return nil, fmt.Errorf("core: VM %q belongs to provider %q, not %q", n.ID, n.Provider, p.Name)
 	}
 	blocks, ok := p.eipBlocks[n.Region]
 	if !ok {
-		return 0, nil, fmt.Errorf("core: no address block for region %q", n.Region)
+		return nil, fmt.Errorf("core: no address block for region %q", n.Region)
 	}
-	eip, err := blocks.pool.Allocate()
-	if err != nil {
-		return 0, nil, err
-	}
-	ep := &intent.Endpoint{Tenant: tenant, VM: string(vm), Provider: p.Name, Region: n.Region}
-	p.endpoints.Put(eip, ep)
+	return blocks, nil
+}
+
+// granted is what a grant installs: the tenant's live address count and
+// the meter's grant.
+func (p *Provider) granted(tenant string, sip bool) {
 	p.cloud.tenantDelta(tenant, 1)
-	if p.meter != nil {
+	if p.meter == nil {
+		return
+	}
+	if sip {
+		p.meter.GrantSIP(tenant, p.eng.Now())
+	} else {
 		p.meter.GrantEIP(tenant, p.eng.Now())
 	}
-	return eip, ep, nil
 }
 
-// releaseEIP is release_eip's body: the address leaves every balancer,
-// its permit list, and the tenant's groups and names. It stays out of its
-// pool: the caller returns it there (Cloud.free) once the release is
-// journaled, so no re-grant of it can be journaled first.
-func (p *Provider) releaseEIP(tenant string, eip EIP) error {
-	if _, err := p.owned(tenant, eip); err != nil {
-		return err
+// released is the rest of what a release installs — its declare drops
+// the permit list before the fold, so that no reader finding a released
+// address undeclared finds a list still installed for it: for a SIP, its
+// balancer goes. The address stays out of its pool: the caller returns it
+// there (Cloud.free) once the release is installed, and it is journaled
+// before that, so no re-grant of it can be journaled first.
+func (p *Provider) released(tenant string, a addr.IP, sip bool) {
+	if sip {
+		p.services.Delete(a)
 	}
-	// Drain from any SIPs it is bound to; lb.ErrNotBound from the rest.
-	for _, svc := range p.services.All() {
-		_ = svc.balancer.Unbind(eip)
-	}
-	p.Permits.Drop(eip)
-	p.endpoints.Delete(eip)
-	p.cloud.forget(tenant, eip)
 	p.cloud.tenantDelta(tenant, -1)
-	if p.meter != nil {
+	if p.meter == nil {
+		return
+	}
+	if sip {
+		p.meter.ReleaseSIP(tenant, p.eng.Now())
+	} else {
 		p.meter.ReleaseEIP(tenant, p.eng.Now())
 	}
-	return nil
-}
-
-func (p *Provider) requestSIP(tenant string) (SIP, error) {
-	sip, err := p.sipBlock.Allocate()
-	if err != nil {
-		return 0, err
-	}
-	p.services.Put(sip, &service{sip: sip, tenant: tenant, balancer: lb.New(sip)})
-	p.cloud.tenantDelta(tenant, 1)
-	if p.meter != nil {
-		p.meter.GrantSIP(tenant, p.eng.Now())
-	}
-	return sip, nil
-}
-
-// releaseSIP is release_sip's body; like releaseEIP it leaves the
-// address out of its pool for the caller to return.
-func (p *Provider) releaseSIP(tenant string, sip SIP) error {
-	svc, ok := p.services.Get(sip)
-	if !ok || svc.tenant != tenant {
-		return fmt.Errorf("core: %s is not tenant %q's SIP", sip, tenant)
-	}
-	p.Permits.Drop(sip)
-	p.services.Delete(sip)
-	p.cloud.forget(tenant, sip)
-	p.cloud.tenantDelta(tenant, -1)
-	if p.meter != nil {
-		p.meter.ReleaseSIP(tenant, p.eng.Now())
-	}
-	return nil
 }
 
 // free returns a released address to the pool that granted it — its
@@ -337,131 +298,57 @@ func (c *Cloud) free(a addr.IP) error {
 	return b.p.eipBlocks[b.region].pool.Release(a)
 }
 
-func (p *Provider) bind(tenant string, eip EIP, sip SIP, weight int) error {
-	if _, err := p.owned(tenant, eip); err != nil {
-		return err
+// installPermits installs the list a folded set_permit, permit or revoke
+// op declared for its target, or hands it to the fault monitor when the
+// target's enforcement point is unreachable. set_permit installs the
+// declared set itself. permit and revoke derive from the installed list:
+// from a converged one (the op's Prev) they install the declared set
+// (Next), so declared and installed hold one record; from a drifted one
+// they derive its own successor, and the reconciler repairs it. The epoch
+// advances once per entry set, permitted or actually removed; revoking
+// from an unguarded target changes nothing.
+func (p *Provider) installPermits(tenant string, op *intent.Op) {
+	target, edits := op.Target, len(op.Entries)
+	if op.Verb == intent.OpRevoke {
+		edits = op.Prev.Len() - op.Next.Len()
 	}
-	svc, ok := p.services.Get(sip)
-	if !ok || svc.tenant != tenant {
-		return fmt.Errorf("core: %s is not tenant %q's SIP", sip, tenant)
-	}
-	svc.balancer.Bind(eip, weight)
-	return nil
-}
-
-func (p *Provider) unbind(tenant string, eip EIP, sip SIP) error {
-	svc, ok := p.services.Get(sip)
-	if !ok || svc.tenant != tenant {
-		return fmt.Errorf("core: %s is not tenant %q's SIP", sip, tenant)
-	}
-	if err := svc.balancer.Unbind(eip); err != nil {
-		return fmt.Errorf("core: unbind %s from %s: %w", eip, sip, err)
-	}
-	return nil
-}
-
-// setPermitList is set_permit's body. It takes the target's new list —
-// the set of op's entries Cloud.apply built for the frame (op.Next), or,
-// when op names groups, the set of its entries and the groups' expanded
-// members, built here — installs it, or hands it to the fault monitor
-// when the target's enforcement point is unreachable, and leaves it on op
-// for the declared state to adopt and the journal to record: op's
-// entries become the list and its group names go. The groups run under
-// the tenant's region-less shard, not the target's, so their create_group
-// frames may land after this op's; a replayed op that named them would
-// expand another membership, or none.
-func (p *Provider) setPermitList(tenant string, op *intent.Op) error {
-	target := op.Target
-	if err := p.ownsTarget(tenant, target); err != nil {
-		return err
-	}
-	set, all := op.Next, len(op.Entries)
-	if set == nil {
-		entries := slices.Clip(op.Entries) // appends below copy, never write into the op
-		for _, gname := range op.Groups {
-			members, ok := p.cloud.groupMembers(tenant, gname)
-			if !ok {
-				return fmt.Errorf("core: unknown group %q", gname)
-			}
-			for _, m := range members {
-				entries = append(entries, addr.NewPrefix(m, 32))
-			}
-		}
-		set, all = addr.NewPrefixSet(entries), len(entries)
-	}
-	op.Entries, op.Groups = set.Entries(), nil
-	op.Derived, op.Prev, op.Next = true, nil, set
-	p.declarePermits(op)
 	// Under fault injection, an update targeting an endpoint whose
 	// enforcement point is partitioned away cannot land immediately: it
 	// is accepted and retried until the node answers or the policy's
 	// timeout expires. SIP targets are enforced at the (always-on)
 	// service frontend and never defer.
-	if ep, ok := p.endpoints.Get(target); ok && !p.cloud.monitor.Inj.Reachable(topo.NodeID(ep.VM)) {
-		p.cloud.monitor.retryPermit(p, tenant, target, all, true, topo.NodeID(ep.VM))
-		return nil
-	}
-	epoch := p.Permits.Install(target, set, uint64(all))
-	p.stampPermitLag(tenant, target)
-	if p.meter != nil {
-		p.meter.PermitUpdate(tenant, p.eng.Now())
-	}
-	p.cloud.traceEvent(tenant, obs.Decision{Kind: obs.PermitUpdate, Dst: target, Verdict: obs.OK,
-		Entries: uint32(all), Epoch: epoch})
-	return nil
-}
-
-// permitEntries is the body of permit (add each of op's entries) and
-// revoke (remove each). It derives the target's next list once, from the
-// installed one, installs it, and leaves it on op for the declared state
-// to adopt. The epoch advances once per entry permitted and once per entry
-// actually removed; revoking from an unguarded target changes nothing.
-// An endpoint whose node is unreachable defers as under set_permit: the
-// list derives from the declared one and lands when the node answers.
-func (p *Provider) permitEntries(tenant string, op *intent.Op) error {
-	if err := p.ownsTarget(tenant, op.Target); err != nil {
-		return err
-	}
-	if ep, ok := p.endpoints.Get(op.Target); ok && !p.cloud.monitor.Inj.Reachable(topo.NodeID(ep.VM)) {
-		p.declarePermits(op)
-		edits := len(op.Entries)
-		if op.Verb == intent.OpRevoke {
-			edits = ep.Permits.Len() - op.Endpoint.Permits.Len()
+	if ep, ok := p.cloud.decl.Endpoint(target); ok && !p.cloud.monitor.Inj.Reachable(topo.NodeID(ep.VM)) {
+		if op.Next != nil {
+			p.cloud.monitor.retryPermit(p, tenant, target, edits, op.Verb == intent.OpSetPermit, topo.NodeID(ep.VM))
 		}
-		if op.Endpoint.Permits != nil {
-			p.cloud.monitor.retryPermit(p, tenant, op.Target, edits, false, topo.NodeID(ep.VM))
-		}
-		return nil
+		return
 	}
-	if cur, guarded := p.Permits.List(op.Target); guarded || op.Verb == intent.OpPermit {
-		prev := cur.Set()
-		next := op.Successor(prev)
+	if op.Verb == intent.OpSetPermit {
+		epoch := p.Permits.Install(target, op.Next, uint64(edits))
+		p.stampPermitLag(tenant, target)
+		if p.meter != nil {
+			p.meter.PermitUpdate(tenant, p.eng.Now())
+		}
+		p.cloud.traceEvent(tenant, obs.Decision{Kind: obs.PermitUpdate, Dst: target, Verdict: obs.OK,
+			Entries: uint32(edits), Epoch: epoch})
+		return
+	}
+	if cur, guarded := p.Permits.List(target); guarded || op.Verb == intent.OpPermit {
+		prev, next := cur.Set(), op.Next
+		if !addr.EqualSets(prev, op.Prev) {
+			next = op.Successor(prev)
+		}
 		edits := len(op.Entries)
 		if op.Verb == intent.OpRevoke {
 			edits = prev.Len() - next.Len()
 		}
-		p.Permits.Install(op.Target, next, cur.Version()+uint64(edits))
-		op.Derived, op.Prev, op.Next = true, prev, next
+		p.Permits.Install(target, next, cur.Version()+uint64(edits))
 	}
-	p.declarePermits(op)
 	for range op.Entries {
-		p.stampPermitLag(tenant, op.Target)
+		p.stampPermitLag(tenant, target)
 		if p.meter != nil {
 			p.meter.PermitUpdate(tenant, p.eng.Now())
 		}
-	}
-	return nil
-}
-
-// declarePermits puts a successor of op's target's endpoint holding the
-// list op declares, and leaves it on op for the declared state to adopt.
-// A SIP's list lives in its declared record alone.
-func (p *Provider) declarePermits(op *intent.Op) {
-	if ep, ok := p.endpoints.Get(op.Target); ok {
-		next := *ep
-		next.Permits = op.Declares(ep.Permits)
-		p.endpoints.Put(op.Target, &next)
-		op.Endpoint = &next
 	}
 }
 
@@ -522,20 +409,6 @@ func (p *Provider) quotaOf(tenant, region string) (*tenantQuota, bool) {
 	return tq, ok
 }
 
-// setVMEgressCap is set_vm_egress's body: it puts a successor of eip's
-// entry carrying the new cap and returns it, for the declared state to
-// adopt. A reader holding the old entry keeps reading the old cap.
-func (p *Provider) setVMEgressCap(tenant string, eip EIP, bps float64) (*intent.Endpoint, error) {
-	ep, err := p.owned(tenant, eip)
-	if err != nil {
-		return nil, err
-	}
-	next := *ep
-	next.EgressCap = bps
-	p.endpoints.Put(eip, &next)
-	return &next, nil
-}
-
 // MarkHealth is the provider health checker's signal for a bound backend.
 // Structure-safe without shard locks: it only flips balancer health bits
 // under the balancers' own mutexes.
@@ -545,42 +418,10 @@ func (p *Provider) MarkHealth(eip EIP, healthy bool) {
 	}
 }
 
-// Endpoint resolution helpers.
-
-func (p *Provider) owned(tenant string, eip EIP) (*intent.Endpoint, error) {
-	ep, ok := p.endpoints.Get(eip)
-	if !ok || ep.Tenant != tenant {
-		return nil, fmt.Errorf("core: %s is not tenant %q's EIP", eip, tenant)
-	}
-	return ep, nil
-}
-
-func (p *Provider) ownsTarget(tenant string, target addr.IP) error {
-	if ep, ok := p.endpoints.Get(target); ok && ep.Tenant == tenant {
-		return nil
-	}
-	if svc, ok := p.services.Get(target); ok && svc.tenant == tenant {
-		return nil
-	}
-	return fmt.Errorf("core: %s is not tenant %q's address", target, tenant)
-}
-
-// holder names the tenant an address is granted to, as an EIP or a SIP
-// ("" when it is not granted).
-func (p *Provider) holder(ip addr.IP) string {
-	if ep, ok := p.endpoints.Get(ip); ok {
-		return ep.Tenant
-	}
-	if svc, ok := p.services.Get(ip); ok {
-		return svc.tenant
-	}
-	return ""
-}
-
 // Lookup returns the endpoint behind an EIP.
 func (p *Provider) Lookup(eip EIP) (topo.NodeID, bool) {
-	ep, ok := p.endpoints.Get(eip)
-	if !ok {
+	ep, ok := p.cloud.decl.Endpoint(eip)
+	if !ok || ep.Provider != p.Name {
 		return "", false
 	}
 	return topo.NodeID(ep.VM), true
@@ -595,9 +436,16 @@ func (p *Provider) Service(sip SIP) (*lb.Balancer, bool) {
 	return svc.balancer, true
 }
 
-// EndpointCount returns granted EIPs; ServiceCount granted SIPs.
-func (p *Provider) EndpointCount() int { return p.endpoints.Len() }
-func (p *Provider) ServiceCount() int  { return p.services.Len() }
+// EndpointCount returns granted EIPs (its region pools' addresses in
+// use); ServiceCount granted SIPs.
+func (p *Provider) EndpointCount() int {
+	n := 0
+	for _, b := range p.eipBlocks {
+		n += b.pool.InUse()
+	}
+	return n
+}
+func (p *Provider) ServiceCount() int { return p.services.Len() }
 
 // quota lazily builds the (tenant, region) limiter.
 func (p *Provider) quota(tenant, region string) *tenantQuota {

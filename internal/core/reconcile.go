@@ -1,7 +1,7 @@
 // Desired-state reconciliation: the convergence loop that keeps the
 // simulated dataplane (permit engines, SIP balancers, QoS limiters)
-// equal to the declared intent in the durable store. Declared state is
-// what the journal replays (internal/intent.State); the dataplane can
+// equal to the declared intent. Declared state is the cloud's one
+// intent.State, which every verb folds into and a store replays; the dataplane can
 // drift from it through faults, lost updates, or the chaos hooks in
 // intent.go. A sweep copies nothing out of the log: it asks the log's
 // view which targets this phase visits and reads each one's declared
@@ -117,14 +117,11 @@ type Reconciler struct {
 	done    sync.WaitGroup
 }
 
-// EnableReconciler builds the convergence loop. Requires EnableIntent
-// first — without a declared state there is nothing to converge to. It
-// is a set-up step: call it before the cloud is shared (Start may come
-// later).
+// EnableReconciler builds the convergence loop over the cloud's declared
+// state, with or without a store attached. It is a set-up step: call it
+// before the cloud is shared (Start may come later), and after
+// EnableIntent or RestoreIntent, if either.
 func (c *Cloud) EnableReconciler(cfg ReconcilerConfig) (*Reconciler, error) {
-	if c.rec == nil {
-		return nil, fmt.Errorf("core: EnableReconciler requires EnableIntent first")
-	}
 	if c.reconciler != nil {
 		return c.reconciler, nil
 	}
@@ -201,7 +198,7 @@ func (r *Reconciler) RunSweep() SweepResult {
 	c := r.cloud
 	k := r.cfg.AntiEntropyK
 	plan := sweepPlan{phase: int(r.sweeps.Load() % uint64(k)), marks: c.monitor.takeMarks()}
-	view := c.rec.View()
+	view := c.decl.View()
 	plan.permits = view.PermitTargets(plan.phase, k)
 	plan.services = view.ServiceTargets(plan.phase, k)
 	plan.quotas = view.QuotaKeys(plan.phase, k)
@@ -245,8 +242,8 @@ func (r *Reconciler) checkDeclaredPermit(p *Provider, t addr.IP, pl intent.Permi
 	// Skip a target that changed hands or was released since the screen:
 	// this is no longer its shard, and the verb that moved it left it
 	// converged.
-	live, ok := c.rec.Permit(t)
-	if !ok || live.Tenant != pl.Tenant || p.ownsTarget(pl.Tenant, t) != nil {
+	live, ok := c.decl.Permit(t)
+	if !ok || live.Tenant != pl.Tenant || c.ownsTarget(pl.Tenant, t) != nil {
 		return false
 	}
 	equal, hasList := p.Permits.EqualsSet(t, live.Set)
@@ -286,12 +283,12 @@ func (r *Reconciler) checkUndeclaredPermit(p *Provider, t addr.IP, budget *int, 
 	if _, pending := c.monitor.PendingPermit(t); pending {
 		return false
 	}
-	tenant := p.holder(t)
+	tenant := c.holder(t)
 	defer p.lockShard(c.shardKeyOf(tenant, t))()
-	if p.holder(t) != tenant {
+	if c.holder(t) != tenant {
 		return false
 	}
-	if _, declared := c.rec.Permit(t); declared {
+	if _, declared := c.decl.Permit(t); declared {
 		return false
 	}
 	if _, installed := p.Permits.List(t); !installed {
@@ -370,7 +367,7 @@ func (r *Reconciler) checkBindService(p *Provider, sip addr.IP, want *intent.Ser
 		held[f.eip] = true
 	}
 	defer c.shards.unlockShards(c.shards.lockShards(keys, nil))
-	live, ok := c.rec.Service(sip)
+	live, ok := c.decl.Service(sip)
 	if cur, _ := p.services.Get(sip); !ok || live.Tenant != want.Tenant || cur != svc {
 		return false // released or changed hands since the screen
 	}
@@ -408,7 +405,7 @@ func (r *Reconciler) checkQuota(p *Provider, tenant, reg string, want float64, b
 		return false
 	}
 	defer p.lockShard(p.regionShardKey(tenant, reg))()
-	want, ok := c.rec.Quota(intent.QuotaKey(p.Name, tenant, reg))
+	want, ok := c.decl.Quota(intent.QuotaKey(p.Name, tenant, reg))
 	if !ok || p.quotaBps(tenant, reg) == want {
 		return false
 	}
@@ -465,14 +462,14 @@ func visit[K cmp.Ordered](res *SweepResult, marks map[K]bool, check func(K) (min
 func (r *Reconciler) sweepProvider(p *Provider, plan *sweepPlan, budget *int, res *SweepResult) {
 	c := r.cloud
 	undeclared := slices.DeleteFunc(p.Permits.TargetsOf(plan.phase, r.cfg.AntiEntropyK), func(t addr.IP) bool {
-		_, declared := c.rec.Permit(t)
+		_, declared := c.decl.Permit(t)
 		return declared
 	})
 	visit(res, plan.marks, func(t addr.IP) (mine, drift bool) {
 		if owner, ok := c.blockOwner(t); !ok || owner != p {
 			return false, false
 		}
-		if pl, ok := c.rec.Permit(t); ok {
+		if pl, ok := c.decl.Permit(t); ok {
 			return true, r.checkDeclaredPermit(p, t, pl, budget, res)
 		}
 		if _, installed := p.Permits.List(t); installed {
@@ -481,14 +478,14 @@ func (r *Reconciler) sweepProvider(p *Provider, plan *sweepPlan, budget *int, re
 		return true, false
 	}, plan.permits, undeclared)
 	visit(res, nil, func(sip addr.IP) (mine, drift bool) {
-		want, ok := c.rec.Service(sip)
+		want, ok := c.decl.Service(sip)
 		if !ok || want.Provider != p.Name {
 			return false, false
 		}
 		return true, r.checkBindService(p, sip, want, budget, res)
 	}, plan.services)
 	visit(res, nil, func(key string) (mine, drift bool) {
-		want, ok := c.rec.Quota(key)
+		want, ok := c.decl.Quota(key)
 		prov, tenant, reg, parsed := intent.ParseQuotaKey(key)
 		if !ok || !parsed || prov != p.Name {
 			return false, false

@@ -81,28 +81,25 @@ func sweepWhile(r *Reconciler, writing <-chan struct{}) (total SweepResult, swee
 	return total, sweeps
 }
 
-// sharesEndpoints fails t unless c installs exactly the endpoints l
-// declares, each as the very entry l holds, not a copy of it, and
-// enforces each one's declared permit list as that very slice.
+// sharesEndpoints fails t unless c's declared world is the one l holds —
+// the very entries, not copies — and c enforces each endpoint's declared
+// permit list as that very slice.
 func sharesEndpoints(t *testing.T, c *Cloud, l *intent.Log, when string) {
 	t.Helper()
 	st := l.State()
-	installed := 0
-	for _, p := range c.pidx.Load().list {
-		for _, eip := range p.endpoints.Keys(addr.Prefix{}) {
-			installed++
-			ep, _ := p.endpoints.Get(eip)
-			if decl, _ := st.Endpoints.Get(eip); ep != decl {
-				t.Errorf("%s: %s's installed record %p is not the declared entry %p", when, eip, ep, decl)
-			}
-			list, _ := p.Permits.List(eip)
-			if got, want := list.Entries(), ep.Permits.Entries(); len(want) > 0 && (len(got) == 0 || &got[0] != &want[0]) {
-				t.Errorf("%s: %s's enforced list is not the one its record declares", when, eip)
-			}
+	st.Endpoints.Ascend(0, func(eip addr.IP, decl *intent.Endpoint) bool {
+		if ep, _ := c.decl.Endpoint(eip); ep != decl {
+			t.Errorf("%s: %s's record %p in the cloud is not the declared entry %p", when, eip, ep, decl)
 		}
-	}
-	if installed != st.Endpoints.Len() {
-		t.Errorf("%s: %d endpoints installed, %d declared", when, installed, st.Endpoints.Len())
+		p, _ := c.blockOwner(eip)
+		list, _ := p.Permits.List(eip)
+		if got, want := list.Entries(), decl.Permits.Entries(); len(want) > 0 && (len(got) == 0 || &got[0] != &want[0]) {
+			t.Errorf("%s: %s's enforced list is not the one its record declares", when, eip)
+		}
+		return true
+	})
+	if n := c.decl.Endpoints().Len(); n != st.Endpoints.Len() {
+		t.Errorf("%s: %d endpoints in the cloud, %d declared", when, n, st.Endpoints.Len())
 	}
 }
 

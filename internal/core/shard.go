@@ -11,12 +11,15 @@
 // Lock hierarchy (outer to inner; never acquire leftward while holding
 // rightward):
 //
-//	Reconciler.sweeping > shard.mu (in ShardKey.less order) > engMu >
-//	leaf locks (addr.Table stripes, pool/balancer/quota/registry
-//	mutexes, the intent log's mutex)
+//	Reconciler.sweeping > shard.mu (in ShardKey.less order) > the
+//	declared state's lock (the intent log's mutex) > engMu > leaf locks
+//	(addr.Table stripes, pool/balancer/quota/registry mutexes)
 //
-// One leaf sits above engMu: a new quota limiter takes engMu inside its
-// provider's polMu, so nothing takes polMu while holding engMu.
+// A mutation checks, folds and installs each op holding the declared
+// state's lock (Cloud.apply), so what an install takes — engMu, a
+// provider's polMu, the leaves — sits below it. One leaf sits above
+// engMu: a new quota limiter takes engMu inside its provider's polMu, so
+// nothing takes polMu while holding engMu.
 //
 // Who takes what:
 //
@@ -24,7 +27,9 @@
 //     the write locks of every shard its ops touch — the set is known
 //     before the first op runs; a bind adds its EIP's shard
 //     (Cloud.eipShard) — sorted by (tenant, region) and deduplicated
-//     (lockShards), and holds them for its whole apply + journal record.
+//     (lockShards), and holds them for its whole apply + journal record;
+//     inside them it holds the declared state's lock across its ops'
+//     checks, folds, installs and the journal record (intent.Frame).
 //     The reconciler's bind repair, which spans a SIP's shard and its
 //     backends' region shards, locks the same way; its other repairs
 //     take one shard's write lock (lockShard).
@@ -50,9 +55,9 @@
 // defines, so batches, single verbs, probes and reconciler repairs
 // cannot deadlock against each other.
 //
-// Underneath the shard locks, the shared structures (the addr.Tables
-// of endpoints, services and permit lists, address pools) are striped or
-// locked, because one region's state is reachable from several tenants'
+// Underneath the shard locks, the shared structures (the declared
+// state's addr.Tables of endpoints and services, the installed ones of
+// balancers and permit lists, address pools) are striped or locked, because one region's state is reachable from several tenants'
 // shards. The shard lock is the unit of *contention isolation*; the leaf
 // locks are the unit of *memory safety*.
 package core

@@ -132,9 +132,9 @@ func (t *Tenant) Unregister(name string) bool {
 
 // Resolve returns the address behind one of the tenant's names.
 func (t *Tenant) Resolve(name string) (addr.IP, bool) {
-	t.c.nmMu.RLock()
-	ip, ok := t.c.names[t.name][name]
-	t.c.nmMu.RUnlock()
+	var ip addr.IP
+	var ok bool
+	t.c.decl.Read(func(st *intent.State) { ip, ok = st.Names[intent.GroupKey(t.name, name)] })
 	return ip, ok
 }
 

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"declnet/internal/intent"
 	"declnet/internal/topo"
 )
 
@@ -71,32 +70,5 @@ func TestReleaseLeavesGroupsAndNames(t *testing.T) {
 	}
 	if ip, ok := c.Tenant("a").Resolve("db"); ok {
 		t.Errorf("a's name db still resolves, to %s", ip)
-	}
-}
-
-// TestReleaseLeavesGroupsAndNamesAcrossRestart: the release rule lives
-// in declared state too, so a world rebuilt from the journal digests as
-// the world that never crashed.
-func TestReleaseLeavesGroupsAndNamesAcrossRestart(t *testing.T) {
-	dir := t.TempDir()
-	c, w, _, _, _ := fig1Cloud(t)
-	l, err := intent.Open(dir, intent.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.EnableIntent(l)
-	releasedAndRegranted(t, c, w)
-	// Crash: no Close; the journal alone carries the world.
-	l2, err := intent.Open(dir, intent.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	c2, _, _, _, _ := fig1Cloud(t)
-	if err := c2.RestoreIntent(l2.State()); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := c2.StateDigest(), c.StateDigest(); got != want {
-		t.Fatalf("digest after restart %s, uncrashed world %s", got, want)
 	}
 }

@@ -1,8 +1,11 @@
-// Log is the durable store: an append-only journal file plus a
-// periodic snapshot that lets the journal truncate. Open replays
-// snapshot + journal tail into State; Record appends one frame per
-// accepted mutation (batch = one frame) under a configurable fsync
-// policy; Compact snapshots and truncates.
+// Log holds a declared world, State, and the lock its writers take, and
+// is its durable tail: an append-only journal file plus a periodic
+// snapshot that lets the journal truncate. Open replays snapshot +
+// journal tail into State; a writer folds each op of an accepted mutation
+// into State and journals them as one frame (Begin, Frame.Fold,
+// Frame.Record) under a configurable fsync policy; Compact snapshots and
+// truncates. NewLog is a Log with no tail: the declared world of a
+// control plane that keeps no store.
 package intent
 
 import (
@@ -11,9 +14,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -83,10 +86,10 @@ const (
 	lastUpgrade = "262588d"
 )
 
-// Log is the durable intent store rooted at one directory. All methods
-// are safe for concurrent use.
+// Log is the declared world and its durable intent store, rooted at one
+// directory ("" for none). All methods are safe for concurrent use.
 type Log struct {
-	dir  string
+	dir  string // "" = no durable tail (NewLog)
 	opts Options
 
 	mu           sync.Mutex
@@ -154,6 +157,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		if len(opts.Meta) > 0 {
 			// Stamp world identity as the journal's first record.
 			l.mu.Lock()
+			l.st.Meta = maps.Clone(opts.Meta)
 			l.appendLocked("", nil, opts.Meta)
 			l.mu.Unlock()
 		}
@@ -274,37 +278,72 @@ func (l *Log) writeHeaderLocked() error {
 	return nil
 }
 
-// Record journals one accepted mutation (all its ops in one atomic
-// frame) and folds it into State. Called by core's Cloud.Apply with
-// the shard lock held, after the body succeeded and before the verb
-// returns — so anything the tenant was told succeeded is on disk (to
-// the limit of the fsync policy). Returns the assigned sequence number
-// (0 when ops is empty or State refused them). Record keeps nothing of
-// ops once it returns — State holds what the ops point at (entry sets,
-// endpoints), never the ops themselves — so a caller may reuse the
-// slice for its next frame.
+// NewLog returns a Log over st (an empty State when nil) with no durable
+// tail: a writer checks, folds and records its frames exactly as with a
+// store, and nothing reaches a disk. Compact refuses.
+func NewLog(st *State) *Log {
+	if st == nil {
+		st = NewState()
+	}
+	return &Log{st: st}
+}
+
+// Frame is a writer's hold of the log's lock for one accepted mutation,
+// from Begin to Record: it reads State to check each op, folds each op it
+// accepts, and journals them as one frame. Holding the lock across the
+// frame is what keeps a compaction from snapshotting half of one.
+type Frame struct{ l *Log }
+
+// Begin takes the log's lock for one frame.
+func (l *Log) Begin() Frame {
+	l.mu.Lock()
+	return Frame{l}
+}
+
+// State is the declared world the frame checks its ops against.
+func (f Frame) State() *State { return f.l.st }
+
+// Fold applies one op to State. It refuses, changing nothing, only an op
+// no journal could hold (State.Apply's errors); the writer checks
+// ownership and operands against State first.
+func (f Frame) Fold(tenant string, op *Op) error { return f.l.st.applyOp(tenant, op) }
+
+// Record journals the folded ops as one frame, under the next sequence
+// number, and releases the lock. It returns that number (0 when ops is
+// empty: nothing is journaled). Record keeps nothing of ops once it
+// returns — State holds what the ops point at (entry sets), never the ops
+// themselves — so a caller may reuse the slice for its next frame.
 //
-// Append errors are counted, not returned: the mutation has already
-// been applied in memory and cannot be unwound here. Stats surfaces
-// them; an operator seeing append_errors > 0 knows the journal has a
-// hole from that point.
-func (l *Log) Record(tenant string, ops ...Op) uint64 {
+// Append errors are counted, not returned: the mutation is already
+// declared and cannot be unwound here. Stats surfaces them; an operator
+// seeing append_errors > 0 knows the journal has a hole from that point.
+func (f Frame) Record(tenant string, ops ...Op) uint64 {
+	defer f.l.mu.Unlock()
 	if len(ops) == 0 {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appendLocked(tenant, ops, nil)
+	return f.l.appendLocked(tenant, ops, nil)
+}
+
+// Record folds ops into State and journals them as one frame, in one
+// hold of the lock: a Frame with no checks. An op State refuses ends the
+// frame there, and the ops before it are journaled.
+func (l *Log) Record(tenant string, ops ...Op) uint64 {
+	f := l.Begin()
+	for i := range ops {
+		if f.Fold(tenant, &ops[i]) != nil {
+			ops = ops[:i]
+			break
+		}
+	}
+	return f.Record(tenant, ops...)
 }
 
 func (l *Log) appendLocked(tenant string, ops []Op, meta map[string]string) uint64 {
 	rec := Record{Seq: l.st.Seq + 1, Tenant: tenant, Ops: ops, Meta: meta}
-	// Apply first: it validates the ops against declared state, so a
-	// record that would not replay is never persisted.
-	if err := l.st.Apply(&rec); err != nil {
-		l.appendErrs++
-		l.lastErr = err
-		return 0
+	l.st.Seq = rec.Seq
+	if l.dir == "" {
+		return rec.Seq
 	}
 	l.buf = appendFrame(l.buf[:0], &rec)
 	var err error
@@ -364,6 +403,9 @@ func (l *Log) Compact() error {
 }
 
 func (l *Log) compactLocked() error {
+	if l.dir == "" {
+		return errors.New("intent: no store to compact into")
+	}
 	if l.f == nil {
 		return errors.New("intent: log closed")
 	}
@@ -443,14 +485,14 @@ func (l *Log) View() View {
 // PermitTargets enumerates the targets that have a declared permit list:
 // the endpoints and services whose records hold one.
 func (v View) PermitTargets(phase, k int) []addr.IP {
-	eps := gatherAddrs(v.l, v.l.st.Endpoints, phase, k, func(ep *Endpoint) bool { return ep.Permits != nil })
-	svcs := gatherAddrs(v.l, v.l.st.Services, phase, k, func(svc *Service) bool { return svc.Permits != nil })
+	eps := gatherAddrs(v.l.st.Endpoints, phase, k, func(ep *Endpoint) bool { return ep.Permits != nil })
+	svcs := gatherAddrs(v.l.st.Services, phase, k, func(svc *Service) bool { return svc.Permits != nil })
 	return mergeAscending(eps, svcs)
 }
 
 // ServiceTargets enumerates the declared SIPs.
 func (v View) ServiceTargets(phase, k int) []addr.IP {
-	return gatherAddrs(v.l, v.l.st.Services, phase, k, nil)
+	return gatherAddrs(v.l.st.Services, phase, k, nil)
 }
 
 // QuotaKeys enumerates the QuotaKeys that have a declared quota: a
@@ -480,40 +522,20 @@ func stringBucket(s string, k int) int {
 	return int(h % uint32(k))
 }
 
-// gatherStep bounds how many keys one hold of the log's lock enumerates,
-// so a walk of the world makes a queued Record wait for a few thousand
-// keys, not for all of them.
-const gatherStep = 4096
-
 // gatherAddrs answers one rotation question by walking t in address
 // order, keeping the keys whose value keep accepts (every key when keep
-// is nil), so the answer comes out sorted. The walk drops the log's lock
-// every gatherStep keys and resumes at the address after the last one it
-// saw: a key present throughout is produced once, and one put or deleted
-// in between may or may not be, which is all a screen needs.
-func gatherAddrs[V any](l *Log, t *addr.Table[V], phase, k int, keep func(V) bool) []addr.IP {
-	l.mu.Lock()
+// is nil), so the answer comes out sorted. It takes no log lock: the
+// table's stripe locks serialize the walk with its writers a block at a
+// time, and a key put or deleted during the walk may or may not be
+// produced, which is all a screen needs.
+func gatherAddrs[V any](t *addr.Table[V], phase, k int, keep func(V) bool) []addr.IP {
 	out := make([]addr.IP, 0, t.Len()/k+1)
-	for from, more := addr.IP(0), true; more; {
-		more = false
-		n := 0
-		t.Ascend(from, func(ip addr.IP, v V) bool {
-			if addrBucket(ip, k) == phase && (keep == nil || keep(v)) {
-				out = append(out, ip)
-			}
-			if n++; n == gatherStep {
-				from, more = ip+1, ip != ^addr.IP(0)
-				return false
-			}
-			return true
-		})
-		if more {
-			l.mu.Unlock()
-			runtime.Gosched() // or this goroutine takes the lock straight back
-			l.mu.Lock()
+	t.Ascend(0, func(ip addr.IP, v V) bool {
+		if addrBucket(ip, k) == phase && (keep == nil || keep(v)) {
+			out = append(out, ip)
 		}
-	}
-	l.mu.Unlock()
+		return true
+	})
 	return out
 }
 
@@ -534,29 +556,31 @@ func mergeAscending(a, b []addr.IP) []addr.IP {
 	return append(append(out, a...), b...)
 }
 
-// Permit, Service and Quota read one target's declared entry as of now —
-// not as of any View. Entries are immutable once stored (see State), so
-// the pointer returned is the stored entry itself, shared, and stays
-// valid and unchanged however the log moves on; callers must not write
-// through it. They are both the reconciler's screen and what it
-// re-validates a suspected divergence against: a caller holding the
-// target's shard lock reads the entry exactly as the last mutation
-// recorded under that lock left it, because Record runs with the shard
-// lock held.
+// Endpoint, Permit, Service and Quota read one target's declared entry as
+// of now — not as of any View. Entries are immutable once stored (see
+// State), so the pointer returned is the stored entry itself, shared, and
+// stays valid and unchanged however the log moves on; callers must not
+// write through it. They are core's read plane, the reconciler's screen
+// and what it re-validates a suspected divergence against: a caller
+// holding the target's shard lock reads the entry exactly as the last
+// mutation folded under that lock left it, because a writer folds under
+// its shard locks. The address-keyed three read a table entry under its
+// stripe lock alone, never the log's lock.
+
+// Endpoints and Services are the declared address tables themselves, for
+// a walk that must not hold up writers (Table.Each takes stripe locks
+// only); a walk sees each entry as of some moment during it.
+func (l *Log) Endpoints() *addr.Table[*Endpoint] { return l.st.Endpoints }
+func (l *Log) Services() *addr.Table[*Service]   { return l.st.Services }
+
+// Endpoint returns the declared record of one EIP.
+func (l *Log) Endpoint(eip addr.IP) (*Endpoint, bool) { return l.st.Endpoints.Get(eip) }
 
 // Permit returns the declared permit list guarding target.
-func (l *Log) Permit(target addr.IP) (PermitList, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.st.Permit(target)
-}
+func (l *Log) Permit(target addr.IP) (PermitList, bool) { return l.st.Permit(target) }
 
 // Service returns the declared record of one SIP, bindings included.
-func (l *Log) Service(sip addr.IP) (*Service, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.st.Services.Get(sip)
-}
+func (l *Log) Service(sip addr.IP) (*Service, bool) { return l.st.Services.Get(sip) }
 
 // Quota returns the declared egress quota under a QuotaKey.
 func (l *Log) Quota(key string) (float64, bool) {
@@ -564,6 +588,14 @@ func (l *Log) Quota(key string) (float64, bool) {
 	defer l.mu.Unlock()
 	bps, ok := l.st.Quotas[key]
 	return bps, ok
+}
+
+// Read runs read over State under the log's lock: what a reader of the
+// string-keyed sections (groups, names) takes. read must not keep State.
+func (l *Log) Read(read func(*State)) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	read(l.st)
 }
 
 // Seq returns the last assigned sequence number.

@@ -399,27 +399,6 @@ func TestCorruptSnapshotIsFatal(t *testing.T) {
 	refused("with a byte appended", append(bytes.Clone(good), 0))
 }
 
-func TestInvalidOpRejected(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	// Releasing an endpoint that was never granted cannot replay; the
-	// record must not be persisted.
-	if seq := l.Record("acme", Op{Verb: OpReleaseEIP, Addr: mustIP(t, "10.9.9.9")}); seq != 0 {
-		t.Errorf("invalid op assigned seq %d, want 0", seq)
-	}
-	st := l.Stats()
-	if st.AppendErrors != 1 || st.JournalRecords != 0 {
-		t.Errorf("stats = %+v, want 1 append error and 0 journal records", st)
-	}
-	if l.Seq() != 0 {
-		t.Errorf("Seq advanced to %d on a rejected record", l.Seq())
-	}
-}
-
 func TestRecordAfterClose(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{})
@@ -617,7 +596,7 @@ func TestGrantDrainsOnlyAStaleIncarnation(t *testing.T) {
 			prefix(st)
 			apply(st, 3, "alice", Op{Verb: OpReleaseEIP, Addr: x})
 		}
-		old.drainBinds(x) // the old rule: every grant drained first
+		old.unref(x) // the old rule: every grant drained first
 		for _, st := range []*State{s, old} {
 			apply(st, 4, "bob", grant("vm-b", x))
 		}
@@ -851,55 +830,6 @@ func TestDeclaredEntriesAreImmutable(t *testing.T) {
 	st.Quotas["probe"] = 1
 	if got := stateJSON(t, l.State()); got != want {
 		t.Errorf("mutating a State() copy reached the log:\n got %s\nwant %s", got, want)
-	}
-}
-
-// TestStateAdoptsTheVerbsEndpoint: a request_eip, set_vm_egress or
-// permit-surface op carrying the entry its verb installed is stored as
-// that very entry, so
-// the declared state and core hold one record; an op carrying none, as
-// replay's do, gets an entry built from its operands, and no entry handed
-// out before is written.
-func TestStateAdoptsTheVerbsEndpoint(t *testing.T) {
-	s := NewState()
-	eip := mustIP(t, "10.0.0.1")
-	apply := func(seq uint64, op Op) {
-		t.Helper()
-		if err := s.Apply(&Record{Seq: seq, Tenant: "acme", Ops: []Op{op}}); err != nil {
-			t.Fatalf("apply %s: %v", op.Verb, err)
-		}
-	}
-	granted := &Endpoint{Tenant: "acme", VM: "vm-1", Provider: "cloudA", Region: "us-east"}
-	apply(1, Op{Verb: OpRequestEIP, VM: "vm-1", Provider: "cloudA", Region: "us-east", Addr: eip, Endpoint: granted})
-	if endpointAt(s, eip) != granted {
-		t.Fatalf("request_eip stored %+v, not the verb's entry", endpointAt(s, eip))
-	}
-	capped := *granted
-	capped.EgressCap = 5e8
-	apply(2, Op{Verb: OpSetVMEgress, EIP: eip, Bps: 5e8, Endpoint: &capped})
-	if endpointAt(s, eip) != &capped {
-		t.Fatalf("set_vm_egress stored %+v, not the verb's entry", endpointAt(s, eip))
-	}
-	entries := []addr.Prefix{addr.MustParsePrefix("10.0.0.0/8")}
-	list := addr.NewPrefixSet(entries)
-	permitted := capped
-	permitted.Permits = list
-	apply(3, Op{Verb: OpSetPermit, Target: eip, Entries: entries, Derived: true, Next: list, Endpoint: &permitted})
-	if endpointAt(s, eip) != &permitted {
-		t.Fatalf("set_permit stored %+v, not the verb's entry", endpointAt(s, eip))
-	}
-	apply(4, Op{Verb: OpSetVMEgress, EIP: eip, Bps: 7e8})
-	want := Endpoint{Tenant: "acme", VM: "vm-1", Provider: "cloudA", Region: "us-east", EgressCap: 7e8, Permits: list}
-	if got := endpointAt(s, eip); got == &permitted || !reflect.DeepEqual(*got, want) {
-		t.Fatalf("a replayed set_vm_egress stored %+v", got)
-	}
-	apply(5, Op{Verb: OpRevoke, Target: eip, Entries: entries})
-	got := *endpointAt(s, eip)
-	if want.Permits = got.Permits; got.Permits == nil || got.Permits.Len() != 0 || !reflect.DeepEqual(got, want) {
-		t.Fatalf("a replayed revoke stored %+v, want a guarded list with no entries", got)
-	}
-	if granted.EgressCap != 0 || capped.EgressCap != 5e8 || capped.Permits != nil || permitted.Permits.Len() != 1 {
-		t.Fatalf("an adopted entry was written: %+v, %+v, %+v", granted, capped, permitted)
 	}
 }
 

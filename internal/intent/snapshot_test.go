@@ -171,6 +171,7 @@ func randState(rng *rand.Rand, n int) *State {
 			s.Services.Put(sip, svc)
 		}
 	}
+	s.index() // what a fold derives from the sections above
 	return s
 }
 

@@ -1,10 +1,12 @@
-// State is the declared world: the fold of every journaled mutation,
-// mirroring exactly the state core's verb bodies build — endpoints,
-// services and their binds, permit lists (group references expanded by
-// core at verb time, before the op is recorded), quotas, potato
-// profiles, groups, names, and the address pools' allocation cursors.
-// It is what restart recovery rebuilds the in-memory world from and
-// what the reconciler treats as desired state.
+// State is the declared world: the fold of every accepted mutation —
+// endpoints, services and their binds, permit lists (group references
+// expanded by core at verb time, before the op is folded), quotas, potato
+// profiles, groups, names, and the address pools' allocation cursors. It
+// is the only copy of what tenants declared: a control plane checks each
+// op against it, folds the op into it and derives its installed state
+// (permit engines, balancers, limiters, pools) from it; restart recovery
+// replays the journal into it, and the reconciler treats it as desired
+// state.
 package intent
 
 import (
@@ -125,24 +127,23 @@ func (ps *PoolState) release(a addr.IP) {
 }
 
 // State is the full declared world at one journal sequence number: the
-// snapshot file holds exactly this struct. Its JSON tags are not a store
-// format; they render a state's string-keyed sections for comparison.
+// snapshot file holds exactly its exported fields. Its JSON tags are not a
+// store format; they render a state's string-keyed sections for
+// comparison.
 //
 // Endpoints and Services are indexed by address, not hashed: each is an
 // addr.Table, a few bytes per granted address on the pages of its /16,
 // walked in ascending address order (Table.Ascend) wherever order shows
 // — the snapshot's sections, the reconciler's rotation, recovery — so
-// nothing sorts their keys. The store's lock covers them; their stripe
-// locks are never contended.
+// nothing sorts their keys. The log's lock serializes their writers; a
+// single entry reads without it, under the table's own stripe lock, which
+// is how core's read plane resolves an address.
 //
 // An *Endpoint or *Service is immutable once stored: applyOp replaces the
 // table entry with an edited copy and never writes through the pointer or
-// into a slice or set it holds. That is what lets Log hand the entry
-// itself to the reconciler, which reads it after the log's lock is
-// released, instead of a copy — and what lets core hold the same
-// *Endpoint and permit set as its installed record (Op.Endpoint,
-// Op.Next), the second holder of each: a verb that changes one builds a
-// successor and puts it in both.
+// into a slice or set it holds. That is what lets a reader hold the entry
+// itself after the lock is released, and what lets core's permit engine
+// hold the declared permit set as its installed one.
 type State struct {
 	Seq  uint64            `json:"seq"`
 	Meta map[string]string `json:"meta,omitempty"`
@@ -162,6 +163,20 @@ type State struct {
 	// SIPPools keys the provider name.
 	EIPPools map[string]*PoolState `json:"eip_pools,omitempty"`
 	SIPPools map[string]*PoolState `json:"sip_pools,omitempty"`
+
+	// refs is derived from Services, Groups and Names and never encoded:
+	// nil until a fold first needs it (index).
+	refs *refIndex
+}
+
+// refIndex is what the declared world names each address by besides its
+// own record, so that a release finds what it must drain without walking
+// services, groups or names. Each list is replaced, never edited in place,
+// so core may hold one it read under the lock.
+type refIndex struct {
+	bound  addr.Table[[]addr.IP] // EIP -> the SIPs it is bound to
+	groups addr.Table[[]string]  // EIP -> the GroupKeys of the groups it is a member of
+	names  addr.Table[[]string]  // address -> the GroupKeys of the names that point at it
 }
 
 // NewState returns an empty declared world.
@@ -259,29 +274,17 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		if err := s.eipPool(op.Provider, op.Region).claim(op.Addr); err != nil {
 			return err
 		}
-		// A fresh grant starts default-off with no bindings, and only a
-		// stale incarnation — the address still has a live record — can
-		// leave any behind: a grant walks no service otherwise.
-		//
-		// An address with no live record holds no bind. core's bind
-		// write-locks its EIP's shard (Cloud.eipShard), the shard that
-		// address's release_eip runs and journals under, so every bind of
-		// an incarnation is journaled before that incarnation's release,
-		// whose drain below removes it. And core returns a released
-		// address to its pool only after the release is journaled, so no
-		// re-grant's frame can precede it; a stale incarnation exists only
-		// in a store written before that rule, under a release/re-grant
-		// journal inversion (see OpReleaseEIP), and is where the previous
-		// incarnation's binds, groups and names go away.
+		// A fresh grant starts default-off with no bindings, groups or
+		// names. core returns a released address to its pool only after the
+		// release is journaled, so no re-grant's frame precedes it; an
+		// address that still has a record here is a stale incarnation,
+		// which only a store written before that rule holds, under a
+		// release/re-grant journal inversion (see OpReleaseEIP), and the
+		// grant is where its binds, groups and names go away.
 		if _, stale := s.Endpoints.Get(op.Addr); stale {
-			s.drainBinds(op.Addr)
-			s.forget(op.Addr)
+			s.unref(op.Addr)
 		}
-		if op.Endpoint != nil {
-			s.Endpoints.Put(op.Addr, op.Endpoint)
-		} else {
-			s.Endpoints.Put(op.Addr, &Endpoint{Tenant: tenant, VM: op.VM, Provider: op.Provider, Region: op.Region})
-		}
+		s.Endpoints.Put(op.Addr, &Endpoint{Tenant: tenant, VM: op.VM, Provider: op.Provider, Region: op.Region})
 	case OpReleaseEIP:
 		ep, ok := s.Endpoints.Get(op.Addr)
 		if !ok {
@@ -297,10 +300,7 @@ func (s *State) applyOp(tenant string, op *Op) error {
 			// by the re-claim. Drop it.
 			return nil
 		}
-		// Mirror core: the released EIP drains out of every balancer and
-		// leaves the tenant's groups and names.
-		s.drainBinds(op.Addr)
-		s.forget(op.Addr)
+		s.unref(op.Addr)
 		s.Endpoints.Delete(op.Addr)
 		s.eipPool(ep.Provider, ep.Region).release(op.Addr)
 	case OpRequestSIP:
@@ -308,7 +308,7 @@ func (s *State) applyOp(tenant string, op *Op) error {
 			return err
 		}
 		if _, stale := s.Services.Get(op.Addr); stale {
-			s.forget(op.Addr)
+			s.unref(op.Addr)
 		}
 		s.Services.Put(op.Addr, &Service{Tenant: tenant, Provider: op.Provider})
 	case OpReleaseSIP:
@@ -319,7 +319,7 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		if svc.Tenant != tenant {
 			return nil // stale record, as in OpReleaseEIP
 		}
-		s.forget(op.Addr)
+		s.unref(op.Addr)
 		s.Services.Delete(op.Addr)
 		s.sipPool(svc.Provider).release(op.Addr)
 	case OpBind:
@@ -337,6 +337,7 @@ func (s *State) applyOp(tenant string, op *Op) error {
 			next.Binds[i].Weight = w
 		} else {
 			next.Binds = append(slices.Clip(svc.Binds), Bind{EIP: op.EIP, Weight: w})
+			addRef(&s.index().bound, op.EIP, op.SIP)
 		}
 		s.Services.Put(op.SIP, &next)
 	case OpUnbind:
@@ -346,23 +347,22 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		}
 		if i := bindIndex(svc, op.EIP); i >= 0 {
 			s.Services.Put(op.SIP, withoutBind(svc, i))
+			dropRef(&s.index().bound, op.EIP, op.SIP)
 		}
 	case OpSetPermit, OpPermit, OpRevoke:
 		if len(op.Groups) > 0 {
-			// core expands a set_permit's groups before it records the op
+			// core expands a set_permit's groups before it folds the op
 			return fmt.Errorf("set_permit names groups %q, not their members", op.Groups)
 		}
 		if ep, ok := s.Endpoints.Get(op.Target); ok && ep.Tenant == tenant {
-			if op.Endpoint != nil {
-				s.Endpoints.Put(op.Target, op.Endpoint)
-				break
-			}
 			next := *ep
-			next.Permits = op.Declares(ep.Permits)
+			op.Prev, op.Next = ep.Permits, op.Declares(ep.Permits)
+			next.Permits = op.Next
 			s.Endpoints.Put(op.Target, &next)
 		} else if svc, ok := s.Services.Get(op.Target); ok && svc.Tenant == tenant {
 			next := *svc
-			next.Permits = op.Declares(svc.Permits)
+			op.Prev, op.Next = svc.Permits, op.Declares(svc.Permits)
+			next.Permits = op.Next
 			s.Services.Put(op.Target, &next)
 		}
 		// Otherwise no record of the tenant's is there to hold a list, and
@@ -370,17 +370,18 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		// the tenant does not hold, so only a journal written by hand
 		// names one.
 	case OpSetQoS:
-		s.Quotas[QuotaKey(op.Provider, tenant, op.Region)] = op.Bps
+		// A rate already declared changes nothing, and builds no key.
+		var kb [96]byte
+		key := append(append(append(append(append(kb[:0], op.Provider...), '|'), tenant...), '|'), op.Region...)
+		if bps, ok := s.Quotas[string(key)]; !ok || bps != op.Bps {
+			s.Quotas[string(key)] = op.Bps
+		}
 	case OpSetPotato:
 		s.Potato[PotatoKey(op.Provider, tenant)] = op.Policy
 	case OpSetVMEgress:
 		ep, ok := s.Endpoints.Get(op.EIP)
 		if !ok {
 			return fmt.Errorf("egress cap for unknown endpoint %s", op.EIP)
-		}
-		if op.Endpoint != nil {
-			s.Endpoints.Put(op.EIP, op.Endpoint)
-			break
 		}
 		next := *ep
 		next.EgressCap = op.Bps
@@ -389,21 +390,28 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		if op.Provider != "" {
 			return fmt.Errorf("provider-scoped group %q (groups are tenant-wide)", op.Name)
 		}
-		// Core checked every member was the tenant's. One that is not
-		// here was released by a record the journal placed first, whose
-		// forget core ran after this group existed: it is no member.
-		s.Groups[GroupKey(tenant, op.Name)] = slices.DeleteFunc(append([]addr.IP(nil), op.Members...), func(m addr.IP) bool {
+		// core checks every member is the tenant's; in a journal, one that
+		// is not here was released by a record the journal placed first.
+		key, idx := GroupKey(tenant, op.Name), s.index()
+		for _, m := range s.Groups[key] {
+			dropRef(&idx.groups, m, key)
+		}
+		s.Groups[key] = slices.DeleteFunc(append([]addr.IP(nil), op.Members...), func(m addr.IP) bool {
 			ep, ok := s.Endpoints.Get(m)
 			return !ok || ep.Tenant != tenant
 		})
+		for _, m := range s.Groups[key] {
+			addRef(&idx.groups, m, key)
+		}
 	case OpRegisterName:
-		if s.owns(tenant, op.Addr) {
-			s.Names[GroupKey(tenant, op.Name)] = op.Addr
-		} else { // released by an earlier record, as in OpCreateGroup
-			delete(s.Names, GroupKey(tenant, op.Name))
+		key := GroupKey(tenant, op.Name)
+		s.unname(key)
+		if s.owns(tenant, op.Addr) { // else released by an earlier record, as in OpCreateGroup
+			s.Names[key] = op.Addr
+			addRef(&s.index().names, op.Addr, key)
 		}
 	case OpUnregisterName:
-		delete(s.Names, GroupKey(tenant, op.Name))
+		s.unname(GroupKey(tenant, op.Name))
 	default:
 		return fmt.Errorf("unknown verb %q", op.Verb)
 	}
@@ -422,24 +430,88 @@ func withoutBind(svc *Service, i int) *Service {
 	return &next
 }
 
-// forget drops a from every group and name, as core does when the
-// address is released. A grant runs it too when the address still has an
-// owner, which only a store written before releases were journaled ahead
-// of their address's return to the pool can show: under a release/re-grant
-// journal inversion (see OpReleaseEIP) the stale release is skipped, and
-// the grant is where its group and name effects land. Members and names
-// are replaced in copies, never edited in place.
-func (s *State) forget(a addr.IP) {
-	for k, members := range s.Groups {
-		if slices.Contains(members, a) {
-			s.Groups[k] = slices.DeleteFunc(slices.Clone(members), func(m addr.IP) bool { return m == a })
+// index returns the by-address index, building it from the sections the
+// first time a fold needs it (a state decoded or cloned carries none).
+func (s *State) index() *refIndex {
+	if s.refs == nil {
+		s.refs = new(refIndex)
+		s.Services.Ascend(0, func(sip addr.IP, svc *Service) bool {
+			for _, b := range svc.Binds {
+				addRef(&s.refs.bound, b.EIP, sip)
+			}
+			return true
+		})
+		for key, members := range s.Groups {
+			for _, m := range members {
+				addRef(&s.refs.groups, m, key)
+			}
+		}
+		for key, a := range s.Names {
+			addRef(&s.refs.names, a, key)
 		}
 	}
-	for k, target := range s.Names {
-		if target == a {
-			delete(s.Names, k)
+	return s.refs
+}
+
+// addRef lists v under a in t, once; dropRef unlists it, deleting a's
+// entry with its last value. Both store a new list.
+func addRef[V comparable](t *addr.Table[[]V], a addr.IP, v V) {
+	if cur, _ := t.Get(a); !slices.Contains(cur, v) {
+		t.Put(a, append(slices.Clip(cur), v))
+	}
+}
+
+func dropRef[V comparable](t *addr.Table[[]V], a addr.IP, v V) {
+	cur, _ := t.Get(a)
+	switch i := slices.Index(cur, v); {
+	case i < 0:
+	case len(cur) == 1:
+		t.Delete(a)
+	default:
+		t.Put(a, slices.Delete(slices.Clone(cur), i, i+1))
+	}
+}
+
+// unref drops everything that names a, as its release does: the binds of
+// an EIP (found through the index) or of a SIP (its own record's), and the
+// groups and names that hold it. Members are replaced in copies.
+func (s *State) unref(a addr.IP) {
+	idx := s.index()
+	sips, _ := idx.bound.Get(a)
+	for _, sip := range sips {
+		svc, _ := s.Services.Get(sip)
+		s.Services.Put(sip, withoutBind(svc, bindIndex(svc, a)))
+	}
+	idx.bound.Delete(a)
+	if svc, ok := s.Services.Get(a); ok {
+		for _, b := range svc.Binds {
+			dropRef(&idx.bound, b.EIP, a)
 		}
 	}
+	keys, _ := idx.groups.Get(a)
+	for _, key := range keys {
+		s.Groups[key] = slices.DeleteFunc(slices.Clone(s.Groups[key]), func(m addr.IP) bool { return m == a })
+	}
+	idx.groups.Delete(a)
+	keys, _ = idx.names.Get(a)
+	for _, key := range keys {
+		delete(s.Names, key)
+	}
+	idx.names.Delete(a)
+}
+
+// unname drops the name under key, if there is one.
+func (s *State) unname(key string) {
+	if a, ok := s.Names[key]; ok {
+		dropRef(&s.index().names, a, key)
+		delete(s.Names, key)
+	}
+}
+
+// Bound returns the SIPs eip is bound to, a list the state never edits.
+func (s *State) Bound(eip addr.IP) []addr.IP {
+	sips, _ := s.index().bound.Get(eip)
+	return sips
 }
 
 // Permit returns the declared permit list guarding target, and whether
@@ -463,26 +535,10 @@ func (s *State) owns(tenant string, a addr.IP) bool {
 	return ok && svc.Tenant == tenant
 }
 
-// drainBinds unbinds eip from every service that holds it. The walk only
-// finds them: a table is not written while it is walked.
-func (s *State) drainBinds(eip addr.IP) {
-	var bound []addr.IP
-	s.Services.Ascend(0, func(sip addr.IP, svc *Service) bool {
-		if bindIndex(svc, eip) >= 0 {
-			bound = append(bound, sip)
-		}
-		return true
-	})
-	for _, sip := range bound {
-		svc, _ := s.Services.Get(sip)
-		s.Services.Put(sip, withoutBind(svc, bindIndex(svc, eip)))
-	}
-}
-
 // Clone copies the state: recovery, the tests and the benchmark take one
 // through Log.State and own it outright — except its endpoints and permit
-// lists, which are immutable once stored and shared, so that a world
-// restored from the copy installs the very entries the log declares.
+// lists, which are immutable once stored and shared. The by-address index
+// is not copied; the copy builds its own when it first folds a release.
 func (s *State) Clone() *State {
 	c := &State{
 		Seq:       s.Seq,

@@ -7,10 +7,11 @@
 // The flow mirrors the hosting-provider convergence loop the paper's
 // abstractions imply: tenants *declare* endpoints, permits, binds, and
 // QoS; the provider persists the declaration before replying and keeps
-// the dataplane converged to it afterwards. Core's Cloud.Apply
-// calls Log.Record after validation succeeds and before the verb
-// returns; a declnetd restart folds snapshot + journal tail back into
-// State and rebuilds the in-memory world from it (core.RestoreIntent).
+// the dataplane converged to it afterwards. Core checks each op against
+// State, folds it there and journals the frame (Log.Begin, Frame.Fold,
+// Frame.Record) before the verb returns; a declnetd restart folds
+// snapshot + journal tail back into State and rebuilds the in-memory
+// world from it (core.RestoreIntent).
 package intent
 
 import (
@@ -68,38 +69,28 @@ type Op struct {
 	Bps     float64       `json:"bps,omitempty"`
 	Policy  string        `json:"policy,omitempty"`
 
-	// Derived, Prev and Next never reach the journal. The verb that
-	// applies a set_permit, permit or revoke sets them: Next is the entry
-	// set it installed for Target and Prev the installed set it derived
-	// Next from (set_permit derives from nothing). State adopts Next
-	// rather than deriving the list a second time whenever its declared
-	// set equals Prev, so declared and installed hold one record. Replay
-	// has no verb and derives.
-	Derived    bool            `json:"-"`
+	// Prev and Next never reach the journal. For a set_permit, Next is an
+	// input: the entry set the verb built for Target, which the fold adopts
+	// as the declared list instead of building a second one (replay has no
+	// verb and builds). For a permit or revoke they are the fold's output:
+	// the declared list before and after, so that the install can adopt
+	// Next whenever the installed list is Prev, and declared and installed
+	// hold one record.
 	Prev, Next *addr.PrefixSet `json:"-"`
-
-	// Endpoint never reaches the journal either. The verb that applies a
-	// request_eip, a set_vm_egress or a permit-surface op on an EIP sets
-	// it to the entry it installed for the address, and State adopts that
-	// entry instead of building a second one, so declared and installed
-	// hold one record. Replay has no verb and builds.
-	Endpoint *Endpoint `json:"-"`
 }
 
 // Declares returns the permit list a set_permit, permit or revoke op
 // leaves declared on a target whose declared list is cur (nil for none):
-// nil when revoke finds none, otherwise a guarded list — the one the verb
-// derived when it derived from cur.
+// nil when revoke finds none, otherwise a guarded list — for a set_permit,
+// the set the verb built when it built one.
 func (op *Op) Declares(cur *addr.PrefixSet) *addr.PrefixSet {
 	switch {
-	case op.Verb == OpSetPermit && op.Derived:
-		return guarded(op.Next)
+	case op.Verb == OpSetPermit && op.Next != nil:
+		return op.Next
 	case op.Verb == OpSetPermit:
 		return addr.NewPrefixSet(op.Entries)
 	case cur == nil && op.Verb == OpRevoke:
 		return nil // revoking from an empty list is a no-op, as in core
-	case op.Derived && addr.EqualSets(cur, op.Prev):
-		return guarded(op.Next)
 	}
 	return guarded(op.Successor(cur))
 }

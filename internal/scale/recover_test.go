@@ -224,17 +224,18 @@ func TestRecoveryBudget(t *testing.T) {
 // liveBytesPerEndpoint is the live heap one endpoint may cost in the
 // configuration declnetd runs: the intent store attached and compacted,
 // the decision tracer on, onboarded one verb at a time. An endpoint is
-// one declared record, held by the store and installed by core alike and
-// carrying a reference to its permit set, which the permit engine
-// enforces as is; a slot on an address-indexed page of the store's
-// endpoint table, of core's and of the engine's (addr.Table), and a bit
-// in its pool's in-use bitmap; its own permit set, which a single verb
-// builds for it alone; and a share of its tenant's decision ring. What
-// is fixed (the rings, a table's blocks) spreads thinner as a region's
-// block fills, so an endpoint costs less at 10^6 than at 10^5; the
-// budget holds at both. Onboarded in batches, the endpoints of a frame
-// share one permit set, and an endpoint costs less again.
-const liveBytesPerEndpoint = 275
+// one declared record, held by the store's declared state alone — core
+// keeps no endpoint table — and carrying a reference to its permit set,
+// which the permit engine enforces as is; a slot on an address-indexed
+// page of the declared state's endpoint table and of the engine's
+// (addr.Table), and a bit in its pool's in-use bitmap; its own permit
+// set, which a single verb builds for it alone; and a share of its
+// tenant's decision ring. What is fixed (the rings, a table's blocks)
+// spreads thinner as a region's block fills, so an endpoint costs less at
+// 10^6 than at 10^5 (~243 and ~204 B measured); the budget holds at
+// both. Onboarded in batches, the endpoints of a frame share one permit
+// set, and an endpoint costs less again.
+const liveBytesPerEndpoint = 255
 
 // TestLiveBudget pins what the deployed control plane holds per endpoint:
 // onboard the budget tier the way TestRecoveryBudget does, with the intent
