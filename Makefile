@@ -5,7 +5,7 @@ FUZZTIME ?= 10s
 SCALE_EIPS ?= 1000000
 SCALE_TENANTS ?= 400
 
-.PHONY: build fmt test vet race bench benchsmoke scale recover-scale soak staticcheck check fuzz loc flags benchmod nobaseline onejson onepath addrmaps onestate nostep
+.PHONY: build fmt test vet race bench benchsmoke scale recover-scale soak staticcheck check fuzz loc flags benchmod nobaseline onejson onepath addrmaps onestate
 
 build:
 	$(GO) build ./...
@@ -114,10 +114,13 @@ benchmod:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # declnetd must stay free of the baseline (VPC/gateway/appliance) world
-# and of its routing tables: the declarative plane holds none.
+# and of its routing tables: the declarative plane holds none. Nor does it
+# link the simulator (engine, flow network, fault injector) or the root
+# package's World over it: its cloud programs no data plane, so no request
+# path can run an engine, start a flow or inject a fault.
 nobaseline:
-	@if $(GO) list -deps ./cmd/declnetd | grep -E 'internal/(vnet|gateway|appliance|cloudapi|shim|routing)$$'; then \
-		echo "cmd/declnetd depends on the baseline world (packages above)"; exit 1; \
+	@if $(GO) list -deps ./cmd/declnetd | grep -E 'internal/(vnet|gateway|appliance|cloudapi|shim|routing|sim|netsim|fault)$$|^declnet$$'; then \
+		echo "cmd/declnetd depends on the baseline world or the simulator (packages above)"; exit 1; \
 	fi
 
 # The intent store reads and writes its binary formats only: no non-test
@@ -156,19 +159,8 @@ onestate:
 		echo "the lines above keep declared state in core; it lives in intent.State alone"; exit 1; \
 	fi
 
-# No request path advances the simulation: no non-test file of
-# internal/api or cmd/declnetd runs the engine (Run, RunFor, RunUntil) or
-# injects or heals a fault, which is what lets every verb and read take
-# only its shard locks, with no gate that holds the world still.
-nostep:
-	@if grep -nE '(^|[^A-Za-z0-9_])(Run|RunFor|RunUntil)\(|\.(Fail|Heal)\(|Exclusive\(' \
-		$$(ls internal/api/*.go cmd/declnetd/*.go | grep -v '_test\.go$$'); then \
-		echo "the lines above advance the engine on a request path; fault drills run in-process"; exit 1; \
-	fi
-
 # Tier-1 verification plus gofmt, vet, static analysis, the race pass,
-# the benchmark smoke tests, the declnetd dependency pin, the intent
-# store's freedom from JSON and from address-keyed maps, the one
-# mutation path, one declared state, and a request path that never
-# advances the engine.
-check: build fmt vet staticcheck test race benchsmoke benchmod nobaseline onejson onepath addrmaps onestate nostep
+# the benchmark smoke tests, the declnetd dependency pin (no baseline
+# world, no simulator), the intent store's freedom from JSON and from
+# address-keyed maps, the one mutation path, and one declared state.
+check: build fmt vet staticcheck test race benchsmoke benchmod nobaseline onejson onepath addrmaps onestate

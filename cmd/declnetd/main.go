@@ -1,6 +1,7 @@
 // Command declnetd serves the declarative tenant-networking control plane
-// (the paper's Table-2 API) over HTTP/JSON, backed by a simulated
-// Figure-1 multi-cloud world.
+// (the paper's Table-2 API) over HTTP/JSON for the Figure-1 multi-cloud
+// world's providers. It programs no data plane and links no simulator:
+// its cloud is built from packages core and topo alone.
 //
 // Usage:
 //
@@ -32,10 +33,11 @@
 //	POST /v1/reconcile/sweep               force one reconciliation sweep
 //	POST /v1/snapshot                      compact the durable intent store
 //
-// No route advances the simulated world: its virtual clock stands still
-// while the daemon serves. Fault drills (link, node and region failures,
-// failover, re-bind) run in-process through declnet.World's Fail, Heal
-// and RunFor, as the experiments (cmd/expdriver -run E11) do.
+// With no data plane, every node is reachable, nothing is scheduled, a
+// probe samples jitter and loss from a source seeded by -seed, and no
+// connection is started. Fault drills (link, node and region failures,
+// failover, re-bind) run in-process on the simulated declnet.World
+// (Fail, Heal, RunFor), as the experiments (cmd/expdriver -run E11) do.
 //
 // A POST body is limited to 1 MiB; a larger one is answered 413. A body
 // that does not decode (unknown fields included) or an operand that does
@@ -82,10 +84,10 @@ import (
 	"syscall"
 	"time"
 
-	"declnet"
 	"declnet/internal/api"
 	"declnet/internal/core"
 	"declnet/internal/intent"
+	"declnet/internal/topo"
 )
 
 // With -data-dir the reconciler sweeps every reconcileInterval, and each
@@ -134,7 +136,7 @@ func parseLevel(s string) (slog.Level, error) {
 
 func main() {
 	listen := flag.String("listen", ":8080", "listen address")
-	seed := flag.Int64("seed", 1, "simulation seed")
+	seed := flag.Int64("seed", 1, "seed of the probe jitter and loss sampler")
 	hosts := flag.Int("hosts", 4, "hosts per availability zone")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	debugAddr := flag.String("debug-addr", "", "optional address for pprof and expvar debug endpoints")
@@ -151,8 +153,9 @@ func main() {
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl}))
 
-	world, err := declnet.NewFig1World(*seed, *hosts)
-	if err != nil {
+	fig := topo.BuildFig1(*hosts)
+	cloud := core.NewCloud(fig.Graph, core.NoDataPlane(*seed))
+	if _, _, _, err := core.AddFig1Providers(cloud, fig); err != nil {
 		logger.Error("building world", "err", err)
 		os.Exit(1)
 	}
@@ -188,24 +191,24 @@ func main() {
 			os.Exit(1)
 		}
 		if store.Seq() > 0 {
-			if err := world.RestoreIntent(store.State()); err != nil {
+			if err := cloud.RestoreIntent(store.State()); err != nil {
 				logger.Error("replaying intent store", "dir", *dataDir, "err", err)
 				os.Exit(1)
 			}
 			logger.Info("recovered control-plane state from intent store",
 				"dir", *dataDir, "seq", store.Seq(), "replayed", store.Stats().ReplayedRecords)
 		}
-		world.EnableIntent(store)
+		cloud.EnableIntent(store)
 	}
 
-	srv := api.NewServerWith(world, api.Options{Logger: logger})
+	srv := api.NewServerWith(cloud, api.Options{Logger: logger})
 
 	if store != nil {
-		world.EnableReconciler(core.ReconcilerConfig{
+		cloud.EnableReconciler(core.ReconcilerConfig{
 			Interval:     reconcileInterval,
 			AntiEntropyK: antiEntropyK,
 		})
-		world.Reconciler().Start()
+		cloud.Reconciler().Start()
 		logger.Info("reconciler running", "interval", reconcileInterval, "anti_entropy_k", antiEntropyK)
 	}
 
@@ -229,7 +232,7 @@ func main() {
 
 	logger.Info("declnetd: Table-2 control plane up",
 		"listen", *listen,
-		"providers", fmt.Sprintf("%s, %s, onprem", world.Fig1.CloudA, world.Fig1.CloudB),
+		"providers", fmt.Sprintf("%s, %s, onprem", fig.CloudA, fig.CloudB),
 		"seed", *seed, "hosts_per_zone", *hosts, "log_level", lvl.String())
 	// Registered before the listener is up, so a signal that arrives
 	// early is still answered with an orderly exit.
@@ -261,7 +264,7 @@ func main() {
 		logger.Warn("requests still in flight after the drain window", "window", drainTimeout, "err", err)
 	}
 	if store != nil {
-		world.Reconciler().Stop()
+		cloud.Reconciler().Stop()
 		if err := store.Close(); err != nil {
 			logger.Error("closing intent store", "dir", *dataDir, "err", err)
 			os.Exit(1)

@@ -19,22 +19,26 @@
 // through core.Cloud.Apply, into the one apply loop every HTTP mutation
 // route reaches through core.Cloud.ApplyBatch.
 //
-// Everything runs against a deterministic multi-cloud simulation: a world
-// graph of providers, regions, backbones, internet transit, exchange
-// points, and on-prem sites (package internal/topo), with a flow-level
-// max-min fair data plane (package internal/netsim). NewFig1World builds
-// the paper's Figure-1 deployment substrate in one call.
+// A World runs the control plane in-process against a deterministic
+// multi-cloud simulation: a world graph of providers, regions, backbones,
+// internet transit, exchange points, and on-prem sites (package
+// internal/topo), programmed through core's data-plane seam by the
+// simulator in package internal/simplane — a flow-level max-min fair
+// network, its event engine and its fault injector. NewFig1World builds
+// the paper's Figure-1 deployment substrate in one call. declnetd serves
+// the same control plane over HTTP with no simulator: its cloud is built
+// from core and topo alone.
 package declnet
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"declnet/internal/addr"
 	"declnet/internal/core"
 	"declnet/internal/permit"
 	"declnet/internal/qos"
+	"declnet/internal/simplane"
 	"declnet/internal/topo"
 )
 
@@ -76,23 +80,25 @@ type World struct {
 	*core.Cloud
 	// Fig1 describes the built world when NewFig1World was used.
 	Fig1 *topo.Fig1World
+	// Sim is the simulated data plane the cloud programs: its engine,
+	// flow network and fault injector.
+	Sim *simplane.Plane
 }
 
 // NewFig1World builds the paper's Figure-1 substrate — two cloud
 // providers with two regions each, an on-prem datacenter, an internet
 // exchange with dedicated circuits, and the public internet — and brings
 // up a Table-2 control plane for each administrative domain.
-// hostsPerZone sets the compute capacity per availability zone.
+// hostsPerZone sets the compute capacity per availability zone (2 when
+// it is below 1).
 func NewFig1World(seed int64, hostsPerZone int) (*World, error) {
-	if hostsPerZone < 1 {
-		hostsPerZone = 2
-	}
 	w := topo.BuildFig1(hostsPerZone)
-	c := core.NewCloud(seed, w.Graph)
+	sim := simplane.New(seed, w.Graph)
+	c := core.NewCloud(w.Graph, sim)
 	if _, _, _, err := core.AddFig1Providers(c, w); err != nil {
 		return nil, err
 	}
-	return &World{Cloud: c, Fig1: w}, nil
+	return &World{Cloud: c, Fig1: w, Sim: sim}, nil
 }
 
 // Host returns the NodeID of host n (1-based) in the given provider,
@@ -111,19 +117,19 @@ func (w *World) OnPremHost(n int) NodeID {
 // them from one goroutine, with no verb or read in flight on another.
 // The HTTP control plane (internal/api) never calls them; a drill that
 // serves verbs concurrently runs them between rounds of requests.
-func (w *World) Run() { w.Cloud.Eng.Run() }
+func (w *World) Run() { w.Sim.Eng.Run() }
 
 // RunFor advances the simulation by the given virtual duration.
 func (w *World) RunFor(d time.Duration) {
-	w.Cloud.Eng.RunUntil(w.Cloud.Eng.Now() + d)
+	w.Sim.Eng.RunUntil(w.Sim.Eng.Now() + d)
 }
 
 // FaultPolicy sets the provider's health-check cadence; the failover
 // threshold, re-bind backoff and permit-retry window are fixed.
 type FaultPolicy = core.FaultPolicy
 
-// FaultMonitor is the provider-side failure-reaction loop plus the fault
-// injector driving drills; see World.EnableFaults.
+// FaultMonitor is the provider-side failure-reaction loop; see
+// World.EnableFaults. Drills inject through World.Sim.Inj.
 type FaultMonitor = core.FaultMonitor
 
 // DefaultFaultPolicy probes every 500ms, a common cloud health-check
@@ -135,36 +141,15 @@ func DefaultFaultPolicy() FaultPolicy { return core.DefaultFaultPolicy() }
 // "provider/region"). Faults are enabled with the default policy on first
 // use. The failure takes effect immediately; the provider reacts as
 // virtual time advances.
-func (w *World) Fail(kind, target string) error { return w.faultOp(kind, target, true) }
+func (w *World) Fail(kind, target string) error {
+	w.Cloud.EnableFaults(core.FaultPolicy{})
+	return w.Sim.Fault(kind, target, true)
+}
 
 // Heal reverses a failure injected with Fail.
-func (w *World) Heal(kind, target string) error { return w.faultOp(kind, target, false) }
-
-func (w *World) faultOp(kind, target string, fail bool) error {
-	inj := w.Cloud.EnableFaults(core.FaultPolicy{}).Inj
-	switch kind {
-	case "link":
-		if fail {
-			return inj.FailLink(target)
-		}
-		return inj.RestoreLink(target)
-	case "node":
-		if fail {
-			return inj.FailNode(topo.NodeID(target))
-		}
-		return inj.RestoreNode(topo.NodeID(target))
-	case "region":
-		i := strings.IndexByte(target, '/')
-		if i <= 0 || i >= len(target)-1 {
-			return fmt.Errorf("declnet: region target %q is not provider/region", target)
-		}
-		if fail {
-			return inj.FailRegion(target[:i], target[i+1:])
-		}
-		return inj.RestoreRegion(target[:i], target[i+1:])
-	default:
-		return fmt.Errorf("declnet: unknown fault kind %q (want link, node, or region)", kind)
-	}
+func (w *World) Heal(kind, target string) error {
+	w.Cloud.EnableFaults(core.FaultPolicy{})
+	return w.Sim.Fault(kind, target, false)
 }
 
 // Explanation is the ordered verdict chain /v1/explain returns; see

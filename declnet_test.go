@@ -251,7 +251,7 @@ func TestWorldFaultOps(t *testing.T) {
 			t.Fatalf("heal %s: %v", op.kind, err)
 		}
 	}
-	if inj := w.Faults().Inj; inj.NodeFailures != 1 || inj.RegionFailures != 1 || !inj.NodeUp(NodeID(node)) {
+	if inj := w.Sim.Inj; inj.NodeFailures != 1 || inj.RegionFailures != 1 || !inj.NodeUp(NodeID(node)) {
 		t.Fatalf("after fail+heal: node failures %d, region failures %d, node up %v",
 			inj.NodeFailures, inj.RegionFailures, inj.NodeUp(NodeID(node)))
 	}

@@ -72,13 +72,13 @@ func main() {
 	// In-flight flows on it stall; the applications retry their
 	// connections, and the provider's fresh path computation routes
 	// around the failure — no tenant routing knowledge involved.
-	world.Cloud.Eng.After(200*time.Millisecond, func() {
-		if err := world.Cloud.Net.FailLink(f.CloudA + "/bb/a-east-a-west"); err != nil {
+	world.Sim.Eng.After(200*time.Millisecond, func() {
+		if err := world.Sim.Net.FailLink(f.CloudA + "/bb/a-east-a-west"); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println("t=200ms: backbone link a-east<->a-west failed (provider's problem)")
 	})
-	world.Cloud.Eng.After(500*time.Millisecond, func() {
+	world.Sim.Eng.After(500*time.Millisecond, func() {
 		for _, j := range jobs {
 			if j.fct != 0 || j.conn.Flow.Rate() > 0 {
 				continue // finished or unaffected

@@ -1,10 +1,10 @@
 // Package api exposes the Table-2 control plane over HTTP/JSON — the
 // shape a real provider would offer tenants. cmd/declnetd serves it;
-// cmd/declnetctl speaks it. The handler serves one simulated World and
-// holds no lock of its own: every request takes only the shard locks of
-// what it touches, inside core. No route advances the simulation engine;
-// fault drills run in-process (World.Fail, Heal, Run, RunFor), as the
-// experiments do.
+// cmd/declnetctl speaks it. The handler serves one core.Cloud — declnetd's
+// programs no data plane; a test's may be a simulated World — and holds no
+// lock of its own: every request takes only the shard locks of what it
+// touches, inside core. No route advances a data plane; fault drills run
+// in-process (World.Fail, Heal, Run, RunFor), as the experiments do.
 //
 // Alongside the control verbs, the server carries the observability plane
 // of §6: GET /v1/explain replays a datapath decision, GET /v1/trace
@@ -22,7 +22,6 @@ import (
 	"strings"
 	"time"
 
-	"declnet"
 	"declnet/internal/addr"
 	"declnet/internal/core"
 	"declnet/internal/metrics"
@@ -30,15 +29,14 @@ import (
 	"declnet/internal/slo"
 )
 
-// Server wraps a world in an http.Handler. It takes no lock: reads
+// Server wraps a cloud in an http.Handler. It takes no lock: reads
 // (probe, status, explain, trace, metrics) and every Table-2 mutation —
 // the single-verb routes (eips, sips, bind, permit, qos, potato, groups,
 // names) and /v1/batch — serialize only on the shards they touch inside
-// core. Build it before the world is shared: NewServerWith attaches the
-// observability and SLO planes, which are set-up steps. Nothing advances
-// the world's engine while it serves.
+// core. Build it before the cloud is shared: NewServerWith attaches the
+// observability and SLO planes, which are set-up steps.
 type Server struct {
-	world *declnet.World
+	cloud *core.Cloud
 	mux   *http.ServeMux
 
 	log       *slog.Logger
@@ -49,29 +47,34 @@ type Server struct {
 }
 
 // Options tunes the server's logging. The server always attaches a fresh
-// tracer, registry and default SLO plane to the world, and reads them
-// back from the world on every request, so a plane attached later with
-// World.EnableSLO backs /v1/slo, /v1/health and /v1/debug/flight.
+// tracer, registry and default SLO plane to the cloud, and reads them
+// back from the cloud on every request, so a plane attached later with
+// EnableSLO backs /v1/slo, /v1/health and /v1/debug/flight.
 type Options struct {
 	// Logger receives one structured line per request (method, path,
 	// tenant, status, latency). Nil discards logs.
 	Logger *slog.Logger
 }
 
-// NewServer returns a handler over the given world with default
+// ControlPlane is what a server serves: a *core.Cloud, or a type that
+// embeds one, such as the root package's simulated World.
+type ControlPlane interface{ ControlPlane() *core.Cloud }
+
+// NewServer returns a handler over the given cloud with default
 // observability (silent logs, fresh tracer and registry).
-func NewServer(w *declnet.World) *Server { return NewServerWith(w, Options{}) }
+func NewServer(cp ControlPlane) *Server { return NewServerWith(cp, Options{}) }
 
 // NewServerWith returns a handler with explicit observability wiring.
-func NewServerWith(w *declnet.World, opts Options) *Server {
+func NewServerWith(cp ControlPlane, opts Options) *Server {
 	if opts.Logger == nil {
 		opts.Logger = slog.New(slog.DiscardHandler)
 	}
+	c := cp.ControlPlane()
 	tracer, registry := obs.NewTracer(0), metrics.NewRegistry()
-	w.EnableObservability(tracer, registry)
-	w.EnableSLO(slo.NewPlane(slo.Config{}))
+	c.EnableObservability(tracer, registry)
+	c.EnableSLO(slo.NewPlane(slo.Config{}))
 	s := &Server{
-		world: w, mux: http.NewServeMux(),
+		cloud: c, mux: http.NewServeMux(),
 		log:       opts.Logger,
 		startedAt: time.Now(),
 		mErrors:   registry.Counter("declnet_http_errors_total", "HTTP API error responses."),
@@ -106,7 +109,7 @@ func NewServerWith(w *declnet.World, opts Options) *Server {
 func (s *Server) Logger() *slog.Logger { return s.log }
 
 // Registry returns the runtime metrics registry.
-func (s *Server) Registry() *metrics.Registry { return s.world.Registry() }
+func (s *Server) Registry() *metrics.Registry { return s.cloud.Registry() }
 
 // statusRecorder captures the response code, and the tenant a handler
 // decoded from its body, for logging and metrics.
@@ -256,7 +259,7 @@ type PermitRequest struct {
 // ParsePermitEntry parses one wire-format permit entry: a CIDR, or a
 // bare IP treated as a /32. Like addr.ParsePrefix it allocates only on
 // error and e does not escape.
-func ParsePermitEntry(e string) (declnet.Prefix, error) {
+func ParsePermitEntry(e string) (addr.Prefix, error) {
 	if !strings.Contains(e, "/") {
 		ip, err := addr.ParseIP(e)
 		return addr.Prefix{Addr: ip, Len: 32}, err
@@ -297,11 +300,11 @@ type NameRequest struct {
 
 // resolveDst interprets a destination string as an IP, falling back to
 // the tenant's registered names.
-func (s *Server) resolveDst(tenant, dst string) (declnet.IP, error) {
-	if ip, err := declnet.ParseIP(dst); err == nil {
+func (s *Server) resolveDst(tenant, dst string) (addr.IP, error) {
+	if ip, err := addr.ParseIP(dst); err == nil {
 		return ip, nil
 	}
-	if ip, ok := s.world.Tenant(tenant).Resolve(dst); ok {
+	if ip, ok := s.cloud.Tenant(tenant).Resolve(dst); ok {
 		return ip, nil
 	}
 	return 0, fmt.Errorf("api: %q is neither an address nor a registered name", dst)
@@ -315,21 +318,21 @@ type ProbeResponse struct {
 
 func (s *Server) probe(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	src, err := declnet.ParseIP(q.Get("src"))
+	src, err := addr.ParseIP(q.Get("src"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	// The op opens here (not in core) so its service time covers the
 	// whole request path: name resolution, shard locking, datapath.
-	op := s.world.SLO().Begin(slo.VerbProbe, q.Get("tenant"), "")
+	op := s.cloud.SLO().Begin(slo.VerbProbe, q.Get("tenant"), "")
 	dst, err := s.resolveDst(q.Get("tenant"), q.Get("dst"))
 	if err != nil {
 		op.End(err)
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	rtt, ok, err := s.world.Tenant(q.Get("tenant")).ProbeWith(&op, src, dst)
+	rtt, ok, err := s.cloud.Tenant(q.Get("tenant")).ProbeWith(&op, src, dst)
 	op.End(err)
 	if err != nil {
 		writeErr(w, http.StatusForbidden, err)
@@ -341,33 +344,29 @@ func (s *Server) probe(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// StatusResponse summarizes the running world: virtual and wall-clock
-// uptime, per-provider scale, per-tenant resource counts, and trace
-// volume from the observability plane.
+// StatusResponse summarizes the running cloud: wall-clock uptime,
+// per-provider scale, per-tenant resource counts, and trace volume from
+// the observability plane.
 type StatusResponse struct {
-	VirtualTimeMillis float64                        `json:"virtual_time_ms"`
-	UptimeSeconds     float64                        `json:"uptime_seconds"`
-	Providers         map[string]any                 `json:"providers"`
-	Tenants           map[string]core.ResourceCounts `json:"tenants"`
-	TraceEvents       uint64                         `json:"trace_events"`
-	MetricSamples     int                            `json:"metric_samples"`
+	UptimeSeconds float64                        `json:"uptime_seconds"`
+	Providers     map[string]any                 `json:"providers"`
+	Tenants       map[string]core.ResourceCounts `json:"tenants"`
+	TraceEvents   uint64                         `json:"trace_events"`
+	MetricSamples int                            `json:"metric_samples"`
 }
 
 func (s *Server) status(w http.ResponseWriter, r *http.Request) {
 	resp := StatusResponse{
-		VirtualTimeMillis: float64(s.world.Now()) / float64(time.Millisecond),
-		UptimeSeconds:     time.Since(s.startedAt).Seconds(),
-		Providers:         map[string]any{},
-		Tenants:           s.world.Cloud.TenantResources(),
-		TraceEvents:       s.world.Tracer().Recorded(),
-		MetricSamples:     s.world.Registry().Len(),
+		UptimeSeconds: time.Since(s.startedAt).Seconds(),
+		Providers:     map[string]any{},
+		Tenants:       s.cloud.TenantResources(),
+		TraceEvents:   s.cloud.Tracer().Recorded(),
+		MetricSamples: s.cloud.Registry().Len(),
 	}
-	for _, name := range []string{s.world.Fig1.CloudA, s.world.Fig1.CloudB, "onprem"} {
-		if p, ok := s.world.Cloud.Provider(name); ok {
-			resp.Providers[name] = map[string]int{
-				"endpoints": p.EndpointCount(),
-				"services":  p.ServiceCount(),
-			}
+	for _, p := range s.cloud.Providers() {
+		resp.Providers[p.Name] = map[string]int{
+			"endpoints": p.EndpointCount(),
+			"services":  p.ServiceCount(),
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)

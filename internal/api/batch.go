@@ -179,7 +179,7 @@ func (s *Server) mutation(rt route) http.HandlerFunc {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		results, err := s.world.Cloud.ApplyBatch(tenant, b.ops)
+		results, err := s.cloud.ApplyBatch(tenant, b.ops)
 		code := http.StatusOK
 		if err != nil {
 			code = http.StatusConflict

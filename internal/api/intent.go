@@ -21,11 +21,11 @@ type ReconcileResponse struct {
 }
 
 func (s *Server) reconcileStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, ReconcileResponse{ReconcileStatus: s.world.Reconciler().Status()})
+	writeJSON(w, http.StatusOK, ReconcileResponse{ReconcileStatus: s.cloud.Reconciler().Status()})
 }
 
 func (s *Server) reconcileSweep(w http.ResponseWriter, r *http.Request) {
-	rec := s.world.Reconciler()
+	rec := s.cloud.Reconciler()
 	if rec == nil {
 		writeErr(w, http.StatusConflict, fmt.Errorf("api: reconciler not enabled (run declnetd with -data-dir)"))
 		return
@@ -39,7 +39,7 @@ type SnapshotResponse struct {
 }
 
 func (s *Server) snapshot(w http.ResponseWriter, r *http.Request) {
-	l := s.world.Intent()
+	l := s.cloud.Intent()
 	if l == nil {
 		writeErr(w, http.StatusConflict, fmt.Errorf("api: intent store not enabled (run declnetd with -data-dir)"))
 		return

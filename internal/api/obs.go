@@ -6,7 +6,7 @@ import (
 	"strconv"
 	"strings"
 
-	"declnet"
+	"declnet/internal/addr"
 	"declnet/internal/obs"
 )
 
@@ -21,7 +21,7 @@ import (
 func (s *Server) explain(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	tenant := q.Get("tenant")
-	src, err := declnet.ParseIP(q.Get("src"))
+	src, err := addr.ParseIP(q.Get("src"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("api: bad src: %w", err))
 		return
@@ -31,7 +31,7 @@ func (s *Server) explain(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	ex, err := s.world.Tenant(tenant).Explain(src, dst)
+	ex, err := s.cloud.Tenant(tenant).Explain(src, dst)
 	if err != nil {
 		writeErr(w, http.StatusNotFound, err)
 		return
@@ -64,7 +64,7 @@ func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	evs := s.world.Tracer().Recent(tenant, n)
+	evs := s.cloud.Tracer().Recent(tenant, n)
 	if kind := q.Get("kind"); kind != "" {
 		kept := evs[:0]
 		for _, ev := range evs {
@@ -85,7 +85,7 @@ func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
 // themselves.
 func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 	var sb strings.Builder
-	if err := s.world.Registry().WritePrometheus(&sb); err != nil {
+	if err := s.cloud.Registry().WritePrometheus(&sb); err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}

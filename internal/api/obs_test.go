@@ -89,7 +89,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE declnet_http_request_seconds histogram",
 		"# TYPE declnet_http_errors_total counter",
 		"declnet_endpoints{provider=",
-		"declnet_virtual_time_seconds",
 		"# TYPE declnet_trace_events_total gauge",
 		"declnet_trace_evicted_total 0",
 	} {

@@ -38,7 +38,7 @@ func (s *Server) sloSet(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	s.world.SLO().SetObjective(req.Tenant, o)
+	s.cloud.SLO().SetObjective(req.Tenant, o)
 	writeJSON(w, http.StatusOK, struct{}{})
 }
 
@@ -50,7 +50,7 @@ type SLOResponse struct {
 }
 
 func (s *Server) sloReport(w http.ResponseWriter, r *http.Request) {
-	plane := s.world.SLO()
+	plane := s.cloud.SLO()
 	writeJSON(w, http.StatusOK, SLOResponse{
 		WindowGen: plane.WindowGen(),
 		Tenants:   plane.Report(r.URL.Query().Get("tenant")),
@@ -58,7 +58,7 @@ func (s *Server) sloReport(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) health(w http.ResponseWriter, r *http.Request) {
-	rep := s.world.SLO().Health()
+	rep := s.cloud.SLO().Health()
 	code := http.StatusOK
 	if rep.Status != "ok" {
 		// 503 lets dumb probes (curl -f, LB health checks) see degradation
@@ -84,7 +84,7 @@ func (s *Server) flight(w http.ResponseWriter, r *http.Request) {
 		}
 		n = i
 	}
-	plane := s.world.SLO()
+	plane := s.cloud.SLO()
 	writeJSON(w, http.StatusOK, FlightResponse{
 		Retained: plane.FlightRetained(),
 		Spans:    plane.Flight(n),

@@ -238,7 +238,7 @@ func (c *Cloud) named(tenant, provider, region string) (*Provider, ShardKey, err
 // target, which runs the verb. apply asks under the shard locks, just
 // before the op is declared: the answer depends on what is granted now.
 func (c *Cloud) owner(a addr.IP) (*Provider, error) {
-	p, ok := c.providerOfAddr(a)
+	p, ok := c.ProviderOf(a)
 	if !ok {
 		return nil, fmt.Errorf("core: %s is not a granted address", a)
 	}
@@ -395,7 +395,7 @@ var verbs = map[string]*verb{
 	intent.OpCreateGroup: {slo.VerbBind,
 		func(c *Cloud, _ *Provider, _ *intent.State, tenant string, op intent.Op) (intent.Op, error) {
 			for _, m := range op.Members {
-				if _, ok := c.providerOfAddr(m); !ok {
+				if _, ok := c.ProviderOf(m); !ok {
 					return op, fmt.Errorf("core: group member %s is not a granted address", m)
 				}
 				if _, err := c.owned(tenant, m); err != nil {
@@ -407,7 +407,7 @@ var verbs = map[string]*verb{
 		nothing},
 	intent.OpRegisterName: {slo.VerbBind,
 		func(c *Cloud, _ *Provider, _ *intent.State, tenant string, op intent.Op) (intent.Op, error) {
-			if _, ok := c.providerOfAddr(op.Addr); !ok {
+			if _, ok := c.ProviderOf(op.Addr); !ok {
 				return op, fmt.Errorf("core: %s is not a granted address", op.Addr)
 			}
 			return op, c.ownsTarget(tenant, op.Addr)

@@ -14,10 +14,8 @@ import (
 	"declnet/internal/addr"
 	"declnet/internal/intent"
 	"declnet/internal/metrics"
-	"declnet/internal/netsim"
 	"declnet/internal/obs"
 	"declnet/internal/qos"
-	"declnet/internal/sim"
 	"declnet/internal/slo"
 	"declnet/internal/topo"
 )
@@ -28,9 +26,10 @@ import (
 // That is the §5 claim that "the basic interface will be constant
 // between clouds".
 type Cloud struct {
-	Eng *sim.Engine
-	G   *topo.Graph
-	Net *netsim.Network
+	G *topo.Graph
+
+	// plane is the network the cloud programs (dataplane.go).
+	plane DataPlane
 
 	// pidx is the provider registry: a copy-on-write index, replaced
 	// only at set-up (AddProvider), that the lock-free read plane
@@ -41,14 +40,6 @@ type Cloud struct {
 	// shards partitions the write plane by (tenant, region); see
 	// shard.go.
 	shards *ShardSet
-
-	// engMu serializes what concurrent verbs and reads write into Eng
-	// and Net: a new quota limiter's ticker (Provider.quota), a deferred
-	// permit update's first retry (FaultMonitor.retryPermit), and
-	// Connect's flow start and limiter attach. Advancing the engine
-	// takes no lock: only the simulation driver does it, with no verb in
-	// flight (see shard.go).
-	engMu sync.Mutex
 
 	// monitor is the fault-reaction loop: built idle with the cloud,
 	// its health ticker armed by EnableFaults.
@@ -110,25 +101,24 @@ type provBlock struct {
 	shard  string
 }
 
-// NewCloud wraps a world graph in a simulation. The control plane is
-// sharded by (tenant, region); use NewSingleShardCloud for the
-// globally-serialized build.
-func NewCloud(seed int64, g *topo.Graph) *Cloud {
-	return newCloud(seed, g, false)
+// NewCloud builds a control plane over world graph g that programs
+// plane (NoDataPlane for none). The control plane is sharded by (tenant,
+// region); use NewSingleShardCloud for the globally-serialized build.
+func NewCloud(g *topo.Graph, plane DataPlane) *Cloud {
+	return newCloud(g, plane, false)
 }
 
 // NewSingleShardCloud is NewCloud with the shard table collapsed to one
 // shard: every verb serializes on the same lock, reproducing the
 // pre-sharding write plane. The sharded-vs-unsharded parity property
 // test replays identical schedules against both builds.
-func NewSingleShardCloud(seed int64, g *topo.Graph) *Cloud {
-	return newCloud(seed, g, true)
+func NewSingleShardCloud(g *topo.Graph, plane DataPlane) *Cloud {
+	return newCloud(g, plane, true)
 }
 
-func newCloud(seed int64, g *topo.Graph, singleShard bool) *Cloud {
-	eng := sim.New(seed)
+func newCloud(g *topo.Graph, plane DataPlane, singleShard bool) *Cloud {
 	c := &Cloud{
-		Eng: eng, G: g, Net: netsim.New(g, eng),
+		G: g, plane: plane,
 		shards:     newShardSet(singleShard),
 		decl:       intent.NewLog(nil),
 		tenantRefs: make(map[string]int),
@@ -146,19 +136,16 @@ func (c *Cloud) Router() *qos.Router { return c.router }
 // Shards returns the shard table (experiments report its size).
 func (c *Cloud) Shards() *ShardSet { return c.shards }
 
-// engineRead wraps a read of engine-owned state — the event queue, the
-// solver and fault counters — for a metrics scrape: engMu excludes a verb
-// scheduling on the engine or starting a flow.
-func (c *Cloud) engineRead(read func() float64) func() float64 {
-	return func() float64 {
-		c.engMu.Lock()
-		defer c.engMu.Unlock()
-		return read()
-	}
-}
+// Plane returns the data plane the cloud programs.
+func (c *Cloud) Plane() DataPlane { return c.plane }
 
-// Now reads the virtual clock, which no verb or read advances.
-func (c *Cloud) Now() time.Duration { return c.Eng.Now() }
+// ControlPlane returns c itself, so a type embedding a *Cloud (the root
+// package's World) hands over the cloud it wraps wherever a cloud is
+// asked for through an interface.
+func (c *Cloud) ControlPlane() *Cloud { return c }
+
+// Now reads the data plane's clock, which no verb or read advances.
+func (c *Cloud) Now() time.Duration { return c.plane.Now() }
 
 // AddProvider creates a provider control plane for the named cloud. It
 // is a set-up step: call it before the cloud is shared.
@@ -166,7 +153,7 @@ func (c *Cloud) AddProvider(name string, cfg Config) (*Provider, error) {
 	if _, ok := c.pidx.Load().byName[name]; ok {
 		return nil, fmt.Errorf("core: duplicate provider %q", name)
 	}
-	p, err := newProvider(name, c.Eng, c.G, c.Net, cfg)
+	p, err := newProvider(name, c.G, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -255,6 +242,10 @@ func (c *Cloud) Provider(name string) (*Provider, bool) {
 	return p, ok
 }
 
+// Providers lists the cloud's providers by name; the slice is shared,
+// not to be modified.
+func (c *Cloud) Providers() []*Provider { return c.pidx.Load().list }
+
 // SetBiller attaches usage metering to every provider currently in the
 // cloud (call after AddProvider).
 func (c *Cloud) SetBiller(b Biller) {
@@ -264,18 +255,13 @@ func (c *Cloud) SetBiller(b Biller) {
 }
 
 // ProviderOf finds which provider granted an address (EIP or SIP).
-func (c *Cloud) ProviderOf(ip addr.IP) (*Provider, bool) {
-	return c.providerOfAddr(ip)
-}
-
-// providerOfAddr finds which provider granted an address (EIP or SIP).
 // Exact and free of the declared state's lock: the block table names the
 // only provider whose pools could have granted ip, and the declared
 // state's striped address tables answer whether it actually did. (This
 // replaced an epoch-keyed result cache: the cache's global invalidation
 // epoch meant churn in one shard wiped every shard's entries, and the
 // index lookup is cheap enough to skip caching entirely.)
-func (c *Cloud) providerOfAddr(ip addr.IP) (*Provider, bool) {
+func (c *Cloud) ProviderOf(ip addr.IP) (*Provider, bool) {
 	p, ok := c.blockOwner(ip)
 	if !ok {
 		return nil, false
@@ -348,7 +334,7 @@ func (c *Cloud) admitted(dstProv *Provider, src, dst addr.IP) bool {
 // Conn is one admitted connection: a live flow plus the load-balancer and
 // quota bookkeeping needed to tear it down cleanly.
 type Conn struct {
-	Flow   *netsim.Flow
+	Flow   qos.Flow
 	Path   topo.Path
 	SrcEIP EIP
 	DstEIP EIP
@@ -372,7 +358,7 @@ func (cn *Conn) Close() {
 	}
 	cn.closed = true
 	if cn.Flow != nil && !cn.Flow.Done() {
-		cn.cloud.Net.Stop(cn.Flow)
+		cn.Flow.Stop()
 	}
 	if cn.enforcer != nil && cn.adapter != nil {
 		cn.enforcer.Detach(cn.adapter)
@@ -389,13 +375,12 @@ func (cn *Conn) bill() {
 		return
 	}
 	cn.billed = true
-	cn.biller.AddBytes(cn.tenant, cn.cloud.Eng.Now(), cn.Flow.SentBytes(), cn.class == Reserved)
+	cn.biller.AddBytes(cn.tenant, cn.cloud.plane.Now(), cn.Flow.SentBytes(), cn.class == Reserved)
 }
 
-// flowAdapter lets the distributed limiter shape a netsim flow.
+// flowAdapter lets the distributed limiter shape a data-plane flow.
 type flowAdapter struct {
-	net    *netsim.Network
-	flow   *netsim.Flow
+	flow   qos.Flow
 	demand float64
 	vmCap  float64
 }
@@ -405,7 +390,7 @@ func (a *flowAdapter) SetCap(bps float64) {
 	if a.vmCap > 0 && (bps == 0 || bps > a.vmCap) {
 		bps = a.vmCap
 	}
-	a.net.SetMaxRate(a.flow, bps)
+	a.flow.SetMaxRate(bps)
 }
 
 // Demand implements qos.RateSetter.
@@ -446,7 +431,7 @@ type ConnectOpts struct {
 }
 
 func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, opts ConnectOpts) (*Conn, error) {
-	srcProv, ok := c.providerOfAddr(src)
+	srcProv, ok := c.ProviderOf(src)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown source EIP %s", src)
 	}
@@ -455,7 +440,7 @@ func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, opts Co
 		return nil, err
 	}
 	op.SetRegion(c.block(src).shard)
-	dstProv, ok := c.providerOfAddr(dst)
+	dstProv, ok := c.ProviderOf(dst)
 	if !ok {
 		return nil, fmt.Errorf("core: destination %s is not a granted address", dst)
 	}
@@ -532,15 +517,11 @@ func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, opts Co
 	// regional egress limiter when it leaves the source region.
 	// Cross-region/cloud reserved egress is subject to the tenant's
 	// regional quota when one is set; best-effort traffic bypasses the
-	// reservation entirely (§4 footnote extension). The quota is found
-	// before engMu, which a new limiter takes inside the provider's polMu;
-	// the netsim and engine writes after it run under engMu.
+	// reservation entirely (§4 footnote extension).
 	var tq *tenantQuota
 	if opts.Class == Reserved && (dstEp.Provider != srcEp.Provider || dstEp.Region != srcEp.Region) {
 		tq, _ = srcProv.quotaOf(tenant, srcEp.Region)
 	}
-	c.engMu.Lock()
-	defer c.engMu.Unlock()
 	vmCap := srcEp.EgressCap
 	if vmCap == 0 {
 		vmCap = defaultVMEgress
@@ -557,16 +538,11 @@ func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, opts Co
 		cloud: c, release: release,
 		tenant: tenant, class: opts.Class, biller: srcProv.meter,
 	}
-	flow, err := c.Net.StartFlow(&netsim.Flow{
-		Path:    path,
-		Size:    opts.SizeBytes,
-		MaxRate: vmCap,
-		OnDone: func(fct time.Duration) {
-			cn.bill()
-			if opts.OnDone != nil {
-				opts.OnDone(fct)
-			}
-		},
+	flow, err := c.plane.StartFlow(path, opts.SizeBytes, vmCap, func(fct time.Duration) {
+		cn.bill()
+		if opts.OnDone != nil {
+			opts.OnDone(fct)
+		}
 	})
 	if err != nil {
 		if release != nil {
@@ -580,7 +556,7 @@ func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, opts Co
 		tq.mu.Lock()
 		quota := tq.quota
 		if quota > 0 {
-			ad := &flowAdapter{net: c.Net, flow: flow, demand: demand, vmCap: vmCap}
+			ad := &flowAdapter{flow: flow, demand: demand, vmCap: vmCap}
 			enf, found := tq.enforcer[topo.NodeID(srcEp.VM)]
 			if !found {
 				enf = qos.NewEnforcer(srcEp.VM)
@@ -604,7 +580,7 @@ func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, opts Co
 }
 
 func (c *Cloud) probe(op *slo.Op, tenant string, src EIP, dst addr.IP) (time.Duration, bool, error) {
-	srcProv, ok := c.providerOfAddr(src)
+	srcProv, ok := c.ProviderOf(src)
 	if !ok {
 		return 0, false, fmt.Errorf("core: unknown source EIP %s", src)
 	}
@@ -613,7 +589,7 @@ func (c *Cloud) probe(op *slo.Op, tenant string, src EIP, dst addr.IP) (time.Dur
 		return 0, false, err
 	}
 	op.SetRegion(c.block(src).shard)
-	dstProv, ok := c.providerOfAddr(dst)
+	dstProv, ok := c.ProviderOf(dst)
 	if !ok {
 		return 0, false, fmt.Errorf("core: destination %s is not a granted address", dst)
 	}
@@ -643,8 +619,9 @@ func (c *Cloud) probe(op *slo.Op, tenant string, src EIP, dst addr.IP) (time.Dur
 	if err != nil {
 		return 0, false, err
 	}
-	rtt := c.Net.RTT(path)
-	ok = c.Net.Delivered(path) && c.Net.Delivered(path)
+	rng := c.plane.Rand()
+	rtt := path.RTT(rng)
+	ok = path.Delivered(rng) && path.Delivered(rng)
 	c.mProbes.Inc()
 	return rtt, ok, nil
 }
@@ -653,12 +630,9 @@ func (c *Cloud) probe(op *slo.Op, tenant string, src EIP, dst addr.IP) (time.Dur
 // admission decision, used heavily by the security experiment and as
 // the scale harness's permit-propagation probe.
 func (c *Cloud) Admitted(src EIP, dst addr.IP) bool {
-	dstProv, ok := c.providerOfAddr(dst)
+	dstProv, ok := c.ProviderOf(dst)
 	if !ok {
 		return false
 	}
 	return c.admitted(dstProv, src, dst)
 }
-
-// Ensure interface satisfaction.
-var _ qos.RateSetter = (*flowAdapter)(nil)

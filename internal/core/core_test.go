@@ -11,17 +11,21 @@ import (
 	"declnet/internal/intent"
 	"declnet/internal/permit"
 	"declnet/internal/qos"
+	"declnet/internal/simplane"
 	"declnet/internal/topo"
 )
 
 func pfx(s string) addr.Prefix { return addr.MustParsePrefix(s) }
+
+// simOf is the simulated data plane a test cloud programs.
+func simOf(c *Cloud) *simplane.Plane { return c.plane.(*simplane.Plane) }
 
 // fig1Cloud builds the Fig-1 world with providers for both clouds and the
 // on-prem site.
 func fig1Cloud(t *testing.T) (*Cloud, *topo.Fig1World, *Provider, *Provider, *Provider) {
 	t.Helper()
 	w := topo.BuildFig1(2)
-	c := NewCloud(1, w.Graph)
+	c := NewCloud(w.Graph, simplane.New(1, w.Graph))
 	pa, pb, po, err := AddFig1Providers(c, w)
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +83,7 @@ func TestDefaultOffEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Eng.Run()
+	simOf(c).Eng.Run()
 	if fct == 0 {
 		t.Fatal("flow never completed")
 	}
@@ -252,7 +256,7 @@ func TestRegionalQuotaEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Eng.RunUntil(c.Eng.Now() + 500*time.Millisecond)
+	simOf(c).Eng.RunUntil(simOf(c).Eng.Now() + 500*time.Millisecond)
 	total := c1.Flow.Rate() + c2.Flow.Rate()
 	if total > 100e6*1.02 {
 		t.Fatalf("regional quota exceeded: %v bps", total)
@@ -383,7 +387,7 @@ func TestOnPremUniformAPI(t *testing.T) {
 
 func TestDuplicateProvider(t *testing.T) {
 	w := topo.BuildFig1(1)
-	c := NewCloud(1, w.Graph)
+	c := NewCloud(w.Graph, simplane.New(1, w.Graph))
 	if _, err := c.AddProvider(w.CloudA, Config{EIPBase: pfx("100.64.0.0/10"), SIPBase: pfx("100.127.0.0/16")}); err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +403,7 @@ func TestDuplicateProvider(t *testing.T) {
 // farthest apart the journal replays two grants of one pool.
 func TestWideSIPBaseRefused(t *testing.T) {
 	w := topo.BuildFig1(1)
-	c := NewCloud(1, w.Graph)
+	c := NewCloud(w.Graph, simplane.New(1, w.Graph))
 	if _, err := c.AddProvider(w.CloudA, Config{EIPBase: pfx("100.64.0.0/10"), SIPBase: pfx("100.126.0.0/15")}); err == nil {
 		t.Fatal("a /15 SIP base accepted")
 	}

@@ -30,7 +30,7 @@ func TestBestEffortBypassesQuota(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Eng.RunUntil(c.Eng.Now() + 500*time.Millisecond)
+	simOf(c).Eng.RunUntil(simOf(c).Eng.Now() + 500*time.Millisecond)
 	if got := res.Flow.Rate(); math.Abs(got-100e6) > 2e6 {
 		t.Fatalf("reserved flow rate = %v, want ~100Mbps (the whole quota)", got)
 	}

@@ -29,7 +29,7 @@ func TestPropertyPathCacheParity(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			c, w, _, pb, _ := fig1Cloud(t)
-			inj := fault.NewInjector(c.Eng, c.G, c.Net)
+			inj := fault.NewInjector(simOf(c).Eng, c.G, simOf(c).Net)
 
 			// Connect traffic: one client in cloud A, a SIP with two
 			// backends in cloud B.

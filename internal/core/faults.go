@@ -6,10 +6,8 @@ import (
 	"time"
 
 	"declnet/internal/addr"
-	"declnet/internal/fault"
 	"declnet/internal/metrics"
 	"declnet/internal/obs"
-	"declnet/internal/sim"
 	"declnet/internal/topo"
 )
 
@@ -21,7 +19,7 @@ type FaultPolicy struct {
 	// HealthInterval is the health-check probe period for SIP backends
 	// and quota enforcers (default 500ms). A backend leaves rotation
 	// after DownAfter consecutive missed probes.
-	HealthInterval sim.Time
+	HealthInterval time.Duration
 }
 
 // The provider's fixed reactions, common cloud health-check settings:
@@ -53,21 +51,21 @@ type backendKey struct {
 
 // backendState is the monitor's health record for one SIP binding.
 type backendState struct {
-	misses   int      // consecutive failed probes while in rotation
-	down     bool     // pulled from rotation
-	backoff  sim.Time // current re-bind backoff (doubles per failure)
-	rebindAt sim.Time // when a recovered backend re-enters; 0 = not waiting
-	downAt   sim.Time // when the failover was detected, for MTTR metrics
+	misses   int           // consecutive failed probes while in rotation
+	down     bool          // pulled from rotation
+	backoff  time.Duration // current re-bind backoff (doubles per failure)
+	rebindAt time.Duration // when a recovered backend re-enters; 0 = not waiting
+	downAt   time.Duration // when the failover was detected, for MTTR metrics
 }
 
-// FaultMonitor is the provider-side reaction to injected faults: a
-// periodic health sweep that fails SIP bindings over to surviving
+// FaultMonitor is the provider-side reaction to faults in the data
+// plane, which it observes only through the seam's Reachable and Cause:
+// a periodic health sweep that fails SIP bindings over to surviving
 // backends, re-binds recovered ones with exponential backoff, and
 // degrades QoS quotas when enforcement points partition away. Every
-// cloud has one from construction, idle — nothing injected, every node
-// reachable — until EnableFaults arms its health sweep.
+// cloud has one from construction, idle until EnableFaults arms its
+// health sweep on the data plane.
 type FaultMonitor struct {
-	Inj    *fault.Injector
 	Policy FaultPolicy
 
 	cloud    *Cloud
@@ -75,14 +73,14 @@ type FaultMonitor struct {
 	backends map[backendKey]*backendState
 
 	// Counters for experiment tables and tests. The health sweep writes
-	// the first two from the engine; PermitRetries and PermitTimeouts are
+	// the first two from the data plane; PermitRetries and PermitTimeouts are
 	// guarded by mu.
 	Failovers      uint64 // backends pulled from rotation
 	Rebinds        uint64 // backends restored to rotation
 	PermitRetries  uint64 // deferred permit-update attempts
 	PermitTimeouts uint64 // permit updates abandoned
-	LastFailoverAt sim.Time
-	LastRebindAt   sim.Time
+	LastFailoverAt time.Duration
+	LastRebindAt   time.Duration
 
 	// mu guards the deferred-permit state: set_permit_list calls in
 	// different shards defer concurrently, beside Explain, the reconciler
@@ -107,7 +105,6 @@ type FaultMonitor struct {
 // policy.
 func newFaultMonitor(c *Cloud) *FaultMonitor {
 	return &FaultMonitor{
-		Inj:      fault.NewInjector(c.Eng, c.G, c.Net),
 		Policy:   DefaultFaultPolicy(),
 		cloud:    c,
 		backends: make(map[backendKey]*backendState),
@@ -118,8 +115,7 @@ func newFaultMonitor(c *Cloud) *FaultMonitor {
 // EnableFaults arms the provider health monitor: the first call sets its
 // policy (a zero HealthInterval takes the default) and starts the health
 // sweep; later calls change nothing. It returns the cloud's one monitor.
-// Call it at set-up or from the simulation driver, like any engine
-// write.
+// Call it at set-up or from the simulation driver.
 func (c *Cloud) EnableFaults(policy FaultPolicy) *FaultMonitor {
 	m := c.monitor
 	if !m.armed {
@@ -127,9 +123,7 @@ func (c *Cloud) EnableFaults(policy FaultPolicy) *FaultMonitor {
 		if policy.HealthInterval > 0 {
 			m.Policy = policy
 		}
-		// Daemon ticker: the health loop never keeps a deadline-less Run
-		// alive on its own.
-		c.Eng.EveryDaemon(m.Policy.HealthInterval, m.tick)
+		c.plane.Every(m.Policy.HealthInterval, m.tick)
 	}
 	return m
 }
@@ -146,7 +140,7 @@ func (m *FaultMonitor) BackendDown(provider string, sip SIP, eip EIP) bool {
 
 // PendingPermit reports whether a permit update for target is accepted
 // but still deferred (its enforcement point unreachable), and since when.
-func (m *FaultMonitor) PendingPermit(target addr.IP) (sim.Time, bool) {
+func (m *FaultMonitor) PendingPermit(target addr.IP) (time.Duration, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if d, ok := m.pending[target]; ok {
@@ -174,24 +168,19 @@ func (m *FaultMonitor) locked(f func() int) func() float64 {
 }
 
 // registerMetrics exposes the monitor's reaction counters and latency
-// distributions through the cloud's registry. The health sweep and fault
-// injection write the engine-side counters from the simulation driver.
+// distributions through the cloud's registry. The health sweep writes
+// the failover and rebind counters from the simulation driver.
 func (m *FaultMonitor) registerMetrics(reg *metrics.Registry) {
-	c := m.cloud
 	reg.GaugeFunc("declnet_failovers_total",
-		"Backends pulled from rotation.", c.engineRead(func() float64 { return float64(m.Failovers) }))
+		"Backends pulled from rotation.", func() float64 { return float64(m.Failovers) })
 	reg.GaugeFunc("declnet_rebinds_total",
-		"Backends restored to rotation.", c.engineRead(func() float64 { return float64(m.Rebinds) }))
+		"Backends restored to rotation.", func() float64 { return float64(m.Rebinds) })
 	reg.GaugeFunc("declnet_permit_retries_total",
 		"Deferred permit-update attempts.", m.locked(func() int { return int(m.PermitRetries) }))
 	reg.GaugeFunc("declnet_permit_timeouts_total",
 		"Permit updates abandoned.", m.locked(func() int { return int(m.PermitTimeouts) }))
 	reg.GaugeFunc("declnet_permit_deferred",
 		"Permit updates currently deferred.", m.locked(func() int { return len(m.pending) }))
-	reg.GaugeFunc("declnet_faults_injected_total",
-		"Injected link+node+region failures.", c.engineRead(func() float64 {
-			return float64(m.Inj.LinkFailures + m.Inj.NodeFailures + m.Inj.RegionFailures)
-		}))
 	m.mMTTR = reg.Histogram("declnet_failover_mttr_seconds",
 		"Failover detect-to-rebind latency.")
 	m.mPermitLag = reg.Histogram("declnet_permit_propagation_seconds",
@@ -201,7 +190,7 @@ func (m *FaultMonitor) registerMetrics(reg *metrics.Registry) {
 // tick is one health sweep over every provider, in deterministic order
 // (the provider index's list is name-sorted).
 func (m *FaultMonitor) tick() {
-	now := m.cloud.Eng.Now()
+	now := m.cloud.plane.Now()
 	for _, p := range m.cloud.pidx.Load().list {
 		m.sweepServices(now, p)
 		m.sweepEnforcers(p)
@@ -209,7 +198,7 @@ func (m *FaultMonitor) tick() {
 }
 
 // sweepServices probes every SIP backend and drives rotation health.
-func (m *FaultMonitor) sweepServices(now sim.Time, p *Provider) {
+func (m *FaultMonitor) sweepServices(now time.Duration, p *Provider) {
 	svcs := p.services.All()
 	for i := 1; i < len(svcs); i++ {
 		for j := i; j > 0 && svcs[j].sip < svcs[j-1].sip; j-- {
@@ -224,7 +213,7 @@ func (m *FaultMonitor) sweepServices(now sim.Time, p *Provider) {
 				continue
 			}
 			st := m.state(p.Name, sip, be.EIP)
-			if m.Inj.Reachable(node) {
+			if m.cloud.plane.Reachable(node) {
 				st.misses = 0
 				if !st.down {
 					continue
@@ -265,7 +254,7 @@ func (m *FaultMonitor) sweepServices(now sim.Time, p *Provider) {
 			st.downAt = now
 			m.cloud.traceEvent(m.cloud.holder(sip), obs.Decision{Kind: obs.Failover, Src: be.EIP, Dst: sip, Verdict: obs.Fail,
 				Detail: fmt.Sprintf("node=%s misses=%d", node, st.misses),
-				Cause:  obs.Chain(m.Inj.Cause(node)...)})
+				Cause:  obs.Chain(m.cloud.plane.Cause(node)...)})
 			if st.backoff == 0 {
 				st.backoff = RebindBackoff
 			} else if st.backoff *= 2; st.backoff > rebindBackoffMax {
@@ -295,7 +284,7 @@ func (m *FaultMonitor) sweepEnforcers(p *Provider) {
 		changed := false
 		for _, n := range sortedKeys(tq.enforcer) {
 			enf := tq.enforcer[n]
-			up := m.Inj.Reachable(n)
+			up := m.cloud.plane.Reachable(n)
 			if enf.Up() != up {
 				enf.SetUp(up)
 				changed = true
@@ -321,7 +310,7 @@ func (m *FaultMonitor) state(provider string, sip SIP, eip EIP) *backendState {
 // deferral is one target's deferred permit update: when the first one
 // was accepted, and the list version of the latest.
 type deferral struct {
-	since   sim.Time
+	since   time.Duration
 	version uint64
 }
 
@@ -340,15 +329,15 @@ type deferral struct {
 //
 // It runs on the verb path, under the target's shard lock only, so two
 // tenants' deferrals race each other: mu covers the pending map and the
-// counters, and the first attempt is queued under the cloud's engMu like
-// every other event a shard-locked verb schedules. The attempts themselves
-// run inside the engine, which never advances beside verbs.
+// counters, and the data plane serializes the queueing of the first
+// attempt with what other verbs schedule. The attempts themselves run in
+// the data plane, which never advances beside verbs.
 func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, edits int, set bool, node topo.NodeID) {
 	m.mu.Lock()
 	d, running := m.pending[target]
 	if !running {
 		cur, _ := p.Permits.List(target)
-		d = &deferral{since: m.cloud.Eng.Now(), version: cur.Version()}
+		d = &deferral{since: m.cloud.plane.Now(), version: cur.Version()}
 		m.pending[target] = d
 	}
 	if set {
@@ -359,7 +348,7 @@ func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, e
 	m.mu.Unlock()
 	m.cloud.traceEvent(tenant, obs.Decision{Kind: obs.PermitDefer, Dst: target, Verdict: obs.Deferred,
 		Detail: fmt.Sprintf("entries=%d node=%s", edits, node),
-		Cause:  obs.Chain(m.Inj.Cause(node)...)})
+		Cause:  obs.Chain(m.cloud.plane.Cause(node)...)})
 	if running {
 		return
 	}
@@ -389,15 +378,15 @@ func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, e
 			return
 		}
 		node := topo.NodeID(ep.VM)
-		if m.Inj.Reachable(node) {
+		if m.cloud.plane.Reachable(node) {
 			m.mu.Lock()
 			version := d.version
 			m.mu.Unlock()
 			epoch := p.Permits.Install(target, ep.Permits, version)
 			if p.meter != nil {
-				p.meter.PermitUpdate(ep.Tenant, m.cloud.Eng.Now())
+				p.meter.PermitUpdate(ep.Tenant, m.cloud.plane.Now())
 			}
-			lag := m.cloud.Eng.Now() - accepted
+			lag := m.cloud.plane.Now() - accepted
 			m.mPermitLag.Record(lag)
 			m.cloud.traceEvent(ep.Tenant, obs.Decision{Kind: obs.PermitApply, Dst: target, Verdict: obs.OK,
 				Detail: fmt.Sprintf("lag=%v epoch=%d", lag, epoch)})
@@ -406,13 +395,13 @@ func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, e
 			settle(true)
 			return
 		}
-		if m.cloud.Eng.Now()+permitRetryInterval > deadline {
+		if m.cloud.plane.Now()+permitRetryInterval > deadline {
 			m.mu.Lock()
 			m.PermitTimeouts++
 			m.mu.Unlock()
 			m.cloud.traceEvent(ep.Tenant, obs.Decision{Kind: obs.PermitTimeout, Dst: target, Verdict: obs.Fail,
-				Detail: fmt.Sprintf("after=%v", m.cloud.Eng.Now()-accepted),
-				Cause:  obs.Chain(append([]string{"permit-timeout:" + target.String()}, m.Inj.Cause(node)...)...)})
+				Detail: fmt.Sprintf("after=%v", m.cloud.plane.Now()-accepted),
+				Cause:  obs.Chain(append([]string{"permit-timeout:" + target.String()}, m.cloud.plane.Cause(node)...)...)})
 			// Timed out: the live list never took the declared update. With
 			// the pending flag gone the reconciler owns the repair, and the
 			// mark has it found promptly, not in K sweeps.
@@ -422,9 +411,7 @@ func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, e
 		m.mu.Lock()
 		m.PermitRetries++
 		m.mu.Unlock()
-		m.cloud.Eng.After(permitRetryInterval, attempt)
+		m.cloud.plane.After(permitRetryInterval, attempt)
 	}
-	m.cloud.engMu.Lock()
-	m.cloud.Eng.After(permitRetryInterval, attempt)
-	m.cloud.engMu.Unlock()
+	m.cloud.plane.After(permitRetryInterval, attempt)
 }

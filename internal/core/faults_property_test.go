@@ -126,11 +126,11 @@ func TestPropertySIPNeverServesDownBackend(t *testing.T) {
 				schedules[i] = genSchedule(rng, nodes[i], horizon)
 				for j, at := range schedules[i].events {
 					node, fail := schedules[i].node, j%2 == 0
-					c.Eng.Schedule(at, func() {
+					simOf(c).Eng.Schedule(at, func() {
 						if fail {
-							m.Inj.FailNode(node)
+							simOf(c).Inj.FailNode(node)
 						} else {
-							m.Inj.RestoreNode(node)
+							simOf(c).Inj.RestoreNode(node)
 						}
 					})
 				}
@@ -141,7 +141,7 @@ func TestPropertySIPNeverServesDownBackend(t *testing.T) {
 			// decides the verdict.
 			for at := 503 * time.Millisecond; at < horizon; at += 97 * time.Millisecond {
 				at := at
-				c.Eng.Schedule(at, func() {
+				simOf(c).Eng.Schedule(at, func() {
 					// Liveness only holds once the schedule is "settled":
 					// every down backend has been down past the detect
 					// window, so the monitor has pulled it. Inside the
@@ -171,7 +171,7 @@ func TestPropertySIPNeverServesDownBackend(t *testing.T) {
 					cn.Close()
 				})
 			}
-			c.Eng.RunUntil(horizon + time.Second)
+			simOf(c).Eng.RunUntil(horizon + time.Second)
 
 			// Sanity: seeds that actually failed something must have driven
 			// the monitor, or the property ran vacuously.

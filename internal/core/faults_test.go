@@ -52,14 +52,14 @@ func TestSIPFailsOverToSurvivingBackend(t *testing.T) {
 	policy := FaultPolicy{HealthInterval: 100 * time.Millisecond}
 	c, m, client, sip, be1, _, n1, _ := failoverWorld(t, policy)
 
-	c.Eng.Schedule(time.Second, func() {
-		if err := m.Inj.FailNode(n1); err != nil {
+	simOf(c).Eng.Schedule(time.Second, func() {
+		if err := simOf(c).Inj.FailNode(n1); err != nil {
 			t.Error(err)
 		}
 	})
 	// After the detect delay every pick must land on the survivor —
 	// with zero tenant API calls in between.
-	c.Eng.Schedule(time.Second+(DownAfter+1)*policy.HealthInterval, func() {
+	simOf(c).Eng.Schedule(time.Second+(DownAfter+1)*policy.HealthInterval, func() {
 		for i := 0; i < 10; i++ {
 			cn, err := c.Tenant("acme").Connect(client, sip, ConnectOpts{SizeBytes: 1e3})
 			if err != nil {
@@ -71,7 +71,7 @@ func TestSIPFailsOverToSurvivingBackend(t *testing.T) {
 			cn.Close()
 		}
 	})
-	c.Eng.RunUntil(5 * time.Second)
+	simOf(c).Eng.RunUntil(5 * time.Second)
 	if m.Failovers != 1 {
 		t.Fatalf("Failovers = %d, want 1", m.Failovers)
 	}
@@ -83,15 +83,15 @@ func TestSIPFailsOverToSurvivingBackend(t *testing.T) {
 func TestRecoveredBackendRebindsAfterBackoff(t *testing.T) {
 	c, m, _, sip, be1, _, n1, _ := failoverWorld(t, FaultPolicy{HealthInterval: 100 * time.Millisecond})
 
-	c.Eng.Schedule(time.Second, func() { m.Inj.FailNode(n1) })
-	c.Eng.Schedule(3*time.Second, func() { m.Inj.RestoreNode(n1) })
+	simOf(c).Eng.Schedule(time.Second, func() { simOf(c).Inj.FailNode(n1) })
+	simOf(c).Eng.Schedule(3*time.Second, func() { simOf(c).Inj.RestoreNode(n1) })
 	// Just after recovery the backoff still holds the backend out.
-	c.Eng.Schedule(3*time.Second+300*time.Millisecond, func() {
+	simOf(c).Eng.Schedule(3*time.Second+300*time.Millisecond, func() {
 		if !m.BackendDown("cloudB", sip, be1) {
 			t.Error("backend re-entered rotation before backoff elapsed")
 		}
 	})
-	c.Eng.RunUntil(6 * time.Second)
+	simOf(c).Eng.RunUntil(6 * time.Second)
 	if m.Rebinds != 1 {
 		t.Fatalf("Rebinds = %d, want 1", m.Rebinds)
 	}
@@ -114,21 +114,21 @@ func TestRebindBackoffDoublesPerFlap(t *testing.T) {
 	at := time.Second
 	for i, backoff := range want {
 		restore := at + time.Second
-		c.Eng.Schedule(at, func() { m.Inj.FailNode(n1) })
-		c.Eng.Schedule(restore, func() { m.Inj.RestoreNode(n1) })
-		c.Eng.Schedule(restore+backoff-policy.HealthInterval, func() {
+		simOf(c).Eng.Schedule(at, func() { simOf(c).Inj.FailNode(n1) })
+		simOf(c).Eng.Schedule(restore, func() { simOf(c).Inj.RestoreNode(n1) })
+		simOf(c).Eng.Schedule(restore+backoff-policy.HealthInterval, func() {
 			if !m.BackendDown("cloudB", sip, be1) {
 				t.Errorf("round %d: re-bound before its %v backoff", i, backoff)
 			}
 		})
-		c.Eng.Schedule(restore+backoff+2*policy.HealthInterval, func() {
+		simOf(c).Eng.Schedule(restore+backoff+2*policy.HealthInterval, func() {
 			if m.BackendDown("cloudB", sip, be1) || m.Rebinds != uint64(i+1) {
 				t.Errorf("round %d: not re-bound %v after recovery (rebinds %d)", i, backoff, m.Rebinds)
 			}
 		})
 		at = restore + backoff + time.Second
 	}
-	c.Eng.RunUntil(at)
+	simOf(c).Eng.RunUntil(at)
 	if m.Failovers != uint64(len(want)) || m.Rebinds != uint64(len(want)) {
 		t.Fatalf("failovers=%d rebinds=%d, want %d/%d", m.Failovers, m.Rebinds, len(want), len(want))
 	}
@@ -141,9 +141,9 @@ func TestPermitUpdateRetriesUntilNodeReturns(t *testing.T) {
 	c, m, client, _, be1, _, n1, _ := failoverWorld(t, FaultPolicy{HealthInterval: 100 * time.Millisecond})
 	pb, _ := c.Provider("cloudB")
 
-	c.Eng.Schedule(time.Second, func() { m.Inj.FailNode(n1) })
+	simOf(c).Eng.Schedule(time.Second, func() { simOf(c).Inj.FailNode(n1) })
 	// While be1's host is down, a permit update for it defers.
-	c.Eng.Schedule(2*time.Second, func() {
+	simOf(c).Eng.Schedule(2*time.Second, func() {
 		if err := c.Tenant("acme").SetPermitList(be1, []permit.Entry{addr.NewPrefix(client, 32)}); err != nil {
 			t.Error(err)
 		}
@@ -151,8 +151,8 @@ func TestPermitUpdateRetriesUntilNodeReturns(t *testing.T) {
 			t.Error("permit landed while enforcement point unreachable")
 		}
 	})
-	c.Eng.Schedule(4*time.Second, func() { m.Inj.RestoreNode(n1) })
-	c.Eng.RunUntil(8 * time.Second)
+	simOf(c).Eng.Schedule(4*time.Second, func() { simOf(c).Inj.RestoreNode(n1) })
+	simOf(c).Eng.RunUntil(8 * time.Second)
 	if !pb.Permits.Check(client, be1) {
 		t.Fatal("permit update never landed after the node returned")
 	}
@@ -168,12 +168,12 @@ func TestPermitUpdateTimesOut(t *testing.T) {
 	c, m, client, _, be1, _, n1, _ := failoverWorld(t, FaultPolicy{HealthInterval: 100 * time.Millisecond})
 	pb, _ := c.Provider("cloudB")
 
-	c.Eng.Schedule(time.Second, func() { m.Inj.FailNode(n1) })
-	c.Eng.Schedule(2*time.Second, func() {
+	simOf(c).Eng.Schedule(time.Second, func() { simOf(c).Inj.FailNode(n1) })
+	simOf(c).Eng.Schedule(2*time.Second, func() {
 		c.Tenant("acme").SetPermitList(be1, []permit.Entry{addr.NewPrefix(client, 32)})
 	})
 	// Node never heals within the timeout.
-	c.Eng.RunUntil(2*time.Second + permitRetryTimeout + 2*permitRetryInterval)
+	simOf(c).Eng.RunUntil(2*time.Second + permitRetryTimeout + 2*permitRetryInterval)
 	if m.PermitTimeouts != 1 {
 		t.Fatalf("PermitTimeouts = %d, want 1", m.PermitTimeouts)
 	}
@@ -189,14 +189,14 @@ func TestPermitUpdateTimesOut(t *testing.T) {
 func TestDeferredSetPermitsInstallTheLastDeclared(t *testing.T) {
 	c, m, _, _, be1, _, n1, _ := failoverWorld(t, FaultPolicy{HealthInterval: 100 * time.Millisecond})
 	pb, _ := c.Provider("cloudB")
-	run := func(d time.Duration) { c.Eng.RunUntil(c.Eng.Now() + d) }
+	run := func(d time.Duration) { simOf(c).Eng.RunUntil(simOf(c).Eng.Now() + d) }
 	set := func(e addr.Prefix) {
 		t.Helper()
 		if err := c.Tenant("acme").SetPermitList(be1, []permit.Entry{e}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := m.Inj.FailNode(n1); err != nil {
+	if err := simOf(c).Inj.FailNode(n1); err != nil {
 		t.Fatal(err)
 	}
 	a, b := pfx("10.0.0.1/32"), pfx("10.0.0.2/32")
@@ -204,7 +204,7 @@ func TestDeferredSetPermitsInstallTheLastDeclared(t *testing.T) {
 	run(300 * time.Millisecond)
 	set(b)
 	run(permitRetryInterval - 200*time.Millisecond)
-	if err := m.Inj.RestoreNode(n1); err != nil {
+	if err := simOf(c).Inj.RestoreNode(n1); err != nil {
 		t.Fatal(err)
 	}
 	run(3 * permitRetryInterval)
@@ -221,9 +221,9 @@ func TestDeferredSetPermitsInstallTheLastDeclared(t *testing.T) {
 // of it was. Nothing lands on the unreachable node, and after the heal
 // the node holds the list declared last.
 func TestPermitBehindADeferredSetPermitDefers(t *testing.T) {
-	c, m, _, _, be1, _, n1, _ := failoverWorld(t, FaultPolicy{HealthInterval: 100 * time.Millisecond})
+	c, _, _, _, be1, _, n1, _ := failoverWorld(t, FaultPolicy{HealthInterval: 100 * time.Millisecond})
 	pb, _ := c.Provider("cloudB")
-	if err := m.Inj.FailNode(n1); err != nil {
+	if err := simOf(c).Inj.FailNode(n1); err != nil {
 		t.Fatal(err)
 	}
 	a, b := pfx("10.0.0.1/32"), pfx("10.0.0.2/32")
@@ -236,10 +236,10 @@ func TestPermitBehindADeferredSetPermitDefers(t *testing.T) {
 	if got := pb.Permits.EntriesOf(be1); got != nil {
 		t.Errorf("installed %v on an unreachable node", got)
 	}
-	if err := m.Inj.RestoreNode(n1); err != nil {
+	if err := simOf(c).Inj.RestoreNode(n1); err != nil {
 		t.Fatal(err)
 	}
-	c.Eng.RunUntil(c.Eng.Now() + 2*permitRetryInterval)
+	simOf(c).Eng.RunUntil(simOf(c).Eng.Now() + 2*permitRetryInterval)
 	want := []addr.Prefix{a, b}
 	if ep, _ := c.decl.Endpoint(be1); !slices.Equal(ep.Permits.Entries(), want) {
 		t.Fatalf("declared %v, want %v", ep.Permits.Entries(), want)
@@ -251,7 +251,7 @@ func TestPermitBehindADeferredSetPermitDefers(t *testing.T) {
 
 func TestQuotaDegradesWhenRegionPartitions(t *testing.T) {
 	c, w, pa, _, _ := fig1Cloud(t)
-	m := c.EnableFaults(FaultPolicy{HealthInterval: 100 * time.Millisecond})
+	c.EnableFaults(FaultPolicy{HealthInterval: 100 * time.Millisecond})
 
 	// Two senders in different cloud-A regions, one receiver in cloud B,
 	// a tenant-wide quota per region.
@@ -274,8 +274,8 @@ func TestQuotaDegradesWhenRegionPartitions(t *testing.T) {
 
 	// Partition region a-east away: its enforcer must drop out of the
 	// limiter's share so the tenant's guarantee survives on a-west.
-	c.Eng.Schedule(time.Second, func() { m.Inj.FailRegion(w.CloudA, w.RegionsA[0]) })
-	c.Eng.Schedule(2*time.Second, func() {
+	simOf(c).Eng.Schedule(time.Second, func() { simOf(c).Inj.FailRegion(w.CloudA, w.RegionsA[0]) })
+	simOf(c).Eng.Schedule(2*time.Second, func() {
 		tq := pa.quotas["acme"][w.RegionsA[0]]
 		for _, enf := range tq.enforcer {
 			if enf.Up() {
@@ -292,8 +292,8 @@ func TestQuotaDegradesWhenRegionPartitions(t *testing.T) {
 			t.Error("surviving region's flow should keep its rate")
 		}
 	})
-	c.Eng.Schedule(3*time.Second, func() { m.Inj.RestoreRegion(w.CloudA, w.RegionsA[0]) })
-	c.Eng.RunUntil(5 * time.Second)
+	simOf(c).Eng.Schedule(3*time.Second, func() { simOf(c).Inj.RestoreRegion(w.CloudA, w.RegionsA[0]) })
+	simOf(c).Eng.RunUntil(5 * time.Second)
 	tq := pa.quotas["acme"][w.RegionsA[0]]
 	for _, enf := range tq.enforcer {
 		if !enf.Up() {

@@ -125,7 +125,7 @@ func (c *Cloud) RestoreIntent(st *intent.State) error {
 	}
 
 	// QoS quotas and potato profiles. Quotas go in sorted
-	// order: a new limiter schedules on the engine.
+	// order: a new limiter arms its period on the data plane.
 	for _, key := range sortedKeys(st.Quotas) {
 		prov, tenant, region, ok := intent.ParseQuotaKey(key)
 		if !ok {
@@ -331,7 +331,7 @@ func (c *Cloud) DriftWipePermit(target addr.IP) bool {
 // DriftUnbind removes a backend from a SIP's balancer behind the
 // declared bindings' back.
 func (c *Cloud) DriftUnbind(sip SIP, eip EIP) bool {
-	p, ok := c.providerOfAddr(sip)
+	p, ok := c.ProviderOf(sip)
 	if !ok {
 		return false
 	}

@@ -29,17 +29,17 @@ func TestMeteringEndToEnd(t *testing.T) {
 		OnDone: func(time.Duration) { done++ }}); err != nil {
 		t.Fatal(err)
 	}
-	c.Eng.Run()
+	simOf(c).Eng.Run()
 	if _, err := c.Tenant("acme").Connect(src, sip, ConnectOpts{SizeBytes: 5e6, Class: BestEffort,
 		OnDone: func(time.Duration) { done++ }}); err != nil {
 		t.Fatal(err)
 	}
-	c.Eng.Run()
+	simOf(c).Eng.Run()
 	if done != 2 {
 		t.Fatalf("transfers completed = %d", done)
 	}
 
-	u := m.Snapshot("acme", c.Eng.Now())
+	u := m.Snapshot("acme", simOf(c).Eng.Now())
 	if math.Abs(u.ReservedBytes-10e6) > 1e3 {
 		t.Fatalf("ReservedBytes = %v, want 10e6", u.ReservedBytes)
 	}
@@ -75,14 +75,14 @@ func TestMeteringCloseBillsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Eng.RunUntil(c.Eng.Now() + time.Second)
+	simOf(c).Eng.RunUntil(simOf(c).Eng.Now() + time.Second)
 	conn.Close()
-	first := m.Snapshot("acme", c.Eng.Now()).ReservedBytes
+	first := m.Snapshot("acme", simOf(c).Eng.Now()).ReservedBytes
 	if first <= 0 {
 		t.Fatal("persistent flow bytes not billed at close")
 	}
 	conn.Close() // double close must not double-bill
-	if again := m.Snapshot("acme", c.Eng.Now()).ReservedBytes; again != first {
+	if again := m.Snapshot("acme", simOf(c).Eng.Now()).ReservedBytes; again != first {
 		t.Fatalf("double close double-billed: %v -> %v", first, again)
 	}
 }

@@ -26,7 +26,8 @@ import (
 // the disabled arm of experiment E12 pays only nil checks. It is a set-up
 // step: call it before the cloud is shared; a later call replaces both
 // sinks. The registry gets every cloud-wide instrument here: the connect
-// and engine gauges, each provider's, and the fault monitor's.
+// counters, each provider's gauges, the fault monitor's, and the data
+// plane's own when it has any (a RegisterMetrics method).
 func (c *Cloud) EnableObservability(tr *obs.Tracer, reg *metrics.Registry) {
 	c.trace = tr
 	c.reg = reg
@@ -44,18 +45,9 @@ func (c *Cloud) EnableObservability(tr *obs.Tracer, reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
-	reg.GaugeFunc("declnet_virtual_time_seconds",
-		"Simulated clock.", c.engineRead(func() float64 { return c.Eng.Now().Seconds() }))
-	reg.GaugeFunc("declnet_event_queue_depth",
-		"Simulator event-queue depth.", c.engineRead(func() float64 { return float64(c.Eng.Pending()) }))
-	reg.GaugeFunc("declnet_solver_recomputes_total",
-		"Fair-share solver recomputations.", c.engineRead(func() float64 { return float64(c.Net.Recomputes) }))
-	reg.GaugeFunc("declnet_solver_flows_touched_total",
-		"Flows visited by incremental solves.", c.engineRead(func() float64 { return float64(c.Net.FlowsTouched) }))
-	reg.GaugeFunc("declnet_solver_links_touched_total",
-		"Links visited by incremental solves.", c.engineRead(func() float64 { return float64(c.Net.LinksTouched) }))
-	reg.GaugeFunc("declnet_flows_active",
-		"Live flows in the network.", c.engineRead(func() float64 { return float64(c.Net.Active()) }))
+	if g, ok := c.plane.(interface{ RegisterMetrics(*metrics.Registry) }); ok {
+		g.RegisterMetrics(reg)
+	}
 	for _, p := range c.pidx.Load().list {
 		c.registerProviderMetrics(p.Name, p)
 	}
@@ -89,7 +81,7 @@ func (c *Cloud) traceEvent(tenant string, d obs.Decision) {
 	if c.trace == nil {
 		return
 	}
-	d.At = c.Eng.Now()
+	d.At = c.plane.Now()
 	c.trace.Record(tenant, d)
 }
 
@@ -107,10 +99,9 @@ type ExplainStep struct {
 
 // Explanation is the ordered verdict chain for one (tenant, src, dst).
 type Explanation struct {
-	Tenant            string `json:"tenant"`
-	Src               string `json:"src"`
-	Dst               string `json:"dst"`
-	VirtualTimeMillis int64  `json:"virtual_time_ms"`
+	Tenant string `json:"tenant"`
+	Src    string `json:"src"`
+	Dst    string `json:"dst"`
 	// Reachable is the overall replay verdict: would Connect admit and
 	// route this flow right now?
 	Reachable bool `json:"reachable"`
@@ -141,7 +132,7 @@ func (ex *Explanation) failStep(stage, detail, cause string) {
 // stalls a diagnosis.
 func (c *Cloud) explain(tenant string, src EIP, dst addr.IP) (*Explanation, error) {
 	defer c.shards.rlockShards(c.shardKeyOf(tenant, src), c.shardKeyOf(tenant, dst))()
-	srcProv, ok := c.providerOfAddr(src)
+	srcProv, ok := c.ProviderOf(src)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown source EIP %s", src)
 	}
@@ -149,15 +140,14 @@ func (c *Cloud) explain(tenant string, src EIP, dst addr.IP) (*Explanation, erro
 	if err != nil {
 		return nil, err
 	}
-	dstProv, ok := c.providerOfAddr(dst)
+	dstProv, ok := c.ProviderOf(dst)
 	if !ok {
 		return nil, fmt.Errorf("core: destination %s is not a granted address", dst)
 	}
 	c.mExplains.Inc()
 	ex := &Explanation{
 		Tenant: tenant, Src: src.String(), Dst: dst.String(),
-		VirtualTimeMillis: c.Eng.Now().Milliseconds(),
-		Reachable:         true,
+		Reachable: true,
 	}
 
 	// Stage 1 — source: is the tenant's own VM even alive?
@@ -332,10 +322,10 @@ func (c *Cloud) TenantResources() map[string]ResourceCounts {
 // nodeCause renders a node's unreachability cause chain, "" when the node
 // is reachable.
 func (c *Cloud) nodeCause(id topo.NodeID) string {
-	if id == "" || c.monitor.Inj.Reachable(id) {
+	if id == "" || c.plane.Reachable(id) {
 		return ""
 	}
-	causes := c.monitor.Inj.Cause(id)
+	causes := c.plane.Cause(id)
 	if len(causes) == 0 {
 		causes = []string{"unreachable:" + string(id)}
 	}

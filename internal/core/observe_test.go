@@ -28,7 +28,7 @@ func TestExplainHealthyPath(t *testing.T) {
 	policy := FaultPolicy{HealthInterval: 100 * time.Millisecond}
 	c, _, client, sip, _, _, _, _ := failoverWorld(t, policy)
 	c.EnableObservability(obs.NewTracer(0), metrics.NewRegistry())
-	c.Eng.RunUntil(500 * time.Millisecond)
+	simOf(c).Eng.RunUntil(500 * time.Millisecond)
 
 	ex, err := c.Tenant("acme").Explain(client, sip)
 	if err != nil {
@@ -109,12 +109,12 @@ func TestExplainNamesNodeAndRegionFaults(t *testing.T) {
 
 	// Fail one backend node: SIP still reachable via the survivor, and the
 	// destination stage names the survivor.
-	c.Eng.Schedule(time.Second, func() {
-		if err := m.Inj.FailNode(n1); err != nil {
+	simOf(c).Eng.Schedule(time.Second, func() {
+		if err := simOf(c).Inj.FailNode(n1); err != nil {
 			t.Error(err)
 		}
 	})
-	c.Eng.RunUntil(time.Second + (DownAfter+1)*policy.HealthInterval)
+	simOf(c).Eng.RunUntil(time.Second + (DownAfter+1)*policy.HealthInterval)
 	ex, err := c.Tenant("acme").Explain(client, sip)
 	if err != nil {
 		t.Fatal(err)
@@ -124,10 +124,10 @@ func TestExplainNamesNodeAndRegionFaults(t *testing.T) {
 	}
 	// Fail the whole region: no healthy backend, root cause names it.
 	prov, region := "cloudB", strings.Split(string(n2), "/")[1]
-	if err := m.Inj.FailRegion(prov, region); err != nil {
+	if err := simOf(c).Inj.FailRegion(prov, region); err != nil {
 		t.Fatal(err)
 	}
-	c.Eng.RunUntil(c.Eng.Now() + (DownAfter+1)*policy.HealthInterval)
+	simOf(c).Eng.RunUntil(simOf(c).Eng.Now() + (DownAfter+1)*policy.HealthInterval)
 	ex, err = c.Tenant("acme").Explain(client, sip)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func TestExplainNamesNodeAndRegionFaults(t *testing.T) {
 func TestExplainPendingPermit(t *testing.T) {
 	policy := FaultPolicy{HealthInterval: 100 * time.Millisecond}
 	c, w, _, _, _ := fig1Cloud(t)
-	m := c.EnableFaults(policy)
+	c.EnableFaults(policy)
 	c.EnableObservability(obs.NewTracer(0), metrics.NewRegistry())
 	client, err := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
 	if err != nil {
@@ -160,7 +160,7 @@ func TestExplainPendingPermit(t *testing.T) {
 	}
 	// Partition the endpoint, then issue the permit update: it must defer,
 	// and Explain must say "pending", not a plain deny.
-	if err := m.Inj.FailNode(node); err != nil {
+	if err := simOf(c).Inj.FailNode(node); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Tenant("acme").SetPermitList(dst, []permit.Entry{addr.NewPrefix(client, 32)}); err != nil {
@@ -178,10 +178,10 @@ func TestExplainPendingPermit(t *testing.T) {
 		t.Fatalf("RootCause = %q", ex.RootCause)
 	}
 	// Heal; the retry lands and the explanation flips to reachable.
-	if err := m.Inj.RestoreNode(node); err != nil {
+	if err := simOf(c).Inj.RestoreNode(node); err != nil {
 		t.Fatal(err)
 	}
-	c.Eng.RunUntil(c.Eng.Now() + 3*permitRetryInterval)
+	simOf(c).Eng.RunUntil(simOf(c).Eng.Now() + 3*permitRetryInterval)
 	ex, err = c.Tenant("acme").Explain(client, dst)
 	if err != nil {
 		t.Fatal(err)

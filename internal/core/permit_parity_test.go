@@ -236,18 +236,18 @@ func TestDeclaredAndInstalledPermitParity(t *testing.T) {
 				eip := eips[""][rng.Intn(len(eips[""]))]
 				p, _ := c.ProviderOf(eip)
 				down, _ = p.Lookup(eip)
-				if err := m.Inj.FailNode(down); err != nil {
+				if err := simOf(c).Inj.FailNode(down); err != nil {
 					t.Fatal(err)
 				}
 				continue
 			}
 			// Heal: the deferred updates land, and the sweep repairs what
 			// the targets' declared lists did meanwhile.
-			if err := m.Inj.RestoreNode(down); err != nil {
+			if err := simOf(c).Inj.RestoreNode(down); err != nil {
 				t.Fatal(err)
 			}
 			down = ""
-			c.Eng.RunUntil(c.Eng.Now() + permitRetryInterval)
+			simOf(c).Eng.RunUntil(simOf(c).Eng.Now() + permitRetryInterval)
 			r.RunSweep()
 		}
 		check(step)
@@ -303,17 +303,17 @@ func TestStoresNeverAppendIntoASharedList(t *testing.T) {
 	if pl, _ := l.Permit(target); cap(pl.Entries) == len(pl.Entries) {
 		t.Fatalf("declared %v has no spare capacity; the case needs some", pl.Entries)
 	}
-	if err := m.Inj.FailNode(node); err != nil {
+	if err := simOf(c).Inj.FailNode(node); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Tenant("acme").Permit(target, b); err != nil { // declared [a b]
 		t.Fatal(err)
 	}
-	c.Eng.RunUntil(c.Eng.Now() + permitRetryTimeout + permitRetryInterval)
+	simOf(c).Eng.RunUntil(simOf(c).Eng.Now() + permitRetryTimeout + permitRetryInterval)
 	if got := pa.Permits.EntriesOf(target); m.PermitTimeouts != 1 || !slices.Equal(got, []addr.Prefix{a}) {
 		t.Fatalf("installed %v after %d timeouts; the case needs the deferred permit to time out", got, m.PermitTimeouts)
 	}
-	if err := m.Inj.RestoreNode(node); err != nil {
+	if err := simOf(c).Inj.RestoreNode(node); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Tenant("acme").Permit(target, d); err != nil {

@@ -8,8 +8,9 @@
 // flat EIPs are carved densely from per-region blocks (so the provider can
 // aggregate routes internally, §4 Connectivity), default-off admission is
 // enforced by package permit, SIP load balancing by package lb, regional
-// egress guarantees by package qos, and actual traffic runs as flows in
-// package netsim over the package topo world.
+// egress guarantees by package qos, and actual traffic runs in whatever
+// network the cloud programs through its one data-plane seam
+// (dataplane.go): the flow-level simulator in-process, none in declnetd.
 //
 // Tenants never see a VPC, gateway, route table, or appliance — that is
 // the point.
@@ -31,11 +32,9 @@ import (
 	"declnet/internal/addr"
 	"declnet/internal/intent"
 	"declnet/internal/lb"
-	"declnet/internal/netsim"
 	"declnet/internal/obs"
 	"declnet/internal/permit"
 	"declnet/internal/qos"
-	"declnet/internal/sim"
 	"declnet/internal/topo"
 )
 
@@ -62,13 +61,9 @@ type regionBlocks struct {
 
 // Provider is one cloud's control plane implementing the Table-2 API.
 // A multi-cloud world has one Provider per cloud sharing a topo.Graph and
-// a netsim.Network (the public internet connects them).
+// the cloud's data plane (the public internet connects them).
 type Provider struct {
 	Name string
-
-	eng *sim.Engine
-	g   *topo.Graph
-	net *netsim.Network
 
 	// eipBlocks keys by region name; immutable after NewProvider (the
 	// pools inside carry their own mutexes).
@@ -112,13 +107,13 @@ type Provider struct {
 // Biller is the subset of package meter's Meter the control plane
 // records into; an interface so core does not import meter.
 type Biller interface {
-	GrantEIP(tenant string, now sim.Time)
-	ReleaseEIP(tenant string, now sim.Time)
-	GrantSIP(tenant string, now sim.Time)
-	ReleaseSIP(tenant string, now sim.Time)
-	SetQuota(tenant string, now sim.Time, totalBps float64)
-	AddBytes(tenant string, now sim.Time, bytes float64, reserved bool)
-	PermitUpdate(tenant string, now sim.Time)
+	GrantEIP(tenant string, now time.Duration)
+	ReleaseEIP(tenant string, now time.Duration)
+	GrantSIP(tenant string, now time.Duration)
+	ReleaseSIP(tenant string, now time.Duration)
+	SetQuota(tenant string, now time.Duration, totalBps float64)
+	AddBytes(tenant string, now time.Duration, bytes float64, reserved bool)
+	PermitUpdate(tenant string, now time.Duration)
 }
 
 // SetBiller attaches usage metering to this provider.
@@ -164,7 +159,7 @@ const (
 // newProvider returns a control plane for the named cloud over the shared
 // world (Cloud.AddProvider attaches it). Regions are discovered from the
 // graph's host nodes.
-func newProvider(name string, eng *sim.Engine, g *topo.Graph, net *netsim.Network, cfg Config) (*Provider, error) {
+func newProvider(name string, g *topo.Graph, cfg Config) (*Provider, error) {
 	if cfg.EIPBase.Len > 16 {
 		return nil, fmt.Errorf("core: EIP base %s too small to carve /16 region blocks", cfg.EIPBase)
 	}
@@ -173,9 +168,6 @@ func newProvider(name string, eng *sim.Engine, g *topo.Graph, net *netsim.Networ
 	}
 	p := &Provider{
 		Name:      name,
-		eng:       eng,
-		g:         g,
-		net:       net,
 		eipBlocks: make(map[string]*regionBlocks),
 		sipBlock:  addr.NewHostPool(cfg.SIPBase, 1),
 		Permits:   permit.NewEngine(),
@@ -254,9 +246,9 @@ func (p *Provider) granted(tenant string, sip bool) {
 		return
 	}
 	if sip {
-		p.meter.GrantSIP(tenant, p.eng.Now())
+		p.meter.GrantSIP(tenant, p.cloud.plane.Now())
 	} else {
-		p.meter.GrantEIP(tenant, p.eng.Now())
+		p.meter.GrantEIP(tenant, p.cloud.plane.Now())
 	}
 }
 
@@ -275,9 +267,9 @@ func (p *Provider) released(tenant string, a addr.IP, sip bool) {
 		return
 	}
 	if sip {
-		p.meter.ReleaseSIP(tenant, p.eng.Now())
+		p.meter.ReleaseSIP(tenant, p.cloud.plane.Now())
 	} else {
-		p.meter.ReleaseEIP(tenant, p.eng.Now())
+		p.meter.ReleaseEIP(tenant, p.cloud.plane.Now())
 	}
 }
 
@@ -317,7 +309,7 @@ func (p *Provider) installPermits(tenant string, op *intent.Op) {
 	// is accepted and retried until the node answers or the policy's
 	// timeout expires. SIP targets are enforced at the (always-on)
 	// service frontend and never defer.
-	if ep, ok := p.cloud.decl.Endpoint(target); ok && !p.cloud.monitor.Inj.Reachable(topo.NodeID(ep.VM)) {
+	if ep, ok := p.cloud.decl.Endpoint(target); ok && !p.cloud.plane.Reachable(topo.NodeID(ep.VM)) {
 		if op.Next != nil {
 			p.cloud.monitor.retryPermit(p, tenant, target, edits, op.Verb == intent.OpSetPermit, topo.NodeID(ep.VM))
 		}
@@ -327,7 +319,7 @@ func (p *Provider) installPermits(tenant string, op *intent.Op) {
 		epoch := p.Permits.Install(target, op.Next, uint64(edits))
 		p.stampPermitLag(tenant, target)
 		if p.meter != nil {
-			p.meter.PermitUpdate(tenant, p.eng.Now())
+			p.meter.PermitUpdate(tenant, p.cloud.plane.Now())
 		}
 		p.cloud.traceEvent(tenant, obs.Decision{Kind: obs.PermitUpdate, Dst: target, Verdict: obs.OK,
 			Entries: uint32(edits), Epoch: epoch})
@@ -347,7 +339,7 @@ func (p *Provider) installPermits(tenant string, op *intent.Op) {
 	for range op.Entries {
 		p.stampPermitLag(tenant, target)
 		if p.meter != nil {
-			p.meter.PermitUpdate(tenant, p.eng.Now())
+			p.meter.PermitUpdate(tenant, p.cloud.plane.Now())
 		}
 	}
 }
@@ -368,7 +360,7 @@ func (p *Provider) setQoS(tenant, region string, bandwidth float64) error {
 			total += q.quota
 		}
 		p.polMu.RUnlock()
-		p.meter.SetQuota(tenant, p.eng.Now(), total)
+		p.meter.SetQuota(tenant, p.cloud.plane.Now(), total)
 	}
 	return nil
 }
@@ -456,13 +448,11 @@ func (p *Provider) quota(tenant, region string) *tenantQuota {
 	}
 	tq, ok := p.quotas[tenant][region]
 	if !ok {
-		tq = &tenantQuota{enforcer: make(map[topo.NodeID]*qos.Enforcer)}
-		// A new limiter arms a ticker on the cloud's one engine, whose
-		// event queue is single-writer; first set_qos calls in different
-		// shards (and providers) would otherwise race on it.
-		p.cloud.engMu.Lock()
-		tq.limiter = qos.NewDistributedLimiter(p.eng, 0, quotaPeriod)
-		p.cloud.engMu.Unlock()
+		tq = &tenantQuota{
+			enforcer: make(map[topo.NodeID]*qos.Enforcer),
+			limiter:  qos.NewDistributedLimiter(0, quotaPeriod),
+		}
+		p.cloud.plane.Every(quotaPeriod, tq.limiter.Redistribute)
 		p.quotas[tenant][region] = tq
 	}
 	return tq

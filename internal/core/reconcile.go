@@ -1,5 +1,5 @@
 // Desired-state reconciliation: the convergence loop that keeps the
-// simulated dataplane (permit engines, SIP balancers, QoS limiters)
+// installed dataplane state (permit engines, SIP balancers, QoS limiters)
 // equal to the declared intent. Declared state is the cloud's one
 // intent.State, which every verb folds into and a store replays; the dataplane can
 // drift from it through faults, lost updates, or the chaos hooks in
@@ -261,7 +261,7 @@ func (r *Reconciler) checkDeclaredPermit(p *Provider, t addr.IP, pl intent.Permi
 	}
 	// Respect fault-deferral semantics: an endpoint whose enforcement
 	// point is unreachable cannot take the repair now.
-	if n := c.targetNode(p, t); n != "" && !c.monitor.Inj.Reachable(n) {
+	if n := c.targetNode(p, t); n != "" && !c.plane.Reachable(n) {
 		res.Deferred++
 		return true
 	}

@@ -186,7 +186,7 @@ func TestChaosDriftDetectedWithinK(t *testing.T) {
 func landDeferredPermit(t *testing.T, c *Cloud, target addr.IP, node topo.NodeID, entries ...addr.Prefix) {
 	t.Helper()
 	m := c.Faults()
-	if err := m.Inj.FailNode(node); err != nil {
+	if err := simOf(c).Inj.FailNode(node); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Tenant("acme").SetPermitList(target, entries); err != nil {
@@ -195,10 +195,10 @@ func landDeferredPermit(t *testing.T, c *Cloud, target addr.IP, node topo.NodeID
 	if _, pending := m.PendingPermit(target); !pending {
 		t.Fatalf("set_permit on %s did not defer", target)
 	}
-	if err := m.Inj.RestoreNode(node); err != nil {
+	if err := simOf(c).Inj.RestoreNode(node); err != nil {
 		t.Fatal(err)
 	}
-	c.Eng.RunUntil(c.Eng.Now() + permitRetryInterval)
+	simOf(c).Eng.RunUntil(simOf(c).Eng.Now() + permitRetryInterval)
 	if _, pending := m.PendingPermit(target); pending {
 		t.Fatalf("deferred set_permit on %s did not land", target)
 	}

@@ -12,14 +12,18 @@
 // rightward):
 //
 //	Reconciler.sweeping > shard.mu (in ShardKey.less order) > the
-//	declared state's lock (the intent log's mutex) > engMu > leaf locks
-//	(addr.Table stripes, pool/balancer/quota/registry mutexes)
+//	declared state's lock (the intent log's mutex) > leaf locks
+//	(addr.Table stripes, pool/balancer/quota/registry mutexes, and the
+//	data plane's own)
 //
 // A mutation checks, folds and installs each op holding the declared
-// state's lock (Cloud.apply), so what an install takes — engMu, a
-// provider's polMu, the leaves — sits below it. One leaf sits above
-// engMu: a new quota limiter takes engMu inside its provider's polMu, so
-// nothing takes polMu while holding engMu.
+// state's lock (Cloud.apply), so what an install takes — a provider's
+// polMu, the leaves — sits below it. The data plane (dataplane.go)
+// serializes what verbs and reads hand it behind a lock of its own,
+// which it takes inside any of core's and holds across no call back
+// into core: a new quota limiter arms its period inside its provider's
+// polMu, and Connect caps its flow inside the quota's mutex. The
+// simulator's is simplane.Plane.mu.
 //
 // Who takes what:
 //
@@ -36,20 +40,19 @@
 //   - Cross-shard reads (Connect, Probe, Explain) take BOTH endpoint
 //     shards' read locks in the same key order, deduped when the
 //     endpoints share a shard (rlockShards).
-//   - engMu serializes what concurrent verbs and reads write into the
-//     engine and the netsim solver — a new quota limiter's ticker, a
-//     deferred permit's first retry, Connect's flow start and limiter
-//     attach — and the metrics scrape's reads of the engine, solver and
-//     fault gauges (Cloud.engineRead).
+//   - Core holds no lock over the data plane: a new quota limiter's
+//     period, a deferred permit's first retry, Connect's flow start and
+//     its cap changes go through the seam, whose implementation
+//     serializes them (a cloud built with NoDataPlane writes nothing).
 //
 // Nothing holds the whole world still, so three kinds of work run only
 // where no verb or read runs beside them, each as its doc states:
 // set-up (AddProvider, EnableObservability, EnableIntent, EnableSLO,
 // EnableReconciler) and RestoreIntent run before the world is shared;
-// StateDigest runs on a quiesced world; and advancing the engine
-// (World.Run, RunFor, Fail, Heal) is the simulation driver's, from one
-// goroutine with no request in flight. No request path advances it
-// (`make nostep`).
+// StateDigest runs on a quiesced world; and advancing the simulated data
+// plane (World.Run, RunFor, Fail, Heal) is the simulation driver's, from
+// one goroutine with no request in flight. No request path can advance
+// it: declnetd links no simulator (`make nobaseline`).
 //
 // Every multi-shard acquirer locks in the one total order ShardKey.less
 // defines, so batches, single verbs, probes and reconciler repairs

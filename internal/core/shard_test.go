@@ -8,6 +8,7 @@ import (
 
 	"declnet/internal/addr"
 	"declnet/internal/permit"
+	"declnet/internal/simplane"
 	"declnet/internal/topo"
 )
 
@@ -143,9 +144,9 @@ func TestPropertyShardParity(t *testing.T) {
 				w := topo.BuildFig1(2)
 				var c *Cloud
 				if single {
-					c = NewSingleShardCloud(seed, w.Graph)
+					c = NewSingleShardCloud(w.Graph, simplane.New(seed, w.Graph))
 				} else {
-					c = NewCloud(seed, w.Graph)
+					c = NewCloud(w.Graph, simplane.New(seed, w.Graph))
 				}
 				if _, _, _, err := AddFig1Providers(c, w); err != nil {
 					t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"declnet/internal/addr"
+	"declnet/internal/simplane"
 	"declnet/internal/topo"
 )
 
@@ -20,7 +21,7 @@ import (
 //     addresses never inherit the previous owner's permit state.
 func TestSoakRandomOps(t *testing.T) {
 	w := topo.BuildFig1(4)
-	c := NewCloud(99, w.Graph)
+	c := NewCloud(w.Graph, simplane.New(99, w.Graph))
 	pa, pb, _, err := AddFig1Providers(c, w)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +111,7 @@ func TestSoakRandomOps(t *testing.T) {
 			refreshFree(freeNodes, hostsA, hostsB, live)
 
 		default: // advance virtual time a little
-			c.Eng.RunUntil(c.Eng.Now() + time.Duration(rng.Intn(50))*time.Millisecond)
+			simOf(c).Eng.RunUntil(simOf(c).Eng.Now() + time.Duration(rng.Intn(50))*time.Millisecond)
 		}
 
 		// Invariant sweep over a sample of pairs.

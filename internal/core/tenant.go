@@ -143,14 +143,15 @@ func (t *Tenant) Resolve(name string) (addr.IP, bool) {
 // permit admission at the destination provider, (2) SIP load balancing
 // when the target is a service address, (3) potato-profile path
 // selection, (4) per-VM and regional egress enforcement. The returned
-// Conn carries a live netsim flow.
+// Conn carries the flow the data plane started.
 //
 // Cross-shard protocol: the connect holds read locks on both endpoints'
 // shards, taken in deterministic key order (see ShardSet.rlockShards),
 // so a mutation storm in an unrelated shard cannot stall it and opposing
-// connects cannot deadlock. The flow start and limiter attach write the
-// single-writer netsim solver and engine, so they run under engMu; the
-// flow then moves only when the simulation driver advances the engine.
+// connects cannot deadlock. The flow start and its cap changes go
+// through the data-plane seam, which serializes them; a simulated flow
+// then moves only when the simulation driver advances the engine. A
+// cloud built with NoDataPlane refuses Connect.
 // Probe is the write-free read-plane variant.
 func (t *Tenant) Connect(src EIP, dst addr.IP, opts ConnectOpts) (*Conn, error) {
 	c := t.c

@@ -10,6 +10,7 @@ import (
 	"declnet/internal/core"
 	"declnet/internal/gateway"
 	"declnet/internal/permit"
+	"declnet/internal/simplane"
 	"declnet/internal/topo"
 	"declnet/internal/vnet"
 )
@@ -94,7 +95,7 @@ func diffDeclnet(t *testing.T, pol diffPolicy, seed int64) func(src, dst int, pr
 	t.Helper()
 	n := len(pol)
 	w := topo.BuildFig1(3)
-	c := core.NewCloud(seed, w.Graph)
+	c := core.NewCloud(w.Graph, simplane.New(seed, w.Graph))
 	if _, _, _, err := core.AddFig1Providers(c, w); err != nil {
 		t.Fatal(err)
 	}

@@ -98,36 +98,36 @@ func e10Declarative(rate float64, horizon, failAt, detect time.Duration, seed in
 	failTime := sim.Time(failAt)
 
 	// Fail at t=failAt; provider health check marks it down after detect.
-	c.Eng.Schedule(failTime+sim.Time(detect), func() {
+	d.Sim.Eng.Schedule(failTime+sim.Time(detect), func() {
 		d.ProvB.MarkHealth(dead, false)
 	})
 	// Open-loop requests.
 	gap := sim.Time(float64(time.Second) / rate)
 	var tick func()
 	tick = func() {
-		if c.Eng.Now() >= sim.Time(horizon) {
+		if d.Sim.Eng.Now() >= sim.Time(horizon) {
 			return
 		}
 		total++
 		conn, cerr := c.Tenant(Tenant).Connect(d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
 		if cerr != nil {
 			errors++
-			lastError = c.Eng.Now()
+			lastError = d.Sim.Eng.Now()
 		} else {
-			if conn.DstEIP == dead && c.Eng.Now() >= failTime {
+			if conn.DstEIP == dead && d.Sim.Eng.Now() >= failTime {
 				errors++
-				lastError = c.Eng.Now()
+				lastError = d.Sim.Eng.Now()
 			}
 			conn.Close()
 		}
-		c.Eng.After(gap, tick)
+		d.Sim.Eng.After(gap, tick)
 	}
-	c.Eng.After(0, tick)
-	c.Eng.RunUntil(sim.Time(horizon))
+	d.Sim.Eng.After(0, tick)
+	d.Sim.Eng.RunUntil(sim.Time(horizon))
 	if lastError > failTime {
 		recovery = time.Duration(lastError - failTime)
 	}
-	return errors, total, recovery, c.Net, nil
+	return errors, total, recovery, d.Sim.Net, nil
 }
 
 // e10Baseline replays the identical scenario against the tenant-built

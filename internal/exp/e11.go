@@ -95,13 +95,13 @@ func e11Declarative(rate float64, horizon, failAt, healAt time.Duration, policy 
 	if !ok {
 		return st, nil, fmt.Errorf("exp: no node behind %s", dead)
 	}
-	c.Eng.Schedule(sim.Time(failAt), func() {
-		if err := m.Inj.FailNode(deadNode); err != nil {
+	d.Sim.Eng.Schedule(sim.Time(failAt), func() {
+		if err := d.Sim.Inj.FailNode(deadNode); err != nil {
 			panic(err)
 		}
 	})
-	c.Eng.Schedule(sim.Time(healAt), func() {
-		if err := m.Inj.RestoreNode(deadNode); err != nil {
+	d.Sim.Eng.Schedule(sim.Time(healAt), func() {
+		if err := d.Sim.Inj.RestoreNode(deadNode); err != nil {
 			panic(err)
 		}
 	})
@@ -110,10 +110,10 @@ func e11Declarative(rate float64, horizon, failAt, healAt time.Duration, policy 
 	gap := sim.Time(float64(time.Second) / rate)
 	var tick func()
 	tick = func() {
-		if c.Eng.Now() >= sim.Time(horizon) {
+		if d.Sim.Eng.Now() >= sim.Time(horizon) {
 			return
 		}
-		now := c.Eng.Now()
+		now := d.Sim.Eng.Now()
 		inWindow := now >= sim.Time(failAt) && now < sim.Time(healAt)
 		st.total++
 		if inWindow {
@@ -135,10 +135,10 @@ func e11Declarative(rate float64, horizon, failAt, healAt time.Duration, policy 
 		} else if inWindow {
 			st.windowOK++
 		}
-		c.Eng.After(gap, tick)
+		d.Sim.Eng.After(gap, tick)
 	}
-	c.Eng.After(0, tick)
-	c.Eng.RunUntil(sim.Time(horizon))
+	d.Sim.Eng.After(0, tick)
+	d.Sim.Eng.RunUntil(sim.Time(horizon))
 	if lastError > sim.Time(failAt) {
 		st.mttr = time.Duration(lastError - sim.Time(failAt))
 	}

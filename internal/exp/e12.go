@@ -9,6 +9,7 @@ import (
 
 	"declnet/internal/addr"
 	"declnet/internal/core"
+	"declnet/internal/fault"
 	"declnet/internal/metrics"
 	"declnet/internal/obs"
 	"declnet/internal/permit"
@@ -89,7 +90,7 @@ type e12Scenario struct {
 	// flow must explain as reachable.
 	expect string
 	// run injects the fault and returns the (src, dst) pair to explain.
-	run func(d *DeclarativeFig1, m *core.FaultMonitor) (core.EIP, addr.IP, error)
+	run func(d *DeclarativeFig1, inj *fault.Injector) (core.EIP, addr.IP, error)
 	// advance runs the simulation forward after injection so the health
 	// monitor's reaction (failover, deferred permits) is part of the
 	// replayed state.
@@ -108,14 +109,14 @@ func e12Scenarios() []e12Scenario {
 	return []e12Scenario{
 		{
 			name: "healthy baseline", fault: "none", expect: "",
-			run: func(d *DeclarativeFig1, m *core.FaultMonitor) (core.EIP, addr.IP, error) {
+			run: func(d *DeclarativeFig1, inj *fault.Injector) (core.EIP, addr.IP, error) {
 				return d.Spark1, addr.IP(d.DBService), nil
 			},
 		},
 		{
 			name: "default-off destination", fault: "none (no permit list set)",
 			expect: "no-permit-list",
-			run: func(d *DeclarativeFig1, m *core.FaultMonitor) (core.EIP, addr.IP, error) {
+			run: func(d *DeclarativeFig1, inj *fault.Injector) (core.EIP, addr.IP, error) {
 				w := d.World
 				extra, err := d.Cloud.Tenant(Tenant).RequestEIP(node(w.CloudB, w.RegionsB[0], "az1", 2))
 				return d.Spark1, addr.IP(extra), err
@@ -124,24 +125,24 @@ func e12Scenarios() []e12Scenario {
 		{
 			name: "source not permitted", fault: "none (web server absent from DB list)",
 			expect: "src-not-in-permit-list",
-			run: func(d *DeclarativeFig1, m *core.FaultMonitor) (core.EIP, addr.IP, error) {
+			run: func(d *DeclarativeFig1, inj *fault.Injector) (core.EIP, addr.IP, error) {
 				return d.WebSrv, addr.IP(d.DBService), nil
 			},
 		},
 		{
 			name: "backend node down", fault: "fail node db-1",
 			expect: "node-down:cloudB/b-east/az1/host1",
-			run: func(d *DeclarativeFig1, m *core.FaultMonitor) (core.EIP, addr.IP, error) {
+			run: func(d *DeclarativeFig1, inj *fault.Injector) (core.EIP, addr.IP, error) {
 				w := d.World
-				err := m.Inj.FailNode(node(w.CloudB, w.RegionsB[0], "az1", 1))
+				err := inj.FailNode(node(w.CloudB, w.RegionsB[0], "az1", 1))
 				return d.Spark1, addr.IP(d.DB1), err
 			},
 		},
 		{
 			name: "backend region down", fault: "fail region cloudB/b-east",
 			expect: "region-down:cloudB/b-east",
-			run: func(d *DeclarativeFig1, m *core.FaultMonitor) (core.EIP, addr.IP, error) {
-				err := m.Inj.FailRegion(d.World.CloudB, d.World.RegionsB[0])
+			run: func(d *DeclarativeFig1, inj *fault.Injector) (core.EIP, addr.IP, error) {
+				err := inj.FailRegion(d.World.CloudB, d.World.RegionsB[0])
 				return d.Spark1, addr.IP(d.DBService), err
 			},
 			advance: sim.Time(time.Second),
@@ -149,12 +150,12 @@ func e12Scenarios() []e12Scenario {
 		{
 			name: "all backends down", fault: "fail nodes db-1 and db-2",
 			expect: "no-healthy-backend",
-			run: func(d *DeclarativeFig1, m *core.FaultMonitor) (core.EIP, addr.IP, error) {
+			run: func(d *DeclarativeFig1, inj *fault.Injector) (core.EIP, addr.IP, error) {
 				w := d.World
-				if err := m.Inj.FailNode(node(w.CloudB, w.RegionsB[0], "az1", 1)); err != nil {
+				if err := inj.FailNode(node(w.CloudB, w.RegionsB[0], "az1", 1)); err != nil {
 					return 0, 0, err
 				}
-				err := m.Inj.FailNode(node(w.CloudB, w.RegionsB[0], "az2", 1))
+				err := inj.FailNode(node(w.CloudB, w.RegionsB[0], "az2", 1))
 				return d.Spark1, addr.IP(d.DBService), err
 			},
 			advance: sim.Time(time.Second),
@@ -162,31 +163,31 @@ func e12Scenarios() []e12Scenario {
 		{
 			name: "access link cut", fault: "fail link cloudB/b-east/az1/h1",
 			expect: "link-down:cloudB/b-east/az1/h1",
-			run: func(d *DeclarativeFig1, m *core.FaultMonitor) (core.EIP, addr.IP, error) {
-				err := m.Inj.FailLink("cloudB/b-east/az1/h1")
+			run: func(d *DeclarativeFig1, inj *fault.Injector) (core.EIP, addr.IP, error) {
+				err := inj.FailLink("cloudB/b-east/az1/h1")
 				return d.Spark1, addr.IP(d.DB1), err
 			},
 		},
 		{
 			name: "source VM down", fault: "fail node spark-1",
 			expect: "node-down:cloudA/a-east/az1/host1",
-			run: func(d *DeclarativeFig1, m *core.FaultMonitor) (core.EIP, addr.IP, error) {
+			run: func(d *DeclarativeFig1, inj *fault.Injector) (core.EIP, addr.IP, error) {
 				w := d.World
-				err := m.Inj.FailNode(node(w.CloudA, w.RegionsA[0], "az1", 1))
+				err := inj.FailNode(node(w.CloudA, w.RegionsA[0], "az1", 1))
 				return d.Spark1, addr.IP(d.DBService), err
 			},
 		},
 		{
 			name: "permit update deferred", fault: "fail node, then set_permit_list",
 			expect: "permit-pending",
-			run: func(d *DeclarativeFig1, m *core.FaultMonitor) (core.EIP, addr.IP, error) {
+			run: func(d *DeclarativeFig1, inj *fault.Injector) (core.EIP, addr.IP, error) {
 				w := d.World
 				target := node(w.CloudB, w.RegionsB[0], "az1", 2)
 				extra, err := d.Cloud.Tenant(Tenant).RequestEIP(target)
 				if err != nil {
 					return 0, 0, err
 				}
-				if err := m.Inj.FailNode(target); err != nil {
+				if err := inj.FailNode(target); err != nil {
 					return 0, 0, err
 				}
 				err = d.Cloud.Tenant(Tenant).SetPermitList(addr.IP(extra),
@@ -197,9 +198,9 @@ func e12Scenarios() []e12Scenario {
 		{
 			name: "failover absorbed the fault", fault: "fail node db-1, monitor reacts",
 			expect: "",
-			run: func(d *DeclarativeFig1, m *core.FaultMonitor) (core.EIP, addr.IP, error) {
+			run: func(d *DeclarativeFig1, inj *fault.Injector) (core.EIP, addr.IP, error) {
 				w := d.World
-				err := m.Inj.FailNode(node(w.CloudB, w.RegionsB[0], "az1", 1))
+				err := inj.FailNode(node(w.CloudB, w.RegionsB[0], "az1", 1))
 				return d.Spark1, addr.IP(d.DBService), err
 			},
 			advance: sim.Time(2 * time.Second),
@@ -214,14 +215,14 @@ func e12RunScenario(sc e12Scenario, seed int64) (verdict string, match bool, err
 	if err != nil {
 		return "", false, err
 	}
-	m := d.Cloud.EnableFaults(core.FaultPolicy{HealthInterval: 250 * time.Millisecond})
+	d.Cloud.EnableFaults(core.FaultPolicy{HealthInterval: 250 * time.Millisecond})
 	d.Cloud.EnableObservability(obs.NewTracer(0), nil)
-	src, dst, err := sc.run(d, m)
+	src, dst, err := sc.run(d, d.Sim.Inj)
 	if err != nil {
 		return "", false, err
 	}
 	if sc.advance > 0 {
-		d.Cloud.Eng.RunUntil(d.Cloud.Eng.Now() + sc.advance)
+		d.Sim.Eng.RunUntil(d.Sim.Eng.Now() + sc.advance)
 	}
 	ex, err := d.Cloud.Tenant(Tenant).Explain(src, dst)
 	if err != nil {
@@ -291,7 +292,8 @@ func e12ArmOnce(instrument bool, connects int, seed int64) (e12ArmStats, error) 
 		return st, err
 	}
 	c := d.Cloud
-	m := c.EnableFaults(core.FaultPolicy{HealthInterval: 250 * time.Millisecond})
+	c.EnableFaults(core.FaultPolicy{HealthInterval: 250 * time.Millisecond})
+	inj := d.Sim.Inj
 	var tracer *obs.Tracer
 	var reg *metrics.Registry
 	if instrument {
@@ -303,13 +305,13 @@ func e12ArmOnce(instrument bool, connects int, seed int64) (e12ArmStats, error) 
 	const rate = 1000.0 // connects per simulated second
 	horizon := sim.Time(float64(connects) / rate * float64(time.Second))
 	deadNode := topo.HostID(d.World.CloudB, d.World.RegionsB[0], "az1", 1)
-	c.Eng.Schedule(horizon/4, func() {
-		if err := m.Inj.FailNode(deadNode); err != nil {
+	d.Sim.Eng.Schedule(horizon/4, func() {
+		if err := inj.FailNode(deadNode); err != nil {
 			panic(err)
 		}
 	})
-	c.Eng.Schedule(horizon/2, func() {
-		if err := m.Inj.RestoreNode(deadNode); err != nil {
+	d.Sim.Eng.Schedule(horizon/2, func() {
+		if err := inj.RestoreNode(deadNode); err != nil {
 			panic(err)
 		}
 	})
@@ -337,9 +339,9 @@ func e12ArmOnce(instrument bool, connects int, seed int64) (e12ArmStats, error) 
 		} else {
 			conn.Close()
 		}
-		c.Eng.After(gap, tick)
+		d.Sim.Eng.After(gap, tick)
 	}
-	c.Eng.After(0, tick)
+	d.Sim.Eng.After(0, tick)
 
 	// The timed window measures the instrumentation's CPU cost. GC pacing
 	// is excluded: whether a collection lands inside a 70ms window depends
@@ -349,7 +351,7 @@ func e12ArmOnce(instrument bool, connects int, seed int64) (e12ArmStats, error) 
 	runtime.GC()
 	old := debug.SetGCPercent(-1)
 	start := time.Now()
-	c.Eng.RunUntil(horizon + gap)
+	d.Sim.Eng.RunUntil(horizon + gap)
 	st.wall = time.Since(start)
 	debug.SetGCPercent(old)
 

@@ -10,6 +10,7 @@ import (
 	"declnet/internal/metrics"
 	"declnet/internal/obs"
 	"declnet/internal/permit"
+	"declnet/internal/simplane"
 	"declnet/internal/slo"
 	"declnet/internal/topo"
 )
@@ -47,7 +48,8 @@ const (
 // victim's trace ring — all within a bounded number of windows.
 func E14NoisyNeighbor(seed int64) (*metrics.Table, error) {
 	w := topo.BuildFig1(2)
-	c := core.NewCloud(seed, w.Graph)
+	sp := simplane.New(seed, w.Graph)
+	c := core.NewCloud(w.Graph, sp)
 	if _, _, _, err := core.AddFig1Providers(c, w); err != nil {
 		return nil, fmt.Errorf("exp: E14 world: %w", err)
 	}
@@ -108,7 +110,8 @@ func E14NoisyNeighbor(seed int64) (*metrics.Table, error) {
 	// The flapped node hosts nothing and sits off the probe path; its
 	// heal is purely an epoch bump that chills the path cache.
 	flapNode := topo.HostID(w.CloudB, "b-west", "az2", 2)
-	inj := c.EnableFaults(core.FaultPolicy{}).Inj
+	c.EnableFaults(core.FaultPolicy{})
+	inj := sp.Inj
 	stormEntry := exact(addr.IP(obsEast)) // content is irrelevant to the storm
 
 	var health slo.HealthReport

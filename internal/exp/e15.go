@@ -12,6 +12,7 @@ import (
 	"declnet/internal/metrics"
 	"declnet/internal/obs"
 	"declnet/internal/permit"
+	"declnet/internal/simplane"
 	"declnet/internal/topo"
 )
 
@@ -49,12 +50,14 @@ const (
 type e15World struct {
 	fig    *topo.Fig1World
 	c      *core.Cloud
+	sim    *simplane.Plane
 	tracer *obs.Tracer
 }
 
 func newE15World(seed int64) (*e15World, error) {
 	w := topo.BuildFig1(2)
-	c := core.NewCloud(seed, w.Graph)
+	sp := simplane.New(seed, w.Graph)
+	c := core.NewCloud(w.Graph, sp)
 	if _, _, _, err := core.AddFig1Providers(c, w); err != nil {
 		return nil, fmt.Errorf("exp: E15 world: %w", err)
 	}
@@ -63,7 +66,7 @@ func newE15World(seed int64) (*e15World, error) {
 	tracer := obs.NewTracer(1 << 16)
 	c.EnableObservability(tracer, nil)
 	c.EnableFaults(core.FaultPolicy{})
-	return &e15World{fig: w, c: c, tracer: tracer}, nil
+	return &e15World{fig: w, c: c, sim: sp, tracer: tracer}, nil
 }
 
 // e15Addrs is the fixed address cast: two cloudA EIPs (a2 permits a1),
@@ -211,7 +214,7 @@ func E15ChaosSoak(seed int64, rounds int) (*metrics.Table, error) {
 	}
 
 	flapA := topo.HostID(subject.fig.CloudB, "b-west", "az2", 2)
-	advance := func(w *e15World, d time.Duration) { w.c.Eng.RunUntil(w.c.Eng.Now() + d) }
+	advance := func(w *e15World, d time.Duration) { w.sim.Eng.RunUntil(w.sim.Eng.Now() + d) }
 
 	var (
 		grants                         []core.EIP
@@ -248,11 +251,11 @@ func E15ChaosSoak(seed int64, rounds int) (*metrics.Table, error) {
 		// bumps the routing epoch and the health loop ticks through both
 		// states as virtual time advances in both worlds.
 		for _, w := range []*e15World{subject, oracle} {
-			if err := w.c.Faults().Inj.FailNode(flapA); err != nil {
+			if err := w.sim.Inj.FailNode(flapA); err != nil {
 				return nil, err
 			}
 			advance(w, e15VirtualStep/3)
-			if err := w.c.Faults().Inj.RestoreNode(flapA); err != nil {
+			if err := w.sim.Inj.RestoreNode(flapA); err != nil {
 				return nil, err
 			}
 			advance(w, 2*e15VirtualStep/3)

@@ -58,7 +58,7 @@ type e4Result struct {
 
 func e4Run(n, fanout int, lag sim.Time, seed int64) (e4Result, error) {
 	eng := sim.New(seed)
-	rs := permit.NewReplicaSet(eng, 4, lag)
+	rs := permit.NewReplicaSet(func(d time.Duration, fn func()) { eng.After(d, fn) }, 4, lag)
 
 	// Endpoint i gets EIP base+i; the matrix permits fanout sources each.
 	base := addr.MustParseIP("100.64.0.0")

@@ -91,7 +91,10 @@ func e5Run(flows int, period sim.Time, seed int64) e5Result {
 	for i := range enf {
 		enf[i] = qos.NewEnforcer(fmt.Sprintf("e%d", i))
 	}
-	lim := qos.NewDistributedLimiter(eng, quota, period, enf...)
+	lim := qos.NewDistributedLimiter(quota, period, enf...)
+	// A daemon ticker: the control loop must not keep a drained
+	// simulation alive on its own.
+	ctl := eng.EveryDaemon(period, lim.Redistribute)
 
 	// Churn: keep ~`flows` alive; each lives ~200ms then is replaced.
 	live := 0
@@ -147,7 +150,7 @@ func e5Run(flows int, period sim.Time, seed int64) e5Result {
 		arm()
 	})
 	eng.RunUntil(horizon)
-	lim.Stop()
+	ctl.Stop()
 
 	res := e5Result{rounds: lim.Rounds}
 	if count > 0 {

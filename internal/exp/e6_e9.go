@@ -85,8 +85,8 @@ func e6Measure(net *netsim.Network, g *topo.Graph, policy qos.PotatoPolicy, src,
 	var rtts metrics.Summary
 	delivered := 0
 	for i := 0; i < probes; i++ {
-		rtts.Observe(float64(net.RTT(path)))
-		if net.Delivered(path) {
+		rtts.Observe(float64(path.RTT(net.Eng.Rand())))
+		if path.Delivered(net.Eng.Rand()) {
 			delivered++
 		}
 	}
@@ -169,6 +169,6 @@ func E9Potato(probes int, seed int64) (*metrics.Table, error) {
 	t.Notes = append(t.Notes,
 		"probes traverse the full declarative data path: permit admission, SIP balancing, potato path")
 	t.AddNotef("solver cost: %d recomputes, %d flows touched, %d links touched",
-		c.Net.Recomputes, c.Net.FlowsTouched, c.Net.LinksTouched)
+		d.Sim.Net.Recomputes, d.Sim.Net.FlowsTouched, d.Sim.Net.LinksTouched)
 	return t, nil
 }

@@ -14,6 +14,7 @@ import (
 	"declnet/internal/gateway"
 	"declnet/internal/permit"
 	"declnet/internal/qos"
+	"declnet/internal/simplane"
 	"declnet/internal/topo"
 	"declnet/internal/vnet"
 )
@@ -338,6 +339,8 @@ func sgFrom(cidr string, proto vnet.Protocol, from, to int) vnet.SGRule {
 type DeclarativeFig1 struct {
 	Cloud *core.Cloud
 	World *topo.Fig1World
+	// Sim is the simulated data plane the cloud programs.
+	Sim *simplane.Plane
 
 	ProvA, ProvB, ProvOnPrem *core.Provider
 
@@ -355,8 +358,9 @@ type DeclarativeFig1 struct {
 // Fig-1 world graph.
 func BuildDeclarativeFig1(seed int64, hostsPerZone int) (*DeclarativeFig1, error) {
 	w := topo.BuildFig1(hostsPerZone)
-	c := core.NewCloud(seed, w.Graph)
-	d := &DeclarativeFig1{Cloud: c, World: w, APICalls: make(map[string]int)}
+	sp := simplane.New(seed, w.Graph)
+	c := core.NewCloud(w.Graph, sp)
+	d := &DeclarativeFig1{Cloud: c, World: w, Sim: sp, APICalls: make(map[string]int)}
 	var err error
 	if d.ProvA, d.ProvB, d.ProvOnPrem, err = core.AddFig1Providers(c, w); err != nil {
 		return nil, err

@@ -332,7 +332,7 @@ func (m *Mesh) Call(caller string, src *Workload, callee string, opts CallOpts) 
 	if _, ok := m.services[caller]; !ok {
 		return CallResult{}, fmt.Errorf("mesh: unknown caller %q", caller)
 	}
-	now := m.cloud.Eng.Now()
+	now := m.cloud.Now()
 	if !cs.breaker.allow(now) {
 		return CallResult{}, fmt.Errorf("mesh: circuit open for %q", callee)
 	}
@@ -345,8 +345,9 @@ func (m *Mesh) Call(caller string, src *Workload, callee string, opts CallOpts) 
 			lastErr = err
 			continue
 		}
-		rtt := m.cloud.Net.RTT(conn.Path)
-		delivered := m.cloud.Net.Delivered(conn.Path)
+		rng := m.cloud.Plane().Rand()
+		rtt := conn.Path.RTT(rng)
+		delivered := conn.Path.Delivered(rng)
 		backend := conn.DstEIP
 		conn.Close()
 		if !delivered {
@@ -357,9 +358,9 @@ func (m *Mesh) Call(caller string, src *Workload, callee string, opts CallOpts) 
 		res.Backend = backend
 		res.RTT = rtt
 		ok := res.Outcome == app.Served
-		cs.breaker.record(m.cloud.Eng.Now(), ok)
+		cs.breaker.record(m.cloud.Now(), ok)
 		return res, nil
 	}
-	cs.breaker.record(m.cloud.Eng.Now(), false)
+	cs.breaker.record(m.cloud.Now(), false)
 	return res, lastErr
 }

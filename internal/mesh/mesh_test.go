@@ -6,13 +6,14 @@ import (
 
 	"declnet/internal/app"
 	"declnet/internal/core"
+	"declnet/internal/simplane"
 	"declnet/internal/topo"
 )
 
 func testMesh(t *testing.T) (*Mesh, *topo.Fig1World) {
 	t.Helper()
 	w := topo.BuildFig1(3)
-	c := core.NewCloud(1, w.Graph)
+	c := core.NewCloud(w.Graph, simplane.New(1, w.Graph))
 	if _, _, _, err := core.AddFig1Providers(c, w); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,8 @@ func TestMeshCircuitBreaker(t *testing.T) {
 	}
 	// After the cooldown, a half-open probe goes through; a good request
 	// closes the breaker.
-	m.cloud.Eng.RunUntil(m.cloud.Eng.Now() + 2*time.Second)
+	eng := m.cloud.Plane().(*simplane.Plane).Eng
+	eng.RunUntil(eng.Now() + 2*time.Second)
 	orders, _ := m.Service("orders")
 	tok := orders.Gateway().IssueToken("web", "read")
 	good := CallOpts{Request: app.Request{Bearer: tok, Op: "get"}}

@@ -6,17 +6,17 @@
 // package is that billing surface, and it doubles as the accounting the
 // E-series experiments use for cost-shape comparisons.
 //
-// All clocks are virtual (sim.Time); integration is exact under
-// piecewise-constant usage because every state change passes through a
-// record method.
+// All clocks are virtual (a time.Duration since the start of the run);
+// integration is exact under piecewise-constant usage because every state
+// change passes through a record method.
 package meter
 
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"declnet/internal/metrics"
-	"declnet/internal/sim"
 )
 
 // Usage is one tenant's accumulated consumption.
@@ -37,10 +37,10 @@ type Usage struct {
 	activeEIPs int
 	activeSIPs int
 	quotaGbps  float64
-	lastAt     sim.Time
+	lastAt     time.Duration
 }
 
-func (u *Usage) integrate(now sim.Time) {
+func (u *Usage) integrate(now time.Duration) {
 	dt := (now - u.lastAt).Seconds()
 	if dt > 0 {
 		u.EIPSeconds += float64(u.activeEIPs) * dt
@@ -60,7 +60,7 @@ func New() *Meter {
 	return &Meter{usage: make(map[string]*Usage)}
 }
 
-func (m *Meter) of(tenant string, now sim.Time) *Usage {
+func (m *Meter) of(tenant string, now time.Duration) *Usage {
 	u, ok := m.usage[tenant]
 	if !ok {
 		u = &Usage{lastAt: now}
@@ -71,12 +71,12 @@ func (m *Meter) of(tenant string, now sim.Time) *Usage {
 }
 
 // GrantEIP records an endpoint grant at virtual time now.
-func (m *Meter) GrantEIP(tenant string, now sim.Time) {
+func (m *Meter) GrantEIP(tenant string, now time.Duration) {
 	m.of(tenant, now).activeEIPs++
 }
 
 // ReleaseEIP records an endpoint release.
-func (m *Meter) ReleaseEIP(tenant string, now sim.Time) {
+func (m *Meter) ReleaseEIP(tenant string, now time.Duration) {
 	u := m.of(tenant, now)
 	if u.activeEIPs > 0 {
 		u.activeEIPs--
@@ -84,12 +84,12 @@ func (m *Meter) ReleaseEIP(tenant string, now sim.Time) {
 }
 
 // GrantSIP and ReleaseSIP mirror the service-address lifecycle.
-func (m *Meter) GrantSIP(tenant string, now sim.Time) {
+func (m *Meter) GrantSIP(tenant string, now time.Duration) {
 	m.of(tenant, now).activeSIPs++
 }
 
 // ReleaseSIP records a service-address release.
-func (m *Meter) ReleaseSIP(tenant string, now sim.Time) {
+func (m *Meter) ReleaseSIP(tenant string, now time.Duration) {
 	u := m.of(tenant, now)
 	if u.activeSIPs > 0 {
 		u.activeSIPs--
@@ -98,12 +98,12 @@ func (m *Meter) ReleaseSIP(tenant string, now sim.Time) {
 
 // SetQuota records a regional reservation change (bps; all the tenant's
 // regions summed by the caller or recorded per provider).
-func (m *Meter) SetQuota(tenant string, now sim.Time, totalBps float64) {
+func (m *Meter) SetQuota(tenant string, now time.Duration, totalBps float64) {
 	m.of(tenant, now).quotaGbps = totalBps / 1e9
 }
 
 // AddBytes records transferred volume by class.
-func (m *Meter) AddBytes(tenant string, now sim.Time, bytes float64, reserved bool) {
+func (m *Meter) AddBytes(tenant string, now time.Duration, bytes float64, reserved bool) {
 	u := m.of(tenant, now)
 	if reserved {
 		u.ReservedBytes += bytes
@@ -113,12 +113,12 @@ func (m *Meter) AddBytes(tenant string, now sim.Time, bytes float64, reserved bo
 }
 
 // PermitUpdate records one control-plane write.
-func (m *Meter) PermitUpdate(tenant string, now sim.Time) {
+func (m *Meter) PermitUpdate(tenant string, now time.Duration) {
 	m.of(tenant, now).PermitUpdates++
 }
 
 // Snapshot returns the tenant's usage integrated up to now.
-func (m *Meter) Snapshot(tenant string, now sim.Time) Usage {
+func (m *Meter) Snapshot(tenant string, now time.Duration) Usage {
 	u := m.of(tenant, now)
 	return *u
 }

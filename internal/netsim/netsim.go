@@ -835,35 +835,3 @@ func (n *Network) checkParity() {
 		}
 	}
 }
-
-// OneWayDelay samples the path's one-way latency: propagation plus a
-// uniform jitter draw per link.
-func (n *Network) OneWayDelay(p topo.Path) time.Duration {
-	d := p.Delay()
-	for _, l := range p {
-		if l.Jitter > 0 {
-			d += time.Duration(n.Eng.Rand().Int63n(int64(l.Jitter)))
-		}
-	}
-	return d
-}
-
-// Delivered samples whether a single datagram survives the path. A path
-// crossing a failed link never delivers.
-func (n *Network) Delivered(p topo.Path) bool {
-	for _, l := range p {
-		if !l.Up() {
-			return false
-		}
-		if l.Loss > 0 && n.Eng.Rand().Float64() < l.Loss {
-			return false
-		}
-	}
-	return true
-}
-
-// RTT samples a round trip over the path (forward and reverse jitter drawn
-// independently; the reverse path is assumed symmetric).
-func (n *Network) RTT(p topo.Path) time.Duration {
-	return n.OneWayDelay(p) + n.OneWayDelay(p)
-}

@@ -178,50 +178,6 @@ func TestFlowValidation(t *testing.T) {
 	}
 }
 
-func TestOneWayDelayAndRTT(t *testing.T) {
-	g := topo.New()
-	g.MustAddNode(topo.Node{ID: "a"})
-	g.MustAddNode(topo.Node{ID: "b"})
-	g.MustConnect("ab", "a", "b", topo.Transit, 1e9, 10*time.Millisecond, 5*time.Millisecond, 0)
-	eng := sim.New(1)
-	n := New(g, eng)
-	p := path(t, g, "a", "b")
-	for i := 0; i < 100; i++ {
-		d := n.OneWayDelay(p)
-		if d < 10*time.Millisecond || d >= 15*time.Millisecond {
-			t.Fatalf("OneWayDelay = %v outside [10ms,15ms)", d)
-		}
-		rtt := n.RTT(p)
-		if rtt < 20*time.Millisecond || rtt >= 30*time.Millisecond {
-			t.Fatalf("RTT = %v outside [20ms,30ms)", rtt)
-		}
-	}
-}
-
-func TestDelivered(t *testing.T) {
-	g := topo.New()
-	g.MustAddNode(topo.Node{ID: "a"})
-	g.MustAddNode(topo.Node{ID: "b"})
-	g.MustConnect("ab", "a", "b", topo.Transit, 1e9, time.Millisecond, 0, 0.5)
-	eng := sim.New(7)
-	n := New(g, eng)
-	p := path(t, g, "a", "b")
-	delivered := 0
-	const trials = 10000
-	for i := 0; i < trials; i++ {
-		if n.Delivered(p) {
-			delivered++
-		}
-	}
-	frac := float64(delivered) / trials
-	if frac < 0.47 || frac > 0.53 {
-		t.Fatalf("delivery fraction = %v, want ~0.5", frac)
-	}
-}
-
-// Fairness invariants on a random mesh: no link oversubscribed, and no
-// flow's rate is below the equal share of its tightest link (max-min
-// floor), and work conservation holds on saturated single-flow links.
 func TestFairnessInvariants(t *testing.T) {
 	g := topo.New()
 	ids := []topo.NodeID{"a", "b", "c", "d", "e"}
@@ -342,12 +298,6 @@ func TestFailLinkValidationAndRouting(t *testing.T) {
 	// Path search must route around (here: no alternative, so error).
 	if _, err := g.ShortestPath("a", "c", topo.PathOpts{}); err == nil {
 		t.Fatal("path found across failed link")
-	}
-	// Probes on a failed path never deliver.
-	p := path(t, g, "a", "b")
-	n.FailLink("ab")
-	if n.Delivered(p) {
-		t.Fatal("datagram delivered over failed link")
 	}
 }
 

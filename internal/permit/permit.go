@@ -16,9 +16,9 @@ import (
 	"fmt"
 	"slices"
 	"sync/atomic"
+	"time"
 
 	"declnet/internal/addr"
-	"declnet/internal/sim"
 )
 
 // Entry is one permit-list element: a source prefix (a /32 permits a
@@ -218,10 +218,10 @@ type update struct {
 // in place (addr.PrefixSet.Insert) while replicas still hold shorter
 // views.
 type ReplicaSet struct {
-	eng      *sim.Engine
+	after    func(time.Duration, func())
 	origin   *Engine
 	replicas []*Engine
-	lag      sim.Time
+	lag      time.Duration
 	// PendingUpdates counts updates in flight; MaxStaleness tracks the
 	// worst-case observed propagation interval.
 	PendingUpdates int
@@ -230,9 +230,9 @@ type ReplicaSet struct {
 }
 
 // NewReplicaSet returns a set with n replicas behind the given one-way
-// propagation lag.
-func NewReplicaSet(eng *sim.Engine, n int, lag sim.Time) *ReplicaSet {
-	rs := &ReplicaSet{eng: eng, origin: NewEngine(), lag: lag}
+// propagation lag; after schedules a delivery that far in the future.
+func NewReplicaSet(after func(time.Duration, func()), n int, lag time.Duration) *ReplicaSet {
+	rs := &ReplicaSet{after: after, origin: NewEngine(), lag: lag}
 	for i := 0; i < n; i++ {
 		rs.replicas = append(rs.replicas, NewEngine())
 	}
@@ -289,7 +289,7 @@ func (rs *ReplicaSet) install(dst addr.IP, l List) {
 func (rs *ReplicaSet) propagate(u update) {
 	rs.issued++
 	rs.PendingUpdates++
-	rs.eng.After(rs.lag, func() {
+	rs.after(rs.lag, func() {
 		for _, r := range rs.replicas {
 			if u.drop {
 				r.Drop(u.dst)
@@ -312,7 +312,7 @@ func (rs *ReplicaSet) Check(replica int, src, dst addr.IP) bool {
 func (rs *ReplicaSet) Consistent() bool { return rs.PendingUpdates == 0 }
 
 // Lag returns the propagation delay.
-func (rs *ReplicaSet) Lag() sim.Time { return rs.lag }
+func (rs *ReplicaSet) Lag() time.Duration { return rs.lag }
 
 // String summarizes replication state.
 func (rs *ReplicaSet) String() string {

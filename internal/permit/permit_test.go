@@ -47,7 +47,7 @@ func TestExactAndPrefixEntries(t *testing.T) {
 // Incremental edits: a replica set's origin derives each successor list
 // from the one it holds and installs it, one update per edit.
 func TestPermitRevoke(t *testing.T) {
-	rs := NewReplicaSet(sim.New(1), 0, 0)
+	rs := NewReplicaSet(afterOn(sim.New(1)), 0, 0)
 	e := rs.Origin()
 	dst := ipa("198.18.0.1")
 	rs.Permit(dst, pfx("192.0.2.1/32"))
@@ -103,7 +103,7 @@ func TestCounters(t *testing.T) {
 // A List read out of the engine is a snapshot: every mutation installs a
 // fresh slice, so the value itself is the copy Clone used to make.
 func TestListCloneAndEntries(t *testing.T) {
-	rs := NewReplicaSet(sim.New(1), 0, 0)
+	rs := NewReplicaSet(afterOn(sim.New(1)), 0, 0)
 	e := rs.Origin()
 	dst := ipa("198.18.0.1")
 	rs.Permit(dst, pfx("10.0.0.0/8"))
@@ -148,7 +148,7 @@ func TestInstallAdoptsTheSet(t *testing.T) {
 func TestEntriesDeterministic(t *testing.T) {
 	dst := ipa("198.18.0.1")
 	mk := func(order []string) []Entry {
-		rs := NewReplicaSet(sim.New(1), 0, 0)
+		rs := NewReplicaSet(afterOn(sim.New(1)), 0, 0)
 		for _, s := range order {
 			rs.Permit(dst, pfx(s))
 		}
@@ -208,7 +208,7 @@ func TestListFootprint(t *testing.T) {
 // add/remove/check sequences.
 func TestQuickEngineMatchesOracle(t *testing.T) {
 	f := func(ops []uint32, probes []uint32) bool {
-		rs := NewReplicaSet(sim.New(1), 0, 0)
+		rs := NewReplicaSet(afterOn(sim.New(1)), 0, 0)
 		e := rs.Origin()
 		oracle := make(map[addr.IP][]Entry)
 		dst := ipa("198.18.0.1")
@@ -259,7 +259,7 @@ func TestQuickEngineMatchesOracle(t *testing.T) {
 
 func TestReplicaPropagationLag(t *testing.T) {
 	eng := sim.New(1)
-	rs := NewReplicaSet(eng, 3, 50*time.Millisecond)
+	rs := NewReplicaSet(afterOn(eng), 3, 50*time.Millisecond)
 	dst := ipa("198.18.0.1")
 	src := ipa("203.0.113.7")
 	rs.Permit(dst, pfx("203.0.113.7/32"))
@@ -292,7 +292,7 @@ func TestReplicaRevokeWindow(t *testing.T) {
 	// The dangerous window: a revoked source is still admitted at
 	// replicas until propagation completes — the staleness E4 quantifies.
 	eng := sim.New(1)
-	rs := NewReplicaSet(eng, 2, 20*time.Millisecond)
+	rs := NewReplicaSet(afterOn(eng), 2, 20*time.Millisecond)
 	dst := ipa("198.18.0.1")
 	src := ipa("203.0.113.7")
 	rs.Permit(dst, pfx("203.0.113.7/32"))
@@ -309,7 +309,7 @@ func TestReplicaRevokeWindow(t *testing.T) {
 
 func TestReplicaSetAndDrop(t *testing.T) {
 	eng := sim.New(1)
-	rs := NewReplicaSet(eng, 2, 10*time.Millisecond)
+	rs := NewReplicaSet(afterOn(eng), 2, 10*time.Millisecond)
 	dst := ipa("198.18.0.9")
 	rs.Set(dst, []Entry{pfx("10.0.0.0/8")})
 	eng.Run()
@@ -327,4 +327,9 @@ func TestReplicaSetAndDrop(t *testing.T) {
 	if rs.Lag() != 10*time.Millisecond {
 		t.Fatalf("Lag = %v", rs.Lag())
 	}
+}
+
+// afterOn schedules a replica set's deliveries on eng.
+func afterOn(eng *sim.Engine) func(time.Duration, func()) {
+	return func(d time.Duration, fn func()) { eng.After(d, fn) }
 }

@@ -13,8 +13,8 @@ package qos
 import (
 	"fmt"
 	"math"
+	"time"
 
-	"declnet/internal/sim"
 	"declnet/internal/topo"
 )
 
@@ -25,7 +25,7 @@ type TokenBucket struct {
 	Burst float64 // bucket depth in tokens
 
 	tokens float64
-	last   sim.Time
+	last   time.Duration
 	primed bool
 }
 
@@ -34,7 +34,7 @@ func NewTokenBucket(rate, burst float64) *TokenBucket {
 	return &TokenBucket{Rate: rate, Burst: burst, tokens: burst}
 }
 
-func (b *TokenBucket) refill(now sim.Time) {
+func (b *TokenBucket) refill(now time.Duration) {
 	if !b.primed {
 		b.last = now
 		b.primed = true
@@ -51,7 +51,7 @@ func (b *TokenBucket) refill(now sim.Time) {
 }
 
 // Take consumes n tokens if available, reporting success.
-func (b *TokenBucket) Take(now sim.Time, n float64) bool {
+func (b *TokenBucket) Take(now time.Duration, n float64) bool {
 	b.refill(now)
 	if n > b.tokens {
 		return false
@@ -61,14 +61,28 @@ func (b *TokenBucket) Take(now sim.Time, n float64) bool {
 }
 
 // Available reports the current token count.
-func (b *TokenBucket) Available(now sim.Time) float64 {
+func (b *TokenBucket) Available(now time.Duration) float64 {
 	b.refill(now)
 	return b.tokens
 }
 
+// Flow is one flow running in the data plane, as the connection that
+// started it and the limiter that shapes it see it.
+type Flow interface {
+	// SetMaxRate caps the flow in bits/s (0 = uncapped).
+	SetMaxRate(bps float64)
+	// Rate is the flow's current rate in bits/s; SentBytes what it has
+	// sent so far.
+	Rate() float64
+	SentBytes() float64
+	// Done reports a sized flow's completion; Stop ends the flow.
+	Done() bool
+	Stop()
+}
+
 // RateSetter is what a limiter needs from a flow: the ability to cap its
-// rate. netsim.Network + *netsim.Flow satisfy it through the adapter in
-// package core; tests use fakes.
+// rate. A Flow satisfies it through the adapter in package core, which
+// adds the per-VM cap and the offered demand; tests use fakes.
 type RateSetter interface {
 	// SetCap sets the enforcement cap in bits/s (0 = uncapped).
 	SetCap(bps float64)
@@ -204,32 +218,24 @@ func sortByDemand(s []fd) {
 // demand, and redistributes the quota proportionally to demand with a
 // max-min waterfill; each enforcer then subdivides its grant locally.
 // This is the BwE-lite control loop the paper's QoS section leans on.
+// The limiter keeps no clock: its owner calls Redistribute every Period.
 type DistributedLimiter struct {
 	Quota  float64 // bits/s for the whole region
-	Period sim.Time
+	Period time.Duration
 
-	eng       *sim.Engine
 	enforcers []*Enforcer
-	ticker    *sim.Ticker
 	// Rounds counts controller iterations; a cost metric for E5.
 	Rounds uint64
 }
 
 // NewDistributedLimiter returns a limiter over the given enforcement
-// points, redistributing every period.
-func NewDistributedLimiter(eng *sim.Engine, quota float64, period sim.Time, enforcers ...*Enforcer) *DistributedLimiter {
+// points, to be redistributed every period.
+func NewDistributedLimiter(quota float64, period time.Duration, enforcers ...*Enforcer) *DistributedLimiter {
 	if period <= 0 {
 		panic("qos: non-positive redistribution period")
 	}
-	d := &DistributedLimiter{Quota: quota, Period: period, eng: eng, enforcers: enforcers}
-	// A daemon ticker: the control loop must not keep a drained
-	// simulation alive on its own.
-	d.ticker = eng.EveryDaemon(period, d.Redistribute)
-	return d
+	return &DistributedLimiter{Quota: quota, Period: period, enforcers: enforcers}
 }
-
-// Stop halts the control loop.
-func (d *DistributedLimiter) Stop() { d.ticker.Stop() }
 
 // AddEnforcer registers another enforcement point with the controller
 // (endpoints appear as tenants launch instances, so the set is dynamic).

@@ -72,9 +72,10 @@ func TestDistributedLimiterConvergence(t *testing.T) {
 	f2 := &fakeFlow{demand: 80e6}
 	e1.Attach(f1)
 	e2.Attach(f2)
-	d := NewDistributedLimiter(eng, 100e6, 10*time.Millisecond, e1, e2)
+	d := NewDistributedLimiter(100e6, 10*time.Millisecond, e1, e2)
+	tk := eng.EveryDaemon(d.Period, d.Redistribute)
 	eng.RunUntil(50 * time.Millisecond)
-	d.Stop()
+	tk.Stop()
 	// Equal demands, quota 100M: 50M each.
 	if math.Abs(f1.rate()-50e6) > 1e3 || math.Abs(f2.rate()-50e6) > 1e3 {
 		t.Fatalf("rates = %v, %v; want 50M each", f1.rate(), f2.rate())
@@ -100,9 +101,10 @@ func TestDistributedLimiterSkewedDemand(t *testing.T) {
 	e1.Attach(fSmall)
 	e2.Attach(fMid)
 	e3.Attach(fBig)
-	d := NewDistributedLimiter(eng, 100e6, 10*time.Millisecond, e1, e2, e3)
+	d := NewDistributedLimiter(100e6, 10*time.Millisecond, e1, e2, e3)
+	tk := eng.EveryDaemon(d.Period, d.Redistribute)
 	eng.RunUntil(30 * time.Millisecond)
-	d.Stop()
+	tk.Stop()
 	// Waterfill: small 10M, mid 40M, big gets remaining 50M.
 	if math.Abs(fSmall.rate()-10e6) > 1e3 {
 		t.Fatalf("small = %v", fSmall.rate())
@@ -120,9 +122,10 @@ func TestDistributedLimiterUndersubscribed(t *testing.T) {
 	e1 := NewEnforcer("e1")
 	f1 := &fakeFlow{demand: 30e6}
 	e1.Attach(f1)
-	d := NewDistributedLimiter(eng, 100e6, 10*time.Millisecond, e1)
+	d := NewDistributedLimiter(100e6, 10*time.Millisecond, e1)
+	tk := eng.EveryDaemon(d.Period, d.Redistribute)
 	eng.RunUntil(20 * time.Millisecond)
-	d.Stop()
+	tk.Stop()
 	if math.Abs(f1.rate()-30e6) > 1e3 {
 		t.Fatalf("undersubscribed flow capped to %v, want full demand", f1.rate())
 	}
@@ -136,7 +139,8 @@ func TestDistributedLimiterChurn(t *testing.T) {
 	e1 := NewEnforcer("e1")
 	f1 := &fakeFlow{demand: 200e6}
 	e1.Attach(f1)
-	d := NewDistributedLimiter(eng, 100e6, 10*time.Millisecond, e1)
+	d := NewDistributedLimiter(100e6, 10*time.Millisecond, e1)
+	tk := eng.EveryDaemon(d.Period, d.Redistribute)
 	eng.RunUntil(15 * time.Millisecond)
 	if math.Abs(f1.rate()-100e6) > 1e3 {
 		t.Fatalf("solo flow = %v, want full quota", f1.rate())
@@ -145,7 +149,7 @@ func TestDistributedLimiterChurn(t *testing.T) {
 	f2 := &fakeFlow{demand: 200e6}
 	e1.Attach(f2)
 	eng.RunUntil(35 * time.Millisecond)
-	d.Stop()
+	tk.Stop()
 	if math.Abs(f1.rate()-50e6) > 1e3 || math.Abs(f2.rate()-50e6) > 1e3 {
 		t.Fatalf("post-churn rates = %v, %v", f1.rate(), f2.rate())
 	}
@@ -156,11 +160,12 @@ func TestSetQuota(t *testing.T) {
 	e1 := NewEnforcer("e1")
 	f1 := &fakeFlow{demand: 300e6}
 	e1.Attach(f1)
-	d := NewDistributedLimiter(eng, 100e6, 10*time.Millisecond, e1)
+	d := NewDistributedLimiter(100e6, 10*time.Millisecond, e1)
+	tk := eng.EveryDaemon(d.Period, d.Redistribute)
 	eng.RunUntil(15 * time.Millisecond)
 	d.SetQuota(200e6)
 	eng.RunUntil(35 * time.Millisecond)
-	d.Stop()
+	tk.Stop()
 	if math.Abs(f1.rate()-200e6) > 1e3 {
 		t.Fatalf("rate after quota raise = %v, want 200M", f1.rate())
 	}

@@ -13,6 +13,7 @@ import (
 	"declnet/internal/core"
 	"declnet/internal/intent"
 	"declnet/internal/permit"
+	"declnet/internal/simplane"
 	"declnet/internal/topo"
 	"declnet/internal/workload"
 )
@@ -83,7 +84,7 @@ func buildWorld(cfg Config) (*world, error) {
 		})
 	}
 	b.AddProvider(spec)
-	c := core.NewCloud(cfg.Seed, b.Graph())
+	c := core.NewCloud(b.Graph(), simplane.New(cfg.Seed, b.Graph()))
 	p, err := c.AddProvider(provName, core.Config{
 		EIPBase: addr.MustParsePrefix("10.0.0.0/8"),
 		SIPBase: addr.MustParsePrefix("172.16.0.0/16"),

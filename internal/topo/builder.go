@@ -192,8 +192,11 @@ type Fig1World struct {
 }
 
 // BuildFig1 constructs the Figure-1 world with hostsPerZone hosts in each
-// of 2 zones per region.
+// of 2 zones per region (2 when hostsPerZone < 1).
 func BuildFig1(hostsPerZone int) *Fig1World {
+	if hostsPerZone < 1 {
+		hostsPerZone = 2
+	}
 	b := NewBuilder()
 	w := &Fig1World{
 		CloudA:   "cloudA",

@@ -12,6 +12,7 @@ package topo
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -363,6 +364,38 @@ func (p Path) DeliveryProb() float64 {
 		prob *= 1 - l.Loss
 	}
 	return prob
+}
+
+// OneWayDelay samples the path's one-way latency: propagation plus a
+// uniform jitter draw from r per link.
+func (p Path) OneWayDelay(r *rand.Rand) time.Duration {
+	d := p.Delay()
+	for _, l := range p {
+		if l.Jitter > 0 {
+			d += time.Duration(r.Int63n(int64(l.Jitter)))
+		}
+	}
+	return d
+}
+
+// RTT samples a round trip over the path (forward and reverse jitter drawn
+// independently; the reverse path is assumed symmetric).
+func (p Path) RTT(r *rand.Rand) time.Duration {
+	return p.OneWayDelay(r) + p.OneWayDelay(r)
+}
+
+// Delivered samples from r whether a single datagram survives the path. A
+// path crossing a failed link never delivers.
+func (p Path) Delivered(r *rand.Rand) bool {
+	for _, l := range p {
+		if !l.Up() {
+			return false
+		}
+		if l.Loss > 0 && r.Float64() < l.Loss {
+			return false
+		}
+	}
+	return true
 }
 
 // Bottleneck returns the smallest link capacity along the path, or 0 for

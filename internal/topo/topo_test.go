@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -233,5 +234,59 @@ func TestBuildFig1Connectivity(t *testing.T) {
 func TestKindStrings(t *testing.T) {
 	if Host.String() != "host" || Dedicated.String() != "dedicated" {
 		t.Fatal("kind name tables broken")
+	}
+}
+
+func TestOneWayDelayAndRTT(t *testing.T) {
+	g := New()
+	g.MustAddNode(Node{ID: "a"})
+	g.MustAddNode(Node{ID: "b"})
+	g.MustConnect("ab", "a", "b", Transit, 1e9, 10*time.Millisecond, 5*time.Millisecond, 0)
+	p, err := g.ShortestPath("a", "b", PathOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 100; i++ {
+		d := p.OneWayDelay(r)
+		if d < 10*time.Millisecond || d >= 15*time.Millisecond {
+			t.Fatalf("OneWayDelay = %v outside [10ms,15ms)", d)
+		}
+		rtt := p.RTT(r)
+		if rtt < 20*time.Millisecond || rtt >= 30*time.Millisecond {
+			t.Fatalf("RTT = %v outside [20ms,30ms)", rtt)
+		}
+	}
+}
+
+func TestDelivered(t *testing.T) {
+	g := New()
+	g.MustAddNode(Node{ID: "a"})
+	g.MustAddNode(Node{ID: "b"})
+	g.MustConnect("ab", "a", "b", Transit, 1e9, time.Millisecond, 0, 0.5)
+	p, err := g.ShortestPath("a", "b", PathOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(7))
+	delivered := 0
+	const trials = 10000
+	for i := 0; i < trials; i++ {
+		if p.Delivered(r) {
+			delivered++
+		}
+	}
+	frac := float64(delivered) / trials
+	if frac < 0.47 || frac > 0.53 {
+		t.Fatalf("delivery fraction = %v, want ~0.5", frac)
+	}
+	// A datagram never crosses a failed link.
+	if err := g.SetPairUp("ab", false); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if p.Delivered(r) {
+			t.Fatal("datagram delivered over failed link")
+		}
 	}
 }
