@@ -299,6 +299,12 @@ func TestFailLinkValidationAndRouting(t *testing.T) {
 	if _, err := g.ShortestPath("a", "c", topo.PathOpts{}); err == nil {
 		t.Fatal("path found across failed link")
 	}
+	// Probes on a failed path never deliver.
+	p := path(t, g, "a", "b")
+	n.FailLink("ab")
+	if p.Delivered(eng.Rand()) {
+		t.Fatal("datagram delivered over failed link")
+	}
 }
 
 func TestDeterministicReplay(t *testing.T) {
