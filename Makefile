@@ -150,11 +150,13 @@ addrmaps:
 	fi
 
 # One declared state: intent.State is the only copy of what a tenant
-# declared, so no non-test file of internal/core declares a group or name
-# map (keyed by string, holding addresses), the lock that once guarded
-# them, or an address table of endpoint records of its own.
+# declared and the only address allocator, so no non-test file of
+# internal/core declares a group or name map (keyed by string, holding
+# addresses), the lock that once guarded them, an address table of
+# endpoint records of its own, or an address pool (addr.HostPool) that
+# would be a second cursor beside the declared one.
 onestate:
-	@if grep -nE 'nmMu|map\[string\](map\[string\])?(\[\])?(addr\.IP|EIP|SIP)\b|addr\.Table\[\*intent\.Endpoint\]' \
+	@if grep -nE 'nmMu|map\[string\](map\[string\])?(\[\])?(addr\.IP|EIP|SIP)\b|addr\.Table\[\*intent\.Endpoint\]|addr\.(New)?HostPool' \
 		$$(ls internal/core/*.go | grep -v '_test\.go$$'); then \
 		echo "the lines above keep declared state in core; it lives in intent.State alone"; exit 1; \
 	fi

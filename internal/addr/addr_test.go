@@ -327,71 +327,6 @@ func TestHostPool(t *testing.T) {
 	}
 }
 
-// TestHostPoolRestore: restored in-use addresses may lie below or above
-// the cursor and repeat, and one outside the prefix is not the pool's;
-// the count stays exact, each is released once, and the pool hands out
-// the free list, then the cursor.
-func TestHostPoolRestore(t *testing.T) {
-	hp := NewHostPool(MustParsePrefix("10.0.0.0/16"), 0)
-	ip := MustParseIP
-	held := []IP{ip("10.0.0.1"), ip("10.0.0.200"), ip("10.0.0.1"), ip("10.0.3.7"), ip("10.0.0.9"), ip("10.0.3.7"), ip("10.1.0.1")}
-	hp.Restore(ip("10.0.1.0"), []IP{ip("10.0.0.5")}, held)
-	if n := hp.InUse(); n != 4 {
-		t.Fatalf("InUse = %d after restoring 4 distinct addresses", n)
-	}
-	for i, want := range []string{"10.0.0.5", "10.0.1.0", "10.0.1.1"} {
-		if got, err := hp.Allocate(); err != nil || got != ip(want) {
-			t.Fatalf("allocation %d = %s, %v; want %s", i, got, err, want)
-		}
-	}
-	if n := hp.InUse(); n != 7 {
-		t.Fatalf("InUse = %d, want 7", n)
-	}
-	for _, a := range []string{"10.0.3.7", "10.0.0.1", "10.0.0.200", "10.0.0.9", "10.0.0.5"} {
-		if err := hp.Release(ip(a)); err != nil {
-			t.Fatalf("release of restored %s: %v", a, err)
-		}
-		if err := hp.Release(ip(a)); err == nil {
-			t.Fatalf("%s released twice", a)
-		}
-	}
-	if n := hp.InUse(); n != 2 || hp.Release(ip("10.1.0.1")) == nil {
-		t.Fatalf("InUse = %d, want 2, with 10.1.0.1 not the pool's", n)
-	}
-	hp.Restore(0, nil, []IP{ip("10.0.0.2")})
-	if n := hp.InUse(); n != 1 || hp.Release(ip("10.0.1.0")) == nil {
-		t.Fatalf("a second Restore kept earlier holdings: InUse = %d", n)
-	}
-}
-
-// TestHostPoolAllocateSkipsHeld: a pool restored holding an address at
-// or past its cursor, or at the head of its free list, never hands that
-// address out a second time — the cursor steps over it, and the free list
-// drops it.
-func TestHostPoolAllocateSkipsHeld(t *testing.T) {
-	ip := MustParseIP
-	hp := NewHostPool(MustParsePrefix("10.0.0.0/24"), 0)
-	hp.Restore(ip("10.0.0.1"), nil, []IP{ip("10.0.0.2")})
-	for i, want := range []string{"10.0.0.1", "10.0.0.3", "10.0.0.4"} {
-		if got, err := hp.Allocate(); err != nil || got != ip(want) {
-			t.Fatalf("allocation %d = %s, %v; want %s", i, got, err, want)
-		}
-	}
-	if n := hp.InUse(); n != 4 {
-		t.Fatalf("InUse = %d after restoring one address and allocating three, want 4", n)
-	}
-
-	hp.Restore(ip("10.0.0.9"), []IP{ip("10.0.0.5"), ip("10.0.0.6")}, []IP{ip("10.0.0.5"), ip("10.0.0.9")})
-	for i, want := range []string{"10.0.0.6", "10.0.0.10"} {
-		if got, err := hp.Allocate(); err != nil || got != ip(want) {
-			t.Fatalf("allocation %d after a free list headed by a held address = %s, %v; want %s", i, got, err, want)
-		}
-	}
-	if n := hp.InUse(); n != 4 {
-		t.Fatalf("InUse = %d, want 4", n)
-	}
-}
-
 // TestHostPoolBitmapGrowsOnlyToWhatIsHandedOut: the in-use bitmap of a
 // block far larger than a /16 covers only the addresses handed out, and
 // a refused release — of an address outside the prefix, or of one never

@@ -145,10 +145,10 @@ func (b *BlockPool) removeFree(p Prefix) bool {
 }
 
 // HostPool hands out individual addresses from a prefix, reusing released
-// addresses in FIFO order. It backs per-subnet instance addressing and the
-// provider's EIP allocation. Safe for concurrent use: a region's pool is
-// shared by every tenant shard homed in that region, so allocation takes
-// its own mutex rather than relying on shard-level exclusion.
+// addresses in FIFO order. It backs the baseline world's per-subnet
+// instance addressing, its NAT and shim address pools, and the addressing
+// experiments; the declarative control plane allocates from its declared
+// state instead (intent.State.NextGrant). Safe for concurrent use.
 type HostPool struct {
 	mu       sync.Mutex
 	prefix   Prefix
@@ -156,25 +156,17 @@ type HostPool struct {
 	released []IP
 	// inUse has bit k set while the address k past prefix.First() is
 	// handed out. It reaches only as far as the highest address handed
-	// out or restored, never the whole prefix; held counts its set bits.
-	inUse    []uint64
-	held     int
-	reserved int // leading addresses withheld (network/router/dns, AWS-style)
+	// out, never the whole prefix; held counts its set bits.
+	inUse []uint64
+	held  int
 }
 
 // NewHostPool returns a pool over prefix. reserved leading addresses are
 // withheld from allocation (clouds typically reserve the first few of each
 // subnet); pass 0 for a flat provider pool.
 func NewHostPool(prefix Prefix, reserved int) *HostPool {
-	return &HostPool{
-		prefix:   prefix,
-		next:     prefix.First() + IP(reserved),
-		reserved: reserved,
-	}
+	return &HostPool{prefix: prefix, next: prefix.First() + IP(reserved)}
 }
-
-// Prefix returns the pool's covering prefix.
-func (h *HostPool) Prefix() Prefix { return h.prefix }
 
 // bit returns the word of inUse that holds ip's bit, and the bit.
 func (h *HostPool) bit(ip IP) (w int, b uint64) {
@@ -189,40 +181,28 @@ func (h *HostPool) isHeld(ip IP) bool {
 	return w < len(h.inUse) && h.inUse[w]&b != 0
 }
 
-// hold marks ip handed out, growing inUse to reach it; an address outside
-// the prefix, or one already held, changes nothing.
+// hold marks ip handed out, growing inUse to reach it. ip is never held
+// already: Allocate passes the cursor, past which nothing has been handed
+// out, or a released address, whose bit Release cleared.
 func (h *HostPool) hold(ip IP) {
-	if !h.prefix.Contains(ip) {
-		return
-	}
 	w, b := h.bit(ip)
 	if w >= len(h.inUse) {
 		h.inUse = append(h.inUse, make([]uint64, w+1-len(h.inUse))...)
 	}
-	if h.inUse[w]&b == 0 {
-		h.inUse[w] |= b
-		h.held++
-	}
+	h.inUse[w] |= b
+	h.held++
 }
 
 // Allocate returns a free address from the pool: the oldest released
-// one, else the cursor's. An address already held is never handed out
-// again — a restored pool may hold addresses at or past its cursor, or at
-// the head of its free list — so the free list drops a held head and the
-// cursor steps over held addresses.
+// one, else the cursor's.
 func (h *HostPool) Allocate() (IP, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for len(h.released) > 0 {
+	if len(h.released) > 0 {
 		ip := h.released[0]
 		h.released = h.released[1:]
-		if !h.isHeld(ip) {
-			h.hold(ip)
-			return ip, nil
-		}
-	}
-	for h.prefix.Contains(h.next) && h.isHeld(h.next) {
-		h.next++
+		h.hold(ip)
+		return ip, nil
 	}
 	if h.next > h.prefix.Last() || !h.prefix.Contains(h.next) {
 		return 0, fmt.Errorf("host pool %s: %w", h.prefix, ErrExhausted)
@@ -252,30 +232,4 @@ func (h *HostPool) InUse() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.held
-}
-
-// Restore rewinds the pool to a recorded allocation cursor: the next
-// fresh address, the free list (in release order), and the addresses
-// currently held, in any order (a repeat counts once; one outside the
-// prefix is not the pool's). Restart recovery uses it so a recovered
-// pool hands out exactly the addresses the pre-crash pool would have.
-func (h *HostPool) Restore(next IP, released []IP, inUse []IP) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if next != 0 {
-		h.next = next
-	}
-	h.released = append(h.released[:0], released...)
-	h.inUse, h.held = nil, 0
-	for _, ip := range inUse {
-		h.hold(ip)
-	}
-}
-
-// Cursor returns the pool's allocation cursor: the next fresh address
-// and a copy of the free list, for state digests and snapshots.
-func (h *HostPool) Cursor() (next IP, released []IP) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.next, append([]IP(nil), h.released...)
 }

@@ -231,6 +231,13 @@ func (t *Table[V]) Keys(block Prefix) []IP {
 	return out
 }
 
+// Count returns how many keys lie inside block, reading what Values
+// reads.
+func (t *Table[V]) Count(block Prefix) (n int) {
+	t.scan(block, 0, 1, func(IP, V) { n++ })
+	return n
+}
+
 // PhaseKeys returns the keys of the stripes whose index is phase mod k: a
 // rotation over phases 0..k-1 lists every key exactly once. k ≤ 1 lists
 // every key.

@@ -88,6 +88,50 @@ func TestSimulatorGaugesFollowTheDataPlane(t *testing.T) {
 	}
 }
 
+// faultSeries are the series only an armed fault monitor exports.
+var faultSeries = []string{
+	"declnet_failovers_total",
+	"declnet_rebinds_total",
+	"declnet_permit_retries_total",
+	"declnet_permit_timeouts_total",
+	"declnet_permit_deferred",
+	"declnet_failover_mttr_seconds",
+	"declnet_permit_propagation_seconds",
+}
+
+// TestFaultSeriesFollowTheMonitor: a server over a cloud whose fault
+// monitor is idle, as declnetd's always is (it has no data plane to
+// watch), exports none of the monitor's series, which could never move.
+// Arming the monitor exports every one, whether it is armed after the
+// server is built (World.Fail arms it on first use) or before.
+func TestFaultSeriesFollowTheMonitor(t *testing.T) {
+	has := func(text string, want bool, what string) {
+		t.Helper()
+		for _, series := range faultSeries {
+			if strings.Contains(text, series) != want {
+				t.Errorf("%s: exports %s = %v, want %v", what, series, !want, want)
+			}
+		}
+	}
+	ts, _ := daemonServer(t, 1)
+	has(scrape(t, ts), false, "a cloud with no data plane")
+
+	wts, world := newTestServer(t)
+	has(scrape(t, wts), false, "an in-process World before its first fault")
+	world.Cloud.EnableFaults(core.FaultPolicy{})
+	has(scrape(t, wts), true, "an in-process World armed after the server")
+
+	w := topo.BuildFig1(2)
+	c := core.NewCloud(w.Graph, core.NoDataPlane(1))
+	if _, _, _, err := core.AddFig1Providers(c, w); err != nil {
+		t.Fatal(err)
+	}
+	c.EnableFaults(core.FaultPolicy{})
+	armed := httptest.NewServer(NewServer(c))
+	defer armed.Close()
+	has(scrape(t, armed), true, "a cloud armed before the server")
+}
+
 // TestDaemonProbeSamplesFromItsSeed: two clouds with no data plane,
 // seeded alike, answer the same sequence of probes with the same rtt_ms
 // and delivered, every RTT above zero: the sampler is seeded, and the

@@ -73,10 +73,11 @@ type backRef struct {
 // The first refusal stops the run, leaving the refused op unfolded and
 // nothing of it installed. The folded ops are journaled as one record
 // under the same hold, so journal order equals fold order and no
-// compaction sees half a frame. An address the ops released returns to
-// its pool only after that (Cloud.free), so no re-grant of it can be
-// journaled ahead of its release. It returns how many ops applied and the
-// first error. refs are in op order.
+// compaction sees half a frame. A grant's address comes from the
+// declared pool (intent.State.NextGrant) and a release's goes back there
+// in its fold, so no re-grant of it can be journaled ahead of its
+// release. It returns how many ops applied and the first error. refs are
+// in op order.
 //
 // A set_permit naming no groups runs with the set of its entries built
 // here (frameSets): every set_permit of the frame that declares the same
@@ -145,13 +146,6 @@ func (c *Cloud) apply(tenant string, ops []intent.Op, refs []backRef) (n int, er
 	stg = sop.StageStart()
 	rec.Record(tenant, ops[:n]...)
 	sop.StageEnd(stg, "journal")
-	for i := range ops[:n] {
-		if releases(ops[i].Verb) {
-			if ferr := c.free(ops[i].Addr); ferr != nil && err == nil {
-				err = ferr
-			}
-		}
-	}
 	sop.End(err)
 	if released {
 		// End records into the tenant's SLO shard after a release may
@@ -218,8 +212,7 @@ func grants(verb string) bool {
 	return verb == intent.OpRequestEIP || verb == intent.OpRequestSIP
 }
 
-// releases reports whether a verb gives an address back, which returns
-// to its pool only once the verb is journaled (Cloud.free).
+// releases reports whether a verb gives an address back.
 func releases(verb string) bool {
 	return verb == intent.OpReleaseEIP || verb == intent.OpReleaseSIP
 }
@@ -267,11 +260,11 @@ func nothing(*Cloud, *Provider, string, *intent.Op) {}
 // verbs is the one verb table.
 var verbs = map[string]*verb{
 	intent.OpRequestEIP: {slo.VerbGrant,
-		func(c *Cloud, p *Provider, _ *intent.State, _ string, op intent.Op) (_ intent.Op, err error) {
+		func(c *Cloud, p *Provider, st *intent.State, _ string, op intent.Op) (_ intent.Op, err error) {
 			n, _ := c.G.Node(topo.NodeID(op.VM))
 			blocks, err := p.checkHost(n)
 			if err == nil {
-				op.Addr, err = blocks.pool.Allocate()
+				op.Addr, err = st.NextGrant(&op, blocks.base)
 			}
 			return op, err
 		},
@@ -292,8 +285,8 @@ var verbs = map[string]*verb{
 		},
 		func(_ *Cloud, p *Provider, tenant string, op *intent.Op) { p.released(tenant, op.Addr, false) }},
 	intent.OpRequestSIP: {slo.VerbGrant,
-		func(_ *Cloud, p *Provider, _ *intent.State, _ string, op intent.Op) (_ intent.Op, err error) {
-			op.Addr, err = p.sipBlock.Allocate()
+		func(_ *Cloud, p *Provider, st *intent.State, _ string, op intent.Op) (_ intent.Op, err error) {
+			op.Addr, err = st.NextGrant(&op, p.cfg.SIPBase)
 			return op, err
 		},
 		func(_ *Cloud, p *Provider, tenant string, op *intent.Op) {

@@ -90,15 +90,14 @@ type provIndex struct {
 }
 
 // provBlock maps one carved address block (a region's EIP /16 or a
-// provider's SIP base) to its provider, its region ("" for the SIP
-// block) and the shard string every address in it belongs to —
-// "provider/region", or "provider" for the SIP block — so one binary
-// search routes an address without building a string.
+// provider's SIP base) to its provider and the shard string every
+// address in it belongs to — "provider/region", or "provider" for the
+// SIP block — so one binary search routes an address without building a
+// string.
 type provBlock struct {
-	base   addr.Prefix
-	p      *Provider
-	region string
-	shard  string
+	base  addr.Prefix
+	p     *Provider
+	shard string
 }
 
 // NewCloud builds a control plane over world graph g that programs
@@ -192,8 +191,8 @@ func (c *Cloud) rebuildIndex(p *Provider) {
 	}
 	idx.byName[p.Name] = p
 	slices.SortFunc(idx.list, func(a, b *Provider) int { return cmp.Compare(a.Name, b.Name) })
-	for r, b := range p.eipBlocks {
-		idx.blocks = append(idx.blocks, provBlock{base: b.base, p: p, region: r, shard: b.shard})
+	for _, b := range p.eipBlocks {
+		idx.blocks = append(idx.blocks, provBlock{base: b.base, p: p, shard: b.shard})
 	}
 	idx.blocks = append(idx.blocks, provBlock{base: p.cfg.SIPBase, p: p, shard: p.Name})
 	sort.Slice(idx.blocks, func(i, j int) bool { return idx.blocks[i].base.Addr < idx.blocks[j].base.Addr })

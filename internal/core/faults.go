@@ -113,9 +113,10 @@ func newFaultMonitor(c *Cloud) *FaultMonitor {
 }
 
 // EnableFaults arms the provider health monitor: the first call sets its
-// policy (a zero HealthInterval takes the default) and starts the health
-// sweep; later calls change nothing. It returns the cloud's one monitor.
-// Call it at set-up or from the simulation driver.
+// policy (a zero HealthInterval takes the default), starts the health
+// sweep and registers the monitor's series with the cloud's registry, if
+// it has one yet; later calls change nothing. It returns the cloud's one
+// monitor. Call it at set-up or from the simulation driver.
 func (c *Cloud) EnableFaults(policy FaultPolicy) *FaultMonitor {
 	m := c.monitor
 	if !m.armed {
@@ -124,6 +125,7 @@ func (c *Cloud) EnableFaults(policy FaultPolicy) *FaultMonitor {
 			m.Policy = policy
 		}
 		c.plane.Every(m.Policy.HealthInterval, m.tick)
+		m.registerMetrics(c.reg)
 	}
 	return m
 }
@@ -167,9 +169,10 @@ func (m *FaultMonitor) locked(f func() int) func() float64 {
 	}
 }
 
-// registerMetrics exposes the monitor's reaction counters and latency
-// distributions through the cloud's registry. The health sweep writes
-// the failover and rebind counters from the simulation driver.
+// registerMetrics exposes an armed monitor's reaction counters and
+// latency distributions through the cloud's registry (nil: none); an idle
+// one's could never move. The health sweep writes the failover and
+// rebind counters from the simulation driver.
 func (m *FaultMonitor) registerMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("declnet_failovers_total",
 		"Backends pulled from rotation.", func() float64 { return float64(m.Failovers) })

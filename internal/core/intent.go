@@ -1,15 +1,15 @@
 // Declared state and its durable tail: wiring between the control plane
 // and internal/intent. A Cloud holds one declared world from NewCloud on
 // (Cloud.decl, an intent.Log): every verb checks its ops against that
-// State and folds them there, with or without a store, and the installed
-// state — permit engines, balancers, limiters, pools — is derived from
-// it. EnableIntent attaches a store as the declared world's durable tail;
-// RestoreIntent installs a replayed State after a daemon restart and
-// adopts it; StateDigest canonically hashes the live control-plane state
-// so kill-and-restart equivalence is a string comparison. The Drift*
-// methods are test/chaos hooks that corrupt the simulated dataplane
-// behind the declared state's back, for the reconciler (reconcile.go) to
-// find and repair.
+// State and folds them there, with or without a store, a grant takes its
+// address from State's pools, and the installed state — permit engines,
+// balancers, limiters — is derived from it. EnableIntent attaches a store
+// as the declared world's durable tail; RestoreIntent installs a replayed
+// State after a daemon restart and adopts it; StateDigest canonically
+// hashes the live control-plane state so kill-and-restart equivalence is
+// a string comparison. The Drift* methods are test/chaos hooks that
+// corrupt the simulated dataplane behind the declared state's back, for
+// the reconciler (reconcile.go) to find and repair.
 package core
 
 import (
@@ -46,10 +46,10 @@ func (c *Cloud) Intent() *intent.Log {
 
 // RestoreIntent installs a replayed declared state and adopts it as the
 // cloud's: services re-granted at their original addresses and their
-// balancers re-bound, address pools rewound to their recorded cursors,
-// permit lists re-installed, QoS and policy state re-applied. Endpoints,
-// groups and names have nothing installed: the adopted state is their
-// one copy. Call it once, on an otherwise-fresh Cloud built over the same
+// balancers re-bound, permit lists re-installed, QoS and policy state
+// re-applied. Endpoints, groups, names and the address pools have nothing
+// installed: the adopted state is their one copy, and grants draw from
+// its pools. Call it once, on an otherwise-fresh Cloud built over the same
 // world (the daemon compares the store's Meta stamps first), before
 // EnableIntent — restoration itself must not re-journal — and before the
 // cloud is shared: it takes no lock. It is one serial pass over each
@@ -61,11 +61,6 @@ func (c *Cloud) RestoreIntent(st *intent.State) error {
 	c.decl = intent.NewLog(st)
 
 	idx := c.pidx.Load()
-	// The addresses each pool holds, gathered while the endpoints and
-	// services go in and handed to the pools once both are (Restore
-	// rebuilds inUse wholesale).
-	inUse := make(map[*addr.HostPool][]addr.IP)
-
 	var err error
 	st.Endpoints.Ascend(0, func(eip addr.IP, ep *intent.Endpoint) bool {
 		p, ok := idx.byName[ep.Provider]
@@ -73,12 +68,10 @@ func (c *Cloud) RestoreIntent(st *intent.State) error {
 			err = fmt.Errorf("core: restore: endpoint %s references unknown provider %q", eip, ep.Provider)
 			return false
 		}
-		b, ok := p.eipBlocks[ep.Region]
-		if !ok {
+		if _, ok := p.eipBlocks[ep.Region]; !ok {
 			err = fmt.Errorf("core: restore: endpoint %s references unknown region %q of provider %q", eip, ep.Region, ep.Provider)
 			return false
 		}
-		inUse[b.pool] = append(inUse[b.pool], eip)
 		c.tenantDelta(ep.Tenant, 1)
 		// The declared set itself: the engine and the record share it.
 		if ep.Permits != nil {
@@ -101,7 +94,6 @@ func (c *Cloud) RestoreIntent(st *intent.State) error {
 			bal.Bind(b.EIP, b.Weight)
 		}
 		p.services.Put(sip, &service{sip: sip, balancer: bal})
-		inUse[p.sipBlock] = append(inUse[p.sipBlock], sip)
 		c.tenantDelta(svc.Tenant, 1)
 		if svc.Permits != nil {
 			p.Permits.Install(sip, svc.Permits, uint64(svc.Permits.Len()))
@@ -110,18 +102,6 @@ func (c *Cloud) RestoreIntent(st *intent.State) error {
 	})
 	if err != nil {
 		return err
-	}
-
-	// A pool with no recorded cursor was never drawn from.
-	for _, p := range idx.list {
-		for region, b := range p.eipBlocks {
-			if ps := st.EIPPools[intent.PoolKey(p.Name, region)]; ps != nil {
-				b.pool.Restore(ps.Next, ps.Released, inUse[b.pool])
-			}
-		}
-		if ps := st.SIPPools[p.Name]; ps != nil {
-			p.sipBlock.Restore(ps.Next, ps.Released, inUse[p.sipBlock])
-		}
 	}
 
 	// QoS quotas and potato profiles. Quotas go in sorted
@@ -167,8 +147,8 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 
 // StateDigest hashes the control plane's durable state in canonical
 // order: providers (name-sorted), their endpoints, services and
-// bindings, permit lists, quotas, potato profiles, pool cursors, and
-// the tenants' groups and names. Runtime-only state —
+// bindings, permit lists, quotas, potato profiles, the declared pools'
+// cursors, and the tenants' groups and names. Runtime-only state —
 // backend health bits, WRR counters, in-flight monitor state, permit
 // list versions — is excluded, so a recovered world that converged to
 // the same declared state digests identically to the world that never
@@ -206,7 +186,8 @@ func sectionHash(fill func(io.Writer)) [sha256.Size]byte {
 }
 
 // writeRegionSection renders one (provider, region) scope: the region
-// block's endpoints, its installed permit lists, and its pool cursor.
+// block's endpoints, its installed permit lists, and its declared pool's
+// cursor.
 // Both enumerations are single-stripe scans — region blocks are /16s,
 // the stripe unit.
 func writeRegionSection(w io.Writer, st *intent.State, p *Provider, region string) {
@@ -218,12 +199,12 @@ func writeRegionSection(w io.Writer, st *intent.State, p *Provider, region strin
 		fmt.Fprintf(w, "ep %s %s %s %s %g\n", eip, ep.Tenant, ep.VM, ep.Region, ep.EgressCap)
 	}
 	writePermitLines(w, p, p.Permits.TargetsWithin(b.base))
-	next, released := b.pool.Cursor()
+	next, released := st.EIPPools[intent.PoolKey(p.Name, region)].Available(b.base)
 	fmt.Fprintf(w, "pool %s %s %v\n", region, next, released)
 }
 
 // writeSIPSection renders a provider's SIP plane: services and their
-// bindings, SIP permit lists, and the SIP pool cursor.
+// bindings, SIP permit lists, and the declared SIP pool's cursor.
 func writeSIPSection(w io.Writer, st *intent.State, p *Provider) {
 	svcs := p.services.All()
 	sort.Slice(svcs, func(i, j int) bool { return svcs[i].sip < svcs[j].sip })
@@ -235,7 +216,7 @@ func writeSIPSection(w io.Writer, st *intent.State, p *Provider) {
 		}
 	}
 	writePermitLines(w, p, p.Permits.TargetsWithin(p.cfg.SIPBase))
-	next, released := p.sipBlock.Cursor()
+	next, released := st.SIPPools[p.Name].Available(p.cfg.SIPBase)
 	fmt.Fprintf(w, "sippool %s %v\n", next, released)
 }
 

@@ -140,6 +140,113 @@ func TestKillAndRestartEquivalence(t *testing.T) {
 	}
 }
 
+// TestRestoredPoolNeverGrantsADeclaredAddress: a grant draws from its
+// declared pool, oldest free address first, then the cursor, and skips
+// any address the state declares an endpoint at, even when the restored
+// state's free list or cursor names one, as a hand-edited snapshot's
+// may; it skips a free-list address outside the pool's block too. The
+// declared records stay as they were, the count of granted EIPs stays
+// exact, and each address releases once.
+func TestRestoredPoolNeverGrantsADeclaredAddress(t *testing.T) {
+	c, w, pa, _, _ := fig1Cloud(t)
+	host := func(i int) topo.NodeID { return topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1+i%2) }
+	var held []addr.IP // b+1 .. b+4 of the region's block b
+	for i := range 4 {
+		eip, err := c.Tenant("acme").RequestEIP(host(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, eip)
+	}
+	st := c.decl.State()
+	b := held[0] - 1
+	ps := st.EIPPools[intent.PoolKey(pa.Name, w.RegionsA[0])]
+	ps.Released = []addr.IP{held[1], b + 1<<16 + 9, b + 9, held[0]}
+	ps.Next = held[2]
+
+	c2, _, pa2, _, _ := fig1Cloud(t)
+	if err := c2.RestoreIntent(st); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []addr.IP{b + 9, b + 5, b + 6} {
+		got, err := c2.Tenant("globex").RequestEIP(host(i))
+		if err != nil || got != want {
+			t.Fatalf("grant %d = %s, %v; want %s", i, got, err, want)
+		}
+	}
+	for i, eip := range held {
+		if ep, ok := c2.decl.Endpoint(eip); !ok || ep.Tenant != "acme" || ep.VM != string(host(i)) {
+			t.Fatalf("declared record of %s = %+v, %v; want acme's on %s", eip, ep, ok, host(i))
+		}
+	}
+	if n := pa2.EndpointCount(); n != 7 {
+		t.Fatalf("EndpointCount = %d after restoring 4 endpoints and granting 3, want 7", n)
+	}
+	for _, eip := range held {
+		if err := c2.Tenant("acme").ReleaseEIP(eip); err != nil {
+			t.Fatalf("release of restored %s: %v", eip, err)
+		}
+		if err := c2.Tenant("acme").ReleaseEIP(eip); err == nil {
+			t.Fatalf("%s released twice", eip)
+		}
+	}
+	if got, err := c2.Tenant("globex").RequestEIP(host(0)); err != nil || got != held[1] {
+		t.Fatalf("grant after the releases = %s, %v; want %s, the free list's head", got, err, held[1])
+	}
+}
+
+// TestReleaseThenGrantInOneFrame: one frame [release_eip X, request_eip]
+// in X's region, whose pool has no older free address, is granted X
+// again: the release folds X onto the free list before the grant draws
+// from it. A restart that replays the journal folds the same frame the
+// same way: equal digests, and the same next grant.
+func TestReleaseThenGrantInOneFrame(t *testing.T) {
+	dir := t.TempDir()
+	c, w, _, _, _ := fig1Cloud(t)
+	l, err := intent.Open(dir, intent.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.EnableIntent(l)
+	host := func(az string, i int) topo.NodeID { return topo.HostID(w.CloudA, w.RegionsA[0], az, i) }
+	x, err := c.Tenant("acme").RequestEIP(host("az1", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Tenant("acme").RequestEIP(host("az1", 2)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Apply("acme",
+		intent.Op{Verb: intent.OpReleaseEIP, Addr: x},
+		intent.Op{Verb: intent.OpRequestEIP, VM: string(host("az2", 1))})
+	if err != nil || got != x {
+		t.Fatalf("[release_eip %s, request_eip] granted %s, %v; want %s", x, got, err, x)
+	}
+	if ep, ok := c.decl.Endpoint(x); !ok || ep.VM != string(host("az2", 1)) {
+		t.Fatalf("declared record of %s = %+v, %v", x, ep, ok)
+	}
+	want := c.StateDigest()
+	l.Close()
+
+	l2, err := intent.Open(dir, intent.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	c2, _, _, _, _ := fig1Cloud(t)
+	if err := c2.RestoreIntent(l2.State()); err != nil {
+		t.Fatal(err)
+	}
+	if got := c2.StateDigest(); got != want {
+		t.Fatalf("digest after replaying the journal\n got %s\nwant %s", got, want)
+	}
+	next1, err1 := c.Tenant("acme").RequestEIP(host("az2", 2))
+	next2, err2 := c2.Tenant("acme").RequestEIP(host("az2", 2))
+	if err1 != nil || err2 != nil || next1 != next2 {
+		t.Fatalf("next grant: live %s (%v), replayed %s (%v)", next1, err1, next2, err2)
+	}
+}
+
 // TestRestoreIntentThenEnable is the daemon's boot order: restore must
 // not re-journal (the store's Seq must not advance).
 func TestRestoreIntentThenEnable(t *testing.T) {

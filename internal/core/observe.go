@@ -26,8 +26,9 @@ import (
 // the disabled arm of experiment E12 pays only nil checks. It is a set-up
 // step: call it before the cloud is shared; a later call replaces both
 // sinks. The registry gets every cloud-wide instrument here: the connect
-// counters, each provider's gauges, the fault monitor's, and the data
-// plane's own when it has any (a RegisterMetrics method).
+// counters, each provider's gauges, the data plane's own when it has any
+// (a RegisterMetrics method), and the fault monitor's once it is armed
+// (EnableFaults registers them when it runs second).
 func (c *Cloud) EnableObservability(tr *obs.Tracer, reg *metrics.Registry) {
 	c.trace = tr
 	c.reg = reg
@@ -51,7 +52,9 @@ func (c *Cloud) EnableObservability(tr *obs.Tracer, reg *metrics.Registry) {
 	for _, p := range c.pidx.Load().list {
 		c.registerProviderMetrics(p.Name, p)
 	}
-	c.monitor.registerMetrics(reg)
+	if c.monitor.armed {
+		c.monitor.registerMetrics(reg)
+	}
 }
 
 // Tracer returns the decision tracer, nil until EnableObservability.

@@ -52,9 +52,10 @@ type service struct {
 
 // regionBlocks is how the provider carves address space: each region gets
 // dense blocks so internal route aggregation works (the flexibility §4
-// says flat addressing gives providers). Immutable after NewProvider.
+// says flat addressing gives providers). Immutable after NewProvider; the
+// declared state's pool over base grants its addresses
+// (intent.State.NextGrant).
 type regionBlocks struct {
-	pool  *addr.HostPool
 	base  addr.Prefix
 	shard string // "provider/region": the ShardKey.Region and SLO tag of everything in the block, built once
 }
@@ -65,10 +66,8 @@ type regionBlocks struct {
 type Provider struct {
 	Name string
 
-	// eipBlocks keys by region name; immutable after NewProvider (the
-	// pools inside carry their own mutexes).
+	// eipBlocks keys by region name; immutable after NewProvider.
 	eipBlocks map[string]*regionBlocks
-	sipBlock  *addr.HostPool
 
 	// services is the installed half of each granted SIP: its balancer.
 	// Every tenant shard homed on the provider shares it, so the shard
@@ -169,7 +168,6 @@ func newProvider(name string, g *topo.Graph, cfg Config) (*Provider, error) {
 	p := &Provider{
 		Name:      name,
 		eipBlocks: make(map[string]*regionBlocks),
-		sipBlock:  addr.NewHostPool(cfg.SIPBase, 1),
 		Permits:   permit.NewEngine(),
 		potato:    make(map[string]qos.PotatoPolicy),
 		quotas:    make(map[string]map[string]*tenantQuota),
@@ -186,7 +184,7 @@ func newProvider(name string, g *topo.Graph, cfg Config) (*Provider, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: carving region %s: %w", r, err)
 		}
-		p.eipBlocks[r] = &regionBlocks{pool: addr.NewHostPool(pfx, 1), base: pfx, shard: name + "/" + r}
+		p.eipBlocks[r] = &regionBlocks{base: pfx, shard: name + "/" + r}
 	}
 	return p, nil
 }
@@ -255,9 +253,8 @@ func (p *Provider) granted(tenant string, sip bool) {
 // released is the rest of what a release installs — its declare drops
 // the permit list before the fold, so that no reader finding a released
 // address undeclared finds a list still installed for it: for a SIP, its
-// balancer goes. The address stays out of its pool: the caller returns it
-// there (Cloud.free) once the release is installed, and it is journaled
-// before that, so no re-grant of it can be journaled first.
+// balancer goes. The fold already returned the address to its declared
+// pool.
 func (p *Provider) released(tenant string, a addr.IP, sip bool) {
 	if sip {
 		p.services.Delete(a)
@@ -271,23 +268,6 @@ func (p *Provider) released(tenant string, a addr.IP, sip bool) {
 	} else {
 		p.meter.ReleaseEIP(tenant, p.cloud.plane.Now())
 	}
-}
-
-// free returns a released address to the pool that granted it — its
-// region's EIP pool, or its provider's SIP pool — which the static block
-// table names. Apply and ApplyBatch call it once the release is
-// journaled (at the same point with no store attached): a release frame
-// always precedes the frame of any re-grant of its address, which
-// intent.State's grant rule relies on.
-func (c *Cloud) free(a addr.IP) error {
-	b := c.block(a)
-	if b == nil {
-		return fmt.Errorf("core: %s is in no provider's address space", a)
-	}
-	if b.region == "" {
-		return b.p.sipBlock.Release(a)
-	}
-	return b.p.eipBlocks[b.region].pool.Release(a)
 }
 
 // installPermits installs the list a folded set_permit, permit or revoke
@@ -428,12 +408,12 @@ func (p *Provider) Service(sip SIP) (*lb.Balancer, bool) {
 	return svc.balancer, true
 }
 
-// EndpointCount returns granted EIPs (its region pools' addresses in
-// use); ServiceCount granted SIPs.
+// EndpointCount returns granted EIPs (the declared endpoints in its
+// region blocks); ServiceCount granted SIPs.
 func (p *Provider) EndpointCount() int {
 	n := 0
 	for _, b := range p.eipBlocks {
-		n += b.pool.InUse()
+		n += p.cloud.decl.Endpoints().Count(b.base)
 	}
 	return n
 }

@@ -13,12 +13,15 @@
 //
 //	Reconciler.sweeping > shard.mu (in ShardKey.less order) > the
 //	declared state's lock (the intent log's mutex) > leaf locks
-//	(addr.Table stripes, pool/balancer/quota/registry mutexes, and the
-//	data plane's own)
+//	(addr.Table stripes, balancer/quota/registry mutexes, and the data
+//	plane's own)
 //
 // A mutation checks, folds and installs each op holding the declared
 // state's lock (Cloud.apply), so what an install takes — a provider's
-// polMu, the leaves — sits below it. The data plane (dataplane.go)
+// polMu, the leaves — sits below it. The address pools are the declared
+// state's (intent.PoolState): a grant reads its address off its pool and
+// the fold moves the cursor, both under that lock, so the pools take no
+// lock of their own. The data plane (dataplane.go)
 // serializes what verbs and reads hand it behind a lock of its own,
 // which it takes inside any of core's and holds across no call back
 // into core: a new quota limiter arms its period inside its provider's
@@ -60,8 +63,8 @@
 //
 // Underneath the shard locks, the shared structures (the declared
 // state's addr.Tables of endpoints and services, the installed ones of
-// balancers and permit lists, address pools) are striped or locked, because one region's state is reachable from several tenants'
-// shards. The shard lock is the unit of *contention isolation*; the leaf
+// balancers and permit lists) are striped or locked, because one
+// region's state is reachable from several tenants' shards. The shard lock is the unit of *contention isolation*; the leaf
 // locks are the unit of *memory safety*.
 package core
 

@@ -2,11 +2,12 @@
 // endpoints, services and their binds, permit lists (group references
 // expanded by core at verb time, before the op is folded), quotas, potato
 // profiles, groups, names, and the address pools' allocation cursors. It
-// is the only copy of what tenants declared: a control plane checks each
-// op against it, folds the op into it and derives its installed state
-// (permit engines, balancers, limiters, pools) from it; restart recovery
-// replays the journal into it, and the reconciler treats it as desired
-// state.
+// is the only copy of what tenants declared and the only address
+// allocator: a control plane checks each op against it, takes each grant's
+// address from it (NextGrant), folds the op into it and derives its
+// installed state (permit engines, balancers, limiters) from it; restart
+// recovery replays the journal into it, and the reconciler treats it as
+// desired state.
 package intent
 
 import (
@@ -72,8 +73,9 @@ func guarded(set *addr.PrefixSet) *addr.PrefixSet {
 
 // PoolState is one address pool's allocation cursor: the next-fresh
 // address and the free list of released ones, in release order. It is
-// rebuilt from the journal's grant/release ops so a recovered pool
-// hands out exactly the addresses the crashed one would have.
+// the pool: a grant takes the address NextGrant reads off it, and the
+// fold of the grant or release moves it, so a pool rebuilt from the
+// journal hands out exactly the addresses the crashed one would have.
 type PoolState struct {
 	Next     addr.IP   `json:"next"`
 	Released []addr.IP `json:"released,omitempty"`
@@ -83,13 +85,23 @@ type PoolState struct {
 // (an EIP region block, a provider's SIP base).
 const maxSkip = 1 << 16
 
-// claim folds "this address was granted" into the cursor. The journal
-// serializes on append order, which under concurrent shards may differ
-// from pool-allocation order, so claim tolerates out-of-order grants:
-// a claim past the cursor skip-fills the gap into Released (the gap
-// addresses' own claims remove them again), and a claim below the
-// cursor that is not in Released was already skip-filled past. Serial
-// schedules replay byte-exact. A claim more than maxSkip past the cursor
+// Available returns the pool's cursor over block: its next fresh address
+// — block's second until the pool's first grant (the first is reserved)
+// — and its free list, oldest first. A nil pool has granted nothing.
+func (ps *PoolState) Available(block addr.Prefix) (next addr.IP, released []addr.IP) {
+	if ps == nil || ps.Next == 0 {
+		return block.First() + 1, nil
+	}
+	return ps.Next, ps.Released
+}
+
+// claim folds "this address was granted" into the cursor. A live grant
+// claims what NextGrant read off the cursor, in order; a store written
+// when pools allocated outside the journal's lock may hold grants out of
+// pool order, so claim tolerates them: a claim past the cursor skip-fills
+// the gap into Released (the gap addresses' own claims remove them
+// again), and a claim below the cursor that is not in Released was
+// already skip-filled past. A claim more than maxSkip past the cursor
 // names an address its pool cannot hold; it is an error, and changes
 // nothing.
 func (ps *PoolState) claim(a addr.IP) error {
@@ -121,7 +133,8 @@ func (ps *PoolState) claim(a addr.IP) error {
 	return nil
 }
 
-// release appends to the free list (FIFO, matching addr.HostPool).
+// release appends to the free list, which grants draw from oldest
+// first.
 func (ps *PoolState) release(a addr.IP) {
 	ps.Released = append(ps.Released, a)
 }
@@ -240,6 +253,42 @@ func (s *State) sipPool(provider string) *PoolState {
 	return ps
 }
 
+// NextGrant returns the address a grant op — a request_eip or
+// request_sip whose provider (and region) core has routed — takes from
+// block, the span of its pool: the oldest address on the pool's free
+// list, else its cursor (PoolState.Available). An address the state
+// already declares an endpoint or service at, which a decoded snapshot's
+// free list or cursor may name, is skipped and never granted over its
+// record, as is a free-list address outside block. NextGrant changes
+// nothing: the frame's Fold claims the address.
+func (s *State) NextGrant(op *Op, block addr.Prefix) (addr.IP, error) {
+	ps := s.SIPPools[op.Provider]
+	if op.Verb == OpRequestEIP {
+		ps = s.EIPPools[PoolKey(op.Provider, op.Region)]
+	}
+	next, released := ps.Available(block)
+	for _, a := range released {
+		if block.Contains(a) && !s.declares(a) {
+			return a, nil
+		}
+	}
+	for ; block.Contains(next); next++ {
+		if !s.declares(next) {
+			return next, nil
+		}
+	}
+	return 0, fmt.Errorf("intent: pool %s: %w", block, addr.ErrExhausted)
+}
+
+// declares reports whether a is a declared endpoint or service.
+func (s *State) declares(a addr.IP) bool {
+	if _, ok := s.Endpoints.Get(a); ok {
+		return true
+	}
+	_, ok := s.Services.Get(a)
+	return ok
+}
+
 // Apply folds one record into the state. Records at or below the
 // state's sequence are skipped (the snapshot already covers them), so
 // replaying a journal whose prefix predates the snapshot is idempotent.
@@ -275,12 +324,13 @@ func (s *State) applyOp(tenant string, op *Op) error {
 			return err
 		}
 		// A fresh grant starts default-off with no bindings, groups or
-		// names. core returns a released address to its pool only after the
-		// release is journaled, so no re-grant's frame precedes it; an
-		// address that still has a record here is a stale incarnation,
-		// which only a store written before that rule holds, under a
-		// release/re-grant journal inversion (see OpReleaseEIP), and the
-		// grant is where its binds, groups and names go away.
+		// names. A release returns its address to the pool in its own
+		// fold, so no re-grant's frame precedes it, and NextGrant never
+		// names a declared address; one that still has a record here is a
+		// stale incarnation, which only a store written before that rule
+		// holds, under a release/re-grant journal inversion (see
+		// OpReleaseEIP), and the grant is where its binds, groups and
+		// names go away.
 		if _, stale := s.Endpoints.Get(op.Addr); stale {
 			s.unref(op.Addr)
 		}
