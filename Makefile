@@ -62,7 +62,9 @@ staticcheck:
 # input's size bounds (decode); the mutation body decoder agrees with
 # encoding/json on every /v1/batch body and every single-verb route's;
 # addr.Table agrees with a plain map on any sequence of Put, Delete, Get
-# and Keys (FuzzTableOps). Each target gets $(FUZZTIME);
+# and Keys (FuzzTableOps); the decision trace's packed rings agree with
+# a plain per-tenant slice of events on any sequence of Record and Drop
+# (FuzzTraceRing). Each target gets $(FUZZTIME);
 # regression corpus lives under testdata/fuzz/ so plain `go test`
 # replays past findings even without this target.
 fuzz:
@@ -73,6 +75,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchDecode$$' -fuzztime $(FUZZTIME) ./internal/api/
 	$(GO) test -run '^$$' -fuzz '^FuzzRouteDecode$$' -fuzztime $(FUZZTIME) ./internal/api/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseObjective$$' -fuzztime $(FUZZTIME) ./internal/slo/
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceRing$$' -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalDecode$$' -fuzztime $(FUZZTIME) ./internal/intent/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalFrame$$' -fuzztime $(FUZZTIME) ./internal/intent/
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotEncode$$' -fuzztime $(FUZZTIME) ./internal/intent/

@@ -84,6 +84,8 @@ func NewServerWith(cp ControlPlane, opts Options) *Server {
 		"Decision-trace events recorded.", func() float64 { return float64(tracer.Recorded()) })
 	registry.GaugeFunc("declnet_trace_evicted_total",
 		"Decision-trace events overwritten by ring wraparound.", func() float64 { return float64(tracer.Evicted()) })
+	registry.GaugeFunc("declnet_trace_bytes",
+		"Bytes the decision-trace rings hold.", func() float64 { return float64(tracer.Bytes()) })
 	// Every mutation route decodes its body with the one decoder and
 	// applies it with core.ApplyBatch (batch.go).
 	s.mux.HandleFunc("POST /v1/batch", s.mutation(route{}))

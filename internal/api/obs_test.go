@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -242,5 +243,56 @@ func TestStatusCountsSamplesWithoutTakingThem(t *testing.T) {
 	}
 	if want := len(w.Registry().Snapshot()); st.MetricSamples != want || want == 0 {
 		t.Errorf("metric_samples %d, want len(Snapshot()) = %d", st.MetricSamples, want)
+	}
+}
+
+// TestTraceBytesMetric: /v1/metrics exports the bytes the decision-trace
+// rings hold as declnet_trace_bytes, the tracer's Bytes: nothing before
+// any decision, and after a set-up batch whose set_permits each record a
+// permit-update, at most 16 bytes per decision.
+func TestTraceBytesMetric(t *testing.T) {
+	ts, w := newTestServer(t)
+	scrape := func() float64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(body), "\n") {
+			if value, ok := strings.CutPrefix(line, "declnet_trace_bytes "); ok {
+				v, err := strconv.ParseFloat(value, 64)
+				if err != nil {
+					t.Fatalf("declnet_trace_bytes = %q", value)
+				}
+				return v
+			}
+		}
+		t.Fatal("/v1/metrics has no declnet_trace_bytes")
+		return 0
+	}
+	if got := scrape(); got != 0 {
+		t.Fatalf("declnet_trace_bytes = %g before any decision, want 0", got)
+	}
+	const grants = 64
+	f := w.Fig1
+	if code := post(t, ts, "/v1/batch", BatchRequest{Tenant: "acme", Ops: onboardingOps(
+		string(w.Host(f.CloudA, f.RegionsA[0], "az1", 1)), grants)}, nil); code != 200 {
+		t.Fatalf("onboarding batch status %d", code)
+	}
+	tracer := w.ControlPlane().Tracer()
+	if n := tracer.Len("acme"); n != grants {
+		t.Fatalf("the batch traced %d decisions, want %d permit-updates", n, grants)
+	}
+	got := scrape()
+	if want := float64(tracer.Bytes()); got != want || got == 0 {
+		t.Errorf("declnet_trace_bytes = %g, want the tracer's %g", got, want)
+	}
+	if got > 16*grants {
+		t.Errorf("declnet_trace_bytes = %g for %d permit-updates, want <= 16 B each", got, grants)
 	}
 }

@@ -195,6 +195,76 @@ func TestRestoredPoolNeverGrantsADeclaredAddress(t *testing.T) {
 	}
 }
 
+// TestRewoundCursorKeepsTheFreeListClean: a snapshot whose pool cursor
+// was rewound to the first of four grants — a hand edit — restores, and
+// the next grant steps over the four declared addresses. Its claim must
+// not put them on the free list, which holds only free addresses, and a
+// release must not put an address there twice: after three grants and
+// one release the list holds the released address alone, and a restart
+// that replays the journal folds the same pool and digest.
+func TestRewoundCursorKeepsTheFreeListClean(t *testing.T) {
+	dir := t.TempDir()
+	c, w, pa, _, _ := fig1Cloud(t)
+	l, err := intent.Open(dir, intent.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.EnableIntent(l)
+	host := func(i int) topo.NodeID { return topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1+i%2) }
+	var held []addr.IP
+	for i := range 4 {
+		eip, err := c.Tenant("acme").RequestEIP(host(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, eip)
+	}
+	key := intent.PoolKey(pa.Name, w.RegionsA[0])
+	l.Read(func(st *intent.State) { st.EIPPools[key].Next = held[0] })
+	if err := l.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+
+	restore := func() (*Cloud, *intent.Log) {
+		t.Helper()
+		l, err := intent.Open(dir, intent.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, _, _, _, _ := fig1Cloud(t)
+		if err := c.RestoreIntent(l.State()); err != nil {
+			t.Fatal(err)
+		}
+		c.EnableIntent(l)
+		return c, l
+	}
+	c2, l2 := restore()
+	b := held[0] - 1
+	for i, want := range []addr.IP{b + 5, b + 6, b + 7} {
+		if got, err := c2.Tenant("acme").RequestEIP(host(i)); err != nil || got != want {
+			t.Fatalf("grant %d = %s, %v; want %s", i, got, err, want)
+		}
+	}
+	if err := c2.Tenant("acme").ReleaseEIP(held[2]); err != nil {
+		t.Fatal(err)
+	}
+	if got := l2.State().EIPPools[key]; got.Next != b+8 || !slices.Equal(got.Released, []addr.IP{held[2]}) {
+		t.Fatalf("pool after three grants and a release: next %s, free %v; want %s, [%s]", got.Next, got.Released, b+8, held[2])
+	}
+	want := c2.StateDigest()
+	l2.Close()
+
+	c3, l3 := restore()
+	defer l3.Close()
+	if got := c3.StateDigest(); got != want {
+		t.Fatalf("digest after replaying the journal\n got %s\nwant %s", got, want)
+	}
+	if got := l3.State().EIPPools[key]; !slices.Equal(got.Released, []addr.IP{held[2]}) {
+		t.Fatalf("replayed free list %v, want [%s]", got.Released, held[2])
+	}
+}
+
 // TestReleaseThenGrantInOneFrame: one frame [release_eip X, request_eip]
 // in X's region, whose pool has no older free address, is granted X
 // again: the release folds X onto the free list before the grant draws

@@ -440,26 +440,26 @@ func TestSyncPolicies(t *testing.T) {
 }
 
 func TestPoolClaimOutOfOrder(t *testing.T) {
-	ps := &PoolState{}
-	ps.claim(12) // first claim seeds the cursor
+	s, ps := NewState(), &PoolState{}
+	s.claim(ps, 12) // first claim seeds the cursor
 	if ps.Next != 13 {
 		t.Fatalf("Next = %d, want 13", ps.Next)
 	}
-	ps.claim(15) // skip-fill 13, 14
+	s.claim(ps, 15) // skip-fill 13, 14
 	if ps.Next != 16 || len(ps.Released) != 2 {
 		t.Fatalf("after gap claim: Next = %d, Released = %v", ps.Next, ps.Released)
 	}
-	ps.claim(13) // consumes its skip-fill entry
-	ps.claim(14)
+	s.claim(ps, 13) // consumes its skip-fill entry
+	s.claim(ps, 14)
 	if len(ps.Released) != 0 {
 		t.Fatalf("Released = %v, want empty", ps.Released)
 	}
-	ps.claim(10) // below cursor, already consumed elsewhere: no-op
+	s.claim(ps, 10) // below cursor, already consumed elsewhere: no-op
 	if ps.Next != 16 || len(ps.Released) != 0 {
 		t.Fatalf("below-cursor claim changed the pool: Next = %d, Released = %v", ps.Next, ps.Released)
 	}
 	ps.release(13)
-	ps.claim(13) // free-list reuse
+	s.claim(ps, 13) // free-list reuse
 	if len(ps.Released) != 0 || ps.Next != 16 {
 		t.Fatalf("free-list reclaim: Next = %d, Released = %v", ps.Next, ps.Released)
 	}

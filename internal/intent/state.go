@@ -95,16 +95,18 @@ func (ps *PoolState) Available(block addr.Prefix) (next addr.IP, released []addr
 	return ps.Next, ps.Released
 }
 
-// claim folds "this address was granted" into the cursor. A live grant
-// claims what NextGrant read off the cursor, in order; a store written
-// when pools allocated outside the journal's lock may hold grants out of
-// pool order, so claim tolerates them: a claim past the cursor skip-fills
-// the gap into Released (the gap addresses' own claims remove them
-// again), and a claim below the cursor that is not in Released was
-// already skip-filled past. A claim more than maxSkip past the cursor
+// claim folds "this address was granted" into ps, a pool of s. A live
+// grant claims what NextGrant read off the cursor, in order; a store
+// written when pools allocated outside the journal's lock may hold grants
+// out of pool order, so claim tolerates them: a claim past the cursor
+// skip-fills the gap into Released (the gap addresses' own claims remove
+// them again), and a claim below the cursor that is not in Released was
+// already skip-filled past. The skip-fill passes over an address s
+// declares — one a restored cursor stepped over — which is not free: its
+// release puts it on the list. A claim more than maxSkip past the cursor
 // names an address its pool cannot hold; it is an error, and changes
 // nothing.
-func (ps *PoolState) claim(a addr.IP) error {
+func (s *State) claim(ps *PoolState, a addr.IP) error {
 	if ps.Next == 0 {
 		ps.Next = a
 	}
@@ -126,17 +128,21 @@ func (ps *PoolState) claim(a addr.IP) error {
 		ps.Next++
 	case a > ps.Next:
 		for ip := ps.Next; ip < a; ip++ {
-			ps.Released = append(ps.Released, ip)
+			if !s.declares(ip) {
+				ps.Released = append(ps.Released, ip)
+			}
 		}
 		ps.Next = a + 1
 	}
 	return nil
 }
 
-// release appends to the free list, which grants draw from oldest
-// first.
+// release appends a to the free list, which grants draw from oldest
+// first, unless the list holds it already (a decoded snapshot's may).
 func (ps *PoolState) release(a addr.IP) {
-	ps.Released = append(ps.Released, a)
+	if !slices.Contains(ps.Released, a) {
+		ps.Released = append(ps.Released, a)
+	}
 }
 
 // State is the full declared world at one journal sequence number: the
@@ -320,7 +326,7 @@ func (s *State) Apply(rec *Record) error {
 func (s *State) applyOp(tenant string, op *Op) error {
 	switch op.Verb {
 	case OpRequestEIP:
-		if err := s.eipPool(op.Provider, op.Region).claim(op.Addr); err != nil {
+		if err := s.claim(s.eipPool(op.Provider, op.Region), op.Addr); err != nil {
 			return err
 		}
 		// A fresh grant starts default-off with no bindings, groups or
@@ -354,7 +360,7 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		s.Endpoints.Delete(op.Addr)
 		s.eipPool(ep.Provider, ep.Region).release(op.Addr)
 	case OpRequestSIP:
-		if err := s.sipPool(op.Provider).claim(op.Addr); err != nil {
+		if err := s.claim(s.sipPool(op.Provider), op.Addr); err != nil {
 			return err
 		}
 		if _, stale := s.Services.Get(op.Addr); stale {

@@ -16,9 +16,7 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -169,65 +167,15 @@ type Decision struct {
 	Cause   string
 }
 
-// slot is a Decision as a tenant's ring stores it, in 56 bytes: the
-// numbers as they are, and Detail and Cause as one string, text, that
-// split cuts in two — Detail is text[:split], Cause text[split:]. Most
-// decisions carry at most one of the two, and then text is that string
-// itself; only a decision with both pays for joining them. A Detail
-// longer than 64 KiB − 1 is cut there.
-type slot struct {
-	seq      uint64
-	at       time.Duration
-	src, dst addr.IP
-	kind     Kind
-	verdict  Verdict
-	split    uint16
-	entries  uint32
-	epoch    uint64
-	text     string
-}
-
-// pack stores d, stamped seq, in a slot.
-func pack(seq uint64, d *Decision) slot {
-	detail := d.Detail
-	if len(detail) > math.MaxUint16 {
-		detail = detail[:math.MaxUint16]
-	}
-	text := detail + d.Cause // no allocation when either is empty
-	return slot{seq: seq, at: d.At, src: d.Src, dst: d.Dst, kind: d.Kind, verdict: d.Verdict,
-		split: uint16(len(detail)), entries: d.Entries, epoch: d.Epoch, text: text}
-}
-
-// event renders s as the Event the tenant reads.
-func (s *slot) event(tenant string) Event {
-	ev := Event{
-		Seq: s.seq, At: s.at, Tenant: tenant, Kind: s.kind,
-		Src: ipText(s.src), Dst: ipText(s.dst),
-		Verdict: s.verdict.String(), Detail: s.text[:s.split], Cause: s.text[s.split:],
-	}
-	if s.kind == PermitUpdate || s.kind == PermitDeny {
-		ev.Detail = "entries=" + strconv.FormatUint(uint64(s.entries), 10) +
-			" epoch=" + strconv.FormatUint(s.epoch, 10)
-	}
-	return ev
-}
-
-func ipText(ip addr.IP) string {
-	if ip == 0 {
-		return ""
-	}
-	return ip.String()
-}
-
 // Chain joins cause links into the canonical cause-chain string,
 // outermost effect first: Chain("no-healthy-backend:x", "node-down:y").
 func Chain(causes ...string) string { return strings.Join(causes, " <- ") }
 
-// Ring is the module's one bounded overwrite-oldest buffer: the tracer
-// keeps one per tenant and the SLO plane's flight recorder one of spans.
-// It grows by append until it holds max items and wraps from then on, so
-// a ring costs what it has recorded, not the bound. The zero value is
-// ready; callers serialize access.
+// Ring is a bounded overwrite-oldest buffer of items of one type, which
+// the SLO plane's flight recorder keeps its spans in. It grows by append
+// until it holds max items and wraps from then on, so a ring costs what
+// it has recorded, not the bound. The zero value is ready; callers
+// serialize access.
 type Ring[T any] struct {
 	buf  []T
 	next int // the oldest item, once len(buf) == max
@@ -251,20 +199,15 @@ func (r *Ring[T]) Push(v T, max int) (evicted bool) {
 // Last returns a copy of up to n of the newest items, oldest first (all
 // of them when n <= 0); nil when the ring is empty.
 func (r *Ring[T]) Last(n int) []T {
-	return lastOf(r, n, func(v *T) T { return *v })
-}
-
-// lastOf is Last with each item mapped through f on the way out.
-func lastOf[T, U any](r *Ring[T], n int, f func(*T) U) []U {
 	if n <= 0 || n > len(r.buf) {
 		n = len(r.buf)
 	}
 	if n == 0 {
 		return nil
 	}
-	out := make([]U, 0, n)
+	out := make([]T, 0, n)
 	for i := len(r.buf) - n; i < len(r.buf); i++ {
-		out = append(out, f(&r.buf[(r.next+i)%len(r.buf)]))
+		out = append(out, r.buf[(r.next+i)%len(r.buf)])
 	}
 	return out
 }
@@ -274,14 +217,15 @@ func (r *Ring[T]) Len() int { return len(r.buf) }
 
 // Tracer records decisions into one bounded ring buffer per tenant, so a
 // chatty tenant cannot grow provider memory or evict another tenant's
-// history. A ring holds packed Decisions (slot), not rendered Events: the
-// strings a tenant reads are built by Recent, for the events it returns.
+// history. A ring holds Decisions packed into bytes (ring, in ring.go),
+// not rendered Events: the strings a tenant reads are built by Recent,
+// for the events it returns.
 // Safe for concurrent use. The zero value is NOT ready; use NewTracer. A
 // nil *Tracer records nothing.
 type Tracer struct {
 	mu     sync.Mutex
 	cap    int
-	rings  map[string]*Ring[slot]
+	rings  map[string]*ring
 	seq    uint64
 	nStamp uint64 // events recorded (not evicted)
 	nDrop  uint64 // events overwritten by ring wraparound
@@ -289,7 +233,7 @@ type Tracer struct {
 	// lastTenant/lastRing memoize the map lookup for the common case of
 	// many consecutive events from one tenant (guarded by mu).
 	lastTenant string
-	lastRing   *Ring[slot]
+	lastRing   *ring
 }
 
 // DefaultPerTenantCap bounds each tenant's ring when NewTracer is given
@@ -302,13 +246,14 @@ func NewTracer(perTenantCap int) *Tracer {
 	if perTenantCap <= 0 {
 		perTenantCap = DefaultPerTenantCap
 	}
-	return &Tracer{cap: perTenantCap, rings: make(map[string]*Ring[slot])}
+	return &Tracer{cap: perTenantCap, rings: make(map[string]*ring)}
 }
 
 // Record stamps d with the next sequence number and appends it to the
 // tenant's ring, evicting the oldest decision when full; it returns the
 // sequence number. It allocates nothing once the tenant's ring has
-// filled. Nil-safe: a nil tracer records nothing and returns 0.
+// filled and its buffer has grown to its records' size. Nil-safe: a nil
+// tracer records nothing and returns 0.
 func (t *Tracer) Record(tenant string, d Decision) uint64 {
 	if t == nil {
 		return 0
@@ -320,12 +265,12 @@ func (t *Tracer) Record(tenant string, d Decision) uint64 {
 	if r == nil || t.lastTenant != tenant {
 		var ok bool
 		if r, ok = t.rings[tenant]; !ok {
-			r = &Ring[slot]{}
+			r = &ring{}
 			t.rings[tenant] = r
 		}
 		t.lastTenant, t.lastRing = tenant, r
 	}
-	if r.Push(pack(t.seq, &d), t.cap) {
+	if r.push(t.seq, &d, t.cap) {
 		t.nDrop++
 	}
 	t.nStamp++
@@ -344,7 +289,7 @@ func (t *Tracer) Recent(tenant string, n int) []Event {
 	if !ok {
 		return nil
 	}
-	return lastOf(r, n, func(s *slot) Event { return s.event(tenant) })
+	return r.events(tenant, n)
 }
 
 // Len reports how many events the tenant's ring currently holds.
@@ -358,7 +303,7 @@ func (t *Tracer) Len(tenant string) int {
 	if !ok {
 		return 0
 	}
-	return r.Len()
+	return r.n
 }
 
 // Recorded returns the total events ever recorded; Evicted how many were
@@ -382,10 +327,26 @@ func (t *Tracer) Evicted() uint64 {
 	return t.nDrop
 }
 
+// Bytes returns the bytes the tenants' rings hold: the sum of their
+// buffers' sizes, which /v1/metrics exports as declnet_trace_bytes.
+// Nil-safe.
+func (t *Tracer) Bytes() int {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := 0
+	for _, r := range t.rings {
+		n += cap(r.buf)
+	}
+	return n
+}
+
 // Drop releases the tenant's ring. Called when a tenant's last address
 // is released: without eviction the rings map only ever grows, so a
-// workload that churns through short-lived tenants leaks one ring
-// (cap × sizeof(slot)) per tenant forever. Events already buffered
+// workload that churns through short-lived tenants leaks one ring per
+// tenant forever. Events already buffered
 // for the tenant are discarded; a later Record for the same tenant
 // starts a fresh ring. Nil-safe.
 func (t *Tracer) Drop(tenant string) {

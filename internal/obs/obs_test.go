@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -120,33 +121,55 @@ func TestTracerConcurrent(t *testing.T) {
 	}
 }
 
-// A Ring costs what its tenant recorded: three events at the default
-// bound hold under 1 KB (a ring allocated whole is 56 KB), and a ring
-// that has filled holds exactly the bound, not append's next doubling, in
-// slots of at most 56 bytes.
+// A ring costs the bytes its tenant recorded: three events at the default
+// bound hold under 1 KiB, and a full ring of permit-updates — 11 or 12
+// bytes each — at most 16 KiB. After
+// twice the bound the ring holds exactly the bound, the newest, with
+// their sequence numbers — also when another tenant's records interleave
+// and leave gaps in them.
 func TestRingGrowsWithItsTenant(t *testing.T) {
-	if size := unsafe.Sizeof(slot{}); size > 56 {
-		t.Fatalf("a ring slot is %d bytes, budget 56", size)
-	}
-	tr := NewTracer(0)
-	held := func() uintptr { return uintptr(cap(tr.rings["acme"].buf)) * unsafe.Sizeof(slot{}) }
-	for i := 0; i < 3; i++ {
-		tr.Record("acme", Decision{Kind: PermitAllow})
-	}
-	if got := held(); got >= 1024 {
-		t.Fatalf("a tenant with three events holds %d B, want < 1 KB", got)
-	}
-	for i := 0; i < 2*DefaultPerTenantCap; i++ {
-		tr.Record("acme", Decision{Kind: PermitAllow})
-	}
-	if got, want := held(), DefaultPerTenantCap*unsafe.Sizeof(slot{}); got != want {
-		t.Fatalf("a full ring holds %d B, want the bound's %d", got, want)
-	}
-	if got := tr.Len("acme"); got != DefaultPerTenantCap {
-		t.Fatalf("Len = %d, want %d", got, DefaultPerTenantCap)
-	}
-	if evs := tr.Recent("acme", 0); evs[0].Seq != uint64(3+DefaultPerTenantCap+1) || evs[len(evs)-1].Seq != uint64(3+2*DefaultPerTenantCap) {
-		t.Fatalf("Recent spans seq %d..%d after wrapping", evs[0].Seq, evs[len(evs)-1].Seq)
+	dst := addr.MustParseIP("104.0.0.3")
+	update := Decision{Kind: PermitUpdate, Dst: dst, Verdict: OK, Entries: 2, Epoch: 300}
+	for _, interleave := range []bool{false, true} {
+		tr := NewTracer(0)
+		held := func() int { return cap(tr.rings["acme"].buf) }
+		var seqs []uint64
+		record := func(d Decision) {
+			seqs = append(seqs, tr.Record("acme", d))
+			if interleave {
+				tr.Record("other", d)
+				tr.Record("other", d)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			record(Decision{Kind: PermitAllow})
+		}
+		if got := held(); got >= 1024 {
+			t.Fatalf("interleave %v: a tenant with three events holds %d B, want < 1 KiB", interleave, got)
+		}
+		for i := 0; i < DefaultPerTenantCap; i++ {
+			record(update)
+		}
+		if got := held(); got > 16<<10 {
+			t.Fatalf("interleave %v: a full ring of permit-updates holds %d B, want <= 16 KiB", interleave, got)
+		}
+		for i := 0; i < DefaultPerTenantCap; i++ {
+			record(update)
+		}
+		if got := tr.Len("acme"); got != DefaultPerTenantCap {
+			t.Fatalf("interleave %v: Len = %d, want %d", interleave, got, DefaultPerTenantCap)
+		}
+		evs := tr.Recent("acme", 0)
+		want := seqs[len(seqs)-DefaultPerTenantCap:]
+		if len(evs) != len(want) {
+			t.Fatalf("interleave %v: Recent returned %d events, want %d", interleave, len(evs), len(want))
+		}
+		for i, ev := range evs {
+			if ev.Seq != want[i] {
+				t.Fatalf("interleave %v: event %d has seq %d, want %d (Recent spans %d..%d)",
+					interleave, i, ev.Seq, want[i], evs[0].Seq, evs[len(evs)-1].Seq)
+			}
+		}
 	}
 }
 
@@ -198,15 +221,15 @@ func TestChainAndString(t *testing.T) {
 }
 
 // A Decision is what every traced verdict copies into Record, by value;
-// the ring stores it packed (TestRingGrowsWithItsTenant bounds the slot).
+// the ring stores it packed (TestRingGrowsWithItsTenant bounds the bytes).
 func TestDecisionSize(t *testing.T) {
 	if size := unsafe.Sizeof(Decision{}); size > 64 {
 		t.Fatalf("a Decision is %d bytes, budget 64", size)
 	}
 }
 
-// A Detail too long for the slot's split index is cut at 64 KiB − 1
-// bytes; the cause after it is kept whole.
+// A Detail longer than 64 KiB − 1 bytes is cut there; the cause after
+// it is kept whole.
 func TestOversizeDetailIsCut(t *testing.T) {
 	tr := NewTracer(0)
 	long := strings.Repeat("d", 70000)
@@ -219,8 +242,8 @@ func TestOversizeDetailIsCut(t *testing.T) {
 	}
 }
 
-// Recording into a tenant's full ring copies the decision into a slot and
-// allocates nothing — for a permit-update, whose detail is two numbers,
+// Recording into a tenant's full ring packs the decision into its buffer
+// and allocates nothing — for a permit-update, whose detail is two numbers,
 // and for an explain, whose cause string the caller already holds.
 func TestRecordIntoFullRingAllocatesNothing(t *testing.T) {
 	tr := NewTracer(0)
@@ -341,4 +364,140 @@ func TestRecentRendersEveryKind(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"kind":"no-such-kind"}`), &back); err == nil {
 		t.Fatal("an unknown kind name decoded without error")
 	}
+}
+
+// FuzzTraceRing checks the packed rings against a model that keeps each
+// tenant's rendered events in a plain slice: any sequence of Record and
+// Drop over three tenants, at a bound of 1 to 8, leaves Recent (whole and
+// its newest n), Len, Tenants, Recorded and Evicted as the model has
+// them. Decisions draw zero and non-zero addresses, any At, epochs past
+// 2^32 and free text of any length the input holds, so records of every
+// shape wrap around their ring's end and are evicted across it.
+func FuzzTraceRing(f *testing.F) {
+	f.Add(byte(0), []byte{})
+	f.Add(byte(2), []byte{0x03, 0xff, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 0x83, 0x00})
+	f.Add(byte(7), []byte(strings.Repeat("\x01\x7fhello, world <- cause\x02\x10", 12)))
+	// A full ring wrapped past its buffer's end, then a record too big for
+	// the buffer: grow must move the wrapped records over in order.
+	wrap := []byte(strings.Repeat("\x00\x00\x01\x01", 13))
+	wrap = append(wrap, 0x00, hasDetail, byte(PathSelect), byte(OK), 40)
+	f.Add(byte(7), append(wrap, strings.Repeat("d", 40)...))
+	// Sixty 5-byte records at a bound of 8 in a 64-byte buffer: the 52nd
+	// starts at the buffer's last byte, so its sequence delta, which its
+	// predecessor's eviction reads, lies across the end.
+	f.Add(byte(7), []byte(strings.Repeat("\x00\x00\x01\x01", 60)))
+	f.Fuzz(func(t *testing.T, bound byte, ops []byte) {
+		limit := 1 + int(bound%8)
+		tr := NewTracer(limit)
+		tenants := []string{"a", "b", "c"}
+		model := map[string][]Event{}
+		var recorded, evicted uint64
+		next := func() byte {
+			if len(ops) == 0 {
+				return 0
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return b
+		}
+		word := func() uint64 {
+			var v uint64
+			for range next() % 9 {
+				v = v<<8 | uint64(next())
+			}
+			return v
+		}
+		text := func() string {
+			n := min(int(next()), len(ops))
+			s := string(ops[:n])
+			ops = ops[n:]
+			return s
+		}
+		for len(ops) > 0 {
+			op := next()
+			tenant := tenants[op%3]
+			if op&0x80 != 0 {
+				tr.Drop(tenant)
+				delete(model, tenant)
+				continue
+			}
+			var d Decision
+			fields := next()
+			d.Kind = Kind(next() % byte(Reconcile+1))
+			d.Verdict = Verdict(next() % byte(len(verdictNames)))
+			if fields&hasSrc != 0 {
+				d.Src = addr.IP(word())
+			}
+			if fields&hasDst != 0 {
+				d.Dst = addr.IP(word())
+			}
+			if fields&hasAt != 0 {
+				d.At = time.Duration(word())
+			}
+			if fields&hasEntries != 0 {
+				d.Entries = uint32(word())
+			}
+			if fields&hasEpoch != 0 {
+				d.Epoch = word()
+			}
+			if fields&hasDetail != 0 {
+				d.Detail = text()
+			}
+			if fields&hasCause != 0 {
+				d.Cause = text()
+			}
+			seq := tr.Record(tenant, d)
+			recorded++
+			if len(model[tenant]) == limit {
+				model[tenant] = model[tenant][1:]
+				evicted++
+			}
+			model[tenant] = append(model[tenant], rendered(tenant, seq, d))
+		}
+		for _, tenant := range tenants {
+			want := model[tenant]
+			if got := tr.Recent(tenant, 0); !slices.Equal(got, want) {
+				t.Fatalf("Recent(%s, 0):\n got %+v\nwant %+v", tenant, got, want)
+			}
+			for n := 1; n <= limit+1; n++ {
+				if got := tr.Recent(tenant, n); !slices.Equal(got, want[max(0, len(want)-n):]) {
+					t.Fatalf("Recent(%s, %d) = %+v, want the newest %d of %+v", tenant, n, got, n, want)
+				}
+			}
+			if got := tr.Len(tenant); got != len(want) {
+				t.Fatalf("Len(%s) = %d, want %d", tenant, got, len(want))
+			}
+		}
+		var held []string
+		for _, tenant := range tenants { // already sorted
+			if _, ok := model[tenant]; ok {
+				held = append(held, tenant)
+			}
+		}
+		if got := tr.Tenants(); !slices.Equal(got, held) {
+			t.Fatalf("Tenants = %v, want %v", got, held)
+		}
+		if tr.Recorded() != recorded || tr.Evicted() != evicted {
+			t.Fatalf("Recorded, Evicted = %d, %d; want %d, %d", tr.Recorded(), tr.Evicted(), recorded, evicted)
+		}
+	})
+}
+
+// rendered is the Event a tenant reads for d, stamped seq.
+func rendered(tenant string, seq uint64, d Decision) Event {
+	ev := Event{Seq: seq, At: d.At, Tenant: tenant, Kind: d.Kind, Verdict: d.Verdict.String(),
+		Detail: d.Detail, Cause: d.Cause}
+	if d.Src != 0 {
+		ev.Src = d.Src.String()
+	}
+	if d.Dst != 0 {
+		ev.Dst = d.Dst.String()
+	}
+	if len(ev.Detail) > 65535 {
+		ev.Detail = ev.Detail[:65535]
+	}
+	if d.Kind == PermitUpdate || d.Kind == PermitDeny {
+		ev.Detail = fmt.Sprintf("entries=%d epoch=%d", d.Entries, d.Epoch)
+	}
+	return ev
 }
