@@ -156,10 +156,12 @@ addrmaps:
 # declared and the only address allocator, so no non-test file of
 # internal/core declares a group or name map (keyed by string, holding
 # addresses), the lock that once guarded them, an address table of
-# endpoint records of its own, or an address pool (addr.HostPool) that
-# would be a second cursor beside the declared one.
+# endpoint records of its own, an address pool (addr.HostPool) that
+# would be a second cursor beside the declared one, or a permit set of its
+# own making (frameSets, addr.NewPrefixSet, addr.AdoptPrefixSet): every
+# declared set comes from the state, which holds one per distinct list.
 onestate:
-	@if grep -nE 'nmMu|map\[string\](map\[string\])?(\[\])?(addr\.IP|EIP|SIP)\b|addr\.Table\[\*intent\.Endpoint\]|addr\.(New)?HostPool' \
+	@if grep -nE 'nmMu|map\[string\](map\[string\])?(\[\])?(addr\.IP|EIP|SIP)\b|addr\.Table\[\*intent\.Endpoint\]|addr\.(New)?HostPool|frameSets|addr\.(New|Adopt)PrefixSet' \
 		$$(ls internal/core/*.go | grep -v '_test\.go$$'); then \
 		echo "the lines above keep declared state in core; it lives in intent.State alone"; exit 1; \
 	fi

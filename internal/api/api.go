@@ -86,6 +86,11 @@ func NewServerWith(cp ControlPlane, opts Options) *Server {
 		"Decision-trace events overwritten by ring wraparound.", func() float64 { return float64(tracer.Evicted()) })
 	registry.GaugeFunc("declnet_trace_bytes",
 		"Bytes the decision-trace rings hold.", func() float64 { return float64(tracer.Bytes()) })
+	registry.GaugeFunc("declnet_permit_sets",
+		"Distinct permit sets the declared records hold.", func() float64 { n, _ := c.Interned(); return float64(n) })
+	registry.GaugeFunc("declnet_placements",
+		"Distinct (tenant, VM, provider, region) placements the declared endpoints hold.",
+		func() float64 { _, n := c.Interned(); return float64(n) })
 	// Every mutation route decodes its body with the one decoder and
 	// applies it with core.ApplyBatch (batch.go).
 	s.mux.HandleFunc("POST /v1/batch", s.mutation(route{}))

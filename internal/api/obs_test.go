@@ -252,29 +252,7 @@ func TestStatusCountsSamplesWithoutTakingThem(t *testing.T) {
 // permit-update, at most 16 bytes per decision.
 func TestTraceBytesMetric(t *testing.T) {
 	ts, w := newTestServer(t)
-	scrape := func() float64 {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, line := range strings.Split(string(body), "\n") {
-			if value, ok := strings.CutPrefix(line, "declnet_trace_bytes "); ok {
-				v, err := strconv.ParseFloat(value, 64)
-				if err != nil {
-					t.Fatalf("declnet_trace_bytes = %q", value)
-				}
-				return v
-			}
-		}
-		t.Fatal("/v1/metrics has no declnet_trace_bytes")
-		return 0
-	}
+	scrape := func() float64 { return scrapeGauge(t, ts, "declnet_trace_bytes") }
 	if got := scrape(); got != 0 {
 		t.Fatalf("declnet_trace_bytes = %g before any decision, want 0", got)
 	}
@@ -294,5 +272,75 @@ func TestTraceBytesMetric(t *testing.T) {
 	}
 	if got > 16*grants {
 		t.Errorf("declnet_trace_bytes = %g for %d permit-updates, want <= 16 B each", got, grants)
+	}
+}
+
+// scrapeGauge reads one unlabelled series off /v1/metrics.
+func scrapeGauge(t *testing.T, ts *httptest.Server, name string) float64 {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if value, ok := strings.CutPrefix(line, name+" "); ok {
+			v, err := strconv.ParseFloat(value, 64)
+			if err != nil {
+				t.Fatalf("%s = %q", name, value)
+			}
+			return v
+		}
+	}
+	t.Fatalf("/v1/metrics has no %s", name)
+	return 0
+}
+
+// TestInternedValueMetrics: /v1/metrics exports the distinct values the
+// declared state's tables hold — declnet_permit_sets and
+// declnet_placements — so a move in a daemon's heap can be put down to
+// them. A 64-op set-up batch declares one list on 32 endpoints of one
+// VM: one set, one placement. Twenty single set_permits then toggle ten
+// of them between a second list and the first, leaving the even ones on
+// the second: two sets. Releasing every endpoint empties both tables.
+func TestInternedValueMetrics(t *testing.T) {
+	ts, w := newTestServer(t)
+	scrape := func() (sets, places float64) {
+		t.Helper()
+		return scrapeGauge(t, ts, "declnet_permit_sets"), scrapeGauge(t, ts, "declnet_placements")
+	}
+	if sets, places := scrape(); sets != 0 || places != 0 {
+		t.Fatalf("before any grant: %g sets and %g placements", sets, places)
+	}
+	f := w.Fig1
+	var res BatchResponse
+	if code := post(t, ts, "/v1/batch", BatchRequest{Tenant: "acme", Ops: onboardingOps(
+		string(w.Host(f.CloudA, f.RegionsA[0], "az1", 1)), 32)}, &res); code != 200 {
+		t.Fatalf("onboarding batch status %d", code)
+	}
+	if sets, places := scrape(); sets != 1 || places != 1 {
+		t.Fatalf("after the set-up batch: %g sets and %g placements, want 1 and 1", sets, places)
+	}
+	lists := [2][]string{{"10.9.0.0/16"}, {"10.1.0.0/16", "10.2.0.0/16"}} // the second is the batch's
+	for k := 0; k < 20; k++ {
+		if code := post(t, ts, "/v1/permit", PermitRequest{Tenant: "acme", Target: res.Results[k%10].Addr,
+			Entries: lists[k%2]}, nil); code != 200 {
+			t.Fatalf("set_permit %d status %d", k, code)
+		}
+	}
+	if sets, places := scrape(); sets != 2 || places != 1 {
+		t.Fatalf("after the toggles: %g sets and %g placements, want 2 and 1", sets, places)
+	}
+	for _, r := range res.Results[:32] {
+		if code := post(t, ts, "/v1/eips/release", ReleaseRequest{Tenant: "acme", EIP: r.Addr}, nil); code != 200 {
+			t.Fatalf("release of %s status %d", r.Addr, code)
+		}
+	}
+	if sets, places := scrape(); sets != 0 || places != 0 {
+		t.Fatalf("with nothing declared: %g sets and %g placements", sets, places)
 	}
 }

@@ -79,10 +79,10 @@ type backRef struct {
 // release. It returns how many ops applied and the first error. refs are
 // in op order.
 //
-// A set_permit naming no groups runs with the set of its entries built
-// here (frameSets): every set_permit of the frame that declares the same
-// entry list — a set-up batch declares one list on each of its
-// endpoints — holds that one set.
+// A set_permit's set comes from the declared state (State.PermitSet),
+// which holds one set per distinct entry list: every target that
+// declares the same list — in this frame or any other — holds that one
+// set.
 //
 // One op is timed as its own verb, more as one batch; the lock wait and
 // the journal append are stages of the span, so a slow write in
@@ -114,7 +114,6 @@ func (c *Cloud) apply(tenant string, ops []intent.Op, refs []backRef) (n int, er
 	held := c.shards.lockShards(keys, hb[:0])
 	sop.StageEnd(stg, "shard_wait")
 	defer c.shards.unlockShards(held)
-	var sets frameSets
 	released := false
 	rec := c.decl.Begin()
 	for r := 0; n < len(ops); n++ {
@@ -123,12 +122,6 @@ func (c *Cloud) apply(tenant string, ops []intent.Op, refs []backRef) (n int, er
 		_, v, p, rerr := c.route(tenant, op)
 		if a, ok := target(op); ok && rerr == nil {
 			p, rerr = c.owner(a)
-		}
-		if op.Verb == intent.OpSetPermit {
-			op.Next = nil // the verb's result, never its caller's
-			if rerr == nil && len(op.Groups) == 0 {
-				op.Next = sets.of(op.Entries)
-			}
 		}
 		if rerr == nil {
 			*op, rerr = v.declare(c, p, rec.State(), tenant, *op)
@@ -154,34 +147,6 @@ func (c *Cloud) apply(tenant string, ops []intent.Op, refs []backRef) (n int, er
 		c.tenantDelta(tenant, 0)
 	}
 	return n, err
-}
-
-// frameSets is one frame's table of the permit sets its set_permits
-// declare, keyed by the entry list as the op names it. It lives for one
-// apply call and caches nothing across frames. It keeps the first few
-// distinct lists, so a frame of many distinct lists costs a bounded scan
-// per op; a list beyond them gets a set of its own.
-type frameSets struct {
-	n    int
-	sets [8]struct {
-		entries []addr.Prefix
-		set     *addr.PrefixSet
-	}
-}
-
-// of returns the set holding entries, built on the frame's first ask.
-func (f *frameSets) of(entries []addr.Prefix) *addr.PrefixSet {
-	for _, s := range f.sets[:f.n] {
-		if slices.Equal(s.entries, entries) {
-			return s.set
-		}
-	}
-	set := addr.NewPrefixSet(entries)
-	if f.n < len(f.sets) {
-		f.sets[f.n].entries, f.sets[f.n].set = entries, set
-		f.n++
-	}
-	return set
 }
 
 // resolve fills op i's back-references, refs[r] on, from the ops they
@@ -334,22 +299,21 @@ var verbs = map[string]*verb{
 				return op, err
 			}
 			op.Provider = p.Name
-			if op.Next == nil {
-				// The groups expand here, from the declared memberships:
-				// the journal records the expanded entries, for a replay
-				// that named the groups would expand another membership.
-				entries := slices.Clip(op.Entries) // appends below copy, never write into the op
-				for _, g := range op.Groups {
-					members, ok := st.Groups[intent.GroupKey(tenant, g)]
-					if !ok {
-						return op, fmt.Errorf("core: unknown group %q", g)
-					}
-					for _, m := range members {
-						entries = append(entries, addr.NewPrefix(m, 32))
-					}
+			// The groups expand here, from the declared memberships: the
+			// journal records the expanded entries, for a replay that named
+			// the groups would expand another membership.
+			entries := slices.Clip(op.Entries) // appends below copy, never write into the op
+			for _, g := range op.Groups {
+				members, ok := st.Groups[intent.GroupKey(tenant, g)]
+				if !ok {
+					return op, fmt.Errorf("core: unknown group %q", g)
 				}
-				op.Next = addr.NewPrefixSet(entries)
+				for _, m := range members {
+					entries = append(entries, addr.NewPrefix(m, 32))
+				}
 			}
+			// The declared state's set for the list (never the caller's).
+			op.Next = st.PermitSet(entries)
 			op.Entries, op.Groups = op.Next.Entries(), nil
 			return op, nil
 		},

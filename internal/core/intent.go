@@ -44,6 +44,14 @@ func (c *Cloud) Intent() *intent.Log {
 	return c.decl
 }
 
+// Interned returns how many distinct permit sets and placements the
+// declared world's records hold: the declared state keeps one of each
+// distinct value, which every record holding it shares.
+func (c *Cloud) Interned() (permitSets, placements int) {
+	c.decl.Read(func(st *intent.State) { permitSets, placements = st.Interned() })
+	return permitSets, placements
+}
+
 // RestoreIntent installs a replayed declared state and adopts it as the
 // cloud's: services re-granted at their original addresses and their
 // balancers re-bound, permit lists re-installed, QoS and policy state

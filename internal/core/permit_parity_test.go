@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 	"unsafe"
@@ -358,5 +361,147 @@ func TestStoresNeverAppendIntoASharedList(t *testing.T) {
 		if got := pa.Permits.EntriesOf(pair[i]); !slices.Equal(pl.Entries, want) || !slices.Equal(got, want) {
 			t.Fatalf("%s declares %v and installs %v, want %v", pair[i], pl.Entries, got, want)
 		}
+	}
+}
+
+// TestEqualListsShareOneSet: the declared state holds one permit set per
+// distinct list, whatever built it, and the permit engines install those
+// sets. Endpoints and services on two providers toggle between two lists
+// through single set_permits, some spelled unsorted or with a repeat, and
+// two targets reach the first list by permit and revoke instead: the
+// state and the engines each hold exactly two distinct sets, the state's
+// table counts those two and the two placements, and the same holds for
+// a world restored from the compacted store and for one replayed from the
+// journal alone. Releasing every endpoint and service empties both
+// tables.
+func TestEqualListsShareOneSet(t *testing.T) {
+	c, w, _, _, _ := fig1Cloud(t)
+	dir := t.TempDir()
+	l, err := intent.Open(dir, intent.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	c.EnableIntent(l)
+	acme := c.Tenant("acme")
+	var eips, sips []addr.IP
+	for i := 0; i < 12; i++ {
+		eip, err := acme.RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1+i%2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eips = append(eips, eip)
+	}
+	for _, prov := range []string{w.CloudA, w.CloudB} {
+		for i := 0; i < 4; i++ {
+			sip, err := acme.RequestSIP(prov)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sips = append(sips, sip)
+		}
+	}
+	targets := append(slices.Clone(eips), sips...)
+	a, b, d := pfx("10.0.0.0/16"), pfx("10.1.0.0/16"), pfx("192.168.0.7/32")
+	spellings := [2][][]permit.Entry{{{a, b}, {b, a}, {a, b, a}}, {{d}, {d, d}}}
+	for round := 0; round < 4; round++ {
+		for i, tg := range targets {
+			list := spellings[(i+round)%2]
+			if err := acme.SetPermitList(tg, list[(i+round)%len(list)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Round 3 left odd targets on [d]; move two of them to [a b] by edits.
+	for _, tg := range []addr.IP{targets[1], targets[len(targets)-1]} {
+		if err := acme.Permit(tg, b); err != nil {
+			t.Fatal(err)
+		}
+		if err := acme.Permit(tg, a); err != nil {
+			t.Fatal(err)
+		}
+		if err := acme.Revoke(tg, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// shares checks a cloud whose declared world is st.
+	shares := func(label string, c *Cloud, st *intent.State) {
+		t.Helper()
+		declared, installed := map[*addr.PrefixSet]bool{}, map[*addr.PrefixSet]bool{}
+		contents := map[string]bool{}
+		for _, tg := range targets {
+			pl, ok := st.Permit(tg)
+			if !ok {
+				t.Fatalf("%s: %s declares no list", label, tg)
+			}
+			declared[pl.Set] = true
+			contents[fmt.Sprint(pl.Entries)] = true
+			p, _ := c.ProviderOf(tg)
+			list, _ := p.Permits.List(tg)
+			if list.Set() != pl.Set {
+				t.Fatalf("%s: %s installs %v, not the declared set %v", label, tg, list.Entries(), pl.Entries)
+			}
+			installed[list.Set()] = true
+		}
+		if len(contents) != 2 || len(declared) != 2 || len(installed) != 2 {
+			t.Fatalf("%s: %d distinct lists held as %d declared and %d installed sets, want 2 each",
+				label, len(contents), len(declared), len(installed))
+		}
+		if sets, places := st.Interned(); sets != 2 || places != 2 {
+			t.Fatalf("%s: the state's tables hold %d sets and %d placements, want 2 and 2", label, sets, places)
+		}
+	}
+	shares("live", c, l.State())
+
+	// restored opens a copy of the store's files and restores a fresh
+	// cloud from it.
+	restored := func(files ...string) (*Cloud, *intent.State) {
+		t.Helper()
+		cp := t.TempDir()
+		for _, f := range files {
+			b, err := os.ReadFile(filepath.Join(dir, f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(cp, f), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rl, err := intent.Open(cp, intent.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rl.Close()
+		rc, _, _, _, _ := fig1Cloud(t)
+		st := rl.State()
+		if err := rc.RestoreIntent(st); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := rc.StateDigest(), c.StateDigest(); got != want {
+			t.Fatalf("restored digest differs\n got %s\nwant %s", got, want)
+		}
+		return rc, st
+	}
+	rc, st := restored("journal.log")
+	shares("journal replay", rc, st)
+	if err := l.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	rc, st = restored("snapshot.json", "journal.log")
+	shares("snapshot", rc, st)
+
+	for _, eip := range eips {
+		if err := acme.ReleaseEIP(eip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sip := range sips {
+		if err := acme.ReleaseSIP(sip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sets, places := c.Interned(); sets != 0 || places != 0 {
+		t.Fatalf("with nothing declared the tables hold %d sets and %d placements", sets, places)
 	}
 }

@@ -83,6 +83,7 @@ func FuzzJournalDecode(f *testing.F) {
 				break
 			}
 		}
+		checkInterned(t, st)
 	})
 }
 
@@ -106,7 +107,7 @@ func FuzzSnapshotEncode(f *testing.F) {
 		for i := 0; i < int(entries); i++ {
 			ip := addr.IP(first + uint32(i)*stride)
 			key := tenant + strconv.Itoa(i)
-			ep := &Endpoint{Tenant: tenant, VM: vm, Provider: key, Region: vm, EgressCap: egress * float64(i%3)}
+			ep := &Endpoint{Placement: &Placement{Tenant: tenant, VM: vm, Provider: key, Region: vm}, EgressCap: egress * float64(i%3)}
 			svc := &Service{Tenant: tenant, Provider: vm}
 			var permits []addr.Prefix
 			for _, m := range group[:i%(len(group)+1)] {
@@ -146,7 +147,7 @@ func sparseState(n int) *State {
 	s := NewState()
 	for i := 0; i < n; i++ {
 		s.Services.Put(addr.IP(i)<<16|0xff00, &Service{Tenant: "a", Provider: "p"})
-		s.Endpoints.Put(0xa0000000+addr.IP(i)*64, &Endpoint{Tenant: "a", VM: "v", Provider: "p", Region: "r"})
+		s.Endpoints.Put(0xa0000000+addr.IP(i)*64, &Endpoint{Placement: &Placement{Tenant: "a", VM: "v", Provider: "p", Region: "r"}})
 	}
 	return s
 }
@@ -217,6 +218,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(data), allocated, bound)
 		}
 		if s != nil {
+			checkInterned(t, s)
 			checkSnapshotCodec(t, s)
 		}
 	})

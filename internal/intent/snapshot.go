@@ -258,6 +258,7 @@ type decoder struct {
 	strs  []string
 	lists []*addr.PrefixSet
 	seen  map[string]string // the strings read so far, when the caller keeps one copy of each
+	held  *interns          // the snapshot's state's table
 	err   error             // the first thing wrong; every read after it returns zero
 }
 
@@ -273,6 +274,7 @@ func decodeSnapshot(r io.Reader, size int64) (*State, error) {
 		return nil, fmt.Errorf("bad magic %q", magic)
 	}
 	s := &State{Seq: d.uvarint()}
+	d.held = &s.held
 	s.Meta = decodeStrings(d, d.text)
 	s.Endpoints = decodeAddrs(d, d.endpoint)
 	s.Services = decodeAddrs(d, d.service)
@@ -429,15 +431,17 @@ func (d *decoder) keyed(n int, value func(addr.IP)) {
 }
 
 // permits reads the permits section into the records decoded before it:
-// each list must belong to an endpoint or service of its tenant.
+// each list must belong to an endpoint or service of its tenant, which
+// holds the state's set for it — one per distinct list, even where the
+// file lists one twice.
 func (d *decoder) permits(s *State) {
 	d.keyed(d.count(), func(ip addr.IP) {
 		tenant, list := ref(d, &d.strs, d.text), ref(d, &d.lists, d.set)
 		ep, _ := s.Endpoints.Get(ip)
 		if svc, _ := s.Services.Get(ip); ep != nil && ep.Tenant == tenant {
-			ep.Permits = list
+			ep.Permits = s.held.hold(list)
 		} else if ep == nil && svc != nil && svc.Tenant == tenant {
-			svc.Permits = list
+			svc.Permits = s.held.hold(list)
 		} else {
 			d.fail("permit list for %s, which tenant %q holds no record of", ip, tenant)
 		}
@@ -454,9 +458,11 @@ func decodeStrings[V any](d *decoder, value func() V) map[string]V {
 	return m
 }
 
+// endpoint reads an endpoint record, its placement held in the state's
+// table.
 func (d *decoder) endpoint() *Endpoint {
-	return &Endpoint{Tenant: ref(d, &d.strs, d.text), VM: ref(d, &d.strs, d.text),
-		Provider: ref(d, &d.strs, d.text), Region: ref(d, &d.strs, d.text), EgressCap: d.float()}
+	pl := Placement{ref(d, &d.strs, d.text), ref(d, &d.strs, d.text), ref(d, &d.strs, d.text), ref(d, &d.strs, d.text)}
+	return &Endpoint{Placement: d.held.place(pl), EgressCap: d.float()}
 }
 
 func (d *decoder) service() *Service {

@@ -54,6 +54,7 @@ func checkSnapshotCodec(t testing.TB, s *State) {
 	if err != nil {
 		t.Fatalf("decode of a %d-byte encoding: %v", len(b), err)
 	}
+	checkInterned(t, got)
 	if again, _ := encodeBytes(got); !bytes.Equal(again, b) {
 		t.Fatalf("the decoded state encodes to %d other bytes than the %d it was decoded from", len(again), len(b))
 	}
@@ -155,8 +156,8 @@ func randState(rng *rand.Rand, n int) *State {
 		return lists[len(lists)-1]
 	}
 	for i := rng.Intn(n + 1); i > 0; i-- {
-		ep := &Endpoint{Tenant: tenants[rng.Intn(2)], VM: randString(rng), Provider: randString(rng), Region: randString(rng),
-			Permits: permits()}
+		ep := &Endpoint{Placement: &Placement{Tenant: tenants[rng.Intn(2)], VM: randString(rng), Provider: randString(rng),
+			Region: randString(rng)}, Permits: permits()}
 		if rng.Intn(2) == 0 {
 			ep.EgressCap = randFloat(rng)
 		}
@@ -172,7 +173,72 @@ func randState(rng *rand.Rand, n int) *State {
 		}
 	}
 	s.index() // what a fold derives from the sections above
+	holdRecords(s)
 	return s
+}
+
+// holdRecords makes s's records hold the values of its tables, as a
+// fold's records do.
+func holdRecords(s *State) {
+	s.Endpoints.Ascend(0, func(_ addr.IP, ep *Endpoint) bool {
+		ep.Placement, ep.Permits = s.held.place(*ep.Placement), s.held.hold(ep.Permits)
+		return true
+	})
+	s.Services.Ascend(0, func(_ addr.IP, svc *Service) bool {
+		svc.Permits = s.held.hold(svc.Permits)
+		return true
+	})
+}
+
+// checkInterned is the sharing invariant of a State that folds or a
+// decode built: any two records whose lists hold equal entries hold one
+// *addr.PrefixSet, any two equal placements are one *Placement, and each
+// table holds exactly the distinct values the records hold, each counted
+// once per record that holds it.
+func checkInterned(t testing.TB, s *State) {
+	t.Helper()
+	sets, places := map[string]*addr.PrefixSet{}, map[Placement]*Placement{}
+	setHolders, placeHolders := map[*addr.PrefixSet]int{}, map[*Placement]int{}
+	holdSet := func(ip addr.IP, set *addr.PrefixSet) {
+		if set == nil {
+			return
+		}
+		var key string
+		for _, e := range set.Entries() {
+			key += fmt.Sprintf("%d/%d ", uint32(e.Addr), e.Len)
+		}
+		if first, ok := sets[key]; ok && first != set {
+			t.Fatalf("%s holds a second set for the list %s", ip, key)
+		}
+		sets[key] = set
+		setHolders[set]++
+	}
+	s.Endpoints.Ascend(0, func(ip addr.IP, ep *Endpoint) bool {
+		if first, ok := places[*ep.Placement]; ok && first != ep.Placement {
+			t.Fatalf("%s holds a second placement for %+v", ip, *ep.Placement)
+		}
+		places[*ep.Placement] = ep.Placement
+		placeHolders[ep.Placement]++
+		holdSet(ip, ep.Permits)
+		return true
+	})
+	s.Services.Ascend(0, func(ip addr.IP, svc *Service) bool {
+		holdSet(ip, svc.Permits)
+		return true
+	})
+	if n, p := s.Interned(); n != len(setHolders) || p != len(placeHolders) {
+		t.Fatalf("the tables hold %d sets and %d placements; the records hold %d and %d", n, p, len(setHolders), len(placeHolders))
+	}
+	for _, h := range s.held.sets {
+		if setHolders[h.set] != h.n {
+			t.Fatalf("the set %v is counted %d times; %d records hold it", h.set.Entries(), h.n, setHolders[h.set])
+		}
+	}
+	for _, h := range s.held.places {
+		if placeHolders[h.p] != h.n {
+			t.Fatalf("the placement %+v is counted %d times; %d records hold it", *h.p, h.n, placeHolders[h.p])
+		}
+	}
 }
 
 // TestSnapshotRoundTrip is the codec's oracle test: over seeded random
@@ -203,7 +269,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		s := NewState()
 		s.Quotas["q"] = f
-		s.Endpoints.Put(1, &Endpoint{EgressCap: f})
+		s.Endpoints.Put(1, &Endpoint{Placement: &Placement{}, EgressCap: f})
 		checkSnapshotCodec(t, s)
 	}
 
@@ -362,8 +428,11 @@ func TestRandStateFillsEveryField(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		markFilled(filled, reflect.ValueOf(randState(rand.New(rand.NewSource(seed)), 12)))
 	}
-	for _, v := range []any{State{}, Endpoint{}, Service{}, Bind{}, PoolState{}, addr.Prefix{}} {
+	for _, v := range []any{State{}, Endpoint{}, Placement{}, Service{}, Bind{}, PoolState{}, addr.Prefix{}} {
 		for _, f := range reflect.VisibleFields(reflect.TypeOf(v)) {
+			if len(f.Index) > 1 {
+				continue // promoted from an embedded type, which the list checks as its own
+			}
 			if name := reflect.TypeOf(v).String() + "." + f.Name; !filled[name] {
 				t.Errorf("randState never fills %s: the round trip cannot tell whether the codec carries it", name)
 			}

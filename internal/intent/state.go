@@ -19,12 +19,11 @@ import (
 	"declnet/internal/addr"
 )
 
-// Endpoint is the declared record of one granted EIP.
+// Endpoint is the declared record of one granted EIP, three words: its
+// placement (held once per distinct tuple, and embedded, so ep.Tenant and
+// ep.VM read through it), its egress cap and its permit list.
 type Endpoint struct {
-	Tenant    string          `json:"tenant"`
-	VM        string          `json:"vm"`
-	Provider  string          `json:"provider"`
-	Region    string          `json:"region"`
+	*Placement
 	EgressCap float64         `json:"egress_cap,omitempty"`
 	Permits   *addr.PrefixSet `json:"-"` // see PermitList
 }
@@ -47,28 +46,17 @@ type Service struct {
 // PermitList is the declared permit list guarding one target, group
 // references already expanded, as State.Permit reads it: the target's
 // holder and its record's Permits, with that set's entries. A record
-// holds a reference to its target's set, which any number of records —
-// every target one frame declared the same list on — and the permit
-// engine share, so a permitted endpoint costs one word of its own.
-// Permits is nil when the target declares no list, and non-nil when it
-// declares one — with no entries for a guarded list that admits nothing:
-// a list that admits nothing is enforced, a missing one is not installed
-// at all.
+// holds a reference to its target's set, which every record declaring
+// an equal list — the state holds one set per distinct list (interns) —
+// and the permit engine share, so a permitted endpoint costs one word of
+// its own. Permits is nil when the target declares no list, and non-nil
+// when it declares one — with no entries for a guarded list that admits
+// nothing: a list that admits nothing is enforced, a missing one is not
+// installed at all.
 type PermitList struct {
 	Tenant  string
 	Set     *addr.PrefixSet
 	Entries []addr.Prefix // Set.Entries()
-}
-
-// noEntries is the declared list that admits nothing.
-var noEntries = addr.AdoptPrefixSet([]addr.Prefix{})
-
-// guarded is set as a declared list: nil becomes one with no entries.
-func guarded(set *addr.PrefixSet) *addr.PrefixSet {
-	if set == nil {
-		return noEntries
-	}
-	return set
 }
 
 // PoolState is one address pool's allocation cursor: the next-fresh
@@ -186,6 +174,9 @@ type State struct {
 	// refs is derived from Services, Groups and Names and never encoded:
 	// nil until a fold first needs it (index).
 	refs *refIndex
+	// held is the table of the permit sets and placements the records
+	// share, kept by every fold and by the decoder.
+	held interns
 }
 
 // refIndex is what the declared world names each address by besides its
@@ -337,10 +328,11 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		// holds, under a release/re-grant journal inversion (see
 		// OpReleaseEIP), and the grant is where its binds, groups and
 		// names go away.
-		if _, stale := s.Endpoints.Get(op.Addr); stale {
+		if old, stale := s.Endpoints.Get(op.Addr); stale {
 			s.unref(op.Addr)
+			s.unholdEndpoint(old)
 		}
-		s.Endpoints.Put(op.Addr, &Endpoint{Tenant: tenant, VM: op.VM, Provider: op.Provider, Region: op.Region})
+		s.Endpoints.Put(op.Addr, &Endpoint{Placement: s.held.place(Placement{tenant, op.VM, op.Provider, op.Region})})
 	case OpReleaseEIP:
 		ep, ok := s.Endpoints.Get(op.Addr)
 		if !ok {
@@ -358,13 +350,15 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		}
 		s.unref(op.Addr)
 		s.Endpoints.Delete(op.Addr)
+		s.unholdEndpoint(ep)
 		s.eipPool(ep.Provider, ep.Region).release(op.Addr)
 	case OpRequestSIP:
 		if err := s.claim(s.sipPool(op.Provider), op.Addr); err != nil {
 			return err
 		}
-		if _, stale := s.Services.Get(op.Addr); stale {
+		if old, stale := s.Services.Get(op.Addr); stale {
 			s.unref(op.Addr)
+			s.held.drop(old.Permits)
 		}
 		s.Services.Put(op.Addr, &Service{Tenant: tenant, Provider: op.Provider})
 	case OpReleaseSIP:
@@ -377,6 +371,7 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		}
 		s.unref(op.Addr)
 		s.Services.Delete(op.Addr)
+		s.held.drop(svc.Permits)
 		s.sipPool(svc.Provider).release(op.Addr)
 	case OpBind:
 		svc, ok := s.Services.Get(op.SIP)
@@ -412,12 +407,12 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		}
 		if ep, ok := s.Endpoints.Get(op.Target); ok && ep.Tenant == tenant {
 			next := *ep
-			op.Prev, op.Next = ep.Permits, op.Declares(ep.Permits)
+			op.Prev, op.Next = ep.Permits, s.repermit(op, ep.Permits)
 			next.Permits = op.Next
 			s.Endpoints.Put(op.Target, &next)
 		} else if svc, ok := s.Services.Get(op.Target); ok && svc.Tenant == tenant {
 			next := *svc
-			op.Prev, op.Next = svc.Permits, op.Declares(svc.Permits)
+			op.Prev, op.Next = svc.Permits, s.repermit(op, svc.Permits)
 			next.Permits = op.Next
 			s.Services.Put(op.Target, &next)
 		}
@@ -472,6 +467,34 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		return fmt.Errorf("unknown verb %q", op.Verb)
 	}
 	return nil
+}
+
+// repermit returns the held permit list a set_permit, permit or revoke
+// op leaves declared on a target whose declared list is cur (nil for
+// none), and moves the target's hold from cur to it: nil when revoke
+// finds no list, otherwise a guarded list — for a set_permit, op.Next
+// when the verb set it (State.PermitSet), else the set of op.Entries.
+func (s *State) repermit(op *Op, cur *addr.PrefixSet) *addr.PrefixSet {
+	var next *addr.PrefixSet
+	switch {
+	case op.Verb == OpSetPermit && op.Next != nil:
+		next = op.Next
+	case op.Verb == OpSetPermit:
+		next = s.held.canonical(op.Entries)
+	case cur == nil && op.Verb == OpRevoke:
+		return nil // revoking from an empty list is a no-op, as in core
+	default:
+		next = s.held.successor(op, cur)
+	}
+	next = s.held.hold(next)
+	s.held.drop(cur)
+	return next
+}
+
+// unholdEndpoint drops what a record leaving the state held.
+func (s *State) unholdEndpoint(ep *Endpoint) {
+	s.held.unplace(ep.Placement)
+	s.held.drop(ep.Permits)
 }
 
 // bindIndex is the position of eip among svc's bindings, or -1.
@@ -592,11 +615,13 @@ func (s *State) owns(tenant string, a addr.IP) bool {
 }
 
 // Clone copies the state: recovery, the tests and the benchmark take one
-// through Log.State and own it outright — except its endpoints and permit
-// lists, which are immutable once stored and shared. The by-address index
-// is not copied; the copy builds its own when it first folds a release.
+// through Log.State and own it outright — except its endpoints, placements
+// and permit lists, which are immutable once stored and shared. The
+// by-address index is not copied; the copy builds its own when it first
+// folds a release.
 func (s *State) Clone() *State {
 	c := &State{
+		held:      s.held.clone(),
 		Seq:       s.Seq,
 		Meta:      maps.Clone(s.Meta),
 		Endpoints: new(addr.Table[*Endpoint]),

@@ -70,35 +70,22 @@ type Op struct {
 	Policy  string        `json:"policy,omitempty"`
 
 	// Prev and Next never reach the journal. For a set_permit, Next is an
-	// input: the entry set the verb built for Target, which the fold adopts
-	// as the declared list instead of building a second one (replay has no
-	// verb and builds). For a permit or revoke they are the fold's output:
-	// the declared list before and after, so that the install can adopt
-	// Next whenever the installed list is Prev, and declared and installed
-	// hold one record.
+	// input: the entry set the verb asked State.PermitSet for, which the
+	// fold holds as the declared list instead of looking it up again
+	// (replay has no verb and looks it up). For every permit op they are
+	// the fold's output: the declared list before and after, held by the
+	// state, so that the install can adopt Next whenever the installed list
+	// is Prev, and declared and installed hold one record.
 	Prev, Next *addr.PrefixSet `json:"-"`
-}
-
-// Declares returns the permit list a set_permit, permit or revoke op
-// leaves declared on a target whose declared list is cur (nil for none):
-// nil when revoke finds none, otherwise a guarded list — for a set_permit,
-// the set the verb built when it built one.
-func (op *Op) Declares(cur *addr.PrefixSet) *addr.PrefixSet {
-	switch {
-	case op.Verb == OpSetPermit && op.Next != nil:
-		return op.Next
-	case op.Verb == OpSetPermit:
-		return addr.NewPrefixSet(op.Entries)
-	case cur == nil && op.Verb == OpRevoke:
-		return nil // revoking from an empty list is a no-op, as in core
-	}
-	return guarded(op.Successor(cur))
 }
 
 // Successor returns the entry set a permit or revoke op leaves when
 // applied to base: base itself when the op changes nothing, otherwise a
 // new set sharing no array with base. base may have any number of
 // holders, and an append into its spare capacity would write under them.
+// It is how an installed list that drifted from the declared one derives
+// its successor; the fold derives the declared one in scratch space and
+// holds the result (State.repermit).
 func (op *Op) Successor(base *addr.PrefixSet) *addr.PrefixSet {
 	next := slices.Clip(base.Entries())
 	for _, e := range op.Entries {

@@ -19,12 +19,14 @@ import (
 // building the empty world and RestoreIntent. The figures are the smoke
 // tier's (10^4 endpoints) under the race detector, the largest of the
 // tiers the test runs: building the world is a fixed cost, which fewer
-// endpoints share (the 10^5 tier measures 4.7 allocations and 817
-// bytes, the 10^6 tier 4.3 and 784). The journal half decodes binary
+// endpoints share (the 10^5 tier measures 4.3 allocations and 693
+// bytes, the 10^6 tier 3.8 and 637). The journal half decodes binary
 // frames with no reflection, keeping one copy of each repeated string;
-// the snapshot half hands every endpoint declaring the same list one
-// decoded set; and an installed endpoint, with its permit set, is the
-// declared entry itself — Log.State shares it and restore adopts it.
+// both halves hand every endpoint declaring the same list the declared
+// state's one set for it, and every endpoint of one (tenant, VM) its one
+// placement, each looked up without an allocation once held; and an
+// installed endpoint, with its permit set, is the declared entry itself
+// — Log.State shares it and restore adopts it.
 // Recovery may cost a quarter more before TestRecoveryBudget fails.
 const (
 	recoverAllocsPerEndpoint = 6.0
@@ -224,18 +226,18 @@ func TestRecoveryBudget(t *testing.T) {
 // liveBytesPerEndpoint is the live heap one endpoint may cost in the
 // configuration declnetd runs: the intent store attached and compacted,
 // the decision tracer on, onboarded one verb at a time. An endpoint is
-// one declared record, held by the store's declared state alone — core
-// keeps no endpoint table — and carrying a reference to its permit set,
-// which the permit engine enforces as is; a slot on an address-indexed
-// page of the declared state's endpoint table and of the engine's
-// (addr.Table), and a bit in its pool's in-use bitmap; its own permit
-// set, which a single verb builds for it alone; and a share of its
-// tenant's decision ring. What is fixed (the rings, a table's blocks)
-// spreads thinner as a region's block fills, so an endpoint costs less at
-// 10^6 than at 10^5 (~243 and ~204 B measured); the budget holds at
-// both. Onboarded in batches, the endpoints of a frame share one permit
-// set, and an endpoint costs less again.
-const liveBytesPerEndpoint = 255
+// one declared record of three words, held by the store's declared state
+// alone — core keeps no endpoint table — and carrying references to its
+// placement and its permit set, which the declared state holds once per
+// distinct value, however the records that share it were declared (one
+// verb at a time or in batches), and which the permit engine enforces as
+// is; a slot on an address-indexed page of the declared state's endpoint
+// table and of the engine's (addr.Table); and a share of its tenant's
+// decision ring. What is fixed (the rings, a table's blocks) spreads
+// thinner as a region's block fills, so an endpoint costs less at 10^6
+// than at 10^5 (~69 and ~88 B measured); the budget is the larger plus a
+// quarter.
+const liveBytesPerEndpoint = 110
 
 // TestLiveBudget pins what the deployed control plane holds per endpoint:
 // onboard the budget tier the way TestRecoveryBudget does, with the intent
