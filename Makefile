@@ -5,7 +5,7 @@ FUZZTIME ?= 10s
 SCALE_EIPS ?= 1000000
 SCALE_TENANTS ?= 400
 
-.PHONY: build fmt test vet race bench benchsmoke scale recover-scale soak staticcheck check fuzz loc flags benchmod nobaseline onejson onepath addrmaps onestate
+.PHONY: build fmt test vet race bench benchsmoke scale recover-scale soak staticcheck check fuzz fuzz-store loc flags benchmod nobaseline onejson onepath addrmaps onestate
 
 build:
 	$(GO) build ./...
@@ -67,7 +67,7 @@ staticcheck:
 # (FuzzTraceRing). Each target gets $(FUZZTIME);
 # regression corpus lives under testdata/fuzz/ so plain `go test`
 # replays past findings even without this target.
-fuzz:
+fuzz: fuzz-store
 	$(GO) test -run '^$$' -fuzz '^FuzzParseIP$$' -fuzztime $(FUZZTIME) ./internal/addr/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePrefix$$' -fuzztime $(FUZZTIME) ./internal/addr/
 	$(GO) test -run '^$$' -fuzz '^FuzzTableOps$$' -fuzztime $(FUZZTIME) ./internal/addr/
@@ -76,10 +76,15 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRouteDecode$$' -fuzztime $(FUZZTIME) ./internal/api/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseObjective$$' -fuzztime $(FUZZTIME) ./internal/slo/
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRing$$' -fuzztime $(FUZZTIME) ./internal/obs/
-	$(GO) test -run '^$$' -fuzz '^FuzzJournalDecode$$' -fuzztime $(FUZZTIME) ./internal/intent/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalFrame$$' -fuzztime $(FUZZTIME) ./internal/intent/
-	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotEncode$$' -fuzztime $(FUZZTIME) ./internal/intent/
+
+# The intent store's codecs, which decide what a restart recovers: the
+# snapshot decoder and encoder and the journal decoder, $(FUZZTIME) (10 s
+# by default) each. CI runs it on every change; `make fuzz` runs it first.
+fuzz-store:
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME) ./internal/intent/
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotEncode$$' -fuzztime $(FUZZTIME) ./internal/intent/
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalDecode$$' -fuzztime $(FUZZTIME) ./internal/intent/
 
 # The E15 chaos soak at full length: hours of virtual time of
 # fault/heal and churn with repeated mid-stream crash/restart cycles,

@@ -180,6 +180,12 @@ func (s *Server) mutation(rt route) http.HandlerFunc {
 			return
 		}
 		results, err := s.cloud.ApplyBatch(tenant, b.ops)
+		if errors.Is(err, intent.ErrFailed) {
+			// The store failed this frame or an earlier one: nothing is
+			// acknowledged until a restart recovers the durable prefix.
+			writeErr(w, http.StatusServiceUnavailable, err)
+			return
+		}
 		code := http.StatusOK
 		if err != nil {
 			code = http.StatusConflict

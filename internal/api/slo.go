@@ -57,8 +57,22 @@ func (s *Server) sloReport(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// HealthResponse is GET /v1/health: the noisy-neighbor detector's
+// verdict and, once the intent store's journal has failed a write or an
+// fsync, that cause — the store then refuses every mutation (503) until a
+// restart, and reads keep serving.
+type HealthResponse struct {
+	slo.HealthReport
+	Store string `json:"store_failed,omitempty"`
+}
+
 func (s *Server) health(w http.ResponseWriter, r *http.Request) {
-	rep := s.cloud.SLO().Health()
+	rep := HealthResponse{HealthReport: s.cloud.SLO().Health()}
+	if l := s.cloud.Intent(); l != nil {
+		if err := l.Failed(); err != nil {
+			rep.Status, rep.Store = "degraded", err.Error()
+		}
+	}
 	code := http.StatusOK
 	if rep.Status != "ok" {
 		// 503 lets dumb probes (curl -f, LB health checks) see degradation

@@ -77,7 +77,9 @@ type backRef struct {
 // declared pool (intent.State.NextGrant) and a release's goes back there
 // in its fold, so no re-grant of it can be journaled ahead of its
 // release. It returns how many ops applied and the first error. refs are
-// in op order.
+// in op order. When the journal fails the frame (intent.ErrFailed) the
+// error is that, whatever the ops did: they are folded and installed but
+// not durable, and the store takes no frame after it.
 //
 // A set_permit's set comes from the declared state (State.PermitSet),
 // which holds one set per distinct entry list: every target that
@@ -116,7 +118,8 @@ func (c *Cloud) apply(tenant string, ops []intent.Op, refs []backRef) (n int, er
 	defer c.shards.unlockShards(held)
 	released := false
 	rec := c.decl.Begin()
-	for r := 0; n < len(ops); n++ {
+	err = c.decl.Failed() // a failed store takes no frame: every write answers its cause
+	for r := 0; err == nil && n < len(ops); n++ {
 		r = resolve(ops, refs, n, r)
 		op := &ops[n]
 		_, v, p, rerr := c.route(tenant, op)
@@ -137,7 +140,9 @@ func (c *Cloud) apply(tenant string, ops []intent.Op, refs []backRef) (n int, er
 		released = released || releases(op.Verb)
 	}
 	stg = sop.StageStart()
-	rec.Record(tenant, ops[:n]...)
+	if _, jerr := rec.Record(tenant, ops[:n]...); jerr != nil {
+		err = jerr // the folded ops are not durable: no caller may ack them
+	}
 	sop.StageEnd(stg, "journal")
 	sop.End(err)
 	if released {

@@ -102,7 +102,9 @@ func (e *BatchError) Unwrap() error { return e.Err }
 // On a validation error it returns nil results with nothing applied: a
 // tenant name intent.CheckTenant refuses, or a *BatchError naming the
 // op. On a runtime error at op i it returns the results of ops
-// [0, i) and a *BatchError with Index i; those ops stay applied. On
+// [0, i) and a *BatchError with Index i; those ops stay applied. When
+// the store's journal fails, or has failed, it returns intent.ErrFailed
+// itself: the ops it reports are applied in memory but not durable. On
 // success it returns one result per op.
 //
 // The static pass types each op once (typed) into a pooled frame of
@@ -139,7 +141,7 @@ func (c *Cloud) ApplyBatch(tenant string, ops []BatchOp) ([]BatchResult, error) 
 			results[i].Addr = f.ops[i].Addr
 		}
 	}
-	if err != nil && n < len(ops) {
+	if err != nil && n < len(ops) && !errors.Is(err, intent.ErrFailed) {
 		err = &BatchError{Index: n, Op: ops[n].Op, Err: err}
 	}
 	return results, err

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
@@ -137,6 +141,66 @@ func TestKillAndRestartEquivalence(t *testing.T) {
 	// Recovered permit state enforces identically.
 	if !c2.Admitted(eip1, sip) {
 		t.Error("recovered world rejects a flow the declared permits admit")
+	}
+}
+
+// TestDNETSNP2StoreUpgrades: a store the build before DNETSNP3 wrote —
+// its DNETSNP2 snapshot and the DNETJNL2 journal tail behind it, checked
+// in under internal/intent/testdata/dnetsnp2 (populate's world, a second
+// tenant whose endpoints and service share one permit list, compacted,
+// then a release, a grant, a set_permit, a permit and a bind) — opens
+// and restores to the digest and the next grants that build's own
+// restart gave. Open upgrades it at once: the snapshot on disk is
+// DNETSNP3 and the journal a bare header when Open returns, and a second
+// Open restores the same world from them.
+func TestDNETSNP2StoreUpgrades(t *testing.T) {
+	const pinnedDigest = "13e353bd87b76c2c3d96f303ddb2c66006b519e747cb2e1b5c08f316a74c9337"
+	dir := t.TempDir()
+	for _, name := range []string{"snapshot.json", "journal.log"} {
+		b, err := os.ReadFile(filepath.Join("..", "intent", "testdata", "dnetsnp2", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for open := 1; open <= 2; open++ {
+		l, err := intent.Open(dir, intent.Options{})
+		if err != nil {
+			t.Fatalf("open %d: %v", open, err)
+		}
+		st := l.State()
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		snap, _ := os.ReadFile(filepath.Join(dir, "snapshot.json"))
+		jnl, _ := os.ReadFile(filepath.Join(dir, "journal.log"))
+		if !bytes.HasPrefix(snap, []byte("DNETSNP3")) || string(jnl) != "DNETJNL2" {
+			t.Fatalf("open %d left a snapshot opening %q and a %d-byte journal, want DNETSNP3 and a bare DNETJNL2 header",
+				open, snap[:min(8, len(snap))], len(jnl))
+		}
+		c, w, _, pb, _ := fig1Cloud(t)
+		if err := c.RestoreIntent(st); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.StateDigest(); got != pinnedDigest {
+			t.Fatalf("open %d restores\n got %s\nwant %s", open, got, pinnedDigest)
+		}
+		if open > 1 {
+			continue
+		}
+		host := func(az string, i int) topo.NodeID { return topo.HostID(w.CloudA, w.RegionsA[0], az, i) }
+		eip1, err1 := c.Tenant("acme").RequestEIP(host("az2", 2))
+		sip, err2 := c.Tenant("beta").RequestSIP(pb.Name)
+		eip2, err3 := c.Tenant("beta").RequestEIP(host("az1", 1))
+		if err := errors.Join(err1, err2, err3); err != nil {
+			t.Fatal(err)
+		}
+		next := []string{eip1.String(), sip.String(), eip2.String()}
+		if want := []string{"100.64.0.4", "104.255.0.2", "100.64.0.9"}; !slices.Equal(next, want) {
+			t.Errorf("next grants %v, want %v", next, want)
+		}
 	}
 }
 
@@ -296,7 +360,10 @@ func TestReleaseThenGrantInOneFrame(t *testing.T) {
 		t.Fatalf("declared record of %s = %+v, %v", x, ep, ok)
 	}
 	want := c.StateDigest()
-	l.Close()
+	// Crash, as in TestKillAndRestartEquivalence: the live world keeps its
+	// open store, whose journal takes its next grant, and a closed one
+	// would refuse it.
+	defer l.Close()
 
 	l2, err := intent.Open(dir, intent.Options{})
 	if err != nil {

@@ -6,7 +6,10 @@ import (
 	"errors"
 	"hash/crc32"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -34,6 +37,8 @@ func FuzzJournalDecode(f *testing.F) {
 		valid.Write(appendFrame(nil, &Record{Seq: uint64(i + 1), Tenant: "acme", Ops: []Op{op}}))
 	}
 	f.Add(valid.Bytes())
+	f.Add(badLengthJournal(33))
+	f.Add(badLengthJournal(-1))
 	f.Add([]byte{})
 	f.Add([]byte("DNETJNL1"))
 	f.Add([]byte("NOTAJNL0xxxxxxxx"))
@@ -89,34 +94,46 @@ func FuzzJournalDecode(f *testing.F) {
 
 // FuzzSnapshotEncode holds the snapshot codec to a round trip on fuzzed
 // content: strings, floats and entry counts are poured into every section
-// of a State, which must decode back from its snapshot to the same bytes
-// and, when encoding/json can render it, the same rendering
-// (checkSnapshotCodec). The strings reach keys as well as values and the
-// string table; the address stride moves the gaps between addresses
-// across varint widths.
+// of a State, which must decode back from its snapshot to the same
+// rendering and re-encode stably (checkSnapshotCodec). The strings reach
+// keys as well as values and the string table; the address stride moves
+// the gaps between addresses across varint widths. Placements repeat
+// every third endpoint, and permit lists are shared by an endpoint and a
+// service or repeated as equal copies; when shared is set the state holds
+// them as a fold does, one value per distinct one (holdRecords), else as
+// distinct pointers.
 func FuzzSnapshotEncode(f *testing.F) {
-	f.Add("acme", "cloudA/a-east/az1/host1", 1e9, 5e8, uint32(0x64400001), uint32(1), uint8(3), uint8(2))
-	f.Add("", "", 0.0, 0.0, uint32(0), uint32(0), uint8(0), uint8(0))
-	f.Fuzz(func(t *testing.T, tenant, vm string, quota, egress float64, first, stride uint32, entries, members uint8) {
+	f.Add("acme", "cloudA/a-east/az1/host1", 1e9, 5e8, uint32(0x64400001), uint32(1), uint8(3), uint8(2), false)
+	f.Add("acme", "cloudA/a-east/az1/host1", 1e9, 5e8, uint32(0x64400001), uint32(1), uint8(9), uint8(2), true)
+	f.Add("", "", 0.0, 0.0, uint32(0), uint32(0), uint8(0), uint8(0), false)
+	f.Fuzz(func(t *testing.T, tenant, vm string, quota, egress float64, first, stride uint32, entries, members uint8, shared bool) {
 		s := NewState()
 		s.Seq = uint64(first)<<8 | uint64(entries)
 		var group []addr.IP
 		for i := 0; i < int(members); i++ {
 			group = append(group, addr.IP(first+uint32(i)*stride))
 		}
+		var prev *addr.PrefixSet
 		for i := 0; i < int(entries); i++ {
 			ip := addr.IP(first + uint32(i)*stride)
 			key := tenant + strconv.Itoa(i)
-			ep := &Endpoint{Placement: &Placement{Tenant: tenant, VM: vm, Provider: key, Region: vm}, EgressCap: egress * float64(i%3)}
+			ep := &Endpoint{Placement: &Placement{Tenant: tenant, VM: vm, Provider: tenant + strconv.Itoa(i%3), Region: vm}, EgressCap: egress * float64(i%3)}
 			svc := &Service{Tenant: tenant, Provider: vm}
 			var permits []addr.Prefix
 			for _, m := range group[:i%(len(group)+1)] {
 				svc.Binds = append(svc.Binds, Bind{EIP: m, Weight: i})
 				permits = append(permits, addr.NewPrefix(m, i%33))
 			}
-			if permits != nil || i%2 == 0 {
+			switch {
+			case i%4 == 3 && prev != nil:
+				ep.Permits = addr.AdoptPrefixSet(slices.Clone(prev.Entries())) // an equal copy
+			case permits != nil || i%2 == 0:
 				ep.Permits = addr.AdoptPrefixSet(permits)
 			}
+			if i%3 == 1 {
+				svc.Permits = ep.Permits
+			}
+			prev = ep.Permits
 			s.Endpoints.Put(ip, ep)
 			s.Services.Put(ip>>uint(i%32), svc)
 			s.Quotas[key] = quota * float64(i)
@@ -130,6 +147,9 @@ func FuzzSnapshotEncode(f *testing.F) {
 			s.Groups[tenant] = nil
 			s.Groups[vm] = []addr.IP{}
 			s.SIPPools[tenant] = &PoolState{}
+		}
+		if shared {
+			holdRecords(s)
 		}
 		checkSnapshotCodec(t, s)
 	})
@@ -197,14 +217,30 @@ func FuzzSnapshotDecode(f *testing.F) {
 	flipped[len(flipped)/2] ^= 0x10
 	f.Add(flipped)
 	// Lying counts, each behind a correct checksum: a meta section, a
-	// string and a permit list claiming far more than the file holds.
+	// string and a permit list claiming far more than the file holds —
+	// inline in an endpoint record, and in DNETSNP2's permits section.
 	for _, lie := range [][]byte{
 		binary.AppendUvarint(binary.AppendUvarint(bytes.Clone(snapshotMagic), 1), 1<<40),
 		binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(bytes.Clone(snapshotMagic), 1), 1), 1<<30),
-		append(bytes.Clone(snapshotMagic), 1, 0, 0, 0, 1, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f),
+		append(bytes.Clone(snapshotMagic), 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0x7f),
+		append(bytes.Clone(snapshotV2Magic), 1, 0, 0, 0, 1, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f),
 	} {
 		f.Add(binary.LittleEndian.AppendUint32(lie, crc32.ChecksumIEEE(lie)))
 	}
+	// Prefix lengths no writer produces, and the DNETSNP2 store Open
+	// upgrades.
+	for _, n := range []int{33, -1} {
+		bad, err := encodeBytes(badLengthState(n))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bad)
+	}
+	v2, err := os.ReadFile(filepath.Join("testdata", "dnetsnp2", snapshotName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats

@@ -26,10 +26,13 @@ type Placement struct {
 // what is declared and nothing else. A record holds the table's pointer:
 // equal lists are one *addr.PrefixSet and equal placements one
 // *Placement however the records were built — a fold, a replayed frame
-// or a decoded snapshot. Only the fold's writer (under the log's lock)
-// and the decoder touch it.
+// or a decoded snapshot. A held set's count is found by its pointer, so
+// holding or dropping a set the table handed out hashes one word; only a
+// list it does not hold yet is encoded and looked up by its entries. Only
+// the fold's writer (under the log's lock) and the decoder touch it.
 type interns struct {
-	sets   map[string]*heldSet
+	sets   map[string]*heldSet          // by the list's key (keyOf)
+	bySet  map[*addr.PrefixSet]*heldSet // the same entries, by the held set
 	places map[Placement]*heldPlace
 
 	scratch []addr.Prefix // the list being canonicalized or edited
@@ -114,37 +117,47 @@ func (t *interns) hold(set *addr.PrefixSet) *addr.PrefixSet {
 	if set == nil {
 		return nil
 	}
-	if h := t.sets[string(t.keyOf(set.Entries()))]; h != nil {
+	return t.holdEntry(set).set
+}
+
+// holdEntry is hold for a non-nil set, returning the table's entry.
+func (t *interns) holdEntry(set *addr.PrefixSet) *heldSet {
+	h := t.bySet[set]
+	if h == nil {
+		h = t.sets[string(t.keyOf(set.Entries()))]
+	}
+	if h != nil {
 		h.n++
-		return h.set
+		return h
 	}
 	if t.sets == nil {
-		t.sets = make(map[string]*heldSet)
+		t.sets, t.bySet = make(map[string]*heldSet), make(map[*addr.PrefixSet]*heldSet)
 	}
-	h := &heldSet{set: set, key: string(t.key), n: 1}
-	t.sets[h.key] = h
-	return set
+	h = &heldSet{set: set, key: string(t.key), n: 1}
+	t.sets[h.key], t.bySet[set] = h, h
+	return h
 }
 
 // drop counts one record fewer holding set, which leaves the table with
 // its last holder. A set the table did not hand out (a record built
 // outside a fold) was never counted.
 func (t *interns) drop(set *addr.PrefixSet) {
-	if set == nil {
-		return
-	}
-	if h := t.sets[string(t.keyOf(set.Entries()))]; h != nil && h.set == set {
+	if h := t.bySet[set]; h != nil {
 		if h.n--; h.n == 0 {
 			delete(t.sets, h.key)
+			delete(t.bySet, set)
 		}
 	}
 }
 
 // place is hold for a placement: the held *Placement equal to p.
-func (t *interns) place(p Placement) *Placement {
+func (t *interns) place(p Placement) *Placement { return t.placeEntry(p).p }
+
+// placeEntry is place, returning the table's entry.
+func (t *interns) placeEntry(p Placement) *heldPlace {
 	if h := t.places[p]; h != nil {
 		h.n++
-		return h.p
+		return h
 	}
 	if t.places == nil {
 		t.places = make(map[Placement]*heldPlace)
@@ -152,7 +165,7 @@ func (t *interns) place(p Placement) *Placement {
 	h := &heldPlace{p: new(Placement), n: 1} // a fresh copy: taking &p would move every call's p to the heap
 	*h.p = p
 	t.places[p] = h
-	return h.p
+	return h
 }
 
 // unplace is drop for a placement.
@@ -170,9 +183,11 @@ func (t *interns) unplace(p *Placement) {
 // clone copies the tables — their values are immutable and shared — for
 // a State whose records share this one's.
 func (t *interns) clone() interns {
-	c := interns{sets: maps.Clone(t.sets), places: maps.Clone(t.places)}
-	for k, h := range c.sets {
-		c.sets[k] = &heldSet{set: h.set, key: h.key, n: h.n}
+	c := interns{sets: make(map[string]*heldSet, len(t.sets)), bySet: make(map[*addr.PrefixSet]*heldSet, len(t.bySet)),
+		places: maps.Clone(t.places)}
+	for k, h := range t.sets {
+		h := &heldSet{set: h.set, key: h.key, n: h.n}
+		c.sets[k], c.bySet[h.set] = h, h
 	}
 	for k, h := range c.places {
 		c.places[k] = &heldPlace{p: h.p, n: h.n}

@@ -270,3 +270,54 @@ func TestDNETJNL1JournalIsRefused(t *testing.T) {
 	writeStoreFile(t, dir, journalName, v1)
 	openRefused(t, dir, `"DNETJNL1"`, lastUpgrade)
 }
+
+// badLengthJournal is a journal whose second frame, checksummed like any
+// other, declares a permit entry of prefix length n.
+func badLengthJournal(n int) []byte {
+	b := append([]byte(nil), journalMagic...)
+	b = appendFrame(b, &Record{Seq: 1, Tenant: "acme", Ops: []Op{{Verb: OpRequestEIP, VM: "vm", Provider: "p", Region: "r", Addr: 0x64400001}}})
+	return appendFrame(b, &Record{Seq: 2, Tenant: "acme", Ops: []Op{{Verb: OpSetPermit, Target: 0x64400001,
+		Entries: []addr.Prefix{{Addr: 0x0a000000, Len: n}}}}})
+}
+
+// TestJournalPrefixLengthIsRefused: a frame declaring a permit entry
+// whose prefix length lies outside 0–32 is a malformed frame, however
+// good its checksum: replay stops before it, and Open cuts the journal
+// there, keeping the frames before it. The fold refuses such an entry
+// too, so no writer journals one.
+func TestJournalPrefixLengthIsRefused(t *testing.T) {
+	for _, n := range []int{33, -1} {
+		l, err := Open(t.TempDir(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		grant := Op{Verb: OpRequestEIP, VM: "vm", Provider: "p", Region: "r", Addr: 0x64400001}
+		bad := Op{Verb: OpSetPermit, Target: 0x64400001, Entries: []addr.Prefix{{Addr: 0x0a000000, Len: n}}}
+		if l.Record("acme", grant) == 0 || l.Record("acme", bad) != 0 {
+			t.Errorf("/%d: the fold took a permit entry replay refuses", n)
+		}
+		l.Close()
+
+		j := badLengthJournal(n)
+		recs, off, err := DecodeJournal(bytes.NewReader(j))
+		var ce *CorruptError
+		if len(recs) != 1 || !asCorrupt(err, &ce) || !strings.Contains(ce.Reason, fmt.Sprintf("prefix length %d", n)) {
+			t.Fatalf("/%d: decoded %d records, error %v; want 1 and the prefix length named", n, len(recs), err)
+		}
+		dir := t.TempDir()
+		writeStoreFile(t, dir, journalName, j)
+		l, err = Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := l.Stats()
+		ep, _ := l.Endpoint(0x64400001)
+		l.Close()
+		if st.ReplayedRecords != 1 || !st.TailTruncated || ep == nil || ep.Permits != nil {
+			t.Errorf("/%d: Open replayed %d records (cut %v), endpoint %+v; want the grant alone, the frame cut", n, st.ReplayedRecords, st.TailTruncated, ep)
+		}
+		if fi, err := os.Stat(filepath.Join(dir, journalName)); err != nil || fi.Size() != off {
+			t.Errorf("/%d: journal not cut to its %d valid bytes: %v", n, off, err)
+		}
+	}
+}

@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"declnet/internal/addr"
 )
@@ -78,7 +79,7 @@ type Options struct {
 const (
 	journalName = "journal.log"
 	// snapshotName is the name the snapshot had when it was JSON, kept
-	// because tools outside the store stat it: the file holds DNETSNP2.
+	// because tools outside the store stat it: the file holds DNETSNP3.
 	snapshotName = "snapshot.json"
 	// lastUpgrade is the last commit whose Open reads a store written in
 	// the formats before DNETJNL2 and DNETSNP2 — a DNETJNL1 journal of
@@ -104,7 +105,22 @@ type Log struct {
 	lastErr      error
 	replayed     int  // journal records folded at Open
 	replayCut    bool // true if Open truncated a corrupt tail
+	// failed holds the first journal write or fsync that failed
+	// (ErrFailed): the log folds and journals no frame after it, and never
+	// fsyncs the journal's file again. Written under mu, read without it
+	// (Failed).
+	failed atomic.Pointer[error]
+	// hook, set only by tests, fails the journal's write or fsync it is
+	// called for ("write", "fsync") before the call reaches the file.
+	hook func(op string) error
 }
+
+// ErrFailed is what every writer of a failed log is refused with, wrapped
+// with the failed call and its cause: a journal write or fsync failed, so
+// the frame that met it and every frame after it are not durable. The
+// store takes writes again after a restart, which recovers the durable
+// prefix.
+var ErrFailed = errors.New("intent: the journal failed; the store takes no writes until restart")
 
 // Stats is a point-in-time summary for /v1/snapshot and declnetctl.
 type Stats struct {
@@ -125,7 +141,10 @@ type Stats struct {
 // written atomically (tmp + rename), so corruption there means
 // something other than a crash went wrong. A store file in a format
 // other than the one this build writes is refused and left as it is
-// (see checkFormat): Open reads DNETSNP2 and DNETJNL2 only.
+// (see checkFormat): Open reads DNETSNP3 and DNETJNL2, and a DNETSNP2
+// snapshot only to upgrade it — after replaying the journal beside it,
+// it compacts at once, so the store is DNETSNP3 on disk when Open
+// returns.
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SyncEvery <= 0 {
 		opts.SyncEvery = 64
@@ -134,51 +153,63 @@ func Open(dir string, opts Options) (*Log, error) {
 		return nil, fmt.Errorf("intent: %w", err)
 	}
 	l := &Log{dir: dir, opts: opts, st: NewState()}
-	if err := l.loadSnapshot(); err != nil {
+	upgrade, err := l.loadSnapshot()
+	if err != nil {
 		return nil, err
 	}
-
 	f, err := os.OpenFile(filepath.Join(dir, journalName), os.O_APPEND|os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("intent: %w", err)
 	}
 	l.f = f
+	if err := l.replay(); err != nil {
+		f.Close()
+		return nil, err
+	}
+	if upgrade {
+		if err := l.compactLocked(); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("intent: upgrading the %s snapshot: %w", snapshotV2Magic, err)
+		}
+	}
+	return l, nil
+}
 
+// replay folds the journal into State, cutting a corrupt tail; a new or
+// empty journal gets its header and, when Options.Meta stamps the world's
+// identity, that as its first record.
+func (l *Log) replay() error {
+	f, opts := l.f, l.opts
 	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("intent: %w", err)
+		return fmt.Errorf("intent: %w", err)
 	}
 	if size == 0 {
 		if err := l.writeHeaderLocked(); err != nil {
-			f.Close()
-			return nil, err
+			return err
 		}
 		if len(opts.Meta) > 0 {
 			// Stamp world identity as the journal's first record.
-			l.mu.Lock()
 			l.st.Meta = maps.Clone(opts.Meta)
-			l.appendLocked("", nil, opts.Meta)
-			l.mu.Unlock()
+			if _, err := l.appendLocked("", nil, opts.Meta); err != nil {
+				return err
+			}
 		}
-		return l, nil
+		return nil
 	}
 
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("intent: %w", err)
+		return fmt.Errorf("intent: %w", err)
 	}
 	br := bufio.NewReaderSize(f, 1<<20)
 	hdr, _ := br.Peek(len(journalMagic))
 	if err := l.checkFormat(journalName, hdr, journalMagic); err != nil {
-		f.Close()
-		return nil, err
+		return err
 	}
 	recs, off, decErr := DecodeJournal(br)
 	for i := range recs {
 		if err := l.st.Apply(&recs[i]); err != nil {
-			f.Close()
-			return nil, err
+			return err
 		}
 	}
 	l.replayed = len(recs)
@@ -187,49 +218,49 @@ func Open(dir string, opts Options) (*Log, error) {
 		// Cut the corrupt tail so O_APPEND writes land right after the
 		// last whole frame.
 		if err := f.Truncate(off); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("intent: truncating corrupt tail: %w", err)
+			return fmt.Errorf("intent: truncating corrupt tail: %w", err)
 		}
 		if off < int64(len(journalMagic)) {
 			// Even the header was bad; rewrite it.
 			if err := l.writeHeaderLocked(); err != nil {
-				f.Close()
-				return nil, err
+				return err
 			}
 		}
 	}
 	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("intent: %w", err)
+		return fmt.Errorf("intent: %w", err)
 	}
-	return l, nil
+	return nil
 }
 
 // loadSnapshot removes the temporary file a crash mid-compaction left
-// behind and loads the snapshot, refusing one in another format.
-func (l *Log) loadSnapshot() error {
+// behind and loads the snapshot, refusing one in another format; upgrade
+// is true for a DNETSNP2 one, which Open replaces at once.
+func (l *Log) loadSnapshot() (upgrade bool, err error) {
 	path := filepath.Join(l.dir, snapshotName)
 	_ = os.Remove(path + ".tmp") // one that stays fails the next compaction, which counts it
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil
+		return false, nil
 	} else if err != nil {
-		return fmt.Errorf("intent: %w", err)
+		return false, fmt.Errorf("intent: %w", err)
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err == nil {
 		magic := make([]byte, len(snapshotMagic))
 		n, _ := f.ReadAt(magic, 0)
-		if err = l.checkFormat(snapshotName, magic[:n], snapshotMagic); err != nil {
-			return err
+		if upgrade = bytes.Equal(magic[:n], snapshotV2Magic); !upgrade {
+			if err = l.checkFormat(snapshotName, magic[:n], snapshotMagic); err != nil {
+				return false, err
+			}
 		}
 		l.st, err = decodeSnapshot(f, fi.Size())
 	}
 	if err != nil {
-		return fmt.Errorf("intent: snapshot corrupt: %w", err)
+		return false, fmt.Errorf("intent: snapshot corrupt: %w", err)
 	}
-	return nil
+	return upgrade, nil
 }
 
 // checkFormat refuses a store file whose header names a format other
@@ -247,8 +278,12 @@ func (l *Log) checkFormat(name string, hdr, want []byte) error {
 	default:
 		return nil
 	}
-	return fmt.Errorf("intent: %s is in format %s, and this build reads only %q (commit %s is the last to upgrade a DNETJNL1 journal or a JSON snapshot)",
-		filepath.Join(l.dir, name), format, want, lastUpgrade)
+	reads := fmt.Sprintf("%q", want)
+	if bytes.Equal(want, snapshotMagic) {
+		reads += fmt.Sprintf(" (and %q, to upgrade it)", snapshotV2Magic)
+	}
+	return fmt.Errorf("intent: %s is in format %s, and this build reads only %s (commit %s is the last to upgrade a DNETJNL1 journal or a JSON snapshot)",
+		filepath.Join(l.dir, name), format, reads, lastUpgrade)
 }
 
 // syncDir makes the directory entries of dir durable: a rename in it
@@ -304,9 +339,15 @@ func (l *Log) Begin() Frame {
 func (f Frame) State() *State { return f.l.st }
 
 // Fold applies one op to State. It refuses, changing nothing, only an op
-// no journal could hold (State.Apply's errors); the writer checks
-// ownership and operands against State first.
-func (f Frame) Fold(tenant string, op *Op) error { return f.l.st.applyOp(tenant, op) }
+// no journal could hold (State.Apply's errors) and every op once the log
+// has failed (Failed); the writer checks ownership and operands against
+// State first.
+func (f Frame) Fold(tenant string, op *Op) error {
+	if err := f.l.Failed(); err != nil {
+		return err
+	}
+	return f.l.st.applyOp(tenant, op)
+}
 
 // Record journals the folded ops as one frame, under the next sequence
 // number, and releases the lock. It returns that number (0 when ops is
@@ -314,20 +355,25 @@ func (f Frame) Fold(tenant string, op *Op) error { return f.l.st.applyOp(tenant,
 // returns — State holds what the ops point at (entry sets), never the ops
 // themselves — so a caller may reuse the slice for its next frame.
 //
-// Append errors are counted, not returned: the mutation is already
-// declared and cannot be unwound here. Stats surfaces them; an operator
-// seeing append_errors > 0 knows the journal has a hole from that point.
-func (f Frame) Record(tenant string, ops ...Op) uint64 {
+// A frame whose journal write or fsync (under the sync policy's schedule)
+// fails returns ErrFailed, and the log takes no frame after it. Its ops
+// are folded already and cannot be unwound here, so a reader may see
+// them until a restart recovers the durable prefix; its writer must not
+// acknowledge them. A failed inline compaction is only counted (Stats):
+// the journal still holds every frame.
+func (f Frame) Record(tenant string, ops ...Op) (uint64, error) {
 	defer f.l.mu.Unlock()
 	if len(ops) == 0 {
-		return 0
+		return 0, nil
 	}
 	return f.l.appendLocked(tenant, ops, nil)
 }
 
 // Record folds ops into State and journals them as one frame, in one
 // hold of the lock: a Frame with no checks. An op State refuses ends the
-// frame there, and the ops before it are journaled.
+// frame there, and the ops before it are journaled. It returns the
+// frame's sequence number, or 0 when nothing was journaled: no op folded,
+// or the journal failed (Failed says why).
 func (l *Log) Record(tenant string, ops ...Op) uint64 {
 	f := l.Begin()
 	for i := range ops {
@@ -336,37 +382,31 @@ func (l *Log) Record(tenant string, ops ...Op) uint64 {
 			break
 		}
 	}
-	return f.Record(tenant, ops...)
+	seq, _ := f.Record(tenant, ops...)
+	return seq
 }
 
-func (l *Log) appendLocked(tenant string, ops []Op, meta map[string]string) uint64 {
+func (l *Log) appendLocked(tenant string, ops []Op, meta map[string]string) (uint64, error) {
+	if err := l.Failed(); err != nil {
+		return 0, err
+	}
 	rec := Record{Seq: l.st.Seq + 1, Tenant: tenant, Ops: ops, Meta: meta}
 	l.st.Seq = rec.Seq
 	if l.dir == "" {
-		return rec.Seq
+		return rec.Seq, nil
 	}
 	l.buf = appendFrame(l.buf[:0], &rec)
-	var err error
-	if l.f == nil {
-		err = errors.New("intent: log closed")
-	} else {
-		_, err = l.f.Write(l.buf)
-	}
-	if err != nil {
-		l.appendErrs++
-		l.lastErr = err
-		return rec.Seq
+	if err := l.write(l.buf); err != nil {
+		return 0, l.fail("write", err)
 	}
 	l.records++
 	l.sinceSync++
 	l.sinceCompact++
-	switch l.opts.Sync {
-	case SyncAlways:
-		l.syncLocked()
-	case SyncInterval:
-		if l.sinceSync >= l.opts.SyncEvery {
-			l.syncLocked()
+	if l.opts.Sync == SyncAlways || l.opts.Sync == SyncInterval && l.sinceSync >= l.opts.SyncEvery {
+		if err := l.sync(); err != nil {
+			return 0, l.fail("fsync", err)
 		}
+		l.sinceSync = 0
 	}
 	if l.opts.CompactEvery > 0 && l.sinceCompact >= l.opts.CompactEvery {
 		// Counted from the attempt: on a failing disk the retry comes a
@@ -377,19 +417,53 @@ func (l *Log) appendLocked(tenant string, ops []Op, meta map[string]string) uint
 			l.lastErr = err
 		}
 	}
-	return rec.Seq
+	return rec.Seq, nil
 }
 
-func (l *Log) syncLocked() {
+// write and sync are the journal's two calls on its file.
+func (l *Log) write(b []byte) error {
 	if l.f == nil {
-		return
+		return errors.New("intent: log closed")
 	}
-	if err := l.f.Sync(); err != nil {
-		l.appendErrs++
-		l.lastErr = err
-		return
+	if l.hook != nil {
+		if err := l.hook("write"); err != nil {
+			return err
+		}
 	}
-	l.sinceSync = 0
+	_, err := l.f.Write(b)
+	return err
+}
+
+func (l *Log) sync() error {
+	if l.hook != nil {
+		if err := l.hook("fsync"); err != nil {
+			return err
+		}
+	}
+	return l.f.Sync()
+}
+
+// fail latches the log as failed at its first failed journal call and
+// returns the latched error. After an fsync error the kernel may have
+// dropped the dirty pages and report the next fsync of the file as a
+// success, so no fsync of it is trusted again: the log calls none.
+func (l *Log) fail(call string, err error) error {
+	l.appendErrs++
+	l.lastErr = err
+	if l.Failed() == nil {
+		failed := fmt.Errorf("%w (journal %s: %w)", ErrFailed, call, err)
+		l.failed.Store(&failed)
+	}
+	return l.Failed()
+}
+
+// Failed returns the journal write or fsync that failed the log
+// (ErrFailed), or nil: the cause /v1/health names. It takes no lock.
+func (l *Log) Failed() error {
+	if err := l.failed.Load(); err != nil {
+		return *err
+	}
+	return nil
 }
 
 // Compact snapshots State atomically (tmp + fsync + rename + directory
@@ -408,6 +482,9 @@ func (l *Log) compactLocked() error {
 	}
 	if l.f == nil {
 		return errors.New("intent: log closed")
+	}
+	if err := l.Failed(); err != nil {
+		return err // the state holds the failed frame, which no snapshot may make durable
 	}
 	tmp := filepath.Join(l.dir, snapshotName+".tmp")
 	tf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -638,15 +715,19 @@ func (l *Log) Stats() Stats {
 // Dir returns the store's root directory.
 func (l *Log) Dir() string { return l.dir }
 
-// Close syncs and closes the journal file. The store stays readable
-// via State but further Records will count append errors.
+// Close syncs and closes the journal file — after a failed fsync it
+// only closes it. The store stays readable via State but further Records
+// will count append errors.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
 		return nil
 	}
-	err := l.f.Sync()
+	var err error
+	if l.Failed() == nil {
+		err = l.f.Sync()
+	}
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}

@@ -1,34 +1,48 @@
 // The snapshot codec. The snapshot holds the declared world in what it
-// costs to say: most endpoints share a handful of tenant, VM, provider and
-// region strings and most permit lists are one of a few distinct lists, so
-// each string and each distinct list is written once and referred to by
-// index after that. The layout, every integer a varint and every float a
-// uvarint of its byte-reversed bits (gob's form: 0 is one byte):
+// costs to say, written from what the state already holds once: most
+// endpoints share one of a few placements (tenant, VM, provider, region)
+// and most permit lists are one of a few distinct lists, so each
+// placement, each string and each distinct list is written once and
+// referred to by index after that. The layout, every integer a varint and
+// every float a uvarint of its byte-reversed bits (gob's form: 0 is one
+// byte):
 //
-//	"DNETSNP2"
+//	"DNETSNP3"
 //	seq
 //	meta                      string-keyed section
-//	endpoints                 address-keyed section
-//	services                  address-keyed section
-//	permits                   address-keyed section, of the lists the
-//	                          endpoints and services above hold
+//	endpoints                 address-keyed section; each record a
+//	                          placement reference, the egress cap and a
+//	                          permit-list reference
+//	services                  address-keyed section; each record the
+//	                          tenant and provider string references, the
+//	                          binds and a permit-list reference
 //	quotas, potato, groups, names, eip_pools, sip_pools
 //	CRC32 (IEEE, little-endian) of every byte before it
 //
 // An address-keyed section is a count, then each entry in ascending
 // address order, its address written as the gap from the one before. A
 // string-keyed section is a count, then each entry in key order, its key
-// a length-prefixed string. A string or permit-list reference is an index
+// a length-prefixed string. A string or placement reference is an index
 // into a table both ends build as they go: the first reference to a value
-// is the table's length, followed by the value itself. A slice that may be
-// nil is its length plus one, 0 meaning nil.
+// is the table's length, followed by the value itself (a placement's four
+// string references). A permit-list reference is 0 for no list, else one
+// more than the list's index in its table, the first reference followed
+// by the list: its length, then each entry's address and length. A slice
+// that may be nil is its length plus one, 0 meaning nil.
+//
+// The encoder keys its placement and list tables by the state's own
+// pointers, so it hashes no string or list per record; the decoder holds
+// each distinct placement and list once in the state's tables (interns)
+// and counts each later reference to one without a lookup.
 //
 // Neither direction holds a second copy of the world: the encoder appends
 // one entry at a time into a buffer it hands to the file every spillAt
 // bytes, and the decoder reads through a bufio.Reader. The journal's
 // frames (journal.go) are written and read with the same encoder and
-// decoder. This is the only snapshot format the store reads: Open refuses
-// the JSON one before it (see checkFormat).
+// decoder. The decoder also reads DNETSNP2, the format before — each
+// endpoint's four string references, the lists in a permits section of
+// their own after the services — only for Open to upgrade the store it
+// finds one in; Open refuses every other format (see checkFormat).
 package intent
 
 import (
@@ -47,7 +61,11 @@ import (
 )
 
 // snapshotMagic opens every snapshot file: format name plus version.
-var snapshotMagic = []byte("DNETSNP2")
+// snapshotV2Magic is the format before, which Open reads only to upgrade.
+var (
+	snapshotMagic   = []byte("DNETSNP3")
+	snapshotV2Magic = []byte("DNETSNP2")
+)
 
 // spillAt is how many pending bytes the encoder hands to its writer at a
 // time: the file's write size.
@@ -56,37 +74,25 @@ const spillAt = 64 << 10
 // encoder appends the codec's primitives to b. A frame encoder uses b
 // alone; a snapshot's also the rest.
 type encoder struct {
-	w     io.Writer
-	b     []byte            // bytes not yet handed to w
-	sum   uint32            // CRC32 of the bytes handed to w
-	keys  []addr.IP         // the permits section's targets
-	strs  map[string]uint64 // the string table
-	lists map[string]uint64 // the permit-list table, keyed by each list's encoding
-	list  []byte            // the permit list being looked up
-	err   error             // the first write error or unencodable entry
+	w      io.Writer
+	b      []byte                     // bytes not yet handed to w
+	sum    uint32                     // CRC32 of the bytes handed to w
+	strs   map[string]uint64          // the string table
+	places map[*Placement]uint64      // the placement table
+	sets   map[*addr.PrefixSet]uint64 // the permit-list table
+	err    error                      // the first write error or unencodable entry
 }
 
 // encodeSnapshot streams s to w and returns the first write error, or the
 // first entry Apply could not have stored (a nil one).
 func (s *State) encodeSnapshot(w io.Writer) error {
-	e := &encoder{w: w, b: make([]byte, 0, spillAt+4<<10), strs: map[string]uint64{}, lists: map[string]uint64{}}
+	e := &encoder{w: w, b: make([]byte, 0, spillAt+4<<10), strs: map[string]uint64{},
+		places: map[*Placement]uint64{}, sets: map[*addr.PrefixSet]uint64{}}
 	e.b = append(e.b, snapshotMagic...)
 	e.uvarint(s.Seq)
 	stringSection(e, s.Meta, e.text)
 	addrSection(e, s.Endpoints, e.endpoint)
 	addrSection(e, s.Services, e.service)
-	e.keys = mergeAscending(
-		permitted(slices.Grow(e.keys[:0], s.Endpoints.Len()), s.Endpoints, func(ep *Endpoint) bool { return ep.Permits != nil }),
-		permitted(nil, s.Services, func(svc *Service) bool { return svc.Permits != nil }))
-	e.uvarint(uint64(len(e.keys)))
-	var prev addr.IP
-	for _, ip := range e.keys {
-		e.uvarint(uint64(ip - prev))
-		prev = ip
-		pl, _ := s.Permit(ip)
-		e.permitList(pl)
-		e.spill(spillAt)
-	}
 	stringSection(e, s.Quotas, e.float)
 	stringSection(e, s.Potato, e.text)
 	stringSection(e, s.Groups, e.addrs)
@@ -125,18 +131,6 @@ func addrSection[V any](e *encoder, t *addr.Table[*V], value func(*V)) {
 	})
 }
 
-// permitted appends to keys, in address order, the addresses of t whose
-// record declares a permit list (has reports whether it does).
-func permitted[V any](keys []addr.IP, t *addr.Table[*V], has func(*V) bool) []addr.IP {
-	t.Ascend(0, func(ip addr.IP, v *V) bool {
-		if v != nil && has(v) {
-			keys = append(keys, ip)
-		}
-		return true
-	})
-	return keys
-}
-
 // some writes *v, or fails the encode: Apply never stores a nil entry.
 func some[V any](e *encoder, v *V, value func(*V)) {
 	if v != nil {
@@ -173,15 +167,21 @@ func (e *encoder) text(s string) {
 // float writes f as gob does, so 0 takes one byte and a round number a few.
 func (e *encoder) float(f float64) { e.uvarint(bits.ReverseBytes64(math.Float64bits(f))) }
 
+// index writes k's index in table, plus base, and reports whether k was
+// in it; a new k joins the table, and the caller writes its value next.
+func index[K comparable](e *encoder, table map[K]uint64, k K, base uint64) (seen bool) {
+	i, seen := table[k]
+	if !seen {
+		i = uint64(len(table))
+		table[k] = i
+	}
+	e.uvarint(base + i)
+	return seen
+}
+
 // ref writes s as a string-table reference.
 func (e *encoder) ref(s string) {
-	i, seen := e.strs[s]
-	if !seen {
-		i = uint64(len(e.strs))
-		e.strs[s] = i
-	}
-	e.uvarint(i)
-	if !seen {
+	if !index(e, e.strs, s, 0) {
 		e.text(s)
 	}
 }
@@ -203,11 +203,19 @@ func (e *encoder) addrs(ips []addr.IP) {
 }
 
 func (e *encoder) endpoint(ep *Endpoint) {
-	e.ref(ep.Tenant)
-	e.ref(ep.VM)
-	e.ref(ep.Provider)
-	e.ref(ep.Region)
+	some(e, ep.Placement, e.placement)
 	e.float(ep.EgressCap)
+	e.permits(ep.Permits)
+}
+
+// placement writes a placement-table reference.
+func (e *encoder) placement(p *Placement) {
+	if !index(e, e.places, p, 0) {
+		e.ref(p.Tenant)
+		e.ref(p.VM)
+		e.ref(p.Provider)
+		e.ref(p.Region)
+	}
 }
 
 func (e *encoder) service(svc *Service) {
@@ -218,21 +226,15 @@ func (e *encoder) service(svc *Service) {
 		e.addr(b.EIP)
 		e.b = binary.AppendVarint(e.b, int64(b.Weight))
 	}
+	e.permits(svc.Permits)
 }
 
-// permitList writes the tenant and a permit-list-table reference. A list
-// is its length, then each entry's address and length.
-func (e *encoder) permitList(pl PermitList) {
-	e.ref(pl.Tenant)
-	e.list = appendPrefixes(e.list[:0], pl.Entries)
-	i, seen := e.lists[string(e.list)]
-	if !seen {
-		i = uint64(len(e.lists))
-		e.lists[string(e.list)] = i
-	}
-	e.uvarint(i)
-	if !seen {
-		e.b = append(e.b, e.list...)
+// permits writes a permit-list reference: 0 for no list.
+func (e *encoder) permits(set *addr.PrefixSet) {
+	if set == nil {
+		e.uvarint(0)
+	} else if !index(e, e.sets, set, 1) {
+		e.b = appendPrefixes(e.b, set.Entries())
 	}
 }
 
@@ -252,33 +254,42 @@ func (e *encoder) pool(ps *PoolState) {
 // decoder reads the codec's primitives from r: a snapshot file, or one
 // journal frame's payload.
 type decoder struct {
-	r     *bufio.Reader
-	lim   *io.LimitedReader // the payload, beneath r
-	buf   []byte            // the string being read
-	strs  []string
-	lists []*addr.PrefixSet
-	seen  map[string]string // the strings read so far, when the caller keeps one copy of each
-	held  *interns          // the snapshot's state's table
-	err   error             // the first thing wrong; every read after it returns zero
+	r      *bufio.Reader
+	lim    *io.LimitedReader // the payload, beneath r
+	buf    []byte            // the string being read
+	strs   []string
+	places []*heldPlace      // the placement table, held in the state's
+	sets   []*heldSet        // the permit-list table, held in the state's
+	seen   map[string]string // the strings read so far, when the caller keeps one copy of each
+	held   *interns          // the snapshot's state's table
+	err    error             // the first thing wrong; every read after it returns zero
 }
 
-// decodeSnapshot reads a binary snapshot of size bytes. Any input is safe: a
-// count larger than the bytes left to hold it, an index past its table, an
-// address past 32 bits or a checksum that does not match is an error, and
-// nothing is allocated that the input's size does not bound.
+// decodeSnapshot reads a binary snapshot of size bytes, DNETSNP3 or the
+// DNETSNP2 Open upgrades. Any input is safe: a count larger than the bytes
+// left to hold it, an index past its table, an address past 32 bits, a
+// prefix length past 32 or a checksum that does not match is an error,
+// and nothing is allocated that the input's size does not bound.
 func decodeSnapshot(r io.Reader, size int64) (*State, error) {
 	sum := crc32.NewIEEE()
 	d := &decoder{lim: &io.LimitedReader{R: r, N: max(size-4, 0)}}
 	d.r = bufio.NewReaderSize(io.TeeReader(d.lim, sum), 64<<10)
-	if magic := d.read(len(snapshotMagic)); d.err == nil && !bytes.Equal(magic, snapshotMagic) {
+	magic := d.read(len(snapshotMagic))
+	v2 := bytes.Equal(magic, snapshotV2Magic)
+	if d.err == nil && !v2 && !bytes.Equal(magic, snapshotMagic) {
 		return nil, fmt.Errorf("bad magic %q", magic)
 	}
 	s := &State{Seq: d.uvarint()}
 	d.held = &s.held
 	s.Meta = decodeStrings(d, d.text)
-	s.Endpoints = decodeAddrs(d, d.endpoint)
-	s.Services = decodeAddrs(d, d.service)
-	d.permits(s)
+	if v2 {
+		s.Endpoints = decodeAddrs(d, d.endpointV2)
+		s.Services = decodeAddrs(d, d.serviceV2)
+		d.permitsV2(s)
+	} else {
+		s.Endpoints = decodeAddrs(d, d.endpoint)
+		s.Services = decodeAddrs(d, d.service)
+	}
 	s.Quotas = decodeStrings(d, d.float)
 	s.Potato = decodeStrings(d, d.text)
 	s.Groups = decodeStrings(d, d.addrs)
@@ -430,24 +441,6 @@ func (d *decoder) keyed(n int, value func(addr.IP)) {
 	}
 }
 
-// permits reads the permits section into the records decoded before it:
-// each list must belong to an endpoint or service of its tenant, which
-// holds the state's set for it — one per distinct list, even where the
-// file lists one twice.
-func (d *decoder) permits(s *State) {
-	d.keyed(d.count(), func(ip addr.IP) {
-		tenant, list := ref(d, &d.strs, d.text), ref(d, &d.lists, d.set)
-		ep, _ := s.Endpoints.Get(ip)
-		if svc, _ := s.Services.Get(ip); ep != nil && ep.Tenant == tenant {
-			ep.Permits = s.held.hold(list)
-		} else if ep == nil && svc != nil && svc.Tenant == tenant {
-			svc.Permits = s.held.hold(list)
-		} else {
-			d.fail("permit list for %s, which tenant %q holds no record of", ip, tenant)
-		}
-	})
-}
-
 func decodeStrings[V any](d *decoder, value func() V) map[string]V {
 	n := d.count()
 	m := make(map[string]V, n)
@@ -458,35 +451,113 @@ func decodeStrings[V any](d *decoder, value func() V) map[string]V {
 	return m
 }
 
-// endpoint reads an endpoint record, its placement held in the state's
-// table.
+func (d *decoder) str() string { return ref(d, &d.strs, d.text) }
+
+// endpoint reads an endpoint record.
 func (d *decoder) endpoint() *Endpoint {
-	pl := Placement{ref(d, &d.strs, d.text), ref(d, &d.strs, d.text), ref(d, &d.strs, d.text), ref(d, &d.strs, d.text)}
-	return &Endpoint{Placement: d.held.place(pl), EgressCap: d.float()}
+	return &Endpoint{Placement: d.placement(), EgressCap: d.float(), Permits: d.permits(1)}
+}
+
+// placement reads a placement-table reference. A placement's first
+// reference holds it in the state's table; each later one counts one more
+// holder of that table entry.
+func (d *decoder) placement() *Placement {
+	switch i, n := d.uvarint(), uint64(len(d.places)); {
+	case i == n:
+		h := d.held.placeEntry(Placement{d.str(), d.str(), d.str(), d.str()})
+		d.places = append(d.places, h)
+		return h.p
+	case i < n:
+		d.places[i].n++
+		return d.places[i].p
+	default:
+		d.fail("placement %d past a %d-entry table", i, n)
+		return nil
+	}
 }
 
 func (d *decoder) service() *Service {
-	svc := &Service{Tenant: ref(d, &d.strs, d.text), Provider: ref(d, &d.strs, d.text), Binds: make([]Bind, d.count())}
+	svc := d.serviceV2()
+	svc.Permits = d.permits(1)
+	return svc
+}
+
+// permits reads a permit-list reference, base more than the list's index
+// (DNETSNP3's 1: 0 is no list). Like a placement, a list's first
+// reference holds it in the state's table — one set per distinct list,
+// even where the file lists one twice — and each later one counts one
+// more holder.
+func (d *decoder) permits(base uint64) *addr.PrefixSet {
+	i := d.uvarint()
+	if i < base {
+		return nil
+	}
+	switch i, n := i-base, uint64(len(d.sets)); {
+	case i == n:
+		h := d.held.holdEntry(d.set())
+		d.sets = append(d.sets, h)
+		return h.set
+	case i < n:
+		d.sets[i].n++
+		return d.sets[i].set
+	default:
+		d.fail("permit list %d past a %d-entry table", i, n)
+		return nil
+	}
+}
+
+// entries reads a permit list's entries. A prefix length outside 0–32 is
+// one no writer produces, and a set holding it would match nothing.
+func (d *decoder) entries() []addr.Prefix {
+	list := make([]addr.Prefix, d.count())
+	for i := range list {
+		a, n := d.addr(), d.varint()
+		if n < 0 || n > 32 {
+			d.fail("prefix length %d", n)
+		}
+		list[i] = addr.Prefix{Addr: a, Len: int(n)}
+	}
+	return list
+}
+
+// set reads a permit list of the snapshot's table, whose entries' cap is
+// their len: an append by one holder never writes under another.
+func (d *decoder) set() *addr.PrefixSet { return addr.AdoptPrefixSet(d.entries()) }
+
+func (d *decoder) pool() *PoolState {
+	return &PoolState{Next: d.addr(), Released: d.addrs()}
+}
+
+// DNETSNP2, read only to upgrade: an endpoint record is its four string
+// references and its egress cap, a service record has no list, and the
+// lists follow the services in a permits section of their own — each
+// target's address gap, its tenant's string reference and a list
+// reference (the list's index, the first followed by the list).
+
+func (d *decoder) endpointV2() *Endpoint {
+	return &Endpoint{Placement: d.held.place(Placement{d.str(), d.str(), d.str(), d.str()}), EgressCap: d.float()}
+}
+
+func (d *decoder) serviceV2() *Service {
+	svc := &Service{Tenant: d.str(), Provider: d.str(), Binds: make([]Bind, d.count())}
 	for i := range svc.Binds {
 		svc.Binds[i] = Bind{EIP: d.addr(), Weight: int(d.varint())}
 	}
 	return svc
 }
 
-// entries reads a permit list's entries.
-func (d *decoder) entries() []addr.Prefix {
-	list := make([]addr.Prefix, d.count())
-	for i := range list {
-		list[i] = addr.Prefix{Addr: d.addr(), Len: int(d.varint())}
-	}
-	return list
-}
-
-// set reads a permit list of the snapshot's table, which hands every
-// target declaring the same list one set, whose entries' cap is their
-// len: an append by one holder never writes under another.
-func (d *decoder) set() *addr.PrefixSet { return addr.AdoptPrefixSet(d.entries()) }
-
-func (d *decoder) pool() *PoolState {
-	return &PoolState{Next: d.addr(), Released: d.addrs()}
+// permitsV2 reads the permits section into the records decoded before it:
+// each list must belong to an endpoint or service of its tenant.
+func (d *decoder) permitsV2(s *State) {
+	d.keyed(d.count(), func(ip addr.IP) {
+		tenant, list := d.str(), d.permits(0)
+		ep, _ := s.Endpoints.Get(ip)
+		if svc, _ := s.Services.Get(ip); ep != nil && ep.Tenant == tenant {
+			ep.Permits = list
+		} else if ep == nil && svc != nil && svc.Tenant == tenant {
+			svc.Permits = list
+		} else {
+			d.fail("permit list for %s, which tenant %q holds no record of", ip, tenant)
+		}
+	})
 }

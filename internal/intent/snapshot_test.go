@@ -41,9 +41,15 @@ func writeSnapshot(t testing.TB, dir string, s *State) {
 }
 
 // checkSnapshotCodec holds the codec to a round trip on one state: the
-// decoded state encodes to the same bytes again — which also covers the
-// NaN and infinite floats encoding/json cannot render — and renders as s
-// does whenever encoding/json can render it.
+// snapshot decodes to a state that holds one value per distinct list and
+// placement (checkInterned) and renders as s does whenever encoding/json
+// can render it; that state's encoding decodes back to one that encodes
+// to the same bytes again — which also covers the NaN and infinite floats
+// encoding/json cannot render — and when s's records already share one
+// value per distinct list and placement, as a fold's do, it is s's own
+// encoding. A state built outside a fold may hold equal lists or
+// placements as distinct pointers, which its snapshot writes once per
+// pointer and the decoder holds as one.
 func checkSnapshotCodec(t testing.TB, s *State) {
 	t.Helper()
 	b, err := encodeBytes(s)
@@ -55,15 +61,57 @@ func checkSnapshotCodec(t testing.TB, s *State) {
 		t.Fatalf("decode of a %d-byte encoding: %v", len(b), err)
 	}
 	checkInterned(t, got)
-	if again, _ := encodeBytes(got); !bytes.Equal(again, b) {
+	again, _ := encodeBytes(got)
+	if shared, _ := sharing(s); shared && !bytes.Equal(again, b) {
 		t.Fatalf("the decoded state encodes to %d other bytes than the %d it was decoded from", len(again), len(b))
 	}
+	if got2, err := decodeBytes(again); err != nil {
+		t.Fatalf("decode of the re-encoding: %v", err)
+	} else if third, _ := encodeBytes(got2); !bytes.Equal(third, again) {
+		t.Fatalf("a decoded state's %d-byte encoding decodes to a state that encodes to %d other bytes", len(again), len(third))
+	}
 	if _, err := renderState(s); err != nil {
-		return // a NaN or an infinity: the byte comparison above covers it
+		return // a NaN or an infinity: the byte comparisons above cover it
 	}
 	if want, got := stateJSON(t, s), stateJSON(t, got); got != want {
 		t.Fatalf("round trip\n got %s\nwant %s", got, want)
 	}
+}
+
+// sharing reports whether s's records hold one value per distinct permit
+// list and per distinct placement (shared), and whether any two of its
+// records hold equal ones as distinct pointers (split). A fold's state
+// is shared and never split.
+func sharing(s *State) (shared, split bool) {
+	sets, places := map[string]*addr.PrefixSet{}, map[Placement]*Placement{}
+	shared = true
+	note := func(same bool) {
+		shared = shared && same
+		split = split || !same
+	}
+	holdSet := func(set *addr.PrefixSet) {
+		if set == nil {
+			return
+		}
+		key := fmt.Sprint(set.Entries())
+		if first, ok := sets[key]; ok {
+			note(first == set)
+		}
+		sets[key] = set
+	}
+	s.Endpoints.Ascend(0, func(_ addr.IP, ep *Endpoint) bool {
+		if first, ok := places[*ep.Placement]; ok {
+			note(first == ep.Placement)
+		}
+		places[*ep.Placement] = ep.Placement
+		holdSet(ep.Permits)
+		return true
+	})
+	s.Services.Ascend(0, func(_ addr.IP, svc *Service) bool {
+		holdSet(svc.Permits)
+		return true
+	})
+	return shared, split
 }
 
 // awkward is what a snapshot string can hold that a codec can get wrong:
@@ -117,8 +165,11 @@ func randFloat(rng *rand.Rand) float64 {
 	return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(60)-30))
 }
 
-// randState fills every section with up to n entries. Permit lists and
-// strings repeat, as they do in a real world, so the tables are exercised.
+// randState fills every section with up to n entries. Permit lists,
+// placements and strings repeat, as they do in a real world, so the
+// tables are exercised. Half the states hold their records' values as a
+// fold does (holdRecords); the others are built outside a fold, where
+// equal lists and placements may be distinct pointers.
 func randState(rng *rand.Rand, n int) *State {
 	s := NewState()
 	s.Seq = rng.Uint64() >> uint(rng.Intn(64))
@@ -138,14 +189,19 @@ func randState(rng *rand.Rand, n int) *State {
 	}
 	tenants := []string{randString(rng), randString(rng)}
 	var lists []*addr.PrefixSet
-	// permits is a declared list, or none, drawn so lists repeat.
+	// permits is a declared list, or none, drawn so lists repeat: as the
+	// same set or as an equal copy.
 	permits := func() *addr.PrefixSet {
-		switch rng.Intn(4) {
+		switch rng.Intn(5) {
 		case 0:
 			return nil
 		case 1:
 			if len(lists) > 0 {
 				return lists[rng.Intn(len(lists))]
+			}
+		case 2:
+			if len(lists) > 0 {
+				return addr.AdoptPrefixSet(slices.Clone(lists[rng.Intn(len(lists))].Entries()))
 			}
 		}
 		var list []addr.Prefix
@@ -155,9 +211,22 @@ func randState(rng *rand.Rand, n int) *State {
 		lists = append(lists, addr.AdoptPrefixSet(list))
 		return lists[len(lists)-1]
 	}
+	var places []*Placement
+	// placement is drawn the same way: a new one, a repeat or an equal copy.
+	placement := func() *Placement {
+		switch k := rng.Intn(3); {
+		case k == 1 && len(places) > 0:
+			return places[rng.Intn(len(places))]
+		case k == 2 && len(places) > 0:
+			p := *places[rng.Intn(len(places))]
+			return &p
+		}
+		places = append(places, &Placement{Tenant: tenants[rng.Intn(2)], VM: randString(rng), Provider: randString(rng),
+			Region: randString(rng)})
+		return places[len(places)-1]
+	}
 	for i := rng.Intn(n + 1); i > 0; i-- {
-		ep := &Endpoint{Placement: &Placement{Tenant: tenants[rng.Intn(2)], VM: randString(rng), Provider: randString(rng),
-			Region: randString(rng)}, Permits: permits()}
+		ep := &Endpoint{Placement: placement(), Permits: permits()}
 		if rng.Intn(2) == 0 {
 			ep.EgressCap = randFloat(rng)
 		}
@@ -173,7 +242,9 @@ func randState(rng *rand.Rand, n int) *State {
 		}
 	}
 	s.index() // what a fold derives from the sections above
-	holdRecords(s)
+	if rng.Intn(2) == 0 {
+		holdRecords(s)
+	}
 	return s
 }
 
@@ -372,7 +443,7 @@ func referenceSnapshot(s *State) []byte {
 		svcs[ip], _ = s.Services.Get(ip)
 	}
 	var buf bytes.Buffer
-	e := &encoder{w: &buf, strs: map[string]uint64{}, lists: map[string]uint64{}}
+	e := &encoder{w: &buf, strs: map[string]uint64{}, places: map[*Placement]uint64{}, sets: map[*addr.PrefixSet]uint64{}}
 	e.b = append(e.b, snapshotMagic...)
 	e.uvarint(s.Seq)
 	stringSection(e, s.Meta, e.text)
@@ -386,25 +457,15 @@ func referenceSnapshot(s *State) []byte {
 			value(ip)
 		}
 	}
-	var epKeys, svcKeys, permitted []addr.IP
-	for ip, ep := range eps {
+	var epKeys, svcKeys []addr.IP
+	for ip := range eps {
 		epKeys = append(epKeys, ip)
-		if ep.Permits != nil {
-			permitted = append(permitted, ip)
-		}
 	}
-	for ip, svc := range svcs {
+	for ip := range svcs {
 		svcKeys = append(svcKeys, ip)
-		if svc.Permits != nil {
-			permitted = append(permitted, ip)
-		}
 	}
 	section(epKeys, func(ip addr.IP) { e.endpoint(eps[ip]) })
 	section(svcKeys, func(ip addr.IP) { e.service(svcs[ip]) })
-	section(permitted, func(ip addr.IP) {
-		pl, _ := s.Permit(ip)
-		e.permitList(pl)
-	})
 	stringSection(e, s.Quotas, e.float)
 	stringSection(e, s.Potato, e.text)
 	stringSection(e, s.Groups, e.addrs)
@@ -425,8 +486,15 @@ func referenceSnapshot(s *State) []byte {
 // until encodeSnapshot and decodeSnapshot carry it.
 func TestRandStateFillsEveryField(t *testing.T) {
 	filled := map[string]bool{}
+	var shared, split int // states of each kind with a repeated value
 	for seed := int64(1); seed <= 40; seed++ {
-		markFilled(filled, reflect.ValueOf(randState(rand.New(rand.NewSource(seed)), 12)))
+		s := randState(rand.New(rand.NewSource(seed)), 12)
+		markFilled(filled, reflect.ValueOf(s))
+		if ok, apart := sharing(s); apart {
+			split++
+		} else if ok && s.Endpoints.Len() > 1 {
+			shared++
+		}
 	}
 	for _, v := range []any{State{}, Endpoint{}, Placement{}, Service{}, Bind{}, PoolState{}, addr.Prefix{}} {
 		for _, f := range reflect.VisibleFields(reflect.TypeOf(v)) {
@@ -437,6 +505,12 @@ func TestRandStateFillsEveryField(t *testing.T) {
 				t.Errorf("randState never fills %s: the round trip cannot tell whether the codec carries it", name)
 			}
 		}
+	}
+	// The snapshot writes a placement and a list once per pointer: the
+	// round trip must see states whose records share them, as a fold's
+	// do, and states holding equal ones as distinct pointers.
+	if shared == 0 || split == 0 {
+		t.Errorf("of 40 random states, %d share every repeated list and placement and %d hold equal ones apart; want some of each", shared, split)
 	}
 }
 
@@ -513,11 +587,12 @@ func bigLog(t testing.TB, n int) *Log {
 
 // TestCompactAllocatesNoWorldSizedBuffer is the count behind "a snapshot
 // costs what the declaration costs": in bigLog's world an endpoint and its
-// permit list take 9 bytes of snapshot — an address gap, four string
-// references and a zero egress cap, then a gap and two references — where
-// the JSON format spent about 210; and a compaction allocates its write
-// buffer, the sort keys and the two small tables, nothing that grows with
-// the file.
+// permit list take under 5 bytes of snapshot — an address gap, a
+// reference into the table of its 448 placements (two bytes past the
+// 128th), a zero egress cap and a reference to its list (~4.9 measured),
+// where the format with a permits section spent 9 and the JSON format
+// about 210; and a compaction allocates its write buffer and the small
+// tables, nothing that grows with the file.
 func TestCompactAllocatesNoWorldSizedBuffer(t *testing.T) {
 	const n = 20000
 	l := bigLog(t, n)
@@ -534,10 +609,56 @@ func TestCompactAllocatesNoWorldSizedBuffer(t *testing.T) {
 	}
 	allocated := after.TotalAlloc - before.TotalAlloc
 	t.Logf("Compact of a %d-byte snapshot allocated %d bytes in %d objects", fi.Size(), allocated, after.Mallocs-before.Mallocs)
-	if perEndpoint := float64(fi.Size()) / n; perEndpoint > 10 {
-		t.Errorf("snapshot takes %.1f bytes per endpoint, want at most 10", perEndpoint)
+	if perEndpoint := float64(fi.Size()) / n; perEndpoint > 5 {
+		t.Errorf("snapshot takes %.2f bytes per endpoint, want at most 5", perEndpoint)
 	}
 	if allocated > 256<<10 {
 		t.Errorf("Compact allocated %d bytes, want at most %d", allocated, 256<<10)
+	}
+}
+
+// badLengthState is a state built outside a fold whose one endpoint
+// declares a permit entry of prefix length n: what a snapshot written by
+// no writer of the store holds when n is outside 0–32.
+func badLengthState(n int) *State {
+	s := NewState()
+	s.Endpoints.Put(0x64400001, &Endpoint{Placement: &Placement{Tenant: "acme", VM: "vm", Provider: "p", Region: "r"},
+		Permits: addr.AdoptPrefixSet([]addr.Prefix{{Addr: 0x0a000000, Len: n}})})
+	return s
+}
+
+// TestSnapshotPrefixLengthIsRefused: a snapshot holding a permit entry
+// whose prefix length lies outside 0–32 — which no fold stores, and which
+// a restored set would match nothing with — fails to decode, and Open
+// refuses the store; lengths 0 and 32 decode.
+func TestSnapshotPrefixLengthIsRefused(t *testing.T) {
+	for _, n := range []int{0, 32} {
+		b, err := encodeBytes(badLengthState(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := decodeBytes(b); err != nil {
+			t.Errorf("a /%d entry: %v", n, err)
+		}
+	}
+	for _, n := range []int{33, 40, -1, -3} {
+		dir := t.TempDir()
+		writeSnapshot(t, dir, badLengthState(n))
+		openRefused(t, dir, fmt.Sprintf("prefix length %d", n))
+	}
+}
+
+// TestOtherSnapshotVersionIsRefused: a snapshot whose whole header names
+// a version of the format other than DNETSNP3 and the DNETSNP2 Open
+// upgrades is refused by name, and no file of the store is touched.
+func TestOtherSnapshotVersionIsRefused(t *testing.T) {
+	b, err := encodeBytes(badLengthState(24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, magic := range []string{"DNETSNP1", "DNETSNP4"} {
+		dir := t.TempDir()
+		writeStoreFile(t, dir, snapshotName, append([]byte(magic), b[len(snapshotMagic):]...))
+		openRefused(t, dir, fmt.Sprintf("%q", magic))
 	}
 }

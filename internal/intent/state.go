@@ -405,6 +405,12 @@ func (s *State) applyOp(tenant string, op *Op) error {
 			// core expands a set_permit's groups before it folds the op
 			return fmt.Errorf("set_permit names groups %q, not their members", op.Groups)
 		}
+		for _, e := range op.Entries {
+			if e.Len < 0 || e.Len > 32 {
+				// what replay refuses (decoder.entries), so no writer journals it
+				return fmt.Errorf("permit entry %s/%d: prefix length outside 0–32", e.Addr, e.Len)
+			}
+		}
 		if ep, ok := s.Endpoints.Get(op.Target); ok && ep.Tenant == tenant {
 			next := *ep
 			op.Prev, op.Next = ep.Permits, s.repermit(op, ep.Permits)
