@@ -76,15 +76,17 @@ fuzz: fuzz-store
 	$(GO) test -run '^$$' -fuzz '^FuzzRouteDecode$$' -fuzztime $(FUZZTIME) ./internal/api/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseObjective$$' -fuzztime $(FUZZTIME) ./internal/slo/
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRing$$' -fuzztime $(FUZZTIME) ./internal/obs/
-	$(GO) test -run '^$$' -fuzz '^FuzzJournalFrame$$' -fuzztime $(FUZZTIME) ./internal/intent/
 
 # The intent store's codecs, which decide what a restart recovers: the
-# snapshot decoder and encoder and the journal decoder, $(FUZZTIME) (10 s
-# by default) each. CI runs it on every change; `make fuzz` runs it first.
+# snapshot decoder and encoder, the journal decoder, and the journal
+# encoder over whole files (every prefix of one included), $(FUZZTIME)
+# (10 s by default) each. CI runs it on every change; `make fuzz` runs it
+# first.
 fuzz-store:
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME) ./internal/intent/
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotEncode$$' -fuzztime $(FUZZTIME) ./internal/intent/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalDecode$$' -fuzztime $(FUZZTIME) ./internal/intent/
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalFrame$$' -fuzztime $(FUZZTIME) ./internal/intent/
 
 # The E15 chaos soak at full length: hours of virtual time of
 # fault/heal and churn with repeated mid-stream crash/restart cycles,

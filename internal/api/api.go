@@ -24,6 +24,7 @@ import (
 
 	"declnet/internal/addr"
 	"declnet/internal/core"
+	"declnet/internal/intent"
 	"declnet/internal/metrics"
 	"declnet/internal/obs"
 	"declnet/internal/slo"
@@ -91,6 +92,20 @@ func NewServerWith(cp ControlPlane, opts Options) *Server {
 	registry.GaugeFunc("declnet_placements",
 		"Distinct (tenant, VM, provider, region) placements the declared endpoints hold.",
 		func() float64 { _, n := c.Interned(); return float64(n) })
+	// The store's size, as the log keeps it from what it writes: a scrape
+	// stats no file. Without a store, 0.
+	size := func() intent.StoreSize {
+		if l := c.Intent(); l != nil {
+			return l.Size()
+		}
+		return intent.StoreSize{}
+	}
+	registry.GaugeFunc("declnet_journal_bytes", "Bytes of the intent journal file.",
+		func() float64 { return float64(size().JournalBytes) })
+	registry.GaugeFunc("declnet_journal_records", "Frames the intent journal file holds.",
+		func() float64 { return float64(size().JournalRecords) })
+	registry.GaugeFunc("declnet_snapshot_bytes", "Bytes of the intent snapshot file.",
+		func() float64 { return float64(size().SnapshotBytes) })
 	// Every mutation route decodes its body with the one decoder and
 	// applies it with core.ApplyBatch (batch.go).
 	s.mux.HandleFunc("POST /v1/batch", s.mutation(route{}))

@@ -3,10 +3,13 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -396,4 +399,81 @@ func TestRefusedOpChangesNothing(t *testing.T) {
 			t.Errorf("%s changed the world: seq %d -> %d, journal records %d -> %d", path, seq, l.Seq(), records, l.Stats().JournalRecords)
 		}
 	}
+}
+
+// TestStoreSizeMetrics: /v1/metrics exports the store's size —
+// declnet_journal_bytes, declnet_journal_records and
+// declnet_snapshot_bytes — and each agrees with the files on disk after
+// a batch, after a compaction and after a reopen.
+func TestStoreSizeMetrics(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *httptest.Server {
+		t.Helper()
+		w, err := declnet.NewFig1World(1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := intent.Open(dir, intent.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		if err := w.RestoreIntent(l.State()); err != nil {
+			t.Fatal(err)
+		}
+		w.EnableIntent(l)
+		ts := httptest.NewServer(NewServer(w))
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	check := func(ts *httptest.Server, when string) {
+		t.Helper()
+		size := func(name string) float64 {
+			fi, err := os.Stat(filepath.Join(dir, name))
+			if errors.Is(err, os.ErrNotExist) {
+				return 0
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			return float64(fi.Size())
+		}
+		f, err := os.Open(filepath.Join(dir, "journal.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, _, err := intent.DecodeJournal(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []struct {
+			name string
+			want float64
+		}{
+			{"declnet_journal_bytes", size("journal.log")},
+			{"declnet_journal_records", float64(len(recs))},
+			{"declnet_snapshot_bytes", size("snapshot.json")},
+		} {
+			if got := scrapeGauge(t, ts, m.name); got != m.want {
+				t.Errorf("%s: %s = %g, the store holds %g", when, m.name, got, m.want)
+			}
+		}
+	}
+	batch := func(ts *httptest.Server, az string) {
+		t.Helper()
+		if code := post(t, ts, "/v1/batch", BatchRequest{Tenant: "acme", Ops: onboardingOps(
+			"cloudA/a-east/"+az+"/host1", 8)}, nil); code != 200 {
+			t.Fatalf("batch status %d", code)
+		}
+	}
+	ts := open()
+	batch(ts, "az1")
+	check(ts, "after a batch")
+	if code := post(t, ts, "/v1/snapshot", nil, nil); code != 200 {
+		t.Fatalf("/v1/snapshot status %d", code)
+	}
+	check(ts, "after a compaction")
+	batch(ts, "az2")
+	ts = open()
+	check(ts, "after a reopen")
 }

@@ -1,11 +1,11 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -144,27 +144,72 @@ func TestKillAndRestartEquivalence(t *testing.T) {
 	}
 }
 
-// TestDNETSNP2StoreUpgrades: a store the build before DNETSNP3 wrote —
-// its DNETSNP2 snapshot and the DNETJNL2 journal tail behind it, checked
-// in under internal/intent/testdata/dnetsnp2 (populate's world, a second
-// tenant whose endpoints and service share one permit list, compacted,
-// then a release, a grant, a set_permit, a permit and a bind) — opens
-// and restores to the digest and the next grants that build's own
-// restart gave. Open upgrades it at once: the snapshot on disk is
-// DNETSNP3 and the journal a bare header when Open returns, and a second
-// Open restores the same world from them.
-func TestDNETSNP2StoreUpgrades(t *testing.T) {
-	const pinnedDigest = "13e353bd87b76c2c3d96f303ddb2c66006b519e747cb2e1b5c08f316a74c9337"
+// copyStore copies the store checked in under internal/intent/testdata/name
+// into a new directory.
+func copyStore(t *testing.T, name string) string {
+	t.Helper()
 	dir := t.TempDir()
-	for _, name := range []string{"snapshot.json", "journal.log"} {
-		b, err := os.ReadFile(filepath.Join("..", "intent", "testdata", "dnetsnp2", name))
+	for _, file := range []string{"snapshot.json", "journal.log"} {
+		b, err := os.ReadFile(filepath.Join("..", "intent", "testdata", name, file))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, file), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return dir
+}
+
+// storeBytes is the store in dir, file by file.
+func storeBytes(t *testing.T, dir string) [2]string {
+	t.Helper()
+	var files [2]string
+	for i, file := range []string{"snapshot.json", "journal.log"} {
+		b, err := os.ReadFile(filepath.Join(dir, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i] = string(b)
+	}
+	return files
+}
+
+// TestDNETSNP2StoreIsRefused: a store the build before DNETSNP3 wrote —
+// its DNETSNP2 snapshot and the DNETJNL2 journal tail behind it, checked
+// in under internal/intent/testdata/dnetsnp2 — is refused: the error names
+// the format and 171a73e, the last build that upgrades it, and no file of
+// the store changes.
+func TestDNETSNP2StoreIsRefused(t *testing.T) {
+	dir := copyStore(t, "dnetsnp2")
+	before := storeBytes(t, dir)
+	l, err := intent.Open(dir, intent.Options{})
+	if err == nil {
+		l.Close()
+		t.Fatal("Open accepted a DNETSNP2 store")
+	}
+	for _, want := range []string{`"DNETSNP2"`, "171a73e"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Open's error %q does not name %s", err, want)
+		}
+	}
+	if storeBytes(t, dir) != before {
+		t.Error("Open changed the files of the store it refused")
+	}
+}
+
+// TestDNETJNL2StoreUpgrades: a store the build before DNETJNL3 wrote —
+// its DNETSNP3 snapshot and a DNETJNL2 journal tail behind it, checked in
+// under internal/intent/testdata/dnetjnl2 (populate's world and a second
+// tenant whose endpoints and service share one list, compacted, then a
+// release, grants, set_permits that repeat one list on three targets and
+// another on two, a permit, binds and a set_qos) — opens and restores to
+// the digest and the next grants that build's own restart gave. Open
+// upgrades it at once: the journal on disk is a bare DNETJNL3 header when
+// Open returns, and a second Open restores the same world from it.
+func TestDNETJNL2StoreUpgrades(t *testing.T) {
+	const pinnedDigest = "bd8e4c795f6f4f541eff7d5829b0c8f4a087167e3a34297457f1e0eda6d966c1"
+	dir := copyStore(t, "dnetjnl2")
 	for open := 1; open <= 2; open++ {
 		l, err := intent.Open(dir, intent.Options{})
 		if err != nil {
@@ -174,11 +219,10 @@ func TestDNETSNP2StoreUpgrades(t *testing.T) {
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		snap, _ := os.ReadFile(filepath.Join(dir, "snapshot.json"))
-		jnl, _ := os.ReadFile(filepath.Join(dir, "journal.log"))
-		if !bytes.HasPrefix(snap, []byte("DNETSNP3")) || string(jnl) != "DNETJNL2" {
-			t.Fatalf("open %d left a snapshot opening %q and a %d-byte journal, want DNETSNP3 and a bare DNETJNL2 header",
-				open, snap[:min(8, len(snap))], len(jnl))
+		files := storeBytes(t, dir)
+		if !strings.HasPrefix(files[0], "DNETSNP3") || files[1] != "DNETJNL3" {
+			t.Fatalf("open %d left a snapshot opening %q and a %d-byte journal, want DNETSNP3 and a bare DNETJNL3 header",
+				open, files[0][:min(8, len(files[0]))], len(files[1]))
 		}
 		c, w, _, pb, _ := fig1Cloud(t)
 		if err := c.RestoreIntent(st); err != nil {
@@ -198,7 +242,7 @@ func TestDNETSNP2StoreUpgrades(t *testing.T) {
 			t.Fatal(err)
 		}
 		next := []string{eip1.String(), sip.String(), eip2.String()}
-		if want := []string{"100.64.0.4", "104.255.0.2", "100.64.0.9"}; !slices.Equal(next, want) {
+		if want := []string{"100.64.0.6", "104.255.0.2", "100.64.0.7"}; !slices.Equal(next, want) {
 			t.Errorf("next grants %v, want %v", next, want)
 		}
 	}

@@ -7,10 +7,12 @@ package intent
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -182,4 +184,124 @@ func TestCrashDuringCompaction(t *testing.T) {
 	if l2.Stats().ReplayedRecords != 6 {
 		t.Fatalf("replayed %d tail records, want 6", l2.Stats().ReplayedRecords)
 	}
+}
+
+// message is one frame's tenant and ops.
+type message struct {
+	tenant string
+	ops    []Op
+}
+
+// reuseFrames is a history whose later frames repeat the strings and
+// lists earlier ones defined, and define new ones: list A on targets of
+// two tenants, then a tenant, VM, region and list C that only frame 5
+// defines, and a list B that frame 6 defines and frame 7 repeats.
+func reuseFrames(t *testing.T) []message {
+	t.Helper()
+	ip := func(s string) addr.IP { return mustIP(t, s) }
+	a := []addr.Prefix{addr.MustParsePrefix("10.2.0.0/16"), addr.MustParsePrefix("10.1.0.0/16")}
+	b := []addr.Prefix{addr.MustParsePrefix("10.9.0.0/16")}
+	c := []addr.Prefix{addr.MustParsePrefix("192.168.0.0/24")}
+	grant := func(addr addr.IP, vm, region string) Op {
+		return Op{Verb: OpRequestEIP, VM: vm, Provider: "p", Region: region, Addr: addr}
+	}
+	permit := func(target addr.IP, entries []addr.Prefix) Op {
+		return Op{Verb: OpSetPermit, Provider: "p", Target: target, Entries: entries}
+	}
+	return []message{
+		{"t-a", []Op{grant(ip("10.0.0.1"), "vm-1", "r")}},
+		{"t-a", []Op{grant(ip("10.0.0.2"), "vm-1", "r"), permit(ip("10.0.0.1"), a)}},
+		{"t-b", []Op{grant(ip("10.0.0.3"), "vm-2", "r"), permit(ip("10.0.0.3"), a)}},
+		{"t-a", []Op{permit(ip("10.0.0.2"), a), {Verb: OpRequestSIP, Provider: "p", Addr: ip("172.16.0.1")}}},
+		{"t-late", []Op{grant(ip("10.0.0.4"), "vm-late", "r-late"), permit(ip("10.0.0.4"), c)}},
+		{"t-a", []Op{permit(ip("10.0.0.1"), b), {Verb: OpSetQoS, Provider: "p", Region: "r", Bps: 5}}},
+		{"t-late", []Op{permit(ip("10.0.0.4"), b), {Verb: OpBind, EIP: ip("10.0.0.2"), SIP: ip("172.16.0.1"), Weight: 2}}},
+	}
+}
+
+// reuseAppends are frames appended after a restart that repeat what every
+// frame of reuseFrames defined, those a cut took away included.
+func reuseAppends(t *testing.T) []message {
+	t.Helper()
+	frames := reuseFrames(t)
+	return []message{
+		{"t-late", []Op{{Verb: OpRequestEIP, VM: "vm-late", Provider: "p", Region: "r-late", Addr: mustIP(t, "10.0.0.9")},
+			{Verb: OpSetPermit, Provider: "p", Target: mustIP(t, "10.0.0.9"), Entries: frames[4].ops[1].Entries}}},
+		{"t-a", []Op{{Verb: OpSetPermit, Provider: "p", Target: mustIP(t, "10.0.0.2"), Entries: frames[5].ops[0].Entries}}},
+		{"t-b", []Op{{Verb: OpRequestEIP, VM: "vm-2", Provider: "p", Region: "r", Addr: mustIP(t, "10.0.0.10")},
+			{Verb: OpSetPermit, Provider: "p", Target: mustIP(t, "10.0.0.10"), Entries: frames[1].ops[1].Entries}}},
+	}
+}
+
+// TestReopenAppendAfterEveryCut: a journal cut at any byte, reopened,
+// appended to with frames that repeat strings and lists — whether the
+// frame that defined one survived the cut or not — and reopened again,
+// recovers the model: the surviving frames, then the appended ones. So
+// does a journal whose last frame checksums but does not decode, after
+// defining a string. A writer that numbered its values from anything but
+// what the surviving frames defined would write references the file no
+// longer resolves, and the second reopen would cut them off.
+func TestReopenAppendAfterEveryCut(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range reuseFrames(t) {
+		if l.Record(m.tenant, slices.Clone(m.ops)...) == 0 {
+			t.Fatalf("Record(%v) rejected", m.ops)
+		}
+	}
+	l.Close()
+	journal, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, recs, _, err := decodeJournal(bytes.NewReader(journal))
+	if err != nil || len(recs) != len(reuseFrames(t)) {
+		t.Fatalf("the journal decodes to %d records: %v", len(recs), err)
+	}
+	// A frame that defines the tenant "ghost" as the file's next string,
+	// then names no verb.
+	ghost := append(binary.AppendUvarint([]byte{byte(len(recs) + 1)}, uint64(len(d.strs))), 5, 'g', 'h', 'o', 's', 't', 0, 2, 99, 0, 0)
+	refused := append(bytes.Clone(journal), rawFrame(ghost)...)
+
+	check := func(name string, file []byte) {
+		t.Helper()
+		cdir := t.TempDir()
+		writeStoreFile(t, cdir, journalName, file)
+		rl, err := Open(cdir, Options{})
+		if err != nil {
+			t.Fatalf("%s: Open: %v", name, err)
+		}
+		k := rl.Stats().ReplayedRecords
+		model := NewState()
+		for i := range recs[:k] {
+			if err := model.Apply(&recs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, m := range append(reuseAppends(t), message{"ghost", []Op{{Verb: OpSetQoS, Provider: "p", Region: "r", Bps: 9}}}) {
+			seq := rl.Record(m.tenant, slices.Clone(m.ops)...)
+			if err := model.Apply(&Record{Seq: seq, Tenant: m.tenant, Ops: slices.Clone(m.ops)}); seq == 0 || err != nil {
+				t.Fatalf("%s: appending %v: seq %d, model %v", name, m.ops, seq, err)
+			}
+		}
+		rl.Close()
+		rl, err = Open(cdir, Options{})
+		if err != nil {
+			t.Fatalf("%s: second Open: %v", name, err)
+		}
+		defer rl.Close()
+		if st := rl.Stats(); st.TailTruncated || st.ReplayedRecords != k+4 {
+			t.Fatalf("%s: the second Open replayed %d records (cut %v), want %d whole", name, st.ReplayedRecords, st.TailTruncated, k+4)
+		}
+		if got, want := stateJSON(t, rl.State()), stateJSON(t, model); got != want {
+			t.Fatalf("%s: reopened after %d surviving frames and the appends\n got %s\nwant %s", name, k, got, want)
+		}
+	}
+	for cut := 0; cut <= len(journal); cut++ {
+		check(fmt.Sprintf("cut %d", cut), journal[:cut])
+	}
+	check("refused frame", refused)
 }

@@ -26,16 +26,10 @@ import (
 // the journal does not hold.
 func FuzzJournalDecode(f *testing.F) {
 	// A valid two-frame journal as the structured seed.
-	var valid bytes.Buffer
-	valid.Write(journalMagic)
-	seedOps := []Op{
-		{Verb: OpRequestEIP, VM: "vm-1", Provider: "p", Region: "r", Addr: addr.IP(0x0a000001)},
-		{Verb: OpSetPermit, Provider: "p", Target: addr.IP(0x0a000001),
-			Entries: []addr.Prefix{addr.NewPrefix(addr.IP(0xc0a80000), 24)}},
-	}
-	for i, op := range seedOps {
-		valid.Write(appendFrame(nil, &Record{Seq: uint64(i + 1), Tenant: "acme", Ops: []Op{op}}))
-	}
+	valid := bytes.NewBuffer(journalOf(
+		Record{Seq: 1, Tenant: "acme", Ops: []Op{{Verb: OpRequestEIP, VM: "vm-1", Provider: "p", Region: "r", Addr: addr.IP(0x0a000001)}}},
+		Record{Seq: 2, Tenant: "acme", Ops: []Op{{Verb: OpSetPermit, Provider: "p", Target: addr.IP(0x0a000001),
+			Entries: []addr.Prefix{addr.NewPrefix(addr.IP(0xc0a80000), 24)}}}}))
 	f.Add(valid.Bytes())
 	f.Add(badLengthJournal(33))
 	f.Add(badLengthJournal(-1))
@@ -47,6 +41,11 @@ func FuzzJournalDecode(f *testing.F) {
 	flipped := append([]byte{}, valid.Bytes()...)
 	flipped[len(flipped)-1] ^= 0xff
 	f.Add(flipped)
+	// References that name no value: the tenant's index 5 in a file that
+	// has defined none, and a set_permit's reuse of a string and a list
+	// whose defining frame is gone.
+	f.Add(append(bytes.Clone(journalMagic), rawFrame([]byte{1, 5, 0, 0})...))
+	f.Add(cutDefiningFrame())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
@@ -90,6 +89,25 @@ func FuzzJournalDecode(f *testing.F) {
 		}
 		checkInterned(t, st)
 	})
+}
+
+// rawFrame is a frame around payload, whatever it holds.
+func rawFrame(payload []byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	return append(binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload)), payload...)
+}
+
+// cutDefiningFrame is a three-frame journal with its middle frame cut
+// out: the third refers to the tenant and the list the second defined.
+func cutDefiningFrame() []byte {
+	permit := Op{Verb: OpSetPermit, Target: 0x0a000001, Entries: []addr.Prefix{addr.NewPrefix(0xc0a80000, 24)}}
+	e := encoder{b: bytes.Clone(journalMagic)}
+	e.frame(&Record{Seq: 1, Tenant: "acme", Ops: []Op{{Verb: OpRequestEIP, VM: "vm-1", Provider: "p", Region: "r", Addr: 0x0a000001}}})
+	cut := len(e.b)
+	e.frame(&Record{Seq: 2, Tenant: "beta", Ops: []Op{permit}})
+	second := len(e.b)
+	e.frame(&Record{Seq: 3, Tenant: "beta", Ops: []Op{permit}})
+	return append(e.b[:cut], e.b[second:]...)
 }
 
 // FuzzSnapshotEncode holds the snapshot codec to a round trip on fuzzed
@@ -218,12 +236,13 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(flipped)
 	// Lying counts, each behind a correct checksum: a meta section, a
 	// string and a permit list claiming far more than the file holds —
-	// inline in an endpoint record, and in DNETSNP2's permits section.
+	// inline in an endpoint record, and in the permits section of
+	// DNETSNP2, which the decoder refuses by its magic.
 	for _, lie := range [][]byte{
 		binary.AppendUvarint(binary.AppendUvarint(bytes.Clone(snapshotMagic), 1), 1<<40),
 		binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(bytes.Clone(snapshotMagic), 1), 1), 1<<30),
 		append(bytes.Clone(snapshotMagic), 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0x7f),
-		append(bytes.Clone(snapshotV2Magic), 1, 0, 0, 0, 1, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f),
+		append([]byte("DNETSNP2"), 1, 0, 0, 0, 1, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f),
 	} {
 		f.Add(binary.LittleEndian.AppendUint32(lie, crc32.ChecksumIEEE(lie)))
 	}

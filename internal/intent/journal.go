@@ -7,11 +7,11 @@
 // that).
 //
 // A frame's payload is built from the snapshot codec's primitives
-// (snapshot.go) and refers to nothing outside itself:
+// (snapshot.go):
 //
 //	seq                     uvarint
-//	tenant                  length-prefixed string
-//	meta                    count+1 (0 = nil), then key, value pairs
+//	tenant                  string reference
+//	meta                    count+1 (0 = nil), then key, value string references
 //	ops                     count+1 (0 = nil), then each op:
 //	  verb                  one byte: the verb's index in verbCodes
 //	  fields                uint16, little-endian: bit i set = field i below is present
@@ -19,13 +19,24 @@
 //
 // A field is present when it is not its zero value; a nil slice is
 // absent and an empty one present with count 0. The fields, in bit order:
-// VM, Provider, Region, Name, Policy (strings); Addr, EIP, SIP, Target
-// (uvarint addresses); Weight (varint); Bps (a float as gob writes it);
-// Entries (count, then each prefix's address and length); Groups (count,
-// then each string); Members (count+1, then each address). Derived, Prev
+// VM, Provider, Region, Name, Policy (string references); Addr, EIP, SIP,
+// Target (uvarint addresses); Weight (varint); Bps (a float as gob writes
+// it); Entries (a set_permit's list reference; a permit's or revoke's
+// count, then each prefix's address and length); Groups (count, then each
+// string reference); Members (count+1, then each address). Derived, Prev
 // and Next are never written. Groups keeps its bit, but no frame sets it:
 // a set_permit is journaled with its groups expanded, and State refuses
 // one that names them.
+//
+// Strings and set_permit lists are written through the snapshot's
+// reference tables, which live for one journal file: a value's first use
+// in the file writes its index (the table's length) and the value, every
+// later use its index alone. The writer keys a string by its value and a
+// list by its bytes. Every reference points back, so any prefix of whole
+// frames decodes alone; a writer appending to a file whose tail was cut
+// numbers from what the surviving frames defined (Log.replay). A DNETJNL2
+// journal, the format before, holds every string and list in place; the
+// decoder reads it only for Open to upgrade the store.
 package intent
 
 import (
@@ -42,10 +53,14 @@ import (
 )
 
 // journalMagic opens every journal file: format name plus version. It is
-// the only version this build reads or writes; Open refuses a journal
-// whose header names another one (see checkFormat), and a future
-// frame-format change bumps the trailing digit.
-var journalMagic = []byte("DNETJNL2")
+// the only version this build writes; it reads journalV2Magic, the one
+// before, only to upgrade it. Open refuses a journal whose header names
+// another one (see checkFormat), and a future frame-format change bumps
+// the trailing digit.
+var (
+	journalMagic   = []byte("DNETJNL3")
+	journalV2Magic = []byte("DNETJNL2")
+)
 
 // maxFrame bounds a frame payload (64 MiB). Real records are a few KiB
 // at most — even a 4096-op batch stays far under this — so a larger
@@ -85,17 +100,18 @@ func (e *CorruptError) Error() string {
 	return fmt.Sprintf("intent: journal corrupt at offset %d: %s", e.Offset, e.Reason)
 }
 
-// appendFrame appends rec's frame to b. It allocates only when b must
-// grow.
-func appendFrame(b []byte, rec *Record) []byte {
-	start := len(b)
-	e := encoder{b: append(b, make([]byte, frameHeaderLen)...)}
+// frame appends rec's frame to e.b, through e's string and list tables:
+// those of the journal file the frame goes to. It allocates only when e.b
+// must grow or a value joins a table.
+func (e *encoder) frame(rec *Record) {
+	start := len(e.b)
+	e.b = append(e.b, make([]byte, frameHeaderLen)...)
 	e.uvarint(rec.Seq)
-	e.text(rec.Tenant)
+	e.ref(rec.Tenant)
 	e.nilable(len(rec.Meta), rec.Meta == nil)
 	for k, v := range rec.Meta {
-		e.text(k)
-		e.text(v)
+		e.ref(k)
+		e.ref(v)
 	}
 	e.nilable(len(rec.Ops), rec.Ops == nil)
 	for i := range rec.Ops {
@@ -104,7 +120,6 @@ func appendFrame(b []byte, rec *Record) []byte {
 	payload := e.b[start+frameHeaderLen:]
 	binary.LittleEndian.PutUint32(e.b[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(e.b[start+4:], crc32.ChecksumIEEE(payload))
-	return e.b
 }
 
 func (e *encoder) op(op *Op) {
@@ -119,7 +134,7 @@ func (e *encoder) op(op *Op) {
 		switch f := f.(type) {
 		case *string:
 			if *f != "" {
-				e.text(*f)
+				e.ref(*f)
 			}
 		case *addr.IP:
 			if *f != 0 {
@@ -134,14 +149,16 @@ func (e *encoder) op(op *Op) {
 				e.float(*f)
 			}
 		case *[]addr.Prefix:
-			if *f != nil {
+			if *f != nil && op.Verb == OpSetPermit {
+				e.list(*f)
+			} else if *f != nil {
 				e.b = appendPrefixes(e.b, *f)
 			}
 		case *[]string:
 			if *f != nil {
 				e.uvarint(uint64(len(*f)))
 				for _, s := range *f {
-					e.text(s)
+					e.ref(s)
 				}
 			}
 		case *[]addr.IP:
@@ -156,15 +173,27 @@ func (e *encoder) op(op *Op) {
 	binary.LittleEndian.PutUint16(e.b[at:], fields)
 }
 
+// list writes a set_permit's list as a list-table reference, keyed by its
+// bytes: what its first use writes after the index. A list the table
+// holds is looked up without a copy of its key.
+func (e *encoder) list(entries []addr.Prefix) {
+	e.key = appendPrefixes(e.key[:0], entries)
+	if i, seen := e.lists.ids[string(e.key)]; seen {
+		e.uvarint(i)
+	} else if !index(e, &e.lists, string(e.key), 0) {
+		e.b = append(e.b, e.key...)
+	}
+}
+
 // record decodes one frame's payload into rec.
 func (d *decoder) record(rec *Record) {
 	rec.Seq = d.uvarint()
-	rec.Tenant = d.text()
+	rec.Tenant = d.str()
 	if n, ok := d.nilable(2); ok {
 		rec.Meta = make(map[string]string, n)
 		for i := 0; i < n && d.err == nil; i++ {
-			k := d.text()
-			rec.Meta[k] = d.text()
+			k := d.str()
+			rec.Meta[k] = d.str()
 		}
 	}
 	if n, ok := d.nilable(opMinLen); ok {
@@ -196,7 +225,7 @@ func (d *decoder) op(op *Op) {
 		}
 		switch f := f.(type) {
 		case *string:
-			*f = d.text()
+			*f = d.str()
 		case *addr.IP:
 			*f = d.addr()
 		case *int:
@@ -204,11 +233,15 @@ func (d *decoder) op(op *Op) {
 		case *float64:
 			*f = d.float()
 		case *[]addr.Prefix:
-			*f = d.entries()
+			if op.Verb == OpSetPermit && !d.inline {
+				*f = ref(d, &d.lists, d.entries)
+			} else {
+				*f = d.entries()
+			}
 		case *[]string:
 			*f = make([]string, d.count())
 			for j := range *f {
-				(*f)[j] = d.text()
+				(*f)[j] = d.str()
 			}
 		case *[]addr.IP:
 			*f = d.addrs()
@@ -216,26 +249,48 @@ func (d *decoder) op(op *Op) {
 	}
 }
 
-// DecodeJournal scans a journal byte stream. It returns every record of
-// the longest valid prefix, the offset just past the last valid frame,
-// and the corruption that stopped the scan — nil on a clean EOF, or the
-// *CorruptError of a header that is not journalMagic or of a frame that
-// is truncated, fails its checksum, claims an implausible length or does
-// not decode. Any input is safe: a truncated, bit-flipped, or entirely
-// foreign stream yields a *CorruptError, never a panic.
+// resume makes e the writer of the journal file d read: its tables hold
+// what the file's surviving frames defined, at their indexes, so that the
+// next frame's first use of a value takes the next index.
+func (e *encoder) resume(d *decoder) {
+	*e = encoder{b: e.b[:0], strs: refs[string]{ids: map[string]uint64{}, n: uint64(len(d.strs))},
+		lists: refs[string]{ids: map[string]uint64{}, n: uint64(len(d.lists))}}
+	// Backward, so that a value the file defined twice keeps its first index.
+	for i := len(d.strs) - 1; i >= 0; i-- {
+		e.strs.ids[d.strs[i]] = uint64(i)
+	}
+	for i := len(d.lists) - 1; i >= 0; i-- {
+		e.lists.ids[string(appendPrefixes(nil, d.lists[i]))] = uint64(i)
+	}
+}
+
+// DecodeJournal scans a journal byte stream, DNETJNL3 or DNETJNL2. It
+// returns every record of the longest valid prefix, the offset just past
+// the last valid frame, and the corruption that stopped the scan — nil on
+// a clean EOF, or the *CorruptError of a header that names neither format
+// or of a frame that is truncated, fails its checksum, claims an
+// implausible length or does not decode. Any input is safe: a truncated,
+// bit-flipped, or entirely foreign stream yields a *CorruptError, never a
+// panic.
 func DecodeJournal(r io.Reader) ([]Record, int64, error) {
-	hdr := make([]byte, len(journalMagic))
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, 0, &CorruptError{Offset: 0, Reason: "missing or truncated header"}
-	}
-	if !bytes.Equal(hdr, journalMagic) {
-		return nil, 0, &CorruptError{Offset: 0, Reason: fmt.Sprintf("bad magic %q", hdr)}
-	}
-	// Records repeat a handful of tenant, provider, region and VM
-	// strings: the decoder keeps one copy of each.
+	_, recs, off, err := decodeJournal(r)
+	return recs, off, err
+}
+
+// decodeJournal is DecodeJournal, also returning the decoder, whose
+// string and list tables hold what the returned frames defined and
+// nothing of the frame that stopped the scan.
+func decodeJournal(r io.Reader) (*decoder, []Record, int64, error) {
 	var src bytes.Reader
 	lim := &io.LimitedReader{R: &src}
-	d := &decoder{r: bufio.NewReader(lim), lim: lim, seen: map[string]string{}}
+	d := &decoder{r: bufio.NewReader(lim), lim: lim}
+	hdr := make([]byte, len(journalMagic))
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return d, nil, 0, &CorruptError{Offset: 0, Reason: "missing or truncated header"}
+	}
+	if d.inline = bytes.Equal(hdr, journalV2Magic); !d.inline && !bytes.Equal(hdr, journalMagic) {
+		return d, nil, 0, &CorruptError{Offset: 0, Reason: fmt.Sprintf("bad magic %q", hdr)}
+	}
 	var recs []Record
 	off := int64(len(journalMagic))
 	fh := make([]byte, frameHeaderLen)
@@ -243,29 +298,31 @@ func DecodeJournal(r io.Reader) ([]Record, int64, error) {
 	for {
 		if _, err := io.ReadFull(r, fh); err != nil {
 			if err == io.EOF {
-				return recs, off, nil
+				return d, recs, off, nil
 			}
-			return recs, off, &CorruptError{Offset: off, Reason: "truncated frame header"}
+			return d, recs, off, &CorruptError{Offset: off, Reason: "truncated frame header"}
 		}
 		n := binary.LittleEndian.Uint32(fh[0:4])
 		if n == 0 || n > maxFrame {
-			return recs, off, &CorruptError{Offset: off, Reason: fmt.Sprintf("implausible frame length %d", n)}
+			return d, recs, off, &CorruptError{Offset: off, Reason: fmt.Sprintf("implausible frame length %d", n)}
 		}
 		payload, err := readPayload(r, buf, int(n))
 		if err != nil {
-			return recs, off, &CorruptError{Offset: off, Reason: "truncated frame payload"}
+			return d, recs, off, &CorruptError{Offset: off, Reason: "truncated frame payload"}
 		}
 		buf = payload
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(fh[4:8]) {
-			return recs, off, &CorruptError{Offset: off, Reason: "frame checksum mismatch"}
+			return d, recs, off, &CorruptError{Offset: off, Reason: "frame checksum mismatch"}
 		}
 		src.Reset(payload)
 		lim.N = int64(len(payload))
 		d.r.Reset(lim)
 		d.err = nil
 		var rec Record
+		strs, lists := len(d.strs), len(d.lists)
 		if d.record(&rec); d.err != nil {
-			return recs, off, &CorruptError{Offset: off, Reason: "frame payload is not a record: " + d.err.Error()}
+			d.strs, d.lists = d.strs[:strs], d.lists[:lists]
+			return d, recs, off, &CorruptError{Offset: off, Reason: "frame payload is not a record: " + d.err.Error()}
 		}
 		recs = append(recs, rec)
 		off += int64(frameHeaderLen) + int64(n)

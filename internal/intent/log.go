@@ -83,8 +83,10 @@ const (
 	snapshotName = "snapshot.json"
 	// lastUpgrade is the last commit whose Open reads a store written in
 	// the formats before DNETJNL2 and DNETSNP2 — a DNETJNL1 journal of
-	// JSON frames, a JSON snapshot — and upgrades it.
-	lastUpgrade = "262588d"
+	// JSON frames, a JSON snapshot — and upgrades it; lastSNP2Upgrade the
+	// last that upgrades a DNETSNP2 snapshot.
+	lastUpgrade     = "262588d"
+	lastSNP2Upgrade = "171a73e"
 )
 
 // Log is the declared world and its durable intent store, rooted at one
@@ -95,7 +97,7 @@ type Log struct {
 
 	mu           sync.Mutex
 	f            *os.File
-	buf          []byte // the frame being appended, reused
+	frames       encoder // the journal file's writer: the frame being appended, reused, and the file's tables
 	st           *State
 	sinceSync    int
 	sinceCompact int
@@ -103,8 +105,9 @@ type Log struct {
 	compactions  uint64
 	appendErrs   uint64
 	lastErr      error
-	replayed     int  // journal records folded at Open
-	replayCut    bool // true if Open truncated a corrupt tail
+	replayed     int       // journal records folded at Open
+	replayCut    bool      // true if Open truncated a corrupt tail
+	size         StoreSize // kept from what the log reads and writes
 	// failed holds the first journal write or fsync that failed
 	// (ErrFailed): the log folds and journals no frame after it, and never
 	// fsyncs the journal's file again. Written under mu, read without it
@@ -139,12 +142,13 @@ type Stats struct {
 // off — everything before it replays — so a crash mid-append recovers
 // to the last whole frame. A corrupt snapshot is an error: it is
 // written atomically (tmp + rename), so corruption there means
-// something other than a crash went wrong. A store file in a format
-// other than the one this build writes is refused and left as it is
-// (see checkFormat): Open reads DNETSNP3 and DNETJNL2, and a DNETSNP2
-// snapshot only to upgrade it — after replaying the journal beside it,
-// it compacts at once, so the store is DNETSNP3 on disk when Open
-// returns.
+// something other than a crash went wrong. A journal tail that survives
+// is appended to: the writer numbers its strings and lists from what the
+// surviving frames defined. A store file in a format other than the ones
+// this build writes is refused and left as it is (see checkFormat): Open
+// reads DNETSNP3 and DNETJNL3, and a DNETJNL2 journal only to upgrade it
+// — after replaying it, it compacts at once, so the journal is DNETJNL3
+// on disk when Open returns.
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SyncEvery <= 0 {
 		opts.SyncEvery = 64
@@ -153,8 +157,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		return nil, fmt.Errorf("intent: %w", err)
 	}
 	l := &Log{dir: dir, opts: opts, st: NewState()}
-	upgrade, err := l.loadSnapshot()
-	if err != nil {
+	if err := l.loadSnapshot(); err != nil {
 		return nil, err
 	}
 	f, err := os.OpenFile(filepath.Join(dir, journalName), os.O_APPEND|os.O_RDWR|os.O_CREATE, 0o644)
@@ -162,54 +165,59 @@ func Open(dir string, opts Options) (*Log, error) {
 		return nil, fmt.Errorf("intent: %w", err)
 	}
 	l.f = f
-	if err := l.replay(); err != nil {
+	upgrade, err := l.replay()
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
 	if upgrade {
 		if err := l.compactLocked(); err != nil {
 			f.Close()
-			return nil, fmt.Errorf("intent: upgrading the %s snapshot: %w", snapshotV2Magic, err)
+			return nil, fmt.Errorf("intent: upgrading the %s journal: %w", journalV2Magic, err)
 		}
 	}
 	return l, nil
 }
 
-// replay folds the journal into State, cutting a corrupt tail; a new or
+// replay folds the journal into State, cutting a corrupt tail, and
+// resumes the journal's writer after the last whole frame; upgrade is
+// true for a DNETJNL2 journal, which Open replaces at once. A new or
 // empty journal gets its header and, when Options.Meta stamps the world's
 // identity, that as its first record.
-func (l *Log) replay() error {
+func (l *Log) replay() (upgrade bool, err error) {
 	f, opts := l.f, l.opts
 	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
-		return fmt.Errorf("intent: %w", err)
+		return false, fmt.Errorf("intent: %w", err)
 	}
 	if size == 0 {
 		if err := l.writeHeaderLocked(); err != nil {
-			return err
+			return false, err
 		}
 		if len(opts.Meta) > 0 {
 			// Stamp world identity as the journal's first record.
 			l.st.Meta = maps.Clone(opts.Meta)
 			if _, err := l.appendLocked("", nil, opts.Meta); err != nil {
-				return err
+				return false, err
 			}
 		}
-		return nil
+		return false, nil
 	}
 
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("intent: %w", err)
+		return false, fmt.Errorf("intent: %w", err)
 	}
 	br := bufio.NewReaderSize(f, 1<<20)
 	hdr, _ := br.Peek(len(journalMagic))
-	if err := l.checkFormat(journalName, hdr, journalMagic); err != nil {
-		return err
+	if upgrade = bytes.Equal(hdr, journalV2Magic); !upgrade {
+		if err := l.checkFormat(journalName, hdr, journalMagic); err != nil {
+			return false, err
+		}
 	}
-	recs, off, decErr := DecodeJournal(br)
+	d, recs, off, decErr := decodeJournal(br)
 	for i := range recs {
 		if err := l.st.Apply(&recs[i]); err != nil {
-			return err
+			return false, err
 		}
 	}
 	l.replayed = len(recs)
@@ -218,49 +226,49 @@ func (l *Log) replay() error {
 		// Cut the corrupt tail so O_APPEND writes land right after the
 		// last whole frame.
 		if err := f.Truncate(off); err != nil {
-			return fmt.Errorf("intent: truncating corrupt tail: %w", err)
+			return false, fmt.Errorf("intent: truncating corrupt tail: %w", err)
 		}
 		if off < int64(len(journalMagic)) {
 			// Even the header was bad; rewrite it.
-			if err := l.writeHeaderLocked(); err != nil {
-				return err
-			}
+			return false, l.writeHeaderLocked()
 		}
 	}
+	// The writer goes on from the frames that survived the cut, and from
+	// nothing the cut frame defined.
+	l.frames.resume(d)
+	l.size.JournalBytes, l.size.JournalRecords = off, int64(len(recs))
 	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		return fmt.Errorf("intent: %w", err)
+		return false, fmt.Errorf("intent: %w", err)
 	}
-	return nil
+	return upgrade, nil
 }
 
 // loadSnapshot removes the temporary file a crash mid-compaction left
-// behind and loads the snapshot, refusing one in another format; upgrade
-// is true for a DNETSNP2 one, which Open replaces at once.
-func (l *Log) loadSnapshot() (upgrade bool, err error) {
+// behind and loads the snapshot, refusing one in another format.
+func (l *Log) loadSnapshot() error {
 	path := filepath.Join(l.dir, snapshotName)
 	_ = os.Remove(path + ".tmp") // one that stays fails the next compaction, which counts it
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return false, nil
+		return nil
 	} else if err != nil {
-		return false, fmt.Errorf("intent: %w", err)
+		return fmt.Errorf("intent: %w", err)
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err == nil {
 		magic := make([]byte, len(snapshotMagic))
 		n, _ := f.ReadAt(magic, 0)
-		if upgrade = bytes.Equal(magic[:n], snapshotV2Magic); !upgrade {
-			if err = l.checkFormat(snapshotName, magic[:n], snapshotMagic); err != nil {
-				return false, err
-			}
+		if err := l.checkFormat(snapshotName, magic[:n], snapshotMagic); err != nil {
+			return err
 		}
 		l.st, err = decodeSnapshot(f, fi.Size())
+		l.size.SnapshotBytes = fi.Size()
 	}
 	if err != nil {
-		return false, fmt.Errorf("intent: snapshot corrupt: %w", err)
+		return fmt.Errorf("intent: snapshot corrupt: %w", err)
 	}
-	return upgrade, nil
+	return nil
 }
 
 // checkFormat refuses a store file whose header names a format other
@@ -279,11 +287,11 @@ func (l *Log) checkFormat(name string, hdr, want []byte) error {
 		return nil
 	}
 	reads := fmt.Sprintf("%q", want)
-	if bytes.Equal(want, snapshotMagic) {
-		reads += fmt.Sprintf(" (and %q, to upgrade it)", snapshotV2Magic)
+	if bytes.Equal(want, journalMagic) {
+		reads += fmt.Sprintf(" (and %q, to upgrade it)", journalV2Magic)
 	}
-	return fmt.Errorf("intent: %s is in format %s, and this build reads only %s (commit %s is the last to upgrade a DNETJNL1 journal or a JSON snapshot)",
-		filepath.Join(l.dir, name), format, reads, lastUpgrade)
+	return fmt.Errorf("intent: %s is in format %s, and this build reads only %s (commit %s is the last to upgrade a DNETSNP2 snapshot, commit %s the last to upgrade a DNETJNL1 journal or a JSON snapshot)",
+		filepath.Join(l.dir, name), format, reads, lastSNP2Upgrade, lastUpgrade)
 }
 
 // syncDir makes the directory entries of dir durable: a rename in it
@@ -302,14 +310,18 @@ func syncDir(dir string) error {
 	return nil
 }
 
+// writeHeaderLocked starts the journal afresh: an empty file, then its
+// header. The file's tables start empty with it.
 func (l *Log) writeHeaderLocked() error {
 	if err := l.f.Truncate(0); err != nil {
 		return fmt.Errorf("intent: %w", err)
 	}
+	l.frames = encoder{b: l.frames.b[:0]}
 	// The file is O_APPEND, so this Write lands at the new end — offset 0.
 	if _, err := l.f.Write(journalMagic); err != nil {
 		return fmt.Errorf("intent: %w", err)
 	}
+	l.size.JournalBytes, l.size.JournalRecords = int64(len(journalMagic)), 0
 	return nil
 }
 
@@ -395,10 +407,13 @@ func (l *Log) appendLocked(tenant string, ops []Op, meta map[string]string) (uin
 	if l.dir == "" {
 		return rec.Seq, nil
 	}
-	l.buf = appendFrame(l.buf[:0], &rec)
-	if err := l.write(l.buf); err != nil {
+	l.frames.b = l.frames.b[:0]
+	l.frames.frame(&rec)
+	if err := l.write(l.frames.b); err != nil {
 		return 0, l.fail("write", err)
 	}
+	l.size.JournalBytes += int64(len(l.frames.b))
+	l.size.JournalRecords++
 	l.records++
 	l.sinceSync++
 	l.sinceCompact++
@@ -491,7 +506,8 @@ func (l *Log) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("intent: %w", err)
 	}
-	if err := l.st.encodeSnapshot(tf); err != nil {
+	size, err := l.st.encodeSnapshot(tf)
+	if err != nil {
 		tf.Close()
 		return fmt.Errorf("intent: %w", err)
 	}
@@ -511,6 +527,7 @@ func (l *Log) compactLocked() error {
 	if err := syncDir(l.dir); err != nil {
 		return err
 	}
+	l.size.SnapshotBytes = size
 	if err := l.writeHeaderLocked(); err != nil {
 		return err
 	}
@@ -686,11 +703,7 @@ func (l *Log) Seq() uint64 {
 func (l *Log) Meta() map[string]string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	m := make(map[string]string, len(l.st.Meta))
-	for k, v := range l.st.Meta {
-		m[k] = v
-	}
-	return m
+	return maps.Clone(l.st.Meta)
 }
 
 // Stats returns a point-in-time summary.
@@ -710,6 +723,20 @@ func (l *Log) Stats() Stats {
 		s.LastError = l.lastErr.Error()
 	}
 	return s
+}
+
+// StoreSize is the store's size on disk.
+type StoreSize struct {
+	JournalBytes, JournalRecords, SnapshotBytes int64
+}
+
+// Size returns the store's size as of its last write: the journal file's
+// bytes and frames, and the snapshot's bytes. It is kept from what the log
+// reads and writes, and stats no file.
+func (l *Log) Size() StoreSize {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.size
 }
 
 // Dir returns the store's root directory.

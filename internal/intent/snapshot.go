@@ -39,10 +39,9 @@
 // one entry at a time into a buffer it hands to the file every spillAt
 // bytes, and the decoder reads through a bufio.Reader. The journal's
 // frames (journal.go) are written and read with the same encoder and
-// decoder. The decoder also reads DNETSNP2, the format before — each
-// endpoint's four string references, the lists in a permits section of
-// their own after the services — only for Open to upgrade the store it
-// finds one in; Open refuses every other format (see checkFormat).
+// decoder, and refer to values through the same string and list tables,
+// which there live for one journal file. Open refuses every other
+// snapshot format (see checkFormat).
 package intent
 
 import (
@@ -61,33 +60,39 @@ import (
 )
 
 // snapshotMagic opens every snapshot file: format name plus version.
-// snapshotV2Magic is the format before, which Open reads only to upgrade.
-var (
-	snapshotMagic   = []byte("DNETSNP3")
-	snapshotV2Magic = []byte("DNETSNP2")
-)
+var snapshotMagic = []byte("DNETSNP3")
 
 // spillAt is how many pending bytes the encoder hands to its writer at a
 // time: the file's write size.
 const spillAt = 64 << 10
 
-// encoder appends the codec's primitives to b. A frame encoder uses b
-// alone; a snapshot's also the rest.
+// encoder appends the codec's primitives to b. A journal's encoder uses b
+// and the string and list tables; a snapshot's b and the rest.
 type encoder struct {
 	w      io.Writer
-	b      []byte                     // bytes not yet handed to w
-	sum    uint32                     // CRC32 of the bytes handed to w
-	strs   map[string]uint64          // the string table
-	places map[*Placement]uint64      // the placement table
-	sets   map[*addr.PrefixSet]uint64 // the permit-list table
-	err    error                      // the first write error or unencodable entry
+	b      []byte                // bytes not yet handed to w
+	n      int64                 // bytes handed to w
+	sum    uint32                // CRC32 of the bytes handed to w
+	strs   refs[string]          // the string table
+	places refs[*Placement]      // the placement table
+	sets   refs[*addr.PrefixSet] // the permit-list table
+	lists  refs[string]          // a journal's set_permit lists, by their bytes
+	key    []byte                // the list being looked up
+	err    error                 // the first write error or unencodable entry
 }
 
-// encodeSnapshot streams s to w and returns the first write error, or the
-// first entry Apply could not have stored (a nil one).
-func (s *State) encodeSnapshot(w io.Writer) error {
-	e := &encoder{w: w, b: make([]byte, 0, spillAt+4<<10), strs: map[string]uint64{},
-		places: map[*Placement]uint64{}, sets: map[*addr.PrefixSet]uint64{}}
+// refs is a reference table: each value the file has written, numbered in
+// the order of its first use. n is the number the next value takes.
+type refs[K comparable] struct {
+	ids map[K]uint64
+	n   uint64
+}
+
+// encodeSnapshot streams s to w and returns the bytes written and the
+// first write error, or the first entry Apply could not have stored (a
+// nil one).
+func (s *State) encodeSnapshot(w io.Writer) (int64, error) {
+	e := &encoder{w: w, b: make([]byte, 0, spillAt+4<<10)}
 	e.b = append(e.b, snapshotMagic...)
 	e.uvarint(s.Seq)
 	stringSection(e, s.Meta, e.text)
@@ -102,7 +107,7 @@ func (s *State) encodeSnapshot(w io.Writer) error {
 	e.spill(0)
 	e.b = binary.LittleEndian.AppendUint32(e.b, e.sum)
 	e.spill(0)
-	return e.err
+	return e.n, e.err
 }
 
 // spill hands the pending bytes to w once there are at least n of them.
@@ -111,7 +116,8 @@ func (e *encoder) spill(n int) {
 		return
 	}
 	e.sum = crc32.Update(e.sum, crc32.IEEETable, e.b)
-	if _, err := e.w.Write(e.b); err != nil && e.err == nil {
+	n, err := e.w.Write(e.b)
+	if e.n += int64(n); err != nil && e.err == nil {
 		e.err = err
 	}
 	e.b = e.b[:0]
@@ -169,11 +175,14 @@ func (e *encoder) float(f float64) { e.uvarint(bits.ReverseBytes64(math.Float64b
 
 // index writes k's index in table, plus base, and reports whether k was
 // in it; a new k joins the table, and the caller writes its value next.
-func index[K comparable](e *encoder, table map[K]uint64, k K, base uint64) (seen bool) {
-	i, seen := table[k]
+func index[K comparable](e *encoder, table *refs[K], k K, base uint64) (seen bool) {
+	i, seen := table.ids[k]
 	if !seen {
-		i = uint64(len(table))
-		table[k] = i
+		if table.ids == nil {
+			table.ids = make(map[K]uint64)
+		}
+		i, table.ids[k] = table.n, table.n
+		table.n++
 	}
 	e.uvarint(base + i)
 	return seen
@@ -181,7 +190,7 @@ func index[K comparable](e *encoder, table map[K]uint64, k K, base uint64) (seen
 
 // ref writes s as a string-table reference.
 func (e *encoder) ref(s string) {
-	if !index(e, e.strs, s, 0) {
+	if !index(e, &e.strs, s, 0) {
 		e.text(s)
 	}
 }
@@ -210,7 +219,7 @@ func (e *encoder) endpoint(ep *Endpoint) {
 
 // placement writes a placement-table reference.
 func (e *encoder) placement(p *Placement) {
-	if !index(e, e.places, p, 0) {
+	if !index(e, &e.places, p, 0) {
 		e.ref(p.Tenant)
 		e.ref(p.VM)
 		e.ref(p.Provider)
@@ -233,7 +242,7 @@ func (e *encoder) service(svc *Service) {
 func (e *encoder) permits(set *addr.PrefixSet) {
 	if set == nil {
 		e.uvarint(0)
-	} else if !index(e, e.sets, set, 1) {
+	} else if !index(e, &e.sets, set, 1) {
 		e.b = appendPrefixes(e.b, set.Entries())
 	}
 }
@@ -252,44 +261,37 @@ func (e *encoder) pool(ps *PoolState) {
 }
 
 // decoder reads the codec's primitives from r: a snapshot file, or one
-// journal frame's payload.
+// journal frame's payload at a time.
 type decoder struct {
 	r      *bufio.Reader
 	lim    *io.LimitedReader // the payload, beneath r
 	buf    []byte            // the string being read
 	strs   []string
-	places []*heldPlace      // the placement table, held in the state's
-	sets   []*heldSet        // the permit-list table, held in the state's
-	seen   map[string]string // the strings read so far, when the caller keeps one copy of each
-	held   *interns          // the snapshot's state's table
-	err    error             // the first thing wrong; every read after it returns zero
+	places []*heldPlace    // the placement table, held in the state's
+	sets   []*heldSet      // the permit-list table, held in the state's
+	lists  [][]addr.Prefix // a journal's set_permit lists
+	inline bool            // a DNETJNL2 journal: frames hold their strings and lists in place
+	held   *interns        // the snapshot's state's table
+	err    error           // the first thing wrong; every read after it returns zero
 }
 
-// decodeSnapshot reads a binary snapshot of size bytes, DNETSNP3 or the
-// DNETSNP2 Open upgrades. Any input is safe: a count larger than the bytes
-// left to hold it, an index past its table, an address past 32 bits, a
-// prefix length past 32 or a checksum that does not match is an error,
-// and nothing is allocated that the input's size does not bound.
+// decodeSnapshot reads a DNETSNP3 snapshot of size bytes. Any input is
+// safe: a count larger than the bytes left to hold it, an index past its
+// table, an address past 32 bits, a prefix length past 32 or a checksum
+// that does not match is an error, and nothing is allocated that the
+// input's size does not bound.
 func decodeSnapshot(r io.Reader, size int64) (*State, error) {
 	sum := crc32.NewIEEE()
 	d := &decoder{lim: &io.LimitedReader{R: r, N: max(size-4, 0)}}
 	d.r = bufio.NewReaderSize(io.TeeReader(d.lim, sum), 64<<10)
-	magic := d.read(len(snapshotMagic))
-	v2 := bytes.Equal(magic, snapshotV2Magic)
-	if d.err == nil && !v2 && !bytes.Equal(magic, snapshotMagic) {
+	if magic := d.read(len(snapshotMagic)); d.err == nil && !bytes.Equal(magic, snapshotMagic) {
 		return nil, fmt.Errorf("bad magic %q", magic)
 	}
 	s := &State{Seq: d.uvarint()}
 	d.held = &s.held
 	s.Meta = decodeStrings(d, d.text)
-	if v2 {
-		s.Endpoints = decodeAddrs(d, d.endpointV2)
-		s.Services = decodeAddrs(d, d.serviceV2)
-		d.permitsV2(s)
-	} else {
-		s.Endpoints = decodeAddrs(d, d.endpoint)
-		s.Services = decodeAddrs(d, d.service)
-	}
+	s.Endpoints = decodeAddrs(d, d.endpoint)
+	s.Services = decodeAddrs(d, d.service)
 	s.Quotas = decodeStrings(d, d.float)
 	s.Potato = decodeStrings(d, d.text)
 	s.Groups = decodeStrings(d, d.addrs)
@@ -370,18 +372,7 @@ func (d *decoder) addr() addr.IP {
 	return addr.IP(v)
 }
 
-func (d *decoder) text() string {
-	b := d.read(d.count())
-	if d.seen == nil {
-		return string(b)
-	}
-	s, ok := d.seen[string(b)]
-	if !ok {
-		s = string(b)
-		d.seen[s] = s
-	}
-	return s
-}
+func (d *decoder) text() string { return string(d.read(d.count())) }
 
 func (d *decoder) float() float64 { return math.Float64frombits(bits.ReverseBytes64(d.uvarint())) }
 
@@ -451,11 +442,18 @@ func decodeStrings[V any](d *decoder, value func() V) map[string]V {
 	return m
 }
 
-func (d *decoder) str() string { return ref(d, &d.strs, d.text) }
+// str reads a string-table reference, or in a DNETJNL2 journal's frame
+// the string itself.
+func (d *decoder) str() string {
+	if d.inline {
+		return d.text()
+	}
+	return ref(d, &d.strs, d.text)
+}
 
 // endpoint reads an endpoint record.
 func (d *decoder) endpoint() *Endpoint {
-	return &Endpoint{Placement: d.placement(), EgressCap: d.float(), Permits: d.permits(1)}
+	return &Endpoint{Placement: d.placement(), EgressCap: d.float(), Permits: d.permits()}
 }
 
 // placement reads a placement-table reference. A placement's first
@@ -477,24 +475,28 @@ func (d *decoder) placement() *Placement {
 }
 
 func (d *decoder) service() *Service {
-	svc := d.serviceV2()
-	svc.Permits = d.permits(1)
+	svc := &Service{Tenant: d.str(), Provider: d.str(), Binds: make([]Bind, d.count())}
+	for i := range svc.Binds {
+		svc.Binds[i] = Bind{EIP: d.addr(), Weight: int(d.varint())}
+	}
+	svc.Permits = d.permits()
 	return svc
 }
 
-// permits reads a permit-list reference, base more than the list's index
-// (DNETSNP3's 1: 0 is no list). Like a placement, a list's first
-// reference holds it in the state's table — one set per distinct list,
-// even where the file lists one twice — and each later one counts one
-// more holder.
-func (d *decoder) permits(base uint64) *addr.PrefixSet {
+// permits reads a permit-list reference: 0 for no list, else one more
+// than the list's index. Like a placement, a list's first reference holds
+// it in the state's table — one set per distinct list, even where the
+// file lists one twice — and each later one counts one more holder.
+func (d *decoder) permits() *addr.PrefixSet {
 	i := d.uvarint()
-	if i < base {
+	if i == 0 {
 		return nil
 	}
-	switch i, n := i-base, uint64(len(d.sets)); {
+	switch i, n := i-1, uint64(len(d.sets)); {
 	case i == n:
-		h := d.held.holdEntry(d.set())
+		// The list's entries' cap is their len: an append by one holder
+		// never writes under another.
+		h := d.held.holdEntry(addr.AdoptPrefixSet(d.entries()))
 		d.sets = append(d.sets, h)
 		return h.set
 	case i < n:
@@ -520,44 +522,6 @@ func (d *decoder) entries() []addr.Prefix {
 	return list
 }
 
-// set reads a permit list of the snapshot's table, whose entries' cap is
-// their len: an append by one holder never writes under another.
-func (d *decoder) set() *addr.PrefixSet { return addr.AdoptPrefixSet(d.entries()) }
-
 func (d *decoder) pool() *PoolState {
 	return &PoolState{Next: d.addr(), Released: d.addrs()}
-}
-
-// DNETSNP2, read only to upgrade: an endpoint record is its four string
-// references and its egress cap, a service record has no list, and the
-// lists follow the services in a permits section of their own — each
-// target's address gap, its tenant's string reference and a list
-// reference (the list's index, the first followed by the list).
-
-func (d *decoder) endpointV2() *Endpoint {
-	return &Endpoint{Placement: d.held.place(Placement{d.str(), d.str(), d.str(), d.str()}), EgressCap: d.float()}
-}
-
-func (d *decoder) serviceV2() *Service {
-	svc := &Service{Tenant: d.str(), Provider: d.str(), Binds: make([]Bind, d.count())}
-	for i := range svc.Binds {
-		svc.Binds[i] = Bind{EIP: d.addr(), Weight: int(d.varint())}
-	}
-	return svc
-}
-
-// permitsV2 reads the permits section into the records decoded before it:
-// each list must belong to an endpoint or service of its tenant.
-func (d *decoder) permitsV2(s *State) {
-	d.keyed(d.count(), func(ip addr.IP) {
-		tenant, list := d.str(), d.permits(0)
-		ep, _ := s.Endpoints.Get(ip)
-		if svc, _ := s.Services.Get(ip); ep != nil && ep.Tenant == tenant {
-			ep.Permits = list
-		} else if ep == nil && svc != nil && svc.Tenant == tenant {
-			svc.Permits = list
-		} else {
-			d.fail("permit list for %s, which tenant %q holds no record of", ip, tenant)
-		}
-	})
 }

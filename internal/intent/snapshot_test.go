@@ -20,7 +20,10 @@ import (
 // encodeBytes is the encoder under test, into memory.
 func encodeBytes(s *State) ([]byte, error) {
 	var buf bytes.Buffer
-	err := s.encodeSnapshot(&buf)
+	n, err := s.encodeSnapshot(&buf)
+	if err == nil && n != int64(buf.Len()) {
+		err = fmt.Errorf("encodeSnapshot counted %d bytes and wrote %d", n, buf.Len())
+	}
 	return buf.Bytes(), err
 }
 
@@ -443,7 +446,7 @@ func referenceSnapshot(s *State) []byte {
 		svcs[ip], _ = s.Services.Get(ip)
 	}
 	var buf bytes.Buffer
-	e := &encoder{w: &buf, strs: map[string]uint64{}, places: map[*Placement]uint64{}, sets: map[*addr.PrefixSet]uint64{}}
+	e := &encoder{w: &buf}
 	e.b = append(e.b, snapshotMagic...)
 	e.uvarint(s.Seq)
 	stringSection(e, s.Meta, e.text)
