@@ -5,7 +5,7 @@ FUZZTIME ?= 10s
 SCALE_EIPS ?= 1000000
 SCALE_TENANTS ?= 400
 
-.PHONY: build fmt test vet race bench benchsmoke scale recover-scale soak staticcheck check fuzz fuzz-store loc flags benchmod nobaseline onejson onepath addrmaps onestate
+.PHONY: build fmt test vet race bench benchsmoke scale recover-scale soak staticcheck check fuzz fuzz-store loc flags benchmod nobaseline onejson onepath addrmaps onestate onecheck
 
 build:
 	$(GO) build ./...
@@ -173,8 +173,24 @@ onestate:
 		echo "the lines above keep declared state in core; it lives in intent.State alone"; exit 1; \
 	fi
 
+# One check site: the rules a journaled op is held to are
+# intent.State.check's, which a live frame (intent.Frame.Check) and
+# journal replay (State.Apply) both run, so core's verb table checks no
+# ownership and no rate of its own. Cloud.owned and Cloud.ownsTarget stay
+# for connect, probe, explain and the reconciler, so the first grep reads
+# apply.go alone. No non-test file of internal/intent reads a DNETJNL2
+# journal (journalV2Magic, decoder.inline): Open refuses one.
+onecheck:
+	@if grep -nE 'c\.(owned|ownedSIP|ownsTarget)\(|checkRate\(' internal/core/apply.go; then \
+		echo "internal/core/apply.go checks what intent.State.check checks, the one check site"; exit 1; \
+	fi
+	@if grep -nE 'journalV2Magic|\.inline\b' $$(ls internal/intent/*.go | grep -v '_test\.go$$'); then \
+		echo "the lines above read a DNETJNL2 journal, which Open refuses"; exit 1; \
+	fi
+
 # Tier-1 verification plus gofmt, vet, static analysis, the race pass,
 # the benchmark smoke tests, the declnetd dependency pin (no baseline
 # world, no simulator), the intent store's freedom from JSON and from
-# address-keyed maps, the one mutation path, and one declared state.
-check: build fmt vet staticcheck test race benchsmoke benchmod nobaseline onejson onepath addrmaps onestate
+# address-keyed maps, the one mutation path, one declared state and one
+# check site.
+check: build fmt vet staticcheck test race benchsmoke benchmod nobaseline onejson onepath addrmaps onestate onecheck

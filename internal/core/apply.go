@@ -4,12 +4,13 @@
 // provider and shard. Cloud.apply is the one place ops run: it plans
 // every op's shard with route and takes them all at once; under them it
 // checks each op against the declared state (intent.State, the only copy
-// of what tenants declared) and folds it there, journals the folded ops
-// as one record, and then installs each op's effect — permit engines,
-// balancers, limiters — derived from what was folded. Its two callers
-// are Cloud.Apply (the Go facade) and ApplyBatch (batch.go, which the
-// HTTP routes use).
-// A verb is defined by its case in that switch; DESIGN.md "Mutation
+// of what tenants declared) with the rules journal replay applies
+// (intent.Frame.Check), completes it from the topology and the state (the
+// verb's declare), folds it there, journals the folded ops as one record,
+// and installs each op's effect — permit engines, balancers, limiters —
+// derived from what was folded. Its two callers are Cloud.Apply (the Go
+// facade) and ApplyBatch (batch.go, which the HTTP routes use).
+// A verb is defined by its entry in the verb table; DESIGN.md "Mutation
 // plane" carries the table. A verb applies and journals under one lock,
 // so whatever it touched is converged when it returns, accepted or
 // refused: it leaves the reconciler nothing to re-check.
@@ -17,7 +18,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"declnet/internal/addr"
@@ -66,10 +66,11 @@ type backRef struct {
 // a grant's address, which a later op's backRef may name, is a stand-in
 // from the block it will come from) and takes the write locks of exactly
 // those shards (ShardSet.lockShards). Then, in one hold of the declared
-// state's lock (intent.Frame), it runs each op in order: the verb's
-// declare checks the op against the declared state and completes it in
-// place (a grant's address, set_permit's list), the state folds it, and
-// the verb's install derives the installed state from what was folded.
+// state's lock (intent.Frame), it runs each op in order: the frame checks
+// it against the declared state (Frame.Check, the rules replay holds
+// every journaled op to), the verb's declare completes it in place (a
+// grant's address, set_permit's list), the state folds it, and the verb's
+// install derives the installed state from what was folded.
 // The first refusal stops the run, leaving the refused op unfolded and
 // nothing of it installed. The folded ops are journaled as one record
 // under the same hold, so journal order equals fold order and no
@@ -127,6 +128,9 @@ func (c *Cloud) apply(tenant string, ops []intent.Op, refs []backRef) (n int, er
 			p, rerr = c.owner(a)
 		}
 		if rerr == nil {
+			rerr = rec.Check(tenant, op)
+		}
+		if rerr == nil && v.declare != nil {
 			*op, rerr = v.declare(c, p, rec.State(), tenant, *op)
 		}
 		if rerr == nil {
@@ -210,11 +214,14 @@ func (c *Cloud) owner(a addr.IP) (*Provider, error) {
 
 // verb is one Table-2 verb: the SLO verb it is timed as, and its two
 // halves, which run under the shard locks and the declared state's lock
-// with the fold between them. declare checks op against st — the tenant
-// holds what op names, op's operands hold — and returns op completed with
-// what the provider derives (a grant's address, set_permit's list); a
+// with the fold between them, after the frame has checked the op. declare
+// completes op from what only core knows — the topology, the provider's
+// address carving, the state's allocator — and refuses what depends on
+// them (a VM's host, a region, a group to expand, a potato policy); a
 // release also uninstalls there, before its record leaves the declared
-// state. install derives installed state from the folded op and cannot
+// state, for the reconciler must never see an installed list on an
+// undeclared address. A verb whose op is complete as given has no
+// declare. install derives installed state from the folded op and cannot
 // fail. p is the owning provider (nil for a cloud-level verb). Both
 // capture nothing and declare takes the op by value, so routing and
 // running a verb allocate nothing.
@@ -240,10 +247,7 @@ var verbs = map[string]*verb{
 		},
 		func(_ *Cloud, p *Provider, tenant string, _ *intent.Op) { p.granted(tenant, false) }},
 	intent.OpReleaseEIP: {slo.VerbGrant,
-		func(c *Cloud, p *Provider, st *intent.State, tenant string, op intent.Op) (intent.Op, error) {
-			if _, err := c.owned(tenant, op.Addr); err != nil {
-				return op, err
-			}
+		func(_ *Cloud, p *Provider, st *intent.State, _ string, op intent.Op) (intent.Op, error) {
 			// The balancers it is bound to drain it now: the fold forgets them.
 			for _, sip := range st.Bound(op.Addr) {
 				if svc, ok := p.services.Get(sip); ok {
@@ -264,45 +268,25 @@ var verbs = map[string]*verb{
 			p.granted(tenant, true)
 		}},
 	intent.OpReleaseSIP: {slo.VerbGrant,
-		func(c *Cloud, p *Provider, _ *intent.State, tenant string, op intent.Op) (intent.Op, error) {
-			_, err := c.ownedSIP(tenant, op.Addr)
-			if err == nil {
-				p.Permits.Drop(op.Addr)
-			}
-			return op, err
+		func(_ *Cloud, p *Provider, _ *intent.State, _ string, op intent.Op) (intent.Op, error) {
+			p.Permits.Drop(op.Addr)
+			return op, nil
 		},
 		func(_ *Cloud, p *Provider, tenant string, op *intent.Op) { p.released(tenant, op.Addr, true) }},
-	intent.OpBind: {slo.VerbBind,
-		func(c *Cloud, _ *Provider, _ *intent.State, tenant string, op intent.Op) (intent.Op, error) {
-			if _, err := c.owned(tenant, op.EIP); err != nil {
-				return op, err
-			}
-			_, err := c.ownedSIP(tenant, op.SIP)
-			return op, err
-		},
+	intent.OpBind: {slo.VerbBind, nil,
 		func(_ *Cloud, p *Provider, _ string, op *intent.Op) {
 			if svc, ok := p.services.Get(op.SIP); ok {
 				svc.balancer.Bind(op.EIP, op.Weight)
 			}
 		}},
-	intent.OpUnbind: {slo.VerbBind,
-		func(c *Cloud, _ *Provider, _ *intent.State, tenant string, op intent.Op) (intent.Op, error) {
-			svc, err := c.ownedSIP(tenant, op.SIP)
-			if err == nil && !slices.ContainsFunc(svc.Binds, func(b intent.Bind) bool { return b.EIP == op.EIP }) {
-				err = fmt.Errorf("core: unbind %s from %s: %w", op.EIP, op.SIP, lb.ErrNotBound)
-			}
-			return op, err
-		},
+	intent.OpUnbind: {slo.VerbBind, nil,
 		func(_ *Cloud, p *Provider, _ string, op *intent.Op) {
 			if svc, ok := p.services.Get(op.SIP); ok {
 				_ = svc.balancer.Unbind(op.EIP) // a drifted balancer may already lack it
 			}
 		}},
 	intent.OpSetPermit: {slo.VerbPermit,
-		func(c *Cloud, p *Provider, st *intent.State, tenant string, op intent.Op) (intent.Op, error) {
-			if err := c.ownsTarget(tenant, op.Target); err != nil {
-				return op, err
-			}
+		func(_ *Cloud, p *Provider, st *intent.State, tenant string, op intent.Op) (intent.Op, error) {
 			op.Provider = p.Name
 			// The groups expand here, from the declared memberships: the
 			// journal records the expanded entries, for a replay that named
@@ -322,14 +306,13 @@ var verbs = map[string]*verb{
 			op.Entries, op.Groups = op.Next.Entries(), nil
 			return op, nil
 		},
-		func(_ *Cloud, p *Provider, tenant string, op *intent.Op) { p.installPermits(tenant, op) }},
-	intent.OpPermit: permitVerb,
-	intent.OpRevoke: permitVerb,
+		installPermits},
+	// permit (add each of op's entries) and revoke (remove each): the fold
+	// derives the target's next declared list from its declared one.
+	intent.OpPermit: {slo.VerbPermit, nil, installPermits},
+	intent.OpRevoke: {slo.VerbPermit, nil, installPermits},
 	intent.OpSetQoS: {slo.VerbQoS,
 		func(_ *Cloud, p *Provider, _ *intent.State, _ string, op intent.Op) (intent.Op, error) {
-			if err := checkRate(op.Bps); err != nil {
-				return op, err
-			}
 			if _, ok := p.eipBlocks[op.Region]; !ok {
 				return op, fmt.Errorf("core: unknown region %q", op.Region)
 			}
@@ -345,55 +328,17 @@ var verbs = map[string]*verb{
 			policy, _ := qos.ParsePotatoPolicy(op.Policy)
 			p.setPotato(tenant, policy)
 		}},
-	intent.OpSetVMEgress: {slo.VerbQoS,
-		func(c *Cloud, _ *Provider, _ *intent.State, tenant string, op intent.Op) (intent.Op, error) {
-			if err := checkRate(op.Bps); err != nil {
-				return op, err
-			}
-			_, err := c.owned(tenant, op.EIP)
-			return op, err
-		},
-		nothing}, // a connect reads the cap off the declared record
-	intent.OpCreateGroup: {slo.VerbBind,
-		func(c *Cloud, _ *Provider, _ *intent.State, tenant string, op intent.Op) (intent.Op, error) {
-			for _, m := range op.Members {
-				if _, ok := c.ProviderOf(m); !ok {
-					return op, fmt.Errorf("core: group member %s is not a granted address", m)
-				}
-				if _, err := c.owned(tenant, m); err != nil {
-					return op, err
-				}
-			}
-			return op, nil
-		},
-		nothing},
-	intent.OpRegisterName: {slo.VerbBind,
-		func(c *Cloud, _ *Provider, _ *intent.State, tenant string, op intent.Op) (intent.Op, error) {
-			if _, ok := c.ProviderOf(op.Addr); !ok {
-				return op, fmt.Errorf("core: %s is not a granted address", op.Addr)
-			}
-			return op, c.ownsTarget(tenant, op.Addr)
-		},
-		nothing},
-	intent.OpUnregisterName: {slo.VerbBind,
-		func(_ *Cloud, _ *Provider, st *intent.State, tenant string, op intent.Op) (intent.Op, error) {
-			if _, ok := st.Names[intent.GroupKey(tenant, op.Name)]; !ok {
-				return op, fmt.Errorf("core: tenant %q has no name %q", tenant, op.Name)
-			}
-			return op, nil
-		},
-		nothing},
+	intent.OpSetVMEgress:    {slo.VerbQoS, nil, nothing}, // a connect reads the cap off the declared record
+	intent.OpCreateGroup:    {slo.VerbBind, nil, nothing},
+	intent.OpRegisterName:   {slo.VerbBind, nil, nothing},
+	intent.OpUnregisterName: {slo.VerbBind, nil, nothing},
 }
 
-// permitVerb is permit (add each of op's entries) and revoke (remove
-// each): the fold derives the target's next declared list from its
-// declared one, and the install derives the installed list from it
-// (Provider.installPermits).
-var permitVerb = &verb{slo.VerbPermit,
-	func(c *Cloud, _ *Provider, _ *intent.State, tenant string, op intent.Op) (intent.Op, error) {
-		return op, c.ownsTarget(tenant, op.Target)
-	},
-	func(_ *Cloud, p *Provider, tenant string, op *intent.Op) { p.installPermits(tenant, op) }}
+// installPermits is the install of the permit verbs: the installed list
+// is derived from the folded one (Provider.installPermits).
+func installPermits(_ *Cloud, p *Provider, tenant string, op *intent.Op) {
+	p.installPermits(tenant, op)
+}
 
 // route routes op. It names the shard the verb locks, the verb, and the
 // owning provider of a verb routed by name, completing what the provider
@@ -405,7 +350,7 @@ var permitVerb = &verb{slo.VerbPermit,
 // key is valid even alongside a routing error, and apply can plan every
 // op's key — with a stand-in address for a "$i" operand whose grant has
 // not happened yet — before it takes a single lock. An unknown verb
-// routes to a verb whose declare refuses it.
+// routes to an empty verb beside its error.
 func (c *Cloud) route(tenant string, op *intent.Op) (k ShardKey, v *verb, p *Provider, err error) {
 	k = ShardKey{Tenant: tenant} // cloud-level verbs: the tenant's region-less shard
 	if a, ok := target(op); ok {
@@ -471,16 +416,4 @@ func (c *Cloud) eipShard(tenant string, op *intent.Op) (ShardKey, bool) {
 		return ShardKey{}, false
 	}
 	return c.shardKeyOf(tenant, op.EIP), true
-}
-
-// checkRate refuses a set_qos or set_vm_egress bandwidth that is negative,
-// NaN or infinite; zero is a rate (no reservation, or the provider's
-// default VM cap). Checked in the verbs' declare, not in setQoS: recovery
-// and the quota repair share that body, and a store holding such a quota
-// must open.
-func checkRate(bps float64) error {
-	if bps < 0 || math.IsNaN(bps) || math.IsInf(bps, 0) {
-		return fmt.Errorf("core: bandwidth %g bit/s is not a finite, non-negative rate", bps)
-	}
-	return nil
 }

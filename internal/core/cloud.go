@@ -275,22 +275,15 @@ func (c *Cloud) ProviderOf(ip addr.IP) (*Provider, bool) {
 }
 
 // owned returns eip's declared record when it is one of the tenant's
-// EIPs; ownedSIP likewise for a SIP, and ownsTarget refuses an address
-// that is neither.
+// EIPs, and ownsTarget refuses an address that is none of the tenant's
+// EIPs or SIPs: the read plane's and the reconciler's ownership checks (a
+// verb's are intent.Frame.Check's).
 func (c *Cloud) owned(tenant string, eip EIP) (*intent.Endpoint, error) {
 	ep, ok := c.decl.Endpoint(eip)
 	if !ok || ep.Tenant != tenant {
 		return nil, fmt.Errorf("core: %s is not tenant %q's EIP", eip, tenant)
 	}
 	return ep, nil
-}
-
-func (c *Cloud) ownedSIP(tenant string, sip SIP) (*intent.Service, error) {
-	svc, ok := c.decl.Service(sip)
-	if !ok || svc.Tenant != tenant {
-		return nil, fmt.Errorf("core: %s is not tenant %q's SIP", sip, tenant)
-	}
-	return svc, nil
 }
 
 func (c *Cloud) ownsTarget(tenant string, target addr.IP) error {

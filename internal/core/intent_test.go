@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -181,14 +182,26 @@ func storeBytes(t *testing.T, dir string) [2]string {
 // the format and 171a73e, the last build that upgrades it, and no file of
 // the store changes.
 func TestDNETSNP2StoreIsRefused(t *testing.T) {
-	dir := copyStore(t, "dnetsnp2")
+	checkStoreIsRefused(t, "dnetsnp2", "DNETSNP2", "171a73e")
+}
+
+// TestDNETJNL2StoreIsRefused: a store the build before DNETJNL3 wrote —
+// its DNETSNP3 snapshot and a DNETJNL2 journal tail behind it, checked in
+// under internal/intent/testdata/dnetjnl2 — is refused the same way,
+// naming 0416de1, the last build that upgrades it.
+func TestDNETJNL2StoreIsRefused(t *testing.T) {
+	checkStoreIsRefused(t, "dnetjnl2", "DNETJNL2", "0416de1")
+}
+
+func checkStoreIsRefused(t *testing.T, fixture, format, commit string) {
+	dir := copyStore(t, fixture)
 	before := storeBytes(t, dir)
 	l, err := intent.Open(dir, intent.Options{})
 	if err == nil {
 		l.Close()
-		t.Fatal("Open accepted a DNETSNP2 store")
+		t.Fatalf("Open accepted a %s store", format)
 	}
-	for _, want := range []string{`"DNETSNP2"`, "171a73e"} {
+	for _, want := range []string{`"` + format + `"`, commit} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("Open's error %q does not name %s", err, want)
 		}
@@ -198,53 +211,34 @@ func TestDNETSNP2StoreIsRefused(t *testing.T) {
 	}
 }
 
-// TestDNETJNL2StoreUpgrades: a store the build before DNETJNL3 wrote —
-// its DNETSNP3 snapshot and a DNETJNL2 journal tail behind it, checked in
-// under internal/intent/testdata/dnetjnl2 (populate's world and a second
-// tenant whose endpoints and service share one list, compacted, then a
-// release, grants, set_permits that repeat one list on three targets and
-// another on two, a permit, binds and a set_qos) — opens and restores to
-// the digest and the next grants that build's own restart gave. Open
-// upgrades it at once: the journal on disk is a bare DNETJNL3 header when
-// Open returns, and a second Open restores the same world from it.
-func TestDNETJNL2StoreUpgrades(t *testing.T) {
-	const pinnedDigest = "bd8e4c795f6f4f541eff7d5829b0c8f4a087167e3a34297457f1e0eda6d966c1"
-	dir := copyStore(t, "dnetjnl2")
-	for open := 1; open <= 2; open++ {
-		l, err := intent.Open(dir, intent.Options{})
-		if err != nil {
-			t.Fatalf("open %d: %v", open, err)
-		}
-		st := l.State()
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-		files := storeBytes(t, dir)
-		if !strings.HasPrefix(files[0], "DNETSNP3") || files[1] != "DNETJNL3" {
-			t.Fatalf("open %d left a snapshot opening %q and a %d-byte journal, want DNETSNP3 and a bare DNETJNL3 header",
-				open, files[0][:min(8, len(files[0]))], len(files[1]))
-		}
-		c, w, _, pb, _ := fig1Cloud(t)
-		if err := c.RestoreIntent(st); err != nil {
-			t.Fatal(err)
-		}
-		if got := c.StateDigest(); got != pinnedDigest {
-			t.Fatalf("open %d restores\n got %s\nwant %s", open, got, pinnedDigest)
-		}
-		if open > 1 {
-			continue
-		}
-		host := func(az string, i int) topo.NodeID { return topo.HostID(w.CloudA, w.RegionsA[0], az, i) }
-		eip1, err1 := c.Tenant("acme").RequestEIP(host("az2", 2))
-		sip, err2 := c.Tenant("beta").RequestSIP(pb.Name)
-		eip2, err3 := c.Tenant("beta").RequestEIP(host("az1", 1))
-		if err := errors.Join(err1, err2, err3); err != nil {
-			t.Fatal(err)
-		}
-		next := []string{eip1.String(), sip.String(), eip2.String()}
-		if want := []string{"100.64.0.6", "104.255.0.2", "100.64.0.7"}; !slices.Equal(next, want) {
-			t.Errorf("next grants %v, want %v", next, want)
-		}
+// TestDNETJNL3StoreRestores: a store the build before replay refused what
+// the writer refuses wrote — populate's world compacted to DNETSNP3, then
+// a DNETJNL3 tail of every verb the writer journals, among them a group
+// and a name over an address a later frame releases, that address
+// re-granted to another tenant in a frame of its own, and a batch —
+// checked in under internal/intent/testdata/dnetjnl3, replays under the
+// strict rules to the digest and the next grants that build's restart gave.
+func TestDNETJNL3StoreRestores(t *testing.T) {
+	l, err := intent.Open(copyStore(t, "dnetjnl3"), intent.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	c, w, _, pb, _ := fig1Cloud(t)
+	if err := c.RestoreIntent(l.State()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.StateDigest(), "13973e2b0c08c082885c40899595b4ea60a9c0a7a6ffb432ac0761a4e31356bb"; got != want {
+		t.Fatalf("restores\n got %s\nwant %s", got, want)
+	}
+	eip1, err1 := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az2", 2))
+	sip, err2 := c.Tenant("beta").RequestSIP(pb.Name)
+	eip2, err3 := c.Tenant("beta").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
+	if err := errors.Join(err1, err2, err3); err != nil {
+		t.Fatal(err)
+	}
+	if next, want := []addr.IP{eip1, sip, eip2}, []string{"100.64.0.4", "104.255.0.2", "100.64.0.5"}; fmt.Sprint(next) != fmt.Sprint(want) {
+		t.Errorf("next grants %v, want %v", next, want)
 	}
 }
 

@@ -215,7 +215,7 @@ func reuseFrames(t *testing.T) []message {
 		{"t-a", []Op{permit(ip("10.0.0.2"), a), {Verb: OpRequestSIP, Provider: "p", Addr: ip("172.16.0.1")}}},
 		{"t-late", []Op{grant(ip("10.0.0.4"), "vm-late", "r-late"), permit(ip("10.0.0.4"), c)}},
 		{"t-a", []Op{permit(ip("10.0.0.1"), b), {Verb: OpSetQoS, Provider: "p", Region: "r", Bps: 5}}},
-		{"t-late", []Op{permit(ip("10.0.0.4"), b), {Verb: OpBind, EIP: ip("10.0.0.2"), SIP: ip("172.16.0.1"), Weight: 2}}},
+		{"t-a", []Op{permit(ip("10.0.0.2"), b), {Verb: OpBind, EIP: ip("10.0.0.2"), SIP: ip("172.16.0.1"), Weight: 2}}},
 	}
 }
 
@@ -227,7 +227,8 @@ func reuseAppends(t *testing.T) []message {
 	return []message{
 		{"t-late", []Op{{Verb: OpRequestEIP, VM: "vm-late", Provider: "p", Region: "r-late", Addr: mustIP(t, "10.0.0.9")},
 			{Verb: OpSetPermit, Provider: "p", Target: mustIP(t, "10.0.0.9"), Entries: frames[4].ops[1].Entries}}},
-		{"t-a", []Op{{Verb: OpSetPermit, Provider: "p", Target: mustIP(t, "10.0.0.2"), Entries: frames[5].ops[0].Entries}}},
+		{"t-a", []Op{{Verb: OpRequestEIP, VM: "vm-1", Provider: "p", Region: "r", Addr: mustIP(t, "10.0.0.11")},
+			{Verb: OpSetPermit, Provider: "p", Target: mustIP(t, "10.0.0.11"), Entries: frames[5].ops[0].Entries}}},
 		{"t-b", []Op{{Verb: OpRequestEIP, VM: "vm-2", Provider: "p", Region: "r", Addr: mustIP(t, "10.0.0.10")},
 			{Verb: OpSetPermit, Provider: "p", Target: mustIP(t, "10.0.0.10"), Entries: frames[1].ops[1].Entries}}},
 	}

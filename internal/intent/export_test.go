@@ -25,3 +25,15 @@ func FailJournal(l *Log, call string, err error) (calls func() (writes, fsyncs i
 		return writes, fsyncs
 	}
 }
+
+// RenderState is the rendering the package's tests compare states by.
+var RenderState = renderState
+
+// AppendUnchecked journals ops as one frame of l, neither checked nor
+// folded: a frame written by hand.
+func AppendUnchecked(l *Log, tenant string, ops ...Op) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	_, err := l.appendLocked(tenant, ops, nil)
+	return err
+}

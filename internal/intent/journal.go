@@ -35,8 +35,7 @@
 // list by its bytes. Every reference points back, so any prefix of whole
 // frames decodes alone; a writer appending to a file whose tail was cut
 // numbers from what the surviving frames defined (Log.replay). A DNETJNL2
-// journal, the format before, holds every string and list in place; the
-// decoder reads it only for Open to upgrade the store.
+// journal, the format before, is refused by Open (see checkFormat).
 package intent
 
 import (
@@ -53,14 +52,10 @@ import (
 )
 
 // journalMagic opens every journal file: format name plus version. It is
-// the only version this build writes; it reads journalV2Magic, the one
-// before, only to upgrade it. Open refuses a journal whose header names
-// another one (see checkFormat), and a future frame-format change bumps
-// the trailing digit.
-var (
-	journalMagic   = []byte("DNETJNL3")
-	journalV2Magic = []byte("DNETJNL2")
-)
+// the only version this build reads or writes. Open refuses a journal
+// whose header names another one (see checkFormat), and a future
+// frame-format change bumps the trailing digit.
+var journalMagic = []byte("DNETJNL3")
 
 // maxFrame bounds a frame payload (64 MiB). Real records are a few KiB
 // at most — even a 4096-op batch stays far under this — so a larger
@@ -233,7 +228,7 @@ func (d *decoder) op(op *Op) {
 		case *float64:
 			*f = d.float()
 		case *[]addr.Prefix:
-			if op.Verb == OpSetPermit && !d.inline {
+			if op.Verb == OpSetPermit {
 				*f = ref(d, &d.lists, d.entries)
 			} else {
 				*f = d.entries()
@@ -264,10 +259,10 @@ func (e *encoder) resume(d *decoder) {
 	}
 }
 
-// DecodeJournal scans a journal byte stream, DNETJNL3 or DNETJNL2. It
+// DecodeJournal scans a DNETJNL3 journal byte stream. It
 // returns every record of the longest valid prefix, the offset just past
 // the last valid frame, and the corruption that stopped the scan — nil on
-// a clean EOF, or the *CorruptError of a header that names neither format
+// a clean EOF, or the *CorruptError of a header that names another format
 // or of a frame that is truncated, fails its checksum, claims an
 // implausible length or does not decode. Any input is safe: a truncated,
 // bit-flipped, or entirely foreign stream yields a *CorruptError, never a
@@ -288,7 +283,7 @@ func decodeJournal(r io.Reader) (*decoder, []Record, int64, error) {
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return d, nil, 0, &CorruptError{Offset: 0, Reason: "missing or truncated header"}
 	}
-	if d.inline = bytes.Equal(hdr, journalV2Magic); !d.inline && !bytes.Equal(hdr, journalMagic) {
+	if !bytes.Equal(hdr, journalMagic) {
 		return d, nil, 0, &CorruptError{Offset: 0, Reason: fmt.Sprintf("bad magic %q", hdr)}
 	}
 	var recs []Record

@@ -84,9 +84,11 @@ const (
 	// lastUpgrade is the last commit whose Open reads a store written in
 	// the formats before DNETJNL2 and DNETSNP2 — a DNETJNL1 journal of
 	// JSON frames, a JSON snapshot — and upgrades it; lastSNP2Upgrade the
-	// last that upgrades a DNETSNP2 snapshot.
+	// last that upgrades a DNETSNP2 snapshot, and lastJNL2Upgrade, the
+	// commit that added DNETJNL3, the last that upgrades a DNETJNL2 journal.
 	lastUpgrade     = "262588d"
 	lastSNP2Upgrade = "171a73e"
+	lastJNL2Upgrade = "0416de1"
 )
 
 // Log is the declared world and its durable intent store, rooted at one
@@ -145,10 +147,8 @@ type Stats struct {
 // something other than a crash went wrong. A journal tail that survives
 // is appended to: the writer numbers its strings and lists from what the
 // surviving frames defined. A store file in a format other than the ones
-// this build writes is refused and left as it is (see checkFormat): Open
-// reads DNETSNP3 and DNETJNL3, and a DNETJNL2 journal only to upgrade it
-// — after replaying it, it compacts at once, so the journal is DNETJNL3
-// on disk when Open returns.
+// this build writes, DNETSNP3 and DNETJNL3, is refused and left as it is
+// (see checkFormat).
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SyncEvery <= 0 {
 		opts.SyncEvery = 64
@@ -165,59 +165,49 @@ func Open(dir string, opts Options) (*Log, error) {
 		return nil, fmt.Errorf("intent: %w", err)
 	}
 	l.f = f
-	upgrade, err := l.replay()
-	if err != nil {
+	if err := l.replay(); err != nil {
 		f.Close()
 		return nil, err
-	}
-	if upgrade {
-		if err := l.compactLocked(); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("intent: upgrading the %s journal: %w", journalV2Magic, err)
-		}
 	}
 	return l, nil
 }
 
 // replay folds the journal into State, cutting a corrupt tail, and
-// resumes the journal's writer after the last whole frame; upgrade is
-// true for a DNETJNL2 journal, which Open replaces at once. A new or
-// empty journal gets its header and, when Options.Meta stamps the world's
+// resumes the journal's writer after the last whole frame. A new or empty
+// journal gets its header and, when Options.Meta stamps the world's
 // identity, that as its first record.
-func (l *Log) replay() (upgrade bool, err error) {
+func (l *Log) replay() error {
 	f, opts := l.f, l.opts
 	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
-		return false, fmt.Errorf("intent: %w", err)
+		return fmt.Errorf("intent: %w", err)
 	}
 	if size == 0 {
 		if err := l.writeHeaderLocked(); err != nil {
-			return false, err
+			return err
 		}
 		if len(opts.Meta) > 0 {
 			// Stamp world identity as the journal's first record.
 			l.st.Meta = maps.Clone(opts.Meta)
 			if _, err := l.appendLocked("", nil, opts.Meta); err != nil {
-				return false, err
+				return err
 			}
 		}
-		return false, nil
+		return nil
 	}
 
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return false, fmt.Errorf("intent: %w", err)
+		return fmt.Errorf("intent: %w", err)
 	}
 	br := bufio.NewReaderSize(f, 1<<20)
 	hdr, _ := br.Peek(len(journalMagic))
-	if upgrade = bytes.Equal(hdr, journalV2Magic); !upgrade {
-		if err := l.checkFormat(journalName, hdr, journalMagic); err != nil {
-			return false, err
-		}
+	if err := l.checkFormat(journalName, hdr, journalMagic); err != nil {
+		return err
 	}
 	d, recs, off, decErr := decodeJournal(br)
 	for i := range recs {
 		if err := l.st.Apply(&recs[i]); err != nil {
-			return false, err
+			return err
 		}
 	}
 	l.replayed = len(recs)
@@ -226,11 +216,11 @@ func (l *Log) replay() (upgrade bool, err error) {
 		// Cut the corrupt tail so O_APPEND writes land right after the
 		// last whole frame.
 		if err := f.Truncate(off); err != nil {
-			return false, fmt.Errorf("intent: truncating corrupt tail: %w", err)
+			return fmt.Errorf("intent: truncating corrupt tail: %w", err)
 		}
 		if off < int64(len(journalMagic)) {
 			// Even the header was bad; rewrite it.
-			return false, l.writeHeaderLocked()
+			return l.writeHeaderLocked()
 		}
 	}
 	// The writer goes on from the frames that survived the cut, and from
@@ -238,9 +228,9 @@ func (l *Log) replay() (upgrade bool, err error) {
 	l.frames.resume(d)
 	l.size.JournalBytes, l.size.JournalRecords = off, int64(len(recs))
 	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		return false, fmt.Errorf("intent: %w", err)
+		return fmt.Errorf("intent: %w", err)
 	}
-	return upgrade, nil
+	return nil
 }
 
 // loadSnapshot removes the temporary file a crash mid-compaction left
@@ -286,12 +276,8 @@ func (l *Log) checkFormat(name string, hdr, want []byte) error {
 	default:
 		return nil
 	}
-	reads := fmt.Sprintf("%q", want)
-	if bytes.Equal(want, journalMagic) {
-		reads += fmt.Sprintf(" (and %q, to upgrade it)", journalV2Magic)
-	}
-	return fmt.Errorf("intent: %s is in format %s, and this build reads only %s (commit %s is the last to upgrade a DNETSNP2 snapshot, commit %s the last to upgrade a DNETJNL1 journal or a JSON snapshot)",
-		filepath.Join(l.dir, name), format, reads, lastSNP2Upgrade, lastUpgrade)
+	return fmt.Errorf("intent: %s is in format %s, and this build reads only %q (commit %s is the last to upgrade a DNETJNL2 journal, commit %s a DNETSNP2 snapshot, commit %s a DNETJNL1 journal or a JSON snapshot)",
+		filepath.Join(l.dir, name), format, want, lastJNL2Upgrade, lastSNP2Upgrade, lastUpgrade)
 }
 
 // syncDir makes the directory entries of dir durable: a rename in it
@@ -336,9 +322,10 @@ func NewLog(st *State) *Log {
 }
 
 // Frame is a writer's hold of the log's lock for one accepted mutation,
-// from Begin to Record: it reads State to check each op, folds each op it
-// accepts, and journals them as one frame. Holding the lock across the
-// frame is what keeps a compaction from snapshotting half of one.
+// from Begin to Record: it checks each op against State (Check), folds
+// each op it accepts (Fold), and journals them as one frame. Holding the
+// lock across the frame is what keeps a compaction from snapshotting half
+// of one.
 type Frame struct{ l *Log }
 
 // Begin takes the log's lock for one frame.
@@ -347,13 +334,23 @@ func (l *Log) Begin() Frame {
 	return Frame{l}
 }
 
-// State is the declared world the frame checks its ops against.
+// State is the declared world the frame's writer completes its ops from.
 func (f Frame) State() *State { return f.l.st }
 
-// Fold applies one op to State. It refuses, changing nothing, only an op
-// no journal could hold (State.Apply's errors) and every op once the log
-// has failed (Failed); the writer checks ownership and operands against
-// State first.
+// Check refuses, changing nothing, an op no writer may journal: the rules
+// replay holds every journaled op to (State.Apply), which need no
+// topology. A writer checks each op before it completes it from State.
+func (f Frame) Check(tenant string, op *Op) error {
+	if err := f.l.st.check(tenant, op); err != nil {
+		return fmt.Errorf("intent: %w", err)
+	}
+	return nil
+}
+
+// Fold applies one op Check accepted to State. It refuses, changing
+// nothing, only what the op's completion decides (a grant's address, a
+// set_permit that names groups) and every op once the log has failed
+// (Failed).
 func (f Frame) Fold(tenant string, op *Op) error {
 	if err := f.l.Failed(); err != nil {
 		return err
@@ -381,15 +378,16 @@ func (f Frame) Record(tenant string, ops ...Op) (uint64, error) {
 	return f.l.appendLocked(tenant, ops, nil)
 }
 
-// Record folds ops into State and journals them as one frame, in one
-// hold of the lock: a Frame with no checks. An op State refuses ends the
-// frame there, and the ops before it are journaled. It returns the
-// frame's sequence number, or 0 when nothing was journaled: no op folded,
-// or the journal failed (Failed says why).
+// Record checks, folds and journals ops as one frame, in one hold of the
+// lock: a Frame whose ops are complete as given, held to the rules replay
+// holds them to. An op State refuses — one naming an address its tenant
+// does not hold, say — ends the frame there, and the ops before it are
+// journaled. It returns the frame's sequence number, or 0 when nothing
+// was journaled: no op folded, or the journal failed (Failed says why).
 func (l *Log) Record(tenant string, ops ...Op) uint64 {
 	f := l.Begin()
 	for i := range ops {
-		if f.Fold(tenant, &ops[i]) != nil {
+		if f.Check(tenant, &ops[i]) != nil || f.Fold(tenant, &ops[i]) != nil {
 			ops = ops[:i]
 			break
 		}

@@ -500,158 +500,65 @@ func TestFarClaimIsRefused(t *testing.T) {
 	}
 }
 
-// TestReleaseRegrantInversion covers the concurrent-shard hazard: a
-// release and a re-grant of the same address can reach the journal in
-// inverted order. The re-grant's apply cleans up the old incarnation;
-// the late release folds to a no-op.
-func TestReleaseRegrantInversion(t *testing.T) {
-	eip := addr.IP(0x0a000001)
-	sip := addr.IP(0xac100001)
-	s := NewState()
-	apply := func(seq uint64, tenant string, ops ...Op) {
-		t.Helper()
-		if err := s.Apply(&Record{Seq: seq, Tenant: tenant, Ops: ops}); err != nil {
-			t.Fatalf("apply %d: %v", seq, err)
-		}
-	}
-	apply(1, "alice", Op{Verb: OpRequestEIP, VM: "vm-a", Provider: "p", Region: "r", Addr: eip})
-	apply(2, "alice", Op{Verb: OpRequestSIP, Provider: "p", Addr: sip})
-	apply(3, "alice", Op{Verb: OpBind, EIP: eip, SIP: sip, Weight: 1})
-	apply(4, "alice", Op{Verb: OpPermit, Target: eip, Entries: []addr.Prefix{addr.NewPrefix(sip, 32)}})
-	// Inverted order: bob's re-grant journals before alice's release.
-	apply(5, "bob", Op{Verb: OpRequestEIP, VM: "vm-b", Provider: "p", Region: "r", Addr: eip})
-	apply(6, "alice", Op{Verb: OpReleaseEIP, Addr: eip})
-
-	ep := endpointAt(s, eip)
-	if ep == nil || ep.Tenant != "bob" {
-		t.Fatalf("endpoint = %+v, want bob's", ep)
-	}
-	if pl, ok := s.Permit(eip); ok {
-		t.Errorf("stale permit list survived: %+v", pl)
-	}
-	if svc := serviceAt(s, sip); len(svc.Binds) != 0 {
-		t.Errorf("stale binds survived: %+v", svc.Binds)
-	}
-	// Same shape for SIPs.
-	apply(7, "bob", Op{Verb: OpRequestSIP, Provider: "p", Addr: sip})
-	apply(8, "alice", Op{Verb: OpReleaseSIP, Addr: sip})
-	if svc := serviceAt(s, sip); svc == nil || svc.Tenant != "bob" {
-		t.Fatalf("service = %+v, want bob's", svc)
-	}
-}
-
 // TestGrantDrainsOnlyAStaleIncarnation pins request_eip's fold: a grant
-// unbinds its address from the services only when the address still has
-// a live record (a stale incarnation), and walks none otherwise.
-//
-// (a) alice is granted X and binds it, and bob's grant of X journals
-// before alice's release: the grant drains the stale bind.
-//
-// (b) alice is granted X, binds it and releases it, then bob is granted
-// X — the only order core journals now. The state equals the one the
-// old rule, which drained on every grant, folds the same records into:
-// the guard skips no drain that mattered, since the release drained.
+// walks no service. alice is granted X, binds it and releases it, then bob
+// is granted X — the only order a journal holds (a grant over a live
+// record is refused). The state equals the one the old rule, which
+// drained on every grant, folds the same records into: the release
+// drained what mattered.
 func TestGrantDrainsOnlyAStaleIncarnation(t *testing.T) {
-	x, kept := addr.IP(0x0a000001), addr.IP(0x0a000002)
-	sip := addr.IP(0xac100001)
+	x, kept, sip := addr.IP(0x0a000001), addr.IP(0x0a000002), addr.IP(0xac100001)
 	grant := func(vm string, a addr.IP) Op {
 		return Op{Verb: OpRequestEIP, VM: vm, Provider: "p", Region: "r", Addr: a}
 	}
-	apply := func(s *State, seq uint64, tenant string, ops ...Op) {
-		t.Helper()
-		if err := s.Apply(&Record{Seq: seq, Tenant: tenant, Ops: ops}); err != nil {
-			t.Fatalf("apply %d: %v", seq, err)
-		}
-	}
-	bound := func(s *State) []addr.IP {
-		var eips []addr.IP
-		for _, b := range serviceAt(s, sip).Binds {
-			eips = append(eips, b.EIP)
-		}
-		return eips
-	}
-	prefix := func(s *State) {
-		apply(s, 1, "alice", grant("vm-a", x), grant("vm-a", kept),
-			Op{Verb: OpRequestSIP, Provider: "p", Addr: sip})
-		apply(s, 2, "alice", Op{Verb: OpBind, EIP: x, SIP: sip, Weight: 2},
-			Op{Verb: OpBind, EIP: kept, SIP: sip})
-	}
-
-	t.Run("stale", func(t *testing.T) {
-		s := NewState()
-		prefix(s)
-		apply(s, 3, "bob", grant("vm-b", x)) // alice's release not yet journaled
-		if got := bound(s); !slices.Equal(got, []addr.IP{kept}) {
-			t.Errorf("binds after a stale grant = %v, want [%v]", got, kept)
-		}
-		apply(s, 4, "alice", Op{Verb: OpReleaseEIP, Addr: x})
-		if ep := endpointAt(s, x); ep == nil || ep.Tenant != "bob" {
-			t.Errorf("endpoint = %+v, want bob's", ep)
-		}
-	})
-
 	t.Run("released", func(t *testing.T) {
 		s, old := NewState(), NewState()
 		for _, st := range []*State{s, old} {
-			prefix(st)
-			apply(st, 3, "alice", Op{Verb: OpReleaseEIP, Addr: x})
-		}
-		old.unref(x) // the old rule: every grant drained first
-		for _, st := range []*State{s, old} {
-			apply(st, 4, "bob", grant("vm-b", x))
+			for i, rec := range []Record{
+				{Tenant: "alice", Ops: []Op{grant("vm-a", x), grant("vm-a", kept), {Verb: OpRequestSIP, Provider: "p", Addr: sip}}},
+				{Tenant: "alice", Ops: []Op{{Verb: OpBind, EIP: x, SIP: sip, Weight: 2}, {Verb: OpBind, EIP: kept, SIP: sip}}},
+				{Tenant: "alice", Ops: []Op{{Verb: OpReleaseEIP, Addr: x}}},
+				{Tenant: "bob", Ops: []Op{grant("vm-b", x)}},
+			} {
+				if rec.Seq = uint64(i + 1); rec.Tenant == "bob" && st == old {
+					old.unref(x) // the old rule: every grant drained first
+				}
+				if err := st.Apply(&rec); err != nil {
+					t.Fatalf("apply %d: %v", rec.Seq, err)
+				}
+			}
 		}
 		if got, want := stateJSON(t, s), stateJSON(t, old); got != want {
 			t.Errorf("state after release then grant:\n got %s\nwant %s", got, want)
 		}
-		if got := bound(s); !slices.Equal(got, []addr.IP{kept}) {
+		if got := serviceAt(s, sip).Binds; !slices.Equal(got, []Bind{{EIP: kept, Weight: 1}}) {
 			t.Errorf("binds = %v, want [%v]", got, kept)
 		}
 	})
 }
 
 // TestReleaseLeavesGroupsAndNames: a released address leaves its
-// tenant's groups and names — in order, under a release/re-grant
-// inversion, and when the journal places the release before a group or
-// name op core applied first — so neither resolves to the pool's next
+// tenant's groups and names, so neither resolves to the pool's next
 // holder.
 func TestReleaseLeavesGroupsAndNames(t *testing.T) {
-	eip, other, late := addr.IP(0x0a000001), addr.IP(0x0a000002), addr.IP(0x0a000003)
+	eip, other := addr.IP(0x0a000001), addr.IP(0x0a000002)
 	s := NewState()
-	apply := func(seq uint64, tenant string, ops ...Op) {
-		t.Helper()
-		if err := s.Apply(&Record{Seq: seq, Tenant: tenant, Ops: ops}); err != nil {
-			t.Fatalf("apply %d: %v", seq, err)
+	for i, ops := range [][]Op{
+		{{Verb: OpRequestEIP, VM: "vm-a", Provider: "p", Region: "r", Addr: eip},
+			{Verb: OpRequestEIP, VM: "vm-a", Provider: "p", Region: "r", Addr: other}},
+		{{Verb: OpCreateGroup, Name: "web", Members: []addr.IP{eip, other}}, {Verb: OpRegisterName, Name: "db", Addr: eip}},
+		{{Verb: OpReleaseEIP, Addr: eip}},
+	} {
+		if err := s.Apply(&Record{Seq: uint64(i + 1), Tenant: "alice", Ops: ops}); err != nil {
+			t.Fatalf("apply %d: %v", i+1, err)
 		}
 	}
-	grouped := func(seq uint64, a addr.IP) {
-		apply(seq, "alice", Op{Verb: OpCreateGroup, Name: "web", Members: []addr.IP{a, other}},
-			Op{Verb: OpRegisterName, Name: "db", Addr: a})
+	if got := s.Groups[GroupKey("alice", "web")]; !slices.Equal(got, []addr.IP{other}) {
+		t.Errorf("group web = %v, want [%v]", got, other)
 	}
-	check := func(when string) {
-		t.Helper()
-		if got := s.Groups[GroupKey("alice", "web")]; !slices.Equal(got, []addr.IP{other}) {
-			t.Errorf("%s: group web = %v, want [%v]", when, got, other)
-		}
-		if ip, ok := s.Names[GroupKey("alice", "db")]; ok {
-			t.Errorf("%s: name db still resolves to %v", when, ip)
-		}
+	if ip, ok := s.Names[GroupKey("alice", "db")]; ok {
+		t.Errorf("name db still resolves to %v", ip)
 	}
-	apply(1, "alice", Op{Verb: OpRequestEIP, VM: "vm-a", Provider: "p", Region: "r", Addr: eip},
-		Op{Verb: OpRequestEIP, VM: "vm-a", Provider: "p", Region: "r", Addr: other})
-	grouped(2, eip)
-	apply(3, "alice", Op{Verb: OpReleaseEIP, Addr: eip})
-	check("after release")
-
-	apply(4, "alice", Op{Verb: OpRequestEIP, VM: "vm-a", Provider: "p", Region: "r", Addr: eip})
-	grouped(5, eip)
-	apply(6, "bob", Op{Verb: OpRequestEIP, VM: "vm-b", Provider: "p", Region: "r", Addr: eip})
-	apply(7, "alice", Op{Verb: OpReleaseEIP, Addr: eip})
-	check("after inverted re-grant")
-
-	apply(8, "alice", Op{Verb: OpRequestEIP, VM: "vm-a", Provider: "p", Region: "r", Addr: late})
-	apply(9, "alice", Op{Verb: OpReleaseEIP, Addr: late})
-	grouped(10, late)
-	check("after a release journaled first")
 }
 
 // TestProviderScopedGroupsAreErrors: groups have one, tenant-wide
@@ -830,34 +737,6 @@ func TestDeclaredEntriesAreImmutable(t *testing.T) {
 	st.Quotas["probe"] = 1
 	if got := stateJSON(t, l.State()); got != want {
 		t.Errorf("mutating a State() copy reached the log:\n got %s\nwant %s", got, want)
-	}
-}
-
-// TestPermitOnAnUnheldTargetDeclaresNothing: a permit-surface op naming
-// an address the tenant holds no record of — another tenant's endpoint,
-// or nobody's — applies without error and changes nothing, since there
-// is no record of the tenant's to carry the list.
-func TestPermitOnAnUnheldTargetDeclaresNothing(t *testing.T) {
-	s := NewState()
-	eip, nobodys := mustIP(t, "10.0.0.1"), mustIP(t, "10.0.0.9")
-	if err := s.Apply(&Record{Seq: 1, Tenant: "acme", Ops: []Op{{Verb: OpRequestEIP, VM: "vm-1", Provider: "p", Region: "r", Addr: eip}}}); err != nil {
-		t.Fatal(err)
-	}
-	held := endpointAt(s, eip)
-	entries := []addr.Prefix{addr.MustParsePrefix("10.0.0.0/8")}
-	for i, op := range []Op{
-		{Verb: OpSetPermit, Target: eip, Entries: entries},
-		{Verb: OpPermit, Target: nobodys, Entries: entries},
-	} {
-		if err := s.Apply(&Record{Seq: uint64(2 + i), Tenant: "globex", Ops: []Op{op}}); err != nil {
-			t.Fatalf("%s on %s: %v", op.Verb, op.Target, err)
-		}
-	}
-	if endpointAt(s, eip) != held || held.Permits != nil {
-		t.Errorf("globex's set_permit changed acme's endpoint: %+v", endpointAt(s, eip))
-	}
-	if pl, ok := s.Permit(nobodys); ok {
-		t.Errorf("a permit on an address nobody holds declared %+v", pl)
 	}
 }
 

@@ -270,7 +270,6 @@ type decoder struct {
 	places []*heldPlace    // the placement table, held in the state's
 	sets   []*heldSet      // the permit-list table, held in the state's
 	lists  [][]addr.Prefix // a journal's set_permit lists
-	inline bool            // a DNETJNL2 journal: frames hold their strings and lists in place
 	held   *interns        // the snapshot's state's table
 	err    error           // the first thing wrong; every read after it returns zero
 }
@@ -442,14 +441,8 @@ func decodeStrings[V any](d *decoder, value func() V) map[string]V {
 	return m
 }
 
-// str reads a string-table reference, or in a DNETJNL2 journal's frame
-// the string itself.
-func (d *decoder) str() string {
-	if d.inline {
-		return d.text()
-	}
-	return ref(d, &d.strs, d.text)
-}
+// str reads a string-table reference.
+func (d *decoder) str() string { return ref(d, &d.strs, d.text) }
 
 // endpoint reads an endpoint record.
 func (d *decoder) endpoint() *Endpoint {

@@ -3,16 +3,18 @@
 // expanded by core at verb time, before the op is folded), quotas, potato
 // profiles, groups, names, and the address pools' allocation cursors. It
 // is the only copy of what tenants declared and the only address
-// allocator: a control plane checks each op against it, takes each grant's
-// address from it (NextGrant), folds the op into it and derives its
-// installed state (permit engines, balancers, limiters) from it; restart
-// recovery replays the journal into it, and the reconciler treats it as
-// desired state.
+// allocator: a control plane checks each op against it (check, through
+// Frame.Check), takes each grant's address from it (NextGrant), folds the
+// op into it and derives its installed state (permit engines, balancers,
+// limiters) from it; restart recovery replays the journal into it under
+// the same check, so it rebuilds exactly what requests could have
+// declared, and the reconciler treats it as desired state.
 package intent
 
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"strings"
 
@@ -91,10 +93,14 @@ func (ps *PoolState) Available(block addr.Prefix) (next addr.IP, released []addr
 // them again), and a claim below the cursor that is not in Released was
 // already skip-filled past. The skip-fill passes over an address s
 // declares — one a restored cursor stepped over — which is not free: its
-// release puts it on the list. A claim more than maxSkip past the cursor
-// names an address its pool cannot hold; it is an error, and changes
-// nothing.
+// release puts it on the list. A claim of an address s still declares
+// (NextGrant never names one, and a release frees its address in its own
+// fold) or more than maxSkip past the cursor (its pool cannot hold it) is
+// an error, and changes nothing.
 func (s *State) claim(ps *PoolState, a addr.IP) error {
+	if s.declares(a) {
+		return fmt.Errorf("grant of %s over its live record", a)
+	}
 	if ps.Next == 0 {
 		ps.Next = a
 	}
@@ -289,8 +295,9 @@ func (s *State) declares(a addr.IP) bool {
 // Apply folds one record into the state. Records at or below the
 // state's sequence are skipped (the snapshot already covers them), so
 // replaying a journal whose prefix predates the snapshot is idempotent.
-// An apply error means the journal is inconsistent with the state — the
-// caller should stop replaying there.
+// Each op is checked (check) before it is folded, as a live frame checks
+// it: an apply error means the record holds an op no writer journals —
+// the caller should stop replaying there.
 func (s *State) Apply(rec *Record) error {
 	if rec.Seq != 0 && rec.Seq <= s.Seq {
 		return nil
@@ -304,8 +311,13 @@ func (s *State) Apply(rec *Record) error {
 		}
 	}
 	for i := range rec.Ops {
-		if err := s.applyOp(rec.Tenant, &rec.Ops[i]); err != nil {
-			return fmt.Errorf("intent: record %d op %d (%s): %w", rec.Seq, i, rec.Ops[i].Verb, err)
+		op := &rec.Ops[i]
+		err := s.check(rec.Tenant, op)
+		if err == nil {
+			err = s.applyOp(rec.Tenant, op)
+		}
+		if err != nil {
+			return fmt.Errorf("intent: record %d op %d (%s): %w", rec.Seq, i, op.Verb, err)
 		}
 	}
 	if rec.Seq > s.Seq {
@@ -314,40 +326,119 @@ func (s *State) Apply(rec *Record) error {
 	return nil
 }
 
+// check refuses, changing nothing, an op no writer journals. It is the
+// declared state's one rule set, and it needs no topology: the tenant
+// name must pass CheckTenant; the tenant must hold each address the op
+// names, as the kind of record the verb needs, and an unbind's pair must
+// be bound; a group is tenant-wide and its members are the tenant's EIPs;
+// a name must exist to be unregistered; a permit entry's prefix length
+// lies in 0–32; a rate is finite and non-negative. A live frame runs it
+// before the verb's declare (Frame.Check), so a refused op — a release
+// included — has completed, uninstalled and folded nothing; replay runs
+// it before each fold (Apply). What depends on what declare fills in — a
+// grant's address, a set_permit's group expansion — the fold checks.
+func (s *State) check(tenant string, op *Op) error {
+	if err := CheckTenant(tenant); err != nil {
+		return err
+	}
+	switch op.Verb {
+	case OpRequestEIP, OpRequestSIP, OpSetPotato:
+	case OpReleaseEIP:
+		return s.holds(tenant, op.Addr, "EIP")
+	case OpReleaseSIP:
+		return s.holds(tenant, op.Addr, "SIP")
+	case OpBind:
+		if err := s.holds(tenant, op.EIP, "EIP"); err != nil {
+			return err
+		}
+		return s.holds(tenant, op.SIP, "SIP")
+	case OpUnbind:
+		if err := s.holds(tenant, op.SIP, "SIP"); err != nil {
+			return err
+		}
+		if svc, _ := s.Services.Get(op.SIP); bindIndex(svc, op.EIP) < 0 {
+			return fmt.Errorf("unbind %s from %s: not bound", op.EIP, op.SIP)
+		}
+	case OpSetPermit, OpPermit, OpRevoke:
+		for _, e := range op.Entries {
+			if e.Len < 0 || e.Len > 32 {
+				return fmt.Errorf("permit entry %s/%d: prefix length outside 0–32", e.Addr, e.Len)
+			}
+		}
+		return s.holds(tenant, op.Target, "address")
+	case OpSetQoS:
+		return checkRate(op.Bps)
+	case OpSetVMEgress:
+		if err := checkRate(op.Bps); err != nil {
+			return err
+		}
+		return s.holds(tenant, op.EIP, "EIP")
+	case OpCreateGroup:
+		if op.Provider != "" {
+			return fmt.Errorf("provider-scoped group %q (groups are tenant-wide)", op.Name)
+		}
+		for _, m := range op.Members {
+			if !s.declares(m) {
+				return fmt.Errorf("group member %s is not a granted address", m)
+			}
+			if err := s.holds(tenant, m, "EIP"); err != nil {
+				return err
+			}
+		}
+	case OpRegisterName:
+		if !s.declares(op.Addr) {
+			return fmt.Errorf("%s is not a granted address", op.Addr)
+		}
+		return s.holds(tenant, op.Addr, "address")
+	case OpUnregisterName:
+		if _, ok := s.Names[GroupKey(tenant, op.Name)]; !ok {
+			return fmt.Errorf("tenant %q has no name %q", tenant, op.Name)
+		}
+	default:
+		return fmt.Errorf("unknown verb %q", op.Verb)
+	}
+	return nil
+}
+
+// holds refuses a unless it is one of tenant's records of the kind named:
+// an "EIP" (endpoint), a "SIP" (service) or either ("address"). The empty
+// tenant holds no "address": it sets no permit list and registers no name.
+func (s *State) holds(tenant string, a addr.IP, kind string) error {
+	if kind != "address" || tenant != "" {
+		if ep, ok := s.Endpoints.Get(a); ok && kind != "SIP" && ep.Tenant == tenant {
+			return nil
+		}
+		if svc, ok := s.Services.Get(a); ok && kind != "EIP" && svc.Tenant == tenant {
+			return nil
+		}
+	}
+	return fmt.Errorf("%s is not tenant %q's %s", a, tenant, kind)
+}
+
+// checkRate refuses a set_qos or set_vm_egress bandwidth that is negative,
+// NaN or infinite; zero is a rate (no reservation, or the provider's
+// default VM cap).
+func checkRate(bps float64) error {
+	if bps < 0 || math.IsNaN(bps) || math.IsInf(bps, 0) {
+		return fmt.Errorf("bandwidth %g bit/s is not a finite, non-negative rate", bps)
+	}
+	return nil
+}
+
+// applyOp folds an op check accepted. It refuses, changing nothing, a
+// grant of an address its pool cannot hold or that has a live record
+// (claim), and a set_permit that still names groups: core journals the
+// entries its declare expanded them to.
 func (s *State) applyOp(tenant string, op *Op) error {
 	switch op.Verb {
 	case OpRequestEIP:
 		if err := s.claim(s.eipPool(op.Provider, op.Region), op.Addr); err != nil {
 			return err
 		}
-		// A fresh grant starts default-off with no bindings, groups or
-		// names. A release returns its address to the pool in its own
-		// fold, so no re-grant's frame precedes it, and NextGrant never
-		// names a declared address; one that still has a record here is a
-		// stale incarnation, which only a store written before that rule
-		// holds, under a release/re-grant journal inversion (see
-		// OpReleaseEIP), and the grant is where its binds, groups and
-		// names go away.
-		if old, stale := s.Endpoints.Get(op.Addr); stale {
-			s.unref(op.Addr)
-			s.unholdEndpoint(old)
-		}
+		// A fresh grant starts default-off with no bindings, groups or names.
 		s.Endpoints.Put(op.Addr, &Endpoint{Placement: s.held.place(Placement{tenant, op.VM, op.Provider, op.Region})})
 	case OpReleaseEIP:
-		ep, ok := s.Endpoints.Get(op.Addr)
-		if !ok {
-			return fmt.Errorf("release of unknown endpoint %s", op.Addr)
-		}
-		if ep.Tenant != tenant {
-			// Stale record, which only a store written before releases
-			// were journaled ahead of their address's return to the pool
-			// can hold: the journal serializes on append order, which
-			// under concurrent shards could then place a release after
-			// the re-grant that reused its address. The re-grant's apply
-			// already cleaned up; the release's pool effect was consumed
-			// by the re-claim. Drop it.
-			return nil
-		}
+		ep, _ := s.Endpoints.Get(op.Addr)
 		s.unref(op.Addr)
 		s.Endpoints.Delete(op.Addr)
 		s.unholdEndpoint(ep)
@@ -356,28 +447,15 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		if err := s.claim(s.sipPool(op.Provider), op.Addr); err != nil {
 			return err
 		}
-		if old, stale := s.Services.Get(op.Addr); stale {
-			s.unref(op.Addr)
-			s.held.drop(old.Permits)
-		}
 		s.Services.Put(op.Addr, &Service{Tenant: tenant, Provider: op.Provider})
 	case OpReleaseSIP:
-		svc, ok := s.Services.Get(op.Addr)
-		if !ok {
-			return fmt.Errorf("release of unknown service %s", op.Addr)
-		}
-		if svc.Tenant != tenant {
-			return nil // stale record, as in OpReleaseEIP
-		}
+		svc, _ := s.Services.Get(op.Addr)
 		s.unref(op.Addr)
 		s.Services.Delete(op.Addr)
 		s.held.drop(svc.Permits)
 		s.sipPool(svc.Provider).release(op.Addr)
 	case OpBind:
-		svc, ok := s.Services.Get(op.SIP)
-		if !ok {
-			return fmt.Errorf("bind to unknown service %s", op.SIP)
-		}
+		svc, _ := s.Services.Get(op.SIP)
 		w := op.Weight
 		if w < 1 {
 			w = 1 // the balancer clamps; store what it stores
@@ -392,40 +470,25 @@ func (s *State) applyOp(tenant string, op *Op) error {
 		}
 		s.Services.Put(op.SIP, &next)
 	case OpUnbind:
-		svc, ok := s.Services.Get(op.SIP)
-		if !ok {
-			return fmt.Errorf("unbind from unknown service %s", op.SIP)
-		}
-		if i := bindIndex(svc, op.EIP); i >= 0 {
-			s.Services.Put(op.SIP, withoutBind(svc, i))
-			dropRef(&s.index().bound, op.EIP, op.SIP)
-		}
+		svc, _ := s.Services.Get(op.SIP)
+		s.Services.Put(op.SIP, withoutBind(svc, bindIndex(svc, op.EIP)))
+		dropRef(&s.index().bound, op.EIP, op.SIP)
 	case OpSetPermit, OpPermit, OpRevoke:
 		if len(op.Groups) > 0 {
-			// core expands a set_permit's groups before it folds the op
 			return fmt.Errorf("set_permit names groups %q, not their members", op.Groups)
 		}
-		for _, e := range op.Entries {
-			if e.Len < 0 || e.Len > 32 {
-				// what replay refuses (decoder.entries), so no writer journals it
-				return fmt.Errorf("permit entry %s/%d: prefix length outside 0–32", e.Addr, e.Len)
-			}
-		}
-		if ep, ok := s.Endpoints.Get(op.Target); ok && ep.Tenant == tenant {
+		if ep, ok := s.Endpoints.Get(op.Target); ok {
 			next := *ep
 			op.Prev, op.Next = ep.Permits, s.repermit(op, ep.Permits)
 			next.Permits = op.Next
 			s.Endpoints.Put(op.Target, &next)
-		} else if svc, ok := s.Services.Get(op.Target); ok && svc.Tenant == tenant {
+		} else {
+			svc, _ := s.Services.Get(op.Target)
 			next := *svc
 			op.Prev, op.Next = svc.Permits, s.repermit(op, svc.Permits)
 			next.Permits = op.Next
 			s.Services.Put(op.Target, &next)
 		}
-		// Otherwise no record of the tenant's is there to hold a list, and
-		// the op declares nothing: core refuses a permit verb on a target
-		// the tenant does not hold, so only a journal written by hand
-		// names one.
 	case OpSetQoS:
 		// A rate already declared changes nothing, and builds no key.
 		var kb [96]byte
@@ -436,41 +499,26 @@ func (s *State) applyOp(tenant string, op *Op) error {
 	case OpSetPotato:
 		s.Potato[PotatoKey(op.Provider, tenant)] = op.Policy
 	case OpSetVMEgress:
-		ep, ok := s.Endpoints.Get(op.EIP)
-		if !ok {
-			return fmt.Errorf("egress cap for unknown endpoint %s", op.EIP)
-		}
+		ep, _ := s.Endpoints.Get(op.EIP)
 		next := *ep
 		next.EgressCap = op.Bps
 		s.Endpoints.Put(op.EIP, &next)
 	case OpCreateGroup:
-		if op.Provider != "" {
-			return fmt.Errorf("provider-scoped group %q (groups are tenant-wide)", op.Name)
-		}
-		// core checks every member is the tenant's; in a journal, one that
-		// is not here was released by a record the journal placed first.
 		key, idx := GroupKey(tenant, op.Name), s.index()
 		for _, m := range s.Groups[key] {
 			dropRef(&idx.groups, m, key)
 		}
-		s.Groups[key] = slices.DeleteFunc(append([]addr.IP(nil), op.Members...), func(m addr.IP) bool {
-			ep, ok := s.Endpoints.Get(m)
-			return !ok || ep.Tenant != tenant
-		})
+		s.Groups[key] = append([]addr.IP(nil), op.Members...)
 		for _, m := range s.Groups[key] {
 			addRef(&idx.groups, m, key)
 		}
 	case OpRegisterName:
 		key := GroupKey(tenant, op.Name)
 		s.unname(key)
-		if s.owns(tenant, op.Addr) { // else released by an earlier record, as in OpCreateGroup
-			s.Names[key] = op.Addr
-			addRef(&s.index().names, op.Addr, key)
-		}
+		s.Names[key] = op.Addr
+		addRef(&s.index().names, op.Addr, key)
 	case OpUnregisterName:
 		s.unname(GroupKey(tenant, op.Name))
-	default:
-		return fmt.Errorf("unknown verb %q", op.Verb)
 	}
 	return nil
 }
@@ -609,15 +657,6 @@ func (s *State) Permit(target addr.IP) (PermitList, bool) {
 		return PermitList{Tenant: svc.Tenant, Set: svc.Permits, Entries: svc.Permits.Entries()}, svc.Permits != nil
 	}
 	return PermitList{}, false
-}
-
-// owns reports whether a is one of tenant's endpoints or services.
-func (s *State) owns(tenant string, a addr.IP) bool {
-	if ep, ok := s.Endpoints.Get(a); ok {
-		return ep.Tenant == tenant
-	}
-	svc, ok := s.Services.Get(a)
-	return ok && svc.Tenant == tenant
 }
 
 // Clone copies the state: recovery, the tests and the benchmark take one
