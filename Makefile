@@ -5,7 +5,7 @@ FUZZTIME ?= 10s
 SCALE_EIPS ?= 1000000
 SCALE_TENANTS ?= 400
 
-.PHONY: build fmt test vet race bench benchsmoke scale recover-scale soak staticcheck check fuzz fuzz-store loc flags benchmod nobaseline onejson onepath addrmaps onestate onecheck
+.PHONY: build fmt test vet race bench benchsmoke scale recover-scale soak staticcheck check fuzz fuzz-store loc flags benchmod nobaseline onejson onepath addrmaps onestate onecheck oneplane
 
 build:
 	$(GO) build ./...
@@ -101,14 +101,17 @@ soak:
 # "deleted code counted as progress". A line that is only a comment, or
 # inside a /* */ block, does not count.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | sort | xargs awk '\
+	@deps="$$($(GO) list -deps ./cmd/declnetd | sed -n 's|^declnet/||p' | tr '\n' ' ')"; \
+	find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | sort | xargs awk -v deps="$$deps" '\
 		FNR == 1 { inblock = 0; pkg = FILENAME; sub(/\/[^\/]*$$/, "", pkg); sub(/^\.\/?/, "", pkg); if (pkg == "") pkg = "(root)" } \
 		{ line = $$0; sub(/^[ \t]+/, "", line) } \
 		inblock { if (index(line, "*/")) inblock = 0; next } \
 		line == "" || line ~ /^\/\// { next } \
 		line ~ /^\/\*/ { if (!index(line, "*/")) inblock = 1; next } \
 		{ n[pkg]++; total++ } \
-		END { for (p in n) printf "%-24s %6d\n", p, n[p] | "sort"; close("sort"); printf "%-24s %6d\n", "total", total }'
+		END { for (p in n) printf "%-24s %6d\n", p, n[p] | "sort"; close("sort"); \
+			split(deps, d, " "); for (i in d) linked += n[d[i]]; \
+			printf "%-24s %6d\n", "daemon-linked", linked; printf "%-24s %6d\n", "total", total }'
 
 # The number of flags `declnetd -h` lists: the roadmap's tracking metric
 # for "flags expected to go down".
@@ -125,11 +128,12 @@ benchmod:
 
 # declnetd must stay free of the baseline (VPC/gateway/appliance) world
 # and of its routing tables: the declarative plane holds none. Nor does it
-# link the simulator (engine, flow network, fault injector) or the root
-# package's World over it: its cloud programs no data plane, so no request
-# path can run an engine, start a flow or inject a fault.
+# link the simulator (engine, flow network, fault injector), the simulated
+# plane over it (simplane: connections, quota limiters, the fault monitor)
+# or the root package's World: its cloud programs no data plane, so no
+# request path can run an engine, start a flow or inject a fault.
 nobaseline:
-	@if $(GO) list -deps ./cmd/declnetd | grep -E 'internal/(vnet|gateway|appliance|cloudapi|shim|routing|sim|netsim|fault)$$|^declnet$$'; then \
+	@if $(GO) list -deps ./cmd/declnetd | grep -E 'internal/(vnet|gateway|appliance|cloudapi|shim|routing|sim|netsim|fault|simplane)$$|^declnet$$'; then \
 		echo "cmd/declnetd depends on the baseline world or the simulator (packages above)"; exit 1; \
 	fi
 
@@ -188,9 +192,20 @@ onecheck:
 		echo "the lines above read a DNETJNL2 journal, which Open refuses"; exit 1; \
 	fi
 
+# One plane in core: core holds the control plane declnetd serves, and
+# everything that only traffic needs — connections and their flows, the
+# regional quota limiters, the fault monitor, billing — lives in the
+# simulated plane (internal/simplane), so no non-test file of
+# internal/core names a flow start, a limiter, the monitor or the biller.
+oneplane:
+	@if grep -nE 'StartFlow|qos\.Enforcer|DistributedLimiter|Biller|FaultMonitor|EnableFaults|ConnectOpts' \
+		$$(ls internal/core/*.go | grep -v '_test\.go$$'); then \
+		echo "the lines above carry the simulated plane in core; it lives in internal/simplane"; exit 1; \
+	fi
+
 # Tier-1 verification plus gofmt, vet, static analysis, the race pass,
 # the benchmark smoke tests, the declnetd dependency pin (no baseline
 # world, no simulator), the intent store's freedom from JSON and from
-# address-keyed maps, the one mutation path, one declared state and one
-# check site.
-check: build fmt vet staticcheck test race benchsmoke benchmod nobaseline onejson onepath addrmaps onestate onecheck
+# address-keyed maps, the one mutation path, one declared state, one
+# check site and one plane in core.
+check: build fmt vet staticcheck test race benchsmoke benchmod nobaseline onejson onepath addrmaps onestate onecheck oneplane

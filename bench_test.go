@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"declnet/internal/addr"
-	"declnet/internal/core"
 	"declnet/internal/exp"
 	"declnet/internal/gateway"
 	"declnet/internal/lb"
@@ -27,6 +26,7 @@ import (
 	"declnet/internal/qos"
 	"declnet/internal/routing"
 	"declnet/internal/sim"
+	"declnet/internal/simplane"
 	"declnet/internal/topo"
 	"declnet/internal/vnet"
 )
@@ -441,7 +441,7 @@ func BenchmarkDeclarativeConnect(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		conn, err := d.Cloud.Tenant(exp.Tenant).Connect(d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
+		conn, err := d.Sim.Tenant(exp.Tenant).Connect(d.Spark1, d.DBService, simplane.ConnectOpts{SizeBytes: -1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -463,7 +463,7 @@ func BenchmarkConnect(b *testing.B) {
 			b.Fatal(err)
 		}
 		// Prime every cache so the first measured op is steady-state.
-		conn, err := d.Cloud.Tenant(exp.Tenant).Connect(d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
+		conn, err := d.Sim.Tenant(exp.Tenant).Connect(d.Spark1, d.DBService, simplane.ConnectOpts{SizeBytes: -1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -475,7 +475,7 @@ func BenchmarkConnect(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			conn, err := d.Cloud.Tenant(exp.Tenant).Connect(d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
+			conn, err := d.Sim.Tenant(exp.Tenant).Connect(d.Spark1, d.DBService, simplane.ConnectOpts{SizeBytes: -1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -491,7 +491,7 @@ func BenchmarkConnect(b *testing.B) {
 			if err := d.Cloud.G.SetLinkUp(link.ID, link.Up()); err != nil {
 				b.Fatal(err)
 			}
-			conn, err := d.Cloud.Tenant(exp.Tenant).Connect(d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
+			conn, err := d.Sim.Tenant(exp.Tenant).Connect(d.Spark1, d.DBService, simplane.ConnectOpts{SizeBytes: -1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -509,7 +509,7 @@ func BenchmarkConnectParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	conn, err := d.Cloud.Tenant(exp.Tenant).Connect(d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
+	conn, err := d.Sim.Tenant(exp.Tenant).Connect(d.Spark1, d.DBService, simplane.ConnectOpts{SizeBytes: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -520,7 +520,7 @@ func BenchmarkConnectParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			mu.Lock()
-			conn, err := d.Cloud.Tenant(exp.Tenant).Connect(d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
+			conn, err := d.Sim.Tenant(exp.Tenant).Connect(d.Spark1, d.DBService, simplane.ConnectOpts{SizeBytes: -1})
 			if err != nil {
 				mu.Unlock()
 				b.Fatal(err)

@@ -74,14 +74,15 @@ func Exact(ip IP) Prefix { return addr.NewPrefix(ip, 32) }
 func Anywhere() Prefix { return addr.MustParsePrefix("0.0.0.0/0") }
 
 // World is a running multi-cloud simulation with provider control planes.
-// It embeds the cloud, so the cloud's planes are World's: Tenant,
-// EnableFaults, EnableIntent, EnableReconciler, StateDigest and the rest.
+// It embeds the cloud, so the cloud's planes are World's: EnableIntent,
+// EnableReconciler, StateDigest and the rest.
 type World struct {
 	*core.Cloud
 	// Fig1 describes the built world when NewFig1World was used.
 	Fig1 *topo.Fig1World
 	// Sim is the simulated data plane the cloud programs: its engine,
-	// flow network and fault injector.
+	// flow network and fault injector, the connections and quota limiters
+	// over them, and the fault monitor.
 	Sim *simplane.Plane
 }
 
@@ -94,12 +95,15 @@ type World struct {
 func NewFig1World(seed int64, hostsPerZone int) (*World, error) {
 	w := topo.BuildFig1(hostsPerZone)
 	sim := simplane.New(seed, w.Graph)
-	c := core.NewCloud(w.Graph, sim)
-	if _, _, _, err := core.AddFig1Providers(c, w); err != nil {
+	if _, _, _, err := core.AddFig1Providers(sim.Cloud, w); err != nil {
 		return nil, err
 	}
-	return &World{Cloud: c, Fig1: w, Sim: sim}, nil
+	return &World{Cloud: sim.Cloud, Fig1: w, Sim: sim}, nil
 }
+
+// Tenant returns a tenant's handle: the Table-2 verbs, and connections
+// over the simulated network.
+func (w *World) Tenant(name string) *Tenant { return w.Sim.Tenant(name) }
 
 // Host returns the NodeID of host n (1-based) in the given provider,
 // region, and zone — the vm_id handed to RequestEIP.
@@ -124,33 +128,15 @@ func (w *World) RunFor(d time.Duration) {
 	w.Sim.Eng.RunUntil(w.Sim.Eng.Now() + d)
 }
 
-// FaultPolicy sets the provider's health-check cadence; the failover
-// threshold, re-bind backoff and permit-retry window are fixed.
-type FaultPolicy = core.FaultPolicy
-
-// FaultMonitor is the provider-side failure-reaction loop; see
-// World.EnableFaults. Drills inject through World.Sim.Inj.
-type FaultMonitor = core.FaultMonitor
-
-// DefaultFaultPolicy probes every 500ms, a common cloud health-check
-// setting.
-func DefaultFaultPolicy() FaultPolicy { return core.DefaultFaultPolicy() }
-
 // Fail injects an infrastructure failure. kind is "link" (target: link
 // pair ID), "node" (target: node ID), or "region" (target:
-// "provider/region"). Faults are enabled with the default policy on first
-// use. The failure takes effect immediately; the provider reacts as
-// virtual time advances.
-func (w *World) Fail(kind, target string) error {
-	w.Cloud.EnableFaults(core.FaultPolicy{})
-	return w.Sim.Fault(kind, target, true)
-}
+// "provider/region"). The fault monitor (World.Sim.Faults) is armed with
+// the default policy on first use. The failure takes effect immediately;
+// the provider reacts as virtual time advances.
+func (w *World) Fail(kind, target string) error { return w.Sim.Fault(kind, target, true) }
 
 // Heal reverses a failure injected with Fail.
-func (w *World) Heal(kind, target string) error {
-	w.Cloud.EnableFaults(core.FaultPolicy{})
-	return w.Sim.Fault(kind, target, false)
-}
+func (w *World) Heal(kind, target string) error { return w.Sim.Fault(kind, target, false) }
 
 // Explanation is the ordered verdict chain /v1/explain returns; see
 // core.Explanation.
@@ -160,23 +146,23 @@ type Explanation = core.Explanation
 type ExplainStep = core.ExplainStep
 
 // Tenant is a tenant-scoped view of the Table-2 API across all providers
-// in the world — the paper's uniform multi-cloud interface; see
-// core.Tenant.
-type Tenant = core.Tenant
+// in the world — the paper's uniform multi-cloud interface (core.Tenant)
+// — plus connections over the simulated network; see simplane.Tenant.
+type Tenant = simplane.Tenant
 
-// ConnectOpts tunes Connect; see core.ConnectOpts.
-type ConnectOpts = core.ConnectOpts
+// ConnectOpts tunes Connect; see simplane.ConnectOpts.
+type ConnectOpts = simplane.ConnectOpts
 
 // Conn is a live connection; Close releases its resources.
-type Conn = core.Conn
+type Conn = simplane.Conn
 
 // QoSClass marks whether traffic consumes the regional reservation.
-type QoSClass = core.QoSClass
+type QoSClass = simplane.QoSClass
 
 // Traffic classes for the §4-footnote reserved-bandwidth extension.
 const (
-	Reserved   = core.Reserved
-	BestEffort = core.BestEffort
+	Reserved   = simplane.Reserved
+	BestEffort = simplane.BestEffort
 )
 
 // Entry builds a permit entry from a CIDR string, panicking on bad input;

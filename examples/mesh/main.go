@@ -27,7 +27,7 @@ func main() {
 		log.Fatal(err)
 	}
 	f := world.Fig1
-	m := mesh.New(world.Cloud, "acme")
+	m := mesh.New(world.Sim, "acme")
 	must := func(err error) {
 		if err != nil {
 			log.Fatal(err)

@@ -24,7 +24,7 @@ func main() {
 	f := world.Fig1
 	acme := world.Tenant("acme")
 	bill := meter.New()
-	world.SetBiller(bill)
+	world.Sim.SetBiller(bill)
 	must := func(err error) {
 		if err != nil {
 			log.Fatal(err)

@@ -149,18 +149,18 @@ func TestReconcileMetricsMatchStatus(t *testing.T) {
 	if code := post(t, ts, "/v1/permit", PermitRequest{Tenant: "acme", Target: src.EIP, Entries: []string{be.EIP}}, nil); code != 200 {
 		t.Fatalf("permit status %d", code)
 	}
-	if _, pending := w.Faults().PendingPermit(srcIP.Addr); !pending {
+	if _, pending := w.Sim.PendingPermit(srcIP.Addr); !pending {
 		t.Fatal("the permit at a failed host did not defer")
 	}
 	if err := w.Heal("node", srcHost); err != nil {
 		t.Fatal(err)
 	}
 	w.RunFor(1500 * time.Millisecond)
-	if _, pending := w.Faults().PendingPermit(srcIP.Addr); pending {
+	if _, pending := w.Sim.PendingPermit(srcIP.Addr); pending {
 		t.Fatal("the deferred permit did not land")
 	}
 	if !w.Cloud.DriftWipePermit(srcIP.Addr) || !w.Cloud.DriftUnbind(sipIP.Addr, beIP.Addr) ||
-		!w.Cloud.DriftZeroQuota(f.CloudB, "acme", f.RegionsB[0]) {
+		!w.Sim.DriftZeroQuota(f.CloudB, "acme", f.RegionsB[0]) {
 		t.Fatal("drift injection failed")
 	}
 	sweep()

@@ -6,11 +6,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
 	"declnet/internal/core"
+	"declnet/internal/simplane"
 	"declnet/internal/topo"
 )
 
@@ -99,11 +101,11 @@ var faultSeries = []string{
 	"declnet_permit_propagation_seconds",
 }
 
-// TestFaultSeriesFollowTheMonitor: a server over a cloud whose fault
-// monitor is idle, as declnetd's always is (it has no data plane to
-// watch), exports none of the monitor's series, which could never move.
-// Arming the monitor exports every one, whether it is armed after the
-// server is built (World.Fail arms it on first use) or before.
+// TestFaultSeriesFollowTheMonitor: a server over a cloud with no data
+// plane, declnetd's, has no fault monitor and exports none of its series,
+// nor does a simulated cloud whose monitor is idle, for they could never
+// move. Arming the monitor exports every one, whether it is armed after
+// the server is built (World.Fail arms it on first use) or before.
 func TestFaultSeriesFollowTheMonitor(t *testing.T) {
 	has := func(text string, want bool, what string) {
 		t.Helper()
@@ -118,18 +120,18 @@ func TestFaultSeriesFollowTheMonitor(t *testing.T) {
 
 	wts, world := newTestServer(t)
 	has(scrape(t, wts), false, "an in-process World before its first fault")
-	world.Cloud.EnableFaults(core.FaultPolicy{})
+	world.Sim.EnableFaults(simplane.FaultPolicy{})
 	has(scrape(t, wts), true, "an in-process World armed after the server")
 
 	w := topo.BuildFig1(2)
-	c := core.NewCloud(w.Graph, core.NoDataPlane(1))
-	if _, _, _, err := core.AddFig1Providers(c, w); err != nil {
+	sp := simplane.New(1, w.Graph)
+	if _, _, _, err := core.AddFig1Providers(sp.Cloud, w); err != nil {
 		t.Fatal(err)
 	}
-	c.EnableFaults(core.FaultPolicy{})
-	armed := httptest.NewServer(NewServer(c))
+	sp.EnableFaults(simplane.FaultPolicy{})
+	armed := httptest.NewServer(NewServer(sp.Cloud))
 	defer armed.Close()
-	has(scrape(t, armed), true, "a cloud armed before the server")
+	has(scrape(t, armed), true, "a simulated cloud armed before the server")
 }
 
 // TestDaemonProbeSamplesFromItsSeed: two clouds with no data plane,
@@ -183,4 +185,63 @@ func TestDaemonProbeSamplesFromItsSeed(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// daemonSeries are the /v1/metrics series a cloud with no data plane
+// exports: the registry's own, the read plane's and each provider's,
+// none of the simulator's and none of a fault monitor's.
+var daemonSeries = []string{
+	"declnet_connects_total", "declnet_endpoints", "declnet_explains_total",
+	"declnet_http_errors_total", "declnet_http_request_seconds_bucket",
+	"declnet_http_request_seconds_count", "declnet_http_request_seconds_sum",
+	"declnet_journal_bytes", "declnet_journal_records", "declnet_permit_entries",
+	"declnet_permit_lookups_total", "declnet_permit_sets", "declnet_permit_updates_total",
+	"declnet_placements", "declnet_probes_total", "declnet_services",
+	"declnet_snapshot_bytes", "declnet_trace_bytes", "declnet_trace_events_total",
+	"declnet_trace_evicted_total",
+}
+
+// TestDaemonQuotaAndSeries pins what declnetd's cloud answers once a
+// quota is declared: explain's qos stage reads the declared quota with
+// no enforcement point (the daemon installs none), and /v1/metrics
+// exports the series a cloud with no data plane has always exported.
+func TestDaemonQuotaAndSeries(t *testing.T) {
+	ts, f := daemonServer(t, 1)
+	var cl, db EIPResponse
+	post(t, ts, "/v1/eips", EIPRequest{Tenant: "acme", VM: string(topo.HostID(f.CloudA, f.RegionsA[0], "az1", 1))}, &cl)
+	post(t, ts, "/v1/eips", EIPRequest{Tenant: "acme", VM: string(topo.HostID(f.CloudB, f.RegionsB[0], "az1", 1))}, &db)
+	if code := post(t, ts, "/v1/qos", QoSRequest{Tenant: "acme", Provider: f.CloudA, Region: f.RegionsA[0], Bandwidth: 2e9}, nil); code != http.StatusOK {
+		t.Fatalf("set_qos: status %d", code)
+	}
+	var ex core.Explanation
+	if code := get(t, ts, "/v1/explain?tenant=acme&src="+cl.EIP+"&dst="+db.EIP, &ex); code != http.StatusOK {
+		t.Fatalf("explain: status %d", code)
+	}
+	var qos core.ExplainStep
+	for _, s := range ex.Steps {
+		if s.Stage == "qos" {
+			qos = s
+		}
+	}
+	if want := "vm-cap=5e+09bps region-quota=2e+09bps enforcers-up=0/0"; qos.Verdict != "info" || qos.Detail != want {
+		t.Errorf("qos stage = %s %q, want info %q", qos.Verdict, qos.Detail, want)
+	}
+
+	names := map[string]bool{}
+	for _, line := range strings.Split(scrape(t, ts), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, _, _ := strings.Cut(line, " ")
+		name, _, _ = strings.Cut(name, "{")
+		names[name] = true
+	}
+	got := make([]string, 0, len(names))
+	for name := range names {
+		got = append(got, name)
+	}
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, daemonSeries) {
+		t.Errorf("/v1/metrics series:\n got %q\nwant %q", got, daemonSeries)
+	}
 }

@@ -7,8 +7,8 @@
 // of what tenants declared) with the rules journal replay applies
 // (intent.Frame.Check), completes it from the topology and the state (the
 // verb's declare), folds it there, journals the folded ops as one record,
-// and installs each op's effect — permit engines, balancers, limiters —
-// derived from what was folded. Its two callers are Cloud.Apply (the Go
+// and installs each op's effect — permit engines, balancers — derived
+// from what was folded, then hands the op to the data plane. Its two callers are Cloud.Apply (the Go
 // facade) and ApplyBatch (batch.go, which the HTTP routes use).
 // A verb is defined by its entry in the verb table; DESIGN.md "Mutation
 // plane" carries the table. A verb applies and journals under one lock,
@@ -69,8 +69,9 @@ type backRef struct {
 // state's lock (intent.Frame), it runs each op in order: the frame checks
 // it against the declared state (Frame.Check, the rules replay holds
 // every journaled op to), the verb's declare completes it in place (a
-// grant's address, set_permit's list), the state folds it, and the verb's
-// install derives the installed state from what was folded.
+// grant's address, set_permit's list), the state folds it, the verb's
+// install derives the installed state from what was folded, and the data
+// plane learns the op (DataPlane.Apply).
 // The first refusal stops the run, leaving the refused op unfolded and
 // nothing of it installed. The folded ops are journaled as one record
 // under the same hold, so journal order equals fold order and no
@@ -141,6 +142,7 @@ func (c *Cloud) apply(tenant string, ops []intent.Op, refs []backRef) (n int, er
 			break
 		}
 		v.install(c, p, tenant, op)
+		c.plane.Apply(tenant, op)
 		released = released || releases(op.Verb)
 	}
 	stg = sop.StageStart()
@@ -245,7 +247,7 @@ var verbs = map[string]*verb{
 			}
 			return op, err
 		},
-		func(_ *Cloud, p *Provider, tenant string, _ *intent.Op) { p.granted(tenant, false) }},
+		func(c *Cloud, _ *Provider, tenant string, _ *intent.Op) { c.tenantDelta(tenant, 1) }},
 	intent.OpReleaseEIP: {slo.VerbGrant,
 		func(_ *Cloud, p *Provider, st *intent.State, _ string, op intent.Op) (intent.Op, error) {
 			// The balancers it is bound to drain it now: the fold forgets them.
@@ -263,9 +265,9 @@ var verbs = map[string]*verb{
 			op.Addr, err = st.NextGrant(&op, p.cfg.SIPBase)
 			return op, err
 		},
-		func(_ *Cloud, p *Provider, tenant string, op *intent.Op) {
+		func(c *Cloud, p *Provider, tenant string, op *intent.Op) {
 			p.services.Put(op.Addr, &service{sip: op.Addr, balancer: lb.New(op.Addr)})
-			p.granted(tenant, true)
+			c.tenantDelta(tenant, 1)
 		}},
 	intent.OpReleaseSIP: {slo.VerbGrant,
 		func(_ *Cloud, p *Provider, _ *intent.State, _ string, op intent.Op) (intent.Op, error) {
@@ -318,7 +320,7 @@ var verbs = map[string]*verb{
 			}
 			return op, nil
 		},
-		func(_ *Cloud, p *Provider, tenant string, op *intent.Op) { p.setQoS(tenant, op.Region, op.Bps) }},
+		nothing}, // the data plane installs the quota (DataPlane.Apply)
 	intent.OpSetPotato: {slo.VerbQoS,
 		func(_ *Cloud, _ *Provider, _ *intent.State, _ string, op intent.Op) (intent.Op, error) {
 			_, err := qos.ParsePotatoPolicy(op.Policy)

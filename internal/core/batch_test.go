@@ -56,11 +56,9 @@ func TestApplyBatchOnboarding(t *testing.T) {
 	if ip, ok := c.Tenant("acme").Resolve("db"); !ok || ip != sip {
 		t.Fatalf("Resolve(db) = %s/%v, want %s", ip, ok, sip)
 	}
-	cn, err := c.Tenant("acme").Connect(results[0].Addr, sip, ConnectOpts{SizeBytes: 1e3})
-	if err != nil {
+	if err := connect(c, "acme", results[0].Addr, sip); err != nil {
 		t.Fatalf("Connect after batch onboarding: %v", err)
 	}
-	cn.Close()
 }
 
 // TestApplyBatchValidationRejectsWholesale: any statically detectable

@@ -41,10 +41,6 @@ type Cloud struct {
 	// shard.go.
 	shards *ShardSet
 
-	// monitor is the fault-reaction loop: built idle with the cloud,
-	// its health ticker armed by EnableFaults.
-	monitor *FaultMonitor
-
 	// trace and reg are the observability plane, nil until
 	// EnableObservability; see observe.go. The m* fields cache registry
 	// instruments so the Connect hot path skips the registry lock (nil
@@ -124,7 +120,6 @@ func newCloud(g *topo.Graph, plane DataPlane, singleShard bool) *Cloud {
 		router:     qos.NewRouter(g),
 	}
 	c.pidx.Store(&provIndex{byName: map[string]*Provider{}})
-	c.monitor = newFaultMonitor(c)
 	return c
 }
 
@@ -245,14 +240,6 @@ func (c *Cloud) Provider(name string) (*Provider, bool) {
 // not to be modified.
 func (c *Cloud) Providers() []*Provider { return c.pidx.Load().list }
 
-// SetBiller attaches usage metering to every provider currently in the
-// cloud (call after AddProvider).
-func (c *Cloud) SetBiller(b Biller) {
-	for _, p := range c.pidx.Load().list {
-		p.SetBiller(b)
-	}
-}
-
 // ProviderOf finds which provider granted an address (EIP or SIP).
 // Exact and free of the declared state's lock: the block table names the
 // only provider whose pools could have granted ip, and the declared
@@ -323,118 +310,42 @@ func (c *Cloud) admitted(dstProv *Provider, src, dst addr.IP) bool {
 	return allowed
 }
 
-// Conn is one admitted connection: a live flow plus the load-balancer and
-// quota bookkeeping needed to tear it down cleanly.
-type Conn struct {
-	Flow   qos.Flow
-	Path   topo.Path
-	SrcEIP EIP
-	DstEIP EIP
-
-	cloud    *Cloud
-	adapter  *flowAdapter
-	enforcer *qos.Enforcer
-	release  func()
-	closed   bool
-
-	tenant string
-	class  QoSClass
-	biller Biller
-	billed bool
+// Route is what connect's control-plane half decided for one admitted
+// connection: the path under the tenant's potato profile, the
+// destination EIP (a SIP's backend, picked by its balancer) and the
+// declared endpoints at both ends.
+type Route struct {
+	Path           topo.Path
+	SrcEIP, DstEIP EIP
+	Src, Dst       *intent.Endpoint
+	// VMCap is the source endpoint's egress cap in bits/s.
+	VMCap float64
+	// Release returns the picked backend's balancer slot; nil for an EIP
+	// destination.
+	Release func()
 }
 
-// Close ends the connection, releasing its backend slot and quota share.
-func (cn *Conn) Close() {
-	if cn.closed {
-		return
+// vmCap is an endpoint's egress cap in force: its own, or the default.
+func vmCap(ep *intent.Endpoint) float64 {
+	if ep.EgressCap == 0 {
+		return defaultVMEgress
 	}
-	cn.closed = true
-	if cn.Flow != nil && !cn.Flow.Done() {
-		cn.Flow.Stop()
-	}
-	if cn.enforcer != nil && cn.adapter != nil {
-		cn.enforcer.Detach(cn.adapter)
-	}
-	if cn.release != nil {
-		cn.release()
-	}
-	cn.bill()
+	return ep.EgressCap
 }
 
-// bill records transferred bytes once, at completion or close.
-func (cn *Conn) bill() {
-	if cn.billed || cn.biller == nil || cn.Flow == nil {
-		return
-	}
-	cn.billed = true
-	cn.biller.AddBytes(cn.tenant, cn.cloud.plane.Now(), cn.Flow.SentBytes(), cn.class == Reserved)
-}
-
-// flowAdapter lets the distributed limiter shape a data-plane flow.
-type flowAdapter struct {
-	flow   qos.Flow
-	demand float64
-	vmCap  float64
-}
-
-// SetCap implements qos.RateSetter, respecting the per-VM egress cap.
-func (a *flowAdapter) SetCap(bps float64) {
-	if a.vmCap > 0 && (bps == 0 || bps > a.vmCap) {
-		bps = a.vmCap
-	}
-	a.flow.SetMaxRate(bps)
-}
-
-// Demand implements qos.RateSetter.
-func (a *flowAdapter) Demand() float64 { return a.demand }
-
-// QoSClass marks which traffic consumes the tenant's reserved regional
-// egress bandwidth — the extension the paper's §4 footnote leaves to
-// future work ("Extensions might allow the tenant to indicate what
-// portions of their traffic should consume this reserved bandwidth").
-type QoSClass int
-
-const (
-	// Reserved traffic draws on the set_qos regional guarantee (default).
-	Reserved QoSClass = iota
-	// BestEffort traffic never consumes the reservation; it takes
-	// whatever fair share the network gives it under the per-VM cap.
-	BestEffort
-)
-
-func (c QoSClass) String() string {
-	if c == BestEffort {
-		return "best-effort"
-	}
-	return "reserved"
-}
-
-// ConnectOpts tunes a connection.
-type ConnectOpts struct {
-	// SizeBytes < 0 starts a persistent flow.
-	SizeBytes float64
-	// Demand is the offered load in bits/s for quota accounting;
-	// 0 defaults to the path bottleneck.
-	Demand float64
-	// Class selects whether the flow consumes the regional reservation.
-	Class QoSClass
-	// OnDone fires for sized flows with the completion time.
-	OnDone func(fct time.Duration)
-}
-
-func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, opts ConnectOpts) (*Conn, error) {
+func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, start func(*slo.Op, *Route) error) error {
 	srcProv, ok := c.ProviderOf(src)
 	if !ok {
-		return nil, fmt.Errorf("core: unknown source EIP %s", src)
+		return fmt.Errorf("core: unknown source EIP %s", src)
 	}
 	srcEp, err := c.owned(tenant, src)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	op.SetRegion(c.block(src).shard)
 	dstProv, ok := c.ProviderOf(dst)
 	if !ok {
-		return nil, fmt.Errorf("core: destination %s is not a granted address", dst)
+		return fmt.Errorf("core: destination %s is not a granted address", dst)
 	}
 	// (1) Default-off admission, enforced by the destination's provider
 	// against the address the client targeted (EIP or SIP).
@@ -448,15 +359,15 @@ func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, opts Co
 			if !dec.HasList {
 				cause = obs.Chain("permit-deny:"+dst.String(), "no-permit-list")
 			}
-			c.traceEvent(tenant, obs.Decision{Kind: obs.PermitDeny, Src: src, Dst: dst, Verdict: obs.Deny,
+			c.TraceEvent(tenant, obs.Decision{Kind: obs.PermitDeny, Src: src, Dst: dst, Verdict: obs.Deny,
 				Entries: uint32(dec.Entries), Epoch: dec.Version, Cause: cause})
 		}
 		c.mConnectsDenied.Inc()
-		return nil, fmt.Errorf("core: %s not permitted to reach %s (default-off)", src, dst)
+		return fmt.Errorf("core: %s not permitted to reach %s (default-off)", src, dst)
 	}
 	if c.trace != nil {
 		dec := dstProv.Permits.Explain(src, dst)
-		c.traceEvent(tenant, obs.Decision{Kind: obs.PermitAllow, Src: src, Dst: dst, Verdict: obs.OK,
+		c.TraceEvent(tenant, obs.Decision{Kind: obs.PermitAllow, Src: src, Dst: dst, Verdict: obs.OK,
 			Detail: "entry=" + dec.Matched.String() + " epoch=" + strconv.FormatUint(dec.Version, 10)})
 	}
 	// (2) Resolve SIP -> backend EIP via the provider's balancer.
@@ -467,13 +378,13 @@ func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, opts Co
 		be, err := svc.balancer.Pick()
 		op.StageEnd(stg, "balance")
 		if err != nil {
-			c.traceEvent(tenant, obs.Decision{Kind: obs.SIPPick, Src: src, Dst: dst, Verdict: obs.Fail,
+			c.TraceEvent(tenant, obs.Decision{Kind: obs.SIPPick, Src: src, Dst: dst, Verdict: obs.Fail,
 				Detail: "healthy=0/" + strconv.Itoa(len(svc.balancer.Backends())),
 				Cause:  "no-healthy-backend:" + dst.String()})
 			c.mConnectsErr.Inc()
-			return nil, fmt.Errorf("core: %s: %w", dst, err)
+			return fmt.Errorf("core: %s: %w", dst, err)
 		}
-		c.traceEvent(tenant, obs.Decision{Kind: obs.SIPPick, Src: src, Dst: dst, Verdict: obs.OK,
+		c.TraceEvent(tenant, obs.Decision{Kind: obs.SIPPick, Src: src, Dst: dst, Verdict: obs.OK,
 			Detail: "backend=" + be.EIP.String() + " healthy=" + strconv.Itoa(svc.balancer.HealthyCount()) +
 				"/" + strconv.Itoa(len(svc.balancer.Backends()))})
 		dstEIP = be.EIP
@@ -486,7 +397,7 @@ func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, opts Co
 			release()
 		}
 		c.mConnectsErr.Inc()
-		return nil, fmt.Errorf("core: backend %s vanished", dstEIP)
+		return fmt.Errorf("core: backend %s vanished", dstEIP)
 	}
 	// (3) Path under the tenant's transit profile.
 	policy := srcProv.potatoOf(tenant)
@@ -497,78 +408,24 @@ func (c *Cloud) connect(op *slo.Op, tenant string, src EIP, dst addr.IP, opts Co
 		if release != nil {
 			release()
 		}
-		c.traceEvent(tenant, obs.Decision{Kind: obs.PathSelect, Src: src, Dst: dstEIP, Verdict: obs.Fail,
+		c.TraceEvent(tenant, obs.Decision{Kind: obs.PathSelect, Src: src, Dst: dstEIP, Verdict: obs.Fail,
 			Detail: fmt.Sprintf("policy=%v", policy), Cause: fmt.Sprintf("no-path:%v", policy)})
 		c.mConnectsErr.Inc()
-		return nil, err
+		return err
 	}
-	c.traceEvent(tenant, obs.Decision{Kind: obs.PathSelect, Src: src, Dst: dstEIP, Verdict: obs.OK,
+	c.TraceEvent(tenant, obs.Decision{Kind: obs.PathSelect, Src: src, Dst: dstEIP, Verdict: obs.OK,
 		Detail: "policy=" + policy.String() + " hops=" + strconv.Itoa(len(path)) +
 			" delay=" + time.Duration(path.Delay()).String()})
-	// (4) Start the flow under the per-VM cap, then attach it to the
-	// regional egress limiter when it leaves the source region.
-	// Cross-region/cloud reserved egress is subject to the tenant's
-	// regional quota when one is set; best-effort traffic bypasses the
-	// reservation entirely (§4 footnote extension).
-	var tq *tenantQuota
-	if opts.Class == Reserved && (dstEp.Provider != srcEp.Provider || dstEp.Region != srcEp.Region) {
-		tq, _ = srcProv.quotaOf(tenant, srcEp.Region)
-	}
-	vmCap := srcEp.EgressCap
-	if vmCap == 0 {
-		vmCap = defaultVMEgress
-	}
-	demand := opts.Demand
-	if demand == 0 {
-		demand = path.Bottleneck()
-	}
-	if demand > vmCap {
-		demand = vmCap
-	}
-	cn := &Conn{
-		Path: path, SrcEIP: src, DstEIP: dstEIP,
-		cloud: c, release: release,
-		tenant: tenant, class: opts.Class, biller: srcProv.meter,
-	}
-	flow, err := c.plane.StartFlow(path, opts.SizeBytes, vmCap, func(fct time.Duration) {
-		cn.bill()
-		if opts.OnDone != nil {
-			opts.OnDone(fct)
-		}
-	})
-	if err != nil {
+	// (4) The data plane's half: the flow and its egress enforcement.
+	r := &Route{Path: path, SrcEIP: src, DstEIP: dstEIP, Src: srcEp, Dst: dstEp, VMCap: vmCap(srcEp), Release: release}
+	if err := start(op, r); err != nil {
 		if release != nil {
 			release()
 		}
-		return nil, err
+		return err
 	}
-	cn.Flow = flow
-	stg = op.StageStart()
-	if tq != nil {
-		tq.mu.Lock()
-		quota := tq.quota
-		if quota > 0 {
-			ad := &flowAdapter{flow: flow, demand: demand, vmCap: vmCap}
-			enf, found := tq.enforcer[topo.NodeID(srcEp.VM)]
-			if !found {
-				enf = qos.NewEnforcer(srcEp.VM)
-				tq.enforcer[topo.NodeID(srcEp.VM)] = enf
-				tq.limiter.AddEnforcer(enf)
-			}
-			enf.Attach(ad)
-			tq.limiter.Redistribute()
-			cn.adapter = ad
-			cn.enforcer = enf
-		}
-		tq.mu.Unlock()
-		if quota > 0 {
-			c.traceEvent(tenant, obs.Decision{Kind: obs.QoSThrottle, Src: src, Dst: dstEIP, Verdict: obs.OK,
-				Detail: fmt.Sprintf("region=%s quota=%.3gbps demand=%.3gbps", srcEp.Region, quota, demand)})
-		}
-	}
-	op.StageEnd(stg, "qos")
 	c.mConnects.Inc()
-	return cn, nil
+	return nil
 }
 
 func (c *Cloud) probe(op *slo.Op, tenant string, src EIP, dst addr.IP) (time.Duration, bool, error) {

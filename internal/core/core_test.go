@@ -2,35 +2,133 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"declnet/internal/addr"
 	"declnet/internal/intent"
 	"declnet/internal/permit"
-	"declnet/internal/qos"
-	"declnet/internal/simplane"
+	"declnet/internal/slo"
 	"declnet/internal/topo"
 )
 
 func pfx(s string) addr.Prefix { return addr.MustParsePrefix(s) }
 
-// simOf is the simulated data plane a test cloud programs.
-func simOf(c *Cloud) *simplane.Plane { return c.plane.(*simplane.Plane) }
-
 // fig1Cloud builds the Fig-1 world with providers for both clouds and the
-// on-prem site.
+// on-prem site, over no data plane (the simulated plane's tests build
+// theirs in package core_test, sim_test.go).
 func fig1Cloud(t *testing.T) (*Cloud, *topo.Fig1World, *Provider, *Provider, *Provider) {
+	return fig1CloudOn(t, NoDataPlane(1))
+}
+
+// fig1CloudOn is fig1Cloud over the given data plane.
+func fig1CloudOn(t *testing.T, plane DataPlane) (*Cloud, *topo.Fig1World, *Provider, *Provider, *Provider) {
 	t.Helper()
 	w := topo.BuildFig1(2)
-	c := NewCloud(w.Graph, simplane.New(1, w.Graph))
+	c := NewCloud(w.Graph, plane)
 	pa, pb, po, err := AddFig1Providers(c, w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c, w, pa, pb, po
+}
+
+// fakePlane is NoDataPlane with what a node agent holds for the
+// reconciler: the quotas set_qos installs, which a test can drift behind
+// the declared state's back, and permit updates deferred at a failed
+// enforcement point until land installs them.
+type fakePlane struct {
+	DataPlane
+	mu      sync.Mutex
+	quotas  map[string]float64 // by intent.QuotaKey
+	down    map[topo.NodeID]bool
+	pending map[addr.IP]*Provider
+	marks   map[addr.IP]bool
+}
+
+func newFakePlane() *fakePlane {
+	return &fakePlane{DataPlane: NoDataPlane(1), quotas: make(map[string]float64),
+		down: make(map[topo.NodeID]bool), pending: make(map[addr.IP]*Provider)}
+}
+
+func (q *fakePlane) Apply(tenant string, op *intent.Op) {
+	if op.Verb == intent.OpSetQoS {
+		q.mu.Lock()
+		q.quotas[intent.QuotaKey(op.Provider, tenant, op.Region)] = op.Bps
+		q.mu.Unlock()
+	}
+}
+
+func (q *fakePlane) Quota(provider, tenant, region string) (float64, int, int, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.quotas[intent.QuotaKey(provider, tenant, region)], 0, 0, true
+}
+
+// zero drifts an installed quota to 0, reporting whether one was there.
+func (q *fakePlane) zero(provider, tenant, region string) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	k := intent.QuotaKey(provider, tenant, region)
+	if _, ok := q.quotas[k]; !ok {
+		return false
+	}
+	q.quotas[k] = 0
+	return true
+}
+
+func (q *fakePlane) Reachable(n topo.NodeID) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return !q.down[n]
+}
+
+func (q *fakePlane) setDown(n topo.NodeID, down bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.down[n] = down
+}
+
+func (q *fakePlane) DeferPermit(p *Provider, _ string, target addr.IP, _ int, _ bool, _ topo.NodeID) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.pending[target] = p
+}
+
+func (q *fakePlane) PendingPermit(target addr.IP) (time.Duration, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	_, ok := q.pending[target]
+	return 0, ok
+}
+
+func (q *fakePlane) TakeMarks() map[addr.IP]bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	marks := q.marks
+	q.marks = nil
+	return marks
+}
+
+// land installs the list target's record declares now, ending its
+// deferral and marking it for the reconciler.
+func (q *fakePlane) land(c *Cloud, target addr.IP) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	p := q.pending[target]
+	delete(q.pending, target)
+	ep, _ := c.decl.Endpoint(target)
+	p.Permits.Install(target, ep.Permits, uint64(len(ep.Permits.Entries())))
+	if q.marks == nil {
+		q.marks = make(map[addr.IP]bool)
+	}
+	q.marks[target] = true
+}
+
+// connect runs connect's control-plane half, with no data-plane half.
+func connect(c *Cloud, tenant string, src EIP, dst addr.IP) error {
+	return c.Tenant(tenant).Connect(src, dst, func(*slo.Op, *Route) error { return nil })
 }
 
 func TestRequestEIPValidation(t *testing.T) {
@@ -60,36 +158,6 @@ func TestRequestEIPValidation(t *testing.T) {
 	}
 }
 
-func TestDefaultOffEndToEnd(t *testing.T) {
-	c, w, _, _, _ := fig1Cloud(t)
-	src, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
-	dst, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
-	// No permit list: connection refused.
-	if _, err := c.Tenant("acme").Connect(src, dst, ConnectOpts{SizeBytes: 1000}); err == nil {
-		t.Fatal("default-off violated: connect without permit list succeeded")
-	}
-	if c.Admitted(src, dst) {
-		t.Fatal("Admitted true without permit list")
-	}
-	// Permit the source; now it flows.
-	if err := c.Tenant("acme").SetPermitList(dst, []permit.Entry{addr.NewPrefix(src, 32)}); err != nil {
-		t.Fatal(err)
-	}
-	var fct time.Duration
-	conn, err := c.Tenant("acme").Connect(src, dst, ConnectOpts{
-		SizeBytes: 1e6,
-		OnDone:    func(d time.Duration) { fct = d },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	simOf(c).Eng.Run()
-	if fct == 0 {
-		t.Fatal("flow never completed")
-	}
-	conn.Close()
-}
-
 func TestCrossTenantIsolation(t *testing.T) {
 	c, w, _, _, _ := fig1Cloud(t)
 	victim, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
@@ -105,72 +173,6 @@ func TestCrossTenantIsolation(t *testing.T) {
 	// evil cannot edit acme's permit list.
 	if err := c.Tenant("evil").SetPermitList(victim, []permit.Entry{addr.NewPrefix(attacker, 32)}); err == nil {
 		t.Fatal("cross-tenant permit-list mutation succeeded")
-	}
-}
-
-func TestSIPLoadBalancing(t *testing.T) {
-	c, w, _, pb, _ := fig1Cloud(t)
-	// Two backends in cloud B behind one SIP; client in cloud A.
-	be1, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
-	be2, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az2", 1))
-	sip, err := c.Tenant("acme").RequestSIP(pb.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Tenant("acme").Bind(be1, sip, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Tenant("acme").Bind(be2, sip, 1); err != nil {
-		t.Fatal(err)
-	}
-	client, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
-	c.Tenant("acme").SetPermitList(sip, []permit.Entry{addr.NewPrefix(client, 32)})
-	hits := map[EIP]int{}
-	for i := 0; i < 10; i++ {
-		conn, err := c.Tenant("acme").Connect(client, sip, ConnectOpts{SizeBytes: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hits[conn.DstEIP]++
-		conn.Close()
-	}
-	if hits[be1] != 5 || hits[be2] != 5 {
-		t.Fatalf("SIP balancing = %v, want 5/5", hits)
-	}
-}
-
-func TestSIPWeightsAndHealth(t *testing.T) {
-	c, w, _, pb, _ := fig1Cloud(t)
-	be1, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
-	be2, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az2", 1))
-	sip, _ := c.Tenant("acme").RequestSIP(pb.Name)
-	c.Tenant("acme").Bind(be1, sip, 3)
-	c.Tenant("acme").Bind(be2, sip, 1)
-	client, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[1], "az1", 1))
-	c.Tenant("acme").SetPermitList(sip, []permit.Entry{addr.NewPrefix(client, 32)})
-	hits := map[EIP]int{}
-	for i := 0; i < 8; i++ {
-		conn, err := c.Tenant("acme").Connect(client, sip, ConnectOpts{SizeBytes: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hits[conn.DstEIP]++
-		conn.Close()
-	}
-	if hits[be1] != 6 || hits[be2] != 2 {
-		t.Fatalf("weighted balancing = %v, want 6/2", hits)
-	}
-	// Health failure removes be1 from rotation.
-	pb.MarkHealth(be1, false)
-	for i := 0; i < 4; i++ {
-		conn, err := c.Tenant("acme").Connect(client, sip, ConnectOpts{SizeBytes: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if conn.DstEIP != be2 {
-			t.Fatal("unhealthy backend picked")
-		}
-		conn.Close()
 	}
 }
 
@@ -201,121 +203,6 @@ func TestGroupsExtension(t *testing.T) {
 	if _, err := c.Apply("acme", op); err == nil {
 		t.Fatal("provider-scoped create_group accepted")
 	}
-}
-
-func TestPotatoProfilesAffectPath(t *testing.T) {
-	c, w, pa, _, _ := fig1Cloud(t)
-	src, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
-	dst, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
-	c.Tenant("acme").SetPermitList(dst, []permit.Entry{addr.NewPrefix(src, 32)})
-
-	c.Tenant("acme").SetPotato(pa.Name, qos.HotPotato)
-	hot, err := c.Tenant("acme").Connect(src, dst, ConnectOpts{SizeBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Tenant("acme").SetPotato(pa.Name, qos.Dedicated)
-	ded, err := c.Tenant("acme").Connect(src, dst, ConnectOpts{SizeBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	countKind := func(p topo.Path, k topo.LinkKind) int {
-		n := 0
-		for _, l := range p {
-			if l.Kind == k {
-				n++
-			}
-		}
-		return n
-	}
-	if countKind(hot.Path, topo.Transit) == 0 {
-		t.Fatal("hot-potato path avoided transit entirely")
-	}
-	if countKind(ded.Path, topo.Transit) != 0 {
-		t.Fatal("dedicated path crossed transit")
-	}
-	hot.Close()
-	ded.Close()
-}
-
-func TestRegionalQuotaEnforced(t *testing.T) {
-	c, w, pa, _, _ := fig1Cloud(t)
-	src1, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
-	src2, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az2", 1))
-	dst, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
-	c.Tenant("acme").SetPermitList(dst, []permit.Entry{pfx("100.64.0.0/10")})
-	// 100 Mbps regional egress quota.
-	if err := c.Tenant("acme").SetQoS(pa.Name, w.RegionsA[0], 100e6); err != nil {
-		t.Fatal(err)
-	}
-	c1, err := c.Tenant("acme").Connect(src1, dst, ConnectOpts{SizeBytes: -1, Demand: 10e9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := c.Tenant("acme").Connect(src2, dst, ConnectOpts{SizeBytes: -1, Demand: 10e9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	simOf(c).Eng.RunUntil(simOf(c).Eng.Now() + 500*time.Millisecond)
-	total := c1.Flow.Rate() + c2.Flow.Rate()
-	if total > 100e6*1.02 {
-		t.Fatalf("regional quota exceeded: %v bps", total)
-	}
-	if total < 100e6*0.9 {
-		t.Fatalf("quota badly underutilized: %v bps", total)
-	}
-	c1.Close()
-	c2.Close()
-	if err := c.Tenant("acme").SetQoS(pa.Name, "mars", 1); err == nil {
-		t.Fatal("unknown region accepted")
-	}
-}
-
-// TestSetQoSRefusesBadBandwidth: a negative or non-finite quota is an
-// error that leaves the limiter and the journal as they were; zero, which
-// clears the reservation, is a quota.
-func TestSetQoSRefusesBadBandwidth(t *testing.T) {
-	c, w, pa, _, _ := fig1Cloud(t)
-	l, err := intent.Open(t.TempDir(), intent.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	c.EnableIntent(l)
-	acme, reg := c.Tenant("acme"), w.RegionsA[0]
-	if err := acme.SetQoS(pa.Name, reg, 100e6); err != nil {
-		t.Fatal(err)
-	}
-	seq := l.Seq()
-	for _, bps := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if err := acme.SetQoS(pa.Name, reg, bps); err == nil {
-			t.Errorf("SetQoS(%g) accepted", bps)
-		}
-	}
-	if got := pa.quotaBps("acme", reg); got != 100e6 || l.Seq() != seq {
-		t.Errorf("after refused quotas: limiter %g bit/s, journal seq %d; want 1e+08 and %d", got, l.Seq(), seq)
-	}
-	if err := acme.SetQoS(pa.Name, reg, 0); err != nil {
-		t.Errorf("SetQoS(0): %v", err)
-	}
-}
-
-func TestVMEgressCap(t *testing.T) {
-	c, w, _, _, _ := fig1Cloud(t)
-	src, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
-	dst, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
-	c.Tenant("acme").SetPermitList(dst, []permit.Entry{addr.NewPrefix(src, 32)})
-	if err := c.Tenant("acme").SetVMEgressCap(src, 50e6); err != nil {
-		t.Fatal(err)
-	}
-	conn, err := c.Tenant("acme").Connect(src, dst, ConnectOpts{SizeBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := conn.Flow.Rate(); math.Abs(got-50e6) > 1e3 {
-		t.Fatalf("VM egress cap: rate = %v, want 50Mbps", got)
-	}
-	conn.Close()
 }
 
 func TestReleaseEIPTearsDownState(t *testing.T) {
@@ -364,30 +251,9 @@ func TestProbe(t *testing.T) {
 	}
 }
 
-func TestOnPremUniformAPI(t *testing.T) {
-	// The same verbs work for on-prem endpoints — the multi-domain
-	// uniformity claim of §5.
-	c, w, _, _, _ := fig1Cloud(t)
-	opHost := topo.NodeID("onprem/hq/host1")
-	onprem, err := c.Tenant("acme").RequestEIP(opHost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cloudVM, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
-	c.Tenant("acme").SetPermitList(onprem, []permit.Entry{addr.NewPrefix(cloudVM, 32)})
-	conn, err := c.Tenant("acme").Connect(cloudVM, onprem, ConnectOpts{SizeBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(conn.Path) == 0 {
-		t.Fatal("empty path to on-prem")
-	}
-	conn.Close()
-}
-
 func TestDuplicateProvider(t *testing.T) {
 	w := topo.BuildFig1(1)
-	c := NewCloud(w.Graph, simplane.New(1, w.Graph))
+	c := NewCloud(w.Graph, NoDataPlane(1))
 	if _, err := c.AddProvider(w.CloudA, Config{EIPBase: pfx("100.64.0.0/10"), SIPBase: pfx("100.127.0.0/16")}); err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +269,7 @@ func TestDuplicateProvider(t *testing.T) {
 // farthest apart the journal replays two grants of one pool.
 func TestWideSIPBaseRefused(t *testing.T) {
 	w := topo.BuildFig1(1)
-	c := NewCloud(w.Graph, simplane.New(1, w.Graph))
+	c := NewCloud(w.Graph, NoDataPlane(1))
 	if _, err := c.AddProvider(w.CloudA, Config{EIPBase: pfx("100.64.0.0/10"), SIPBase: pfx("100.126.0.0/15")}); err == nil {
 		t.Fatal("a /15 SIP base accepted")
 	}
@@ -428,16 +294,6 @@ func TestFlatAddressNoAssumptions(t *testing.T) {
 	}
 	if got := pa.EndpointCount(); got != 3 {
 		t.Fatalf("EndpointCount = %d", got)
-	}
-}
-
-func TestErrorsMentionDefaultOff(t *testing.T) {
-	c, w, _, _, _ := fig1Cloud(t)
-	src, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
-	dst, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
-	_, err := c.Tenant("acme").Connect(src, dst, ConnectOpts{SizeBytes: 1})
-	if err == nil || !strings.Contains(err.Error(), "default-off") {
-		t.Fatalf("err = %v, want default-off mention", err)
 	}
 }
 

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"math"
@@ -7,6 +7,7 @@ import (
 
 	"declnet/internal/addr"
 	"declnet/internal/permit"
+	"declnet/internal/simplane"
 	"declnet/internal/topo"
 )
 
@@ -21,12 +22,12 @@ func TestBestEffortBypassesQuota(t *testing.T) {
 	if err := c.Tenant("acme").SetQoS(pa.Name, w.RegionsA[0], 100e6); err != nil {
 		t.Fatal(err)
 	}
-	// Reserved flow is shaped to the quota; best-effort is not.
-	res, err := c.Tenant("acme").Connect(src1, dst, ConnectOpts{SizeBytes: -1, Demand: 10e9, Class: Reserved})
+	// simplane.Reserved flow is shaped to the quota; best-effort is not.
+	res, err := simOf(c).Tenant("acme").Connect(src1, dst, simplane.ConnectOpts{SizeBytes: -1, Demand: 10e9, Class: simplane.Reserved})
 	if err != nil {
 		t.Fatal(err)
 	}
-	be, err := c.Tenant("acme").Connect(src2, dst, ConnectOpts{SizeBytes: -1, Demand: 10e9, Class: BestEffort})
+	be, err := simOf(c).Tenant("acme").Connect(src2, dst, simplane.ConnectOpts{SizeBytes: -1, Demand: 10e9, Class: simplane.BestEffort})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestBestEffortBypassesQuota(t *testing.T) {
 }
 
 func TestQoSClassString(t *testing.T) {
-	if Reserved.String() != "reserved" || BestEffort.String() != "best-effort" {
+	if simplane.Reserved.String() != "reserved" || simplane.BestEffort.String() != "best-effort" {
 		t.Fatal("class names wrong")
 	}
 }
@@ -63,7 +64,7 @@ func TestNamingExtension(t *testing.T) {
 	if err := c.Tenant("acme").Register("db", sip); err != nil {
 		t.Fatal(err)
 	}
-	conn, err := c.Tenant("acme").ConnectName(client, "db", ConnectOpts{SizeBytes: -1})
+	conn, err := simOf(c).Tenant("acme").ConnectName(client, "db", simplane.ConnectOpts{SizeBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestNamingExtension(t *testing.T) {
 	if err := c.Tenant("acme").Register("db", be2); err != nil {
 		t.Fatal(err)
 	}
-	conn, err = c.Tenant("acme").ConnectName(client, "db", ConnectOpts{SizeBytes: -1})
+	conn, err = simOf(c).Tenant("acme").ConnectName(client, "db", simplane.ConnectOpts{SizeBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestNamingExtension(t *testing.T) {
 	if _, ok := c.Tenant("rival").Resolve("db"); ok {
 		t.Fatal("rival resolved acme's name")
 	}
-	if _, err := c.Tenant("acme").ConnectName(client, "ghost", ConnectOpts{}); err == nil {
+	if _, err := simOf(c).Tenant("acme").ConnectName(client, "ghost", simplane.ConnectOpts{}); err == nil {
 		t.Fatal("unknown name connected")
 	}
 	if !c.Tenant("acme").Unregister("db") {

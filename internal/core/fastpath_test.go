@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"fmt"
@@ -8,9 +8,11 @@ import (
 	"testing"
 
 	"declnet/internal/addr"
+	. "declnet/internal/core"
 	"declnet/internal/fault"
 	"declnet/internal/permit"
 	"declnet/internal/qos"
+	"declnet/internal/simplane"
 	"declnet/internal/topo"
 )
 
@@ -153,7 +155,7 @@ func TestPropertyPathCacheParity(t *testing.T) {
 						t.Fatalf("step %d: batched permit churn: %v", i, err)
 					}
 				}
-				if cn, err := c.Tenant("acme").Connect(client, sip, ConnectOpts{SizeBytes: 1e3}); err == nil {
+				if cn, err := simOf(c).Tenant("acme").Connect(client, sip, simplane.ConnectOpts{SizeBytes: 1e3}); err == nil {
 					cn.Close()
 				}
 				check(i)

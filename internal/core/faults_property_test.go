@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"fmt"
@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"declnet/internal/addr"
+	. "declnet/internal/core"
 	"declnet/internal/permit"
+	"declnet/internal/simplane"
 	"declnet/internal/topo"
 )
 
@@ -77,17 +79,17 @@ func TestPropertySIPNeverServesDownBackend(t *testing.T) {
 		nBackends = 3
 		horizon   = 10 * time.Second
 	)
-	policy := FaultPolicy{HealthInterval: 100 * time.Millisecond}
+	policy := simplane.FaultPolicy{HealthInterval: 100 * time.Millisecond}
 	// The monitor needs one sweep past the detect delay to pull a backend;
 	// add two intervals of slack so probe phase never races the sweep phase.
-	window := (DownAfter + 2) * policy.HealthInterval
+	window := (simplane.DownAfter + 2) * policy.HealthInterval
 
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			c, w, _, pb, _ := fig1Cloud(t)
-			m := c.EnableFaults(policy)
+			m := simOf(c).EnableFaults(policy)
 
 			client, err := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
 			if err != nil {
@@ -154,7 +156,7 @@ func TestPropertySIPNeverServesDownBackend(t *testing.T) {
 							settled = false
 						}
 					}
-					cn, err := c.Tenant("acme").Connect(client, sip, ConnectOpts{SizeBytes: 1e3})
+					cn, err := simOf(c).Tenant("acme").Connect(client, sip, simplane.ConnectOpts{SizeBytes: 1e3})
 					if err != nil {
 						if settled {
 							t.Errorf("t=%v: connect failed with all failures past the detect window: %v", at, err)

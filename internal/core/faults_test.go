@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"slices"
@@ -6,16 +6,18 @@ import (
 	"time"
 
 	"declnet/internal/addr"
+	. "declnet/internal/core"
 	"declnet/internal/permit"
+	"declnet/internal/simplane"
 	"declnet/internal/topo"
 )
 
 // failoverWorld grants a SIP with two backends in cloud B and a permitted
 // client in cloud A, with faults enabled under the given policy.
-func failoverWorld(t *testing.T, policy FaultPolicy) (c *Cloud, m *FaultMonitor, client EIP, sip SIP, be1, be2 EIP, n1, n2 topo.NodeID) {
+func failoverWorld(t *testing.T, policy simplane.FaultPolicy) (c *Cloud, m *simplane.FaultMonitor, client EIP, sip SIP, be1, be2 EIP, n1, n2 topo.NodeID) {
 	t.Helper()
 	c, w, _, pb, _ := fig1Cloud(t)
-	m = c.EnableFaults(policy)
+	m = simOf(c).EnableFaults(policy)
 
 	var err error
 	client, err = c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
@@ -49,7 +51,7 @@ func failoverWorld(t *testing.T, policy FaultPolicy) (c *Cloud, m *FaultMonitor,
 }
 
 func TestSIPFailsOverToSurvivingBackend(t *testing.T) {
-	policy := FaultPolicy{HealthInterval: 100 * time.Millisecond}
+	policy := simplane.FaultPolicy{HealthInterval: 100 * time.Millisecond}
 	c, m, client, sip, be1, _, n1, _ := failoverWorld(t, policy)
 
 	simOf(c).Eng.Schedule(time.Second, func() {
@@ -59,9 +61,9 @@ func TestSIPFailsOverToSurvivingBackend(t *testing.T) {
 	})
 	// After the detect delay every pick must land on the survivor —
 	// with zero tenant API calls in between.
-	simOf(c).Eng.Schedule(time.Second+(DownAfter+1)*policy.HealthInterval, func() {
+	simOf(c).Eng.Schedule(time.Second+(simplane.DownAfter+1)*policy.HealthInterval, func() {
 		for i := 0; i < 10; i++ {
-			cn, err := c.Tenant("acme").Connect(client, sip, ConnectOpts{SizeBytes: 1e3})
+			cn, err := simOf(c).Tenant("acme").Connect(client, sip, simplane.ConnectOpts{SizeBytes: 1e3})
 			if err != nil {
 				t.Fatalf("connect during failure: %v", err)
 			}
@@ -81,7 +83,7 @@ func TestSIPFailsOverToSurvivingBackend(t *testing.T) {
 }
 
 func TestRecoveredBackendRebindsAfterBackoff(t *testing.T) {
-	c, m, _, sip, be1, _, n1, _ := failoverWorld(t, FaultPolicy{HealthInterval: 100 * time.Millisecond})
+	c, m, _, sip, be1, _, n1, _ := failoverWorld(t, simplane.FaultPolicy{HealthInterval: 100 * time.Millisecond})
 
 	simOf(c).Eng.Schedule(time.Second, func() { simOf(c).Inj.FailNode(n1) })
 	simOf(c).Eng.Schedule(3*time.Second, func() { simOf(c).Inj.RestoreNode(n1) })
@@ -104,13 +106,13 @@ func TestRecoveredBackendRebindsAfterBackoff(t *testing.T) {
 }
 
 func TestRebindBackoffDoublesPerFlap(t *testing.T) {
-	policy := FaultPolicy{HealthInterval: 100 * time.Millisecond}
+	policy := simplane.FaultPolicy{HealthInterval: 100 * time.Millisecond}
 	c, m, _, sip, be1, _, n1, _ := failoverWorld(t, policy)
 
 	// Six fail/heal rounds: each re-bind waits double the last one's
 	// backoff, capped from the fourth round on.
-	want := []time.Duration{RebindBackoff, 2 * RebindBackoff, 4 * RebindBackoff,
-		rebindBackoffMax, rebindBackoffMax, rebindBackoffMax}
+	want := []time.Duration{simplane.RebindBackoff, 2 * simplane.RebindBackoff, 4 * simplane.RebindBackoff,
+		simplane.RebindBackoffMax, simplane.RebindBackoffMax, simplane.RebindBackoffMax}
 	at := time.Second
 	for i, backoff := range want {
 		restore := at + time.Second
@@ -132,13 +134,13 @@ func TestRebindBackoffDoublesPerFlap(t *testing.T) {
 	if m.Failovers != uint64(len(want)) || m.Rebinds != uint64(len(want)) {
 		t.Fatalf("failovers=%d rebinds=%d, want %d/%d", m.Failovers, m.Rebinds, len(want), len(want))
 	}
-	if st := m.backends[backendKey{"cloudB", sip, be1}]; st.backoff != rebindBackoffMax {
-		t.Fatalf("backoff = %v, want capped at %v", st.backoff, rebindBackoffMax)
+	if backoff := m.Backoff("cloudB", sip, be1); backoff != simplane.RebindBackoffMax {
+		t.Fatalf("backoff = %v, want capped at %v", backoff, simplane.RebindBackoffMax)
 	}
 }
 
 func TestPermitUpdateRetriesUntilNodeReturns(t *testing.T) {
-	c, m, client, _, be1, _, n1, _ := failoverWorld(t, FaultPolicy{HealthInterval: 100 * time.Millisecond})
+	c, m, client, _, be1, _, n1, _ := failoverWorld(t, simplane.FaultPolicy{HealthInterval: 100 * time.Millisecond})
 	pb, _ := c.Provider("cloudB")
 
 	simOf(c).Eng.Schedule(time.Second, func() { simOf(c).Inj.FailNode(n1) })
@@ -165,7 +167,7 @@ func TestPermitUpdateRetriesUntilNodeReturns(t *testing.T) {
 }
 
 func TestPermitUpdateTimesOut(t *testing.T) {
-	c, m, client, _, be1, _, n1, _ := failoverWorld(t, FaultPolicy{HealthInterval: 100 * time.Millisecond})
+	c, m, client, _, be1, _, n1, _ := failoverWorld(t, simplane.FaultPolicy{HealthInterval: 100 * time.Millisecond})
 	pb, _ := c.Provider("cloudB")
 
 	simOf(c).Eng.Schedule(time.Second, func() { simOf(c).Inj.FailNode(n1) })
@@ -173,7 +175,7 @@ func TestPermitUpdateTimesOut(t *testing.T) {
 		c.Tenant("acme").SetPermitList(be1, []permit.Entry{addr.NewPrefix(client, 32)})
 	})
 	// Node never heals within the timeout.
-	simOf(c).Eng.RunUntil(2*time.Second + permitRetryTimeout + 2*permitRetryInterval)
+	simOf(c).Eng.RunUntil(2*time.Second + simplane.PermitRetryTimeout + 2*simplane.PermitRetryInterval)
 	if m.PermitTimeouts != 1 {
 		t.Fatalf("PermitTimeouts = %d, want 1", m.PermitTimeouts)
 	}
@@ -187,7 +189,7 @@ func TestPermitUpdateTimesOut(t *testing.T) {
 // first update's retry and the second's. The list that lands is the one
 // declared last, with no store attached to repair it afterwards.
 func TestDeferredSetPermitsInstallTheLastDeclared(t *testing.T) {
-	c, m, _, _, be1, _, n1, _ := failoverWorld(t, FaultPolicy{HealthInterval: 100 * time.Millisecond})
+	c, _, _, _, be1, _, n1, _ := failoverWorld(t, simplane.FaultPolicy{HealthInterval: 100 * time.Millisecond})
 	pb, _ := c.Provider("cloudB")
 	run := func(d time.Duration) { simOf(c).Eng.RunUntil(simOf(c).Eng.Now() + d) }
 	set := func(e addr.Prefix) {
@@ -203,15 +205,15 @@ func TestDeferredSetPermitsInstallTheLastDeclared(t *testing.T) {
 	set(a)
 	run(300 * time.Millisecond)
 	set(b)
-	run(permitRetryInterval - 200*time.Millisecond)
+	run(simplane.PermitRetryInterval - 200*time.Millisecond)
 	if err := simOf(c).Inj.RestoreNode(n1); err != nil {
 		t.Fatal(err)
 	}
-	run(3 * permitRetryInterval)
+	run(3 * simplane.PermitRetryInterval)
 	if got, want := pb.Permits.EntriesOf(be1), []addr.Prefix{b}; !slices.Equal(got, want) {
 		t.Fatalf("installed %v after the heal, want the last declared %v", got, want)
 	}
-	if _, pending := m.PendingPermit(be1); pending {
+	if _, pending := simOf(c).PendingPermit(be1); pending {
 		t.Fatal("update still pending after it landed")
 	}
 }
@@ -221,7 +223,7 @@ func TestDeferredSetPermitsInstallTheLastDeclared(t *testing.T) {
 // of it was. Nothing lands on the unreachable node, and after the heal
 // the node holds the list declared last.
 func TestPermitBehindADeferredSetPermitDefers(t *testing.T) {
-	c, _, _, _, be1, _, n1, _ := failoverWorld(t, FaultPolicy{HealthInterval: 100 * time.Millisecond})
+	c, _, _, _, be1, _, n1, _ := failoverWorld(t, simplane.FaultPolicy{HealthInterval: 100 * time.Millisecond})
 	pb, _ := c.Provider("cloudB")
 	if err := simOf(c).Inj.FailNode(n1); err != nil {
 		t.Fatal(err)
@@ -239,9 +241,9 @@ func TestPermitBehindADeferredSetPermitDefers(t *testing.T) {
 	if err := simOf(c).Inj.RestoreNode(n1); err != nil {
 		t.Fatal(err)
 	}
-	simOf(c).Eng.RunUntil(simOf(c).Eng.Now() + 2*permitRetryInterval)
+	simOf(c).Eng.RunUntil(simOf(c).Eng.Now() + 2*simplane.PermitRetryInterval)
 	want := []addr.Prefix{a, b}
-	if ep, _ := c.decl.Endpoint(be1); !slices.Equal(ep.Permits.Entries(), want) {
+	if ep, _ := c.Declared().Endpoint(be1); !slices.Equal(ep.Permits.Entries(), want) {
 		t.Fatalf("declared %v, want %v", ep.Permits.Entries(), want)
 	}
 	if got := pb.Permits.EntriesOf(be1); !slices.Equal(got, want) {
@@ -251,7 +253,7 @@ func TestPermitBehindADeferredSetPermitDefers(t *testing.T) {
 
 func TestQuotaDegradesWhenRegionPartitions(t *testing.T) {
 	c, w, pa, _, _ := fig1Cloud(t)
-	c.EnableFaults(FaultPolicy{HealthInterval: 100 * time.Millisecond})
+	simOf(c).EnableFaults(simplane.FaultPolicy{HealthInterval: 100 * time.Millisecond})
 
 	// Two senders in different cloud-A regions, one receiver in cloud B,
 	// a tenant-wide quota per region.
@@ -262,11 +264,11 @@ func TestQuotaDegradesWhenRegionPartitions(t *testing.T) {
 	c.Tenant("acme").SetQoS(pa.Name, w.RegionsA[0], 2e9)
 	c.Tenant("acme").SetQoS(pa.Name, w.RegionsA[1], 2e9)
 
-	cn1, err := c.Tenant("acme").Connect(src1, dst, ConnectOpts{SizeBytes: -1, Demand: 2e9})
+	cn1, err := simOf(c).Tenant("acme").Connect(src1, dst, simplane.ConnectOpts{SizeBytes: -1, Demand: 2e9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cn2, err := c.Tenant("acme").Connect(src2, dst, ConnectOpts{SizeBytes: -1, Demand: 2e9})
+	cn2, err := simOf(c).Tenant("acme").Connect(src2, dst, simplane.ConnectOpts{SizeBytes: -1, Demand: 2e9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,17 +278,11 @@ func TestQuotaDegradesWhenRegionPartitions(t *testing.T) {
 	// limiter's share so the tenant's guarantee survives on a-west.
 	simOf(c).Eng.Schedule(time.Second, func() { simOf(c).Inj.FailRegion(w.CloudA, w.RegionsA[0]) })
 	simOf(c).Eng.Schedule(2*time.Second, func() {
-		tq := pa.quotas["acme"][w.RegionsA[0]]
-		for _, enf := range tq.enforcer {
-			if enf.Up() {
-				t.Error("enforcer in partitioned region should be marked down")
-			}
+		if _, up, _, _ := simOf(c).Quota(pa.Name, "acme", w.RegionsA[0]); up != 0 {
+			t.Error("enforcer in partitioned region should be marked down")
 		}
-		tq2 := pa.quotas["acme"][w.RegionsA[1]]
-		for _, enf := range tq2.enforcer {
-			if !enf.Up() {
-				t.Error("enforcer in healthy region should stay up")
-			}
+		if _, up, total, _ := simOf(c).Quota(pa.Name, "acme", w.RegionsA[1]); up != total {
+			t.Error("enforcer in healthy region should stay up")
 		}
 		if cn2.Flow.Rate() == 0 {
 			t.Error("surviving region's flow should keep its rate")
@@ -294,10 +290,7 @@ func TestQuotaDegradesWhenRegionPartitions(t *testing.T) {
 	})
 	simOf(c).Eng.Schedule(3*time.Second, func() { simOf(c).Inj.RestoreRegion(w.CloudA, w.RegionsA[0]) })
 	simOf(c).Eng.RunUntil(5 * time.Second)
-	tq := pa.quotas["acme"][w.RegionsA[0]]
-	for _, enf := range tq.enforcer {
-		if !enf.Up() {
-			t.Fatal("enforcer should recover with its region")
-		}
+	if _, up, total, _ := simOf(c).Quota(pa.Name, "acme", w.RegionsA[0]); up != total {
+		t.Fatal("enforcer should recover with its region")
 	}
 }

@@ -3,13 +3,13 @@
 // (Cloud.decl, an intent.Log): every verb checks its ops against that
 // State and folds them there, with or without a store, a grant takes its
 // address from State's pools, and the installed state — permit engines,
-// balancers, limiters — is derived from it. EnableIntent attaches a store
+// balancers — is derived from it. EnableIntent attaches a store
 // as the declared world's durable tail; RestoreIntent installs a replayed
 // State after a daemon restart and adopts it; StateDigest canonically
 // hashes the live control-plane state so kill-and-restart equivalence is
 // a string comparison. The Drift* methods are test/chaos hooks that
-// corrupt the simulated dataplane behind the declared state's back, for
-// the reconciler (reconcile.go) to find and repair.
+// corrupt the installed state behind the declared state's back, for the
+// reconciler (reconcile.go) to find and repair.
 package core
 
 import (
@@ -43,6 +43,10 @@ func (c *Cloud) Intent() *intent.Log {
 	}
 	return c.decl
 }
+
+// Declared returns the declared world every verb folds into, with or
+// without a store attached.
+func (c *Cloud) Declared() *intent.Log { return c.decl }
 
 // Interned returns how many distinct permit sets and placements the
 // declared world's records hold: the declared state keeps one of each
@@ -112,8 +116,8 @@ func (c *Cloud) RestoreIntent(st *intent.State) error {
 		return err
 	}
 
-	// QoS quotas and potato profiles. Quotas go in sorted
-	// order: a new limiter arms its period on the data plane.
+	// QoS quotas and potato profiles. Quotas go to the data plane in
+	// sorted order: a plane that installs them arms a limiter for each.
 	for _, key := range sortedKeys(st.Quotas) {
 		prov, tenant, region, ok := intent.ParseQuotaKey(key)
 		if !ok {
@@ -123,9 +127,10 @@ func (c *Cloud) RestoreIntent(st *intent.State) error {
 		if !ok {
 			return fmt.Errorf("core: restore: quota key %q references unknown provider", key)
 		}
-		if err := p.setQoS(tenant, region, st.Quotas[key]); err != nil {
-			return fmt.Errorf("core: restore: %w", err)
+		if _, ok := p.eipBlocks[region]; !ok {
+			return fmt.Errorf("core: restore: unknown region %q", region)
 		}
+		c.plane.Apply(tenant, &intent.Op{Verb: intent.OpSetQoS, Provider: prov, Region: region, Bps: st.Quotas[key]})
 	}
 	for _, key := range sortedKeys(st.Potato) {
 		parts := strings.SplitN(key, "|", 2)
@@ -178,7 +183,7 @@ func (c *Cloud) StateDigest() string {
 				fmt.Fprintf(h, "region %s %x\n", region, sum)
 			}
 			fmt.Fprintf(h, "sip %x\n", sectionHash(func(w io.Writer) { writeSIPSection(w, st, p) }))
-			fmt.Fprintf(h, "policy %x\n", sectionHash(func(w io.Writer) { writePolSection(w, p) }))
+			fmt.Fprintf(h, "policy %x\n", sectionHash(func(w io.Writer) { c.writePolSection(w, st, p) }))
 		}
 		fmt.Fprintf(h, "cloud %x\n", sectionHash(func(w io.Writer) { writeCloudSection(w, st) }))
 	})
@@ -245,19 +250,24 @@ func writePermitLines(w io.Writer, p *Provider, targets []addr.IP) {
 	}
 }
 
-// writePolSection renders a provider's policy plane: quotas and potato
-// profiles.
-func writePolSection(w io.Writer, p *Provider) {
-	p.polMu.RLock()
-	for _, tenant := range sortedKeys(p.quotas) {
-		for _, region := range sortedKeys(p.quotas[tenant]) {
-			tq := p.quotas[tenant][region]
-			tq.mu.Lock()
-			q := tq.quota
-			tq.mu.Unlock()
-			fmt.Fprintf(w, "qos %s %s %g\n", tenant, region, q)
+// writePolSection renders a provider's policy plane: quotas in force,
+// by tenant and then region, and potato profiles.
+func (c *Cloud) writePolSection(w io.Writer, st *intent.State, p *Provider) {
+	type quota struct{ tenant, region string }
+	var quotas []quota
+	for key := range st.Quotas {
+		if prov, tenant, region, ok := intent.ParseQuotaKey(key); ok && prov == p.Name {
+			quotas = append(quotas, quota{tenant, region})
 		}
 	}
+	slices.SortFunc(quotas, func(a, b quota) int {
+		return cmp.Or(strings.Compare(a.tenant, b.tenant), strings.Compare(a.region, b.region))
+	})
+	for _, q := range quotas {
+		bps, _, _ := c.quota(p, q.tenant, q.region, st.Quotas[intent.QuotaKey(p.Name, q.tenant, q.region)])
+		fmt.Fprintf(w, "qos %s %s %g\n", q.tenant, q.region, bps)
+	}
+	p.polMu.RLock()
 	for _, tenant := range sortedKeys(p.potato) {
 		fmt.Fprintf(w, "potato %s %s\n", tenant, p.potato[tenant])
 	}
@@ -329,22 +339,4 @@ func (c *Cloud) DriftUnbind(sip SIP, eip EIP) bool {
 		return false
 	}
 	return svc.balancer.Unbind(eip) == nil
-}
-
-// DriftZeroQuota zeroes a (tenant, region) egress limiter without
-// touching the declared quota.
-func (c *Cloud) DriftZeroQuota(provider, tenant, region string) bool {
-	p, ok := c.Provider(provider)
-	if !ok {
-		return false
-	}
-	tq, ok := p.quotaOf(tenant, region)
-	if !ok {
-		return false
-	}
-	tq.mu.Lock()
-	tq.quota = 0
-	tq.limiter.SetQuota(0)
-	tq.mu.Unlock()
-	return true
 }

@@ -467,7 +467,8 @@ func sweepWork(res SweepResult) SweepResult {
 
 func TestReconcilerRepairsDrift(t *testing.T) {
 	dir := t.TempDir()
-	c, w, pa, pb, _ := fig1Cloud(t)
+	plane := newFakePlane()
+	c, w, pa, pb, _ := fig1CloudOn(t, plane)
 	reg := metrics.NewRegistry()
 	c.EnableObservability(obs.NewTracer(0), reg)
 	l, err := intent.Open(dir, intent.Options{})
@@ -498,8 +499,8 @@ func TestReconcilerRepairsDrift(t *testing.T) {
 	if !c.DriftUnbind(sip, eip2) {
 		t.Fatal("DriftUnbind failed")
 	}
-	if !c.DriftZeroQuota(pa.Name, "acme", w.RegionsA[0]) {
-		t.Fatal("DriftZeroQuota failed")
+	if !plane.zero(pa.Name, "acme", w.RegionsA[0]) {
+		t.Fatal("zeroing the installed quota failed")
 	}
 	if c.Admitted(eip1, dst) {
 		t.Fatal("drift injection did not break admission")
@@ -532,7 +533,7 @@ func TestReconcilerRepairsDrift(t *testing.T) {
 	if !found {
 		t.Error("bind repair did not restore the backend")
 	}
-	if tq, ok := pa.quotaOf("acme", w.RegionsA[0]); !ok || tq.quota != 2e9 {
+	if bps, _, _, _ := plane.Quota(pa.Name, "acme", w.RegionsA[0]); bps != 2e9 {
 		t.Error("quota repair did not restore the declared rate")
 	}
 

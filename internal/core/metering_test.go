@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"math"
@@ -8,13 +8,14 @@ import (
 	"declnet/internal/addr"
 	"declnet/internal/meter"
 	"declnet/internal/permit"
+	"declnet/internal/simplane"
 	"declnet/internal/topo"
 )
 
 func TestMeteringEndToEnd(t *testing.T) {
 	c, w, pa, pb, _ := fig1Cloud(t)
 	m := meter.New()
-	c.SetBiller(m)
+	simOf(c).SetBiller(m)
 
 	src, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
 	dst, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
@@ -25,12 +26,12 @@ func TestMeteringEndToEnd(t *testing.T) {
 
 	// Transfer 10 MB reserved, then 5 MB best-effort.
 	done := 0
-	if _, err := c.Tenant("acme").Connect(src, sip, ConnectOpts{SizeBytes: 10e6,
+	if _, err := simOf(c).Tenant("acme").Connect(src, sip, simplane.ConnectOpts{SizeBytes: 10e6,
 		OnDone: func(time.Duration) { done++ }}); err != nil {
 		t.Fatal(err)
 	}
 	simOf(c).Eng.Run()
-	if _, err := c.Tenant("acme").Connect(src, sip, ConnectOpts{SizeBytes: 5e6, Class: BestEffort,
+	if _, err := simOf(c).Tenant("acme").Connect(src, sip, simplane.ConnectOpts{SizeBytes: 5e6, Class: simplane.BestEffort,
 		OnDone: func(time.Duration) { done++ }}); err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +68,11 @@ func TestMeteringEndToEnd(t *testing.T) {
 func TestMeteringCloseBillsOnce(t *testing.T) {
 	c, w, _, _, _ := fig1Cloud(t)
 	m := meter.New()
-	c.SetBiller(m)
+	simOf(c).SetBiller(m)
 	src, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
 	dst, _ := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1))
 	c.Tenant("acme").SetPermitList(dst, []permit.Entry{addr.NewPrefix(src, 32)})
-	conn, err := c.Tenant("acme").Connect(src, dst, ConnectOpts{SizeBytes: -1})
+	conn, err := simOf(c).Tenant("acme").Connect(src, dst, simplane.ConnectOpts{SizeBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

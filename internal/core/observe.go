@@ -26,9 +26,8 @@ import (
 // the disabled arm of experiment E12 pays only nil checks. It is a set-up
 // step: call it before the cloud is shared; a later call replaces both
 // sinks. The registry gets every cloud-wide instrument here: the connect
-// counters, each provider's gauges, the data plane's own when it has any
-// (a RegisterMetrics method), and the fault monitor's once it is armed
-// (EnableFaults registers them when it runs second).
+// counters, each provider's gauges, and the data plane's own when it has
+// any (a RegisterMetrics method).
 func (c *Cloud) EnableObservability(tr *obs.Tracer, reg *metrics.Registry) {
 	c.trace = tr
 	c.reg = reg
@@ -51,9 +50,6 @@ func (c *Cloud) EnableObservability(tr *obs.Tracer, reg *metrics.Registry) {
 	}
 	for _, p := range c.pidx.Load().list {
 		c.registerProviderMetrics(p.Name, p)
-	}
-	if c.monitor.armed {
-		c.monitor.registerMetrics(reg)
 	}
 }
 
@@ -78,9 +74,9 @@ func (c *Cloud) registerProviderMetrics(name string, p *Provider) {
 		"Permit-list mutations.", func() float64 { return float64(p.Permits.Updates.Load()) }, l)
 }
 
-// traceEvent records one decision for the tenant, stamped with the
+// TraceEvent records one decision for the tenant, stamped with the
 // virtual time, when tracing is on.
-func (c *Cloud) traceEvent(tenant string, d obs.Decision) {
+func (c *Cloud) TraceEvent(tenant string, d obs.Decision) {
 	if c.trace == nil {
 		return
 	}
@@ -181,7 +177,7 @@ func (c *Cloud) explain(tenant string, src EIP, dst addr.IP) (*Explanation, erro
 		// A deferred set_permit_list explains an unexpected deny better
 		// than the list state does: the tenant already issued the update,
 		// the enforcement point just can't hear it yet.
-		if since, pending := c.monitor.PendingPermit(dst); pending {
+		if since, pending := c.plane.PendingPermit(dst); pending {
 			cause = obs.Chain("permit-pending:"+dst.String(),
 				fmt.Sprintf("deferred-since=%v", since))
 			if nc := c.nodeCause(c.targetNode(dstProv, dst)); nc != "" {
@@ -255,24 +251,10 @@ func (c *Cloud) explain(tenant string, src EIP, dst addr.IP) (*Explanation, erro
 	}
 
 	// Stage 6 — qos: informational; throttling degrades, never blocks.
-	vmCap := srcEp.EgressCap
-	if vmCap == 0 {
-		vmCap = defaultVMEgress
-	}
-	qdetail := fmt.Sprintf("vm-cap=%.3gbps", vmCap)
-	if tq, ok := srcProv.quotaOf(tenant, srcEp.Region); ok {
-		tq.mu.Lock()
-		if tq.quota > 0 {
-			up := 0
-			for _, enf := range tq.enforcer {
-				if enf.Up() {
-					up++
-				}
-			}
-			qdetail += fmt.Sprintf(" region-quota=%.3gbps enforcers-up=%d/%d",
-				tq.quota, up, len(tq.enforcer))
-		}
-		tq.mu.Unlock()
+	qdetail := fmt.Sprintf("vm-cap=%.3gbps", vmCap(srcEp))
+	declared, _ := c.decl.Quota(intent.QuotaKey(srcProv.Name, tenant, srcEp.Region))
+	if bps, up, total := c.quota(srcProv, tenant, srcEp.Region, declared); bps > 0 {
+		qdetail += fmt.Sprintf(" region-quota=%.3gbps enforcers-up=%d/%d", bps, up, total)
 	}
 	ex.Steps = append(ex.Steps, ExplainStep{Stage: "qos", Verdict: "info", Detail: qdetail})
 
@@ -280,7 +262,7 @@ func (c *Cloud) explain(tenant string, src EIP, dst addr.IP) (*Explanation, erro
 	if !ex.Reachable {
 		verdict = obs.Unreachable
 	}
-	c.traceEvent(tenant, obs.Decision{Kind: obs.Explain, Src: src, Dst: dst, Verdict: verdict, Cause: ex.RootCause})
+	c.TraceEvent(tenant, obs.Decision{Kind: obs.Explain, Src: src, Dst: dst, Verdict: verdict, Cause: ex.RootCause})
 	return ex, nil
 }
 
@@ -293,8 +275,8 @@ type ResourceCounts struct {
 	Groups int `json:"groups"`
 }
 
-// TenantResources aggregates per-tenant resource counts across providers:
-// addresses and groups as declared, quotas as installed.
+// TenantResources aggregates per-tenant resource counts across providers,
+// as declared.
 func (c *Cloud) TenantResources() map[string]ResourceCounts {
 	out := make(map[string]ResourceCounts)
 	count := func(tenant string, add func(*ResourceCounts)) {
@@ -307,19 +289,26 @@ func (c *Cloud) TenantResources() map[string]ResourceCounts {
 			tenant, _, _ := strings.Cut(key, "|")
 			count(tenant, func(rc *ResourceCounts) { rc.Groups++ })
 		}
+		for key := range st.Quotas {
+			_, tenant, _, _ := intent.ParseQuotaKey(key)
+			count(tenant, func(rc *ResourceCounts) { rc.Quotas++ })
+		}
 	})
 	// The address tables are read outside the lock: a walk of the world
 	// holds up no writer.
 	c.decl.Endpoints().Each(func(ep *intent.Endpoint) { count(ep.Tenant, func(rc *ResourceCounts) { rc.EIPs++ }) })
 	c.decl.Services().Each(func(svc *intent.Service) { count(svc.Tenant, func(rc *ResourceCounts) { rc.SIPs++ }) })
-	for _, p := range c.pidx.Load().list {
-		p.polMu.RLock()
-		for tenant, regions := range p.quotas {
-			count(tenant, func(rc *ResourceCounts) { rc.Quotas += len(regions) })
-		}
-		p.polMu.RUnlock()
-	}
 	return out
+}
+
+// quota is the (tenant, region) egress quota in force at p and its
+// enforcement points up of all: the installed quota on a data plane that
+// installs them, the declared one on a plane that does not.
+func (c *Cloud) quota(p *Provider, tenant, region string, declared float64) (bps float64, up, total int) {
+	if bps, up, total, ok := c.plane.Quota(p.Name, tenant, region); ok {
+		return bps, up, total
+	}
+	return declared, 0, 0
 }
 
 // nodeCause renders a node's unreachability cause chain, "" when the node

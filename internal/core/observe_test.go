@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"strings"
@@ -6,9 +6,11 @@ import (
 	"time"
 
 	"declnet/internal/addr"
+	. "declnet/internal/core"
 	"declnet/internal/metrics"
 	"declnet/internal/obs"
 	"declnet/internal/permit"
+	"declnet/internal/simplane"
 	"declnet/internal/topo"
 )
 
@@ -25,7 +27,7 @@ func explainStage(t *testing.T, ex *Explanation, stage string) ExplainStep {
 }
 
 func TestExplainHealthyPath(t *testing.T) {
-	policy := FaultPolicy{HealthInterval: 100 * time.Millisecond}
+	policy := simplane.FaultPolicy{HealthInterval: 100 * time.Millisecond}
 	c, _, client, sip, _, _, _, _ := failoverWorld(t, policy)
 	c.EnableObservability(obs.NewTracer(0), metrics.NewRegistry())
 	simOf(c).Eng.RunUntil(500 * time.Millisecond)
@@ -103,7 +105,7 @@ func TestExplainPermitDeny(t *testing.T) {
 }
 
 func TestExplainNamesNodeAndRegionFaults(t *testing.T) {
-	policy := FaultPolicy{HealthInterval: 100 * time.Millisecond}
+	policy := simplane.FaultPolicy{HealthInterval: 100 * time.Millisecond}
 	c, m, client, sip, _, _, n1, n2 := failoverWorld(t, policy)
 	c.EnableObservability(obs.NewTracer(0), metrics.NewRegistry())
 
@@ -114,7 +116,7 @@ func TestExplainNamesNodeAndRegionFaults(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	simOf(c).Eng.RunUntil(time.Second + (DownAfter+1)*policy.HealthInterval)
+	simOf(c).Eng.RunUntil(time.Second + (simplane.DownAfter+1)*policy.HealthInterval)
 	ex, err := c.Tenant("acme").Explain(client, sip)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +129,7 @@ func TestExplainNamesNodeAndRegionFaults(t *testing.T) {
 	if err := simOf(c).Inj.FailRegion(prov, region); err != nil {
 		t.Fatal(err)
 	}
-	simOf(c).Eng.RunUntil(simOf(c).Eng.Now() + (DownAfter+1)*policy.HealthInterval)
+	simOf(c).Eng.RunUntil(simOf(c).Eng.Now() + (simplane.DownAfter+1)*policy.HealthInterval)
 	ex, err = c.Tenant("acme").Explain(client, sip)
 	if err != nil {
 		t.Fatal(err)
@@ -145,9 +147,9 @@ func TestExplainNamesNodeAndRegionFaults(t *testing.T) {
 }
 
 func TestExplainPendingPermit(t *testing.T) {
-	policy := FaultPolicy{HealthInterval: 100 * time.Millisecond}
+	policy := simplane.FaultPolicy{HealthInterval: 100 * time.Millisecond}
 	c, w, _, _, _ := fig1Cloud(t)
-	c.EnableFaults(policy)
+	simOf(c).EnableFaults(policy)
 	c.EnableObservability(obs.NewTracer(0), metrics.NewRegistry())
 	client, err := c.Tenant("acme").RequestEIP(topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1))
 	if err != nil {
@@ -181,7 +183,7 @@ func TestExplainPendingPermit(t *testing.T) {
 	if err := simOf(c).Inj.RestoreNode(node); err != nil {
 		t.Fatal(err)
 	}
-	simOf(c).Eng.RunUntil(simOf(c).Eng.Now() + 3*permitRetryInterval)
+	simOf(c).Eng.RunUntil(simOf(c).Eng.Now() + 3*simplane.PermitRetryInterval)
 	ex, err = c.Tenant("acme").Explain(client, dst)
 	if err != nil {
 		t.Fatal(err)
@@ -209,12 +211,12 @@ func TestExplainUnknownTenant(t *testing.T) {
 }
 
 func TestConnectTracesDecisions(t *testing.T) {
-	policy := FaultPolicy{HealthInterval: 100 * time.Millisecond}
+	policy := simplane.FaultPolicy{HealthInterval: 100 * time.Millisecond}
 	c, _, client, sip, _, _, _, _ := failoverWorld(t, policy)
 	tr := obs.NewTracer(0)
 	reg := metrics.NewRegistry()
 	c.EnableObservability(tr, reg)
-	cn, err := c.Tenant("acme").Connect(client, sip, ConnectOpts{SizeBytes: 1e3})
+	cn, err := simOf(c).Tenant("acme").Connect(client, sip, simplane.ConnectOpts{SizeBytes: 1e3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +234,7 @@ func TestConnectTracesDecisions(t *testing.T) {
 		t.Fatalf("connects ok counter = %d, want 1", got)
 	}
 	// A denied connect traces the deny with evidence.
-	if _, err := c.Tenant("acme").Connect(client, client, ConnectOpts{}); err == nil {
+	if _, err := simOf(c).Tenant("acme").Connect(client, client, simplane.ConnectOpts{}); err == nil {
 		t.Fatal("self-connect without permit list should deny")
 	}
 	var sawDeny bool

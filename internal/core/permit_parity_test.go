@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"fmt"
@@ -10,8 +10,10 @@ import (
 	"unsafe"
 
 	"declnet/internal/addr"
+	. "declnet/internal/core"
 	"declnet/internal/intent"
 	"declnet/internal/permit"
+	"declnet/internal/simplane"
 	"declnet/internal/topo"
 )
 
@@ -49,7 +51,7 @@ func shareArray(a, b []addr.Prefix) bool {
 // checks that every other target's entries stay as they were.
 func TestDeclaredAndInstalledPermitParity(t *testing.T) {
 	c, w, pa, pb, _ := fig1Cloud(t)
-	m := c.EnableFaults(FaultPolicy{})
+	m := simOf(c).EnableFaults(simplane.FaultPolicy{})
 	dir := t.TempDir()
 	l, err := intent.Open(dir, intent.Options{})
 	if err != nil {
@@ -137,7 +139,7 @@ func TestDeclaredAndInstalledPermitParity(t *testing.T) {
 			if shareArray(installed, declared) && !sameSlice(installed, declared) {
 				t.Fatalf("step %d, target %s: installed %v and declared %v are different views of one array", step, tg, installed, declared)
 			}
-			if _, pending := m.PendingPermit(tg); pending {
+			if _, pending := simOf(c).PendingPermit(tg); pending {
 				continue
 			}
 			if !sameSlice(installed, declared) {
@@ -164,7 +166,7 @@ func TestDeclaredAndInstalledPermitParity(t *testing.T) {
 		}
 		retries += m.PermitRetries
 		c, _, _, _, _ = fig1Cloud(t)
-		m = c.EnableFaults(FaultPolicy{})
+		m = simOf(c).EnableFaults(simplane.FaultPolicy{})
 		if err := c.RestoreIntent(l.State()); err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +252,7 @@ func TestDeclaredAndInstalledPermitParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			down = ""
-			simOf(c).Eng.RunUntil(simOf(c).Eng.Now() + permitRetryInterval)
+			simOf(c).Eng.RunUntil(simOf(c).Eng.Now() + simplane.PermitRetryInterval)
 			r.RunSweep()
 		}
 		check(step)
@@ -283,7 +285,7 @@ func TestDeclaredAndInstalledPermitParity(t *testing.T) {
 // first, and the first target would read the second's entry.
 func TestStoresNeverAppendIntoASharedList(t *testing.T) {
 	c, w, pa, _, _ := fig1Cloud(t)
-	m := c.EnableFaults(FaultPolicy{})
+	m := simOf(c).EnableFaults(simplane.FaultPolicy{})
 	l, err := intent.Open(t.TempDir(), intent.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +314,7 @@ func TestStoresNeverAppendIntoASharedList(t *testing.T) {
 	if err := c.Tenant("acme").Permit(target, b); err != nil { // declared [a b]
 		t.Fatal(err)
 	}
-	simOf(c).Eng.RunUntil(simOf(c).Eng.Now() + permitRetryTimeout + permitRetryInterval)
+	simOf(c).Eng.RunUntil(simOf(c).Eng.Now() + simplane.PermitRetryTimeout + simplane.PermitRetryInterval)
 	if got := pa.Permits.EntriesOf(target); m.PermitTimeouts != 1 || !slices.Equal(got, []addr.Prefix{a}) {
 		t.Fatalf("installed %v after %d timeouts; the case needs the deferred permit to time out", got, m.PermitTimeouts)
 	}

@@ -7,10 +7,12 @@
 // The provider side realizes each verb with the substrate packages:
 // flat EIPs are carved densely from per-region blocks (so the provider can
 // aggregate routes internally, §4 Connectivity), default-off admission is
-// enforced by package permit, SIP load balancing by package lb, regional
-// egress guarantees by package qos, and actual traffic runs in whatever
+// enforced by package permit, SIP load balancing by package lb, exit paths
+// by package qos, and everything that touches traffic — flows, regional
+// egress enforcement, the reaction to failures — lives in whatever
 // network the cloud programs through its one data-plane seam
-// (dataplane.go): the flow-level simulator in-process, none in declnetd.
+// (dataplane.go): the flow-level simulator in-process (package simplane),
+// none in declnetd.
 //
 // Tenants never see a VPC, gateway, route table, or appliance — that is
 // the point.
@@ -18,7 +20,7 @@
 // Concurrency: control-plane state is sharded by (tenant, region) — see
 // shard.go. Every mutation goes through Cloud.Apply (apply.go), which
 // takes the verb's shard write lock, so verbs in different shards run
-// concurrently; the read plane (Connect admission, Probe, Explain) takes
+// concurrently; the read plane (connect admission, Probe, Explain) takes
 // shard read locks in deterministic order. Tenant (tenant.go) is the
 // only Go facade for the verbs; the unexported bodies here assume the
 // caller already holds the right lock.
@@ -27,7 +29,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"declnet/internal/addr"
 	"declnet/internal/intent"
@@ -82,41 +83,18 @@ type Provider struct {
 	// own. Exposed for experiments that measure its scale directly.
 	Permits *permit.Engine
 
-	// polMu guards the per-tenant policy maps below (potato, quotas):
-	// low-traffic state shared across the tenant's shards.
-	polMu sync.RWMutex
-
-	// potato holds each tenant's transit profile (default hot, §4 QoS).
+	// polMu guards potato, each tenant's transit profile (default hot,
+	// §4 QoS): low-traffic state shared across the tenant's shards.
+	polMu  sync.RWMutex
 	potato map[string]qos.PotatoPolicy
 
-	// quotas holds per-(tenant,region) egress limiters.
-	quotas map[string]map[string]*tenantQuota
-
-	// cloud is the enclosing Cloud: its shard table, SLO plane, intent
-	// store, fault monitor and decision tracer are the ones every verb
-	// body uses.
+	// cloud is the enclosing Cloud: its shard table, SLO plane, declared
+	// state, data plane and decision tracer are the ones every verb body
+	// uses.
 	cloud *Cloud
-
-	// meter, when set, records billable usage (see package meter).
-	meter Biller
 
 	cfg Config
 }
-
-// Biller is the subset of package meter's Meter the control plane
-// records into; an interface so core does not import meter.
-type Biller interface {
-	GrantEIP(tenant string, now time.Duration)
-	ReleaseEIP(tenant string, now time.Duration)
-	GrantSIP(tenant string, now time.Duration)
-	ReleaseSIP(tenant string, now time.Duration)
-	SetQuota(tenant string, now time.Duration, totalBps float64)
-	AddBytes(tenant string, now time.Duration, bytes float64, reserved bool)
-	PermitUpdate(tenant string, now time.Duration)
-}
-
-// SetBiller attaches usage metering to this provider.
-func (p *Provider) SetBiller(b Biller) { p.meter = b }
 
 // stampPermitLag marks an accepted permit update for the SLO plane's
 // live propagation-lag sampler; resolved at the next admission check
@@ -124,16 +102,6 @@ func (p *Provider) SetBiller(b Biller) { p.meter = b }
 // path samples too.
 func (p *Provider) stampPermitLag(tenant string, target addr.IP) {
 	p.cloud.slo.StampPermit(tenant, target)
-}
-
-// tenantQuota is one (tenant, region) egress guarantee. mu guards the
-// enforcer map and the limiter's attach/redistribute sequence, which the
-// read plane drives concurrently from Connect.
-type tenantQuota struct {
-	mu       sync.Mutex
-	limiter  *qos.DistributedLimiter
-	enforcer map[topo.NodeID]*qos.Enforcer
-	quota    float64
 }
 
 // Config parameterizes a provider.
@@ -148,12 +116,8 @@ type Config struct {
 
 // defaultVMEgress is the per-VM egress cap applied when the tenant sets
 // none (bits/s): the standard guarantee adopted unchanged from today's
-// clouds (§4 QoS). quotaPeriod is the distributed limiter's control
-// period.
-const (
-	defaultVMEgress = 5 * topo.Gbps
-	quotaPeriod     = 100 * time.Millisecond
-)
+// clouds (§4 QoS).
+const defaultVMEgress = 5 * topo.Gbps
 
 // newProvider returns a control plane for the named cloud over the shared
 // world (Cloud.AddProvider attaches it). Regions are discovered from the
@@ -170,7 +134,6 @@ func newProvider(name string, g *topo.Graph, cfg Config) (*Provider, error) {
 		eipBlocks: make(map[string]*regionBlocks),
 		Permits:   permit.NewEngine(),
 		potato:    make(map[string]qos.PotatoPolicy),
-		quotas:    make(map[string]map[string]*tenantQuota),
 		cfg:       cfg,
 	}
 	// Carve one /16 per region, in sorted region order for determinism.
@@ -236,20 +199,6 @@ func (p *Provider) checkHost(n *topo.Node) (*regionBlocks, error) {
 	return blocks, nil
 }
 
-// granted is what a grant installs: the tenant's live address count and
-// the meter's grant.
-func (p *Provider) granted(tenant string, sip bool) {
-	p.cloud.tenantDelta(tenant, 1)
-	if p.meter == nil {
-		return
-	}
-	if sip {
-		p.meter.GrantSIP(tenant, p.cloud.plane.Now())
-	} else {
-		p.meter.GrantEIP(tenant, p.cloud.plane.Now())
-	}
-}
-
 // released is the rest of what a release installs — its declare drops
 // the permit list before the fold, so that no reader finding a released
 // address undeclared finds a list still installed for it: for a SIP, its
@@ -260,19 +209,11 @@ func (p *Provider) released(tenant string, a addr.IP, sip bool) {
 		p.services.Delete(a)
 	}
 	p.cloud.tenantDelta(tenant, -1)
-	if p.meter == nil {
-		return
-	}
-	if sip {
-		p.meter.ReleaseSIP(tenant, p.cloud.plane.Now())
-	} else {
-		p.meter.ReleaseEIP(tenant, p.cloud.plane.Now())
-	}
 }
 
 // installPermits installs the list a folded set_permit, permit or revoke
-// op declared for its target, or hands it to the fault monitor when the
-// target's enforcement point is unreachable. set_permit installs the
+// op declared for its target, or hands it to the data plane to defer
+// when the target's enforcement point is unreachable. set_permit installs the
 // declared set itself. permit and revoke derive from the installed list:
 // from a converged one (the op's Prev) they install the declared set
 // (Next), so declared and installed hold one record; from a drifted one
@@ -291,17 +232,14 @@ func (p *Provider) installPermits(tenant string, op *intent.Op) {
 	// service frontend and never defer.
 	if ep, ok := p.cloud.decl.Endpoint(target); ok && !p.cloud.plane.Reachable(topo.NodeID(ep.VM)) {
 		if op.Next != nil {
-			p.cloud.monitor.retryPermit(p, tenant, target, edits, op.Verb == intent.OpSetPermit, topo.NodeID(ep.VM))
+			p.cloud.plane.DeferPermit(p, tenant, target, edits, op.Verb == intent.OpSetPermit, topo.NodeID(ep.VM))
 		}
 		return
 	}
 	if op.Verb == intent.OpSetPermit {
 		epoch := p.Permits.Install(target, op.Next, uint64(edits))
 		p.stampPermitLag(tenant, target)
-		if p.meter != nil {
-			p.meter.PermitUpdate(tenant, p.cloud.plane.Now())
-		}
-		p.cloud.traceEvent(tenant, obs.Decision{Kind: obs.PermitUpdate, Dst: target, Verdict: obs.OK,
+		p.cloud.TraceEvent(tenant, obs.Decision{Kind: obs.PermitUpdate, Dst: target, Verdict: obs.OK,
 			Entries: uint32(edits), Epoch: epoch})
 		return
 	}
@@ -318,31 +256,7 @@ func (p *Provider) installPermits(tenant string, op *intent.Op) {
 	}
 	for range op.Entries {
 		p.stampPermitLag(tenant, target)
-		if p.meter != nil {
-			p.meter.PermitUpdate(tenant, p.cloud.plane.Now())
-		}
 	}
-}
-
-func (p *Provider) setQoS(tenant, region string, bandwidth float64) error {
-	if _, ok := p.eipBlocks[region]; !ok {
-		return fmt.Errorf("core: unknown region %q", region)
-	}
-	tq := p.quota(tenant, region)
-	tq.mu.Lock()
-	tq.quota = bandwidth
-	tq.limiter.SetQuota(bandwidth)
-	tq.mu.Unlock()
-	if p.meter != nil {
-		var total float64
-		p.polMu.RLock()
-		for _, q := range p.quotas[tenant] {
-			total += q.quota
-		}
-		p.polMu.RUnlock()
-		p.meter.SetQuota(tenant, p.cloud.plane.Now(), total)
-	}
-	return nil
 }
 
 func (p *Provider) setPotato(tenant string, policy qos.PotatoPolicy) {
@@ -360,25 +274,6 @@ func (p *Provider) potatoOf(tenant string) qos.PotatoPolicy {
 		return qos.HotPotato
 	}
 	return policy
-}
-
-// quotaBps reads the (tenant, region) egress quota in force (0 = none).
-func (p *Provider) quotaBps(tenant, region string) float64 {
-	tq, ok := p.quotaOf(tenant, region)
-	if !ok {
-		return 0
-	}
-	tq.mu.Lock()
-	defer tq.mu.Unlock()
-	return tq.quota
-}
-
-// quotaOf returns the (tenant, region) quota record if one exists.
-func (p *Provider) quotaOf(tenant, region string) (*tenantQuota, bool) {
-	p.polMu.RLock()
-	tq, ok := p.quotas[tenant][region]
-	p.polMu.RUnlock()
-	return tq, ok
 }
 
 // MarkHealth is the provider health checker's signal for a bound backend.
@@ -418,22 +313,3 @@ func (p *Provider) EndpointCount() int {
 	return n
 }
 func (p *Provider) ServiceCount() int { return p.services.Len() }
-
-// quota lazily builds the (tenant, region) limiter.
-func (p *Provider) quota(tenant, region string) *tenantQuota {
-	p.polMu.Lock()
-	defer p.polMu.Unlock()
-	if p.quotas[tenant] == nil {
-		p.quotas[tenant] = make(map[string]*tenantQuota)
-	}
-	tq, ok := p.quotas[tenant][region]
-	if !ok {
-		tq = &tenantQuota{
-			enforcer: make(map[topo.NodeID]*qos.Enforcer),
-			limiter:  qos.NewDistributedLimiter(0, quotaPeriod),
-		}
-		p.cloud.plane.Every(quotaPeriod, tq.limiter.Redistribute)
-		p.quotas[tenant][region] = tq
-	}
-	return tq
-}

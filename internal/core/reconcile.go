@@ -1,6 +1,6 @@
 // Desired-state reconciliation: the convergence loop that keeps the
-// installed dataplane state (permit engines, SIP balancers, QoS limiters)
-// equal to the declared intent. Declared state is the cloud's one
+// installed dataplane state (permit engines, SIP balancers, and the
+// quotas a data plane installs) equal to the declared intent. Declared state is the cloud's one
 // intent.State, which every verb folds into and a store replays; the dataplane can
 // drift from it through faults, lost updates, or the chaos hooks in
 // intent.go. A sweep copies nothing out of the log: it asks the log's
@@ -21,8 +21,8 @@
 // partition — 1/K of the declared world and 1/K of the installed permit
 // stripes. A verb leaves what it touched converged, so verbs mark
 // nothing; the one writer that changes a reconciled surface outside a
-// verb, the fault monitor, marks a permit target whose deferred update
-// landed or timed out, and the sweep checks those marks first, skipping
+// verb, the data plane, marks a permit target whose deferred update
+// landed or timed out (DataPlane.TakeMarks), and the sweep checks those marks first, skipping
 // them in the rotation, so each target is checked, and its drift
 // counted, at most once per sweep. The marks and the declared slices are
 // taken once per sweep and shared by every provider, each checking the
@@ -197,7 +197,7 @@ func (r *Reconciler) RunSweep() SweepResult {
 	start := time.Now()
 	c := r.cloud
 	k := r.cfg.AntiEntropyK
-	plan := sweepPlan{phase: int(r.sweeps.Load() % uint64(k)), marks: c.monitor.takeMarks()}
+	plan := sweepPlan{phase: int(r.sweeps.Load() % uint64(k)), marks: c.plane.TakeMarks()}
 	view := c.decl.View()
 	plan.permits = view.PermitTargets(plan.phase, k)
 	plan.services = view.ServiceTargets(plan.phase, k)
@@ -229,7 +229,7 @@ func (r *Reconciler) RunSweep() SweepResult {
 // them until they land or time out.
 func (r *Reconciler) checkDeclaredPermit(p *Provider, t addr.IP, pl intent.PermitList, budget *int, res *SweepResult) bool {
 	c := r.cloud
-	if _, pending := c.monitor.PendingPermit(t); pending {
+	if _, pending := c.plane.PendingPermit(t); pending {
 		return false
 	}
 	// A converged target's declared and installed lists are one record,
@@ -268,7 +268,7 @@ func (r *Reconciler) checkDeclaredPermit(p *Provider, t addr.IP, pl intent.Permi
 	*budget--
 	p.Permits.Install(t, live.Set, uint64(len(live.Entries)))
 	res.Repaired++
-	c.traceEvent(pl.Tenant, obs.Decision{Kind: obs.Reconcile, Dst: t, Verdict: obs.Repaired,
+	c.TraceEvent(pl.Tenant, obs.Decision{Kind: obs.Reconcile, Dst: t, Verdict: obs.Repaired,
 		Detail: fmt.Sprintf("surface=permit entries=%d", len(live.Entries)),
 		Cause:  obs.Chain("reconcile:permit:"+t.String(), cause)})
 	return true
@@ -280,7 +280,7 @@ func (r *Reconciler) checkDeclaredPermit(p *Provider, t addr.IP, pl intent.Permi
 // the address.
 func (r *Reconciler) checkUndeclaredPermit(p *Provider, t addr.IP, budget *int, res *SweepResult) bool {
 	c := r.cloud
-	if _, pending := c.monitor.PendingPermit(t); pending {
+	if _, pending := c.plane.PendingPermit(t); pending {
 		return false
 	}
 	tenant := c.holder(t)
@@ -302,7 +302,7 @@ func (r *Reconciler) checkUndeclaredPermit(p *Provider, t addr.IP, budget *int, 
 	*budget--
 	p.Permits.Drop(t)
 	res.Repaired++
-	c.traceEvent(tenant, obs.Decision{Kind: obs.Reconcile, Dst: t, Verdict: obs.Repaired,
+	c.TraceEvent(tenant, obs.Decision{Kind: obs.Reconcile, Dst: t, Verdict: obs.Repaired,
 		Detail: "surface=permit entries=0",
 		Cause:  obs.Chain("reconcile:permit:"+t.String(), "drift:undeclared-list")})
 	return true
@@ -389,7 +389,7 @@ func (r *Reconciler) checkBindService(p *Provider, sip addr.IP, want *intent.Ser
 			svc.balancer.Unbind(f.eip)
 		}
 		res.Repaired++
-		c.traceEvent(want.Tenant, obs.Decision{Kind: obs.Reconcile, Src: f.eip, Dst: sip, Verdict: obs.Repaired,
+		c.TraceEvent(want.Tenant, obs.Decision{Kind: obs.Reconcile, Src: f.eip, Dst: sip, Verdict: obs.Repaired,
 			Detail: fmt.Sprintf("surface=bind weight=%d", f.weight),
 			Cause:  obs.Chain("reconcile:bind:"+sip.String(), f.cause)})
 	}
@@ -397,16 +397,17 @@ func (r *Reconciler) checkBindService(p *Provider, sip addr.IP, want *intent.Ser
 }
 
 // checkQuota converges one declared (tenant, region) egress quota
-// against the live limiter, re-validating a mismatch under the shard
-// set_qos takes. Reports whether drift was found.
+// against the one the data plane installed, re-validating a mismatch
+// under the shard set_qos takes. Reports whether drift was found; a plane
+// that installs no quotas has none.
 func (r *Reconciler) checkQuota(p *Provider, tenant, reg string, want float64, budget *int, res *SweepResult) bool {
 	c := r.cloud
-	if p.quotaBps(tenant, reg) == want {
+	if bps, _, _, installs := c.plane.Quota(p.Name, tenant, reg); !installs || bps == want {
 		return false
 	}
 	defer p.lockShard(p.regionShardKey(tenant, reg))()
 	want, ok := c.decl.Quota(intent.QuotaKey(p.Name, tenant, reg))
-	if !ok || p.quotaBps(tenant, reg) == want {
+	if bps, _, _, _ := c.plane.Quota(p.Name, tenant, reg); !ok || bps == want {
 		return false
 	}
 	res.DriftQuotas++
@@ -415,12 +416,9 @@ func (r *Reconciler) checkQuota(p *Provider, tenant, reg string, want float64, b
 		return true
 	}
 	*budget--
-	if err := p.setQoS(tenant, reg, want); err != nil {
-		res.Deferred++
-		return true
-	}
+	c.plane.Apply(tenant, &intent.Op{Verb: intent.OpSetQoS, Provider: p.Name, Region: reg, Bps: want})
 	res.Repaired++
-	c.traceEvent(tenant, obs.Decision{Kind: obs.Reconcile, Verdict: obs.Repaired,
+	c.TraceEvent(tenant, obs.Decision{Kind: obs.Reconcile, Verdict: obs.Repaired,
 		Detail: fmt.Sprintf("surface=qos region=%s bps=%g", reg, want),
 		Cause:  obs.Chain("reconcile:qos:"+p.Name+"/"+reg, "drift:quota-mismatch")})
 	return true

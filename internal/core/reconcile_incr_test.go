@@ -14,6 +14,7 @@ import (
 
 // incrWorld is one subject world of the parity property test.
 type incrWorld struct {
+	plane  *fakePlane
 	c      *Cloud
 	w      *topo.Fig1World
 	pa, pb *Provider
@@ -44,9 +45,9 @@ func (iw *incrWorld) buildReconcilers(t *testing.T) {
 // at K=incrK must leave nothing for a K=1 whole-world sweep to find.
 func TestIncrementalSweepParity(t *testing.T) {
 	dir := t.TempDir()
-	iw := &incrWorld{}
+	iw := &incrWorld{plane: newFakePlane()}
 	var err error
-	iw.c, iw.w, iw.pa, iw.pb, _ = fig1Cloud(t)
+	iw.c, iw.w, iw.pa, iw.pb, _ = fig1CloudOn(t, iw.plane)
 	if iw.l, err = intent.Open(dir, intent.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestIncrementalSweepParity(t *testing.T) {
 		case 2:
 			iw.c.DriftUnbind(iw.sip, iw.eip1)
 		case 3:
-			iw.c.DriftZeroQuota(iw.pa.Name, "acme", iw.w.RegionsA[0])
+			iw.plane.zero(iw.pa.Name, "acme", iw.w.RegionsA[0])
 		}
 
 		// Crash every 4th round mid-divergence: abandon the log
@@ -106,12 +107,13 @@ func TestIncrementalSweepParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c2, w2, pa2, pb2, _ := fig1Cloud(t)
+			plane2 := newFakePlane()
+			c2, w2, pa2, pb2, _ := fig1CloudOn(t, plane2)
 			if err := c2.RestoreIntent(l2.State()); err != nil {
 				t.Fatal(err)
 			}
 			c2.EnableIntent(l2)
-			iw.c, iw.w, iw.pa, iw.pb, iw.l = c2, w2, pa2, pb2, l2
+			iw.plane, iw.c, iw.w, iw.pa, iw.pb, iw.l = plane2, c2, w2, pa2, pb2, l2
 			iw.buildReconcilers(t)
 		}
 
@@ -180,28 +182,20 @@ func TestChaosDriftDetectedWithinK(t *testing.T) {
 	t.Logf("chaos drift repaired after %d/%d sweeps, %d anti-entropy checks", sweeps, k, aeScanned)
 }
 
-// landDeferredPermit has the fault monitor mark target the one way it
-// can: a set_permit deferred at its failed enforcement point, the point
-// healed, and the retry advanced until the update lands.
-func landDeferredPermit(t *testing.T, c *Cloud, target addr.IP, node topo.NodeID, entries ...addr.Prefix) {
+// landDeferredPermit has the data plane mark target the one way it can:
+// a set_permit deferred at its failed enforcement point, the point
+// healed, and the update landed.
+func landDeferredPermit(t *testing.T, c *Cloud, plane *fakePlane, target addr.IP, node topo.NodeID, entries ...addr.Prefix) {
 	t.Helper()
-	m := c.Faults()
-	if err := simOf(c).Inj.FailNode(node); err != nil {
-		t.Fatal(err)
-	}
+	plane.setDown(node, true)
 	if err := c.Tenant("acme").SetPermitList(target, entries); err != nil {
 		t.Fatal(err)
 	}
-	if _, pending := m.PendingPermit(target); !pending {
+	if _, pending := plane.PendingPermit(target); !pending {
 		t.Fatalf("set_permit on %s did not defer", target)
 	}
-	if err := simOf(c).Inj.RestoreNode(node); err != nil {
-		t.Fatal(err)
-	}
-	simOf(c).Eng.RunUntil(simOf(c).Eng.Now() + permitRetryInterval)
-	if _, pending := m.PendingPermit(target); pending {
-		t.Fatalf("deferred set_permit on %s did not land", target)
-	}
+	plane.setDown(node, false)
+	plane.land(c, target)
 }
 
 // TestSweepVisitsEachTargetOnce pins the once-per-sweep rule: a target
@@ -212,7 +206,8 @@ func landDeferredPermit(t *testing.T, c *Cloud, target addr.IP, node topo.NodeID
 func TestSweepVisitsEachTargetOnce(t *testing.T) {
 	for _, k := range []int{1, 3} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			c, w, pa, pb, _ := fig1Cloud(t)
+			plane := newFakePlane()
+			c, w, pa, pb, _ := fig1CloudOn(t, plane)
 			l, err := intent.Open(t.TempDir(), intent.Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -241,10 +236,10 @@ func TestSweepVisitsEachTargetOnce(t *testing.T) {
 			for phase() != int(uint32(dst)%uint32(k)) {
 				r.RunSweep()
 			}
-			// Have the fault monitor mark both lists, then corrupt both
+			// Have the data plane mark both lists, then corrupt both
 			// behind the recorder's back.
-			landDeferredPermit(t, c, eip1, topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1), addr.NewPrefix(dst, 32))
-			landDeferredPermit(t, c, dst, topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1), pfx("10.9.0.0/16"))
+			landDeferredPermit(t, c, plane, eip1, topo.HostID(w.CloudA, w.RegionsA[0], "az1", 1), addr.NewPrefix(dst, 32))
+			landDeferredPermit(t, c, plane, dst, topo.HostID(w.CloudB, w.RegionsB[0], "az1", 1), pfx("10.9.0.0/16"))
 			if !c.DriftWipePermit(eip1) || !c.DriftWipePermit(dst) {
 				t.Fatal("drift injection failed")
 			}

@@ -417,10 +417,8 @@ func TestSweepSharesEntriesWithTheirWriters(t *testing.T) {
 	var total SweepResult
 	sweeping := async(func() { total, _ = sweepWhile(r, writing) })
 	// Connect and Explain read a source's egress cap under its shard's
-	// read lock while set_vm_egress replaces it under the write lock. A
-	// sized flow stays open until the engine runs, so the conns close
-	// once the writers are done.
-	var conns []*Conn
+	// read lock while set_vm_egress replaces it under the write lock.
+	connects := 0
 	reading := async(func() {
 		for n := 0; ; n++ {
 			select {
@@ -430,13 +428,12 @@ func TestSweepSharesEntriesWithTheirWriters(t *testing.T) {
 			}
 			wr := writers[n%len(writers)]
 			sink := sinks[n%len(homes)]
-			if len(conns) < 256 {
-				cn, err := c.Tenant("acme").Connect(wr.eips[0], sink, ConnectOpts{SizeBytes: 1e3})
-				if err != nil {
+			if connects < 256 {
+				if err := connect(c, "acme", wr.eips[0], sink); err != nil {
 					t.Errorf("connect %s -> %s: %v", wr.eips[0], sink, err)
 					return
 				}
-				conns = append(conns, cn)
+				connects++
 			}
 			if _, err := c.Tenant("acme").Explain(wr.eips[0], sink); err != nil {
 				t.Errorf("explain %s -> %s: %v", wr.eips[0], sink, err)
@@ -461,9 +458,6 @@ func TestSweepSharesEntriesWithTheirWriters(t *testing.T) {
 	within(t, 2*time.Minute, sweeping, "the sweeper (deadlock?)")
 	within(t, 2*time.Minute, compacting, "the compactor (deadlock?)")
 	within(t, 2*time.Minute, reading, "the reader (deadlock?)")
-	for _, cn := range conns {
-		cn.Close()
-	}
 	if total != (SweepResult{}) {
 		t.Errorf("sweeps beside %d mutations found drift with none injected: %+v", len(writers)*steps, total)
 	}

@@ -24,9 +24,9 @@
 // lock of their own. The data plane (dataplane.go)
 // serializes what verbs and reads hand it behind a lock of its own,
 // which it takes inside any of core's and holds across no call back
-// into core: a new quota limiter arms its period inside its provider's
-// polMu, and Connect caps its flow inside the quota's mutex. The
-// simulator's is simplane.Plane.mu.
+// into core: a set_qos reaches DataPlane.Apply inside the declared
+// state's lock, and the connect step's data-plane half runs inside both
+// endpoints' shard read locks. The simulator's is simplane.Plane.mu.
 //
 // Who takes what:
 //
@@ -43,10 +43,10 @@
 //   - Cross-shard reads (Connect, Probe, Explain) take BOTH endpoint
 //     shards' read locks in the same key order, deduped when the
 //     endpoints share a shard (rlockShards).
-//   - Core holds no lock over the data plane: a new quota limiter's
-//     period, a deferred permit's first retry, Connect's flow start and
-//     its cap changes go through the seam, whose implementation
-//     serializes them (a cloud built with NoDataPlane writes nothing).
+//   - Core holds no lock over the data plane: an installed quota, a
+//     deferred permit and a connection's flow are the data plane's,
+//     which serializes them (a cloud built with NoDataPlane writes
+//     nothing).
 //
 // Nothing holds the whole world still, so three kinds of work run only
 // where no verb or read runs beside them, each as its doc states:

@@ -8,7 +8,6 @@ import (
 
 	"declnet/internal/addr"
 	"declnet/internal/permit"
-	"declnet/internal/simplane"
 	"declnet/internal/topo"
 )
 
@@ -144,9 +143,9 @@ func TestPropertyShardParity(t *testing.T) {
 				w := topo.BuildFig1(2)
 				var c *Cloud
 				if single {
-					c = NewSingleShardCloud(w.Graph, simplane.New(seed, w.Graph))
+					c = NewSingleShardCloud(w.Graph, NoDataPlane(seed))
 				} else {
-					c = NewCloud(w.Graph, simplane.New(seed, w.Graph))
+					c = NewCloud(w.Graph, NoDataPlane(seed))
 				}
 				if _, _, _, err := AddFig1Providers(c, w); err != nil {
 					t.Fatal(err)

@@ -21,7 +21,7 @@ func (c *Cloud) EnableSLO(p *slo.Plane) {
 	c.slo = p
 	if p != nil {
 		p.OnBreach(func(tenant, detail, cause string) {
-			c.traceEvent(tenant, obs.Decision{Kind: obs.SLOBreach, Verdict: obs.Degraded, Detail: detail, Cause: cause})
+			c.TraceEvent(tenant, obs.Decision{Kind: obs.SLOBreach, Verdict: obs.Degraded, Detail: detail, Cause: cause})
 		})
 	}
 }

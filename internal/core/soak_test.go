@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"math/rand"
@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"declnet/internal/addr"
+	. "declnet/internal/core"
 	"declnet/internal/simplane"
 	"declnet/internal/topo"
 )
@@ -21,7 +22,7 @@ import (
 //     addresses never inherit the previous owner's permit state.
 func TestSoakRandomOps(t *testing.T) {
 	w := topo.BuildFig1(4)
-	c := NewCloud(w.Graph, simplane.New(99, w.Graph))
+	c := simplane.New(99, w.Graph).Cloud
 	pa, pb, _, err := AddFig1Providers(c, w)
 	if err != nil {
 		t.Fatal(err)

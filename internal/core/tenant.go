@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"declnet/internal/addr"
@@ -138,43 +137,28 @@ func (t *Tenant) Resolve(name string) (addr.IP, bool) {
 	return ip, ok
 }
 
-// Connect opens a connection from one of the tenant's EIPs to a
-// destination EIP or SIP, running the paper's data path: (1) default-off
-// permit admission at the destination provider, (2) SIP load balancing
-// when the target is a service address, (3) potato-profile path
-// selection, (4) per-VM and regional egress enforcement. The returned
-// Conn carries the flow the data plane started.
+// Connect runs connect's control-plane half from one of the tenant's
+// EIPs to a destination EIP or SIP: (1) default-off permit admission at
+// the destination provider, (2) SIP load balancing when the target is a
+// service address, (3) potato-profile path selection, each a stage of
+// the connect's SLO span with its decision traced. It hands the admitted
+// Route to start, the data plane's half — package simplane's Connect
+// starts the flow and enforces the egress caps there — and the connect
+// counts as made when start returns nil; when start fails, Connect
+// returns the route's backend slot.
 //
 // Cross-shard protocol: the connect holds read locks on both endpoints'
 // shards, taken in deterministic key order (see ShardSet.rlockShards),
-// so a mutation storm in an unrelated shard cannot stall it and opposing
-// connects cannot deadlock. The flow start and its cap changes go
-// through the data-plane seam, which serializes them; a simulated flow
-// then moves only when the simulation driver advances the engine. A
-// cloud built with NoDataPlane refuses Connect.
-// Probe is the write-free read-plane variant.
-func (t *Tenant) Connect(src EIP, dst addr.IP, opts ConnectOpts) (*Conn, error) {
+// start included, so a mutation storm in an unrelated shard cannot stall
+// it and opposing connects cannot deadlock. Probe is the write-free
+// read-plane variant.
+func (t *Tenant) Connect(src EIP, dst addr.IP, start func(op *slo.Op, r *Route) error) error {
 	c := t.c
 	op := c.slo.Begin(slo.VerbConnect, t.name, "")
 	defer c.shards.rlockShards(c.shardKeyOf(t.name, src), c.shardKeyOf(t.name, dst))()
-	cn, err := c.connect(&op, t.name, src, dst, opts)
+	err := c.connect(&op, t.name, src, dst, start)
 	op.End(err)
-	return cn, err
-}
-
-// ConnectName is Connect with the destination given by name.
-func (t *Tenant) ConnectName(src EIP, name string, opts ConnectOpts) (*Conn, error) {
-	dst, ok := t.Resolve(name)
-	if !ok {
-		return nil, fmt.Errorf("core: tenant %q has no name %q", t.name, name)
-	}
-	return t.Connect(src, dst, opts)
-}
-
-// Transfer moves sizeBytes from src to dst; done receives the completion
-// time once the simulation is advanced.
-func (t *Tenant) Transfer(src EIP, dst addr.IP, sizeBytes float64, done func(time.Duration)) (*Conn, error) {
-	return t.Connect(src, dst, ConnectOpts{SizeBytes: sizeBytes, OnDone: done})
+	return err
 }
 
 // Probe measures a round trip from one of the tenant's EIPs to a

@@ -95,7 +95,7 @@ func diffDeclnet(t *testing.T, pol diffPolicy, seed int64) func(src, dst int, pr
 	t.Helper()
 	n := len(pol)
 	w := topo.BuildFig1(3)
-	c := core.NewCloud(w.Graph, simplane.New(seed, w.Graph))
+	c := simplane.New(seed, w.Graph).Cloud
 	if _, _, _, err := core.AddFig1Providers(c, w); err != nil {
 		t.Fatal(err)
 	}

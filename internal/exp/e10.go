@@ -6,10 +6,10 @@ import (
 
 	"declnet/internal/appliance"
 	"declnet/internal/complexity"
-	"declnet/internal/core"
 	"declnet/internal/metrics"
 	"declnet/internal/netsim"
 	"declnet/internal/sim"
+	"declnet/internal/simplane"
 	"declnet/internal/topo"
 	"declnet/internal/vnet"
 )
@@ -83,7 +83,6 @@ func e10Declarative(rate float64, horizon, failAt, detect time.Duration, seed in
 	if err != nil {
 		return 0, 0, 0, nil, err
 	}
-	c := d.Cloud
 	w := d.World
 	// Third backend joins the SIP.
 	db3, err := d.Cloud.Tenant(Tenant).RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 3))
@@ -109,7 +108,7 @@ func e10Declarative(rate float64, horizon, failAt, detect time.Duration, seed in
 			return
 		}
 		total++
-		conn, cerr := c.Tenant(Tenant).Connect(d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
+		conn, cerr := d.Sim.Tenant(Tenant).Connect(d.Spark1, d.DBService, simplane.ConnectOpts{SizeBytes: -1})
 		if cerr != nil {
 			errors++
 			lastError = d.Sim.Eng.Now()

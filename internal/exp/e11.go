@@ -6,9 +6,9 @@ import (
 
 	"declnet/internal/appliance"
 	"declnet/internal/complexity"
-	"declnet/internal/core"
 	"declnet/internal/metrics"
 	"declnet/internal/sim"
+	"declnet/internal/simplane"
 	"declnet/internal/topo"
 	"declnet/internal/vnet"
 )
@@ -36,7 +36,7 @@ func E11AvailabilityDrill(requestRate float64, seed int64) (*metrics.Table, erro
 		healAt   = 7 * time.Second
 		opsDelay = 2 * time.Second // baseline operator reaction time
 	)
-	policy := core.FaultPolicy{HealthInterval: 250 * time.Millisecond}
+	policy := simplane.FaultPolicy{HealthInterval: 250 * time.Millisecond}
 
 	decl, m, err := e11Declarative(requestRate, horizon, failAt, healAt, policy, seed)
 	if err != nil {
@@ -58,7 +58,7 @@ func E11AvailabilityDrill(requestRate float64, seed int64) (*metrics.Table, erro
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("identical drill in both models: backend host down at t=%v, back at t=%v", failAt, healAt),
 		fmt.Sprintf("provider policy: %v health checks, down after %d misses, %v re-bind backoff",
-			policy.HealthInterval, core.DownAfter, core.RebindBackoff),
+			policy.HealthInterval, simplane.DownAfter, simplane.RebindBackoff),
 		fmt.Sprintf("baseline operator reacts %v after each transition (deregister, re-register)", opsDelay))
 	t.AddNotef("provider-side events: %d failover, %d re-bind; tenant saw none of them",
 		m.Failovers, m.Rebinds)
@@ -72,13 +72,12 @@ type e11Stats struct {
 	mttr                  time.Duration
 }
 
-func e11Declarative(rate float64, horizon, failAt, healAt time.Duration, policy core.FaultPolicy, seed int64) (e11Stats, *core.FaultMonitor, error) {
+func e11Declarative(rate float64, horizon, failAt, healAt time.Duration, policy simplane.FaultPolicy, seed int64) (e11Stats, *simplane.FaultMonitor, error) {
 	var st e11Stats
 	d, err := BuildDeclarativeFig1(seed, 3)
 	if err != nil {
 		return st, nil, err
 	}
-	c := d.Cloud
 	w := d.World
 	// Third backend joins the SIP so two survive the drill.
 	db3, err := d.Cloud.Tenant(Tenant).RequestEIP(topo.HostID(w.CloudB, w.RegionsB[0], "az1", 3))
@@ -88,7 +87,7 @@ func e11Declarative(rate float64, horizon, failAt, healAt time.Duration, policy 
 	if err := d.Cloud.Tenant(Tenant).Bind(db3, d.DBService, 1); err != nil {
 		return st, nil, err
 	}
-	m := c.EnableFaults(policy)
+	m := d.Sim.EnableFaults(policy)
 
 	dead := d.DB1
 	deadNode, ok := d.ProvB.Lookup(dead)
@@ -120,7 +119,7 @@ func e11Declarative(rate float64, horizon, failAt, healAt time.Duration, policy 
 			st.windowTotal++
 		}
 		failed := false
-		conn, cerr := c.Tenant(Tenant).Connect(d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
+		conn, cerr := d.Sim.Tenant(Tenant).Connect(d.Spark1, d.DBService, simplane.ConnectOpts{SizeBytes: -1})
 		if cerr != nil {
 			failed = true
 		} else {

@@ -14,6 +14,7 @@ import (
 	"declnet/internal/obs"
 	"declnet/internal/permit"
 	"declnet/internal/sim"
+	"declnet/internal/simplane"
 	"declnet/internal/topo"
 )
 
@@ -215,7 +216,7 @@ func e12RunScenario(sc e12Scenario, seed int64) (verdict string, match bool, err
 	if err != nil {
 		return "", false, err
 	}
-	d.Cloud.EnableFaults(core.FaultPolicy{HealthInterval: 250 * time.Millisecond})
+	d.Sim.EnableFaults(simplane.FaultPolicy{HealthInterval: 250 * time.Millisecond})
 	d.Cloud.EnableObservability(obs.NewTracer(0), nil)
 	src, dst, err := sc.run(d, d.Sim.Inj)
 	if err != nil {
@@ -292,7 +293,7 @@ func e12ArmOnce(instrument bool, connects int, seed int64) (e12ArmStats, error) 
 		return st, err
 	}
 	c := d.Cloud
-	c.EnableFaults(core.FaultPolicy{HealthInterval: 250 * time.Millisecond})
+	d.Sim.EnableFaults(simplane.FaultPolicy{HealthInterval: 250 * time.Millisecond})
 	inj := d.Sim.Inj
 	var tracer *obs.Tracer
 	var reg *metrics.Registry
@@ -333,7 +334,7 @@ func e12ArmOnce(instrument bool, connects int, seed int64) (e12ArmStats, error) 
 				panic(err)
 			}
 		}
-		conn, cerr := c.Tenant(Tenant).Connect(d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
+		conn, cerr := d.Sim.Tenant(Tenant).Connect(d.Spark1, d.DBService, simplane.ConnectOpts{SizeBytes: -1})
 		if cerr != nil {
 			st.errors++
 		} else {

@@ -49,7 +49,7 @@ const (
 func E14NoisyNeighbor(seed int64) (*metrics.Table, error) {
 	w := topo.BuildFig1(2)
 	sp := simplane.New(seed, w.Graph)
-	c := core.NewCloud(w.Graph, sp)
+	c := sp.Cloud
 	if _, _, _, err := core.AddFig1Providers(c, w); err != nil {
 		return nil, fmt.Errorf("exp: E14 world: %w", err)
 	}
@@ -110,7 +110,7 @@ func E14NoisyNeighbor(seed int64) (*metrics.Table, error) {
 	// The flapped node hosts nothing and sits off the probe path; its
 	// heal is purely an epoch bump that chills the path cache.
 	flapNode := topo.HostID(w.CloudB, "b-west", "az2", 2)
-	c.EnableFaults(core.FaultPolicy{})
+	sp.EnableFaults(simplane.FaultPolicy{})
 	inj := sp.Inj
 	stormEntry := exact(addr.IP(obsEast)) // content is irrelevant to the storm
 

@@ -57,7 +57,7 @@ type e15World struct {
 func newE15World(seed int64) (*e15World, error) {
 	w := topo.BuildFig1(2)
 	sp := simplane.New(seed, w.Graph)
-	c := core.NewCloud(w.Graph, sp)
+	c := sp.Cloud
 	if _, _, _, err := core.AddFig1Providers(c, w); err != nil {
 		return nil, fmt.Errorf("exp: E15 world: %w", err)
 	}
@@ -65,7 +65,7 @@ func newE15World(seed int64) (*e15World, error) {
 	// older reconcile events to eviction.
 	tracer := obs.NewTracer(1 << 16)
 	c.EnableObservability(tracer, nil)
-	c.EnableFaults(core.FaultPolicy{})
+	sp.EnableFaults(simplane.FaultPolicy{})
 	return &e15World{fig: w, c: c, sim: sp, tracer: tracer}, nil
 }
 
@@ -282,7 +282,7 @@ func E15ChaosSoak(seed int64, rounds int) (*metrics.Table, error) {
 			ok = subject.c.DriftUnbind(sa.s, sa.b1)
 			driftB++
 		case 2:
-			ok = subject.c.DriftZeroQuota(subject.fig.CloudB, "acme", "b-east")
+			ok = subject.sim.DriftZeroQuota(subject.fig.CloudB, "acme", "b-east")
 			driftQ++
 		}
 		if !ok {

@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"declnet/internal/metrics"
-	"declnet/internal/qos"
 	"declnet/internal/sim"
+	"declnet/internal/simplane"
 )
 
 // demandFlow is a synthetic offered load for limiter experiments.
@@ -87,11 +87,11 @@ func e5Run(flows int, period sim.Time, seed int64) e5Result {
 	)
 	eng := sim.New(seed)
 	rng := eng.NewRand()
-	enf := make([]*qos.Enforcer, enforcers)
+	enf := make([]*simplane.Enforcer, enforcers)
 	for i := range enf {
-		enf[i] = qos.NewEnforcer(fmt.Sprintf("e%d", i))
+		enf[i] = simplane.NewEnforcer(fmt.Sprintf("e%d", i))
 	}
-	lim := qos.NewDistributedLimiter(quota, period, enf...)
+	lim := simplane.NewDistributedLimiter(quota, period, enf...)
 	// A daemon ticker: the control loop must not keep a drained
 	// simulation alive on its own.
 	ctl := eng.EveryDaemon(period, lim.Redistribute)

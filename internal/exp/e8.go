@@ -5,10 +5,10 @@ import (
 
 	"declnet/internal/addr"
 	"declnet/internal/cloudapi"
-	"declnet/internal/core"
 	"declnet/internal/gateway"
 	"declnet/internal/metrics"
 	"declnet/internal/permit"
+	"declnet/internal/simplane"
 	"declnet/internal/topo"
 	"declnet/internal/vnet"
 )
@@ -161,7 +161,7 @@ func E8Migration(seed int64) (*metrics.Table, error) {
 	}
 	calls++
 	// Verify the moved tier still reaches the database service.
-	conn, err := tn.Connect(n1, decl.DBService, core.ConnectOpts{SizeBytes: -1})
+	conn, err := decl.Sim.Tenant(Tenant).Connect(n1, decl.DBService, simplane.ConnectOpts{SizeBytes: -1})
 	if err != nil {
 		return nil, fmt.Errorf("exp: migrated tier cannot reach db: %w", err)
 	}

@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"declnet/internal/addr"
-	"declnet/internal/core"
 	"declnet/internal/gateway"
+	"declnet/internal/simplane"
 	"declnet/internal/vnet"
 )
 
@@ -60,7 +60,7 @@ func TestDeclarativeFig1Functional(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Alerts (on-prem) may reach the DB service too.
-	conn, err := d.Cloud.Tenant(Tenant).Connect(d.Alerts, d.DBService, core.ConnectOpts{SizeBytes: -1})
+	conn, err := d.Sim.Tenant(Tenant).Connect(d.Alerts, d.DBService, simplane.ConnectOpts{SizeBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -359,7 +359,7 @@ type DeclarativeFig1 struct {
 func BuildDeclarativeFig1(seed int64, hostsPerZone int) (*DeclarativeFig1, error) {
 	w := topo.BuildFig1(hostsPerZone)
 	sp := simplane.New(seed, w.Graph)
-	c := core.NewCloud(w.Graph, sp)
+	c := sp.Cloud
 	d := &DeclarativeFig1{Cloud: c, World: w, Sim: sp, APICalls: make(map[string]int)}
 	var err error
 	if d.ProvA, d.ProvB, d.ProvOnPrem, err = core.AddFig1Providers(c, w); err != nil {
@@ -473,7 +473,7 @@ func (b *BaselineFig1) SparkToDB() vnet.Verdict {
 
 // SparkToDB opens the analogous declarative connection.
 func (d *DeclarativeFig1) SparkToDB() error {
-	conn, err := d.Cloud.Tenant(Tenant).Connect(d.Spark1, d.DBService, core.ConnectOpts{SizeBytes: -1})
+	conn, err := d.Sim.Tenant(Tenant).Connect(d.Spark1, d.DBService, simplane.ConnectOpts{SizeBytes: -1})
 	if err != nil {
 		return err
 	}

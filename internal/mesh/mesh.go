@@ -24,6 +24,7 @@ import (
 	"declnet/internal/app"
 	"declnet/internal/core"
 	"declnet/internal/permit"
+	"declnet/internal/simplane"
 	"declnet/internal/topo"
 )
 
@@ -99,13 +100,13 @@ func (b *breaker) record(now time.Duration, ok bool) {
 type Mesh struct {
 	Tenant string
 
-	cloud    *core.Cloud
+	sim      *simplane.Plane
 	services map[string]*Service
 }
 
-// New returns an empty mesh for a tenant over the cloud.
-func New(cloud *core.Cloud, tenant string) *Mesh {
-	return &Mesh{Tenant: tenant, cloud: cloud, services: make(map[string]*Service)}
+// New returns an empty mesh for a tenant over the simulated cloud.
+func New(sim *simplane.Plane, tenant string) *Mesh {
+	return &Mesh{Tenant: tenant, sim: sim, services: make(map[string]*Service)}
 }
 
 // ServiceConfig declares one service.
@@ -127,7 +128,7 @@ func (m *Mesh) AddService(cfg ServiceConfig) (*Service, error) {
 	if _, ok := m.services[cfg.Name]; ok {
 		return nil, fmt.Errorf("mesh: duplicate service %q", cfg.Name)
 	}
-	tn := m.cloud.Tenant(m.Tenant)
+	tn := m.sim.Cloud.Tenant(m.Tenant)
 	sip, err := tn.RequestSIP(cfg.Provider)
 	if err != nil {
 		return nil, err
@@ -332,7 +333,7 @@ func (m *Mesh) Call(caller string, src *Workload, callee string, opts CallOpts) 
 	if _, ok := m.services[caller]; !ok {
 		return CallResult{}, fmt.Errorf("mesh: unknown caller %q", caller)
 	}
-	now := m.cloud.Now()
+	now := m.sim.Now()
 	if !cs.breaker.allow(now) {
 		return CallResult{}, fmt.Errorf("mesh: circuit open for %q", callee)
 	}
@@ -340,12 +341,12 @@ func (m *Mesh) Call(caller string, src *Workload, callee string, opts CallOpts) 
 	var lastErr error
 	for attempt := 0; attempt <= opts.Retries; attempt++ {
 		res.Attempts = attempt + 1
-		conn, err := m.cloud.Tenant(m.Tenant).Connect(src.EIP, cs.sip, core.ConnectOpts{SizeBytes: -1})
+		conn, err := m.sim.Tenant(m.Tenant).Connect(src.EIP, cs.sip, simplane.ConnectOpts{SizeBytes: -1})
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		rng := m.cloud.Plane().Rand()
+		rng := m.sim.Rand()
 		rtt := conn.Path.RTT(rng)
 		delivered := conn.Path.Delivered(rng)
 		backend := conn.DstEIP
@@ -358,9 +359,9 @@ func (m *Mesh) Call(caller string, src *Workload, callee string, opts CallOpts) 
 		res.Backend = backend
 		res.RTT = rtt
 		ok := res.Outcome == app.Served
-		cs.breaker.record(m.cloud.Now(), ok)
+		cs.breaker.record(m.sim.Now(), ok)
 		return res, nil
 	}
-	cs.breaker.record(m.cloud.Now(), false)
+	cs.breaker.record(m.sim.Now(), false)
 	return res, lastErr
 }

@@ -13,11 +13,11 @@ import (
 func testMesh(t *testing.T) (*Mesh, *topo.Fig1World) {
 	t.Helper()
 	w := topo.BuildFig1(3)
-	c := core.NewCloud(w.Graph, simplane.New(1, w.Graph))
-	if _, _, _, err := core.AddFig1Providers(c, w); err != nil {
+	sp := simplane.New(1, w.Graph)
+	if _, _, _, err := core.AddFig1Providers(sp.Cloud, w); err != nil {
 		t.Fatal(err)
 	}
-	return New(c, "acme"), w
+	return New(sp, "acme"), w
 }
 
 func ordersService(provider string) ServiceConfig {
@@ -102,7 +102,7 @@ func TestMeshRetireRevokes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The retired workload's EIP no longer appears in orders' permits.
-	if m.cloud.Admitted(wl.EIP, orders.SIP()) {
+	if m.sim.Cloud.Admitted(wl.EIP, orders.SIP()) {
 		t.Fatal("retired workload still admitted")
 	}
 	if err := m.Retire("web", wl); err == nil {
@@ -192,7 +192,7 @@ func TestMeshCircuitBreaker(t *testing.T) {
 	}
 	// After the cooldown, a half-open probe goes through; a good request
 	// closes the breaker.
-	eng := m.cloud.Plane().(*simplane.Plane).Eng
+	eng := m.sim.Eng
 	eng.RunUntil(eng.Now() + 2*time.Second)
 	orders, _ := m.Service("orders")
 	tok := orders.Gateway().IssueToken("web", "read")
@@ -238,7 +238,7 @@ func TestMeshNameRegistration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := m.cloud.Tenant("acme").Resolve("orders")
+	got, ok := m.sim.Cloud.Tenant("acme").Resolve("orders")
 	if !ok || got != s.SIP() {
 		t.Fatalf("service name not registered: %v,%v", got, ok)
 	}

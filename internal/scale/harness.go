@@ -84,7 +84,7 @@ func buildWorld(cfg Config) (*world, error) {
 		})
 	}
 	b.AddProvider(spec)
-	c := core.NewCloud(b.Graph(), simplane.New(cfg.Seed, b.Graph()))
+	c := simplane.New(cfg.Seed, b.Graph()).Cloud
 	p, err := c.AddProvider(provName, core.Config{
 		EIPBase: addr.MustParsePrefix("10.0.0.0/8"),
 		SIPBase: addr.MustParsePrefix("172.16.0.0/16"),

@@ -1,11 +1,14 @@
-package core
+package simplane
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"declnet/internal/addr"
+	"declnet/internal/core"
+	"declnet/internal/intent"
 	"declnet/internal/metrics"
 	"declnet/internal/obs"
 	"declnet/internal/topo"
@@ -26,27 +29,22 @@ type FaultPolicy struct {
 // DownAfter consecutive missed probes pull a backend out of rotation (so
 // failover latency ≈ HealthInterval × DownAfter); a recovered backend
 // re-enters after RebindBackoff, doubled on every later failure of the
-// same backend up to rebindBackoffMax, so a flapping host cannot churn
+// same backend up to RebindBackoffMax, so a flapping host cannot churn
 // the rotation. A permit update targeting an unreachable endpoint is
-// accepted, retried every permitRetryInterval, and abandoned after
-// permitRetryTimeout.
+// accepted, retried every PermitRetryInterval, and abandoned after
+// PermitRetryTimeout.
 const (
 	DownAfter           = 2
 	RebindBackoff       = time.Second
-	rebindBackoffMax    = 8 * RebindBackoff
-	permitRetryInterval = time.Second
-	permitRetryTimeout  = 30 * permitRetryInterval
+	RebindBackoffMax    = 8 * RebindBackoff
+	PermitRetryInterval = time.Second
+	PermitRetryTimeout  = 30 * PermitRetryInterval
 )
-
-// DefaultFaultPolicy probes every 500ms.
-func DefaultFaultPolicy() FaultPolicy {
-	return FaultPolicy{HealthInterval: 500 * time.Millisecond}
-}
 
 type backendKey struct {
 	provider string
-	sip      SIP
-	eip      EIP
+	sip      core.SIP
+	eip      core.EIP
 }
 
 // backendState is the monitor's health record for one SIP binding.
@@ -58,17 +56,19 @@ type backendState struct {
 	downAt   time.Duration // when the failover was detected, for MTTR metrics
 }
 
-// FaultMonitor is the provider-side reaction to faults in the data
-// plane, which it observes only through the seam's Reachable and Cause:
-// a periodic health sweep that fails SIP bindings over to surviving
-// backends, re-binds recovered ones with exponential backoff, and
-// degrades QoS quotas when enforcement points partition away. Every
-// cloud has one from construction, idle until EnableFaults arms its
-// health sweep on the data plane.
+// FaultMonitor is the provider-side reaction to faults in the simulated
+// network, which it observes only through the injector's Reachable and
+// Cause: a periodic health sweep that fails SIP bindings over to
+// surviving backends, re-binds recovered ones with exponential backoff,
+// and degrades QoS quotas when enforcement points partition away; and
+// the deferral of permit updates whose enforcement point is unreachable
+// (core.DataPlane's DeferPermit, PendingPermit and TakeMarks). Every
+// plane has one from construction, its health sweep idle until
+// EnableFaults arms it on the engine.
 type FaultMonitor struct {
 	Policy FaultPolicy
 
-	cloud    *Cloud
+	p        *Plane
 	armed    bool
 	backends map[backendKey]*backendState
 
@@ -79,7 +79,6 @@ type FaultMonitor struct {
 	Rebinds        uint64 // backends restored to rotation
 	PermitRetries  uint64 // deferred permit-update attempts
 	PermitTimeouts uint64 // permit updates abandoned
-	LastFailoverAt time.Duration
 	LastRebindAt   time.Duration
 
 	// mu guards the deferred-permit state: set_permit_list calls in
@@ -101,12 +100,12 @@ type FaultMonitor struct {
 	mPermitLag *metrics.Hist
 }
 
-// newFaultMonitor builds a cloud's idle monitor under the default
+// newFaultMonitor builds a plane's idle monitor under the default
 // policy.
-func newFaultMonitor(c *Cloud) *FaultMonitor {
+func newFaultMonitor(p *Plane) *FaultMonitor {
 	return &FaultMonitor{
-		Policy:   DefaultFaultPolicy(),
-		cloud:    c,
+		Policy:   FaultPolicy{HealthInterval: 500 * time.Millisecond},
+		p:        p,
 		backends: make(map[backendKey]*backendState),
 		pending:  make(map[addr.IP]*deferral),
 	}
@@ -115,34 +114,41 @@ func newFaultMonitor(c *Cloud) *FaultMonitor {
 // EnableFaults arms the provider health monitor: the first call sets its
 // policy (a zero HealthInterval takes the default), starts the health
 // sweep and registers the monitor's series with the cloud's registry, if
-// it has one yet; later calls change nothing. It returns the cloud's one
+// it has one yet; later calls change nothing. It returns the plane's one
 // monitor. Call it at set-up or from the simulation driver.
-func (c *Cloud) EnableFaults(policy FaultPolicy) *FaultMonitor {
-	m := c.monitor
+func (p *Plane) EnableFaults(policy FaultPolicy) *FaultMonitor {
+	m := p.faults
 	if !m.armed {
 		m.armed = true
 		if policy.HealthInterval > 0 {
 			m.Policy = policy
 		}
-		c.plane.Every(m.Policy.HealthInterval, m.tick)
-		m.registerMetrics(c.reg)
+		p.every(m.Policy.HealthInterval, m.tick)
+		m.registerMetrics(p.Cloud.Registry())
 	}
 	return m
 }
 
 // Faults returns the fault monitor (idle until EnableFaults).
-func (c *Cloud) Faults() *FaultMonitor { return c.monitor }
+func (p *Plane) Faults() *FaultMonitor { return p.faults }
 
 // BackendDown reports whether the monitor currently holds a binding out
 // of rotation (test hook).
-func (m *FaultMonitor) BackendDown(provider string, sip SIP, eip EIP) bool {
+func (m *FaultMonitor) BackendDown(provider string, sip core.SIP, eip core.EIP) bool {
 	st, ok := m.backends[backendKey{provider, sip, eip}]
 	return ok && st.down
 }
 
+// Backoff reads a binding's current re-bind backoff (test hook).
+func (m *FaultMonitor) Backoff(provider string, sip core.SIP, eip core.EIP) time.Duration {
+	return m.state(provider, sip, eip).backoff
+}
+
 // PendingPermit reports whether a permit update for target is accepted
-// but still deferred (its enforcement point unreachable), and since when.
-func (m *FaultMonitor) PendingPermit(target addr.IP) (time.Duration, bool) {
+// but still deferred by the fault monitor (its enforcement point
+// unreachable), and since when.
+func (p *Plane) PendingPermit(target addr.IP) (time.Duration, bool) {
+	m := p.faults
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if d, ok := m.pending[target]; ok {
@@ -151,8 +157,10 @@ func (m *FaultMonitor) PendingPermit(target addr.IP) (time.Duration, bool) {
 	return 0, false
 }
 
-// takeMarks consumes the permit targets marked since the last call.
-func (m *FaultMonitor) takeMarks() map[addr.IP]bool {
+// TakeMarks consumes the permit targets the fault monitor marked since
+// the last call.
+func (p *Plane) TakeMarks() map[addr.IP]bool {
+	m := p.faults
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	marks := m.marks
@@ -190,33 +198,44 @@ func (m *FaultMonitor) registerMetrics(reg *metrics.Registry) {
 		"Deferred permit-update propagation lag.")
 }
 
-// tick is one health sweep over every provider, in deterministic order
-// (the provider index's list is name-sorted).
+// tick is one health sweep: every provider's services, in deterministic
+// order (Cloud.Providers is name-sorted), then every installed quota's
+// enforcement points.
 func (m *FaultMonitor) tick() {
-	now := m.cloud.plane.Now()
-	for _, p := range m.cloud.pidx.Load().list {
+	now := m.p.Now()
+	for _, p := range m.p.Cloud.Providers() {
 		m.sweepServices(now, p)
-		m.sweepEnforcers(p)
 	}
+	m.sweepEnforcers()
 }
 
 // sweepServices probes every SIP backend and drives rotation health.
-func (m *FaultMonitor) sweepServices(now time.Duration, p *Provider) {
-	svcs := p.services.All()
-	for i := 1; i < len(svcs); i++ {
-		for j := i; j > 0 && svcs[j].sip < svcs[j-1].sip; j-- {
-			svcs[j], svcs[j-1] = svcs[j-1], svcs[j]
-		}
+func (m *FaultMonitor) sweepServices(now time.Duration, p *core.Provider) {
+	c := m.p.Cloud
+	type service struct {
+		sip    core.SIP
+		holder string
 	}
+	var svcs []service // in address order
+	c.Declared().Services().Ascend(0, func(sip addr.IP, svc *intent.Service) bool {
+		if svc.Provider == p.Name {
+			svcs = append(svcs, service{sip, svc.Tenant})
+		}
+		return true
+	})
 	for _, svc := range svcs {
-		sip := svc.sip
-		for _, be := range svc.balancer.Backends() {
+		sip, holder := svc.sip, svc.holder
+		bal, ok := p.Service(sip)
+		if !ok {
+			continue
+		}
+		for _, be := range bal.Backends() {
 			node, ok := p.Lookup(be.EIP)
 			if !ok {
 				continue
 			}
 			st := m.state(p.Name, sip, be.EIP)
-			if m.cloud.plane.Reachable(node) {
+			if m.p.Reachable(node) {
 				st.misses = 0
 				if !st.down {
 					continue
@@ -229,13 +248,13 @@ func (m *FaultMonitor) sweepServices(now time.Duration, p *Provider) {
 				if now >= st.rebindAt {
 					st.down = false
 					st.rebindAt = 0
-					svc.balancer.SetHealth(be.EIP, true)
+					bal.SetHealth(be.EIP, true)
 					m.Rebinds++
 					m.LastRebindAt = now
 					if st.downAt > 0 {
 						m.mMTTR.Record(now - st.downAt)
 					}
-					m.cloud.traceEvent(m.cloud.holder(sip), obs.Decision{Kind: obs.Rebind, Src: be.EIP, Dst: sip, Verdict: obs.OK,
+					c.TraceEvent(holder, obs.Decision{Kind: obs.Rebind, Src: be.EIP, Dst: sip, Verdict: obs.OK,
 						Detail: fmt.Sprintf("node=%s mttr=%v", node, now-st.downAt)})
 					st.downAt = 0
 				}
@@ -251,17 +270,16 @@ func (m *FaultMonitor) sweepServices(now time.Duration, p *Provider) {
 			}
 			// Pull the binding; the balancer serves from survivors only.
 			st.down = true
-			svc.balancer.SetHealth(be.EIP, false)
+			bal.SetHealth(be.EIP, false)
 			m.Failovers++
-			m.LastFailoverAt = now
 			st.downAt = now
-			m.cloud.traceEvent(m.cloud.holder(sip), obs.Decision{Kind: obs.Failover, Src: be.EIP, Dst: sip, Verdict: obs.Fail,
+			c.TraceEvent(holder, obs.Decision{Kind: obs.Failover, Src: be.EIP, Dst: sip, Verdict: obs.Fail,
 				Detail: fmt.Sprintf("node=%s misses=%d", node, st.misses),
-				Cause:  obs.Chain(m.cloud.plane.Cause(node)...)})
+				Cause:  obs.Chain(m.p.Cause(node)...)})
 			if st.backoff == 0 {
 				st.backoff = RebindBackoff
-			} else if st.backoff *= 2; st.backoff > rebindBackoffMax {
-				st.backoff = rebindBackoffMax
+			} else if st.backoff *= 2; st.backoff > RebindBackoffMax {
+				st.backoff = RebindBackoffMax
 			}
 		}
 	}
@@ -270,24 +288,20 @@ func (m *FaultMonitor) sweepServices(now time.Duration, p *Provider) {
 // sweepEnforcers marks quota enforcers on unreachable nodes down so the
 // distributed limiter re-shares the tenant's guarantee across surviving
 // regions' enforcement points (graceful degradation under partition).
-func (m *FaultMonitor) sweepEnforcers(p *Provider) {
-	// Collect the quota records in deterministic order under polMu, then
-	// drive each one under its own mutex (Connect attaches enforcers
-	// concurrently).
-	p.polMu.RLock()
-	var tqs []*tenantQuota
-	for _, tenant := range sortedKeys(p.quotas) {
-		for _, region := range sortedKeys(p.quotas[tenant]) {
-			tqs = append(tqs, p.quotas[tenant][region])
-		}
-	}
-	p.polMu.RUnlock()
-	for _, tq := range tqs {
+// Each quota record is driven under its own mutex (Connect attaches
+// enforcers concurrently).
+func (m *FaultMonitor) sweepEnforcers() {
+	for _, tq := range m.p.sortedQuotas() {
 		tq.mu.Lock()
+		nodes := make([]topo.NodeID, 0, len(tq.enforcer))
+		for n := range tq.enforcer {
+			nodes = append(nodes, n)
+		}
+		slices.Sort(nodes)
 		changed := false
-		for _, n := range sortedKeys(tq.enforcer) {
+		for _, n := range nodes {
 			enf := tq.enforcer[n]
-			up := m.cloud.plane.Reachable(n)
+			up := m.p.Reachable(n)
 			if enf.Up() != up {
 				enf.SetUp(up)
 				changed = true
@@ -300,7 +314,7 @@ func (m *FaultMonitor) sweepEnforcers(p *Provider) {
 	}
 }
 
-func (m *FaultMonitor) state(provider string, sip SIP, eip EIP) *backendState {
+func (m *FaultMonitor) state(provider string, sip core.SIP, eip core.EIP) *backendState {
 	k := backendKey{provider, sip, eip}
 	st, ok := m.backends[k]
 	if !ok {
@@ -317,9 +331,9 @@ type deferral struct {
 	version uint64
 }
 
-// retryPermit accepts a permit update whose target endpoint is currently
-// unreachable and keeps retrying until the endpoint's enforcement point
-// answers or the timeout, counted from the first deferral, expires. The
+// DeferPermit has the fault monitor accept a permit update whose target
+// endpoint is currently unreachable and keep retrying until the
+// endpoint's enforcement point answers or the timeout, counted from the first deferral, expires. The
 // verb has declared the update on the endpoint's record already; the
 // attempt that reaches the node installs the list the record holds then.
 // Its version counts as if each deferred update had landed: a set_permit
@@ -335,12 +349,13 @@ type deferral struct {
 // counters, and the data plane serializes the queueing of the first
 // attempt with what other verbs schedule. The attempts themselves run in
 // the data plane, which never advances beside verbs.
-func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, edits int, set bool, node topo.NodeID) {
+func (p *Plane) DeferPermit(prov *core.Provider, tenant string, target addr.IP, edits int, set bool, node topo.NodeID) {
+	m, c := p.faults, p.Cloud
 	m.mu.Lock()
 	d, running := m.pending[target]
 	if !running {
-		cur, _ := p.Permits.List(target)
-		d = &deferral{since: m.cloud.plane.Now(), version: cur.Version()}
+		cur, _ := prov.Permits.List(target)
+		d = &deferral{since: p.Now(), version: cur.Version()}
 		m.pending[target] = d
 	}
 	if set {
@@ -349,14 +364,14 @@ func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, e
 	d.version += uint64(edits)
 	m.PermitRetries++
 	m.mu.Unlock()
-	m.cloud.traceEvent(tenant, obs.Decision{Kind: obs.PermitDefer, Dst: target, Verdict: obs.Deferred,
+	c.TraceEvent(tenant, obs.Decision{Kind: obs.PermitDefer, Dst: target, Verdict: obs.Deferred,
 		Detail: fmt.Sprintf("entries=%d node=%s", edits, node),
-		Cause:  obs.Chain(m.cloud.plane.Cause(node)...)})
+		Cause:  obs.Chain(p.Cause(node)...)})
 	if running {
 		return
 	}
 	accepted := d.since
-	deadline := accepted + permitRetryTimeout
+	deadline := accepted + PermitRetryTimeout
 	// settle ends the deferral. A landed or timed-out update marks the
 	// target in the same step, so a sweep sees the target either still
 	// pending or marked, never neither.
@@ -375,36 +390,36 @@ func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, e
 	attempt = func() {
 		// The target may have been released, or granted again, while the
 		// update was pending: what lands is what its record declares now.
-		ep, ok := m.cloud.decl.Endpoint(target)
+		ep, ok := c.Declared().Endpoint(target)
 		if !ok || ep.Permits == nil {
 			settle(false)
 			return
 		}
 		node := topo.NodeID(ep.VM)
-		if m.cloud.plane.Reachable(node) {
+		if p.Reachable(node) {
 			m.mu.Lock()
 			version := d.version
 			m.mu.Unlock()
-			epoch := p.Permits.Install(target, ep.Permits, version)
+			epoch := prov.Permits.Install(target, ep.Permits, version)
 			if p.meter != nil {
-				p.meter.PermitUpdate(ep.Tenant, m.cloud.plane.Now())
+				p.meter.PermitUpdate(ep.Tenant, p.Now())
 			}
-			lag := m.cloud.plane.Now() - accepted
+			lag := p.Now() - accepted
 			m.mPermitLag.Record(lag)
-			m.cloud.traceEvent(ep.Tenant, obs.Decision{Kind: obs.PermitApply, Dst: target, Verdict: obs.OK,
+			c.TraceEvent(ep.Tenant, obs.Decision{Kind: obs.PermitApply, Dst: target, Verdict: obs.OK,
 				Detail: fmt.Sprintf("lag=%v epoch=%d", lag, epoch)})
 			// The update landed outside any journaled record: the next
 			// sweep re-verifies it against the declared list.
 			settle(true)
 			return
 		}
-		if m.cloud.plane.Now()+permitRetryInterval > deadline {
+		if p.Now()+PermitRetryInterval > deadline {
 			m.mu.Lock()
 			m.PermitTimeouts++
 			m.mu.Unlock()
-			m.cloud.traceEvent(ep.Tenant, obs.Decision{Kind: obs.PermitTimeout, Dst: target, Verdict: obs.Fail,
-				Detail: fmt.Sprintf("after=%v", m.cloud.plane.Now()-accepted),
-				Cause:  obs.Chain(append([]string{"permit-timeout:" + target.String()}, m.cloud.plane.Cause(node)...)...)})
+			c.TraceEvent(ep.Tenant, obs.Decision{Kind: obs.PermitTimeout, Dst: target, Verdict: obs.Fail,
+				Detail: fmt.Sprintf("after=%v", p.Now()-accepted),
+				Cause:  obs.Chain(append([]string{"permit-timeout:" + target.String()}, p.Cause(node)...)...)})
 			// Timed out: the live list never took the declared update. With
 			// the pending flag gone the reconciler owns the repair, and the
 			// mark has it found promptly, not in K sweeps.
@@ -414,7 +429,7 @@ func (m *FaultMonitor) retryPermit(p *Provider, tenant string, target addr.IP, e
 		m.mu.Lock()
 		m.PermitRetries++
 		m.mu.Unlock()
-		m.cloud.plane.After(permitRetryInterval, attempt)
+		p.after(PermitRetryInterval, attempt)
 	}
-	m.cloud.plane.After(permitRetryInterval, attempt)
+	p.after(PermitRetryInterval, attempt)
 }

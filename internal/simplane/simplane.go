@@ -1,13 +1,13 @@
 // Package simplane is the simulated network a core.Cloud programs
 // in-process: it implements core's data-plane seam (core.DataPlane) over
 // the discrete-event engine (package sim), the flow-level max-min fair
-// network (package netsim) and the fault injector (package fault). The
-// experiments, the examples, the tests and the root package's World build
-// their clouds on it; declnetd builds its cloud with no data plane.
-//
-// The package does not import core — core's own tests build clouds on
-// it — so the seam's signatures name only time, math/rand, topo and qos
-// types.
+// network (package netsim) and the fault injector (package fault), and
+// holds everything of the cloud that only traffic needs — connections
+// and their flows (Connect), the regional egress limiters (limiter.go),
+// the fault monitor (faults.go) and usage metering. The experiments, the
+// examples, the tests and the root package's World build their clouds
+// here; declnetd builds its cloud with core.NoDataPlane and links none of
+// it.
 package simplane
 
 import (
@@ -17,51 +17,68 @@ import (
 	"sync"
 	"time"
 
+	"declnet/internal/core"
 	"declnet/internal/fault"
 	"declnet/internal/metrics"
 	"declnet/internal/netsim"
-	"declnet/internal/qos"
 	"declnet/internal/sim"
 	"declnet/internal/topo"
 )
 
-// Plane is one simulated world's data plane: its engine, its network and
-// its fault injector, which drills drive directly.
+// Plane is one simulated world's data plane — its engine, its network
+// and its fault injector, which drills drive directly — and the control
+// plane that programs it.
 type Plane struct {
 	Eng *sim.Engine
 	Net *netsim.Network
 	Inj *fault.Injector
+	// Cloud is the control plane over the plane, built with it.
+	Cloud *core.Cloud
 
 	// mu serializes what concurrent verbs and reads write into Eng and
-	// Net through the seam — a new quota limiter's period, a deferred
-	// permit's first retry, Connect's flow start and its cap changes —
-	// and the metrics scrape's reads of the engine and solver gauges.
-	// Advancing the engine takes no lock: only the simulation driver does
-	// it, with no verb in flight, and its callbacks may call verbs.
+	// Net — a new quota limiter's period, a deferred permit's first
+	// retry, Connect's flow start and its cap changes — and the metrics
+	// scrape's reads of the engine and solver gauges. Advancing the
+	// engine takes no lock: only the simulation driver does it, with no
+	// verb in flight, and its callbacks may call verbs.
 	mu sync.Mutex
+
+	faults *FaultMonitor
+	// quotas are the installed egress limiters. qmu guards the map: set_qos
+	// in different shards installs concurrently, beside connects, Explain
+	// and the reconciler reading it.
+	qmu    sync.RWMutex
+	quotas map[quotaKey]*tenantQuota
+	// meter, when set, records billable usage (SetBiller); set it before
+	// the cloud is shared.
+	meter Biller
 }
 
 // New builds the data plane over graph g, its engine's random source
-// seeded with seed.
+// seeded with seed, and the sharded control plane that programs it.
 func New(seed int64, g *topo.Graph) *Plane {
 	eng := sim.New(seed)
 	net := netsim.New(g, eng)
-	return &Plane{Eng: eng, Net: net, Inj: fault.NewInjector(eng, g, net)}
+	p := &Plane{Eng: eng, Net: net, Inj: fault.NewInjector(eng, g, net)}
+	p.quotas = make(map[quotaKey]*tenantQuota)
+	p.faults = newFaultMonitor(p)
+	p.Cloud = core.NewCloud(g, p)
+	return p
 }
 
 // Now reads the virtual clock.
 func (p *Plane) Now() time.Duration { return p.Eng.Now() }
 
-// After schedules fn d from now on the engine.
-func (p *Plane) After(d time.Duration, fn func()) {
+// after schedules fn d from now on the engine.
+func (p *Plane) after(d time.Duration, fn func()) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.Eng.After(d, fn)
 }
 
-// Every arms a daemon ticker: it never keeps a deadline-less Run alive on
+// every arms a daemon ticker: it never keeps a deadline-less Run alive on
 // its own.
-func (p *Plane) Every(period time.Duration, fn func()) {
+func (p *Plane) every(period time.Duration, fn func()) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.Eng.EveryDaemon(period, fn)
@@ -75,8 +92,8 @@ func (p *Plane) Cause(n topo.NodeID) []string { return p.Inj.Cause(n) }
 // deterministic stream.
 func (p *Plane) Rand() *rand.Rand { return p.Eng.Rand() }
 
-// StartFlow starts a netsim flow.
-func (p *Plane) StartFlow(path topo.Path, sizeBytes, maxRate float64, onDone func(time.Duration)) (qos.Flow, error) {
+// startFlow starts a netsim flow.
+func (p *Plane) startFlow(path topo.Path, sizeBytes, maxRate float64, onDone func(time.Duration)) (Flow, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	f, err := p.Net.StartFlow(&netsim.Flow{Path: path, Size: sizeBytes, MaxRate: maxRate, OnDone: onDone})
@@ -104,8 +121,8 @@ func (f flow) Stop() {
 	f.p.Net.Stop(f.Flow)
 }
 
-// RegisterMetrics exposes the engine, solver and injector gauges; a
-// cloud's EnableObservability calls it.
+// RegisterMetrics exposes the engine, solver and injector gauges, and an
+// armed fault monitor's series; a cloud's EnableObservability calls it.
 func (p *Plane) RegisterMetrics(reg *metrics.Registry) {
 	gauge := func(name, help string, read func() float64) {
 		reg.GaugeFunc(name, help, func() float64 {
@@ -123,14 +140,18 @@ func (p *Plane) RegisterMetrics(reg *metrics.Registry) {
 	gauge("declnet_faults_injected_total", "Injected link+node+region failures.", func() float64 {
 		return float64(p.Inj.LinkFailures + p.Inj.NodeFailures + p.Inj.RegionFailures)
 	})
+	if p.faults.armed {
+		p.faults.registerMetrics(reg)
+	}
 }
 
-// Fault injects (fail) or lifts an infrastructure failure now. kind is
-// "link" (target: link pair ID), "node" (target: node ID), or "region"
-// (target: "provider/region").
+// Fault injects (fail) or lifts an infrastructure failure now, arming
+// the fault monitor with the default policy on first use. kind is "link"
+// (target: link pair ID), "node" (target: node ID), or "region" (target:
+// "provider/region").
 func (p *Plane) Fault(kind, target string, fail bool) error {
-	inj := p.Inj
-	switch kind {
+	p.EnableFaults(FaultPolicy{})
+	switch inj := p.Inj; kind {
 	case "link":
 		if fail {
 			return inj.FailLink(target)
